@@ -315,9 +315,7 @@ func Fig13(d *tpch.Data) ([]Fig13Row, error) {
 			allCols[i] = i
 		}
 		t0 = stopwatchStart()
-		sorter := storage.NewExternalSorter(func(a, b table.Tuple) int {
-			return table.CompareOn(a, b, allCols)
-		}, 0, "")
+		sorter := storage.NewKeySorter(allCols, 0, "")
 		for _, r := range answer.Rows {
 			if err := sorter.Add(r); err != nil {
 				return nil, err

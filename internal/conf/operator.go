@@ -43,6 +43,7 @@ type Stats struct {
 	Scans        int      // aggregation scans + the final scan
 	Sorts        int      // sort passes (one per scan)
 	SpilledRuns  int      // external-sort runs written to disk
+	SpillBytes   int64    // bytes written to those run files
 	InputTuples  int64    // tuples entering the first scan
 	OutputTuples int64    // distinct answer tuples
 	Steps        []string // signatures of the scheduled aggregation steps
@@ -72,24 +73,39 @@ func ComputeStats(rel *table.Relation, sig signature.Sig, opts Options) (*table.
 	cur := rel
 	for _, st := range steps {
 		stats.Steps = append(stats.Steps, "["+st.gamma.String()+"]")
-		next, spills, err := aggregateStep(cur, st.gamma, opts)
+		next, sp, err := aggregateStep(cur, st.gamma, opts)
 		if err != nil {
 			return nil, nil, err
 		}
-		stats.Scans++
-		stats.Sorts++
-		stats.SpilledRuns += spills
+		stats.addScan(sp)
 		cur = next
 	}
-	out, spills, err := finalScan(cur, finalSig, opts)
+	out, sp, err := finalScan(cur, finalSig, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	stats.Scans++
-	stats.Sorts++
-	stats.SpilledRuns += spills
+	stats.addScan(sp)
 	stats.OutputTuples = int64(out.Len())
 	return out, stats, nil
+}
+
+// spillStats is what one sort spilled: run files and their bytes.
+type spillStats struct {
+	runs  int
+	bytes int64
+}
+
+func (a *spillStats) add(b spillStats) {
+	a.runs += b.runs
+	a.bytes += b.bytes
+}
+
+// addScan records one sort+scan pass.
+func (s *Stats) addScan(sp spillStats) {
+	s.Scans++
+	s.Sorts++
+	s.SpilledRuns += sp.runs
+	s.SpillBytes += sp.bytes
 }
 
 func validateSources(s *table.Schema, sig signature.Sig) error {
@@ -186,43 +202,43 @@ func representative(s signature.Sig) string {
 	return st.Table
 }
 
-// sortedScan sorts rel by keyCols (external sort) and streams it to emit,
-// checking the context once per batch of scanBatchSize tuples on both the
-// feeding and the draining side. Error paths discard any spilled runs.
-func sortedScan(rel *table.Relation, keyCols []int, opts Options, emit func(table.Tuple) error) (spills int, err error) {
+// sortedScan sorts rel by keyCols (external key sort, buffers sized from
+// rel.Len()) and streams it to emit, checking the context once per batch of
+// scanBatchSize tuples on both the feeding and the draining side. The
+// tuple handed to emit is borrowed — valid until emit returns, then the
+// merge may decode the next one over it — so emit must copy what it keeps.
+// Error paths discard any spilled runs.
+func sortedScan(rel *table.Relation, keyCols []int, opts Options, emit func(table.Tuple) error) (sp spillStats, err error) {
 	ctx := opts.ctx()
-	sorter := storage.NewExternalSorter(func(a, b table.Tuple) int {
-		return table.CompareOn(a, b, keyCols)
-	}, opts.SortBudget, opts.TmpDir)
+	sorter := storage.NewKeySorter(keyCols, opts.SortBudget, opts.TmpDir)
 	sorter.Govern(opts.Mem)
+	sorter.Expect(rel.Len())
 	for i, row := range rel.Rows {
 		if i%scanBatchSize == 0 && ctx.Err() != nil {
 			sorter.Discard()
-			return 0, ctx.Err()
+			return sp, ctx.Err()
 		}
 		if err := sorter.Add(row); err != nil {
 			sorter.Discard()
-			return 0, err
+			return sp, err
 		}
 	}
-	it, err := sorter.Finish()
+	it, err := sorter.FinishBorrowed()
 	if err != nil {
-		return 0, err
+		return sp, err
 	}
 	defer it.Close()
+	sp = spillStats{runs: sorter.Spills(), bytes: sorter.SpillBytes()}
 	for i := 0; ; i++ {
 		if i%scanBatchSize == 0 && ctx.Err() != nil {
-			return sorter.Spills(), ctx.Err()
+			return sp, ctx.Err()
 		}
 		t, ok, err := it.Next()
-		if err != nil {
-			return sorter.Spills(), err
-		}
-		if !ok {
-			return sorter.Spills(), nil
+		if err != nil || !ok {
+			return sp, err
 		}
 		if err := emit(t); err != nil {
-			return sorter.Spills(), err
+			return sp, err
 		}
 	}
 }
@@ -284,32 +300,38 @@ func mergeByKey(parts []*table.Relation, keyCols []int, schema *table.Schema) *t
 // sortCols, walk it group by group (groups are contiguous on groupCols), run
 // the one-scan algorithm of rt within each group, and append one output row
 // per group built from the group's first sorted tuple and its probability.
-func groupedScan(rel *table.Relation, rt *runtimeTree, groupCols, sortCols []int, opts Options, out *table.Relation, buildRow func(first table.Tuple, p float64) table.Tuple) (int, error) {
+//
+// The scan keeps two tuples across rows — the group's first and the
+// previous one — in buffers it reuses: sortedScan's tuples are borrowed,
+// and buildRow copies the values it wants out of first.
+func groupedScan(rel *table.Relation, rt *runtimeTree, groupCols, sortCols []int, opts Options, out *table.Relation, buildRow func(first table.Tuple, p float64) table.Tuple) (spillStats, error) {
 	var prev, first table.Tuple
+	inGroup := false
 	emitGroup := func() {
 		out.Rows = append(out.Rows, buildRow(first, rt.flush()))
 	}
-	spills, err := sortedScan(rel, sortCols, opts, func(t table.Tuple) error {
-		if prev != nil && !table.EqualOn(prev, t, groupCols) {
+	sp, err := sortedScan(rel, sortCols, opts, func(t table.Tuple) error {
+		if inGroup && !table.EqualOn(prev, t, groupCols) {
 			emitGroup()
-			prev = nil
+			inGroup = false
 		}
-		if prev == nil {
-			first = t.Clone()
+		if !inGroup {
+			first = append(first[:0], t...)
 			rt.seed(t)
+			inGroup = true
 		} else {
 			rt.step(rt.firstUnmatched(prev, t), t)
 		}
-		prev = t.Clone()
+		prev = append(prev[:0], t...)
 		return nil
 	})
 	if err != nil {
-		return spills, err
+		return sp, err
 	}
-	if prev != nil {
+	if inGroup {
 		emitGroup()
 	}
-	return spills, nil
+	return sp, nil
 }
 
 // aggregateStep executes one aggregation [γ*]: group by every column not
@@ -320,14 +342,14 @@ func groupedScan(rel *table.Relation, rt *runtimeTree, groupCols, sortCols []int
 // options the input is hash-partitioned by group key and the partitions are
 // sorted and scanned in parallel; the merged output is bit-identical to the
 // serial scan's.
-func aggregateStep(rel *table.Relation, gamma signature.Sig, opts Options) (*table.Relation, int, error) {
+func aggregateStep(rel *table.Relation, gamma signature.Sig, opts Options) (*table.Relation, spillStats, error) {
 	rt, err := newRuntimeTree(gamma, rel.Schema)
 	if err != nil {
-		return nil, 0, err
+		return nil, spillStats{}, err
 	}
 	rootVarIdx := rt.rootVarIdx()
 	if rootVarIdx < 0 {
-		return nil, 0, fmt.Errorf("conf: aggregation step %s has no representative table", gamma)
+		return nil, spillStats{}, fmt.Errorf("conf: aggregation step %s has no representative table", gamma)
 	}
 	root := rt.root.tableName
 
@@ -361,21 +383,21 @@ func aggregateStep(rel *table.Relation, gamma signature.Sig, opts Options) (*tab
 		return append(row, first[rootVarIdx], table.Float(p))
 	}
 
-	scanOne := func(part *table.Relation, out *table.Relation) (int, error) {
+	scanOne := func(part *table.Relation, out *table.Relation) (spillStats, error) {
 		prt, err := newRuntimeTree(gamma, rel.Schema)
 		if err != nil {
-			return 0, err
+			return spillStats{}, err
 		}
 		return groupedScan(part, prt, groupCols, sortCols, opts, out, buildRow)
 	}
 
 	if !parallelScans(opts, rel.Len(), len(groupCols)) {
 		out := table.NewRelation(schema)
-		spills, err := groupedScan(rel, rt, groupCols, sortCols, opts, out, buildRow)
+		sp, err := groupedScan(rel, rt, groupCols, sortCols, opts, out, buildRow)
 		if err != nil {
-			return nil, 0, err
+			return nil, spillStats{}, err
 		}
-		return out, spills, nil
+		return out, sp, nil
 	}
 	// Merge key: the group columns occupy the output's leading positions.
 	mergeCols := make([]int, len(groupCols))
@@ -388,11 +410,11 @@ func aggregateStep(rel *table.Relation, gamma signature.Sig, opts Options) (*tab
 // parallelGroupedScan hash-partitions rel by groupCols, runs scanOne over
 // every partition on the pool, and merges the per-partition outputs (each
 // sorted on the output's mergeCols) back into global order.
-func parallelGroupedScan(rel *table.Relation, groupCols, mergeCols []int, schema *table.Schema, opts Options, scanOne func(part, out *table.Relation) (int, error)) (*table.Relation, int, error) {
+func parallelGroupedScan(rel *table.Relation, groupCols, mergeCols []int, schema *table.Schema, opts Options, scanOne func(part, out *table.Relation) (spillStats, error)) (*table.Relation, spillStats, error) {
 	n := opts.Pool.Workers()
 	parts := partitionByKey(rel, groupCols, n)
 	outs := make([]*table.Relation, n)
-	spills := make([]int, n)
+	spills := make([]spillStats, n)
 	err := opts.Pool.Do(opts.ctx(), n, func(i int) error {
 		outs[i] = table.NewRelation(schema)
 		s, err := scanOne(parts[i], outs[i])
@@ -400,11 +422,11 @@ func parallelGroupedScan(rel *table.Relation, groupCols, mergeCols []int, schema
 		return err
 	})
 	if err != nil {
-		return nil, 0, err
+		return nil, spillStats{}, err
 	}
-	total := 0
+	var total spillStats
 	for _, s := range spills {
-		total += s
+		total.add(s)
 	}
 	return mergeByKey(outs, mergeCols, schema), total, nil
 }
@@ -414,10 +436,10 @@ func parallelGroupedScan(rel *table.Relation, groupCols, mergeCols []int, schema
 // compute one probability per bag of duplicates (Fig. 8's outer loop). Like
 // aggregateStep it runs partition-parallel by answer key under a
 // multi-worker pool, with bit-identical output.
-func finalScan(rel *table.Relation, sig signature.Sig, opts Options) (*table.Relation, int, error) {
+func finalScan(rel *table.Relation, sig signature.Sig, opts Options) (*table.Relation, spillStats, error) {
 	rt, err := newRuntimeTree(sig, rel.Schema)
 	if err != nil {
-		return nil, 0, err
+		return nil, spillStats{}, err
 	}
 	dataCols := rel.Schema.DataIndexes()
 	sortCols := append(append([]int(nil), dataCols...), rt.varColumns()...)
@@ -436,21 +458,21 @@ func finalScan(rel *table.Relation, sig signature.Sig, opts Options) (*table.Rel
 		return append(row, table.Float(p))
 	}
 
-	scanOne := func(part *table.Relation, out *table.Relation) (int, error) {
+	scanOne := func(part *table.Relation, out *table.Relation) (spillStats, error) {
 		prt, err := newRuntimeTree(sig, rel.Schema)
 		if err != nil {
-			return 0, err
+			return spillStats{}, err
 		}
 		return groupedScan(part, prt, dataCols, sortCols, opts, out, buildRow)
 	}
 
 	if !parallelScans(opts, rel.Len(), len(dataCols)) {
 		out := table.NewRelation(schema)
-		spills, err := groupedScan(rel, rt, dataCols, sortCols, opts, out, buildRow)
+		sp, err := groupedScan(rel, rt, dataCols, sortCols, opts, out, buildRow)
 		if err != nil {
-			return nil, 0, err
+			return nil, spillStats{}, err
 		}
-		return out, spills, nil
+		return out, sp, nil
 	}
 	mergeCols := make([]int, len(dataCols))
 	for i := range mergeCols {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"sync/atomic"
@@ -126,5 +127,128 @@ func TestComputeInjectedFailureCleansSpills(t *testing.T) {
 	}
 	if len(entries) != 0 {
 		t.Errorf("spill files left after injected failure: %v", entries)
+	}
+}
+
+// productRel builds an answer relation over a string data column and two
+// sources whose lineage per answer is a product (every R variable of the
+// group paired with every S variable): signature (R*S*)*, which needs one
+// aggregation step before the final scan. It returns the exact confidence
+// of each answer.
+func productRel(rng *rand.Rand, groups, nr, ns int) (*table.Relation, map[string]float64) {
+	sch := table.NewSchema(
+		table.DataCol("d", table.KindString),
+		table.VarCol("R"), table.ProbCol("R"),
+		table.VarCol("S"), table.ProbCol("S"),
+	)
+	rel := table.NewRelation(sch)
+	want := make(map[string]float64)
+	nextVar := int64(1)
+	for g := 0; g < groups; g++ {
+		d := fmt.Sprintf("answer-%03d", g)
+		type tup struct {
+			v int64
+			p float64
+		}
+		draw := func(n int) ([]tup, float64) {
+			ts, none := make([]tup, n), 1.0
+			for i := range ts {
+				ts[i] = tup{nextVar, 0.05 + 0.5*rng.Float64()}
+				none *= 1 - ts[i].p
+				nextVar++
+			}
+			return ts, 1 - none
+		}
+		rs, pr := draw(nr)
+		ss, ps := draw(ns)
+		want[d] = pr * ps
+		for _, r := range rs {
+			for _, s := range ss {
+				rel.MustAppend(table.Tuple{table.Str(d),
+					table.VarValue(prob.Var(r.v)), table.Float(r.p),
+					table.VarValue(prob.Var(s.v)), table.Float(s.p)})
+			}
+		}
+	}
+	rng.Shuffle(rel.Len(), func(i, j int) { rel.Rows[i], rel.Rows[j] = rel.Rows[j], rel.Rows[i] })
+	return rel, want
+}
+
+func productSig() signature.Sig {
+	return signature.NewStar(signature.NewConcat(
+		signature.NewStar(signature.Table("R")),
+		signature.NewStar(signature.Table("S")),
+	))
+}
+
+// TestSpilledScanMatchesUnspilled: the scans read a spilled sort through
+// the borrowed iterator — every tuple decoded over the previous one of its
+// run — while keeping the group's first and the previous tuple across rows.
+// The answers must not depend on it: bit-identical to the unspilled run
+// (which hands out the input tuples themselves), and right.
+func TestSpilledScanMatchesUnspilled(t *testing.T) {
+	rel, want := productRel(rand.New(rand.NewSource(21)), 40, 6, 9)
+	mem, memStats, err := ComputeStats(rel, productSig(), Options{TmpDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spilled, spillStats, err := ComputeStats(rel, productSig(), Options{SortBudget: 100, TmpDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if memStats.SpilledRuns != 0 || memStats.SpillBytes != 0 {
+		t.Fatalf("default budget spilled: %+v", memStats)
+	}
+	if spillStats.SpilledRuns < 3 || spillStats.SpillBytes <= 0 {
+		t.Fatalf("tiny budget must spill several runs: %+v", spillStats)
+	}
+	if spillStats.Scans != 2 || memStats.Scans != 2 {
+		t.Fatalf("(R*S*)* takes one aggregation and the final scan: %+v / %+v", memStats, spillStats)
+	}
+	if mem.Len() != len(want) || spilled.Len() != len(want) {
+		t.Fatalf("%d / %d answers, want %d", mem.Len(), spilled.Len(), len(want))
+	}
+	for i, row := range mem.Rows {
+		srow := spilled.Rows[i]
+		if row[0].S != srow[0].S || math.Float64bits(row[1].F) != math.Float64bits(srow[1].F) {
+			t.Fatalf("answer %d: unspilled %v, spilled %v", i, row, srow)
+		}
+		if !prob.ApproxEqual(row[1].F, want[row[0].S], 1e-9) {
+			t.Errorf("answer %s: conf %g, want %g", row[0].S, row[1].F, want[row[0].S])
+		}
+	}
+}
+
+// TestSortScanAllocs pins the sort+scan's allocations per input row: the
+// sorter encodes keys into one arena and sorts fixed-size entries, the
+// merge decodes into per-run buffers, and the scan keeps its two remembered
+// tuples in reused storage — so what remains is per sort, per run and per
+// output row (the aggregation step emits 1 000 of them here), not per input
+// row. (Cloning each scanned row, as before the key sorter, is two
+// allocations per input row.)
+func TestSortScanAllocs(t *testing.T) {
+	rel, _ := productRel(rand.New(rand.NewSource(5)), 25, 20, 40)
+	for _, tc := range []struct {
+		name   string
+		budget int
+	}{{"unspilled", 0}, {"spilled", 2500}} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := Options{SortBudget: tc.budget, TmpDir: t.TempDir()}
+			var stats *Stats
+			allocs := testing.AllocsPerRun(3, func() {
+				var err error
+				if _, stats, err = ComputeStats(rel, productSig(), opts); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if spilled := stats.SpilledRuns > 0; spilled != (tc.budget > 0) {
+				t.Fatalf("budget %d spilled %d runs", tc.budget, stats.SpilledRuns)
+			}
+			if perRow := allocs / float64(rel.Len()); perRow > 0.1 {
+				t.Errorf("%.0f allocations for %d input rows (%.3f per row), want ≤ 0.1 per row", allocs, rel.Len(), perRow)
+			} else {
+				t.Logf("%.0f allocations for %d input rows (%.4f per row)", allocs, rel.Len(), perRow)
+			}
+		})
 	}
 }

@@ -45,8 +45,8 @@ func (o *iterOp) Next() (table.Tuple, bool, error) {
 	return o.it.Next()
 }
 
-// StableTuples: sorted streams own their tuples (in-memory buffer or fresh
-// spill-file decodes), matching Sort's contract.
+// StableTuples: the iterator comes from ExternalSorter.Finish, the stable
+// mode, matching Sort's contract.
 func (o *iterOp) StableTuples() bool { return true }
 
 func (o *iterOp) Close() error {
@@ -108,9 +108,7 @@ func buildGoverned(op Operator, keys []int, gov *fault.Governor) (built *table.T
 // already drained, j.Right the remainder. Both sides are sorted on their
 // join keys under the governor and merge-joined.
 func (j *HashJoin) openGrace(buffered []table.Tuple) error {
-	rs := storage.NewExternalSorter(func(a, b table.Tuple) int {
-		return table.CompareOn(a, b, j.RightKey)
-	}, j.SortBudget, j.TmpDir)
+	rs := storage.NewKeySorter(j.RightKey, j.SortBudget, j.TmpDir)
 	rs.Govern(j.Mem)
 	for _, t := range buffered {
 		if err := rs.Add(t); err != nil {

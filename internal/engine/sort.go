@@ -12,9 +12,6 @@ type SortSpec struct {
 	Cols []int
 }
 
-// Compare orders two tuples under the spec.
-func (s SortSpec) Compare(a, b table.Tuple) int { return table.CompareOn(a, b, s.Cols) }
-
 // Sort materializes and orders its input using the external sorter, so that
 // inputs beyond the memory budget spill to disk. The paper's lazy plans are
 // dominated by exactly this step: "the time needed ... to compute and store
@@ -46,7 +43,7 @@ func (s *Sort) Open() error {
 	if err := s.In.Open(); err != nil {
 		return err
 	}
-	sorter := storage.NewExternalSorter(s.Spec.Compare, s.Budget, s.TmpDir)
+	sorter := storage.NewKeySorter(s.Spec.Cols, s.Budget, s.TmpDir)
 	sorter.Govern(s.Mem)
 	if err := drainEach(s.In, sorter.Add); err != nil {
 		s.In.Close()
@@ -74,8 +71,7 @@ func (s *Sort) Next() (table.Tuple, bool, error) {
 	return s.it.Next()
 }
 
-// NextBatch streams sorted tuples. The sorted stream owns its tuples (an
-// in-memory buffer or heap-file decodes), so batches are stable.
+// NextBatch streams sorted tuples; batches are stable (see StableTuples).
 func (s *Sort) NextBatch(dst []table.Tuple) (int, error) {
 	if s.it == nil {
 		return 0, nil
@@ -83,8 +79,10 @@ func (s *Sort) NextBatch(dst []table.Tuple) (int, error) {
 	return fillBatch(dst, func(int) (table.Tuple, bool, error) { return s.it.Next() })
 }
 
-// StableTuples: sorted tuples are owned by the sorter's materialized buffer
-// or decoded fresh from spill files; they are never overwritten.
+// StableTuples: Open takes the sorter's stable iterator (ExternalSorter.
+// Finish, not FinishBorrowed) — an unspilled sort hands out the buffered
+// input tuples, a spilled one decodes its runs into arena blocks that are
+// never reused — so consumers may retain sorted tuples without cloning.
 func (s *Sort) StableTuples() bool { return true }
 
 // Close releases the sorted stream (removing any spill files).

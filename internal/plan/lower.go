@@ -307,7 +307,7 @@ func (st *lowerState) finishSortScan(b *built, rel *table.Relation, tupleTime ti
 		}
 		st.scans += cstats.Scans
 		sp.Int("scans", int64(cstats.Scans)).Int("sorts", int64(cstats.Sorts))
-		sp.LooseInt("spilled_runs", int64(cstats.SpilledRuns))
+		sp.LooseInt("spilled_runs", int64(cstats.SpilledRuns)).LooseInt("spill_bytes", cstats.SpillBytes)
 	}
 	d := statsSince(pt0)
 	sp.Str("sig", st.cur.String()).Int("rows_in", int64(rel.Len())).Int("distinct", int64(out.Len()))

@@ -2,12 +2,15 @@ package plan
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"repro/internal/dtree"
 	"repro/internal/fd"
 	"repro/internal/obdd"
+	"repro/internal/obs"
 	"repro/internal/prob"
+	"repro/internal/storage"
 )
 
 // TestStatsLadderPopulation pins the Stats population contract across every
@@ -151,5 +154,55 @@ func TestTraceOffByDefault(t *testing.T) {
 	}
 	if res.Stats.Trace != nil {
 		t.Fatal("Stats.Trace populated without Spec.Trace")
+	}
+}
+
+// TestSortScanSpanReportsSpills: the conf[sort+scan] span carries the
+// operator's spill volume — runs and bytes — as loose attributes (they move
+// with the sort budget and the partitioning, so they stay out of the
+// fingerprint), and nothing when the sorts fit in memory.
+func TestSortScanSpanReportsSpills(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		budget int
+		spills bool
+	}{{"in-memory", 0, false}, {"spilled", 2, true}} {
+		t.Run(c.name, func(t *testing.T) {
+			cat, _ := fig1Catalog()
+			spec := Spec{Style: Lazy, Trace: true}
+			spec.Conf.SortBudget = c.budget
+			spec.Conf.TmpDir = t.TempDir()
+			res, err := Run(cat, introQ(), tpchFDs(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var span *obs.Span
+			var find func(s *obs.Span)
+			find = func(s *obs.Span) {
+				if s.Name == "conf[sort+scan]" {
+					span = s
+				}
+				for _, ch := range s.Children {
+					find(ch)
+				}
+			}
+			find(res.Stats.Trace.Root)
+			if span == nil {
+				t.Fatalf("no conf[sort+scan] span in\n%s", res.Stats.Trace.Render(true))
+			}
+			loose := make(map[string]int64)
+			for _, a := range span.Attrs {
+				if !a.Structural {
+					loose[a.Key], _ = strconv.ParseInt(a.Val, 10, 64)
+				}
+			}
+			runs, bytes := loose["spilled_runs"], loose["spill_bytes"]
+			if c.spills && (runs < 1 || bytes < runs*storage.PageSize) {
+				t.Errorf("spilled sort reported spilled_runs=%d spill_bytes=%d", runs, bytes)
+			}
+			if !c.spills && (runs != 0 || bytes != 0) {
+				t.Errorf("in-memory sort reported spilled_runs=%d spill_bytes=%d", runs, bytes)
+			}
+		})
 	}
 }

@@ -145,21 +145,41 @@ func DecodeTuple(buf []byte) (table.Tuple, int, error) {
 // pays one value-slice allocation per ~4k values instead of one per tuple;
 // the decoded tuples stay valid forever (arena blocks are never reused).
 func DecodeTupleArena(buf []byte, arena []table.Value) (table.Tuple, []table.Value, int, error) {
-	n, sz := binary.Uvarint(buf)
-	if sz <= 0 {
-		return nil, arena, 0, fmt.Errorf("storage: corrupt tuple header")
+	n, off, err := tupleHeader(buf)
+	if err != nil {
+		return nil, arena, 0, err
 	}
-	off := sz
 	var t table.Tuple
-	if int(n) <= len(arena) {
+	if n <= len(arena) {
 		t = table.Tuple(arena[:n:n])
 		arena = arena[n:]
 	} else {
 		t = make(table.Tuple, n)
 	}
+	off, err = decodeFields(buf, off, t)
+	if err != nil {
+		return nil, arena, 0, err
+	}
+	return t, arena, off, nil
+}
+
+// tupleHeader reads a record's field count and returns it with the offset
+// of the first field.
+func tupleHeader(buf []byte) (n, off int, err error) {
+	un, sz := binary.Uvarint(buf)
+	if sz <= 0 || un > uint64(len(buf)) { // every field takes at least its kind byte
+		return 0, 0, fmt.Errorf("storage: corrupt tuple header")
+	}
+	return int(un), sz, nil
+}
+
+// decodeFields decodes len(t) fields of buf, starting at off, over t, and
+// returns the offset past the last. A string field whose slot in t already
+// holds the same string keeps it instead of allocating a copy.
+func decodeFields(buf []byte, off int, t table.Tuple) (int, error) {
 	for i := range t {
 		if off >= len(buf) {
-			return nil, arena, 0, fmt.Errorf("storage: truncated tuple at field %d", i)
+			return 0, fmt.Errorf("storage: truncated tuple at field %d", i)
 		}
 		kind := table.Kind(buf[off])
 		off++
@@ -169,27 +189,47 @@ func DecodeTupleArena(buf []byte, arena []table.Value) (table.Tuple, []table.Val
 		case table.KindInt, table.KindBool:
 			iv, s := binary.Varint(buf[off:])
 			if s <= 0 {
-				return nil, arena, 0, fmt.Errorf("storage: corrupt int field %d", i)
+				return 0, fmt.Errorf("storage: corrupt int field %d", i)
 			}
 			off += s
 			t[i] = table.Value{Kind: kind, I: iv}
 		case table.KindFloat:
 			if off+8 > len(buf) {
-				return nil, arena, 0, fmt.Errorf("storage: truncated float field %d", i)
+				return 0, fmt.Errorf("storage: truncated float field %d", i)
 			}
 			t[i] = table.Float(math.Float64frombits(binary.LittleEndian.Uint64(buf[off:])))
 			off += 8
 		case table.KindString:
 			l, s := binary.Uvarint(buf[off:])
 			if s <= 0 || off+s+int(l) > len(buf) {
-				return nil, arena, 0, fmt.Errorf("storage: corrupt string field %d", i)
+				return 0, fmt.Errorf("storage: corrupt string field %d", i)
 			}
 			off += s
-			t[i] = table.Str(string(buf[off : off+int(l)]))
+			if b := buf[off : off+int(l)]; t[i].Kind != table.KindString || t[i].S != string(b) {
+				t[i] = table.Str(string(b))
+			}
 			off += int(l)
 		default:
-			return nil, arena, 0, fmt.Errorf("storage: unknown kind byte %d in field %d", kind, i)
+			return 0, fmt.Errorf("storage: unknown kind byte %d in field %d", kind, i)
 		}
 	}
-	return t, arena, off, nil
+	return off, nil
+}
+
+// DecodeTupleReuse decodes one record into dst's storage, reallocating only
+// when dst is too short, and keeps a string value dst already holds in the
+// same field when the record repeats it — consecutive tuples of a sorted
+// run mostly do. The strings handed out are ordinary immutable strings;
+// only the value slice is reused.
+func DecodeTupleReuse(rec []byte, dst table.Tuple) (table.Tuple, error) {
+	n, off, err := tupleHeader(rec)
+	if err != nil {
+		return dst, err
+	}
+	if cap(dst) < n {
+		dst = make(table.Tuple, n)
+	}
+	dst = dst[:n]
+	_, err = decodeFields(rec, off, dst)
+	return dst, err
 }
