@@ -10,7 +10,8 @@ import (
 // Each analyzer has a fixture package under testdata/src exercising the
 // violation, the clean shape, and the //sproutvet:allow escape hatch.
 // Path-scoped analyzers (detrand, fnvkey) have their fixtures placed at the
-// real import paths they watch.
+// real import paths they watch; the shared clause-set store is watched by
+// both, through one fixture whose violating line trips either.
 
 func TestBatchAlias(t *testing.T) {
 	analyzertest.Run(t, "testdata", analyzers.BatchAlias, "batchalias")
@@ -18,6 +19,7 @@ func TestBatchAlias(t *testing.T) {
 
 func TestDetRand(t *testing.T) {
 	analyzertest.Run(t, "testdata", analyzers.DetRand, "repro/internal/prob")
+	analyzertest.Run(t, "testdata", analyzers.DetRand, "repro/internal/clauseset")
 }
 
 func TestMapIter(t *testing.T) {
@@ -34,6 +36,7 @@ func TestSortSlice(t *testing.T) {
 
 func TestFnvKey(t *testing.T) {
 	analyzertest.Run(t, "testdata", analyzers.FnvKey, "repro/internal/engine")
+	analyzertest.Run(t, "testdata", analyzers.FnvKey, "repro/internal/clauseset")
 }
 
 func TestIOHook(t *testing.T) {

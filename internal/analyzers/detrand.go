@@ -26,6 +26,7 @@ var DetRand = &Analyzer{
 // TestWorkerCountBitIdentical and the batch-size identity tests.
 var detRandPkgs = []string{
 	"repro/internal/prob",
+	"repro/internal/clauseset",
 	"repro/internal/obdd",
 	"repro/internal/dtree",
 	"repro/internal/conf",

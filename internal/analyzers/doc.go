@@ -7,21 +7,23 @@
 //     reused buffers and must be slab-cloned before they outlive the batch,
 //     unless the source op promises StableTuples (PR 5's materialization
 //     rule, held in one place by engine.drainCtx).
-//   - detrand — the deterministic packages (prob, obdd, dtree, conf, engine,
-//     signature, stats, plan, benchutil) must not consume global math/rand
-//     state, wall-clock time, or the pid: confidences are pinned
-//     bit-identical across worker counts and batch sizes (PR 3).
+//   - detrand — the deterministic packages (prob, clauseset, obdd, dtree,
+//     conf, engine, signature, stats, plan, benchutil) must not consume
+//     global math/rand state, wall-clock time, or the pid: confidences are
+//     pinned bit-identical across worker counts and batch sizes (PR 3).
 //   - mapiter — slices built by ranging over maps must be canonicalized
 //     before they escape; map iteration order is randomized (the
 //     nondeterminism behind PR 3's clause-order canonicalization fix).
 //   - poolreset — values recycled through sync.Pool whose type has a Reset
 //     method must be Reset before reuse; pooled OBDD/d-tree builders carry
-//     the previous compilation's memo and arena state (PR 5/6).
+//     the previous compilation's memo and arena state (PR 5/6). The one
+//     place builders are pooled today is conf's per-answer driver
+//     (compileLineage), whose tier callbacks Reset first.
 //   - sortslice — sort.Slice/sort.Strings et al. are banned in favor of the
 //     allocation-free slices.Sort* generics (PR 5's repo-wide conversion).
-//   - fnvkey — the engine/obdd/dtree/conf/prob/table hot paths must not key
-//     maps by rendered strings; hash with prob.FNV*/table.HashOn into
-//     integer keys (the regression class PR 5's containers removed).
+//   - fnvkey — the engine/clauseset/obdd/dtree/conf/prob/table hot paths
+//     must not key maps by rendered strings; hash with prob.FNV*/table.HashOn
+//     into integer keys (the regression class PR 5's containers removed).
 //
 // False positives are silenced at the site with
 //

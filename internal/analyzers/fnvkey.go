@@ -7,7 +7,8 @@ import (
 )
 
 // FnvKey guards PR 5's rendered-string-key removal: the engine's join/dedup
-// containers and the OBDD/d-tree memo tables used to key maps by
+// containers and the lineage compilers' memo (now internal/clauseset's one
+// store behind both OBDD and d-tree) used to key maps by
 // fmt.Sprintf-rendered tuples and clause sets, which allocated a string per
 // lookup and dominated the hot-path profiles. They now hash with
 // prob.FNV*/table.HashOn into integer-keyed structures. This analyzer flags
@@ -15,13 +16,14 @@ import (
 // being used as a map key inside the hot-path packages.
 var FnvKey = &Analyzer{
 	Name: "fnvkey",
-	Doc: "flags fmt.Sprintf/string-concatenation map keys in the engine/obdd/dtree/conf/prob/table " +
+	Doc: "flags fmt.Sprintf/string-concatenation map keys in the engine/clauseset/obdd/dtree/conf/prob/table " +
 		"hot paths; hash with prob.FNV*/table.HashOn into integer keys instead",
 	Run: runFnvKey,
 }
 
 var fnvKeyPkgs = []string{
 	"repro/internal/engine",
+	"repro/internal/clauseset",
 	"repro/internal/obdd",
 	"repro/internal/dtree",
 	"repro/internal/conf",

@@ -10,7 +10,10 @@ import (
 // builders (and anything else with interning tables or arenas) are recycled
 // through sync.Pool, and a value pulled from the pool still holds the
 // previous use's memo state — it must be Reset before use or the compile is
-// silently wrong. The blessed shape is
+// silently wrong. The tree's one pooling site is conf's per-answer driver,
+// compileLineage, which pools a tier-chosen state type and has the tier's
+// compile callback Reset it first; for a pool of a concrete type the
+// blessed shape is
 //
 //	b, _ := pool.Get().(*T)
 //	if b == nil { b = NewT(...) } else { b.Reset(...) }
@@ -125,6 +128,6 @@ func checkPoolResetBody(p *Pass, body *ast.BlockStmt) {
 				continue
 			}
 		}
-		p.Reportf(g.pos, "value from sync.Pool.Get has a Reset method but is never Reset in this function; a pooled builder still holds the previous use's memo/arena state (see the conf obdd/dtree builder pools)")
+		p.Reportf(g.pos, "value from sync.Pool.Get has a Reset method but is never Reset in this function; a pooled builder still holds the previous use's memo/arena state (see conf.compileLineage, the per-answer driver, whose tier callbacks Reset before compiling)")
 	}
 }

@@ -1,0 +1,185 @@
+// Package clauseset owns the representation the lineage compilers share: a
+// residual formula is a canonical clause set — [][]int32, every clause an
+// ascending literal list, clauses sorted lexicographically and deduplicated
+// (Normalize) — and a Store interns such sets under an FNV-1a hash with
+// structural-equality collision chains, so a residual reached along two
+// expansion paths compiles once. internal/obdd keys the memo to diagram
+// nodes (Store[Ref]), internal/dtree to exact probabilities
+// (Store[float64]); what a literal means (an order level, a raw variable
+// id) is the compiler's business, not the store's.
+//
+// The store is allocation-lean by construction: entries sit inline in the
+// map (only a genuine hash collision between distinct sets allocates an
+// overflow chain), clause-set headers are carved from an arena in blocks
+// and recycled through a free list, and Reset drops every entry while
+// keeping the map buckets, the arena and the free list — a builder pooled
+// across a batch of per-answer compilations pays the allocations once per
+// worker, not once per formula.
+//
+// The package also holds the contract both compilers speak to their
+// callers: Options (budget, anytime target width, stop probe) and Result
+// (exact value or certified [lo, hi] bounds plus effort counters).
+package clauseset
+
+import (
+	"slices"
+
+	"repro/internal/prob"
+)
+
+// Hash is FNV-1a (prob's shared primitives) over a canonical clause set —
+// clause literals in order with a separator per clause boundary. Collisions
+// are resolved by structural equality, so hash quality only affects chain
+// length.
+func Hash(cls [][]int32) uint64 {
+	h := prob.FNVInit()
+	for _, c := range cls {
+		for _, l := range c {
+			h = prob.FNVUint32(h, uint32(l))
+		}
+		h = prob.FNVByte(h, 0xff)
+	}
+	return h
+}
+
+// Normalize sorts clauses lexicographically and drops duplicates, in place,
+// making a residual clause set canonical regardless of the expansion path
+// that produced it.
+func Normalize(cls [][]int32) [][]int32 {
+	slices.SortFunc(cls, cmpClause)
+	out := cls[:0]
+	for i, c := range cls {
+		if i > 0 && slices.Equal(cls[i-1], c) {
+			continue
+		}
+		out = append(out, c)
+	}
+	return out
+}
+
+func cmpClause(a, b []int32) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			if a[i] < b[i] {
+				return -1
+			}
+			return 1
+		}
+	}
+	return len(a) - len(b)
+}
+
+func equalClauseSets(a, b [][]int32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !slices.Equal(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// entry interns one clause set: the canonical set itself (for structural
+// equality under its hash) and what it compiled to.
+type entry[V any] struct {
+	cls [][]int32
+	val V
+}
+
+// hdrArenaBlock is how many clause-set header slots the arena allocates per
+// backing array.
+const hdrArenaBlock = 4096
+
+// Store is the interned clause-set memo plus the header arena and scratch
+// free list its keys live in. The zero value is ready after Reset. A Store
+// is not safe for concurrent use — each compiling worker owns one.
+type Store[V any] struct {
+	memo map[uint64]entry[V]
+	over map[uint64][]entry[V] // hash collisions between distinct sets
+	free [][][]int32           // recycled headers
+	hdrs [][]int32             // unused tail of the current arena block
+
+	// Effort counters, cumulative across Resets (callers record per-formula
+	// deltas): memo hits and misses, and headers served from the free list
+	// rather than carved fresh from the arena.
+	hits, misses, recycled int64
+}
+
+// Reset drops every interned set and keeps all storage.
+func (s *Store[V]) Reset() {
+	if s.memo == nil {
+		s.memo = make(map[uint64]entry[V])
+	}
+	clear(s.memo)
+	clear(s.over)
+}
+
+// Counters returns the cumulative memo hits, memo misses and recycled
+// headers. They survive Reset, so per-formula figures are deltas.
+func (s *Store[V]) Counters() (hits, misses, recycled int64) {
+	return s.hits, s.misses, s.recycled
+}
+
+// Get looks a canonical clause set up under its Hash.
+func (s *Store[V]) Get(h uint64, cls [][]int32) (v V, ok bool) {
+	e, ok := s.memo[h]
+	if !ok {
+		s.misses++
+		return v, false
+	}
+	if equalClauseSets(e.cls, cls) {
+		s.hits++
+		return e.val, true
+	}
+	for _, o := range s.over[h] {
+		if equalClauseSets(o.cls, cls) {
+			s.hits++
+			return o.val, true
+		}
+	}
+	s.misses++
+	return v, false
+}
+
+// Put interns a clause set the caller just missed on, retaining its header.
+// The common case stores the entry inline in the map; only a hash collision
+// between distinct sets allocates an overflow chain.
+func (s *Store[V]) Put(h uint64, cls [][]int32, v V) {
+	if _, ok := s.memo[h]; !ok {
+		s.memo[h] = entry[V]{cls: cls, val: v}
+		return
+	}
+	if s.over == nil {
+		s.over = make(map[uint64][]entry[V])
+	}
+	s.over[h] = append(s.over[h], entry[V]{cls: cls, val: v})
+}
+
+// Scratch returns an empty clause-set header with room for n clauses: a
+// recycled one from the free list when it fits, otherwise a slice of the
+// header arena (one allocation per hdrArenaBlock slots). Headers retained
+// by Put keep their arena storage; dead ones come back through Recycle.
+func (s *Store[V]) Scratch(n int) [][]int32 {
+	if k := len(s.free); k > 0 {
+		if f := s.free[k-1]; cap(f) >= n {
+			s.free = s.free[:k-1]
+			s.recycled++
+			return f[:0]
+		}
+	}
+	if len(s.hdrs) < n {
+		s.hdrs = make([][]int32, max(n, hdrArenaBlock))
+	}
+	f := s.hdrs[:0:n]
+	s.hdrs = s.hdrs[n:]
+	return f
+}
+
+// Recycle returns a clause-set header whose contents are dead.
+func (s *Store[V]) Recycle(cls [][]int32) {
+	if cap(cls) > 0 {
+		s.free = append(s.free, cls)
+	}
+}

@@ -18,69 +18,72 @@ import (
 // below a join, or [(Ord Item)*] above one, is a call to Aggregate on the
 // corresponding intermediate.
 func Aggregate(rel *table.Relation, s signature.Sig, opts Options) (*table.Relation, string, int, error) {
+	var stats Stats
+	out, rep, err := AggregateStats(rel, s, opts, &stats)
+	return out, rep, stats.Scans, err
+}
+
+// AggregateStats is Aggregate accumulating what its sort+scan passes did —
+// scans, sorts, spill volume — into stats, like ComputeStats reports for
+// the top operator.
+func AggregateStats(rel *table.Relation, s signature.Sig, opts Options, stats *Stats) (*table.Relation, string, error) {
 	switch x := s.(type) {
 	case signature.Table:
 		// [R] is the identity (Fig. 5's JRK case).
-		return rel, string(x), 0, nil
+		return rel, string(x), nil
 
 	case signature.Star:
 		steps, final := planScans(x)
 		cur := rel
-		scans := 0
 		for _, st := range steps {
-			next, _, err := aggregateStep(cur, st.gamma, opts)
+			next, sp, err := aggregateStep(cur, st.gamma, opts)
 			if err != nil {
-				return nil, "", scans, err
+				return nil, "", err
 			}
-			scans++
+			stats.addScan(sp)
 			cur = next
 		}
 		// The final signature of a star is a star again (planScans only
 		// rewrites inner components); collapse it in one more scan.
 		fstar, ok := final.(signature.Star)
 		if !ok {
-			return nil, "", scans, fmt.Errorf("conf: scheduler produced non-star %s from %s", final, s)
+			return nil, "", fmt.Errorf("conf: scheduler produced non-star %s from %s", final, s)
 		}
-		out, _, err := aggregateStep(cur, fstar, opts)
+		out, sp, err := aggregateStep(cur, fstar, opts)
 		if err != nil {
-			return nil, "", scans, err
+			return nil, "", err
 		}
-		scans++
+		stats.addScan(sp)
 		rt, err := newRuntimeTree(fstar, cur.Schema)
 		if err != nil {
-			return nil, "", scans, err
+			return nil, "", err
 		}
-		return out, rt.root.tableName, scans, nil
+		return out, rt.root.tableName, nil
 
 	case signature.Concat:
 		// [αβ…]: collapse each starred component, then fold probabilities
 		// right-to-left into the leftmost representative (pure
 		// propagation, no extra scan).
 		cur := rel
-		scans := 0
 		reps := make([]string, len(x))
 		for i, comp := range x {
 			var err error
-			var rep string
-			var n int
-			cur, rep, n, err = Aggregate(cur, comp, opts)
+			cur, reps[i], err = AggregateStats(cur, comp, opts, stats)
 			if err != nil {
-				return nil, "", scans, err
+				return nil, "", err
 			}
-			scans += n
-			reps[i] = rep
 		}
 		for i := len(reps) - 2; i >= 0; i-- {
 			var err error
 			cur, err = propagatePair(cur, reps[i], reps[i+1])
 			if err != nil {
-				return nil, "", scans, err
+				return nil, "", err
 			}
 		}
-		return cur, reps[0], scans, nil
+		return cur, reps[0], nil
 
 	default:
-		return nil, "", 0, fmt.Errorf("conf: unknown signature shape %T", s)
+		return nil, "", fmt.Errorf("conf: unknown signature shape %T", s)
 	}
 }
 

@@ -3,69 +3,27 @@ package conf
 import (
 	"context"
 	"errors"
-	"fmt"
-	"sync"
 
 	"repro/internal/dtree"
-	"repro/internal/obdd"
 	"repro/internal/pool"
 	"repro/internal/table"
 )
 
-// This file is the d-tree-based confidence operator: the order-free exact
-// tier between OBDD compilation (obdd.go, exact while the diagram fits the
-// node budget under one fixed variable order) and the Monte Carlo estimator
-// (mc.go). Like the OBDD operator it consumes the raw materialized answer
-// relation and groups it into one lineage DNF per distinct answer; each DNF
-// is then decomposed structurally — independent-AND, independent-OR,
-// Shannon cofactoring only as a last resort (internal/dtree) — so lineage
-// whose OBDD explodes under every occurrence-derived order can still
-// resolve exactly, and anything past the step budget gets certified
-// deterministic [lo, hi] bounds.
+// This file is the d-tree tier (see tier.go for the contract): each
+// answer's DNF is decomposed structurally — independent-AND,
+// independent-OR, Shannon cofactoring only as a last resort
+// (internal/dtree) — so lineage whose OBDD explodes under every
+// occurrence-derived order can still resolve exactly, and anything past the
+// step budget gets certified deterministic [lo, hi] bounds.
 
 // ErrDTreeBudget is returned by DTree in exact-only mode when some answer's
-// decomposition exceeds the step budget; callers fall through to Monte
-// Carlo.
+// decomposition exceeds the step budget; callers fall through to the next
+// tier.
 var ErrDTreeBudget = errors.New("conf: d-tree step budget exceeded")
-
-// DTreeStats reports what the d-tree operator did — the same reporting
-// surface as OBDDStats, with decomposition steps in place of diagram nodes.
-type DTreeStats struct {
-	InputTuples  int64 // rows entering lineage collection
-	OutputTuples int64 // distinct answers
-	Clauses      int64 // lineage clauses across all answers
-	Vars         int64 // distinct lineage variables across all answers
-	DupRows      int64 // input rows deduplicated away during collection
-	Nodes        int64 // decomposition steps, all answers
-	MemoHits     int64 // exact-residual memo hits across all decompositions
-	MemoMisses   int64 // exact-residual memo misses across all decompositions
-	HdrRecycled  int64 // clause headers recycled instead of arena-carved (builder-state dependent)
-	ExactAnswers int64 // answers with exact confidences
-	Bounded      int64 // answers resolved only to [lo, hi] bounds
-	Stopped      int64 // bounded answers cut short by a deadline-watermark Stop
-	// LowerBound and UpperBound certify every answer's true confidence:
-	// min over answers of the per-answer lo, max of the per-answer hi
-	// (exact answers contribute their exact value to both).
-	LowerBound float64
-	UpperBound float64
-	// MaxWidth is the widest per-answer interval (0 when all exact): each
-	// reported confidence is within MaxWidth/2 of the truth.
-	MaxWidth float64
-}
 
 // DTree computes per-answer confidences of a materialized answer relation
 // by d-tree decomposition of each answer's lineage: CollectLineage, then
-// one decomposition per distinct answer, fanned across the worker pool.
-// There is no variable order to choose — decomposition is a function of
-// the clause set alone — so unlike the OBDD operator no signature is
-// taken. Answers whose decomposition exceeds opts.NodeBudget get the
-// certified bound midpoint as their confidence (see
-// DTreeStats.LowerBound/UpperBound), unless exactOnly is set, in which
-// case ErrDTreeBudget is returned so the caller can fall through to Monte
-// Carlo. The output has the input's data columns plus the conf column,
-// sorted by the data columns, and is a deterministic function of the input
-// and options — never of the worker count. ctx and p may be nil (no
-// cancellation, serial execution).
+// DTreeLineage.
 func DTree(ctx context.Context, p *pool.Pool, rel *table.Relation, opts dtree.Options, exactOnly bool) (*table.Relation, *DTreeStats, error) {
 	l, err := CollectLineage(rel)
 	if err != nil {
@@ -74,90 +32,16 @@ func DTree(ctx context.Context, p *pool.Pool, rel *table.Relation, opts dtree.Op
 	return DTreeLineage(ctx, p, l, opts, exactOnly)
 }
 
-// DTreeLineage is DTree over an already collected lineage — the fallback
-// chain collects once and hands the same lineage from rung to rung.
+// DTreeLineage decomposes every answer of a collected lineage on the
+// per-answer driver. There is no variable order to choose — decomposition
+// is a function of the clause set alone — so unlike the OBDD tier no
+// signature is taken. Answers whose decomposition exceeds opts.NodeBudget
+// get the certified bound midpoint as their confidence (see
+// TierStats.LowerBound/UpperBound), unless exactOnly is set, in which case
+// ErrDTreeBudget is returned.
 func DTreeLineage(ctx context.Context, p *pool.Pool, l *Lineage, opts dtree.Options, exactOnly bool) (*table.Relation, *DTreeStats, error) {
-	outCols := append(append([]table.Column(nil), l.Schema.Cols...), table.DataCol(ConfCol, table.KindFloat))
-	out := table.NewRelation(table.NewSchema(outCols...))
-	stats := &DTreeStats{
-		InputTuples:  l.Input,
-		OutputTuples: int64(len(l.Keys)),
-		Clauses:      l.Clauses,
-		Vars:         l.Vars,
-		DupRows:      l.DupRows,
-	}
-	// Decompose every answer on the pool; reduce the results serially in
-	// answer order so the stats aggregation is deterministic. Builders are
-	// reused across the fan-out through a sync.Pool — one memo/arena set
-	// per worker, Reset between answers — which changes nothing about the
-	// result (each decomposition is a pure function of its lineage,
-	// marginals and budget) but drops the per-answer map allocations.
-	var builders sync.Pool
-	results := make([]dtree.Result, len(l.Keys))
-	err := pool.Get(p, 1).Do(ctx, len(l.Keys), func(i int) error {
-		if opts.Stop != nil && opts.Stop() {
-			// Deadline watermark fired before this answer's decomposition
-			// started: certify it with cheap clause-weight bounds instead
-			// of spending the expiring budget on a decomposition.
-			lo, hi := obdd.CheapBounds(l.DNFs[i], l.Assign)
-			results[i] = dtree.Result{P: (lo + hi) / 2, Lo: lo, Hi: hi, Stopped: lo != hi, Exact: lo == hi}
-			return nil
-		}
-		b, _ := builders.Get().(*dtree.Builder)
-		if b == nil {
-			b = dtree.NewBuilder(opts.NodeBudget)
-		} else {
-			b.Reset(opts.NodeBudget)
-		}
-		// The deferred Put also runs on panic paths, so a panicking
-		// decomposition cannot strand the builder outside the sync.Pool;
-		// Reset re-arms it for the next answer.
-		defer builders.Put(b)
-		res := dtree.ProbWith(b, l.DNFs[i], l.Assign, opts)
-		if exactOnly && !res.Exact && !res.Stopped {
-			// A deadline-stopped result is accepted even in exact-only
-			// mode: its bounds are certified, and falling further down the
-			// ladder would spend deadline that is already gone.
-			budget := opts.NodeBudget
-			if budget <= 0 {
-				budget = dtree.DefaultNodeBudget
-			}
-			return fmt.Errorf("%w: answer %d (%d clauses, budget %d)",
-				ErrDTreeBudget, i, len(l.DNFs[i].Clauses), budget)
-		}
-		results[i] = res
-		return nil
+	return compileLineage(ctx, p, l, opts, exactOnly, ErrDTreeBudget, func(b *dtree.Builder, i int) (dtree.Result, error) {
+		b.Reset(opts.NodeBudget)
+		return dtree.ProbWith(b, l.DNFs[i], l.Assign, opts), nil
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	for i, key := range l.Keys {
-		res := results[i]
-		if res.Exact {
-			stats.ExactAnswers++
-		} else {
-			stats.Bounded++
-			if res.Stopped {
-				stats.Stopped++
-			}
-		}
-		stats.Nodes += int64(res.Nodes)
-		stats.MemoHits += res.MemoHits
-		stats.MemoMisses += res.MemoMisses
-		stats.HdrRecycled += res.HdrRecycled
-		if i == 0 || res.Lo < stats.LowerBound {
-			stats.LowerBound = res.Lo
-		}
-		if i == 0 || res.Hi > stats.UpperBound {
-			stats.UpperBound = res.Hi
-		}
-		if w := res.Hi - res.Lo; w > stats.MaxWidth {
-			stats.MaxWidth = w
-		}
-		row := make(table.Tuple, 0, len(outCols))
-		row = append(row, key...)
-		row = append(row, table.Float(res.P))
-		out.Rows = append(out.Rows, row)
-	}
-	return out, stats, nil
 }

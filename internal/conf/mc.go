@@ -49,6 +49,36 @@ type Lineage struct {
 	Input int64
 }
 
+// LineageStats is the head every lineage tier's stats share: what
+// collection saw, whatever then computes the confidences.
+type LineageStats struct {
+	InputTuples  int64 // rows entering lineage collection
+	OutputTuples int64 // distinct answers
+	Clauses      int64 // lineage clauses across all answers
+	Vars         int64 // distinct lineage variables across all answers
+	DupRows      int64 // input rows deduplicated away during collection
+}
+
+// Stats summarizes the collected lineage.
+func (l *Lineage) Stats() LineageStats {
+	return LineageStats{InputTuples: l.Input, OutputTuples: int64(len(l.Keys)), Clauses: l.Clauses, Vars: l.Vars, DupRows: l.DupRows}
+}
+
+// output returns the empty result relation of a lineage tier: the data
+// columns plus the conf column. Tiers append row(i, p) in Keys order, which
+// leaves it sorted by the data columns.
+func (l *Lineage) output() *table.Relation {
+	cols := append(append([]table.Column(nil), l.Schema.Cols...), table.DataCol(ConfCol, table.KindFloat))
+	return table.NewRelation(table.NewSchema(cols...))
+}
+
+// row is answer i's output row under confidence p.
+func (l *Lineage) row(i int, p float64) table.Tuple {
+	key := l.Keys[i]
+	row := make(table.Tuple, 0, len(key)+1)
+	return append(append(row, key...), table.Float(p))
+}
+
 // CollectLineage groups an answer relation by its data columns and builds
 // one lineage DNF per distinct answer: each input row contributes the clause
 // conjoining the row's variables (one per source table; deterministic
@@ -154,32 +184,15 @@ func CollectLineage(rel *table.Relation) (*Lineage, error) {
 		// occurrence order — a function of the answer's lineage *set* rather
 		// than of the join's row order, which is what lets the engine promise
 		// bit-identical confidences across worker counts and join strategies.
-		slices.SortFunc(d.Clauses, cmpClause)
+		slices.SortFunc(d.Clauses, slices.Compare[prob.Clause])
 		l.Clauses += int64(len(d.Clauses))
 	}
 	return l, nil
 }
 
-// cmpClause orders clauses lexicographically by variable id.
-func cmpClause(a, b prob.Clause) int {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return len(a) - len(b)
-}
-
 // MCStats reports what the Monte Carlo operator did.
 type MCStats struct {
-	InputTuples  int64 // rows entering lineage collection
-	OutputTuples int64 // distinct answers
-	Clauses      int64 // lineage clauses across all answers
-	Vars         int64 // distinct lineage variables across all answers
-	DupRows      int64 // input rows deduplicated away during collection
+	LineageStats
 	Samples      int64 // Monte Carlo samples drawn across all answers
 	ExactAnswers int64 // answers resolved by an exact shortcut (no sampling)
 	// StoppedAnswers counts answers whose sampling a deadline-watermark
@@ -211,29 +224,20 @@ func MonteCarlo(ctx context.Context, rel *table.Relation, opts prob.MCOptions) (
 	return MonteCarloLineage(ctx, l, opts)
 }
 
-// MonteCarloLineage is MonteCarlo over an already collected lineage —
-// callers that grouped the answer relation once (e.g. the OBDD→MC rung of
-// the fallback chain) reuse it instead of paying collection twice.
+// MonteCarloLineage is MonteCarlo over an already collected lineage — the
+// Monte Carlo tier of the contract in tier.go. The samplers fan out inside
+// prob.EstimateAllCtx (per-answer seeded streams on opts.Pool), not on the
+// compilation tiers' per-answer driver; the stats head and the output rows
+// are the shared ones.
 func MonteCarloLineage(ctx context.Context, l *Lineage, opts prob.MCOptions) (*table.Relation, *MCStats, error) {
 	ests, err := prob.EstimateAllCtx(ctx, l.DNFs, l.Assign, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	outCols := append(append([]table.Column(nil), l.Schema.Cols...), table.DataCol(ConfCol, table.KindFloat))
-	out := table.NewRelation(table.NewSchema(outCols...))
-	stats := &MCStats{
-		InputTuples:  l.Input,
-		OutputTuples: int64(len(l.Keys)),
-		Clauses:      l.Clauses,
-		Vars:         l.Vars,
-		DupRows:      l.DupRows,
-	}
-	for i, key := range l.Keys {
-		row := make(table.Tuple, 0, len(outCols))
-		row = append(row, key...)
-		row = append(row, table.Float(ests[i].P))
-		out.Rows = append(out.Rows, row)
+	out := l.output()
+	stats := &MCStats{LineageStats: l.Stats()}
+	for i := range l.Keys {
+		out.Rows = append(out.Rows, l.row(i, ests[i].P))
 		stats.Samples += int64(ests[i].Samples)
 		if n := int64(ests[i].Samples); n > stats.MaxAnswerSamples {
 			stats.MaxAnswerSamples = n

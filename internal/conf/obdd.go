@@ -3,8 +3,6 @@ package conf
 import (
 	"context"
 	"errors"
-	"fmt"
-	"sync"
 
 	"repro/internal/obdd"
 	"repro/internal/pool"
@@ -13,59 +11,18 @@ import (
 	"repro/internal/table"
 )
 
-// This file is the OBDD-based confidence operator: the exact middle tier
-// between the signature-driven sort+scan operator (operator.go, needs a
-// hierarchical signature) and the Monte Carlo estimator (mc.go, needs
-// nothing but only estimates). Like the Monte Carlo operator it consumes
-// the raw materialized answer relation and groups it into one lineage DNF
-// per distinct answer; unlike it, each DNF is compiled into a reduced OBDD
-// and evaluated exactly — or, when the diagram exceeds the node budget,
-// bounded by certified deterministic [lo, hi] intervals (internal/obdd).
+// This file is the OBDD tier (see tier.go for the contract): each answer's
+// DNF is compiled into a reduced OBDD and evaluated exactly — or, when the
+// diagram exceeds the node budget, bounded by certified deterministic
+// [lo, hi] intervals (internal/obdd).
 
 // ErrOBDDBudget is returned by OBDD in exact-only mode when some answer's
-// diagram exceeds the node budget; callers fall through to Monte Carlo.
+// diagram exceeds the node budget; callers fall through to the next tier.
 var ErrOBDDBudget = errors.New("conf: OBDD node budget exceeded")
 
-// OBDDStats reports what the OBDD operator did.
-type OBDDStats struct {
-	InputTuples  int64 // rows entering lineage collection
-	OutputTuples int64 // distinct answers
-	Clauses      int64 // lineage clauses across all answers
-	Vars         int64 // distinct lineage variables across all answers
-	DupRows      int64 // input rows deduplicated away during collection
-	Nodes        int64 // OBDD nodes plus anytime expansion steps, all answers
-	MemoHits     int64 // residual-memo hits across all compilations
-	MemoMisses   int64 // residual-memo misses across all compilations
-	HdrRecycled  int64 // clause headers recycled instead of arena-carved (builder-state dependent)
-	ExactAnswers int64 // answers with exact confidences
-	Bounded      int64 // answers resolved only to [lo, hi] bounds
-	Stopped      int64 // bounded answers cut short by a deadline-watermark Stop
-	// LowerBound and UpperBound certify every answer's true confidence:
-	// min over answers of the per-answer lo, max of the per-answer hi
-	// (exact answers contribute their exact value to both).
-	LowerBound float64
-	UpperBound float64
-	// MaxWidth is the widest per-answer interval (0 when all exact): each
-	// reported confidence is within MaxWidth/2 of the truth.
-	MaxWidth float64
-}
-
 // OBDD computes per-answer confidences of a materialized answer relation by
-// OBDD compilation of each answer's lineage: CollectLineage, then one
-// compile+evaluate per distinct answer, fanned across the worker pool (each
-// answer compiles into its own hash-consed unique table, so the workers
-// share nothing and need no locks). The variable order is derived from
-// sig when one is given (each clause visited in signature-table order,
-// interleaved clause by clause); with a nil sig it falls back to the pure
-// interleaved-occurrence order — the case for queries without a
-// hierarchical signature, which is exactly where this operator earns its
-// keep. Answers whose diagram exceeds opts.NodeBudget get the certified
-// bound midpoint as their confidence (see OBDDStats.LowerBound/UpperBound),
-// unless exactOnly is set, in which case ErrOBDDBudget is returned so the
-// caller can fall through to Monte Carlo. The output has the input's data
-// columns plus the conf column, sorted by the data columns, and is a
-// deterministic function of the input and options — never of the worker
-// count. ctx and p may be nil (no cancellation, serial execution).
+// OBDD compilation of each answer's lineage: CollectLineage, then
+// OBDDLineage.
 func OBDD(ctx context.Context, p *pool.Pool, rel *table.Relation, sig signature.Sig, opts obdd.Options, exactOnly bool) (*table.Relation, *OBDDStats, error) {
 	l, err := CollectLineage(rel)
 	if err != nil {
@@ -74,108 +31,26 @@ func OBDD(ctx context.Context, p *pool.Pool, rel *table.Relation, sig signature.
 	return OBDDLineage(ctx, p, l, sig, opts, exactOnly)
 }
 
-// OBDDLineage is OBDD over an already collected lineage — the fallback
-// chain collects once and hands the same lineage to its Monte Carlo rung
-// when compilation blows the budget.
+// OBDDLineage compiles every answer of a collected lineage on the per-answer
+// driver (each answer into its own hash-consed unique table, so workers
+// share nothing). The variable order is derived from sig when one is given
+// (each clause visited in signature-table order, interleaved clause by
+// clause); with a nil sig it falls back to the pure interleaved-occurrence
+// order — the case for queries without a hierarchical signature, which is
+// exactly where this tier earns its keep. Answers whose diagram exceeds
+// opts.NodeBudget get the certified bound midpoint as their confidence (see
+// TierStats.LowerBound/UpperBound), unless exactOnly is set, in which case
+// ErrOBDDBudget is returned.
 func OBDDLineage(ctx context.Context, p *pool.Pool, l *Lineage, sig signature.Sig, opts obdd.Options, exactOnly bool) (*table.Relation, *OBDDStats, error) {
 	rank := sigRank(sig, l.Source)
-
-	outCols := append(append([]table.Column(nil), l.Schema.Cols...), table.DataCol(ConfCol, table.KindFloat))
-	out := table.NewRelation(table.NewSchema(outCols...))
-	stats := &OBDDStats{
-		InputTuples:  l.Input,
-		OutputTuples: int64(len(l.Keys)),
-		Clauses:      l.Clauses,
-		Vars:         l.Vars,
-		DupRows:      l.DupRows,
-	}
-	// Compile every answer on the pool; reduce the results serially in
-	// answer order so the stats aggregation is deterministic. pool.Do
-	// returns the lowest-index error, matching the serial loop's behaviour
-	// on budget overruns. Builders are reused across the fan-out through a
-	// sync.Pool — one set of unique/apply/memo tables per worker, Reset
-	// between answers — which changes nothing about the result (each
-	// compilation is a pure function of its lineage, order and budget) but
-	// drops the per-answer map allocations.
-	type compileState struct {
-		b     *obdd.Builder
+	type state struct {
+		b     obdd.Builder
 		order obdd.OrderScratch
 	}
-	var builders sync.Pool
-	results := make([]obdd.Result, len(l.Keys))
-	err := pool.Get(p, 1).Do(ctx, len(l.Keys), func(i int) error {
-		if opts.Stop != nil && opts.Stop() {
-			// Deadline watermark fired before this answer's compilation
-			// started: certify it with cheap clause-weight bounds instead
-			// of spending the expiring budget on a compile.
-			lo, hi := obdd.CheapBounds(l.DNFs[i], l.Assign)
-			results[i] = obdd.Result{P: (lo + hi) / 2, Lo: lo, Hi: hi, Stopped: lo != hi, Exact: lo == hi}
-			return nil
-		}
-		cs, _ := builders.Get().(*compileState)
-		if cs == nil {
-			cs = &compileState{}
-		}
-		// The deferred Put also runs on panic paths, so a panicking
-		// compilation cannot strand the builder outside the sync.Pool;
-		// Reset re-arms it for the next answer.
-		defer builders.Put(cs)
-		order := cs.order.OccurrenceOrder(l.DNFs[i], rank)
-		if cs.b == nil {
-			cs.b = obdd.NewBuilder(order, opts.NodeBudget)
-		} else {
-			cs.b.Reset(order, opts.NodeBudget)
-		}
-		res, err := obdd.ProbWith(cs.b, l.DNFs[i], l.Assign, opts)
-		if err != nil {
-			return fmt.Errorf("conf: answer %d: %w", i, err)
-		}
-		if exactOnly && !res.Exact && !res.Stopped {
-			// A deadline-stopped result is accepted even in exact-only
-			// mode: its bounds are certified, and falling further down the
-			// ladder would spend deadline that is already gone.
-			budget := opts.NodeBudget
-			if budget <= 0 {
-				budget = obdd.DefaultNodeBudget
-			}
-			return fmt.Errorf("%w: answer %d (%d clauses, budget %d)",
-				ErrOBDDBudget, i, len(l.DNFs[i].Clauses), budget)
-		}
-		results[i] = res
-		return nil
+	return compileLineage(ctx, p, l, opts, exactOnly, ErrOBDDBudget, func(s *state, i int) (obdd.Result, error) {
+		s.b.Reset(s.order.OccurrenceOrder(l.DNFs[i], rank), opts.NodeBudget)
+		return obdd.ProbWith(&s.b, l.DNFs[i], l.Assign, opts)
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	for i, key := range l.Keys {
-		res := results[i]
-		if res.Exact {
-			stats.ExactAnswers++
-		} else {
-			stats.Bounded++
-			if res.Stopped {
-				stats.Stopped++
-			}
-		}
-		stats.Nodes += int64(res.Nodes)
-		stats.MemoHits += res.MemoHits
-		stats.MemoMisses += res.MemoMisses
-		stats.HdrRecycled += res.HdrRecycled
-		if i == 0 || res.Lo < stats.LowerBound {
-			stats.LowerBound = res.Lo
-		}
-		if i == 0 || res.Hi > stats.UpperBound {
-			stats.UpperBound = res.Hi
-		}
-		if w := res.Hi - res.Lo; w > stats.MaxWidth {
-			stats.MaxWidth = w
-		}
-		row := make(table.Tuple, 0, len(outCols))
-		row = append(row, key...)
-		row = append(row, table.Float(res.P))
-		out.Rows = append(out.Rows, row)
-	}
-	return out, stats, nil
 }
 
 // sigRank turns a query signature into a within-clause variable rank: each

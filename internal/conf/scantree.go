@@ -1,6 +1,6 @@
 // Package conf implements SPROUT's contribution: the secondary-storage
-// operator for exact confidence computation (paper §V). Three cooperating
-// pieces live here:
+// operator for exact confidence computation (paper §V), and the lineage
+// tiers behind it. The cooperating pieces:
 //
 //   - the streaming one-scan algorithm over a 1scanTree (Fig. 8), which
 //     turns the DNF encoded in the variable columns of a sorted answer
@@ -10,18 +10,21 @@
 //     1scan property, one sort+scan per aggregation;
 //   - the literal GRP-sequence semantics of Fig. 5/6 (grp.go), used as a
 //     reference implementation for cross-validation;
-//   - the OBDD operator (obdd.go), which groups the answer relation into
-//     per-answer lineage DNFs (CollectLineage) and compiles each into a
-//     reduced ordered BDD (internal/obdd): exact confidences whenever the
-//     diagram fits the node budget — signature or not — and certified
-//     deterministic [lo, hi] bounds when it does not;
-//   - the Monte Carlo operator (mc.go), which shares the lineage
-//     collection and estimates each confidence with the (ε, δ) samplers
-//     of internal/prob.
+//   - the lineage tiers (tier.go) for queries without a hierarchical
+//     signature: the answer relation is grouped into per-answer lineage
+//     DNFs once (CollectLineage) and a tier turns them into confidences —
+//     OBDD compilation (obdd.go) and d-tree decomposition (dtree.go), exact
+//     within a budget and certified deterministic [lo, hi] bounds beyond
+//     it, both on one per-answer driver (compileLineage: pool fan-out,
+//     pooled builder state, the degradation rule, one TierStats shape); and
+//     Monte Carlo (mc.go), which estimates each confidence with the (ε, δ)
+//     samplers of internal/prob and shares the stats head and the output
+//     assembly.
 //
 // Together they form the engine's fallback ladder for queries whose exact
 // confidence computation is #P-hard: sort+scan (needs a hierarchical
-// signature) → OBDD-exact under budget → Monte Carlo.
+// signature) → OBDD-exact under budget → d-tree-exact under budget → Monte
+// Carlo.
 package conf
 
 import (

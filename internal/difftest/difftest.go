@@ -218,7 +218,7 @@ func CheckDegraded(d *prob.DNF, a *prob.Assignment, polls int) error {
 	}
 
 	// The zero-work fallback for answers whose compilation never started.
-	lo, hi := obdd.CheapBounds(d, a)
+	lo, hi := d.CheapBounds(a)
 	if lo-exactEps > truth || truth > hi+exactEps {
 		return fmt.Errorf("difftest: CheapBounds [%.9f, %.9f] exclude truth %.9f on %v", lo, hi, truth, d)
 	}

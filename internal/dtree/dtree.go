@@ -49,77 +49,34 @@
 // larger budget never loosens the interval, and the depth-first expansion
 // order is a function of the formula alone, so results are deterministic.
 //
-// The implementation reuses internal/obdd's allocation idioms: residual
-// clause sets are interned in an FNV-1a-keyed memo with structural-equality
-// collision chains, clause-set headers are carved from a per-builder arena
-// and recycled through a free list, and a Builder is reusable across
-// formulas via Reset — batch fan-outs (internal/conf's per-worker pooling)
-// pay the map allocations once per worker instead of once per answer.
+// Exactly resolved residuals are interned in the shared clause-set store
+// (internal/clauseset: FNV-keyed memo, header arena, scratch free list — the
+// same store the OBDD tier uses), keyed here to probabilities, and a Builder
+// is reusable across formulas via Reset — batch fan-outs (conf's per-answer
+// driver) pay the map allocations once per worker instead of once per
+// answer. What stays in this package is what only decomposition needs: the
+// three rules, component discovery, and the literal arena stripped clauses
+// are rebuilt into. Options and Result are the compilers' shared contract,
+// aliased from clauseset.
 package dtree
 
 import (
 	"slices"
 
+	"repro/internal/clauseset"
 	"repro/internal/prob"
 )
 
+// Options, Result and DefaultNodeBudget are the lineage compilers' shared
+// contract (internal/clauseset); NodeBudget counts decomposition steps here.
+type (
+	Options = clauseset.Options
+	Result  = clauseset.Result
+)
+
 // DefaultNodeBudget caps the number of decomposition steps when
-// Options.NodeBudget is zero. Decomposition steps are cheaper than OBDD
-// nodes on independence-heavy lineage (one step can split off a whole
-// component), so the OBDD tier's default is a comfortable ceiling here too.
-const DefaultNodeBudget = 1 << 17
-
-// Options tunes d-tree-based probability computation.
-type Options struct {
-	// NodeBudget caps the number of decomposition steps; 0 means
-	// DefaultNodeBudget. Residuals beyond the budget contribute cheap
-	// clause-weight bounds instead of exact values.
-	NodeBudget int
-	// TargetWidth accepts an early answer once hi-lo ≤ TargetWidth:
-	// compilation proceeds in passes of geometrically growing step budgets
-	// (exact sub-results are memoized across passes) and stops at the
-	// first pass whose certified interval is narrow enough. 0 compiles
-	// under the full budget in one pass.
-	TargetWidth float64
-	// Stop, when non-nil, is polled at each decomposition step; once it
-	// reports true the remaining residuals resolve to cheap clause-weight
-	// bounds, as if the step budget were exhausted, and the result reports
-	// Stopped=true. The planner arms it with a deadline-watermark probe.
-	Stop func() bool
-}
-
-func (o Options) budget() int {
-	if o.NodeBudget <= 0 {
-		return DefaultNodeBudget
-	}
-	return o.NodeBudget
-}
-
-// Result is the outcome of d-tree-based probability computation for one
-// formula — the same surface as the OBDD tier's obdd.Result.
-type Result struct {
-	// Exact reports whether P is the exact probability. When false, only
-	// the certified bounds Lo ≤ Pr[φ] ≤ Hi are guaranteed and P is their
-	// midpoint (so |P - Pr[φ]| ≤ (Hi-Lo)/2).
-	Exact bool
-	// P is the exact probability, or the bound midpoint.
-	P float64
-	// Lo and Hi bound the probability; Lo == Hi == P for exact results.
-	Lo, Hi float64
-	// Nodes counts the decomposition steps applied (across every pass in
-	// TargetWidth mode) — the compilation effort, comparable to the OBDD
-	// tier's node count.
-	Nodes int
-	// MemoHits and MemoMisses count exact-residual memo probes during
-	// decomposition (summed across passes in TargetWidth mode).
-	MemoHits, MemoMisses int64
-	// HdrRecycled counts clause-set headers served from the builder's
-	// free list instead of fresh arena storage.
-	HdrRecycled int64
-	// Stopped reports that Options.Stop cut decomposition short: the
-	// bounds are certified but work was abandoned for time, not budget.
-	Stopped bool
-}
+// Options.NodeBudget is zero.
+const DefaultNodeBudget = clauseset.DefaultNodeBudget
 
 // Builder holds the reusable state of d-tree compilation: the interned
 // exact-residual memo, the clause-header arena with its scratch free list,
@@ -136,43 +93,19 @@ type Builder struct {
 	stop    func() bool
 	stopped bool
 
-	memo     map[uint64]memoEntry
-	memoOver map[uint64][]memoEntry
-	scratch  [][][]int32
-	hdrs     [][]int32
-	lits     []int32
+	// memo interns exactly resolved residuals and owns the clause-header
+	// arena and free list; lits is the arena stripped clauses are rebuilt
+	// into.
+	memo clauseset.Store[float64]
+	lits []int32
 
 	count map[int32]int // Shannon variable-frequency scratch
-
-	// Effort counters, cumulative across Resets (ProbWith records per-call
-	// deltas into Result), mirroring obdd.Builder's.
-	memoHits    int64
-	memoMisses  int64
-	hdrRecycled int64
-}
-
-// Counters returns the builder's cumulative effort counters: exact-residual
-// memo hits and misses, and recycled clause-set headers. They survive
-// Reset, so per-formula figures are deltas around a ProbWith call.
-func (b *Builder) Counters() (memoHits, memoMisses, hdrRecycled int64) {
-	return b.memoHits, b.memoMisses, b.hdrRecycled
-}
-
-// memoEntry interns one exactly resolved residual clause set: the canonical
-// set itself (for structural equality under its FNV hash) and its
-// probability.
-type memoEntry struct {
-	cls [][]int32
-	p   float64
 }
 
 // NewBuilder creates a builder with the given step budget (0 means
-// DefaultNodeBudget).
+// DefaultNodeBudget). A zero Builder is equally usable after Reset.
 func NewBuilder(budget int) *Builder {
-	b := &Builder{
-		memo:  make(map[uint64]memoEntry),
-		count: make(map[int32]int),
-	}
+	b := new(Builder)
 	b.Reset(budget)
 	return b
 }
@@ -184,15 +117,13 @@ func (b *Builder) Reset(budget int) {
 	if budget <= 0 {
 		budget = DefaultNodeBudget
 	}
-	if b.memo == nil {
-		b.memo = make(map[uint64]memoEntry)
+	if b.count == nil {
 		b.count = make(map[int32]int)
 	}
 	b.budget = budget
 	b.steps = 0
 	b.a = nil
-	clear(b.memo)
-	clear(b.memoOver)
+	b.memo.Reset()
 }
 
 // Steps returns the decomposition steps applied since the last Reset.
@@ -216,7 +147,7 @@ func (b *Builder) stopFired() bool {
 // The result is a deterministic function of (d, a, o) — no variable order
 // is involved.
 func Prob(d *prob.DNF, a *prob.Assignment, o Options) Result {
-	return ProbWith(NewBuilder(o.budget()), d, a, o)
+	return ProbWith(NewBuilder(o.Budget()), d, a, o)
 }
 
 // ProbWith is Prob over a caller-supplied builder (NewBuilder or Reset),
@@ -225,9 +156,9 @@ func Prob(d *prob.DNF, a *prob.Assignment, o Options) Result {
 // is identical to Prob's. The builder is left holding the last formula's
 // memo — Reset before reuse.
 func ProbWith(b *Builder, d *prob.DNF, a *prob.Assignment, o Options) Result {
-	hits0, misses0, rec0 := b.Counters()
+	hits0, misses0, rec0 := b.memo.Counters()
 	res := b.probWith(d, a, o)
-	hits, misses, rec := b.Counters()
+	hits, misses, rec := b.memo.Counters()
 	res.MemoHits, res.MemoMisses, res.HdrRecycled = hits-hits0, misses-misses0, rec-rec0
 	return res
 }
@@ -237,7 +168,7 @@ func (b *Builder) probWith(d *prob.DNF, a *prob.Assignment, o Options) Result {
 	b.stop = o.Stop
 	b.stopped = false
 	defer func() { b.stop = nil }()
-	budget := o.budget()
+	budget := o.Budget()
 	if o.TargetWidth <= 0 {
 		return b.run(d, budget)
 	}
@@ -282,7 +213,7 @@ func (b *Builder) run(d *prob.DNF, budget int) Result {
 // builder's arena; literal storage aliases the input clauses (never
 // mutated).
 func (b *Builder) lower(d *prob.DNF) [][]int32 {
-	cls := b.getScratch(len(d.Clauses))
+	cls := b.memo.Scratch(len(d.Clauses))
 	for _, c := range d.Clauses {
 		valid := 0
 		for _, v := range c {
@@ -298,7 +229,7 @@ func (b *Builder) lower(d *prob.DNF) [][]int32 {
 		}
 		cls = append(cls, lc)
 	}
-	return normalize(cls)
+	return clauseset.Normalize(cls)
 }
 
 // p returns the marginal of a variable (by raw id).
@@ -319,36 +250,40 @@ func (b *Builder) weight(c []int32) float64 {
 // budget stops recycle it; exactly resolved sets retain it in the memo.
 func (b *Builder) node(cls [][]int32) (lo, hi float64) {
 	if len(cls) == 0 {
-		b.putScratch(cls)
+		b.memo.Recycle(cls)
 		return 0, 0
 	}
 	for _, c := range cls {
 		if len(c) == 0 {
-			b.putScratch(cls)
+			b.memo.Recycle(cls)
 			return 1, 1
 		}
 	}
 	if len(cls) == 1 {
 		w := b.weight(cls[0])
-		b.putScratch(cls)
+		b.memo.Recycle(cls)
 		return w, w
 	}
-	h := hashClauses(cls)
-	if p, ok := b.memoGet(h, cls); ok {
-		b.putScratch(cls)
+	h := clauseset.Hash(cls)
+	if p, ok := b.memo.Get(h, cls); ok {
+		b.memo.Recycle(cls)
 		return p, p
 	}
 	if b.steps >= b.budget || b.stopFired() {
-		lo, hi = b.cheapBounds(cls)
-		b.putScratch(cls)
-		return lo, hi
+		// Out of budget: close the residual with the clause-weight bound.
+		var wb prob.WeightBound
+		for _, c := range cls {
+			wb.Add(b.weight(c))
+		}
+		b.memo.Recycle(cls)
+		return wb.Interval()
 	}
 	b.steps++
 	lo, hi = b.decompose(cls)
 	if lo == hi {
-		b.memoPut(h, cls, lo) // retains the header
+		b.memo.Put(h, cls, lo) // retains the header
 	} else {
-		b.putScratch(cls)
+		b.memo.Recycle(cls)
 	}
 	return lo, hi
 }
@@ -432,10 +367,10 @@ func intersect(a, c []int32) []int32 {
 // in each by construction). resTrue reports that some clause consisted only
 // of common variables — the residual is ⊤.
 func (b *Builder) stripAll(cls [][]int32, common []int32) (res [][]int32, resTrue bool) {
-	res = b.getScratch(len(cls))
+	res = b.memo.Scratch(len(cls))
 	for _, c := range cls {
 		if len(c) == len(common) {
-			b.putScratch(res)
+			b.memo.Recycle(res)
 			return nil, true
 		}
 		nc := b.allocLits(len(c) - len(common))
@@ -449,7 +384,7 @@ func (b *Builder) stripAll(cls [][]int32, common []int32) (res [][]int32, resTru
 		}
 		res = append(res, nc)
 	}
-	return normalize(res), false
+	return clauseset.Normalize(res), false
 }
 
 // components partitions the clause set into variable-disjoint connected
@@ -498,7 +433,7 @@ func (b *Builder) components(cls [][]int32) [][][]int32 {
 	}
 	comps := make([][][]int32, n)
 	for i := range comps {
-		comps[i] = b.getScratch(len(cls))
+		comps[i] = b.memo.Scratch(len(cls))
 	}
 	for i, c := range cls {
 		k := roots[find(i)]
@@ -529,11 +464,11 @@ func (b *Builder) pickVar(cls [][]int32) int32 {
 // cofactorPos builds ψ|_v: clauses containing v lose it, the rest pass
 // through; posTrue short-circuits when a clause becomes empty.
 func (b *Builder) cofactorPos(cls [][]int32, v int32) (pos [][]int32, posTrue bool) {
-	pos = b.getScratch(len(cls))
+	pos = b.memo.Scratch(len(cls))
 	for _, c := range cls {
 		if i, ok := slices.BinarySearch(c, v); ok {
 			if len(c) == 1 {
-				b.putScratch(pos)
+				b.memo.Recycle(pos)
 				return nil, true
 			}
 			nc := b.allocLits(len(c) - 1)
@@ -544,12 +479,12 @@ func (b *Builder) cofactorPos(cls [][]int32, v int32) (pos [][]int32, posTrue bo
 			pos = append(pos, c)
 		}
 	}
-	return normalize(pos), false
+	return clauseset.Normalize(pos), false
 }
 
 // cofactorNeg builds ψ|_{¬v}: clauses containing v vanish.
 func (b *Builder) cofactorNeg(cls [][]int32, v int32) [][]int32 {
-	neg := b.getScratch(len(cls))
+	neg := b.memo.Scratch(len(cls))
 	for _, c := range cls {
 		if _, ok := slices.BinarySearch(c, v); !ok {
 			neg = append(neg, c)
@@ -558,109 +493,9 @@ func (b *Builder) cofactorNeg(cls [][]int32, v int32) [][]int32 {
 	return neg // subsequence of a canonical set: already canonical
 }
 
-// cheapBounds bounds Pr[ψ] from the clause weights alone: any one clause
-// implies ψ (max lower-bounds it), the union bound caps it.
-func (b *Builder) cheapBounds(cls [][]int32) (lo, hi float64) {
-	sum := 0.0
-	for _, c := range cls {
-		w := b.weight(c)
-		if w > lo {
-			lo = w
-		}
-		sum += w
-	}
-	if sum > 1 {
-		sum = 1
-	}
-	return lo, sum
-}
-
-// hashClauses is FNV-1a (prob's shared primitives) over the canonical
-// clause set — clause literals in order with a separator per clause
-// boundary. Collisions resolve by structural equality, so hash quality only
-// affects chain length.
-func hashClauses(cls [][]int32) uint64 {
-	h := prob.FNVInit()
-	for _, c := range cls {
-		for _, l := range c {
-			h = prob.FNVUint32(h, uint32(l))
-		}
-		h = prob.FNVByte(h, 0xff)
-	}
-	return h
-}
-
-// memoGet looks a canonical clause set up in the interned exact memo.
-func (b *Builder) memoGet(h uint64, cls [][]int32) (float64, bool) {
-	e, ok := b.memo[h]
-	if !ok {
-		b.memoMisses++
-		return 0, false
-	}
-	if equalClauseSets(e.cls, cls) {
-		b.memoHits++
-		return e.p, true
-	}
-	for _, o := range b.memoOver[h] {
-		if equalClauseSets(o.cls, cls) {
-			b.memoHits++
-			return o.p, true
-		}
-	}
-	b.memoMisses++
-	return 0, false
-}
-
-// memoPut interns an exactly resolved clause set. The common case stores
-// the entry inline in the map; only genuine hash collisions between
-// distinct sets allocate an overflow chain.
-func (b *Builder) memoPut(h uint64, cls [][]int32, p float64) {
-	if _, ok := b.memo[h]; !ok {
-		b.memo[h] = memoEntry{cls: cls, p: p}
-		return
-	}
-	if b.memoOver == nil {
-		b.memoOver = make(map[uint64][]memoEntry)
-	}
-	b.memoOver[h] = append(b.memoOver[h], memoEntry{cls: cls, p: p})
-}
-
-// Arena sizing, shared with internal/obdd's idiom.
-const (
-	hdrArenaBlock = 4096
-	litArenaBlock = 8192
-)
-
-// getScratch returns a clause-set header with room for n clauses: a
-// recycled one from the free list when it fits, otherwise a slice of the
-// header arena. Headers retained by the memo keep their arena storage;
-// recycled ones come back through putScratch.
-func (b *Builder) getScratch(n int) [][]int32 {
-	if k := len(b.scratch); k > 0 {
-		if s := b.scratch[k-1]; cap(s) >= n {
-			b.scratch = b.scratch[:k-1]
-			b.hdrRecycled++
-			return s[:0]
-		}
-	}
-	if len(b.hdrs) < n {
-		size := hdrArenaBlock
-		if n > size {
-			size = n
-		}
-		b.hdrs = make([][]int32, size)
-	}
-	s := b.hdrs[:0:n]
-	b.hdrs = b.hdrs[n:]
-	return s
-}
-
-// putScratch recycles a clause-set header whose contents are dead.
-func (b *Builder) putScratch(s [][]int32) {
-	if cap(s) > 0 {
-		b.scratch = append(b.scratch, s)
-	}
-}
+// litArenaBlock is how many literal slots the literal arena allocates per
+// backing array.
+const litArenaBlock = 8192
 
 // allocLits carves literal storage for one rebuilt clause from the literal
 // arena (never recycled within a formula: stripped clauses may be retained
@@ -676,55 +511,4 @@ func (b *Builder) allocLits(n int) []int32 {
 	s := b.lits[:0:n]
 	b.lits = b.lits[n:]
 	return s
-}
-
-// normalize sorts clauses lexicographically and drops duplicates, making
-// residual clause sets canonical regardless of the decomposition path that
-// produced them.
-func normalize(cls [][]int32) [][]int32 {
-	slices.SortFunc(cls, cmpClause)
-	out := cls[:0]
-	for i, c := range cls {
-		if i > 0 && equalClause(cls[i-1], c) {
-			continue
-		}
-		out = append(out, c)
-	}
-	return out
-}
-
-func cmpClause(a, b []int32) int {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return len(a) - len(b)
-}
-
-func equalClause(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalClauseSets(a, b [][]int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !equalClause(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
 }

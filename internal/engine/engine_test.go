@@ -238,22 +238,6 @@ func TestMergeJoinAsymmetricKeyLayouts(t *testing.T) {
 	}
 }
 
-func TestNestedLoopJoinPredicate(t *testing.T) {
-	l := intsRel("a", 1, 2, 3)
-	r := intsRel("b", 2, 3, 4)
-	j := NewNestedLoopJoin(NewMemScan(l), NewMemScan(r),
-		Cmp{L: ColRef{Idx: 0}, Op: OpLt, R: ColRef{Idx: 1}})
-	rows := drain(t, j)
-	// pairs with a<b: (1,2)(1,3)(1,4)(2,3)(2,4)(3,4) = 6
-	if len(rows) != 6 {
-		t.Fatalf("got %d rows, want 6", len(rows))
-	}
-	cross := NewNestedLoopJoin(NewMemScan(l), NewMemScan(r), nil)
-	if rows := drain(t, cross); len(rows) != 9 {
-		t.Fatalf("cross product should have 9 rows, got %d", len(rows))
-	}
-}
-
 func TestSortOperator(t *testing.T) {
 	rel := pairRel("a", "b", [2]int64{3, 1}, [2]int64{1, 2}, [2]int64{2, 3}, [2]int64{1, 1})
 	s := NewSort(NewMemScan(rel), SortSpec{Cols: []int{0, 1}})

@@ -1,5 +1,5 @@
 // Package engine is the relational query executor: Volcano-style iterators
-// (scan, filter, project, hash/merge/nested-loop join, external sort,
+// (scan, filter, project, hash/merge join, external sort,
 // group-by, distinct) over the table data model. It plays the role of the
 // PostgreSQL executor that SPROUT extends — the confidence operator in
 // internal/conf consumes the sorted tuple streams produced here.

@@ -382,94 +382,3 @@ func (j *MergeJoin) Close() error {
 	}
 	return errR
 }
-
-// NestedLoopJoin joins on an arbitrary predicate; the right input is
-// materialized. It is the fallback for non-equi conditions and the smallest
-// possible baseline join.
-type NestedLoopJoin struct {
-	Left, Right Operator
-	Pred        Pred
-	out         *table.Schema
-	right       []table.Tuple
-	l           table.Tuple
-	lOK         bool
-	pos         int
-	slots       slotBufs
-}
-
-// NewNestedLoopJoin joins left and right on pred (nil means cross product).
-func NewNestedLoopJoin(left, right Operator, pred Pred) *NestedLoopJoin {
-	if pred == nil {
-		pred = True{}
-	}
-	return &NestedLoopJoin{Left: left, Right: right, Pred: pred, out: left.Schema().Concat(right.Schema())}
-}
-
-// Schema returns left ++ right.
-func (j *NestedLoopJoin) Schema() *table.Schema { return j.out }
-
-// Open materializes the right input.
-func (j *NestedLoopJoin) Open() error {
-	if err := j.Left.Open(); err != nil {
-		return err
-	}
-	if err := j.Right.Open(); err != nil {
-		j.Left.Close()
-		return err
-	}
-	j.right = j.right[:0]
-	err := drainEach(j.Right, func(t table.Tuple) error {
-		j.right = append(j.right, t)
-		return nil
-	})
-	if err != nil {
-		j.Left.Close()
-		j.Right.Close()
-		return err
-	}
-	j.lOK = false
-	j.pos = len(j.right)
-	return nil
-}
-
-// Next yields the next qualifying pair.
-func (j *NestedLoopJoin) Next() (table.Tuple, bool, error) { return j.next(0) }
-
-func (j *NestedLoopJoin) next(slot int) (table.Tuple, bool, error) {
-	buf := j.slots.slot(slot, j.out.Len())
-	for {
-		if j.pos < len(j.right) {
-			r := j.right[j.pos]
-			j.pos++
-			copy(buf, j.l)
-			copy(buf[len(j.l):], r)
-			if j.Pred.Holds(buf) {
-				return buf, true, nil
-			}
-			continue
-		}
-		t, ok, err := j.Left.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		j.l = t.Clone()
-		j.lOK = true
-		j.pos = 0
-	}
-}
-
-// NextBatch emits qualifying pairs into reused per-slot buffers.
-func (j *NestedLoopJoin) NextBatch(dst []table.Tuple) (int, error) {
-	return fillBatch(dst, j.next)
-}
-
-// Close closes both inputs.
-func (j *NestedLoopJoin) Close() error {
-	j.right = nil
-	errL := j.Left.Close()
-	errR := j.Right.Close()
-	if errL != nil {
-		return errL
-	}
-	return errR
-}

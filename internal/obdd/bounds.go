@@ -97,7 +97,11 @@ func Bounds(d *prob.DNF, a *prob.Assignment, order []prob.Var, o Options) (Resul
 	add := func(cls [][]int32, wts []float64, mass float64) {
 		it := &boundsItem{cls: cls, wts: wts, mass: mass, seq: seq}
 		seq++
-		it.lo, it.hi = cheapBounds(it.wts)
+		var cb prob.WeightBound
+		for _, w := range wts {
+			cb.Add(w)
+		}
+		it.lo, it.hi = cb.Interval()
 		if it.lo == it.hi {
 			sumDone += mass * it.lo
 			return
@@ -109,7 +113,7 @@ func Bounds(d *prob.DNF, a *prob.Assignment, order []prob.Var, o Options) (Resul
 	heap.Init(&frontier)
 	add(cls, clauseWeights(cls, probs), 1)
 	steps := 0
-	budget := o.budget()
+	budget := o.Budget()
 	stopped := false
 
 	for len(frontier) > 0 && steps < budget {
@@ -159,35 +163,6 @@ func Bounds(d *prob.DNF, a *prob.Assignment, order []prob.Var, o Options) (Resul
 		Stopped: stopped && !exact}, nil
 }
 
-// CheapBounds bounds Pr[d] from clause weights alone — no order, no
-// compilation, no allocation beyond one pass over the clauses:
-//
-//	max_c Π p(v)  ≤  Pr[d]  ≤  min(1, Σ_c Π p(v))
-//
-// The confidence layer uses it for answers whose compilation never started
-// before a deadline watermark fired: even those answers then carry a
-// certified (if wide) interval instead of an error.
-func CheapBounds(d *prob.DNF, a *prob.Assignment) (lo, hi float64) {
-	sum := 0.0
-	for _, c := range d.Clauses {
-		w := 1.0
-		for _, v := range c {
-			w *= a.P(v)
-		}
-		if len(c) == 0 {
-			w = 1.0
-		}
-		if w > lo {
-			lo = w
-		}
-		sum += w
-	}
-	if sum > 1 {
-		sum = 1
-	}
-	return lo, sum
-}
-
 // clauseWeights computes Π p over each clause's variables.
 func clauseWeights(cls [][]int32, probs []float64) []float64 {
 	wts := make([]float64, len(cls))
@@ -199,22 +174,6 @@ func clauseWeights(cls [][]int32, probs []float64) []float64 {
 		wts[i] = w
 	}
 	return wts
-}
-
-// cheapBounds bounds Pr[ψ] from the clause weights alone: any one clause
-// implies ψ (max lower-bounds it), the union bound caps it.
-func cheapBounds(wts []float64) (lo, hi float64) {
-	sum := 0.0
-	for _, w := range wts {
-		if w > lo {
-			lo = w
-		}
-		sum += w
-	}
-	if sum > 1 {
-		sum = 1
-	}
-	return lo, sum
 }
 
 // conditionWeighted builds the positive cofactor at level: clauses starting

@@ -4,70 +4,20 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/clauseset"
 	"repro/internal/prob"
 )
 
+// Options, Result and DefaultNodeBudget are the lineage compilers' shared
+// contract (internal/clauseset); NodeBudget counts diagram nodes here.
+type (
+	Options = clauseset.Options
+	Result  = clauseset.Result
+)
+
 // DefaultNodeBudget caps the diagram size (and the anytime mode's expansion
-// steps) when Options.NodeBudget is zero. Beyond ~10^5 nodes the lineage is
-// firmly in blow-up territory and the certified bounds (or Monte Carlo) are
-// the better tool.
-const DefaultNodeBudget = 1 << 17
-
-// Options tunes OBDD-based probability computation.
-type Options struct {
-	// NodeBudget caps the number of diagram nodes during exact compilation
-	// and the number of expansion steps in the anytime bound mode; 0 means
-	// DefaultNodeBudget.
-	NodeBudget int
-	// TargetWidth stops the anytime mode early once hi-lo ≤ TargetWidth;
-	// 0 expands until the budget is spent (or the bounds close completely).
-	// It has no effect on formulas whose diagram fits the budget.
-	TargetWidth float64
-	// Stop, when non-nil, is polled during compilation and expansion; once
-	// it reports true the exact compile abandons into the anytime mode and
-	// the anytime expansion returns its current certified bounds. The
-	// planner arms it with a deadline-watermark probe so an expiring
-	// context degrades to bounds instead of failing. Results cut short by
-	// Stop report Stopped=true; a nil Stop never fires.
-	Stop func() bool
-}
-
-func (o Options) budget() int {
-	if o.NodeBudget <= 0 {
-		return DefaultNodeBudget
-	}
-	return o.NodeBudget
-}
-
-// Result is the outcome of OBDD-based probability computation for one
-// formula.
-type Result struct {
-	// Exact reports whether P is the exact probability. When false, only
-	// the certified bounds Lo ≤ Pr[φ] ≤ Hi are guaranteed and P is their
-	// midpoint (so |P - Pr[φ]| ≤ (Hi-Lo)/2).
-	Exact bool
-	// P is the exact probability, or the bound midpoint.
-	P float64
-	// Lo and Hi bound the probability; Lo == Hi == P for exact results.
-	Lo, Hi float64
-	// Nodes counts the compilation effort: internal OBDD nodes for exact
-	// results; for bounded results, the nodes built by the abandoned exact
-	// compile plus the anytime mode's Shannon expansion steps.
-	Nodes int
-	// MemoHits and MemoMisses count residual-memo probes during this
-	// formula's Shannon compilation (the abandoned compile's probes, for
-	// bounded results). Their split is a deterministic function of the
-	// formula and order — observability surfaces report it per query.
-	MemoHits, MemoMisses int64
-	// HdrRecycled counts cofactor clause-set headers served from the
-	// builder's free list instead of fresh arena storage during this
-	// compile — the arena-reuse figure of the PR 5 allocation work.
-	HdrRecycled int64
-	// Stopped reports that Options.Stop cut this computation short: the
-	// bounds are certified but narrower work was abandoned for time, not
-	// for the node budget.
-	Stopped bool
-}
+// steps) when Options.NodeBudget is zero.
+const DefaultNodeBudget = clauseset.DefaultNodeBudget
 
 // Prob computes Pr[d] under the given variable order: exact via OBDD
 // compilation and one bottom-up evaluation pass when the diagram fits the
@@ -75,7 +25,7 @@ type Result struct {
 // The order must mention every variable of d. The result is a deterministic
 // function of (d, a, order, o).
 func Prob(d *prob.DNF, a *prob.Assignment, order []prob.Var, o Options) (Result, error) {
-	return ProbWith(NewBuilder(order, o.budget()), d, a, o)
+	return ProbWith(NewBuilder(order, o.Budget()), d, a, o)
 }
 
 // ProbWith is Prob over a caller-supplied builder, which must already hold
@@ -84,11 +34,11 @@ func Prob(d *prob.DNF, a *prob.Assignment, order []prob.Var, o Options) (Result,
 // memo tables across answers (Reset between them) instead of reallocating
 // every map per formula; the result is identical to Prob's.
 func ProbWith(b *Builder, d *prob.DNF, a *prob.Assignment, o Options) (Result, error) {
-	hits0, misses0, rec0 := b.Counters()
+	hits0, misses0, rec0 := b.memo.Counters()
 	b.stop = o.Stop
 	root, err := b.Compile(d)
 	b.stop = nil
-	hits, misses, rec := b.Counters()
+	hits, misses, rec := b.memo.Counters()
 	hits, misses, rec = hits-hits0, misses-misses0, rec-rec0
 	if err == nil {
 		p := b.Prob(root, a)
@@ -107,119 +57,13 @@ func ProbWith(b *Builder, d *prob.DNF, a *prob.Assignment, o Options) (Result, e
 	return res, nil
 }
 
-// memoEntry interns one residual clause set: the canonical set itself (for
-// structural equality under its FNV hash) and the diagram it compiled to.
-type memoEntry struct {
-	cls [][]int32
-	ref Ref
-}
-
-// hashClauses is FNV-1a (prob's shared primitives) over the canonical
-// clause set — clause literals in order with a separator per clause
-// boundary. Collisions are resolved by structural equality, so hash quality
-// only affects bucket chain length.
-func hashClauses(cls [][]int32) uint64 {
-	h := prob.FNVInit()
-	for _, c := range cls {
-		for _, l := range c {
-			h = prob.FNVUint32(h, uint32(l))
-		}
-		h = prob.FNVByte(h, 0xff)
-	}
-	return h
-}
-
-func equalClauseSets(a, b [][]int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !equalClause(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// memoGet looks a canonical clause set up in the interned memo.
-func (b *Builder) memoGet(h uint64, cls [][]int32) (Ref, bool) {
-	e, ok := b.memo[h]
-	if !ok {
-		b.memoMisses++
-		return False, false
-	}
-	if equalClauseSets(e.cls, cls) {
-		b.memoHits++
-		return e.ref, true
-	}
-	for _, o := range b.memoOver[h] {
-		if equalClauseSets(o.cls, cls) {
-			b.memoHits++
-			return o.ref, true
-		}
-	}
-	b.memoMisses++
-	return False, false
-}
-
-// memoPut interns a clause set. The common case stores the entry inline in
-// the map; only genuine hash collisions between distinct sets allocate an
-// overflow chain.
-func (b *Builder) memoPut(h uint64, cls [][]int32, r Ref) {
-	if _, ok := b.memo[h]; !ok {
-		b.memo[h] = memoEntry{cls: cls, ref: r}
-		return
-	}
-	if b.memoOver == nil {
-		b.memoOver = make(map[uint64][]memoEntry)
-	}
-	b.memoOver[h] = append(b.memoOver[h], memoEntry{cls: cls, ref: r})
-}
-
-// hdrArenaBlock is how many clause-set header slots the builder's arena
-// allocates per backing array.
-const hdrArenaBlock = 4096
-
-// getScratch returns a clause-set header with room for n clauses: a
-// recycled one from the free list when it fits, otherwise a slice of the
-// header arena (one allocation per hdrArenaBlock header slots). Headers
-// retained by the memo simply keep their arena storage; recycled ones come
-// back through putScratch.
-func (b *Builder) getScratch(n int) [][]int32 {
-	if k := len(b.scratch); k > 0 {
-		if s := b.scratch[k-1]; cap(s) >= n {
-			b.scratch = b.scratch[:k-1]
-			b.hdrRecycled++
-			return s[:0]
-		}
-	}
-	if len(b.hdrs) < n {
-		size := hdrArenaBlock
-		if n > size {
-			size = n
-		}
-		b.hdrs = make([][]int32, size)
-	}
-	s := b.hdrs[:0:n]
-	b.hdrs = b.hdrs[n:]
-	return s
-}
-
-// putScratch recycles a clause-set header whose contents are dead.
-func (b *Builder) putScratch(s [][]int32) {
-	if cap(s) > 0 {
-		b.scratch = append(b.scratch, s)
-	}
-}
-
 // Compile builds the reduced OBDD of a DNF by Shannon expansion under the
 // builder's order: condition the clause set on its topmost variable, recurse
 // on both cofactors, and hash-cons the resulting node. Residual clause sets
-// are memoized under an FNV-1a hash of the canonical set with
-// structural-equality collision chains — no per-recursion key strings — so
-// shared subformulas compile once; cofactor clause-set headers are drawn
-// from a free list and recycled on every memo hit. Returns ErrBudget when
-// the diagram would exceed the node budget.
+// are interned in the builder's clauseset.Store, so shared subformulas
+// compile once; cofactor clause-set headers are drawn from the store's free
+// list and recycled on every memo hit. Returns ErrBudget when the diagram
+// would exceed the node budget.
 func (b *Builder) Compile(d *prob.DNF) (Ref, error) {
 	cls, err := b.lower(d)
 	if err != nil {
@@ -258,29 +102,29 @@ func (b *Builder) lower(d *prob.DNF) ([][]int32, error) {
 
 // shannon compiles a canonical clause set, taking ownership of the cls
 // header: on a memo hit (or a terminal case) the header is recycled into the
-// scratch free list, on a miss it is retained by the memo entry.
+// store's free list, on a miss it is retained by the memo entry.
 func (b *Builder) shannon(cls [][]int32) (Ref, error) {
 	if b.stop != nil && b.stop() {
-		b.putScratch(cls)
+		b.memo.Recycle(cls)
 		return False, ErrBudget
 	}
 	if len(cls) == 0 {
-		b.putScratch(cls)
+		b.memo.Recycle(cls)
 		return False, nil
 	}
 	top := terminalLevel
 	for _, c := range cls {
 		if len(c) == 0 {
-			b.putScratch(cls)
+			b.memo.Recycle(cls)
 			return True, nil
 		}
 		if c[0] < top {
 			top = c[0]
 		}
 	}
-	h := hashClauses(cls)
-	if r, ok := b.memoGet(h, cls); ok {
-		b.putScratch(cls)
+	h := clauseset.Hash(cls)
+	if r, ok := b.memo.Get(h, cls); ok {
+		b.memo.Recycle(cls)
 		return r, nil
 	}
 	pos, neg, posTrue := b.condition(cls, top)
@@ -300,7 +144,7 @@ func (b *Builder) shannon(cls [][]int32) (Ref, error) {
 	if err != nil {
 		return False, err
 	}
-	b.memoPut(h, cls, r)
+	b.memo.Put(h, cls, r)
 	return r, nil
 }
 
@@ -309,11 +153,11 @@ func (b *Builder) shannon(cls [][]int32) (Ref, error) {
 // the cofactor under "false" (those clauses dropped). posTrue short-circuits
 // the positive cofactor when stripping the level empties a clause. Both
 // cofactors are normalized — sorted and deduplicated — so the memo key is
-// canonical for the residual set; their headers come from the builder's
-// scratch free list.
+// canonical for the residual set; their headers come from the store's free
+// list.
 func (b *Builder) condition(cls [][]int32, level int32) (pos, neg [][]int32, posTrue bool) {
-	pos = b.getScratch(len(cls))
-	neg = b.getScratch(len(cls))
+	pos = b.memo.Scratch(len(cls))
+	neg = b.memo.Scratch(len(cls))
 	for _, c := range cls {
 		if c[0] == level {
 			if len(c) == 1 {
@@ -327,52 +171,13 @@ func (b *Builder) condition(cls [][]int32, level int32) (pos, neg [][]int32, pos
 		}
 	}
 	if posTrue {
-		b.putScratch(pos)
+		b.memo.Recycle(pos)
 		pos = nil
 	} else {
-		pos = normalize(pos)
+		pos = clauseset.Normalize(pos)
 	}
-	neg = normalize(neg)
+	neg = clauseset.Normalize(neg)
 	return pos, neg, posTrue
-}
-
-// normalize sorts clauses lexicographically and drops duplicates, making
-// residual clause sets canonical regardless of the expansion path that
-// produced them.
-func normalize(cls [][]int32) [][]int32 {
-	slices.SortFunc(cls, cmpClause)
-	out := cls[:0]
-	for i, c := range cls {
-		if i > 0 && equalClause(cls[i-1], c) {
-			continue
-		}
-		out = append(out, c)
-	}
-	return out
-}
-
-func cmpClause(a, b []int32) int {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return len(a) - len(b)
-}
-
-func equalClause(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // OccurrenceOrder derives a variable order from the lineage itself:

@@ -23,14 +23,17 @@
 // monotonically with every expansion step, terminating early once the
 // interval reaches a target width or the step budget is spent.
 //
-// Compilation is allocation-lean: residual clause sets are interned in a
-// hash-keyed memo (FNV-1a over the canonical set, structural equality on
-// collision) rather than under rendered key strings, cofactor clause-set
-// headers are carved from a per-builder arena and recycled through a free
-// list on every memo hit, and a Builder is reusable across formulas —
-// Reset keeps the capacity of the unique, apply and memo tables, so batch
-// fan-outs (one builder per worker, reset per answer) pay the map
-// allocations once instead of per lineage formula.
+// Compilation is allocation-lean: residual clause sets are interned in the
+// shared clause-set store (internal/clauseset: FNV-keyed memo, header arena,
+// scratch free list — the same store the d-tree tier uses), keyed here to
+// diagram nodes, and a Builder is reusable across formulas — Reset keeps the
+// capacity of the unique and apply tables and of the store, so batch
+// fan-outs (conf's per-answer driver: one builder per worker, reset per
+// answer) pay the map allocations once instead of per lineage formula. What
+// stays in this package is what only an ordered diagram needs: the variable
+// order (OccurrenceOrder), the unique/apply tables, and the anytime Bounds
+// expansion. Options and Result are the compilers' shared contract,
+// aliased from clauseset.
 package obdd
 
 import (
@@ -38,6 +41,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/clauseset"
 	"repro/internal/prob"
 )
 
@@ -82,35 +86,15 @@ type Builder struct {
 	apply  map[applyKey]Ref
 	budget int
 
-	// Shannon-compilation state (compile.go): the interned residual
-	// clause-set memo (entries inline in the map, hash collisions between
-	// distinct sets spill to memoOver), the cofactor scratch free list, and
-	// the header arena the scratch headers are carved from.
-	memo     map[uint64]memoEntry
-	memoOver map[uint64][]memoEntry
-	scratch  [][][]int32
-	hdrs     [][]int32
-	pr       []float64 // Prob's bottom-up pass scratch
-
-	// Effort counters, cumulative across Resets (ProbWith records per-call
-	// deltas into Result): residual-memo hits and misses during Shannon
-	// compilation, and clause-set headers served from the recycled free
-	// list rather than carved fresh from the arena.
-	memoHits    int64
-	memoMisses  int64
-	hdrRecycled int64
+	// memo interns the residual clause sets of Shannon compilation
+	// (compile.go) and owns the cofactor header arena and free list.
+	memo clauseset.Store[Ref]
+	pr   []float64 // Prob's bottom-up pass scratch
 
 	// stop is armed by ProbWith from Options.Stop for the duration of one
 	// Compile: when it fires, the compile aborts with ErrBudget and the
 	// caller falls into the anytime bounds mode.
 	stop func() bool
-}
-
-// Counters returns the builder's cumulative effort counters: residual-memo
-// hits and misses, and recycled clause-set headers. They survive Reset, so
-// per-formula figures are deltas around a Compile (see ProbWith).
-func (b *Builder) Counters() (memoHits, memoMisses, hdrRecycled int64) {
-	return b.memoHits, b.memoMisses, b.hdrRecycled
 }
 
 type applyKey struct {
@@ -120,14 +104,9 @@ type applyKey struct {
 
 // NewBuilder creates a manager over the given variable order (level 0 is
 // tested first). budget caps the number of internal nodes; 0 means
-// DefaultNodeBudget.
+// DefaultNodeBudget. A zero Builder is equally usable after Reset.
 func NewBuilder(order []prob.Var, budget int) *Builder {
-	b := &Builder{
-		level:  make(map[prob.Var]int32, len(order)),
-		unique: make(map[Node]Ref),
-		apply:  make(map[applyKey]Ref),
-		memo:   make(map[uint64]memoEntry),
-	}
+	b := new(Builder)
 	b.Reset(order, budget)
 	return b
 }
@@ -143,7 +122,6 @@ func (b *Builder) Reset(order []prob.Var, budget int) {
 		b.level = make(map[prob.Var]int32, len(order))
 		b.unique = make(map[Node]Ref)
 		b.apply = make(map[applyKey]Ref)
-		b.memo = make(map[uint64]memoEntry)
 	}
 	b.order = order
 	b.budget = budget
@@ -151,8 +129,7 @@ func (b *Builder) Reset(order []prob.Var, budget int) {
 	clear(b.level)
 	clear(b.unique)
 	clear(b.apply)
-	clear(b.memo)
-	clear(b.memoOver)
+	b.memo.Reset()
 	for i, v := range order {
 		b.level[v] = int32(i)
 	}

@@ -29,6 +29,11 @@ type exec struct {
 	mem        *fault.Governor
 	sortBudget int
 	tmpDir     string
+	// stop is the run's deadline-watermark probe (nil = none) and maxNodes
+	// the governor's headroom in compilation nodes (0 = uncapped); exec.arm
+	// installs both on a lineage tier's options.
+	stop     func() bool
+	maxNodes int
 }
 
 // span opens a top-level trace span, or returns nil (a no-op span) when

@@ -4,16 +4,19 @@
 // plans (probability-computation operators pushed to every table and join,
 // Fig. 7a), hybrid plans (operators pushed past selected joins, Fig. 7b) —
 // plus the MystiQ-style safe plans of Dalvi/Suciu (Fig. 2) as the
-// state-of-the-art baseline the paper compares against, and two plan
-// styles beyond the paper: the OBDD plan (obdd.go), which compiles each
-// answer's lineage into a reduced ordered BDD (exact under a node budget,
-// certified [lo, hi] bounds beyond it), and the Monte Carlo plan (mc.go),
-// which estimates confidences with an (ε, δ) sampler.
+// state-of-the-art baseline the paper compares against, and three plan
+// styles beyond the paper, the lineage tiers (tier.go): the OBDD plan
+// (obdd.go), which compiles each answer's lineage into a reduced ordered
+// BDD, and the d-tree plan (dtree.go), which decomposes it order-free —
+// both exact under a budget, certified [lo, hi] bounds beyond it — and the
+// Monte Carlo plan (mc.go), which estimates confidences with an (ε, δ)
+// sampler.
 //
 // On queries without a hierarchical signature — #P-hard in general — every
-// exact style falls through the chain instead of rejecting: hierarchical
-// sort+scan → OBDD-exact under budget → Monte Carlo. Spec.RequireExact
-// restores the paper's strict rejection.
+// exact style falls through the ladder of those tiers instead of
+// rejecting: hierarchical sort+scan → OBDD-exact under budget →
+// d-tree-exact under budget → Monte Carlo. Spec.RequireExact restores the
+// paper's strict rejection.
 //
 // All styles lower from one shared logical plan IR (internal/logical),
 // built once by Prepare and executed by the lowering in lower.go (safe.go

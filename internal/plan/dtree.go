@@ -1,83 +1,26 @@
 package plan
 
 import (
-	"errors"
-	"fmt"
-	"time"
-
 	"repro/internal/conf"
-	"repro/internal/obs"
-	"repro/internal/query"
 	"repro/internal/table"
 )
 
-// This file assembles the results of the d-tree confidence tier (lower.go):
-// answer tuples are computed exactly like the lazy plan, then each distinct
-// answer's lineage DNF is decomposed into a d-tree (internal/dtree) —
-// independent-AND / independent-OR decompositions, Shannon cofactoring only
-// as a last resort — exact within the step budget, certified [lo, hi]
-// bounds beyond it. The tier is both a style in its own right (Spec.Style =
-// DTree) and the third rung of the exact styles' fallback ladder on queries
-// without a hierarchical signature: hierarchical sort+scan → OBDD → d-tree
-// → Monte Carlo.
-
-// finishDTree is the DTree style's confidence tier over the materialized
-// answer: decompose each answer's lineage, exact under the step budget,
-// certified bounds beyond it.
-func finishDTree(ex exec, q *query.Query, b *built, spec Spec, answer *table.Relation, tupleTime time.Duration) (*Result, error) {
-	t1 := statsNow()
-	out, ds, err := conf.DTree(ex.ctx, ex.pool, answer, spec.DTree, spec.RequireExact)
-	if err != nil {
-		if errors.Is(err, conf.ErrDTreeBudget) {
-			return nil, fmt.Errorf("plan: %s: %w (RequireExact forbids certified bounds)", q.Name, err)
-		}
-		return nil, err
-	}
-	probTime := statsSince(t1)
-	out, err = normalizeAnswer(out, q)
-	if err != nil {
-		return nil, err
-	}
-	return dtreeResult(ex.span("conf[dtree]"), q, "", b.order, answer, out, ds, tupleTime, probTime), nil
-}
-
-// dtreeResult assembles the Result of a d-tree run, annotating the tier's
-// trace span (nil when tracing is off) with decomposition detail.
-func dtreeResult(sp *obs.Span, q *query.Query, note string, order []query.RelRef, answer, out *table.Relation, ds *conf.DTreeStats, tupleTime, probTime time.Duration) *Result {
-	bounded := ""
-	if ds.Bounded > 0 {
-		bounded = fmt.Sprintf(", %d bounded to width ≤ %.3g", ds.Bounded, ds.MaxWidth)
-	}
-	sp.Int("answers", ds.OutputTuples).Int("clauses", ds.Clauses).Int("vars", ds.Vars).Int("dedup_rows", ds.DupRows)
-	sp.Int("steps", ds.Nodes).Int("memo_hits", ds.MemoHits).Int("memo_misses", ds.MemoMisses)
-	sp.Int("exact", ds.ExactAnswers).Int("bounded", ds.Bounded)
-	if ds.Bounded > 0 {
-		sp.Float("max_width", ds.MaxWidth)
-	}
-	sp.LooseInt("hdr_recycled", ds.HdrRecycled)
-	sp.SetDur(probTime)
-	stats := Stats{
-		Plan: fmt.Sprintf("dtree%s: %s; decompose lineage of %d answers (%d clauses, %d steps, %d exact%s)",
-			note, describeOrder(order), ds.OutputTuples, ds.Clauses, ds.Nodes, ds.ExactAnswers, bounded),
-		Signature:      "(d-tree over lineage; order-free decomposition)",
-		TupleTime:      tupleTime,
-		ProbTime:       probTime,
-		AnswerTuples:   int64(answer.Len()),
-		DistinctTuples: int64(out.Len()),
-		Scans:          1, // the lineage-collection grouping pass
-		DTreeNodes:     ds.Nodes,
-		MemoHits:       ds.MemoHits,
-		MemoMisses:     ds.MemoMisses,
-	}
-	if ds.Bounded > 0 {
-		stats.Approximate = true
-		stats.LowerBound = ds.LowerBound
-		stats.UpperBound = ds.UpperBound
-		stats.MaxWidth = ds.MaxWidth
-	}
-	if ds.Stopped > 0 {
-		markDegraded(&stats, "deadline")
-		sp.Int("deadline_stopped", ds.Stopped)
-	}
-	return &Result{Rows: out, Stats: stats}
+// dtreeTier decomposes each distinct answer's lineage DNF into a d-tree
+// (internal/dtree) — independent-AND / independent-OR decompositions,
+// Shannon cofactoring only as a last resort — exact within the step budget,
+// certified [lo, hi] bounds beyond it. Decomposition is order-free, so no
+// signature is involved.
+var dtreeTier = tier{
+	name:       "dtree",
+	effort:     "steps",
+	verb:       "decompose lineage of",
+	budgetErr:  conf.ErrDTreeBudget,
+	overrun:    "step budget exceeded",
+	ladderNote: "OBDD budget exceeded, lineage decomposed exactly",
+	run: func(ex exec, spec *Spec, _ *built, l *conf.Lineage, exactOnly bool) (*table.Relation, outcome, error) {
+		out, o, err := compiled(conf.DTreeLineage(ex.ctx, ex.pool, l, ex.arm(spec.DTree), exactOnly))
+		o.stats.DTreeNodes = o.effort
+		o.stats.Signature = "(d-tree over lineage; order-free decomposition)"
+		return out, o, err
+	},
 }

@@ -30,8 +30,6 @@ type built struct {
 	eagerStages int
 	// tree is the safe plan's query tree (MystiQ only), for display.
 	tree *query.Tree
-	// orderNote documents the OBDD variable-order source.
-	orderNote string
 }
 
 // buildLogical constructs the logical plan IR for one (query, style) pair.
@@ -44,10 +42,8 @@ func buildLogical(c *Catalog, q *query.Query, sigma *fd.Set, spec Spec) (*built,
 		return buildLineage(c, q, logical.AlgMC, "mc", ""), nil
 	case OBDD:
 		b := buildLineage(c, q, logical.AlgOBDD, "obdd", "")
-		b.orderNote = "interleaved-occurrence order"
 		if s, err := signature.Best(q, sigma); err == nil {
 			b.sig = s
-			b.orderNote = fmt.Sprintf("order from signature %s", s)
 			// Record the variable-order seed on the placement point: the
 			// cost model prices signature-ordered compilation (linear on
 			// hierarchical lineage) cheaper than unordered compilation.

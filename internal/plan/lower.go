@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -219,21 +218,31 @@ func (st *lowerState) materializeConf(cf *logical.Conf, sp *obs.Span) (*table.Re
 	}
 	for _, op := range cf.Ops {
 		pt0 := statsNow()
-		next, rep, n, err := conf.Aggregate(rel, op, st.spec.Conf)
+		var cstats conf.Stats
+		next, rep, err := conf.AggregateStats(rel, op, st.spec.Conf, &cstats)
 		if err != nil {
 			return nil, err
 		}
 		d := statsSince(pt0)
 		st.probTime += d
-		st.scans += n
+		st.scans += cstats.Scans
 		csp := sp.Child("conf[" + op.String() + "]")
-		csp.Int("rows_in", int64(rel.Len())).Int("rows_out", int64(next.Len())).Int("scans", int64(n))
+		csp.Int("rows_in", int64(rel.Len())).Int("rows_out", int64(next.Len()))
+		annotateSorts(csp, &cstats)
 		csp.SetDur(d)
 		rel = next
 		st.cur = Replace(st.cur, op, signature.Table(rep))
 		st.applied = append(st.applied, "["+op.String()+"]")
 	}
 	return rel, nil
+}
+
+// annotateSorts records what a sort+scan computation — an eager step or the
+// top operator — did: scans and sorts are structural, the spill volume
+// moves with the sort budget and the partitioning and stays loose.
+func annotateSorts(sp *obs.Span, cs *conf.Stats) {
+	sp.Int("scans", int64(cs.Scans)).Int("sorts", int64(cs.Sorts))
+	sp.LooseInt("spilled_runs", int64(cs.SpilledRuns)).LooseInt("spill_bytes", cs.SpillBytes)
 }
 
 // runLogical executes a built logical plan.
@@ -266,11 +275,11 @@ func runLogical(ex exec, c *Catalog, q *query.Query, b *built, spec Spec) (*Resu
 	case logical.AlgSortScan:
 		res, err = st.finishSortScan(b, answer, tupleTime)
 	case logical.AlgOBDD:
-		res, err = finishOBDD(ex, q, b, spec, answer, tupleTime)
+		res, err = finishTier(ex, &obddTier, q, b, spec, answer, tupleTime)
 	case logical.AlgDTree:
-		res, err = finishDTree(ex, q, b, spec, answer, tupleTime)
+		res, err = finishTier(ex, &dtreeTier, q, b, spec, answer, tupleTime)
 	case logical.AlgMC:
-		res, err = finishMonteCarlo(ex, ex.span("conf[mc]"), q, spec, "", b.order, answer, nil, tupleTime, 0)
+		res, err = finishTier(ex, &mcTier, q, b, spec, answer, tupleTime)
 	case logical.AlgLadder:
 		res, err = finishFallbackChain(ex, q, b, spec, answer, tupleTime)
 	default:
@@ -306,8 +315,7 @@ func (st *lowerState) finishSortScan(b *built, rel *table.Relation, tupleTime ti
 			return nil, err
 		}
 		st.scans += cstats.Scans
-		sp.Int("scans", int64(cstats.Scans)).Int("sorts", int64(cstats.Sorts))
-		sp.LooseInt("spilled_runs", int64(cstats.SpilledRuns)).LooseInt("spill_bytes", cstats.SpillBytes)
+		annotateSorts(sp, cstats)
 	}
 	d := statsSince(pt0)
 	sp.Str("sig", st.cur.String()).Int("rows_in", int64(rel.Len())).Int("distinct", int64(out.Len()))
@@ -333,71 +341,4 @@ func (st *lowerState) finishSortScan(b *built, rel *table.Relation, tupleTime ti
 			Scans:          st.scans,
 		},
 	}, nil
-}
-
-// finishOBDD is the OBDD style's confidence tier over the materialized
-// answer: compile each answer's lineage into a reduced OBDD, exact under
-// the node budget, certified bounds beyond it.
-func finishOBDD(ex exec, q *query.Query, b *built, spec Spec, answer *table.Relation, tupleTime time.Duration) (*Result, error) {
-	t1 := statsNow()
-	out, os, err := conf.OBDD(ex.ctx, ex.pool, answer, b.sig, spec.OBDD, spec.RequireExact)
-	if err != nil {
-		if errors.Is(err, conf.ErrOBDDBudget) {
-			return nil, fmt.Errorf("plan: %s: %w (RequireExact forbids certified bounds)", q.Name, err)
-		}
-		return nil, err
-	}
-	probTime := statsSince(t1)
-	out, err = normalizeAnswer(out, q)
-	if err != nil {
-		return nil, err
-	}
-	return obddResult(ex.span("conf[obdd]"), q, "", b.orderNote, b.order, answer, out, os, tupleTime, probTime), nil
-}
-
-// finishFallbackChain is the exact styles' path on queries without a
-// hierarchical signature: compile every answer's lineage into an OBDD under
-// the node budget — the result is still exact, just computed by a different
-// engine — then, if some diagram blows the budget, try order-free d-tree
-// decomposition (still exact within its step budget), and only when that
-// budget is exceeded too, estimate with the Monte Carlo tier. The lineage
-// is collected once and shared by every rung.
-func finishFallbackChain(ex exec, q *query.Query, b *built, spec Spec, answer *table.Relation, tupleTime time.Duration) (*Result, error) {
-	lsp := ex.span("conf[ladder]")
-	t1 := statsNow()
-	l, err := conf.CollectLineage(answer)
-	if err != nil {
-		return nil, err
-	}
-	lsp.Int("answers", int64(len(l.Keys))).Int("clauses", l.Clauses).Int("vars", l.Vars).Int("dedup_rows", l.DupRows)
-	out, os, err := conf.OBDDLineage(ex.ctx, ex.pool, l, nil, spec.OBDD, true)
-	if err == nil {
-		probTime := statsSince(t1)
-		out, err = normalizeAnswer(out, q)
-		if err != nil {
-			return nil, err
-		}
-		note := fmt.Sprintf(" (fallback from %s: no hierarchical signature, lineage compiled exactly)", spec.Style)
-		return obddResult(lsp.Child("obdd"), q, note, "interleaved-occurrence order", b.order, answer, out, os, tupleTime, probTime), nil
-	}
-	if !errors.Is(err, conf.ErrOBDDBudget) {
-		return nil, err
-	}
-	lsp.Child("obdd").Str("outcome", "node budget exceeded")
-	dout, ds, err := conf.DTreeLineage(ex.ctx, ex.pool, l, spec.DTree, true)
-	if err == nil {
-		probTime := statsSince(t1)
-		dout, err = normalizeAnswer(dout, q)
-		if err != nil {
-			return nil, err
-		}
-		note := fmt.Sprintf(" (fallback from %s: no hierarchical signature, OBDD budget exceeded, lineage decomposed exactly)", spec.Style)
-		return dtreeResult(lsp.Child("dtree"), q, note, b.order, answer, dout, ds, tupleTime, probTime), nil
-	}
-	if !errors.Is(err, conf.ErrDTreeBudget) {
-		return nil, err
-	}
-	lsp.Child("dtree").Str("outcome", "step budget exceeded")
-	note := fmt.Sprintf(" (fallback from %s: no hierarchical signature, OBDD and d-tree budgets exceeded)", spec.Style)
-	return finishMonteCarlo(ex, lsp.Child("mc"), q, spec, note, b.order, answer, l, tupleTime, statsSince(t1))
 }

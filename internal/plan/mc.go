@@ -1,71 +1,46 @@
 package plan
 
 import (
-	"fmt"
-	"time"
-
 	"repro/internal/conf"
 	"repro/internal/obs"
-	"repro/internal/query"
 	"repro/internal/table"
 )
 
-// finishMonteCarlo is the Monte Carlo confidence tier: the answer tuples
-// were computed exactly like the lazy plan (greedy selective join order,
-// all V/P columns carried through), and each distinct answer's lineage DNF
-// is estimated with the (ε, δ) samplers of internal/prob, fanning answers
-// out to a worker pool. No signature is required, so this tier accepts
-// every conjunctive query — including the #P-hard ones every exact style
-// must reject. It serves both the MonteCarlo style and the last rung of the
-// exact styles' fallback chain (lower.go), which has the answer (and its
-// collected lineage) in hand from its OBDD attempt. l may be nil, in which
-// case the lineage is collected here; probSpent carries the caller's
-// already-spent confidence-computation time (the aborted OBDD compile) so
-// Stats.ProbTime reports the real cost of the fallback. note annotates the
-// plan line when the run is a fallback from an exact style.
-func finishMonteCarlo(ex exec, sp *obs.Span, q *query.Query, spec Spec, note string, order []query.RelRef, answer *table.Relation, l *conf.Lineage, tupleTime, probSpent time.Duration) (*Result, error) {
-	t1 := statsNow()
-	if l == nil {
-		var err error
-		l, err = conf.CollectLineage(answer)
-		if err != nil {
-			return nil, err
+// mcTier estimates each distinct answer's confidence from its lineage DNF
+// with the (ε, δ) samplers of internal/prob, fanning answers out to the
+// worker pool. No signature is required, so this tier accepts every
+// conjunctive query — including the #P-hard ones every exact style must
+// reject — and never refuses: it is the last rung of the ladder.
+var mcTier = tier{
+	name:       "mc",
+	effort:     "samples",
+	verb:       "estimate conf of",
+	ladderNote: "OBDD and d-tree budgets exceeded",
+	run: func(ex exec, spec *Spec, _ *built, l *conf.Lineage, _ bool) (*table.Relation, outcome, error) {
+		opts := spec.MC
+		if ex.stop != nil {
+			opts.Stop = ex.stop
 		}
-	}
-	out, mcs, err := conf.MonteCarloLineage(ex.ctx, l, spec.MC)
-	if err != nil {
-		return nil, err
-	}
-	probTime := probSpent + statsSince(t1)
-	out, err = normalizeAnswer(out, q)
-	if err != nil {
-		return nil, err
-	}
-	sp.Int("answers", mcs.OutputTuples).Int("clauses", mcs.Clauses).Int("vars", mcs.Vars).Int("dedup_rows", mcs.DupRows)
-	sp.Int("samples", mcs.Samples).Int("max_answer_samples", mcs.MaxAnswerSamples)
-	sp.Int("exact", mcs.ExactAnswers).Int("capped", mcs.CappedAnswers).Float("epsilon", mcs.MaxEpsilon)
-	if mcs.CappedAnswers > 0 {
-		sp.Str("early_stop", "sample cap")
-	} else {
-		sp.Str("early_stop", "target met")
-	}
-	sp.SetDur(probTime)
-	stats := Stats{
-		Plan: fmt.Sprintf("mc%s: %s; estimate conf of %d answers (%d clauses, %d samples, %d exact)",
-			note, describeOrder(order), mcs.OutputTuples, mcs.Clauses, mcs.Samples, mcs.ExactAnswers),
-		Signature:      "(approximate: Monte Carlo over lineage, no signature)",
-		TupleTime:      tupleTime,
-		ProbTime:       probTime,
-		AnswerTuples:   int64(answer.Len()),
-		DistinctTuples: int64(out.Len()),
-		Scans:          1, // the lineage-collection grouping pass
-		Approximate:    true,
-		Samples:        mcs.Samples,
-		Epsilon:        mcs.MaxEpsilon,
-	}
-	if mcs.StoppedAnswers > 0 {
-		markDegraded(&stats, "deadline")
-		sp.Int("deadline_stopped", mcs.StoppedAnswers)
-	}
-	return &Result{Rows: out, Stats: stats}, nil
+		out, ms, err := conf.MonteCarloLineage(ex.ctx, l, opts)
+		if err != nil {
+			return nil, outcome{}, err
+		}
+		return out, outcome{
+			LineageStats: ms.LineageStats,
+			effort:       ms.Samples,
+			exact:        ms.ExactAnswers,
+			stopped:      ms.StoppedAnswers,
+			stats: Stats{Signature: "(approximate: Monte Carlo over lineage, no signature)",
+				Approximate: true, Samples: ms.Samples, Epsilon: ms.MaxEpsilon},
+			annotate: func(sp *obs.Span) {
+				sp.Int("max_answer_samples", ms.MaxAnswerSamples)
+				sp.Int("exact", ms.ExactAnswers).Int("capped", ms.CappedAnswers).Float("epsilon", ms.MaxEpsilon)
+				if ms.CappedAnswers > 0 {
+					sp.Str("early_stop", "sample cap")
+				} else {
+					sp.Str("early_stop", "target met")
+				}
+			},
+		}, nil
+	},
 }

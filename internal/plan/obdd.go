@@ -2,60 +2,30 @@ package plan
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/conf"
-	"repro/internal/obs"
-	"repro/internal/query"
 	"repro/internal/table"
 )
 
-// This file assembles the results of the OBDD confidence tier (lower.go):
-// answer tuples are computed exactly like the lazy plan, then each distinct
-// answer's lineage DNF is compiled into a reduced OBDD (internal/obdd) and
-// evaluated — exact when the diagram fits the node budget, certified
-// [lo, hi] bounds when it does not. The tier is both a style in its own
-// right (Spec.Style = OBDD) and the second rung of the exact styles'
-// fallback ladder on queries without a hierarchical signature: hierarchical
-// sort+scan → OBDD → d-tree → Monte Carlo.
-
-// obddResult assembles the Result of an OBDD run, annotating the tier's
-// trace span (nil when tracing is off) with compilation detail.
-func obddResult(sp *obs.Span, q *query.Query, note, orderNote string, order []query.RelRef, answer, out *table.Relation, os *conf.OBDDStats, tupleTime, probTime time.Duration) *Result {
-	bounded := ""
-	if os.Bounded > 0 {
-		bounded = fmt.Sprintf(", %d bounded to width ≤ %.3g", os.Bounded, os.MaxWidth)
-	}
-	sp.Int("answers", os.OutputTuples).Int("clauses", os.Clauses).Int("vars", os.Vars).Int("dedup_rows", os.DupRows)
-	sp.Int("nodes", os.Nodes).Int("memo_hits", os.MemoHits).Int("memo_misses", os.MemoMisses)
-	sp.Int("exact", os.ExactAnswers).Int("bounded", os.Bounded)
-	if os.Bounded > 0 {
-		sp.Float("max_width", os.MaxWidth)
-	}
-	sp.LooseInt("hdr_recycled", os.HdrRecycled)
-	sp.SetDur(probTime)
-	stats := Stats{
-		Plan: fmt.Sprintf("obdd%s: %s; compile lineage of %d answers (%d clauses, %d nodes, %d exact%s)",
-			note, describeOrder(order), os.OutputTuples, os.Clauses, os.Nodes, os.ExactAnswers, bounded),
-		Signature:      fmt.Sprintf("(OBDD over lineage; %s)", orderNote),
-		TupleTime:      tupleTime,
-		ProbTime:       probTime,
-		AnswerTuples:   int64(answer.Len()),
-		DistinctTuples: int64(out.Len()),
-		Scans:          1, // the lineage-collection grouping pass
-		OBDDNodes:      os.Nodes,
-		MemoHits:       os.MemoHits,
-		MemoMisses:     os.MemoMisses,
-	}
-	if os.Bounded > 0 {
-		stats.Approximate = true
-		stats.LowerBound = os.LowerBound
-		stats.UpperBound = os.UpperBound
-		stats.MaxWidth = os.MaxWidth
-	}
-	if os.Stopped > 0 {
-		markDegraded(&stats, "deadline")
-		sp.Int("deadline_stopped", os.Stopped)
-	}
-	return &Result{Rows: out, Stats: stats}
+// obddTier compiles each distinct answer's lineage DNF into a reduced OBDD
+// (internal/obdd) and evaluates it — exact when the diagram fits the node
+// budget, certified [lo, hi] bounds when it does not. The variable order is
+// seeded by the query's hierarchical signature when it has one (the OBDD
+// style on a tractable query); on the ladder there is none by construction.
+var obddTier = tier{
+	name:       "obdd",
+	effort:     "nodes",
+	verb:       "compile lineage of",
+	budgetErr:  conf.ErrOBDDBudget,
+	overrun:    "node budget exceeded",
+	ladderNote: "lineage compiled exactly",
+	run: func(ex exec, spec *Spec, b *built, l *conf.Lineage, exactOnly bool) (*table.Relation, outcome, error) {
+		out, o, err := compiled(conf.OBDDLineage(ex.ctx, ex.pool, l, b.sig, ex.arm(spec.OBDD), exactOnly))
+		o.stats.OBDDNodes = o.effort
+		o.stats.Signature = "(OBDD over lineage; interleaved-occurrence order)"
+		if b.sig != nil {
+			o.stats.Signature = fmt.Sprintf("(OBDD over lineage; order from signature %s)", b.sig)
+		}
+		return out, o, err
+	},
 }

@@ -293,11 +293,11 @@ type Result struct {
 // Run executes q on the catalog under the given FDs with the requested plan
 // style. Exact styles use the most precise signature available (FD-refined
 // when the reduct is hierarchical, plain otherwise); queries with neither —
-// #P-hard in general — fall through the chain of obdd.go: OBDD compilation
+// #P-hard in general — fall through the ladder of tier.go: OBDD compilation
 // of the per-answer lineage (still exact when the diagrams fit the node
-// budget), then the Monte Carlo plan, which estimates confidences instead
-// of erroring out. Set spec.RequireExact to turn the fallback back into an
-// error.
+// budget), d-tree decomposition (likewise, under its step budget), then
+// the Monte Carlo plan, which estimates confidences instead of erroring
+// out. Set spec.RequireExact to turn the fallback back into an error.
 func Run(c *Catalog, q *query.Query, sigma *fd.Set, spec Spec) (*Result, error) {
 	return RunContext(context.Background(), c, q, sigma, spec)
 }
@@ -375,23 +375,21 @@ func (p *Prepared) Run(ctx context.Context) (*Result, error) {
 	}
 	// Per-query memory governor, chained to the engine-wide parent: sorts,
 	// governed joins and the confidence operator's buffers charge it; the
-	// compilation tiers shrink their node budgets to its headroom.
+	// compilation tiers cap their budgets to its headroom.
 	var gov *fault.Governor
 	if spec.MemBudget > 0 || spec.Mem != nil {
 		gov = fault.NewGovernor(spec.MemBudget, spec.Mem)
 		spec.Conf.Mem = gov
-		shrinkBudgets(&spec, gov)
-	}
-	// Deadline watermark: one latching Stop probe shared by every tier.
-	if stop := watermarkStop(ctx, spec.Watermark); stop != nil {
-		spec.OBDD.Stop, spec.DTree.Stop, spec.MC.Stop = stop, stop, stop
 	}
 	var tr *obs.Trace
 	if p.spec.Trace {
 		tr = obs.NewTrace(p.q.Name, spec.Style.String(), p.pool.Workers())
 	}
+	// The deadline watermark is one latching Stop probe shared by every
+	// lineage tier; exec.arm hands it (and the governor's headroom) to each.
 	ex := exec{ctx: ctx, pool: p.pool, tr: tr,
-		mem: gov, sortBudget: spec.Conf.SortBudget, tmpDir: spec.Conf.TmpDir}
+		mem: gov, sortBudget: spec.Conf.SortBudget, tmpDir: spec.Conf.TmpDir,
+		stop: watermarkStop(ctx, spec.Watermark), maxNodes: nodeHeadroom(gov)}
 	// Thread the run's context and pool into the operator options so every
 	// tier draws from the same slot budget and honours cancellation.
 	spec.Conf.Ctx, spec.Conf.Pool = ctx, p.pool
@@ -470,24 +468,16 @@ func (p *Prepared) runRecovered(ex exec, spec Spec) (res *Result, err error) {
 // to translate governor headroom into OBDD node / d-tree step budgets.
 const compileNodeCost = 64
 
-// shrinkBudgets caps the lineage-compilation budgets to the governor's
-// headroom: under memory pressure the compilers stop earlier and report
-// certified bounds instead of growing an arena the budget cannot admit.
-func shrinkBudgets(spec *Spec, gov *fault.Governor) {
+// nodeHeadroom translates the governor's remaining bytes into the cap
+// exec.arm puts on every compilation tier's budget. An absent or
+// counting-only governor has unbounded headroom, a cap no budget reaches;
+// 0 (nothing remaining) leaves the budgets alone.
+func nodeHeadroom(gov *fault.Governor) int {
 	rem := gov.Remaining()
-	if rem <= 0 || rem/compileNodeCost >= int64(obdd.DefaultNodeBudget) {
-		return // headroom covers even the default budgets; nothing to shrink
+	if rem <= 0 {
+		return 0
 	}
-	maxNodes := int(rem / compileNodeCost)
-	if maxNodes < 1 {
-		maxNodes = 1
-	}
-	if spec.OBDD.NodeBudget <= 0 || spec.OBDD.NodeBudget > maxNodes {
-		spec.OBDD.NodeBudget = maxNodes
-	}
-	if spec.DTree.NodeBudget <= 0 || spec.DTree.NodeBudget > maxNodes {
-		spec.DTree.NodeBudget = maxNodes
-	}
+	return int(max(rem/compileNodeCost, 1))
 }
 
 // record publishes one finished run into the metrics registry — a handful

@@ -5,8 +5,11 @@ import (
 	"testing"
 
 	"repro/internal/conf"
+	"repro/internal/dtree"
 	"repro/internal/engine"
+	"repro/internal/fault"
 	"repro/internal/fd"
+	"repro/internal/obdd"
 	"repro/internal/prob"
 	"repro/internal/query"
 	"repro/internal/signature"
@@ -209,5 +212,40 @@ func TestJoinPipelineUsesAllSharedAttrs(t *testing.T) {
 	// 5 (1) = 6 rows.
 	if n != 6 {
 		t.Errorf("join rows = %d, want 6", n)
+	}
+}
+
+// TestGovernorCapsEffectiveBudgets: under a memory governor every
+// compilation tier runs with min(its effective budget, the headroom), where
+// the effective budget is the explicit one or else the default. The "roomy"
+// rows are the regression: with headroom above the default budget the
+// shrink used to return early, so an explicit budget above the headroom
+// compiled uncapped.
+func TestGovernorCapsEffectiveBudgets(t *testing.T) {
+	for _, c := range []struct {
+		name               string
+		headroom, explicit int
+		want               int
+	}{
+		{"roomy/no budget", 1 << 18, 0, obdd.DefaultNodeBudget},
+		{"roomy/explicit below", 1 << 18, 1 << 10, 1 << 10},
+		{"roomy/explicit above", 1 << 18, 1 << 22, 1 << 18},
+		{"tight/no budget", 1 << 12, 0, 1 << 12},
+		{"tight/explicit below", 1 << 12, 1 << 10, 1 << 10},
+		{"tight/explicit above", 1 << 12, 1 << 22, 1 << 12},
+	} {
+		gov := fault.NewGovernor(int64(c.headroom)*compileNodeCost, nil)
+		ex := exec{maxNodes: nodeHeadroom(gov)}
+		spec := Spec{OBDD: obdd.Options{NodeBudget: c.explicit}, DTree: dtree.Options{NodeBudget: c.explicit}}
+		if got := ex.arm(spec.OBDD).Budget(); got != c.want {
+			t.Errorf("%s: OBDD budget %d, want %d", c.name, got, c.want)
+		}
+		if got := ex.arm(spec.DTree).Budget(); got != c.want {
+			t.Errorf("%s: d-tree budget %d, want %d", c.name, got, c.want)
+		}
+	}
+	// Ungoverned runs keep their budgets.
+	if got := (exec{maxNodes: nodeHeadroom(nil)}).arm(obdd.Options{NodeBudget: 1 << 22}).Budget(); got != 1<<22 {
+		t.Errorf("ungoverned budget %d, want %d", got, 1<<22)
 	}
 }

@@ -3,6 +3,7 @@ package plan
 import (
 	"math/rand"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/dtree"
@@ -157,46 +158,64 @@ func TestTraceOffByDefault(t *testing.T) {
 	}
 }
 
-// TestSortScanSpanReportsSpills: the conf[sort+scan] span carries the
-// operator's spill volume — runs and bytes — as loose attributes (they move
-// with the sort budget and the partitioning, so they stay out of the
-// fingerprint), and nothing when the sorts fit in memory.
+// TestSortScanSpanReportsSpills: the conf[sort+scan] span — and, under an
+// eager plan, the conf[<op>] span of every eager step — carries the
+// operator's sorts and its spill volume — runs and bytes — the latter as
+// loose attributes (they move with the sort budget and the partitioning, so
+// they stay out of the fingerprint), and nothing when the sorts fit in
+// memory.
 func TestSortScanSpanReportsSpills(t *testing.T) {
 	for _, c := range []struct {
 		name   string
+		style  Style
+		span   string // the spans that must report: this one, or every conf[ step but it
 		budget int
 		spills bool
-	}{{"in-memory", 0, false}, {"spilled", 2, true}} {
+	}{
+		{"in-memory", Lazy, "conf[sort+scan]", 0, false},
+		{"spilled", Lazy, "conf[sort+scan]", 2, true},
+		{"eager in-memory", Eager, "", 0, false},
+		{"eager spilled", Eager, "", 2, true},
+	} {
 		t.Run(c.name, func(t *testing.T) {
 			cat, _ := fig1Catalog()
-			spec := Spec{Style: Lazy, Trace: true}
+			spec := Spec{Style: c.style, Trace: true}
 			spec.Conf.SortBudget = c.budget
 			spec.Conf.TmpDir = t.TempDir()
 			res, err := Run(cat, introQ(), tpchFDs(), spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var span *obs.Span
+			var spans []*obs.Span
 			var find func(s *obs.Span)
 			find = func(s *obs.Span) {
-				if s.Name == "conf[sort+scan]" {
-					span = s
+				eagerStep := strings.HasPrefix(s.Name, "conf[") && s.Name != "conf[sort+scan]"
+				if s.Name == c.span || (c.span == "" && eagerStep) {
+					spans = append(spans, s)
 				}
 				for _, ch := range s.Children {
 					find(ch)
 				}
 			}
 			find(res.Stats.Trace.Root)
-			if span == nil {
-				t.Fatalf("no conf[sort+scan] span in\n%s", res.Stats.Trace.Render(true))
+			if len(spans) == 0 {
+				t.Fatalf("no reporting span in\n%s", res.Stats.Trace.Render(true))
 			}
-			loose := make(map[string]int64)
-			for _, a := range span.Attrs {
-				if !a.Structural {
-					loose[a.Key], _ = strconv.ParseInt(a.Val, 10, 64)
+			var runs, bytes int64
+			for _, span := range spans {
+				attrs := make(map[string]int64)
+				for _, a := range span.Attrs {
+					if (a.Key == "spilled_runs" || a.Key == "spill_bytes") == a.Structural {
+						t.Errorf("%s: attribute %s structural=%v", span.Name, a.Key, a.Structural)
+					}
+					attrs[a.Key], _ = strconv.ParseInt(a.Val, 10, 64)
 				}
+				if attrs["sorts"] < 1 || attrs["sorts"] != attrs["scans"] {
+					t.Errorf("%s reported scans=%d sorts=%d", span.Name, attrs["scans"], attrs["sorts"])
+				}
+				runs += attrs["spilled_runs"]
+				bytes += attrs["spill_bytes"]
 			}
-			runs, bytes := loose["spilled_runs"], loose["spill_bytes"]
 			if c.spills && (runs < 1 || bytes < runs*storage.PageSize) {
 				t.Errorf("spilled sort reported spilled_runs=%d spill_bytes=%d", runs, bytes)
 			}

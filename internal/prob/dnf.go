@@ -136,6 +136,39 @@ func (d *DNF) Eval(truth map[Var]bool) bool {
 	return false
 }
 
+// WeightBound folds clause weights w(c) = Π_{v∈c} p(v) into the
+// clause-weight bound on a positive DNF ψ:
+//
+//	max_c w(c)  ≤  Pr[ψ]  ≤  min(1, Σ_c w(c))
+//
+// (any one clause implies ψ; the union bound caps it). It is the one
+// definition behind DNF.CheapBounds and the lineage compilers' residual
+// bounds, which differ only in where their clause weights come from.
+type WeightBound struct{ lo, sum float64 }
+
+// Add folds in one clause's weight.
+func (b *WeightBound) Add(w float64) { b.lo, b.sum = max(b.lo, w), b.sum+w }
+
+// Interval returns the bound over the clauses added so far.
+func (b WeightBound) Interval() (lo, hi float64) { return b.lo, min(b.sum, 1) }
+
+// CheapBounds bounds Pr[d] from clause weights alone — no order, no
+// compilation, no allocation, one pass over the clauses. The confidence
+// layer uses it for answers whose compilation never started before a
+// deadline watermark fired: even those answers then carry a certified (if
+// wide) interval instead of an error.
+func (d *DNF) CheapBounds(a *Assignment) (lo, hi float64) {
+	var b WeightBound
+	for _, c := range d.Clauses {
+		w := 1.0
+		for _, v := range c {
+			w *= a.P(v)
+		}
+		b.Add(w)
+	}
+	return b.Interval()
+}
+
 // Prob computes the exact probability of the DNF by Shannon expansion with
 // memoization on the residual formula. Computing Pr of an arbitrary DNF is
 // #P-complete (§II.A); this oracle is intended for test-sized formulas and
