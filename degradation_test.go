@@ -8,6 +8,7 @@ package sprout_test
 import (
 	"context"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -133,8 +134,9 @@ func TestGenerousDeadlineStaysExact(t *testing.T) {
 }
 
 // TestMemoryBudgetOnTPCH runs a multi-join TPC-H query under a budget that
-// forces governed execution, asserting answers identical to the ungoverned
-// run (grace joins reorder work, never results).
+// forces governed execution — in both tiers, each with its own grace join —
+// asserting answers identical to the ungoverned run (grace joins reorder
+// work, never results) and no spill file left behind.
 func TestMemoryBudgetOnTPCH(t *testing.T) {
 	d := obddTestData()
 	catalog := d.Catalog()
@@ -144,28 +146,33 @@ func TestMemoryBudgetOnTPCH(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := plan.Spec{Style: plan.Lazy, MemBudget: 128 << 10}
-	sp.Conf.TmpDir = t.TempDir()
-	gov, err := plan.Run(catalog, e.Q.Clone(), sigma, sp)
-	if err != nil {
-		t.Fatalf("governed run: %v", err)
-	}
-	if base.Rows.Len() != gov.Rows.Len() {
-		t.Fatalf("%d governed rows vs %d ungoverned", gov.Rows.Len(), base.Rows.Len())
-	}
 	ci := base.Rows.Schema.MustColIndex(conf.ConfCol)
 	truth := make(map[string]float64, base.Rows.Len())
 	for _, row := range base.Rows.Rows {
 		truth[headKey(row)] = row[ci].F
 	}
-	for _, row := range gov.Rows.Rows {
-		w, ok := truth[headKey(row)]
-		if !ok {
-			t.Fatalf("governed answer %q missing from baseline", headKey(row))
+	for _, rowExec := range []bool{false, true} {
+		sp := plan.Spec{Style: plan.Lazy, MemBudget: 128 << 10, RowExec: rowExec}
+		sp.Conf.TmpDir = t.TempDir()
+		gov, err := plan.Run(catalog, e.Q.Clone(), sigma, sp)
+		if err != nil {
+			t.Fatalf("governed run (RowExec=%v): %v", rowExec, err)
 		}
-		if g := row[ci].F; g != w {
-			t.Errorf("answer %q: governed confidence %s != ungoverned %s",
-				headKey(row), fmt.Sprintf("%x", g), fmt.Sprintf("%x", w))
+		if base.Rows.Len() != gov.Rows.Len() {
+			t.Fatalf("RowExec=%v: %d governed rows vs %d ungoverned", rowExec, gov.Rows.Len(), base.Rows.Len())
+		}
+		for _, row := range gov.Rows.Rows {
+			w, ok := truth[headKey(row)]
+			if !ok {
+				t.Fatalf("RowExec=%v: governed answer %q missing from baseline", rowExec, headKey(row))
+			}
+			if g := row[ci].F; g != w {
+				t.Errorf("RowExec=%v: answer %q: governed confidence %s != ungoverned %s",
+					rowExec, headKey(row), fmt.Sprintf("%x", g), fmt.Sprintf("%x", w))
+			}
+		}
+		if entries, err := os.ReadDir(sp.Conf.TmpDir); err != nil || len(entries) != 0 {
+			t.Errorf("RowExec=%v: governed run leaked %d spill files (%v)", rowExec, len(entries), err)
 		}
 	}
 }

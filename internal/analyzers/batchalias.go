@@ -6,28 +6,30 @@ import (
 )
 
 // BatchAlias guards PR 5's batch-storage contract: tuples handed out by
-// BatchOperator.NextBatch (and by the engine.NextBatch/fillBatch adapters)
-// live in reused buffers — they are valid only until the next NextBatch/Next
-// call unless the source operator promises StableTuples. A consumer that
-// retains such a tuple past the batch (appending it to a long-lived slice,
-// storing it in a struct field) without a table.Slab clone sees the tuple
-// silently overwritten by a later batch. This is exactly the aliasing bug
-// class the drainCtx/CollectCtx materialization rule exists to prevent.
+// Operator.NextBatch — and, one at a time, by (*Cursor).Next, which reads a
+// reused batch — live in reused buffers. They are valid only until the next
+// NextBatch call (the cursor's next refill) unless the source operator
+// promises StableTuples. A consumer that retains such a tuple past the batch
+// (appending it to a long-lived slice, storing it in a struct field) without
+// a table.Slab clone sees the tuple silently overwritten by a later batch.
+// This is exactly the aliasing bug class the drainCtx/CollectCtx
+// materialization rule exists to prevent.
 //
 // The analyzer tracks, per function, the batch slices passed to
 // NextBatch-shaped calls and the tuples read out of them (indexing or
-// ranging, one aliasing level deep), and flags a bare batch tuple being
+// ranging, one aliasing level deep), plus the tuples returned by
+// Cursor.Next-shaped calls, and flags a bare batch tuple being
 //
 //   - appended to a slice, or
 //   - stored through a selector (struct field) or into a non-parameter
 //     slice/map element.
 //
-// Passing the tuple through any call (t.Clone(), slab.Clone(t), emit(t)) is
-// treated as a hand-off that honors the contract. Writing into a []Tuple
-// *parameter* is the operator side of the protocol (filling the caller's
-// batch) and is allowed. Sites that legitimately retain a tuple only for
-// the current batch's lifetime (e.g. the hash join's probe cursor) document
-// themselves with //sproutvet:allow batchalias <reason>.
+// Passing the tuple through any call (t.Clone(), slab.Clone(t), c.Keep(t),
+// emit(t)) is treated as a hand-off that honors the contract. Writing into a
+// []Tuple *parameter* is the operator side of the protocol (filling the
+// caller's batch) and is allowed. Sites that legitimately retain a tuple only
+// for the current batch's lifetime (e.g. the hash join's probe cursor)
+// document themselves with //sproutvet:allow batchalias <reason>.
 //
 // The columnar tier (PR 9) has the same contract one level up: a
 // table.ColBatch filled by ColOperator.NextColBatch reuses its column
@@ -42,7 +44,7 @@ import (
 // allowed too.
 var BatchAlias = &Analyzer{
 	Name: "batchalias",
-	Doc: "flags retaining tuples obtained from NextBatch/fillBatch (or column slices from NextColBatch) " +
+	Doc: "flags retaining tuples obtained from NextBatch or Cursor.Next (or column slices from NextColBatch) " +
 		"without a clone; batch buffers are reused and later batches overwrite retained storage",
 	Run: runBatchAlias,
 }
@@ -69,23 +71,27 @@ func isTupleSlice(t types.Type) bool {
 }
 
 // batchSourceCall reports whether call hands out reused batch storage and
-// returns the batch-slice argument: X.NextBatch(dst), engine.NextBatch(op,
-// dst), or fillBatch(dst, next).
+// returns the batch-slice argument: X.NextBatch(dst).
 func batchSourceCall(p *Pass, call *ast.CallExpr) (batch ast.Expr, ok bool) {
 	if recv, name := methodCall(p.TypesInfo, call); recv != nil && name == "NextBatch" && len(call.Args) == 1 {
 		return call.Args[0], true
 	}
-	switch _, name := pkgFunc(p.TypesInfo, call); name {
-	case "NextBatch":
-		if len(call.Args) == 2 {
-			return call.Args[1], true
-		}
-	case "fillBatch":
-		if len(call.Args) == 2 {
-			return call.Args[0], true
-		}
-	}
 	return nil, false
+}
+
+// cursorNextCall reports whether e is c.Next() on a Cursor: its first result
+// is a tuple of the cursor's reused batch, valid until the next refill.
+func cursorNextCall(p *Pass, e ast.Expr) bool {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	recv, name := methodCall(p.TypesInfo, call)
+	if recv == nil || name != "Next" || len(call.Args) != 0 {
+		return false
+	}
+	n := namedFrom(p.TypesInfo.TypeOf(recv))
+	return n != nil && n.Obj().Name() == "Cursor"
 }
 
 func checkBatchAliasBody(p *Pass, decl ast.Node, body *ast.BlockStmt) {
@@ -128,10 +134,6 @@ func checkBatchAliasBody(p *Pass, decl ast.Node, body *ast.BlockStmt) {
 		}
 		return true
 	})
-	if len(batches) == 0 {
-		return
-	}
-
 	// isBatchIndex reports whether e reads an element out of a batch slice:
 	// buf[i], buf[:n][i], etc.
 	isBatchIndex := func(e ast.Expr) bool {
@@ -143,8 +145,9 @@ func checkBatchAliasBody(p *Pass, decl ast.Node, body *ast.BlockStmt) {
 		return obj != nil && batches[obj]
 	}
 
-	// Pass 2: batch tuples = range vars over a batch slice, plus one level
-	// of plain-ident aliasing (t := buf[i]).
+	// Pass 2: batch tuples = range vars over a batch slice, one level of
+	// plain-ident aliasing (t := buf[i]), and the tuple a cursor hands out
+	// (t, ok, err := c.Next()).
 	elems := make(map[types.Object]bool)
 	walkShallow(body, func(n ast.Node) bool {
 		switch v := n.(type) {
@@ -157,6 +160,14 @@ func checkBatchAliasBody(p *Pass, decl ast.Node, body *ast.BlockStmt) {
 				}
 			}
 		case *ast.AssignStmt:
+			if len(v.Rhs) == 1 && len(v.Lhs) == 3 && cursorNextCall(p, v.Rhs[0]) {
+				if id, ok := v.Lhs[0].(*ast.Ident); ok && id.Name != "_" {
+					if o := objOf(info, id); o != nil {
+						elems[o] = true
+					}
+				}
+				return true
+			}
 			if len(v.Lhs) != len(v.Rhs) {
 				return true
 			}
@@ -174,6 +185,9 @@ func checkBatchAliasBody(p *Pass, decl ast.Node, body *ast.BlockStmt) {
 		}
 		return true
 	})
+	if len(batches) == 0 && len(elems) == 0 {
+		return
+	}
 
 	// isBatchTuple: a bare expression denoting a tuple that still aliases
 	// batch storage — an element read or a tracked alias ident.
@@ -216,7 +230,7 @@ func checkBatchAliasBody(p *Pass, decl ast.Node, body *ast.BlockStmt) {
 				}
 				switch l := ast.Unparen(lhs).(type) {
 				case *ast.SelectorExpr:
-					p.Reportf(v.Rhs[i].Pos(), "tuple from a reused batch buffer is stored in a field without a clone; it is only valid until the next NextBatch call — clone through a table.Slab or document the single-batch lifetime with an allow directive")
+					p.Reportf(v.Rhs[i].Pos(), "tuple from a reused batch buffer is stored in a field without a clone; it is only valid until the next NextBatch call (a cursor's next refill) — clone through a table.Slab or Cursor.Keep, or document the single-batch lifetime with an allow directive")
 				case *ast.IndexExpr:
 					obj := rootObj(p, l.X)
 					if obj != nil && (params[obj] || batches[obj]) {

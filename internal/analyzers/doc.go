@@ -3,10 +3,11 @@
 // guarantees. Each analyzer encodes one invariant and names the PR whose
 // bug class it guards against:
 //
-//   - batchalias — tuples from BatchOperator.NextBatch/fillBatch live in
-//     reused buffers and must be slab-cloned before they outlive the batch,
-//     unless the source op promises StableTuples (PR 5's materialization
-//     rule, held in one place by engine.drainCtx).
+//   - batchalias — tuples from Operator.NextBatch (and, one at a time, from
+//     engine.Cursor.Next) live in reused buffers and must be slab-cloned
+//     before they outlive the batch, unless the source op promises
+//     StableTuples (PR 5's materialization rule, held in one place by
+//     engine.drainCtx).
 //   - detrand — the deterministic packages (prob, clauseset, obdd, dtree,
 //     conf, engine, signature, stats, plan, benchutil) must not consume
 //     global math/rand state, wall-clock time, or the pid: confidences are

@@ -105,7 +105,7 @@ func TestSproutvetCatchesReintroducedViolations(t *testing.T) {
 				"\tbuf := make([]table.Tuple, BatchSize)\n" +
 				"\tvar out []table.Tuple\n" +
 				"\tfor {\n" +
-				"\t\tn, err := NextBatch(op, buf)\n" +
+				"\t\tn, err := op.NextBatch(buf)\n" +
 				"\t\tif err != nil || n == 0 {\n" +
 				"\t\t\treturn out, err\n" +
 				"\t\t}\n" +

@@ -110,6 +110,31 @@ func (c *cursor) advanceAllowed(o op) error {
 	return nil
 }
 
+// --- Cursor.Next hands out one tuple of a reused batch at a time.
+
+type Cursor struct {
+	buf []table.Tuple
+	pos int
+}
+
+func (c *Cursor) Next() (table.Tuple, bool, error) {
+	t := c.buf[c.pos]
+	c.pos++
+	return t, true, nil
+}
+
+func (c *Cursor) Keep(t table.Tuple) table.Tuple { return t.Clone() }
+
+func cursorRetain(c *Cursor, s *sink) error {
+	t, ok, err := c.Next()
+	if err != nil || !ok {
+		return err
+	}
+	s.rows = append(s.rows, t) // want `appended without a clone`
+	s.cur = c.Keep(t)          // ok: kept through the cursor
+	return nil
+}
+
 // --- ColBatch half of the contract: NextColBatch refills reused column
 // storage, so slices and ColVec headers read out of the batch must not be
 // retained.

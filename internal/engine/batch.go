@@ -6,52 +6,18 @@ import (
 	"repro/internal/table"
 )
 
-// This file is the batched side of the Volcano interface: operators move
-// tuples in batches of up to BatchSize through reused buffers, so the
+// This file is the row tier's pull protocol and its consumers: operators
+// move tuples in batches of up to BatchSize through reused buffers, so the
 // per-tuple costs of the pull model — one interface call, one context check,
-// one buffer allocation per row — are paid once per batch instead. Every
-// core operator implements BatchOperator natively; NextBatch adapts the
-// rest, and the collectors (CollectCtx, Count) drive whole pipelines batch
-// by batch with cancellation checks at batch boundaries.
+// one buffer allocation per row — are paid once per batch. The collectors
+// (CollectCtx, Count) drive whole pipelines batch by batch with cancellation
+// checks at batch boundaries; the few consumers whose algorithm is per-tuple
+// (merge join, sorted group-by) read through a Cursor.
 
 // BatchSize is the default number of tuples moved per NextBatch call. Large
 // enough to amortize per-batch overheads, small enough that a batch of
 // typical tuples stays cache-resident.
 const BatchSize = 1024
-
-// BatchOperator is the batched extension of Operator. NextBatch fills
-// dst[:n] with up to len(dst) tuples and returns n; n == 0 means the stream
-// is exhausted (a non-empty stream never returns an empty batch early). The
-// returned tuples remain valid until the next NextBatch or Next call on the
-// operator — consumers that retain tuples across batches must clone them,
-// exactly as with Next.
-type BatchOperator interface {
-	Operator
-	NextBatch(dst []table.Tuple) (int, error)
-}
-
-// NextBatch pulls up to len(dst) tuples from op: natively when op implements
-// BatchOperator, otherwise through a Next loop that clones each tuple (a
-// Next-only operator may reuse one internal buffer across calls, which would
-// alias every slot of the batch).
-func NextBatch(op Operator, dst []table.Tuple) (int, error) {
-	if b, ok := op.(BatchOperator); ok {
-		return b.NextBatch(dst)
-	}
-	n := 0
-	for n < len(dst) {
-		t, ok, err := op.Next()
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			break
-		}
-		dst[n] = t.Clone()
-		n++
-	}
-	return n, nil
-}
 
 // StableTuples marks operators whose emitted tuples stay valid for the
 // operator's whole lifetime (they never reuse tuple storage): in-memory and
@@ -107,53 +73,93 @@ func batchScratch(buf []table.Tuple, want int) []table.Tuple {
 	return buf[:want]
 }
 
-// fillBatch adapts a tuple-at-a-time source to one batch without cloning:
-// it pulls next(i) into dst[i] until dst is full or the source dries up.
-// Operators whose sources already satisfy the batch validity contract
-// (stable emissions, or per-slot buffers selected by i) build their
-// NextBatch on it.
-func fillBatch(dst []table.Tuple, next func(i int) (table.Tuple, bool, error)) (int, error) {
-	n := 0
-	for n < len(dst) {
-		t, ok, err := next(n)
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			break
-		}
-		dst[n] = t
-		n++
-	}
-	return n, nil
+// Cursor reads an operator's stream one tuple at a time through a reused
+// batch — the adapter for consumers whose algorithm is per-tuple. A tuple
+// returned by Next is valid until the Next call that refills the batch;
+// Keep makes one outlive that.
+type Cursor struct {
+	op     Operator
+	stable bool
+	buf    []table.Tuple
+	n, pos int
 }
 
-// drainCtx pulls op's whole stream batch by batch and hands every tuple to
-// emit, cloned through a slab unless op promises stable storage — the one
-// copy of the materialization rule every drain site shares. The context (if
-// any) is checked once per batch.
-func drainCtx(ctx context.Context, op Operator, batchSize int, emit func(table.Tuple) error) error {
+// Reset points the cursor at op's (re)opened stream.
+func (c *Cursor) Reset(op Operator) {
+	c.op, c.stable = op, Stable(op)
+	c.buf = batchScratch(c.buf, BatchSize)
+	c.n, c.pos = 0, 0
+}
+
+// Next returns the next tuple, ok=false at end of stream.
+func (c *Cursor) Next() (table.Tuple, bool, error) {
+	if c.pos >= c.n {
+		n, err := c.op.NextBatch(c.buf)
+		if err != nil || n == 0 {
+			return nil, false, err
+		}
+		c.n, c.pos = n, 0
+	}
+	t := c.buf[c.pos]
+	c.pos++
+	return t, true, nil
+}
+
+// Keep returns t in storage that survives refills: t itself when the input
+// promises StableTuples, a clone otherwise.
+func (c *Cursor) Keep(t table.Tuple) table.Tuple {
+	if c.stable {
+		return t
+	}
+	return t.Clone()
+}
+
+// stableReader pulls an operator's stream a batch at a time and makes every
+// tuple of the batch outlive it: cloned through a slab unless the operator
+// promises stable storage — the one copy of the materialization rule every
+// drain and build site shares.
+type stableReader struct {
+	op     Operator
+	stable bool
+	buf    []table.Tuple
+	slab   table.Slab
+}
+
+func newStableReader(op Operator, batchSize int) *stableReader {
 	if batchSize <= 0 {
 		batchSize = BatchSize
 	}
-	buf := make([]table.Tuple, batchSize)
-	stable := Stable(op)
-	var slab table.Slab
+	return &stableReader{op: op, stable: Stable(op), buf: make([]table.Tuple, batchSize)}
+}
+
+// next returns the next batch (empty at end of stream); the slice is reused,
+// the tuples in it are not.
+func (r *stableReader) next() ([]table.Tuple, error) {
+	n, err := r.op.NextBatch(r.buf)
+	if err != nil {
+		return nil, err
+	}
+	if !r.stable {
+		for i, t := range r.buf[:n] {
+			r.buf[i] = r.slab.Clone(t)
+		}
+	}
+	return r.buf[:n], nil
+}
+
+// drainCtx pulls op's whole stream batch by batch and hands every tuple, in
+// stable storage, to emit. The context (if any) is checked once per batch.
+func drainCtx(ctx context.Context, op Operator, batchSize int, emit func(table.Tuple) error) error {
+	r := newStableReader(op, batchSize)
 	for {
 		if ctx != nil && ctx.Err() != nil {
 			return ctx.Err()
 		}
-		n, err := NextBatch(op, buf)
-		if err != nil {
+		rows, err := r.next()
+		if err != nil || len(rows) == 0 {
 			return err
 		}
-		if n == 0 {
-			return nil
-		}
-		for _, t := range buf[:n] {
-			if !stable {
-				t = slab.Clone(t)
-			}
+		for _, t := range rows {
 			if err := emit(t); err != nil {
 				return err
 			}
@@ -209,7 +215,7 @@ func Count(op Operator) (int64, error) {
 	var n int64
 	buf := make([]table.Tuple, BatchSize)
 	for {
-		k, err := NextBatch(op, buf)
+		k, err := op.NextBatch(buf)
 		if err != nil {
 			return 0, err
 		}

@@ -15,13 +15,14 @@ import (
 // slices with a selection vector, paying one interface call per batch
 // instead of per-row Value unboxing. Everything above the columnar region
 // (sort, group-by, the confidence operator) keeps consuming rows: ColToRows
-// adapts a columnar pipeline back to the Volcano row interface, and
-// Columnarize/Vectorize lower a row plan into the maximal columnar region it
-// supports, falling back to rows at the first operator that has no columnar
-// form. The columnar path is a pure execution-strategy change: it emits the
-// same tuples in the same order as the row path (hashes via
-// ColBatch.HashInto are bit-identical to table.HashOn), so confidences are
-// pinned bit-identical across the two tiers.
+// adapts a columnar pipeline back to the row interface, and Columnarize
+// lowers a row plan to its columnar form when every operator in it has one —
+// which holds for every tree the planner pipelines, governed or not; any
+// other tree runs on the row tier unchanged. The columnar path is a pure
+// execution-strategy change: it emits the same tuples in the same order as
+// the row path (hashes via ColBatch.HashInto are bit-identical to
+// table.HashOn), so confidences are pinned bit-identical across the two
+// tiers.
 
 // ColOperator is the columnar Volcano interface. NextColBatch fills dst with
 // the next batch and returns the number of live rows (selection applied);
@@ -51,15 +52,10 @@ func (s *ColMemScan) Open() error { s.pos = 0; return nil }
 
 // NextColBatch transposes up to BatchSize rows onto dst.
 func (s *ColMemScan) NextColBatch(dst *table.ColBatch) (int, error) {
-	if s.pos >= len(s.Rel.Rows) {
-		return 0, nil
-	}
-	dst.Reset(s.Rel.Schema)
-	for s.pos < len(s.Rel.Rows) && dst.N < BatchSize {
-		dst.AppendRow(s.Rel.Rows[s.pos])
-		s.pos++
-	}
-	return dst.N, nil
+	end := min(s.pos+BatchSize, len(s.Rel.Rows))
+	rows := s.Rel.Rows[s.pos:end]
+	s.pos = end
+	return rowsToBatch(dst, s.Rel.Schema, rows), nil
 }
 
 // Close is a no-op.
@@ -395,7 +391,7 @@ func (c *ColCounted) NextColBatch(dst *table.ColBatch) (int, error) {
 // Close closes the input.
 func (c *ColCounted) Close() error { return c.In.Close() }
 
-// ColToRows adapts a columnar pipeline back to the row Volcano interface —
+// ColToRows adapts a columnar pipeline back to the row interface —
 // the boundary operator under sorts, group-bys, and the confidence scan.
 // Rows are materialized into reused per-slot buffers, so the adapter itself
 // allocates nothing after warm-up (flat string cells allocate their string
@@ -406,7 +402,6 @@ type ColToRows struct {
 	pos   int
 	n     int
 	slots slotBufs
-	one   [1]table.Tuple
 }
 
 // NewColToRows wraps a columnar operator as a row operator.
@@ -425,15 +420,6 @@ func (a *ColToRows) Open() error {
 	}
 	a.pos, a.n = 0, 0
 	return nil
-}
-
-// Next yields the next row.
-func (a *ColToRows) Next() (table.Tuple, bool, error) {
-	n, err := a.NextBatch(a.one[:])
-	if err != nil || n == 0 {
-		return nil, false, err
-	}
-	return a.one[0], true, nil
 }
 
 // NextBatch materializes rows out of the current column batch, refilling it
@@ -467,9 +453,10 @@ func (a *ColToRows) Close() error { return a.In.Close() }
 // Columnarize lowers a row operator tree into its columnar form, succeeding
 // only when every operator in the tree has one: scans, planner-shaped
 // filters (conjunctions of column-vs-constant comparisons), pure column
-// projections, hash joins, and Counted wrappers. ok=false means some
-// operator has no columnar form; callers then fall back to Vectorize (which
-// lowers the maximal columnar subtrees) or to the row path unchanged.
+// projections, hash and partitioned joins, and Counted wrappers — everything
+// the planner pipelines. ok=false means some operator has no columnar form
+// (a sort, a group-by, a computed projection); callers then run the row path
+// unchanged.
 func Columnarize(op Operator) (ColOperator, bool) {
 	switch o := op.(type) {
 	case *CountedOp:
@@ -507,12 +494,6 @@ func Columnarize(op Operator) (ColOperator, bool) {
 		}
 		return &ColProject{In: in, idx: idx, out: o.Out}, true
 	case *HashJoin:
-		if o.Mem != nil {
-			// A governed join must stay on the row path: the columnar
-			// build side is unaccounted and has no grace fallback, so
-			// lowering it would silently drop the memory budget.
-			return nil, false
-		}
 		l, ok := Columnarize(o.Left)
 		if !ok {
 			return nil, false
@@ -524,7 +505,7 @@ func Columnarize(op Operator) (ColOperator, bool) {
 		return &ColHashJoin{
 			Left: l, Right: r,
 			LeftKeys: o.LeftKeys, RightKeys: o.RightKey,
-			out: o.out,
+			Governed: &o.Governed, out: o.out,
 		}, true
 	case *PartitionedHashJoin:
 		l, ok := Columnarize(o.Left)
@@ -535,12 +516,7 @@ func Columnarize(op Operator) (ColOperator, bool) {
 		if !ok {
 			return nil, false
 		}
-		return &ColPartitionedHashJoin{
-			Left: l, Right: r,
-			LeftKeys: o.LeftKeys, RightKeys: o.RightKeys,
-			Pool: o.Pool, Ctx: o.Ctx,
-			out: o.out,
-		}, true
+		return &ColPartitionedHashJoin{Left: l, Right: r, partitionedJoin: o.partitionedJoin}, true
 	default:
 		return nil, false
 	}
@@ -586,57 +562,6 @@ func pruneCols(op ColOperator, need []bool) {
 	}
 }
 
-// Vectorize lowers the maximal columnar regions of a row plan: a fully
-// columnar tree becomes one ColToRows-adapted pipeline, and a mixed tree is
-// rebuilt with its columnar subtrees lowered and everything else untouched —
-// the "fall back to rows at the first non-columnar op" rule. The rewritten
-// plan emits the same tuples in the same order. ok=false means nothing in
-// the tree could be lowered, and op is returned unchanged.
-func Vectorize(op Operator) (Operator, bool) {
-	if cop, ok := Columnarize(op); ok {
-		pruneCols(cop, nil)
-		return NewColToRows(cop), true
-	}
-	switch o := op.(type) {
-	case *CountedOp:
-		if in, ok := Vectorize(o.In); ok {
-			return &CountedOp{In: in, S: o.S}, true
-		}
-	case *Filter:
-		if in, ok := Vectorize(o.In); ok {
-			return &Filter{In: in, Pred: o.Pred}, true
-		}
-	case *Project:
-		if in, ok := Vectorize(o.In); ok {
-			return &Project{In: in, Exprs: o.Exprs, Out: o.Out}, true
-		}
-	case *Limit:
-		if in, ok := Vectorize(o.In); ok {
-			return &Limit{In: in, N: o.N}, true
-		}
-	case *HashJoin:
-		l, lok := Vectorize(o.Left)
-		r, rok := Vectorize(o.Right)
-		if lok || rok {
-			j, err := NewHashJoin(l, r, o.LeftKeys, o.RightKey)
-			if err == nil {
-				j.Mem, j.SortBudget, j.TmpDir = o.Mem, o.SortBudget, o.TmpDir
-				return j, true
-			}
-		}
-	case *PartitionedHashJoin:
-		l, lok := Vectorize(o.Left)
-		r, rok := Vectorize(o.Right)
-		if lok || rok {
-			j, err := NewPartitionedHashJoin(l, r, o.LeftKeys, o.RightKeys, o.Pool, o.Ctx)
-			if err == nil {
-				return j, true
-			}
-		}
-	}
-	return op, false
-}
-
 // CollectColCtx drains a columnar operator into an in-memory relation
 // (opening and closing it): the context is checked once per batch, and live
 // rows are materialized into slab storage.
@@ -671,20 +596,16 @@ func CollectColCtx(ctx context.Context, op ColOperator) (*table.Relation, error)
 	}
 }
 
-// CollectCtxVec is CollectCtx through the best available execution tier:
-// fully columnar pipelines run natively (columnar=true), partially
-// lowerable plans run with their columnar regions vectorized, and anything
-// else runs the row path unchanged. All three produce identical relations.
+// CollectCtxVec is CollectCtx through the best available execution tier: a
+// tree that columnarizes runs natively (columnar=true), anything else runs
+// the row path unchanged. Both produce identical relations.
 func CollectCtxVec(ctx context.Context, op Operator) (rel *table.Relation, columnar bool, err error) {
-	if cop, ok := Columnarize(op); ok {
-		pruneCols(cop, nil)
-		rel, err = CollectColCtx(ctx, cop)
-		return rel, true, err
-	}
-	if vop, ok := Vectorize(op); ok {
-		rel, err = CollectCtx(ctx, vop)
+	cop, ok := Columnarize(op)
+	if !ok {
+		rel, err = CollectCtx(ctx, op)
 		return rel, false, err
 	}
-	rel, err = CollectCtx(ctx, op)
-	return rel, false, err
+	pruneCols(cop, nil)
+	rel, err = CollectColCtx(ctx, cop)
+	return rel, true, err
 }

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/fault"
+	"repro/internal/pool"
 	"repro/internal/prob"
 	"repro/internal/storage"
 	"repro/internal/table"
@@ -171,52 +173,33 @@ func TestCollectCtxVecIdentity(t *testing.T) {
 	}
 }
 
-// TestVectorizePartialLowering: a tree whose root has no columnar form
-// (Limit, Sort) still gets its scan/filter region lowered, and the rewritten
-// plan emits identical rows; Columnarize itself must refuse the full tree.
-func TestVectorizePartialLowering(t *testing.T) {
+// TestCollectCtxVecRowFallback: a tree whose root has no columnar form (a
+// Sort) is refused by Columnarize, and CollectCtxVec then runs the row path
+// unchanged — same rows, columnar=false.
+func TestCollectCtxVecRowFallback(t *testing.T) {
 	rel := colTestRel(1500, 12, 21)
 	h := writeHeap(t, t.TempDir(), rel)
 	pool := storage.NewBufferPool(8)
 	build := func() Operator {
 		f := NewFilter(NewHeapScan(h, pool, rel.Schema),
 			Cmp{L: ColRef{Idx: 1, Name: "x"}, Op: OpLe, R: Const{V: table.Float(75)}})
-		return NewLimit(f, 900)
+		return NewSort(f, SortSpec{Cols: []int{0, 3}})
 	}
 	if _, ok := Columnarize(build()); ok {
-		t.Fatal("Columnarize must refuse a Limit root")
-	}
-	vop, ok := Vectorize(build())
-	if !ok {
-		t.Fatal("Vectorize found no columnar region under the Limit")
-	}
-	if _, isLimit := vop.(*Limit); !isLimit {
-		t.Fatalf("vectorized root is %T, want *Limit", vop)
+		t.Fatal("Columnarize must refuse a Sort root")
 	}
 	want, err := CollectCtx(nil, build())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := CollectCtx(nil, vop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustSameRelations(t, "limit-over-columnar", got, want)
-
-	// Sort root: same contract through the generic CollectCtxVec entry.
-	sortBuild := func() Operator { return NewSort(build(), SortSpec{Cols: []int{0, 3}}) }
-	want2, err := CollectCtx(nil, sortBuild())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got2, columnar, err := CollectCtxVec(nil, sortBuild())
+	got, columnar, err := CollectCtxVec(nil, build())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if columnar {
 		t.Fatal("sort root cannot be fully columnar")
 	}
-	mustSameRelations(t, "sort-over-columnar", got2, want2)
+	mustSameRelations(t, "sort-over-rows", got, want)
 }
 
 // TestPruneColsLiveness: pruning marks exactly the projected columns plus
@@ -325,6 +308,59 @@ func TestHashIntoAllocs(t *testing.T) {
 	for i := 0; i < BatchSize; i += 97 {
 		if want := table.HashOn(rel.Rows[i], idx); dst[i] != want {
 			t.Fatalf("row %d: hash %#x, want %#x", i, dst[i], want)
+		}
+	}
+}
+
+// TestJoinFailedOpenReleasesPins: a failed Open leaves the join fully closed,
+// children included — collectors do not Close a tree whose Open errored. The
+// build side here is a heap scan whose declared schema has the wrong arity,
+// so the build errors mid-page with a frame pinned; every member of the join
+// family must have unpinned it by the time Open returns.
+func TestJoinFailedOpenReleasesPins(t *testing.T) {
+	rel := colTestRel(300, 8, 3)
+	h := writeHeap(t, t.TempDir(), rel)
+	bp := storage.NewBufferPool(8)
+	narrow := table.NewSchema(rel.Schema.Cols[:4]...)
+	joins := []struct {
+		name string
+		mk   func(l, r Operator) (Operator, error)
+	}{
+		{"hash", func(l, r Operator) (Operator, error) { return NewHashJoin(l, r, []int{0}, []int{0}) }},
+		{"governed", func(l, r Operator) (Operator, error) {
+			j, err := NewHashJoin(l, r, []int{0}, []int{0})
+			if err == nil {
+				j.Mem = fault.NewGovernor(1<<30, nil)
+			}
+			return j, err
+		}},
+		{"partitioned", func(l, r Operator) (Operator, error) {
+			return NewPartitionedHashJoin(l, r, []int{0}, []int{0}, pool.New(2), nil)
+		}},
+	}
+	for _, jn := range joins {
+		for _, columnar := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/columnar=%v", jn.name, columnar), func(t *testing.T) {
+				op, err := jn.mk(NewHeapScan(h, bp, rel.Schema), NewHeapScan(h, bp, narrow))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if columnar {
+					cop, ok := Columnarize(op)
+					if !ok {
+						t.Fatal("join did not columnarize")
+					}
+					err = cop.Open()
+				} else {
+					err = op.Open()
+				}
+				if err == nil {
+					t.Fatal("Open must fail on the build side's arity mismatch")
+				}
+				if n := bp.Pinned(); n != 0 {
+					t.Fatalf("failed Open left %d frames pinned", n)
+				}
+			})
 		}
 	}
 }

@@ -1,88 +1,60 @@
 package engine
 
 import (
-	"context"
-
-	"repro/internal/pool"
 	"repro/internal/table"
 )
 
-// Columnar hash joins. Both joins hash whole probe/build batches at once
-// with ColBatch.HashInto — the vectorized form of table.HashOn, bit-identical
-// per row — and share TupleMap with the row engine, so a columnar build side
-// holds exactly the groups a row build would and emits matches in the same
-// order (probe rows in scan order, First then Rest per group). That order
-// identity is what keeps confidences pinned across the two tiers.
+// Columnar hash joins: the columnar members of the hash-join family. Both
+// hash whole probe/build batches at once with ColBatch.HashInto — the
+// vectorized form of table.HashOn, bit-identical per row — and build through
+// the family's one loop (buildHashed), so a columnar build side holds exactly
+// the groups a row build would and emits matches in the same order (probe
+// rows in scan order, First then Rest per group). That order identity is
+// what keeps confidences pinned across the two tiers.
 
 // ColHashJoin is the columnar equi-join: the right input is drained into a
 // TupleMap (rows materialized from its column batches), and left batches
 // probe it with vectorized hashes. Output rows gather left cells column-wise
 // (ColVec.AppendCell — typed, allocation-free) and append the matched build
 // tuples' cells. One output batch carries all matches of one probe batch, so
-// it may exceed BatchSize on multi-matching keys.
+// it may exceed BatchSize on multi-matching keys. Under a governor that
+// denies the build it degrades to the same grace join as HashJoin, reading
+// its inputs through ColToRows and transposing the merge join's rows back.
 type ColHashJoin struct {
 	Left, Right         ColOperator
 	LeftKeys, RightKeys []int
-	out                 *table.Schema
-	built               *table.TupleMap
-	in                  *table.ColBatch
-	hashes              []uint64
+	*Governed
+	out    *table.Schema
+	built  *table.TupleMap
+	in     *table.ColBatch
+	hashes []uint64
+	rows   []table.Tuple // reused grace-mode output batch
 }
 
 // Schema returns left ++ right.
 func (j *ColHashJoin) Schema() *table.Schema { return j.out }
 
-// Open opens both inputs and builds the hash table over the right.
+// Open opens both inputs and builds the hash table over the right
+// (Governed.open).
 func (j *ColHashJoin) Open() error {
-	if err := j.Left.Open(); err != nil {
-		return err
-	}
-	if err := j.Right.Open(); err != nil {
-		return err
-	}
-	built, err := colBuild(j.Right, j.RightKeys)
-	if err != nil {
-		return err
-	}
-	j.built = built
 	if j.in == nil {
 		j.in = table.NewColBatch(j.Left.Schema())
 	}
-	return nil
-}
-
-// colBuild drains a columnar operator into a TupleMap keyed on the given
-// columns: each batch is hashed in one vectorized pass, then its live rows
-// are materialized into slab storage and inserted under the precomputed
-// hashes. Insertion order matches the row build (scan order), so the map's
-// group order — and therefore the join's output order — is identical.
-func colBuild(op ColOperator, keys []int) (*table.TupleMap, error) {
-	// The map deliberately starts empty, as the row buildSide does:
-	// presizing by row count over-allocates heavily on repeated join keys.
-	built := table.NewTupleMap(keys, 0)
-	b := table.NewColBatch(op.Schema())
-	w := op.Schema().Len()
-	var slab table.Slab
-	var hashes []uint64
-	for {
-		n, err := op.NextColBatch(b)
-		if err != nil {
-			return nil, err
-		}
-		if n == 0 {
-			return built, nil
-		}
-		hashes = b.HashInto(keys, hashes)
-		for i := 0; i < n; i++ {
-			t := slab.Alloc(w)
-			b.WriteRow(i, t)
-			built.AddHashed(hashes[i], t)
-		}
-	}
+	var err error
+	j.built, err = j.open(NewColToRows(j.Left), NewColToRows(j.Right), j.LeftKeys, j.RightKeys, colBuildSource(j.Right, j.RightKeys))
+	return err
 }
 
 // NextColBatch probes with the next left batch, emitting every match.
 func (j *ColHashJoin) NextColBatch(dst *table.ColBatch) (int, error) {
+	if j.grace != nil {
+		j.rows = batchScratch(j.rows, BatchSize)
+		n, err := j.grace.NextBatch(j.rows)
+		if err != nil {
+			return 0, err
+		}
+		return rowsToBatch(dst, j.out, j.rows[:n]), nil
+	}
 	for {
 		n, err := j.Left.NextColBatch(j.in)
 		if err != nil {
@@ -126,160 +98,37 @@ func (j *ColHashJoin) emit(dst *table.ColBatch, row, lw int, r table.Tuple) {
 // Close closes both inputs and drops the hash table.
 func (j *ColHashJoin) Close() error {
 	j.built = nil
-	errL := j.Left.Close()
-	errR := j.Right.Close()
-	if errL != nil {
-		return errL
-	}
-	return errR
+	return j.close(j.Left, j.Right)
 }
 
-// ColPartitionedHashJoin is the columnar PartitionedHashJoin: both inputs
-// are drained with their join-key hashes computed batch-wise, partitioned by
-// hash (the same assignment as table.PartitionOn, since the partition hash
-// IS the HashOn value), and the per-partition builds and probes reuse the
-// carried hashes instead of rehashing any row. The output is materialized in
-// partition order — byte-for-byte the row join's output — and streamed out
-// as column batches.
+// rowsToBatch transposes rows onto dst — the rows→columns boundary that
+// in-memory scans, the grace join and the partitioned join's materialized
+// result all cross.
+func rowsToBatch(dst *table.ColBatch, s *table.Schema, rows []table.Tuple) int {
+	dst.Reset(s)
+	for _, t := range rows {
+		dst.AppendRow(t)
+	}
+	return dst.N
+}
+
+// ColPartitionedHashJoin is the columnar tier's partition-parallel
+// equi-join: the inputs' join-key hashes are computed batch-wise, and the
+// materialized result is streamed out as column batches.
 type ColPartitionedHashJoin struct {
-	Left, Right         ColOperator
-	LeftKeys, RightKeys []int
-	Pool                *pool.Pool
-	Ctx                 context.Context
-	out                 *table.Schema
-	rows                []table.Tuple
-	pos                 int
+	Left, Right ColOperator
+	partitionedJoin
 }
 
-// Schema returns left ++ right.
-func (j *ColPartitionedHashJoin) Schema() *table.Schema { return j.out }
-
-// Open drains, partitions, and joins both inputs.
+// Open drains both inputs through the columnar protocol and joins them.
 func (j *ColPartitionedHashJoin) Open() error {
-	left, lh, err := colDrainHashed(j.Left, j.LeftKeys)
-	if err != nil {
-		return err
-	}
-	right, rh, err := colDrainHashed(j.Right, j.RightKeys)
-	if err != nil {
-		return err
-	}
-	// Same serial cutoff as the row join: the switch depends only on the
-	// input sizes, never on the worker count, so output order is preserved.
-	if len(left)+len(right) < ParallelMinRows {
-		j.rows = joinPartitionHashed(left, lh, right, rh, j.LeftKeys, j.RightKeys)
-		j.pos = 0
-		return nil
-	}
-	lParts, lhParts := partitionHashed(left, lh)
-	rParts, rhParts := partitionHashed(right, rh)
-	outs := make([][]table.Tuple, joinPartitions)
-	err = j.Pool.Do(j.Ctx, joinPartitions, func(p int) error {
-		outs[p] = joinPartitionHashed(lParts[p], lhParts[p], rParts[p], rhParts[p], j.LeftKeys, j.RightKeys)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	j.rows = j.rows[:0]
-	for _, part := range outs {
-		j.rows = append(j.rows, part...)
-	}
-	j.pos = 0
-	return nil
-}
-
-// colDrainHashed materializes a columnar operator's stream (opening and
-// closing it) along with each row's join-key hash, computed batch-wise.
-func colDrainHashed(op ColOperator, keys []int) ([]table.Tuple, []uint64, error) {
-	if err := op.Open(); err != nil {
-		return nil, nil, err
-	}
-	defer op.Close()
-	b := table.NewColBatch(op.Schema())
-	w := op.Schema().Len()
-	var slab table.Slab
-	var rows []table.Tuple
-	var all, batch []uint64
-	for {
-		n, err := op.NextColBatch(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		if n == 0 {
-			return rows, all, nil
-		}
-		batch = b.HashInto(keys, batch)
-		for i := 0; i < n; i++ {
-			t := slab.Alloc(w)
-			b.WriteRow(i, t)
-			rows = append(rows, t)
-		}
-		all = append(all, batch...)
-	}
-}
-
-// partitionHashed splits rows by hash into joinPartitions buckets,
-// preserving input order within each — exactly table.PartitionOn's
-// assignment, with the hashes carried instead of recomputed.
-func partitionHashed(rows []table.Tuple, hashes []uint64) ([][]table.Tuple, [][]uint64) {
-	parts := make([][]table.Tuple, joinPartitions)
-	hparts := make([][]uint64, joinPartitions)
-	for i, t := range rows {
-		p := int(hashes[i] % joinPartitions)
-		parts[p] = append(parts[p], t)
-		hparts[p] = append(hparts[p], hashes[i])
-	}
-	return parts, hparts
-}
-
-// joinPartitionHashed is joinPartition with every row's hash precomputed:
-// builds with AddHashed, probes with LookupHashed, emits left-order matches
-// First then Rest into slab storage.
-func joinPartitionHashed(left []table.Tuple, lh []uint64, right []table.Tuple, rh []uint64, lk, rk []int) []table.Tuple {
-	if len(left) == 0 || len(right) == 0 {
-		return nil
-	}
-	built := table.NewTupleMap(rk, len(right))
-	for i, t := range right {
-		built.AddHashed(rh[i], t)
-	}
-	var out []table.Tuple
-	var slab table.Slab
-	emit := func(l, r table.Tuple) {
-		row := slab.Alloc(len(l) + len(r))
-		copy(row, l)
-		copy(row[len(l):], r)
-		out = append(out, row)
-	}
-	for i, l := range left {
-		g, ok := built.LookupHashed(lh[i], l, lk)
-		if !ok {
-			continue
-		}
-		emit(l, g.First)
-		for _, r := range g.Rest {
-			emit(l, r)
-		}
-	}
-	return out
+	return j.open(j.Left, j.Right, colBuildSource(j.Left, j.LeftKeys), colBuildSource(j.Right, j.RightKeys))
 }
 
 // NextColBatch streams the materialized join result as column batches.
 func (j *ColPartitionedHashJoin) NextColBatch(dst *table.ColBatch) (int, error) {
-	if j.pos >= len(j.rows) {
-		return 0, nil
-	}
-	dst.Reset(j.out)
-	for j.pos < len(j.rows) && dst.N < BatchSize {
-		dst.AppendRow(j.rows[j.pos])
-		j.pos++
-	}
-	return dst.N, nil
-}
-
-// Close drops the materialized result.
-func (j *ColPartitionedHashJoin) Close() error {
-	j.rows = nil
-	return nil
+	end := min(j.pos+BatchSize, len(j.rows))
+	rows := j.rows[j.pos:end]
+	j.pos = end
+	return rowsToBatch(dst, j.out, rows), nil
 }

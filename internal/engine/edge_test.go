@@ -120,12 +120,3 @@ func TestMystiQAggregateNaN(t *testing.T) {
 		t.Errorf("expected NaN from underflowed MystiQ aggregate, got %g", v)
 	}
 }
-
-// TestLimitZero: a zero limit yields nothing but still opens/closes.
-func TestLimitZero(t *testing.T) {
-	rel := intsRel("a", 1, 2)
-	n, err := Count(NewLimit(NewMemScan(rel), 0))
-	if err != nil || n != 0 {
-		t.Errorf("limit 0: n=%d err=%v", n, err)
-	}
-}

@@ -112,14 +112,6 @@ func TestProjectColumnsAndExprs(t *testing.T) {
 	}
 }
 
-func TestLimit(t *testing.T) {
-	rel := intsRel("a", 1, 2, 3, 4)
-	rows := drain(t, NewLimit(NewMemScan(rel), 2))
-	if len(rows) != 2 {
-		t.Fatalf("limit rows = %v", rows)
-	}
-}
-
 func TestHashJoinBasic(t *testing.T) {
 	l := pairRel("k", "x", [2]int64{1, 10}, [2]int64{2, 20}, [2]int64{3, 30})
 	r := pairRel("k", "y", [2]int64{2, 200}, [2]int64{2, 201}, [2]int64{4, 400})

@@ -1,28 +1,31 @@
-// Package engine is the relational query executor: Volcano-style iterators
-// (scan, filter, project, hash/merge join, external sort,
-// group-by, distinct) over the table data model. It plays the role of the
-// PostgreSQL executor that SPROUT extends — the confidence operator in
-// internal/conf consumes the sorted tuple streams produced here.
+// Package engine is the relational query executor: Volcano-style operators
+// (scan, filter, project, hash/merge join, external sort, group-by,
+// distinct) over the table data model. It plays the role of the PostgreSQL
+// executor that SPROUT extends — the confidence operator in internal/conf
+// consumes the sorted tuple streams produced here.
 //
-// The hot paths are allocation-conscious: every core operator implements
-// the batched BatchOperator extension (batch.go), moving tuples in batches
-// of BatchSize through reused buffers with cancellation checks at batch
-// boundaries, and all tuple-keyed equality state (hash-join build sides,
-// duplicate elimination) lives in the hash-keyed containers of
+// There are two execution tiers with one pull protocol each. The row tier
+// (Operator, op.go/batch.go) moves []table.Tuple batches of BatchSize through
+// reused buffers with cancellation checks at batch boundaries; it is the
+// reference tier and the only one that sorts, groups and runs safe plans.
+// Operators that never reuse tuple storage advertise it through
+// StableTuples, which lets consumers skip defensive clones; the rest clone
+// through table.Slab, and the few per-tuple algorithms (merge join, sorted
+// group-by) read through a Cursor. The columnar tier (ColOperator,
+// colexec.go/coljoin.go) moves table.ColBatch column vectors through the
+// same scan/filter/project/hash-join shapes; Columnarize lowers a row plan
+// to it whenever every operator has a columnar form, and dead-column pruning
+// keeps heap scans from decoding columns nothing reads. The columnar tier is
+// an execution strategy, not a semantics change: it emits the same tuples in
+// the same order as the row path, with bit-identical hashes and confidences.
+//
+// The hash joins of both tiers are one family (gracejoin.go, parallel.go):
+// one build loop fed by a per-tier batch source, one partition kernel, one
+// partitioned body, and one memory-governed Open path that degrades to a
+// sort-merge grace join under pressure. All tuple-keyed equality state
+// (build sides, duplicate elimination) lives in the hash-keyed containers of
 // internal/table (TupleMap/TupleSet) — FNV hashes with Compare-based
-// collision chains, so equal keys never allocate. Operators that never
-// reuse tuple storage advertise it through StableTuples, which lets the
-// collectors skip defensive clones; the rest clone through table.Slab.
-//
-// On top of the row iterators sits the vectorized columnar tier
-// (colexec.go, coljoin.go): ColOperator moves table.ColBatch column
-// vectors instead of tuple slices through the same scan/filter/project/
-// hash-join shapes, Columnarize/Vectorize lower a row plan into its
-// maximal columnar regions (falling back to rows at the first operator
-// with no columnar form), and dead-column pruning keeps heap scans from
-// decoding columns nothing reads. The columnar tier is an execution
-// strategy, not a semantics change: it emits the same tuples in the same
-// order as the row path, with bit-identical hashes and confidences.
+// collision chains, so equal keys never allocate.
 package engine
 
 import (

@@ -127,19 +127,15 @@ func (a *aggState) result(spec AggSpec) table.Value {
 // in a single scan, which is what makes eager plans and the multi-scan
 // scheduler of §V.C work.
 type SortedGroupBy struct {
-	In       Operator
-	GroupBy  []int
-	Aggs     []AggSpec
-	out      *table.Schema
-	states   []aggState
-	curKey   table.Tuple
-	have     bool
-	pending  table.Tuple
-	havePend bool
-	done     bool
-	in       []table.Tuple // reused input batch
-	inN      int
-	inPos    int
+	In      Operator
+	GroupBy []int
+	Aggs    []AggSpec
+	out     *table.Schema
+	states  []aggState
+	in      Cursor
+	curKey  table.Tuple // first tuple of the open group
+	have    bool        // a group is open
+	done    bool
 }
 
 // NewSortedGroupBy builds the operator. The output schema is the grouping
@@ -162,89 +158,49 @@ func (g *SortedGroupBy) Schema() *table.Schema { return g.out }
 // Open opens the input and resets state.
 func (g *SortedGroupBy) Open() error {
 	g.states = make([]aggState, len(g.Aggs))
-	g.have = false
-	g.havePend = false
-	g.done = false
-	g.inN, g.inPos = 0, 0
+	g.have, g.done = false, false
+	g.in.Reset(g.In)
 	return g.In.Open()
 }
 
-// nextInput pulls the next input tuple through the reused batch buffer. The
-// returned tuple is valid until the batch is refilled; callers that keep it
-// across group boundaries (curKey, pending) clone it.
-func (g *SortedGroupBy) nextInput() (table.Tuple, bool, error) {
-	if g.inPos >= g.inN {
-		g.in = batchScratch(g.in, BatchSize)
-		n, err := NextBatch(g.In, g.in)
-		if err != nil || n == 0 {
-			return nil, false, err
+// NextBatch emits one aggregated row per group. Emitted rows are freshly
+// built, so they are stable.
+func (g *SortedGroupBy) NextBatch(dst []table.Tuple) (int, error) {
+	n := 0
+	for n < len(dst) && !g.done {
+		t, ok, err := g.in.Next()
+		if err != nil {
+			return 0, err
 		}
-		g.inN, g.inPos = n, 0
-	}
-	t := g.in[g.inPos]
-	g.inPos++
-	return t, true, nil
-}
-
-// Next emits one aggregated row per group.
-func (g *SortedGroupBy) Next() (table.Tuple, bool, error) {
-	if g.done {
-		return nil, false, nil
-	}
-	for {
-		var t table.Tuple
-		var ok bool
-		var err error
-		if g.havePend {
-			t, ok, g.havePend = g.pending, true, false
-		} else {
-			t, ok, err = g.nextInput()
-			if err != nil {
-				return nil, false, err
-			}
-		}
-		if !ok {
-			g.done = true
-			if g.have {
-				return g.emit(), true, nil
-			}
-			return nil, false, nil
-		}
-		if !g.have {
-			g.startGroup(t)
-			continue
-		}
-		if table.EqualOn(t, g.curKey, g.GroupBy) {
+		if ok && g.have && table.EqualOn(t, g.curKey, g.GroupBy) {
 			for i := range g.Aggs {
 				g.states[i].add(g.Aggs[i], t)
 			}
 			continue
 		}
-		// Group boundary: emit the finished group, remember t for the next.
-		out := g.emit()
-		g.pending = t.Clone()
-		g.havePend = true
-		g.have = false
-		return out, true, nil
+		// Group boundary or end of stream: emit the finished group, and
+		// open the next one with t.
+		if g.have {
+			dst[n] = g.emit()
+			n++
+		}
+		g.have, g.done = ok, !ok
+		if ok {
+			g.startGroup(t)
+		}
 	}
-}
-
-// NextBatch emits aggregated rows. Emitted rows are freshly built (one per
-// group), so they are stable.
-func (g *SortedGroupBy) NextBatch(dst []table.Tuple) (int, error) {
-	return fillBatch(dst, func(int) (table.Tuple, bool, error) { return g.Next() })
+	return n, nil
 }
 
 // StableTuples: every emitted row is a fresh per-group tuple.
 func (g *SortedGroupBy) StableTuples() bool { return true }
 
 func (g *SortedGroupBy) startGroup(t table.Tuple) {
-	g.curKey = t.Clone()
+	g.curKey = g.in.Keep(t)
 	for i := range g.states {
 		g.states[i].reset()
 		g.states[i].add(g.Aggs[i], t)
 	}
-	g.have = true
 }
 
 func (g *SortedGroupBy) emit() table.Tuple {
@@ -291,24 +247,11 @@ func (d *HashDistinct) Open() error {
 	return d.In.Open()
 }
 
-// Next yields the next previously-unseen tuple.
-func (d *HashDistinct) Next() (table.Tuple, bool, error) {
-	for {
-		t, ok, err := d.In.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		if _, added := d.seen.Add(t, !d.stable); added {
-			return t, true, nil
-		}
-	}
-}
-
 // NextBatch pulls an input batch into dst and compacts the first-seen
 // tuples in place.
 func (d *HashDistinct) NextBatch(dst []table.Tuple) (int, error) {
 	for {
-		n, err := NextBatch(d.In, dst)
+		n, err := d.In.NextBatch(dst)
 		if err != nil || n == 0 {
 			return 0, err
 		}

@@ -15,9 +15,9 @@ type OpStats struct {
 
 // CountedOp is a transparent pass-through operator that counts the rows and
 // batches flowing out of its input into an OpStats. It preserves the
-// batched fast path and the stability promise of its input, so wrapping an
-// operator changes nothing about execution except the two counter bumps per
-// batch — cheap enough to leave in traced plans.
+// stability promise of its input, so wrapping an operator changes nothing
+// about execution except the two counter bumps per batch — cheap enough to
+// leave in traced plans.
 type CountedOp struct {
 	In Operator
 	S  *OpStats
@@ -33,18 +33,9 @@ func (c *CountedOp) Schema() *table.Schema { return c.In.Schema() }
 // Open opens the input.
 func (c *CountedOp) Open() error { return c.In.Open() }
 
-// Next counts and forwards one tuple.
-func (c *CountedOp) Next() (table.Tuple, bool, error) {
-	t, ok, err := c.In.Next()
-	if ok && err == nil {
-		c.S.Rows++
-	}
-	return t, ok, err
-}
-
 // NextBatch counts and forwards one batch.
 func (c *CountedOp) NextBatch(dst []table.Tuple) (int, error) {
-	n, err := NextBatch(c.In, dst)
+	n, err := c.In.NextBatch(dst)
 	if n > 0 && err == nil {
 		c.S.Rows += int64(n)
 		c.S.Batches++

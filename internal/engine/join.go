@@ -3,58 +3,29 @@ package engine
 import (
 	"fmt"
 
-	"repro/internal/fault"
 	"repro/internal/table"
 )
-
-// buildSide drains an operator into a TupleMap keyed on the given columns;
-// tuples are retained, so drainEach's stable/slab clone rule applies.
-func buildSide(op Operator, keys []int) (*table.TupleMap, error) {
-	if ms, ok := op.(*MemScan); ok {
-		// Fast path: the rows are already materialized and stable. The map
-		// deliberately starts empty — presizing by row count over-allocates
-		// heavily on repeated join keys (FK joins) and measures slower.
-		built := table.NewTupleMap(keys, 0)
-		for _, t := range ms.Rel.Rows {
-			built.Add(t)
-		}
-		return built, nil
-	}
-	built := table.NewTupleMap(keys, 0)
-	err := drainEach(op, func(t table.Tuple) error {
-		built.Add(t)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return built, nil
-}
 
 // HashJoin is an equi-join: it builds a hash table on the right input and
 // probes with the left. The build side is keyed by table.HashOn hashes with
 // Compare-based collision chains, so neither building nor probing renders
 // per-row key strings. The output schema is left ++ right; the planner
 // projects away the duplicated join attributes afterwards (the paper assumes
-// join attributes share names across tables).
+// join attributes share names across tables). Governed (gracejoin.go) makes
+// the build side memory-accounted and grace-capable.
 type HashJoin struct {
 	Left, Right        Operator
 	LeftKeys, RightKey []int
-	Mem                *fault.Governor // optional: charge the build side, degrade to grace mode on denial
-	SortBudget         int             // grace-mode sort budget (tuples); 0 = storage.DefaultSortBudget
-	TmpDir             string          // grace-mode spill dir; "" = os.TempDir()
-	out                *table.Schema
-	built              *table.TupleMap
-	grace              *MergeJoin    // non-nil after a memory-pressured Open
-	graced             bool          // sticky across Close: the last Open degraded
-	in                 []table.Tuple // reused probe batch
-	inN, inPos         int
-	cur                table.Group // matches for the current probe tuple
-	curLen             int         // 1+len(cur.Rest), 0 when no match
-	curLeft            table.Tuple
-	curPos             int
-	slots              slotBufs
-	one                [1]table.Tuple
+	Governed
+	out        *table.Schema
+	built      *table.TupleMap
+	in         []table.Tuple // reused probe batch
+	inN, inPos int
+	cur        table.Group // matches for the current probe tuple
+	curLen     int         // 1+len(cur.Rest), 0 when no match
+	curLeft    table.Tuple
+	curPos     int
+	slots      slotBufs
 }
 
 // NewHashJoin joins left and right on pairwise-equal key columns.
@@ -72,60 +43,14 @@ func NewHashJoin(left, right Operator, leftKeys, rightKeys []int) (*HashJoin, er
 // Schema returns left ++ right.
 func (j *HashJoin) Schema() *table.Schema { return j.out }
 
-// Open builds the hash table over the right input. With a governor set, the
-// build side is charged as it grows; a denied reservation degrades the join
-// to grace (sort-merge) mode instead of failing — see gracejoin.go. A failed
-// Open leaves the join fully closed (children included): collectors do not
-// Close a tree whose Open errored, so every operator must release what it
-// acquired — child scanners' pinned pages, a grace sorter's spill runs —
-// before surfacing the error (Close is idempotent throughout the engine,
-// so re-closing an input some error path already closed is safe).
+// Open builds the hash table over the right input (Governed.open).
 func (j *HashJoin) Open() error {
-	j.grace = nil
-	j.graced = false
-	if err := j.Left.Open(); err != nil {
-		return err
-	}
-	if err := j.Right.Open(); err != nil {
-		j.Left.Close()
-		return err
-	}
-	var built *table.TupleMap
-	var err error
-	if j.Mem != nil {
-		var buffered []table.Tuple
-		var pressured bool
-		built, buffered, pressured, err = buildGoverned(j.Right, j.RightKey, j.Mem)
-		if err == nil && pressured {
-			if gerr := j.openGrace(buffered); gerr != nil {
-				j.Left.Close()
-				j.Right.Close()
-				return gerr
-			}
-			return nil
-		}
-	} else {
-		built, err = buildSide(j.Right, j.RightKey)
-	}
-	if err != nil {
-		j.Left.Close()
-		j.Right.Close()
-		return err
-	}
-	j.built = built
 	j.cur = table.Group{}
 	j.curLen, j.curPos = 0, 0
 	j.inN, j.inPos = 0, 0
-	return nil
-}
-
-// Next yields the next joined tuple.
-func (j *HashJoin) Next() (table.Tuple, bool, error) {
-	n, err := j.NextBatch(j.one[:])
-	if err != nil || n == 0 {
-		return nil, false, err
-	}
-	return j.one[0], true, nil
+	var err error
+	j.built, err = j.open(j.Left, j.Right, j.LeftKeys, j.RightKey, rowBuildSource(j.Right, j.RightKey))
+	return err
 }
 
 // NextBatch fills dst with joined tuples built in reused per-slot buffers.
@@ -152,7 +77,7 @@ func (j *HashJoin) NextBatch(dst []table.Tuple) (int, error) {
 		}
 		if j.inPos >= j.inN {
 			j.in = batchScratch(j.in, BatchSize)
-			k, err := NextBatch(j.Left, j.in)
+			k, err := j.Left.NextBatch(j.in)
 			if err != nil {
 				return 0, err
 			}
@@ -175,27 +100,10 @@ func (j *HashJoin) NextBatch(dst []table.Tuple) (int, error) {
 	return n, nil
 }
 
-// Close closes both inputs and drops the hash table. In grace mode the
-// merge join owns the left input (via its wrapping Sort) and the sorted
-// right stream; the drained right input is closed here.
+// Close closes both inputs and drops the hash table.
 func (j *HashJoin) Close() error {
 	j.built = nil
-	if j.grace != nil {
-		g := j.grace
-		j.grace = nil
-		errG := g.Close()
-		errR := j.Right.Close()
-		if errG != nil {
-			return errG
-		}
-		return errR
-	}
-	errL := j.Left.Close()
-	errR := j.Right.Close()
-	if errL != nil {
-		return errL
-	}
-	return errR
+	return j.close(j.Left, j.Right)
 }
 
 // MergeJoin equi-joins two inputs already sorted on their join keys. Blocks
@@ -209,16 +117,25 @@ type MergeJoin struct {
 	LeftKeys, RightKeys []int
 	out                 *table.Schema
 
-	l         table.Tuple
-	lOK       bool
-	r         table.Tuple
-	rOK       bool
-	block     []table.Tuple // buffered right block with equal keys
-	blockKey  table.Tuple
-	blockPos  int
-	inBlock   bool
-	endOfLeft bool
-	slots     slotBufs
+	l, r     mergeSide
+	block    []table.Tuple // kept right tuples sharing the current key
+	blockPos int
+	inBlock  bool
+	slots    slotBufs
+}
+
+// mergeSide is one input of a merge join: a cursor and its current tuple.
+type mergeSide struct {
+	cur Cursor
+	t   table.Tuple
+	ok  bool
+}
+
+func (s *mergeSide) advance() error {
+	t, ok, err := s.cur.Next()
+	//sproutvet:allow batchalias a side's current tuple is replaced by the very advance that can refill its cursor
+	s.t, s.ok = t, ok
+	return err
 }
 
 // NewMergeJoin joins sorted inputs on pairwise-equal key columns.
@@ -236,8 +153,7 @@ func NewMergeJoin(left, right Operator, leftKeys, rightKeys []int) (*MergeJoin, 
 // Schema returns left ++ right.
 func (j *MergeJoin) Schema() *table.Schema { return j.out }
 
-// Open opens both inputs and primes the cursors. Like every engine Open, a
-// failure leaves the join fully closed, children included.
+// Open opens both inputs and primes the cursors.
 func (j *MergeJoin) Open() error {
 	if err := j.Left.Open(); err != nil {
 		return err
@@ -246,36 +162,18 @@ func (j *MergeJoin) Open() error {
 		j.Left.Close()
 		return err
 	}
-	var err error
-	if err = j.advanceLeft(); err != nil {
-		j.Left.Close()
-		j.Right.Close()
-		return err
+	j.l.cur.Reset(j.Left)
+	j.r.cur.Reset(j.Right)
+	j.block, j.inBlock = j.block[:0], false
+	err := j.l.advance()
+	if err == nil {
+		err = j.r.advance()
 	}
-	j.r, j.rOK, err = j.Right.Next()
 	if err != nil {
 		j.Left.Close()
 		j.Right.Close()
-		return err
 	}
-	if j.rOK {
-		j.r = j.r.Clone()
-	}
-	j.block = nil
-	j.inBlock = false
-	return nil
-}
-
-func (j *MergeJoin) advanceLeft() error {
-	t, ok, err := j.Left.Next()
-	if err != nil {
-		return err
-	}
-	j.lOK = ok
-	if ok {
-		j.l = t.Clone()
-	}
-	return nil
+	return err
 }
 
 func (j *MergeJoin) cmpKeys(l, r table.Tuple) int {
@@ -287,98 +185,73 @@ func (j *MergeJoin) cmpKeys(l, r table.Tuple) int {
 	return 0
 }
 
-// cmpRightKeys compares two right-side tuples; the block key is a right
-// tuple, so indexing it with LeftKeys would read the wrong columns (or past
-// the end) whenever the two key layouts differ.
-func (j *MergeJoin) cmpRightKeys(a, b table.Tuple) int {
-	for i := range j.RightKeys {
-		if c := table.Compare(a[j.RightKeys[i]], b[j.RightKeys[i]]); c != 0 {
-			return c
-		}
-	}
-	return 0
-}
-
-// Next yields the next joined tuple.
-func (j *MergeJoin) Next() (table.Tuple, bool, error) { return j.next(0) }
-
-// next emits the next joined tuple into slot buffer i.
-func (j *MergeJoin) next(slot int) (table.Tuple, bool, error) {
-	for {
+// NextBatch emits joined tuples into reused per-slot buffers. The current
+// left tuple is only read until the left cursor advances, so it is never
+// cloned; right tuples buffered into a block outlive right-side refills and
+// are kept (cloned only when the right input is unstable).
+func (j *MergeJoin) NextBatch(dst []table.Tuple) (int, error) {
+	n := 0
+	for n < len(dst) {
 		if j.inBlock {
 			if j.blockPos < len(j.block) {
-				r := j.block[j.blockPos]
+				buf := j.slots.slot(n, j.out.Len())
+				copy(buf, j.l.t)
+				copy(buf[len(j.l.t):], j.block[j.blockPos])
 				j.blockPos++
-				return j.combine(slot, j.l, r), true, nil
+				dst[n] = buf
+				n++
+				continue
 			}
-			// Done pairing current left tuple with the block; advance left.
-			if err := j.advanceLeft(); err != nil {
-				return nil, false, err
+			// Done pairing the current left tuple with the block; a left
+			// successor with the same key pairs with it again.
+			if err := j.l.advance(); err != nil {
+				return 0, err
 			}
-			if j.lOK && j.cmpKeys(j.l, j.blockKey) == 0 {
+			if j.l.ok && j.cmpKeys(j.l.t, j.block[0]) == 0 {
 				j.blockPos = 0
 				continue
 			}
 			j.inBlock = false
-			j.block = nil
 		}
-		if !j.lOK || !j.rOK {
-			return nil, false, nil
+		if !j.l.ok || !j.r.ok {
+			break
 		}
-		c := j.cmpKeys(j.l, j.r)
-		switch {
+		var err error
+		switch c := j.cmpKeys(j.l.t, j.r.t); {
 		case c < 0:
-			if err := j.advanceLeft(); err != nil {
-				return nil, false, err
-			}
+			err = j.l.advance()
 		case c > 0:
-			t, ok, err := j.Right.Next()
-			if err != nil {
-				return nil, false, err
-			}
-			j.rOK = ok
-			if ok {
-				j.r = t.Clone()
-			}
+			err = j.r.advance()
 		default:
-			// Buffer the whole right block with this key.
+			// Buffer the whole right block with this key. Its members are
+			// compared on the right key columns: indexing a right tuple with
+			// LeftKeys would read the wrong columns whenever the two key
+			// layouts differ.
 			j.block = j.block[:0]
-			j.blockKey = j.r.Clone()
-			for j.rOK && j.cmpRightKeys(j.blockKey, j.r) == 0 {
-				j.block = append(j.block, j.r)
-				t, ok, err := j.Right.Next()
-				if err != nil {
-					return nil, false, err
-				}
-				j.rOK = ok
-				if ok {
-					j.r = t.Clone()
-				}
+			for err == nil && j.r.ok && (len(j.block) == 0 || table.EqualOn(j.r.t, j.block[0], j.RightKeys)) {
+				j.block = append(j.block, j.r.cur.Keep(j.r.t))
+				err = j.r.advance()
 			}
-			j.blockPos = 0
-			j.inBlock = true
+			j.blockPos, j.inBlock = 0, true
+		}
+		if err != nil {
+			return 0, err
 		}
 	}
-}
-
-// NextBatch emits joined tuples into reused per-slot buffers.
-func (j *MergeJoin) NextBatch(dst []table.Tuple) (int, error) {
-	return fillBatch(dst, j.next)
-}
-
-func (j *MergeJoin) combine(slot int, l, r table.Tuple) table.Tuple {
-	buf := j.slots.slot(slot, j.out.Len())
-	copy(buf, l)
-	copy(buf[len(l):], r)
-	return buf
+	return n, nil
 }
 
 // Close closes both inputs.
 func (j *MergeJoin) Close() error {
-	errL := j.Left.Close()
-	errR := j.Right.Close()
-	if errL != nil {
-		return errL
+	return firstErr(j.Left.Close(), j.Right.Close())
+}
+
+// firstErr returns the first non-nil error.
+func firstErr(errs ...error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
-	return errR
+	return nil
 }

@@ -7,17 +7,20 @@ import (
 	"repro/internal/table"
 )
 
-// Operator is the Volcano iterator interface. Open prepares the pipeline,
-// Next pulls one tuple at a time (ok=false at end of stream), Close releases
-// resources. Tuples returned by Next may alias internal buffers; operators
-// that retain tuples across Next calls must Clone them. Every core operator
-// additionally implements BatchOperator (batch.go), which moves tuples in
-// batches of up to BatchSize through reused buffers — the allocation-free
-// fast path the collectors drive.
+// Operator is the row tier's Volcano interface. Open prepares the pipeline,
+// NextBatch fills dst[:n] with up to len(dst) tuples and returns n, Close
+// releases resources. n == 0 means the stream is exhausted (a non-empty
+// stream never returns an empty batch early). The returned tuples may alias
+// internal buffers: they remain valid until the next NextBatch call on the
+// operator unless it promises StableTuples, so consumers that retain tuples
+// across batches must clone them (drainCtx holds that rule; the batchalias
+// analyzer enforces it). Consumers that need one tuple at a time read
+// through a Cursor. A failed Open leaves the operator fully closed, children
+// included: collectors do not Close a tree whose Open errored.
 type Operator interface {
 	Schema() *table.Schema
 	Open() error
-	Next() (table.Tuple, bool, error)
+	NextBatch(dst []table.Tuple) (int, error)
 	Close() error
 }
 
@@ -35,16 +38,6 @@ func (s *MemScan) Schema() *table.Schema { return s.Rel.Schema }
 
 // Open resets the cursor.
 func (s *MemScan) Open() error { s.pos = 0; return nil }
-
-// Next yields the next row.
-func (s *MemScan) Next() (table.Tuple, bool, error) {
-	if s.pos >= len(s.Rel.Rows) {
-		return nil, false, nil
-	}
-	t := s.Rel.Rows[s.pos]
-	s.pos++
-	return t, true, nil
-}
 
 // NextBatch copies up to len(dst) row references out of the relation.
 func (s *MemScan) NextBatch(dst []table.Tuple) (int, error) {
@@ -82,21 +75,24 @@ func (s *HeapScan) Open() error {
 	return nil
 }
 
-// Next yields the next stored tuple.
-func (s *HeapScan) Next() (table.Tuple, bool, error) {
-	t, ok, err := s.sc.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	if len(t) != s.schema.Len() {
-		return nil, false, fmt.Errorf("engine: heap tuple arity %d != schema arity %d", len(t), s.schema.Len())
-	}
-	return t, true, nil
-}
-
 // NextBatch decodes up to len(dst) stored tuples.
 func (s *HeapScan) NextBatch(dst []table.Tuple) (int, error) {
-	return fillBatch(dst, func(int) (table.Tuple, bool, error) { return s.Next() })
+	n := 0
+	for n < len(dst) {
+		t, ok, err := s.sc.Next()
+		if err != nil {
+			return 0, err
+		}
+		if !ok {
+			break
+		}
+		if len(t) != s.schema.Len() {
+			return 0, fmt.Errorf("engine: heap tuple arity %d != schema arity %d", len(t), s.schema.Len())
+		}
+		dst[n] = t
+		n++
+	}
+	return n, nil
 }
 
 // StableTuples: the scanner decodes into arena storage it never reuses.
@@ -126,24 +122,11 @@ func (f *Filter) Schema() *table.Schema { return f.In.Schema() }
 // Open opens the input.
 func (f *Filter) Open() error { return f.In.Open() }
 
-// Next yields the next qualifying tuple.
-func (f *Filter) Next() (table.Tuple, bool, error) {
-	for {
-		t, ok, err := f.In.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		if f.Pred.Holds(t) {
-			return t, true, nil
-		}
-	}
-}
-
 // NextBatch pulls an input batch into dst and compacts the qualifying
 // tuples in place — no copies, no allocation.
 func (f *Filter) NextBatch(dst []table.Tuple) (int, error) {
 	for {
-		n, err := NextBatch(f.In, dst)
+		n, err := f.In.NextBatch(dst)
 		if err != nil || n == 0 {
 			return 0, err
 		}
@@ -209,23 +192,10 @@ func (p *Project) Schema() *table.Schema { return p.Out }
 // Open opens the input.
 func (p *Project) Open() error { return p.In.Open() }
 
-// Next computes the next projected tuple.
-func (p *Project) Next() (table.Tuple, bool, error) {
-	t, ok, err := p.In.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	buf := p.slots.slot(0, len(p.Exprs))
-	for i, e := range p.Exprs {
-		buf[i] = e.Eval(t)
-	}
-	return buf, true, nil
-}
-
 // NextBatch evaluates the projection into reused per-slot buffers.
 func (p *Project) NextBatch(dst []table.Tuple) (int, error) {
 	p.in = batchScratch(p.in, len(dst))
-	n, err := NextBatch(p.In, p.in)
+	n, err := p.In.NextBatch(p.in)
 	if err != nil || n == 0 {
 		return 0, err
 	}
@@ -241,52 +211,3 @@ func (p *Project) NextBatch(dst []table.Tuple) (int, error) {
 
 // Close closes the input.
 func (p *Project) Close() error { return p.In.Close() }
-
-// Limit passes through at most N tuples (used by examples and tools).
-type Limit struct {
-	In   Operator
-	N    int64
-	seen int64
-}
-
-// NewLimit wraps in with a row limit.
-func NewLimit(in Operator, n int64) *Limit { return &Limit{In: in, N: n} }
-
-// Schema returns the input schema.
-func (l *Limit) Schema() *table.Schema { return l.In.Schema() }
-
-// Open opens the input and resets the counter.
-func (l *Limit) Open() error { l.seen = 0; return l.In.Open() }
-
-// Next yields until the limit is reached.
-func (l *Limit) Next() (table.Tuple, bool, error) {
-	if l.seen >= l.N {
-		return nil, false, nil
-	}
-	t, ok, err := l.In.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	l.seen++
-	return t, true, nil
-}
-
-// NextBatch yields a batch truncated to the remaining allowance.
-func (l *Limit) NextBatch(dst []table.Tuple) (int, error) {
-	rem := l.N - l.seen
-	if rem <= 0 {
-		return 0, nil
-	}
-	if int64(len(dst)) > rem {
-		dst = dst[:rem]
-	}
-	n, err := NextBatch(l.In, dst)
-	l.seen += int64(n)
-	return n, err
-}
-
-// StableTuples: a limit passes its input's tuples through untouched.
-func (l *Limit) StableTuples() bool { return Stable(l.In) }
-
-// Close closes the input.
-func (l *Limit) Close() error { return l.In.Close() }

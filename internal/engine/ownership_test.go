@@ -25,13 +25,13 @@ func payloadRel(seed int64, n, dups int) *table.Relation {
 	return rel
 }
 
-// retainAll pulls op's whole stream through Next and keeps every tuple as
+// retainAll pulls the rest of a cursor's stream and keeps every tuple as
 // handed out — no clone, which is what StableTuples entitles a consumer to.
-func retainAll(t *testing.T, op Operator) []table.Tuple {
+func retainAll(t *testing.T, c *Cursor) []table.Tuple {
 	t.Helper()
 	var rows []table.Tuple
 	for {
-		tup, ok, err := op.Next()
+		tup, ok, err := c.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,9 @@ func TestSpilledSortTuplesStayValid(t *testing.T) {
 	if s.Spills() < 3 {
 		t.Fatalf("want at least 3 spilled runs, got %d", s.Spills())
 	}
-	checkRetained(t, "spilled sort", retainAll(t, s), wantSorted(rel))
+	var c Cursor
+	c.Reset(s)
+	checkRetained(t, "spilled sort", retainAll(t, &c), wantSorted(rel))
 }
 
 // TestGraceJoinSortedInputsStayValid: the same contract on the grace-join
@@ -89,7 +91,7 @@ func TestSpilledSortTuplesStayValid(t *testing.T) {
 // degraded join are spilled sorts — the right one adapted through iterOp —
 // and both promise StableTuples.
 func TestGraceJoinSortedInputsStayValid(t *testing.T) {
-	l, r := payloadRel(11, 800, 5), payloadRel(12, 800, 5)
+	l, r := payloadRel(11, 2500, 5), payloadRel(12, 2500, 5) // > 2 batches: the cursors refill while tuples are retained
 	j, err := NewHashJoin(NewMemScan(l), NewMemScan(r), []int{0}, []int{0})
 	if err != nil {
 		t.Fatal(err)
@@ -104,16 +106,100 @@ func TestGraceJoinSortedInputsStayValid(t *testing.T) {
 	if !j.GraceMode() {
 		t.Fatal("the governed join must have entered grace mode")
 	}
-	// Open primed the merge join's cursors with the first tuple of each
-	// side (cloned); the streams hold the rest.
+	// Open advanced the merge join's cursors past the first tuple of each
+	// side; the cursors hold the rest.
 	for _, side := range []struct {
 		name string
 		op   Operator
+		cur  *Cursor
 		rel  *table.Relation
-	}{{"left", j.grace.Left, l}, {"right", j.grace.Right, r}} {
+	}{{"left", j.grace.Left, &j.grace.l.cur, l}, {"right", j.grace.Right, &j.grace.r.cur, r}} {
 		if !Stable(side.op) {
 			t.Fatalf("grace join's %s input must promise stable tuples", side.name)
 		}
-		checkRetained(t, "grace join "+side.name+" input", retainAll(t, side.op), wantSorted(side.rel)[1:])
+		checkRetained(t, "grace join "+side.name+" input", retainAll(t, side.cur), wantSorted(side.rel)[1:])
+	}
+}
+
+// TestCursorKeepsOnlyWhatRefillsOverwrite: the per-tuple consumers read
+// through a Cursor, whose tuples die at the next refill unless the input is
+// stable. Over unstable inputs (a Project rewrites its slot buffers every
+// batch) a merge join whose equal-key blocks straddle batch boundaries must
+// still pair every block member — the cursor clones what it keeps; over
+// stable inputs Keep hands the tuple back untouched.
+func TestCursorKeepsOnlyWhatRefillsOverwrite(t *testing.T) {
+	l, r := payloadRel(21, 3*BatchSize, 50), payloadRel(22, 3*BatchSize+5, 50) // ~50-row blocks: some straddle a batch boundary
+	sorted := func(rel *table.Relation) *table.Relation {
+		return &table.Relation{Schema: rel.Schema, Rows: wantSorted(rel)}
+	}
+	unstable := func(rel *table.Relation) Operator {
+		p, err := NewColumnProject(NewMemScan(sorted(rel)), rel.Schema.Names())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if Stable(p) {
+			t.Fatal("a Project must not promise stable tuples")
+		}
+		return p
+	}
+	hj, err := NewHashJoin(NewMemScan(l), NewMemScan(r), []int{0}, []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := canonRows(drain(t, hj))
+	mj, err := NewMergeJoin(unstable(l), unstable(r), []int{0}, []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := canonRows(drain(t, mj))
+	if len(got) != len(want) {
+		t.Fatalf("merge join over unstable inputs: %d rows, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("row %d = %s, want %s", i, got[i], want[i])
+		}
+	}
+
+	var c Cursor
+	for _, tc := range []struct {
+		op     Operator
+		cloned bool
+	}{{NewMemScan(l), false}, {unstable(l), true}} {
+		if err := tc.op.Open(); err != nil {
+			t.Fatal(err)
+		}
+		c.Reset(tc.op)
+		tup, ok, err := c.Next()
+		if err != nil || !ok {
+			t.Fatalf("cursor yielded nothing: %v", err)
+		}
+		if kept := c.Keep(tup); (&kept[0] != &tup[0]) != tc.cloned {
+			t.Fatalf("Keep over %T: cloned = %v, want %v", tc.op, !tc.cloned, tc.cloned)
+		}
+		tc.op.Close()
+	}
+}
+
+// TestMergeJoinStableInputAllocs: a merge join of two sorts — the grace
+// join's shape — reads both sides through cursors that know the inputs are
+// stable, so it clones no tuple (it used to clone every one it pulled).
+func TestMergeJoinStableInputAllocs(t *testing.T) {
+	const rows = 4000
+	l, r := payloadRel(31, rows, 1), payloadRel(32, rows, 1)
+	j, err := NewMergeJoin(NewSort(NewMemScan(l), SortSpec{Cols: []int{0}}), NewSort(NewMemScan(r), SortSpec{Cols: []int{0}}), []int{0}, []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		if _, err := Count(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the slot buffers and cursors
+	// The two sorts allocate per run (sorter, key arena, buffers: 119
+	// allocations measured); cloning every pulled tuple cost 12,244.
+	if avg := testing.AllocsPerRun(5, run); avg > rows/8 {
+		t.Fatalf("merge join of two %d-row sorts allocated %.0f times per run, want ≤ %d", rows, avg, rows/8)
 	}
 }

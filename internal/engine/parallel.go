@@ -26,48 +26,34 @@ const ParallelMinRows = pool.ParallelMinRows
 // chunk) and the chunk outputs are concatenated in chunk order. Because the
 // pipeline is row-wise and order-preserving, the result equals a serial
 // wrap(scan(rel)) collection regardless of the chunk count — so the worker
-// count never changes the output, only the wall-clock.
+// count never changes the output, only the wall-clock. Each chunk's pipeline
+// is lowered to the columnar tier when possible (CollectCtxVec) unless
+// rowExec pins the row tier: the same rows in the same order either way.
 //
 // wrap must build a fresh, independent pipeline on every call: instances run
 // concurrently.
-func CollectChunks(ctx context.Context, p *pool.Pool, rel *table.Relation, wrap func(Operator) (Operator, error)) (*table.Relation, error) {
-	return collectChunks(ctx, p, rel, wrap, CollectCtx)
-}
-
-// CollectChunksVec is CollectChunks with each chunk's pipeline lowered to the
-// columnar tier when possible (CollectCtxVec): the same rows in the same
-// order, at vectorized speed.
-func CollectChunksVec(ctx context.Context, p *pool.Pool, rel *table.Relation, wrap func(Operator) (Operator, error)) (*table.Relation, error) {
-	return collectChunks(ctx, p, rel, wrap, func(ctx context.Context, op Operator) (*table.Relation, error) {
-		out, _, err := CollectCtxVec(ctx, op)
-		return out, err
-	})
-}
-
-func collectChunks(ctx context.Context, p *pool.Pool, rel *table.Relation, wrap func(Operator) (Operator, error), collect func(context.Context, Operator) (*table.Relation, error)) (*table.Relation, error) {
-	n := rel.Len()
-	chunks := p.Workers()
-	if !p.Parallel() || n < ParallelMinRows {
-		op, err := wrap(NewMemScan(rel))
+func CollectChunks(ctx context.Context, p *pool.Pool, rel *table.Relation, wrap func(Operator) (Operator, error), rowExec bool) (*table.Relation, error) {
+	collect := func(sub *table.Relation) (*table.Relation, error) {
+		op, err := wrap(NewMemScan(sub))
 		if err != nil {
 			return nil, err
 		}
-		return collect(ctx, op)
+		if rowExec {
+			return CollectCtx(ctx, op)
+		}
+		out, _, err := CollectCtxVec(ctx, op)
+		return out, err
+	}
+	n := rel.Len()
+	chunks := p.Workers()
+	if !p.Parallel() || n < ParallelMinRows {
+		return collect(rel)
 	}
 	parts := make([]*table.Relation, chunks)
-	err := p.Do(ctx, chunks, func(i int) error {
+	err := p.Do(ctx, chunks, func(i int) (err error) {
 		lo, hi := i*n/chunks, (i+1)*n/chunks
-		sub := &table.Relation{Schema: rel.Schema, Rows: rel.Rows[lo:hi]}
-		op, err := wrap(NewMemScan(sub))
-		if err != nil {
-			return err
-		}
-		out, err := collect(ctx, op)
-		if err != nil {
-			return err
-		}
-		parts[i] = out
-		return nil
+		parts[i], err = collect(&table.Relation{Schema: rel.Schema, Rows: rel.Rows[lo:hi]})
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -79,15 +65,22 @@ func collectChunks(ctx context.Context, p *pool.Pool, rel *table.Relation, wrap 
 	return out, nil
 }
 
-// PartitionedHashJoin is the partition-parallel equi-join: both inputs are
-// drained and split by join-key hash into a fixed number of partitions, the
-// per-partition hash joins run on the worker pool, and the partition outputs
-// are concatenated in partition order. Matching keys land in the same
-// partition by construction, so the result is the same multiset as
-// HashJoin's; the row order is a deterministic function of the inputs and
-// the partition count — never of the worker count or scheduling.
-type PartitionedHashJoin struct {
-	Left, Right         Operator
+// joinPartitions is the fixed fan-out of a partitioned join. It must not
+// depend on the worker count: the partition boundaries shape the output
+// order, and the engine promises order stability across worker counts.
+const joinPartitions = 16
+
+// partitionedJoin is the tier-independent body of the partition-parallel
+// equi-join: both inputs are drained with their join-key hashes and split by
+// hash into a fixed number of partitions, the per-partition hash joins run
+// on the worker pool, and the partition outputs are concatenated in
+// partition order. Matching keys land in the same partition by construction,
+// so the result is the same multiset as HashJoin's; the row order is a
+// deterministic function of the inputs and the partition count — never of
+// the worker count or scheduling. PartitionedHashJoin and
+// ColPartitionedHashJoin add their tier's input sources and output
+// streaming; the materialized result is byte-for-byte the same in both.
+type partitionedJoin struct {
 	LeftKeys, RightKeys []int
 	Pool                *pool.Pool
 	Ctx                 context.Context
@@ -96,90 +89,91 @@ type PartitionedHashJoin struct {
 	pos                 int
 }
 
-// joinPartitions is the fixed fan-out of a partitioned join. It must not
-// depend on the worker count: the partition boundaries shape the output
-// order, and the engine promises order stability across worker counts.
-const joinPartitions = 16
-
-// NewPartitionedHashJoin builds a partition-parallel join over the pool.
-func NewPartitionedHashJoin(left, right Operator, leftKeys, rightKeys []int, p *pool.Pool, ctx context.Context) (*PartitionedHashJoin, error) {
-	if len(leftKeys) != len(rightKeys) {
-		return nil, fmt.Errorf("engine: hash join key arity mismatch")
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return &PartitionedHashJoin{
-		Left: left, Right: right,
-		LeftKeys: leftKeys, RightKeys: rightKeys,
-		Pool: p, Ctx: ctx,
-		out: left.Schema().Concat(right.Schema()),
-	}, nil
-}
-
 // Schema returns left ++ right.
-func (j *PartitionedHashJoin) Schema() *table.Schema { return j.out }
+func (j *partitionedJoin) Schema() *table.Schema { return j.out }
 
-// drainStable materializes an operator's output with stable row storage.
-// A MemScan already yields rows owned by an in-memory relation (the
-// parallel leaf pipelines and staged intermediates hand those in), so its
-// relation is reused as-is instead of clone-copying every tuple a second
-// time; everything else goes through the batched collector.
-func drainStable(ctx context.Context, op Operator) (*table.Relation, error) {
-	if ms, ok := op.(*MemScan); ok {
-		return ms.Rel, nil
+// drainHashed materializes a join input (opening and closing it) through
+// its tier's source: stable rows along with each row's join-key hash.
+func drainHashed(ctx context.Context, in stream, src buildSource) ([]table.Tuple, []uint64, error) {
+	if err := in.Open(); err != nil {
+		return nil, nil, err
 	}
-	return CollectCtx(ctx, op)
+	defer in.Close()
+	var rows []table.Tuple
+	var hashes []uint64
+	for {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
+		r, h, err := src()
+		if err != nil || len(r) == 0 {
+			return rows, hashes, err
+		}
+		rows = append(rows, r...)
+		hashes = append(hashes, h...)
+	}
 }
 
-// Open drains and partitions both inputs and joins the partitions in
+// open drains and partitions both inputs and joins the partitions in
 // parallel.
-func (j *PartitionedHashJoin) Open() error {
-	left, err := drainStable(j.Ctx, j.Left)
+func (j *partitionedJoin) open(left, right stream, lsrc, rsrc buildSource) error {
+	l, lh, err := drainHashed(j.Ctx, left, lsrc)
 	if err != nil {
 		return err
 	}
-	right, err := drainStable(j.Ctx, j.Right)
+	r, rh, err := drainHashed(j.Ctx, right, rsrc)
 	if err != nil {
 		return err
 	}
+	j.rows, j.pos = nil, 0
 	// Small inputs skip the partitioning: one serial build+probe costs less
 	// than 16-way hashing plus pool dispatch. The switch depends only on
 	// the input (never on the worker count), so the output order stays a
 	// deterministic function of the inputs.
-	if left.Len()+right.Len() < ParallelMinRows {
-		j.rows = joinPartition(left.Rows, right.Rows, j.LeftKeys, j.RightKeys)
-		j.pos = 0
+	if len(l)+len(r) < ParallelMinRows {
+		j.rows = joinPartitionHashed(l, lh, r, rh, j.LeftKeys, j.RightKeys)
 		return nil
 	}
-	lParts := table.PartitionOn(left.Rows, j.LeftKeys, joinPartitions)
-	rParts := table.PartitionOn(right.Rows, j.RightKeys, joinPartitions)
+	lParts, lhParts := partitionHashed(l, lh)
+	rParts, rhParts := partitionHashed(r, rh)
 	outs := make([][]table.Tuple, joinPartitions)
 	err = j.Pool.Do(j.Ctx, joinPartitions, func(p int) error {
-		outs[p] = joinPartition(lParts[p], rParts[p], j.LeftKeys, j.RightKeys)
+		outs[p] = joinPartitionHashed(lParts[p], lhParts[p], rParts[p], rhParts[p], j.LeftKeys, j.RightKeys)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	j.rows = j.rows[:0]
 	for _, part := range outs {
 		j.rows = append(j.rows, part...)
 	}
-	j.pos = 0
 	return nil
 }
 
-// joinPartition builds a hash table over the right rows and probes with the
-// left rows in order — one partition's worth of HashJoin. Output rows are
-// allocated from a per-partition slab (they are retained by the caller).
-func joinPartition(left, right []table.Tuple, lk, rk []int) []table.Tuple {
+// partitionHashed splits rows by hash into joinPartitions buckets,
+// preserving input order within each, with the hashes carried along.
+func partitionHashed(rows []table.Tuple, hashes []uint64) ([][]table.Tuple, [][]uint64) {
+	parts := make([][]table.Tuple, joinPartitions)
+	hparts := make([][]uint64, joinPartitions)
+	for i, t := range rows {
+		p := int(hashes[i] % joinPartitions)
+		parts[p] = append(parts[p], t)
+		hparts[p] = append(hparts[p], hashes[i])
+	}
+	return parts, hparts
+}
+
+// joinPartitionHashed builds a hash table over the right rows and probes
+// with the left rows in order — one partition's worth of HashJoin, with
+// every row's hash precomputed. Matches are emitted First then Rest into a
+// per-partition slab (they are retained by the caller).
+func joinPartitionHashed(left []table.Tuple, lh []uint64, right []table.Tuple, rh []uint64, lk, rk []int) []table.Tuple {
 	if len(left) == 0 || len(right) == 0 {
 		return nil
 	}
 	built := table.NewTupleMap(rk, len(right))
-	for _, t := range right {
-		built.Add(t)
+	for i, t := range right {
+		built.AddHashed(rh[i], t)
 	}
 	var out []table.Tuple
 	var slab table.Slab
@@ -189,8 +183,8 @@ func joinPartition(left, right []table.Tuple, lk, rk []int) []table.Tuple {
 		copy(row[len(l):], r)
 		out = append(out, row)
 	}
-	for _, l := range left {
-		g, ok := built.Lookup(l, lk)
+	for i, l := range left {
+		g, ok := built.LookupHashed(lh[i], l, lk)
 		if !ok {
 			continue
 		}
@@ -202,14 +196,36 @@ func joinPartition(left, right []table.Tuple, lk, rk []int) []table.Tuple {
 	return out
 }
 
-// Next streams the materialized join result.
-func (j *PartitionedHashJoin) Next() (table.Tuple, bool, error) {
-	if j.pos >= len(j.rows) {
-		return nil, false, nil
+// Close drops the materialized result.
+func (j *partitionedJoin) Close() error {
+	j.rows = nil
+	return nil
+}
+
+// PartitionedHashJoin is the row tier's partition-parallel equi-join.
+type PartitionedHashJoin struct {
+	Left, Right Operator
+	partitionedJoin
+}
+
+// NewPartitionedHashJoin builds a partition-parallel join over the pool.
+func NewPartitionedHashJoin(left, right Operator, leftKeys, rightKeys []int, p *pool.Pool, ctx context.Context) (*PartitionedHashJoin, error) {
+	if len(leftKeys) != len(rightKeys) {
+		return nil, fmt.Errorf("engine: hash join key arity mismatch")
 	}
-	t := j.rows[j.pos]
-	j.pos++
-	return t, true, nil
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	return &PartitionedHashJoin{Left: left, Right: right, partitionedJoin: partitionedJoin{
+		LeftKeys: leftKeys, RightKeys: rightKeys,
+		Pool: p, Ctx: ctx,
+		out: left.Schema().Concat(right.Schema()),
+	}}, nil
+}
+
+// Open drains both inputs through the row protocol and joins them.
+func (j *PartitionedHashJoin) Open() error {
+	return j.open(j.Left, j.Right, rowBuildSource(j.Left, j.LeftKeys), rowBuildSource(j.Right, j.RightKeys))
 }
 
 // NextBatch streams the materialized join result.
@@ -221,9 +237,3 @@ func (j *PartitionedHashJoin) NextBatch(dst []table.Tuple) (int, error) {
 
 // StableTuples: the join result is materialized in slab storage.
 func (j *PartitionedHashJoin) StableTuples() bool { return true }
-
-// Close drops the materialized result.
-func (j *PartitionedHashJoin) Close() error {
-	j.rows = nil
-	return nil
-}

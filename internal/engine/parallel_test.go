@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/pool"
 	"repro/internal/table"
 )
@@ -89,7 +90,7 @@ func TestPartitionedHashJoinMatchesHashJoin(t *testing.T) {
 
 // TestCollectChunksPreservesOrder: chunked evaluation of a filter+project
 // pipeline equals the serial collection row for row, for every worker
-// count.
+// count and in both tiers.
 func TestCollectChunksPreservesOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	rel := randRel(rng, ParallelMinRows*3, 50)
@@ -105,16 +106,18 @@ func TestCollectChunksPreservesOrder(t *testing.T) {
 	want := collectAll(t, op)
 
 	for _, workers := range []int{1, 3, 8} {
-		got, err := CollectChunks(context.Background(), pool.New(workers), rel, wrap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Len() != want.Len() {
-			t.Fatalf("workers=%d: %d rows, want %d", workers, got.Len(), want.Len())
-		}
-		for i := range got.Rows {
-			if got.Rows[i].String() != want.Rows[i].String() {
-				t.Fatalf("workers=%d: row %d = %s, want %s", workers, i, got.Rows[i], want.Rows[i])
+		for _, rowExec := range []bool{true, false} {
+			got, err := CollectChunks(context.Background(), pool.New(workers), rel, wrap, rowExec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Len() != want.Len() {
+				t.Fatalf("workers=%d rowExec=%v: %d rows, want %d", workers, rowExec, got.Len(), want.Len())
+			}
+			for i := range got.Rows {
+				if got.Rows[i].String() != want.Rows[i].String() {
+					t.Fatalf("workers=%d rowExec=%v: row %d = %s, want %s", workers, rowExec, i, got.Rows[i], want.Rows[i])
+				}
 			}
 		}
 	}
@@ -143,6 +146,143 @@ func TestPoolDoErrorIsLowestIndex(t *testing.T) {
 		})
 		if err == nil || err.Error() != "task 37 failed" {
 			t.Fatalf("workers=%d: got %v, want task 37 failed", workers, err)
+		}
+	}
+}
+
+// nullKeyRel is randRel with every nullEvery-th key NULL.
+func nullKeyRel(rng *rand.Rand, rows, keyDomain, nullEvery int) *table.Relation {
+	rel := randRel(rng, rows, keyDomain)
+	for i := 0; i < rows; i += nullEvery {
+		rel.Rows[i][0] = table.Null()
+	}
+	return rel
+}
+
+// TestJoinFamilyIdentity is the hash-join family's one identity table: every
+// member — {row, columnar} × {hash, partitioned over pools 1/2/4} ×
+// {ungoverned, governed without pressure, governed under pressure} — joins
+// the same inputs (repeated keys, NULL keys, an empty side, sizes on both
+// sides of ParallelMinRows) to the same result. Hash joins that stay on the
+// hash path emit the reference rows in the reference order in both tiers;
+// partitioned joins emit one order for every tier and pool size; grace joins
+// emit the same multiset. Grace mode is entered exactly where the governor
+// denies a non-empty build, in both tiers.
+func TestJoinFamilyIdentity(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	empty := randRel(rng, 0, 1)
+	inputs := []struct {
+		name        string
+		left, right *table.Relation
+	}{
+		{"repeated-keys/below-min", randRel(rng, 600, 90), randRel(rng, 1100, 90)},
+		{"repeated-keys/above-min", randRel(rng, 3*ParallelMinRows, 1500), randRel(rng, 2*ParallelMinRows, 1500)},
+		{"null-keys", nullKeyRel(rng, 1500, 60, 7), nullKeyRel(rng, 1300, 60, 5)},
+		{"empty-left", empty, randRel(rng, 1100, 20)},
+		{"empty-right", randRel(rng, 400, 20), empty},
+	}
+	keys := []int{0}
+	// tight denies the first build batch of every non-empty right side here
+	// (≥ 1024 two-column rows reserve three joinMemChunks at once) while
+	// leaving the grace sorters two chunks to buffer runs in.
+	const tight = 2 * joinMemChunk
+	// run collects op in the requested tier (a governed row join reports
+	// GraceMode for whichever tier ran it).
+	run := func(t *testing.T, columnar bool, op Operator) *table.Relation {
+		t.Helper()
+		if !columnar {
+			return collectAll(t, op)
+		}
+		got, ran, err := CollectCtxVec(nil, op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ran {
+			t.Fatal("join tree did not columnarize")
+		}
+		return got
+	}
+	sameOrder := func(t *testing.T, got, want *table.Relation) {
+		t.Helper()
+		if got.Len() != want.Len() {
+			t.Fatalf("%d rows, want %d", got.Len(), want.Len())
+		}
+		for i := range want.Rows {
+			if got.Rows[i].String() != want.Rows[i].String() {
+				t.Fatalf("row %d = %s, want %s", i, got.Rows[i], want.Rows[i])
+			}
+		}
+	}
+	sameBag := func(t *testing.T, got, want *table.Relation) {
+		t.Helper()
+		if got.Len() != want.Len() {
+			t.Fatalf("%d rows, want %d", got.Len(), want.Len())
+		}
+		bag := rowMultiset(got)
+		for k, n := range rowMultiset(want) {
+			if bag[k] != n {
+				t.Fatalf("row %s count %d, want %d", k, bag[k], n)
+			}
+		}
+	}
+	for _, in := range inputs {
+		hash := func() *HashJoin {
+			j, err := NewHashJoin(NewMemScan(in.left), NewMemScan(in.right), keys, keys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return j
+		}
+		want := collectAll(t, hash())
+		if want.Len() == 0 && in.left.Len() > 0 && in.right.Len() > 0 {
+			t.Fatalf("%s: reference join produced no rows", in.name)
+		}
+		for _, columnar := range []bool{false, true} {
+			tier := map[bool]string{false: "row", true: "columnar"}[columnar]
+			for _, gov := range []struct {
+				name  string
+				limit int64 // 0 = ungoverned
+			}{{"ungoverned", 0}, {"roomy", 1 << 30}, {"tight", tight}} {
+				t.Run(in.name+"/hash/"+tier+"/"+gov.name, func(t *testing.T) {
+					j := hash()
+					if gov.limit > 0 {
+						j.Mem = fault.NewGovernor(gov.limit, nil)
+						j.SortBudget = 1024
+						j.TmpDir = t.TempDir()
+					}
+					got := run(t, columnar, j)
+					wantGrace := gov.name == "tight" && in.right.Len() > 0
+					if j.GraceMode() != wantGrace {
+						t.Fatalf("GraceMode = %v, want %v", j.GraceMode(), wantGrace)
+					}
+					if wantGrace {
+						sameBag(t, got, want)
+					} else {
+						sameOrder(t, got, want)
+					}
+					if used := j.Mem.Used(); used != 0 {
+						t.Fatalf("governor left %d bytes reserved", used)
+					}
+				})
+			}
+		}
+		var first *table.Relation
+		for _, columnar := range []bool{false, true} {
+			tier := map[bool]string{false: "row", true: "columnar"}[columnar]
+			for _, workers := range []int{1, 2, 4} {
+				t.Run(fmt.Sprintf("%s/partitioned/%s/pool%d", in.name, tier, workers), func(t *testing.T) {
+					pj, err := NewPartitionedHashJoin(NewMemScan(in.left), NewMemScan(in.right), keys, keys, pool.New(workers), context.Background())
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := run(t, columnar, pj)
+					sameBag(t, got, want)
+					if first == nil {
+						first = got
+					}
+					sameOrder(t, got, first)
+				})
+			}
 		}
 	}
 }

@@ -23,7 +23,7 @@ type Sort struct {
 	TmpDir string          // "" = os.TempDir()
 	Mem    *fault.Governor // optional memory governor: spill earlier under pressure
 
-	it     storage.TupleIterator
+	sortedStream
 	spills int
 }
 
@@ -63,30 +63,39 @@ func (s *Sort) Open() error {
 	return nil
 }
 
-// Next yields tuples in sorted order.
-func (s *Sort) Next() (table.Tuple, bool, error) {
-	if s.it == nil {
-		return nil, false, nil
-	}
-	return s.it.Next()
+// sortedStream is a finished sorter's output as the streaming half of an
+// operator — what Sort and the grace join's pre-sorted build side share.
+type sortedStream struct {
+	it storage.TupleIterator
 }
 
-// NextBatch streams sorted tuples; batches are stable (see StableTuples).
-func (s *Sort) NextBatch(dst []table.Tuple) (int, error) {
-	if s.it == nil {
-		return 0, nil
+// NextBatch streams tuples in sorted order; batches are stable (see
+// StableTuples).
+func (s *sortedStream) NextBatch(dst []table.Tuple) (int, error) {
+	n := 0
+	for s.it != nil && n < len(dst) {
+		t, ok, err := s.it.Next()
+		if err != nil {
+			return 0, err
+		}
+		if !ok {
+			break
+		}
+		dst[n] = t
+		n++
 	}
-	return fillBatch(dst, func(int) (table.Tuple, bool, error) { return s.it.Next() })
+	return n, nil
 }
 
-// StableTuples: Open takes the sorter's stable iterator (ExternalSorter.
-// Finish, not FinishBorrowed) — an unspilled sort hands out the buffered
-// input tuples, a spilled one decodes its runs into arena blocks that are
-// never reused — so consumers may retain sorted tuples without cloning.
-func (s *Sort) StableTuples() bool { return true }
+// StableTuples: the iterator comes from the sorter's stable mode
+// (ExternalSorter.Finish, not FinishBorrowed) — an unspilled sort hands out
+// the buffered input tuples, a spilled one decodes its runs into arena
+// blocks that are never reused — so consumers may retain sorted tuples
+// without cloning.
+func (s *sortedStream) StableTuples() bool { return true }
 
 // Close releases the sorted stream (removing any spill files).
-func (s *Sort) Close() error {
+func (s *sortedStream) Close() error {
 	if s.it == nil {
 		return nil
 	}

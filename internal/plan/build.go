@@ -242,11 +242,7 @@ func leafPipeline(ex exec, c *Catalog, q *query.Query, ref query.RelRef, rowExec
 		return wrap(engine.NewHeapScan(db.File, db.Pool, base.Rel.Schema))
 	}
 	if ex.parallel() && base.Rel.Len() >= engine.ParallelMinRows {
-		collect := engine.CollectChunksVec
-		if rowExec {
-			collect = engine.CollectChunks
-		}
-		rel, err := collect(ex.ctx, ex.pool, base.Rel, wrap)
+		rel, err := engine.CollectChunks(ex.ctx, ex.pool, base.Rel, wrap, rowExec)
 		if err != nil {
 			return nil, err
 		}
@@ -256,10 +252,11 @@ func leafPipeline(ex exec, c *Catalog, q *query.Query, ref query.RelRef, rowExec
 }
 
 // joinPipeline equi-joins two operators on their shared data attributes and
-// projects the result to the needed attributes plus all V/P columns. Under a
-// multi-worker pool the join is hash-partitioned and the partitions joined
-// in parallel.
-func joinPipeline(ex exec, q *query.Query, left, right engine.Operator, joined map[string]bool) (engine.Operator, error) {
+// projects the result to the needed attributes plus all V/P columns, naming
+// the physical join on sp. Under a multi-worker pool the join is
+// hash-partitioned and the partitions joined in parallel. A governed run's
+// join is returned as well, so the caller can report whether it degraded.
+func joinPipeline(ex exec, q *query.Query, left, right engine.Operator, joined map[string]bool, sp *obs.Span) (engine.Operator, *engine.HashJoin, error) {
 	ls, rs := left.Schema(), right.Schema()
 	var lk, rk []int
 	for i, lc := range ls.Cols {
@@ -273,25 +270,27 @@ func joinPipeline(ex exec, q *query.Query, left, right engine.Operator, joined m
 		}
 	}
 	var j engine.Operator
+	var governed *engine.HashJoin
 	var err error
 	switch {
 	case ex.mem != nil:
 		// Governed runs take the serial grace-capable hash join even under
 		// a parallel pool: the partitioned join's per-partition build sides
 		// are unaccounted, and the grace fallback must own the whole build.
-		hj, herr := engine.NewHashJoin(left, right, lk, rk)
-		if herr != nil {
-			return nil, herr
+		sp.LooseStr("phys", "hash(build=right, governed)")
+		if governed, err = engine.NewHashJoin(left, right, lk, rk); err == nil {
+			governed.Mem, governed.SortBudget, governed.TmpDir = ex.mem, ex.sortBudget, ex.tmpDir
+			j = governed
 		}
-		hj.Mem, hj.SortBudget, hj.TmpDir = ex.mem, ex.sortBudget, ex.tmpDir
-		j = hj
 	case ex.parallel():
+		sp.LooseStr("phys", "partitioned-hash")
 		j, err = engine.NewPartitionedHashJoin(left, right, lk, rk, ex.pool, ex.ctx)
 	default:
+		sp.LooseStr("phys", "hash(build=right)")
 		j, err = engine.NewHashJoin(left, right, lk, rk)
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Project: needed data attrs (first occurrence wins, removing the
 	// duplicated join columns) + every V/P column.
@@ -310,7 +309,8 @@ func joinPipeline(ex exec, q *query.Query, left, right engine.Operator, joined m
 			names = append(names, c.Name)
 		}
 	}
-	return engine.NewColumnProject(j, names)
+	op, err := engine.NewColumnProject(j, names)
+	return op, governed, err
 }
 
 // describeOrder renders a join order for plan explanations.

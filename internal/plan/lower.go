@@ -132,16 +132,6 @@ func (st *lowerState) operator(n logical.Node, sp *obs.Span) (engine.Operator, e
 	case *logical.Project:
 		if j, ok := x.Input.(*logical.Join); ok {
 			jsp := sp.Child("join")
-			if jsp != nil {
-				switch {
-				case st.ex.mem != nil:
-					jsp.LooseStr("phys", "hash(build=right, governed)")
-				case st.ex.parallel():
-					jsp.LooseStr("phys", "partitioned-hash")
-				default:
-					jsp.LooseStr("phys", "hash(build=right)")
-				}
-			}
 			left, err := st.operator(j.Left, jsp)
 			if err != nil {
 				return nil, err
@@ -150,9 +140,16 @@ func (st *lowerState) operator(n logical.Node, sp *obs.Span) (engine.Operator, e
 			if err != nil {
 				return nil, err
 			}
-			op, err := joinPipeline(st.ex, st.q, left, right, joinedUnder(x))
+			op, governed, err := joinPipeline(st.ex, st.q, left, right, joinedUnder(x), jsp)
 			if err != nil {
 				return nil, err
+			}
+			if jsp != nil && governed != nil {
+				st.flushes = append(st.flushes, func() {
+					if governed.GraceMode() {
+						jsp.LooseStr("grace", "true")
+					}
+				})
 			}
 			return st.count(op, jsp), nil
 		}
@@ -192,9 +189,9 @@ func (st *lowerState) materialize(n logical.Node, sp *obs.Span) (*table.Relation
 	if st.spec.RowExec {
 		rel, err = engine.CollectCtx(st.ex.ctx, op)
 	} else {
-		// The columnar plug-in point: fully lowerable pipelines run as
-		// column batches, mixed ones vectorize their columnar regions, and
-		// the rest take the row path — identical tuples in every case.
+		// The columnar plug-in point: every pipeline the planner builds
+		// lowers to column batches (anything that did not would take the
+		// row path) — identical tuples either way.
 		var columnar bool
 		rel, columnar, err = engine.CollectCtxVec(st.ex.ctx, op)
 		st.colExec = st.colExec || columnar

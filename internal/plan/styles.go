@@ -126,14 +126,14 @@ type Spec struct {
 	// width) for the DTree style and for the exact styles' d-tree fallback
 	// tier.
 	DTree dtree.Options
-	// RowExec forces the classic row-at-a-time execution of the relational
-	// plumbing. By default the lowering collects each materialized subtree
-	// through the columnar tier (engine.CollectCtxVec): fully lowerable
-	// scan→filter→project→join pipelines run as vectorized column batches,
-	// and anything else falls back to the row adapter at the first
-	// non-columnar operator. The two tiers emit the same tuples in the same
-	// order, so confidences are bit-identical either way; RowExec exists for
-	// benchmarking the difference and for differential tests.
+	// RowExec forces the row tier for the relational plumbing. By default
+	// the lowering collects each materialized subtree through the columnar
+	// tier (engine.CollectCtxVec): the planner's scan→filter→project→join
+	// pipelines, governed ones included, run as vectorized column batches
+	// (a tree with no columnar form would run on rows unchanged). The two
+	// tiers emit the same tuples in the same order, so confidences are
+	// bit-identical either way; RowExec exists for benchmarking the
+	// difference and for differential tests.
 	RowExec bool
 	// RequireExact restores the paper's strict behaviour: exact styles
 	// reject queries without a hierarchical signature instead of falling

@@ -200,7 +200,7 @@ func TestJoinPipelineUsesAllSharedAttrs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := joinPipeline(serialExec(), q, lo, li, map[string]bool{"Ord": true, "Item": true})
+	j, _, err := joinPipeline(serialExec(), q, lo, li, map[string]bool{"Ord": true, "Item": true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -180,10 +180,12 @@ func runChaosSeed(t *testing.T, dir, spill string, seed int64, qname string, sty
 }
 
 // TestChaosGovernedAndDegraded replays a band of schedules with the memory
-// governor and deadline watermark armed on top of the fault plane — the
-// degraded paths (early spill, grace join, stopped tiers) must uphold the
-// same no-leak, typed-error contract. Confidence identity is NOT asserted
-// here: governed runs may legitimately degrade to certified bounds.
+// governor and deadline watermark armed on top of the fault plane, in both
+// execution tiers — the degraded paths (early spill, either tier's grace
+// join, stopped tiers) must uphold the same no-leak, typed-error contract,
+// and a run that completes undegraded must return the ungoverned run's
+// confidences bit for bit (governed runs may also legitimately degrade to
+// certified bounds; those are not compared).
 func TestChaosGovernedAndDegraded(t *testing.T) {
 	difftest.LeakCheck(t)
 	dir := t.TempDir()
@@ -195,12 +197,19 @@ func TestChaosGovernedAndDegraded(t *testing.T) {
 	if err := os.MkdirAll(spill, 0755); err != nil {
 		t.Fatal(err)
 	}
+	e := Catalog()["18"]
+	base, err := plan.Run(mem.Catalog(), e.Q.Clone(), FDsFor(e), plan.Spec{Style: plan.Lazy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := confMapOf(base.Rows.Rows)
 	seeds := 40
 	if testing.Short() {
 		seeds = 8
 	}
-	for seed := 0; seed < seeds; seed++ {
+	for run := 0; run < 2*seeds; run++ {
 		func() {
+			seed, rowExec := run/2, run%2 == 1
 			storage.SetIO(&fault.IO{Plan: fault.RandomPlan(int64(1000 + seed)), Sleep: func(time.Duration) {}})
 			defer storage.SetIO(nil)
 			cat, _, closeFiles, err := OpenDiskCatalog(dir, 32)
@@ -214,8 +223,7 @@ func TestChaosGovernedAndDegraded(t *testing.T) {
 				storage.SetIO(nil)
 				closeFiles()
 			}()
-			e := Catalog()["18"]
-			sp := plan.Spec{Style: plan.Lazy, MemBudget: 96 << 10}
+			sp := plan.Spec{Style: plan.Lazy, MemBudget: 96 << 10, RowExec: rowExec}
 			sp.Conf.SortBudget = 64
 			sp.Conf.TmpDir = spill
 			res, err := plan.Run(cat, e.Q.Clone(), FDsFor(e), sp)
@@ -224,6 +232,17 @@ func TestChaosGovernedAndDegraded(t *testing.T) {
 			}
 			if err == nil && res.Stats.Degraded && res.Stats.DegradeReason == "" {
 				t.Errorf("seed %d: degraded without a reason", seed)
+			}
+			if err == nil && !res.Stats.Degraded {
+				got := confMapOf(res.Rows.Rows)
+				if len(got) != len(want) {
+					t.Errorf("seed %d (RowExec=%v): %d answers, want %d", seed, rowExec, len(got), len(want))
+				}
+				for k, w := range want {
+					if got[k] != w {
+						t.Errorf("seed %d (RowExec=%v): answer %q conf %s, want bit-identical %s", seed, rowExec, k, got[k], w)
+					}
+				}
 			}
 			if entries, _ := os.ReadDir(spill); len(entries) != 0 {
 				t.Errorf("seed %d: leaked spill files: %d", seed, len(entries))

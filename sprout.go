@@ -495,7 +495,7 @@ func WithRetryPolicy(maxAttempts int, base, max time.Duration) RunOption {
 }
 
 // WithRowExecution disables the vectorized (columnar) execution tier,
-// running scans, filters, projections and joins tuple-at-a-time through the
+// running scans, filters, projections and joins as row batches through the
 // row engine. Results are bit-identical either way — the row path is the
 // escape hatch for benchmark baselines and differential tests, not a
 // correctness knob.
