@@ -3,6 +3,9 @@ package sprout
 import (
 	"context"
 	"testing"
+
+	"repro/internal/plan"
+	"repro/internal/tpch"
 )
 
 // TestEngineMetrics: every Engine.Run feeds the engine-owned metrics
@@ -68,5 +71,44 @@ func TestEngineMetrics(t *testing.T) {
 	// DB.Run (no engine) keeps working with no registry attached.
 	if _, err := db.Run(wrapQuery(custOrd()), Lazy, WithWorkers(1)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEngineSpillMetrics: the sort+scan operator's sort passes and spill
+// volume reach the registry — nothing for a query whose sorts fit in
+// memory, runs and bytes for a q1 whose sort budget forces run files.
+func TestEngineSpillMetrics(t *testing.T) {
+	q1 := tpch.Catalog()["1"]
+	e, err := tpchDB(tpch.FDsFor(q1)).NewEngine(WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(context.Background(), wrapQuery(custOrd()), Lazy); err != nil {
+		t.Fatal(err)
+	}
+	snap := e.Metrics()
+	if sorts := snap.Counters["conf_sorts_total"]; sorts < 1 || sorts != snap.Counters["conf_scans_total"] {
+		t.Errorf("unspilled query: conf_sorts_total = %d, conf_scans_total = %d", sorts, snap.Counters["conf_scans_total"])
+	}
+	if runs, bytes := snap.Counters["sort_spilled_runs_total"], snap.Counters["sort_spill_bytes_total"]; runs != 0 || bytes != 0 {
+		t.Errorf("unspilled query: %d spilled runs, %d spill bytes, want 0", runs, bytes)
+	}
+
+	dir := t.TempDir()
+	tight := func(s *plan.Spec) error { s.Conf.SortBudget, s.Conf.TmpDir = 2000, dir; return nil }
+	res, err := e.Run(context.Background(), wrapQuery(q1.Q.Clone()), Lazy, tight)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap = e.Metrics()
+	wantRuns := (res.Stats.AnswerTuples + 1999) / 2000
+	if wantRuns < 2 {
+		t.Fatalf("q1 has %d answer tuples: too few to spill under the budget", res.Stats.AnswerTuples)
+	}
+	if runs := snap.Counters["sort_spilled_runs_total"]; runs != wantRuns || runs != int64(res.Stats.SpilledRuns) {
+		t.Errorf("sort_spilled_runs_total = %d (Stats.SpilledRuns %d), want %d", runs, res.Stats.SpilledRuns, wantRuns)
+	}
+	if bytes := snap.Counters["sort_spill_bytes_total"]; bytes <= 0 || bytes != res.Stats.SpillBytes {
+		t.Errorf("sort_spill_bytes_total = %d, Stats.SpillBytes %d", bytes, res.Stats.SpillBytes)
 	}
 }

@@ -12,8 +12,8 @@ import (
 // promises StableTuples. A consumer that retains such a tuple past the batch
 // (appending it to a long-lived slice, storing it in a struct field) without
 // a table.Slab clone sees the tuple silently overwritten by a later batch.
-// This is exactly the aliasing bug class the drainCtx/CollectCtx
-// materialization rule exists to prevent.
+// This is exactly the aliasing bug class the collectors' materialization
+// rule (engine.RelationSink) exists to prevent.
 //
 // The analyzer tracks, per function, the batch slices passed to
 // NextBatch-shaped calls and the tuples read out of them (indexing or
@@ -42,6 +42,13 @@ import (
 // destination (dst.Cols[i] = …, dst.Sel = …) are the operator side of the
 // protocol and allowed; appending with ... copies the elements out and is
 // allowed too.
+//
+// The same holds on the receiving end of a drain: the batch handed to a
+// sink's AddBatch(b *table.ColBatch) (engine.Sink) is borrowed until the call
+// returns, so inside such a method the parameter is tracked like a refilled
+// batch. A copying consumer — (*storage.ExternalSorter).AddBatch, which
+// copies the live rows into its run buffer — passes; one that keeps a column
+// slice or ColVec of its argument is flagged.
 var BatchAlias = &Analyzer{
 	Name: "batchalias",
 	Doc: "flags retaining tuples obtained from NextBatch or Cursor.Next (or column slices from NextColBatch) " +
@@ -56,7 +63,7 @@ func runBatchAlias(p *Pass) {
 		}
 		funcBodies(f, func(decl ast.Node, body *ast.BlockStmt) {
 			checkBatchAliasBody(p, decl, body)
-			checkColBatchAliasBody(p, body)
+			checkColBatchAliasBody(p, decl, body)
 		})
 	}
 }
@@ -213,10 +220,10 @@ func checkBatchAliasBody(p *Pass, decl ast.Node, body *ast.BlockStmt) {
 			}
 			for _, arg := range v.Args[1:] {
 				if isBatchTuple(arg) {
-					p.Reportf(arg.Pos(), "tuple from a reused batch buffer is appended without a clone; later batches overwrite it — clone through a table.Slab, or source from a StableTuples operator (see engine.drainCtx)")
+					p.Reportf(arg.Pos(), "tuple from a reused batch buffer is appended without a clone; later batches overwrite it — clone through a table.Slab, or source from a StableTuples operator (see engine.RelationSink)")
 				} else if se, ok := ast.Unparen(arg).(*ast.SliceExpr); ok && v.Ellipsis.IsValid() {
 					if obj := rootObj(p, se.X); obj != nil && batches[obj] {
-						p.Reportf(arg.Pos(), "batch buffer contents are appended wholesale without clones; later batches overwrite them — clone through a table.Slab, or source from a StableTuples operator (see engine.drainCtx)")
+						p.Reportf(arg.Pos(), "batch buffer contents are appended wholesale without clones; later batches overwrite them — clone through a table.Slab, or source from a StableTuples operator (see engine.RelationSink)")
 					}
 				}
 			}
@@ -236,7 +243,7 @@ func checkBatchAliasBody(p *Pass, decl ast.Node, body *ast.BlockStmt) {
 					if obj != nil && (params[obj] || batches[obj]) {
 						continue // filling the caller's batch, or shuffling within one
 					}
-					p.Reportf(v.Rhs[i].Pos(), "tuple from a reused batch buffer is stored in long-lived storage without a clone; later batches overwrite it — clone through a table.Slab (see engine.drainCtx)")
+					p.Reportf(v.Rhs[i].Pos(), "tuple from a reused batch buffer is stored in long-lived storage without a clone; later batches overwrite it — clone through a table.Slab (see engine.RelationSink)")
 				}
 			}
 		}
@@ -295,12 +302,22 @@ func baseIdentObj(p *Pass, expr ast.Expr) types.Object {
 // checkColBatchAliasBody is the ColBatch half of the batch-storage contract:
 // flag retention of column slices or ColVec headers that reach a batch some
 // NextColBatch call refills.
-func checkColBatchAliasBody(p *Pass, body *ast.BlockStmt) {
+func checkColBatchAliasBody(p *Pass, decl ast.Node, body *ast.BlockStmt) {
 	info := p.TypesInfo
 
 	// Pass 1: the batches this function refills — the objects (vars or
-	// struct fields, via rootObj) passed as NextColBatch destinations.
+	// struct fields, via rootObj) passed as NextColBatch destinations — and,
+	// in a sink's AddBatch method, the borrowed batch it was handed.
 	batches := make(map[types.Object]bool)
+	if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil && fd.Name.Name == "AddBatch" {
+		for _, field := range fd.Type.Params.List {
+			for _, name := range field.Names {
+				if obj := objOf(info, name); obj != nil && isColBatch(obj.Type()) {
+					batches[obj] = true
+				}
+			}
+		}
+	}
 	walkShallow(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {

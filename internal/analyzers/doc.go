@@ -7,7 +7,8 @@
 //     engine.Cursor.Next) live in reused buffers and must be slab-cloned
 //     before they outlive the batch, unless the source op promises
 //     StableTuples (PR 5's materialization rule, held in one place by
-//     engine.drainCtx).
+//     engine.RelationSink); likewise the column storage of a ColBatch
+//     refilled by NextColBatch or handed, borrowed, to a sink's AddBatch.
 //   - detrand — the deterministic packages (prob, clauseset, obdd, dtree,
 //     conf, engine, signature, stats, plan, benchutil) must not consume
 //     global math/rand state, wall-clock time, or the pid: confidences are

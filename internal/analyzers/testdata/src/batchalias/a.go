@@ -235,3 +235,32 @@ func (c *colCursor) allowedRetain(o colOp) error {
 	c.sel = b.Sel
 	return nil
 }
+
+// --- The receiving end of a drain: the batch a sink's AddBatch is handed is
+// borrowed until the call returns. A copying consumer (the external sorter)
+// is the protocol; keeping the argument's column storage is not.
+
+type batchSorter struct {
+	ints []int64
+	vec  table.ColVec
+}
+
+func (s *batchSorter) AddBatch(b *table.ColBatch) error {
+	s.ints = append(s.ints, b.Cols[0].Ints...) // ok: the cells are copied out
+	s.vec = b.Cols[1]                          // want `stored in a field without a copy`
+	return nil
+}
+
+func feedSorter(o colOp, s *batchSorter, keep *colSink) error {
+	b := &table.ColBatch{}
+	for {
+		n, err := o.NextColBatch(b)
+		if err != nil || n == 0 {
+			return err
+		}
+		if err := s.AddBatch(b); err != nil { // ok: AddBatch copies what it keeps
+			return err
+		}
+		keep.ints = b.Cols[0].Ints // want `stored in a field without a copy`
+	}
+}

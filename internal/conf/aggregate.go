@@ -1,6 +1,7 @@
 package conf
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/prob"
@@ -27,60 +28,67 @@ func Aggregate(rel *table.Relation, s signature.Sig, opts Options) (*table.Relat
 // scans, sorts, spill volume — into stats, like ComputeStats reports for
 // the top operator.
 func AggregateStats(rel *table.Relation, s signature.Sig, opts Options, stats *Stats) (*table.Relation, string, error) {
+	out, rep, err := AggregateFrom(FromRelation(rel), s, opts, stats)
+	if err != nil {
+		return nil, "", err
+	}
+	res, err := out.Relation(opts.ctx())
+	return res, rep, err
+}
+
+// AggregateFrom is AggregateStats over a Source: the first sort+scan pass
+// consumes a streamed intermediate batch by batch, and what comes back is a
+// source again — over the aggregated relation, or the input itself,
+// untouched, when [s] is the identity.
+func AggregateFrom(src *Source, s signature.Sig, opts Options, stats *Stats) (*Source, string, error) {
 	switch x := s.(type) {
 	case signature.Table:
 		// [R] is the identity (Fig. 5's JRK case).
-		return rel, string(x), nil
+		return src, string(x), nil
 
 	case signature.Star:
 		steps, final := planScans(x)
-		cur := rel
-		for _, st := range steps {
-			next, sp, err := aggregateStep(cur, st.gamma, opts)
-			if err != nil {
-				return nil, "", err
-			}
-			stats.addScan(sp)
-			cur = next
-		}
 		// The final signature of a star is a star again (planScans only
 		// rewrites inner components); collapse it in one more scan.
 		fstar, ok := final.(signature.Star)
 		if !ok {
 			return nil, "", fmt.Errorf("conf: scheduler produced non-star %s from %s", final, s)
 		}
-		out, sp, err := aggregateStep(cur, fstar, opts)
-		if err != nil {
-			return nil, "", err
+		cur := src
+		for _, st := range append(steps, scanStep{gamma: fstar}) {
+			next, sp, err := aggregateStep(cur, st.gamma, opts)
+			if err != nil {
+				return nil, "", err
+			}
+			stats.addScan(sp)
+			cur = FromRelation(next)
 		}
-		stats.addScan(sp)
-		rt, err := newRuntimeTree(fstar, cur.Schema)
-		if err != nil {
-			return nil, "", err
-		}
-		return out, rt.root.tableName, nil
+		return cur, scanRootTable(fstar), nil
 
 	case signature.Concat:
 		// [αβ…]: collapse each starred component, then fold probabilities
 		// right-to-left into the leftmost representative (pure
 		// propagation, no extra scan).
-		cur := rel
+		cur := src
 		reps := make([]string, len(x))
 		for i, comp := range x {
 			var err error
-			cur, reps[i], err = AggregateStats(cur, comp, opts, stats)
+			cur, reps[i], err = AggregateFrom(cur, comp, opts, stats)
 			if err != nil {
 				return nil, "", err
 			}
+		}
+		rel, err := cur.Relation(opts.ctx())
+		if err != nil {
+			return nil, "", err
 		}
 		for i := len(reps) - 2; i >= 0; i-- {
-			var err error
-			cur, err = propagatePair(cur, reps[i], reps[i+1])
+			rel, err = propagatePair(rel, reps[i], reps[i+1])
 			if err != nil {
 				return nil, "", err
 			}
 		}
-		return cur, reps[0], nil
+		return FromRelation(rel), reps[0], nil
 
 	default:
 		return nil, "", fmt.Errorf("conf: unknown signature shape %T", s)
@@ -169,14 +177,20 @@ func propagatePair(rel *table.Relation, left, right string) (*table.Relation, er
 // deduplicates. Used by fully eager plans, where the top operator has
 // nothing left to aggregate.
 func FinalizeBare(rel *table.Relation, rep string) (*table.Relation, error) {
-	pi := rel.Schema.ProbIndex(rep)
+	return FinalizeBareFrom(context.Background(), FromRelation(rel), rep)
+}
+
+// FinalizeBareFrom is FinalizeBare over a Source, deduplicating the rows as
+// they stream past.
+func FinalizeBareFrom(ctx context.Context, src *Source, rep string) (*table.Relation, error) {
+	pi := src.Schema.ProbIndex(rep)
 	if pi < 0 {
-		return nil, fmt.Errorf("conf: representative %s has no P column in %v", rep, rel.Schema.Names())
+		return nil, fmt.Errorf("conf: representative %s has no P column in %v", rep, src.Schema.Names())
 	}
-	dataCols := rel.Schema.DataIndexes()
+	dataCols := src.Schema.DataIndexes()
 	outCols := make([]table.Column, 0, len(dataCols)+1)
 	for _, i := range dataCols {
-		outCols = append(outCols, rel.Schema.Cols[i])
+		outCols = append(outCols, src.Schema.Cols[i])
 	}
 	outCols = append(outCols, table.DataCol(ConfCol, table.KindFloat))
 	out := table.NewRelation(table.NewSchema(outCols...))
@@ -189,7 +203,7 @@ func FinalizeBare(rel *table.Relation, rep string) (*table.Relation, error) {
 	}
 	seen := table.NewTupleSet(all, 0)
 	nr := make(table.Tuple, len(outCols))
-	for _, row := range rel.Rows {
+	sink := &rowSink{fn: func(row table.Tuple) error {
 		nr = nr[:0]
 		for _, i := range dataCols {
 			nr = append(nr, row[i])
@@ -198,7 +212,12 @@ func FinalizeBare(rel *table.Relation, rep string) (*table.Relation, error) {
 		if c, added := seen.Add(nr, true); added {
 			out.Rows = append(out.Rows, c)
 		}
+		return nil
+	}}
+	if err := src.push(ctx, sink); err != nil {
+		return nil, err
 	}
+	src.rows = sink.n
 	return out, nil
 }
 

@@ -65,12 +65,18 @@ func Compute(rel *table.Relation, sig signature.Sig, opts Options) (*table.Relat
 
 // ComputeStats is Compute with execution statistics.
 func ComputeStats(rel *table.Relation, sig signature.Sig, opts Options) (*table.Relation, *Stats, error) {
-	if err := validateSources(rel.Schema, sig); err != nil {
+	return ComputeFrom(FromRelation(rel), sig, opts)
+}
+
+// ComputeFrom is ComputeStats over a Source: a streamed answer goes batch
+// by batch into the first pass's run generation and is never materialized.
+func ComputeFrom(src *Source, sig signature.Sig, opts Options) (*table.Relation, *Stats, error) {
+	if err := validateSources(src.Schema, sig); err != nil {
 		return nil, nil, err
 	}
-	stats := &Stats{InputTuples: int64(rel.Len())}
+	stats := &Stats{}
 	steps, finalSig := planScans(sig)
-	cur := rel
+	cur := src
 	for _, st := range steps {
 		stats.Steps = append(stats.Steps, "["+st.gamma.String()+"]")
 		next, sp, err := aggregateStep(cur, st.gamma, opts)
@@ -78,13 +84,14 @@ func ComputeStats(rel *table.Relation, sig signature.Sig, opts Options) (*table.
 			return nil, nil, err
 		}
 		stats.addScan(sp)
-		cur = next
+		cur = FromRelation(next)
 	}
 	out, sp, err := finalScan(cur, finalSig, opts)
 	if err != nil {
 		return nil, nil, err
 	}
 	stats.addScan(sp)
+	stats.InputTuples = src.Rows()
 	stats.OutputTuples = int64(out.Len())
 	return out, stats, nil
 }
@@ -202,27 +209,14 @@ func representative(s signature.Sig) string {
 	return st.Table
 }
 
-// sortedScan sorts rel by keyCols (external key sort, buffers sized from
-// rel.Len()) and streams it to emit, checking the context once per batch of
-// scanBatchSize tuples on both the feeding and the draining side. The
-// tuple handed to emit is borrowed — valid until emit returns, then the
-// merge may decode the next one over it — so emit must copy what it keeps.
-// Error paths discard any spilled runs.
-func sortedScan(rel *table.Relation, keyCols []int, opts Options, emit func(table.Tuple) error) (sp spillStats, err error) {
+// sortedScan finishes a fed key sorter and streams its rows, in key order,
+// to emit, checking the context once per batch of scanBatchSize tuples (the
+// feeding side checks it per batch too). The tuple handed to emit is
+// borrowed — valid until emit returns, then the sorter writes the next one
+// over it — so emit must copy what it keeps. Error paths discard any
+// spilled runs.
+func sortedScan(sorter *storage.ExternalSorter, opts Options, emit func(table.Tuple) error) (sp spillStats, err error) {
 	ctx := opts.ctx()
-	sorter := storage.NewKeySorter(keyCols, opts.SortBudget, opts.TmpDir)
-	sorter.Govern(opts.Mem)
-	sorter.Expect(rel.Len())
-	for i, row := range rel.Rows {
-		if i%scanBatchSize == 0 && ctx.Err() != nil {
-			sorter.Discard()
-			return sp, ctx.Err()
-		}
-		if err := sorter.Add(row); err != nil {
-			sorter.Discard()
-			return sp, err
-		}
-	}
 	it, err := sorter.FinishBorrowed()
 	if err != nil {
 		return sp, err
@@ -247,24 +241,6 @@ func sortedScan(rel *table.Relation, keyCols []int, opts Options, emit func(tabl
 // pass between context checks. It mirrors engine.BatchSize, so cancellation
 // latency is uniform across the pipelined and the sort+scan tiers.
 const scanBatchSize = 1024
-
-// parallelScans reports whether an input should take the partition-parallel
-// scan path.
-func parallelScans(opts Options, rows, groupCols int) bool {
-	return opts.Pool != nil && opts.Pool.Parallel() && rows >= pool.ParallelMinRows && groupCols > 0
-}
-
-// partitionByKey buckets the rows of rel by the hash of its key columns.
-// Every group (rows equal on keyCols) lands wholly in one bucket, which is
-// what makes per-partition aggregation correct.
-func partitionByKey(rel *table.Relation, keyCols []int, n int) []*table.Relation {
-	buckets := table.PartitionOn(rel.Rows, keyCols, n)
-	parts := make([]*table.Relation, n)
-	for i, rows := range buckets {
-		parts[i] = &table.Relation{Schema: rel.Schema, Rows: rows}
-	}
-	return parts
-}
 
 // mergeByKey merges per-partition outputs back into global key order: each
 // part is sorted on the keyCols of the output schema and no key value spans
@@ -296,21 +272,21 @@ func mergeByKey(parts []*table.Relation, keyCols []int, schema *table.Schema) *t
 	}
 }
 
-// groupedScan is the shared core of the aggregation scans: sort rel by
-// sortCols, walk it group by group (groups are contiguous on groupCols), run
-// the one-scan algorithm of rt within each group, and append one output row
-// per group built from the group's first sorted tuple and its probability.
+// groupedScan walks a fed sorter's rows group by group (groups are
+// contiguous on groupCols in key order), runs the one-scan algorithm of rt
+// within each group, and appends one output row per group built from the
+// group's first sorted tuple and its probability.
 //
 // The scan keeps two tuples across rows — the group's first and the
 // previous one — in buffers it reuses: sortedScan's tuples are borrowed,
 // and buildRow copies the values it wants out of first.
-func groupedScan(rel *table.Relation, rt *runtimeTree, groupCols, sortCols []int, opts Options, out *table.Relation, buildRow func(first table.Tuple, p float64) table.Tuple) (spillStats, error) {
+func groupedScan(sorter *storage.ExternalSorter, rt *runtimeTree, groupCols []int, opts Options, out *table.Relation, buildRow func(first table.Tuple, p float64) table.Tuple) (spillStats, error) {
 	var prev, first table.Tuple
 	inGroup := false
 	emitGroup := func() {
 		out.Rows = append(out.Rows, buildRow(first, rt.flush()))
 	}
-	sp, err := sortedScan(rel, sortCols, opts, func(t table.Tuple) error {
+	sp, err := sortedScan(sorter, opts, func(t table.Tuple) error {
 		if inGroup && !table.EqualOn(prev, t, groupCols) {
 			emitGroup()
 			inGroup = false
@@ -334,45 +310,99 @@ func groupedScan(rel *table.Relation, rt *runtimeTree, groupCols, sortCols []int
 	return sp, nil
 }
 
+// scanGroups is one sort+scan pass: src is fed into run generation sorted
+// by groupCols followed by the variable columns of sig's 1scanTree, and
+// every group of rows equal on groupCols becomes one row of the output
+// (schema: the group columns' leading positions, then what buildRow adds).
+// With a multi-worker pool in the options an input of at least
+// pool.ParallelMinRows rows is hash-partitioned by group key while it is
+// fed, the partitions are sorted and scanned in parallel, and their outputs
+// — each sorted on the group columns, no key spanning two — are merged back
+// into global order: bit-identical to the serial scan's.
+func scanGroups(src *Source, sig signature.Sig, groupCols []int, schema *table.Schema, opts Options, buildRow func(first table.Tuple, p float64) table.Tuple) (*table.Relation, spillStats, error) {
+	rt, err := newRuntimeTree(sig, src.Schema)
+	if err != nil {
+		return nil, spillStats{}, err
+	}
+	sortCols := append(append([]int(nil), groupCols...), rt.varColumns()...)
+	in := newScanFeed(src.Schema, groupCols, sortCols, opts)
+	err = src.push(opts.ctx(), in)
+	if err == nil {
+		src.rows, err = in.finish()
+	}
+	if err != nil {
+		in.discard()
+		return nil, spillStats{}, err
+	}
+	if in.one != nil {
+		out := table.NewRelation(schema)
+		sp, err := groupedScan(in.one, rt, groupCols, opts, out, buildRow)
+		if err != nil {
+			return nil, spillStats{}, err
+		}
+		return out, sp, nil
+	}
+	outs := make([]*table.Relation, len(in.parts))
+	spills := make([]spillStats, len(in.parts))
+	err = opts.Pool.Do(opts.ctx(), len(in.parts), func(i int) error {
+		prt, err := newRuntimeTree(sig, src.Schema)
+		if err != nil {
+			return err
+		}
+		outs[i] = table.NewRelation(schema)
+		spills[i], err = groupedScan(in.parts[i], prt, groupCols, opts, outs[i], buildRow)
+		return err
+	})
+	if err != nil {
+		in.discard() // partitions the failed Do never reached
+		return nil, spillStats{}, err
+	}
+	var total spillStats
+	for _, s := range spills {
+		total.add(s)
+	}
+	// Merge key: the group columns occupy the output's leading positions.
+	mergeCols := make([]int, len(groupCols))
+	for i := range mergeCols {
+		mergeCols[i] = i
+	}
+	return mergeByKey(outs, mergeCols, schema), total, nil
+}
+
 // aggregateStep executes one aggregation [γ*]: group by every column not
 // belonging to γ's tables, run the one-scan algorithm over γ's columns per
 // group, and emit the group columns plus representative V/P columns. This
 // is the single-scan equivalent of one GRP statement of Fig. 6 (or of a
-// whole sub-sequence when γ is composite). With a multi-worker pool in the
-// options the input is hash-partitioned by group key and the partitions are
-// sorted and scanned in parallel; the merged output is bit-identical to the
-// serial scan's.
-func aggregateStep(rel *table.Relation, gamma signature.Sig, opts Options) (*table.Relation, spillStats, error) {
-	rt, err := newRuntimeTree(gamma, rel.Schema)
-	if err != nil {
-		return nil, spillStats{}, err
+// whole sub-sequence when γ is composite).
+func aggregateStep(src *Source, gamma signature.Sig, opts Options) (*table.Relation, spillStats, error) {
+	in := src.Schema
+	rootVarIdx := -1
+	if root := scanRootTable(gamma); root != "" {
+		rootVarIdx = in.VarIndex(root)
 	}
-	rootVarIdx := rt.rootVarIdx()
 	if rootVarIdx < 0 {
 		return nil, spillStats{}, fmt.Errorf("conf: aggregation step %s has no representative table", gamma)
 	}
-	root := rt.root.tableName
+	root := scanRootTable(gamma)
 
 	gammaCols := make(map[int]bool)
 	for _, tn := range signature.Tables(gamma) {
-		gammaCols[rel.Schema.VarIndex(tn)] = true
-		gammaCols[rel.Schema.ProbIndex(tn)] = true
+		gammaCols[in.VarIndex(tn)] = true
+		gammaCols[in.ProbIndex(tn)] = true
 	}
 	var groupCols []int
-	for i := range rel.Schema.Cols {
+	for i := range in.Cols {
 		if !gammaCols[i] {
 			groupCols = append(groupCols, i)
 		}
 	}
-	sortCols := append(append([]int(nil), groupCols...), rt.varColumns()...)
 
 	// Output schema: group columns followed by the representative's V/P.
 	outCols := make([]table.Column, 0, len(groupCols)+2)
 	for _, i := range groupCols {
-		outCols = append(outCols, rel.Schema.Cols[i])
+		outCols = append(outCols, in.Cols[i])
 	}
 	outCols = append(outCols, table.VarCol(root), table.ProbCol(root))
-	schema := table.NewSchema(outCols...)
 	buildRow := func(first table.Tuple, p float64) table.Tuple {
 		row := make(table.Tuple, 0, len(outCols))
 		for _, i := range groupCols {
@@ -382,74 +412,19 @@ func aggregateStep(rel *table.Relation, gamma signature.Sig, opts Options) (*tab
 		// representative.
 		return append(row, first[rootVarIdx], table.Float(p))
 	}
-
-	scanOne := func(part *table.Relation, out *table.Relation) (spillStats, error) {
-		prt, err := newRuntimeTree(gamma, rel.Schema)
-		if err != nil {
-			return spillStats{}, err
-		}
-		return groupedScan(part, prt, groupCols, sortCols, opts, out, buildRow)
-	}
-
-	if !parallelScans(opts, rel.Len(), len(groupCols)) {
-		out := table.NewRelation(schema)
-		sp, err := groupedScan(rel, rt, groupCols, sortCols, opts, out, buildRow)
-		if err != nil {
-			return nil, spillStats{}, err
-		}
-		return out, sp, nil
-	}
-	// Merge key: the group columns occupy the output's leading positions.
-	mergeCols := make([]int, len(groupCols))
-	for i := range mergeCols {
-		mergeCols[i] = i
-	}
-	return parallelGroupedScan(rel, groupCols, mergeCols, schema, opts, scanOne)
-}
-
-// parallelGroupedScan hash-partitions rel by groupCols, runs scanOne over
-// every partition on the pool, and merges the per-partition outputs (each
-// sorted on the output's mergeCols) back into global order.
-func parallelGroupedScan(rel *table.Relation, groupCols, mergeCols []int, schema *table.Schema, opts Options, scanOne func(part, out *table.Relation) (spillStats, error)) (*table.Relation, spillStats, error) {
-	n := opts.Pool.Workers()
-	parts := partitionByKey(rel, groupCols, n)
-	outs := make([]*table.Relation, n)
-	spills := make([]spillStats, n)
-	err := opts.Pool.Do(opts.ctx(), n, func(i int) error {
-		outs[i] = table.NewRelation(schema)
-		s, err := scanOne(parts[i], outs[i])
-		spills[i] = s
-		return err
-	})
-	if err != nil {
-		return nil, spillStats{}, err
-	}
-	var total spillStats
-	for _, s := range spills {
-		total.add(s)
-	}
-	return mergeByKey(outs, mergeCols, schema), total, nil
+	return scanGroups(src, gamma, groupCols, table.NewSchema(outCols...), opts, buildRow)
 }
 
 // finalScan runs the concluding one-scan pass of the operator: sort by the
 // data columns followed by the variable columns in 1scanTree preorder, then
-// compute one probability per bag of duplicates (Fig. 8's outer loop). Like
-// aggregateStep it runs partition-parallel by answer key under a
-// multi-worker pool, with bit-identical output.
-func finalScan(rel *table.Relation, sig signature.Sig, opts Options) (*table.Relation, spillStats, error) {
-	rt, err := newRuntimeTree(sig, rel.Schema)
-	if err != nil {
-		return nil, spillStats{}, err
-	}
-	dataCols := rel.Schema.DataIndexes()
-	sortCols := append(append([]int(nil), dataCols...), rt.varColumns()...)
-
+// compute one probability per bag of duplicates (Fig. 8's outer loop).
+func finalScan(src *Source, sig signature.Sig, opts Options) (*table.Relation, spillStats, error) {
+	dataCols := src.Schema.DataIndexes()
 	outCols := make([]table.Column, 0, len(dataCols)+1)
 	for _, i := range dataCols {
-		outCols = append(outCols, rel.Schema.Cols[i])
+		outCols = append(outCols, src.Schema.Cols[i])
 	}
 	outCols = append(outCols, table.DataCol(ConfCol, table.KindFloat))
-	schema := table.NewSchema(outCols...)
 	buildRow := func(first table.Tuple, p float64) table.Tuple {
 		row := make(table.Tuple, 0, len(outCols))
 		for _, i := range dataCols {
@@ -457,26 +432,5 @@ func finalScan(rel *table.Relation, sig signature.Sig, opts Options) (*table.Rel
 		}
 		return append(row, table.Float(p))
 	}
-
-	scanOne := func(part *table.Relation, out *table.Relation) (spillStats, error) {
-		prt, err := newRuntimeTree(sig, rel.Schema)
-		if err != nil {
-			return spillStats{}, err
-		}
-		return groupedScan(part, prt, dataCols, sortCols, opts, out, buildRow)
-	}
-
-	if !parallelScans(opts, rel.Len(), len(dataCols)) {
-		out := table.NewRelation(schema)
-		sp, err := groupedScan(rel, rt, dataCols, sortCols, opts, out, buildRow)
-		if err != nil {
-			return nil, spillStats{}, err
-		}
-		return out, sp, nil
-	}
-	mergeCols := make([]int, len(dataCols))
-	for i := range mergeCols {
-		mergeCols[i] = i
-	}
-	return parallelGroupedScan(rel, dataCols, mergeCols, schema, opts, scanOne)
+	return scanGroups(src, sig, dataCols, table.NewSchema(outCols...), opts, buildRow)
 }

@@ -8,6 +8,11 @@
 //   - the multi-scan scheduler (§V.C, Ex. V.11) that aggregates starred
 //     subexpressions of a non-1scan signature until the remainder has the
 //     1scan property, one sort+scan per aggregation;
+//   - the operator's input as a stream (source.go): a Source feeds its rows,
+//     batch by batch, straight into the first pass's run generation — one
+//     key sorter, or one per worker routed by group-key hash — so a streamed
+//     answer is never materialized; the *table.Relation entry points wrap
+//     the relation as a Source over the same path;
 //   - the literal GRP-sequence semantics of Fig. 5/6 (grp.go), used as a
 //     reference implementation for cross-validation;
 //   - the lineage tiers (tier.go) for queries without a hierarchical
@@ -164,11 +169,6 @@ func (rt *runtimeTree) varColumns() []int {
 	}
 	return out
 }
-
-// rootVarIdx returns the variable column of the representative (root)
-// table, or -1 when the root is virtual (pure products have no single
-// representative; callers that need one must not see a virtual root).
-func (rt *runtimeTree) rootVarIdx() int { return rt.root.varIdx }
 
 // seed starts a new bag of duplicates with its first tuple: every node is
 // enabled with an empty history (allP = 0) and a current partition opened

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -251,4 +252,39 @@ func TestSortScanAllocs(t *testing.T) {
 			}
 		})
 	}
+	// Bytes, not only counts, for a streamed and spilled input: the run
+	// buffer, the key arena and the sort entries are sized by the sort
+	// budget and reused by every run, so feeding ten budgets' worth of rows
+	// (same groups, ten times the duplicates: the same output) allocates at
+	// most twice what feeding one budget's worth does — run files' page
+	// buffers and the merge's per-run heads are what grows — where
+	// materializing the input first costs ten times as much.
+	t.Run("streamed-spilled-bytes", func(t *testing.T) {
+		const budget = 4000
+		measure := func(nr int) float64 {
+			rel, _ := productRel(rand.New(rand.NewSource(9)), 10, nr, 20)
+			opts := Options{SortBudget: budget, TmpDir: t.TempDir()}
+			var stats *Stats
+			run := func() {
+				var err error
+				if _, stats, err = ComputeFrom(streamOf(context.Background(), rel, false), productSig(), opts); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run() // warm whatever pools the codec and the heap files draw from
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			run()
+			runtime.ReadMemStats(&after)
+			if stats.SpilledRuns < rel.Len()/budget {
+				t.Fatalf("%d rows under budget %d spilled %d runs", rel.Len(), budget, stats.SpilledRuns)
+			}
+			bytes := float64(after.TotalAlloc - before.TotalAlloc)
+			t.Logf("%d rows: %.0f bytes allocated (%.1f per row)", rel.Len(), bytes, bytes/float64(rel.Len()))
+			return bytes
+		}
+		if one, ten := measure(budget/200), measure(10*budget/200); ten > 2*one {
+			t.Errorf("feeding 10x the budget allocated %.0f bytes, more than twice the %.0f of feeding 1x", ten, one)
+		}
+	})
 }

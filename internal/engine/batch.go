@@ -9,10 +9,11 @@ import (
 // This file is the row tier's pull protocol and its consumers: operators
 // move tuples in batches of up to BatchSize through reused buffers, so the
 // per-tuple costs of the pull model — one interface call, one context check,
-// one buffer allocation per row — are paid once per batch. The collectors
-// (CollectCtx, Count) drive whole pipelines batch by batch with cancellation
-// checks at batch boundaries; the few consumers whose algorithm is per-tuple
-// (merge join, sorted group-by) read through a Cursor.
+// one buffer allocation per row — are paid once per batch. The drains
+// (StreamCtx into a Sink, the collectors built on it, Count) drive whole
+// pipelines batch by batch with cancellation checks at batch boundaries; the
+// few consumers whose algorithm is per-tuple (merge join, sorted group-by)
+// read through a Cursor.
 
 // BatchSize is the default number of tuples moved per NextBatch call. Large
 // enough to amortize per-batch overheads, small enough that a batch of
@@ -116,8 +117,8 @@ func (c *Cursor) Keep(t table.Tuple) table.Tuple {
 
 // stableReader pulls an operator's stream a batch at a time and makes every
 // tuple of the batch outlive it: cloned through a slab unless the operator
-// promises stable storage — the one copy of the materialization rule every
-// drain and build site shares.
+// promises stable storage — the materialization rule of the row tier's join
+// builds.
 type stableReader struct {
 	op     Operator
 	stable bool
@@ -125,11 +126,8 @@ type stableReader struct {
 	slab   table.Slab
 }
 
-func newStableReader(op Operator, batchSize int) *stableReader {
-	if batchSize <= 0 {
-		batchSize = BatchSize
-	}
-	return &stableReader{op: op, stable: Stable(op), buf: make([]table.Tuple, batchSize)}
+func newStableReader(op Operator) *stableReader {
+	return &stableReader{op: op, stable: Stable(op), buf: make([]table.Tuple, BatchSize)}
 }
 
 // next returns the next batch (empty at end of stream); the slice is reused,
@@ -147,29 +145,110 @@ func (r *stableReader) next() ([]table.Tuple, error) {
 	return r.buf[:n], nil
 }
 
-// drainCtx pulls op's whole stream batch by batch and hands every tuple, in
-// stable storage, to emit. The context (if any) is checked once per batch.
-func drainCtx(ctx context.Context, op Operator, batchSize int, emit func(table.Tuple) error) error {
-	r := newStableReader(op, batchSize)
+// Sink consumes a stream batch by batch: column batches when the stream ran
+// on the columnar tier, tuple batches otherwise. Either kind of batch is
+// borrowed — valid only until the call returns — so a sink copies what it
+// keeps. The external sorter (storage.ExternalSorter) is one: a sort+scan
+// placement streams its input straight into run generation.
+type Sink interface {
+	AddBatch(b *table.ColBatch) error
+	AddRows(rows []table.Tuple) error
+}
+
+// StreamCtx opens op, pushes its whole stream into sink and closes it — the
+// one drain every consumer of a whole pipeline goes through. The tree runs
+// on the columnar tier when it columnarizes (dead columns pruned) and
+// rowExec does not pin the row tier, on the row tier otherwise; the rows and
+// their order are the same either way. The context is checked once per
+// batch. It reports which tier ran.
+func StreamCtx(ctx context.Context, op Operator, rowExec bool, sink Sink) (columnar bool, err error) {
+	if !rowExec {
+		if cop, ok := Columnarize(op); ok {
+			pruneCols(cop, nil)
+			return true, streamCols(ctx, cop, sink)
+		}
+	}
+	if err := op.Open(); err != nil {
+		return false, err
+	}
+	defer op.Close()
+	return false, pumpRows(ctx, op, BatchSize, sink.AddRows)
+}
+
+// streamCols is StreamCtx's columnar half: open, pump every batch into the
+// sink, close.
+func streamCols(ctx context.Context, op ColOperator, sink Sink) error {
+	if err := op.Open(); err != nil {
+		return err
+	}
+	defer op.Close()
+	b := table.NewColBatch(op.Schema())
 	for {
 		if ctx != nil && ctx.Err() != nil {
 			return ctx.Err()
 		}
-		rows, err := r.next()
-		if err != nil || len(rows) == 0 {
+		n, err := op.NextColBatch(b)
+		if err != nil || n == 0 {
 			return err
 		}
-		for _, t := range rows {
-			if err := emit(t); err != nil {
-				return err
-			}
+		if err := sink.AddBatch(b); err != nil {
+			return err
 		}
 	}
 }
 
-// drainEach is drainCtx without cancellation at the default batch size.
-func drainEach(op Operator, emit func(table.Tuple) error) error {
-	return drainCtx(nil, op, BatchSize, emit)
+// pumpRows pulls an opened row operator's stream batch by batch and hands
+// each batch, borrowed, to add — the row tier's one pull loop. The context
+// (if any) is checked once per batch.
+func pumpRows(ctx context.Context, op Operator, batchSize int, add func([]table.Tuple) error) error {
+	buf := make([]table.Tuple, batchSize)
+	for {
+		if ctx != nil && ctx.Err() != nil {
+			return ctx.Err()
+		}
+		n, err := op.NextBatch(buf)
+		if err != nil || n == 0 {
+			return err
+		}
+		if err := add(buf[:n]); err != nil {
+			return err
+		}
+	}
+}
+
+// RelationSink is the Sink that materializes: every row is copied into slab
+// storage and appended to Rel.
+type RelationSink struct {
+	Rel    *table.Relation
+	stable bool // the producer's tuples outlive their batch: alias, don't copy
+	slab   table.Slab
+}
+
+// NewRelationSink returns a sink building a relation of the given schema.
+func NewRelationSink(s *table.Schema) *RelationSink {
+	return &RelationSink{Rel: table.NewRelation(s)}
+}
+
+// AddBatch materializes the batch's live rows.
+func (s *RelationSink) AddBatch(b *table.ColBatch) error {
+	for i, n := 0, b.Rows(); i < n; i++ {
+		t := s.slab.Alloc(len(b.Cols))
+		b.WriteRow(i, t)
+		s.Rel.Rows = append(s.Rel.Rows, t)
+	}
+	return nil
+}
+
+// AddRows keeps the batch's tuples, cloned through the slab unless the
+// producer promised stable storage.
+func (s *RelationSink) AddRows(rows []table.Tuple) error {
+	for _, t := range rows {
+		if !s.stable {
+			t = s.slab.Clone(t)
+		}
+		s.Rel.Rows = append(s.Rel.Rows, t)
+	}
+	return nil
 }
 
 // CollectCtx drains an operator into an in-memory relation (opening and
@@ -183,22 +262,16 @@ func CollectCtx(ctx context.Context, op Operator) (*table.Relation, error) {
 // CollectCtxBatch is CollectCtx with an explicit batch size — exposed so
 // tests can pin result stability across batch sizes.
 func CollectCtxBatch(ctx context.Context, op Operator, batchSize int) (*table.Relation, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if err := op.Open(); err != nil {
 		return nil, err
 	}
 	defer op.Close()
-	rel := table.NewRelation(op.Schema())
-	err := drainCtx(ctx, op, batchSize, func(t table.Tuple) error {
-		rel.Rows = append(rel.Rows, t)
-		return nil
-	})
-	if err != nil {
+	sink := NewRelationSink(op.Schema())
+	sink.stable = Stable(op)
+	if err := pumpRows(ctx, op, batchSize, sink.AddRows); err != nil {
 		return nil, err
 	}
-	return rel, nil
+	return sink.Rel, nil
 }
 
 // Collect drains an operator into an in-memory relation.

@@ -566,46 +566,21 @@ func pruneCols(op ColOperator, need []bool) {
 // (opening and closing it): the context is checked once per batch, and live
 // rows are materialized into slab storage.
 func CollectColCtx(ctx context.Context, op ColOperator) (*table.Relation, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := op.Open(); err != nil {
+	sink := NewRelationSink(op.Schema())
+	if err := streamCols(ctx, op, sink); err != nil {
 		return nil, err
 	}
-	defer op.Close()
-	rel := table.NewRelation(op.Schema())
-	b := table.NewColBatch(op.Schema())
-	w := op.Schema().Len()
-	var slab table.Slab
-	for {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		n, err := op.NextColBatch(b)
-		if err != nil {
-			return nil, err
-		}
-		if n == 0 {
-			return rel, nil
-		}
-		for i := 0; i < n; i++ {
-			t := slab.Alloc(w)
-			b.WriteRow(i, t)
-			rel.Rows = append(rel.Rows, t)
-		}
-	}
+	return sink.Rel, nil
 }
 
 // CollectCtxVec is CollectCtx through the best available execution tier: a
 // tree that columnarizes runs natively (columnar=true), anything else runs
 // the row path unchanged. Both produce identical relations.
 func CollectCtxVec(ctx context.Context, op Operator) (rel *table.Relation, columnar bool, err error) {
-	cop, ok := Columnarize(op)
-	if !ok {
-		rel, err = CollectCtx(ctx, op)
-		return rel, false, err
+	sink := NewRelationSink(op.Schema())
+	sink.stable = Stable(op) // consulted by the row tier only
+	if columnar, err = StreamCtx(ctx, op, false, sink); err != nil {
+		return nil, columnar, err
 	}
-	pruneCols(cop, nil)
-	rel, err = CollectColCtx(ctx, cop)
-	return rel, true, err
+	return sink.Rel, columnar, nil
 }

@@ -364,3 +364,69 @@ func TestJoinFailedOpenReleasesPins(t *testing.T) {
 		}
 	}
 }
+
+// TestColHashJoinBoundsOutputBatches: the columnar probe resumes inside a
+// matched group, so a fan-out join — one probe row matching 5 000 build
+// rows, or every row of a full probe batch matching 30 — hands out batches
+// of at most BatchSize rows whose concatenation is the row hash join's
+// output, in order.
+func TestColHashJoinBoundsOutputBatches(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		probe, fanout int
+	}{
+		{"1x5000", 1, 5000},
+		{"1024x30", 1024, 30},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			left := table.NewRelation(table.NewSchema(table.DataCol("k", table.KindInt), table.DataCol("l", table.KindString)))
+			right := table.NewRelation(table.NewSchema(table.DataCol("k", table.KindInt), table.DataCol("r", table.KindInt)))
+			for i := 0; i < tc.probe; i++ {
+				left.MustAppend(table.Tuple{table.Int(int64(i)), table.Str(fmt.Sprintf("l-%d", i))})
+				for m := 0; m < tc.fanout; m++ {
+					right.MustAppend(table.Tuple{table.Int(int64(i)), table.Int(int64(i*tc.fanout + m))})
+				}
+			}
+			build := func() *HashJoin {
+				j, err := NewHashJoin(NewMemScan(left), NewMemScan(right), []int{0}, []int{0})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return j
+			}
+			want, err := CollectCtx(nil, build())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.Len() != tc.probe*tc.fanout {
+				t.Fatalf("reference join has %d rows, want %d", want.Len(), tc.probe*tc.fanout)
+			}
+			cop, ok := Columnarize(build())
+			if !ok {
+				t.Fatal("join did not columnarize")
+			}
+			if err := cop.Open(); err != nil {
+				t.Fatal(err)
+			}
+			defer cop.Close()
+			got := NewRelationSink(cop.Schema())
+			b := table.NewColBatch(cop.Schema())
+			for {
+				n, err := cop.NextColBatch(b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n == 0 {
+					break
+				}
+				if n > BatchSize {
+					t.Fatalf("output batch of %d rows exceeds BatchSize %d", n, BatchSize)
+				}
+				if err := got.AddBatch(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mustSameRelations(t, tc.name, got.Rel, want)
+		})
+	}
+}

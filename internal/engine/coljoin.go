@@ -16,10 +16,12 @@ import (
 // TupleMap (rows materialized from its column batches), and left batches
 // probe it with vectorized hashes. Output rows gather left cells column-wise
 // (ColVec.AppendCell — typed, allocation-free) and append the matched build
-// tuples' cells. One output batch carries all matches of one probe batch, so
-// it may exceed BatchSize on multi-matching keys. Under a governor that
-// denies the build it degrades to the same grace join as HashJoin, reading
-// its inputs through ColToRows and transposing the merge join's rows back.
+// tuples' cells. The probe is resumable — it remembers the probe row and the
+// position inside its matched group across calls — so an output batch never
+// exceeds BatchSize however many build rows a key matches. Under a governor
+// that denies the build it degrades to the same grace join as HashJoin,
+// reading its inputs through ColToRows and transposing the merge join's rows
+// back.
 type ColHashJoin struct {
 	Left, Right         ColOperator
 	LeftKeys, RightKeys []int
@@ -29,6 +31,13 @@ type ColHashJoin struct {
 	in     *table.ColBatch
 	hashes []uint64
 	rows   []table.Tuple // reused grace-mode output batch
+
+	// Probe position: live rows [i, n) of in are still to probe; the group
+	// matched by physical row `row` has emitted its first gpos of glen rows.
+	n, i       int
+	row        int
+	g          table.Group
+	gpos, glen int
 }
 
 // Schema returns left ++ right.
@@ -40,12 +49,15 @@ func (j *ColHashJoin) Open() error {
 	if j.in == nil {
 		j.in = table.NewColBatch(j.Left.Schema())
 	}
+	j.n, j.i, j.gpos, j.glen = 0, 0, 0, 0
 	var err error
 	j.built, err = j.open(NewColToRows(j.Left), NewColToRows(j.Right), j.LeftKeys, j.RightKeys, colBuildSource(j.Right, j.RightKeys))
 	return err
 }
 
-// NextColBatch probes with the next left batch, emitting every match.
+// NextColBatch fills dst with the next matches, up to BatchSize of them, in
+// probe order (First then Rest within a group), pulling left batches as the
+// probe exhausts them.
 func (j *ColHashJoin) NextColBatch(dst *table.ColBatch) (int, error) {
 	if j.grace != nil {
 		j.rows = batchScratch(j.rows, BatchSize)
@@ -55,30 +67,37 @@ func (j *ColHashJoin) NextColBatch(dst *table.ColBatch) (int, error) {
 		}
 		return rowsToBatch(dst, j.out, j.rows[:n]), nil
 	}
+	dst.Reset(j.out)
+	lw := j.in.Schema.Len()
 	for {
-		n, err := j.Left.NextColBatch(j.in)
-		if err != nil {
-			return 0, err
-		}
-		if n == 0 {
-			return 0, nil
-		}
-		j.hashes = j.in.HashInto(j.LeftKeys, j.hashes)
-		dst.Reset(j.out)
-		lw := j.in.Schema.Len()
-		for i := 0; i < n; i++ {
-			row := j.in.RowID(i)
-			g, ok := j.built.LookupHashedCols(j.hashes[i], j.in, j.LeftKeys, row)
-			if !ok {
-				continue
+		for ; j.gpos < j.glen; j.gpos++ {
+			if dst.N == BatchSize {
+				return dst.N, nil
 			}
-			j.emit(dst, row, lw, g.First)
-			for _, r := range g.Rest {
-				j.emit(dst, row, lw, r)
+			r := j.g.First
+			if j.gpos > 0 {
+				r = j.g.Rest[j.gpos-1]
 			}
+			j.emit(dst, j.row, lw, r)
 		}
-		if dst.N > 0 {
-			return dst.N, nil
+		if j.i == j.n {
+			n, err := j.Left.NextColBatch(j.in)
+			if err != nil {
+				return 0, err
+			}
+			if n == 0 {
+				return dst.N, nil
+			}
+			j.hashes = j.in.HashInto(j.LeftKeys, j.hashes)
+			j.n, j.i = n, 0
+		}
+		j.row = j.in.RowID(j.i)
+		var ok bool
+		j.g, ok = j.built.LookupHashedCols(j.hashes[j.i], j.in, j.LeftKeys, j.row)
+		j.i++
+		j.gpos, j.glen = 0, 0
+		if ok {
+			j.glen = 1 + len(j.g.Rest)
 		}
 	}
 }

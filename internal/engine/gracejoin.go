@@ -39,7 +39,7 @@ type buildSource func() (rows []table.Tuple, hashes []uint64, err error)
 // rowBuildSource is the row tier's source: NextBatch under the stable/slab
 // rule, hashed row by row.
 func rowBuildSource(op Operator, keys []int) buildSource {
-	r := newStableReader(op, BatchSize)
+	r := newStableReader(op)
 	hashes := make([]uint64, BatchSize)
 	return func() ([]table.Tuple, []uint64, error) {
 		rows, err := r.next()
@@ -201,13 +201,11 @@ func (o *iterOp) Open() error           { return nil }
 func (g *Governed) openGrace(left, right Operator, lk, rk []int, buffered []table.Tuple) error {
 	rs := storage.NewKeySorter(rk, g.SortBudget, g.TmpDir)
 	rs.Govern(g.Mem)
-	for _, t := range buffered {
-		if err := rs.Add(t); err != nil {
-			rs.Discard()
-			return err
-		}
+	if err := rs.AddRows(buffered); err != nil {
+		rs.Discard()
+		return err
 	}
-	if err := drainEach(right, rs.Add); err != nil {
+	if err := pumpRows(nil, right, BatchSize, rs.AddRows); err != nil {
 		rs.Discard()
 		return err
 	}

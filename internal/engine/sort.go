@@ -36,16 +36,15 @@ func (s *Sort) Schema() *table.Schema { return s.In.Schema() }
 // Spills reports how many runs the last Open spilled to disk.
 func (s *Sort) Spills() int { return s.spills }
 
-// Open drains and sorts the input, batch by batch. Tuples from stable
-// inputs feed the sorter directly; everything else is cloned through a slab
-// (one allocation per ~4k values instead of one per tuple).
+// Open drains the input, batch by batch, into the sorter, which copies the
+// rows into its run buffer.
 func (s *Sort) Open() error {
 	if err := s.In.Open(); err != nil {
 		return err
 	}
 	sorter := storage.NewKeySorter(s.Spec.Cols, s.Budget, s.TmpDir)
 	sorter.Govern(s.Mem)
-	if err := drainEach(s.In, sorter.Add); err != nil {
+	if err := pumpRows(nil, s.In, BatchSize, sorter.AddRows); err != nil {
 		s.In.Close()
 		sorter.Discard()
 		return err
@@ -88,10 +87,10 @@ func (s *sortedStream) NextBatch(dst []table.Tuple) (int, error) {
 }
 
 // StableTuples: the iterator comes from the sorter's stable mode
-// (ExternalSorter.Finish, not FinishBorrowed) — an unspilled sort hands out
-// the buffered input tuples, a spilled one decodes its runs into arena
-// blocks that are never reused — so consumers may retain sorted tuples
-// without cloning.
+// (ExternalSorter.Finish, not FinishBorrowed) — an unspilled sort writes its
+// rows into slab blocks, a spilled one decodes its runs into arena blocks,
+// and neither is ever reused — so consumers may retain sorted tuples without
+// cloning.
 func (s *sortedStream) StableTuples() bool { return true }
 
 // Close releases the sorted stream (removing any spill files).

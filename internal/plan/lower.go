@@ -17,10 +17,13 @@ import (
 // engine and runs it — the single execution path shared by every plan
 // style. Scan/select/project/join subtrees become pipelined engine
 // operators (partition-parallel under a multi-worker pool); confidence
-// placement points materialize their input and run the appropriate
-// algorithm: eager sort+scan aggregation steps, the final sort+scan
-// operator, OBDD compilation, d-tree decomposition, Monte Carlo
-// estimation, or the OBDD → d-tree → Monte Carlo fallback ladder.
+// placement points consume their input and run the appropriate algorithm.
+// A sort+scan placement — an eager aggregation step, the final operator —
+// takes its input as a stream: the pipeline's batches go straight into the
+// operator's run generation (conf.Source) and the intermediate is never
+// materialized. The lineage algorithms — OBDD compilation, d-tree
+// decomposition, Monte Carlo estimation, the OBDD → d-tree → Monte Carlo
+// fallback ladder — collect lineage from a materialized answer.
 
 // lowerState carries one run's execution bookkeeping through the lowering.
 type lowerState struct {
@@ -35,7 +38,8 @@ type lowerState struct {
 	cur signature.Sig
 
 	probTime        time.Duration
-	scans           int
+	pullTime        time.Duration // time inside streamed pipelines' pulls: tuple time
+	sorts           conf.Stats    // Scans, Sorts, SpilledRuns, SpillBytes over every sort+scan placement
 	applied         []string
 	maxIntermediate int64
 
@@ -48,18 +52,20 @@ type lowerState struct {
 
 	// flushes are deferred trace-attribute writers for Counted wrappers
 	// threaded into the pipeline: counters are only final once the
-	// pipeline has drained, so materialize runs them after CollectCtx.
+	// pipeline has drained, so a source's feed runs them after the drain.
 	flushes []func()
 }
 
-func (st *lowerState) track(rel *table.Relation) {
-	if n := int64(rel.Len()); n > st.maxIntermediate {
-		st.maxIntermediate = n
-	}
+// addSorts folds one sort+scan placement's work into the run's totals.
+func (st *lowerState) addSorts(cs *conf.Stats) {
+	st.sorts.Scans += cs.Scans
+	st.sorts.Sorts += cs.Sorts
+	st.sorts.SpilledRuns += cs.SpilledRuns
+	st.sorts.SpillBytes += cs.SpillBytes
 }
 
 // count wraps op so the rows and batches drained from it land on sp once
-// the enclosing materialize finishes. A nil span returns op untouched —
+// the enclosing pipeline has drained. A nil span returns op untouched —
 // the untraced path pays nothing.
 func (st *lowerState) count(op engine.Operator, sp *obs.Span) engine.Operator {
 	if sp == nil {
@@ -79,7 +85,7 @@ func (st *lowerState) count(op engine.Operator, sp *obs.Span) engine.Operator {
 }
 
 // flush runs the trace-attribute writers appended since mark — the
-// wrappers belonging to the subtree a materialize call just drained.
+// wrappers belonging to the subtree a source's feed just drained.
 // Writers below the mark belong to enclosing, still-undrained pipelines
 // (a sibling of a nested eager placement point) and must wait for theirs.
 func (st *lowerState) flush(mark int) {
@@ -125,8 +131,8 @@ func joinedUnder(n logical.Node) map[string]bool {
 
 // operator lowers a pipelined subtree to one engine operator, opening trace
 // spans under sp (nil when tracing is off — every span call then no-ops).
-// Confidence placement points inside the subtree materialize and re-enter
-// the pipeline as in-memory scans.
+// Confidence placement points inside the subtree run where they stand and
+// re-enter the pipeline as in-memory scans of their output.
 func (st *lowerState) operator(n logical.Node, sp *obs.Span) (engine.Operator, error) {
 	switch x := n.(type) {
 	case *logical.Project:
@@ -165,7 +171,11 @@ func (st *lowerState) operator(n logical.Node, sp *obs.Span) (engine.Operator, e
 		}
 		return st.count(op, ssp), nil
 	case *logical.Conf:
-		rel, err := st.materializeConf(x, sp)
+		src, err := st.applyConf(x, sp)
+		if err != nil {
+			return nil, err
+		}
+		rel, err := src.Relation(st.ex.ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -175,63 +185,104 @@ func (st *lowerState) operator(n logical.Node, sp *obs.Span) (engine.Operator, e
 	}
 }
 
-// materialize runs a subtree to a materialized relation.
-func (st *lowerState) materialize(n logical.Node, sp *obs.Span) (*table.Relation, error) {
+// pullTimer sits between a streamed pipeline and the sink it feeds, timing
+// the pulls at batch granularity — two clock reads per batch: the time
+// between one hand-off returning and the next arriving was spent inside the
+// pipeline (Open, NextColBatch/NextBatch) and is tuple time; the time inside
+// the sink belongs to whoever consumes the rows.
+type pullTimer struct {
+	sink engine.Sink
+	last time.Time
+	pull time.Duration
+	rows int64
+}
+
+func (p *pullTimer) AddBatch(b *table.ColBatch) error {
+	p.arrive(b.Rows())
+	err := p.sink.AddBatch(b)
+	p.last = statsNow()
+	return err
+}
+
+func (p *pullTimer) AddRows(rows []table.Tuple) error {
+	p.arrive(len(rows))
+	err := p.sink.AddRows(rows)
+	p.last = statsNow()
+	return err
+}
+
+func (p *pullTimer) arrive(rows int) {
+	p.pull += statsNow().Sub(p.last)
+	p.rows += int64(rows)
+}
+
+// source lowers a subtree to a one-shot stream of its rows: the pipeline
+// runs — columnar unless Spec.RowExec pins the row tier, identical tuples
+// either way — when the source is consumed, batch by batch into the
+// consumer's sink, and not before. An eager placement point at the root of
+// the subtree is applied here and its output is the source.
+func (st *lowerState) source(n logical.Node, sp *obs.Span) (*conf.Source, error) {
 	if cf, ok := n.(*logical.Conf); ok && !cf.Final {
-		return st.materializeConf(cf, sp)
+		return st.applyConf(cf, sp)
 	}
 	mark := len(st.flushes)
 	op, err := st.operator(n, sp)
 	if err != nil {
 		return nil, err
 	}
-	var rel *table.Relation
-	if st.spec.RowExec {
-		rel, err = engine.CollectCtx(st.ex.ctx, op)
-	} else {
-		// The columnar plug-in point: every pipeline the planner builds
-		// lowers to column batches (anything that did not would take the
-		// row path) — identical tuples either way.
-		var columnar bool
-		rel, columnar, err = engine.CollectCtxVec(st.ex.ctx, op)
+	return conf.NewSource(op.Schema(), func(sink engine.Sink) error {
+		timed := &pullTimer{sink: sink, last: statsNow()}
+		columnar, err := engine.StreamCtx(st.ex.ctx, op, st.spec.RowExec, timed)
+		st.pullTime += timed.pull + statsSince(timed.last)
+		if err != nil {
+			return err
+		}
 		st.colExec = st.colExec || columnar
-	}
+		st.flush(mark)
+		st.maxIntermediate = max(st.maxIntermediate, timed.rows)
+		return nil
+	}), nil
+}
+
+// materialize runs a subtree to a materialized relation — what the lineage
+// tiers and plan.Answer need; sort+scan placements consume a source.
+func (st *lowerState) materialize(n logical.Node, sp *obs.Span) (*table.Relation, error) {
+	src, err := st.source(n, sp)
 	if err != nil {
 		return nil, err
 	}
-	st.flush(mark)
-	st.track(rel)
-	return rel, nil
+	return src.Relation(st.ex.ctx)
 }
 
-// materializeConf materializes an eager placement point: the input
-// intermediate, with each scheduled probability-computation operator
-// applied as sort+scan passes and the running signature updated with the
-// operator's representative.
-func (st *lowerState) materializeConf(cf *logical.Conf, sp *obs.Span) (*table.Relation, error) {
-	rel, err := st.materialize(cf.Input, sp)
+// applyConf runs an eager placement point: each scheduled
+// probability-computation operator is applied as sort+scan passes — the
+// first one streaming the input intermediate — and the running signature is
+// updated with the operator's representative. Time the passes spend pulling
+// the input pipeline is tuple time; the rest is probability time.
+func (st *lowerState) applyConf(cf *logical.Conf, sp *obs.Span) (*conf.Source, error) {
+	src, err := st.source(cf.Input, sp)
 	if err != nil {
 		return nil, err
 	}
 	for _, op := range cf.Ops {
-		pt0 := statsNow()
+		pt0, pull0 := statsNow(), st.pullTime
 		var cstats conf.Stats
-		next, rep, err := conf.AggregateStats(rel, op, st.spec.Conf, &cstats)
+		next, rep, err := conf.AggregateFrom(src, op, st.spec.Conf, &cstats)
 		if err != nil {
 			return nil, err
 		}
-		d := statsSince(pt0)
+		d := statsSince(pt0) - (st.pullTime - pull0)
 		st.probTime += d
-		st.scans += cstats.Scans
+		st.addSorts(&cstats)
 		csp := sp.Child("conf[" + op.String() + "]")
-		csp.Int("rows_in", int64(rel.Len())).Int("rows_out", int64(next.Len()))
+		csp.Int("rows_in", src.Rows()).Int("rows_out", next.Rows())
 		annotateSorts(csp, &cstats)
 		csp.SetDur(d)
-		rel = next
+		src = next
 		st.cur = Replace(st.cur, op, signature.Table(rep))
 		st.applied = append(st.applied, "["+op.String()+"]")
 	}
-	return rel, nil
+	return src, nil
 }
 
 // annotateSorts records what a sort+scan computation — an eager step or the
@@ -254,70 +305,88 @@ func runLogical(ex exec, c *Catalog, q *query.Query, b *built, spec Spec) (*Resu
 	st := &lowerState{ex: ex, c: c, q: q, spec: spec, cur: b.sig}
 	answerSp := ex.span("answer: " + describeOrder(b.order))
 	t0 := statsNow()
-	answer, err := st.materialize(root.Input, answerSp)
-	if err != nil {
-		return nil, err
-	}
-	tupleTime := statsSince(t0) - st.probTime
-	answerSp.Int("rows", int64(answer.Len()))
-	if st.colExec {
-		answerSp.LooseStr("exec", "columnar")
-	} else {
-		answerSp.LooseStr("exec", "row")
-	}
-	answerSp.SetDur(tupleTime)
-
 	var res *Result
-	switch root.Alg {
-	case logical.AlgSortScan:
-		res, err = st.finishSortScan(b, answer, tupleTime)
-	case logical.AlgOBDD:
-		res, err = finishTier(ex, &obddTier, q, b, spec, answer, tupleTime)
-	case logical.AlgDTree:
-		res, err = finishTier(ex, &dtreeTier, q, b, spec, answer, tupleTime)
-	case logical.AlgMC:
-		res, err = finishTier(ex, &mcTier, q, b, spec, answer, tupleTime)
-	case logical.AlgLadder:
-		res, err = finishFallbackChain(ex, q, b, spec, answer, tupleTime)
-	default:
-		return nil, fmt.Errorf("plan: unknown confidence algorithm %v", root.Alg)
-	}
-	if err != nil {
-		return nil, err
+	if root.Alg == logical.AlgSortScan {
+		src, err := st.source(root.Input, answerSp)
+		if err != nil {
+			return nil, err
+		}
+		res, err = st.finishSortScan(b, src, answerSp, t0)
+		if err != nil {
+			return nil, err
+		}
+	} else {
+		answer, err := st.materialize(root.Input, answerSp)
+		if err != nil {
+			return nil, err
+		}
+		tupleTime := statsSince(t0) - st.probTime
+		st.annotateAnswer(answerSp, int64(answer.Len()), tupleTime)
+		switch root.Alg {
+		case logical.AlgOBDD:
+			res, err = finishTier(ex, &obddTier, q, b, spec, answer, tupleTime)
+		case logical.AlgDTree:
+			res, err = finishTier(ex, &dtreeTier, q, b, spec, answer, tupleTime)
+		case logical.AlgMC:
+			res, err = finishTier(ex, &mcTier, q, b, spec, answer, tupleTime)
+		case logical.AlgLadder:
+			res, err = finishFallbackChain(ex, q, b, spec, answer, tupleTime)
+		default:
+			return nil, fmt.Errorf("plan: unknown confidence algorithm %v", root.Alg)
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
 	res.Stats.ColBatches = st.colBatches
 	res.Stats.RowBatches = st.rowBatches
 	return res, nil
 }
 
+// annotateAnswer completes the answer span once the answer pipeline has
+// drained.
+func (st *lowerState) annotateAnswer(sp *obs.Span, rows int64, tupleTime time.Duration) {
+	sp.Int("rows", rows)
+	if st.colExec {
+		sp.LooseStr("exec", "columnar")
+	} else {
+		sp.LooseStr("exec", "row")
+	}
+	sp.SetDur(tupleTime)
+}
+
 // finishSortScan runs the top sort+scan confidence operator over the
-// materialized intermediate: the full operator when aggregation remains,
-// the bare-table extraction when the eager stages already reduced the
-// signature to a single representative.
-func (st *lowerState) finishSortScan(b *built, rel *table.Relation, tupleTime time.Duration) (*Result, error) {
+// streamed intermediate: the full operator when aggregation remains, the
+// bare-table extraction when the eager stages already reduced the signature
+// to a single representative. t0 is when the run started lowering: what the
+// wall since then does not owe to confidence computation — the lowering,
+// nested pipelines, and this placement's pulls of its input — is tuple time.
+func (st *lowerState) finishSortScan(b *built, src *conf.Source, answerSp *obs.Span, t0 time.Time) (*Result, error) {
 	sp := st.ex.span("conf[sort+scan]")
-	pt0 := statsNow()
+	pt0, pull0 := statsNow(), st.pullTime
 	var out *table.Relation
 	var err error
 	if bare, ok := st.cur.(signature.Table); ok {
-		out, err = conf.FinalizeBare(rel, string(bare))
+		out, err = conf.FinalizeBareFrom(st.ex.ctx, src, string(bare))
 		if err != nil {
 			return nil, err
 		}
 		sp.Str("final", "bare-table extraction")
 	} else {
 		var cstats *conf.Stats
-		out, cstats, err = conf.ComputeStats(rel, st.cur, st.spec.Conf)
+		out, cstats, err = conf.ComputeFrom(src, st.cur, st.spec.Conf)
 		if err != nil {
 			return nil, err
 		}
-		st.scans += cstats.Scans
+		st.addSorts(cstats)
 		annotateSorts(sp, cstats)
 	}
-	d := statsSince(pt0)
-	sp.Str("sig", st.cur.String()).Int("rows_in", int64(rel.Len())).Int("distinct", int64(out.Len()))
-	sp.SetDur(d)
+	d := statsSince(pt0) - (st.pullTime - pull0)
 	st.probTime += d
+	tupleTime := statsSince(t0) - st.probTime
+	st.annotateAnswer(answerSp, src.Rows(), tupleTime)
+	sp.Str("sig", st.cur.String()).Int("rows_in", src.Rows()).Int("distinct", int64(out.Len()))
+	sp.SetDur(d)
 	out, err = normalizeAnswer(out, st.q)
 	if err != nil {
 		return nil, err
@@ -335,7 +404,10 @@ func (st *lowerState) finishSortScan(b *built, rel *table.Relation, tupleTime ti
 			ProbTime:       st.probTime,
 			AnswerTuples:   st.maxIntermediate,
 			DistinctTuples: int64(out.Len()),
-			Scans:          st.scans,
+			Scans:          st.sorts.Scans,
+			Sorts:          st.sorts.Sorts,
+			SpilledRuns:    st.sorts.SpilledRuns,
+			SpillBytes:     st.sorts.SpillBytes,
 		},
 	}, nil
 }

@@ -127,8 +127,8 @@ type Spec struct {
 	// tier.
 	DTree dtree.Options
 	// RowExec forces the row tier for the relational plumbing. By default
-	// the lowering collects each materialized subtree through the columnar
-	// tier (engine.CollectCtxVec): the planner's scan→filter→project→join
+	// the lowering drains each pipeline through the columnar tier
+	// (engine.StreamCtx): the planner's scan→filter→project→join
 	// pipelines, governed ones included, run as vectorized column batches
 	// (a tree with no columnar form would run on rows unchanged). The two
 	// tiers emit the same tuples in the same order, so confidences are
@@ -204,6 +204,13 @@ type Stats struct {
 	// lineage-collection grouping pass of the OBDD/d-tree/Monte Carlo
 	// tiers — every rung of the fallback ladder reports it consistently.
 	Scans int
+	// Sorts, SpilledRuns and SpillBytes sum what the sort+scan placements
+	// of the run — every eager step and the top operator — sorted and
+	// spilled: sort passes, external-sort runs written to disk, and the
+	// bytes of those run files (0 for the lineage tiers and MystiQ plans).
+	Sorts       int
+	SpilledRuns int
+	SpillBytes  int64
 	// Approximate marks non-exact confidences: (ε, δ) Monte Carlo
 	// estimates, or OBDD/d-tree bound midpoints (then
 	// LowerBound/UpperBound certify the truth deterministically).
@@ -488,6 +495,9 @@ func (p *Prepared) record(reg *obs.Registry, s *Stats, wall time.Duration) {
 	reg.Counter("answer_tuples_total").AddShard(h, s.AnswerTuples)
 	reg.Counter("distinct_tuples_total").AddShard(h, s.DistinctTuples)
 	reg.Counter("conf_scans_total").AddShard(h, int64(s.Scans))
+	reg.Counter("conf_sorts_total").AddShard(h, int64(s.Sorts))
+	reg.Counter("sort_spilled_runs_total").AddShard(h, int64(s.SpilledRuns))
+	reg.Counter("sort_spill_bytes_total").AddShard(h, s.SpillBytes)
 	reg.Counter("obdd_nodes_total").AddShard(h, s.OBDDNodes)
 	reg.Counter("dtree_nodes_total").AddShard(h, s.DTreeNodes)
 	reg.Counter("mc_samples_total").AddShard(h, s.Samples)

@@ -3,7 +3,12 @@
 // a pinning LRU buffer pool, and an external merge sort. The paper's
 // operator is explicitly a *secondary-storage* operator (§V): answer tuples
 // are sorted (spilling to disk when large) and then consumed in sequential
-// scans; this package supplies those mechanics.
+// scans; this package supplies those mechanics. The sort (extsort.go) is fed
+// as a stream — tuples, or whole column batches — and owns its run: rows are
+// copied into a budget-bounded column buffer that every run of a sort
+// reuses, keys are encoded from the buffer's column vectors (sortkey.go),
+// and what a sort holds in memory is set by its tuple budget, never by the
+// size of its input.
 package storage
 
 import (

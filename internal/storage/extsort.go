@@ -31,66 +31,83 @@ type TupleIterator interface {
 // confidence operator, which requires its input "sorted by the data columns
 // followed by the variable columns in preorder of the 1scanTree" (§V.C).
 //
-// A key sorter (NewKeySorter) orders by normalized byte keys (sortkey.go):
-// every added tuple's sort columns are encoded once, a run is sorted as
-// 16-byte entries on an 8-byte key prefix (full key, then arrival order, on
-// ties), and the merge compares the run heads' keys. A comparator sorter
-// (NewExternalSorter) drives the same run/spill/merge machinery from a
-// TupleCompare instead — the compatibility entry; it is also what a key
-// sorter degrades to for the rest of a sort whose key column turns out to
-// mix kinds.
+// A key sorter (NewKeySorter) orders by normalized byte keys (sortkey.go)
+// and owns its run: every added row is copied into the run buffer — a
+// column batch of at most budget rows, fed a tuple at a time (Add, AddRows)
+// or a column batch at a time (AddBatch) — and its sort columns are encoded
+// once, from the buffer's column vectors. A run is sorted as 16-byte entries
+// on an 8-byte key prefix (full key, then arrival order, on ties) and read
+// back through the sorted entries; the rows never move. The buffers grow by
+// doubling up to the budget and are reused by every run of the sort, so the
+// memory a sort holds is bounded by its budget, not by its input, and a row
+// handed to it may be overwritten as soon as the call returns.
 //
-// The sorter owns the tuples it is given: they must stay valid and
-// unmodified until the sort's iterator is closed.
+// A comparator sorter (NewExternalSorter) drives the same run/spill/merge
+// machinery from a TupleCompare over the tuples themselves — the
+// compatibility entry, which keeps the tuples it is given (they must stay
+// valid and unmodified until the sort's iterator is closed). It is also what
+// a key sorter degrades to, over copies of its rows, for the rest of a sort
+// whose key column turns out to mix kinds.
 type ExternalSorter struct {
 	cmp       TupleCompare // nil while sorting by key
 	cols      []int        // key sorter: the sort columns
 	budget    int          // max tuples held in memory before spilling
 	tmpDir    string
-	buf       []table.Tuple
 	runs      []*HeapFile
 	spills    int
 	spillSize int64
 	finished  bool
 	seq       int
 	tmpPrefix string
-	expect    int // Expect's row count, capped at budget; 0 = unknown
+	rows      int64 // rows added over the whole sort
+
+	// Comparator state: the run's tuples, the bytes of the values they
+	// hold, and the storage of a degraded key sorter's copies.
+	buf  []table.Tuple
+	held int64
+	slab table.Slab
 
 	// Key-sorter state, reused across the runs of one sort.
-	kinds []table.Kind // kind seen so far per sort column (KindNull = none yet)
-	keys  []byte       // normalized keys of buf, back to back
-	offs  []uint32     // key i is keys[offs[i]:offs[i+1]]
-	ents  []keyEntry
-	aux   []keyEntry // radix sort's second buffer
+	run    table.ColBatch // the run's rows
+	rowCap int            // rows the buffers take before they must grow
+	row    table.Tuple    // one materialized row, for spilling
+	kinds  []table.Kind   // kind seen so far per sort column (KindNull = none yet)
+	keys   []byte         // normalized keys of the run's rows, back to back
+	offs   []uint32       // key i is keys[offs[i]:offs[i+1]]
+	ents   []keyEntry
+	aux    []keyEntry // radix sort's second buffer
 
 	mem         *fault.Governor // optional memory governor (nil = ungoverned)
-	memEst      int64           // estimated bytes of buf (and its keys)
 	memReserved int64           // bytes currently reserved with mem
 	earlySpills int             // spills forced by governor pressure
 }
 
-// keyEntry is what run generation sorts in place of a tuple.
+// keyEntry is what run generation sorts in place of a row.
 type keyEntry struct {
 	prefix uint64 // the key's bytes at the run's first 8 varying positions
-	idx    uint32 // position in buf: arrival order, the stability tie-break
+	idx    uint32 // row of the run buffer: arrival order, the stability tie-break
 }
 
-// keyEntryMem is the per-tuple footprint of a key sorter's bookkeeping: the
+// keyEntryMem is the per-row footprint of a key sorter's bookkeeping: the
 // entry, its slot in the radix sort's second buffer, and the key offset.
 const keyEntryMem = 16 + 16 + 4
+
+// tupleMem and valueMem are what a comparator sort holds per buffered tuple
+// and per value of it: the slice header and the table.Value.
+const tupleMem, valueMem = 24, 40
 
 // maxKeyArena caps the key bytes of one run so that offs fits uint32: a run
 // that reaches it spills as if the tuple budget were full.
 const maxKeyArena = 1 << 30
 
-// memChunk is the reservation granularity of a governed sorter: the buffer
-// estimate is charged to the governor in chunks this large, so the atomic
-// traffic stays off the per-tuple path.
+// memChunk is the reservation granularity of a governed sorter: what its
+// buffers hold is charged to the governor in chunks this large, so the
+// atomic traffic stays off the per-tuple path.
 const memChunk = 64 << 10
 
-// tupleMemEst approximates the heap footprint of one buffered tuple:
-// slice header plus per-value storage.
-func tupleMemEst(t table.Tuple) int64 { return 32 + 48*int64(len(t)) }
+// minRunCap is the row capacity a key sorter's buffers start at; a run
+// shorter than this is never spilled on account of the governor.
+const minRunCap = 64
 
 // DefaultSortBudget is the default number of tuples buffered in memory.
 const DefaultSortBudget = 1 << 16
@@ -130,26 +147,18 @@ func newSorter(budget int, tmpDir string) *ExternalSorter {
 		tmpPrefix: fmt.Sprintf("sproutsort-%d-%d-", os.Getpid(), sorterID.Add(1))}
 }
 
-// Expect announces how many tuples will be added, so the buffers are
-// allocated once at min(n, budget) instead of growing by append. Optional;
-// call before the first Add.
-func (s *ExternalSorter) Expect(n int) {
-	s.expect = min(n, s.budget)
-	s.buf = make([]table.Tuple, 0, s.expect)
-	if s.cmp == nil {
-		s.offs = make([]uint32, 0, s.expect+1)
-	}
-}
-
 // Spills reports how many runs were written to disk (0 = pure in-memory sort).
 func (s *ExternalSorter) Spills() int { return s.spills }
 
 // SpillBytes reports the bytes written to run files.
 func (s *ExternalSorter) SpillBytes() int64 { return s.spillSize }
 
-// Govern attaches a memory governor: the in-memory buffer is charged
-// against it in memChunk steps, and a denied reservation forces an early
-// spill instead of growing further. Call before the first Add.
+// Rows reports how many rows have been added.
+func (s *ExternalSorter) Rows() int64 { return s.rows }
+
+// Govern attaches a memory governor: what the sorter's buffers hold is
+// charged against it in memChunk steps, and a denied reservation forces an
+// early spill instead of growing further. Call before the first Add.
 func (s *ExternalSorter) Govern(g *fault.Governor) { s.mem = g }
 
 // EarlySpills reports how many runs were spilled because the governor
@@ -158,64 +167,148 @@ func (s *ExternalSorter) EarlySpills() int { return s.earlySpills }
 
 // Add buffers one tuple, spilling a sorted run when the tuple budget is
 // exceeded — or earlier, when the memory governor refuses to admit more
-// buffer growth.
+// buffer growth. A key sorter copies the tuple.
 func (s *ExternalSorter) Add(t table.Tuple) error {
 	if s.finished {
 		return fmt.Errorf("storage: Add after Finish")
 	}
-	s.buf = append(s.buf, t)
-	keyMem := 0
-	if s.cmp == nil {
-		keyMem = s.addKey(t)
+	if s.cmp != nil {
+		if s.cols != nil { // a degraded key sorter still owes its caller the copy
+			t = s.slab.Clone(t)
+		}
+		return s.addCompared(t)
 	}
-	if s.mem != nil {
-		s.memEst += tupleMemEst(t) + int64(keyMem)
-		if s.memEst > s.memReserved {
-			if !s.mem.TryReserve(memChunk) {
-				// Pressure: spill now (len(buf) >= 1) rather than OOM.
-				if len(s.buf) > 1 || s.memReserved > 0 {
-					s.earlySpills++
-					return s.spill()
-				}
-			} else {
-				s.memReserved += memChunk
-			}
+	if s.run.Schema == nil {
+		cols := make([]table.Column, len(t))
+		for i, v := range t {
+			cols[i].Kind = v.Kind
+		}
+		s.run.Reset(table.NewSchema(cols...))
+	}
+	if _, err := s.room(1); err != nil {
+		return err
+	}
+	s.run.AppendRow(t)
+	return s.appended()
+}
+
+// AddRows adds a batch of tuples, in order.
+func (s *ExternalSorter) AddRows(rows []table.Tuple) error {
+	for _, t := range rows {
+		if err := s.Add(t); err != nil {
+			return err
 		}
 	}
-	if len(s.buf) >= s.budget || len(s.keys) > maxKeyArena {
+	return nil
+}
+
+// AddBatch adds the live rows of a column batch, in order, copying them
+// column-wise: nothing of b is kept. A batch that straddles the tuple budget
+// is split there, so the runs are the ones tuple-at-a-time feeding produces.
+func (s *ExternalSorter) AddBatch(b *table.ColBatch) error {
+	if s.finished {
+		return fmt.Errorf("storage: Add after Finish")
+	}
+	if s.cmp == nil && s.run.Schema == nil {
+		s.run.Reset(b.Schema)
+	}
+	for lo, n := 0, b.Rows(); lo < n; {
+		if s.cmp != nil {
+			// A comparator sort — this one degraded, possibly on the rows
+			// just copied: materialize the rest row by row.
+			t := s.slab.Alloc(len(b.Cols))
+			b.WriteRow(lo, t)
+			if err := s.addCompared(t); err != nil {
+				return err
+			}
+			lo++
+			continue
+		}
+		k, err := s.room(n - lo)
+		if err != nil {
+			return err
+		}
+		s.run.AppendBatch(b, lo, lo+k)
+		if err := s.appended(); err != nil {
+			return err
+		}
+		lo += k
+	}
+	return nil
+}
+
+// addCompared buffers one tuple of a comparator sort.
+func (s *ExternalSorter) addCompared(t table.Tuple) error {
+	s.buf = append(s.buf, t)
+	s.held += valueMem * int64(len(t))
+	s.rows++
+	if !s.reserve(tupleMem*int64(cap(s.buf)) + s.held) {
+		// Pressure: spill now rather than OOM (a lone tuple cannot shrink).
+		if len(s.buf) > 1 || s.memReserved > 0 {
+			s.earlySpills++
+			return s.spill()
+		}
+	}
+	if len(s.buf) >= s.budget {
 		return s.spill()
 	}
 	return nil
 }
 
-// addKey encodes the normalized key of t, the tuple just appended to buf,
-// and returns the bytes it added. A sort column showing a second kind
-// breaks the key order's equivalence with table.CompareOn (sortkey.go), so
-// the sorter switches to that comparator for the rest of the sort: runs
-// already spilled held one kind per column and are ordered under both.
-func (s *ExternalSorter) addKey(t table.Tuple) int {
-	for i, c := range s.cols {
-		if k := t[c].Kind; k != s.kinds[i] && k != table.KindNull {
-			if s.kinds[i] != table.KindNull {
-				cols := s.cols
-				s.cmp = func(a, b table.Tuple) int { return table.CompareOn(a, b, cols) }
-				s.keys, s.offs, s.ents, s.aux = nil, nil, nil, nil
-				return 0
-			}
-			s.kinds[i] = k
+// room returns how many of want more rows the run buffer takes now — at
+// least one — growing it when it is full, and spilling the run first when
+// it cannot grow: the governor denied the growth, so the run is short of
+// the tuple budget (an early spill).
+func (s *ExternalSorter) room(want int) (int, error) {
+	if s.run.N == s.rowCap && !s.grow(want) {
+		s.earlySpills++
+		if err := s.spill(); err != nil {
+			return 0, err
 		}
 	}
-	if len(s.buf) == 1 { // first tuple of a run: restart the key arena
-		s.keys, s.offs = s.keys[:0], append(s.offs[:0], 0)
+	return min(want, s.rowCap-s.run.N), nil
+}
+
+// grow raises the run buffer's row capacity: doubling, from minRunCap (or a
+// first batch) up to the tuple budget, so a sort allocates its buffers a
+// few times and every later run reuses them. The key arena follows at the
+// key length seen so far. Under a governor the growth is reserved first, at
+// the bytes per row the buffers hold now; grow reports false, and leaves
+// the buffers alone, when that reservation is denied.
+func (s *ExternalSorter) grow(want int) bool {
+	n := s.run.N
+	newCap := min(max(2*s.rowCap, n+want, minRunCap), s.budget)
+	if s.mem != nil && n > 0 && !s.reserve(s.footprint()/int64(n)*int64(newCap)) {
+		return false
 	}
-	before := len(s.keys)
-	s.keys = AppendSortKey(s.keys, t, s.cols)
-	if size := s.expect*len(s.keys) + keySlack; before == 0 && cap(s.keys) < size {
-		// First key of the sort: size the arena for a run of such keys.
-		s.keys = append(make([]byte, 0, size), s.keys...)
+	s.run.Reserve(newCap)
+	if n > 0 {
+		perKey := len(s.keys)/n + 1
+		s.keys = slices.Grow(s.keys, max(newCap*(perKey+perKey/8)+keySlack-len(s.keys), 0))
 	}
-	s.offs = append(s.offs, uint32(len(s.keys)))
-	return len(s.keys) - before + keyEntryMem
+	s.offs = slices.Grow(s.offs, newCap+1-len(s.offs))
+	s.rowCap = newCap
+	return true
+}
+
+// footprint is what a key sorter's buffers hold, bookkeeping of the coming
+// sort included.
+func (s *ExternalSorter) footprint() int64 {
+	return s.run.MemSize() + int64(cap(s.keys)) + keyEntryMem*int64(cap(s.offs))
+}
+
+// reserve raises the governor reservation to cover total bytes, in memChunk
+// steps; false means the governor denied it.
+func (s *ExternalSorter) reserve(total int64) bool {
+	if s.mem == nil || total <= s.memReserved {
+		return true
+	}
+	need := (total - s.memReserved + memChunk - 1) / memChunk * memChunk
+	if !s.mem.TryReserve(need) {
+		return false
+	}
+	s.memReserved += need
+	return true
 }
 
 // releaseMem returns the buffer reservation to the governor.
@@ -224,19 +317,83 @@ func (s *ExternalSorter) releaseMem() {
 		s.mem.Release(s.memReserved)
 		s.memReserved = 0
 	}
-	s.memEst = 0
 }
 
-// sortBuf leaves buf in sorted order, equal tuples in arrival order.
-func (s *ExternalSorter) sortBuf() {
-	if s.cmp != nil {
-		slices.SortStableFunc(s.buf, s.cmp)
-		return
+// appended finishes an append to the run buffer: it encodes the keys of the
+// rows that have none yet, trues the governor's reservation up to what the
+// buffers hold now, and spills the run once it is full.
+//
+// A sort column showing a second kind breaks the key order's equivalence
+// with table.CompareOn (sortkey.go), so the sorter switches to that
+// comparator, over copies of the run's rows, for the rest of the sort: runs
+// already spilled held one kind per column and are ordered under both.
+func (s *ExternalSorter) appended() error {
+	if len(s.offs) == 0 { // first rows of a run: restart the key arena
+		s.keys, s.offs = s.keys[:0], append(s.offs, 0)
 	}
-	s.sortByKey()
+	from := len(s.offs) - 1
+	s.rows += int64(s.run.N - from)
+	for row := from; row < s.run.N; row++ {
+		for i, c := range s.cols {
+			var k table.Kind
+			if s.keys, k = appendCellKey(s.keys, &s.run.Cols[c], row); k != s.kinds[i] && k != table.KindNull {
+				if s.kinds[i] != table.KindNull {
+					return s.degrade()
+				}
+				s.kinds[i] = k
+			}
+		}
+		s.offs = append(s.offs, uint32(len(s.keys)))
+	}
+	if s.mem != nil && !s.reserve(s.footprint()) && (s.run.N >= minRunCap || s.memReserved > 0) {
+		// The buffers outgrew what the governor admits (their first batch,
+		// or an arena past its estimate): spill what they hold and give
+		// them back, so that the next run starts from nothing.
+		s.earlySpills++
+		if err := s.spill(); err != nil {
+			return err
+		}
+		s.dropRun()
+		s.releaseMem()
+		return nil
+	}
+	if s.run.N >= s.budget || len(s.keys) > maxKeyArena {
+		return s.spill()
+	}
+	return nil
 }
 
-// sortByKey sorts one entry per tuple and then permutes buf in place.
+// dropRun gives the run buffer and its bookkeeping back to the collector.
+func (s *ExternalSorter) dropRun() {
+	schema := s.run.Schema
+	s.run, s.rowCap = table.ColBatch{}, 0
+	if schema != nil {
+		s.run.Reset(schema)
+	}
+	s.keys, s.offs, s.ents, s.aux = nil, nil, nil, nil
+}
+
+// degrade turns a key sort into a comparator sort: the run's rows move, as
+// stable copies, into the comparator's tuple buffer.
+func (s *ExternalSorter) degrade() error {
+	cols := s.cols
+	s.cmp = func(a, b table.Tuple) int { return table.CompareOn(a, b, cols) }
+	for i := 0; i < s.run.N; i++ {
+		t := s.slab.Alloc(len(s.run.Cols))
+		s.run.WriteRow(i, t)
+		s.buf = append(s.buf, t)
+		s.held += valueMem * int64(len(t))
+	}
+	s.dropRun()
+	s.releaseMem()
+	if len(s.buf) >= s.budget {
+		return s.spill()
+	}
+	return nil
+}
+
+// sortRun sorts the run buffer and returns its rows' order, equal rows in
+// arrival order: one entry per row is sorted, the rows stay where they are.
 //
 // A fixed leading-8-byte prefix would tie on nearly every comparison: the
 // leading bytes are the group columns, which repeat, and the high bytes of
@@ -246,18 +403,19 @@ func (s *ExternalSorter) sortBuf() {
 // all. Every key agrees with every other on the skipped positions, so
 // comparing the gathered bytes equals comparing the keys up to the last
 // gathered position; a prefix tie is settled by the key bytes after it.
-func (s *ExternalSorter) sortByKey() {
-	n := len(s.buf)
-	if n < 2 {
-		return
-	}
-	s.keys = append(s.keys, make([]byte, keySlack)...)
-	keys, offs := s.keys, s.offs
-	pos, lim := prefixPositions(keys, offs)
+func (s *ExternalSorter) sortRun() []keyEntry {
+	n := s.run.N
 	if cap(s.ents) < n {
 		s.ents = make([]keyEntry, n)
 	}
 	ents := s.ents[:n]
+	if n < 2 {
+		clear(ents)
+		return ents
+	}
+	s.keys = append(s.keys, make([]byte, keySlack)...)
+	keys, offs := s.keys, s.offs
+	pos, lim := prefixPositions(keys, offs)
 	for i := range ents {
 		k := keys[offs[i]:]
 		var prefix uint64
@@ -280,44 +438,26 @@ func (s *ExternalSorter) sortByKey() {
 	}
 	if n < radixMin {
 		slices.SortFunc(ents, byKey)
-	} else {
-		// The gathered prefix is dense, so a byte-wise radix sort on it
-		// does most of the ordering; only entries sharing a whole prefix
-		// are left to the comparison sort.
-		if cap(s.aux) < n {
-			s.aux = make([]keyEntry, n)
-		}
-		ents = radixSortPrefix(ents, s.aux[:n])
-		for i := 0; i < n; {
-			j := i + 1
-			for j < n && ents[j].prefix == ents[i].prefix {
-				j++
-			}
-			if j-i > 1 {
-				slices.SortFunc(ents[i:j], byKey)
-			}
-			i = j
-		}
+		return ents
 	}
-	// Apply the permutation in place, following cycles; a placed entry is
-	// marked by pointing at itself.
-	buf := s.buf
-	for i := range ents {
-		if int(ents[i].idx) == i {
-			continue
-		}
-		held := buf[i]
-		for j := i; ; {
-			src := int(ents[j].idx)
-			ents[j].idx = uint32(j)
-			if src == i {
-				buf[j] = held
-				break
-			}
-			buf[j] = buf[src]
-			j = src
-		}
+	// The gathered prefix is dense, so a byte-wise radix sort on it does
+	// most of the ordering; only entries sharing a whole prefix are left to
+	// the comparison sort.
+	if cap(s.aux) < n {
+		s.aux = make([]keyEntry, n)
 	}
+	ents = radixSortPrefix(ents, s.aux[:n])
+	for i := 0; i < n; {
+		j := i + 1
+		for j < n && ents[j].prefix == ents[i].prefix {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortFunc(ents[i:j], byKey)
+		}
+		i = j
+	}
+	return ents
 }
 
 // maxPrefixScan bounds how far into the keys prefixPositions looks.
@@ -409,29 +549,50 @@ func radixSortPrefix(ents, aux []keyEntry) []keyEntry {
 	return ents
 }
 
+// spill sorts the buffered run and writes it to a fresh run file. A key
+// sorter's buffers (and their reservation) stay for the next run.
 func (s *ExternalSorter) spill() error {
-	s.sortBuf()
 	path := filepath.Join(s.tmpDir, fmt.Sprintf("%srun%d.heap", s.tmpPrefix, s.seq))
 	s.seq++
 	run, err := CreateHeapFile(path)
 	if err != nil {
 		return err
 	}
-	for _, t := range s.buf {
-		if err := run.Append(t); err != nil {
-			run.Remove()
-			return err
+	if s.cmp != nil {
+		slices.SortStableFunc(s.buf, s.cmp)
+		for _, t := range s.buf {
+			if err = run.Append(t); err != nil {
+				break
+			}
+		}
+	} else {
+		if s.row == nil {
+			s.row = make(table.Tuple, len(s.run.Cols))
+		}
+		for _, e := range s.sortRun() {
+			s.run.WriteRow(int(e.idx), s.row)
+			if err = run.Append(s.row); err != nil {
+				break
+			}
 		}
 	}
-	if err := run.FinishWrites(); err != nil {
+	if err == nil {
+		err = run.FinishWrites()
+	}
+	if err != nil {
 		run.Remove()
 		return err
 	}
 	s.runs = append(s.runs, run)
 	s.spills++
 	s.spillSize += run.NumPages() * PageSize
-	s.buf = s.buf[:0]
-	s.releaseMem()
+	if s.cmp != nil {
+		s.buf, s.held = s.buf[:0], 0
+		s.releaseMem()
+	} else {
+		s.run.Reset(s.run.Schema)
+		s.offs = s.offs[:0]
+	}
 	return nil
 }
 
@@ -443,10 +604,11 @@ func (s *ExternalSorter) spill() error {
 func (s *ExternalSorter) Finish() (TupleIterator, error) { return s.finish(false) }
 
 // FinishBorrowed is Finish for a consumer that retains no tuple across
-// calls: a tuple is valid only until the next Next, which lets a spilled
-// sort decode every run into one reused tuple buffer instead of fresh
-// storage (string values are still immutable and may be kept). An
-// unspilled sort hands out the added tuples themselves either way.
+// calls: a tuple is valid only until the next Next, which lets an unspilled
+// key sort materialize every row of its run buffer into one reused tuple,
+// and a spilled sort decode every run into one reused tuple buffer, instead
+// of fresh storage per row (string values are still immutable and may be
+// kept).
 func (s *ExternalSorter) FinishBorrowed() (TupleIterator, error) { return s.finish(true) }
 
 func (s *ExternalSorter) finish(borrowed bool) (TupleIterator, error) {
@@ -455,22 +617,30 @@ func (s *ExternalSorter) finish(borrowed bool) (TupleIterator, error) {
 	}
 	s.finished = true
 	if len(s.runs) == 0 {
-		s.sortBuf()
 		s.releaseMem()
-		s.keys, s.offs, s.ents, s.aux = nil, nil, nil, nil
-		return &memIter{rows: s.buf}, nil
+		if s.cmp != nil {
+			slices.SortStableFunc(s.buf, s.cmp)
+			return &memIter{rows: s.buf}, nil
+		}
+		it := &runIter{run: &s.run, order: s.sortRun()}
+		if borrowed {
+			it.row = make(table.Tuple, len(s.run.Cols))
+		}
+		s.keys, s.offs = nil, nil
+		return it, nil
 	}
-	if len(s.buf) > 0 {
+	if len(s.buf) > 0 || s.run.N > 0 {
 		if err := s.spill(); err != nil {
 			s.Discard()
 			return nil, err
 		}
 	}
+	s.releaseMem()
 	// Hand run ownership to the iterator (newMergeIter removes them itself
 	// on a failed open), so a later Discard cannot double-remove.
 	runs := s.runs
-	s.runs = nil
-	s.buf, s.keys, s.offs, s.ents, s.aux = nil, nil, nil, nil, nil
+	s.runs, s.buf = nil, nil
+	s.dropRun()
 	return newMergeIter(runs, s.cmp, s.cols, borrowed)
 }
 
@@ -487,7 +657,7 @@ func (s *ExternalSorter) Discard() {
 	s.releaseMem()
 }
 
-// memIter iterates an in-memory sorted buffer.
+// memIter iterates a comparator sort's in-memory sorted buffer.
 type memIter struct {
 	rows []table.Tuple
 	pos  int
@@ -503,6 +673,32 @@ func (m *memIter) Next() (table.Tuple, bool, error) {
 }
 
 func (m *memIter) Close() error { return nil }
+
+// runIter iterates an unspilled key sort: the run buffer's rows in sorted
+// order, each materialized into the one reused tuple (borrowed mode) or
+// into slab storage that is never reused (stable mode, row == nil).
+type runIter struct {
+	run   *table.ColBatch
+	order []keyEntry
+	pos   int
+	row   table.Tuple
+	slab  table.Slab
+}
+
+func (r *runIter) Next() (table.Tuple, bool, error) {
+	if r.pos >= len(r.order) {
+		return nil, false, nil
+	}
+	t := r.row
+	if t == nil {
+		t = r.slab.Alloc(len(r.run.Cols))
+	}
+	r.run.WriteRow(int(r.order[r.pos].idx), t)
+	r.pos++
+	return t, true, nil
+}
+
+func (r *runIter) Close() error { return nil }
 
 // mergeIter performs a k-way merge over sorted runs: a binary min-heap of
 // the runs' current tuples, ordered by normalized key (or by the comparator

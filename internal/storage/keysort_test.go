@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/table"
 )
 
@@ -88,7 +89,6 @@ func TestKeySorterMatchesStableSort(t *testing.T) {
 
 				dir := t.TempDir()
 				s := NewKeySorter(cols, tc.budget, dir)
-				s.Expect(len(rows))
 				for _, r := range rows {
 					if err := s.Add(r); err != nil {
 						t.Fatal(err)
@@ -206,5 +206,192 @@ func TestBorrowedMergeReusesStorage(t *testing.T) {
 	// first Next may still have to allocate.
 	if allocs > 100 {
 		t.Errorf("borrowed merge of %d tuples allocated %.0f times", n, allocs)
+	}
+}
+
+// transpose lays rows out as column batches of at most per rows, every
+// other batch behind a selection vector that hides a junk row.
+func transpose(rows []table.Tuple, per int) []*table.ColBatch {
+	cols := make([]table.Column, len(rows[0]))
+	for c, v := range rows[0] {
+		cols[c] = table.DataCol("", v.Kind)
+	}
+	schema := table.NewSchema(cols...)
+	var out []*table.ColBatch
+	for lo := 0; lo < len(rows); lo += per {
+		b := table.NewColBatch(schema)
+		if len(out)%2 == 1 {
+			b.AppendRow(rows[0]) // physical row 0 is not selected
+			b.Sel = []int32{}
+		}
+		for _, r := range rows[lo:min(lo+per, len(rows))] {
+			if b.Sel != nil {
+				b.Sel = append(b.Sel, int32(b.N))
+			}
+			b.AppendRow(r)
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+// TestKeySorterBatchFeedMatchesTupleFeed: feeding column batches — some
+// straddling the budget boundary, some behind a selection vector — gives
+// the sorted stream and exactly the runs that feeding the same rows one
+// tuple at a time gives, and nothing of a batch is kept: each one is
+// scribbled over as soon as AddBatch returns.
+func TestKeySorterBatchFeedMatchesTupleFeed(t *testing.T) {
+	cols := []int{0, 1, 2}
+	for _, tc := range []struct{ n, budget, per int }{
+		{3000, 1 << 16, 1024}, // unspilled
+		{3000, 700, 1024},     // every batch straddles a run boundary
+		{5000, 1024, 1024},    // batches end exactly on the boundary
+		{2500, 64, 300},
+	} {
+		rows := keySortInput(rand.New(rand.NewSource(int64(tc.n+tc.budget))), tc.n, "")
+		// keySortInput puts NULLs anywhere; the schema takes its kinds from
+		// row 0, so give it one without.
+		rows[0] = table.Tuple{table.Str("a"), table.Int(0), table.Float(0), table.Int(0)}
+		byTuple := NewKeySorter(cols, tc.budget, t.TempDir())
+		for _, r := range rows {
+			if err := byTuple.Add(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		byBatch := NewKeySorter(cols, tc.budget, t.TempDir())
+		for _, b := range transpose(rows, tc.per) {
+			if err := byBatch.AddBatch(b); err != nil {
+				t.Fatal(err)
+			}
+			for c := range b.Cols {
+				clear(b.Cols[c].Ints)
+				clear(b.Cols[c].Floats)
+				clear(b.Cols[c].Strs)
+			}
+		}
+		if byBatch.Rows() != int64(tc.n) || byTuple.Rows() != int64(tc.n) {
+			t.Fatalf("sorters counted %d / %d rows, want %d", byBatch.Rows(), byTuple.Rows(), tc.n)
+		}
+		wantIt, err := byTuple.FinishBorrowed()
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotIt, err := byBatch.FinishBorrowed()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if byBatch.Spills() != byTuple.Spills() || byBatch.SpillBytes() != byTuple.SpillBytes() {
+			t.Errorf("n=%d budget=%d: batch feed spilled %d runs (%d B), tuple feed %d (%d B)", tc.n, tc.budget,
+				byBatch.Spills(), byBatch.SpillBytes(), byTuple.Spills(), byTuple.SpillBytes())
+		}
+		if want := (tc.n - 1) / tc.budget; tc.budget < tc.n && byBatch.Spills() != want+1 {
+			t.Errorf("n=%d budget=%d: %d runs, want %d", tc.n, tc.budget, byBatch.Spills(), want+1)
+		}
+		got, want := drain(t, gotIt, true), drain(t, wantIt, true)
+		if err := sameTuples(got, want); err != nil {
+			t.Fatalf("n=%d budget=%d: %v", tc.n, tc.budget, err)
+		}
+		gotIt.Close()
+		wantIt.Close()
+	}
+}
+
+// TestKeySorterMixedKindsInBatches: the comparator fallback also triggers —
+// mid-batch — when the second kind arrives through AddBatch, where the
+// sort column has degraded to the batch's generic Values layout.
+func TestKeySorterMixedKindsInBatches(t *testing.T) {
+	var rows []table.Tuple
+	for i := 0; i < 900; i++ {
+		v := table.Int(int64(i * 7919 % 50))
+		if i > 500 && i%3 == 0 {
+			v = table.Float(float64(i%90) / 2)
+		}
+		rows = append(rows, table.Tuple{v, table.Int(int64(i))})
+	}
+	cols := []int{0}
+	want := slices.Clone(rows)
+	slices.SortStableFunc(want, func(a, b table.Tuple) int { return table.CompareOn(a, b, cols) })
+	for _, budget := range []int{1 << 16, 200} {
+		s := NewKeySorter(cols, budget, t.TempDir())
+		for _, b := range transpose(rows, 256) {
+			if err := s.AddBatch(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		it, err := s.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := drain(t, it, false)
+		if err := it.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := sameTuples(got, want); err != nil {
+			t.Fatalf("budget %d: %v", budget, err)
+		}
+	}
+}
+
+// TestGovernedKeySorterChargesItsBuffers: a governed key sorter reserves
+// what its run buffer actually holds — a run of 8-byte cells costs a
+// fraction of 40-byte values — spills early when the governor denies the
+// buffer's next doubling, keeps sorting correctly in the smaller runs, and
+// leaves the governor balanced.
+func TestGovernedKeySorterChargesItsBuffers(t *testing.T) {
+	const n = 40000
+	feed := func(s *ExternalSorter) {
+		for i := 0; i < n; i++ {
+			if err := s.Add(table.Tuple{table.Int(int64(i * 7919 % n)), table.Int(int64(i)), table.Float(0.5)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Roomy: three 8-byte columns, a 9-byte key and the entry bookkeeping
+	// stay under 100 bytes per row of buffer capacity, doubling slack
+	// included — under half the 221 a row of three 40-byte values, its
+	// slice header, key and bookkeeping used to be estimated at.
+	roomy := fault.NewGovernor(0, nil)
+	s := NewKeySorter([]int{0}, 1<<16, t.TempDir())
+	s.Govern(roomy)
+	feed(s)
+	if hw := roomy.HighWater(); hw == 0 || hw > 100*(1<<16) {
+		t.Errorf("unspilled sort of %d three-column rows reserved %d bytes", n, hw)
+	}
+	it, err := s.FinishBorrowed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	it.Close()
+	if s.Spills() != 0 || roomy.Used() != 0 {
+		t.Fatalf("roomy sort: %d spills, %d bytes still reserved", s.Spills(), roomy.Used())
+	}
+
+	tight := fault.NewGovernor(4*memChunk, nil)
+	s = NewKeySorter([]int{0}, 1<<16, t.TempDir())
+	s.Govern(tight)
+	feed(s)
+	if s.EarlySpills() == 0 || !tight.Pressured() {
+		t.Fatalf("tight governor: %d early spills, pressured=%v", s.EarlySpills(), tight.Pressured())
+	}
+	if hw := tight.HighWater(); hw > 4*memChunk {
+		t.Errorf("reserved %d bytes past the %d limit", hw, 4*memChunk)
+	}
+	it, err = s.FinishBorrowed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := int64(-1)
+	rows := drain(t, it, true)
+	for _, r := range rows {
+		if r[0].I < prev {
+			t.Fatalf("output out of order: %d after %d", r[0].I, prev)
+		}
+		prev = r[0].I
+	}
+	if err := it.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != n || tight.Used() != 0 {
+		t.Fatalf("sorted %d rows, want %d; %d bytes still reserved", len(rows), n, tight.Used())
 	}
 }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"strings"
@@ -41,22 +42,64 @@ const (
 // AppendSortKey appends the normalized key of t's columns cols to dst.
 func AppendSortKey(dst []byte, t table.Tuple, cols []int) []byte {
 	for _, c := range cols {
-		v := &t[c]
-		switch v.Kind {
-		case table.KindNull:
-			dst = append(dst, keyTagNull)
-		case table.KindInt, table.KindBool:
-			dst = append(dst, keyTagValue)
-			dst = binary.BigEndian.AppendUint64(dst, uint64(v.I)^(1<<63))
-		case table.KindFloat:
-			dst = append(dst, keyTagValue)
-			dst = binary.BigEndian.AppendUint64(dst, floatKeyBits(v.F))
-		default: // KindString
-			dst = append(dst, keyTagValue)
-			dst = appendStringKey(dst, v.S)
-		}
+		dst = appendValueKey(dst, &t[c])
 	}
 	return dst
+}
+
+func appendValueKey(dst []byte, v *table.Value) []byte {
+	switch v.Kind {
+	case table.KindNull:
+		return append(dst, keyTagNull)
+	case table.KindInt, table.KindBool:
+		return binary.BigEndian.AppendUint64(append(dst, keyTagValue), uint64(v.I)^(1<<63))
+	case table.KindFloat:
+		return binary.BigEndian.AppendUint64(append(dst, keyTagValue), floatKeyBits(v.F))
+	default: // KindString
+		return appendStringKey(append(dst, keyTagValue), v.S)
+	}
+}
+
+// AppendColSortKey is AppendSortKey reading physical row `row` of a column
+// batch instead of a tuple: byte for byte the key of the materialized row,
+// whichever layout each column is in — typed ints, floats and bools, string
+// headers, dictionary codes, flat bytes, the null bitmap, or the generic
+// Values fallback — without boxing a cell.
+func AppendColSortKey(dst []byte, b *table.ColBatch, row int, cols []int) []byte {
+	for _, c := range cols {
+		dst, _ = appendCellKey(dst, &b.Cols[c], row)
+	}
+	return dst
+}
+
+// appendCellKey appends the key of one cell and reports the cell's kind
+// (KindNull for a NULL), which the sorter tracks per sort column.
+func appendCellKey(dst []byte, v *table.ColVec, row int) ([]byte, table.Kind) {
+	if v.Values != nil {
+		return appendValueKey(dst, &v.Values[row]), v.Values[row].Kind
+	}
+	if v.Null(row) {
+		return append(dst, keyTagNull), table.KindNull
+	}
+	dst = append(dst, keyTagValue)
+	switch v.Kind {
+	case table.KindInt, table.KindBool:
+		dst = binary.BigEndian.AppendUint64(dst, uint64(v.Ints[row])^(1<<63))
+	case table.KindFloat:
+		dst = binary.BigEndian.AppendUint64(dst, floatKeyBits(v.Floats[row]))
+	case table.KindString:
+		switch v.Mode {
+		case table.StrDict:
+			dst = appendStringKey(dst, v.Dict[v.Codes[row]])
+		case table.StrHeader:
+			dst = appendStringKey(dst, v.Strs[row])
+		default:
+			dst = appendBytesKey(dst, v.Bytes[v.Offs[row]:v.Offs[row+1]])
+		}
+	default: // a column declared NULL holds nothing else
+		return append(dst[:len(dst)-1], keyTagNull), table.KindNull
+	}
+	return dst, v.Kind
 }
 
 // floatKeyBits maps a float to a uint64 ordered like the float.
@@ -74,6 +117,21 @@ func floatKeyBits(f float64) uint64 {
 func appendStringKey(dst []byte, s string) []byte {
 	for {
 		i := strings.IndexByte(s, 0)
+		if i < 0 {
+			break
+		}
+		dst = append(dst, s[:i]...)
+		dst = append(dst, 0x00, 0xFF)
+		s = s[i+1:]
+	}
+	dst = append(dst, s...)
+	return append(dst, 0x00, 0x00)
+}
+
+// appendBytesKey is appendStringKey for a flat-layout cell's raw bytes.
+func appendBytesKey(dst, s []byte) []byte {
+	for {
+		i := bytes.IndexByte(s, 0)
 		if i < 0 {
 			break
 		}

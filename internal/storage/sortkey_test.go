@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/table"
@@ -97,5 +98,118 @@ func FuzzSortKeyOrder(f *testing.F) {
 		}
 		orders := [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
 		checkKeyOrder(t, a, b, orders[int(order)%len(orders)])
+	})
+}
+
+// fuzzBatch lays rows out as a column batch by hand, one layout per column
+// as picked by layouts (two bits each): the typed vector of the column's
+// kind — for strings, shared headers, dictionary codes or flat bytes — or
+// the generic Values fallback. NULLs set the bitmap over a zero placeholder,
+// as the appenders do.
+func fuzzBatch(kinds []table.Kind, rows []table.Tuple, layouts uint16) *table.ColBatch {
+	cols := make([]table.Column, len(kinds))
+	for c, k := range kinds {
+		cols[c] = table.DataCol("", k)
+	}
+	b := table.NewColBatch(table.NewSchema(cols...))
+	b.N = len(rows)
+	for c, k := range kinds {
+		v := &b.Cols[c]
+		layout := layouts >> (2 * c) & 3
+		if layout == 3 {
+			v.Values = make([]table.Value, len(rows))
+			for i, r := range rows {
+				v.Values[i] = r[c]
+			}
+			continue
+		}
+		codes := map[string]int{}
+		v.Offs = append(v.Offs, 0)
+		for i, r := range rows {
+			val := r[c]
+			if val.Kind == table.KindNull {
+				for len(v.Nulls) <= i>>6 {
+					v.Nulls = append(v.Nulls, 0)
+				}
+				v.Nulls[i>>6] |= 1 << (i & 63)
+			}
+			switch k {
+			case table.KindInt, table.KindBool:
+				v.Ints = append(v.Ints, val.I)
+			case table.KindFloat:
+				v.Floats = append(v.Floats, val.F)
+			default:
+				v.Mode = []table.StrMode{table.StrHeader, table.StrDict, table.StrFlat}[layout]
+				v.Strs = append(v.Strs, val.S)
+				if _, ok := codes[val.S]; !ok {
+					codes[val.S] = len(v.Dict)
+					v.Dict = append(v.Dict, val.S)
+				}
+				v.Codes = append(v.Codes, byte(codes[val.S]))
+				v.Bytes = append(v.Bytes, val.S...)
+				v.Offs = append(v.Offs, int32(len(v.Bytes)))
+			}
+		}
+	}
+	return b
+}
+
+// FuzzBatchSortKey checks the column-vector key codec against the tuple
+// one: for rows of a seeded random schema — the fuzzer's string, int and
+// float among their values, NULLs sprinkled in — laid out as a column batch
+// in fuzzer-chosen layouts (typed vectors, the three string layouts, the
+// Values fallback) under a fuzzer-chosen selection vector, the key of every
+// live row equals AppendSortKey of the materialized row, byte for byte, and
+// the materialized row is the row that went in.
+func FuzzBatchSortKey(f *testing.F) {
+	f.Add(int64(1), "a\x00b", int64(-1), 0.5, uint16(0), uint64(0))
+	f.Add(int64(2), "", int64(math.MinInt64), math.Copysign(0, -1), uint16(0b0110_1101_1001), uint64(0x5555))
+	f.Add(int64(3), "\xff\x00", int64(math.MaxInt64), math.Inf(-1), uint16(0xffff), ^uint64(0))
+	f.Fuzz(func(t *testing.T, seed int64, s string, iv int64, fv float64, layouts uint16, drop uint64) {
+		rng := rand.New(rand.NewSource(seed))
+		kinds := make([]table.Kind, 1+rng.Intn(6))
+		for c := range kinds {
+			kinds[c] = []table.Kind{table.KindInt, table.KindFloat, table.KindString, table.KindBool}[rng.Intn(4)]
+		}
+		strs := []string{s, "", s + "\x00", "k", "k\x00\xff"}
+		rows := make([]table.Tuple, 1+rng.Intn(64))
+		for i := range rows {
+			rows[i] = make(table.Tuple, len(kinds))
+			for c, k := range kinds {
+				switch {
+				case rng.Intn(6) == 0:
+					rows[i][c] = table.Null()
+				case k == table.KindInt:
+					rows[i][c] = table.Int([]int64{iv, -iv, 0, rng.Int63()}[rng.Intn(4)])
+				case k == table.KindFloat:
+					rows[i][c] = table.Float([]float64{fv, -fv, 0, rng.NormFloat64()}[rng.Intn(4)])
+				case k == table.KindString:
+					rows[i][c] = table.Str(strs[rng.Intn(len(strs))])
+				default:
+					rows[i][c] = table.Bool(rng.Intn(2) == 0)
+				}
+			}
+		}
+		b := fuzzBatch(kinds, rows, layouts)
+		if drop != 0 { // a selection vector: drop the physical rows whose bit is set
+			b.Sel = []int32{}
+			for i := range rows {
+				if drop>>(i&63)&1 == 0 {
+					b.Sel = append(b.Sel, int32(i))
+				}
+			}
+		}
+		cols := rng.Perm(len(kinds))[:1+rng.Intn(len(kinds))]
+		got := make(table.Tuple, len(kinds))
+		for i := 0; i < b.Rows(); i++ {
+			b.WriteRow(i, got)
+			if want := rows[b.RowID(i)]; got.String() != want.String() {
+				t.Fatalf("live row %d materializes as %v, want %v", i, got, want)
+			}
+			kb, kt := AppendColSortKey(nil, b, b.RowID(i), cols), AppendSortKey(nil, got, cols)
+			if !bytes.Equal(kb, kt) {
+				t.Fatalf("live row %d %v on %v (layouts %#x):\n  batch key % x\n  tuple key % x", i, got, cols, layouts, kb, kt)
+			}
+		}
 	})
 }

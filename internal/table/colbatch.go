@@ -2,6 +2,7 @@ package table
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/prob"
 )
@@ -159,6 +160,103 @@ func (b *ColBatch) AppendRow(t Tuple) {
 	b.N++
 }
 
+// AppendBatch copies live rows [lo, hi) of src (selection applied) onto b,
+// column by column — the bulk form of AppendCell that a consumer keeping a
+// borrowed batch's rows (the sorter's run buffer, the scans' hand-off buffer)
+// copies through. Null-free numeric columns and shared string headers move
+// as slices; every other layout goes cell by cell and lands in whatever
+// layout the destination column has.
+func (b *ColBatch) AppendBatch(src *ColBatch, lo, hi int) {
+	var sel []int32
+	if src.Sel != nil {
+		sel = src.Sel[lo:hi]
+	}
+	for c := range b.Cols {
+		b.Cols[c].appendVec(b.N, &src.Cols[c], sel, lo, hi)
+	}
+	b.N += hi - lo
+}
+
+// appendVec appends src's cells at physical rows sel (or lo..hi-1 when sel is
+// nil) as this column's rows n, n+1, ….
+func (v *ColVec) appendVec(n int, src *ColVec, sel []int32, lo, hi int) {
+	if v.Values == nil && src.Values == nil && len(src.Nulls) == 0 && v.Kind == src.Kind {
+		switch {
+		case v.Kind == KindInt || v.Kind == KindBool:
+			v.Ints = gather(v.Ints, src.Ints, sel, lo, hi)
+			return
+		case v.Kind == KindFloat:
+			v.Floats = gather(v.Floats, src.Floats, sel, lo, hi)
+			return
+		case v.Kind == KindString && src.Mode == StrHeader && (v.Mode == StrHeader || v.Mode == StrNone):
+			v.Mode = StrHeader
+			v.Strs = gather(v.Strs, src.Strs, sel, lo, hi)
+			return
+		}
+	}
+	if sel == nil {
+		for row := lo; row < hi; row++ {
+			v.AppendCell(n, src, row)
+			n++
+		}
+		return
+	}
+	for _, row := range sel {
+		v.AppendCell(n, src, int(row))
+		n++
+	}
+}
+
+// gather appends src[lo:hi], or src at the rows sel lists, to dst.
+func gather[T any](dst, src []T, sel []int32, lo, hi int) []T {
+	if sel == nil {
+		return append(dst, src[lo:hi]...)
+	}
+	for _, row := range sel {
+		dst = append(dst, src[row])
+	}
+	return dst
+}
+
+// Reserve grows every column's storage, in the layout the column has now,
+// to hold rows physical rows, so that appending up to that many does not
+// reallocate. A string column that has not settled on a layout yet, and the
+// bytes of a flat one, still grow on demand.
+func (b *ColBatch) Reserve(rows int) {
+	for i := range b.Cols {
+		v := &b.Cols[i]
+		switch {
+		case v.Values != nil:
+			v.Values = slices.Grow(v.Values, max(rows-len(v.Values), 0))
+		case v.Kind == KindInt || v.Kind == KindBool:
+			v.Ints = slices.Grow(v.Ints, max(rows-len(v.Ints), 0))
+		case v.Kind == KindFloat:
+			v.Floats = slices.Grow(v.Floats, max(rows-len(v.Floats), 0))
+		case v.Mode == StrHeader:
+			v.Strs = slices.Grow(v.Strs, max(rows-len(v.Strs), 0))
+		case v.Mode == StrDict:
+			v.Codes = slices.Grow(v.Codes, max(rows-len(v.Codes), 0))
+		case v.Mode == StrFlat:
+			v.Offs = slices.Grow(v.Offs, max(rows+1-len(v.Offs), 0))
+		}
+	}
+}
+
+// MemSize reports the bytes of column storage the batch holds (capacity, not
+// length: what a governor should be charged for a batch that is kept).
+// String bytes behind shared headers and dictionary entries belong to
+// whoever produced them and are not counted.
+func (b *ColBatch) MemSize() int64 {
+	const valueSize = 40 // unsafe.Sizeof(Value{})
+	var n int
+	for i := range b.Cols {
+		v := &b.Cols[i]
+		n += 8*(cap(v.Ints)+cap(v.Floats)+cap(v.Nulls)) + 16*cap(v.Strs) +
+			cap(v.Bytes) + cap(v.Codes) + 4*cap(v.Offs) + valueSize*cap(v.Values)
+	}
+	return int64(n)
+}
+
 // WriteRow materializes live row i into dst (len b.Schema.Len()). String
 // cells in the flat layout allocate their string here; every other layout
 // shares storage.
@@ -169,10 +267,10 @@ func (b *ColBatch) WriteRow(i int, dst Tuple) {
 	}
 }
 
-// null reports whether physical row i is NULL in this column. The bitmap
+// Null reports whether physical row i is NULL in this column. The bitmap
 // only grows to the last word with a NULL set, so rows past its end are
 // non-NULL by construction.
-func (v *ColVec) null(i int) bool {
+func (v *ColVec) Null(i int) bool {
 	w := i >> 6
 	if w >= len(v.Nulls) {
 		return false
@@ -406,7 +504,7 @@ func (v *ColVec) AppendCell(n int, src *ColVec, row int) {
 		v.AppendValue(n, src.Values[row])
 		return
 	}
-	if src.null(row) {
+	if src.Null(row) {
 		v.AppendValue(n, Null())
 		return
 	}
@@ -422,7 +520,7 @@ func (v *ColVec) Value(i int) Value {
 	if v.Values != nil {
 		return v.Values[i]
 	}
-	if v.null(i) {
+	if v.Null(i) {
 		return Null()
 	}
 	switch v.Kind {
@@ -453,7 +551,7 @@ func (v *ColVec) CompareValue(i int, c Value) int {
 	if v.Values != nil {
 		return Compare(v.Values[i], c)
 	}
-	if v.null(i) {
+	if v.Null(i) {
 		if c.Kind == KindNull {
 			return 0
 		}
@@ -651,7 +749,7 @@ func (v *ColVec) hashCell(h uint64, i int) uint64 {
 	if v.Values != nil {
 		return hashValue(h, v.Values[i])
 	}
-	if v.null(i) {
+	if v.Null(i) {
 		return prob.FNVByte(h, 0)
 	}
 	switch v.Kind {

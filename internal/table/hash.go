@@ -43,17 +43,3 @@ func HashOn(t Tuple, idx []int) uint64 {
 	}
 	return h
 }
-
-// PartitionOn buckets rows by HashOn over the key columns — the one
-// partitioning scheme shared by the hash-partitioned joins and the
-// partition-parallel aggregation scans, so rows equal on the keys always
-// land in the same bucket of both. Rows keep their relative order within a
-// bucket.
-func PartitionOn(rows []Tuple, idx []int, n int) [][]Tuple {
-	parts := make([][]Tuple, n)
-	for _, t := range rows {
-		p := int(HashOn(t, idx) % uint64(n))
-		parts[p] = append(parts[p], t)
-	}
-	return parts
-}

@@ -613,8 +613,9 @@ func (e *Engine) Workers() int { return e.pool.Workers() }
 // Metrics returns a point-in-time snapshot of the engine-wide counters,
 // gauges and latency histograms every Run has been feeding: queries served
 // (total, per style, failed), answer and distinct tuple counts, confidence
-// tier work (scans, OBDD nodes, d-tree steps, Monte Carlo samples, memo
-// hits/misses) and query/tuple/probability latency distributions. Safe for
+// tier work (scans, sort passes, spilled runs and spill bytes, OBDD nodes,
+// d-tree steps, Monte Carlo samples, memo hits/misses) and
+// query/tuple/probability latency distributions. Safe for
 // concurrent use; counters are cumulative since NewEngine.
 func (e *Engine) Metrics() obs.Snapshot { return e.metrics.Snapshot() }
 
