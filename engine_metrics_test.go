@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/benchutil"
 	"repro/internal/plan"
 	"repro/internal/tpch"
 )
@@ -71,6 +72,55 @@ func TestEngineMetrics(t *testing.T) {
 	// DB.Run (no engine) keeps working with no registry attached.
 	if _, err := db.Run(wrapQuery(custOrd()), Lazy, WithWorkers(1)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEngineLineageAndGraceMetrics: the layers the benchmark used to stage
+// from outside report themselves — a lineage plan's collection time, clause
+// and duplicate-row counts, and a governed join's fall to grace mode.
+func TestEngineLineageAndGraceMetrics(t *testing.T) {
+	e, err := tpchDB(nil).NewEngine(WithWorkers(1), WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(context.Background(), wrapQuery(custOrd()), Lazy); err != nil {
+		t.Fatal(err)
+	}
+	snap := e.Metrics()
+	for _, name := range []string{"lineage_clauses_total", "lineage_dup_rows_total", "grace_joins_total"} {
+		if got := snap.Counters[name]; got != 0 {
+			t.Errorf("sort+scan plan, ungoverned: %s = %d, want 0", name, got)
+		}
+	}
+	if h := snap.Histograms["lineage_collect_seconds"]; h.Count != 0 {
+		t.Errorf("sort+scan plan observed %d lineage collections", h.Count)
+	}
+
+	// The unsafe query has no signature: Lazy falls down the ladder, which
+	// collects lineage once whichever rung answers.
+	u, err := e.Run(context.Background(), wrapQuery(benchutil.UnsafeQuery()), Lazy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap = e.Metrics()
+	if got := snap.Counters["lineage_clauses_total"]; got <= 0 || got != u.Stats.LineageClauses {
+		t.Errorf("lineage_clauses_total = %d, Stats.LineageClauses %d", got, u.Stats.LineageClauses)
+	}
+	if got := snap.Counters["lineage_dup_rows_total"]; got != u.Stats.LineageDupRows || got != u.Stats.AnswerTuples-u.Stats.LineageClauses {
+		t.Errorf("lineage_dup_rows_total = %d, Stats.LineageDupRows %d, %d answer tuples − %d clauses",
+			got, u.Stats.LineageDupRows, u.Stats.AnswerTuples, u.Stats.LineageClauses)
+	}
+	if h := snap.Histograms["lineage_collect_seconds"]; h.Count != 1 || h.SumSec <= 0 || h.SumSec > u.Stats.ProbTime.Seconds() {
+		t.Errorf("lineage_collect_seconds = %+v, ProbTime %v (CollectTime %v)", h, u.Stats.ProbTime, u.Stats.CollectTime)
+	}
+
+	// A starved budget sends the governed join to grace mode.
+	g, err := e.Run(context.Background(), wrapQuery(custOrd()), Lazy, WithMemoryBudget(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Metrics().Counters["grace_joins_total"]; got != 1 || got != g.Stats.GraceJoins {
+		t.Errorf("grace_joins_total = %d, Stats.GraceJoins %d, want 1", got, g.Stats.GraceJoins)
 	}
 }
 

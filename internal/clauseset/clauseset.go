@@ -12,9 +12,9 @@
 // map (only a genuine hash collision between distinct sets allocates an
 // overflow chain), clause-set headers are carved from an arena in blocks
 // and recycled through a free list, and Reset drops every entry while
-// keeping the map buckets, the arena and the free list — a builder pooled
-// across a batch of per-answer compilations pays the allocations once per
-// worker, not once per formula.
+// keeping the map buckets and rewinding the arena to its first block — a
+// builder pooled across a batch of per-answer compilations pays the
+// allocations once per worker, not once per formula.
 //
 // The package also holds the contract both compilers speak to their
 // callers: Options (budget, anytime target width, stop probe) and Result
@@ -99,7 +99,11 @@ type Store[V any] struct {
 	memo map[uint64]entry[V]
 	over map[uint64][]entry[V] // hash collisions between distinct sets
 	free [][][]int32           // recycled headers
-	hdrs [][]int32             // unused tail of the current arena block
+	// The header arena: every block ever allocated, kept across Resets, the
+	// index of the one being carved, and its unused tail.
+	blocks [][][]int32
+	block  int
+	hdrs   [][]int32
 
 	// Effort counters, cumulative across Resets (callers record per-formula
 	// deltas): memo hits and misses, and headers served from the free list
@@ -107,13 +111,19 @@ type Store[V any] struct {
 	hits, misses, recycled int64
 }
 
-// Reset drops every interned set and keeps all storage.
+// Reset drops every interned set and keeps all storage: the map buckets,
+// and the arena's blocks, which Scratch carves again from the first. Every
+// header handed out before — retained by Put, parked on the free list — is
+// dead after it, so the free list empties too: its headers point into
+// blocks about to be handed out again.
 func (s *Store[V]) Reset() {
 	if s.memo == nil {
 		s.memo = make(map[uint64]entry[V])
 	}
 	clear(s.memo)
 	clear(s.over)
+	s.free = s.free[:0]
+	s.block, s.hdrs = -1, nil // Scratch steps to block 0
 }
 
 // Counters returns the cumulative memo hits, memo misses and recycled
@@ -159,8 +169,10 @@ func (s *Store[V]) Put(h uint64, cls [][]int32, v V) {
 
 // Scratch returns an empty clause-set header with room for n clauses: a
 // recycled one from the free list when it fits, otherwise a slice of the
-// header arena (one allocation per hdrArenaBlock slots). Headers retained
-// by Put keep their arena storage; dead ones come back through Recycle.
+// header arena: the current block's tail, else the next kept block that
+// fits, else a new block (one allocation per hdrArenaBlock slots, once per
+// store — Reset rewinds instead of freeing). Headers retained by Put keep
+// their arena storage until Reset; dead ones come back through Recycle.
 func (s *Store[V]) Scratch(n int) [][]int32 {
 	if k := len(s.free); k > 0 {
 		if f := s.free[k-1]; cap(f) >= n {
@@ -169,8 +181,12 @@ func (s *Store[V]) Scratch(n int) [][]int32 {
 			return f[:0]
 		}
 	}
-	if len(s.hdrs) < n {
-		s.hdrs = make([][]int32, max(n, hdrArenaBlock))
+	for len(s.hdrs) < n {
+		if s.block++; s.block >= len(s.blocks) {
+			s.blocks = append(s.blocks, make([][]int32, max(n, hdrArenaBlock)))
+			s.block = len(s.blocks) - 1
+		}
+		s.hdrs = s.blocks[s.block]
 	}
 	f := s.hdrs[:0:n]
 	s.hdrs = s.hdrs[n:]

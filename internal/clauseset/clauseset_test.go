@@ -83,6 +83,38 @@ func TestScratchRecycling(t *testing.T) {
 	}
 }
 
+// TestResetRewindsArena: Reset keeps the arena's blocks and hands them out
+// again from the first — a second formula's worth of headers, spanning
+// several blocks and one oversized request, allocates nothing — and empties
+// the free list, whose headers point into the blocks being reused.
+func TestResetRewindsArena(t *testing.T) {
+	var s Store[int32]
+	lits := []int32{7}
+	formula := func() {
+		s.Reset()
+		for i := 0; i < 3*hdrArenaBlock/64; i++ {
+			s.Put(uint64(i), append(s.Scratch(64), lits), int32(i))
+		}
+		s.Recycle(s.Scratch(hdrArenaBlock + 7))
+	}
+	formula()
+	if avg := testing.AllocsPerRun(10, formula); avg != 0 {
+		t.Errorf("a second formula on a Reset store allocated %.1f times, want 0", avg)
+	}
+	_, _, before := s.Counters()
+	s.Reset()
+	first := s.Scratch(64)
+	if _, _, after := s.Counters(); after != before {
+		t.Error("Reset kept the free list: the first header of the next formula was a recycled one")
+	}
+	// The rewound arena must not hand one slot out twice.
+	second := s.Scratch(64)
+	first, second = append(first, []int32{1}), append(second, []int32{2})
+	if first[0][0] != 1 || second[0][0] != 2 {
+		t.Error("two live headers share arena storage after Reset")
+	}
+}
+
 // TestNormalize: sorted, deduplicated, in place — and the canonical form is
 // what Hash keys on.
 func TestNormalize(t *testing.T) {

@@ -3,6 +3,7 @@ package conf
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/prob"
@@ -34,10 +35,10 @@ type Lineage struct {
 	DNFs []*prob.DNF
 	// Assign maps every variable of the input to its marginal probability.
 	Assign *prob.Assignment
-	// Source maps every variable to the name of the source table whose V
-	// column carried it — the hook for signature-derived OBDD variable
-	// orders (obdd.go).
-	Source map[prob.Var]string
+	// Source records, for every variable, the source table whose V column
+	// carried it — the hook for signature-derived OBDD variable orders
+	// (obdd.go).
+	Source VarSources
 	// Clauses counts lineage clauses across all answers.
 	Clauses int64
 	// Vars counts the distinct variables mentioned across all answers.
@@ -47,6 +48,18 @@ type Lineage struct {
 	DupRows int64
 	// Input counts the rows that entered lineage collection.
 	Input int64
+}
+
+// VarSources records which source table's V column carried each variable of
+// a lineage: one entry per variable, made where collection first met it.
+type VarSources struct {
+	names []string // the input's sources, in schema order
+	vars  []varSource
+}
+
+type varSource struct {
+	v   prob.Var
+	src int32 // index into names
 }
 
 // LineageStats is the head every lineage tier's stats share: what
@@ -84,10 +97,38 @@ func (l *Lineage) row(i int, p float64) table.Tuple {
 // conjoining the row's variables (one per source table; deterministic
 // tuples, V = ⊤, drop out). A Boolean answer (no data columns) yields at
 // most one group.
+//
+// Grouping is by hash, not by sort: one pass gives each row a dense group id
+// and appends its clause to a lineage-wide arena unless its answer already
+// has it; only the distinct answers are then sorted. The result does not
+// depend on the input's row order beyond which of several Compare-equal
+// keys represents an answer (the first to arrive): Keys are sorted, every
+// DNF's clauses are sorted below, and the counters count sets.
 func CollectLineage(rel *table.Relation) (*Lineage, error) {
+	return collectLineage(rel, ^uint64(0))
+}
+
+// lineageGroup is one distinct answer during collection.
+type lineageGroup struct {
+	first   int32 // the input row whose data columns are the answer's key
+	next    int32 // next group under the same key hash, -1 at the end
+	clauses int32 // distinct clauses collected so far
+}
+
+// lineageClause is one distinct clause during collection: n literals at
+// arena offset off, in the DNF of group.
+type lineageClause struct {
+	group, off, n int32
+	next          int32 // next clause under the same (group, clause) hash, -1 at the end
+}
+
+// collectLineage is CollectLineage with every hash ANDed with hashMask —
+// the seam through which tests force hash collisions between distinct
+// answers and between distinct clauses.
+func collectLineage(rel *table.Relation, hashMask uint64) (*Lineage, error) {
 	dataCols := rel.Schema.DataIndexes()
 	var varCols, probCols []int
-	var srcNames []string
+	l := &Lineage{Assign: prob.NewAssignment(), Input: int64(rel.Len())}
 	for _, src := range rel.Schema.Sources() {
 		vi, pi := rel.Schema.VarIndex(src), rel.Schema.ProbIndex(src)
 		if pi < 0 {
@@ -95,88 +136,108 @@ func CollectLineage(rel *table.Relation) (*Lineage, error) {
 		}
 		varCols = append(varCols, vi)
 		probCols = append(probCols, pi)
-		srcNames = append(srcNames, src)
+		l.Source.names = append(l.Source.names, src)
 	}
+	l.Schema = rel.Schema.Project(dataCols)
 
-	l := &Lineage{
-		Schema: rel.Schema.Project(dataCols),
-		Assign: prob.NewAssignment(),
-		Source: make(map[prob.Var]string),
-		Input:  int64(rel.Len()),
-	}
-
-	// Sort row indexes by the data columns so groups are contiguous and the
-	// output order is deterministic. The Monte Carlo path materializes
-	// everything in memory anyway (the estimator needs random access to each
-	// answer's whole formula), so an in-memory sort — unlike the exact
-	// operator's external sort — is the right tool.
-	order := make([]int, rel.Len())
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortStableFunc(order, func(a, b int) int {
-		return table.CompareOn(rel.Rows[a], rel.Rows[b], dataCols)
-	})
-
-	vs := make(prob.Clause, 0, len(varCols))
-	marginal := make(map[prob.Var]float64)
-	// Clause dedup per group via an FNV hash with equality-checked collision
-	// chains: DNF.Add's linear scan would make collection quadratic in the
-	// group size, and a rendered string key would allocate on every row —
-	// large answer groups (thousands of duplicates per answer) can afford
-	// neither. Duplicate rows build their candidate clause in a reused
-	// scratch buffer and allocate nothing.
-	seen := make(map[uint64][]prob.Clause)
-	var cur *prob.DNF
-	for n, ri := range order {
-		row := rel.Rows[ri]
-		vs = vs[:0]
+	// Both tables are arrays of chain heads (entry index + 1, 0 = empty)
+	// with more buckets than the input has rows; the equality-checked
+	// chains run through the entries themselves, so nothing allocates per
+	// entry. Answers go by the hash of their data columns, clauses by the
+	// clause hash folded with the group id — one table for the whole
+	// lineage, nothing to clear between answers. The Monte Carlo path needs
+	// each answer's whole formula in memory anyway, so in-memory tables —
+	// unlike the exact operator's external sort — are the right tool.
+	buckets := 1 << bits.Len(uint(rel.Len()))
+	bucket := func(h uint64) uint64 { return (h ^ h>>32) & hashMask & uint64(buckets-1) }
+	groupAt, clauseAt := make([]int32, buckets), make([]int32, buckets)
+	var groups []lineageGroup
+	var clauses []lineageClause
+	// Every clause's literals live in one arena; a duplicate row builds its
+	// candidate at the tail and is truncated away again.
+	arena := make([]prob.Var, 0, rel.Len()*len(varCols))
+	lits := func(c lineageClause) prob.Clause { return arena[c.off : c.off+c.n : c.off+c.n] }
+	for ri, row := range rel.Rows {
+		start := len(arena)
 		for k, vi := range varCols {
 			v := row[vi].AsVar()
 			if !v.Valid() {
 				continue
 			}
 			p := row[probCols[k]].F
-			if prev, ok := marginal[v]; ok {
-				if prev != p {
-					return nil, fmt.Errorf("conf: variable %v carries two marginals, %g and %g (corrupt input)", v, prev, p)
-				}
-			} else {
-				marginal[v] = p
+			if prev, ok := l.Assign.Lookup(v); !ok {
 				if err := l.Assign.Set(v, p); err != nil {
 					return nil, fmt.Errorf("conf: row %d: %w", ri, err)
 				}
-				l.Source[v] = srcNames[k]
+				l.Source.vars = append(l.Source.vars, varSource{v, int32(k)})
+			} else if prev != p {
+				return nil, fmt.Errorf("conf: variable %v carries two marginals, %g and %g (corrupt input)", v, prev, p)
 			}
-			vs = append(vs, v)
+			arena = append(arena, v)
 		}
-		if n == 0 || !table.EqualOn(rel.Rows[order[n-1]], row, dataCols) {
-			cur = prob.NewDNF()
-			l.Keys = append(l.Keys, row.Project(dataCols))
-			l.DNFs = append(l.DNFs, cur)
-			clear(seen)
+		// Normalize the candidate in place (sorted, deduplicated), the same
+		// canonical form prob.NewClause produces.
+		slices.Sort(arena[start:])
+		arena = arena[:start+len(slices.Compact(arena[start:]))]
+		vs := prob.Clause(arena[start:])
+
+		head := &groupAt[bucket(table.HashOn(row, dataCols))]
+		g := *head - 1
+		for g >= 0 && !table.EqualOn(rel.Rows[groups[g].first], row, dataCols) {
+			g = groups[g].next
 		}
-		// Normalize the scratch clause in place (sorted, deduplicated), the
-		// same canonical form prob.NewClause produces.
-		slices.Sort(vs)
-		vs = slices.Compact(vs)
-		h := vs.Hash()
-		chain := seen[h]
-		dup := false
-		for _, e := range chain {
-			if e.Equal(vs) {
-				dup = true
-				l.DupRows++
-				break
-			}
+		if g < 0 {
+			g = int32(len(groups))
+			groups = append(groups, lineageGroup{first: int32(ri), next: *head - 1})
+			*head = g + 1
 		}
-		if !dup {
-			clause := slices.Clone(vs)
-			seen[h] = append(chain, clause)
-			cur.Clauses = append(cur.Clauses, clause)
+
+		head = &clauseAt[bucket(prob.FNVUint32(vs.Hash(), uint32(g)))]
+		c := *head - 1
+		for c >= 0 && (clauses[c].group != g || !vs.Equal(lits(clauses[c]))) {
+			c = clauses[c].next
 		}
+		if c >= 0 {
+			l.DupRows++
+			arena = arena[:start]
+			continue
+		}
+		clauses = append(clauses, lineageClause{group: g, off: int32(start), n: int32(len(vs)), next: *head - 1})
+		*head = int32(len(clauses))
+		groups[g].clauses++
 	}
-	l.Vars = int64(len(marginal))
+	l.Vars, l.Clauses = int64(l.Assign.Len()), int64(len(clauses))
+	if len(groups) == 0 {
+		return l, nil
+	}
+
+	// Emit in key order: sort the distinct answers, lay the clause headers
+	// of all DNFs out in one slice, group by group, and drop each clause
+	// into its group's range.
+	order := make([]int32, len(groups))
+	for g := range order {
+		order[g] = int32(g)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		return table.CompareOn(rel.Rows[groups[a].first], rel.Rows[groups[b].first], dataCols)
+	})
+	l.Keys = make([]table.Tuple, len(groups))
+	l.DNFs = make([]*prob.DNF, len(groups))
+	dnfs := make([]prob.DNF, len(groups))
+	headers := make([]prob.Clause, len(clauses))
+	at := make([]int32, len(groups)) // per group: where its next clause header goes
+	off := int32(0)
+	for i, g := range order {
+		l.Keys[i] = rel.Rows[groups[g].first].Project(dataCols)
+		at[g] = off
+		off += groups[g].clauses
+		dnfs[i].Clauses = headers[at[g]:off:off]
+		l.DNFs[i] = &dnfs[i]
+	}
+	for _, c := range clauses {
+		headers[at[c.group]] = lits(c)
+		at[c.group]++
+	}
 	for _, d := range l.DNFs {
 		// Canonicalize the clause order (clauses are sorted var lists, so
 		// lexicographic order is well defined). This makes every downstream
@@ -185,7 +246,6 @@ func CollectLineage(rel *table.Relation) (*Lineage, error) {
 		// than of the join's row order, which is what lets the engine promise
 		// bit-identical confidences across worker counts and join strategies.
 		slices.SortFunc(d.Clauses, slices.Compare[prob.Clause])
-		l.Clauses += int64(len(d.Clauses))
 	}
 	return l, nil
 }

@@ -3,6 +3,7 @@ package conf
 import (
 	"context"
 	"errors"
+	"slices"
 
 	"repro/internal/obdd"
 	"repro/internal/pool"
@@ -59,22 +60,24 @@ func OBDDLineage(ctx context.Context, p *pool.Pool, l *Lineage, sig signature.Si
 // root-table first — the order under which hierarchical lineage compiles
 // into linear-size diagrams. A nil signature yields a nil rank (pure
 // occurrence order).
-func sigRank(sig signature.Sig, source map[prob.Var]string) func(prob.Var) int {
+func sigRank(sig signature.Sig, source VarSources) func(prob.Var) int {
 	if sig == nil {
 		return nil
 	}
 	tables := signature.Tables(sig)
-	pos := make(map[string]int, len(tables))
-	for i, t := range tables {
-		if _, ok := pos[t]; !ok {
-			pos[t] = i
+	pos := make([]int, len(source.names)) // per source: its table's first position
+	for k, name := range source.names {
+		if pos[k] = slices.Index(tables, name); pos[k] < 0 {
+			pos[k] = len(tables)
 		}
 	}
+	rank := make(map[prob.Var]int, len(source.vars))
+	for _, e := range source.vars {
+		rank[e.v] = pos[e.src]
+	}
 	return func(v prob.Var) int {
-		if src, ok := source[v]; ok {
-			if r, ok := pos[src]; ok {
-				return r
-			}
+		if r, ok := rank[v]; ok {
+			return r
 		}
 		return len(tables)
 	}

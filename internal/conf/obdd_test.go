@@ -137,7 +137,13 @@ func TestCollectLineageSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Source[1] != "R" || l.Source[2] != "S" {
-		t.Errorf("sources = %v", l.Source)
+	// Under the signature S R the S-borne variable ranks first; a variable
+	// the lineage never saw ranks after every table.
+	rank := sigRank(signature.Concat{signature.Table("S"), signature.Table("R")}, l.Source)
+	if rank(1) != 1 || rank(2) != 0 || rank(3) != 2 {
+		t.Errorf("ranks of x1, x2, x3 = %d, %d, %d; sources %+v", rank(1), rank(2), rank(3), l.Source)
+	}
+	if sigRank(nil, l.Source) != nil {
+		t.Error("a nil signature must yield a nil rank")
 	}
 }

@@ -17,7 +17,10 @@
 //     reference implementation for cross-validation;
 //   - the lineage tiers (tier.go) for queries without a hierarchical
 //     signature: the answer relation is grouped into per-answer lineage
-//     DNFs once (CollectLineage) and a tier turns them into confidences —
+//     DNFs once (CollectLineage: one hash-grouping pass into a shared
+//     clause arena, no sort of the input; sorted Keys and canonically
+//     sorted clauses make the result independent of the join's row order)
+//     and a tier turns them into confidences —
 //     OBDD compilation (obdd.go) and d-tree decomposition (dtree.go), exact
 //     within a budget and certified deterministic [lo, hi] bounds beyond
 //     it, both on one per-answer driver (compileLineage: pool fan-out,

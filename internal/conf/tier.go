@@ -28,7 +28,7 @@ type TierStats struct {
 	Nodes        int64 // compilation effort, all answers
 	MemoHits     int64 // residual-memo hits across all compilations
 	MemoMisses   int64 // residual-memo misses across all compilations
-	HdrRecycled  int64 // clause headers recycled instead of arena-carved (builder-state dependent)
+	HdrRecycled  int64 // clause headers recycled instead of arena-carved
 	ExactAnswers int64 // answers with exact confidences
 	Bounded      int64 // answers resolved only to [lo, hi] bounds
 	Stopped      int64 // bounded answers cut short by a deadline-watermark Stop

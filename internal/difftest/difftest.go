@@ -27,7 +27,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"testing"
 
+	"repro/internal/clauseset"
 	"repro/internal/dtree"
 	"repro/internal/obdd"
 	"repro/internal/prob"
@@ -58,6 +61,56 @@ func RandomDNF(rng *rand.Rand, maxVars int) (*prob.DNF, *prob.Assignment) {
 		d.Add(prob.NewClause(vars...))
 	}
 	return d, a
+}
+
+// JoinDNF draws the lineage of one answer of the unsafe query
+// π{odate}(Cust ⋈ Ord ⋈ Item): one three-literal clause per item — the
+// item's own variable, its order's, the order's customer's — so customer
+// and order variables are shared between clauses and no polynomial
+// shortcut applies; clauses come in the canonical (sorted) order lineage
+// collection emits. JoinDNF(rng, 12, 12, 51) is the shape the
+// lineage_unsafe benchmark samples and compiles: 75 variables, 51 clauses.
+// The alloc pins and micro-benchmarks of the lineage tiers use it.
+func JoinDNF(rng *rand.Rand, custs, orders, items int) (*prob.DNF, *prob.Assignment) {
+	a := prob.NewAssignment()
+	for v := 1; v <= custs+orders+items; v++ {
+		a.MustSet(prob.Var(v), 0.05+0.9*rng.Float64())
+	}
+	custOf := make([]int, orders)
+	for o := range custOf {
+		custOf[o] = rng.Intn(custs)
+	}
+	d := &prob.DNF{}
+	for i := 0; i < items; i++ {
+		o := rng.Intn(orders)
+		d.Clauses = append(d.Clauses, prob.NewClause(prob.Var(1+custOf[o]), prob.Var(1+custs+o), prob.Var(1+custs+orders+i)))
+	}
+	slices.SortFunc(d.Clauses, slices.Compare[prob.Clause])
+	return d, a
+}
+
+// CheckSteadyRecompile pins the clause-set store's Reset contract through a
+// compiler: recompile Resets one pooled builder and compiles one formula,
+// and from the second call on every call must allocate exactly as often as
+// the one before and return the identical Result, HdrRecycled included. A
+// store whose Reset orphaned its header arena fails it — some recompiles
+// then allocate a fresh header block and some do not — and so does one
+// whose free list outlives Reset, by handing the next formula a different
+// number of recycled headers.
+func CheckSteadyRecompile(recompile func() clauseset.Result) error {
+	recompile()
+	want := recompile()
+	allocs := testing.AllocsPerRun(1, func() { recompile() })
+	for i := 0; i < 16; i++ {
+		var got clauseset.Result
+		if n := testing.AllocsPerRun(1, func() { got = recompile() }); n != allocs {
+			return fmt.Errorf("recompile %d allocated %v times, the one before %v", i, n, allocs)
+		}
+		if got != want {
+			return fmt.Errorf("recompile %d returned %+v, want %+v", i, got, want)
+		}
+	}
+	return nil
 }
 
 // DecodeDNF maps an arbitrary byte string onto a DNF over at most 12

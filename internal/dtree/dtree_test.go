@@ -192,13 +192,26 @@ func TestBuilderReset(t *testing.T) {
 		fresh := dtree.Prob(f.d, f.a, dtree.Options{})
 		b.Reset(0)
 		pooled := dtree.ProbWith(b, f.d, f.a, dtree.Options{})
-		// HdrRecycled is per-builder state (the scratch free list survives
-		// Reset — that is the point of pooling), so it legitimately differs
-		// between a fresh and a reused builder; everything else must match.
-		fresh.HdrRecycled, pooled.HdrRecycled = 0, 0
+		// Reset empties the scratch free list with the arena it points
+		// into, so even HdrRecycled matches a fresh builder's.
 		if fresh != pooled {
 			t.Fatalf("formula %d: fresh %+v != pooled %+v", i, fresh, pooled)
 		}
+	}
+}
+
+// TestResetKeepsHeaderArena: re-decomposing the benchmark-shaped formula on
+// a Reset builder allocates no clause-set header block, ever again, and
+// recycles exactly as many headers as the run before.
+func TestResetKeepsHeaderArena(t *testing.T) {
+	d, a := difftest.JoinDNF(rand.New(rand.NewSource(1)), 12, 12, 51)
+	var b dtree.Builder
+	err := difftest.CheckSteadyRecompile(func() dtree.Result {
+		b.Reset(0)
+		return dtree.ProbWith(&b, d, a, dtree.Options{})
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

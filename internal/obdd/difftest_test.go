@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/difftest"
+	"repro/internal/obdd"
 )
 
 // TestDifferential runs the repo-wide harness over random lineage-shaped
@@ -19,6 +20,26 @@ func TestDifferential(t *testing.T) {
 		if err := difftest.Check(d, a); err != nil {
 			t.Fatalf("formula %d: %v", i, err)
 		}
+	}
+}
+
+// TestResetKeepsHeaderArena: recompiling the benchmark-shaped formula on a
+// Reset builder allocates no clause-set header block, ever again, and
+// recycles exactly as many headers as the compile before.
+func TestResetKeepsHeaderArena(t *testing.T) {
+	d, a := difftest.JoinDNF(rand.New(rand.NewSource(1)), 12, 12, 51)
+	var b obdd.Builder
+	var order obdd.OrderScratch
+	err := difftest.CheckSteadyRecompile(func() obdd.Result {
+		b.Reset(order.OccurrenceOrder(d, nil), 0)
+		res, err := obdd.ProbWith(&b, d, a, obdd.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

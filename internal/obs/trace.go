@@ -77,6 +77,12 @@ func (s *Span) LooseInt(key string, v int64) *Span {
 	return s.put(key, strconv.FormatInt(v, 10), false)
 }
 
+// LooseDur records a non-structural duration attribute, in seconds — a
+// phase of the span's own Dur worth reading on its own.
+func (s *Span) LooseDur(key string, d time.Duration) *Span {
+	return s.put(key, strconv.FormatFloat(d.Seconds(), 'f', 4, 64)+"s", false)
+}
+
 // LooseStr records a non-structural string attribute.
 func (s *Span) LooseStr(key, v string) *Span { return s.put(key, v, false) }
 

@@ -49,10 +49,12 @@ type lowerState struct {
 	colExec    bool
 	colBatches int64
 	rowBatches int64
+	graceJoins int64 // governed joins that fell back to sort-merge (grace) mode
 
-	// flushes are deferred trace-attribute writers for Counted wrappers
-	// threaded into the pipeline: counters are only final once the
-	// pipeline has drained, so a source's feed runs them after the drain.
+	// flushes are deferred readers of operators threaded into the pipeline
+	// — trace-attribute writers for Counted wrappers, the governed joins'
+	// grace-mode check: their counters are only final once the pipeline has
+	// drained, so a source's feed runs them after the drain.
 	flushes []func()
 }
 
@@ -150,9 +152,10 @@ func (st *lowerState) operator(n logical.Node, sp *obs.Span) (engine.Operator, e
 			if err != nil {
 				return nil, err
 			}
-			if jsp != nil && governed != nil {
+			if governed != nil {
 				st.flushes = append(st.flushes, func() {
 					if governed.GraceMode() {
+						st.graceJoins++
 						jsp.LooseStr("grace", "true")
 					}
 				})
@@ -340,6 +343,7 @@ func runLogical(ex exec, c *Catalog, q *query.Query, b *built, spec Spec) (*Resu
 	}
 	res.Stats.ColBatches = st.colBatches
 	res.Stats.RowBatches = st.rowBatches
+	res.Stats.GraceJoins = st.graceJoins
 	return res, nil
 }
 

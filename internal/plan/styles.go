@@ -244,6 +244,17 @@ type Stats struct {
 	// rate the benchmark records track.
 	MemoHits   int64
 	MemoMisses int64
+	// CollectTime is the part of ProbTime a lineage tier (or the ladder)
+	// spent collecting the answers' lineage, before any rung compiled or
+	// sampled it; LineageClauses and LineageDupRows are what collection
+	// found — distinct clauses across all answers, and input rows whose
+	// clause their answer already had (0 for plans that collect none).
+	CollectTime    time.Duration
+	LineageClauses int64
+	LineageDupRows int64
+	// GraceJoins counts governed hash joins of the run that fell back to
+	// sort-merge (grace) mode under memory pressure.
+	GraceJoins int64
 	// ColBatches and RowBatches count the batches the relational plumbing
 	// moved through the columnar and row tiers — how much of the run was
 	// vectorized. They are populated only on traced runs (the counters ride
@@ -501,6 +512,9 @@ func (p *Prepared) record(reg *obs.Registry, s *Stats, wall time.Duration) {
 	reg.Counter("obdd_nodes_total").AddShard(h, s.OBDDNodes)
 	reg.Counter("dtree_nodes_total").AddShard(h, s.DTreeNodes)
 	reg.Counter("mc_samples_total").AddShard(h, s.Samples)
+	reg.Counter("lineage_clauses_total").AddShard(h, s.LineageClauses)
+	reg.Counter("lineage_dup_rows_total").AddShard(h, s.LineageDupRows)
+	reg.Counter("grace_joins_total").AddShard(h, s.GraceJoins)
 	reg.Counter("memo_hits_total").AddShard(h, s.MemoHits)
 	reg.Counter("memo_misses_total").AddShard(h, s.MemoMisses)
 	if s.Approximate {
@@ -509,6 +523,9 @@ func (p *Prepared) record(reg *obs.Registry, s *Stats, wall time.Duration) {
 	reg.Histogram("query_seconds").Observe(wall.Seconds())
 	reg.Histogram("tuple_seconds").Observe(s.TupleTime.Seconds())
 	reg.Histogram("prob_seconds").Observe(s.ProbTime.Seconds())
+	if s.CollectTime > 0 {
+		reg.Histogram("lineage_collect_seconds").Observe(s.CollectTime.Seconds())
+	}
 }
 
 // Answer materializes the answer tuples of q under the lazy join order:

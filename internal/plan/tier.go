@@ -77,12 +77,24 @@ func annotateLineage(sp *obs.Span, s conf.LineageStats) {
 	sp.Int("answers", s.OutputTuples).Int("clauses", s.Clauses).Int("vars", s.Vars).Int("dedup_rows", s.DupRows)
 }
 
+// collectLineage is the collection step every lineage plan starts with,
+// timed: the duration goes on sp as its own attribute — it is part of the
+// span's Dur, and of Stats.ProbTime — and into Stats.CollectTime.
+func collectLineage(sp *obs.Span, answer *table.Relation) (*conf.Lineage, time.Duration, error) {
+	t0 := statsNow()
+	l, err := conf.CollectLineage(answer)
+	d := statsSince(t0)
+	sp.LooseDur("collect", d)
+	return l, d, err
+}
+
 // finishLineage runs one tier over the collected lineage and assembles the
 // Result, annotating the tier's trace span (nil when tracing is off). t1 is
-// when confidence computation began (lineage collection and any refused
-// rungs included), so Stats.ProbTime reports the real cost. note annotates
-// the plan line when the run is a fallback from an exact style.
-func finishLineage(ex exec, sp *obs.Span, t *tier, q *query.Query, b *built, spec Spec, note string, answer *table.Relation, l *conf.Lineage, exactOnly bool, tupleTime time.Duration, t1 time.Time) (*Result, error) {
+// when confidence computation began (lineage collection, which took
+// collect, and any refused rungs included), so Stats.ProbTime reports the
+// real cost. note annotates the plan line when the run is a fallback from
+// an exact style.
+func finishLineage(ex exec, sp *obs.Span, t *tier, q *query.Query, b *built, spec Spec, note string, answer *table.Relation, l *conf.Lineage, exactOnly bool, tupleTime time.Duration, t1 time.Time, collect time.Duration) (*Result, error) {
 	out, o, err := t.run(ex, &spec, b, l, exactOnly)
 	if err != nil {
 		return nil, err
@@ -101,6 +113,9 @@ func finishLineage(ex exec, sp *obs.Span, t *tier, q *query.Query, b *built, spe
 		t.name, note, describeOrder(b.order), t.verb, o.OutputTuples, o.Clauses, o.effort, t.effort, o.exact, o.suffix)
 	stats.TupleTime = tupleTime
 	stats.ProbTime = probTime
+	stats.CollectTime = collect
+	stats.LineageClauses = o.Clauses
+	stats.LineageDupRows = o.DupRows
 	stats.AnswerTuples = int64(answer.Len())
 	stats.DistinctTuples = int64(out.Len())
 	stats.Scans = 1 // the lineage-collection grouping pass
@@ -114,12 +129,13 @@ func finishLineage(ex exec, sp *obs.Span, t *tier, q *query.Query, b *built, spe
 // finishTier is a lineage tier run as a style of its own: certified bounds
 // (or estimates) are a result, unless RequireExact forbids them.
 func finishTier(ex exec, t *tier, q *query.Query, b *built, spec Spec, answer *table.Relation, tupleTime time.Duration) (*Result, error) {
+	sp := ex.span("conf[" + t.name + "]")
 	t1 := statsNow()
-	l, err := conf.CollectLineage(answer)
+	l, collect, err := collectLineage(sp, answer)
 	if err != nil {
 		return nil, err
 	}
-	res, err := finishLineage(ex, ex.span("conf["+t.name+"]"), t, q, b, spec, "", answer, l, spec.RequireExact, tupleTime, t1)
+	res, err := finishLineage(ex, sp, t, q, b, spec, "", answer, l, spec.RequireExact, tupleTime, t1, collect)
 	if err != nil && errors.Is(err, t.budgetErr) {
 		return nil, fmt.Errorf("plan: %s: %w (RequireExact forbids certified bounds)", q.Name, err)
 	}
@@ -134,7 +150,7 @@ func finishTier(ex exec, t *tier, q *query.Query, b *built, spec Spec, answer *t
 func finishFallbackChain(ex exec, q *query.Query, b *built, spec Spec, answer *table.Relation, tupleTime time.Duration) (*Result, error) {
 	lsp := ex.span("conf[ladder]")
 	t1 := statsNow()
-	l, err := conf.CollectLineage(answer)
+	l, collect, err := collectLineage(lsp, answer)
 	if err != nil {
 		return nil, err
 	}
@@ -143,7 +159,7 @@ func finishFallbackChain(ex exec, q *query.Query, b *built, spec Spec, answer *t
 		sp := lsp.Child(t.name)
 		note := fmt.Sprintf(" (fallback from %s: no hierarchical signature, %s)", spec.Style, t.ladderNote)
 		var res *Result
-		res, err = finishLineage(ex, sp, t, q, b, spec, note, answer, l, true, tupleTime, t1)
+		res, err = finishLineage(ex, sp, t, q, b, spec, note, answer, l, true, tupleTime, t1, collect)
 		if err == nil || !errors.Is(err, t.budgetErr) {
 			return res, err
 		}

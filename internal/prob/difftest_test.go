@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/difftest"
+	"repro/internal/prob"
 )
 
 // TestDifferential cross-checks every confidence tier on random
@@ -21,5 +22,23 @@ func TestDifferential(t *testing.T) {
 		if err := difftest.Check(d, a); err != nil {
 			t.Fatalf("formula %d: %v", i, err)
 		}
+	}
+}
+
+// BenchmarkMCSample estimates one answer of the lineage_unsafe benchmark's
+// shape — 75 variables, 51 three-literal clauses — at its (ε, δ): 1 060
+// samples per estimate under the naive sampler, U² times that under
+// Karp–Luby.
+func BenchmarkMCSample(b *testing.B) {
+	d, a := difftest.JoinDNF(rand.New(rand.NewSource(1)), 12, 12, 51)
+	for _, m := range []prob.MCMethod{prob.MCNaive, prob.MCKarpLuby} {
+		b.Run(m.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			samples := 0
+			for i := 0; i < b.N; i++ {
+				samples += prob.MCProb(d, a, prob.MCOptions{Epsilon: 0.05, Delta: 0.01, Seed: int64(i), Method: m}).Samples
+			}
+			b.ReportMetric(float64(samples)/b.Elapsed().Seconds(), "samples/s")
+		})
 	}
 }

@@ -39,7 +39,7 @@ func FNVUint32(h uint64, v uint32) uint64 {
 func (c Clause) Hash() uint64 {
 	h := FNVInit()
 	for _, v := range c {
-		h = FNVUint64(h, uint64(v))
+		h = FNVUint32(h, uint32(v))
 	}
 	return h
 }

@@ -1,8 +1,7 @@
 package prob
 
 import (
-	"context"
-	"math/rand"
+	"math/bits"
 	"sort"
 )
 
@@ -16,6 +15,8 @@ import (
 //	         draw a world conditioned on clause i being true
 //	X      = U·1[i is the first satisfied clause of the drawn world]
 //
+// The estimate is U·(hit fraction); callers clamp it to [0, 1].
+//
 // X is an unbiased estimator of Pr[φ]: every satisfying world is counted
 // exactly once (for its first satisfied clause), with importance weight
 // cancelling the conditioning. Samples lie in {0, U}, so the Hoeffding
@@ -23,52 +24,39 @@ import (
 // the naive sampler's width of 1, which is how MCAuto chooses between them.
 
 // pickClause samples a clause index proportionally to its weight.
-func (c *mcCompiled) pickClause(rng *rand.Rand) int {
-	r := rng.Float64() * c.U
-	i := sort.SearchFloat64s(c.cum, r)
-	if i >= len(c.cum) {
-		i = len(c.cum) - 1
-	}
-	return i
+func (s *sampler) pickClause() int {
+	r := float64(s.rng.Uint64()>>11) * 0x1p-53 * s.U
+	return min(sort.SearchFloat64s(s.cum, r), len(s.cum)-1)
 }
 
-// sampleKarpLuby draws up to n Karp–Luby samples and returns U·(hit
-// fraction), the unbiased estimate of Pr[φ], plus the count actually drawn
-// (less than n only when stop fired between sample blocks). Callers clamp
-// to [0, 1].
-func (c *mcCompiled) sampleKarpLuby(ctx context.Context, n int, rng *rand.Rand, stop func() bool) (float64, int, error) {
-	buf := make([]bool, len(c.vars))
-	hits := 0
-	for s := 0; s < n; s++ {
-		if s%cancelCheckInterval == 0 {
-			if ctx.Err() != nil {
-				return 0, 0, ctx.Err()
-			}
-			if s > 0 && stop != nil && stop() {
-				return c.U * float64(hits) / float64(s), s, nil
-			}
-		}
-		i := c.pickClause(rng)
-		// Draw a world conditioned on clause i: its variables are true,
-		// every other variable keeps its marginal.
-		for j, p := range c.probs {
-			buf[j] = rng.Float64() < p
-		}
-		for _, vi := range c.clauses[i] {
-			buf[vi] = true
-		}
-		// Count the sample iff clause i is the canonical (first) satisfied
-		// clause of the drawn world; clause i itself holds by construction.
-		canonical := true
-		for j := 0; j < i; j++ {
-			if clauseTrue(buf, c.clauses[j]) {
-				canonical = false
-				break
-			}
-		}
-		if canonical {
-			hits++
+// countKarpLuby turns the block sample drew into Karp–Luby samples and
+// counts the hits. Every live lane picks a clause and forces it true in its
+// world — the draw conditioned on the picked clause; the other variables
+// keep their marginals. One in-order pass over the clauses then finds every
+// lane's canonical (first satisfied) clause: pending holds the lanes no
+// earlier clause satisfied, and a lane is a hit iff the clause that settles
+// it is the one it picked. Every lane's pick holds by construction, so the
+// pass ends by the largest picked index.
+func (s *sampler) countKarpLuby(lanes int) int {
+	var pick [64]int32
+	for l := range lanes {
+		i := s.pickClause()
+		pick[l] = int32(i)
+		s.picked[i] |= 1 << l
+		for _, v := range s.clauses[i] {
+			s.words[v] |= 1 << l
 		}
 	}
-	return c.U * float64(hits) / float64(n), n, nil
+	pending, hits := ^uint64(0)>>(64-lanes), 0
+	for j, cl := range s.clauses {
+		sat := s.satisfied(cl, pending)
+		hits += bits.OnesCount64(sat & s.picked[j])
+		if pending &^= sat; pending == 0 {
+			break
+		}
+	}
+	for _, i := range pick[:lanes] {
+		s.picked[i] = 0
+	}
+	return hits
 }

@@ -3,18 +3,23 @@ package prob
 import (
 	"context"
 	"math"
-	"math/rand"
+	"math/bits"
+	"math/rand/v2"
+	"slices"
+	"sync"
 
 	"repro/internal/pool"
 )
 
 // This file implements the Monte Carlo side of confidence computation:
 // approximate probability estimation for DNF lineage whose exact evaluation
-// is #P-hard (§II.A). Two samplers are provided — a naive possible-worlds
-// sampler and the Karp–Luby importance sampler (karpluby.go) — behind a
-// single (ε, δ) interface: the returned estimate is within ε of the true
-// probability with probability at least 1-δ. EstimateAll fans a batch of
-// per-answer formulas out to a worker pool with one deterministic RNG per
+// is #P-hard (§II.A). Two estimators are provided — the naive
+// possible-worlds estimator and the Karp–Luby importance estimator
+// (karpluby.go) — behind a single (ε, δ) interface: the returned estimate is
+// within ε of the true probability with probability at least 1-δ. Both
+// count over the blocks of one kernel (sampler.sample) that draws 64
+// possible worlds per machine word. EstimateAll fans a batch of per-answer
+// formulas out to a worker pool with one deterministic generator per
 // formula, so results are reproducible regardless of scheduling.
 
 // MCMethod selects the sampling estimator.
@@ -145,145 +150,201 @@ func achievedEps(n int, delta, width float64) float64 {
 	return width * math.Sqrt(math.Log(2/delta)/(2*float64(n)))
 }
 
-// mcCompiled is a DNF lowered to index form for fast repeated evaluation:
-// variables become dense indexes, clauses become index lists, and each
-// clause carries its weight Π p (its probability as an independent
-// conjunction).
-type mcCompiled struct {
-	vars    []Var
-	probs   []float64 // Pr[vars[i] = true]
-	clauses [][]int32 // per clause: indexes into vars
+// sampler is one worker's estimator state: a DNF lowered to index form —
+// variables become dense indexes, clauses index lists carrying their weight
+// Π p (the clause's probability as an independent conjunction) — plus the
+// block kernel's generator and scratch. load refills it for the next
+// formula, so estimating a batch allocates per worker, not per formula.
+type sampler struct {
+	rng     rand.PCG
+	lits    []uint64  // load's scratch: (variable, literal position) pairs
+	probs   []float64 // per variable, ascending by id: Pr[variable = true]
+	thr     []uint64  // probs as 64-bit thresholds (threshold)
+	words   []uint64  // the current block: bit ℓ of words[i] is variable i in world ℓ
+	flat    []int32   // backing array of clauses
+	clauses [][]int32 // per clause: variable indexes
 	weights []float64 // per clause: product of member probabilities
 	cum     []float64 // cumulative weights, for clause sampling
+	picked  []uint64  // Karp–Luby: per clause, the block's lanes that picked it
 	U       float64   // total weight Σ weights
 }
 
-func mcCompile(d *DNF, a *Assignment) *mcCompiled {
-	c := &mcCompiled{}
-	idx := make(map[Var]int32)
-	for _, v := range d.Vars() {
-		idx[v] = int32(len(c.vars))
-		c.vars = append(c.vars, v)
-		c.probs = append(c.probs, a.P(v))
-	}
-	// All clause index lists share one flat backing array: the whole
-	// formula lowers in four allocations regardless of its clause count.
-	total := 0
+// load lowers d into s and seeds the generator. Variables get their dense
+// indexes from one sort of the packed (variable, literal position) pairs —
+// nothing is hashed, and nothing allocated once the scratch has grown to
+// the batch's largest formula.
+func (s *sampler) load(d *DNF, a *Assignment, seed1, seed2 uint64) {
+	s.rng.Seed(seed1, seed2)
+	s.lits = s.lits[:0]
 	for _, cl := range d.Clauses {
-		total += len(cl)
+		for _, v := range cl {
+			if v.Valid() {
+				s.lits = append(s.lits, uint64(v)<<32|uint64(len(s.lits)))
+			}
+		}
 	}
-	flat := make([]int32, 0, total)
-	c.clauses = make([][]int32, 0, len(d.Clauses))
-	c.weights = make([]float64, 0, len(d.Clauses))
-	c.cum = make([]float64, 0, len(d.Clauses))
+	slices.Sort(s.lits)
+	s.flat = slices.Grow(s.flat[:0], len(s.lits))[:len(s.lits)]
+	s.probs, s.thr = s.probs[:0], s.thr[:0]
+	prev := NoVar
+	for _, l := range s.lits {
+		if v := Var(l >> 32); v != prev {
+			prev = v
+			p := a.P(v)
+			s.probs = append(s.probs, p)
+			s.thr = append(s.thr, threshold(p))
+		}
+		s.flat[uint32(l)] = int32(len(s.probs) - 1)
+	}
+	s.words = slices.Grow(s.words[:0], len(s.probs))[:len(s.probs)]
+	s.picked = slices.Grow(s.picked[:0], len(d.Clauses))[:len(d.Clauses)]
+	clear(s.picked)
+	s.clauses, s.weights, s.cum, s.U = s.clauses[:0], s.weights[:0], s.cum[:0], 0
+	flat := s.flat
 	for _, cl := range d.Clauses {
-		start := len(flat)
+		n := 0
 		w := 1.0
 		for _, v := range cl {
-			if !v.Valid() {
-				continue
+			if v.Valid() {
+				w *= s.probs[flat[n]]
+				n++
 			}
-			i := idx[v]
-			flat = append(flat, i)
-			w *= c.probs[i]
 		}
-		c.clauses = append(c.clauses, flat[start:len(flat):len(flat)])
-		c.weights = append(c.weights, w)
-		c.U += w
-		c.cum = append(c.cum, c.U)
+		s.clauses = append(s.clauses, flat[:n:n])
+		flat = flat[n:]
+		s.weights = append(s.weights, w)
+		s.U += w
+		s.cum = append(s.cum, s.U)
 	}
-	return c
 }
 
 // exact resolves the polynomially computable cases: the empty DNF (false),
 // any empty clause (true), a single clause (independent conjunction), and
 // variable-disjoint clauses (independent disjunction of conjunctions).
-func (c *mcCompiled) exact() (float64, bool) {
-	if len(c.clauses) == 0 {
+func (s *sampler) exact() (float64, bool) {
+	if len(s.clauses) == 0 {
 		return 0, true
 	}
-	for _, cl := range c.clauses {
+	for _, cl := range s.clauses {
 		if len(cl) == 0 {
 			return 1, true
 		}
 	}
-	if len(c.clauses) == 1 {
-		return c.weights[0], true
+	if len(s.clauses) == 1 {
+		return s.weights[0], true
 	}
-	seen := make([]bool, len(c.vars))
-	for _, cl := range c.clauses {
+	clear(s.words) // scratch: non-zero marks a variable already seen
+	for _, cl := range s.clauses {
 		for _, i := range cl {
-			if seen[i] {
+			if s.words[i] != 0 {
 				return 0, false
 			}
-			seen[i] = true
+			s.words[i] = 1
 		}
 	}
-	return OrAll(c.weights), true
-}
-
-func clauseTrue(buf []bool, cl []int32) bool {
-	for _, i := range cl {
-		if !buf[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func (c *mcCompiled) evalBuf(buf []bool) bool {
-	for _, cl := range c.clauses {
-		if clauseTrue(buf, cl) {
-			return true
-		}
-	}
-	return false
+	return OrAll(s.weights), true
 }
 
 // cancelCheckInterval is how many samples a sampler draws between context
-// checks: rare enough to be free, frequent enough that cancellation of a
-// multi-million-sample run returns in well under a millisecond of work.
+// and Stop checks (128 blocks): rare enough to be free, frequent enough
+// that cancellation of a multi-million-sample run returns in well under a
+// millisecond of work.
 const cancelCheckInterval = 8192
 
-// sampleNaive draws up to n full possible worlds over the formula's
-// variables and returns the fraction satisfying it — the definitional
-// estimator, with sample range [0, 1] — plus the count actually drawn
-// (less than n only when stop fired between sample blocks).
-func (c *mcCompiled) sampleNaive(ctx context.Context, n int, rng *rand.Rand, stop func() bool) (float64, int, error) {
-	buf := make([]bool, len(c.vars))
-	hits := 0
-	for s := 0; s < n; s++ {
-		if s%cancelCheckInterval == 0 {
+// threshold is p as the 64-bit fixed-point fraction a lane's uniform draw is
+// compared against; math.MaxUint64, which no p < 1 reaches, marks p = 1.
+func threshold(p float64) uint64 {
+	if p >= 1 {
+		return math.MaxUint64
+	}
+	return uint64(math.Ldexp(p, 64))
+}
+
+// bernoulli returns a word whose 64 lanes are independent Bernoulli(p) bits
+// for the p of thr. Lane ℓ's uniform u is bit-sliced over the generator's
+// words — the k-th word drawn holds bit 63-k of every lane's u — and u < thr
+// is decided most significant bit first: a lane is settled at the first bit
+// where u and thr differ, so the undecided set halves per word and the loop
+// ends after ≈ 7–8 words instead of 64 scalar draws, exact to thr's 64 bits.
+// p = 1 consumes nothing.
+func bernoulli(g *rand.PCG, thr uint64) uint64 {
+	if thr == math.MaxUint64 {
+		return thr
+	}
+	var below uint64
+	open := ^uint64(0) // lanes whose u equals thr on every bit so far
+	for ; open != 0 && thr != 0; thr <<= 1 {
+		r := g.Uint64()
+		bit := -(thr >> 63) // all ones iff thr's current bit is set
+		below |= open &^ r & bit
+		open &= ^(r ^ bit)
+	}
+	return below // a lane still open has u ≥ thr: thr's remaining bits are 0
+}
+
+// sample is the one world-drawing kernel behind both estimators. It draws
+// up to n samples in blocks of 64 — one word per variable, lane ℓ of every
+// word being possible world ℓ — and returns how many samples the estimator
+// counted and how many were drawn: n, or the multiple of
+// cancelCheckInterval at which stop fired. The last block's surplus lanes
+// are masked out, so exactly n samples count.
+func (s *sampler) sample(ctx context.Context, n int, method MCMethod, stop func() bool) (hits, drawn int, err error) {
+	for done := 0; done < n; done += 64 {
+		if done%cancelCheckInterval == 0 {
 			if ctx.Err() != nil {
 				return 0, 0, ctx.Err()
 			}
-			if s > 0 && stop != nil && stop() {
-				return float64(hits) / float64(s), s, nil
+			if done > 0 && stop != nil && stop() {
+				return hits, done, nil
 			}
 		}
-		for i, p := range c.probs {
-			buf[i] = rng.Float64() < p
+		lanes := min(n-done, 64)
+		for i, t := range s.thr {
+			s.words[i] = bernoulli(&s.rng, t)
 		}
-		if c.evalBuf(buf) {
-			hits++
+		if method == MCKarpLuby {
+			hits += s.countKarpLuby(lanes)
+		} else {
+			hits += s.countNaive(lanes)
 		}
 	}
-	return float64(hits) / float64(n), n, nil
+	return hits, n, nil
 }
 
-// mcEstimate runs one formula through the configured estimator.
-func mcEstimate(ctx context.Context, c *mcCompiled, o MCOptions, rng *rand.Rand) (MCEstimate, error) {
+// satisfied returns the lanes of in whose world satisfies clause cl.
+func (s *sampler) satisfied(cl []int32, in uint64) uint64 {
+	for _, i := range cl {
+		in &= s.words[i]
+	}
+	return in
+}
+
+// countNaive counts the block's worlds satisfying the formula — the
+// definitional estimator, with sample range [0, 1].
+func (s *sampler) countNaive(lanes int) int {
+	live := ^uint64(0) >> (64 - lanes)
+	var sat uint64
+	for _, cl := range s.clauses {
+		if sat |= s.satisfied(cl, live); sat == live {
+			break
+		}
+	}
+	return bits.OnesCount64(sat)
+}
+
+// estimate runs the loaded formula through the configured estimator.
+func (s *sampler) estimate(ctx context.Context, o MCOptions) (MCEstimate, error) {
 	method := o.Method
-	if len(c.clauses) == 0 {
+	if len(s.clauses) == 0 {
 		// The empty DNF is false regardless of method; Karp–Luby in
 		// particular has no clause to sample from (U = 0).
 		return MCEstimate{P: 0, Method: "exact", Delta: o.Delta}, nil
 	}
 	if method == MCAuto {
-		if p, ok := c.exact(); ok {
+		if p, ok := s.exact(); ok {
 			return MCEstimate{P: p, Method: "exact", Delta: o.Delta}, nil
 		}
-		if c.U < 1 {
+		if s.U < 1 {
 			method = MCKarpLuby
 		} else {
 			method = MCNaive
@@ -293,7 +354,7 @@ func mcEstimate(ctx context.Context, c *mcCompiled, o MCOptions, rng *rand.Rand)
 	if method == MCKarpLuby {
 		// The Karp–Luby estimator averages samples in {0, U}; its Hoeffding
 		// range is U. (Pr[φ] ≤ min(U, 1), so U < 1 means fewer samples.)
-		width = c.U
+		width = s.U
 	}
 	eps := o.Epsilon
 	capped := false
@@ -303,15 +364,7 @@ func mcEstimate(ctx context.Context, c *mcCompiled, o MCOptions, rng *rand.Rand)
 		eps = achievedEps(n, o.Delta, width)
 		capped = true
 	}
-	var p float64
-	var drawn int
-	var err error
-	switch method {
-	case MCKarpLuby:
-		p, drawn, err = c.sampleKarpLuby(ctx, n, rng, o.Stop)
-	default:
-		p, drawn, err = c.sampleNaive(ctx, n, rng, o.Stop)
-	}
+	hits, drawn, err := s.sample(ctx, n, method, o.Stop)
 	if err != nil {
 		return MCEstimate{}, err
 	}
@@ -326,26 +379,9 @@ func mcEstimate(ctx context.Context, c *mcCompiled, o MCOptions, rng *rand.Rand)
 		}
 		stopped = true
 	}
-	if p < 0 {
-		p = 0
-	} else if p > 1 {
-		p = 1
-	}
+	p := min(width*float64(hits)/float64(n), 1)
 	return MCEstimate{P: p, Samples: n, Method: method.String(), Epsilon: eps, Delta: o.Delta,
 		Capped: capped, Stopped: stopped}, nil
-}
-
-// MCProb estimates Pr[φ] for a single formula with the given options,
-// seeding the sampler from opts.Seed.
-func MCProb(d *DNF, a *Assignment, opts MCOptions) MCEstimate {
-	o := opts.withDefaults()
-	est, err := mcEstimate(context.Background(), mcCompile(d, a), o, rand.New(rand.NewSource(tupleSeed(o.Seed, 0))))
-	if err != nil {
-		// mcEstimate only errors on context cancellation, and a background
-		// context cannot cancel.
-		panic("prob: estimator errored without cancellation: " + err.Error())
-	}
-	return est
 }
 
 // tupleSeed derives the RNG seed of the i-th formula from the base seed via
@@ -357,10 +393,29 @@ func tupleSeed(base int64, i int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
+// estimateOne loads formula i of a batch into s — its generator seeded from
+// (seed, i) alone — and estimates it.
+func (s *sampler) estimateOne(ctx context.Context, d *DNF, a *Assignment, o MCOptions, i int) (MCEstimate, error) {
+	s.load(d, a, uint64(tupleSeed(o.Seed, i)), uint64(o.Seed))
+	return s.estimate(ctx, o)
+}
+
+// MCProb estimates Pr[φ] for a single formula with the given options,
+// seeding the sampler from opts.Seed.
+func MCProb(d *DNF, a *Assignment, opts MCOptions) MCEstimate {
+	est, err := new(sampler).estimateOne(context.Background(), d, a, opts.withDefaults(), 0)
+	if err != nil {
+		// estimate only errors on context cancellation, and a background
+		// context cannot cancel.
+		panic("prob: estimator errored without cancellation: " + err.Error())
+	}
+	return est
+}
+
 // EstimateAll estimates every formula of a batch — typically the per-answer
 // lineage of one query — fanning the formulas out to a worker pool of
 // opts.Workers goroutines (default GOMAXPROCS). Each formula gets its own
-// RNG seeded from (opts.Seed, index), so the result is a deterministic
+// generator seeded from (opts.Seed, index), so the result is a deterministic
 // function of the input and options, independent of scheduling and worker
 // count. The assignment is read concurrently and must not be mutated during
 // the call.
@@ -377,7 +432,9 @@ func EstimateAll(dnfs []*DNF, a *Assignment, opts MCOptions) []MCEstimate {
 // EstimateAllCtx is EstimateAll with cancellation: a cancelled context stops
 // the samplers mid-run (they check every few thousand samples) and returns
 // ctx.Err(). The worker pool is opts.Pool when set — sharing the engine-wide
-// slot budget — and a fresh pool of opts.Workers otherwise.
+// slot budget — and a fresh pool of opts.Workers otherwise. Each worker
+// draws a sampler from a sync.Pool, so lowering and sampling a formula
+// allocate nothing once the worker's scratch has grown.
 func EstimateAllCtx(ctx context.Context, dnfs []*DNF, a *Assignment, opts MCOptions) ([]MCEstimate, error) {
 	o := opts.withDefaults()
 	out := make([]MCEstimate, len(dnfs))
@@ -387,15 +444,15 @@ func EstimateAllCtx(ctx context.Context, dnfs []*DNF, a *Assignment, opts MCOpti
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	p := pool.Get(o.Pool, o.Workers)
-	err := p.Do(ctx, len(dnfs), func(i int) error {
-		rng := rand.New(rand.NewSource(tupleSeed(o.Seed, i)))
-		est, err := mcEstimate(ctx, mcCompile(dnfs[i], a), o, rng)
-		if err != nil {
-			return err
+	var samplers sync.Pool
+	err := pool.Get(o.Pool, o.Workers).Do(ctx, len(dnfs), func(i int) (err error) {
+		s, _ := samplers.Get().(*sampler)
+		if s == nil {
+			s = new(sampler)
 		}
-		out[i] = est
-		return nil
+		defer samplers.Put(s)
+		out[i], err = s.estimateOne(ctx, dnfs[i], a, o, i)
+		return err
 	})
 	if err != nil {
 		return nil, err

@@ -7,10 +7,16 @@
 //
 // For formulas outside the exactly tractable fragment the package provides
 // Monte Carlo estimation (mc.go, karpluby.go): a naive possible-worlds
-// sampler and the Karp–Luby importance sampler behind a single (ε, δ)
+// estimator and the Karp–Luby importance estimator behind a single (ε, δ)
 // interface, plus a partition-parallel driver that estimates a batch of
 // per-answer formulas on a worker pool with deterministic per-formula
-// seeding.
+// seeding. Both estimators count over one world-drawing kernel that holds
+// 64 possible worlds per machine word: a block is one uint64 per variable,
+// each drawn by a bit-sliced compare of 64 uniform lanes against the
+// variable's marginal as a 64-bit threshold (≈ 7–8 words of a value-type
+// math/rand/v2.PCG per variable and block, exact to the threshold's 64
+// bits); clauses are ANDs of words, the naive count a popcount. Stop and
+// the context are polled every cancelCheckInterval samples.
 package prob
 
 import (
@@ -82,6 +88,13 @@ func (a *Assignment) P(v Var) float64 {
 		return p
 	}
 	return 1
+}
+
+// Lookup returns Pr[v = true] and whether v has been assigned — P without
+// the default, for callers that must tell a first sighting from a repeat.
+func (a *Assignment) Lookup(v Var) (float64, bool) {
+	p, ok := a.p[v]
+	return p, ok
 }
 
 // Vars returns the assigned variables in increasing order.
