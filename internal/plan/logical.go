@@ -210,7 +210,6 @@ func buildSafe(q *query.Query, sigma *fd.Set) (*built, error) {
 			n = &logical.Project{Input: n, Attrs: keep}
 			return &logical.Conf{Input: n, Alg: logical.AlgIndProject, Keep: keep}, nil
 		}
-		keep := safeKeepAttrs(q, t, head)
 		// Children in hierarchy order: deepest first, like the safe plans
 		// MystiQ produces (Fig. 2 joins Ord ⋈ Item before Cust).
 		kids := append([]*query.Tree(nil), t.Children...)
@@ -227,10 +226,19 @@ func buildSafe(q *query.Query, sigma *fd.Set) (*built, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, kid := range kids[1:] {
+		for i, kid := range kids[1:] {
 			right, err := build(kid, t.Label)
 			if err != nil {
 				return nil, err
+			}
+			// Between the node's joins its own label is still needed; the
+			// π^ind after the last one hands the subtree to the parent's
+			// join, so — like a leaf — it keeps the parent's label: a wider
+			// own label ({okey} under ⋈[ckey]) would reach that join
+			// ungrouped and count the sibling's probability once per order.
+			keep := safeKeepAttrs(q, t, t.Label)
+			if i == len(kids)-2 {
+				keep = safeKeepAttrs(q, t, parentLabel)
 			}
 			j := &logical.Join{Left: cur, Right: right, On: sharedKeep(cur, right)}
 			p := &logical.Project{Input: j, Attrs: keep}
@@ -293,9 +301,10 @@ func safeLeafKeep(q *query.Query, ref query.RelRef, parentLabel []string, head m
 	return keep
 }
 
-// safeKeepAttrs returns an inner safe-plan node's label attributes plus
-// head attributes available in its subtree.
-func safeKeepAttrs(q *query.Query, t *query.Tree, head map[string]bool) []string {
+// safeKeepAttrs returns what a π^ind inside an inner safe-plan node keeps:
+// the label attributes, then the head attributes, both restricted to the
+// attributes available in the node's subtree.
+func safeKeepAttrs(q *query.Query, t *query.Tree, label []string) []string {
 	inSubtree := make(map[string]bool)
 	var walk func(n *query.Tree)
 	walk = func(n *query.Tree) {
@@ -305,7 +314,6 @@ func safeKeepAttrs(q *query.Query, t *query.Tree, head map[string]bool) []string
 					inSubtree[a] = true
 				}
 			}
-			return
 		}
 		for _, c := range n.Children {
 			walk(c)
@@ -314,25 +322,11 @@ func safeKeepAttrs(q *query.Query, t *query.Tree, head map[string]bool) []string
 	walk(t)
 	var keep []string
 	seen := make(map[string]bool)
-	add := func(a string) {
+	for _, a := range append(append([]string(nil), label...), q.Head...) {
 		if inSubtree[a] && !seen[a] {
 			keep = append(keep, a)
 			seen[a] = true
 		}
-	}
-	if !t.IsLeaf() {
-		for _, a := range t.Label {
-			add(a)
-		}
-	} else if ref, ok := q.RelByName(t.Leaf.Name); ok {
-		for _, a := range ref.Attrs {
-			if head[a] {
-				add(a)
-			}
-		}
-	}
-	for _, h := range q.Head {
-		add(h)
 	}
 	return keep
 }
