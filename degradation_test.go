@@ -134,45 +134,54 @@ func TestGenerousDeadlineStaysExact(t *testing.T) {
 }
 
 // TestMemoryBudgetOnTPCH runs a multi-join TPC-H query under a budget that
-// forces governed execution — in both tiers, each with its own grace join —
-// asserting answers identical to the ungoverned run (grace joins reorder
-// work, never results) and no spill file left behind.
+// forces governed execution — in both tiers, each with its own grace join,
+// under the lazy plan and under MystiQ's safe plan, whose joins and
+// independent projections charge the same governor — asserting a run marked
+// degraded by memory whose answers are identical to the ungoverned run's
+// (grace joins and early spills reorder work, never results) and no spill
+// file left behind.
 func TestMemoryBudgetOnTPCH(t *testing.T) {
 	d := obddTestData()
 	catalog := d.Catalog()
 	e := tpch.Catalog()["18"]
 	sigma := tpch.FDsFor(e)
-	base, err := plan.Run(catalog, e.Q.Clone(), sigma, plan.Spec{Style: plan.Lazy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ci := base.Rows.Schema.MustColIndex(conf.ConfCol)
-	truth := make(map[string]float64, base.Rows.Len())
-	for _, row := range base.Rows.Rows {
-		truth[headKey(row)] = row[ci].F
-	}
-	for _, rowExec := range []bool{false, true} {
-		sp := plan.Spec{Style: plan.Lazy, MemBudget: 128 << 10, RowExec: rowExec}
-		sp.Conf.TmpDir = t.TempDir()
-		gov, err := plan.Run(catalog, e.Q.Clone(), sigma, sp)
+	for _, style := range []plan.Style{plan.Lazy, plan.SafeMystiQ} {
+		base, err := plan.Run(catalog, e.Q.Clone(), sigma, plan.Spec{Style: style})
 		if err != nil {
-			t.Fatalf("governed run (RowExec=%v): %v", rowExec, err)
+			t.Fatal(err)
 		}
-		if base.Rows.Len() != gov.Rows.Len() {
-			t.Fatalf("RowExec=%v: %d governed rows vs %d ungoverned", rowExec, gov.Rows.Len(), base.Rows.Len())
+		ci := base.Rows.Schema.MustColIndex(conf.ConfCol)
+		truth := make(map[string]float64, base.Rows.Len())
+		for _, row := range base.Rows.Rows {
+			truth[headKey(row)] = row[ci].F
 		}
-		for _, row := range gov.Rows.Rows {
-			w, ok := truth[headKey(row)]
-			if !ok {
-				t.Fatalf("RowExec=%v: governed answer %q missing from baseline", rowExec, headKey(row))
+		for _, rowExec := range []bool{false, true} {
+			name := fmt.Sprintf("%v RowExec=%v", style, rowExec)
+			sp := plan.Spec{Style: style, MemBudget: 128 << 10, RowExec: rowExec}
+			sp.Conf.TmpDir = t.TempDir()
+			gov, err := plan.Run(catalog, e.Q.Clone(), sigma, sp)
+			if err != nil {
+				t.Fatalf("governed run (%s): %v", name, err)
 			}
-			if g := row[ci].F; g != w {
-				t.Errorf("RowExec=%v: answer %q: governed confidence %s != ungoverned %s",
-					rowExec, headKey(row), fmt.Sprintf("%x", g), fmt.Sprintf("%x", w))
+			if !gov.Stats.Degraded || gov.Stats.DegradeReason != "memory" || gov.Stats.GraceJoins == 0 {
+				t.Errorf("%s: the budget must degrade the run by memory through a grace join: %+v", name, gov.Stats)
 			}
-		}
-		if entries, err := os.ReadDir(sp.Conf.TmpDir); err != nil || len(entries) != 0 {
-			t.Errorf("RowExec=%v: governed run leaked %d spill files (%v)", rowExec, len(entries), err)
+			if base.Rows.Len() != gov.Rows.Len() {
+				t.Fatalf("%s: %d governed rows vs %d ungoverned", name, gov.Rows.Len(), base.Rows.Len())
+			}
+			for _, row := range gov.Rows.Rows {
+				w, ok := truth[headKey(row)]
+				if !ok {
+					t.Fatalf("%s: governed answer %q missing from baseline", name, headKey(row))
+				}
+				if g := row[ci].F; g != w {
+					t.Errorf("%s: answer %q: governed confidence %s != ungoverned %s",
+						name, headKey(row), fmt.Sprintf("%x", g), fmt.Sprintf("%x", w))
+				}
+			}
+			if entries, err := os.ReadDir(sp.Conf.TmpDir); err != nil || len(entries) != 0 {
+				t.Errorf("%s: governed run leaked %d spill files (%v)", name, len(entries), err)
+			}
 		}
 	}
 }

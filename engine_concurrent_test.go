@@ -244,31 +244,45 @@ func TestEngineCancellation(t *testing.T) {
 // vectorized tier landed, the execution strategy is a third axis of the
 // same contract: every case also runs with WithRowExecution (forcing the
 // classic tuple-at-a-time path) and must return the same confidences and
-// the same structural trace as the default columnar-capable run.
+// the same structural trace as the default columnar-capable run. The
+// safe-plan baseline, which shares the lowering and the sort+scan pass with
+// the other styles, additionally runs the benchmark's TPC-H queries at SF
+// 0.005 — large enough for partitioned scans, joins and projections.
 func TestWorkerCountBitIdentical(t *testing.T) {
 	difftest.LeakCheck(t)
 	db := tpchDB(nil)
-	styles := []struct {
+	type styleCase struct {
 		name  string
 		q     *query.Query
 		style PlanStyle
-	}{
-		{"lazy", custOrd(), Lazy},
-		{"eager", custOrd(), Eager},
-		{"hybrid", custOrd(), Hybrid},
-		{"mystiq", custOrd(), MystiQ},
-		{"obdd", custOrd(), OBDD},
-		{"dtree", custOrd(), DTree},
-		{"mc", custOrd(), MonteCarlo},
-		{"unsafe-mc", benchutil.UnsafeQuery(), MonteCarlo},
-		{"unsafe-obdd", benchutil.UnsafeQuery(), OBDD},
-		{"unsafe-dtree", benchutil.UnsafeQuery(), DTree},
-		{"unsafe-fallback", benchutil.UnsafeQuery(), Eager},
-		{"auto", custOrd(), Auto},
-		{"unsafe-auto", benchutil.UnsafeQuery(), Auto},
+		db    *DB // nil: db
+	}
+	styles := []styleCase{
+		{name: "lazy", q: custOrd(), style: Lazy},
+		{name: "eager", q: custOrd(), style: Eager},
+		{name: "hybrid", q: custOrd(), style: Hybrid},
+		{name: "mystiq", q: custOrd(), style: MystiQ},
+		{name: "obdd", q: custOrd(), style: OBDD},
+		{name: "dtree", q: custOrd(), style: DTree},
+		{name: "mc", q: custOrd(), style: MonteCarlo},
+		{name: "unsafe-mc", q: benchutil.UnsafeQuery(), style: MonteCarlo},
+		{name: "unsafe-obdd", q: benchutil.UnsafeQuery(), style: OBDD},
+		{name: "unsafe-dtree", q: benchutil.UnsafeQuery(), style: DTree},
+		{name: "unsafe-fallback", q: benchutil.UnsafeQuery(), style: Eager},
+		{name: "auto", q: custOrd(), style: Auto},
+		{name: "unsafe-auto", q: benchutil.UnsafeQuery(), style: Auto},
+	}
+	big := tpch.Generate(tpch.Config{SF: 0.005, Seed: 1}).Catalog()
+	for _, name := range []string{"3", "18", "B17", "20"} {
+		e := tpch.Catalog()[name]
+		styles = append(styles, styleCase{"mystiq-" + name, e.Q, MystiQ, &DB{catalog: big, sigma: tpch.FDsFor(e)}})
 	}
 	for _, tc := range styles {
 		t.Run(tc.name, func(t *testing.T) {
+			db := db
+			if tc.db != nil {
+				db = tc.db
+			}
 			ref, err := db.Run(wrapQuery(tc.q), tc.style, WithWorkers(1), WithSeed(1), WithTrace())
 			if err != nil {
 				t.Fatal(err)
@@ -326,36 +340,40 @@ func transientFaultIO() *fault.IO {
 // storage wrappers by the retry policy, must leave confidences bit-identical
 // to the fault-free run — across worker counts. The spill budget is starved
 // so the runs actually exercise the fault plane (the in-memory catalog only
-// touches storage through external-sort spills).
+// touches storage through external-sort spills) — the sort+scan operator's
+// under the lazy plan, the independent projections' under MystiQ's.
 func TestFaultedRunsBitIdentical(t *testing.T) {
 	difftest.LeakCheck(t)
 	db := tpchDB(nil)
-	spec := func(workers int) plan.Spec {
-		s := plan.Spec{Style: Lazy, Workers: workers}
-		s.Conf.SortBudget = 64
-		s.Conf.TmpDir = t.TempDir()
-		return s
-	}
-	ref, err := db.RunSpec(wrapQuery(custOrd()), spec(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := confMap(t, ref)
-
-	for _, workers := range []int{1, 2, 4} {
-		io := transientFaultIO()
-		storage.SetIO(io)
-		res, err := db.RunSpec(wrapQuery(custOrd()), spec(workers))
-		storage.SetIO(nil)
+	for _, style := range []PlanStyle{Lazy, MystiQ} {
+		spec := func(workers int) plan.Spec {
+			s := plan.Spec{Style: style, Workers: workers}
+			s.Conf.SortBudget = 64
+			s.Conf.TmpDir = t.TempDir()
+			return s
+		}
+		ref, err := db.RunSpec(wrapQuery(custOrd()), spec(1))
 		if err != nil {
-			t.Fatalf("workers=%d: transient faults must be absorbed: %v", workers, err)
+			t.Fatal(err)
 		}
-		if io.Plan.Injected() == 0 {
-			t.Fatalf("workers=%d: no fault fired — the run did not exercise the fault plane", workers)
+		want := confMap(t, ref)
+
+		for _, workers := range []int{1, 2, 4} {
+			name := fmt.Sprintf("faulted %v workers=%d", style, workers)
+			io := transientFaultIO()
+			storage.SetIO(io)
+			res, err := db.RunSpec(wrapQuery(custOrd()), spec(workers))
+			storage.SetIO(nil)
+			if err != nil {
+				t.Fatalf("%s: transient faults must be absorbed: %v", name, err)
+			}
+			if io.Plan.Injected() == 0 {
+				t.Fatalf("%s: no fault fired — the run did not exercise the fault plane", name)
+			}
+			if io.Retries() == 0 {
+				t.Fatalf("%s: faults fired but nothing retried", name)
+			}
+			mustSameConfidences(t, name, confMap(t, res), want)
 		}
-		if io.Retries() == 0 {
-			t.Fatalf("workers=%d: faults fired but nothing retried", workers)
-		}
-		mustSameConfidences(t, fmt.Sprintf("faulted workers=%d", workers), confMap(t, res), want)
 	}
 }

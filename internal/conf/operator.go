@@ -3,6 +3,7 @@ package conf
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/pool"
@@ -272,19 +273,37 @@ func mergeByKey(parts []*table.Relation, keyCols []int, schema *table.Schema) *t
 	}
 }
 
+// accumulator is the per-group combine of one sort+scan pass: seed opens a
+// group with its first sorted row, step folds in each further row (prev is
+// the row before it), flush closes the group and returns its probability.
+// The paper's one-scan evaluator (runtimeTree) and MystiQ's independent
+// projection (indAcc) differ in nothing else.
+type accumulator interface {
+	seed(first table.Tuple)
+	step(prev, cur table.Tuple)
+	flush() float64
+}
+
 // groupedScan walks a fed sorter's rows group by group (groups are
-// contiguous on groupCols in key order), runs the one-scan algorithm of rt
-// within each group, and appends one output row per group built from the
-// group's first sorted tuple and its probability.
+// contiguous on groupCols in key order), folds each group into acc, and
+// appends one output row per group: the group columns of its first sorted
+// tuple, that tuple's repVar column when repVar >= 0 (sorted ascending, the
+// group's minimal variable — its representative), and the probability.
 //
 // The scan keeps two tuples across rows — the group's first and the
-// previous one — in buffers it reuses: sortedScan's tuples are borrowed,
-// and buildRow copies the values it wants out of first.
-func groupedScan(sorter *storage.ExternalSorter, rt *runtimeTree, groupCols []int, opts Options, out *table.Relation, buildRow func(first table.Tuple, p float64) table.Tuple) (spillStats, error) {
+// previous one — in buffers it reuses: sortedScan's tuples are borrowed.
+func groupedScan(sorter *storage.ExternalSorter, acc accumulator, groupCols []int, repVar int, opts Options, out *table.Relation) (spillStats, error) {
 	var prev, first table.Tuple
 	inGroup := false
 	emitGroup := func() {
-		out.Rows = append(out.Rows, buildRow(first, rt.flush()))
+		row := make(table.Tuple, 0, out.Schema.Len())
+		for _, i := range groupCols {
+			row = append(row, first[i])
+		}
+		if repVar >= 0 {
+			row = append(row, first[repVar])
+		}
+		out.Rows = append(out.Rows, append(row, table.Float(acc.flush())))
 	}
 	sp, err := sortedScan(sorter, opts, func(t table.Tuple) error {
 		if inGroup && !table.EqualOn(prev, t, groupCols) {
@@ -293,10 +312,10 @@ func groupedScan(sorter *storage.ExternalSorter, rt *runtimeTree, groupCols []in
 		}
 		if !inGroup {
 			first = append(first[:0], t...)
-			rt.seed(t)
+			acc.seed(t)
 			inGroup = true
 		} else {
-			rt.step(rt.firstUnmatched(prev, t), t)
+			acc.step(prev, t)
 		}
 		prev = append(prev[:0], t...)
 		return nil
@@ -311,22 +330,20 @@ func groupedScan(sorter *storage.ExternalSorter, rt *runtimeTree, groupCols []in
 }
 
 // scanGroups is one sort+scan pass: src is fed into run generation sorted
-// by groupCols followed by the variable columns of sig's 1scanTree, and
-// every group of rows equal on groupCols becomes one row of the output
-// (schema: the group columns' leading positions, then what buildRow adds).
-// With a multi-worker pool in the options an input of at least
-// pool.ParallelMinRows rows is hash-partitioned by group key while it is
-// fed, the partitions are sorted and scanned in parallel, and their outputs
-// — each sorted on the group columns, no key spanning two — are merged back
-// into global order: bit-identical to the serial scan's.
-func scanGroups(src *Source, sig signature.Sig, groupCols []int, schema *table.Schema, opts Options, buildRow func(first table.Tuple, p float64) table.Tuple) (*table.Relation, spillStats, error) {
-	rt, err := newRuntimeTree(sig, src.Schema)
-	if err != nil {
-		return nil, spillStats{}, err
-	}
-	sortCols := append(append([]int(nil), groupCols...), rt.varColumns()...)
+// by groupCols followed by tailCols — the columns whose order within a
+// group the accumulator relies on — and every group of rows equal on
+// groupCols becomes one row of the output (schema: the group columns, the
+// representative variable when repVar >= 0, the probability newAcc's
+// accumulator computed). With a multi-worker pool in the options an input
+// of at least pool.ParallelMinRows rows is hash-partitioned by group key
+// while it is fed, the partitions are sorted and scanned in parallel — each
+// with an accumulator of its own — and their outputs — each sorted on the
+// group columns, no key spanning two — are merged back into global order:
+// bit-identical to the serial scan's.
+func scanGroups(src *Source, groupCols, tailCols []int, repVar int, newAcc func() accumulator, schema *table.Schema, opts Options) (*table.Relation, spillStats, error) {
+	sortCols := append(slices.Clone(groupCols), tailCols...)
 	in := newScanFeed(src.Schema, groupCols, sortCols, opts)
-	err = src.push(opts.ctx(), in)
+	err := src.push(opts.ctx(), in)
 	if err == nil {
 		src.rows, err = in.finish()
 	}
@@ -336,7 +353,7 @@ func scanGroups(src *Source, sig signature.Sig, groupCols []int, schema *table.S
 	}
 	if in.one != nil {
 		out := table.NewRelation(schema)
-		sp, err := groupedScan(in.one, rt, groupCols, opts, out, buildRow)
+		sp, err := groupedScan(in.one, newAcc(), groupCols, repVar, opts, out)
 		if err != nil {
 			return nil, spillStats{}, err
 		}
@@ -345,12 +362,9 @@ func scanGroups(src *Source, sig signature.Sig, groupCols []int, schema *table.S
 	outs := make([]*table.Relation, len(in.parts))
 	spills := make([]spillStats, len(in.parts))
 	err = opts.Pool.Do(opts.ctx(), len(in.parts), func(i int) error {
-		prt, err := newRuntimeTree(sig, src.Schema)
-		if err != nil {
-			return err
-		}
 		outs[i] = table.NewRelation(schema)
-		spills[i], err = groupedScan(in.parts[i], prt, groupCols, opts, outs[i], buildRow)
+		var err error
+		spills[i], err = groupedScan(in.parts[i], newAcc(), groupCols, repVar, opts, outs[i])
 		return err
 	})
 	if err != nil {
@@ -403,16 +417,11 @@ func aggregateStep(src *Source, gamma signature.Sig, opts Options) (*table.Relat
 		outCols = append(outCols, in.Cols[i])
 	}
 	outCols = append(outCols, table.VarCol(root), table.ProbCol(root))
-	buildRow := func(first table.Tuple, p float64) table.Tuple {
-		row := make(table.Tuple, 0, len(outCols))
-		for _, i := range groupCols {
-			row = append(row, first[i])
-		}
-		// Sorted ascending: the group's first variable is the minimal
-		// representative.
-		return append(row, first[rootVarIdx], table.Float(p))
+	varCols, newAcc, err := treeAccumulators(gamma, in)
+	if err != nil {
+		return nil, spillStats{}, err
 	}
-	return scanGroups(src, gamma, groupCols, table.NewSchema(outCols...), opts, buildRow)
+	return scanGroups(src, groupCols, varCols, rootVarIdx, newAcc, table.NewSchema(outCols...), opts)
 }
 
 // finalScan runs the concluding one-scan pass of the operator: sort by the
@@ -425,12 +434,9 @@ func finalScan(src *Source, sig signature.Sig, opts Options) (*table.Relation, s
 		outCols = append(outCols, src.Schema.Cols[i])
 	}
 	outCols = append(outCols, table.DataCol(ConfCol, table.KindFloat))
-	buildRow := func(first table.Tuple, p float64) table.Tuple {
-		row := make(table.Tuple, 0, len(outCols))
-		for _, i := range dataCols {
-			row = append(row, first[i])
-		}
-		return append(row, table.Float(p))
+	varCols, newAcc, err := treeAccumulators(sig, src.Schema)
+	if err != nil {
+		return nil, spillStats{}, err
 	}
-	return scanGroups(src, sig, dataCols, table.NewSchema(outCols...), opts, buildRow)
+	return scanGroups(src, dataCols, varCols, -1, newAcc, table.NewSchema(outCols...), opts)
 }

@@ -13,6 +13,10 @@
 //     key sorter, or one per worker routed by group-key hash — so a streamed
 //     answer is never materialized; the *table.Relation entry points wrap
 //     the relation as a Source over the same path;
+//   - MystiQ's independent projection π^ind (indproject.go), the baseline's
+//     confidence placement: the same sort+scan pass — same streaming, same
+//     spilling, partitioning and governor — with a different per-group
+//     accumulator;
 //   - the literal GRP-sequence semantics of Fig. 5/6 (grp.go), used as a
 //     reference implementation for cross-validation;
 //   - the lineage tiers (tier.go) for queries without a hierarchical
@@ -163,14 +167,22 @@ func concatRootIndex(c signature.Concat) int {
 	return -1
 }
 
-// varColumns returns the input column indexes of the variable columns in
-// preorder.
-func (rt *runtimeTree) varColumns() []int {
-	out := make([]int, len(rt.nodes))
-	for i, n := range rt.nodes {
-		out[i] = n.varIdx
+// treeAccumulators binds sig's 1scanTree to schema for one sort+scan pass:
+// the variable columns in preorder — the order the evaluator needs within a
+// group — and a factory of evaluators, one per concurrent scan.
+func treeAccumulators(sig signature.Sig, schema *table.Schema) ([]int, func() accumulator, error) {
+	rt, err := newRuntimeTree(sig, schema)
+	if err != nil {
+		return nil, nil, err
 	}
-	return out
+	varCols := make([]int, len(rt.nodes))
+	for i, n := range rt.nodes {
+		varCols[i] = n.varIdx
+	}
+	return varCols, func() accumulator {
+		t, _ := newRuntimeTree(sig, schema) // cannot fail: rt was built from the same inputs
+		return t
+	}, nil
 }
 
 // seed starts a new bag of duplicates with its first tuple: every node is
@@ -196,12 +208,8 @@ func (rt *runtimeTree) seed(cur table.Tuple) {
 }
 
 // firstUnmatched returns the position of the leftmost variable column on
-// which prev and cur differ (0 when prev is nil, i.e. the first tuple of a
-// bag), or len(nodes) when all variable columns agree.
+// which prev and cur differ, or len(nodes) when all variable columns agree.
 func (rt *runtimeTree) firstUnmatched(prev, cur table.Tuple) int {
-	if prev == nil {
-		return 0
-	}
 	for _, n := range rt.nodes {
 		if !table.Equal(prev[n.varIdx], cur[n.varIdx]) {
 			return n.pos
@@ -210,10 +218,11 @@ func (rt *runtimeTree) firstUnmatched(prev, cur table.Tuple) int {
 	return len(rt.nodes)
 }
 
-// step processes one input tuple given the leftmost changed column i —
-// procedure propagate_prob of Fig. 8, run in postorder from the root.
-func (rt *runtimeTree) step(i int, cur table.Tuple) {
-	rt.propagate(rt.root, i, cur)
+// step processes one further tuple of the bag given its predecessor —
+// procedure propagate_prob of Fig. 8 at the leftmost changed column, run in
+// postorder from the root.
+func (rt *runtimeTree) step(prev, cur table.Tuple) {
+	rt.propagate(rt.root, rt.firstUnmatched(prev, cur), cur)
 }
 
 func (rt *runtimeTree) propagate(n *scanNode, i int, cur table.Tuple) {

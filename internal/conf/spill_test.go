@@ -46,6 +46,22 @@ func randomTwoSourceRel(rng *rand.Rand, groups, dups int) *table.Relation {
 	return rel
 }
 
+// probMode drops the variable columns of an answer relation: the input of
+// MystiQ's independent projection, which carries probabilities only.
+func probMode(rel *table.Relation) *table.Relation {
+	var keep []int
+	for i, c := range rel.Schema.Cols {
+		if c.Role != table.RoleVar {
+			keep = append(keep, i)
+		}
+	}
+	out := table.NewRelation(rel.Schema.Project(keep))
+	for _, row := range rel.Rows {
+		out.Rows = append(out.Rows, row.Project(keep))
+	}
+	return out
+}
+
 func twoSourceSig() signature.Sig {
 	return signature.NewStar(signature.NewConcat(
 		signature.Table("R"),
@@ -53,27 +69,29 @@ func twoSourceSig() signature.Sig {
 	))
 }
 
-// TestComputeSpillsAreRemoved: after a Compute whose tiny SortBudget forces
-// many spilled runs, the spill dir must be empty — serially and under a
-// multi-worker pool.
+// TestComputeSpillsAreRemoved: after a Compute — and after an independent
+// projection, the same pass with MystiQ's combine — whose tiny SortBudget
+// forces many spilled runs, the spill dir must be empty — serially and under
+// a multi-worker pool.
 func TestComputeSpillsAreRemoved(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			dir := t.TempDir()
 			rel := randomTwoSourceRel(rand.New(rand.NewSource(7)), 300, 10)
-			out, stats, err := ComputeStats(rel, twoSourceSig(), Options{
-				SortBudget: 32,
-				TmpDir:     dir,
-				Pool:       pool.New(workers),
-			})
+			opts := Options{SortBudget: 32, TmpDir: dir, Pool: pool.New(workers)}
+			out, stats, err := ComputeStats(rel, twoSourceSig(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if out.Len() != 300 {
-				t.Fatalf("got %d answers, want 300", out.Len())
+			ind, err := IndProject(FromRelation(probMode(rel)), []string{"d"}, opts, stats)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if stats.SpilledRuns == 0 {
-				t.Fatal("expected spilled runs under the tiny budget")
+			if out.Len() != 300 || ind.Rows() != 300 {
+				t.Fatalf("got %d answers and %d projected groups, want 300", out.Len(), ind.Rows())
+			}
+			if stats.SpilledRuns == 0 || stats.Scans != 2 {
+				t.Fatalf("expected two scans with spilled runs under the tiny budget: %+v", stats)
 			}
 			entries, err := os.ReadDir(dir)
 			if err != nil {
@@ -105,29 +123,39 @@ func (c *trippingCtx) Err() error {
 }
 
 // TestComputeInjectedFailureCleansSpills: a failure injected mid-scan (the
-// context trips after the sort already spilled) must abort Compute without
-// leaving a single run file behind.
+// context trips after the sort already spilled) must abort Compute — and an
+// independent projection — with the context's error, without leaving a
+// single run file behind.
 func TestComputeInjectedFailureCleansSpills(t *testing.T) {
-	dir := t.TempDir()
 	rel := randomTwoSourceRel(rand.New(rand.NewSource(11)), 3000, 4)
-	ctx := &trippingCtx{Context: context.Background(), tripAt: 2}
-	_, _, err := ComputeStats(rel, twoSourceSig(), Options{
-		SortBudget: 32,
-		TmpDir:     dir,
-		Ctx:        ctx,
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("expected the injected cancellation, got %v", err)
-	}
-	if !ctx.tripped.Load() {
-		t.Fatal("injected failure never fired")
-	}
-	entries, err2 := os.ReadDir(dir)
-	if err2 != nil {
-		t.Fatal(err2)
-	}
-	if len(entries) != 0 {
-		t.Errorf("spill files left after injected failure: %v", entries)
+	for name, run := range map[string]func(Options) error{
+		"sort+scan": func(o Options) error {
+			_, _, err := ComputeStats(rel, twoSourceSig(), o)
+			return err
+		},
+		"π^ind": func(o Options) error {
+			_, err := IndProject(FromRelation(probMode(rel)), []string{"d"}, o, &Stats{})
+			return err
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			ctx := &trippingCtx{Context: context.Background(), tripAt: 2}
+			err := run(Options{SortBudget: 32, TmpDir: dir, Ctx: ctx})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("expected the injected cancellation, got %v", err)
+			}
+			if !ctx.tripped.Load() {
+				t.Fatal("injected failure never fired")
+			}
+			entries, err2 := os.ReadDir(dir)
+			if err2 != nil {
+				t.Fatal(err2)
+			}
+			if len(entries) != 0 {
+				t.Errorf("spill files left after injected failure: %v", entries)
+			}
+		})
 	}
 }
 

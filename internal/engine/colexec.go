@@ -167,8 +167,6 @@ type colPred struct {
 // run (which sends the plan down the row path).
 func compileColPreds(p Pred) ([]colPred, bool) {
 	switch q := p.(type) {
-	case True:
-		return nil, true
 	case And:
 		var out []colPred
 		for _, sub := range q {

@@ -295,30 +295,10 @@ func TestSortedGroupByMinAndProbOr(t *testing.T) {
 	}
 }
 
-func TestSortedGroupBySumCount(t *testing.T) {
-	sch := table.NewSchema(table.DataCol("g", table.KindInt), table.DataCol("x", table.KindInt))
-	rel := table.NewRelation(sch)
-	for i := 0; i < 6; i++ {
-		rel.MustAppend(table.Tuple{table.Int(int64(i % 2)), table.Int(int64(i))})
-	}
-	g := GroupSorted(NewMemScan(rel), []int{0}, []AggSpec{
-		{Kind: AggSum, Col: 1, Out: table.DataCol("s", table.KindFloat)},
-		{Kind: AggCount, Col: 1, Out: table.DataCol("c", table.KindInt)},
-	})
-	rows := drain(t, g)
-	if len(rows) != 2 {
-		t.Fatalf("groups = %v", rows)
-	}
-	// g=0: 0+2+4=6, count 3; g=1: 1+3+5=9, count 3.
-	if rows[0][1].F != 6 || rows[0][2].I != 3 || rows[1][1].F != 9 {
-		t.Fatalf("rows = %v", rows)
-	}
-}
-
 func TestSortedGroupByEmptyInput(t *testing.T) {
 	rel := intsRel("g")
 	g := NewSortedGroupBy(NewMemScan(rel), []int{0}, []AggSpec{
-		{Kind: AggCount, Col: 0, Out: table.DataCol("c", table.KindInt)},
+		{Kind: AggMin, Col: 0, Out: table.DataCol("m", table.KindInt)},
 	})
 	rows := drain(t, g)
 	if len(rows) != 0 {
@@ -364,16 +344,6 @@ func TestHeapScanThroughEngine(t *testing.T) {
 	}
 }
 
-func TestValidateColumns(t *testing.T) {
-	s := table.NewSchema(table.DataCol("a", table.KindInt))
-	if err := ValidateColumns(s, []int{0}); err != nil {
-		t.Error(err)
-	}
-	if err := ValidateColumns(s, []int{1}); err == nil {
-		t.Error("out-of-range column should error")
-	}
-}
-
 // TestQuickJoinCommutes: |L ⋈ R| is symmetric for hash joins.
 func TestQuickJoinCommutes(t *testing.T) {
 	f := func(seed int64) bool {
@@ -410,28 +380,31 @@ func TestQuickJoinCommutes(t *testing.T) {
 	}
 }
 
-// TestQuickSortThenGroupCountsRows: grouping partitions the input, so group
-// counts must sum to the input size.
-func TestQuickSortThenGroupCountsRows(t *testing.T) {
+// TestQuickSortThenGroupPartitionsRows: grouping partitions the input, so
+// there is one group per distinct key and its minimum is the key itself.
+func TestQuickSortThenGroupPartitionsRows(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		rel := intsRel("g")
-		n := r.Intn(100)
-		for i := 0; i < n; i++ {
-			rel.MustAppend(table.Tuple{table.Int(int64(r.Intn(5)))})
+		distinct := make(map[int64]bool)
+		for i, n := 0, r.Intn(100); i < n; i++ {
+			v := int64(r.Intn(5))
+			distinct[v] = true
+			rel.MustAppend(table.Tuple{table.Int(v)})
 		}
 		g := GroupSorted(NewMemScan(rel), []int{0}, []AggSpec{
-			{Kind: AggCount, Col: 0, Out: table.DataCol("c", table.KindInt)},
+			{Kind: AggMin, Col: 0, Out: table.DataCol("m", table.KindInt)},
 		})
 		rows, err := Collect(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var total int64
 		for _, row := range rows.Rows {
-			total += row[1].I
+			if row[1].I != row[0].I {
+				return false
+			}
 		}
-		return total == int64(n)
+		return rows.Len() == len(distinct)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

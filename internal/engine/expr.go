@@ -7,7 +7,7 @@
 // There are two execution tiers with one pull protocol each. The row tier
 // (Operator, op.go/batch.go) moves []table.Tuple batches of BatchSize through
 // reused buffers with cancellation checks at batch boundaries; it is the
-// reference tier and the only one that sorts, groups and runs safe plans.
+// reference tier and the only one that sorts and groups.
 // Operators that never reuse tuple storage advertise it through
 // StableTuples, which lets consumers skip defensive clones; the rest clone
 // through table.Slab, and the few per-tuple algorithms (merge join, sorted
@@ -182,12 +182,3 @@ func (a And) String() string {
 	}
 	return s
 }
-
-// True is the always-true predicate.
-type True struct{}
-
-// Holds returns true.
-func (True) Holds(table.Tuple) bool { return true }
-
-// String renders the predicate.
-func (True) String() string { return "true" }

@@ -1,32 +1,17 @@
 package engine
 
-import (
-	"fmt"
-	"math"
-
-	"repro/internal/table"
-)
-
-// mystiqLogLimit is where the modelled POWER(10, Σlog) computation of
-// MystiQ's probability aggregate gives up (§VII, "Query Engines").
-const mystiqLogLimit = -300.0
+import "repro/internal/table"
 
 // AggKind enumerates the aggregate functions needed by the paper's GRP
 // statements (Fig. 5): min over variable columns (choosing a representative
 // variable) and prob over probability columns (independent disjunction,
-// 1-Π(1-p)). Sum and Count round out the engine for general use.
+// 1-Π(1-p)).
 type AggKind uint8
 
-// Aggregate kinds. AggLogOr is MystiQ's numerically fragile variant of
-// AggProbOr — 1 - 10^Σ log10(1.001 - p) — which produces NaN/underflow on
-// large groups of near-certain events, reproducing the runtime errors the
-// paper reports for queries 1, 4, 12 and several Boolean variants (§VII).
+// Aggregate kinds.
 const (
 	AggMin AggKind = iota
 	AggProbOr
-	AggSum
-	AggCount
-	AggLogOr
 )
 
 // String names the aggregate.
@@ -36,12 +21,6 @@ func (k AggKind) String() string {
 		return "min"
 	case AggProbOr:
 		return "prob"
-	case AggSum:
-		return "sum"
-	case AggCount:
-		return "count"
-	case AggLogOr:
-		return "mystiq_prob"
 	default:
 		return "?"
 	}
@@ -50,7 +29,7 @@ func (k AggKind) String() string {
 // AggSpec computes one output column from the rows of a group.
 type AggSpec struct {
 	Kind AggKind
-	Col  int          // input column aggregated (ignored for count)
+	Col  int          // input column aggregated
 	Out  table.Column // output column descriptor
 }
 
@@ -58,17 +37,11 @@ type aggState struct {
 	min    table.Value
 	hasMin bool
 	compl  float64 // running Π(1-p) for prob
-	logSum float64 // running Σ log10(1.001-p) for MystiQ's aggregate
-	sum    float64
-	count  int64
 }
 
 func (a *aggState) reset() {
 	a.hasMin = false
 	a.compl = 1
-	a.logSum = 0
-	a.sum = 0
-	a.count = 0
 }
 
 func (a *aggState) add(spec AggSpec, t table.Tuple) {
@@ -81,19 +54,7 @@ func (a *aggState) add(spec AggSpec, t table.Tuple) {
 		}
 	case AggProbOr:
 		a.compl *= 1 - t[spec.Col].F
-	case AggLogOr:
-		a.logSum += math.Log10(1.001 - t[spec.Col].F)
-	case AggSum:
-		v := t[spec.Col]
-		if v.Kind == table.KindInt {
-			a.sum += float64(v.I)
-		} else {
-			a.sum += v.F
-		}
-	case AggCount:
-		// handled by count below
 	}
-	a.count++
 }
 
 func (a *aggState) result(spec AggSpec) table.Value {
@@ -105,16 +66,6 @@ func (a *aggState) result(spec AggSpec) table.Value {
 		return a.min
 	case AggProbOr:
 		return table.Float(1 - a.compl)
-	case AggLogOr:
-		if a.logSum < mystiqLogLimit {
-			// POWER underflows in PostgreSQL; MystiQ aborts at runtime.
-			return table.Float(math.NaN())
-		}
-		return table.Float(1 - math.Pow(10, a.logSum))
-	case AggSum:
-		return table.Float(a.sum)
-	case AggCount:
-		return table.Int(a.count)
 	default:
 		return table.Null()
 	}
@@ -220,8 +171,7 @@ func (g *SortedGroupBy) Close() error { return g.In.Close() }
 // HashDistinct removes duplicate tuples (all columns) without requiring
 // sorted input. Seen tuples are tracked in a hash-keyed TupleSet (FNV hash
 // plus Compare-based collision chains), so recognizing a duplicate never
-// allocates. Safe plans use it after independent projections; the answer
-// enumeration path uses it to list distinct data tuples.
+// allocates. The reference GRP sequence uses it to list distinct tuples.
 type HashDistinct struct {
 	In     Operator
 	seen   *table.TupleSet
@@ -282,15 +232,4 @@ func (d *HashDistinct) Close() error {
 // every aggregation step in the paper.
 func GroupSorted(in Operator, groupBy []int, aggs []AggSpec) *SortedGroupBy {
 	return NewSortedGroupBy(NewSort(in, SortSpec{Cols: groupBy}), groupBy, aggs)
-}
-
-// ValidateColumns checks that all column indexes are within the schema, for
-// defensive construction in the planner.
-func ValidateColumns(s *table.Schema, idx []int) error {
-	for _, i := range idx {
-		if i < 0 || i >= s.Len() {
-			return fmt.Errorf("engine: column index %d out of range for schema %v", i, s.Names())
-		}
-	}
-	return nil
 }

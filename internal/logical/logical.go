@@ -27,8 +27,9 @@ const (
 	// every operator — SPROUT's data model (§II.A), required by the
 	// sort+scan confidence operator and by lineage collection.
 	ModeLineage Mode = iota
-	// ModeProb carries a single probability column and no variables —
-	// MystiQ's model, where correctness rests on the safe join order.
+	// ModeProb carries the P columns alone, no variables — MystiQ's model,
+	// where correctness rests on the safe join order: an independent
+	// projection multiplies a row's P columns and leaves one behind.
 	ModeProb
 )
 
@@ -127,9 +128,10 @@ func (s *Select) Label() string {
 	return "σ[" + strings.Join(parts, " ∧ ") + "]"
 }
 
-// Project keeps the named data attributes. Uncertainty columns ride along
-// according to the plan mode: every V/P pair under ModeLineage, the single
-// probability column under ModeProb.
+// Project keeps the named data attributes — the lowering takes a leaf's and
+// a join's surviving attributes from here. Uncertainty columns ride along
+// according to the plan mode: every V/P pair under ModeLineage, every P
+// column under ModeProb.
 type Project struct {
 	Input Node
 	Attrs []string

@@ -3,6 +3,7 @@ package plan
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/engine"
@@ -191,11 +192,12 @@ func depth(t *query.Tree) int {
 
 // leafWrap builds the per-tuple pipeline of one relation occurrence —
 // rename → filter → project — over an arbitrary operator with the base
-// table's schema. The projection keeps the occurrence's needed attributes
-// plus its V/P columns; selections are applied before attributes are
-// dropped. Every call builds a fresh pipeline, so instances can run
-// concurrently over disjoint row chunks.
-func leafWrap(c *Catalog, q *query.Query, ref query.RelRef, in engine.Operator) (engine.Operator, error) {
+// table's schema. The projection keeps the attributes the plan's leaf
+// projection names plus the occurrence's uncertainty columns — V and P
+// under ModeLineage, P alone under ModeProb; selections are applied before
+// attributes are dropped. Every call builds a fresh pipeline, so instances
+// can run concurrently over disjoint row chunks.
+func leafWrap(c *Catalog, q *query.Query, ref query.RelRef, attrs []string, mode logical.Mode, in engine.Operator) (engine.Operator, error) {
 	op, err := c.Rename(ref, in)
 	if err != nil {
 		return nil, err
@@ -215,12 +217,11 @@ func leafWrap(c *Catalog, q *query.Query, ref query.RelRef, in engine.Operator) 
 	if len(preds) > 0 {
 		op = engine.NewFilter(op, preds)
 	}
-	// Project to the attributes the leaf still needs: every attribute it
-	// shares with some other relation (to join with the intermediate built
-	// so far, or with relations joined later) plus head attributes —
-	// logical.LeafKeep, §V.B's projection rule.
-	names := append(logical.LeafKeep(q, ref), "V("+ref.Name+")", "P("+ref.Name+")")
-	return engine.NewColumnProject(op, names)
+	names := slices.Clone(attrs)
+	if mode == logical.ModeLineage {
+		names = append(names, "V("+ref.Name+")")
+	}
+	return engine.NewColumnProject(op, append(names, "P("+ref.Name+")"))
 }
 
 // leafPipeline builds the operator reading one relation occurrence. Under a
@@ -232,12 +233,12 @@ func leafWrap(c *Catalog, q *query.Query, ref query.RelRef, in engine.Operator) 
 // the scan is not chunk-partitioned (pages arrive sequentially), so the
 // pipeline streams into the enclosing collector, where the columnar tier
 // decodes pages straight into column vectors unless rowExec forces rows.
-func leafPipeline(ex exec, c *Catalog, q *query.Query, ref query.RelRef, rowExec bool) (engine.Operator, error) {
+func leafPipeline(ex exec, c *Catalog, q *query.Query, ref query.RelRef, attrs []string, mode logical.Mode, rowExec bool) (engine.Operator, error) {
 	base, err := c.Base(ref)
 	if err != nil {
 		return nil, err
 	}
-	wrap := func(in engine.Operator) (engine.Operator, error) { return leafWrap(c, q, ref, in) }
+	wrap := func(in engine.Operator) (engine.Operator, error) { return leafWrap(c, q, ref, attrs, mode, in) }
 	if db := c.Disk(ref.Base); db != nil {
 		return wrap(engine.NewHeapScan(db.File, db.Pool, base.Rel.Schema))
 	}
@@ -252,11 +253,12 @@ func leafPipeline(ex exec, c *Catalog, q *query.Query, ref query.RelRef, rowExec
 }
 
 // joinPipeline equi-joins two operators on their shared data attributes and
-// projects the result to the needed attributes plus all V/P columns, naming
-// the physical join on sp. Under a multi-worker pool the join is
+// projects the result to the data attributes the plan's post-join
+// projection names plus every uncertainty column, naming the physical join
+// on sp. Under a multi-worker pool the join is
 // hash-partitioned and the partitions joined in parallel. A governed run's
 // join is returned as well, so the caller can report whether it degraded.
-func joinPipeline(ex exec, q *query.Query, left, right engine.Operator, joined map[string]bool, sp *obs.Span) (engine.Operator, *engine.HashJoin, error) {
+func joinPipeline(ex exec, left, right engine.Operator, attrs []string, sp *obs.Span) (engine.Operator, *engine.HashJoin, error) {
 	ls, rs := left.Schema(), right.Schema()
 	var lk, rk []int
 	for i, lc := range ls.Cols {
@@ -292,20 +294,11 @@ func joinPipeline(ex exec, q *query.Query, left, right engine.Operator, joined m
 	if err != nil {
 		return nil, nil, err
 	}
-	// Project: needed data attrs (first occurrence wins, removing the
-	// duplicated join columns) + every V/P column.
-	need := logical.JoinKeep(q, joined)
-	js := j.Schema()
+	// Project: kept data attrs in join-schema order (first occurrence wins,
+	// removing the duplicated join columns) + every V/P column.
 	var names []string
-	seen := make(map[string]bool)
-	for _, c := range js.Cols {
-		switch c.Role {
-		case table.RoleData:
-			if need[c.Name] && !seen[c.Name] {
-				names = append(names, c.Name)
-				seen[c.Name] = true
-			}
-		default:
+	for _, c := range j.Schema().Cols {
+		if c.Role != table.RoleData || (slices.Contains(attrs, c.Name) && !slices.Contains(names, c.Name)) {
 			names = append(names, c.Name)
 		}
 	}

@@ -212,17 +212,3 @@ func (c *Catalog) Rename(ref query.RelRef, in engine.Operator) (engine.Operator,
 	exprs = append(exprs, engine.ColRef{Idx: vi, Name: "V"}, engine.ColRef{Idx: pi, Name: "P"})
 	return engine.NewProject(in, table.NewSchema(cols...), exprs)
 }
-
-// Scan builds an operator reading one relation occurrence: a scan of the
-// base table — its heap file when the table is disk-bound, whose in-memory
-// relation is an empty placeholder — under the occurrence renaming.
-func (c *Catalog) Scan(ref query.RelRef) (engine.Operator, error) {
-	base, err := c.Base(ref)
-	if err != nil {
-		return nil, err
-	}
-	if db := c.Disk(ref.Base); db != nil {
-		return c.Rename(ref, engine.NewHeapScan(db.File, db.Pool, base.Rel.Schema))
-	}
-	return c.Rename(ref, engine.NewMemScan(base.Rel))
-}

@@ -14,8 +14,8 @@ import (
 // the cost model need beyond the operator tree itself.
 type built struct {
 	lp *logical.Plan
-	// order is the join order of left-deep plans (empty for MystiQ's
-	// tree-shaped plans).
+	// order is the join order: of the left-deep plans, and the scan order
+	// of MystiQ's tree-shaped plans (deepest subtrees first).
 	order []query.RelRef
 	// sig is the resolved hierarchical signature: the full signature for
 	// sort+scan styles, the variable-order seed for OBDD plans (nil when
@@ -236,10 +236,11 @@ func buildSafe(q *query.Query, sigma *fd.Set) (*built, error) {
 			// join, so — like a leaf — it keeps the parent's label: a wider
 			// own label ({okey} under ⋈[ckey]) would reach that join
 			// ungrouped and count the sibling's probability once per order.
-			keep := safeKeepAttrs(q, t, t.Label)
+			label := t.Label
 			if i == len(kids)-2 {
-				keep = safeKeepAttrs(q, t, parentLabel)
+				label = parentLabel
 			}
+			keep := safeKeepAttrs(q, t, label)
 			j := &logical.Join{Left: cur, Right: right, On: sharedKeep(cur, right)}
 			p := &logical.Project{Input: j, Attrs: keep}
 			cur = &logical.Conf{Input: p, Alg: logical.AlgIndProject, Keep: keep}
@@ -253,10 +254,8 @@ func buildSafe(q *query.Query, sigma *fd.Set) (*built, error) {
 	}
 	// Final independent projection onto the head attributes.
 	root := &logical.Conf{Input: inner, Alg: logical.AlgIndProject, Keep: q.Head, Final: true}
-	return &built{
-		lp:   &logical.Plan{Style: "mystiq", Mode: logical.ModeProb, Root: root},
-		tree: tree,
-	}, nil
+	lp := &logical.Plan{Style: "mystiq", Mode: logical.ModeProb, Root: root}
+	return &built{lp: lp, order: lp.Relations(), tree: tree}, nil
 }
 
 // sharedKeep lists the attributes two safe subplans join on: the

@@ -2,6 +2,8 @@ package plan
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"repro/internal/conf"
@@ -18,10 +20,14 @@ import (
 // style. Scan/select/project/join subtrees become pipelined engine
 // operators (partition-parallel under a multi-worker pool); confidence
 // placement points consume their input and run the appropriate algorithm.
-// A sort+scan placement — an eager aggregation step, the final operator —
-// takes its input as a stream: the pipeline's batches go straight into the
-// operator's run generation (conf.Source) and the intermediate is never
-// materialized. The lineage algorithms — OBDD compilation, d-tree
+// A sort+scan placement — an eager aggregation step, an independent
+// projection π^ind of a MystiQ safe plan, the final operator — takes its
+// input as a stream: the pipeline's batches go straight into the operator's
+// run generation (conf.Source) and the intermediate is never materialized.
+// The plan mode decides only which uncertainty columns ride along: a V/P
+// pair per source under ModeLineage, P alone under ModeProb (MystiQ works
+// on probabilistic tables without variable columns, §V). The lineage
+// algorithms — OBDD compilation, d-tree
 // decomposition, Monte Carlo estimation, the OBDD → d-tree → Monte Carlo
 // fallback ladder — collect lineage from a materialized answer.
 
@@ -31,6 +37,7 @@ type lowerState struct {
 	c    *Catalog
 	q    *query.Query
 	spec Spec
+	mode logical.Mode
 
 	// cur is the runtime running signature of a staged plan: every eager
 	// aggregation replaces the operator it applied by its representative
@@ -39,7 +46,7 @@ type lowerState struct {
 
 	probTime        time.Duration
 	pullTime        time.Duration // time inside streamed pipelines' pulls: tuple time
-	sorts           conf.Stats    // Scans, Sorts, SpilledRuns, SpillBytes over every sort+scan placement
+	sorts           conf.Stats    // Scans, Sorts, SpilledRuns, SpillBytes over every sort+scan and π^ind placement
 	applied         []string
 	maxIntermediate int64
 
@@ -114,23 +121,6 @@ func scanRefUnder(n logical.Node) (query.RelRef, bool) {
 	}
 }
 
-// joinedUnder collects the occurrence names scanned in a subtree — the
-// "joined set" driving the post-join projection rule.
-func joinedUnder(n logical.Node) map[string]bool {
-	joined := make(map[string]bool)
-	var walk func(logical.Node)
-	walk = func(n logical.Node) {
-		if s, ok := n.(*logical.Scan); ok {
-			joined[s.Ref.Name] = true
-		}
-		for _, in := range n.Inputs() {
-			walk(in)
-		}
-	}
-	walk(n)
-	return joined
-}
-
 // operator lowers a pipelined subtree to one engine operator, opening trace
 // spans under sp (nil when tracing is off — every span call then no-ops).
 // Confidence placement points inside the subtree run where they stand and
@@ -148,7 +138,7 @@ func (st *lowerState) operator(n logical.Node, sp *obs.Span) (engine.Operator, e
 			if err != nil {
 				return nil, err
 			}
-			op, governed, err := joinPipeline(st.ex, st.q, left, right, joinedUnder(x), jsp)
+			op, governed, err := joinPipeline(st.ex, left, right, x.Attrs, jsp)
 			if err != nil {
 				return nil, err
 			}
@@ -168,7 +158,7 @@ func (st *lowerState) operator(n logical.Node, sp *obs.Span) (engine.Operator, e
 		}
 		ssp := sp.Child("scan " + ref.Name)
 		ssp.Int("base_rows", int64(st.c.Rows(ref.Base)))
-		op, err := leafPipeline(st.ex, st.c, st.q, ref, st.spec.RowExec)
+		op, err := leafPipeline(st.ex, st.c, st.q, ref, x.Attrs, st.mode, st.spec.RowExec)
 		if err != nil {
 			return nil, err
 		}
@@ -257,39 +247,58 @@ func (st *lowerState) materialize(n logical.Node, sp *obs.Span) (*table.Relation
 	return src.Relation(st.ex.ctx)
 }
 
-// applyConf runs an eager placement point: each scheduled
-// probability-computation operator is applied as sort+scan passes — the
-// first one streaming the input intermediate — and the running signature is
-// updated with the operator's representative. Time the passes spend pulling
-// the input pipeline is tuple time; the rest is probability time.
+// applyConf runs a confidence placement below the top: an eager point
+// applies each scheduled probability-computation operator as sort+scan
+// passes — the first one streaming the input intermediate — and updates the
+// running signature with the operator's representative; an independent
+// projection is one such pass with MystiQ's per-group combine.
 func (st *lowerState) applyConf(cf *logical.Conf, sp *obs.Span) (*conf.Source, error) {
 	src, err := st.source(cf.Input, sp)
 	if err != nil {
 		return nil, err
 	}
+	if cf.Alg == logical.AlgIndProject {
+		return st.placement(sp.Child(cf.Label()), src, func(cs *conf.Stats) (*conf.Source, error) {
+			return conf.IndProject(src, cf.Keep, st.spec.Conf, cs)
+		})
+	}
 	for _, op := range cf.Ops {
-		pt0, pull0 := statsNow(), st.pullTime
-		var cstats conf.Stats
-		next, rep, err := conf.AggregateFrom(src, op, st.spec.Conf, &cstats)
+		var rep string
+		src, err = st.placement(sp.Child("conf["+op.String()+"]"), src, func(cs *conf.Stats) (next *conf.Source, err error) {
+			next, rep, err = conf.AggregateFrom(src, op, st.spec.Conf, cs)
+			return next, err
+		})
 		if err != nil {
 			return nil, err
 		}
-		d := statsSince(pt0) - (st.pullTime - pull0)
-		st.probTime += d
-		st.addSorts(&cstats)
-		csp := sp.Child("conf[" + op.String() + "]")
-		csp.Int("rows_in", src.Rows()).Int("rows_out", next.Rows())
-		annotateSorts(csp, &cstats)
-		csp.SetDur(d)
-		src = next
 		st.cur = Replace(st.cur, op, signature.Table(rep))
 		st.applied = append(st.applied, "["+op.String()+"]")
 	}
 	return src, nil
 }
 
-// annotateSorts records what a sort+scan computation — an eager step or the
-// top operator — did: scans and sorts are structural, the spill volume
+// placement runs one confidence computation over src and accounts for it:
+// the time it spent pulling the input pipeline is tuple time, the rest is
+// probability time; its sorts join the run's totals and csp records what it
+// did.
+func (st *lowerState) placement(csp *obs.Span, src *conf.Source, run func(*conf.Stats) (*conf.Source, error)) (*conf.Source, error) {
+	pt0, pull0 := statsNow(), st.pullTime
+	var cstats conf.Stats
+	next, err := run(&cstats)
+	if err != nil {
+		return nil, err
+	}
+	d := statsSince(pt0) - (st.pullTime - pull0)
+	st.probTime += d
+	st.addSorts(&cstats)
+	csp.Int("rows_in", src.Rows()).Int("rows_out", next.Rows())
+	annotateSorts(csp, &cstats)
+	csp.SetDur(d)
+	return next, nil
+}
+
+// annotateSorts records what a sort+scan computation — an eager step, an
+// independent projection or the top operator — did: scans and sorts are structural, the spill volume
 // moves with the sort budget and the partitioning and stays loose.
 func annotateSorts(sp *obs.Span, cs *conf.Stats) {
 	sp.Int("scans", int64(cs.Scans)).Int("sorts", int64(cs.Sorts))
@@ -298,23 +307,20 @@ func annotateSorts(sp *obs.Span, cs *conf.Stats) {
 
 // runLogical executes a built logical plan.
 func runLogical(ex exec, c *Catalog, q *query.Query, b *built, spec Spec) (*Result, error) {
-	if b.lp.Mode == logical.ModeProb {
-		return lowerSafe(ex, c, q, b, spec)
-	}
 	root, ok := b.lp.Root.(*logical.Conf)
 	if !ok || !root.Final {
 		return nil, fmt.Errorf("plan: logical plan for %s lacks a final confidence point", q.Name)
 	}
-	st := &lowerState{ex: ex, c: c, q: q, spec: spec, cur: b.sig}
+	st := &lowerState{ex: ex, c: c, q: q, spec: spec, mode: b.lp.Mode, cur: b.sig}
 	answerSp := ex.span("answer: " + describeOrder(b.order))
 	t0 := statsNow()
 	var res *Result
-	if root.Alg == logical.AlgSortScan {
+	if root.Alg == logical.AlgSortScan || root.Alg == logical.AlgIndProject {
 		src, err := st.source(root.Input, answerSp)
 		if err != nil {
 			return nil, err
 		}
-		res, err = st.finishSortScan(b, src, answerSp, t0)
+		res, err = st.finishScanned(b, root, src, answerSp, t0)
 		if err != nil {
 			return nil, err
 		}
@@ -359,13 +365,57 @@ func (st *lowerState) annotateAnswer(sp *obs.Span, rows int64, tupleTime time.Du
 	sp.SetDur(tupleTime)
 }
 
-// finishSortScan runs the top sort+scan confidence operator over the
-// streamed intermediate: the full operator when aggregation remains, the
-// bare-table extraction when the eager stages already reduced the signature
-// to a single representative. t0 is when the run started lowering: what the
-// wall since then does not owe to confidence computation — the lowering,
-// nested pipelines, and this placement's pulls of its input — is tuple time.
-func (st *lowerState) finishSortScan(b *built, src *conf.Source, answerSp *obs.Span, t0 time.Time) (*Result, error) {
+// finishScanned runs the top confidence computation of a plan whose
+// confidences come from sort+scan passes — the sort+scan operator, or the
+// final independent projection of a MystiQ safe plan — over the streamed
+// intermediate and assembles the result. t0 is when the run started
+// lowering: what the wall since then does not owe to confidence computation
+// — the lowering, nested pipelines, and the top placement's pulls of its
+// input — is tuple time.
+func (st *lowerState) finishScanned(b *built, root *logical.Conf, src *conf.Source, answerSp *obs.Span, t0 time.Time) (*Result, error) {
+	var out *table.Relation
+	var planLine, sigLine string
+	var err error
+	if root.Alg == logical.AlgIndProject {
+		out, err = st.finalIndProject(root, src)
+		planLine, sigLine = fmt.Sprintf("mystiq safe plan over tree %s", b.tree), "(safe plan; no signature)"
+	} else {
+		out, err = st.topSortScan(src)
+		planLine, sigLine = fmt.Sprintf("lazy: %s; conf[%s] on top", describeOrder(b.order), st.cur), b.sig.String()
+		if b.eagerStages > 0 {
+			planLine = fmt.Sprintf("%s: %s; ops %v; top conf[%s]", b.lp.Style, describeOrder(b.order), st.applied, st.cur)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	tupleTime := statsSince(t0) - st.probTime
+	st.annotateAnswer(answerSp, src.Rows(), tupleTime)
+	out, err = normalizeAnswer(out, st.q)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{
+		Rows: out,
+		Stats: Stats{
+			Plan:           planLine,
+			Signature:      sigLine,
+			TupleTime:      tupleTime,
+			ProbTime:       st.probTime,
+			AnswerTuples:   st.maxIntermediate,
+			DistinctTuples: int64(out.Len()),
+			Scans:          st.sorts.Scans,
+			Sorts:          st.sorts.Sorts,
+			SpilledRuns:    st.sorts.SpilledRuns,
+			SpillBytes:     st.sorts.SpillBytes,
+		},
+	}, nil
+}
+
+// topSortScan is the top sort+scan confidence operator: the full operator
+// when aggregation remains, the bare-table extraction when the eager stages
+// already reduced the signature to a single representative.
+func (st *lowerState) topSortScan(src *conf.Source) (*table.Relation, error) {
 	sp := st.ex.span("conf[sort+scan]")
 	pt0, pull0 := statsNow(), st.pullTime
 	var out *table.Relation
@@ -387,31 +437,35 @@ func (st *lowerState) finishSortScan(b *built, src *conf.Source, answerSp *obs.S
 	}
 	d := statsSince(pt0) - (st.pullTime - pull0)
 	st.probTime += d
-	tupleTime := statsSince(t0) - st.probTime
-	st.annotateAnswer(answerSp, src.Rows(), tupleTime)
 	sp.Str("sig", st.cur.String()).Int("rows_in", src.Rows()).Int("distinct", int64(out.Len()))
 	sp.SetDur(d)
-	out, err = normalizeAnswer(out, st.q)
+	return out, nil
+}
+
+// finalIndProject is a safe plan's top placement: the independent
+// projection onto the head, whose probability column is the confidence.
+// MystiQ's aggregate fails at runtime on groups of many near-certain events
+// (log-sum underflow) — surfaced as an error, as in §VII.
+func (st *lowerState) finalIndProject(root *logical.Conf, src *conf.Source) (*table.Relation, error) {
+	top, err := st.placement(st.ex.span(root.Label()), src, func(cs *conf.Stats) (*conf.Source, error) {
+		return conf.IndProject(src, root.Keep, st.spec.Conf, cs)
+	})
 	if err != nil {
 		return nil, err
 	}
-	planLine := fmt.Sprintf("lazy: %s; conf[%s] on top", describeOrder(b.order), st.cur)
-	if b.eagerStages > 0 {
-		planLine = fmt.Sprintf("%s: %s; ops %v; top conf[%s]", b.lp.Style, describeOrder(b.order), st.applied, st.cur)
+	rel, err := top.Relation(st.ex.ctx)
+	if err != nil {
+		return nil, err
 	}
-	return &Result{
-		Rows: out,
-		Stats: Stats{
-			Plan:           planLine,
-			Signature:      b.sig.String(),
-			TupleTime:      tupleTime,
-			ProbTime:       st.probTime,
-			AnswerTuples:   st.maxIntermediate,
-			DistinctTuples: int64(out.Len()),
-			Scans:          st.sorts.Scans,
-			Sorts:          st.sorts.Sorts,
-			SpilledRuns:    st.sorts.SpilledRuns,
-			SpillBytes:     st.sorts.SpillBytes,
-		},
-	}, nil
+	pi := rel.Schema.Len() - 1
+	for _, row := range rel.Rows {
+		if math.IsNaN(row[pi].F) || math.IsInf(row[pi].F, 0) {
+			return nil, fmt.Errorf("plan: MystiQ runtime error: probability aggregate under/overflowed (query %s)", st.q.Name)
+		}
+	}
+	cols := slices.Clone(rel.Schema.Cols)
+	cols[pi] = table.DataCol(conf.ConfCol, table.KindFloat)
+	out := table.NewRelation(table.NewSchema(cols...))
+	out.Rows = rel.Rows
+	return out, nil
 }

@@ -284,7 +284,14 @@ func TestHierarchicalOrderDeepestFirst(t *testing.T) {
 // TestScanRename: aliases rename data columns positionally.
 func TestScanRename(t *testing.T) {
 	cat, _ := fig1Catalog()
-	op, err := cat.Scan(query.Alias("Cust2", "Cust", "c2key", "c2name"))
+	scan := func(ref query.RelRef) (engine.Operator, error) {
+		base, err := cat.Base(ref)
+		if err != nil {
+			return nil, err
+		}
+		return cat.Rename(ref, engine.NewMemScan(base.Rel))
+	}
+	op, err := scan(query.Alias("Cust2", "Cust", "c2key", "c2name"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,10 +299,10 @@ func TestScanRename(t *testing.T) {
 	if s.ColIndex("c2key") != 0 || s.VarIndex("Cust2") < 0 {
 		t.Errorf("alias schema = %v", s)
 	}
-	if _, err := cat.Scan(query.Rel("Cust", "onlyone")); err == nil {
+	if _, err := scan(query.Rel("Cust", "onlyone")); err == nil {
 		t.Error("attribute count mismatch must be rejected")
 	}
-	if _, err := cat.Scan(query.Rel("Nope", "a")); err == nil {
+	if _, err := scan(query.Rel("Nope", "a")); err == nil {
 		t.Error("unknown base table must be rejected")
 	}
 }

@@ -205,9 +205,10 @@ type Stats struct {
 	// tiers — every rung of the fallback ladder reports it consistently.
 	Scans int
 	// Sorts, SpilledRuns and SpillBytes sum what the sort+scan placements
-	// of the run — every eager step and the top operator — sorted and
-	// spilled: sort passes, external-sort runs written to disk, and the
-	// bytes of those run files (0 for the lineage tiers and MystiQ plans).
+	// of the run — every eager step, every independent projection of a
+	// MystiQ plan and the top operator — sorted and spilled: sort passes,
+	// external-sort runs written to disk, and the bytes of those run files
+	// (0 for the lineage tiers).
 	Sorts       int
 	SpilledRuns int
 	SpillBytes  int64

@@ -9,6 +9,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/fd"
+	"repro/internal/logical"
 	"repro/internal/obdd"
 	"repro/internal/prob"
 	"repro/internal/query"
@@ -192,15 +193,15 @@ func TestJoinPipelineUsesAllSharedAttrs(t *testing.T) {
 	q := introQ()
 	ord, _ := q.RelByName("Ord")
 	item, _ := q.RelByName("Item")
-	lo, err := leafPipeline(serialExec(), cat, q, ord, false)
+	lo, err := leafPipeline(serialExec(), cat, q, ord, logical.LeafKeep(q, ord), logical.ModeLineage, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	li, err := leafPipeline(serialExec(), cat, q, item, false)
+	li, err := leafPipeline(serialExec(), cat, q, item, logical.LeafKeep(q, item), logical.ModeLineage, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, _, err := joinPipeline(serialExec(), q, lo, li, map[string]bool{"Ord": true, "Item": true}, nil)
+	j, _, err := joinPipeline(serialExec(), lo, li, []string{"ckey", "odate"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

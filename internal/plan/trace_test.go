@@ -2,6 +2,8 @@ package plan
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -19,7 +21,8 @@ import (
 // tier produces the result must report its timings, the operator scan count
 // and its own tier counter (OBDD nodes, d-tree steps or Monte Carlo
 // samples) — and only its own. Lineage tiers report Scans = 1, the
-// lineage-collection grouping pass.
+// lineage-collection grouping pass; a safe plan reports one scan and one
+// sort per independent projection, timed as probability time.
 func TestStatsLadderPopulation(t *testing.T) {
 	type tc struct {
 		name string
@@ -74,6 +77,9 @@ func TestStatsLadderPopulation(t *testing.T) {
 			lineageTier := c.tier == "obdd" || c.tier == "dtree" || c.tier == "mc"
 			if lineageTier && s.Scans != 1 {
 				t.Errorf("lineage tiers report the single grouping pass, got Scans=%d", s.Scans)
+			}
+			if c.tier == "safe" && (s.Sorts != s.Scans || s.ProbTime <= 0) {
+				t.Errorf("safe plans sort once per π^ind and time it: scans=%d sorts=%d prob=%v", s.Scans, s.Sorts, s.ProbTime)
 			}
 			// Exactly the producing tier's counter is set: failed ladder
 			// rungs must not leak theirs.
@@ -159,16 +165,18 @@ func TestTraceOffByDefault(t *testing.T) {
 }
 
 // TestSortScanSpanReportsSpills: the conf[sort+scan] span — and, under an
-// eager plan, the conf[<op>] span of every eager step — carries the
+// eager plan, the conf[<op>] span of every eager step, under a safe plan
+// the π^ind[<keep>] span of every independent projection — carries the
 // operator's sorts and its spill volume — runs and bytes — the latter as
 // loose attributes (they move with the sort budget and the partitioning, so
 // they stay out of the fingerprint), and nothing when the sorts fit in
-// memory.
+// memory. The runs are written under Spec.Conf.TmpDir (a directory that
+// does not exist fails the spilling run) and none is left behind.
 func TestSortScanSpanReportsSpills(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		style  Style
-		span   string // the spans that must report: this one, or every conf[ step but it
+		span   string // the spans that must report: this one, or every other placement
 		budget int
 		spills bool
 	}{
@@ -176,6 +184,8 @@ func TestSortScanSpanReportsSpills(t *testing.T) {
 		{"spilled", Lazy, "conf[sort+scan]", 2, true},
 		{"eager in-memory", Eager, "", 0, false},
 		{"eager spilled", Eager, "", 2, true},
+		{"mystiq in-memory", SafeMystiQ, "", 0, false},
+		{"mystiq spilled", SafeMystiQ, "", 2, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cat, _ := fig1Catalog()
@@ -189,8 +199,8 @@ func TestSortScanSpanReportsSpills(t *testing.T) {
 			var spans []*obs.Span
 			var find func(s *obs.Span)
 			find = func(s *obs.Span) {
-				eagerStep := strings.HasPrefix(s.Name, "conf[") && s.Name != "conf[sort+scan]"
-				if s.Name == c.span || (c.span == "" && eagerStep) {
+				step := (strings.HasPrefix(s.Name, "conf[") && s.Name != "conf[sort+scan]") || strings.HasPrefix(s.Name, "π^ind[")
+				if s.Name == c.span || (c.span == "" && step) {
 					spans = append(spans, s)
 				}
 				for _, ch := range s.Children {
@@ -221,6 +231,16 @@ func TestSortScanSpanReportsSpills(t *testing.T) {
 			}
 			if !c.spills && (runs != 0 || bytes != 0) {
 				t.Errorf("in-memory sort reported spilled_runs=%d spill_bytes=%d", runs, bytes)
+			}
+			if int64(res.Stats.SpilledRuns) != runs || res.Stats.SpillBytes != bytes {
+				t.Errorf("Stats report %d runs / %d bytes, the spans %d / %d", res.Stats.SpilledRuns, res.Stats.SpillBytes, runs, bytes)
+			}
+			if left, err := os.ReadDir(spec.Conf.TmpDir); err != nil || len(left) != 0 {
+				t.Errorf("%d run files left in the spill directory (%v)", len(left), err)
+			}
+			spec.Conf.TmpDir = filepath.Join(spec.Conf.TmpDir, "missing")
+			if _, err := Run(cat, introQ(), tpchFDs(), spec); (err != nil) != c.spills {
+				t.Errorf("run with a missing spill directory: %v, spills %v", err, c.spills)
 			}
 		})
 	}

@@ -28,8 +28,9 @@ import (
 const chaosSeeds = 200
 
 // chaosQueries rotates styles and shapes across seeds: lazy sort+scan
-// (spill-heavy), the OBDD compilation tier, and the hierarchical
-// multi-join.
+// (spill-heavy), the OBDD compilation tier, the hierarchical multi-join,
+// and that join under MystiQ's safe plan (five spilling independent
+// projections).
 var chaosQueries = []struct {
 	name  string
 	style plan.Style
@@ -37,6 +38,7 @@ var chaosQueries = []struct {
 	{"1", plan.Lazy},
 	{"15", plan.OBDD},
 	{"18", plan.Lazy},
+	{"18", plan.SafeMystiQ},
 }
 
 // confKey renders an answer row for exact (bit-identical) comparison.
@@ -79,19 +81,19 @@ func TestChaosFaultSchedules(t *testing.T) {
 	}
 
 	// Fault-free baselines, computed on the same disk catalog layout.
-	baseline := make(map[string]map[string]string)
+	baseline := make([]map[string]string, len(chaosQueries))
 	baseSpill := t.TempDir()
 	cat, _, closeFiles, err := OpenDiskCatalog(dir, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cq := range chaosQueries {
+	for i, cq := range chaosQueries {
 		e := Catalog()[cq.name]
 		res, err := plan.Run(cat, e.Q.Clone(), FDsFor(e), spec(cq.style, baseSpill))
 		if err != nil {
 			t.Fatalf("baseline %s: %v", cq.name, err)
 		}
-		baseline[cq.name] = confMapOf(res.Rows.Rows)
+		baseline[i] = confMapOf(res.Rows.Rows)
 	}
 	if err := closeFiles(); err != nil {
 		t.Fatal(err)
@@ -108,7 +110,7 @@ func TestChaosFaultSchedules(t *testing.T) {
 	for seed := 0; seed < seeds; seed++ {
 		cq := chaosQueries[seed%len(chaosQueries)]
 		runChaosSeed(t, dir, spill, int64(seed), cq.name, cq.style,
-			spec(cq.style, spill), baseline[cq.name], len(heapFiles))
+			spec(cq.style, spill), baseline[seed%len(chaosQueries)], len(heapFiles))
 	}
 }
 
