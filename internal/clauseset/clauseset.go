@@ -27,17 +27,17 @@ import (
 	"repro/internal/prob"
 )
 
-// Hash is FNV-1a (prob's shared primitives) over a canonical clause set —
-// clause literals in order with a separator per clause boundary. Collisions
-// are resolved by structural equality, so hash quality only affects chain
-// length.
+// Hash folds a canonical clause set word by word (prob.FNVWord): clause
+// literals in order, with a separator no literal can equal (^0; literals
+// are non-negative) per clause boundary. Collisions are resolved by
+// structural equality, so hash quality only affects chain length.
 func Hash(cls [][]int32) uint64 {
 	h := prob.FNVInit()
 	for _, c := range cls {
 		for _, l := range c {
-			h = prob.FNVUint32(h, uint32(l))
+			h = prob.FNVWord(h, uint32(l))
 		}
-		h = prob.FNVByte(h, 0xff)
+		h = prob.FNVWord(h, ^uint32(0))
 	}
 	return h
 }
@@ -46,7 +46,7 @@ func Hash(cls [][]int32) uint64 {
 // making a residual clause set canonical regardless of the expansion path
 // that produced it.
 func Normalize(cls [][]int32) [][]int32 {
-	slices.SortFunc(cls, cmpClause)
+	slices.SortFunc(cls, Compare)
 	out := cls[:0]
 	for i, c := range cls {
 		if i > 0 && slices.Equal(cls[i-1], c) {
@@ -57,7 +57,9 @@ func Normalize(cls [][]int32) [][]int32 {
 	return out
 }
 
-func cmpClause(a, b []int32) int {
+// Compare is the lexicographic clause order canonical sets are sorted by:
+// literal by literal, a proper prefix first.
+func Compare(a, b []int32) int {
 	for i := 0; i < len(a) && i < len(b); i++ {
 		if a[i] != b[i] {
 			if a[i] < b[i] {

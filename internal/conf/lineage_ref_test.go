@@ -2,6 +2,7 @@ package conf
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/dtree"
+	"repro/internal/engine"
 	"repro/internal/obdd"
 	"repro/internal/pool"
 	"repro/internal/prob"
@@ -212,15 +214,21 @@ func mustMatchRef(t *testing.T, rel *table.Relation, got *Lineage) {
 			t.Fatalf("answer %d: clauses %v, want %v", i, got.DNFs[i].Clauses, want.DNFs[i].Clauses)
 		}
 	}
-	if !reflect.DeepEqual(got.Assign, want.Assign) {
+	if vs := want.Assign.Vars(); got.Assign.Len() != len(vs) || !slices.Equal(got.Assign.Vars(), vs) {
 		t.Errorf("Assign differs: %d vs %d variables", got.Assign.Len(), want.Assign.Len())
+	} else {
+		for _, v := range vs {
+			if got.Assign.P(v) != want.Assign.P(v) {
+				t.Fatalf("Assign: P(%v) = %g, want %g", v, got.Assign.P(v), want.Assign.P(v))
+			}
+		}
 	}
 	if got.Clauses != want.Clauses || got.Vars != want.Vars || got.DupRows != want.DupRows || got.Input != want.Input {
 		t.Errorf("clauses/vars/dup/input = %d/%d/%d/%d, want %d/%d/%d/%d",
 			got.Clauses, got.Vars, got.DupRows, got.Input, want.Clauses, want.Vars, want.DupRows, want.Input)
 	}
 	sig := signature.Concat{signature.Table("T"), signature.Table("R")}
-	rank, ref := sigRank(sig, got.Source), refRank(sig, source)
+	rank, ref := sigRank(sig, got), refRank(sig, source)
 	for _, v := range append(want.Assign.Vars(), 1<<30) {
 		if rank(v) != ref(v) {
 			t.Fatalf("sigRank(%v) = %d, want %d", v, rank(v), ref(v))
@@ -228,22 +236,96 @@ func mustMatchRef(t *testing.T, rel *table.Relation, got *Lineage) {
 	}
 }
 
+// batchFeed streams rel as column batches of size live rows, reusing one
+// batch (so the collector must copy what it keeps). With sel, a dead row the
+// selection vector skips precedes every live one — a row that would add a
+// variable of its own if it were read. String cells of every other batch go
+// in as raw bytes, so the dictionary and flat layouts are compared too.
+func batchFeed(rel *table.Relation, size int, sel bool) *Source {
+	return NewSource(rel.Schema, func(sink engine.Sink) error {
+		b := table.NewColBatch(rel.Schema)
+		for lo, k := 0, 0; lo < rel.Len(); lo, k = lo+size, k+1 {
+			b.Reset(rel.Schema)
+			var live []int32
+			for _, row := range rel.Rows[lo:min(lo+size, rel.Len())] {
+				if sel {
+					dead := slices.Clone(row)
+					for _, src := range rel.Schema.Sources() {
+						dead[rel.Schema.VarIndex(src)] = table.VarValue(prob.Var(1<<20 + b.N))
+					}
+					appendCells(b, dead, k)
+					live = append(live, int32(b.N))
+				}
+				appendCells(b, row, k)
+			}
+			if sel {
+				b.Sel = live
+			}
+			if err := sink.AddBatch(b); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+func appendCells(b *table.ColBatch, row table.Tuple, k int) {
+	for c, v := range row {
+		if v.Kind == table.KindString && k%2 == 1 {
+			b.Cols[c].AppendStrBytes(b.N, []byte(v.S))
+		} else {
+			b.Cols[c].AppendValue(b.N, v)
+		}
+	}
+	b.N++
+}
+
+// rowFeed streams rel as tuple batches of five, copied into reused tuples
+// that are overwritten once the sink returns — borrowed, as the row tier's
+// are.
+func rowFeed(rel *table.Relation) *Source {
+	return NewSource(rel.Schema, func(sink engine.Sink) error {
+		buf := make([]table.Tuple, 5)
+		for lo := 0; lo < rel.Len(); lo += len(buf) {
+			rows := rel.Rows[lo:min(lo+len(buf), rel.Len())]
+			for i, row := range rows {
+				buf[i] = append(buf[i][:0], row...)
+			}
+			if err := sink.AddRows(buf[:len(rows)]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
 // TestCollectLineageMatchesReference: hash-grouped collection returns the
 // Lineage the sort-based one returned, over the shapes that stress grouping
-// and dedup, in arrival order and shuffled, with full-width hashes and with
-// every hash cut to one bit — two chains holding all answers, two holding
-// all clauses — so equality, not the hash, does the separating.
+// and dedup, through every feed the collector has — column batches of 1, 7
+// and 1024 rows with and without a selection vector, tuple batches, and a
+// materialized relation — in arrival order and shuffled, with full-width
+// hashes and with every hash cut to one bit — two chains holding all
+// answers, two holding all clauses — so equality, not the hash, does the
+// separating.
 func TestCollectLineageMatchesReference(t *testing.T) {
+	feeds := map[string]func(*table.Relation) *Source{"relation": FromRelation, "rows": rowFeed}
+	for _, size := range []int{1, 7, 1024} {
+		for _, sel := range []bool{false, true} {
+			feeds[fmt.Sprintf("batches of %d sel=%v", size, sel)] = func(rel *table.Relation) *Source { return batchFeed(rel, size, sel) }
+		}
+	}
 	for _, c := range lineageCases {
 		t.Run(c.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(len(c.name))))
 			rel := c.build(rng)
-			for _, mask := range []uint64{^uint64(0), 1} {
-				got, err := collectLineage(rel, mask)
-				if err != nil {
-					t.Fatal(err)
+			for name, feed := range feeds {
+				for _, mask := range []uint64{^uint64(0), 1} {
+					got, err := collectLineage(context.Background(), feed(rel), mask)
+					if err != nil {
+						t.Fatal(name, err)
+					}
+					mustMatchRef(t, rel, got)
 				}
-				mustMatchRef(t, rel, got)
 			}
 			rng.Shuffle(rel.Len(), func(i, j int) { rel.Rows[i], rel.Rows[j] = rel.Rows[j], rel.Rows[i] })
 			got, err := CollectLineage(rel)
@@ -252,6 +334,34 @@ func TestCollectLineageMatchesReference(t *testing.T) {
 			}
 			mustMatchRef(t, rel, got)
 		})
+	}
+}
+
+// TestCollectLineageCancelled: a context cancelled while the answer is
+// still streaming into collection — through either tier's drain, or a
+// relation's own batches — ends it with the context's error.
+func TestCollectLineageCancelled(t *testing.T) {
+	rel := lineageCases[4].build(rand.New(rand.NewSource(5)))
+	for name, feed := range map[string]func(ctx context.Context, sink engine.Sink) error{
+		"columnar": func(ctx context.Context, sink engine.Sink) error {
+			_, err := engine.StreamCtx(ctx, engine.NewMemScan(rel), false, sink)
+			return err
+		},
+		"row": func(ctx context.Context, sink engine.Sink) error {
+			_, err := engine.StreamCtx(ctx, engine.NewMemScan(rel), true, sink)
+			return err
+		},
+		"relation": func(ctx context.Context, sink engine.Sink) error { return FromRelation(rel).push(ctx, sink) },
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		src := NewSource(rel.Schema, func(sink engine.Sink) error {
+			return feed(ctx, &cancelAfter{Sink: sink, n: 3, cancel: cancel})
+		})
+		_, err := CollectLineageFrom(ctx, src)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: got %v, want context.Canceled", name, err)
+		}
 	}
 }
 

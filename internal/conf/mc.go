@@ -3,28 +3,29 @@ package conf
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"repro/internal/prob"
 	"repro/internal/table"
 )
 
-// This file is the Monte Carlo counterpart of the exact confidence operator
-// (operator.go). The exact operator needs a hierarchical signature and fails
-// on queries without one (#P-hard in general); this operator needs nothing:
-// it reads the same materialized answer relation (data columns plus V/P
-// column pairs), groups it into one lineage DNF per distinct answer, and
-// estimates each answer's confidence with the (ε, δ) samplers of
-// internal/prob. Because it works on raw lineage it is also sound for
-// answers whose duplicate variables are correlated (e.g. self-joins through
-// aliases that do not select disjoint tuples), where the exact operator's
-// independence assumptions would not hold.
+// This file is lineage collection, which every lineage tier starts with, and
+// the Monte Carlo tier. The exact operator (operator.go) needs a
+// hierarchical signature and fails on queries without one (#P-hard in
+// general); the lineage tiers need nothing: collection consumes the same
+// answer stream (data columns plus V/P column pairs) as a Source sink —
+// nothing of the answer is held but one clause per distinct (answer,
+// clause) — and groups it into one lineage DNF per distinct answer, whose
+// confidence Monte Carlo then estimates with the (ε, δ) samplers of
+// internal/prob. Because the tiers work on raw lineage they are also sound
+// for answers whose duplicate variables are correlated (e.g. self-joins
+// through aliases that do not select disjoint tuples), where the exact
+// operator's independence assumptions would not hold.
 
-// Lineage is the per-answer DNF decomposition of a materialized answer
-// relation: one clause per contributing input-tuple combination (paper §I),
-// one formula per distinct answer, plus the marginal probabilities of every
-// variable mentioned.
+// Lineage is the per-answer DNF decomposition of an answer relation: one
+// clause per contributing input-tuple combination (paper §I), one formula
+// per distinct answer, plus the marginal probabilities of every variable
+// mentioned.
 type Lineage struct {
 	// Schema covers the data columns of the input, in input order.
 	Schema *table.Schema
@@ -33,12 +34,13 @@ type Lineage struct {
 	Keys []table.Tuple
 	// DNFs aligns with Keys: DNFs[i] is the lineage of Keys[i].
 	DNFs []*prob.DNF
-	// Assign maps every variable of the input to its marginal probability.
+	// Assign maps every variable of the input to its marginal probability,
+	// and records as its origin (Assign.From) the index into Sources of the
+	// source table whose V column carried it — the hook for
+	// signature-derived OBDD variable orders (obdd.go).
 	Assign *prob.Assignment
-	// Source records, for every variable, the source table whose V column
-	// carried it — the hook for signature-derived OBDD variable orders
-	// (obdd.go).
-	Source VarSources
+	// Sources names the input's source tables, in schema order.
+	Sources []string
 	// Clauses counts lineage clauses across all answers.
 	Clauses int64
 	// Vars counts the distinct variables mentioned across all answers.
@@ -48,18 +50,6 @@ type Lineage struct {
 	DupRows int64
 	// Input counts the rows that entered lineage collection.
 	Input int64
-}
-
-// VarSources records which source table's V column carried each variable of
-// a lineage: one entry per variable, made where collection first met it.
-type VarSources struct {
-	names []string // the input's sources, in schema order
-	vars  []varSource
-}
-
-type varSource struct {
-	v   prob.Var
-	src int32 // index into names
 }
 
 // LineageStats is the head every lineage tier's stats share: what
@@ -92,151 +82,333 @@ func (l *Lineage) row(i int, p float64) table.Tuple {
 	return append(append(row, key...), table.Float(p))
 }
 
-// CollectLineage groups an answer relation by its data columns and builds
+// CollectLineage groups an answer relation by its data columns into one
+// lineage DNF per distinct answer: CollectLineageFrom over the relation.
+func CollectLineage(rel *table.Relation) (*Lineage, error) {
+	return CollectLineageFrom(context.Background(), FromRelation(rel))
+}
+
+// CollectLineageFrom groups the rows of src by their data columns and builds
 // one lineage DNF per distinct answer: each input row contributes the clause
 // conjoining the row's variables (one per source table; deterministic
 // tuples, V = ⊤, drop out). A Boolean answer (no data columns) yields at
-// most one group.
+// most one group. src is consumed as a sink — column batches and tuple
+// batches alike, borrowed — so a streamed answer is never materialized: a
+// row leaves nothing behind but its clause's literals, and those only when
+// its answer did not have the clause yet. ctx is checked between the
+// batches of a relation; a streamed source's feed polls its own.
 //
-// Grouping is by hash, not by sort: one pass gives each row a dense group id
-// and appends its clause to a lineage-wide arena unless its answer already
-// has it; only the distinct answers are then sorted. The result does not
-// depend on the input's row order beyond which of several Compare-equal
-// keys represents an answer (the first to arrive): Keys are sorted, every
-// DNF's clauses are sorted below, and the counters count sets.
-func CollectLineage(rel *table.Relation) (*Lineage, error) {
-	return collectLineage(rel, ^uint64(0))
+// Grouping is by hash, not by sort: each row gets a dense group id and
+// appends its clause to a lineage-wide arena unless its answer already has
+// it; only the distinct answers are then sorted. The result does not depend
+// on the input's row order beyond which of several Compare-equal keys
+// represents an answer (the first to arrive): Keys are sorted, every DNF's
+// clauses are sorted below, and the counters count sets.
+func CollectLineageFrom(ctx context.Context, src *Source) (*Lineage, error) {
+	return collectLineage(ctx, src, ^uint64(0))
+}
+
+// collectLineage is CollectLineageFrom with every hash ANDed with hashMask —
+// the seam through which tests force hash collisions between distinct
+// answers and between distinct clauses.
+func collectLineage(ctx context.Context, src *Source, hashMask uint64) (*Lineage, error) {
+	c, err := newCollector(src.Schema, hashMask)
+	if err != nil {
+		return nil, err
+	}
+	if err := src.push(ctx, c); err != nil {
+		return nil, err
+	}
+	src.rows = c.l.Input
+	return c.finish(), nil
+}
+
+// collector is lineage collection's sink. Its two tables are arrays of
+// chain heads (entry index + 1, 0 = empty), kept at no fewer buckets than
+// entries and doubled — rehashed from the entries — as the stream grows,
+// since its length is not known up front; the equality-checked chains run
+// through the entries themselves, so nothing allocates per entry. Answers
+// go by the hash of their data columns (ColBatch.HashInto, bit for bit
+// table.HashOn, so both feeds group alike), clauses by the clause hash
+// folded with the group id — one table for the whole lineage. The Monte
+// Carlo path needs each answer's whole formula in memory anyway, so
+// in-memory tables — unlike the exact operator's external sort — are the
+// right tool.
+type collector struct {
+	l                           *Lineage
+	mask                        uint64
+	dataCols, varCols, probCols []int
+
+	// keys holds group g's key at [g·w, (g+1)·w), w = len(dataCols): copied
+	// out of the borrowed input when the group is created.
+	keys    []table.Value
+	groups  []lineageGroup
+	clauses []lineageClause
+	// arena holds every clause's literals; a row builds its candidate at the
+	// tail, which a duplicate truncates away again.
+	arena             []prob.Var
+	groupAt, clauseAt []int32
+	hashes            []uint64 // a column batch's row hashes
 }
 
 // lineageGroup is one distinct answer during collection.
 type lineageGroup struct {
-	first   int32 // the input row whose data columns are the answer's key
-	next    int32 // next group under the same key hash, -1 at the end
-	clauses int32 // distinct clauses collected so far
+	hash    uint64 // the key's hash, masked
+	next    int32  // next group in the same bucket, -1 at the end
+	clauses int32  // distinct clauses collected so far
 }
 
 // lineageClause is one distinct clause during collection: n literals at
 // arena offset off, in the DNF of group.
 type lineageClause struct {
 	group, off, n int32
-	next          int32 // next clause under the same (group, clause) hash, -1 at the end
+	next          int32 // next clause in the same bucket, -1 at the end
 }
 
-// collectLineage is CollectLineage with every hash ANDed with hashMask —
-// the seam through which tests force hash collisions between distinct
-// answers and between distinct clauses.
-func collectLineage(rel *table.Relation, hashMask uint64) (*Lineage, error) {
-	dataCols := rel.Schema.DataIndexes()
-	var varCols, probCols []int
-	l := &Lineage{Assign: prob.NewAssignment(), Input: int64(rel.Len())}
-	for _, src := range rel.Schema.Sources() {
-		vi, pi := rel.Schema.VarIndex(src), rel.Schema.ProbIndex(src)
-		if pi < 0 {
-			return nil, fmt.Errorf("conf: input has V(%s) but no P(%s): %v", src, src, rel.Schema.Names())
-		}
-		varCols = append(varCols, vi)
-		probCols = append(probCols, pi)
-		l.Source.names = append(l.Source.names, src)
+// minBuckets is the chain-head tables' starting size.
+const minBuckets = 256
+
+func newCollector(schema *table.Schema, hashMask uint64) (*collector, error) {
+	c := &collector{
+		l:        &Lineage{Assign: prob.NewAssignment()},
+		mask:     hashMask,
+		dataCols: schema.DataIndexes(),
+		groupAt:  make([]int32, minBuckets),
+		clauseAt: make([]int32, minBuckets),
 	}
-	l.Schema = rel.Schema.Project(dataCols)
-
-	// Both tables are arrays of chain heads (entry index + 1, 0 = empty)
-	// with more buckets than the input has rows; the equality-checked
-	// chains run through the entries themselves, so nothing allocates per
-	// entry. Answers go by the hash of their data columns, clauses by the
-	// clause hash folded with the group id — one table for the whole
-	// lineage, nothing to clear between answers. The Monte Carlo path needs
-	// each answer's whole formula in memory anyway, so in-memory tables —
-	// unlike the exact operator's external sort — are the right tool.
-	buckets := 1 << bits.Len(uint(rel.Len()))
-	bucket := func(h uint64) uint64 { return (h ^ h>>32) & hashMask & uint64(buckets-1) }
-	groupAt, clauseAt := make([]int32, buckets), make([]int32, buckets)
-	var groups []lineageGroup
-	var clauses []lineageClause
-	// Every clause's literals live in one arena; a duplicate row builds its
-	// candidate at the tail and is truncated away again.
-	arena := make([]prob.Var, 0, rel.Len()*len(varCols))
-	lits := func(c lineageClause) prob.Clause { return arena[c.off : c.off+c.n : c.off+c.n] }
-	for ri, row := range rel.Rows {
-		start := len(arena)
-		for k, vi := range varCols {
-			v := row[vi].AsVar()
-			if !v.Valid() {
-				continue
-			}
-			p := row[probCols[k]].F
-			if prev, ok := l.Assign.Lookup(v); !ok {
-				if err := l.Assign.Set(v, p); err != nil {
-					return nil, fmt.Errorf("conf: row %d: %w", ri, err)
-				}
-				l.Source.vars = append(l.Source.vars, varSource{v, int32(k)})
-			} else if prev != p {
-				return nil, fmt.Errorf("conf: variable %v carries two marginals, %g and %g (corrupt input)", v, prev, p)
-			}
-			arena = append(arena, v)
+	for _, src := range schema.Sources() {
+		vi, pi := schema.VarIndex(src), schema.ProbIndex(src)
+		if pi < 0 {
+			return nil, fmt.Errorf("conf: input has V(%s) but no P(%s): %v", src, src, schema.Names())
 		}
-		// Normalize the candidate in place (sorted, deduplicated), the same
-		// canonical form prob.NewClause produces.
-		slices.Sort(arena[start:])
-		arena = arena[:start+len(slices.Compact(arena[start:]))]
-		vs := prob.Clause(arena[start:])
+		c.varCols = append(c.varCols, vi)
+		c.probCols = append(c.probCols, pi)
+		c.l.Sources = append(c.l.Sources, src)
+	}
+	c.l.Schema = schema.Project(c.dataCols)
+	// Non-nil even for a Boolean answer, whose one key is the empty tuple.
+	c.keys = make([]table.Value, 0, len(c.dataCols))
+	return c, nil
+}
 
-		head := &groupAt[bucket(table.HashOn(row, dataCols))]
+// AddBatch collects a column batch's live rows straight from the vectors.
+func (c *collector) AddBatch(b *table.ColBatch) error {
+	c.hashes = b.HashInto(c.dataCols, c.hashes)
+	for i, h := range c.hashes {
+		row := b.RowID(i)
+		c.arena = reserve(c.arena, len(c.varCols))
+		start := len(c.arena)
+		for k, vi := range c.varCols {
+			if err := c.literal(prob.Var(intAt(&b.Cols[vi], row)), floatAt(&b.Cols[c.probCols[k]], row), k); err != nil {
+				return err
+			}
+		}
+		h &= c.mask
+		head := &c.groupAt[bucket(h, len(c.groupAt))]
 		g := *head - 1
-		for g >= 0 && !table.EqualOn(rel.Rows[groups[g].first], row, dataCols) {
-			g = groups[g].next
+		for g >= 0 && !(c.groups[g].hash == h && c.batchKeyIs(b, row, g)) {
+			g = c.groups[g].next
 		}
 		if g < 0 {
-			g = int32(len(groups))
-			groups = append(groups, lineageGroup{first: int32(ri), next: *head - 1})
-			*head = g + 1
+			for _, col := range c.dataCols {
+				c.keys = append(c.keys, b.Cols[col].Value(row))
+			}
+			g = c.newGroup(h, head)
 		}
-
-		head = &clauseAt[bucket(prob.FNVUint32(vs.Hash(), uint32(g)))]
-		c := *head - 1
-		for c >= 0 && (clauses[c].group != g || !vs.Equal(lits(clauses[c]))) {
-			c = clauses[c].next
-		}
-		if c >= 0 {
-			l.DupRows++
-			arena = arena[:start]
-			continue
-		}
-		clauses = append(clauses, lineageClause{group: g, off: int32(start), n: int32(len(vs)), next: *head - 1})
-		*head = int32(len(clauses))
-		groups[g].clauses++
+		c.clause(g, start)
 	}
-	l.Vars, l.Clauses = int64(l.Assign.Len()), int64(len(clauses))
-	if len(groups) == 0 {
-		return l, nil
-	}
+	return nil
+}
 
-	// Emit in key order: sort the distinct answers, lay the clause headers
-	// of all DNFs out in one slice, group by group, and drop each clause
-	// into its group's range.
-	order := make([]int32, len(groups))
+// AddRows collects a batch of tuples.
+func (c *collector) AddRows(rows []table.Tuple) error {
+	for _, t := range rows {
+		c.arena = reserve(c.arena, len(c.varCols))
+		start := len(c.arena)
+		for k, vi := range c.varCols {
+			if err := c.literal(t[vi].AsVar(), t[c.probCols[k]].F, k); err != nil {
+				return err
+			}
+		}
+		h := table.HashOn(t, c.dataCols) & c.mask
+		head := &c.groupAt[bucket(h, len(c.groupAt))]
+		g := *head - 1
+		for g >= 0 && !(c.groups[g].hash == h && c.rowKeyIs(t, g)) {
+			g = c.groups[g].next
+		}
+		if g < 0 {
+			for _, col := range c.dataCols {
+				c.keys = append(c.keys, t[col])
+			}
+			g = c.newGroup(h, head)
+		}
+		c.clause(g, start)
+	}
+	return nil
+}
+
+// intAt and floatAt read the V or P cell of physical row i: typed storage,
+// or the generic layout's Value — what the tuple feed reads, NULLs (a zero
+// placeholder either way) included.
+func intAt(v *table.ColVec, i int) int64 {
+	if v.Values != nil {
+		return v.Values[i].I
+	}
+	return v.Ints[i]
+}
+
+func floatAt(v *table.ColVec, i int) float64 {
+	if v.Values != nil {
+		return v.Values[i].F
+	}
+	return v.Floats[i]
+}
+
+// reserve makes room for k more elements of a slice the stream grows,
+// doubling its capacity when it reallocates: append's 1.25× steps for large
+// slices would copy it five times over.
+func reserve[T any](s []T, k int) []T {
+	if len(s)+k > cap(s) {
+		s = slices.Grow(s, max(k, cap(s)))
+	}
+	return s
+}
+
+func bucket(h uint64, buckets int) int { return int((h ^ h>>32) & uint64(buckets-1)) }
+
+// key is group g's key, in collector-owned storage.
+func (c *collector) key(g int32) table.Tuple {
+	w := len(c.dataCols)
+	o := int(g) * w
+	return c.keys[o : o+w : o+w]
+}
+
+func (c *collector) batchKeyIs(b *table.ColBatch, row int, g int32) bool {
+	key := c.key(g)
+	for j, col := range c.dataCols {
+		if b.Cols[col].CompareValue(row, key[j]) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+func (c *collector) rowKeyIs(t table.Tuple, g int32) bool {
+	key := c.key(g)
+	for j, col := range c.dataCols {
+		if table.Compare(t[col], key[j]) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// literal records variable v of marginal p, read from source k, as a
+// literal of the row's candidate clause; ⊤ drops out.
+func (c *collector) literal(v prob.Var, p float64, k int) error {
+	if !v.Valid() {
+		return nil
+	}
+	if prev, ok := c.l.Assign.Lookup(v); !ok {
+		if err := c.l.Assign.SetFrom(v, p, int32(k)); err != nil {
+			return fmt.Errorf("conf: row %d: %w", c.l.Input, err)
+		}
+	} else if prev != p {
+		return fmt.Errorf("conf: variable %v carries two marginals, %g and %g (corrupt input)", v, prev, p)
+	}
+	c.arena = append(c.arena, v)
+	return nil
+}
+
+// newGroup opens a group whose key was just appended to keys, chained at
+// head.
+func (c *collector) newGroup(h uint64, head *int32) int32 {
+	g := int32(len(c.groups))
+	c.groups = append(c.groups, lineageGroup{hash: h, next: *head - 1})
+	*head = g + 1
+	if len(c.groups) > len(c.groupAt) {
+		c.groupAt = make([]int32, 2*len(c.groupAt))
+		for i := range c.groups {
+			at := &c.groupAt[bucket(c.groups[i].hash, len(c.groupAt))]
+			c.groups[i].next = *at - 1
+			*at = int32(i) + 1
+		}
+	}
+	return g
+}
+
+// clause ends a row of group g whose candidate literals start at arena
+// offset start: the clause joins g's DNF unless g already has it.
+func (c *collector) clause(g int32, start int) {
+	c.l.Input++
+	// Normalize the candidate in place (sorted, deduplicated), the same
+	// canonical form prob.NewClause produces.
+	slices.Sort(c.arena[start:])
+	c.arena = c.arena[:start+len(slices.Compact(c.arena[start:]))]
+	vs := prob.Clause(c.arena[start:])
+	head := &c.clauseAt[bucket(c.clauseHash(vs, g), len(c.clauseAt))]
+	k := *head - 1
+	for k >= 0 && (c.clauses[k].group != g || !vs.Equal(c.lits(c.clauses[k]))) {
+		k = c.clauses[k].next
+	}
+	if k >= 0 {
+		c.l.DupRows++
+		c.arena = c.arena[:start]
+		return
+	}
+	c.clauses = append(reserve(c.clauses, 1), lineageClause{group: g, off: int32(start), n: int32(len(vs)), next: *head - 1})
+	*head = int32(len(c.clauses))
+	c.groups[g].clauses++
+	if len(c.clauses) > len(c.clauseAt) {
+		c.clauseAt = make([]int32, 2*len(c.clauseAt))
+		for i, cl := range c.clauses {
+			at := &c.clauseAt[bucket(c.clauseHash(c.lits(cl), cl.group), len(c.clauseAt))]
+			c.clauses[i].next = *at - 1
+			*at = int32(i) + 1
+		}
+	}
+}
+
+func (c *collector) clauseHash(vs prob.Clause, g int32) uint64 {
+	return prob.FNVUint32(vs.Hash(), uint32(g)) & c.mask
+}
+
+func (c *collector) lits(cl lineageClause) prob.Clause {
+	return c.arena[cl.off : cl.off+cl.n : cl.off+cl.n]
+}
+
+// finish emits the lineage in key order: sort the distinct answers, lay the
+// clause headers of all DNFs out in one slice, group by group, and drop each
+// clause into its group's range.
+func (c *collector) finish() *Lineage {
+	l := c.l
+	l.Vars, l.Clauses = int64(l.Assign.Len()), int64(len(c.clauses))
+	if len(c.groups) == 0 {
+		return l
+	}
+	order := make([]int32, len(c.groups))
 	for g := range order {
 		order[g] = int32(g)
 	}
 	slices.SortFunc(order, func(a, b int32) int {
-		return table.CompareOn(rel.Rows[groups[a].first], rel.Rows[groups[b].first], dataCols)
+		return slices.CompareFunc(c.key(a), c.key(b), table.Compare)
 	})
-	l.Keys = make([]table.Tuple, len(groups))
-	l.DNFs = make([]*prob.DNF, len(groups))
-	dnfs := make([]prob.DNF, len(groups))
-	headers := make([]prob.Clause, len(clauses))
-	at := make([]int32, len(groups)) // per group: where its next clause header goes
+	l.Keys = make([]table.Tuple, len(c.groups))
+	l.DNFs = make([]*prob.DNF, len(c.groups))
+	dnfs := make([]prob.DNF, len(c.groups))
+	headers := make([]prob.Clause, len(c.clauses))
+	at := make([]int32, len(c.groups)) // per group: where its next clause header goes
 	off := int32(0)
 	for i, g := range order {
-		l.Keys[i] = rel.Rows[groups[g].first].Project(dataCols)
+		l.Keys[i] = c.key(g)
 		at[g] = off
-		off += groups[g].clauses
+		off += c.groups[g].clauses
 		dnfs[i].Clauses = headers[at[g]:off:off]
 		l.DNFs[i] = &dnfs[i]
 	}
-	for _, c := range clauses {
-		headers[at[c.group]] = lits(c)
-		at[c.group]++
+	for _, cl := range c.clauses {
+		headers[at[cl.group]] = c.lits(cl)
+		at[cl.group]++
 	}
 	for _, d := range l.DNFs {
 		// Canonicalize the clause order (clauses are sorted var lists, so
@@ -247,7 +419,7 @@ func collectLineage(rel *table.Relation, hashMask uint64) (*Lineage, error) {
 		// bit-identical confidences across worker counts and join strategies.
 		slices.SortFunc(d.Clauses, slices.Compare[prob.Clause])
 	}
-	return l, nil
+	return l
 }
 
 // MCStats reports what the Monte Carlo operator did.

@@ -43,7 +43,7 @@ func OBDD(ctx context.Context, p *pool.Pool, rel *table.Relation, sig signature.
 // TierStats.LowerBound/UpperBound), unless exactOnly is set, in which case
 // ErrOBDDBudget is returned.
 func OBDDLineage(ctx context.Context, p *pool.Pool, l *Lineage, sig signature.Sig, opts obdd.Options, exactOnly bool) (*table.Relation, *OBDDStats, error) {
-	rank := sigRank(sig, l.Source)
+	rank := sigRank(sig, l)
 	type state struct {
 		b     obdd.Builder
 		order obdd.OrderScratch
@@ -58,26 +58,22 @@ func OBDDLineage(ctx context.Context, p *pool.Pool, l *Lineage, sig signature.Si
 // variable is ranked by its source table's position in the signature's
 // left-to-right table order, so OccurrenceOrder visits every clause
 // root-table first — the order under which hierarchical lineage compiles
-// into linear-size diagrams. A nil signature yields a nil rank (pure
-// occurrence order).
-func sigRank(sig signature.Sig, source VarSources) func(prob.Var) int {
+// into linear-size diagrams. A variable's source is its origin in l.Assign.
+// A nil signature yields a nil rank (pure occurrence order).
+func sigRank(sig signature.Sig, l *Lineage) func(prob.Var) int {
 	if sig == nil {
 		return nil
 	}
 	tables := signature.Tables(sig)
-	pos := make([]int, len(source.names)) // per source: its table's first position
-	for k, name := range source.names {
+	pos := make([]int, len(l.Sources)) // per source: its table's first position
+	for k, name := range l.Sources {
 		if pos[k] = slices.Index(tables, name); pos[k] < 0 {
 			pos[k] = len(tables)
 		}
 	}
-	rank := make(map[prob.Var]int, len(source.vars))
-	for _, e := range source.vars {
-		rank[e.v] = pos[e.src]
-	}
 	return func(v prob.Var) int {
-		if r, ok := rank[v]; ok {
-			return r
+		if src := l.Assign.From(v); src >= 0 {
+			return pos[src]
 		}
 		return len(tables)
 	}

@@ -139,11 +139,11 @@ func TestCollectLineageSources(t *testing.T) {
 	}
 	// Under the signature S R the S-borne variable ranks first; a variable
 	// the lineage never saw ranks after every table.
-	rank := sigRank(signature.Concat{signature.Table("S"), signature.Table("R")}, l.Source)
+	rank := sigRank(signature.Concat{signature.Table("S"), signature.Table("R")}, l)
 	if rank(1) != 1 || rank(2) != 0 || rank(3) != 2 {
-		t.Errorf("ranks of x1, x2, x3 = %d, %d, %d; sources %+v", rank(1), rank(2), rank(3), l.Source)
+		t.Errorf("ranks of x1, x2, x3 = %d, %d, %d; sources %v, origins %d %d", rank(1), rank(2), rank(3), l.Sources, l.Assign.From(1), l.Assign.From(2))
 	}
-	if sigRank(nil, l.Source) != nil {
+	if sigRank(nil, l) != nil {
 		t.Error("a nil signature must yield a nil rank")
 	}
 }

@@ -20,11 +20,12 @@
 //   - the literal GRP-sequence semantics of Fig. 5/6 (grp.go), used as a
 //     reference implementation for cross-validation;
 //   - the lineage tiers (tier.go) for queries without a hierarchical
-//     signature: the answer relation is grouped into per-answer lineage
-//     DNFs once (CollectLineage: one hash-grouping pass into a shared
-//     clause arena, no sort of the input; sorted Keys and canonically
-//     sorted clauses make the result independent of the join's row order)
-//     and a tier turns them into confidences —
+//     signature: the answer streams from a Source into per-answer lineage
+//     DNFs once (CollectLineageFrom: column or tuple batches hash-grouped
+//     straight into a shared clause arena, the answer itself never held;
+//     sorted Keys and canonically sorted clauses make the result
+//     independent of the join's row order) and a tier turns them into
+//     confidences —
 //     OBDD compilation (obdd.go) and d-tree decomposition (dtree.go), exact
 //     within a budget and certified deterministic [lo, hi] bounds beyond
 //     it, both on one per-answer driver (compileLineage: pool fan-out,

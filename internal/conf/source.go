@@ -10,12 +10,12 @@ import (
 	"repro/internal/table"
 )
 
-// Source is the sort+scan operator's input: a schema and a one-shot feed
+// Source is a confidence computation's input: a schema and a one-shot feed
 // that pushes the rows, batch by batch, into the sink it is handed. The
-// operator's first sort consumes the feed directly — the rows go from the
-// producer's batches into run generation and nowhere else — so an input
-// that is streamed (NewSource over a pipeline) is never held in memory as a
-// whole. A source over a materialized relation (FromRelation) feeds that
+// consumer takes the feed directly — the sort+scan operator's first sort
+// into run generation, lineage collection into its grouping tables — so an
+// input that is streamed (NewSource over a pipeline) is never held in
+// memory as a whole. A source over a materialized relation (FromRelation) feeds that
 // relation's rows through the same path and can be consumed any number of
 // times; a streamed one materializes itself only when asked for its
 // Relation.

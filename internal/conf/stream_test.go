@@ -86,7 +86,8 @@ func TestStreamedSortScanIdentity(t *testing.T) {
 	}
 }
 
-// cancelAfter cancels a context once n batches have gone through it.
+// cancelAfter cancels a context once n batches — of columns or of tuples —
+// have gone through it.
 type cancelAfter struct {
 	engine.Sink
 	n      int
@@ -98,6 +99,13 @@ func (c *cancelAfter) AddBatch(b *table.ColBatch) error {
 		c.cancel()
 	}
 	return c.Sink.AddBatch(b)
+}
+
+func (c *cancelAfter) AddRows(rows []table.Tuple) error {
+	if c.n--; c.n == 0 {
+		c.cancel()
+	}
+	return c.Sink.AddRows(rows)
 }
 
 // TestStreamedScanCancelledMidFeed: a context cancelled while the stream is

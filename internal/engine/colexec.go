@@ -560,17 +560,6 @@ func pruneCols(op ColOperator, need []bool) {
 	}
 }
 
-// CollectColCtx drains a columnar operator into an in-memory relation
-// (opening and closing it): the context is checked once per batch, and live
-// rows are materialized into slab storage.
-func CollectColCtx(ctx context.Context, op ColOperator) (*table.Relation, error) {
-	sink := NewRelationSink(op.Schema())
-	if err := streamCols(ctx, op, sink); err != nil {
-		return nil, err
-	}
-	return sink.Rel, nil
-}
-
 // CollectCtxVec is CollectCtx through the best available execution tier: a
 // tree that columnarizes runs natively (columnar=true), anything else runs
 // the row path unchanged. Both produce identical relations.

@@ -87,15 +87,18 @@ func TestColHeapScanRoundTrip(t *testing.T) {
 		rel := colTestRel(3*BatchSize+17, strCard, 5)
 		h := writeHeap(t, t.TempDir(), rel)
 		pool := storage.NewBufferPool(8)
-		sc := NewColHeapScan(h, pool, rel.Schema)
-		got, err := CollectColCtx(nil, sc)
+		got, columnar, err := CollectCtxVec(nil, NewHeapScan(h, pool, rel.Schema))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !columnar {
+			t.Fatal("a heap scan did not run columnar")
 		}
 		mustSameRelations(t, fmt.Sprintf("strCard=%d", strCard), got, rel)
 
 		// Pruned scan: only k and P survive; the dead columns' vectors stay
 		// empty but live columns decode identically.
+		sc := NewColHeapScan(h, pool, rel.Schema)
 		sc.need = []bool{true, false, false, false, true}
 		if err := sc.Open(); err != nil {
 			t.Fatal(err)
@@ -235,9 +238,11 @@ func TestPruneColsLiveness(t *testing.T) {
 			t.Fatalf("need[%d] = %v, want %v (%s)", i, scan.need[i], w, names[i])
 		}
 	}
-	got, err := CollectColCtx(nil, cop)
-	if err != nil {
-		t.Fatal(err)
+	// The drain prunes the same way: the pruned pipeline still produces the
+	// projected rows.
+	got, columnar, err := CollectCtxVec(nil, build())
+	if err != nil || !columnar {
+		t.Fatal(columnar, err)
 	}
 	want, err := CollectCtx(nil, build())
 	if err != nil {

@@ -69,7 +69,9 @@ func (b *Builder) Compile(d *prob.DNF) (Ref, error) {
 	if err != nil {
 		return False, err
 	}
-	return b.shannon(cls)
+	// lower emits clauses in the DNF's variable order, not in level order:
+	// canonicalize the root once, every cofactor below stays canonical.
+	return b.shannon(clauseset.Normalize(cls))
 }
 
 // lower rewrites clauses as ascending level lists, dropping invalid vars.
@@ -108,26 +110,23 @@ func (b *Builder) shannon(cls [][]int32) (Ref, error) {
 		b.memo.Recycle(cls)
 		return False, ErrBudget
 	}
+	// Canonical order puts an empty clause first, and the topmost level
+	// heads the first clause.
 	if len(cls) == 0 {
 		b.memo.Recycle(cls)
 		return False, nil
 	}
-	top := terminalLevel
-	for _, c := range cls {
-		if len(c) == 0 {
-			b.memo.Recycle(cls)
-			return True, nil
-		}
-		if c[0] < top {
-			top = c[0]
-		}
+	if len(cls[0]) == 0 {
+		b.memo.Recycle(cls)
+		return True, nil
 	}
 	h := clauseset.Hash(cls)
 	if r, ok := b.memo.Get(h, cls); ok {
 		b.memo.Recycle(cls)
 		return r, nil
 	}
-	pos, neg, posTrue := b.condition(cls, top)
+	top := cls[0][0]
+	pos, neg, posTrue := b.condition(cls)
 	var hi Ref = True
 	var err error
 	if !posTrue {
@@ -148,36 +147,43 @@ func (b *Builder) shannon(cls [][]int32) (Ref, error) {
 	return r, nil
 }
 
-// condition splits a clause set on its topmost level: pos is the cofactor
-// under "true" (the level stripped from the clauses that start with it), neg
-// the cofactor under "false" (those clauses dropped). posTrue short-circuits
-// the positive cofactor when stripping the level empties a clause. Both
-// cofactors are normalized — sorted and deduplicated — so the memo key is
-// canonical for the residual set; their headers come from the store's free
-// list.
-func (b *Builder) condition(cls [][]int32, level int32) (pos, neg [][]int32, posTrue bool) {
+// condition splits a canonical, non-empty clause set without an empty clause
+// on its topmost level, cls[0][0]: pos is the cofactor under "true" (the
+// level stripped from the clauses that start with it), neg the cofactor
+// under "false" (those clauses dropped). posTrue short-circuits the positive
+// cofactor when stripping the level empties a clause. Both cofactors come
+// out canonical in linear time, with headers from the store's free list: the
+// clauses starting with the level are a prefix cls[:k] (lexicographic
+// order), so neg is the suffix cls[k:] as it stands, the only clause that
+// can empty is cls[0] (the shortest of the prefix), and pos merges the
+// prefix's tails — sorted, as the prefix is — into the suffix, dropping
+// tails the suffix already holds.
+func (b *Builder) condition(cls [][]int32) (pos, neg [][]int32, posTrue bool) {
+	top, k := cls[0][0], 1
+	for k < len(cls) && cls[k][0] == top {
+		k++
+	}
+	rest := cls[k:]
+	neg = append(b.memo.Scratch(len(rest)), rest...)
+	if len(cls[0]) == 1 {
+		return nil, neg, true
+	}
 	pos = b.memo.Scratch(len(cls))
-	neg = b.memo.Scratch(len(cls))
-	for _, c := range cls {
-		if c[0] == level {
-			if len(c) == 1 {
-				posTrue = true
-			} else {
-				pos = append(pos, c[1:])
+	for _, c := range cls[:k] {
+		c = c[1:]
+		for len(rest) > 0 {
+			d := clauseset.Compare(rest[0], c)
+			if d > 0 {
+				break
 			}
-		} else {
-			pos = append(pos, c)
-			neg = append(neg, c)
+			if d < 0 {
+				pos = append(pos, rest[0])
+			}
+			rest = rest[1:]
 		}
+		pos = append(pos, c)
 	}
-	if posTrue {
-		b.memo.Recycle(pos)
-		pos = nil
-	} else {
-		pos = clauseset.Normalize(pos)
-	}
-	neg = clauseset.Normalize(neg)
-	return pos, neg, posTrue
+	return append(pos, rest...), neg, false
 }
 
 // OccurrenceOrder derives a variable order from the lineage itself:

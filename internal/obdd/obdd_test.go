@@ -3,8 +3,10 @@ package obdd
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/clauseset"
 	"repro/internal/prob"
 )
 
@@ -54,6 +56,58 @@ func TestCompileMatchesOracles(t *testing.T) {
 		if !prob.ApproxEqual(res.P, shannon, 1e-9) || !prob.ApproxEqual(res.P, worlds, 1e-9) {
 			t.Errorf("trial %d: obdd %g, shannon %g, worlds %g for %s",
 				trial, res.P, shannon, worlds, d)
+		}
+	}
+}
+
+// conditionRef is the cofactor split condition replaced: partition on the
+// top level, then Normalize both cofactors.
+func conditionRef(cls [][]int32) (pos, neg [][]int32, posTrue bool) {
+	level := cls[0][0]
+	for _, c := range cls {
+		switch {
+		case c[0] != level:
+			pos = append(pos, c)
+			neg = append(neg, c)
+		case len(c) == 1:
+			posTrue = true
+		default:
+			pos = append(pos, c[1:])
+		}
+	}
+	if posTrue {
+		pos = nil
+	} else {
+		pos = clauseset.Normalize(pos)
+	}
+	return pos, clauseset.Normalize(neg), posTrue
+}
+
+// TestConditionMatchesNormalize: the linear cofactor split returns, on
+// random canonical clause sets, exactly the canonical cofactors the
+// sort-based split returned — same clauses, same order, same posTrue.
+func TestConditionMatchesNormalize(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	same := func(a, b [][]int32) bool { return slices.EqualFunc(a, b, slices.Equal[[]int32]) }
+	var b Builder
+	for trial := 0; trial < 2000; trial++ {
+		b.Reset(nil, 0)
+		levels := 2 + rng.Intn(10)
+		var cls [][]int32
+		for n := 1 + rng.Intn(12); len(cls) < n; {
+			var c []int32
+			for w := 1 + rng.Intn(4); len(c) < w; {
+				c = append(c, int32(rng.Intn(levels)))
+			}
+			slices.Sort(c)
+			cls = append(cls, slices.Compact(c))
+		}
+		cls = clauseset.Normalize(cls)
+		wantPos, wantNeg, wantTrue := conditionRef(slices.Clone(cls))
+		pos, neg, posTrue := b.condition(cls)
+		if posTrue != wantTrue || !same(pos, wantPos) || !same(neg, wantNeg) {
+			t.Fatalf("trial %d: condition(%v) = %v, %v, %v; want %v, %v, %v",
+				trial, cls, pos, neg, posTrue, wantPos, wantNeg, wantTrue)
 		}
 	}
 }

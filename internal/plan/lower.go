@@ -20,16 +20,16 @@ import (
 // style. Scan/select/project/join subtrees become pipelined engine
 // operators (partition-parallel under a multi-worker pool); confidence
 // placement points consume their input and run the appropriate algorithm.
-// A sort+scan placement — an eager aggregation step, an independent
-// projection π^ind of a MystiQ safe plan, the final operator — takes its
-// input as a stream: the pipeline's batches go straight into the operator's
-// run generation (conf.Source) and the intermediate is never materialized.
-// The plan mode decides only which uncertainty columns ride along: a V/P
-// pair per source under ModeLineage, P alone under ModeProb (MystiQ works
-// on probabilistic tables without variable columns, §V). The lineage
-// algorithms — OBDD compilation, d-tree
-// decomposition, Monte Carlo estimation, the OBDD → d-tree → Monte Carlo
-// fallback ladder — collect lineage from a materialized answer.
+// Every placement takes its input as a stream (conf.Source): the pipeline's
+// batches go straight into the consumer and the intermediate is never
+// materialized — into run generation for a sort+scan placement (an eager
+// aggregation step, an independent projection π^ind of a MystiQ safe plan,
+// the final operator), into lineage collection for the lineage algorithms
+// (OBDD compilation, d-tree decomposition, Monte Carlo estimation, the
+// OBDD → d-tree → Monte Carlo fallback ladder). The plan mode decides only
+// which uncertainty columns ride along: a V/P pair per source under
+// ModeLineage, P alone under ModeProb (MystiQ works on probabilistic tables
+// without variable columns, §V).
 
 // lowerState carries one run's execution bookkeeping through the lowering.
 type lowerState struct {
@@ -237,16 +237,6 @@ func (st *lowerState) source(n logical.Node, sp *obs.Span) (*conf.Source, error)
 	}), nil
 }
 
-// materialize runs a subtree to a materialized relation — what the lineage
-// tiers and plan.Answer need; sort+scan placements consume a source.
-func (st *lowerState) materialize(n logical.Node, sp *obs.Span) (*table.Relation, error) {
-	src, err := st.source(n, sp)
-	if err != nil {
-		return nil, err
-	}
-	return src.Relation(st.ex.ctx)
-}
-
 // applyConf runs a confidence placement below the top: an eager point
 // applies each scheduled probability-computation operator as sort+scan
 // passes — the first one streaming the input intermediate — and updates the
@@ -314,38 +304,27 @@ func runLogical(ex exec, c *Catalog, q *query.Query, b *built, spec Spec) (*Resu
 	st := &lowerState{ex: ex, c: c, q: q, spec: spec, mode: b.lp.Mode, cur: b.sig}
 	answerSp := ex.span("answer: " + describeOrder(b.order))
 	t0 := statsNow()
+	src, err := st.source(root.Input, answerSp)
+	if err != nil {
+		return nil, err
+	}
 	var res *Result
-	if root.Alg == logical.AlgSortScan || root.Alg == logical.AlgIndProject {
-		src, err := st.source(root.Input, answerSp)
-		if err != nil {
-			return nil, err
-		}
+	switch root.Alg {
+	case logical.AlgSortScan, logical.AlgIndProject:
 		res, err = st.finishScanned(b, root, src, answerSp, t0)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		answer, err := st.materialize(root.Input, answerSp)
-		if err != nil {
-			return nil, err
-		}
-		tupleTime := statsSince(t0) - st.probTime
-		st.annotateAnswer(answerSp, int64(answer.Len()), tupleTime)
-		switch root.Alg {
-		case logical.AlgOBDD:
-			res, err = finishTier(ex, &obddTier, q, b, spec, answer, tupleTime)
-		case logical.AlgDTree:
-			res, err = finishTier(ex, &dtreeTier, q, b, spec, answer, tupleTime)
-		case logical.AlgMC:
-			res, err = finishTier(ex, &mcTier, q, b, spec, answer, tupleTime)
-		case logical.AlgLadder:
-			res, err = finishFallbackChain(ex, q, b, spec, answer, tupleTime)
-		default:
-			return nil, fmt.Errorf("plan: unknown confidence algorithm %v", root.Alg)
-		}
-		if err != nil {
-			return nil, err
-		}
+	case logical.AlgOBDD:
+		res, err = st.finishTier(&obddTier, b, src, answerSp, t0)
+	case logical.AlgDTree:
+		res, err = st.finishTier(&dtreeTier, b, src, answerSp, t0)
+	case logical.AlgMC:
+		res, err = st.finishTier(&mcTier, b, src, answerSp, t0)
+	case logical.AlgLadder:
+		res, err = st.finishFallbackChain(b, src, answerSp, t0)
+	default:
+		return nil, fmt.Errorf("plan: unknown confidence algorithm %v", root.Alg)
+	}
+	if err != nil {
+		return nil, err
 	}
 	res.Stats.ColBatches = st.colBatches
 	res.Stats.RowBatches = st.rowBatches

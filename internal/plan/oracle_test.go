@@ -163,24 +163,30 @@ func oracleTruth(t *testing.T, cat *Catalog, q *query.Query) map[string]float64 
 
 // TestParallelQueryOracle checks whole queries against possible-world
 // enumeration: on seeded small databases over four hierarchical shapes the
-// exact styles agree with the truth to 1e-9 and MystiQ's safe plans to
-// 2e-3 per independent projection (its aggregate's 1.001 fudge costs up to
-// 1e-3 per member of a group, and groups here rarely have over two), in both
-// execution tiers, for one, two and four workers, ungoverned and under a
-// memory budget that turns every join into a grace join with a sort budget
-// that spills every sort.
+// exact styles and the OBDD and d-tree tiers (their answers streamed into
+// lineage collection) agree with the truth to 1e-9 and MystiQ's safe plans
+// to 2e-3 per independent projection (its aggregate's 1.001 fudge costs up
+// to 1e-3 per member of a group, and groups here rarely have over two), in
+// both execution tiers, for one, two and four workers, ungoverned and under
+// a memory budget that turns every join into a grace join with a sort
+// budget that spills every sort — where the lineage tiers' shrunk budgets
+// may leave certified bounds, each answer then within half their width.
 func TestParallelQueryOracle(t *testing.T) {
 	const instances = 6
-	sawGrace, sawSpill := false, false
+	sawGrace, sawSpill, sawLineageGrace := false, false, false
 	for _, shape := range oracleShapes {
 		for seed := int64(0); seed < instances; seed++ {
 			cat := oracleCatalog(rand.New(rand.NewSource(seed)), shape.rels)
 			truth := oracleTruth(t, cat, shape.q)
-			for _, style := range []Style{Lazy, Eager, Hybrid, SafeMystiQ} {
+			for _, style := range []Style{Lazy, Eager, Hybrid, SafeMystiQ, OBDD, DTree} {
 				for _, rowExec := range []bool{false, true} {
 					for _, workers := range []int{1, 2, 4} {
 						for _, governed := range []bool{false, true} {
-							spec := Spec{Style: style, RowExec: rowExec, Workers: workers, RequireExact: true}
+							// The lineage styles' budgets shrink to the governor's
+							// headroom, so under it they may report certified
+							// bounds instead of failing.
+							lineage := style == OBDD || style == DTree
+							spec := Spec{Style: style, RowExec: rowExec, Workers: workers, RequireExact: !lineage}
 							spec.Conf.TmpDir = t.TempDir()
 							if governed {
 								// Every reservation is denied, and a run holds
@@ -193,10 +199,17 @@ func TestParallelQueryOracle(t *testing.T) {
 								t.Fatalf("%s: %v", name, err)
 							}
 							tol := 1e-9
-							if style == SafeMystiQ {
+							switch {
+							case style == SafeMystiQ:
 								tol = 2e-3 * float64(res.Stats.Scans)
 								sawGrace = sawGrace || res.Stats.GraceJoins > 0
 								sawSpill = sawSpill || res.Stats.SpilledRuns > 0
+							case lineage:
+								if res.Stats.Approximate && !governed {
+									t.Errorf("%s: ungoverned run is not exact: %s", name, res.Stats.Plan)
+								}
+								tol += res.Stats.MaxWidth / 2
+								sawLineageGrace = sawLineageGrace || res.Stats.GraceJoins > 0
 							}
 							if res.Rows.Len() != len(truth) {
 								t.Errorf("%s: %d answers, oracle has %d", name, res.Rows.Len(), len(truth))
@@ -219,7 +232,8 @@ func TestParallelQueryOracle(t *testing.T) {
 			}
 		}
 	}
-	if !sawGrace || !sawSpill {
-		t.Errorf("the governed axis is vacuous for MystiQ: grace join seen %v, spilled π^ind run seen %v", sawGrace, sawSpill)
+	if !sawGrace || !sawSpill || !sawLineageGrace {
+		t.Errorf("the governed axis is vacuous: MystiQ grace join seen %v, spilled π^ind run seen %v; lineage-tier grace join seen %v",
+			sawGrace, sawSpill, sawLineageGrace)
 	}
 }

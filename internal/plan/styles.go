@@ -247,9 +247,10 @@ type Stats struct {
 	MemoMisses int64
 	// CollectTime is the part of ProbTime a lineage tier (or the ladder)
 	// spent collecting the answers' lineage, before any rung compiled or
-	// sampled it; LineageClauses and LineageDupRows are what collection
-	// found — distinct clauses across all answers, and input rows whose
-	// clause their answer already had (0 for plans that collect none).
+	// sampled it — net of pulling the streamed answer, which is TupleTime;
+	// LineageClauses and LineageDupRows are what collection found —
+	// distinct clauses across all answers, and input rows whose clause
+	// their answer already had (0 for plans that collect none).
 	CollectTime    time.Duration
 	LineageClauses int64
 	LineageDupRows int64
@@ -541,7 +542,11 @@ func Answer(c *Catalog, q *query.Query) (*table.Relation, error) {
 // order — the lazy skeleton, lowered through the shared logical IR path.
 func answerPipeline(ex exec, c *Catalog, q *query.Query, order []query.RelRef) (*table.Relation, error) {
 	st := &lowerState{ex: ex, c: c, q: q}
-	return st.materialize(logical.AnswerTree(q, order), nil)
+	src, err := st.source(logical.AnswerTree(q, order), nil)
+	if err != nil {
+		return nil, err
+	}
+	return src.Relation(ex.ctx)
 }
 
 // treeForOrder returns the query tree used for hierarchy-driven join

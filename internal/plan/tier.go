@@ -8,17 +8,16 @@ import (
 	"repro/internal/conf"
 	"repro/internal/obdd"
 	"repro/internal/obs"
-	"repro/internal/query"
 	"repro/internal/table"
 )
 
 // This file runs the lineage tiers — OBDD (obdd.go), d-tree (dtree.go),
 // Monte Carlo (mc.go) — through one contract. Answer tuples are computed
-// exactly like the lazy plan; the lineage is collected once; a tier turns
-// it into confidences. Each tier is both a style in its own right
-// (finishTier) and a rung of the exact styles' fallback ladder on queries
-// without a hierarchical signature (finishFallbackChain): sort+scan → OBDD
-// → d-tree → Monte Carlo. Adding a tier is one file defining its tier value
+// exactly like the lazy plan and stream into lineage collection, once; a
+// tier turns the lineage into confidences. Each tier is both a style in its
+// own right (finishTier) and a rung of the exact styles' fallback ladder on
+// queries without a hierarchical signature (finishFallbackChain): sort+scan
+// → OBDD → d-tree → Monte Carlo. Adding a tier is one file defining its tier value
 // plus one logical.Alg dispatching to it (lower.go).
 
 // tier is one lineage tier as the planner sees it.
@@ -77,30 +76,39 @@ func annotateLineage(sp *obs.Span, s conf.LineageStats) {
 	sp.Int("answers", s.OutputTuples).Int("clauses", s.Clauses).Int("vars", s.Vars).Int("dedup_rows", s.DupRows)
 }
 
-// collectLineage is the collection step every lineage plan starts with,
-// timed: the duration goes on sp as its own attribute — it is part of the
-// span's Dur, and of Stats.ProbTime — and into Stats.CollectTime.
-func collectLineage(sp *obs.Span, answer *table.Relation) (*conf.Lineage, time.Duration, error) {
-	t0 := statsNow()
-	l, err := conf.CollectLineage(answer)
-	d := statsSince(t0)
-	sp.LooseDur("collect", d)
-	return l, d, err
+// collectLineage is the collection step every lineage plan starts with:
+// the answer streams from src into the collector. The time collection took,
+// net of the pulls of the answer pipeline (tuple time), goes on sp as its
+// own attribute — it is part of the span's Dur, and of Stats.ProbTime — and
+// into Stats.CollectTime; the answer span is then complete. t0 is when the
+// run started lowering: what the wall since then does not owe to confidence
+// computation is the tuple time it reports.
+func (st *lowerState) collectLineage(sp, answerSp *obs.Span, src *conf.Source, t0 time.Time) (l *conf.Lineage, collect, tupleTime time.Duration, err error) {
+	t1, pull0 := statsNow(), st.pullTime
+	l, err = conf.CollectLineageFrom(st.ex.ctx, src)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	collect = statsSince(t1) - (st.pullTime - pull0)
+	sp.LooseDur("collect", collect)
+	tupleTime = statsSince(t0) - st.probTime - collect
+	st.annotateAnswer(answerSp, l.Input, tupleTime)
+	return l, collect, tupleTime, nil
 }
 
 // finishLineage runs one tier over the collected lineage and assembles the
-// Result, annotating the tier's trace span (nil when tracing is off). t1 is
-// when confidence computation began (lineage collection, which took
-// collect, and any refused rungs included), so Stats.ProbTime reports the
-// real cost. note annotates the plan line when the run is a fallback from
-// an exact style.
-func finishLineage(ex exec, sp *obs.Span, t *tier, q *query.Query, b *built, spec Spec, note string, answer *table.Relation, l *conf.Lineage, exactOnly bool, tupleTime time.Duration, t1 time.Time, collect time.Duration) (*Result, error) {
-	out, o, err := t.run(ex, &spec, b, l, exactOnly)
+// Result, annotating the tier's trace span (nil when tracing is off). t2 is
+// when lineage collection, which took collect, ended, so Stats.ProbTime
+// reports collection plus everything since — any refused rungs included.
+// note annotates the plan line when the run is a fallback from an exact
+// style.
+func (st *lowerState) finishLineage(sp *obs.Span, t *tier, b *built, note string, l *conf.Lineage, exactOnly bool, tupleTime time.Duration, t2 time.Time, collect time.Duration) (*Result, error) {
+	out, o, err := t.run(st.ex, &st.spec, b, l, exactOnly)
 	if err != nil {
 		return nil, err
 	}
-	probTime := statsSince(t1)
-	out, err = normalizeAnswer(out, q)
+	probTime := collect + statsSince(t2)
+	out, err = normalizeAnswer(out, st.q)
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +124,7 @@ func finishLineage(ex exec, sp *obs.Span, t *tier, q *query.Query, b *built, spe
 	stats.CollectTime = collect
 	stats.LineageClauses = o.Clauses
 	stats.LineageDupRows = o.DupRows
-	stats.AnswerTuples = int64(answer.Len())
+	stats.AnswerTuples = l.Input
 	stats.DistinctTuples = int64(out.Len())
 	stats.Scans = 1 // the lineage-collection grouping pass
 	if o.stopped > 0 {
@@ -126,40 +134,40 @@ func finishLineage(ex exec, sp *obs.Span, t *tier, q *query.Query, b *built, spe
 	return &Result{Rows: out, Stats: stats}, nil
 }
 
-// finishTier is a lineage tier run as a style of its own: certified bounds
-// (or estimates) are a result, unless RequireExact forbids them.
-func finishTier(ex exec, t *tier, q *query.Query, b *built, spec Spec, answer *table.Relation, tupleTime time.Duration) (*Result, error) {
-	sp := ex.span("conf[" + t.name + "]")
-	t1 := statsNow()
-	l, collect, err := collectLineage(sp, answer)
+// finishTier is a lineage tier run as a style of its own over the streamed
+// answer: certified bounds (or estimates) are a result, unless RequireExact
+// forbids them.
+func (st *lowerState) finishTier(t *tier, b *built, src *conf.Source, answerSp *obs.Span, t0 time.Time) (*Result, error) {
+	sp := st.ex.span("conf[" + t.name + "]")
+	l, collect, tupleTime, err := st.collectLineage(sp, answerSp, src, t0)
 	if err != nil {
 		return nil, err
 	}
-	res, err := finishLineage(ex, sp, t, q, b, spec, "", answer, l, spec.RequireExact, tupleTime, t1, collect)
+	res, err := st.finishLineage(sp, t, b, "", l, st.spec.RequireExact, tupleTime, statsNow(), collect)
 	if err != nil && errors.Is(err, t.budgetErr) {
-		return nil, fmt.Errorf("plan: %s: %w (RequireExact forbids certified bounds)", q.Name, err)
+		return nil, fmt.Errorf("plan: %s: %w (RequireExact forbids certified bounds)", st.q.Name, err)
 	}
 	return res, err
 }
 
 // finishFallbackChain is the exact styles' path on queries without a
-// hierarchical signature: collect the lineage once, then try each rung
-// exact-only — still exact, just computed by a different engine —
-// recording a refusing rung's outcome on its span and falling to the next;
-// the last rung, Monte Carlo, estimates instead of refusing.
-func finishFallbackChain(ex exec, q *query.Query, b *built, spec Spec, answer *table.Relation, tupleTime time.Duration) (*Result, error) {
-	lsp := ex.span("conf[ladder]")
-	t1 := statsNow()
-	l, collect, err := collectLineage(lsp, answer)
+// hierarchical signature: collect the streamed answer's lineage once, then
+// try each rung exact-only — still exact, just computed by a different
+// engine — recording a refusing rung's outcome on its span and falling to
+// the next; the last rung, Monte Carlo, estimates instead of refusing.
+func (st *lowerState) finishFallbackChain(b *built, src *conf.Source, answerSp *obs.Span, t0 time.Time) (*Result, error) {
+	lsp := st.ex.span("conf[ladder]")
+	l, collect, tupleTime, err := st.collectLineage(lsp, answerSp, src, t0)
 	if err != nil {
 		return nil, err
 	}
+	t2 := statsNow()
 	annotateLineage(lsp, l.Stats())
 	for _, t := range ladder {
 		sp := lsp.Child(t.name)
-		note := fmt.Sprintf(" (fallback from %s: no hierarchical signature, %s)", spec.Style, t.ladderNote)
+		note := fmt.Sprintf(" (fallback from %s: no hierarchical signature, %s)", st.spec.Style, t.ladderNote)
 		var res *Result
-		res, err = finishLineage(ex, sp, t, q, b, spec, note, answer, l, true, tupleTime, t1, collect)
+		res, err = st.finishLineage(sp, t, b, note, l, true, tupleTime, t2, collect)
 		if err == nil || !errors.Is(err, t.budgetErr) {
 			return res, err
 		}

@@ -6,6 +6,12 @@ package prob
 // clause-set memo. All of them resolve collisions by structural equality,
 // so the hash only has to be fast and well mixed — but keeping one copy of
 // the constants and the byte loop means they can never drift apart.
+//
+// FNVWord is the second mixer: FNV-1a's xor-then-multiply step applied to a
+// whole 32-bit word, one multiply where FNVUint32 spends four. Its hashes
+// are not FNV-1a's, so it serves only containers whose keys are never
+// compared with a byte-wise hash — the lineage compilers' clause-set memo
+// (clauseset.Hash), where the literals are words anyway.
 
 // FNV-1a parameters.
 const (
@@ -34,6 +40,9 @@ func FNVUint32(h uint64, v uint32) uint64 {
 	}
 	return h
 }
+
+// FNVWord folds one 32-bit word into a hash with a single xor-multiply.
+func FNVWord(h uint64, w uint32) uint64 { return (h ^ uint64(w)) * fnvPrime64 }
 
 // Hash is FNV-1a over the normalized clause's variable ids.
 func (c Clause) Hash() uint64 {

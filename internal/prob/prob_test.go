@@ -3,6 +3,7 @@ package prob
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -58,6 +59,102 @@ func TestAssignmentVarsSorted(t *testing.T) {
 	}
 	if a.Len() != 3 {
 		t.Errorf("Len() = %d, want 3", a.Len())
+	}
+}
+
+// TestAssignmentDenseAndSparse drives the slice-backed assignment and its
+// map fallback against a plain map: dense ids 1..n stay in the slice, a
+// lone huge id goes to the map at once, a stream that crosses the density
+// bound midway moves every earlier entry — marginal and origin — into the
+// map, and one whose first id is large starts in the map and ends in the
+// slice. Either way Len, Vars (increasing), P, Lookup and From read what was
+// set, and unset ids read as unset.
+func TestAssignmentDenseAndSparse(t *testing.T) {
+	type set struct {
+		v    Var
+		from int32 // -1: Set, else SetFrom
+	}
+	var dense, mixed []set
+	for v := Var(1); v <= 300; v++ {
+		dense = append(dense, set{v, int32(v % 3)})
+	}
+	for v := Var(1); v <= 100; v++ {
+		mixed = append(mixed, set{v, int32(v % 2)})
+	}
+	mixed = append(mixed, set{1 << 20, 5}, set{7, 1}, set{200, -1}, set{1<<20 + 3, 2})
+	late := []set{{5000, 0}}
+	for v := Var(1); v <= 3000; v++ {
+		late = append(late, set{v, int32(v % 4)})
+	}
+	for name, c := range map[string]struct {
+		sets   []set
+		sparse bool
+	}{
+		"ids 1..n":         {dense, false},
+		"id 1<<30":         {[]set{{1 << 30, 0}}, true},
+		"crosses midway":   {mixed, true},
+		"large ids first":  {late, false},
+		"Set without from": {[]set{{3, -1}, {2, -1}, {900, -1}}, false},
+	} {
+		t.Run(name, func(t *testing.T) {
+			a := NewAssignment()
+			type entry struct {
+				p    float64
+				from int32
+			}
+			want := map[Var]entry{}
+			for i, s := range c.sets {
+				p := float64(1+i%9) / 10
+				var err error
+				if s.from < 0 {
+					err = a.Set(s.v, p)
+				} else {
+					err = a.SetFrom(s.v, p, s.from)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[s.v] = entry{p, s.from}
+			}
+			if (a.sparse != nil) != c.sparse {
+				t.Errorf("sparse = %v, want %v", a.sparse != nil, c.sparse)
+			}
+			if a.Len() != len(want) {
+				t.Errorf("Len() = %d, want %d", a.Len(), len(want))
+			}
+			vs := a.Vars()
+			if len(vs) != len(want) || !slices.IsSorted(vs) {
+				t.Errorf("Vars() = %d ids, sorted %v; want %d sorted", len(vs), slices.IsSorted(vs), len(want))
+			}
+			for v, w := range want {
+				if p, ok := a.Lookup(v); !ok || p != w.p || a.P(v) != w.p {
+					t.Errorf("Lookup(%v) = %g, %v; P = %g; want %g", v, p, ok, a.P(v), w.p)
+				}
+				if a.From(v) != w.from {
+					t.Errorf("From(%v) = %d, want %d", v, a.From(v), w.from)
+				}
+			}
+			for _, v := range []Var{NoVar, -4, 301, 1 << 21, 1<<30 - 1} {
+				if _, ok := want[v]; ok {
+					continue
+				}
+				if p, ok := a.Lookup(v); ok || p != 0 || a.P(v) != 1 || a.From(v) != -1 {
+					t.Errorf("unset %v: Lookup = %g, %v; P = %g; From = %d", v, p, ok, a.P(v), a.From(v))
+				}
+			}
+			// Set's errors do not depend on the storage.
+			for _, bad := range []struct {
+				v Var
+				p float64
+			}{{NoVar, 0.5}, {-1, 0.5}, {1, 0}, {1, 1.5}, {1, math.NaN()}} {
+				if err := a.Set(bad.v, bad.p); err == nil {
+					t.Errorf("Set(%v, %g) succeeded", bad.v, bad.p)
+				}
+			}
+			if a.Len() != len(want) {
+				t.Errorf("rejected Sets changed Len to %d", a.Len())
+			}
+		})
 	}
 }
 
