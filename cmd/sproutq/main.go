@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	sproutq [-sf 0.005] [-seed 1] [-plan lazy|eager|hybrid|mystiq|mc|obdd|dtree|auto] [-workers 0] [-limit 20] [-explain] [-trace] 18
+//	sproutq [-sf 0.005] [-seed 1] [-plan lazy|eager|hybrid|mystiq|mc|obdd|dtree|auto] [-workers 0] [-limit 20] [-explain] [-trace] [-listen addr] 18
 //	sproutq -list
 //
 // -plan auto lets the cost-based planner pick the style from the catalog's
@@ -14,6 +14,12 @@
 // the per-style cost table) instead of running the query; -trace collects a
 // per-operator execution trace during the run and prints it (with row
 // counts, lineage shape, compilation detail and durations) after the stats.
+//
+// -listen addr serves the engine metrics (/metrics), liveness (/healthz)
+// and Go profiling (/debug/pprof/) endpoints from before data generation
+// on, feeds the run's counters into /metrics, and keeps serving after the
+// answers are printed so a harness can scrape at leisure (kill the process
+// to exit).
 package main
 
 import (
@@ -22,6 +28,7 @@ import (
 	"os"
 	"slices"
 
+	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/tpch"
 )
@@ -35,6 +42,7 @@ func main() {
 	list := flag.Bool("list", false, "list catalog queries and exit")
 	explain := flag.Bool("explain", false, "print the logical plan (and auto's cost table) instead of running")
 	trace := flag.Bool("trace", false, "collect a per-operator execution trace and print it after the stats")
+	listen := flag.String("listen", "", "serve /metrics, /healthz and /debug/pprof on this address; keeps serving after the run (kill to exit)")
 	flag.Parse()
 
 	catalog := tpch.Catalog()
@@ -71,6 +79,18 @@ func main() {
 		fail(err)
 	}
 
+	// The endpoints come up before data generation so a harness can poll
+	// /healthz from the moment the process starts.
+	var metrics *obs.Registry
+	if *listen != "" {
+		metrics = obs.New()
+		_, addr, err := obs.Serve(*listen, metrics)
+		if err != nil {
+			fail(err)
+		}
+		fmt.Printf("observability endpoints on http://%s (/metrics, /healthz, /debug/pprof/)\n", addr)
+	}
+
 	fmt.Printf("query %s: %s\n", e.Name, e.Q)
 	d := tpch.Generate(tpch.Config{SF: *sf, Seed: *seed})
 	if *explain {
@@ -81,7 +101,7 @@ func main() {
 		fmt.Println(desc)
 		return
 	}
-	res, err := plan.Run(d.Catalog(), e.Q.Clone(), tpch.FDsFor(e), plan.Spec{Style: style, Workers: *workers, Trace: *trace})
+	res, err := plan.Run(d.Catalog(), e.Q.Clone(), tpch.FDsFor(e), plan.Spec{Style: style, Workers: *workers, Trace: *trace, Metrics: metrics})
 	if err != nil {
 		fail(err)
 	}
@@ -119,6 +139,12 @@ func main() {
 			fmt.Printf("%-24s", v.String())
 		}
 		fmt.Println()
+	}
+
+	if *listen != "" {
+		// The server goroutine holds the process alive until it is killed.
+		fmt.Println("query done; still serving observability endpoints (kill to exit)")
+		select {}
 	}
 }
 

@@ -12,9 +12,9 @@ import (
 // rand.New(rand.NewSource(seed)) streams keyed by tuple index, so those two
 // constructors stay allowed.
 //
-// plan and benchutil are linted too: their timing sites (Stats wall-times,
-// benchmark clocks) are nondeterministic on purpose and carry
-// //sproutvet:allow detrand directives saying so.
+// plan is linted too: its timing sites (Stats wall-times) are
+// nondeterministic on purpose and carry //sproutvet:allow detrand directives
+// saying so.
 var DetRand = &Analyzer{
 	Name: "detrand",
 	Doc: "forbids global math/rand functions, time.Now/Since, and os.Getpid in the deterministic " +
@@ -34,7 +34,6 @@ var detRandPkgs = []string{
 	"repro/internal/signature",
 	"repro/internal/stats",
 	"repro/internal/plan",
-	"repro/internal/benchutil",
 }
 
 // detRandAllowed are math/rand package functions that build deterministic
@@ -70,7 +69,7 @@ func runDetRand(p *Pass) {
 				}
 			case "time":
 				if name == "Now" || name == "Since" {
-					p.Reportf(call.Pos(), "time.%s is nondeterministic; deterministic packages must not branch on wall-clock time (timing belongs in plan Stats or benchutil, behind an allow directive)", name)
+					p.Reportf(call.Pos(), "time.%s is nondeterministic; deterministic packages must not branch on wall-clock time (timing belongs in plan Stats, behind an allow directive)", name)
 				}
 			case "os":
 				if name == "Getpid" {

@@ -10,9 +10,9 @@
 //     engine.RelationSink); likewise the column storage of a ColBatch
 //     refilled by NextColBatch or handed, borrowed, to a sink's AddBatch.
 //   - detrand — the deterministic packages (prob, clauseset, obdd, dtree,
-//     conf, engine, signature, stats, plan, benchutil) must not consume
-//     global math/rand state, wall-clock time, or the pid: confidences are
-//     pinned bit-identical across worker counts and batch sizes (PR 3).
+//     conf, engine, signature, stats, plan) must not consume global
+//     math/rand state, wall-clock time, or the pid: confidences are pinned
+//     bit-identical across worker counts and batch sizes (PR 3).
 //   - mapiter — slices built by ranging over maps must be canonicalized
 //     before they escape; map iteration order is randomized (the
 //     nondeterminism behind PR 3's clause-order canonicalization fix).

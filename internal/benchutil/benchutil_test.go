@@ -1,103 +1,69 @@
 package benchutil
 
 import (
-	"strings"
 	"testing"
 
+	"repro/internal/conf"
+	"repro/internal/plan"
+	"repro/internal/signature"
 	"repro/internal/tpch"
 )
 
-// tiny returns a small deterministic instance for harness smoke tests.
-func tiny() *tpch.Data {
-	return tpch.Generate(tpch.Config{SF: 0.002, Seed: 99})
-}
-
-func TestFig9Harness(t *testing.T) {
-	rows, err := Fig9(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(tpch.Fig9Queries()) {
-		t.Fatalf("got %d rows", len(rows))
-	}
-	for _, r := range rows {
-		if r.Lazy <= 0 || r.Eager <= 0 {
-			t.Errorf("%s: non-positive timings %+v", r.Query, r)
+// starAll stars every table and inner node of s: the signature a query gets
+// when functional dependencies are not used to remove stars, e.g.
+// (Cust(Ord Item*)*)* becomes (Cust*(Ord*Item*)*)*.
+func starAll(s signature.Sig) signature.Sig {
+	switch x := s.(type) {
+	case signature.Table:
+		return signature.NewStar(x)
+	case signature.Star:
+		return signature.NewStar(starAll(x.Inner))
+	case signature.Concat:
+		parts := make([]signature.Sig, len(x))
+		for i, c := range x {
+			parts[i] = starAll(c)
 		}
-		if r.MystiQErr == "" && r.MystiQ <= 0 {
-			t.Errorf("%s: MystiQ neither timed nor failed", r.Query)
-		}
+		return signature.NewConcat(parts...)
+	default:
+		return s
 	}
 }
 
-func TestFig10Harness(t *testing.T) {
-	rows, err := Fig10(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(tpch.Fig10Queries()) {
-		t.Fatalf("got %d rows", len(rows))
-	}
-	for _, r := range rows {
-		if r.Distinct > r.Answers {
-			t.Errorf("%s: distinct %d > answers %d", r.Query, r.Distinct, r.Answers)
-		}
-	}
-}
-
-func TestFig11Harness(t *testing.T) {
-	rows, err := Fig11(tiny(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("got %d rows", len(rows))
-	}
-	for i := 1; i < len(rows); i++ {
-		if rows[i].Selectivity <= rows[i-1].Selectivity {
-			t.Error("selectivities must increase")
-		}
-	}
-}
-
-func TestFig12Harness(t *testing.T) {
-	rows, err := Fig12(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 || rows[0].Query != "C" || rows[1].Query != "D" {
-		t.Fatalf("rows = %+v", rows)
-	}
-}
-
+// TestFig13Harness runs Fig. 13's experiment on a small instance: for
+// queries 2, 7, 11 and B3 the confidence operator over the materialized
+// answer needs exactly one scan with the FD-refined signature (§VII.3), and
+// never more than with every node starred.
 func TestFig13Harness(t *testing.T) {
-	rows, err := Fig13(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("got %d rows", len(rows))
-	}
-	for _, r := range rows {
-		// The FD-refined operator never needs more scans than the
-		// conservative one; for these queries it is single-scan (§VII.3).
-		if r.ScansFDs > r.ScansNoFDs {
-			t.Errorf("%s: FD scans %d > no-FD scans %d", r.Query, r.ScansFDs, r.ScansNoFDs)
+	catalog := tpch.Generate(tpch.Config{SF: 0.002, Seed: 99}).Catalog()
+	queries := tpch.Catalog()
+	for _, name := range []string{"2", "7", "11", "B3"} {
+		e := queries[name]
+		refined, err := signature.WithFDs(e.Q, tpch.FDsFor(e))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		if r.ScansFDs != 1 {
-			t.Errorf("%s: expected 1 scan with FDs, got %d", r.Query, r.ScansFDs)
+		answer, err := plan.Answer(catalog, e.Q)
+		if err != nil {
+			t.Fatalf("%s answer: %v", name, err)
 		}
-		if r.Distinct > r.Answers {
-			t.Errorf("%s: distinct %d > answers %d", r.Query, r.Distinct, r.Answers)
+		answers := answer.Len()
+		starred := *answer
+		_, noFDs, err := conf.ComputeStats(&starred, starAll(refined), conf.Options{})
+		if err != nil {
+			t.Fatalf("%s all-starred operator: %v", name, err)
 		}
-	}
-}
-
-func TestCaseStudyRendering(t *testing.T) {
-	s := CaseStudy()
-	for _, frag := range []string{"query", "unsupported", "hierarchical without FDs"} {
-		if !strings.Contains(s, frag) {
-			t.Errorf("case study output missing %q", frag)
+		out, withFDs, err := conf.ComputeStats(answer, refined, conf.Options{})
+		if err != nil {
+			t.Fatalf("%s FD operator: %v", name, err)
+		}
+		if withFDs.Scans > noFDs.Scans {
+			t.Errorf("%s: FD scans %d > all-starred scans %d", name, withFDs.Scans, noFDs.Scans)
+		}
+		if withFDs.Scans != 1 {
+			t.Errorf("%s: expected 1 scan with FDs, got %d", name, withFDs.Scans)
+		}
+		if out.Len() > answers {
+			t.Errorf("%s: distinct %d > answers %d", name, out.Len(), answers)
 		}
 	}
 }

@@ -89,6 +89,50 @@ func JoinDNF(rng *rand.Rand, custs, orders, items int) (*prob.DNF, *prob.Assignm
 	return d, a
 }
 
+// BlocksDNF builds the "interleaved blocks" lineage class: k variable-
+// disjoint blocks, each the complete bipartite product of two x-variables
+// and two y-variables — in DNF, the four clauses x_i ∧ y_j, i.e. block_b ≡
+// (x₁∨x₂)(y₁∨y₂) — OR-ed together. The clauses are emitted (i, j)-major and
+// block-minor, so the occurrence-derived variable order interleaves all k
+// blocks; an OBDD under that order must track every unfinished block's
+// residual simultaneously (three live states per block) and its width
+// reaches ~3^k. A d-tree, by contrast, is order-free: independent-OR splits
+// the k blocks apart in one step and each block resolves in a handful of
+// Shannon steps. This is the class where the OBDD tier exceeds its default
+// node budget while the d-tree tier stays exact.
+//
+// The blocks are variable-disjoint, so the exact probability has a closed
+// form, returned as the oracle:
+//
+//	Pr[φ] = 1 - Π_b (1 - Pr[block_b]),
+//	Pr[block_b] = (1-(1-p(x₁))(1-p(x₂))) · (1-(1-p(y₁))(1-p(y₂)))
+func BlocksDNF(k int) (*prob.DNF, *prob.Assignment, float64) {
+	a := prob.NewAssignment()
+	pv := func(v prob.Var) float64 { return 0.30 + 0.05*float64((int(v)-1)%8) }
+	for v := prob.Var(1); v <= prob.Var(4*k); v++ {
+		a.MustSet(v, pv(v))
+	}
+	d := &prob.DNF{}
+	for i := 0; i < 2; i++ {
+		for j := 0; j < 2; j++ {
+			for b := 0; b < k; b++ {
+				x := prob.Var(4*b + 1 + i)
+				y := prob.Var(4*b + 3 + j)
+				d.Add(prob.NewClause(x, y))
+			}
+		}
+	}
+	truth := 1.0
+	for b := 0; b < k; b++ {
+		x1, x2 := prob.Var(4*b+1), prob.Var(4*b+2)
+		y1, y2 := prob.Var(4*b+3), prob.Var(4*b+4)
+		px := 1 - (1-pv(x1))*(1-pv(x2))
+		py := 1 - (1-pv(y1))*(1-pv(y2))
+		truth *= 1 - px*py
+	}
+	return d, a, 1 - truth
+}
+
 // CheckSteadyRecompile pins the clause-set store's Reset contract through a
 // compiler: recompile Resets one pooled builder and compiles one formula,
 // and from the second call on every call must allocate exactly as often as

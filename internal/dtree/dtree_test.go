@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/benchutil"
 	"repro/internal/difftest"
 	"repro/internal/dtree"
 	"repro/internal/obdd"
@@ -89,7 +88,7 @@ func TestDifferential(t *testing.T) {
 // the blocks by independent-OR and stays exact, matching the closed form.
 func TestBlocksClassOBDDBlowup(t *testing.T) {
 	const k = 12
-	d, a, truth := benchutil.BlocksDNF(k)
+	d, a, truth := difftest.BlocksDNF(k)
 
 	or, err := obdd.Prob(d, a, obdd.OccurrenceOrder(d, nil), obdd.Options{})
 	if err != nil {
@@ -158,7 +157,7 @@ func TestBoundsMonotoneInBudget(t *testing.T) {
 func TestTargetWidth(t *testing.T) {
 	// 40 blocks keep the decomposition busy (several thousand steps) so the
 	// progressive passes have room to stop early.
-	d, a, truth := benchutil.BlocksDNF(40)
+	d, a, truth := difftest.BlocksDNF(40)
 	res := dtree.Prob(d, a, dtree.Options{TargetWidth: 0.5})
 	if !res.Exact && res.Hi-res.Lo > 0.5 {
 		t.Fatalf("TargetWidth 0.5 returned width %g: %+v", res.Hi-res.Lo, res)
@@ -218,7 +217,7 @@ func TestResetKeepsHeaderArena(t *testing.T) {
 // TestBoundedMidpoint: a bounded result reports the interval midpoint so
 // |P - truth| ≤ (Hi-Lo)/2 — the contract the conf layer's stats rely on.
 func TestBoundedMidpoint(t *testing.T) {
-	d, a, truth := benchutil.BlocksDNF(12)
+	d, a, truth := difftest.BlocksDNF(12)
 	res := dtree.Prob(d, a, dtree.Options{NodeBudget: 3})
 	if res.Exact {
 		t.Fatalf("budget 3 resolved a 12-block class exactly: %+v", res)

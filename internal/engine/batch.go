@@ -278,23 +278,3 @@ func CollectCtxBatch(ctx context.Context, op Operator, batchSize int) (*table.Re
 func Collect(op Operator) (*table.Relation, error) {
 	return CollectCtx(nil, op)
 }
-
-// Count drains an operator and returns only the row count.
-func Count(op Operator) (int64, error) {
-	if err := op.Open(); err != nil {
-		return 0, err
-	}
-	defer op.Close()
-	var n int64
-	buf := make([]table.Tuple, BatchSize)
-	for {
-		k, err := op.NextBatch(buf)
-		if err != nil {
-			return 0, err
-		}
-		if k == 0 {
-			return n, nil
-		}
-		n += int64(k)
-	}
-}

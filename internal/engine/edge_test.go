@@ -23,7 +23,7 @@ func TestMergeJoinEmptyInputs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := Count(j)
+		n, err := count(j)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -42,7 +42,7 @@ func TestHashJoinEmptyKeyIsCrossProduct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := Count(j)
+	n, err := count(j)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestOperatorReopen(t *testing.T) {
 	rel := intsRel("a", 1, 2, 3)
 	f := NewFilter(NewMemScan(rel), Cmp{L: ColRef{Idx: 0}, Op: OpGt, R: Const{V: table.Int(1)}})
 	for round := 0; round < 2; round++ {
-		n, err := Count(f)
+		n, err := count(f)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,11 +37,31 @@ func drain(t *testing.T, op Operator) []table.Tuple {
 	return rel.Rows
 }
 
+// count drains an operator and returns only the row count.
+func count(op Operator) (int64, error) {
+	if err := op.Open(); err != nil {
+		return 0, err
+	}
+	defer op.Close()
+	var n int64
+	buf := make([]table.Tuple, BatchSize)
+	for {
+		k, err := op.NextBatch(buf)
+		if err != nil {
+			return 0, err
+		}
+		if k == 0 {
+			return n, nil
+		}
+		n += int64(k)
+	}
+}
+
 func TestMemScanAndCount(t *testing.T) {
 	rel := intsRel("a", 1, 2, 3)
-	n, err := Count(NewMemScan(rel))
+	n, err := count(NewMemScan(rel))
 	if err != nil || n != 3 {
-		t.Fatalf("Count = %d, %v", n, err)
+		t.Fatalf("count = %d, %v", n, err)
 	}
 	rows := drain(t, NewMemScan(rel))
 	if len(rows) != 3 || rows[2][0].I != 3 {
@@ -332,7 +352,7 @@ func TestHeapScanThroughEngine(t *testing.T) {
 	sch := table.NewSchema(table.DataCol("a", table.KindInt))
 	pool := storage.NewBufferPool(8)
 	scan := NewHeapScan(h, pool, sch)
-	n, err := Count(scan)
+	n, err := count(scan)
 	if err != nil || n != 1000 {
 		t.Fatalf("count = %d, %v", n, err)
 	}
@@ -365,11 +385,11 @@ func TestQuickJoinCommutes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n1, err := Count(j1)
+		n1, err := count(j1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n2, err := Count(j2)
+		n2, err := count(j2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -192,7 +192,7 @@ func TestMergeJoinStableInputAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() {
-		if _, err := Count(j); err != nil {
+		if _, err := count(j); err != nil {
 			t.Fatal(err)
 		}
 	}

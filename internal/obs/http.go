@@ -18,7 +18,7 @@ import (
 //	/debug/vars    expvar
 //
 // reg may be nil (metrics report empty). The handler is safe for
-// concurrent use; wire it behind an opt-in flag (sprout-bench -listen).
+// concurrent use; wire it behind an opt-in flag (sproutq -listen).
 func Handler(reg *Registry) http.Handler {
 	start := time.Now()
 	mux := http.NewServeMux()

@@ -20,7 +20,7 @@
 //
 //   - Handler serves a Registry as expvar-style JSON under /metrics,
 //     plus /debug/pprof and a /healthz endpoint, for profiling a live
-//     run (see sprout-bench -listen).
+//     run (see sproutq -listen).
 //
 // The package deliberately imports nothing from the rest of the engine,
 // so every layer (engine, conf, obdd, dtree, prob, plan) may depend on

@@ -161,8 +161,8 @@ type spanJSON struct {
 }
 
 // MarshalJSON serializes the span with structural and loose attributes
-// separated, so downstream consumers (sprout-bench artifacts) can diff
-// structural parts across runs.
+// separated, so downstream consumers (library callers archiving
+// Trace.JSON) can diff structural parts across runs.
 func (s *Span) MarshalJSON() ([]byte, error) {
 	j := spanJSON{Name: s.Name, DurSec: s.Dur.Seconds(), Children: s.Children}
 	for _, a := range s.Attrs {

@@ -533,7 +533,8 @@ func (p *Prepared) record(reg *obs.Registry, s *Stats, wall time.Duration) {
 // Answer materializes the answer tuples of q under the lazy join order:
 // head data columns plus the V/P column pairs of every relation — exactly
 // the input the confidence operator consumes. Exposed for the benchmark
-// harness (Fig. 13 measures the operator in isolation on this relation).
+// suite, whose layer probes (bench/layers.go) time the tuple phase and the
+// confidence operator on this relation separately.
 func Answer(c *Catalog, q *query.Query) (*table.Relation, error) {
 	return answerPipeline(serialExec(), c, q, LazyOrder(c, q))
 }

@@ -205,10 +205,11 @@ func TestJoinPipelineUsesAllSharedAttrs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := engine.Count(j)
+	got, err := engine.Collect(j)
 	if err != nil {
 		t.Fatal(err)
 	}
+	n := got.Len()
 	// Matching (okey, ckey) pairs in Fig. 1: okey 1 (2 items), 3 (2), 4 (1),
 	// 5 (1) = 6 rows.
 	if n != 6 {

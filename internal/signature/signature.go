@@ -240,29 +240,6 @@ func Best(q *query.Query, sigma *fd.Set) (Sig, error) {
 	return Plain(q)
 }
 
-// Conservative returns the signature with every table and inner node
-// starred — the shape signatures take when functional dependencies are NOT
-// used to remove stars (e.g. (Cust(Ord Item*)*)* becomes
-// (Cust*(Ord*Item*)*)*). Extra stars are always sound (they only claim
-// *possibly* many tuples per partition) but cost additional scans; the
-// paper's Fig. 13 quantifies exactly this difference.
-func Conservative(s Sig) Sig {
-	switch x := s.(type) {
-	case Table:
-		return NewStar(x)
-	case Star:
-		return NewStar(Conservative(x.Inner))
-	case Concat:
-		parts := make([]Sig, len(x))
-		for i, c := range x {
-			parts[i] = Conservative(c)
-		}
-		return NewConcat(parts...)
-	default:
-		return s
-	}
-}
-
 // hasBareTable reports whether a concatenation (or single signature)
 // directly contains an unstarred table.
 func hasBareTable(s Sig) bool {

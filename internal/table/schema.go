@@ -163,19 +163,6 @@ func (s *Schema) Concat(t *Schema) *Schema {
 	return &Schema{Cols: cols}
 }
 
-// Equal reports structural schema equality.
-func (s *Schema) Equal(t *Schema) bool {
-	if len(s.Cols) != len(t.Cols) {
-		return false
-	}
-	for i := range s.Cols {
-		if s.Cols[i] != t.Cols[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the schema as (name:kind, ...).
 func (s *Schema) String() string {
 	parts := make([]string, len(s.Cols))

@@ -142,9 +142,6 @@ func TestSchemaProjectConcat(t *testing.T) {
 	if p.Len() != 2 || p.Cols[0].Name != "c" || p.Cols[1].Name != "a" {
 		t.Errorf("Project wrong: %v", p)
 	}
-	if !s.Equal(s) || s.Equal(u) {
-		t.Error("Equal wrong")
-	}
 }
 
 func TestTupleOps(t *testing.T) {

@@ -2,12 +2,10 @@ package tpch
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/fd"
 	"repro/internal/query"
-	"repro/internal/signature"
 	"repro/internal/table"
 )
 
@@ -349,61 +347,6 @@ func Catalog() map[string]*Entry {
 // real TPC-H lineitem has no custkey column (§I: "the table Item has no
 // ckey attribute (as it is the case in real TPC-H)").
 func itemNoCkey() query.RelRef { return relItem() }
-
-// Fig9Queries lists the catalog names of the paper's Fig. 9 comparison.
-func Fig9Queries() []string {
-	return []string{"3", "10", "15", "16", "B17", "18", "20", "21"}
-}
-
-// Fig10Queries lists the catalog names of the paper's Fig. 10 lazy-plan
-// timings.
-func Fig10Queries() []string {
-	return []string{"1", "B1", "2", "B3", "4", "B4", "B6", "7", "B10", "11", "B11", "12", "B12", "B14", "B15", "B16", "B18", "B19"}
-}
-
-// Classification summarizes the §VI case study for one query.
-type Classification struct {
-	Name             string
-	Unsupported      string
-	HierNoFDs        bool   // hierarchical signature exists without FDs
-	HierWithFDs      bool   // hierarchical FD-reduct under the TPC-H keys
-	SignatureNoFDs   string // "-" when none
-	SignatureWithFDs string
-	OneScanWithFDs   bool
-	NumScansNoFDs    int
-	NumScansWithFDs  int
-}
-
-// Classify performs the static analysis of §VI over the whole catalog.
-func Classify() []Classification {
-	cat := Catalog()
-	names := make([]string, 0, len(cat))
-	for n := range cat {
-		names = append(names, n)
-	}
-	slices.Sort(names)
-	var out []Classification
-	for _, n := range names {
-		e := cat[n]
-		c := Classification{Name: n, Unsupported: e.Unsupported, SignatureNoFDs: "-", SignatureWithFDs: "-"}
-		if e.Q != nil {
-			if s, err := signature.Plain(e.Q); err == nil {
-				c.HierNoFDs = true
-				c.SignatureNoFDs = s.String()
-				c.NumScansNoFDs = signature.NumScans(s)
-			}
-			sigma := FDsFor(e)
-			if s, err := signature.WithFDs(e.Q, sigma); err == nil {
-				c.HierWithFDs = true
-				c.SignatureWithFDs = s.String()
-				c.OneScanWithFDs = signature.OneScan(s)
-				c.NumScansWithFDs = signature.NumScans(s)
-			}
-		}
-		out = append(out, c)
-	}
-	return out
-}
 
 // sigmaOrEmpty is a tiny helper so callers can pass nil FDs.
 func sigmaOrEmpty(s *fd.Set) *fd.Set {

@@ -2,11 +2,13 @@ package tpch
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/fd"
 	"repro/internal/plan"
+	"repro/internal/prob"
 	"repro/internal/signature"
 	"repro/internal/table"
 )
@@ -114,7 +116,7 @@ func TestCatalogEntriesValidate(t *testing.T) {
 			t.Errorf("%s: Boolean flag inconsistent with head %v", name, e.Q.Head)
 		}
 	}
-	for _, n := range append(Fig9Queries(), Fig10Queries()...) {
+	for _, n := range append(fig9Queries(), fig10Queries()...) {
 		if cat[n] == nil || cat[n].Q == nil {
 			t.Errorf("figure query %s missing from catalog", n)
 		}
@@ -143,8 +145,8 @@ func TestQ7SignatureMatchesPaper(t *testing.T) {
 // queries 2, 11, 18, 20, 21 need the TPC-H keys; queries 5, 8, 9 admit no
 // hierarchical FD-reduct; 13 is unsupported; 22 reduces to a selection.
 func TestCaseStudySectionVI(t *testing.T) {
-	byName := make(map[string]Classification)
-	for _, c := range Classify() {
+	byName := make(map[string]classification)
+	for _, c := range classify() {
 		byName[c.Name] = c
 	}
 	for _, n := range []string{"2", "11", "18", "20", "7"} {
@@ -192,19 +194,22 @@ func TestCaseStudySectionVI(t *testing.T) {
 
 // TestFDsReduceScans: with the TPC-H keys the signatures of figure queries
 // need at most as many scans, and query 18's drops to one (the paper's
-// guiding example).
+// guiding example), as do those of Fig. 13's queries 2, 7, 11 and B3
+// (§VII.3).
 func TestFDsReduceScans(t *testing.T) {
-	for _, c := range Classify() {
+	for _, c := range classify() {
 		if c.HierNoFDs && c.HierWithFDs && c.NumScansWithFDs > c.NumScansNoFDs {
 			t.Errorf("query %s: FDs increased scans %d -> %d", c.Name, c.NumScansNoFDs, c.NumScansWithFDs)
 		}
 	}
-	byName := make(map[string]Classification)
-	for _, c := range Classify() {
+	byName := make(map[string]classification)
+	for _, c := range classify() {
 		byName[c.Name] = c
 	}
-	if got := byName["18"]; !got.OneScanWithFDs {
-		t.Errorf("query 18 must be single-scan under FDs, got %+v", got)
+	for _, n := range []string{"18", "2", "7", "11", "B3"} {
+		if got := byName[n]; !got.OneScanWithFDs || got.NumScansWithFDs != 1 {
+			t.Errorf("query %s must be single-scan under FDs, got %+v", n, got)
+		}
 	}
 }
 
@@ -213,7 +218,7 @@ func TestFDsReduceScans(t *testing.T) {
 func TestFig9QueriesRunnable(t *testing.T) {
 	d := Generate(Config{SF: 0.002, Seed: 11})
 	cat := d.Catalog()
-	for _, n := range Fig9Queries() {
+	for _, n := range fig9Queries() {
 		e := Catalog()[n]
 		res, err := plan.Run(cat, e.Q.Clone(), FDsFor(e), plan.Spec{Style: plan.Lazy})
 		if err != nil {
@@ -229,11 +234,51 @@ func TestFig9QueriesRunnable(t *testing.T) {
 	}
 }
 
+// TestAutoMatchesChosenStyle: over the whole supported catalog on an
+// analyzed instance, an Auto run returns bit for bit what a direct run of
+// the style it reports choosing returns — Auto adds a choice, never a plan
+// of its own.
+func TestAutoMatchesChosenStyle(t *testing.T) {
+	cat := Generate(Config{SF: 0.002, Seed: 1}).Catalog()
+	cat.Analyze()
+	entries := Catalog()
+	names := make([]string, 0, len(entries))
+	for n, e := range entries {
+		if e.Q != nil {
+			names = append(names, n)
+		}
+	}
+	slices.Sort(names)
+	for _, n := range names {
+		e := entries[n]
+		spec := plan.Spec{Style: plan.Auto, MC: prob.MCOptions{Seed: 1}}
+		auto, err := plan.Run(cat, e.Q.Clone(), FDsFor(e), spec)
+		if err != nil {
+			t.Errorf("query %s auto: %v", n, err)
+			continue
+		}
+		chosen, err := plan.ParseStyle(auto.Stats.ChosenStyle)
+		if err != nil {
+			t.Errorf("query %s: auto reported chosen style %q: %v", n, auto.Stats.ChosenStyle, err)
+			continue
+		}
+		spec.Style = chosen
+		direct, err := plan.Run(cat, e.Q.Clone(), FDsFor(e), spec)
+		if err != nil {
+			t.Errorf("query %s %v: %v", n, chosen, err)
+			continue
+		}
+		if !slices.EqualFunc(auto.Rows.Rows, direct.Rows.Rows, slices.Equal[table.Tuple]) {
+			t.Errorf("query %s: auto's answers differ from a direct %v run", n, chosen)
+		}
+	}
+}
+
 // TestFig10QueriesRunnable: every Fig. 10 query runs end-to-end lazily.
 func TestFig10QueriesRunnable(t *testing.T) {
 	d := Generate(Config{SF: 0.002, Seed: 12})
 	cat := d.Catalog()
-	for _, n := range Fig10Queries() {
+	for _, n := range fig10Queries() {
 		e := Catalog()[n]
 		res, err := plan.Run(cat, e.Q.Clone(), FDsFor(e), plan.Spec{Style: plan.Lazy})
 		if err != nil {
@@ -308,4 +353,55 @@ func TestSigmaOrEmpty(t *testing.T) {
 	if sigmaOrEmpty(s) != s {
 		t.Error("non-nil should pass through")
 	}
+}
+
+// fig9Queries lists the catalog names of the paper's Fig. 9 comparison.
+func fig9Queries() []string {
+	return []string{"3", "10", "15", "16", "B17", "18", "20", "21"}
+}
+
+// fig10Queries lists the catalog names of the paper's Fig. 10 lazy-plan
+// timings.
+func fig10Queries() []string {
+	return []string{"1", "B1", "2", "B3", "4", "B4", "B6", "7", "B10", "11", "B11", "12", "B12", "B14", "B15", "B16", "B18", "B19"}
+}
+
+// classification summarizes the §VI case study for one query.
+type classification struct {
+	Name            string
+	Unsupported     string
+	HierNoFDs       bool // hierarchical signature exists without FDs
+	HierWithFDs     bool // hierarchical FD-reduct under the TPC-H keys
+	OneScanWithFDs  bool
+	NumScansNoFDs   int
+	NumScansWithFDs int
+}
+
+// classify performs the static analysis of §VI over the whole catalog.
+func classify() []classification {
+	cat := Catalog()
+	names := make([]string, 0, len(cat))
+	for n := range cat {
+		names = append(names, n)
+	}
+	slices.Sort(names)
+	var out []classification
+	for _, n := range names {
+		e := cat[n]
+		c := classification{Name: n, Unsupported: e.Unsupported}
+		if e.Q != nil {
+			if s, err := signature.Plain(e.Q); err == nil {
+				c.HierNoFDs = true
+				c.NumScansNoFDs = signature.NumScans(s)
+			}
+			sigma := FDsFor(e)
+			if s, err := signature.WithFDs(e.Q, sigma); err == nil {
+				c.HierWithFDs = true
+				c.OneScanWithFDs = signature.OneScan(s)
+				c.NumScansWithFDs = signature.NumScans(s)
+			}
+		}
+		out = append(out, c)
+	}
+	return out
 }
