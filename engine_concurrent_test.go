@@ -247,7 +247,7 @@ func TestEngineCancellation(t *testing.T) {
 // the same structural trace as the default columnar-capable run. The
 // safe-plan baseline, which shares the lowering and the sort+scan pass with
 // the other styles, additionally runs the benchmark's TPC-H queries at SF
-// 0.005 — large enough for partitioned scans, joins and projections.
+// 0.005 — large enough for partitioned sort+scan passes and projections.
 func TestWorkerCountBitIdentical(t *testing.T) {
 	difftest.LeakCheck(t)
 	db := tpchDB(nil)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/prob"
 	"repro/internal/signature"
 	"repro/internal/table"
 )
@@ -219,18 +218,4 @@ func FinalizeBareFrom(ctx context.Context, src *Source, rep string) (*table.Rela
 	}
 	src.rows = sink.n
 	return out, nil
-}
-
-// OrAllColumn computes the independent disjunction of a probability column,
-// a convenience for Boolean eager plans.
-func OrAllColumn(rel *table.Relation, src string) (float64, error) {
-	pi := rel.Schema.ProbIndex(src)
-	if pi < 0 {
-		return 0, fmt.Errorf("conf: source %s has no P column", src)
-	}
-	ps := make([]float64, 0, rel.Len())
-	for _, row := range rel.Rows {
-		ps = append(ps, row[pi].F)
-	}
-	return prob.OrAll(ps), nil
 }

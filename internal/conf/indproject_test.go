@@ -69,6 +69,22 @@ func TestIndProject(t *testing.T) {
 			}
 		}
 	}
+	// Two events in one group: MystiQ's 1 − (1.001−0.1)·(1.001−0.2) = 0.278299,
+	// not the exact 0.28 — the 1.001 fudge is part of the baseline.
+	two := table.NewRelation(table.NewSchema(table.DataCol("g", table.KindInt), table.ProbCol("R")))
+	two.MustAppend(table.Tuple{table.Int(1), table.Float(0.1)})
+	two.MustAppend(table.Tuple{table.Int(1), table.Float(0.2)})
+	src, err := IndProject(FromRelation(two), []string{"g"}, Options{}, &Stats{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := src.Relation(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Len() != 1 || math.Abs(out.Rows[0][1].F-0.278299) > 1e-12 {
+		t.Errorf("{0.1, 0.2}: got %v, want one group at 0.278299", out.Rows)
+	}
 	if _, err := IndProject(FromRelation(rel), []string{"nope"}, Options{}, &Stats{}); err == nil {
 		t.Error("a kept attribute missing from the input must be rejected")
 	}

@@ -451,7 +451,7 @@ func (a *ColToRows) Close() error { return a.In.Close() }
 // Columnarize lowers a row operator tree into its columnar form, succeeding
 // only when every operator in the tree has one: scans, planner-shaped
 // filters (conjunctions of column-vs-constant comparisons), pure column
-// projections, hash and partitioned joins, and Counted wrappers — everything
+// projections, hash joins, and Counted wrappers — everything
 // the planner pipelines. ok=false means some operator has no columnar form
 // (a sort, a group-by, a computed projection); callers then run the row path
 // unchanged.
@@ -505,16 +505,6 @@ func Columnarize(op Operator) (ColOperator, bool) {
 			LeftKeys: o.LeftKeys, RightKeys: o.RightKey,
 			Governed: &o.Governed, out: o.out,
 		}, true
-	case *PartitionedHashJoin:
-		l, ok := Columnarize(o.Left)
-		if !ok {
-			return nil, false
-		}
-		r, ok := Columnarize(o.Right)
-		if !ok {
-			return nil, false
-		}
-		return &ColPartitionedHashJoin{Left: l, Right: r, partitionedJoin: o.partitionedJoin}, true
 	default:
 		return nil, false
 	}
@@ -552,9 +542,6 @@ func pruneCols(op ColOperator, need []bool) {
 	case *ColHeapScan:
 		o.need = need
 	case *ColHashJoin:
-		pruneCols(o.Left, nil)
-		pruneCols(o.Right, nil)
-	case *ColPartitionedHashJoin:
 		pruneCols(o.Left, nil)
 		pruneCols(o.Right, nil)
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/fault"
-	"repro/internal/pool"
 	"repro/internal/prob"
 	"repro/internal/storage"
 	"repro/internal/table"
@@ -338,9 +337,6 @@ func TestJoinFailedOpenReleasesPins(t *testing.T) {
 				j.Mem = fault.NewGovernor(1<<30, nil)
 			}
 			return j, err
-		}},
-		{"partitioned", func(l, r Operator) (Operator, error) {
-			return NewPartitionedHashJoin(l, r, []int{0}, []int{0}, pool.New(2), nil)
 		}},
 	}
 	for _, jn := range joins {

@@ -121,33 +121,11 @@ func (j *ColHashJoin) Close() error {
 }
 
 // rowsToBatch transposes rows onto dst — the rows→columns boundary that
-// in-memory scans, the grace join and the partitioned join's materialized
-// result all cross.
+// in-memory scans and the grace join cross.
 func rowsToBatch(dst *table.ColBatch, s *table.Schema, rows []table.Tuple) int {
 	dst.Reset(s)
 	for _, t := range rows {
 		dst.AppendRow(t)
 	}
 	return dst.N
-}
-
-// ColPartitionedHashJoin is the columnar tier's partition-parallel
-// equi-join: the inputs' join-key hashes are computed batch-wise, and the
-// materialized result is streamed out as column batches.
-type ColPartitionedHashJoin struct {
-	Left, Right ColOperator
-	partitionedJoin
-}
-
-// Open drains both inputs through the columnar protocol and joins them.
-func (j *ColPartitionedHashJoin) Open() error {
-	return j.open(j.Left, j.Right, colBuildSource(j.Left, j.LeftKeys), colBuildSource(j.Right, j.RightKeys))
-}
-
-// NextColBatch streams the materialized join result as column batches.
-func (j *ColPartitionedHashJoin) NextColBatch(dst *table.ColBatch) (int, error) {
-	end := min(j.pos+BatchSize, len(j.rows))
-	rows := j.rows[j.pos:end]
-	j.pos = end
-	return rowsToBatch(dst, j.out, rows), nil
 }

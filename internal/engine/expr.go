@@ -19,13 +19,14 @@
 // an execution strategy, not a semantics change: it emits the same tuples in
 // the same order as the row path, with bit-identical hashes and confidences.
 //
-// The hash joins of both tiers are one family (gracejoin.go, parallel.go):
-// one build loop fed by a per-tier batch source, one partition kernel, one
-// partitioned body, and one memory-governed Open path that degrades to a
-// sort-merge grace join under pressure. All tuple-keyed equality state
-// (build sides, duplicate elimination) lives in the hash-keyed containers of
-// internal/table (TupleMap/TupleSet) — FNV hashes with Compare-based
-// collision chains, so equal keys never allocate.
+// The hash joins of both tiers are one family (gracejoin.go): one build loop
+// fed by a per-tier batch source and one memory-governed Open path that
+// degrades to a sort-merge grace join under pressure. Every operator streams
+// and runs on the calling goroutine; the worker pool's parallel stages sit
+// above the engine, in the confidence operator and the lineage tiers. All
+// tuple-keyed equality state (build sides, duplicate elimination) lives in
+// the hash-keyed containers of internal/table (TupleMap/TupleSet) — FNV
+// hashes with Compare-based collision chains, so equal keys never allocate.
 package engine
 
 import (

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"io"
+
 	"repro/internal/fault"
 	"repro/internal/storage"
 	"repro/internal/table"
@@ -22,13 +24,6 @@ const joinMemChunk = 64 << 10
 // joinTupleMemEst approximates the heap footprint of one build-side tuple:
 // the buffered handoff slot, the map group entry, and per-value storage.
 func joinTupleMemEst(t table.Tuple) int64 { return 64 + 48*int64(len(t)) }
-
-// stream is what the join family needs of an input besides its rows (both tiers' operators
-// satisfy it).
-type stream interface {
-	Open() error
-	Close() error
-}
 
 // buildSource yields a join input one batch per call: rows in storage that
 // outlives the batch, and each row's join-key hash (table.HashOn, or its
@@ -168,7 +163,7 @@ func (g *Governed) open(left, right Operator, lk, rk []int, src buildSource) (*t
 // close closes the grace join (if any) and both inputs. In grace mode the
 // merge join owns the left input (via its wrapping Sort) and the sorted
 // right stream; the inputs themselves are closed here either way.
-func (g *Governed) close(left, right stream) error {
+func (g *Governed) close(left, right io.Closer) error {
 	var errG error
 	if g.grace != nil {
 		errG = g.grace.Close()

@@ -45,84 +45,6 @@ func rowMultiset(rel *table.Relation) map[string]int {
 	return m
 }
 
-// TestPartitionedHashJoinMatchesHashJoin: the partitioned join produces the
-// same multiset of rows as the classic hash join, and its row order is
-// identical for every worker count.
-func TestPartitionedHashJoinMatchesHashJoin(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	left := randRel(rng, 5000, 200)
-	right := randRel(rng, 3000, 200)
-
-	serial, err := NewHashJoin(NewMemScan(left), NewMemScan(right), []int{0}, []int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := collectAll(t, serial)
-	wantBag := rowMultiset(want)
-
-	var first *table.Relation
-	for _, workers := range []int{1, 2, 7} {
-		pj, err := NewPartitionedHashJoin(NewMemScan(left), NewMemScan(right), []int{0}, []int{0}, pool.New(workers), context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := collectAll(t, pj)
-		if got.Len() != want.Len() {
-			t.Fatalf("workers=%d: %d rows, want %d", workers, got.Len(), want.Len())
-		}
-		bag := rowMultiset(got)
-		for k, n := range wantBag {
-			if bag[k] != n {
-				t.Fatalf("workers=%d: row %s count %d, want %d", workers, k, bag[k], n)
-			}
-		}
-		if first == nil {
-			first = got
-			continue
-		}
-		for i := range got.Rows {
-			if got.Rows[i].String() != first.Rows[i].String() {
-				t.Fatalf("workers=%d: row %d order differs from workers=1", workers, i)
-			}
-		}
-	}
-}
-
-// TestCollectChunksPreservesOrder: chunked evaluation of a filter+project
-// pipeline equals the serial collection row for row, for every worker
-// count and in both tiers.
-func TestCollectChunksPreservesOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	rel := randRel(rng, ParallelMinRows*3, 50)
-	wrap := func(in Operator) (Operator, error) {
-		f := NewFilter(in, Cmp{L: ColRef{Idx: 0, Name: "k"}, Op: OpLt, R: Const{V: table.Int(25)}})
-		return NewColumnProject(f, []string{"v", "k"})
-	}
-
-	op, err := wrap(NewMemScan(rel))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := collectAll(t, op)
-
-	for _, workers := range []int{1, 3, 8} {
-		for _, rowExec := range []bool{true, false} {
-			got, err := CollectChunks(context.Background(), pool.New(workers), rel, wrap, rowExec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Len() != want.Len() {
-				t.Fatalf("workers=%d rowExec=%v: %d rows, want %d", workers, rowExec, got.Len(), want.Len())
-			}
-			for i := range got.Rows {
-				if got.Rows[i].String() != want.Rows[i].String() {
-					t.Fatalf("workers=%d rowExec=%v: row %d = %s, want %s", workers, rowExec, i, got.Rows[i], want.Rows[i])
-				}
-			}
-		}
-	}
-}
-
 // TestCollectCtxCancellation: a cancelled context aborts collection.
 func TestCollectCtxCancellation(t *testing.T) {
 	rel := randRel(rand.New(rand.NewSource(1)), 10, 5)
@@ -160,14 +82,14 @@ func nullKeyRel(rng *rand.Rand, rows, keyDomain, nullEvery int) *table.Relation 
 }
 
 // TestJoinFamilyIdentity is the hash-join family's one identity table: every
-// member — {row, columnar} × {hash, partitioned over pools 1/2/4} ×
-// {ungoverned, governed without pressure, governed under pressure} — joins
-// the same inputs (repeated keys, NULL keys, an empty side, sizes on both
-// sides of ParallelMinRows) to the same result. Hash joins that stay on the
-// hash path emit the reference rows in the reference order in both tiers;
-// partitioned joins emit one order for every tier and pool size; grace joins
-// emit the same multiset. Grace mode is entered exactly where the governor
-// denies a non-empty build, in both tiers.
+// member — {row, columnar} × {ungoverned, governed without pressure,
+// governed under pressure} — joins the same inputs (repeated keys, NULL keys,
+// an empty side, sizes on both sides of pool.ParallelMinRows, where a
+// consuming sort+scan pass starts partitioning) to the same result. Hash
+// joins that stay on the hash path emit the reference rows in the reference
+// order in both tiers; grace joins emit the same multiset. Grace mode is
+// entered exactly where the governor denies a non-empty build, in both
+// tiers.
 func TestJoinFamilyIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	empty := randRel(rng, 0, 1)
@@ -176,7 +98,7 @@ func TestJoinFamilyIdentity(t *testing.T) {
 		left, right *table.Relation
 	}{
 		{"repeated-keys/below-min", randRel(rng, 600, 90), randRel(rng, 1100, 90)},
-		{"repeated-keys/above-min", randRel(rng, 3*ParallelMinRows, 1500), randRel(rng, 2*ParallelMinRows, 1500)},
+		{"repeated-keys/above-min", randRel(rng, 3*pool.ParallelMinRows, 1500), randRel(rng, 2*pool.ParallelMinRows, 1500)},
 		{"null-keys", nullKeyRel(rng, 1500, 60, 7), nullKeyRel(rng, 1300, 60, 5)},
 		{"empty-left", empty, randRel(rng, 1100, 20)},
 		{"empty-right", randRel(rng, 400, 20), empty},
@@ -263,24 +185,6 @@ func TestJoinFamilyIdentity(t *testing.T) {
 					if used := j.Mem.Used(); used != 0 {
 						t.Fatalf("governor left %d bytes reserved", used)
 					}
-				})
-			}
-		}
-		var first *table.Relation
-		for _, columnar := range []bool{false, true} {
-			tier := map[bool]string{false: "row", true: "columnar"}[columnar]
-			for _, workers := range []int{1, 2, 4} {
-				t.Run(fmt.Sprintf("%s/partitioned/%s/pool%d", in.name, tier, workers), func(t *testing.T) {
-					pj, err := NewPartitionedHashJoin(NewMemScan(in.left), NewMemScan(in.right), keys, keys, pool.New(workers), context.Background())
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := run(t, columnar, pj)
-					sameBag(t, got, want)
-					if first == nil {
-						first = got
-					}
-					sameOrder(t, got, first)
 				})
 			}
 		}

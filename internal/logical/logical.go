@@ -317,8 +317,9 @@ func joinAttrsBetween(q *query.Query, joined map[string]bool, ref query.RelRef) 
 }
 
 // Leaf builds the leaf pipeline of one occurrence: scan → σ (when the query
-// selects on it) → π to the attributes the leaf must carry.
-func Leaf(q *query.Query, ref query.RelRef) Node {
+// selects on it) → π to keep — LeafKeep for the left-deep plans, a safe
+// plan's own keep list under an independent projection.
+func Leaf(q *query.Query, ref query.RelRef, keep []string) Node {
 	var n Node = &Scan{Ref: ref}
 	var sels []query.Selection
 	for _, s := range q.Sels {
@@ -329,14 +330,14 @@ func Leaf(q *query.Query, ref query.RelRef) Node {
 	if len(sels) > 0 {
 		n = &Select{Input: n, Sels: sels}
 	}
-	return &Project{Input: n, Attrs: LeafKeep(q, ref)}
+	return &Project{Input: n, Attrs: keep}
 }
 
 // JoinStep extends a left-deep plan by one occurrence: join the
 // accumulated plan with the occurrence's leaf and project to the attributes
 // still needed. joined must already include the new occurrence.
 func JoinStep(q *query.Query, left Node, ref query.RelRef, joined map[string]bool) Node {
-	j := &Join{Left: left, Right: Leaf(q, ref), On: joinAttrsBetween(q, joined, ref)}
+	j := &Join{Left: left, Right: Leaf(q, ref, LeafKeep(q, ref)), On: joinAttrsBetween(q, joined, ref)}
 	need := JoinKeep(q, joined)
 	var attrs []string
 	seen := make(map[string]bool)
@@ -365,7 +366,7 @@ func AnswerTree(q *query.Query, order []query.RelRef) Node {
 	for i, ref := range order {
 		joined[ref.Name] = true
 		if i == 0 {
-			n = Leaf(q, ref)
+			n = Leaf(q, ref, LeafKeep(q, ref))
 			continue
 		}
 		n = JoinStep(q, n, ref, joined)

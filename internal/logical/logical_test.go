@@ -70,7 +70,7 @@ func TestAnswerTreeShapeAndRendering(t *testing.T) {
 }
 
 func TestConfLabels(t *testing.T) {
-	leaf := Leaf(q2(), q2().Rels[0])
+	leaf := Leaf(q2(), q2().Rels[0], LeafKeep(q2(), q2().Rels[0]))
 	if got := (&Conf{Input: leaf, Alg: AlgLadder, Final: true}).Label(); got != "conf[obdd→dtree→mc]" {
 		t.Errorf("label = %q", got)
 	}

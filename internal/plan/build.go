@@ -52,9 +52,6 @@ func serialExec() exec {
 	return exec{ctx: context.Background(), pool: pool.New(1)}
 }
 
-// parallel reports whether this run should take the partitioned paths.
-func (ex exec) parallel() bool { return ex.pool.Parallel() }
-
 // colStats returns the base-column statistics behind one occurrence
 // attribute, or nil when the catalog has not been analyzed (the estimators
 // then fall back to stats' default selectivity constants, the planner's
@@ -152,17 +149,8 @@ func HierarchicalOrder(q *query.Query, t *query.Tree) []query.RelRef {
 			names = append(names, n.Leaf.Name)
 			return
 		}
-		// Deepest child first.
-		kids := append([]*query.Tree(nil), n.Children...)
-		for i := 0; i < len(kids); i++ {
-			deepest := i
-			for j := i + 1; j < len(kids); j++ {
-				if depth(kids[j]) > depth(kids[deepest]) {
-					deepest = j
-				}
-			}
-			kids[i], kids[deepest] = kids[deepest], kids[i]
-			walk(kids[i])
+		for _, kid := range deepestFirst(n.Children) {
+			walk(kid)
 		}
 	}
 	walk(t)
@@ -175,6 +163,24 @@ func HierarchicalOrder(q *query.Query, t *query.Tree) []query.RelRef {
 		out = append(out, r)
 	}
 	return out
+}
+
+// deepestFirst returns a copy of a tree node's children ordered deepest
+// subtree first — the child order of HierarchicalOrder and of MystiQ's safe
+// plans. Ties keep the order a selection sort leaves them in, which the
+// explain and trace goldens pin.
+func deepestFirst(children []*query.Tree) []*query.Tree {
+	kids := slices.Clone(children)
+	for i := range kids {
+		deepest := i
+		for j := i + 1; j < len(kids); j++ {
+			if depth(kids[j]) > depth(kids[deepest]) {
+				deepest = j
+			}
+		}
+		kids[i], kids[deepest] = kids[deepest], kids[i]
+	}
+	return kids
 }
 
 func depth(t *query.Tree) int {
@@ -190,16 +196,24 @@ func depth(t *query.Tree) int {
 	return d + 1
 }
 
-// leafWrap builds the per-tuple pipeline of one relation occurrence —
-// rename → filter → project — over an arbitrary operator with the base
-// table's schema. The projection keeps the attributes the plan's leaf
-// projection names plus the occurrence's uncertainty columns — V and P
-// under ModeLineage, P alone under ModeProb; selections are applied before
-// attributes are dropped. Every call builds a fresh pipeline, so instances
-// can run concurrently over disjoint row chunks.
-func leafWrap(c *Catalog, q *query.Query, ref query.RelRef, attrs []string, mode logical.Mode, in engine.Operator) (engine.Operator, error) {
-	op, err := c.Rename(ref, in)
+// leafPipeline builds the operator reading one relation occurrence: a scan
+// of the base table — the in-memory relation, or the heap file through the
+// buffer pool for disk-resident tables (Catalog.BindDisk) — under the
+// occurrence's rename → filter → project pipeline. The projection keeps the
+// attributes the plan's leaf projection names plus the occurrence's
+// uncertainty columns — V and P under ModeLineage, P alone under ModeProb;
+// selections are applied before attributes are dropped. The pipeline
+// streams into the enclosing collector at every worker count.
+func leafPipeline(c *Catalog, q *query.Query, ref query.RelRef, attrs []string, mode logical.Mode) (engine.Operator, error) {
+	base, err := c.Base(ref)
 	if err != nil {
+		return nil, err
+	}
+	var op engine.Operator = engine.NewMemScan(base.Rel)
+	if db := c.Disk(ref.Base); db != nil {
+		op = engine.NewHeapScan(db.File, db.Pool, base.Rel.Schema)
+	}
+	if op, err = c.Rename(ref, op); err != nil {
 		return nil, err
 	}
 	var preds engine.And
@@ -224,40 +238,13 @@ func leafWrap(c *Catalog, q *query.Query, ref query.RelRef, attrs []string, mode
 	return engine.NewColumnProject(op, append(names, "P("+ref.Name+")"))
 }
 
-// leafPipeline builds the operator reading one relation occurrence. Under a
-// multi-worker pool the scan is partitioned: the base relation's rows are
-// split into chunks, each chunk runs its own rename/filter/project pipeline
-// on a worker, and the chunk outputs are concatenated in row order — the
-// same rows in the same order as the serial scan. Disk-resident tables
-// (Catalog.BindDisk) scan their heap file through the buffer pool instead;
-// the scan is not chunk-partitioned (pages arrive sequentially), so the
-// pipeline streams into the enclosing collector, where the columnar tier
-// decodes pages straight into column vectors unless rowExec forces rows.
-func leafPipeline(ex exec, c *Catalog, q *query.Query, ref query.RelRef, attrs []string, mode logical.Mode, rowExec bool) (engine.Operator, error) {
-	base, err := c.Base(ref)
-	if err != nil {
-		return nil, err
-	}
-	wrap := func(in engine.Operator) (engine.Operator, error) { return leafWrap(c, q, ref, attrs, mode, in) }
-	if db := c.Disk(ref.Base); db != nil {
-		return wrap(engine.NewHeapScan(db.File, db.Pool, base.Rel.Schema))
-	}
-	if ex.parallel() && base.Rel.Len() >= engine.ParallelMinRows {
-		rel, err := engine.CollectChunks(ex.ctx, ex.pool, base.Rel, wrap, rowExec)
-		if err != nil {
-			return nil, err
-		}
-		return engine.NewMemScan(rel), nil
-	}
-	return wrap(engine.NewMemScan(base.Rel))
-}
-
 // joinPipeline equi-joins two operators on their shared data attributes and
 // projects the result to the data attributes the plan's post-join
 // projection names plus every uncertainty column, naming the physical join
-// on sp. Under a multi-worker pool the join is
-// hash-partitioned and the partitions joined in parallel. A governed run's
-// join is returned as well, so the caller can report whether it degraded.
+// on sp. Every run, at every worker count, takes the one streaming hash
+// join; under a governor its build side is charged and may degrade to a
+// grace join, and the join is returned as well so the caller can report
+// whether it did.
 func joinPipeline(ex exec, left, right engine.Operator, attrs []string, sp *obs.Span) (engine.Operator, *engine.HashJoin, error) {
 	ls, rs := left.Schema(), right.Schema()
 	var lk, rk []int
@@ -271,28 +258,17 @@ func joinPipeline(ex exec, left, right engine.Operator, attrs []string, sp *obs.
 			rk = append(rk, j)
 		}
 	}
-	var j engine.Operator
-	var governed *engine.HashJoin
-	var err error
-	switch {
-	case ex.mem != nil:
-		// Governed runs take the serial grace-capable hash join even under
-		// a parallel pool: the partitioned join's per-partition build sides
-		// are unaccounted, and the grace fallback must own the whole build.
-		sp.LooseStr("phys", "hash(build=right, governed)")
-		if governed, err = engine.NewHashJoin(left, right, lk, rk); err == nil {
-			governed.Mem, governed.SortBudget, governed.TmpDir = ex.mem, ex.sortBudget, ex.tmpDir
-			j = governed
-		}
-	case ex.parallel():
-		sp.LooseStr("phys", "partitioned-hash")
-		j, err = engine.NewPartitionedHashJoin(left, right, lk, rk, ex.pool, ex.ctx)
-	default:
-		sp.LooseStr("phys", "hash(build=right)")
-		j, err = engine.NewHashJoin(left, right, lk, rk)
-	}
+	j, err := engine.NewHashJoin(left, right, lk, rk)
 	if err != nil {
 		return nil, nil, err
+	}
+	var governed *engine.HashJoin
+	if ex.mem != nil {
+		sp.LooseStr("phys", "hash(build=right, governed)")
+		j.Mem, j.SortBudget, j.TmpDir = ex.mem, ex.sortBudget, ex.tmpDir
+		governed = j
+	} else {
+		sp.LooseStr("phys", "hash(build=right)")
 	}
 	// Project: kept data attrs in join-schema order (first occurrence wins,
 	// removing the duplicated join columns) + every V/P column.

@@ -132,7 +132,7 @@ func buildStaged(c *Catalog, q *query.Query, sigma *fd.Set, sig signature.Sig, s
 	for i, ref := range order {
 		joined[ref.Name] = true
 		if i == 0 {
-			node = logical.Leaf(q, ref)
+			node = logical.Leaf(q, ref, logical.LeafKeep(q, ref))
 		} else {
 			node = logical.JoinStep(q, node, ref, joined)
 		}
@@ -197,31 +197,11 @@ func buildSafe(q *query.Query, sigma *fd.Set) (*built, error) {
 				return nil, fmt.Errorf("plan: tree leaf %s not in query", t.Leaf.Name)
 			}
 			keep := safeLeafKeep(q, ref, parentLabel, head)
-			var n logical.Node = &logical.Scan{Ref: ref}
-			var sels []query.Selection
-			for _, s := range q.Sels {
-				if s.Rel == ref.Name {
-					sels = append(sels, s)
-				}
-			}
-			if len(sels) > 0 {
-				n = &logical.Select{Input: n, Sels: sels}
-			}
-			n = &logical.Project{Input: n, Attrs: keep}
-			return &logical.Conf{Input: n, Alg: logical.AlgIndProject, Keep: keep}, nil
+			return &logical.Conf{Input: logical.Leaf(q, ref, keep), Alg: logical.AlgIndProject, Keep: keep}, nil
 		}
-		// Children in hierarchy order: deepest first, like the safe plans
-		// MystiQ produces (Fig. 2 joins Ord ⋈ Item before Cust).
-		kids := append([]*query.Tree(nil), t.Children...)
-		for i := 0; i < len(kids); i++ {
-			deepest := i
-			for j := i + 1; j < len(kids); j++ {
-				if depth(kids[j]) > depth(kids[deepest]) {
-					deepest = j
-				}
-			}
-			kids[i], kids[deepest] = kids[deepest], kids[i]
-		}
+		// Children in hierarchy order, like the safe plans MystiQ produces
+		// (Fig. 2 joins Ord ⋈ Item before Cust).
+		kids := deepestFirst(t.Children)
 		cur, err := build(kids[0], t.Label)
 		if err != nil {
 			return nil, err

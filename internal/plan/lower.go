@@ -18,8 +18,8 @@ import (
 // This file lowers the logical plan IR (internal/logical) to the physical
 // engine and runs it — the single execution path shared by every plan
 // style. Scan/select/project/join subtrees become pipelined engine
-// operators (partition-parallel under a multi-worker pool); confidence
-// placement points consume their input and run the appropriate algorithm.
+// operators, streaming at every worker count; confidence placement points
+// consume their input and run the appropriate algorithm.
 // Every placement takes its input as a stream (conf.Source): the pipeline's
 // batches go straight into the consumer and the intermediate is never
 // materialized — into run generation for a sort+scan placement (an eager
@@ -158,7 +158,7 @@ func (st *lowerState) operator(n logical.Node, sp *obs.Span) (engine.Operator, e
 		}
 		ssp := sp.Child("scan " + ref.Name)
 		ssp.Int("base_rows", int64(st.c.Rows(ref.Base)))
-		op, err := leafPipeline(st.ex, st.c, st.q, ref, x.Attrs, st.mode, st.spec.RowExec)
+		op, err := leafPipeline(st.c, st.q, ref, x.Attrs, st.mode)
 		if err != nil {
 			return nil, err
 		}

@@ -141,9 +141,11 @@ type Spec struct {
 	// instead of reporting certified bounds when the budget is exceeded.
 	RequireExact bool
 	// Workers sizes the shared worker pool driving every parallel stage of
-	// the run: partitioned scans and hash-partitioned joins, the
-	// partition-parallel aggregation passes of the confidence operator,
-	// per-answer OBDD compilation and Monte Carlo estimation. 0 defaults to
+	// the run: the partition-parallel sort+scan passes of the confidence
+	// operator (placements, π^ind, the top operator), per-answer OBDD and
+	// d-tree compilation and Monte Carlo estimation. The relational
+	// pipeline below them — scans, filters, projections, hash joins —
+	// streams on the calling goroutine at every worker count. 0 defaults to
 	// GOMAXPROCS; 1 forces the classic single-threaded executor. The
 	// computed confidences are bit-identical for every worker count.
 	Workers int

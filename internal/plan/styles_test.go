@@ -193,11 +193,11 @@ func TestJoinPipelineUsesAllSharedAttrs(t *testing.T) {
 	q := introQ()
 	ord, _ := q.RelByName("Ord")
 	item, _ := q.RelByName("Item")
-	lo, err := leafPipeline(serialExec(), cat, q, ord, logical.LeafKeep(q, ord), logical.ModeLineage, false)
+	lo, err := leafPipeline(cat, q, ord, logical.LeafKeep(q, ord), logical.ModeLineage)
 	if err != nil {
 		t.Fatal(err)
 	}
-	li, err := leafPipeline(serialExec(), cat, q, item, logical.LeafKeep(q, item), logical.ModeLineage, false)
+	li, err := leafPipeline(cat, q, item, logical.LeafKeep(q, item), logical.ModeLineage)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,9 @@
 // Package pool provides the shared worker pool that drives every parallel
-// stage of the engine: partitioned scans and hash-partitioned joins
-// (internal/engine), the partition-parallel aggregation passes of the
-// confidence operator (internal/conf), per-answer OBDD compilation, and
-// Monte Carlo estimation (internal/prob). One Pool per sprout.Engine caps
+// stage of the engine: the partition-parallel sort+scan passes of the
+// confidence operator (internal/conf), per-answer OBDD and d-tree
+// compilation, and Monte Carlo estimation (internal/prob). The relational
+// operators below them (internal/engine) stream on the calling goroutine
+// and never draw from the pool. One Pool per sprout.Engine caps
 // the total goroutine parallelism of all concurrently served queries; every
 // stage of every query draws from the same slot budget.
 //
@@ -23,11 +24,11 @@ import (
 	"repro/internal/fault"
 )
 
-// ParallelMinRows is the input size below which the engine's partitioned
-// paths (chunked scans, hash-partitioned joins, partition-parallel
-// aggregation scans) fall back to serial execution: fanning a few thousand
-// rows out to workers costs more than it saves. One constant so every stage
-// flips at the same scale.
+// ParallelMinRows is the input size below which a sort+scan pass of the
+// confidence operator stays serial: until that many rows have arrived its
+// input is buffered, and only then hash-partitioned by group key across one
+// sorter per worker. Fanning a few thousand rows out to workers costs more
+// than it saves.
 const ParallelMinRows = 2048
 
 // Pool is a fixed-size worker-slot budget shared by concurrent Do calls.

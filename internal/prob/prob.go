@@ -258,28 +258,6 @@ func OrAll(ps []float64) float64 {
 // And computes the probability of the conjunction of independent events.
 func And(p, q float64) float64 { return p * q }
 
-// MystiQOr reproduces MystiQ's numerically fragile disjunction aggregate,
-// 1 - POWER(10.000, SUM(log10(1.001 - p))), described in §VII ("Query
-// Engines"): for large n the sum of logarithms of very small complements
-// under- or overflows and MystiQ aborts at runtime. We model the failure by
-// returning an error when the accumulated log-sum leaves float64's usable
-// exponent range, which is what made queries 1, 4, 12 and several Boolean
-// variants fail in the paper's experiments.
-func MystiQOr(ps []float64) (float64, error) {
-	sum := 0.0
-	for _, p := range ps {
-		c := 1.001 - p
-		if c <= 0 {
-			return 0, fmt.Errorf("prob: MystiQ aggregate: log of non-positive complement %g", c)
-		}
-		sum += math.Log10(c)
-	}
-	if sum < -300 { // 10^sum underflows well before float64's limit in Postgres' POWER
-		return 0, fmt.Errorf("prob: MystiQ aggregate: runtime error, log-sum %g underflows POWER", sum)
-	}
-	return 1 - math.Pow(10, sum), nil
-}
-
 // ApproxEqual reports whether two probabilities agree within eps. Exact
 // confidence computation over float64 accumulates rounding; tests use 1e-9.
 func ApproxEqual(p, q, eps float64) bool {

@@ -274,29 +274,6 @@ func TestWorldEnumerationBound(t *testing.T) {
 	}
 }
 
-func TestMystiQOrOK(t *testing.T) {
-	got, err := MystiQOr([]float64{0.1, 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// MystiQ's formula is an approximation (the 1.001 fudge); allow slack.
-	if math.Abs(got-0.28) > 0.01 {
-		t.Errorf("MystiQOr = %g, want ≈0.28", got)
-	}
-}
-
-func TestMystiQOrRuntimeError(t *testing.T) {
-	// Thousands of near-certain events: Σ log10(1.001-p) diverges to -∞ and
-	// the POWER computation fails, as observed in §VII for queries 1, 4, 12.
-	ps := make([]float64, 200000)
-	for i := range ps {
-		ps[i] = 0.999
-	}
-	if _, err := MystiQOr(ps); err == nil {
-		t.Error("expected MystiQ aggregate to fail on many near-certain events")
-	}
-}
-
 func TestOneOFDNFExpansion(t *testing.T) {
 	f := And1OF(Leaf1OF(1), Or1OF(Leaf1OF(2), Leaf1OF(3)))
 	d := f.DNF()

@@ -28,9 +28,6 @@ var activeIO atomic.Pointer[fault.IO]
 // run a workload, and must restore nil before returning.
 func SetIO(io *fault.IO) { activeIO.Store(io) }
 
-// CurrentIO returns the installed injector (nil when disarmed).
-func CurrentIO() *fault.IO { return activeIO.Load() }
-
 // withFaults runs op under the injector's schedule and retry policy.
 // decide is consulted once per attempt so a transient rule burns out and
 // the retry succeeds; hard faults surface immediately.

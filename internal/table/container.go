@@ -43,35 +43,9 @@ func NewTupleMap(keyIdx []int, sizeHint int) *TupleMap {
 	return &TupleMap{keyIdx: keyIdx, buckets: make(map[uint64]tmGroup, sizeHint)}
 }
 
-// Add inserts t under its key columns.
-func (m *TupleMap) Add(t Tuple) {
-	h := HashOn(t, m.keyIdx)
-	g, ok := m.buckets[h]
-	if !ok {
-		m.buckets[h] = tmGroup{first: t}
-		return
-	}
-	if EqualOn2(t, m.keyIdx, g.first, m.keyIdx) {
-		g.rest = append(g.rest, t)
-		m.buckets[h] = g
-		return
-	}
-	if m.overflow == nil {
-		m.overflow = make(map[uint64][]tmGroup)
-	}
-	chain := m.overflow[h]
-	for i := range chain {
-		if EqualOn2(t, m.keyIdx, chain[i].first, m.keyIdx) {
-			chain[i].rest = append(chain[i].rest, t)
-			return
-		}
-	}
-	m.overflow[h] = append(chain, tmGroup{first: t})
-}
-
-// AddHashed is Add with a precomputed HashOn hash over the key columns —
-// the vectorized build path, where the columnar engine hashes whole column
-// slices at once (ColBatch.HashInto) before materializing the rows.
+// AddHashed inserts t under its key columns, given their HashOn hash —
+// precomputed because the join family's one build loop takes each batch
+// with its hashes (the columnar tier's from ColBatch.HashInto).
 func (m *TupleMap) AddHashed(h uint64, t Tuple) {
 	g, ok := m.buckets[h]
 	if !ok {
@@ -106,26 +80,6 @@ type Group struct {
 // values at probeIdx (ok=false when none). The probe allocates nothing.
 func (m *TupleMap) Lookup(probe Tuple, probeIdx []int) (Group, bool) {
 	h := HashOn(probe, probeIdx)
-	g, found := m.buckets[h]
-	if !found {
-		return Group{}, false
-	}
-	if EqualOn2(probe, probeIdx, g.first, m.keyIdx) {
-		return Group{First: g.first, Rest: g.rest}, true
-	}
-	for _, o := range m.overflow[h] {
-		if EqualOn2(probe, probeIdx, o.first, m.keyIdx) {
-			return Group{First: o.first, Rest: o.rest}, true
-		}
-	}
-	return Group{}, false
-}
-
-// LookupHashed is Lookup with a precomputed HashOn hash over the probe's
-// key columns — the partitioned join's probe path, which carries each row's
-// partition hash (the same HashOn value) into the per-partition joins
-// instead of rehashing it.
-func (m *TupleMap) LookupHashed(h uint64, probe Tuple, probeIdx []int) (Group, bool) {
 	g, found := m.buckets[h]
 	if !found {
 		return Group{}, false

@@ -7,8 +7,8 @@ import (
 )
 
 // HashOn hashes the values at the given column indexes with FNV-1a — the
-// partitioning hash of the parallel execution layer (hash-partitioned joins
-// and group-key-partitioned aggregation scans). Values that compare equal
+// key hash of hash-join build sides and the partitioning hash of the
+// group-key-partitioned aggregation scans. Values that compare equal
 // under Compare hash equally: numeric kinds are hashed through their float64
 // image so an int join key matches a float one, mirroring Compare's
 // cross-kind numeric semantics.

@@ -367,9 +367,9 @@ func WithMaxSamples(n int) RunOption {
 }
 
 // WithWorkers sizes the shared worker pool driving every parallel stage of
-// a run: partitioned scans and hash-partitioned joins, the
-// partition-parallel aggregation passes of the confidence operator,
-// per-answer OBDD compilation, and Monte Carlo estimation. The count must
+// a run: the partition-parallel sort+scan passes of the confidence
+// operator, per-answer OBDD and d-tree compilation, and Monte Carlo
+// estimation; scans and joins stream serially at every count. The count must
 // be ≥ 1 (1 forces the classic single-threaded executor); omit the option
 // for the GOMAXPROCS default. Computed confidences are bit-identical for
 // every worker count — only the wall-clock changes.
