@@ -7,7 +7,7 @@
 //     engine.Cursor.Next) live in reused buffers and must be slab-cloned
 //     before they outlive the batch, unless the source op promises
 //     StableTuples (PR 5's materialization rule, held in one place by
-//     engine.RelationSink); likewise the column storage of a ColBatch
+//     engine.CollectCtxBatch); likewise the column storage of a ColBatch
 //     refilled by NextColBatch or handed, borrowed, to a sink's AddBatch.
 //   - detrand — the deterministic packages (prob, clauseset, obdd, dtree,
 //     conf, engine, signature, stats, plan) must not consume global

@@ -8,24 +8,17 @@ import (
 	"repro/internal/table"
 )
 
-// Aggregate applies one probability-computation operator [s] eagerly to a
-// materialized intermediate relation (§V.B): all aggregation steps of s run
-// as sort+scan passes and all propagation steps as projections, leaving a
-// single representative V/P column pair for s's tables. It returns the new
-// relation, the representative source name, and the number of scans used.
+// AggregateStats applies one probability-computation operator [s] eagerly
+// to a materialized intermediate relation (§V.B): all aggregation steps of
+// s run as sort+scan passes and all propagation steps as projections,
+// leaving a single representative V/P column pair for s's tables. It
+// returns the new relation and the representative source name, and
+// accumulates what its sort+scan passes did — scans, sorts, spill volume —
+// into stats, like ComputeStats reports for the top operator.
 //
 // This is the building block of eager and hybrid plans: pushing [Item*]
-// below a join, or [(Ord Item)*] above one, is a call to Aggregate on the
+// below a join, or [(Ord Item)*] above one, is this operator applied to the
 // corresponding intermediate.
-func Aggregate(rel *table.Relation, s signature.Sig, opts Options) (*table.Relation, string, int, error) {
-	var stats Stats
-	out, rep, err := AggregateStats(rel, s, opts, &stats)
-	return out, rep, stats.Scans, err
-}
-
-// AggregateStats is Aggregate accumulating what its sort+scan passes did —
-// scans, sorts, spill volume — into stats, like ComputeStats reports for
-// the top operator.
 func AggregateStats(rel *table.Relation, s signature.Sig, opts Options, stats *Stats) (*table.Relation, string, error) {
 	out, rep, err := AggregateFrom(FromRelation(rel), s, opts, stats)
 	if err != nil {
@@ -94,8 +87,8 @@ func AggregateFrom(src *Source, s signature.Sig, opts Options, stats *Stats) (*S
 	}
 }
 
-// Rep returns the representative source table that Aggregate([s]) leaves
-// behind — a pure function of the signature, mirroring Aggregate's return
+// Rep returns the representative source table that AggregateFrom([s])
+// leaves behind — a pure function of the signature, mirroring its return
 // value without touching data. The planner uses it to compute eager
 // operator schedules at plan-build time; the virtual root of a pure
 // product has no representative and yields "".
@@ -170,17 +163,11 @@ func propagatePair(rel *table.Relation, left, right string) (*table.Relation, er
 	return out, nil
 }
 
-// FinalizeBare extracts the answer from a relation whose confidence is
+// FinalizeBareFrom extracts the answer from a source whose confidence is
 // already fully computed (signature reduced to a bare table): it projects
 // the data columns plus the surviving probability column as conf and
-// deduplicates. Used by fully eager plans, where the top operator has
-// nothing left to aggregate.
-func FinalizeBare(rel *table.Relation, rep string) (*table.Relation, error) {
-	return FinalizeBareFrom(context.Background(), FromRelation(rel), rep)
-}
-
-// FinalizeBareFrom is FinalizeBare over a Source, deduplicating the rows as
-// they stream past.
+// deduplicates the rows as they stream past. Used by fully eager plans,
+// where the top operator has nothing left to aggregate.
 func FinalizeBareFrom(ctx context.Context, src *Source, rep string) (*table.Relation, error) {
 	pi := src.Schema.ProbIndex(rep)
 	if pi < 0 {

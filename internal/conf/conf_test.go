@@ -122,12 +122,12 @@ func TestValidateSources(t *testing.T) {
 	bad := signature.NewStar(signature.NewConcat(
 		signature.NewStar(signature.Table("Cust")),
 		signature.NewStar(signature.Table("Ord"))))
-	if _, err := Compute(rel, bad, Options{}); err == nil {
+	if _, _, err := ComputeStats(rel, bad, Options{}); err == nil {
 		t.Error("signature not covering Item's columns must be rejected")
 	}
 	// Signature with an unknown table.
 	unknown := signature.NewStar(signature.Table("Nation"))
-	if _, err := Compute(rel, unknown, Options{}); err == nil {
+	if _, _, err := ComputeStats(rel, unknown, Options{}); err == nil {
 		t.Error("signature over unknown table must be rejected")
 	}
 }
@@ -270,7 +270,7 @@ func TestMultipleBags(t *testing.T) {
 	rel.MustAppend(table.Tuple{table.Int(1), table.VarValue(1), table.Float(0.1)})
 	rel.MustAppend(table.Tuple{table.Int(1), table.VarValue(2), table.Float(0.2)})
 	sig := signature.NewStar(signature.Table("R"))
-	out, err := Compute(rel, sig, Options{})
+	out, _, err := ComputeStats(rel, sig, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestBareTableSignature(t *testing.T) {
 	)
 	rel := table.NewRelation(sch)
 	rel.MustAppend(table.Tuple{table.Int(7), table.VarValue(1), table.Float(0.25)})
-	out, err := Compute(rel, signature.Table("R"), Options{})
+	out, _, err := ComputeStats(rel, signature.Table("R"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestBareTableSignature(t *testing.T) {
 func TestEmptyInput(t *testing.T) {
 	sch := table.NewSchema(table.VarCol("R"), table.ProbCol("R"))
 	rel := table.NewRelation(sch)
-	out, err := Compute(rel, signature.NewStar(signature.Table("R")), Options{})
+	out, _, err := ComputeStats(rel, signature.NewStar(signature.Table("R")), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +406,7 @@ func TestQuickOperatorMatchesOracle(t *testing.T) {
 		}
 		want := d.Prob(a)
 		cp := *rel
-		out, err := Compute(&cp, sig, Options{})
+		out, _, err := ComputeStats(&cp, sig, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -456,11 +456,11 @@ func TestQuickKeyRefinedSignatureAgrees(t *testing.T) {
 		}
 		cp1 := *rel
 		cp2 := *rel
-		a, err := Compute(&cp1, loose, Options{})
+		a, _, err := ComputeStats(&cp1, loose, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Compute(&cp2, tight, Options{})
+		b, _, err := ComputeStats(&cp2, tight, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -140,7 +140,7 @@ func TestQuickMultiBagNonBoolean(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		rel, a, oracles := randomTwoBagAnswer(r)
-		out, err := Compute(rel, sig, Options{})
+		out, _, err := ComputeStats(rel, sig, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func TestQuickMultiBagNonBoolean(t *testing.T) {
 	}
 }
 
-// TestAggregateConcatPropagation: the exported Aggregate on a concatenation
+// TestAggregateConcatPropagation: the eager operator on a concatenation
 // collapses each component and folds probabilities into the leftmost
 // representative (the [Cust Ord] propagation of Fig. 6's Q6).
 func TestAggregateConcatPropagation(t *testing.T) {
@@ -173,12 +173,13 @@ func TestAggregateConcatPropagation(t *testing.T) {
 	rel := table.NewRelation(sch)
 	rel.MustAppend(table.Tuple{table.Int(1), table.VarValue(1), table.Float(0.5), table.VarValue(2), table.Float(0.4)})
 	sig := signature.NewConcat(signature.Table("Cust"), signature.Table("Ord"))
-	out, rep, scans, err := Aggregate(rel, sig, Options{})
+	var stats Stats
+	out, rep, err := AggregateStats(rel, sig, Options{}, &stats)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep != "Cust" || scans != 0 {
-		t.Errorf("rep=%s scans=%d, want Cust/0 (pure propagation)", rep, scans)
+	if rep != "Cust" || stats.Scans != 0 {
+		t.Errorf("rep=%s scans=%d, want Cust/0 (pure propagation)", rep, stats.Scans)
 	}
 	pi := out.Schema.ProbIndex("Cust")
 	if pi < 0 || !prob.ApproxEqual(out.Rows[0][pi].F, 0.2, 1e-12) {
@@ -194,9 +195,10 @@ func TestAggregateBareTableIdentity(t *testing.T) {
 	sch := table.NewSchema(table.VarCol("R"), table.ProbCol("R"))
 	rel := table.NewRelation(sch)
 	rel.MustAppend(table.Tuple{table.VarValue(1), table.Float(0.5)})
-	out, rep, scans, err := Aggregate(rel, signature.Table("R"), Options{})
-	if err != nil || rep != "R" || scans != 0 || out != rel {
-		t.Errorf("identity aggregate wrong: %v %s %d", err, rep, scans)
+	var stats Stats
+	out, rep, err := AggregateStats(rel, signature.Table("R"), Options{}, &stats)
+	if err != nil || rep != "R" || stats.Scans != 0 || out != rel {
+		t.Errorf("identity aggregate wrong: %v %s %d", err, rep, stats.Scans)
 	}
 }
 
@@ -207,7 +209,7 @@ func TestComputeRejectsMissingColumns(t *testing.T) {
 	sch := table.NewSchema(table.VarCol("R"), table.DataCol("x", table.KindFloat))
 	rel := table.NewRelation(sch)
 	rel.MustAppend(table.Tuple{table.VarValue(1), table.Float(0.5)})
-	if _, err := Compute(rel, signature.NewStar(signature.Table("R")), Options{}); err == nil {
+	if _, _, err := ComputeStats(rel, signature.NewStar(signature.Table("R")), Options{}); err == nil {
 		t.Error("missing P column must be rejected")
 	}
 }
@@ -231,7 +233,7 @@ func TestIdenticalRowsDoNotDoubleCount(t *testing.T) {
 	row := table.Tuple{table.VarValue(1), table.Float(0.5)}
 	rel.MustAppend(row)
 	rel.MustAppend(row.Clone())
-	out, err := Compute(rel, signature.NewStar(signature.Table("R")), Options{})
+	out, _, err := ComputeStats(rel, signature.NewStar(signature.Table("R")), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

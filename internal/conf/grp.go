@@ -13,7 +13,7 @@ import (
 // aggregates) statement per star and one propagation projection per
 // concatenation, exactly as in the Q1…Q7 sequence of Fig. 6. It is
 // quadratically more sort passes than the scheduled operator and exists as
-// the executable semantics against which Compute is cross-validated, and as
+// the executable semantics against which ComputeStats is cross-validated, and as
 // the building block of maximally eager plans.
 func GRPSequence(rel *table.Relation, sig signature.Sig) (*table.Relation, error) {
 	if err := validateSources(rel.Schema, sig); err != nil {

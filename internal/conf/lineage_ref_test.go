@@ -280,35 +280,19 @@ func appendCells(b *table.ColBatch, row table.Tuple, k int) {
 	b.N++
 }
 
-// rowFeed streams rel as tuple batches of five, copied into reused tuples
-// that are overwritten once the sink returns — borrowed, as the row tier's
-// are.
-func rowFeed(rel *table.Relation) *Source {
-	return NewSource(rel.Schema, func(sink engine.Sink) error {
-		buf := make([]table.Tuple, 5)
-		for lo := 0; lo < rel.Len(); lo += len(buf) {
-			rows := rel.Rows[lo:min(lo+len(buf), rel.Len())]
-			for i, row := range rows {
-				buf[i] = append(buf[i][:0], row...)
-			}
-			if err := sink.AddRows(buf[:len(rows)]); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
 // TestCollectLineageMatchesReference: hash-grouped collection returns the
 // Lineage the sort-based one returned, over the shapes that stress grouping
-// and dedup, through every feed the collector has — column batches of 1, 7
-// and 1024 rows with and without a selection vector, tuple batches, and a
-// materialized relation — in arrival order and shuffled, with full-width
-// hashes and with every hash cut to one bit — two chains holding all
-// answers, two holding all clauses — so equality, not the hash, does the
-// separating.
+// and dedup, through every feed a source has — column batches of 1, 7 and
+// 1024 rows with and without a selection vector, the row tier's drain
+// (streamOf), and a materialized relation — in arrival order and shuffled,
+// with full-width hashes and with every hash cut to one bit — two chains
+// holding all answers, two holding all clauses — so equality, not the hash,
+// does the separating.
 func TestCollectLineageMatchesReference(t *testing.T) {
-	feeds := map[string]func(*table.Relation) *Source{"relation": FromRelation, "rows": rowFeed}
+	feeds := map[string]func(*table.Relation) *Source{
+		"relation": FromRelation,
+		"row tier": func(rel *table.Relation) *Source { return streamOf(context.Background(), rel, true) },
+	}
 	for _, size := range []int{1, 7, 1024} {
 		for _, sel := range []bool{false, true} {
 			feeds[fmt.Sprintf("batches of %d sel=%v", size, sel)] = func(rel *table.Relation) *Source { return batchFeed(rel, size, sel) }

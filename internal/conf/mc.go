@@ -92,11 +92,11 @@ func CollectLineage(rel *table.Relation) (*Lineage, error) {
 // one lineage DNF per distinct answer: each input row contributes the clause
 // conjoining the row's variables (one per source table; deterministic
 // tuples, V = ⊤, drop out). A Boolean answer (no data columns) yields at
-// most one group. src is consumed as a sink — column batches and tuple
-// batches alike, borrowed — so a streamed answer is never materialized: a
-// row leaves nothing behind but its clause's literals, and those only when
-// its answer did not have the clause yet. ctx is checked between the
-// batches of a relation; a streamed source's feed polls its own.
+// most one group. src is consumed as a sink — borrowed column batches — so
+// a streamed answer is never materialized: a row leaves nothing behind but
+// its clause's literals, and those only when its answer did not have the
+// clause yet. ctx is checked between the batches of a relation; a streamed
+// source's feed polls its own.
 //
 // Grouping is by hash, not by sort: each row gets a dense group id and
 // appends its clause to a lineage-wide arena unless its answer already has
@@ -128,12 +128,11 @@ func collectLineage(ctx context.Context, src *Source, hashMask uint64) (*Lineage
 // entries and doubled — rehashed from the entries — as the stream grows,
 // since its length is not known up front; the equality-checked chains run
 // through the entries themselves, so nothing allocates per entry. Answers
-// go by the hash of their data columns (ColBatch.HashInto, bit for bit
-// table.HashOn, so both feeds group alike), clauses by the clause hash
-// folded with the group id — one table for the whole lineage. The Monte
-// Carlo path needs each answer's whole formula in memory anyway, so
-// in-memory tables — unlike the exact operator's external sort — are the
-// right tool.
+// go by the hash of their data columns (ColBatch.HashInto, straight from the
+// column vectors), clauses by the clause hash folded with the group id — one
+// table for the whole lineage. The Monte Carlo path needs each answer's
+// whole formula in memory anyway, so in-memory tables — unlike the exact
+// operator's external sort — are the right tool.
 type collector struct {
 	l                           *Lineage
 	mask                        uint64
@@ -220,36 +219,9 @@ func (c *collector) AddBatch(b *table.ColBatch) error {
 	return nil
 }
 
-// AddRows collects a batch of tuples.
-func (c *collector) AddRows(rows []table.Tuple) error {
-	for _, t := range rows {
-		c.arena = reserve(c.arena, len(c.varCols))
-		start := len(c.arena)
-		for k, vi := range c.varCols {
-			if err := c.literal(t[vi].AsVar(), t[c.probCols[k]].F, k); err != nil {
-				return err
-			}
-		}
-		h := table.HashOn(t, c.dataCols) & c.mask
-		head := &c.groupAt[bucket(h, len(c.groupAt))]
-		g := *head - 1
-		for g >= 0 && !(c.groups[g].hash == h && c.rowKeyIs(t, g)) {
-			g = c.groups[g].next
-		}
-		if g < 0 {
-			for _, col := range c.dataCols {
-				c.keys = append(c.keys, t[col])
-			}
-			g = c.newGroup(h, head)
-		}
-		c.clause(g, start)
-	}
-	return nil
-}
-
 // intAt and floatAt read the V or P cell of physical row i: typed storage,
-// or the generic layout's Value — what the tuple feed reads, NULLs (a zero
-// placeholder either way) included.
+// or the generic layout's Value — what Value.AsVar and Value.F read of the
+// row, NULLs (a zero placeholder either way) included.
 func intAt(v *table.ColVec, i int) int64 {
 	if v.Values != nil {
 		return v.Values[i].I
@@ -287,16 +259,6 @@ func (c *collector) batchKeyIs(b *table.ColBatch, row int, g int32) bool {
 	key := c.key(g)
 	for j, col := range c.dataCols {
 		if b.Cols[col].CompareValue(row, key[j]) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func (c *collector) rowKeyIs(t table.Tuple, g int32) bool {
-	key := c.key(g)
-	for j, col := range c.dataCols {
-		if table.Compare(t[col], key[j]) != 0 {
 			return false
 		}
 	}

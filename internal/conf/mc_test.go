@@ -79,7 +79,7 @@ func TestMonteCarloMatchesExactOperator(t *testing.T) {
 			table.VarValue(prob.Var(i + 1)), table.Float(0.05 + 0.9*rng.Float64()),
 		})
 	}
-	exact, err := Compute(rel, signature.NewStar(signature.Table("R")), Options{})
+	exact, _, err := ComputeStats(rel, signature.NewStar(signature.Table("R")), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

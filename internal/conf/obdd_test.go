@@ -68,7 +68,7 @@ func TestOBDDMatchesExactOperator(t *testing.T) {
 		})
 	}
 	sig := signature.NewStar(signature.Table("R"))
-	exact, err := Compute(rel, sig, Options{})
+	exact, _, err := ComputeStats(rel, sig, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

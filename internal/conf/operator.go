@@ -53,18 +53,12 @@ type Stats struct {
 // ConfCol is the name of the confidence column in the operator's output.
 const ConfCol = "conf"
 
-// Compute runs the confidence operator: given a materialized answer
+// ComputeStats runs the confidence operator: given a materialized answer
 // relation (data columns plus V/P columns for every source table) and a
 // signature over those sources, it returns the distinct data tuples with
-// their exact confidences. Semantically it equals the aggregation sequence
-// of Fig. 5; operationally it schedules the minimal number of sort+scan
-// passes (Prop. V.10).
-func Compute(rel *table.Relation, sig signature.Sig, opts Options) (*table.Relation, error) {
-	out, _, err := ComputeStats(rel, sig, opts)
-	return out, err
-}
-
-// ComputeStats is Compute with execution statistics.
+// their exact confidences, and what the operator did. Semantically it
+// equals the aggregation sequence of Fig. 5; operationally it schedules the
+// minimal number of sort+scan passes (Prop. V.10).
 func ComputeStats(rel *table.Relation, sig signature.Sig, opts Options) (*table.Relation, *Stats, error) {
 	return ComputeFrom(FromRelation(rel), sig, opts)
 }

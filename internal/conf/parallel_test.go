@@ -18,12 +18,12 @@ import (
 func TestComputeParallelBitIdentical(t *testing.T) {
 	rel := randomTwoSourceRel(rand.New(rand.NewSource(23)), 800, 6)
 	sig := twoSourceSig()
-	want, err := Compute(cloneRelation(rel), sig, Options{})
+	want, _, err := ComputeStats(cloneRelation(rel), sig, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 7} {
-		got, err := Compute(cloneRelation(rel), sig, Options{Pool: pool.New(workers)})
+		got, _, err := ComputeStats(cloneRelation(rel), sig, Options{Pool: pool.New(workers)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,14 +11,14 @@ import (
 )
 
 // Source is a confidence computation's input: a schema and a one-shot feed
-// that pushes the rows, batch by batch, into the sink it is handed. The
-// consumer takes the feed directly — the sort+scan operator's first sort
-// into run generation, lineage collection into its grouping tables — so an
-// input that is streamed (NewSource over a pipeline) is never held in
-// memory as a whole. A source over a materialized relation (FromRelation) feeds that
-// relation's rows through the same path and can be consumed any number of
-// times; a streamed one materializes itself only when asked for its
-// Relation.
+// that pushes the rows, a column batch at a time, into the sink it is
+// handed. The consumer takes the feed directly — the sort+scan operator's
+// first sort into run generation, lineage collection into its grouping
+// tables — so an input that is streamed (NewSource over a pipeline) is never
+// held in memory as a whole. A source over a materialized relation
+// (FromRelation) transposes that relation's rows into the same batches and
+// can be consumed any number of times; a streamed one materializes itself
+// only when asked for its Relation.
 type Source struct {
 	Schema *table.Schema
 	feed   func(engine.Sink) error // nil once consumed, or for a relation
@@ -59,22 +59,13 @@ func (s *Source) Relation(ctx context.Context) (*table.Relation, error) {
 	return s.rel, nil
 }
 
-// push delivers every row to sink: a relation's in batches of scanBatchSize
-// with the context checked between them, a streamed source's through its
-// feed, once.
+// push delivers every row to sink: a relation's through a columnar scan of
+// it, with the context checked between batches, a streamed source's through
+// its feed, once.
 func (s *Source) push(ctx context.Context, sink engine.Sink) error {
 	if s.rel != nil {
-		for rows := s.rel.Rows; len(rows) > 0; {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			n := min(len(rows), scanBatchSize)
-			if err := sink.AddRows(rows[:n]); err != nil {
-				return err
-			}
-			rows = rows[n:]
-		}
-		return nil
+		_, err := engine.StreamCtx(ctx, engine.NewMemScan(s.rel), false, sink)
+		return err
 	}
 	if s.feed == nil {
 		return fmt.Errorf("conf: streamed input consumed twice")
@@ -85,8 +76,7 @@ func (s *Source) push(ctx context.Context, sink engine.Sink) error {
 }
 
 // rowSink adapts a per-row function to a Sink: column batches are
-// materialized row by row into one reused tuple. The tuple handed to fn is
-// borrowed either way.
+// materialized row by row into one reused tuple, borrowed by fn.
 type rowSink struct {
 	fn  func(table.Tuple) error
 	row table.Tuple
@@ -107,23 +97,13 @@ func (r *rowSink) AddBatch(b *table.ColBatch) error {
 	return nil
 }
 
-func (r *rowSink) AddRows(rows []table.Tuple) error {
-	for _, t := range rows {
-		if err := r.fn(t); err != nil {
-			return err
-		}
-	}
-	r.n += int64(len(rows))
-	return nil
-}
-
 // scanFeed is the sink a grouped scan's input is fed into: run generation.
 // The rows go to one key sorter — or, under a multi-worker pool, once
 // pool.ParallelMinRows of them have arrived, to one sorter per worker,
-// routed by the hash of their group columns (ColBatch.HashInto, bit for bit
-// table.HashOn), so every group lands wholly in one partition. Until that
-// many rows have been seen they wait in a buffer: the rule that small
-// inputs scan serially is the materialized operator's, kept.
+// routed by the hash of their group columns (ColBatch.HashInto), so every
+// group lands wholly in one partition. Until that many rows have been seen
+// they wait in a buffer: the rule that small inputs scan serially is the
+// materialized operator's, kept.
 type scanFeed struct {
 	opts      Options
 	groupCols []int
@@ -163,26 +143,6 @@ func (f *scanFeed) AddBatch(b *table.ColBatch) error {
 		return f.route(b)
 	}
 	f.pend.AppendBatch(b, 0, b.Rows())
-	return f.decide()
-}
-
-// AddRows feeds one batch of tuples.
-func (f *scanFeed) AddRows(rows []table.Tuple) error {
-	switch {
-	case f.one != nil:
-		return f.one.AddRows(rows)
-	case f.parts != nil:
-		n := uint64(len(f.parts))
-		for _, t := range rows {
-			if err := f.parts[table.HashOn(t, f.groupCols)%n].Add(t); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, t := range rows {
-		f.pend.AppendRow(t)
-	}
 	return f.decide()
 }
 

@@ -1,22 +1,26 @@
 package conf
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/pool"
+	"repro/internal/prob"
 	"repro/internal/signature"
 	"repro/internal/table"
 )
 
 // streamOf wraps rel as a streamed source: a scan of it drained through
 // engine.StreamCtx on the requested tier, so the operator sees borrowed
-// column batches (or borrowed tuple batches) and never the relation.
+// column batches — the row tier's transposed from its tuple batches — and
+// never the relation.
 func streamOf(ctx context.Context, rel *table.Relation, rowExec bool) *Source {
 	return NewSource(rel.Schema, func(sink engine.Sink) error {
 		columnar, err := engine.StreamCtx(ctx, engine.NewMemScan(rel), rowExec, sink)
@@ -27,17 +31,38 @@ func streamOf(ctx context.Context, rel *table.Relation, rowExec bool) *Source {
 	})
 }
 
-// TestStreamedSortScanIdentity: the operator fed from an operator stream —
-// column batches or tuple batches, some straddling a run boundary — returns
-// the rows, the confidences to the bit, and the Stats (scans, sorts, spilled
-// runs and bytes, input tuples) it returns when fed the materialized
-// relation, serially and partition-parallel, unspilled and spilled.
+// TestStreamedSortScanIdentity: the operator fed from an operator stream on
+// either tier — column batches, some straddling a run boundary — returns the
+// rows, the confidences to the bit, and the Stats (scans, sorts, spilled runs
+// and bytes, input tuples) it returns when fed the materialized relation,
+// serially and partition-parallel, unspilled and spilled; and those agree
+// with GRPSequence, which never crosses a Sink. Besides typed columns, the
+// inputs put NULLs in the first rows of the data column (the batches' null
+// bitmap) and mix int and float cells in it (their generic Values layout, and
+// the key sorter's comparator fallback).
 func TestStreamedSortScanIdentity(t *testing.T) {
 	rel, _ := productRel(rand.New(rand.NewSource(5)), 25, 20, 40)
 	empty := table.NewRelation(rel.Schema)
+	nullsFirst := rekeyed(rel, table.KindString, func(g int) table.Value {
+		if g == 3 {
+			return table.Null()
+		}
+		return table.Str(fmt.Sprintf("answer-%03d", g))
+	})
+	slices.SortStableFunc(nullsFirst.Rows, func(a, b table.Tuple) int { return cmp.Compare(a[0].Kind, b[0].Kind) })
+	mixed := rekeyed(rel, table.KindFloat, func(g int) table.Value {
+		if g%2 == 0 {
+			return table.Int(int64(g))
+		}
+		return table.Float(float64(g) + 0.5)
+	})
 	step := signature.NewStar(signature.Table("S"))
 	ctx := context.Background()
-	for _, in := range []*table.Relation{rel, empty} {
+	for _, in := range []*table.Relation{rel, empty, nullsFirst, mixed} {
+		ref, err := GRPSequence(in, productSig())
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, budget := range []int{0, 2500} {
 			for _, workers := range []int{1, 2, 4} {
 				opts := Options{SortBudget: budget, TmpDir: t.TempDir(), Pool: pool.New(workers)}
@@ -53,6 +78,7 @@ func TestStreamedSortScanIdentity(t *testing.T) {
 				if spilled := wantStats.SpilledRuns > 0; spilled != (budget > 0 && in.Len() > budget) {
 					t.Fatalf("budget %d, %d rows: %d spilled runs", budget, in.Len(), wantStats.SpilledRuns)
 				}
+				mustAgreeWithGRP(t, want, ref)
 				for _, rowExec := range []bool{false, true} {
 					label := fmt.Sprintf("rows=%d budget=%d workers=%d rowExec=%v", in.Len(), budget, workers, rowExec)
 					got, stats, err := ComputeFrom(streamOf(ctx, in, rowExec), productSig(), opts)
@@ -86,8 +112,39 @@ func TestStreamedSortScanIdentity(t *testing.T) {
 	}
 }
 
-// cancelAfter cancels a context once n batches — of columns or of tuples —
-// have gone through it.
+// rekeyed rebuilds a productRel relation with its answer names
+// ("answer-%03d") replaced by key(g) in a data column of the given kind.
+func rekeyed(rel *table.Relation, kind table.Kind, key func(g int) table.Value) *table.Relation {
+	cols := slices.Clone(rel.Schema.Cols)
+	cols[0] = table.DataCol("d", kind)
+	out := table.NewRelation(table.NewSchema(cols...))
+	for _, row := range rel.Rows {
+		var g int
+		if _, err := fmt.Sscanf(row[0].S, "answer-%d", &g); err != nil {
+			panic(err)
+		}
+		nr := slices.Clone(row)
+		nr[0] = key(g)
+		out.MustAppend(nr)
+	}
+	return out
+}
+
+// mustAgreeWithGRP requires the operator's answers to be GRPSequence's, the
+// confidences within the cross-validation tolerance.
+func mustAgreeWithGRP(t *testing.T, got, ref *table.Relation) {
+	t.Helper()
+	if got.Len() != ref.Len() {
+		t.Fatalf("%d answers, GRP reference %d", got.Len(), ref.Len())
+	}
+	for i, row := range got.Rows {
+		if table.Compare(row[0], ref.Rows[i][0]) != 0 || !prob.ApproxEqual(row[1].F, ref.Rows[i][1].F, 1e-9) {
+			t.Fatalf("answer %d: %v, GRP reference %v", i, row, ref.Rows[i])
+		}
+	}
+}
+
+// cancelAfter cancels a context once n batches have gone through it.
 type cancelAfter struct {
 	engine.Sink
 	n      int
@@ -99,13 +156,6 @@ func (c *cancelAfter) AddBatch(b *table.ColBatch) error {
 		c.cancel()
 	}
 	return c.Sink.AddBatch(b)
-}
-
-func (c *cancelAfter) AddRows(rows []table.Tuple) error {
-	if c.n--; c.n == 0 {
-		c.cancel()
-	}
-	return c.Sink.AddRows(rows)
 }
 
 // TestStreamedScanCancelledMidFeed: a context cancelled while the stream is

@@ -9,11 +9,11 @@ import (
 // This file is the row tier's pull protocol and its consumers: operators
 // move tuples in batches of up to BatchSize through reused buffers, so the
 // per-tuple costs of the pull model — one interface call, one context check,
-// one buffer allocation per row — are paid once per batch. The drains
-// (StreamCtx into a Sink, the collectors built on it, Count) drive whole
-// pipelines batch by batch with cancellation checks at batch boundaries; the
-// few consumers whose algorithm is per-tuple (merge join, sorted group-by)
-// read through a Cursor.
+// one buffer allocation per row — are paid once per batch. The drains drive
+// whole pipelines batch by batch with cancellation checks at batch
+// boundaries: StreamCtx hands a Sink column batches whichever tier ran, and
+// CollectCtx materializes a row operator; the few consumers whose algorithm
+// is per-tuple (merge join, sorted group-by) read through a Cursor.
 
 // BatchSize is the default number of tuples moved per NextBatch call. Large
 // enough to amortize per-batch overheads, small enough that a batch of
@@ -145,22 +145,21 @@ func (r *stableReader) next() ([]table.Tuple, error) {
 	return r.buf[:n], nil
 }
 
-// Sink consumes a stream batch by batch: column batches when the stream ran
-// on the columnar tier, tuple batches otherwise. Either kind of batch is
-// borrowed — valid only until the call returns — so a sink copies what it
-// keeps. The external sorter (storage.ExternalSorter) is one: a sort+scan
-// placement streams its input straight into run generation.
+// Sink consumes a stream a column batch at a time. The batch is borrowed —
+// valid only until the call returns — so a sink copies what it keeps. The
+// external sorter (storage.ExternalSorter) is one: a sort+scan placement
+// streams its input straight into run generation.
 type Sink interface {
 	AddBatch(b *table.ColBatch) error
-	AddRows(rows []table.Tuple) error
 }
 
 // StreamCtx opens op, pushes its whole stream into sink and closes it — the
 // one drain every consumer of a whole pipeline goes through. The tree runs
 // on the columnar tier when it columnarizes (dead columns pruned) and
-// rowExec does not pin the row tier, on the row tier otherwise; the rows and
-// their order are the same either way. The context is checked once per
-// batch. It reports which tier ran.
+// rowExec does not pin the row tier, on the row tier otherwise, whose tuple
+// batches are transposed into one reused column batch; the rows and their
+// order are the same either way. The context is checked once per batch. It
+// reports which tier ran.
 func StreamCtx(ctx context.Context, op Operator, rowExec bool, sink Sink) (columnar bool, err error) {
 	if !rowExec {
 		if cop, ok := Columnarize(op); ok {
@@ -172,7 +171,12 @@ func StreamCtx(ctx context.Context, op Operator, rowExec bool, sink Sink) (colum
 		return false, err
 	}
 	defer op.Close()
-	return false, pumpRows(ctx, op, BatchSize, sink.AddRows)
+	s := op.Schema()
+	b := table.NewColBatch(s)
+	return false, pumpRows(ctx, op, BatchSize, func(rows []table.Tuple) error {
+		rowsToBatch(b, s, rows)
+		return sink.AddBatch(b)
+	})
 }
 
 // streamCols is StreamCtx's columnar half: open, pump every batch into the
@@ -219,9 +223,8 @@ func pumpRows(ctx context.Context, op Operator, batchSize int, add func([]table.
 // RelationSink is the Sink that materializes: every row is copied into slab
 // storage and appended to Rel.
 type RelationSink struct {
-	Rel    *table.Relation
-	stable bool // the producer's tuples outlive their batch: alias, don't copy
-	slab   table.Slab
+	Rel  *table.Relation
+	slab table.Slab
 }
 
 // NewRelationSink returns a sink building a relation of the given schema.
@@ -239,18 +242,6 @@ func (s *RelationSink) AddBatch(b *table.ColBatch) error {
 	return nil
 }
 
-// AddRows keeps the batch's tuples, cloned through the slab unless the
-// producer promised stable storage.
-func (s *RelationSink) AddRows(rows []table.Tuple) error {
-	for _, t := range rows {
-		if !s.stable {
-			t = s.slab.Clone(t)
-		}
-		s.Rel.Rows = append(s.Rel.Rows, t)
-	}
-	return nil
-}
-
 // CollectCtx drains an operator into an in-memory relation (opening and
 // closing it), batch by batch: the context is checked once per batch, and
 // tuples are cloned through a slab allocator — or aliased directly when the
@@ -260,18 +251,29 @@ func CollectCtx(ctx context.Context, op Operator) (*table.Relation, error) {
 }
 
 // CollectCtxBatch is CollectCtx with an explicit batch size — exposed so
-// tests can pin result stability across batch sizes.
+// tests can pin result stability across batch sizes. It holds the row
+// tier's materialization rule: clone unless the producer is stable.
 func CollectCtxBatch(ctx context.Context, op Operator, batchSize int) (*table.Relation, error) {
 	if err := op.Open(); err != nil {
 		return nil, err
 	}
 	defer op.Close()
-	sink := NewRelationSink(op.Schema())
-	sink.stable = Stable(op)
-	if err := pumpRows(ctx, op, batchSize, sink.AddRows); err != nil {
+	rel := table.NewRelation(op.Schema())
+	stable := Stable(op)
+	var slab table.Slab
+	err := pumpRows(ctx, op, batchSize, func(rows []table.Tuple) error {
+		for _, t := range rows {
+			if !stable {
+				t = slab.Clone(t)
+			}
+			rel.Rows = append(rel.Rows, t)
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	return sink.Rel, nil
+	return rel, nil
 }
 
 // Collect drains an operator into an in-memory relation.

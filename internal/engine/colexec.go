@@ -13,12 +13,13 @@ import (
 // MonetDB/X100 vectorized tradition. The hot relational plumbing — scan,
 // filter, project, hash join — runs as tight per-column loops over typed
 // slices with a selection vector, paying one interface call per batch
-// instead of per-row Value unboxing. Everything above the columnar region
-// (sort, group-by, the confidence operator) keeps consuming rows: ColToRows
-// adapts a columnar pipeline back to the row interface, and Columnarize
-// lowers a row plan to its columnar form when every operator in it has one —
-// which holds for every tree the planner pipelines, governed or not; any
-// other tree runs on the row tier unchanged. The columnar path is a pure
+// instead of per-row Value unboxing. The confidence operators take the
+// batches as they are (StreamCtx); the row operators above the columnar
+// region (sort, group-by) keep consuming rows: ColToRows adapts a columnar
+// pipeline back to the row interface, and Columnarize lowers a row plan to
+// its columnar form when every operator in it has one — which holds for
+// every tree the planner pipelines, governed or not; any other tree runs on
+// the row tier unchanged. The columnar path is a pure
 // execution-strategy change: it emits the same tuples in the same order as
 // the row path (hashes via ColBatch.HashInto are bit-identical to
 // table.HashOn), so confidences are pinned bit-identical across the two
@@ -552,7 +553,6 @@ func pruneCols(op ColOperator, need []bool) {
 // the row path unchanged. Both produce identical relations.
 func CollectCtxVec(ctx context.Context, op Operator) (rel *table.Relation, columnar bool, err error) {
 	sink := NewRelationSink(op.Schema())
-	sink.stable = Stable(op) // consulted by the row tier only
 	if columnar, err = StreamCtx(ctx, op, false, sink); err != nil {
 		return nil, columnar, err
 	}

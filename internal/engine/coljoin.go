@@ -121,7 +121,7 @@ func (j *ColHashJoin) Close() error {
 }
 
 // rowsToBatch transposes rows onto dst — the rows→columns boundary that
-// in-memory scans and the grace join cross.
+// in-memory scans, the grace join and the row tier's drain cross.
 func rowsToBatch(dst *table.ColBatch, s *table.Schema, rows []table.Tuple) int {
 	dst.Reset(s)
 	for _, t := range rows {

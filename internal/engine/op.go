@@ -13,10 +13,10 @@ import (
 // stream never returns an empty batch early). The returned tuples may alias
 // internal buffers: they remain valid until the next NextBatch call on the
 // operator unless it promises StableTuples, so consumers that retain tuples
-// across batches must clone them (RelationSink holds that rule; the batchalias
-// analyzer enforces it). Consumers that need one tuple at a time read
-// through a Cursor. A failed Open leaves the operator fully closed, children
-// included: collectors do not Close a tree whose Open errored.
+// across batches must clone them (CollectCtxBatch holds that rule; the
+// batchalias analyzer enforces it). Consumers that need one tuple at a time
+// read through a Cursor. A failed Open leaves the operator fully closed,
+// children included: collectors do not Close a tree whose Open errored.
 type Operator interface {
 	Schema() *table.Schema
 	Open() error

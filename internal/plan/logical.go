@@ -21,10 +21,6 @@ type built struct {
 	// sort+scan styles, the variable-order seed for OBDD plans (nil when
 	// none exists).
 	sig signature.Sig
-	// finalSig is the signature remaining at the top of a staged plan
-	// after the statically scheduled eager operators ran (equals sig for
-	// lazy plans).
-	finalSig signature.Sig
 	// eagerStages counts the leading stages carrying eager placement
 	// points (len(order) for eager, the prefix for hybrid, 0 for lazy).
 	eagerStages int
@@ -77,10 +73,9 @@ func buildLogical(c *Catalog, q *query.Query, sigma *fd.Set, spec Spec) (*built,
 		order := LazyOrder(c, q)
 		root := &logical.Conf{Input: logical.AnswerTree(q, order), Alg: logical.AlgSortScan, Sig: sig, Final: true}
 		return &built{
-			lp:       &logical.Plan{Style: "lazy", Mode: logical.ModeLineage, Root: root},
-			order:    order,
-			sig:      sig,
-			finalSig: sig,
+			lp:    &logical.Plan{Style: "lazy", Mode: logical.ModeLineage, Root: root},
+			order: order,
+			sig:   sig,
 		}, nil
 	case Eager, Hybrid:
 		return buildStaged(c, q, sigma, sig, spec)
@@ -103,9 +98,10 @@ func buildLineage(c *Catalog, q *query.Query, alg logical.Alg, style, note strin
 // buildStaged constructs the eager and hybrid plans: a left-deep join tree
 // with eager confidence-placement points after each of the first
 // eagerStages intermediates. The operators applied at each point — and the
-// signature remaining for the top — are computed statically with Restrict,
-// Replace and the static aggregation representative (conf.Rep), exactly
-// mirroring what the lowering will execute.
+// signature remaining for the top, the final placement's Sig — are computed
+// statically with Restrict, Replace and the static aggregation
+// representative (conf.Rep), which is the representative conf.AggregateFrom
+// leaves at run time; the lowering runs this schedule as it stands.
 func buildStaged(c *Catalog, q *query.Query, sigma *fd.Set, sig signature.Sig, spec Spec) (*built, error) {
 	style := "eager"
 	var order []query.RelRef
@@ -161,7 +157,6 @@ func buildStaged(c *Catalog, q *query.Query, sigma *fd.Set, sig signature.Sig, s
 		lp:          &logical.Plan{Style: style, Mode: logical.ModeLineage, Root: root},
 		order:       order,
 		sig:         sig,
-		finalSig:    cur,
 		eagerStages: eagerStages,
 	}, nil
 }

@@ -39,11 +39,6 @@ type lowerState struct {
 	spec Spec
 	mode logical.Mode
 
-	// cur is the runtime running signature of a staged plan: every eager
-	// aggregation replaces the operator it applied by its representative
-	// table, exactly as §V.B prescribes.
-	cur signature.Sig
-
 	probTime        time.Duration
 	pullTime        time.Duration // time inside streamed pipelines' pulls: tuple time
 	sorts           conf.Stats    // Scans, Sorts, SpilledRuns, SpillBytes over every sort+scan and π^ind placement
@@ -181,8 +176,9 @@ func (st *lowerState) operator(n logical.Node, sp *obs.Span) (engine.Operator, e
 // pullTimer sits between a streamed pipeline and the sink it feeds, timing
 // the pulls at batch granularity — two clock reads per batch: the time
 // between one hand-off returning and the next arriving was spent inside the
-// pipeline (Open, NextColBatch/NextBatch) and is tuple time; the time inside
-// the sink belongs to whoever consumes the rows.
+// pipeline (Open, NextColBatch/NextBatch and the row tier's transposition)
+// and is tuple time; the time inside the sink belongs to whoever consumes
+// the rows.
 type pullTimer struct {
 	sink engine.Sink
 	last time.Time
@@ -191,22 +187,11 @@ type pullTimer struct {
 }
 
 func (p *pullTimer) AddBatch(b *table.ColBatch) error {
-	p.arrive(b.Rows())
+	p.pull += statsNow().Sub(p.last)
+	p.rows += int64(b.Rows())
 	err := p.sink.AddBatch(b)
 	p.last = statsNow()
 	return err
-}
-
-func (p *pullTimer) AddRows(rows []table.Tuple) error {
-	p.arrive(len(rows))
-	err := p.sink.AddRows(rows)
-	p.last = statsNow()
-	return err
-}
-
-func (p *pullTimer) arrive(rows int) {
-	p.pull += statsNow().Sub(p.last)
-	p.rows += int64(rows)
 }
 
 // source lowers a subtree to a one-shot stream of its rows: the pipeline
@@ -239,9 +224,10 @@ func (st *lowerState) source(n logical.Node, sp *obs.Span) (*conf.Source, error)
 
 // applyConf runs a confidence placement below the top: an eager point
 // applies each scheduled probability-computation operator as sort+scan
-// passes — the first one streaming the input intermediate — and updates the
-// running signature with the operator's representative; an independent
-// projection is one such pass with MystiQ's per-group combine.
+// passes — the first one streaming the input intermediate; the signature
+// left for the top is the one buildStaged computed from the same schedule —
+// and an independent projection is one such pass with MystiQ's per-group
+// combine.
 func (st *lowerState) applyConf(cf *logical.Conf, sp *obs.Span) (*conf.Source, error) {
 	src, err := st.source(cf.Input, sp)
 	if err != nil {
@@ -253,15 +239,13 @@ func (st *lowerState) applyConf(cf *logical.Conf, sp *obs.Span) (*conf.Source, e
 		})
 	}
 	for _, op := range cf.Ops {
-		var rep string
-		src, err = st.placement(sp.Child("conf["+op.String()+"]"), src, func(cs *conf.Stats) (next *conf.Source, err error) {
-			next, rep, err = conf.AggregateFrom(src, op, st.spec.Conf, cs)
+		src, err = st.placement(sp.Child("conf["+op.String()+"]"), src, func(cs *conf.Stats) (*conf.Source, error) {
+			next, _, err := conf.AggregateFrom(src, op, st.spec.Conf, cs)
 			return next, err
 		})
 		if err != nil {
 			return nil, err
 		}
-		st.cur = Replace(st.cur, op, signature.Table(rep))
 		st.applied = append(st.applied, "["+op.String()+"]")
 	}
 	return src, nil
@@ -301,7 +285,7 @@ func runLogical(ex exec, c *Catalog, q *query.Query, b *built, spec Spec) (*Resu
 	if !ok || !root.Final {
 		return nil, fmt.Errorf("plan: logical plan for %s lacks a final confidence point", q.Name)
 	}
-	st := &lowerState{ex: ex, c: c, q: q, spec: spec, mode: b.lp.Mode, cur: b.sig}
+	st := &lowerState{ex: ex, c: c, q: q, spec: spec, mode: b.lp.Mode}
 	answerSp := ex.span("answer: " + describeOrder(b.order))
 	t0 := statsNow()
 	src, err := st.source(root.Input, answerSp)
@@ -359,10 +343,10 @@ func (st *lowerState) finishScanned(b *built, root *logical.Conf, src *conf.Sour
 		out, err = st.finalIndProject(root, src)
 		planLine, sigLine = fmt.Sprintf("mystiq safe plan over tree %s", b.tree), "(safe plan; no signature)"
 	} else {
-		out, err = st.topSortScan(src)
-		planLine, sigLine = fmt.Sprintf("lazy: %s; conf[%s] on top", describeOrder(b.order), st.cur), b.sig.String()
+		out, err = st.topSortScan(src, root.Sig)
+		planLine, sigLine = fmt.Sprintf("lazy: %s; conf[%s] on top", describeOrder(b.order), root.Sig), b.sig.String()
 		if b.eagerStages > 0 {
-			planLine = fmt.Sprintf("%s: %s; ops %v; top conf[%s]", b.lp.Style, describeOrder(b.order), st.applied, st.cur)
+			planLine = fmt.Sprintf("%s: %s; ops %v; top conf[%s]", b.lp.Style, describeOrder(b.order), st.applied, root.Sig)
 		}
 	}
 	if err != nil {
@@ -391,15 +375,16 @@ func (st *lowerState) finishScanned(b *built, root *logical.Conf, src *conf.Sour
 	}, nil
 }
 
-// topSortScan is the top sort+scan confidence operator: the full operator
-// when aggregation remains, the bare-table extraction when the eager stages
-// already reduced the signature to a single representative.
-func (st *lowerState) topSortScan(src *conf.Source) (*table.Relation, error) {
+// topSortScan is the top sort+scan confidence operator over the signature
+// left after the eager stages: the full operator when aggregation remains,
+// the bare-table extraction when the eager stages already reduced it to a
+// single representative.
+func (st *lowerState) topSortScan(src *conf.Source, sig signature.Sig) (*table.Relation, error) {
 	sp := st.ex.span("conf[sort+scan]")
 	pt0, pull0 := statsNow(), st.pullTime
 	var out *table.Relation
 	var err error
-	if bare, ok := st.cur.(signature.Table); ok {
+	if bare, ok := sig.(signature.Table); ok {
 		out, err = conf.FinalizeBareFrom(st.ex.ctx, src, string(bare))
 		if err != nil {
 			return nil, err
@@ -407,7 +392,7 @@ func (st *lowerState) topSortScan(src *conf.Source) (*table.Relation, error) {
 		sp.Str("final", "bare-table extraction")
 	} else {
 		var cstats *conf.Stats
-		out, cstats, err = conf.ComputeFrom(src, st.cur, st.spec.Conf)
+		out, cstats, err = conf.ComputeFrom(src, sig, st.spec.Conf)
 		if err != nil {
 			return nil, err
 		}
@@ -416,7 +401,7 @@ func (st *lowerState) topSortScan(src *conf.Source) (*table.Relation, error) {
 	}
 	d := statsSince(pt0) - (st.pullTime - pull0)
 	st.probTime += d
-	sp.Str("sig", st.cur.String()).Int("rows_in", src.Rows()).Int("distinct", int64(out.Len()))
+	sp.Str("sig", sig.String()).Int("rows_in", src.Rows()).Int("distinct", int64(out.Len()))
 	sp.SetDur(d)
 	return out, nil
 }

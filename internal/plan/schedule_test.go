@@ -1,0 +1,73 @@
+package plan_test
+
+import (
+	"slices"
+	"testing"
+
+	"repro/internal/conf"
+	"repro/internal/plan"
+	"repro/internal/prob"
+	"repro/internal/signature"
+	"repro/internal/table"
+	"repro/internal/tpch"
+)
+
+// TestStaticScheduleMatchesAggregation pins what the lowering trusts: the
+// signature an eager or hybrid plan leaves for its top operator is computed
+// at build time from conf.Rep, and never recomputed from what the eager
+// steps return. So for every operator either style schedules on the TPC-H
+// catalog, conf.Rep must name the representative conf.AggregateFrom leaves.
+func TestStaticScheduleMatchesAggregation(t *testing.T) {
+	cat := tpch.Generate(tpch.Config{SF: 0.002, Seed: 1}).Catalog()
+	entries := tpch.Catalog()
+	names := make([]string, 0, len(entries))
+	for name, e := range entries {
+		if e.Q != nil {
+			names = append(names, name)
+		}
+	}
+	slices.Sort(names)
+	checked := 0
+	for _, name := range names {
+		e := entries[name]
+		for _, style := range []plan.Style{plan.Eager, plan.Hybrid} {
+			p, err := plan.Prepare(cat, e.Q.Clone(), tpch.FDsFor(e), plan.Spec{Style: style})
+			if err != nil {
+				t.Fatalf("q%s/%v: %v", name, style, err)
+			}
+			for _, op := range p.ScheduledOps() {
+				want, err := conf.Rep(op)
+				if err != nil {
+					t.Fatalf("q%s/%v: Rep(%s): %v", name, style, op, err)
+				}
+				var stats conf.Stats
+				_, got, err := conf.AggregateFrom(conf.FromRelation(opInput(op)), op, conf.Options{}, &stats)
+				if err != nil {
+					t.Fatalf("q%s/%v: AggregateFrom(%s): %v", name, style, op, err)
+				}
+				if got != want {
+					t.Errorf("q%s/%v: [%s] leaves %s at run time, Rep says %s", name, style, op, got, want)
+				}
+				checked++
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no eager operator was scheduled on the catalog")
+	}
+	t.Logf("%d scheduled operators checked", checked)
+}
+
+// opInput is a one-row intermediate carrying a data column and a V/P pair
+// for every table of op — all an aggregation needs to run.
+func opInput(op signature.Sig) *table.Relation {
+	cols := []table.Column{table.DataCol("d", table.KindInt)}
+	row := table.Tuple{table.Int(1)}
+	for i, name := range signature.Tables(op) {
+		cols = append(cols, table.VarCol(name), table.ProbCol(name))
+		row = append(row, table.VarValue(prob.Var(i+1)), table.Float(0.5))
+	}
+	rel := table.NewRelation(table.NewSchema(cols...))
+	rel.MustAppend(row)
+	return rel
+}

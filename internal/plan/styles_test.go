@@ -135,7 +135,7 @@ func TestAnswerRelationShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := conf.Compute(rel, sig, conf.Options{})
+	out, _, err := conf.ComputeStats(rel, sig, conf.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
