@@ -7,6 +7,7 @@ package sprout_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/conf"
+	"repro/internal/difftest"
 	"repro/internal/plan"
 	"repro/internal/table"
 	"repro/internal/tpch"
@@ -156,9 +158,48 @@ func TestGenerousDeadlineStaysExact(t *testing.T) {
 	}
 }
 
+// TestExpiredDeadlineFailsCleanly pins the narrow side of the watermark
+// contract: the watermark degrades only the confidence tiers, and the
+// relational pipeline feeding them is bounded by the context's deadline
+// alone, checked once per batch. A watermarked run over a disk catalog whose
+// deadline has already passed therefore fails with
+// context.DeadlineExceeded under every style, governed and spill-prone,
+// and leaves no spill file and no pinned buffer-pool frame behind.
+func TestExpiredDeadlineFailsCleanly(t *testing.T) {
+	difftest.LeakCheck(t)
+	dir := t.TempDir()
+	if err := tpch.Generate(tpch.Config{SF: 0.002, Seed: 4}).WriteHeapFiles(dir); err != nil {
+		t.Fatal(err)
+	}
+	disk, _, closeFiles, err := tpch.OpenDiskCatalog(dir, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeFiles()
+	bp := disk.Disk(disk.Names()[0]).Pool
+	e := tpch.Catalog()["18"]
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	for _, style := range []plan.Style{plan.Lazy, plan.Eager, plan.SafeMystiQ, plan.OBDD, plan.MonteCarlo} {
+		sp := plan.Spec{Style: style, Watermark: time.Second, MemBudget: 128 << 10}
+		sp.Conf.TmpDir = t.TempDir()
+		sp.Conf.SortBudget = 256
+		_, err := plan.RunContext(ctx, disk, e.Q.Clone(), tpch.FDsFor(e), sp)
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%v: got %v, want context.DeadlineExceeded", style, err)
+		}
+		if entries, err := os.ReadDir(sp.Conf.TmpDir); err != nil || len(entries) != 0 {
+			t.Errorf("%v: expired run leaked %d spill files (%v)", style, len(entries), err)
+		}
+		if n := bp.Pinned(); n != 0 {
+			t.Errorf("%v: expired run left %d buffer-pool frames pinned", style, n)
+		}
+	}
+}
+
 // TestMemoryBudgetOnTPCH runs a multi-join TPC-H query under a budget that
-// forces governed execution — in both tiers, each with its own grace join,
-// under the lazy plan and under MystiQ's safe plan, whose joins and
+// forces governed execution — a grace join under the lazy plan and under
+// MystiQ's safe plan, whose joins and
 // independent projections charge the same governor — asserting a run marked
 // degraded by memory whose answers are identical to the ungoverned run's
 // (grace joins and early spills reorder work, never results) and no spill
@@ -178,33 +219,29 @@ func TestMemoryBudgetOnTPCH(t *testing.T) {
 		for _, row := range base.Rows.Rows {
 			truth[headKey(row)] = row[ci].F
 		}
-		for _, rowExec := range []bool{false, true} {
-			name := fmt.Sprintf("%v RowExec=%v", style, rowExec)
-			sp := plan.Spec{Style: style, MemBudget: 128 << 10, RowExec: rowExec}
-			sp.Conf.TmpDir = t.TempDir()
-			gov, err := plan.Run(catalog, e.Q.Clone(), sigma, sp)
-			if err != nil {
-				t.Fatalf("governed run (%s): %v", name, err)
+		sp := plan.Spec{Style: style, MemBudget: 128 << 10}
+		sp.Conf.TmpDir = t.TempDir()
+		gov, err := plan.Run(catalog, e.Q.Clone(), sigma, sp)
+		if err != nil {
+			t.Fatalf("governed run (%v): %v", style, err)
+		}
+		if !gov.Stats.Degraded || gov.Stats.DegradeReason != "memory" || gov.Stats.GraceJoins == 0 {
+			t.Errorf("%v: the budget must degrade the run by memory through a grace join: %+v", style, gov.Stats)
+		}
+		if base.Rows.Len() != gov.Rows.Len() {
+			t.Fatalf("%v: %d governed rows vs %d ungoverned", style, gov.Rows.Len(), base.Rows.Len())
+		}
+		for _, row := range gov.Rows.Rows {
+			w, ok := truth[headKey(row)]
+			if !ok {
+				t.Fatalf("%v: governed answer %q missing from baseline", style, headKey(row))
 			}
-			if !gov.Stats.Degraded || gov.Stats.DegradeReason != "memory" || gov.Stats.GraceJoins == 0 {
-				t.Errorf("%s: the budget must degrade the run by memory through a grace join: %+v", name, gov.Stats)
+			if g := row[ci].F; g != w {
+				t.Errorf("%v: answer %q: governed confidence %x != ungoverned %x", style, headKey(row), g, w)
 			}
-			if base.Rows.Len() != gov.Rows.Len() {
-				t.Fatalf("%s: %d governed rows vs %d ungoverned", name, gov.Rows.Len(), base.Rows.Len())
-			}
-			for _, row := range gov.Rows.Rows {
-				w, ok := truth[headKey(row)]
-				if !ok {
-					t.Fatalf("%s: governed answer %q missing from baseline", name, headKey(row))
-				}
-				if g := row[ci].F; g != w {
-					t.Errorf("%s: answer %q: governed confidence %s != ungoverned %s",
-						name, headKey(row), fmt.Sprintf("%x", g), fmt.Sprintf("%x", w))
-				}
-			}
-			if entries, err := os.ReadDir(sp.Conf.TmpDir); err != nil || len(entries) != 0 {
-				t.Errorf("%s: governed run leaked %d spill files (%v)", name, len(entries), err)
-			}
+		}
+		if entries, err := os.ReadDir(sp.Conf.TmpDir); err != nil || len(entries) != 0 {
+			t.Errorf("%v: governed run leaked %d spill files (%v)", style, len(entries), err)
 		}
 	}
 }

@@ -240,11 +240,7 @@ func TestEngineCancellation(t *testing.T) {
 // fallback chain. The structural execution trace (Trace.Fingerprint: row
 // counts, lineage shape, compilation and sampler detail — everything but
 // timings and the loose scheduling-dependent attributes) is part of the
-// same contract and must also match across worker counts. Since the
-// vectorized tier landed, the execution strategy is a third axis of the
-// same contract: every case also runs with WithRowExecution (forcing the
-// classic tuple-at-a-time path) and must return the same confidences and
-// the same structural trace as the default columnar-capable run. The
+// same contract and must also match across worker counts. The
 // safe-plan baseline, which shares the lowering and the sort+scan pass with
 // the other styles, additionally runs the benchmark's TPC-H queries at SF
 // 0.005 — large enough for partitioned sort+scan passes and projections.
@@ -301,18 +297,6 @@ func TestWorkerCountBitIdentical(t *testing.T) {
 				if got := res.Stats.Trace.Fingerprint(); got != wantTrace {
 					t.Errorf("workers=%d: structural trace diverged\n--- workers=1 ---\n%s\n--- workers=%d ---\n%s",
 						workers, wantTrace, workers, got)
-				}
-			}
-			for _, workers := range []int{1, 4} {
-				res, err := db.Run(wrapQuery(tc.q), tc.style,
-					WithWorkers(workers), WithSeed(1), WithTrace(), WithRowExecution())
-				if err != nil {
-					t.Fatalf("row exec workers=%d: %v", workers, err)
-				}
-				mustSameConfidences(t, fmt.Sprintf("%s row-exec workers=%d", tc.name, workers), confMap(t, res), want)
-				if got := res.Stats.Trace.Fingerprint(); got != wantTrace {
-					t.Errorf("row exec workers=%d: structural trace diverged\n--- columnar ---\n%s\n--- row ---\n%s",
-						workers, wantTrace, got)
 				}
 			}
 		})

@@ -11,9 +11,8 @@ import (
 // NextBatch call (the cursor's next refill) unless the source operator
 // promises StableTuples. A consumer that retains such a tuple past the batch
 // (appending it to a long-lived slice, storing it in a struct field) without
-// a table.Slab clone sees the tuple silently overwritten by a later batch.
-// This is exactly the aliasing bug class the row tier's materialization
-// rule (engine.CollectCtxBatch) exists to prevent.
+// a table.Slab clone (or Cursor.Keep) sees the tuple silently overwritten by
+// a later batch.
 //
 // The analyzer tracks, per function, the batch slices passed to
 // NextBatch-shaped calls and the tuples read out of them (indexing or
@@ -220,10 +219,10 @@ func checkBatchAliasBody(p *Pass, decl ast.Node, body *ast.BlockStmt) {
 			}
 			for _, arg := range v.Args[1:] {
 				if isBatchTuple(arg) {
-					p.Reportf(arg.Pos(), "tuple from a reused batch buffer is appended without a clone; later batches overwrite it — clone through a table.Slab, or source from a StableTuples operator (see engine.CollectCtxBatch)")
+					p.Reportf(arg.Pos(), "tuple from a reused batch buffer is appended without a clone; later batches overwrite it — clone through a table.Slab or Cursor.Keep, or source from a StableTuples operator")
 				} else if se, ok := ast.Unparen(arg).(*ast.SliceExpr); ok && v.Ellipsis.IsValid() {
 					if obj := rootObj(p, se.X); obj != nil && batches[obj] {
-						p.Reportf(arg.Pos(), "batch buffer contents are appended wholesale without clones; later batches overwrite them — clone through a table.Slab, or source from a StableTuples operator (see engine.CollectCtxBatch)")
+						p.Reportf(arg.Pos(), "batch buffer contents are appended wholesale without clones; later batches overwrite them — clone each through a table.Slab, or source from a StableTuples operator")
 					}
 				}
 			}
@@ -243,7 +242,7 @@ func checkBatchAliasBody(p *Pass, decl ast.Node, body *ast.BlockStmt) {
 					if obj != nil && (params[obj] || batches[obj]) {
 						continue // filling the caller's batch, or shuffling within one
 					}
-					p.Reportf(v.Rhs[i].Pos(), "tuple from a reused batch buffer is stored in long-lived storage without a clone; later batches overwrite it — clone through a table.Slab (see engine.CollectCtxBatch)")
+					p.Reportf(v.Rhs[i].Pos(), "tuple from a reused batch buffer is stored in long-lived storage without a clone; later batches overwrite it — clone through a table.Slab or Cursor.Keep")
 				}
 			}
 		}

@@ -4,11 +4,11 @@
 // bug class it guards against:
 //
 //   - batchalias — tuples from Operator.NextBatch (and, one at a time, from
-//     engine.Cursor.Next) live in reused buffers and must be slab-cloned
-//     before they outlive the batch, unless the source op promises
-//     StableTuples (PR 5's materialization rule, held in one place by
-//     engine.CollectCtxBatch); likewise the column storage of a ColBatch
-//     refilled by NextColBatch or handed, borrowed, to a sink's AddBatch.
+//     engine.Cursor.Next) live in reused buffers and must be cloned through
+//     a table.Slab or Cursor.Keep before they outlive the batch, unless the
+//     source op promises StableTuples (PR 5's materialization rule);
+//     likewise the column storage of a ColBatch refilled by NextColBatch or
+//     handed, borrowed, to a sink's AddBatch.
 //   - detrand — the deterministic packages (prob, clauseset, obdd, dtree,
 //     conf, engine, signature, stats, plan) must not consume global
 //     math/rand state, wall-clock time, or the pid: confidences are pinned

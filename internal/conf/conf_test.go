@@ -84,7 +84,7 @@ func TestFig1Confidence(t *testing.T) {
 			t.Errorf("%s: stats = %+v", tc.name, stats)
 		}
 
-		ref, err := GRPSequence(fig1Answer(), tc.sig)
+		ref, err := grpSequence(fig1Answer(), tc.sig)
 		if err != nil {
 			t.Fatalf("%s: GRP: %v", tc.name, err)
 		}
@@ -178,7 +178,7 @@ func TestProductSignature(t *testing.T) {
 		t.Errorf("scans = %d, want 1", stats.Scans)
 	}
 	// Cross-check against the GRP reference.
-	ref, err := GRPSequence(productRelation(rp, sp), sig)
+	ref, err := grpSequence(productRelation(rp, sp), sig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +417,7 @@ func TestQuickOperatorMatchesOracle(t *testing.T) {
 			t.Logf("seed %d: operator %g oracle %g", seed, out.Rows[0][0].F, want)
 			return false
 		}
-		ref, err := GRPSequence(rel, sig)
+		ref, err := grpSequence(rel, sig)
 		if err != nil {
 			t.Fatal(err)
 		}

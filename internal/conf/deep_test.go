@@ -76,7 +76,7 @@ func TestBranchingFiveTableTree(t *testing.T) {
 	}
 
 	// Cross-validate with the GRP reference and the DNF oracle.
-	ref, err := GRPSequence(rel, sig)
+	ref, err := grpSequence(rel, sig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestComputeRejectsMissingColumns(t *testing.T) {
 func TestGRPSequenceRejectsUnknownTables(t *testing.T) {
 	sch := table.NewSchema(table.VarCol("R"), table.ProbCol("R"))
 	rel := table.NewRelation(sch)
-	if _, err := GRPSequence(rel, signature.NewStar(signature.Table("Z"))); err == nil {
+	if _, err := grpSequence(rel, signature.NewStar(signature.Table("Z"))); err == nil {
 		t.Error("unknown table must be rejected")
 	}
 }

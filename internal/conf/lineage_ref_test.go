@@ -283,7 +283,7 @@ func appendCells(b *table.ColBatch, row table.Tuple, k int) {
 // TestCollectLineageMatchesReference: hash-grouped collection returns the
 // Lineage the sort-based one returned, over the shapes that stress grouping
 // and dedup, through every feed a source has — column batches of 1, 7 and
-// 1024 rows with and without a selection vector, the row tier's drain
+// 1024 rows with and without a selection vector, a scan's drain
 // (streamOf), and a materialized relation — in arrival order and shuffled,
 // with full-width hashes and with every hash cut to one bit — two chains
 // holding all answers, two holding all clauses — so equality, not the hash,
@@ -291,7 +291,7 @@ func appendCells(b *table.ColBatch, row table.Tuple, k int) {
 func TestCollectLineageMatchesReference(t *testing.T) {
 	feeds := map[string]func(*table.Relation) *Source{
 		"relation": FromRelation,
-		"row tier": func(rel *table.Relation) *Source { return streamOf(context.Background(), rel, true) },
+		"drain":    func(rel *table.Relation) *Source { return streamOf(context.Background(), rel) },
 	}
 	for _, size := range []int{1, 7, 1024} {
 		for _, sel := range []bool{false, true} {
@@ -322,18 +322,13 @@ func TestCollectLineageMatchesReference(t *testing.T) {
 }
 
 // TestCollectLineageCancelled: a context cancelled while the answer is
-// still streaming into collection — through either tier's drain, or a
+// still streaming into collection — through a pipeline's drain, or a
 // relation's own batches — ends it with the context's error.
 func TestCollectLineageCancelled(t *testing.T) {
 	rel := lineageCases[4].build(rand.New(rand.NewSource(5)))
 	for name, feed := range map[string]func(ctx context.Context, sink engine.Sink) error{
-		"columnar": func(ctx context.Context, sink engine.Sink) error {
-			_, err := engine.StreamCtx(ctx, engine.NewMemScan(rel), false, sink)
-			return err
-		},
-		"row": func(ctx context.Context, sink engine.Sink) error {
-			_, err := engine.StreamCtx(ctx, engine.NewMemScan(rel), true, sink)
-			return err
+		"drain": func(ctx context.Context, sink engine.Sink) error {
+			return engine.StreamCtx(ctx, &engine.ColMemScan{Rel: rel}, sink)
 		},
 		"relation": func(ctx context.Context, sink engine.Sink) error { return FromRelation(rel).push(ctx, sink) },
 	} {

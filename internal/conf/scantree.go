@@ -17,11 +17,11 @@
 //     confidence placement: the same sort+scan pass — same streaming, same
 //     spilling, partitioning and governor — with a different per-group
 //     accumulator;
-//   - the literal GRP-sequence semantics of Fig. 5/6 (grp.go), used as a
-//     reference implementation for cross-validation;
+//   - the literal GRP-sequence semantics of Fig. 5/6 (grp_test.go), the
+//     tests' reference implementation;
 //   - the lineage tiers (tier.go) for queries without a hierarchical
 //     signature: the answer streams from a Source into per-answer lineage
-//     DNFs once (CollectLineageFrom: column or tuple batches hash-grouped
+//     DNFs once (CollectLineageFrom: column batches hash-grouped
 //     straight into a shared clause arena, the answer itself never held;
 //     sorted Keys and canonically sorted clauses make the result
 //     independent of the join's row order) and a tier turns them into

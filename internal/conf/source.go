@@ -64,8 +64,7 @@ func (s *Source) Relation(ctx context.Context) (*table.Relation, error) {
 // its feed, once.
 func (s *Source) push(ctx context.Context, sink engine.Sink) error {
 	if s.rel != nil {
-		_, err := engine.StreamCtx(ctx, engine.NewMemScan(s.rel), false, sink)
-		return err
+		return engine.StreamCtx(ctx, &engine.ColMemScan{Rel: s.rel}, sink)
 	}
 	if s.feed == nil {
 		return fmt.Errorf("conf: streamed input consumed twice")

@@ -295,7 +295,7 @@ func TestSortScanAllocs(t *testing.T) {
 			var stats *Stats
 			run := func() {
 				var err error
-				if _, stats, err = ComputeFrom(streamOf(context.Background(), rel, false), productSig(), opts); err != nil {
+				if _, stats, err = ComputeFrom(streamOf(context.Background(), rel), productSig(), opts); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -18,25 +18,20 @@ import (
 )
 
 // streamOf wraps rel as a streamed source: a scan of it drained through
-// engine.StreamCtx on the requested tier, so the operator sees borrowed
-// column batches — the row tier's transposed from its tuple batches — and
-// never the relation.
-func streamOf(ctx context.Context, rel *table.Relation, rowExec bool) *Source {
+// engine.StreamCtx, so the operator sees borrowed column batches and never
+// the relation.
+func streamOf(ctx context.Context, rel *table.Relation) *Source {
 	return NewSource(rel.Schema, func(sink engine.Sink) error {
-		columnar, err := engine.StreamCtx(ctx, engine.NewMemScan(rel), rowExec, sink)
-		if err == nil && columnar == rowExec {
-			err = fmt.Errorf("stream ran columnar=%v with rowExec=%v", columnar, rowExec)
-		}
-		return err
+		return engine.StreamCtx(ctx, &engine.ColMemScan{Rel: rel}, sink)
 	})
 }
 
-// TestStreamedSortScanIdentity: the operator fed from an operator stream on
-// either tier — column batches, some straddling a run boundary — returns the
-// rows, the confidences to the bit, and the Stats (scans, sorts, spilled runs
-// and bytes, input tuples) it returns when fed the materialized relation,
+// TestStreamedSortScanIdentity: the operator fed from an operator stream —
+// column batches, some straddling a run boundary — returns the rows, the
+// confidences to the bit, and the Stats (scans, sorts, spilled runs and
+// bytes, input tuples) it returns when fed the materialized relation,
 // serially and partition-parallel, unspilled and spilled; and those agree
-// with GRPSequence, which never crosses a Sink. Besides typed columns, the
+// with grpSequence, which never crosses a Sink. Besides typed columns, the
 // inputs put NULLs in the first rows of the data column (the batches' null
 // bitmap) and mix int and float cells in it (their generic Values layout, and
 // the key sorter's comparator fallback).
@@ -59,7 +54,7 @@ func TestStreamedSortScanIdentity(t *testing.T) {
 	step := signature.NewStar(signature.Table("S"))
 	ctx := context.Background()
 	for _, in := range []*table.Relation{rel, empty, nullsFirst, mixed} {
-		ref, err := GRPSequence(in, productSig())
+		ref, err := grpSequence(in, productSig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,33 +74,31 @@ func TestStreamedSortScanIdentity(t *testing.T) {
 					t.Fatalf("budget %d, %d rows: %d spilled runs", budget, in.Len(), wantStats.SpilledRuns)
 				}
 				mustAgreeWithGRP(t, want, ref)
-				for _, rowExec := range []bool{false, true} {
-					label := fmt.Sprintf("rows=%d budget=%d workers=%d rowExec=%v", in.Len(), budget, workers, rowExec)
-					got, stats, err := ComputeFrom(streamOf(ctx, in, rowExec), productSig(), opts)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					mustEqualRelations(t, got, want, workers)
-					if fmt.Sprint(*stats) != fmt.Sprint(*wantStats) {
-						t.Errorf("%s: stats %+v, want %+v", label, *stats, *wantStats)
-					}
-					if stats.InputTuples != int64(in.Len()) {
-						t.Errorf("%s: InputTuples %d, want %d", label, stats.InputTuples, in.Len())
-					}
-					var agg Stats
-					src := streamOf(ctx, in, rowExec)
-					out, rep, err := AggregateFrom(src, step, opts, &agg)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					gotStep, err := out.Relation(ctx)
-					if err != nil {
-						t.Fatal(err)
-					}
-					mustEqualRelations(t, gotStep, wantStep, workers)
-					if rep != wantRep || fmt.Sprint(agg) != fmt.Sprint(wantAgg) || src.Rows() != int64(in.Len()) {
-						t.Errorf("%s: step rep %s stats %+v rows %d, want %s %+v %d", label, rep, agg, src.Rows(), wantRep, wantAgg, in.Len())
-					}
+				label := fmt.Sprintf("rows=%d budget=%d workers=%d", in.Len(), budget, workers)
+				got, stats, err := ComputeFrom(streamOf(ctx, in), productSig(), opts)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				mustEqualRelations(t, got, want, workers)
+				if fmt.Sprint(*stats) != fmt.Sprint(*wantStats) {
+					t.Errorf("%s: stats %+v, want %+v", label, *stats, *wantStats)
+				}
+				if stats.InputTuples != int64(in.Len()) {
+					t.Errorf("%s: InputTuples %d, want %d", label, stats.InputTuples, in.Len())
+				}
+				var agg Stats
+				src := streamOf(ctx, in)
+				out, rep, err := AggregateFrom(src, step, opts, &agg)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				gotStep, err := out.Relation(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mustEqualRelations(t, gotStep, wantStep, workers)
+				if rep != wantRep || fmt.Sprint(agg) != fmt.Sprint(wantAgg) || src.Rows() != int64(in.Len()) {
+					t.Errorf("%s: step rep %s stats %+v rows %d, want %s %+v %d", label, rep, agg, src.Rows(), wantRep, wantAgg, in.Len())
 				}
 			}
 		}
@@ -130,7 +123,7 @@ func rekeyed(rel *table.Relation, kind table.Kind, key func(g int) table.Value) 
 	return out
 }
 
-// mustAgreeWithGRP requires the operator's answers to be GRPSequence's, the
+// mustAgreeWithGRP requires the operator's answers to be grpSequence's, the
 // confidences within the cross-validation tolerance.
 func mustAgreeWithGRP(t *testing.T, got, ref *table.Relation) {
 	t.Helper()
@@ -168,8 +161,7 @@ func TestStreamedScanCancelledMidFeed(t *testing.T) {
 		dir := t.TempDir()
 		ctx, cancel := context.WithCancel(context.Background())
 		src := NewSource(rel.Schema, func(sink engine.Sink) error {
-			_, err := engine.StreamCtx(ctx, engine.NewMemScan(rel), false, &cancelAfter{Sink: sink, n: 6, cancel: cancel})
-			return err
+			return engine.StreamCtx(ctx, &engine.ColMemScan{Rel: rel}, &cancelAfter{Sink: sink, n: 6, cancel: cancel})
 		})
 		_, _, err := ComputeFrom(src, twoSourceSig(), Options{SortBudget: 100, TmpDir: dir, Pool: pool.New(workers), Ctx: ctx})
 		cancel()
@@ -188,14 +180,14 @@ func TestStreamedScanCancelledMidFeed(t *testing.T) {
 func TestStreamedSourceIsOneShot(t *testing.T) {
 	rel := randomTwoSourceRel(rand.New(rand.NewSource(3)), 50, 3)
 	ctx := context.Background()
-	src := streamOf(ctx, rel, false)
+	src := streamOf(ctx, rel)
 	if _, _, err := ComputeFrom(src, twoSourceSig(), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := ComputeFrom(src, twoSourceSig(), Options{}); err == nil {
 		t.Fatal("second consumption of a streamed source succeeded")
 	}
-	src = streamOf(ctx, rel, false)
+	src = streamOf(ctx, rel)
 	got, err := src.Relation(ctx)
 	if err != nil {
 		t.Fatal(err)

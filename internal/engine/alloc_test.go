@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/prob"
@@ -9,11 +10,9 @@ import (
 
 // Allocation-regression guards for the hot paths the batched executor and
 // the hash-keyed containers are supposed to keep allocation-free: probing a
-// built hash join, recognizing duplicates in HashDistinct, and draining
-// batches through the collector. The budgets are deliberately loose (they
-// guard against a per-tuple regression, not against single allocations) but
-// orders of magnitude below the per-row costs of the string-keyed
-// implementations they replaced.
+// built hash join, and draining batches through the row view. The budgets
+// are deliberately loose where they allow anything at all (they guard
+// against a per-row regression, not against single allocations).
 
 const allocRows = 1024
 
@@ -35,27 +34,23 @@ func allocRel(rows, distinct int) *table.Relation {
 }
 
 // TestHashJoinProbeAllocs pins the probe side of a built hash join: once
-// Open has built the table, streaming every probe tuple through NextBatch
-// must not allocate per row.
+// Open has built the table and the output batch is warm, streaming every
+// probe row through NextColBatch allocates nothing.
 func TestHashJoinProbeAllocs(t *testing.T) {
-	left := NewMemScan(allocRel(allocRows, allocRows))
-	right := NewMemScan(allocRel(allocRows, allocRows))
-	j, err := NewHashJoin(left, right, []int{0}, []int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
+	left := &ColMemScan{Rel: allocRel(allocRows, allocRows)}
+	right := &ColMemScan{Rel: allocRel(allocRows, allocRows)}
+	j := hashJoin(t, left, right, []int{0}, []int{0})
 	if err := j.Open(); err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	buf := make([]table.Tuple, BatchSize)
+	b := table.NewColBatch(j.Schema())
 	probe := func() {
 		left.Open() // rewind the probe side; the built table stays
-		j.inN, j.inPos = 0, 0
-		j.curLen, j.curPos = 0, 0
+		j.n, j.i, j.gpos, j.glen = 0, 0, 0, 0
 		rows := 0
 		for {
-			n, err := j.NextBatch(buf)
+			n, err := j.NextColBatch(b)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,106 +63,51 @@ func TestHashJoinProbeAllocs(t *testing.T) {
 			t.Fatalf("probe produced %d rows, want %d", rows, allocRows)
 		}
 	}
-	probe() // warm up the slot buffers
-	avg := testing.AllocsPerRun(10, probe)
-	if avg > 16 {
-		t.Fatalf("hash join probe allocated %.1f times per %d-row probe pass, want ≤ 16", avg, allocRows)
+	probe() // warm up the output batch and the hash buffer
+	if avg := testing.AllocsPerRun(10, probe); avg != 0 {
+		t.Fatalf("hash join probe allocated %.1f times per %d-row probe pass, want 0", avg, allocRows)
 	}
 }
 
-// TestHashDistinctAllocs pins duplicate recognition: a stream that is
-// almost entirely duplicates must cost (nearly) nothing beyond the handful
-// of retained uniques.
-func TestHashDistinctAllocs(t *testing.T) {
-	const distinct = 4
-	rel := allocRel(allocRows, 1)
-	// Same k, few distinct (v mod distinct) rows repeated.
-	for i := range rel.Rows {
-		rel.Rows[i][1] = table.Int(int64(i % distinct))
-		rel.Rows[i][2] = table.VarValue(prob.Var(i%distinct + 1))
-	}
-	d := NewHashDistinct(NewMemScan(rel))
-	buf := make([]table.Tuple, BatchSize)
-	run := func() {
-		if err := d.Open(); err != nil {
-			t.Fatal(err)
-		}
-		rows := 0
-		for {
-			n, err := d.NextBatch(buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n == 0 {
-				break
-			}
-			rows += n
-		}
-		if rows != distinct {
-			t.Fatalf("distinct produced %d rows, want %d", rows, distinct)
-		}
-		d.Close()
-	}
-	run()
-	avg := testing.AllocsPerRun(10, run)
-	// Each run rebuilds the seen set (one map, a few chains) but the 1020
-	// duplicate rows must not contribute: well under one alloc per row.
-	if avg > 32 {
-		t.Fatalf("HashDistinct allocated %.1f times per %d-row pass, want ≤ 32", avg, allocRows)
-	}
-}
-
-// TestCollectBatchIdentity pins that the batched collector produces the
-// same relation for every batch size — including size 1, which degenerates
-// to the classic tuple-at-a-time pull.
+// TestCollectBatchIdentity pins that reading a pipeline through its row view
+// (ColToRows) yields the rows its column batches carry for every row batch
+// size — including 1, the classic tuple-at-a-time pull — and the number of
+// rows a filtered, projected join drains to.
 func TestCollectBatchIdentity(t *testing.T) {
 	rel := allocRel(512, 61)
-	build := func() Operator {
-		j, err := NewHashJoin(NewMemScan(rel), NewMemScan(rel), []int{0}, []int{0})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var f Operator = NewFilter(j, Cmp{L: ColRef{Idx: 1, Name: "v"}, Op: OpLt, R: Const{V: table.Int(400)}})
+	build := func() ColOperator {
+		j := hashJoin(t, &ColMemScan{Rel: rel}, &ColMemScan{Rel: rel}, []int{0}, []int{0})
+		f := &ColFilter{In: j, Preds: []ColPred{{Col: 1, Op: OpLt, Val: table.Int(400)}}}
 		p, err := NewColumnProject(f, []string{"k", "v"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return NewHashDistinct(p)
+		return p
 	}
-	ref, err := CollectCtxBatch(nil, build(), 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := collect(t, build())
 	if ref.Len() == 0 {
 		t.Fatal("reference run produced no rows")
 	}
 	for _, bs := range []int{1, 7, 1024} {
-		got, err := CollectCtxBatch(nil, build(), bs)
-		if err != nil {
-			t.Fatalf("batch size %d: %v", bs, err)
+		op := &ColToRows{In: build()}
+		if err := op.Open(); err != nil {
+			t.Fatal(err)
 		}
-		if got.Len() != ref.Len() {
-			t.Fatalf("batch size %d: %d rows, want %d", bs, got.Len(), ref.Len())
-		}
-		for i := range ref.Rows {
-			if table.CompareOn(got.Rows[i], ref.Rows[i], []int{0, 1}) != 0 {
-				t.Fatalf("batch size %d: row %d = %v, want %v", bs, i, got.Rows[i], ref.Rows[i])
+		buf := make([]table.Tuple, bs)
+		var got []table.Tuple
+		for {
+			n, err := op.NextBatch(buf)
+			if err != nil {
+				t.Fatalf("batch size %d: %v", bs, err)
+			}
+			if n == 0 {
+				break
+			}
+			for _, row := range buf[:n] {
+				got = append(got, row.Clone())
 			}
 		}
-	}
-	// The columnar tier is part of the same identity contract: the pipeline
-	// below the distinct lowers to column batches (the distinct itself stays
-	// a row operator) and must produce the same relation.
-	got, _, err := CollectCtxVec(nil, build())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != ref.Len() {
-		t.Fatalf("columnar: %d rows, want %d", got.Len(), ref.Len())
-	}
-	for i := range ref.Rows {
-		if table.CompareOn(got.Rows[i], ref.Rows[i], []int{0, 1}) != 0 {
-			t.Fatalf("columnar: row %d = %v, want %v", i, got.Rows[i], ref.Rows[i])
-		}
+		op.Close()
+		mustSameRelations(t, fmt.Sprintf("batch size %d", bs), &table.Relation{Schema: ref.Schema, Rows: got}, ref)
 	}
 }

@@ -6,24 +6,23 @@ import (
 	"repro/internal/table"
 )
 
-// This file is the row tier's pull protocol and its consumers: operators
-// move tuples in batches of up to BatchSize through reused buffers, so the
-// per-tuple costs of the pull model — one interface call, one context check,
-// one buffer allocation per row — are paid once per batch. The drains drive
-// whole pipelines batch by batch with cancellation checks at batch
-// boundaries: StreamCtx hands a Sink column batches whichever tier ran, and
-// CollectCtx materializes a row operator; the few consumers whose algorithm
-// is per-tuple (merge join, sorted group-by) read through a Cursor.
+// This file holds the batch protocols' shared pieces and the drain: the
+// pull loops move rows in batches of up to BatchSize through reused
+// buffers, so the per-row costs of the pull model — one interface call, one
+// context check, one buffer allocation per row — are paid once per batch.
+// StreamCtx drives a whole columnar pipeline into a Sink with a
+// cancellation check at every batch boundary; the grace join's row
+// operators pump through pumpRows, and its per-tuple merge reads through a
+// Cursor.
 
-// BatchSize is the default number of tuples moved per NextBatch call. Large
-// enough to amortize per-batch overheads, small enough that a batch of
-// typical tuples stays cache-resident.
+// BatchSize is the number of rows moved per NextColBatch (or NextBatch)
+// call. Large enough to amortize per-batch overheads, small enough that a
+// batch of typical tuples stays cache-resident.
 const BatchSize = 1024
 
-// StableTuples marks operators whose emitted tuples stay valid for the
-// operator's whole lifetime (they never reuse tuple storage): in-memory and
-// heap scans, sorts, materialized joins, and pass-through wrappers over such
-// inputs. Consumers use it to skip defensive clones when materializing.
+// StableTuples marks row operators whose emitted tuples stay valid for the
+// operator's whole lifetime (they never reuse tuple storage): in-memory
+// scans and sorts. Consumers use it to skip defensive clones.
 type StableTuples interface {
 	StableTuples() bool
 }
@@ -34,8 +33,8 @@ func Stable(op Operator) bool {
 	return ok && s.StableTuples()
 }
 
-// slotBufs is a reusable set of per-slot output buffers for operators that
-// compute their output tuples (projections, join combiners): slot i of a
+// slotBufs is a reusable set of per-slot output buffers for row operators
+// that build their output tuples (ColToRows, the merge join): slot i of a
 // batch writes into bufs[i], so all tuples of one batch are simultaneously
 // valid while nothing is allocated after warm-up. The buffers are carved
 // from shared backing arrays, a block of slots per allocation.
@@ -115,36 +114,6 @@ func (c *Cursor) Keep(t table.Tuple) table.Tuple {
 	return t.Clone()
 }
 
-// stableReader pulls an operator's stream a batch at a time and makes every
-// tuple of the batch outlive it: cloned through a slab unless the operator
-// promises stable storage — the materialization rule of the row tier's join
-// builds.
-type stableReader struct {
-	op     Operator
-	stable bool
-	buf    []table.Tuple
-	slab   table.Slab
-}
-
-func newStableReader(op Operator) *stableReader {
-	return &stableReader{op: op, stable: Stable(op), buf: make([]table.Tuple, BatchSize)}
-}
-
-// next returns the next batch (empty at end of stream); the slice is reused,
-// the tuples in it are not.
-func (r *stableReader) next() ([]table.Tuple, error) {
-	n, err := r.op.NextBatch(r.buf)
-	if err != nil {
-		return nil, err
-	}
-	if !r.stable {
-		for i, t := range r.buf[:n] {
-			r.buf[i] = r.slab.Clone(t)
-		}
-	}
-	return r.buf[:n], nil
-}
-
 // Sink consumes a stream a column batch at a time. The batch is borrowed —
 // valid only until the call returns — so a sink copies what it keeps. The
 // external sorter (storage.ExternalSorter) is one: a sort+scan placement
@@ -154,34 +123,16 @@ type Sink interface {
 }
 
 // StreamCtx opens op, pushes its whole stream into sink and closes it — the
-// one drain every consumer of a whole pipeline goes through. The tree runs
-// on the columnar tier when it columnarizes (dead columns pruned) and
-// rowExec does not pin the row tier, on the row tier otherwise, whose tuple
-// batches are transposed into one reused column batch; the rows and their
-// order are the same either way. The context is checked once per batch. It
-// reports which tier ran.
-func StreamCtx(ctx context.Context, op Operator, rowExec bool, sink Sink) (columnar bool, err error) {
-	if !rowExec {
-		if cop, ok := Columnarize(op); ok {
-			pruneCols(cop, nil)
-			return true, streamCols(ctx, cop, sink)
-		}
+// one drain every consumer of a whole pipeline goes through. Dead columns
+// are pruned first (pruneCols), so heap scans decode only what the tree
+// reads. The context is checked before the tree opens and before every
+// batch — the only bound on a pipeline's running time; a hash join drains
+// its build side inside Open, between two checks.
+func StreamCtx(ctx context.Context, op ColOperator, sink Sink) error {
+	if ctx != nil && ctx.Err() != nil {
+		return ctx.Err()
 	}
-	if err := op.Open(); err != nil {
-		return false, err
-	}
-	defer op.Close()
-	s := op.Schema()
-	b := table.NewColBatch(s)
-	return false, pumpRows(ctx, op, BatchSize, func(rows []table.Tuple) error {
-		rowsToBatch(b, s, rows)
-		return sink.AddBatch(b)
-	})
-}
-
-// streamCols is StreamCtx's columnar half: open, pump every batch into the
-// sink, close.
-func streamCols(ctx context.Context, op ColOperator, sink Sink) error {
+	pruneCols(op, nil)
 	if err := op.Open(); err != nil {
 		return err
 	}
@@ -202,14 +153,11 @@ func streamCols(ctx context.Context, op ColOperator, sink Sink) error {
 }
 
 // pumpRows pulls an opened row operator's stream batch by batch and hands
-// each batch, borrowed, to add — the row tier's one pull loop. The context
-// (if any) is checked once per batch.
-func pumpRows(ctx context.Context, op Operator, batchSize int, add func([]table.Tuple) error) error {
-	buf := make([]table.Tuple, batchSize)
+// each batch, borrowed, to add — the row protocol's one pull loop, under
+// the grace join's sorts.
+func pumpRows(op Operator, add func([]table.Tuple) error) error {
+	buf := make([]table.Tuple, BatchSize)
 	for {
-		if ctx != nil && ctx.Err() != nil {
-			return ctx.Err()
-		}
 		n, err := op.NextBatch(buf)
 		if err != nil || n == 0 {
 			return err
@@ -240,43 +188,4 @@ func (s *RelationSink) AddBatch(b *table.ColBatch) error {
 		s.Rel.Rows = append(s.Rel.Rows, t)
 	}
 	return nil
-}
-
-// CollectCtx drains an operator into an in-memory relation (opening and
-// closing it), batch by batch: the context is checked once per batch, and
-// tuples are cloned through a slab allocator — or aliased directly when the
-// operator promises stable storage.
-func CollectCtx(ctx context.Context, op Operator) (*table.Relation, error) {
-	return CollectCtxBatch(ctx, op, BatchSize)
-}
-
-// CollectCtxBatch is CollectCtx with an explicit batch size — exposed so
-// tests can pin result stability across batch sizes. It holds the row
-// tier's materialization rule: clone unless the producer is stable.
-func CollectCtxBatch(ctx context.Context, op Operator, batchSize int) (*table.Relation, error) {
-	if err := op.Open(); err != nil {
-		return nil, err
-	}
-	defer op.Close()
-	rel := table.NewRelation(op.Schema())
-	stable := Stable(op)
-	var slab table.Slab
-	err := pumpRows(ctx, op, batchSize, func(rows []table.Tuple) error {
-		for _, t := range rows {
-			if !stable {
-				t = slab.Clone(t)
-			}
-			rel.Rows = append(rel.Rows, t)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rel, nil
-}
-
-// Collect drains an operator into an in-memory relation.
-func Collect(op Operator) (*table.Relation, error) {
-	return CollectCtx(nil, op)
 }

@@ -1,29 +1,20 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/storage"
 	"repro/internal/table"
 )
 
-// This file is the columnar execution tier: operators that move
-// table.ColBatch column vectors instead of []table.Tuple rows, in the
-// MonetDB/X100 vectorized tradition. The hot relational plumbing — scan,
-// filter, project, hash join — runs as tight per-column loops over typed
-// slices with a selection vector, paying one interface call per batch
-// instead of per-row Value unboxing. The confidence operators take the
-// batches as they are (StreamCtx); the row operators above the columnar
-// region (sort, group-by) keep consuming rows: ColToRows adapts a columnar
-// pipeline back to the row interface, and Columnarize lowers a row plan to
-// its columnar form when every operator in it has one — which holds for
-// every tree the planner pipelines, governed or not; any other tree runs on
-// the row tier unchanged. The columnar path is a pure
-// execution-strategy change: it emits the same tuples in the same order as
-// the row path (hashes via ColBatch.HashInto are bit-identical to
-// table.HashOn), so confidences are pinned bit-identical across the two
-// tiers.
+// This file is the executor's operator set: operators that move
+// table.ColBatch column vectors, in the MonetDB/X100 vectorized tradition.
+// Scan, filter and project run as tight per-column loops over typed slices
+// with a selection vector, paying one interface call per batch instead of
+// per-row Value unboxing; the hash join lives in coljoin.go. ColToRows
+// adapts a columnar pipeline to the row protocol of the grace join's cold
+// path. Hashes via ColBatch.HashInto are bit-identical to table.HashOn, so a
+// row and its column form group alike everywhere.
 
 // ColOperator is the columnar Volcano interface. NextColBatch fills dst with
 // the next batch and returns the number of live rows (selection applied);
@@ -65,8 +56,8 @@ func (s *ColMemScan) Close() error { return nil }
 // ColHeapScan iterates a heap file straight into column vectors: each
 // record's fields are decoded off the page (storage.FieldIter) and appended
 // onto the destination columns without ever materializing a row tuple.
-// String fields move as raw bytes into the dictionary or flat layout — the
-// per-row string allocation of the row scan disappears entirely.
+// String fields move as raw bytes into the dictionary or flat layout, with
+// no per-row string allocation.
 type ColHeapScan struct {
 	File   *storage.HeapFile
 	Pool   *storage.BufferPool
@@ -155,52 +146,24 @@ func (s *ColHeapScan) Close() error {
 	return nil
 }
 
-// colPred is one compiled column-vs-constant comparison: the only predicate
-// shape the planner emits for selections (Cmp{ColRef, Const}).
-type colPred struct {
-	col int
-	op  CmpOp
-	c   table.Value
+// ColPred is one column-vs-constant comparison, cell op Val under
+// table.Compare semantics: the only predicate shape the planner emits for
+// selections.
+type ColPred struct {
+	Col int
+	Op  CmpOp
+	Val table.Value
 }
 
-// compileColPreds flattens a planner predicate into column-vs-constant
-// comparisons, reporting ok=false for any shape the columnar filter cannot
-// run (which sends the plan down the row path).
-func compileColPreds(p Pred) ([]colPred, bool) {
-	switch q := p.(type) {
-	case And:
-		var out []colPred
-		for _, sub := range q {
-			ps, ok := compileColPreds(sub)
-			if !ok {
-				return nil, false
-			}
-			out = append(out, ps...)
-		}
-		return out, true
-	case Cmp:
-		cr, ok := q.L.(ColRef)
-		if !ok {
-			return nil, false
-		}
-		cv, ok := q.R.(Const)
-		if !ok {
-			return nil, false
-		}
-		return []colPred{{col: cr.Idx, op: q.Op, c: cv.V}}, true
-	default:
-		return nil, false
-	}
-}
-
-// ColFilter qualifies rows by narrowing the batch's selection vector —
-// a tight loop per predicate column, no cell ever moves. Null-free int and
-// float columns compared against a constant of the same kind run as direct
-// typed loops; everything else goes through ColVec.CompareValue, which
-// matches Cmp.Holds (Compare semantics) exactly.
+// ColFilter qualifies the rows satisfying every predicate of Preds by
+// narrowing the batch's selection vector — a tight loop per predicate
+// column, no cell ever moves. Null-free int and float columns compared
+// against a constant of the same kind run as direct typed loops; everything
+// else goes through ColVec.CompareValue, which matches table.Compare
+// exactly.
 type ColFilter struct {
 	In    ColOperator
-	preds []colPred
+	Preds []ColPred
 }
 
 // Schema returns the input schema.
@@ -217,7 +180,7 @@ func (f *ColFilter) NextColBatch(dst *table.ColBatch) (int, error) {
 		if err != nil || n == 0 {
 			return 0, err
 		}
-		for _, p := range f.preds {
+		for _, p := range f.Preds {
 			f.apply(dst, p)
 			if dst.Rows() == 0 {
 				break
@@ -233,41 +196,41 @@ func (f *ColFilter) NextColBatch(dst *table.ColBatch) (int, error) {
 // written into the batch's reusable selection storage; when dst.Sel already
 // aliases it (a prior predicate this batch), the in-place compaction is safe
 // because the write index never passes the read index.
-func (f *ColFilter) apply(dst *table.ColBatch, p colPred) {
-	v := &dst.Cols[p.col]
+func (f *ColFilter) apply(dst *table.ColBatch, p ColPred) {
+	v := &dst.Cols[p.Col]
 	sel := dst.SelBuf(dst.Rows())
 	k := 0
 	direct := v.Values == nil && len(v.Nulls) == 0
 	switch {
-	case direct && v.Kind == table.KindInt && p.c.Kind == table.KindInt:
-		c := p.c.I
+	case direct && v.Kind == table.KindInt && p.Val.Kind == table.KindInt:
+		c := p.Val.I
 		if dst.Sel == nil {
 			for i, x := range v.Ints[:dst.N] {
-				if p.op.Holds(cmpI64(x, c)) {
+				if p.Op.Holds(cmpI64(x, c)) {
 					sel[k] = int32(i)
 					k++
 				}
 			}
 		} else {
 			for _, row := range dst.Sel {
-				if p.op.Holds(cmpI64(v.Ints[row], c)) {
+				if p.Op.Holds(cmpI64(v.Ints[row], c)) {
 					sel[k] = row
 					k++
 				}
 			}
 		}
-	case direct && v.Kind == table.KindFloat && p.c.Kind == table.KindFloat:
-		c := p.c.F
+	case direct && v.Kind == table.KindFloat && p.Val.Kind == table.KindFloat:
+		c := p.Val.F
 		if dst.Sel == nil {
 			for i, x := range v.Floats[:dst.N] {
-				if p.op.Holds(cmpF64(x, c)) {
+				if p.Op.Holds(cmpF64(x, c)) {
 					sel[k] = int32(i)
 					k++
 				}
 			}
 		} else {
 			for _, row := range dst.Sel {
-				if p.op.Holds(cmpF64(v.Floats[row], c)) {
+				if p.Op.Holds(cmpF64(v.Floats[row], c)) {
 					sel[k] = row
 					k++
 				}
@@ -276,14 +239,14 @@ func (f *ColFilter) apply(dst *table.ColBatch, p colPred) {
 	default:
 		if dst.Sel == nil {
 			for i := 0; i < dst.N; i++ {
-				if p.op.Holds(v.CompareValue(i, p.c)) {
+				if p.Op.Holds(v.CompareValue(i, p.Val)) {
 					sel[k] = int32(i)
 					k++
 				}
 			}
 		} else {
 			for _, row := range dst.Sel {
-				if p.op.Holds(v.CompareValue(int(row), p.c)) {
+				if p.Op.Holds(v.CompareValue(int(row), p.Val)) {
 					sel[k] = row
 					k++
 				}
@@ -330,6 +293,37 @@ type ColProject struct {
 	in  *table.ColBatch
 }
 
+// NewColProject projects in onto its columns idx. out describes the output
+// columns — the input's own metadata when nil, a relabelling of them (the
+// planner's occurrence rename) otherwise.
+func NewColProject(in ColOperator, idx []int, out *table.Schema) (*ColProject, error) {
+	is := in.Schema()
+	for _, j := range idx {
+		if j < 0 || j >= is.Len() {
+			return nil, fmt.Errorf("engine: projection references column %d of a %d-column input", j, is.Len())
+		}
+	}
+	if out == nil {
+		out = is.Project(idx)
+	} else if out.Len() != len(idx) {
+		return nil, fmt.Errorf("engine: projection schema/column arity mismatch: %d vs %d", out.Len(), len(idx))
+	}
+	return &ColProject{In: in, idx: idx, out: out}, nil
+}
+
+// NewColumnProject projects the named input columns, keeping their column
+// metadata.
+func NewColumnProject(in ColOperator, names []string) (*ColProject, error) {
+	is := in.Schema()
+	idx := make([]int, len(names))
+	for i, n := range names {
+		if idx[i] = is.ColIndex(n); idx[i] < 0 {
+			return nil, fmt.Errorf("engine: projection references unknown column %q in %v", n, is.Names())
+		}
+	}
+	return NewColProject(in, idx, nil)
+}
+
 // Schema returns the output schema.
 func (p *ColProject) Schema() *table.Schema { return p.out }
 
@@ -363,38 +357,11 @@ func (p *ColProject) NextColBatch(dst *table.ColBatch) (int, error) {
 // Close closes the input.
 func (p *ColProject) Close() error { return p.In.Close() }
 
-// ColCounted is CountedOp for the columnar tier: a transparent pass-through
-// that tallies live rows and batches into the same OpStats the row wrapper
-// would, so traced plans attribute vectorized work per operator.
-type ColCounted struct {
-	In ColOperator
-	S  *OpStats
-}
-
-// Schema returns the input's schema.
-func (c *ColCounted) Schema() *table.Schema { return c.In.Schema() }
-
-// Open opens the input.
-func (c *ColCounted) Open() error { return c.In.Open() }
-
-// NextColBatch counts and forwards one batch.
-func (c *ColCounted) NextColBatch(dst *table.ColBatch) (int, error) {
-	n, err := c.In.NextColBatch(dst)
-	if n > 0 && err == nil {
-		c.S.Rows += int64(n)
-		c.S.ColBatches++
-	}
-	return n, err
-}
-
-// Close closes the input.
-func (c *ColCounted) Close() error { return c.In.Close() }
-
-// ColToRows adapts a columnar pipeline back to the row interface —
-// the boundary operator under sorts, group-bys, and the confidence scan.
-// Rows are materialized into reused per-slot buffers, so the adapter itself
-// allocates nothing after warm-up (flat string cells allocate their string
-// on the way out, exactly once per emitted row).
+// ColToRows adapts a columnar pipeline to the row interface — the boundary
+// under the grace join's sorts. Rows are materialized into reused per-slot
+// buffers, so the adapter itself allocates nothing after warm-up (flat
+// string cells allocate their string on the way out, exactly once per
+// emitted row).
 type ColToRows struct {
 	In    ColOperator
 	b     *table.ColBatch
@@ -402,9 +369,6 @@ type ColToRows struct {
 	n     int
 	slots slotBufs
 }
-
-// NewColToRows wraps a columnar operator as a row operator.
-func NewColToRows(in ColOperator) *ColToRows { return &ColToRows{In: in} }
 
 // Schema returns the input's schema.
 func (a *ColToRows) Schema() *table.Schema { return a.In.Schema() }
@@ -449,68 +413,6 @@ func (a *ColToRows) NextBatch(dst []table.Tuple) (int, error) {
 // Close closes the input.
 func (a *ColToRows) Close() error { return a.In.Close() }
 
-// Columnarize lowers a row operator tree into its columnar form, succeeding
-// only when every operator in the tree has one: scans, planner-shaped
-// filters (conjunctions of column-vs-constant comparisons), pure column
-// projections, hash joins, and Counted wrappers — everything
-// the planner pipelines. ok=false means some operator has no columnar form
-// (a sort, a group-by, a computed projection); callers then run the row path
-// unchanged.
-func Columnarize(op Operator) (ColOperator, bool) {
-	switch o := op.(type) {
-	case *CountedOp:
-		in, ok := Columnarize(o.In)
-		if !ok {
-			return nil, false
-		}
-		return &ColCounted{In: in, S: o.S}, true
-	case *MemScan:
-		return &ColMemScan{Rel: o.Rel}, true
-	case *HeapScan:
-		return NewColHeapScan(o.File, o.Pool, o.schema), true
-	case *Filter:
-		preds, ok := compileColPreds(o.Pred)
-		if !ok {
-			return nil, false
-		}
-		in, ok := Columnarize(o.In)
-		if !ok {
-			return nil, false
-		}
-		return &ColFilter{In: in, preds: preds}, true
-	case *Project:
-		idx := make([]int, len(o.Exprs))
-		for i, e := range o.Exprs {
-			cr, ok := e.(ColRef)
-			if !ok {
-				return nil, false
-			}
-			idx[i] = cr.Idx
-		}
-		in, ok := Columnarize(o.In)
-		if !ok {
-			return nil, false
-		}
-		return &ColProject{In: in, idx: idx, out: o.Out}, true
-	case *HashJoin:
-		l, ok := Columnarize(o.Left)
-		if !ok {
-			return nil, false
-		}
-		r, ok := Columnarize(o.Right)
-		if !ok {
-			return nil, false
-		}
-		return &ColHashJoin{
-			Left: l, Right: r,
-			LeftKeys: o.LeftKeys, RightKeys: o.RightKey,
-			Governed: &o.Governed, out: o.out,
-		}, true
-	default:
-		return nil, false
-	}
-}
-
 // pruneCols pushes column liveness down a columnar tree to its heap scans: a
 // ColProject only reads the input columns its index map names, so any column
 // it drops — net of the filter predicates evaluated below it — need never be
@@ -536,8 +438,8 @@ func pruneCols(op ColOperator, need []bool) {
 		}
 		childNeed := make([]bool, len(need))
 		copy(childNeed, need)
-		for _, p := range o.preds {
-			childNeed[p.col] = true
+		for _, p := range o.Preds {
+			childNeed[p.Col] = true
 		}
 		pruneCols(o.In, childNeed)
 	case *ColHeapScan:
@@ -546,15 +448,4 @@ func pruneCols(op ColOperator, need []bool) {
 		pruneCols(o.Left, nil)
 		pruneCols(o.Right, nil)
 	}
-}
-
-// CollectCtxVec is CollectCtx through the best available execution tier: a
-// tree that columnarizes runs natively (columnar=true), anything else runs
-// the row path unchanged. Both produce identical relations.
-func CollectCtxVec(ctx context.Context, op Operator) (rel *table.Relation, columnar bool, err error) {
-	sink := NewRelationSink(op.Schema())
-	if columnar, err = StreamCtx(ctx, op, false, sink); err != nil {
-		return nil, columnar, err
-	}
-	return sink.Rel, columnar, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/fault"
@@ -86,13 +87,7 @@ func TestColHeapScanRoundTrip(t *testing.T) {
 		rel := colTestRel(3*BatchSize+17, strCard, 5)
 		h := writeHeap(t, t.TempDir(), rel)
 		pool := storage.NewBufferPool(8)
-		got, columnar, err := CollectCtxVec(nil, NewHeapScan(h, pool, rel.Schema))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !columnar {
-			t.Fatal("a heap scan did not run columnar")
-		}
+		got := collect(t, NewColHeapScan(h, pool, rel.Schema))
 		mustSameRelations(t, fmt.Sprintf("strCard=%d", strCard), got, rel)
 
 		// Pruned scan: only k and P survive; the dead columns' vectors stay
@@ -125,83 +120,47 @@ func TestColHeapScanRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCollectCtxVecIdentity: the columnar tier and the row engine produce
-// the same relation — same rows, same order, bit-identical cells — for a
-// fully lowerable filter→join→project tree, over both memory and disk
-// scans.
-func TestCollectCtxVecIdentity(t *testing.T) {
+// TestColPipelineIdentity: a planner-shaped tree — filter → hash join →
+// project — drained through StreamCtx over memory and disk scans returns
+// the rows of a nested-loop reference, in its order (probe rows in scan
+// order, their matches in build order), with bit-identical cells.
+func TestColPipelineIdentity(t *testing.T) {
 	rel := colTestRel(2000, 24, 9)
 	h := writeHeap(t, t.TempDir(), rel)
 	pool := storage.NewBufferPool(8)
+	var want []table.Tuple
+	for _, l := range rel.Rows {
+		if l[0].I >= 60 {
+			continue
+		}
+		for _, r := range rel.Rows {
+			if r[0].I == l[0].I {
+				want = append(want, table.Tuple{l[0], l[2], l[3], l[4]})
+			}
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("reference produced no rows")
+	}
 	sources := []struct {
 		name string
-		mk   func() Operator
+		mk   func() ColOperator
 	}{
-		{"mem", func() Operator { return NewMemScan(rel) }},
-		{"heap", func() Operator { return NewHeapScan(h, pool, rel.Schema) }},
+		{"mem", func() ColOperator { return &ColMemScan{Rel: rel} }},
+		{"heap", func() ColOperator { return NewColHeapScan(h, pool, rel.Schema) }},
 	}
 	for _, src := range sources {
 		t.Run(src.name, func(t *testing.T) {
 			names := rel.Schema.Names()
-			proj := []string{names[0], names[2], names[3], names[4]}
-			build := func() Operator {
-				f := NewFilter(src.mk(), Cmp{L: ColRef{Idx: 0, Name: "k"}, Op: OpLt, R: Const{V: table.Int(60)}})
-				j, err := NewHashJoin(f, src.mk(), []int{0}, []int{0})
-				if err != nil {
-					t.Fatal(err)
-				}
-				p, err := NewColumnProject(j, proj)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return p
-			}
-			want, err := CollectCtx(nil, build())
+			f := &ColFilter{In: src.mk(), Preds: []ColPred{{Col: 0, Op: OpLt, Val: table.Int(60)}}}
+			p, err := NewColumnProject(hashJoin(t, f, src.mk(), []int{0}, []int{0}), []string{names[0], names[2], names[3], names[4]})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want.Len() == 0 {
-				t.Fatal("row reference produced no rows")
-			}
-			got, columnar, err := CollectCtxVec(nil, build())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !columnar {
-				t.Fatal("fully lowerable tree did not run columnar")
-			}
-			mustSameRelations(t, src.name, got, want)
+			got := collect(t, p)
+			mustSameRelations(t, src.name, got, &table.Relation{Schema: p.Schema(), Rows: want})
 		})
 	}
-}
-
-// TestCollectCtxVecRowFallback: a tree whose root has no columnar form (a
-// Sort) is refused by Columnarize, and CollectCtxVec then runs the row path
-// unchanged — same rows, columnar=false.
-func TestCollectCtxVecRowFallback(t *testing.T) {
-	rel := colTestRel(1500, 12, 21)
-	h := writeHeap(t, t.TempDir(), rel)
-	pool := storage.NewBufferPool(8)
-	build := func() Operator {
-		f := NewFilter(NewHeapScan(h, pool, rel.Schema),
-			Cmp{L: ColRef{Idx: 1, Name: "x"}, Op: OpLe, R: Const{V: table.Float(75)}})
-		return NewSort(f, SortSpec{Cols: []int{0, 3}})
-	}
-	if _, ok := Columnarize(build()); ok {
-		t.Fatal("Columnarize must refuse a Sort root")
-	}
-	want, err := CollectCtx(nil, build())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, columnar, err := CollectCtxVec(nil, build())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if columnar {
-		t.Fatal("sort root cannot be fully columnar")
-	}
-	mustSameRelations(t, "sort-over-rows", got, want)
 }
 
 // TestPruneColsLiveness: pruning marks exactly the projected columns plus
@@ -212,21 +171,13 @@ func TestPruneColsLiveness(t *testing.T) {
 	h := writeHeap(t, t.TempDir(), rel)
 	pool := storage.NewBufferPool(8)
 	names := rel.Schema.Names()
-	build := func() Operator {
-		f := NewFilter(NewHeapScan(h, pool, rel.Schema),
-			Cmp{L: ColRef{Idx: 1, Name: "x"}, Op: OpLt, R: Const{V: table.Float(50)}})
-		p, err := NewColumnProject(f, []string{names[2], names[4]})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
+	scan := NewColHeapScan(h, pool, rel.Schema)
+	f := &ColFilter{In: scan, Preds: []ColPred{{Col: 1, Op: OpLt, Val: table.Float(50)}}}
+	p, err := NewColumnProject(f, []string{names[2], names[4]})
+	if err != nil {
+		t.Fatal(err)
 	}
-	cop, ok := Columnarize(build())
-	if !ok {
-		t.Fatal("tree did not columnarize")
-	}
-	pruneCols(cop, nil)
-	scan := cop.(*ColProject).In.(*ColFilter).In.(*ColHeapScan)
+	pruneCols(p, nil)
 	// Live: s (projected), P (projected), x (predicate). Dead: k, V.
 	wantNeed := []bool{false, true, true, false, true}
 	if len(scan.need) != len(wantNeed) {
@@ -239,18 +190,16 @@ func TestPruneColsLiveness(t *testing.T) {
 	}
 	// The drain prunes the same way: the pruned pipeline still produces the
 	// projected rows.
-	got, columnar, err := CollectCtxVec(nil, build())
-	if err != nil || !columnar {
-		t.Fatal(columnar, err)
-	}
-	want, err := CollectCtx(nil, build())
-	if err != nil {
-		t.Fatal(err)
+	want := &table.Relation{Schema: p.Schema()}
+	for _, row := range rel.Rows {
+		if row[1].F < 50 {
+			want.Rows = append(want.Rows, table.Tuple{row[2], row[4]})
+		}
 	}
 	if want.Len() == 0 {
 		t.Fatal("reference produced no rows")
 	}
-	mustSameRelations(t, "pruned", got, want)
+	mustSameRelations(t, "pruned", collect(t, p), want)
 }
 
 // TestColFilterAllocs pins the vectorized filter loop: narrowing the
@@ -260,9 +209,9 @@ func TestColFilterAllocs(t *testing.T) {
 	rel := colTestRel(8*BatchSize, 8, 41)
 	f := &ColFilter{
 		In: &ColMemScan{Rel: rel},
-		preds: []colPred{
-			{col: 0, op: OpLt, c: table.Int(70)},
-			{col: 1, op: OpGe, c: table.Float(10)},
+		Preds: []ColPred{
+			{Col: 0, Op: OpLt, Val: table.Int(70)},
+			{Col: 1, Op: OpGe, Val: table.Float(10)},
 		},
 	}
 	b := table.NewColBatch(rel.Schema)
@@ -316,44 +265,31 @@ func TestHashIntoAllocs(t *testing.T) {
 	}
 }
 
-// TestJoinFailedOpenReleasesPins: a failed Open leaves the join fully closed,
-// children included — collectors do not Close a tree whose Open errored. The
-// build side here is a heap scan whose declared schema has the wrong arity,
-// so the build errors mid-page with a frame pinned; every member of the join
-// family must have unpinned it by the time Open returns.
+// TestJoinFailedOpenReleasesPins: a failed Open leaves the join fully
+// closed, children included — callers do not Close a tree whose Open
+// errored. The build side here is a heap scan whose declared schema has the
+// wrong arity, so the build errors mid-page with a frame pinned; the join,
+// governed or not, must have unpinned it by the time Open returns — opened
+// directly (columnar=true) or through ColToRows (columnar=false), the row
+// view the grace path reads join inputs through.
 func TestJoinFailedOpenReleasesPins(t *testing.T) {
 	rel := colTestRel(300, 8, 3)
 	h := writeHeap(t, t.TempDir(), rel)
 	bp := storage.NewBufferPool(8)
 	narrow := table.NewSchema(rel.Schema.Cols[:4]...)
-	joins := []struct {
-		name string
-		mk   func(l, r Operator) (Operator, error)
-	}{
-		{"hash", func(l, r Operator) (Operator, error) { return NewHashJoin(l, r, []int{0}, []int{0}) }},
-		{"governed", func(l, r Operator) (Operator, error) {
-			j, err := NewHashJoin(l, r, []int{0}, []int{0})
-			if err == nil {
-				j.Mem = fault.NewGovernor(1<<30, nil)
-			}
-			return j, err
-		}},
-	}
-	for _, jn := range joins {
+	for _, governed := range []bool{false, true} {
 		for _, columnar := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/columnar=%v", jn.name, columnar), func(t *testing.T) {
-				op, err := jn.mk(NewHeapScan(h, bp, rel.Schema), NewHeapScan(h, bp, narrow))
-				if err != nil {
-					t.Fatal(err)
+			name := map[bool]string{false: "hash", true: "governed"}[governed]
+			t.Run(fmt.Sprintf("%s/columnar=%v", name, columnar), func(t *testing.T) {
+				j := hashJoin(t, NewColHeapScan(h, bp, rel.Schema), NewColHeapScan(h, bp, narrow), []int{0}, []int{0})
+				if governed {
+					j.Mem = fault.NewGovernor(1<<30, nil)
 				}
+				var err error
 				if columnar {
-					cop, ok := Columnarize(op)
-					if !ok {
-						t.Fatal("join did not columnarize")
-					}
-					err = cop.Open()
+					err = j.Open()
 				} else {
-					err = op.Open()
+					err = (&ColToRows{In: j}).Open()
 				}
 				if err == nil {
 					t.Fatal("Open must fail on the build side's arity mismatch")
@@ -369,8 +305,8 @@ func TestJoinFailedOpenReleasesPins(t *testing.T) {
 // TestColHashJoinBoundsOutputBatches: the columnar probe resumes inside a
 // matched group, so a fan-out join — one probe row matching 5 000 build
 // rows, or every row of a full probe batch matching 30 — hands out batches
-// of at most BatchSize rows whose concatenation is the row hash join's
-// output, in order.
+// of at most BatchSize rows whose concatenation is the join's output, in
+// probe order.
 func TestColHashJoinBoundsOutputBatches(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
@@ -388,23 +324,12 @@ func TestColHashJoinBoundsOutputBatches(t *testing.T) {
 					right.MustAppend(table.Tuple{table.Int(int64(i)), table.Int(int64(i*tc.fanout + m))})
 				}
 			}
-			build := func() *HashJoin {
-				j, err := NewHashJoin(NewMemScan(left), NewMemScan(right), []int{0}, []int{0})
-				if err != nil {
-					t.Fatal(err)
+			cop := hashJoin(t, &ColMemScan{Rel: left}, &ColMemScan{Rel: right}, []int{0}, []int{0})
+			want := &table.Relation{Schema: cop.Schema()}
+			for _, l := range left.Rows {
+				for _, r := range right.Rows[l[0].I*int64(tc.fanout):][:tc.fanout] {
+					want.Rows = append(want.Rows, append(slices.Clone(l), r...))
 				}
-				return j
-			}
-			want, err := CollectCtx(nil, build())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want.Len() != tc.probe*tc.fanout {
-				t.Fatalf("reference join has %d rows, want %d", want.Len(), tc.probe*tc.fanout)
-			}
-			cop, ok := Columnarize(build())
-			if !ok {
-				t.Fatal("join did not columnarize")
 			}
 			if err := cop.Open(); err != nil {
 				t.Fatal(err)

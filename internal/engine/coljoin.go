@@ -1,31 +1,30 @@
 package engine
 
 import (
+	"fmt"
+
 	"repro/internal/table"
 )
 
-// Columnar hash joins: the columnar members of the hash-join family. Both
-// hash whole probe/build batches at once with ColBatch.HashInto — the
-// vectorized form of table.HashOn, bit-identical per row — and build through
-// the family's one loop (buildHashed), so a columnar build side holds exactly
-// the groups a row build would and emits matches in the same order (probe
-// rows in scan order, First then Rest per group). That order identity is
-// what keeps confidences pinned across the two tiers.
-
-// ColHashJoin is the columnar equi-join: the right input is drained into a
-// TupleMap (rows materialized from its column batches), and left batches
-// probe it with vectorized hashes. Output rows gather left cells column-wise
+// ColHashJoin is the equi-join: the right input is drained into a TupleMap
+// (buildHashed: rows materialized from its column batches under their
+// vectorized ColBatch.HashInto hashes), and left batches probe it with
+// hashes computed the same way. Output rows gather left cells column-wise
 // (ColVec.AppendCell — typed, allocation-free) and append the matched build
-// tuples' cells. The probe is resumable — it remembers the probe row and the
+// tuples' cells; matches come in probe order, First then Rest within a
+// group. The probe is resumable — it remembers the probe row and the
 // position inside its matched group across calls — so an output batch never
-// exceeds BatchSize however many build rows a key matches. Under a governor
-// that denies the build it degrades to the same grace join as HashJoin,
-// reading its inputs through ColToRows and transposing the merge join's rows
-// back.
+// exceeds BatchSize however many build rows a key matches. The output schema
+// is left ++ right; the planner projects away the duplicated join
+// attributes afterwards (the paper assumes join attributes share names
+// across tables). Governed makes the build side memory-accounted: under a
+// governor that denies it the join degrades to a grace join (gracejoin.go),
+// reading its inputs through ColToRows and transposing the merge join's
+// rows back.
 type ColHashJoin struct {
 	Left, Right         ColOperator
 	LeftKeys, RightKeys []int
-	*Governed
+	Governed
 	out    *table.Schema
 	built  *table.TupleMap
 	in     *table.ColBatch
@@ -40,19 +39,52 @@ type ColHashJoin struct {
 	gpos, glen int
 }
 
+// NewColHashJoin joins left and right on pairwise-equal key columns. No
+// keys at all is the cross product.
+func NewColHashJoin(left, right ColOperator, leftKeys, rightKeys []int) (*ColHashJoin, error) {
+	if len(leftKeys) != len(rightKeys) {
+		return nil, fmt.Errorf("engine: hash join key arity mismatch")
+	}
+	return &ColHashJoin{
+		Left: left, Right: right,
+		LeftKeys: leftKeys, RightKeys: rightKeys,
+		out: left.Schema().Concat(right.Schema()),
+	}, nil
+}
+
 // Schema returns left ++ right.
 func (j *ColHashJoin) Schema() *table.Schema { return j.out }
 
-// Open opens both inputs and builds the hash table over the right
-// (Governed.open).
+// Open opens both inputs and builds the hash table over the right one; under
+// memory pressure it switches to grace mode instead. A failed Open leaves
+// the join fully closed, children included — child scanners' pinned pages, a
+// grace sorter's spill runs — before surfacing the error (Close is
+// idempotent throughout the engine, so re-closing an input some error path
+// already closed is safe).
 func (j *ColHashJoin) Open() error {
 	if j.in == nil {
 		j.in = table.NewColBatch(j.Left.Schema())
 	}
 	j.n, j.i, j.gpos, j.glen = 0, 0, 0, 0
-	var err error
-	j.built, err = j.open(NewColToRows(j.Left), NewColToRows(j.Right), j.LeftKeys, j.RightKeys, colBuildSource(j.Right, j.RightKeys))
-	return err
+	j.built, j.grace, j.graced = nil, nil, false
+	if err := j.Left.Open(); err != nil {
+		return err
+	}
+	if err := j.Right.Open(); err != nil {
+		j.Left.Close()
+		return err
+	}
+	built, buffered, pressured, err := buildHashed(j.Right, j.RightKeys, j.Mem)
+	if err == nil && pressured {
+		err = j.openGrace(j.Left, j.Right, j.LeftKeys, j.RightKeys, buffered)
+	}
+	if err != nil {
+		j.Left.Close()
+		j.Right.Close()
+		return err
+	}
+	j.built = built
+	return nil
 }
 
 // NextColBatch fills dst with the next matches, up to BatchSize of them, in
@@ -114,14 +146,22 @@ func (j *ColHashJoin) emit(dst *table.ColBatch, row, lw int, r table.Tuple) {
 	dst.N++
 }
 
-// Close closes both inputs and drops the hash table.
+// Close closes the grace join (if any) and both inputs, and drops the hash
+// table. In grace mode the merge join owns the left input (via its wrapping
+// Sort) and the sorted right stream; the inputs themselves are closed here
+// either way.
 func (j *ColHashJoin) Close() error {
 	j.built = nil
-	return j.close(j.Left, j.Right)
+	var errG error
+	if j.grace != nil {
+		errG = j.grace.Close()
+		j.grace = nil
+	}
+	return firstErr(errG, j.Left.Close(), j.Right.Close())
 }
 
 // rowsToBatch transposes rows onto dst — the rows→columns boundary that
-// in-memory scans, the grace join and the row tier's drain cross.
+// in-memory scans and the grace join cross.
 func rowsToBatch(dst *table.ColBatch, s *table.Schema, rows []table.Tuple) int {
 	dst.Reset(s)
 	for _, t := range rows {

@@ -38,11 +38,7 @@ func TestMergeJoinEmptyInputs(t *testing.T) {
 func TestHashJoinEmptyKeyIsCrossProduct(t *testing.T) {
 	l := intsRel("a", 1, 2)
 	r := intsRel("b", 10, 20, 30)
-	j, err := NewHashJoin(NewMemScan(l), NewMemScan(r), nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := count(j)
+	n, err := countCols(hashJoin(t, &ColMemScan{Rel: l}, &ColMemScan{Rel: r}, nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +51,7 @@ func TestHashJoinEmptyKeyIsCrossProduct(t *testing.T) {
 func TestJoinKeyArityMismatch(t *testing.T) {
 	l := intsRel("a", 1)
 	r := intsRel("b", 1)
-	if _, err := NewHashJoin(NewMemScan(l), NewMemScan(r), []int{0}, nil); err == nil {
+	if _, err := NewColHashJoin(&ColMemScan{Rel: l}, &ColMemScan{Rel: r}, []int{0}, nil); err == nil {
 		t.Error("hash join arity mismatch must fail")
 	}
 	if _, err := NewMergeJoin(NewMemScan(l), NewMemScan(r), []int{0}, nil); err == nil {
@@ -63,40 +59,31 @@ func TestJoinKeyArityMismatch(t *testing.T) {
 	}
 }
 
-// TestProjectArityMismatch: schema/expression arity is validated.
+// TestProjectArityMismatch: a relabelling projection's schema must match
+// its column list, and every column it reads must exist.
 func TestProjectArityMismatch(t *testing.T) {
 	rel := intsRel("a", 1)
 	out := table.NewSchema(table.DataCol("x", table.KindInt), table.DataCol("y", table.KindInt))
-	if _, err := NewProject(NewMemScan(rel), out, []Expr{ColRef{Idx: 0}}); err == nil {
+	if _, err := NewColProject(&ColMemScan{Rel: rel}, []int{0}, out); err == nil {
 		t.Error("projection arity mismatch must fail")
 	}
-}
-
-// TestFilterOnEmptyRelation and reopened operators.
-func TestOperatorReopen(t *testing.T) {
-	rel := intsRel("a", 1, 2, 3)
-	f := NewFilter(NewMemScan(rel), Cmp{L: ColRef{Idx: 0}, Op: OpGt, R: Const{V: table.Int(1)}})
-	for round := 0; round < 2; round++ {
-		n, err := count(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != 2 {
-			t.Fatalf("round %d: %d rows", round, n)
-		}
+	if _, err := NewColProject(&ColMemScan{Rel: rel}, []int{0, 1}, out); err == nil {
+		t.Error("projection of a missing column must fail")
 	}
 }
 
-// TestSortedGroupByRespectsGroupedInput: pre-grouped (not fully sorted)
-// input still aggregates per contiguous run — the contract the operator's
-// aggregation scans rely on.
-func TestSortedGroupByRespectsGroupedInput(t *testing.T) {
-	rel := intsRel("g", 2, 2, 1, 1, 1)
-	g := NewSortedGroupBy(NewMemScan(rel), []int{0}, []AggSpec{
-		{Kind: AggMin, Col: 0, Out: table.DataCol("m", table.KindInt)},
-	})
-	rows := drain(t, g)
-	if len(rows) != 2 || rows[0][1].I != 2 || rows[1][1].I != 1 {
-		t.Errorf("rows = %v", rows)
+// TestOperatorReopen: a filter and a hash join produce their whole stream
+// again when reopened after a drain.
+func TestOperatorReopen(t *testing.T) {
+	rel := intsRel("a", 1, 2, 3)
+	f := &ColFilter{In: &ColMemScan{Rel: rel}, Preds: []ColPred{{Col: 0, Op: OpGt, Val: table.Int(1)}}}
+	j := hashJoin(t, &ColMemScan{Rel: rel}, &ColMemScan{Rel: intsRel("a", 3, 2, 3)}, []int{0}, []int{0})
+	for round := 0; round < 2; round++ {
+		if n, err := countCols(f); err != nil || n != 2 {
+			t.Fatalf("round %d: filter gave %d rows (%v)", round, n, err)
+		}
+		if n, err := countCols(j); err != nil || n != 3 {
+			t.Fatalf("round %d: join gave %d rows (%v)", round, n, err)
+		}
 	}
 }

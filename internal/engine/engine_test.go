@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"slices"
@@ -28,16 +29,38 @@ func pairRel(aName, bName string, pairs ...[2]int64) *table.Relation {
 	return r
 }
 
+// drain opens a row operator, collects clones of its whole stream and
+// closes it.
 func drain(t *testing.T, op Operator) []table.Tuple {
 	t.Helper()
-	rel, err := Collect(op)
-	if err != nil {
+	if err := op.Open(); err != nil {
 		t.Fatal(err)
 	}
-	return rel.Rows
+	defer op.Close()
+	var rows []table.Tuple
+	var slab table.Slab
+	if err := pumpRows(op, func(batch []table.Tuple) error {
+		for _, r := range batch {
+			rows = append(rows, slab.Clone(r))
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return rows
 }
 
-// count drains an operator and returns only the row count.
+// collect drains a columnar operator into a relation through StreamCtx.
+func collect(t *testing.T, op ColOperator) *table.Relation {
+	t.Helper()
+	sink := NewRelationSink(op.Schema())
+	if err := StreamCtx(nil, op, sink); err != nil {
+		t.Fatal(err)
+	}
+	return sink.Rel
+}
+
+// count drains a row operator and returns only the row count.
 func count(op Operator) (int64, error) {
 	if err := op.Open(); err != nil {
 		return 0, err
@@ -57,6 +80,36 @@ func count(op Operator) (int64, error) {
 	}
 }
 
+// countCols is count for a columnar operator.
+func countCols(op ColOperator) (int64, error) {
+	if err := op.Open(); err != nil {
+		return 0, err
+	}
+	defer op.Close()
+	var n int64
+	b := table.NewColBatch(op.Schema())
+	for {
+		k, err := op.NextColBatch(b)
+		if err != nil {
+			return 0, err
+		}
+		if k == 0 {
+			return n, nil
+		}
+		n += int64(k)
+	}
+}
+
+// hashJoin is NewColHashJoin for inputs known to be well formed.
+func hashJoin(t *testing.T, l, r ColOperator, lk, rk []int) *ColHashJoin {
+	t.Helper()
+	j, err := NewColHashJoin(l, r, lk, rk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j
+}
+
 func TestMemScanAndCount(t *testing.T) {
 	rel := intsRel("a", 1, 2, 3)
 	n, err := count(NewMemScan(rel))
@@ -71,75 +124,124 @@ func TestMemScanAndCount(t *testing.T) {
 
 func TestFilter(t *testing.T) {
 	rel := intsRel("a", 1, 2, 3, 4, 5)
-	f := NewFilter(NewMemScan(rel), Cmp{L: ColRef{Idx: 0, Name: "a"}, Op: OpGt, R: Const{table.Int(3)}})
-	rows := drain(t, f)
+	f := &ColFilter{In: &ColMemScan{Rel: rel}, Preds: []ColPred{{Col: 0, Op: OpGt, Val: table.Int(3)}}}
+	rows := collect(t, f).Rows
 	if len(rows) != 2 || rows[0][0].I != 4 || rows[1][0].I != 5 {
 		t.Fatalf("rows = %v", rows)
 	}
 }
 
+// TestCmpOps is ColFilter's predicate table: for every CmpOp, the rows a
+// column-vs-constant predicate keeps are exactly those whose cell c has
+// op.Holds(table.Compare(c, constant)) — over NULL cells, int columns
+// against float constants and float columns against int ones, the typed
+// null-free fast paths, bool columns, and string columns in every layout:
+// shared headers (in-memory scans), dictionary codes and flat bytes (heap
+// scans, the second column above DictMaxCard distinct values). Each
+// predicate runs on a fresh batch (no selection vector) and behind a first
+// predicate that leaves every other row selected.
 func TestCmpOps(t *testing.T) {
-	cases := []struct {
-		op   CmpOp
-		want []int64
-	}{
-		{OpEq, []int64{3}},
-		{OpNe, []int64{1, 2, 4, 5}},
-		{OpLt, []int64{1, 2}},
-		{OpLe, []int64{1, 2, 3}},
-		{OpGt, []int64{4, 5}},
-		{OpGe, []int64{3, 4, 5}},
-	}
-	for _, c := range cases {
-		rel := intsRel("a", 1, 2, 3, 4, 5)
-		f := NewFilter(NewMemScan(rel), Cmp{L: ColRef{Idx: 0}, Op: c.op, R: Const{table.Int(3)}})
-		rows := drain(t, f)
-		if len(rows) != len(c.want) {
-			t.Errorf("op %v: got %d rows, want %d", c.op, len(rows), len(c.want))
-			continue
+	sch := table.NewSchema(
+		table.DataCol("odd", table.KindInt),
+		table.DataCol("i", table.KindInt), table.DataCol("inn", table.KindInt),
+		table.DataCol("f", table.KindFloat), table.DataCol("fnn", table.KindFloat),
+		table.DataCol("sd", table.KindString), table.DataCol("sf", table.KindString),
+		table.DataCol("b", table.KindBool),
+	)
+	rel := table.NewRelation(sch)
+	rng := rand.New(rand.NewSource(13))
+	maybeNull := func(v table.Value) table.Value {
+		if rng.Intn(5) == 0 {
+			return table.Null()
 		}
-		for i, w := range c.want {
-			if rows[i][0].I != w {
-				t.Errorf("op %v row %d: got %d, want %d", c.op, i, rows[i][0].I, w)
+		return v
+	}
+	for r := 0; r < BatchSize+300; r++ {
+		k := int64(rng.Intn(7))
+		rel.MustAppend(table.Tuple{
+			table.Int(int64(r % 2)),
+			maybeNull(table.Int(k)), table.Int(k),
+			maybeNull(table.Float(float64(k) / 2)), table.Float(float64(k) / 2),
+			maybeNull(table.Str(fmt.Sprintf("d%d", k))), table.Str(fmt.Sprintf("f%05d", rng.Intn(4*table.DictMaxCard))),
+			table.Bool(k%2 == 0),
+		})
+	}
+	h := writeHeap(t, t.TempDir(), rel)
+	pool := storage.NewBufferPool(8)
+	consts := map[string][]table.Value{
+		"i":   {table.Int(3), table.Float(2.5), table.Float(3), table.Null()},
+		"inn": {table.Int(3), table.Float(2.5)},
+		"f":   {table.Float(1.5), table.Int(2), table.Null()},
+		"fnn": {table.Float(1.5), table.Int(2)},
+		"sd":  {table.Str("d3"), table.Str("zz")},
+		"sf":  {table.Str("f00500"), table.Str("a")},
+		"b":   {table.Bool(true), table.Bool(false)},
+	}
+	sources := map[string]func() ColOperator{
+		"mem":  func() ColOperator { return &ColMemScan{Rel: rel} },
+		"heap": func() ColOperator { return NewColHeapScan(h, pool, sch) },
+	}
+	everyOther := ColPred{Col: 0, Op: OpEq, Val: table.Int(1)}
+	for src, scan := range sources {
+		for col, cs := range consts {
+			ci := sch.ColIndex(col)
+			for _, c := range cs {
+				for op := OpEq; op <= OpGe; op++ {
+					p := ColPred{Col: ci, Op: op, Val: c}
+					for _, withSel := range []bool{false, true} {
+						preds := []ColPred{p}
+						if withSel {
+							preds = []ColPred{everyOther, p}
+						}
+						var want []table.Tuple
+						for _, row := range rel.Rows {
+							if (!withSel || row[0].I == 1) && op.Holds(table.Compare(row[ci], c)) {
+								want = append(want, row)
+							}
+						}
+						got := collect(t, &ColFilter{In: scan(), Preds: preds})
+						label := fmt.Sprintf("%s %s %v %v sel=%v", src, col, op, c, withSel)
+						mustSameRelations(t, label, got, &table.Relation{Schema: sch, Rows: want})
+					}
+				}
 			}
 		}
 	}
 }
 
+// TestProjectColumnsAndExprs: a projection selects input columns by name,
+// keeping their metadata, or by index under a relabelled output schema —
+// the planner's occurrence rename — and an unknown name is an error.
 func TestProjectColumnsAndExprs(t *testing.T) {
 	rel := pairRel("a", "b", [2]int64{2, 3}, [2]int64{5, 7})
-	p, err := NewColumnProject(NewMemScan(rel), []string{"b"})
+	p, err := NewColumnProject(&ColMemScan{Rel: rel}, []string{"b"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := drain(t, p)
+	rows := collect(t, p).Rows
 	if len(rows) != 2 || rows[0][0].I != 3 || rows[1][0].I != 7 {
 		t.Fatalf("rows = %v", rows)
 	}
-	if _, err := NewColumnProject(NewMemScan(rel), []string{"zz"}); err == nil {
+	if _, err := NewColumnProject(&ColMemScan{Rel: rel}, []string{"zz"}); err == nil {
 		t.Error("unknown column should error")
 	}
 
-	// Computed projection: a*b.
-	out := table.NewSchema(table.DataCol("ab", table.KindFloat))
-	pe, err := NewProject(NewMemScan(rel), out, []Expr{Mul{L: ColRef{Idx: 0}, R: ColRef{Idx: 1}}})
+	// Relabelling projection: swap the columns and rename them.
+	out := table.NewSchema(table.DataCol("y", table.KindInt), table.DataCol("x", table.KindInt))
+	pr, err := NewColProject(&ColMemScan{Rel: rel}, []int{1, 0}, out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows = drain(t, pe)
-	if rows[0][0].F != 6 || rows[1][0].F != 35 {
-		t.Fatalf("computed rows = %v", rows)
+	got := collect(t, pr)
+	if got.Schema != out || got.Rows[0][0].I != 3 || got.Rows[0][1].I != 2 || got.Rows[1][0].I != 7 {
+		t.Fatalf("relabelled rows = %v under %v", got.Rows, got.Schema)
 	}
 }
 
 func TestHashJoinBasic(t *testing.T) {
 	l := pairRel("k", "x", [2]int64{1, 10}, [2]int64{2, 20}, [2]int64{3, 30})
 	r := pairRel("k", "y", [2]int64{2, 200}, [2]int64{2, 201}, [2]int64{4, 400})
-	j, err := NewHashJoin(NewMemScan(l), NewMemScan(r), []int{0}, []int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := drain(t, j)
+	rows := collect(t, hashJoin(t, &ColMemScan{Rel: l}, &ColMemScan{Rel: r}, []int{0}, []int{0})).Rows
 	if len(rows) != 2 {
 		t.Fatalf("join rows = %v", rows)
 	}
@@ -160,11 +262,7 @@ func TestMergeJoinMatchesHashJoin(t *testing.T) {
 	l := pairRel("k", "x", lp...)
 	rr := pairRel("k", "y", rp...)
 
-	hj, err := NewHashJoin(NewMemScan(l), NewMemScan(rr), []int{0}, []int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hjRows := drain(t, hj)
+	hjRows := collect(t, hashJoin(t, &ColMemScan{Rel: l}, &ColMemScan{Rel: rr}, []int{0}, []int{0})).Rows
 
 	mj, err := NewMergeJoin(
 		NewSort(NewMemScan(l), SortSpec{Cols: []int{0}}),
@@ -178,15 +276,7 @@ func TestMergeJoinMatchesHashJoin(t *testing.T) {
 	if len(hjRows) != len(mjRows) {
 		t.Fatalf("hash join %d rows, merge join %d rows", len(hjRows), len(mjRows))
 	}
-	canon := func(rows []table.Tuple) []string {
-		out := make([]string, len(rows))
-		for i, r := range rows {
-			out[i] = r.String()
-		}
-		slices.Sort(out)
-		return out
-	}
-	hc, mc := canon(hjRows), canon(mjRows)
+	hc, mc := canonRows(hjRows), canonRows(mjRows)
 	for i := range hc {
 		if hc[i] != mc[i] {
 			t.Fatalf("row %d differs: %s vs %s", i, hc[i], mc[i])
@@ -285,55 +375,6 @@ func TestSortSpilling(t *testing.T) {
 	}
 }
 
-func TestSortedGroupByMinAndProbOr(t *testing.T) {
-	// Groups on col 0; min of col 1; prob-or of col 2.
-	sch := table.NewSchema(
-		table.DataCol("g", table.KindInt),
-		table.DataCol("v", table.KindInt),
-		table.DataCol("p", table.KindFloat))
-	rel := table.NewRelation(sch)
-	rel.MustAppend(table.Tuple{table.Int(1), table.Int(7), table.Float(0.1)})
-	rel.MustAppend(table.Tuple{table.Int(1), table.Int(3), table.Float(0.2)})
-	rel.MustAppend(table.Tuple{table.Int(2), table.Int(5), table.Float(0.5)})
-	g := NewSortedGroupBy(NewMemScan(rel), []int{0}, []AggSpec{
-		{Kind: AggMin, Col: 1, Out: table.DataCol("minv", table.KindInt)},
-		{Kind: AggProbOr, Col: 2, Out: table.DataCol("p", table.KindFloat)},
-	})
-	rows := drain(t, g)
-	if len(rows) != 2 {
-		t.Fatalf("got %d groups, want 2", len(rows))
-	}
-	if rows[0][0].I != 1 || rows[0][1].I != 3 {
-		t.Errorf("group 1 min = %v", rows[0])
-	}
-	want := 1 - 0.9*0.8
-	if d := rows[0][2].F - want; d > 1e-12 || d < -1e-12 {
-		t.Errorf("group 1 prob = %g, want %g", rows[0][2].F, want)
-	}
-	if rows[1][0].I != 2 || rows[1][2].F != 0.5 {
-		t.Errorf("group 2 = %v", rows[1])
-	}
-}
-
-func TestSortedGroupByEmptyInput(t *testing.T) {
-	rel := intsRel("g")
-	g := NewSortedGroupBy(NewMemScan(rel), []int{0}, []AggSpec{
-		{Kind: AggMin, Col: 0, Out: table.DataCol("m", table.KindInt)},
-	})
-	rows := drain(t, g)
-	if len(rows) != 0 {
-		t.Fatalf("empty input should yield no groups, got %v", rows)
-	}
-}
-
-func TestHashDistinct(t *testing.T) {
-	rel := intsRel("a", 1, 2, 1, 3, 2, 1)
-	rows := drain(t, NewHashDistinct(NewMemScan(rel)))
-	if len(rows) != 3 {
-		t.Fatalf("distinct rows = %v", rows)
-	}
-}
-
 func TestHeapScanThroughEngine(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "rel.heap")
 	h, err := storage.CreateHeapFile(path)
@@ -351,15 +392,13 @@ func TestHeapScanThroughEngine(t *testing.T) {
 	defer h.Close()
 	sch := table.NewSchema(table.DataCol("a", table.KindInt))
 	pool := storage.NewBufferPool(8)
-	scan := NewHeapScan(h, pool, sch)
-	n, err := count(scan)
+	n, err := countCols(NewColHeapScan(h, pool, sch))
 	if err != nil || n != 1000 {
 		t.Fatalf("count = %d, %v", n, err)
 	}
 	// Filter on top of heap scan.
-	f := NewFilter(NewHeapScan(h, pool, sch), Cmp{L: ColRef{Idx: 0}, Op: OpLt, R: Const{table.Int(10)}})
-	rows := drain(t, f)
-	if len(rows) != 10 {
+	f := &ColFilter{In: NewColHeapScan(h, pool, sch), Preds: []ColPred{{Col: 0, Op: OpLt, Val: table.Int(10)}}}
+	if rows := collect(t, f).Rows; len(rows) != 10 {
 		t.Fatalf("filtered rows = %d", len(rows))
 	}
 }
@@ -377,19 +416,11 @@ func TestQuickJoinCommutes(t *testing.T) {
 			return rel
 		}
 		a, b := mk(), mk()
-		j1, err := NewHashJoin(NewMemScan(a), NewMemScan(b), []int{0}, []int{0})
+		n1, err := countCols(hashJoin(t, &ColMemScan{Rel: a}, &ColMemScan{Rel: b}, []int{0}, []int{0}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		j2, err := NewHashJoin(NewMemScan(b), NewMemScan(a), []int{0}, []int{0})
-		if err != nil {
-			t.Fatal(err)
-		}
-		n1, err := count(j1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n2, err := count(j2)
+		n2, err := countCols(hashJoin(t, &ColMemScan{Rel: b}, &ColMemScan{Rel: a}, []int{0}, []int{0}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -400,31 +431,33 @@ func TestQuickJoinCommutes(t *testing.T) {
 	}
 }
 
-// TestQuickSortThenGroupPartitionsRows: grouping partitions the input, so
-// there is one group per distinct key and its minimum is the key itself.
+// TestQuickSortThenGroupPartitionsRows: sorting groups equal keys, so the
+// maximal runs of equal keys in a sorted stream partition the rows — one
+// run per distinct key, the sort+scan shape of every aggregation step.
 func TestQuickSortThenGroupPartitionsRows(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		rel := intsRel("g")
-		distinct := make(map[int64]bool)
+		distinct := make(map[int64]int)
 		for i, n := 0, r.Intn(100); i < n; i++ {
 			v := int64(r.Intn(5))
-			distinct[v] = true
+			distinct[v]++
 			rel.MustAppend(table.Tuple{table.Int(v)})
 		}
-		g := GroupSorted(NewMemScan(rel), []int{0}, []AggSpec{
-			{Kind: AggMin, Col: 0, Out: table.DataCol("m", table.KindInt)},
-		})
-		rows, err := Collect(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, row := range rows.Rows {
-			if row[1].I != row[0].I {
+		rows := drain(t, NewSort(NewMemScan(rel), SortSpec{Cols: []int{0}}))
+		runs := 0
+		for i := 0; i < len(rows); {
+			j := i
+			for j < len(rows) && rows[j][0].I == rows[i][0].I {
+				j++
+			}
+			if distinct[rows[i][0].I] != j-i {
 				return false
 			}
+			runs++
+			i = j
 		}
-		return rows.Len() == len(distinct)
+		return runs == len(distinct) && slices.IsSortedFunc(rows, func(a, b table.Tuple) int { return table.Compare(a[0], b[0]) })
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

@@ -32,22 +32,16 @@ func TestHashJoinGraceFallback(t *testing.T) {
 	l := pairRel("k", "x", lp...)
 	rr := pairRel("k", "y", rp...)
 
-	plain, err := NewHashJoin(NewMemScan(l), NewMemScan(rr), []int{0}, []int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := canonRows(drain(t, plain))
+	plain := hashJoin(t, &ColMemScan{Rel: l}, &ColMemScan{Rel: rr}, []int{0}, []int{0})
+	want := canonRows(collect(t, plain).Rows)
 
 	dir := t.TempDir()
 	g := fault.NewGovernor(32<<10, nil) // below one chunk: first build reservation is denied
-	gj, err := NewHashJoin(NewMemScan(l), NewMemScan(rr), []int{0}, []int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
+	gj := hashJoin(t, &ColMemScan{Rel: l}, &ColMemScan{Rel: rr}, []int{0}, []int{0})
 	gj.Mem = g
 	gj.SortBudget = 64 // force the grace sorts to spill
 	gj.TmpDir = dir
-	got := canonRows(drain(t, gj))
+	got := canonRows(collect(t, gj).Rows)
 
 	if !gj.GraceMode() {
 		t.Fatal("governed join under pressure must enter grace mode")
@@ -82,19 +76,12 @@ func TestHashJoinGovernedNoPressure(t *testing.T) {
 	l := pairRel("k", "x", [2]int64{1, 10}, [2]int64{2, 20}, [2]int64{3, 30})
 	rr := pairRel("k", "y", [2]int64{2, 200}, [2]int64{2, 201}, [2]int64{4, 400})
 
-	plain, err := NewHashJoin(NewMemScan(l), NewMemScan(rr), []int{0}, []int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := drain(t, plain)
+	want := collect(t, hashJoin(t, &ColMemScan{Rel: l}, &ColMemScan{Rel: rr}, []int{0}, []int{0})).Rows
 
 	g := fault.NewGovernor(1<<30, nil)
-	gj, err := NewHashJoin(NewMemScan(l), NewMemScan(rr), []int{0}, []int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
+	gj := hashJoin(t, &ColMemScan{Rel: l}, &ColMemScan{Rel: rr}, []int{0}, []int{0})
 	gj.Mem = g
-	got := drain(t, gj)
+	got := collect(t, gj).Rows
 
 	if gj.GraceMode() {
 		t.Fatal("ample budget must not trigger grace mode")

@@ -6,8 +6,8 @@ import (
 	"repro/internal/table"
 )
 
-// TestCountedTransparent: the Counted wrapper forwards every tuple
-// unchanged, counts rows and batches, and preserves the stability promise.
+// TestCountedTransparent: the ColCounted wrapper forwards every row
+// unchanged and counts rows and batches.
 func TestCountedTransparent(t *testing.T) {
 	rel := table.NewRelation(table.NewSchema(table.DataCol("a", table.KindInt)))
 	for i := 0; i < 2500; i++ {
@@ -15,14 +15,7 @@ func TestCountedTransparent(t *testing.T) {
 	}
 
 	var s OpStats
-	op := Counted(NewMemScan(rel), &s)
-	if !Stable(op) {
-		t.Fatal("Counted over a MemScan must stay stable")
-	}
-	got, err := Collect(op)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := collect(t, &ColCounted{In: &ColMemScan{Rel: rel}, S: &s})
 	if got.Len() != rel.Len() {
 		t.Fatalf("rows %d, want %d", got.Len(), rel.Len())
 	}

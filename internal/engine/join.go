@@ -6,106 +6,6 @@ import (
 	"repro/internal/table"
 )
 
-// HashJoin is an equi-join: it builds a hash table on the right input and
-// probes with the left. The build side is keyed by table.HashOn hashes with
-// Compare-based collision chains, so neither building nor probing renders
-// per-row key strings. The output schema is left ++ right; the planner
-// projects away the duplicated join attributes afterwards (the paper assumes
-// join attributes share names across tables). Governed (gracejoin.go) makes
-// the build side memory-accounted and grace-capable.
-type HashJoin struct {
-	Left, Right        Operator
-	LeftKeys, RightKey []int
-	Governed
-	out        *table.Schema
-	built      *table.TupleMap
-	in         []table.Tuple // reused probe batch
-	inN, inPos int
-	cur        table.Group // matches for the current probe tuple
-	curLen     int         // 1+len(cur.Rest), 0 when no match
-	curLeft    table.Tuple
-	curPos     int
-	slots      slotBufs
-}
-
-// NewHashJoin joins left and right on pairwise-equal key columns.
-func NewHashJoin(left, right Operator, leftKeys, rightKeys []int) (*HashJoin, error) {
-	if len(leftKeys) != len(rightKeys) {
-		return nil, fmt.Errorf("engine: hash join key arity mismatch")
-	}
-	return &HashJoin{
-		Left: left, Right: right,
-		LeftKeys: leftKeys, RightKey: rightKeys,
-		out: left.Schema().Concat(right.Schema()),
-	}, nil
-}
-
-// Schema returns left ++ right.
-func (j *HashJoin) Schema() *table.Schema { return j.out }
-
-// Open builds the hash table over the right input (Governed.open).
-func (j *HashJoin) Open() error {
-	j.cur = table.Group{}
-	j.curLen, j.curPos = 0, 0
-	j.inN, j.inPos = 0, 0
-	var err error
-	j.built, err = j.open(j.Left, j.Right, j.LeftKeys, j.RightKey, rowBuildSource(j.Right, j.RightKey))
-	return err
-}
-
-// NextBatch fills dst with joined tuples built in reused per-slot buffers.
-// The current probe tuple references the join's input batch, which is only
-// refilled once its matches are exhausted, so no probe-side clone is needed.
-func (j *HashJoin) NextBatch(dst []table.Tuple) (int, error) {
-	if j.grace != nil {
-		return j.grace.NextBatch(dst)
-	}
-	n := 0
-	for n < len(dst) {
-		if j.curPos < j.curLen {
-			r := j.cur.First
-			if j.curPos > 0 {
-				r = j.cur.Rest[j.curPos-1]
-			}
-			j.curPos++
-			buf := j.slots.slot(n, j.out.Len())
-			copy(buf, j.curLeft)
-			copy(buf[len(j.curLeft):], r)
-			dst[n] = buf
-			n++
-			continue
-		}
-		if j.inPos >= j.inN {
-			j.in = batchScratch(j.in, BatchSize)
-			k, err := j.Left.NextBatch(j.in)
-			if err != nil {
-				return 0, err
-			}
-			if k == 0 {
-				return n, nil
-			}
-			j.inN, j.inPos = k, 0
-		}
-		//sproutvet:allow batchalias probe cursor lives only until j.in is refilled, and its matches drain first (see NextBatch doc)
-		j.curLeft = j.in[j.inPos]
-		j.inPos++
-		g, ok := j.built.Lookup(j.curLeft, j.LeftKeys)
-		j.cur = g
-		j.curLen = 0
-		if ok {
-			j.curLen = 1 + len(g.Rest)
-		}
-		j.curPos = 0
-	}
-	return n, nil
-}
-
-// Close closes both inputs and drops the hash table.
-func (j *HashJoin) Close() error {
-	j.built = nil
-	return j.close(j.Left, j.Right)
-}
-
 // MergeJoin equi-joins two inputs already sorted on their join keys. Blocks
 // of equal right keys are buffered to form the cross product with each
 // matching left tuple. The output order (sorted by join keys) is what makes

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/fault"
@@ -27,15 +28,6 @@ func randRel(rng *rand.Rand, rows, keyDomain int) *table.Relation {
 	return rel
 }
 
-func collectAll(t *testing.T, op Operator) *table.Relation {
-	t.Helper()
-	rel, err := Collect(op)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rel
-}
-
 // rowMultiset renders a relation as a sorted bag of row strings.
 func rowMultiset(rel *table.Relation) map[string]int {
 	m := make(map[string]int)
@@ -45,13 +37,18 @@ func rowMultiset(rel *table.Relation) map[string]int {
 	return m
 }
 
-// TestCollectCtxCancellation: a cancelled context aborts collection.
+// TestCollectCtxCancellation: a cancelled context aborts a drain at its
+// first batch boundary, and the sink sees nothing.
 func TestCollectCtxCancellation(t *testing.T) {
 	rel := randRel(rand.New(rand.NewSource(1)), 10, 5)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := CollectCtx(ctx, NewMemScan(rel)); err != context.Canceled {
+	sink := NewRelationSink(rel.Schema)
+	if err := StreamCtx(ctx, &ColMemScan{Rel: rel}, sink); err != context.Canceled {
 		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	if sink.Rel.Len() != 0 {
+		t.Fatalf("a cancelled drain delivered %d rows", sink.Rel.Len())
 	}
 }
 
@@ -81,15 +78,16 @@ func nullKeyRel(rng *rand.Rand, rows, keyDomain, nullEvery int) *table.Relation 
 	return rel
 }
 
-// TestJoinFamilyIdentity is the hash-join family's one identity table: every
-// member — {row, columnar} × {ungoverned, governed without pressure,
-// governed under pressure} — joins the same inputs (repeated keys, NULL keys,
-// an empty side, sizes on both sides of pool.ParallelMinRows, where a
-// consuming sort+scan pass starts partitioning) to the same result. Hash
-// joins that stay on the hash path emit the reference rows in the reference
-// order in both tiers; grace joins emit the same multiset. Grace mode is
-// entered exactly where the governor denies a non-empty build, in both
-// tiers.
+// TestJoinFamilyIdentity is the hash join's identity table: the join —
+// ungoverned, governed without pressure, governed under pressure — over
+// inputs with repeated keys, NULL keys, an empty side, and sizes on both
+// sides of pool.ParallelMinRows (where a consuming sort+scan pass starts
+// partitioning), read two ways: drained as column batches (columnar), and
+// through ColToRows (row), the row view an enclosing grace join reads its
+// inputs through. A join that stays on the hash path emits the nested-loop
+// reference rows in the reference order (probe rows in scan order, their
+// matches in build order); a grace join emits the same multiset. Grace mode
+// is entered exactly where the governor denies a non-empty build.
 func TestJoinFamilyIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	empty := randRel(rng, 0, 1)
@@ -108,21 +106,12 @@ func TestJoinFamilyIdentity(t *testing.T) {
 	// (≥ 1024 two-column rows reserve three joinMemChunks at once) while
 	// leaving the grace sorters two chunks to buffer runs in.
 	const tight = 2 * joinMemChunk
-	// run collects op in the requested tier (a governed row join reports
-	// GraceMode for whichever tier ran it).
-	run := func(t *testing.T, columnar bool, op Operator) *table.Relation {
+	run := func(t *testing.T, columnar bool, j *ColHashJoin) *table.Relation {
 		t.Helper()
-		if !columnar {
-			return collectAll(t, op)
+		if columnar {
+			return collect(t, j)
 		}
-		got, ran, err := CollectCtxVec(nil, op)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ran {
-			t.Fatal("join tree did not columnarize")
-		}
-		return got
+		return &table.Relation{Schema: j.Schema(), Rows: drain(t, &ColToRows{In: j})}
 	}
 	sameOrder := func(t *testing.T, got, want *table.Relation) {
 		t.Helper()
@@ -148,14 +137,14 @@ func TestJoinFamilyIdentity(t *testing.T) {
 		}
 	}
 	for _, in := range inputs {
-		hash := func() *HashJoin {
-			j, err := NewHashJoin(NewMemScan(in.left), NewMemScan(in.right), keys, keys)
-			if err != nil {
-				t.Fatal(err)
+		want := &table.Relation{}
+		for _, l := range in.left.Rows {
+			for _, r := range in.right.Rows {
+				if table.EqualOn2(l, keys, r, keys) {
+					want.Rows = append(want.Rows, append(slices.Clone(l), r...))
+				}
 			}
-			return j
 		}
-		want := collectAll(t, hash())
 		if want.Len() == 0 && in.left.Len() > 0 && in.right.Len() > 0 {
 			t.Fatalf("%s: reference join produced no rows", in.name)
 		}
@@ -166,7 +155,7 @@ func TestJoinFamilyIdentity(t *testing.T) {
 				limit int64 // 0 = ungoverned
 			}{{"ungoverned", 0}, {"roomy", 1 << 30}, {"tight", tight}} {
 				t.Run(in.name+"/hash/"+tier+"/"+gov.name, func(t *testing.T) {
-					j := hash()
+					j := hashJoin(t, &ColMemScan{Rel: in.left}, &ColMemScan{Rel: in.right}, keys, keys)
 					if gov.limit > 0 {
 						j.Mem = fault.NewGovernor(gov.limit, nil)
 						j.SortBudget = 1024

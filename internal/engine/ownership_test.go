@@ -92,10 +92,7 @@ func TestSpilledSortTuplesStayValid(t *testing.T) {
 // and both promise StableTuples.
 func TestGraceJoinSortedInputsStayValid(t *testing.T) {
 	l, r := payloadRel(11, 2500, 5), payloadRel(12, 2500, 5) // > 2 batches: the cursors refill while tuples are retained
-	j, err := NewHashJoin(NewMemScan(l), NewMemScan(r), []int{0}, []int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := hashJoin(t, &ColMemScan{Rel: l}, &ColMemScan{Rel: r}, []int{0}, []int{0})
 	j.Mem = fault.NewGovernor(32<<10, nil) // below one chunk: the build is denied at once
 	j.SortBudget = 200
 	j.TmpDir = t.TempDir()
@@ -123,7 +120,7 @@ func TestGraceJoinSortedInputsStayValid(t *testing.T) {
 
 // TestCursorKeepsOnlyWhatRefillsOverwrite: the per-tuple consumers read
 // through a Cursor, whose tuples die at the next refill unless the input is
-// stable. Over unstable inputs (a Project rewrites its slot buffers every
+// stable. Over unstable inputs (ColToRows rewrites its slot buffers every
 // batch) a merge join whose equal-key blocks straddle batch boundaries must
 // still pair every block member — the cursor clones what it keeps; over
 // stable inputs Keep hands the tuple back untouched.
@@ -133,20 +130,13 @@ func TestCursorKeepsOnlyWhatRefillsOverwrite(t *testing.T) {
 		return &table.Relation{Schema: rel.Schema, Rows: wantSorted(rel)}
 	}
 	unstable := func(rel *table.Relation) Operator {
-		p, err := NewColumnProject(NewMemScan(sorted(rel)), rel.Schema.Names())
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := &ColToRows{In: &ColMemScan{Rel: sorted(rel)}}
 		if Stable(p) {
-			t.Fatal("a Project must not promise stable tuples")
+			t.Fatal("ColToRows must not promise stable tuples")
 		}
 		return p
 	}
-	hj, err := NewHashJoin(NewMemScan(l), NewMemScan(r), []int{0}, []int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := canonRows(drain(t, hj))
+	want := canonRows(collect(t, hashJoin(t, &ColMemScan{Rel: l}, &ColMemScan{Rel: r}, []int{0}, []int{0})).Rows)
 	mj, err := NewMergeJoin(unstable(l), unstable(r), []int{0}, []int{0})
 	if err != nil {
 		t.Fatal(err)

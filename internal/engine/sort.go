@@ -44,7 +44,7 @@ func (s *Sort) Open() error {
 	}
 	sorter := storage.NewKeySorter(s.Spec.Cols, s.Budget, s.TmpDir)
 	sorter.Govern(s.Mem)
-	if err := pumpRows(nil, s.In, BatchSize, sorter.AddRows); err != nil {
+	if err := pumpRows(s.In, sorter.AddRows); err != nil {
 		s.In.Close()
 		sorter.Discard()
 		return err

@@ -46,8 +46,8 @@ func (ex exec) span(name string) *obs.Span {
 	return ex.tr.Root.Child(name)
 }
 
-// serialExec is the executor used by entry points that predate the parallel
-// layer (Answer, tests).
+// serialExec is the one-worker, uncancellable executor of Answer and the
+// tests.
 func serialExec() exec {
 	return exec{ctx: context.Background(), pool: pool.New(1)}
 }
@@ -202,21 +202,20 @@ func depth(t *query.Tree) int {
 // occurrence's rename → filter → project pipeline. The projection keeps the
 // attributes the plan's leaf projection names plus the occurrence's
 // uncertainty columns — V and P under ModeLineage, P alone under ModeProb;
-// selections are applied before attributes are dropped. The pipeline
-// streams into the enclosing collector at every worker count.
-func leafPipeline(c *Catalog, q *query.Query, ref query.RelRef, attrs []string, mode logical.Mode) (engine.Operator, error) {
+// selections are applied before attributes are dropped.
+func leafPipeline(c *Catalog, q *query.Query, ref query.RelRef, attrs []string, mode logical.Mode) (engine.ColOperator, error) {
 	base, err := c.Base(ref)
 	if err != nil {
 		return nil, err
 	}
-	var op engine.Operator = engine.NewMemScan(base.Rel)
+	var op engine.ColOperator = &engine.ColMemScan{Rel: base.Rel}
 	if db := c.Disk(ref.Base); db != nil {
-		op = engine.NewHeapScan(db.File, db.Pool, base.Rel.Schema)
+		op = engine.NewColHeapScan(db.File, db.Pool, base.Rel.Schema)
 	}
 	if op, err = c.Rename(ref, op); err != nil {
 		return nil, err
 	}
-	var preds engine.And
+	var preds []engine.ColPred
 	s := op.Schema()
 	for _, sel := range q.Sels {
 		if sel.Rel != ref.Name {
@@ -226,10 +225,10 @@ func leafPipeline(c *Catalog, q *query.Query, ref query.RelRef, attrs []string, 
 		if idx < 0 {
 			return nil, fmt.Errorf("plan: selection attribute %s missing from %s", sel.Attr, ref.Name)
 		}
-		preds = append(preds, engine.Cmp{L: engine.ColRef{Idx: idx, Name: sel.Attr}, Op: sel.Op, R: engine.Const{V: sel.Val}})
+		preds = append(preds, engine.ColPred{Col: idx, Op: sel.Op, Val: sel.Val})
 	}
 	if len(preds) > 0 {
-		op = engine.NewFilter(op, preds)
+		op = &engine.ColFilter{In: op, Preds: preds}
 	}
 	names := slices.Clone(attrs)
 	if mode == logical.ModeLineage {
@@ -245,7 +244,7 @@ func leafPipeline(c *Catalog, q *query.Query, ref query.RelRef, attrs []string, 
 // join; under a governor its build side is charged and may degrade to a
 // grace join, and the join is returned as well so the caller can report
 // whether it did.
-func joinPipeline(ex exec, left, right engine.Operator, attrs []string, sp *obs.Span) (engine.Operator, *engine.HashJoin, error) {
+func joinPipeline(ex exec, left, right engine.ColOperator, attrs []string, sp *obs.Span) (engine.ColOperator, *engine.ColHashJoin, error) {
 	ls, rs := left.Schema(), right.Schema()
 	var lk, rk []int
 	for i, lc := range ls.Cols {
@@ -258,11 +257,11 @@ func joinPipeline(ex exec, left, right engine.Operator, attrs []string, sp *obs.
 			rk = append(rk, j)
 		}
 	}
-	j, err := engine.NewHashJoin(left, right, lk, rk)
+	j, err := engine.NewColHashJoin(left, right, lk, rk)
 	if err != nil {
 		return nil, nil, err
 	}
-	var governed *engine.HashJoin
+	var governed *engine.ColHashJoin
 	if ex.mem != nil {
 		sp.LooseStr("phys", "hash(build=right, governed)")
 		j.Mem, j.SortBudget, j.TmpDir = ex.mem, ex.sortBudget, ex.tmpDir

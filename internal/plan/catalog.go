@@ -191,10 +191,9 @@ func (c *Catalog) Base(ref query.RelRef) (*table.ProbTable, error) {
 // renaming: data columns positionally renamed to the occurrence's attribute
 // names, V/P columns renamed to the occurrence name. Renaming is what makes
 // the paper's alias trick for self-joins work (two copies of Nation with
-// attributes n1key/n2key, §VI on TPC-H query 7). Splitting the rename from
-// the scan lets the parallel execution layer run it over row chunks of the
-// base relation.
-func (c *Catalog) Rename(ref query.RelRef, in engine.Operator) (engine.Operator, error) {
+// attributes n1key/n2key, §VI on TPC-H query 7). It is a zero-copy
+// projection that relabels the scan's columns.
+func (c *Catalog) Rename(ref query.RelRef, in engine.ColOperator) (engine.ColOperator, error) {
 	bs := in.Schema()
 	dataIdx := bs.DataIndexes()
 	if len(ref.Attrs) != len(dataIdx) {
@@ -202,13 +201,10 @@ func (c *Catalog) Rename(ref query.RelRef, in engine.Operator) (engine.Operator,
 			ref.Name, len(ref.Attrs), ref.Base, len(dataIdx))
 	}
 	cols := make([]table.Column, 0, len(dataIdx)+2)
-	exprs := make([]engine.Expr, 0, len(dataIdx)+2)
 	for i, j := range dataIdx {
 		cols = append(cols, table.DataCol(ref.Attrs[i], bs.Cols[j].Kind))
-		exprs = append(exprs, engine.ColRef{Idx: j, Name: ref.Attrs[i]})
 	}
-	vi, pi := bs.VarIndex(ref.Base), bs.ProbIndex(ref.Base)
 	cols = append(cols, table.VarCol(ref.Name), table.ProbCol(ref.Name))
-	exprs = append(exprs, engine.ColRef{Idx: vi, Name: "V"}, engine.ColRef{Idx: pi, Name: "P"})
-	return engine.NewProject(in, table.NewSchema(cols...), exprs)
+	idx := append(slices.Clone(dataIdx), bs.VarIndex(ref.Base), bs.ProbIndex(ref.Base))
+	return engine.NewColProject(in, idx, table.NewSchema(cols...))
 }

@@ -2,7 +2,6 @@ package plan_test
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -52,24 +51,25 @@ func TestMystiQOnDiskCatalog(t *testing.T) {
 	}
 }
 
-// TestGovernedJoinSpanReportsGrace: a governed plan columnarizes like any
-// other — its answer span says exec=columnar and the run counts column
-// batches — and a join whose build the governor denied says so: its span
-// carries the loose attribute grace=true, in both tiers. The same query
-// ungoverned reports no grace.
+// TestGovernedJoinSpanReportsGrace: a governed plan runs the same pipeline
+// as any other — its join spans count the batches they moved — and a join
+// whose build the governor denied says so: its span carries the loose
+// attribute grace=true. The same query ungoverned reports no grace, and
+// nothing a budget changes in the trace is structural. governed/row sets
+// Spec.RowExec, which the benchmark's reference runs still set: it must
+// change nothing.
 func TestGovernedJoinSpanReportsGrace(t *testing.T) {
 	cat := tpch.Generate(tpch.Config{SF: 0.002, Seed: 1}).Catalog()
 	e := tpch.Catalog()["18"]
 	fingerprint := ""
 	for _, c := range []struct {
-		name     string
-		budget   int64
-		rowExec  bool
-		wantExec string
+		name    string
+		budget  int64
+		rowExec bool
 	}{
-		{"ungoverned", 0, false, "columnar"},
-		{"governed", 128 << 10, false, "columnar"},
-		{"governed/row", 128 << 10, true, "row"},
+		{"ungoverned", 0, false},
+		{"governed", 128 << 10, false},
+		{"governed/row", 128 << 10, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			spec := plan.Spec{Style: plan.Lazy, Trace: true, MemBudget: c.budget, RowExec: c.rowExec}
@@ -78,9 +78,12 @@ func TestGovernedJoinSpanReportsGrace(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			graced, exec := 0, ""
+			graced, joins, counted := 0, 0, 0
 			var walk func(s *obs.Span)
 			walk = func(s *obs.Span) {
+				if s.Name == "join" {
+					joins++
+				}
 				for _, a := range s.Attrs {
 					switch {
 					case s.Name == "join" && a.Key == "grace":
@@ -88,8 +91,8 @@ func TestGovernedJoinSpanReportsGrace(t *testing.T) {
 							t.Errorf("join span carries grace=%s structural=%v", a.Val, a.Structural)
 						}
 						graced++
-					case strings.HasPrefix(s.Name, "answer: ") && a.Key == "exec":
-						exec = a.Val
+					case s.Name == "join" && a.Key == "batches" && a.Val != "0":
+						counted++
 					}
 				}
 				for _, ch := range s.Children {
@@ -97,17 +100,13 @@ func TestGovernedJoinSpanReportsGrace(t *testing.T) {
 				}
 			}
 			walk(res.Stats.Trace.Root)
-			// Everything a budget or a tier changes in the trace is loose.
 			if fingerprint == "" {
 				fingerprint = res.Stats.Trace.Fingerprint()
 			} else if got := res.Stats.Trace.Fingerprint(); got != fingerprint {
 				t.Errorf("trace fingerprint differs from the ungoverned run's:\n%s\nvs\n%s", got, fingerprint)
 			}
-			if exec != c.wantExec {
-				t.Errorf("answer span exec=%q, want %q", exec, c.wantExec)
-			}
-			if (res.Stats.ColBatches > 0) != !c.rowExec || (res.Stats.RowBatches > 0) != c.rowExec {
-				t.Errorf("col_batches=%d row_batches=%d under RowExec=%v", res.Stats.ColBatches, res.Stats.RowBatches, c.rowExec)
+			if joins == 0 || counted != joins {
+				t.Errorf("%d of %d join spans count their batches", counted, joins)
 			}
 			if (graced > 0) != (c.budget > 0) {
 				t.Errorf("%d join spans report grace under MemBudget=%d\n%s", graced, c.budget, res.Stats.Trace.Render(false))

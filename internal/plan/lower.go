@@ -45,16 +45,10 @@ type lowerState struct {
 	applied         []string
 	maxIntermediate int64
 
-	// colExec records whether any materialized subtree ran fully columnar;
-	// colBatches/rowBatches accumulate the per-operator batch counters of
-	// traced runs (count() wrappers) for Stats attribution.
-	colExec    bool
-	colBatches int64
-	rowBatches int64
 	graceJoins int64 // governed joins that fell back to sort-merge (grace) mode
 
 	// flushes are deferred readers of operators threaded into the pipeline
-	// — trace-attribute writers for Counted wrappers, the governed joins'
+	// — trace-attribute writers for ColCounted wrappers, the governed joins'
 	// grace-mode check: their counters are only final once the pipeline has
 	// drained, so a source's feed runs them after the drain.
 	flushes []func()
@@ -71,7 +65,7 @@ func (st *lowerState) addSorts(cs *conf.Stats) {
 // count wraps op so the rows and batches drained from it land on sp once
 // the enclosing pipeline has drained. A nil span returns op untouched —
 // the untraced path pays nothing.
-func (st *lowerState) count(op engine.Operator, sp *obs.Span) engine.Operator {
+func (st *lowerState) count(op engine.ColOperator, sp *obs.Span) engine.ColOperator {
 	if sp == nil {
 		return op
 	}
@@ -79,13 +73,8 @@ func (st *lowerState) count(op engine.Operator, sp *obs.Span) engine.Operator {
 	st.flushes = append(st.flushes, func() {
 		sp.Int("rows_out", s.Rows)
 		sp.LooseInt("batches", s.Batches)
-		if s.ColBatches > 0 {
-			sp.LooseInt("col_batches", s.ColBatches)
-		}
-		st.rowBatches += s.Batches
-		st.colBatches += s.ColBatches
 	})
-	return engine.Counted(op, s)
+	return &engine.ColCounted{In: op, S: s}
 }
 
 // flush runs the trace-attribute writers appended since mark — the
@@ -120,7 +109,7 @@ func scanRefUnder(n logical.Node) (query.RelRef, bool) {
 // spans under sp (nil when tracing is off — every span call then no-ops).
 // Confidence placement points inside the subtree run where they stand and
 // re-enter the pipeline as in-memory scans of their output.
-func (st *lowerState) operator(n logical.Node, sp *obs.Span) (engine.Operator, error) {
+func (st *lowerState) operator(n logical.Node, sp *obs.Span) (engine.ColOperator, error) {
 	switch x := n.(type) {
 	case *logical.Project:
 		if j, ok := x.Input.(*logical.Join); ok {
@@ -167,7 +156,7 @@ func (st *lowerState) operator(n logical.Node, sp *obs.Span) (engine.Operator, e
 		if err != nil {
 			return nil, err
 		}
-		return engine.NewMemScan(rel), nil
+		return &engine.ColMemScan{Rel: rel}, nil
 	default:
 		return nil, fmt.Errorf("plan: cannot lower logical node %T", n)
 	}
@@ -176,9 +165,8 @@ func (st *lowerState) operator(n logical.Node, sp *obs.Span) (engine.Operator, e
 // pullTimer sits between a streamed pipeline and the sink it feeds, timing
 // the pulls at batch granularity — two clock reads per batch: the time
 // between one hand-off returning and the next arriving was spent inside the
-// pipeline (Open, NextColBatch/NextBatch and the row tier's transposition)
-// and is tuple time; the time inside the sink belongs to whoever consumes
-// the rows.
+// pipeline (Open and NextColBatch) and is tuple time; the time inside the
+// sink belongs to whoever consumes the rows.
 type pullTimer struct {
 	sink engine.Sink
 	last time.Time
@@ -195,10 +183,9 @@ func (p *pullTimer) AddBatch(b *table.ColBatch) error {
 }
 
 // source lowers a subtree to a one-shot stream of its rows: the pipeline
-// runs — columnar unless Spec.RowExec pins the row tier, identical tuples
-// either way — when the source is consumed, batch by batch into the
-// consumer's sink, and not before. An eager placement point at the root of
-// the subtree is applied here and its output is the source.
+// runs when the source is consumed, batch by batch into the consumer's
+// sink, and not before. An eager placement point at the root of the
+// subtree is applied here and its output is the source.
 func (st *lowerState) source(n logical.Node, sp *obs.Span) (*conf.Source, error) {
 	if cf, ok := n.(*logical.Conf); ok && !cf.Final {
 		return st.applyConf(cf, sp)
@@ -210,12 +197,11 @@ func (st *lowerState) source(n logical.Node, sp *obs.Span) (*conf.Source, error)
 	}
 	return conf.NewSource(op.Schema(), func(sink engine.Sink) error {
 		timed := &pullTimer{sink: sink, last: statsNow()}
-		columnar, err := engine.StreamCtx(st.ex.ctx, op, st.spec.RowExec, timed)
+		err := engine.StreamCtx(st.ex.ctx, op, timed)
 		st.pullTime += timed.pull + statsSince(timed.last)
 		if err != nil {
 			return err
 		}
-		st.colExec = st.colExec || columnar
 		st.flush(mark)
 		st.maxIntermediate = max(st.maxIntermediate, timed.rows)
 		return nil
@@ -310,8 +296,6 @@ func runLogical(ex exec, c *Catalog, q *query.Query, b *built, spec Spec) (*Resu
 	if err != nil {
 		return nil, err
 	}
-	res.Stats.ColBatches = st.colBatches
-	res.Stats.RowBatches = st.rowBatches
 	res.Stats.GraceJoins = st.graceJoins
 	return res, nil
 }
@@ -320,11 +304,6 @@ func runLogical(ex exec, c *Catalog, q *query.Query, b *built, spec Spec) (*Resu
 // drained.
 func (st *lowerState) annotateAnswer(sp *obs.Span, rows int64, tupleTime time.Duration) {
 	sp.Int("rows", rows)
-	if st.colExec {
-		sp.LooseStr("exec", "columnar")
-	} else {
-		sp.LooseStr("exec", "row")
-	}
 	sp.SetDur(tupleTime)
 }
 

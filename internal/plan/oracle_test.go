@@ -166,11 +166,11 @@ func oracleTruth(t *testing.T, cat *Catalog, q *query.Query) map[string]float64 
 // exact styles and the OBDD and d-tree tiers (their answers streamed into
 // lineage collection) agree with the truth to 1e-9 and MystiQ's safe plans
 // to 2e-3 per independent projection (its aggregate's 1.001 fudge costs up
-// to 1e-3 per member of a group, and groups here rarely have over two), in
-// both execution tiers, for one, two and four workers, ungoverned and under
-// a memory budget that turns every join into a grace join with a sort
-// budget that spills every sort — where the lineage tiers' shrunk budgets
-// may leave certified bounds, each answer then within half their width.
+// to 1e-3 per member of a group, and groups here rarely have over two), for
+// one, two and four workers, ungoverned and under a memory budget that
+// turns every join into a grace join with a sort budget that spills every
+// sort — where the lineage tiers' shrunk budgets may leave certified
+// bounds, each answer then within half their width.
 func TestParallelQueryOracle(t *testing.T) {
 	const instances = 6
 	sawGrace, sawSpill, sawLineageGrace := false, false, false
@@ -179,52 +179,50 @@ func TestParallelQueryOracle(t *testing.T) {
 			cat := oracleCatalog(rand.New(rand.NewSource(seed)), shape.rels)
 			truth := oracleTruth(t, cat, shape.q)
 			for _, style := range []Style{Lazy, Eager, Hybrid, SafeMystiQ, OBDD, DTree} {
-				for _, rowExec := range []bool{false, true} {
-					for _, workers := range []int{1, 2, 4} {
-						for _, governed := range []bool{false, true} {
-							// The lineage styles' budgets shrink to the governor's
-							// headroom, so under it they may report certified
-							// bounds instead of failing.
-							lineage := style == OBDD || style == DTree
-							spec := Spec{Style: style, RowExec: rowExec, Workers: workers, RequireExact: !lineage}
-							spec.Conf.TmpDir = t.TempDir()
-							if governed {
-								// Every reservation is denied, and a run holds
-								// two rows: instances this small spill only so.
-								spec.MemBudget, spec.Conf.SortBudget = 1, 2
+				for _, workers := range []int{1, 2, 4} {
+					for _, governed := range []bool{false, true} {
+						// The lineage styles' budgets shrink to the governor's
+						// headroom, so under it they may report certified
+						// bounds instead of failing.
+						lineage := style == OBDD || style == DTree
+						spec := Spec{Style: style, Workers: workers, RequireExact: !lineage}
+						spec.Conf.TmpDir = t.TempDir()
+						if governed {
+							// Every reservation is denied, and a run holds
+							// two rows: instances this small spill only so.
+							spec.MemBudget, spec.Conf.SortBudget = 1, 2
+						}
+						name := fmt.Sprintf("%s seed=%d %v workers=%d governed=%v", shape.name, seed, style, workers, governed)
+						res, err := Run(cat, shape.q.Clone(), fd.NewSet(), spec)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						tol := 1e-9
+						switch {
+						case style == SafeMystiQ:
+							tol = 2e-3 * float64(res.Stats.Scans)
+							sawGrace = sawGrace || res.Stats.GraceJoins > 0
+							sawSpill = sawSpill || res.Stats.SpilledRuns > 0
+						case lineage:
+							if res.Stats.Approximate && !governed {
+								t.Errorf("%s: ungoverned run is not exact: %s", name, res.Stats.Plan)
 							}
-							name := fmt.Sprintf("%s seed=%d %v row=%v workers=%d governed=%v", shape.name, seed, style, rowExec, workers, governed)
-							res, err := Run(cat, shape.q.Clone(), fd.NewSet(), spec)
-							if err != nil {
-								t.Fatalf("%s: %v", name, err)
+							tol += res.Stats.MaxWidth / 2
+							sawLineageGrace = sawLineageGrace || res.Stats.GraceJoins > 0
+						}
+						if res.Rows.Len() != len(truth) {
+							t.Errorf("%s: %d answers, oracle has %d", name, res.Rows.Len(), len(truth))
+							continue
+						}
+						for _, row := range res.Rows.Rows {
+							parts := make([]string, len(row)-1)
+							for i, v := range row[:len(row)-1] {
+								parts[i] = v.String()
 							}
-							tol := 1e-9
-							switch {
-							case style == SafeMystiQ:
-								tol = 2e-3 * float64(res.Stats.Scans)
-								sawGrace = sawGrace || res.Stats.GraceJoins > 0
-								sawSpill = sawSpill || res.Stats.SpilledRuns > 0
-							case lineage:
-								if res.Stats.Approximate && !governed {
-									t.Errorf("%s: ungoverned run is not exact: %s", name, res.Stats.Plan)
-								}
-								tol += res.Stats.MaxWidth / 2
-								sawLineageGrace = sawLineageGrace || res.Stats.GraceJoins > 0
-							}
-							if res.Rows.Len() != len(truth) {
-								t.Errorf("%s: %d answers, oracle has %d", name, res.Rows.Len(), len(truth))
-								continue
-							}
-							for _, row := range res.Rows.Rows {
-								parts := make([]string, len(row)-1)
-								for i, v := range row[:len(row)-1] {
-									parts[i] = v.String()
-								}
-								key := strings.Join(parts, "|")
-								want, ok := truth[key]
-								if got := row[len(row)-1].F; !ok || !prob.ApproxEqual(got, want, tol) {
-									t.Errorf("%s: answer %q conf %g, oracle %g (tolerance %g)", name, key, got, want, tol)
-								}
+							key := strings.Join(parts, "|")
+							want, ok := truth[key]
+							if got := row[len(row)-1].F; !ok || !prob.ApproxEqual(got, want, tol) {
+								t.Errorf("%s: answer %q conf %g, oracle %g (tolerance %g)", name, key, got, want, tol)
 							}
 						}
 					}

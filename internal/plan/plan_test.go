@@ -284,12 +284,12 @@ func TestHierarchicalOrderDeepestFirst(t *testing.T) {
 // TestScanRename: aliases rename data columns positionally.
 func TestScanRename(t *testing.T) {
 	cat, _ := fig1Catalog()
-	scan := func(ref query.RelRef) (engine.Operator, error) {
+	scan := func(ref query.RelRef) (engine.ColOperator, error) {
 		base, err := cat.Base(ref)
 		if err != nil {
 			return nil, err
 		}
-		return cat.Rename(ref, engine.NewMemScan(base.Rel))
+		return cat.Rename(ref, &engine.ColMemScan{Rel: base.Rel})
 	}
 	op, err := scan(query.Alias("Cust2", "Cust", "c2key", "c2name"))
 	if err != nil {

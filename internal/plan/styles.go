@@ -126,14 +126,9 @@ type Spec struct {
 	// width) for the DTree style and for the exact styles' d-tree fallback
 	// tier.
 	DTree dtree.Options
-	// RowExec forces the row tier for the relational plumbing. By default
-	// the lowering drains each pipeline through the columnar tier
-	// (engine.StreamCtx): the planner's scan→filter→project→join
-	// pipelines, governed ones included, run as vectorized column batches
-	// (a tree with no columnar form would run on rows unchanged). The two
-	// tiers emit the same tuples in the same order, so confidences are
-	// bit-identical either way; RowExec exists for benchmarking the
-	// difference and for differential tests.
+	// RowExec is ignored: the relational pipeline has one, columnar,
+	// execution tier. The field remains only because the benchmark suite
+	// still sets it.
 	RowExec bool
 	// RequireExact restores the paper's strict behaviour: exact styles
 	// reject queries without a hierarchical signature instead of falling
@@ -178,12 +173,16 @@ type Spec struct {
 	// (created from MemBudget) chains to it, so concurrent queries share one
 	// engine-level accounting root. nil means no engine-level accounting.
 	Mem *fault.Governor
-	// Watermark enables graceful deadline degradation: this long before the
-	// run context's deadline, the OBDD and d-tree tiers stop and return
-	// their current certified [lo, hi] bounds and the Monte Carlo tier its
-	// running estimate with the (wider) ε it actually achieved, instead of
-	// dying with context.DeadlineExceeded and nothing to show. 0 disables
-	// the watermark (deadline-exceeded runs fail, exactly as before).
+	// Watermark enables graceful deadline degradation of the confidence
+	// tiers: this long before the run context's deadline, the OBDD and
+	// d-tree tiers stop and return their current certified [lo, hi] bounds
+	// and the Monte Carlo tier its running estimate with the (wider) ε it
+	// actually achieved, instead of dying with context.DeadlineExceeded and
+	// nothing to show. The promise holds only once those tiers have armed:
+	// the relational pipeline feeding them is bounded by the context's
+	// deadline alone, checked in engine.StreamCtx before it opens and once
+	// per batch, and a deadline that passes there fails the run with
+	// context.DeadlineExceeded. 0 disables the watermark.
 	Watermark time.Duration
 	// Retry re-runs a query whose failure is a transient injected I/O
 	// fault (fault.IsTransient), with capped exponential backoff and
@@ -259,13 +258,6 @@ type Stats struct {
 	// GraceJoins counts governed hash joins of the run that fell back to
 	// sort-merge (grace) mode under memory pressure.
 	GraceJoins int64
-	// ColBatches and RowBatches count the batches the relational plumbing
-	// moved through the columnar and row tiers — how much of the run was
-	// vectorized. They are populated only on traced runs (the counters ride
-	// the same per-operator wrappers as the trace's row counts) and are
-	// loose: batch counts vary with worker count and batch size.
-	ColBatches int64
-	RowBatches int64
 	// ChosenStyle names the style the Auto planner dispatched ("" for
 	// fixed-style runs).
 	ChosenStyle string

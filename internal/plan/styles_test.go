@@ -205,11 +205,11 @@ func TestJoinPipelineUsesAllSharedAttrs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := engine.Collect(j)
-	if err != nil {
+	got := engine.NewRelationSink(j.Schema())
+	if err := engine.StreamCtx(nil, j, got); err != nil {
 		t.Fatal(err)
 	}
-	n := got.Len()
+	n := got.Rel.Len()
 	// Matching (okey, ckey) pairs in Fig. 1: okey 1 (2 items), 3 (2), 4 (1),
 	// 5 (1) = 6 rows.
 	if n != 6 {

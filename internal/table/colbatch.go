@@ -11,12 +11,11 @@ import (
 // a batch's worth of tuples as per-column typed vectors — []int64, []float64,
 // strings as shared headers, flat bytes-with-offsets, or a low-cardinality
 // byte-code dictionary — plus a selection vector and a null bitmap, in the
-// MonetDB/X100 vectorized-execution tradition. The engine's columnar
-// operators (engine.ColOperator) move ColBatches through reused storage the
-// same way the row engine moves []Tuple batches: the contents of a batch
-// (column slices included) are valid only until the next NextColBatch call
-// on its producer, so consumers that retain column slices or cells across
-// batches must copy them.
+// MonetDB/X100 vectorized-execution tradition. The engine's operators
+// (engine.ColOperator) move ColBatches through reused storage: the contents
+// of a batch (column slices included) are valid only until the next
+// NextColBatch call on its producer, so consumers that retain column slices
+// or cells across batches must copy them.
 
 // StrMode names the storage layout of a string column's cells within one
 // batch.
@@ -674,8 +673,8 @@ func cmpKind(a, b Kind) int {
 // column by column in tight per-layout loops, and returns dst[:Rows()]. The
 // per-row byte sequence fed to FNV-1a is exactly HashOn's (columns in idx
 // order), so the hashes are bit-identical to hashing the materialized rows —
-// the property that lets vectorized join builds and probes share a TupleMap
-// with the row engine.
+// the property that lets the hash join store materialized build rows in a
+// TupleMap and probe it with column batches.
 func (b *ColBatch) HashInto(idx []int, dst []uint64) []uint64 {
 	n := b.Rows()
 	if cap(dst) < n {

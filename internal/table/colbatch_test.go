@@ -169,7 +169,8 @@ func TestColVecCompareValueMatchesCompare(t *testing.T) {
 
 // TestColBatchHashIntoMatchesHashOn: batch hashing feeds FNV-1a the exact
 // byte sequence HashOn feeds it — with and without a selection vector — so
-// vectorized joins share hash tables with the row engine bit-identically.
+// a hash join's materialized build rows and its probe batches meet in one
+// hash table.
 func TestColBatchHashIntoMatchesHashOn(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, card := range []int{8, DictMaxCard + 50} {

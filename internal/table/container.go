@@ -9,8 +9,8 @@ package table
 // float join attributes) land in the same bucket and chain-compare equal.
 
 // EqualOn2 reports whether a's values at aIdx equal b's values at bIdx
-// pairwise under Compare semantics — the cross-schema key equality of a hash
-// join probe (left key columns against right key columns).
+// pairwise under Compare semantics — the key equality of the containers'
+// collision chains.
 func EqualOn2(a Tuple, aIdx []int, b Tuple, bIdx []int) bool {
 	for i := range aIdx {
 		if Compare(a[aIdx[i]], b[bIdx[i]]) != 0 {
@@ -44,8 +44,8 @@ func NewTupleMap(keyIdx []int, sizeHint int) *TupleMap {
 }
 
 // AddHashed inserts t under its key columns, given their HashOn hash —
-// precomputed because the join family's one build loop takes each batch
-// with its hashes (the columnar tier's from ColBatch.HashInto).
+// precomputed because the hash join's build loop hashes each batch at once
+// (ColBatch.HashInto).
 func (m *TupleMap) AddHashed(h uint64, t Tuple) {
 	g, ok := m.buckets[h]
 	if !ok {
@@ -76,30 +76,11 @@ type Group struct {
 	Rest  []Tuple
 }
 
-// Lookup returns the group of stored tuples whose key columns equal probe's
-// values at probeIdx (ok=false when none). The probe allocates nothing.
-func (m *TupleMap) Lookup(probe Tuple, probeIdx []int) (Group, bool) {
-	h := HashOn(probe, probeIdx)
-	g, found := m.buckets[h]
-	if !found {
-		return Group{}, false
-	}
-	if EqualOn2(probe, probeIdx, g.first, m.keyIdx) {
-		return Group{First: g.first, Rest: g.rest}, true
-	}
-	for _, o := range m.overflow[h] {
-		if EqualOn2(probe, probeIdx, o.first, m.keyIdx) {
-			return Group{First: o.first, Rest: o.rest}, true
-		}
-	}
-	return Group{}, false
-}
-
-// LookupHashedCols is Lookup probing directly from a columnar batch: the
-// hash is precomputed (ColBatch.HashInto) and key equality compares the
-// stored tuples' key cells against physical row `row` of the batch without
-// materializing it. Values equal under Compare hash equally, so the
-// vectorized probe finds exactly the groups the row probe would.
+// LookupHashedCols returns the group of stored tuples whose key columns
+// equal physical row `row` of b at probeIdx (ok=false when none). The hash
+// is precomputed (ColBatch.HashInto), and key equality compares the stored
+// tuples' key cells against the batch row without materializing it; values
+// equal under Compare hash equally. The probe allocates nothing.
 func (m *TupleMap) LookupHashedCols(h uint64, b *ColBatch, probeIdx []int, row int) (Group, bool) {
 	g, found := m.buckets[h]
 	if !found {

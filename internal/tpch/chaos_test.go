@@ -182,9 +182,8 @@ func runChaosSeed(t *testing.T, dir, spill string, seed int64, qname string, sty
 }
 
 // TestChaosGovernedAndDegraded replays a band of schedules with the memory
-// governor and deadline watermark armed on top of the fault plane, in both
-// execution tiers — the degraded paths (early spill, either tier's grace
-// join, stopped tiers) must uphold the same no-leak, typed-error contract,
+// governor and deadline watermark armed on top of the fault plane — the
+// degraded paths (early spill, grace join, stopped tiers) must uphold the same no-leak, typed-error contract,
 // and a run that completes undegraded must return the ungoverned run's
 // confidences bit for bit (governed runs may also legitimately degrade to
 // certified bounds; those are not compared).
@@ -209,9 +208,8 @@ func TestChaosGovernedAndDegraded(t *testing.T) {
 	if testing.Short() {
 		seeds = 8
 	}
-	for run := 0; run < 2*seeds; run++ {
+	for seed := 0; seed < seeds; seed++ {
 		func() {
-			seed, rowExec := run/2, run%2 == 1
 			storage.SetIO(&fault.IO{Plan: fault.RandomPlan(int64(1000 + seed)), Sleep: func(time.Duration) {}})
 			defer storage.SetIO(nil)
 			cat, _, closeFiles, err := OpenDiskCatalog(dir, 32)
@@ -225,7 +223,7 @@ func TestChaosGovernedAndDegraded(t *testing.T) {
 				storage.SetIO(nil)
 				closeFiles()
 			}()
-			sp := plan.Spec{Style: plan.Lazy, MemBudget: 96 << 10, RowExec: rowExec}
+			sp := plan.Spec{Style: plan.Lazy, MemBudget: 96 << 10}
 			sp.Conf.SortBudget = 64
 			sp.Conf.TmpDir = spill
 			res, err := plan.Run(cat, e.Q.Clone(), FDsFor(e), sp)
@@ -238,11 +236,11 @@ func TestChaosGovernedAndDegraded(t *testing.T) {
 			if err == nil && !res.Stats.Degraded {
 				got := confMapOf(res.Rows.Rows)
 				if len(got) != len(want) {
-					t.Errorf("seed %d (RowExec=%v): %d answers, want %d", seed, rowExec, len(got), len(want))
+					t.Errorf("seed %d: %d answers, want %d", seed, len(got), len(want))
 				}
 				for k, w := range want {
 					if got[k] != w {
-						t.Errorf("seed %d (RowExec=%v): answer %q conf %s, want bit-identical %s", seed, rowExec, k, got[k], w)
+						t.Errorf("seed %d: answer %q conf %s, want bit-identical %s", seed, k, got[k], w)
 					}
 				}
 			}

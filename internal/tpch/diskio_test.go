@@ -3,12 +3,10 @@ package tpch
 import (
 	"os"
 	"path/filepath"
-	"slices"
 	"testing"
 
 	"repro/internal/plan"
 	"repro/internal/stats"
-	"repro/internal/table"
 )
 
 func removeSidecar(dir string) error {
@@ -58,9 +56,7 @@ func TestLoadHeapFilesMissingDir(t *testing.T) {
 
 // TestOpenDiskCatalog: a catalog whose tables stay on disk — scans paging
 // through the buffer pool, statistics from the sidecar — answers queries
-// with exactly the in-memory catalog's confidences, through both the
-// columnar tier (default) and the forced row path, which agree bit for bit,
-// and reports the instance's world-variable count without scanning.
+// with exactly the in-memory catalog's confidences, and reports the instance's world-variable count without scanning.
 func TestOpenDiskCatalog(t *testing.T) {
 	dir := t.TempDir()
 	mem := Generate(Config{SF: 0.002, Seed: 33})
@@ -82,23 +78,12 @@ func TestOpenDiskCatalog(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s mem: %v", name, err)
 		}
-		var colRows []table.Tuple
-		for _, spec := range []plan.Spec{
-			{Style: plan.Lazy},
-			{Style: plan.Lazy, RowExec: true},
-		} {
-			diskRes, err := plan.Run(cat, e.Q.Clone(), sigma, spec)
-			if err != nil {
-				t.Fatalf("%s disk (rowExec=%v): %v", name, spec.RowExec, err)
-			}
-			if err := compareAnswers(memRes.Rows.Rows, diskRes.Rows.Rows); err != nil {
-				t.Fatalf("%s (rowExec=%v): %v", name, spec.RowExec, err)
-			}
-			if !spec.RowExec {
-				colRows = diskRes.Rows.Rows
-			} else if !slices.EqualFunc(colRows, diskRes.Rows.Rows, slices.Equal[table.Tuple]) {
-				t.Fatalf("%s: the row tier's answers differ from the columnar tier's", name)
-			}
+		diskRes, err := plan.Run(cat, e.Q.Clone(), sigma, plan.Spec{Style: plan.Lazy})
+		if err != nil {
+			t.Fatalf("%s disk: %v", name, err)
+		}
+		if err := compareAnswers(memRes.Rows.Rows, diskRes.Rows.Rows); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 	}
 	// Without the sidecar the catalog analyzes each heap file itself and

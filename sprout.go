@@ -456,15 +456,18 @@ func WithMemoryBudget(bytes int64) RunOption {
 	}
 }
 
-// WithDeadlineWatermark turns a context deadline into graceful degradation:
-// the given margin before the deadline, the OBDD and d-tree tiers stop and
-// return their current certified [lo, hi] bounds (Result.Stats.LowerBound/
-// UpperBound still contain every true confidence) and the Monte Carlo tier
-// returns its running estimate with the weaker ε it actually achieved —
-// instead of the run dying with context.DeadlineExceeded and nothing to
-// show. Result.Stats.Degraded is set with DegradeReason "deadline". The
-// margin must be positive; omit the option (or run without a deadline) to
-// keep strict deadline semantics.
+// WithDeadlineWatermark turns a context deadline into graceful degradation
+// of the confidence tiers: the given margin before the deadline, the OBDD
+// and d-tree tiers stop and return their current certified [lo, hi] bounds
+// (Result.Stats.LowerBound/UpperBound still contain every true confidence)
+// and the Monte Carlo tier returns its running estimate with the weaker ε it
+// actually achieved — instead of the run dying with
+// context.DeadlineExceeded and nothing to show. Result.Stats.Degraded is set
+// with DegradeReason "deadline". Only the tiers degrade: the relational
+// pipeline that feeds them is bounded by the deadline alone, checked once
+// per batch, so a deadline that passes before the tiers arm still fails the
+// run with context.DeadlineExceeded. The margin must be positive; omit the
+// option (or run without a deadline) to keep strict deadline semantics.
 func WithDeadlineWatermark(margin time.Duration) RunOption {
 	return func(s *plan.Spec) error {
 		if margin <= 0 {
@@ -492,15 +495,6 @@ func WithRetryPolicy(maxAttempts int, base, max time.Duration) RunOption {
 		s.Retry = fault.Retry{MaxAttempts: maxAttempts, Base: base, Max: max}
 		return nil
 	}
-}
-
-// WithRowExecution disables the vectorized (columnar) execution tier,
-// running scans, filters, projections and joins as row batches through the
-// row engine. Results are bit-identical either way — the row path is the
-// escape hatch for benchmark baselines and differential tests, not a
-// correctness knob.
-func WithRowExecution() RunOption {
-	return func(s *plan.Spec) error { s.RowExec = true; return nil }
 }
 
 // applyOptions folds options into a spec, surfacing the first validation
