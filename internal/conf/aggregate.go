@@ -8,30 +8,19 @@ import (
 	"repro/internal/table"
 )
 
-// AggregateStats applies one probability-computation operator [s] eagerly
-// to a materialized intermediate relation (§V.B): all aggregation steps of
-// s run as sort+scan passes and all propagation steps as projections,
-// leaving a single representative V/P column pair for s's tables. It
-// returns the new relation and the representative source name, and
-// accumulates what its sort+scan passes did — scans, sorts, spill volume —
-// into stats, like ComputeStats reports for the top operator.
+// AggregateFrom applies one probability-computation operator [s] eagerly
+// to an intermediate relation (§V.B): all aggregation steps of s run as
+// sort+scan passes and all propagation steps as projections, leaving a
+// single representative V/P column pair for s's tables. The first pass
+// consumes a streamed intermediate batch by batch, and what comes back is a
+// source again — over the aggregated relation, or the input itself,
+// untouched, when [s] is the identity — with the representative source
+// name. What its sort+scan passes did — scans, sorts, spill volume — is
+// accumulated into stats, like ComputeStats reports for the top operator.
 //
 // This is the building block of eager and hybrid plans: pushing [Item*]
 // below a join, or [(Ord Item)*] above one, is this operator applied to the
 // corresponding intermediate.
-func AggregateStats(rel *table.Relation, s signature.Sig, opts Options, stats *Stats) (*table.Relation, string, error) {
-	out, rep, err := AggregateFrom(FromRelation(rel), s, opts, stats)
-	if err != nil {
-		return nil, "", err
-	}
-	res, err := out.Relation(opts.ctx())
-	return res, rep, err
-}
-
-// AggregateFrom is AggregateStats over a Source: the first sort+scan pass
-// consumes a streamed intermediate batch by batch, and what comes back is a
-// source again — over the aggregated relation, or the input itself,
-// untouched, when [s] is the identity.
 func AggregateFrom(src *Source, s signature.Sig, opts Options, stats *Stats) (*Source, string, error) {
 	switch x := s.(type) {
 	case signature.Table:

@@ -1,6 +1,7 @@
 package conf
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -174,7 +175,7 @@ func TestAggregateConcatPropagation(t *testing.T) {
 	rel.MustAppend(table.Tuple{table.Int(1), table.VarValue(1), table.Float(0.5), table.VarValue(2), table.Float(0.4)})
 	sig := signature.NewConcat(signature.Table("Cust"), signature.Table("Ord"))
 	var stats Stats
-	out, rep, err := AggregateStats(rel, sig, Options{}, &stats)
+	out, rep, err := aggregateRel(rel, sig, Options{}, &stats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,10 +197,21 @@ func TestAggregateBareTableIdentity(t *testing.T) {
 	rel := table.NewRelation(sch)
 	rel.MustAppend(table.Tuple{table.VarValue(1), table.Float(0.5)})
 	var stats Stats
-	out, rep, err := AggregateStats(rel, signature.Table("R"), Options{}, &stats)
+	out, rep, err := aggregateRel(rel, signature.Table("R"), Options{}, &stats)
 	if err != nil || rep != "R" || stats.Scans != 0 || out != rel {
 		t.Errorf("identity aggregate wrong: %v %s %d", err, rep, stats.Scans)
 	}
+}
+
+// aggregateRel applies AggregateFrom to a materialized relation and
+// materializes what comes back.
+func aggregateRel(rel *table.Relation, s signature.Sig, opts Options, stats *Stats) (*table.Relation, string, error) {
+	src, rep, err := AggregateFrom(FromRelation(rel), s, opts, stats)
+	if err != nil {
+		return nil, "", err
+	}
+	out, err := src.Relation(context.Background())
+	return out, rep, err
 }
 
 // TestComputeRejectsMissingColumns is failure injection on the operator's

@@ -16,21 +16,10 @@ import (
 // occurrence-derived order can still resolve exactly, and anything past the
 // step budget gets certified deterministic [lo, hi] bounds.
 
-// ErrDTreeBudget is returned by DTree in exact-only mode when some answer's
+// ErrDTreeBudget is returned by DTreeLineage in exact-only mode when some answer's
 // decomposition exceeds the step budget; callers fall through to the next
 // tier.
 var ErrDTreeBudget = errors.New("conf: d-tree step budget exceeded")
-
-// DTree computes per-answer confidences of a materialized answer relation
-// by d-tree decomposition of each answer's lineage: CollectLineage, then
-// DTreeLineage.
-func DTree(ctx context.Context, p *pool.Pool, rel *table.Relation, opts dtree.Options, exactOnly bool) (*table.Relation, *DTreeStats, error) {
-	l, err := CollectLineage(rel)
-	if err != nil {
-		return nil, nil, err
-	}
-	return DTreeLineage(ctx, p, l, opts, exactOnly)
-}
 
 // DTreeLineage decomposes every answer of a collected lineage on the
 // per-answer driver. There is no variable order to choose — decomposition

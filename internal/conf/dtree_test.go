@@ -21,7 +21,7 @@ func TestDTreeMatchesEnumeration(t *testing.T) {
 		{1, 4, 0.7, 3, 0.3},
 		{2, 5, 0.5, 6, 0.6},
 	})
-	out, stats, err := DTree(context.Background(), nil, rel, dtree.Options{}, false)
+	out, stats, err := DTreeLineage(context.Background(), nil, lineageOf(t, rel), dtree.Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +56,11 @@ func TestDTreeMatchesOBDDOperator(t *testing.T) {
 		{2, 4, 0.6, 5, 0.7},
 		{2, 5, 0.7, 6, 0.8},
 	})
-	viaOBDD, ostats, err := OBDD(context.Background(), nil, rel, nil, obdd.Options{}, true)
+	viaOBDD, ostats, err := OBDDLineage(context.Background(), nil, lineageOf(t, rel), nil, obdd.Options{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaDTree, dstats, err := DTree(context.Background(), nil, rel, dtree.Options{}, true)
+	viaDTree, dstats, err := DTreeLineage(context.Background(), nil, lineageOf(t, rel), dtree.Options{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,10 +88,10 @@ func TestDTreeExactOnlyBudget(t *testing.T) {
 		{1, 4, 0.6, 5, 0.7},
 	})
 	opts := dtree.Options{NodeBudget: 1}
-	if _, _, err := DTree(context.Background(), nil, rel, opts, true); !errors.Is(err, ErrDTreeBudget) {
+	if _, _, err := DTreeLineage(context.Background(), nil, lineageOf(t, rel), opts, true); !errors.Is(err, ErrDTreeBudget) {
 		t.Fatalf("exact-only starved budget: err = %v", err)
 	}
-	out, stats, err := DTree(context.Background(), nil, rel, opts, false)
+	out, stats, err := DTreeLineage(context.Background(), nil, lineageOf(t, rel), opts, false)
 	if err != nil {
 		t.Fatal(err)
 	}

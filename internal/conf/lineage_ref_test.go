@@ -272,7 +272,7 @@ func batchFeed(rel *table.Relation, size int, sel bool) *Source {
 func appendCells(b *table.ColBatch, row table.Tuple, k int) {
 	for c, v := range row {
 		if v.Kind == table.KindString && k%2 == 1 {
-			b.Cols[c].AppendStrBytes(b.N, []byte(v.S))
+			b.Cols[c].AppendStrBytes([]byte(v.S))
 		} else {
 			b.Cols[c].AppendValue(b.N, v)
 		}

@@ -198,7 +198,7 @@ func (c *collector) AddBatch(b *table.ColBatch) error {
 		c.arena = reserve(c.arena, len(c.varCols))
 		start := len(c.arena)
 		for k, vi := range c.varCols {
-			if err := c.literal(prob.Var(intAt(&b.Cols[vi], row)), floatAt(&b.Cols[c.probCols[k]], row), k); err != nil {
+			if err := c.literal(prob.Var(b.Cols[vi].Ints[row]), b.Cols[c.probCols[k]].Floats[row], k); err != nil {
 				return err
 			}
 		}
@@ -217,23 +217,6 @@ func (c *collector) AddBatch(b *table.ColBatch) error {
 		c.clause(g, start)
 	}
 	return nil
-}
-
-// intAt and floatAt read the V or P cell of physical row i: typed storage,
-// or the generic layout's Value — what Value.AsVar and Value.F read of the
-// row, NULLs (a zero placeholder either way) included.
-func intAt(v *table.ColVec, i int) int64 {
-	if v.Values != nil {
-		return v.Values[i].I
-	}
-	return v.Ints[i]
-}
-
-func floatAt(v *table.ColVec, i int) float64 {
-	if v.Values != nil {
-		return v.Values[i].F
-	}
-	return v.Floats[i]
 }
 
 // reserve makes room for k more elements of a slice the stream grows,
@@ -404,22 +387,12 @@ type MCStats struct {
 	MaxEpsilon float64
 }
 
-// MonteCarlo estimates per-answer confidences of a materialized answer
-// relation: CollectLineage followed by the partition-parallel estimator
-// driver. The output has the input's data columns plus the conf column,
-// sorted by the data columns; with a fixed opts.Seed it is a deterministic
-// function of the input. ctx cancels the samplers mid-run; a nil ctx means
-// no cancellation.
-func MonteCarlo(ctx context.Context, rel *table.Relation, opts prob.MCOptions) (*table.Relation, *MCStats, error) {
-	l, err := CollectLineage(rel)
-	if err != nil {
-		return nil, nil, err
-	}
-	return MonteCarloLineage(ctx, l, opts)
-}
-
-// MonteCarloLineage is MonteCarlo over an already collected lineage — the
-// Monte Carlo tier of the contract in tier.go. The samplers fan out inside
+// MonteCarloLineage estimates per-answer confidences of an already
+// collected lineage — the Monte Carlo tier of the contract in tier.go. The
+// output has the lineage's data columns plus the conf column, sorted by the
+// data columns; with a fixed opts.Seed it is a deterministic function of
+// the input. ctx cancels the samplers mid-run; a nil ctx means no
+// cancellation. The samplers fan out inside
 // prob.EstimateAllCtx (per-answer seeded streams on opts.Pool), not on the
 // compilation tiers' per-answer driver; the stats head and the output rows
 // are the shared ones.

@@ -30,6 +30,16 @@ func mcAnswerRel(rows [][5]float64) *table.Relation {
 	return rel
 }
 
+// lineageOf collects rel's lineage, failing the test on error.
+func lineageOf(t *testing.T, rel *table.Relation) *Lineage {
+	t.Helper()
+	l, err := CollectLineage(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
 func TestCollectLineage(t *testing.T) {
 	// Answer d=1 has two duplicates sharing variable x1; answer d=2 one.
 	rel := mcAnswerRel([][5]float64{
@@ -83,7 +93,7 @@ func TestMonteCarloMatchesExactOperator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, stats, err := MonteCarlo(context.Background(), rel, prob.MCOptions{Seed: 1})
+	approx, stats, err := MonteCarloLineage(context.Background(), lineageOf(t, rel), prob.MCOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +145,7 @@ func TestMonteCarloVsWorlds(t *testing.T) {
 	}
 	rel := mcAnswerRel(rows)
 	const eps = 0.02
-	out, _, err := MonteCarlo(context.Background(), rel, prob.MCOptions{Epsilon: eps, Delta: 1e-4, Seed: 17})
+	out, _, err := MonteCarloLineage(context.Background(), lineageOf(t, rel), prob.MCOptions{Epsilon: eps, Delta: 1e-4, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +175,7 @@ func TestMonteCarloInconsistentProbability(t *testing.T) {
 		{1, 1, 0.1, 2, 0.2},
 		{1, 1, 0.9, 3, 0.3},
 	})
-	if _, _, err := MonteCarlo(context.Background(), rel, prob.MCOptions{Seed: 1}); err == nil {
+	if _, err := CollectLineage(rel); err == nil {
 		t.Error("inconsistent marginals for x1 must be rejected")
 	}
 }

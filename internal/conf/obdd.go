@@ -17,20 +17,9 @@ import (
 // diagram exceeds the node budget, bounded by certified deterministic
 // [lo, hi] intervals (internal/obdd).
 
-// ErrOBDDBudget is returned by OBDD in exact-only mode when some answer's
+// ErrOBDDBudget is returned by OBDDLineage in exact-only mode when some answer's
 // diagram exceeds the node budget; callers fall through to the next tier.
 var ErrOBDDBudget = errors.New("conf: OBDD node budget exceeded")
-
-// OBDD computes per-answer confidences of a materialized answer relation by
-// OBDD compilation of each answer's lineage: CollectLineage, then
-// OBDDLineage.
-func OBDD(ctx context.Context, p *pool.Pool, rel *table.Relation, sig signature.Sig, opts obdd.Options, exactOnly bool) (*table.Relation, *OBDDStats, error) {
-	l, err := CollectLineage(rel)
-	if err != nil {
-		return nil, nil, err
-	}
-	return OBDDLineage(ctx, p, l, sig, opts, exactOnly)
-}
 
 // OBDDLineage compiles every answer of a collected lineage on the per-answer
 // driver (each answer into its own hash-consed unique table, so workers

@@ -23,7 +23,7 @@ func TestOBDDMatchesEnumeration(t *testing.T) {
 		{1, 4, 0.7, 3, 0.3},
 		{2, 5, 0.5, 6, 0.6},
 	})
-	out, stats, err := OBDD(context.Background(), nil, rel, nil, obdd.Options{}, false)
+	out, stats, err := OBDDLineage(context.Background(), nil, lineageOf(t, rel), nil, obdd.Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestOBDDMatchesExactOperator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaOBDD, stats, err := OBDD(context.Background(), nil, rel, sig, obdd.Options{}, true)
+	viaOBDD, stats, err := OBDDLineage(context.Background(), nil, lineageOf(t, rel), sig, obdd.Options{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,10 +102,10 @@ func TestOBDDExactOnlyBudget(t *testing.T) {
 		{1, 4, 0.6, 5, 0.7},
 	})
 	opts := obdd.Options{NodeBudget: 1}
-	if _, _, err := OBDD(context.Background(), nil, rel, nil, opts, true); !errors.Is(err, ErrOBDDBudget) {
+	if _, _, err := OBDDLineage(context.Background(), nil, lineageOf(t, rel), nil, opts, true); !errors.Is(err, ErrOBDDBudget) {
 		t.Fatalf("exact-only starved budget: err = %v", err)
 	}
-	out, stats, err := OBDD(context.Background(), nil, rel, nil, opts, false)
+	out, stats, err := OBDDLineage(context.Background(), nil, lineageOf(t, rel), nil, opts, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,12 +35,12 @@ func TestComputeParallelBitIdentical(t *testing.T) {
 // serial loop's exact output and stats for every worker count.
 func TestOBDDParallelBitIdentical(t *testing.T) {
 	rel := randomTwoSourceRel(rand.New(rand.NewSource(29)), 500, 5)
-	want, wantStats, err := OBDD(context.Background(), nil, cloneRelation(rel), nil, obdd.Options{}, false)
+	want, wantStats, err := OBDDLineage(context.Background(), nil, lineageOf(t, cloneRelation(rel)), nil, obdd.Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 5} {
-		got, stats, err := OBDD(context.Background(), pool.New(workers), cloneRelation(rel), nil, obdd.Options{}, false)
+		got, stats, err := OBDDLineage(context.Background(), pool.New(workers), lineageOf(t, cloneRelation(rel)), nil, obdd.Options{}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,12 +60,12 @@ func TestOBDDParallelBitIdentical(t *testing.T) {
 // serial loop's exact output and stats for every worker count.
 func TestDTreeParallelBitIdentical(t *testing.T) {
 	rel := randomTwoSourceRel(rand.New(rand.NewSource(41)), 500, 5)
-	want, wantStats, err := DTree(context.Background(), nil, cloneRelation(rel), dtree.Options{}, false)
+	want, wantStats, err := DTreeLineage(context.Background(), nil, lineageOf(t, cloneRelation(rel)), dtree.Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 5} {
-		got, stats, err := DTree(context.Background(), pool.New(workers), cloneRelation(rel), dtree.Options{}, false)
+		got, stats, err := DTreeLineage(context.Background(), pool.New(workers), lineageOf(t, cloneRelation(rel)), dtree.Options{}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,14 +84,14 @@ func TestDTreeParallelBitIdentical(t *testing.T) {
 func TestMonteCarloParallelBitIdentical(t *testing.T) {
 	rel := randomTwoSourceRel(rand.New(rand.NewSource(31)), 200, 4)
 	opts := prob.MCOptions{Seed: 9, Epsilon: 0.2, Method: prob.MCNaive}
-	want, _, err := MonteCarlo(context.Background(), cloneRelation(rel), opts)
+	want, _, err := MonteCarloLineage(context.Background(), lineageOf(t, cloneRelation(rel)), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 6} {
 		o := opts
 		o.Pool = pool.New(workers)
-		got, _, err := MonteCarlo(context.Background(), cloneRelation(rel), o)
+		got, _, err := MonteCarloLineage(context.Background(), lineageOf(t, cloneRelation(rel)), o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func TestMonteCarloCancellation(t *testing.T) {
 	rel := randomTwoSourceRel(rand.New(rand.NewSource(37)), 50, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := MonteCarlo(ctx, rel, prob.MCOptions{Seed: 1}); err != context.Canceled {
+	if _, _, err := MonteCarloLineage(ctx, lineageOf(t, rel), prob.MCOptions{Seed: 1}); err != context.Canceled {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }

@@ -105,6 +105,7 @@ func (r *rowSink) AddBatch(b *table.ColBatch) error {
 // materialized operator's, kept.
 type scanFeed struct {
 	opts      Options
+	schema    *table.Schema
 	groupCols []int
 	sortCols  []int
 
@@ -118,7 +119,7 @@ type scanFeed struct {
 
 // newScanFeed prepares run generation for rows of the given schema.
 func newScanFeed(schema *table.Schema, groupCols, sortCols []int, opts Options) *scanFeed {
-	f := &scanFeed{opts: opts, groupCols: groupCols, sortCols: sortCols}
+	f := &scanFeed{opts: opts, schema: schema, groupCols: groupCols, sortCols: sortCols}
 	if opts.Pool != nil && opts.Pool.Parallel() && len(groupCols) > 0 {
 		f.pend = table.NewColBatch(schema)
 	} else {
@@ -128,7 +129,7 @@ func newScanFeed(schema *table.Schema, groupCols, sortCols []int, opts Options) 
 }
 
 func (f *scanFeed) newSorter() *storage.ExternalSorter {
-	s := storage.NewKeySorter(f.sortCols, f.opts.SortBudget, f.opts.TmpDir)
+	s := storage.NewKeySorter(f.schema, f.sortCols, f.opts.SortBudget, f.opts.TmpDir)
 	s.Govern(f.opts.Mem)
 	return s
 }

@@ -59,7 +59,9 @@ func (s *ColMemScan) Close() error { return nil }
 // record's fields are decoded off the page (storage.FieldIter) and appended
 // onto the destination columns without ever materializing a row tuple.
 // String fields move as raw bytes into the dictionary or flat layout, with
-// no per-row string allocation.
+// no per-row string allocation. A stored field that is neither NULL nor of
+// its schema column's kind fails the scan: the heap file is where rows
+// enter the engine from outside.
 type ColHeapScan struct {
 	File   *storage.HeapFile
 	Pool   *storage.BufferPool
@@ -121,17 +123,21 @@ func (s *ColHeapScan) NextColBatch(dst *table.ColBatch) (int, error) {
 			// into the column's dictionary or flat bytes before the scan
 			// advances. The remaining kinds take typed fast paths that
 			// skip the Value boxing per cell.
-			switch f.Kind {
-			case table.KindString:
-				dst.Cols[c].AppendStrBytes(dst.N, f.S)
-			case table.KindInt:
-				dst.Cols[c].AppendInt(dst.N, f.I)
-			case table.KindFloat:
-				dst.Cols[c].AppendFloat(dst.N, f.F)
-			case table.KindBool:
-				dst.Cols[c].AppendBool(dst.N, f.I)
+			v := &dst.Cols[c]
+			switch {
+			case f.Kind == table.KindNull:
+				v.AppendValue(dst.N, table.Null())
+			case f.Kind != v.Kind:
+				col := s.schema.Cols[c]
+				return 0, fmt.Errorf("engine: %s: column %s is %s, stored field is %s", s.File.Path(), col.Name, col.Kind, f.Kind)
+			case f.Kind == table.KindString:
+				v.AppendStrBytes(f.S)
+			case f.Kind == table.KindInt:
+				v.AppendInt(f.I)
+			case f.Kind == table.KindFloat:
+				v.AppendFloat(f.F)
 			default:
-				dst.Cols[c].AppendValue(dst.N, f.Value())
+				v.AppendBool(f.I)
 			}
 		}
 		dst.N++
@@ -202,7 +208,7 @@ func (f *ColFilter) apply(dst *table.ColBatch, p ColPred) {
 	v := &dst.Cols[p.Col]
 	sel := dst.SelBuf(dst.Rows())
 	k := 0
-	direct := v.Values == nil && len(v.Nulls) == 0
+	direct := len(v.Nulls) == 0
 	switch {
 	case direct && v.Kind == table.KindInt && p.Val.Kind == table.KindInt:
 		c := p.Val.I

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -117,6 +118,26 @@ func TestColHeapScanRoundTrip(t *testing.T) {
 			t.Fatal("pruned string column decoded cells anyway")
 		}
 		sc.Close()
+	}
+}
+
+// TestColHeapScanRejectsWrongKind: a stored field that is neither NULL nor
+// of its schema column's kind fails the scan with an error naming the
+// column and both kinds; it never enters a column vector.
+func TestColHeapScanRejectsWrongKind(t *testing.T) {
+	stored := table.NewRelation(table.NewSchema(table.DataCol("k", table.KindInt), table.DataCol("price", table.KindInt)))
+	stored.MustAppend(table.Tuple{table.Int(1), table.Null()}) // NULL fits a float column
+	stored.MustAppend(table.Tuple{table.Int(2), table.Int(3)})
+	h := writeHeap(t, t.TempDir(), stored)
+	declared := table.NewSchema(table.DataCol("k", table.KindInt), table.DataCol("price", table.KindFloat))
+	sc := NewColHeapScan(h, storage.NewBufferPool(4), declared)
+	if err := sc.Open(); err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	_, err := sc.NextColBatch(table.NewColBatch(declared))
+	if err == nil || !strings.Contains(err.Error(), "column price is float, stored field is int") {
+		t.Fatalf("scan of an int stored under a float column: err = %v", err)
 	}
 }
 

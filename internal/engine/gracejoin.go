@@ -117,7 +117,7 @@ func (g *Governed) openGrace(left, right ColOperator, lk, rk []int, buffered []t
 // once drained, so what its subtree holds is released before the merge; a
 // failed sort leaves no spill run behind.
 func (g *Governed) sortOn(op ColOperator, keys []int, pre []table.Tuple) (it storage.TupleIterator, err error) {
-	s := storage.NewKeySorter(keys, g.SortBudget, g.TmpDir)
+	s := storage.NewKeySorter(op.Schema(), keys, g.SortBudget, g.TmpDir)
 	s.Govern(g.Mem)
 	defer func() {
 		if err != nil {

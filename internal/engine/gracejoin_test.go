@@ -251,6 +251,13 @@ func TestGraceJoinMatchesHashJoin(t *testing.T) {
 			return v()
 		}
 	}
+	// nullPayloadFirst blanks the first row's payload: the grace join's
+	// buffered build prefix then starts with a NULL in a non-key column,
+	// which the build sorter must store in the column's own kind.
+	nullPayloadFirst := func(r *table.Relation) *table.Relation {
+		r.Rows[0][1] = table.Null()
+		return r
+	}
 	for _, tc := range []struct {
 		name        string
 		left, right *table.Relation
@@ -259,6 +266,7 @@ func TestGraceJoinMatchesHashJoin(t *testing.T) {
 		{"int-float-nulls",
 			rel(table.KindInt, "x", 0, nullOr(7, func() table.Value { return table.Int(int64(rng.Intn(10))) })),
 			rel(table.KindFloat, "y", 1000, nullOr(5, func() table.Value { return table.Float(float64(rng.Intn(20)) / 2) }))},
+		{"null-payload-first-build-row", rel(table.KindInt, "x", 0, intKey), nullPayloadFirst(rel(table.KindInt, "y", 1000, intKey))},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			keys := []int{0}

@@ -63,10 +63,17 @@ type DiskBinding struct {
 // NewCatalog creates an empty catalog.
 func NewCatalog() *Catalog { return &Catalog{tables: make(map[string]*table.ProbTable)} }
 
-// Add registers a base table.
+// Add registers a base table after checking each of its rows against its
+// schema (table.Schema.Check): a table built outside ProbTable.AddRow enters
+// the engine here, and the column vectors hold one kind per column.
 func (c *Catalog) Add(t *table.ProbTable) error {
 	if _, dup := c.tables[t.Name]; dup {
 		return fmt.Errorf("plan: table %s already registered", t.Name)
+	}
+	for i, row := range t.Rel.Rows {
+		if err := t.Rel.Schema.Check(row); err != nil {
+			return fmt.Errorf("plan: table %s, row %d: %w", t.Name, i, err)
+		}
 	}
 	c.tables[t.Name] = t
 	c.statsMu.Lock()

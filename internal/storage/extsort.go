@@ -36,15 +36,16 @@ type TupleIterator interface {
 //
 // A key sorter (NewKeySorter) orders by normalized byte keys (sortkey.go)
 // and copies every row it is given — a tuple (Add) or a column batch's live
-// rows (AddBatch) — into its run buffer, a column batch of at most budget
-// rows that every run of the sort reuses, so its memory is bounded by the
-// budget, not by the input. The sort columns are encoded once, from the
-// buffer's column vectors, and a run is sorted as 16-byte entries on an
-// 8-byte key prefix; the rows never move. A comparator sorter
+// rows (AddBatch) — into its run buffer, a column batch of the sort's schema
+// holding at most budget rows, which every run of the sort reuses, so its
+// memory is bounded by the budget, not by the input. The sort columns are
+// encoded once, from the buffer's column vectors, and a run is sorted as
+// 16-byte entries on an 8-byte key prefix; the rows never move. Its rows
+// must fit the schema (one kind per column, table.Schema.Check), which is
+// what makes the key order CompareOn's. A comparator sorter
 // (NewExternalSorter) drives the same machinery from a TupleCompare over the
 // tuples it is given, which must stay unmodified until the sort's iterator
-// is closed; a key sorter degrades to one, over copies of its rows, when a
-// key column turns out to mix kinds.
+// is closed.
 type ExternalSorter struct {
 	cmp       TupleCompare // nil while sorting by key
 	cols      []int        // key sorter: the sort columns
@@ -58,17 +59,15 @@ type ExternalSorter struct {
 	tmpPrefix string
 	rows      int64 // rows added over the whole sort
 
-	// Comparator state: the run's tuples, the bytes of the values they
-	// hold, and the storage of a degraded key sorter's copies.
+	// Comparator state: the run's tuples and the bytes of the values they
+	// hold.
 	buf  []table.Tuple
 	held int64
-	slab table.Slab
 
 	// Key-sorter state, reused across the runs of one sort.
 	run    table.ColBatch // the run's rows
 	rowCap int            // rows the buffers take before they must grow
 	row    table.Tuple    // one materialized row, for spilling
-	kinds  []table.Kind   // kind seen so far per sort column (KindNull = none yet)
 	keys   []byte         // normalized keys of the run's rows, back to back
 	offs   []uint32       // key i is keys[offs[i]:offs[i+1]]
 	ents   []keyEntry
@@ -123,13 +122,13 @@ func NewExternalSorter(cmp TupleCompare, budget int, tmpDir string) *ExternalSor
 	return s
 }
 
-// NewKeySorter creates a sorter ordering tuples like table.CompareOn over
-// cols, through normalized byte keys. budget and tmpDir as for
-// NewExternalSorter.
-func NewKeySorter(cols []int, budget int, tmpDir string) *ExternalSorter {
+// NewKeySorter creates a sorter ordering rows of the given schema like
+// table.CompareOn over cols, through normalized byte keys. budget and
+// tmpDir as for NewExternalSorter.
+func NewKeySorter(schema *table.Schema, cols []int, budget int, tmpDir string) *ExternalSorter {
 	s := newSorter(budget, tmpDir)
 	s.cols = cols
-	s.kinds = make([]table.Kind, len(cols))
+	s.run.Reset(schema)
 	return s
 }
 
@@ -164,23 +163,13 @@ func (s *ExternalSorter) EarlySpills() int { return s.earlySpills }
 
 // Add buffers one tuple, spilling a sorted run when the tuple budget is
 // exceeded — or earlier, when the memory governor refuses to admit more
-// buffer growth. A key sorter copies the tuple.
+// buffer growth. A key sorter copies the tuple into its run buffer.
 func (s *ExternalSorter) Add(t table.Tuple) error {
 	if s.finished {
 		return fmt.Errorf("storage: Add after Finish")
 	}
 	if s.cmp != nil {
-		if s.cols != nil { // a degraded key sorter still owes its caller the copy
-			t = s.slab.Clone(t)
-		}
 		return s.addCompared(t)
-	}
-	if s.run.Schema == nil {
-		cols := make([]table.Column, len(t))
-		for i, v := range t {
-			cols[i].Kind = v.Kind
-		}
-		s.run.Reset(table.NewSchema(cols...))
 	}
 	if _, err := s.room(1); err != nil {
 		return err
@@ -189,28 +178,15 @@ func (s *ExternalSorter) Add(t table.Tuple) error {
 	return s.appended()
 }
 
-// AddBatch adds the live rows of a column batch, in order, copying them
-// column-wise: nothing of b is kept. A batch that straddles the tuple budget
-// is split there, so the runs are the ones tuple-at-a-time feeding produces.
+// AddBatch adds the live rows of a column batch of the key sorter's
+// schema, in order, copying them column-wise: nothing of b is kept. A batch
+// that straddles the tuple budget is split there, so the runs are the ones
+// tuple-at-a-time feeding produces.
 func (s *ExternalSorter) AddBatch(b *table.ColBatch) error {
 	if s.finished {
 		return fmt.Errorf("storage: Add after Finish")
 	}
-	if s.cmp == nil && s.run.Schema == nil {
-		s.run.Reset(b.Schema)
-	}
 	for lo, n := 0, b.Rows(); lo < n; {
-		if s.cmp != nil {
-			// A comparator sort — this one degraded, possibly on the rows
-			// just copied: materialize the rest row by row.
-			t := s.slab.Alloc(len(b.Cols))
-			b.WriteRow(lo, t)
-			if err := s.addCompared(t); err != nil {
-				return err
-			}
-			lo++
-			continue
-		}
 		k, err := s.room(n - lo)
 		if err != nil {
 			return err
@@ -309,11 +285,6 @@ func (s *ExternalSorter) releaseMem() {
 // appended finishes an append to the run buffer: it encodes the keys of the
 // rows that have none yet, trues the governor's reservation up to what the
 // buffers hold now, and spills the run once it is full.
-//
-// A sort column showing a second kind breaks the key order's equivalence
-// with table.CompareOn (sortkey.go), so the sorter switches to that
-// comparator, over copies of the run's rows, for the rest of the sort: runs
-// already spilled held one kind per column and are ordered under both.
 func (s *ExternalSorter) appended() error {
 	if len(s.offs) == 0 { // first rows of a run: restart the key arena
 		s.keys, s.offs = s.keys[:0], append(s.offs, 0)
@@ -321,15 +292,7 @@ func (s *ExternalSorter) appended() error {
 	from := len(s.offs) - 1
 	s.rows += int64(s.run.N - from)
 	for row := from; row < s.run.N; row++ {
-		for i, c := range s.cols {
-			var k table.Kind
-			if s.keys, k = appendCellKey(s.keys, &s.run.Cols[c], row); k != s.kinds[i] && k != table.KindNull {
-				if s.kinds[i] != table.KindNull {
-					return s.degrade()
-				}
-				s.kinds[i] = k
-			}
-		}
+		s.keys = AppendColSortKey(s.keys, &s.run, row, s.cols)
 		s.offs = append(s.offs, uint32(len(s.keys)))
 	}
 	if s.mem != nil && !s.reserve(s.footprint()) && (s.run.N >= minRunCap || s.memReserved > 0) {
@@ -358,25 +321,6 @@ func (s *ExternalSorter) dropRun() {
 		s.run.Reset(schema)
 	}
 	s.keys, s.offs, s.ents, s.aux = nil, nil, nil, nil
-}
-
-// degrade turns a key sort into a comparator sort: the run's rows move, as
-// stable copies, into the comparator's tuple buffer.
-func (s *ExternalSorter) degrade() error {
-	cols := s.cols
-	s.cmp = func(a, b table.Tuple) int { return table.CompareOn(a, b, cols) }
-	for i := 0; i < s.run.N; i++ {
-		t := s.slab.Alloc(len(s.run.Cols))
-		s.run.WriteRow(i, t)
-		s.buf = append(s.buf, t)
-		s.held += valueMem * int64(len(t))
-	}
-	s.dropRun()
-	s.releaseMem()
-	if len(s.buf) >= s.budget {
-		return s.spill()
-	}
-	return nil
 }
 
 // sortRun sorts the run buffer and returns its rows' order, equal rows in

@@ -32,6 +32,10 @@ func keySortInput(rng *rand.Rand, n int, stem string) []table.Tuple {
 	return rows
 }
 
+// keySortSchema is the schema of keySortInput's rows.
+var keySortSchema = table.NewSchema(table.DataCol("s", table.KindString), table.DataCol("i", table.KindInt),
+	table.DataCol("f", table.KindFloat), table.DataCol("seq", table.KindInt))
+
 // drain collects clones of an iterator's tuples: it lends each one only
 // until the next Next.
 func drain(t *testing.T, it TupleIterator) []table.Tuple {
@@ -83,7 +87,7 @@ func TestKeySorterMatchesStableSort(t *testing.T) {
 			slices.SortStableFunc(want, func(a, b table.Tuple) int { return table.CompareOn(a, b, cols) })
 
 			dir := t.TempDir()
-			s := NewKeySorter(cols, tc.budget, dir)
+			s := NewKeySorter(keySortSchema, cols, tc.budget, dir)
 			for _, r := range rows {
 				if err := s.Add(r); err != nil {
 					t.Fatal(err)
@@ -121,51 +125,13 @@ func TestKeySorterMatchesStableSort(t *testing.T) {
 	}
 }
 
-// TestKeySorterMixedKindsFallsBack: a sort column that shows an int and
-// then a float is outside the key codec's contract (table.Compare orders
-// the two numerically); the sorter must notice and still deliver
-// table.CompareOn order — here with runs spilled both before and after the
-// second kind appears.
-func TestKeySorterMixedKindsFallsBack(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var rows []table.Tuple
-	for i := 0; i < 400; i++ {
-		v := table.Int(int64(rng.Intn(40)))
-		if i >= 150 && rng.Intn(2) == 0 {
-			v = table.Float(float64(rng.Intn(80)) / 2)
-		}
-		rows = append(rows, table.Tuple{v, table.Int(int64(i))})
-	}
-	cols := []int{0}
-	want := slices.Clone(rows)
-	slices.SortStableFunc(want, func(a, b table.Tuple) int { return table.CompareOn(a, b, cols) })
-	for _, budget := range []int{1 << 16, 64} {
-		s := NewKeySorter(cols, budget, t.TempDir())
-		for _, r := range rows {
-			if err := s.Add(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		it, err := s.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := drain(t, it)
-		if err := it.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := sameTuples(got, want); err != nil {
-			t.Fatalf("budget %d: %v", budget, err)
-		}
-	}
-}
-
 // TestBorrowedMergeReusesStorage: a spilled sort's merge lends tuples it
 // decodes into per-run buffers — no value storage per tuple, and no string
 // copy when a run repeats the previous tuple's string.
 func TestBorrowedMergeReusesStorage(t *testing.T) {
 	const n = 4000
-	s := NewKeySorter([]int{0, 1}, 500, t.TempDir())
+	schema := table.NewSchema(table.DataCol("g", table.KindString), table.DataCol("k", table.KindInt))
+	s := NewKeySorter(schema, []int{0, 1}, 500, t.TempDir())
 	for i := 0; i < n; i++ {
 		if err := s.Add(table.Tuple{table.Str(fmt.Sprintf("group-%02d", i%7)), table.Int(int64(i * 7919 % n))}); err != nil {
 			t.Fatal(err)
@@ -201,12 +167,7 @@ func TestBorrowedMergeReusesStorage(t *testing.T) {
 
 // transpose lays rows out as column batches of at most per rows, every
 // other batch behind a selection vector that hides a junk row.
-func transpose(rows []table.Tuple, per int) []*table.ColBatch {
-	cols := make([]table.Column, len(rows[0]))
-	for c, v := range rows[0] {
-		cols[c] = table.DataCol("", v.Kind)
-	}
-	schema := table.NewSchema(cols...)
+func transpose(schema *table.Schema, rows []table.Tuple, per int) []*table.ColBatch {
 	var out []*table.ColBatch
 	for lo := 0; lo < len(rows); lo += per {
 		b := table.NewColBatch(schema)
@@ -239,17 +200,14 @@ func TestKeySorterBatchFeedMatchesTupleFeed(t *testing.T) {
 		{2500, 64, 300},
 	} {
 		rows := keySortInput(rand.New(rand.NewSource(int64(tc.n+tc.budget))), tc.n, "")
-		// keySortInput puts NULLs anywhere; the schema takes its kinds from
-		// row 0, so give it one without.
-		rows[0] = table.Tuple{table.Str("a"), table.Int(0), table.Float(0), table.Int(0)}
-		byTuple := NewKeySorter(cols, tc.budget, t.TempDir())
+		byTuple := NewKeySorter(keySortSchema, cols, tc.budget, t.TempDir())
 		for _, r := range rows {
 			if err := byTuple.Add(r); err != nil {
 				t.Fatal(err)
 			}
 		}
-		byBatch := NewKeySorter(cols, tc.budget, t.TempDir())
-		for _, b := range transpose(rows, tc.per) {
+		byBatch := NewKeySorter(keySortSchema, cols, tc.budget, t.TempDir())
+		for _, b := range transpose(keySortSchema, rows, tc.per) {
 			if err := byBatch.AddBatch(b); err != nil {
 				t.Fatal(err)
 			}
@@ -286,42 +244,6 @@ func TestKeySorterBatchFeedMatchesTupleFeed(t *testing.T) {
 	}
 }
 
-// TestKeySorterMixedKindsInBatches: the comparator fallback also triggers —
-// mid-batch — when the second kind arrives through AddBatch, where the
-// sort column has degraded to the batch's generic Values layout.
-func TestKeySorterMixedKindsInBatches(t *testing.T) {
-	var rows []table.Tuple
-	for i := 0; i < 900; i++ {
-		v := table.Int(int64(i * 7919 % 50))
-		if i > 500 && i%3 == 0 {
-			v = table.Float(float64(i%90) / 2)
-		}
-		rows = append(rows, table.Tuple{v, table.Int(int64(i))})
-	}
-	cols := []int{0}
-	want := slices.Clone(rows)
-	slices.SortStableFunc(want, func(a, b table.Tuple) int { return table.CompareOn(a, b, cols) })
-	for _, budget := range []int{1 << 16, 200} {
-		s := NewKeySorter(cols, budget, t.TempDir())
-		for _, b := range transpose(rows, 256) {
-			if err := s.AddBatch(b); err != nil {
-				t.Fatal(err)
-			}
-		}
-		it, err := s.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := drain(t, it)
-		if err := it.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := sameTuples(got, want); err != nil {
-			t.Fatalf("budget %d: %v", budget, err)
-		}
-	}
-}
-
 // TestGovernedKeySorterChargesItsBuffers: a governed key sorter reserves
 // what its run buffer actually holds — a run of 8-byte cells costs a
 // fraction of 40-byte values — spills early when the governor denies the
@@ -340,8 +262,9 @@ func TestGovernedKeySorterChargesItsBuffers(t *testing.T) {
 	// stay under 100 bytes per row of buffer capacity, doubling slack
 	// included — under half the 221 a row of three 40-byte values, its
 	// slice header, key and bookkeeping used to be estimated at.
+	schema := table.NewSchema(table.DataCol("k", table.KindInt), table.DataCol("seq", table.KindInt), table.DataCol("p", table.KindFloat))
 	roomy := fault.NewGovernor(0, nil)
-	s := NewKeySorter([]int{0}, 1<<16, t.TempDir())
+	s := NewKeySorter(schema, []int{0}, 1<<16, t.TempDir())
 	s.Govern(roomy)
 	feed(s)
 	if hw := roomy.HighWater(); hw == 0 || hw > 100*(1<<16) {
@@ -357,7 +280,7 @@ func TestGovernedKeySorterChargesItsBuffers(t *testing.T) {
 	}
 
 	tight := fault.NewGovernor(4*memChunk, nil)
-	s = NewKeySorter([]int{0}, 1<<16, t.TempDir())
+	s = NewKeySorter(schema, []int{0}, 1<<16, t.TempDir())
 	s.Govern(tight)
 	feed(s)
 	if s.EarlySpills() == 0 || !tight.Pressured() {

@@ -27,12 +27,12 @@ import (
 //
 // The value tag does not name the kind, so the equivalence with
 // table.Compare holds only while every sort column carries one Kind (plus
-// NULLs) — true of every schema (table.Column.Kind). table.Compare orders
-// int against float numerically, which no tagged byte encoding reproduces
-// past 2^53; a key sorter that sees a second kind in a column falls back
-// to the comparator for that sort (see ExternalSorter.Add). NaN, which
-// table.Compare leaves unordered, sorts after +Inf (before -Inf when its
-// sign bit is set).
+// NULLs): table.Compare orders int against float numerically, which no
+// tagged byte encoding reproduces past 2^53. The key sorter, which encodes
+// column vectors, relies on every vector holding one kind: rows are
+// kind-checked where they enter the engine (table.Schema.Check).
+// NaN, which table.Compare leaves unordered, sorts after +Inf (before -Inf
+// when its sign bit is set).
 
 const (
 	keyTagNull  = 0x00
@@ -63,43 +63,33 @@ func appendValueKey(dst []byte, v *table.Value) []byte {
 // AppendColSortKey is AppendSortKey reading physical row `row` of a column
 // batch instead of a tuple: byte for byte the key of the materialized row,
 // whichever layout each column is in — typed ints, floats and bools, string
-// headers, dictionary codes, flat bytes, the null bitmap, or the generic
-// Values fallback — without boxing a cell.
+// headers, dictionary codes, flat bytes, the null bitmap — without boxing a
+// cell.
 func AppendColSortKey(dst []byte, b *table.ColBatch, row int, cols []int) []byte {
 	for _, c := range cols {
-		dst, _ = appendCellKey(dst, &b.Cols[c], row)
+		v := &b.Cols[c]
+		if v.Null(row) {
+			dst = append(dst, keyTagNull)
+			continue
+		}
+		dst = append(dst, keyTagValue)
+		switch v.Kind {
+		case table.KindInt, table.KindBool:
+			dst = binary.BigEndian.AppendUint64(dst, uint64(v.Ints[row])^(1<<63))
+		case table.KindFloat:
+			dst = binary.BigEndian.AppendUint64(dst, floatKeyBits(v.Floats[row]))
+		default: // KindString
+			switch v.Mode {
+			case table.StrDict:
+				dst = appendStringKey(dst, v.Dict[v.Codes[row]])
+			case table.StrHeader:
+				dst = appendStringKey(dst, v.Strs[row])
+			default:
+				dst = appendBytesKey(dst, v.Bytes[v.Offs[row]:v.Offs[row+1]])
+			}
+		}
 	}
 	return dst
-}
-
-// appendCellKey appends the key of one cell and reports the cell's kind
-// (KindNull for a NULL), which the sorter tracks per sort column.
-func appendCellKey(dst []byte, v *table.ColVec, row int) ([]byte, table.Kind) {
-	if v.Values != nil {
-		return appendValueKey(dst, &v.Values[row]), v.Values[row].Kind
-	}
-	if v.Null(row) {
-		return append(dst, keyTagNull), table.KindNull
-	}
-	dst = append(dst, keyTagValue)
-	switch v.Kind {
-	case table.KindInt, table.KindBool:
-		dst = binary.BigEndian.AppendUint64(dst, uint64(v.Ints[row])^(1<<63))
-	case table.KindFloat:
-		dst = binary.BigEndian.AppendUint64(dst, floatKeyBits(v.Floats[row]))
-	case table.KindString:
-		switch v.Mode {
-		case table.StrDict:
-			dst = appendStringKey(dst, v.Dict[v.Codes[row]])
-		case table.StrHeader:
-			dst = appendStringKey(dst, v.Strs[row])
-		default:
-			dst = appendBytesKey(dst, v.Bytes[v.Offs[row]:v.Offs[row+1]])
-		}
-	default: // a column declared NULL holds nothing else
-		return append(dst[:len(dst)-1], keyTagNull), table.KindNull
-	}
-	return dst, v.Kind
 }
 
 // floatKeyBits maps a float to a uint64 ordered like the float.

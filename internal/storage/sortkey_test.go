@@ -101,11 +101,11 @@ func FuzzSortKeyOrder(f *testing.F) {
 	})
 }
 
-// fuzzBatch lays rows out as a column batch by hand, one layout per column
-// as picked by layouts (two bits each): the typed vector of the column's
-// kind — for strings, shared headers, dictionary codes or flat bytes — or
-// the generic Values fallback. NULLs set the bitmap over a zero placeholder,
-// as the appenders do.
+// fuzzBatch lays rows out as a column batch by hand, in the typed vector of
+// each column's kind; a string column takes shared headers, dictionary
+// codes or flat bytes as picked by layouts (two bits per column, modulo
+// three). NULLs set the bitmap over a zero placeholder, as the appenders
+// do.
 func fuzzBatch(kinds []table.Kind, rows []table.Tuple, layouts uint16) *table.ColBatch {
 	cols := make([]table.Column, len(kinds))
 	for c, k := range kinds {
@@ -115,14 +115,7 @@ func fuzzBatch(kinds []table.Kind, rows []table.Tuple, layouts uint16) *table.Co
 	b.N = len(rows)
 	for c, k := range kinds {
 		v := &b.Cols[c]
-		layout := layouts >> (2 * c) & 3
-		if layout == 3 {
-			v.Values = make([]table.Value, len(rows))
-			for i, r := range rows {
-				v.Values[i] = r[c]
-			}
-			continue
-		}
+		layout := (layouts >> (2 * c) & 3) % 3
 		codes := map[string]int{}
 		v.Offs = append(v.Offs, 0)
 		for i, r := range rows {
@@ -157,8 +150,8 @@ func fuzzBatch(kinds []table.Kind, rows []table.Tuple, layouts uint16) *table.Co
 // FuzzBatchSortKey checks the column-vector key codec against the tuple
 // one: for rows of a seeded random schema — the fuzzer's string, int and
 // float among their values, NULLs sprinkled in — laid out as a column batch
-// in fuzzer-chosen layouts (typed vectors, the three string layouts, the
-// Values fallback) under a fuzzer-chosen selection vector, the key of every
+// in fuzzer-chosen layouts (typed vectors, the three string layouts) under a
+// fuzzer-chosen selection vector, the key of every
 // live row equals AppendSortKey of the materialized row, byte for byte, and
 // the materialized row is the row that went in.
 func FuzzBatchSortKey(f *testing.F) {

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"fmt"
 	"math"
 	"slices"
 
@@ -43,21 +44,20 @@ const (
 // cell; beyond it the column spills to the flat layout for good.
 const DictMaxCard = 256
 
-// ColVec is one column of a ColBatch: N cell values in one typed layout,
-// plus an optional null bitmap.
+// ColVec is one column of a ColBatch: N cells of the column's declared
+// kind in that kind's typed layout, plus an optional null bitmap.
 //
-//   - Values non-nil: the generic row-value fallback — authoritative for
-//     every cell, used when a column's cells do not all match its declared
-//     kind. All other storage is ignored.
 //   - KindInt, KindBool: Ints (bools store 0/1, as Value.I does).
 //   - KindFloat: Floats.
 //   - KindString: Strs, Codes+Dict, or Bytes+Offs according to Mode.
 //
-// NULL cells set their bit in Nulls and append a zero placeholder to the
-// typed storage so indexes stay aligned; Nulls is empty while a column has
-// no NULL cells.
+// Every non-NULL cell has the declared kind: rows are kind-checked where
+// they enter the engine (Schema.Check, the heap scan), and AppendValue
+// panics on a cell of another kind. NULL cells set their bit in Nulls and
+// append a zero placeholder to the typed storage so indexes stay aligned;
+// Nulls is empty while a column has no NULL cells.
 type ColVec struct {
-	Kind   Kind    // declared column kind the typed layouts assume
+	Kind   Kind    // declared column kind
 	Mode   StrMode // string layout in use (string columns only)
 	Ints   []int64
 	Floats []float64
@@ -67,7 +67,6 @@ type ColVec struct {
 	Dict   []string
 	Codes  []byte
 	Nulls  []uint64
-	Values []Value
 
 	dict   map[string]int // dictionary builder, persists across Reset
 	noDict bool           // cardinality blew DictMaxCard: stay flat
@@ -116,7 +115,6 @@ func (v *ColVec) reset(kind Kind) {
 	v.Offs = v.Offs[:0]
 	v.Codes = v.Codes[:0]
 	v.Nulls = v.Nulls[:0]
-	v.Values = nil
 	// A live dictionary carries over: the next batch of the same column
 	// keeps encoding against it.
 	if v.dict != nil && !v.noDict {
@@ -179,7 +177,7 @@ func (b *ColBatch) AppendBatch(src *ColBatch, lo, hi int) {
 // appendVec appends src's cells at physical rows sel (or lo..hi-1 when sel is
 // nil) as this column's rows n, n+1, ….
 func (v *ColVec) appendVec(n int, src *ColVec, sel []int32, lo, hi int) {
-	if v.Values == nil && src.Values == nil && len(src.Nulls) == 0 && v.Kind == src.Kind {
+	if len(src.Nulls) == 0 && v.Kind == src.Kind {
 		switch {
 		case v.Kind == KindInt || v.Kind == KindBool:
 			v.Ints = gather(v.Ints, src.Ints, sel, lo, hi)
@@ -225,8 +223,6 @@ func (b *ColBatch) Reserve(rows int) {
 	for i := range b.Cols {
 		v := &b.Cols[i]
 		switch {
-		case v.Values != nil:
-			v.Values = slices.Grow(v.Values, max(rows-len(v.Values), 0))
 		case v.Kind == KindInt || v.Kind == KindBool:
 			v.Ints = slices.Grow(v.Ints, max(rows-len(v.Ints), 0))
 		case v.Kind == KindFloat:
@@ -246,12 +242,11 @@ func (b *ColBatch) Reserve(rows int) {
 // String bytes behind shared headers and dictionary entries belong to
 // whoever produced them and are not counted.
 func (b *ColBatch) MemSize() int64 {
-	const valueSize = 40 // unsafe.Sizeof(Value{})
 	var n int
 	for i := range b.Cols {
 		v := &b.Cols[i]
 		n += 8*(cap(v.Ints)+cap(v.Floats)+cap(v.Nulls)) + 16*cap(v.Strs) +
-			cap(v.Bytes) + cap(v.Codes) + 4*cap(v.Offs) + valueSize*cap(v.Values)
+			cap(v.Bytes) + cap(v.Codes) + 4*cap(v.Offs)
 	}
 	return int64(n)
 }
@@ -286,35 +281,19 @@ func (v *ColVec) setNull(i int) {
 	v.Nulls[word] |= 1 << uint(i&63)
 }
 
-// degrade converts the column to the generic Values layout, materializing
-// the n cells appended so far — the escape hatch for columns whose cells do
-// not all match the declared kind.
-func (v *ColVec) degrade(n int) {
-	vals := make([]Value, n, n+1)
-	for i := 0; i < n; i++ {
-		vals[i] = v.Value(i)
-	}
-	v.Values = vals
-}
-
 // AppendValue appends one cell value as physical row n (the batch's current
 // N). Cells of the declared kind land in typed storage — strings following
-// the column's established layout, shared headers by default — NULLs set the
-// bitmap, and any other kind degrades the column to the generic layout.
+// the column's established layout, shared headers by default — and NULLs
+// set the bitmap. A cell of any other kind is a programming error, since
+// rows are kind-checked where they enter: AppendValue panics on it.
 func (v *ColVec) AppendValue(n int, val Value) {
-	if v.Values != nil {
-		v.Values = append(v.Values, val)
-		return
-	}
 	if val.Kind == KindNull {
 		v.setNull(n)
 		v.appendZero()
 		return
 	}
 	if val.Kind != v.Kind {
-		v.degrade(n)
-		v.Values = append(v.Values, val)
-		return
+		panic(fmt.Sprintf("table: %s value %v appended to a column of kind %s", val.Kind, val, v.Kind))
 	}
 	switch v.Kind {
 	case KindInt, KindBool:
@@ -337,9 +316,6 @@ func (v *ColVec) AppendValue(n int, val Value) {
 			v.Bytes = append(v.Bytes, val.S...)
 			v.Offs = append(v.Offs, int32(len(v.Bytes)))
 		}
-	default:
-		v.degrade(n)
-		v.Values = append(v.Values, val)
 	}
 }
 
@@ -369,49 +345,22 @@ func (v *ColVec) appendZero() {
 	}
 }
 
-// AppendInt appends a non-null int cell as physical row n without boxing a
-// Value — the heap-scan decode fast path.
-func (v *ColVec) AppendInt(n int, x int64) {
-	if v.Values == nil && v.Kind == KindInt {
-		v.Ints = append(v.Ints, x)
-		return
-	}
-	v.AppendValue(n, Value{Kind: KindInt, I: x})
-}
+// AppendInt appends a non-null cell of an int column without boxing a
+// Value — the heap-scan decode fast path. The caller has checked the kind.
+func (v *ColVec) AppendInt(x int64) { v.Ints = append(v.Ints, x) }
 
-// AppendFloat is AppendInt for float cells.
-func (v *ColVec) AppendFloat(n int, x float64) {
-	if v.Values == nil && v.Kind == KindFloat {
-		v.Floats = append(v.Floats, x)
-		return
-	}
-	v.AppendValue(n, Value{Kind: KindFloat, F: x})
-}
+// AppendFloat is AppendInt for a float column.
+func (v *ColVec) AppendFloat(x float64) { v.Floats = append(v.Floats, x) }
 
-// AppendBool is AppendInt for bool cells (stored in the int storage).
-func (v *ColVec) AppendBool(n int, x int64) {
-	if v.Values == nil && v.Kind == KindBool {
-		v.Ints = append(v.Ints, x)
-		return
-	}
-	v.AppendValue(n, Value{Kind: KindBool, I: x})
-}
+// AppendBool is AppendInt for a bool column (stored in the int storage).
+func (v *ColVec) AppendBool(x int64) { v.Ints = append(v.Ints, x) }
 
-// AppendStrBytes appends raw string bytes as physical row n, preferring the
+// AppendStrBytes appends raw string bytes to a string column, preferring the
 // dictionary layout while the column's cardinality stays under DictMaxCard
 // and spilling to flat bytes beyond it. This is the heap-scan decode path:
 // no per-row string allocation in either layout (the dictionary allocates
-// once per distinct value).
-func (v *ColVec) AppendStrBytes(n int, s []byte) {
-	if v.Values != nil {
-		v.Values = append(v.Values, Str(string(s)))
-		return
-	}
-	if v.Kind != KindString {
-		v.degrade(n)
-		v.Values = append(v.Values, Str(string(s)))
-		return
-	}
+// once per distinct value). The caller has checked the kind.
+func (v *ColVec) AppendStrBytes(s []byte) {
 	switch v.Mode {
 	case StrNone:
 		if v.noDict {
@@ -499,16 +448,12 @@ func (v *ColVec) spillDict() {
 // bytes move byte-wise (no per-cell string allocation) and every other
 // layout shares storage. The vectorized join's output gather is built on it.
 func (v *ColVec) AppendCell(n int, src *ColVec, row int) {
-	if src.Values != nil {
-		v.AppendValue(n, src.Values[row])
-		return
-	}
 	if src.Null(row) {
 		v.AppendValue(n, Null())
 		return
 	}
-	if src.Kind == KindString && src.Mode == StrFlat {
-		v.AppendStrBytes(n, src.Bytes[src.Offs[row]:src.Offs[row+1]])
+	if v.Kind == KindString && src.Mode == StrFlat {
+		v.AppendStrBytes(src.Bytes[src.Offs[row]:src.Offs[row+1]])
 		return
 	}
 	v.AppendValue(n, src.Value(row))
@@ -516,9 +461,6 @@ func (v *ColVec) AppendCell(n int, src *ColVec, row int) {
 
 // Value materializes the cell at physical row i.
 func (v *ColVec) Value(i int) Value {
-	if v.Values != nil {
-		return v.Values[i]
-	}
 	if v.Null(i) {
 		return Null()
 	}
@@ -547,9 +489,6 @@ func (v *ColVec) Value(i int) Value {
 // without materializing the cell — flat string cells compare byte-wise with
 // no allocation.
 func (v *ColVec) CompareValue(i int, c Value) int {
-	if v.Values != nil {
-		return Compare(v.Values[i], c)
-	}
 	if v.Null(i) {
 		if c.Kind == KindNull {
 			return 0
@@ -695,7 +634,7 @@ func (b *ColBatch) HashInto(idx []int, dst []uint64) []uint64 {
 // null-free numeric layouts get direct loops; everything else goes through
 // hashCell.
 func (v *ColVec) hashInto(sel []int32, n int, dst []uint64) {
-	if v.Values == nil && len(v.Nulls) == 0 {
+	if len(v.Nulls) == 0 {
 		switch v.Kind {
 		case KindInt:
 			if sel == nil {
@@ -745,9 +684,6 @@ func (v *ColVec) hashInto(sel []int32, n int, dst []uint64) {
 
 // hashCell mixes physical row i's cell into h, layout by layout.
 func (v *ColVec) hashCell(h uint64, i int) uint64 {
-	if v.Values != nil {
-		return hashValue(h, v.Values[i])
-	}
 	if v.Null(i) {
 		return prob.FNVByte(h, 0)
 	}
@@ -780,8 +716,8 @@ func (v *ColVec) hashCell(h uint64, i int) uint64 {
 			}
 			return h
 		}
-	default:
-		return hashValue(h, v.Value(i))
+	default: // a column declared NULL holds only NULL cells
+		return prob.FNVByte(h, 0)
 	}
 }
 
@@ -791,32 +727,6 @@ func hashStr(h uint64, s string) uint64 {
 	h = prob.FNVUint64(h, uint64(len(s)))
 	for k := 0; k < len(s); k++ {
 		h = prob.FNVByte(h, s[k])
-	}
-	return h
-}
-
-// hashValue mixes one Value into h with HashOn's per-value byte sequence.
-func hashValue(h uint64, v Value) uint64 {
-	switch v.Kind {
-	case KindNull:
-		return prob.FNVByte(h, 0)
-	case KindInt, KindFloat:
-		f := v.numeric()
-		if f == 0 {
-			f = 0
-		}
-		h = prob.FNVByte(h, 1)
-		return prob.FNVUint64(h, math.Float64bits(f))
-	case KindBool:
-		h = prob.FNVByte(h, 2)
-		return prob.FNVByte(h, byte(v.I&1))
-	case KindString:
-		h = prob.FNVByte(h, 3)
-		h = prob.FNVUint64(h, uint64(len(v.S)))
-		for k := 0; k < len(v.S); k++ {
-			h = prob.FNVByte(h, v.S[k])
-		}
-		return h
 	}
 	return h
 }

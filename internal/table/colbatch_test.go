@@ -3,6 +3,7 @@ package table
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -72,7 +73,7 @@ func TestColBatchStrBytesLayouts(t *testing.T) {
 	var want []string
 	for i := 0; i < 64; i++ {
 		s := fmt.Sprintf("dict-%02d", i%8)
-		b.Cols[0].AppendStrBytes(b.N, []byte(s))
+		b.Cols[0].AppendStrBytes([]byte(s))
 		want = append(want, s)
 		b.N++
 	}
@@ -81,7 +82,7 @@ func TestColBatchStrBytesLayouts(t *testing.T) {
 	}
 	for i := DictMaxCard; i >= 0; i-- { // push past the cardinality limit
 		s := fmt.Sprintf("wide-%04d", i)
-		b.Cols[0].AppendStrBytes(b.N, []byte(s))
+		b.Cols[0].AppendStrBytes([]byte(s))
 		want = append(want, s)
 		b.N++
 	}
@@ -94,7 +95,7 @@ func TestColBatchStrBytesLayouts(t *testing.T) {
 		}
 	}
 	b.Reset(sch)
-	b.Cols[0].AppendStrBytes(0, []byte("after"))
+	b.Cols[0].AppendStrBytes([]byte("after"))
 	b.N = 1
 	if b.Cols[0].Mode != StrFlat {
 		t.Fatalf("reset after spill: mode = %v, want StrFlat (noDict persists)", b.Cols[0].Mode)
@@ -104,36 +105,26 @@ func TestColBatchStrBytesLayouts(t *testing.T) {
 	}
 }
 
-// TestColVecTypedAppends: the unboxed appends land in typed storage on the
-// matching column kind and fall back to AppendValue semantics (degrade)
-// elsewhere.
+// TestColVecTypedAppends: the unboxed appends land in typed storage, and
+// AppendValue refuses a cell whose kind is not the column's.
 func TestColVecTypedAppends(t *testing.T) {
 	sch := NewSchema(DataCol("i", KindInt), DataCol("f", KindFloat), DataCol("b", KindBool))
 	b := NewColBatch(sch)
-	b.Cols[0].AppendInt(0, 42)
-	b.Cols[1].AppendFloat(0, 2.5)
-	b.Cols[2].AppendBool(0, 1)
+	b.Cols[0].AppendInt(42)
+	b.Cols[1].AppendFloat(2.5)
+	b.Cols[2].AppendBool(1)
 	b.N = 1
 	for c, want := range []Value{Int(42), Float(2.5), Bool(true)} {
 		if got := b.Cols[c].Value(0); got != want {
 			t.Fatalf("col %d = %v, want %v", c, got, want)
 		}
-		if b.Cols[c].Values != nil {
-			t.Fatalf("col %d degraded on a matching typed append", c)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "float value 1.5 appended to a column of kind int") {
+			t.Fatalf("AppendValue of a float to an int column: recovered %v", r)
 		}
-	}
-	// Kind mismatch: the typed append must degrade like AppendValue would.
-	b.Cols[0].AppendFloat(1, 1.5)
-	b.N = 2
-	if b.Cols[0].Values == nil {
-		t.Fatal("mismatched typed append did not degrade the column")
-	}
-	if got := b.Cols[0].Value(0); got != Int(42) {
-		t.Fatalf("degraded col cell 0 = %v, want %v", got, Int(42))
-	}
-	if got := b.Cols[0].Value(1); got != Float(1.5) {
-		t.Fatalf("degraded col cell 1 = %v, want %v", got, Float(1.5))
-	}
+	}()
+	b.Cols[0].AppendValue(1, Float(1.5))
 }
 
 // TestColVecCompareValueMatchesCompare: CompareValue must order any cell

@@ -148,8 +148,8 @@ func (s *TupleSet) Add(t Tuple, clone bool) (Tuple, bool) {
 // slabBlock is how many values a Slab allocates per backing array.
 const slabBlock = 4096
 
-// Slab clones tuples out of large shared backing arrays: one allocation per
-// slabBlock values instead of one per tuple. Cloned tuples stay valid
+// Slab carves tuples out of large shared backing arrays: one allocation per
+// slabBlock values instead of one per tuple. Its tuples stay valid
 // forever (blocks are never reused), so a Slab suits materialization —
 // collectors, hash join builds — where every tuple is retained anyway.
 type Slab struct {
@@ -167,12 +167,5 @@ func (s *Slab) Alloc(n int) Tuple {
 	}
 	c := Tuple(s.vals[:n:n])
 	s.vals = s.vals[n:]
-	return c
-}
-
-// Clone copies t into slab storage.
-func (s *Slab) Clone(t Tuple) Tuple {
-	c := s.Alloc(len(t))
-	copy(c, t)
 	return c
 }

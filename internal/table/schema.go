@@ -224,16 +224,32 @@ type Relation struct {
 // NewRelation builds an empty relation over a schema.
 func NewRelation(s *Schema) *Relation { return &Relation{Schema: s} }
 
-// Append adds a row after arity-checking it against the schema.
+// Check reports whether t fits the schema: one value per column, each NULL
+// or of its column's declared kind. Every row that enters the engine from
+// outside passes it (Relation.Append, the catalog's registration), so a
+// column vector holds one kind and the sort keys order like CompareOn.
+func (s *Schema) Check(t Tuple) error {
+	if len(t) != s.Len() {
+		return fmt.Errorf("table: arity mismatch: tuple has %d values, schema %d columns", len(t), s.Len())
+	}
+	for i, v := range t {
+		if v.Kind != KindNull && v.Kind != s.Cols[i].Kind {
+			return fmt.Errorf("table: column %s is %s, got %s value %v", s.Cols[i].Name, s.Cols[i].Kind, v.Kind, v)
+		}
+	}
+	return nil
+}
+
+// Append adds a row after checking it against the schema (Schema.Check).
 func (r *Relation) Append(t Tuple) error {
-	if len(t) != r.Schema.Len() {
-		return fmt.Errorf("table: arity mismatch: tuple has %d values, schema %d columns", len(t), r.Schema.Len())
+	if err := r.Schema.Check(t); err != nil {
+		return err
 	}
 	r.Rows = append(r.Rows, t)
 	return nil
 }
 
-// MustAppend is Append for fixtures; panics on arity mismatch.
+// MustAppend is Append for fixtures; panics on a row that does not fit.
 func (r *Relation) MustAppend(t Tuple) {
 	if err := r.Append(t); err != nil {
 		panic(err)
@@ -268,7 +284,10 @@ func (p *ProbTable) AddRow(v prob.Var, pr float64, data ...Value) error {
 	t := make(Tuple, 0, len(data)+2)
 	t = append(t, data...)
 	t = append(t, VarValue(v), Float(pr))
-	return p.Rel.Append(t)
+	if err := p.Rel.Append(t); err != nil {
+		return fmt.Errorf("%w (table %s)", err, p.Name)
+	}
+	return nil
 }
 
 // MustAddRow is AddRow for fixtures.

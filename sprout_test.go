@@ -3,6 +3,8 @@ package sprout
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/table"
 )
 
 // fig1DB rebuilds the paper's Fig. 1 database through the public API.
@@ -206,6 +208,41 @@ func TestInsertValidation(t *testing.T) {
 	}
 	if r.Name() != "R" || r.Len() != 0 {
 		t.Error("metadata accessors wrong")
+	}
+}
+
+// mustNameAll fails unless err is non-nil and mentions every word.
+func mustNameAll(t *testing.T, err error, words ...string) {
+	t.Helper()
+	if err == nil {
+		t.Fatalf("accepted; want an error naming %v", words)
+	}
+	for _, w := range words {
+		if !strings.Contains(err.Error(), w) {
+			t.Errorf("error %q does not name %q", err, w)
+		}
+	}
+}
+
+// TestWrongKindRejected: a value whose kind is not its column's is refused
+// where rows enter — Insert, and AddTable of a table built by hand — with
+// an error naming the table, the column and both kinds. NULL fits any
+// column.
+func TestWrongKindRejected(t *testing.T) {
+	db := NewDB()
+	r := db.MustCreateTable("R", IntCol("a"), FloatCol("price"))
+	r.MustInsert(0.5, Int(1), Value{})
+	mustNameAll(t, r.Insert(0.5, Int(2), Int(3)), "table R", "price", "float", "int")
+	if r.Len() != 1 {
+		t.Errorf("R holds %d rows after a refused insert, want 1", r.Len())
+	}
+
+	pt := table.NewProbTable("S", table.DataCol("a", table.KindInt), table.DataCol("price", table.KindFloat))
+	pt.MustAddRow(1, 0.5, table.Int(1), table.Float(2.5))
+	pt.Rel.Rows = append(pt.Rel.Rows, table.Tuple{table.Int(2), table.Int(3), table.VarValue(2), table.Float(0.5)})
+	mustNameAll(t, db.AddTable(pt), "table S", "price", "float", "int")
+	if _, ok := db.Catalog().Table("S"); ok {
+		t.Error("a refused table must not be registered")
 	}
 }
 
