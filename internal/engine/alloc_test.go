@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"testing"
@@ -35,39 +36,89 @@ func allocRel(rows, distinct int) *table.Relation {
 	return rel
 }
 
+// strKeyRel is allocRel keyed on distinct strings: from a bytesScan the
+// key's DictMaxCard-plus distinct values spill every batch, and so every
+// build chunk, to the flat string layout.
+func strKeyRel(rows int) *table.Relation {
+	rel := table.NewRelation(table.NewSchema(table.DataCol("k", table.KindString), table.DataCol("v", table.KindInt)))
+	for i := 0; i < rows; i++ {
+		rel.MustAppend(table.Tuple{table.Str(fmt.Sprintf("key-%05d", i)), table.Int(int64(i))})
+	}
+	return rel
+}
+
 // TestHashJoinProbeAllocs pins the probe side of a built hash join: once
 // Open has built the table and the output batch is warm, streaming every
-// probe row through NextColBatch allocates nothing.
+// probe row through NextColBatch allocates nothing — over an int key, and
+// over a string key whose build chunks hold it flat, where key equality
+// and the right cells' gather must work on the bytes in place.
 func TestHashJoinProbeAllocs(t *testing.T) {
-	left := &ColMemScan{Rel: allocRel(allocRows, allocRows)}
-	right := &ColMemScan{Rel: allocRel(allocRows, allocRows)}
-	j := hashJoin(t, left, right, []int{0}, []int{0})
-	if err := j.Open(); err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	b := table.NewColBatch(j.Schema())
-	probe := func() {
-		left.Open() // rewind the probe side; the built table stays
-		j.n, j.i, j.gpos, j.glen = 0, 0, 0, 0
-		rows := 0
-		for {
-			n, err := j.NextColBatch(b)
-			if err != nil {
+	for _, tc := range []struct {
+		name        string
+		left, right ColOperator
+		mode        table.StrMode
+	}{
+		{"int-key", &ColMemScan{Rel: allocRel(allocRows, allocRows)}, &ColMemScan{Rel: allocRel(allocRows, allocRows)}, table.StrNone},
+		{"flat-string-key", &ColMemScan{Rel: strKeyRel(allocRows)}, &bytesScan{ColMemScan{Rel: strKeyRel(allocRows)}}, table.StrFlat},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			j := hashJoin(t, tc.left, tc.right, []int{0}, []int{0})
+			if err := j.Open(); err != nil {
 				t.Fatal(err)
 			}
-			if n == 0 {
-				break
+			defer j.Close()
+			if mode := j.built.chunks[0].Cols[0].Mode; mode != tc.mode {
+				t.Fatalf("build key layout %d, want %d", mode, tc.mode)
 			}
-			rows += n
-		}
-		if rows != allocRows {
-			t.Fatalf("probe produced %d rows, want %d", rows, allocRows)
-		}
+			b := table.NewColBatch(j.Schema())
+			probe := func() {
+				tc.left.Open() // rewind the probe side; the built table stays
+				j.n, j.i, j.cand = 0, 0, 0
+				rows := 0
+				for {
+					n, err := j.NextColBatch(b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if n == 0 {
+						break
+					}
+					rows += n
+				}
+				if rows != allocRows {
+					t.Fatalf("probe produced %d rows, want %d", rows, allocRows)
+				}
+			}
+			probe() // warm up the output batch and the hash buffer
+			if avg := testing.AllocsPerRun(10, probe); avg != 0 {
+				t.Fatalf("hash join probe allocated %.1f times per %d-row probe pass, want 0", avg, allocRows)
+			}
+		})
 	}
-	probe() // warm up the output batch and the hash buffer
-	if avg := testing.AllocsPerRun(10, probe); avg != 0 {
-		t.Fatalf("hash join probe allocated %.1f times per %d-row probe pass, want 0", avg, allocRows)
+}
+
+// TestHashJoinBuildAllocs pins the build side: it allocates per BatchSize
+// chunk (the chunk's columns and hashes) and once for the index, never per
+// row. Doubling the build rows from 4 to 8 chunks at most doubles the
+// allocations, plus a constant, and adds at most 16 per added chunk (7
+// measured, 11 under the race detector) where one per row would add 4096.
+func TestHashJoinBuildAllocs(t *testing.T) {
+	allocs := func(rows int) float64 {
+		j := hashJoin(t, &ColMemScan{Rel: allocRel(1, 1)}, &ColMemScan{Rel: allocRel(rows, rows/4)}, []int{0}, []int{0})
+		return testing.AllocsPerRun(5, func() {
+			if err := j.Open(); err != nil {
+				t.Fatal(err)
+			}
+			j.Close()
+		})
+	}
+	small, large := allocs(4*BatchSize), allocs(8*BatchSize)
+	t.Logf("%.0f allocations to build %d rows, %.0f to build %d", small, 4*BatchSize, large, 8*BatchSize)
+	if large > 2*small+8 {
+		t.Fatalf("doubling the build rows took %.0f allocations from %.0f, want at most %.0f", large, small, 2*small+8)
+	}
+	if large-small > 16*4 {
+		t.Fatalf("4 more chunks of build rows added %.0f allocations, want at most 16 a chunk", large-small)
 	}
 }
 

@@ -38,6 +38,29 @@ func colTestRel(rows, strCard int, seed int64) *table.Relation {
 	return rel
 }
 
+// bytesScan is a ColMemScan that appends string cells as raw bytes
+// (ColVec.AppendStrBytes), as the heap scan does: a column past DictMaxCard
+// distinct values in a batch spills to the flat layout.
+type bytesScan struct{ ColMemScan }
+
+// NextColBatch transposes up to BatchSize rows onto dst.
+func (s *bytesScan) NextColBatch(dst *table.ColBatch) (int, error) {
+	end := min(s.pos+BatchSize, len(s.Rel.Rows))
+	dst.Reset(s.Rel.Schema)
+	for _, row := range s.Rel.Rows[s.pos:end] {
+		for c, v := range row {
+			if v.Kind == table.KindString {
+				dst.Cols[c].AppendStrBytes([]byte(v.S))
+			} else {
+				dst.Cols[c].AppendValue(dst.N, v)
+			}
+		}
+		dst.N++
+	}
+	s.pos = end
+	return dst.N, nil
+}
+
 // writeHeap persists rel as a heap file and reopens it read-only.
 func writeHeap(t *testing.T, dir string, rel *table.Relation) *storage.HeapFile {
 	t.Helper()
@@ -312,8 +335,63 @@ func TestJoinFailedOpenReleasesPins(t *testing.T) {
 	}
 }
 
+// TestHashJoinBuildOrder pins the chunked build's order: the join emits
+// exactly a nested-loop reference's rows in sequence — probe-major, then
+// build-input order within a key — not just the same multiset. The build
+// side has more than 3*BatchSize rows and passes through a ColFilter, so
+// its batches carry a selection vector and fill the BatchSize-row chunks
+// unevenly; its keys come in 50-row duplicate blocks that straddle chunk
+// boundaries, as floats joined to the probe's ints (3.0 meets 3, 2.5
+// meets nothing) and as NULL blocks (NULL meets NULL, as under Compare);
+// its string payload is distinct per row, so the chunks hold it flat.
+func TestHashJoinBuildOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	right := table.NewRelation(table.NewSchema(
+		table.DataCol("k", table.KindFloat), table.DataCol("keep", table.KindInt),
+		table.DataCol("tag", table.KindString)))
+	for i := 0; i < 5000; i++ {
+		block := i / 50
+		k := table.Float(float64(block % 37))
+		switch {
+		case block%11 == 5:
+			k = table.Null()
+		case block%13 == 7:
+			k = table.Float(float64(block%37) + 0.5)
+		}
+		right.MustAppend(table.Tuple{k, table.Int(int64(rng.Intn(3))), table.Str(fmt.Sprintf("r-%d", i))})
+	}
+	left := table.NewRelation(table.NewSchema(table.DataCol("k", table.KindInt), table.DataCol("l", table.KindString)))
+	for i := 0; i < 300; i++ {
+		k := table.Int(int64(rng.Intn(40)))
+		if i%17 == 0 {
+			k = table.Null()
+		}
+		left.MustAppend(table.Tuple{k, table.Str(fmt.Sprintf("l-%d", i))})
+	}
+	keep := []ColPred{{Col: 1, Op: OpNe, Val: table.Int(0)}}
+	j := hashJoin(t, &ColMemScan{Rel: left}, &ColFilter{In: &bytesScan{ColMemScan{Rel: right}}, Preds: keep}, []int{0}, []int{0})
+	want := &table.Relation{Schema: j.Schema()}
+	built := 0
+	for _, r := range right.Rows {
+		if r[1].I != 0 {
+			built++
+		}
+	}
+	for _, l := range left.Rows {
+		for _, r := range right.Rows {
+			if r[1].I != 0 && table.Compare(l[0], r[0]) == 0 {
+				want.Rows = append(want.Rows, append(slices.Clone(l), r...))
+			}
+		}
+	}
+	if built <= 3*BatchSize {
+		t.Fatalf("build side has %d rows, want more than %d", built, 3*BatchSize)
+	}
+	mustSameRelations(t, "chunked build", collect(t, j), want)
+}
+
 // TestColHashJoinBoundsOutputBatches: the columnar probe resumes inside a
-// matched group, so a fan-out join — one probe row matching 5 000 build
+// key's chain, so a fan-out join — one probe row matching 5 000 build
 // rows, or every row of a full probe batch matching 30 — hands out batches
 // of at most BatchSize rows whose concatenation is the join's output, in
 // probe order. The grace merge resumes inside its equal-key block the same

@@ -6,18 +6,21 @@ import (
 	"repro/internal/table"
 )
 
-// ColHashJoin is the equi-join: the right input is drained into a TupleMap
-// (buildHashed: rows materialized from its column batches under their
-// vectorized ColBatch.HashInto hashes), and left batches probe it with
-// hashes computed the same way. Output rows gather left cells column-wise
-// (ColVec.AppendCell — typed, allocation-free) and append the matched build
-// tuples' cells; matches come in probe order, First then Rest within a
-// group. The probe is resumable — it remembers the probe row and the
-// position inside its matched group across calls — so an output batch never
-// exceeds BatchSize however many build rows a key matches. The output schema
-// is left ++ right; the planner projects away the duplicated join
-// attributes afterwards (the paper assumes join attributes share names
-// across tables). Governed makes the build side memory-accounted: under a
+// ColHashJoin is the equi-join: the right input is drained into a hashBuild
+// (buildHashed: its batches copied column-wise into BatchSize-row chunks,
+// then indexed by their vectorized ColBatch.HashInto hashes in one chained
+// pass), and left batches probe it with hashes computed the same way. A
+// candidate build row matches when its hash and then its key cells equal
+// the probe row's (ColVec.CompareCell — no cell is materialized). Output
+// rows gather left cells from the probe batch and right cells from the
+// build chunk (ColVec.AppendCell — typed, allocation-free); matches come in
+// probe order, then in build-input order within a key. The probe is
+// resumable — it remembers the probe row and its next candidate build row
+// across calls — so an output batch never exceeds BatchSize however many
+// build rows a key matches. The output schema is left ++ right; the planner
+// projects away the duplicated join attributes afterwards (the paper
+// assumes join attributes share names across tables). Governed makes the
+// build side memory-accounted, at a fixed estimate per build row: under a
 // governor that denies it the join degrades to a grace join (gracejoin.go),
 // which sorts both inputs and merges them into the same column batches.
 type ColHashJoin struct {
@@ -25,16 +28,17 @@ type ColHashJoin struct {
 	LeftKeys, RightKeys []int
 	Governed
 	out    *table.Schema
-	built  *table.TupleMap
+	built  *hashBuild
 	in     *table.ColBatch
 	hashes []uint64
 
-	// Probe position: live rows [i, n) of in are still to probe; the group
-	// matched by physical row `row` has emitted its first gpos of glen rows.
-	n, i       int
-	row        int
-	g          table.Group
-	gpos, glen int
+	// Probe position: live rows [i, n) of in are still to probe; physical
+	// row `row` of in, of hash `hash`, has its chain still to walk from
+	// build row cand-1 (cand = 0: walked).
+	n, i int
+	row  int
+	hash uint64
+	cand int32
 }
 
 // NewColHashJoin joins left and right on pairwise-equal key columns. No
@@ -63,7 +67,7 @@ func (j *ColHashJoin) Open() error {
 	if j.in == nil {
 		j.in = table.NewColBatch(j.Left.Schema())
 	}
-	j.n, j.i, j.gpos, j.glen = 0, 0, 0, 0
+	j.n, j.i, j.cand = 0, 0, 0
 	j.built, j.grace, j.graced = nil, nil, false
 	if err := j.Left.Open(); err != nil {
 		return err
@@ -72,9 +76,10 @@ func (j *ColHashJoin) Open() error {
 		j.Left.Close()
 		return err
 	}
-	built, buffered, pressured, err := buildHashed(j.Right, j.RightKeys, j.Mem)
+	built, pressured, err := buildHashed(j.Right, j.RightKeys, j.Mem)
 	if err == nil && pressured {
-		err = j.openGrace(j.Left, j.Right, j.LeftKeys, j.RightKeys, buffered)
+		err = j.openGrace(j.Left, j.Right, j.LeftKeys, j.RightKeys, built.chunks)
+		built = nil
 	}
 	if err != nil {
 		j.Left.Close()
@@ -86,24 +91,25 @@ func (j *ColHashJoin) Open() error {
 }
 
 // NextColBatch fills dst with the next matches, up to BatchSize of them, in
-// probe order (First then Rest within a group), pulling left batches as the
+// probe order (build-input order within a key), pulling left batches as the
 // probe exhausts them.
 func (j *ColHashJoin) NextColBatch(dst *table.ColBatch) (int, error) {
 	if j.grace != nil {
 		return j.grace.next(dst, j.out)
 	}
 	dst.Reset(j.out)
-	lw := j.in.Schema.Len()
+	h := j.built
 	for {
-		for ; j.gpos < j.glen; j.gpos++ {
+		for j.cand != 0 {
 			if dst.N == BatchSize {
 				return dst.N, nil
 			}
-			r := j.g.First
-			if j.gpos > 0 {
-				r = j.g.Rest[j.gpos-1]
+			r := int(j.cand - 1)
+			j.cand = h.next[r]
+			c, cr := r/BatchSize, r%BatchSize
+			if h.hashes[c][cr] == j.hash && j.keysEqual(h.chunks[c], cr) {
+				j.emit(dst, h.chunks[c], cr)
 			}
-			j.emit(dst, j.row, lw, r)
 		}
 		if j.i == j.n {
 			n, err := j.Left.NextColBatch(j.in)
@@ -116,31 +122,38 @@ func (j *ColHashJoin) NextColBatch(dst *table.ColBatch) (int, error) {
 			j.hashes = j.in.HashInto(j.LeftKeys, j.hashes)
 			j.n, j.i = n, 0
 		}
-		j.row = j.in.RowID(j.i)
-		var ok bool
-		j.g, ok = j.built.LookupHashedCols(j.hashes[j.i], j.in, j.LeftKeys, j.row)
+		j.row, j.hash = j.in.RowID(j.i), j.hashes[j.i]
+		j.cand = h.heads[j.hash&h.mask]
 		j.i++
-		j.gpos, j.glen = 0, 0
-		if ok {
-			j.glen = 1 + len(j.g.Rest)
-		}
 	}
 }
 
-// emit appends one joined row: left cells gathered column-wise from the
-// probe batch, right cells from the stored build tuple.
-func (j *ColHashJoin) emit(dst *table.ColBatch, row, lw int, r table.Tuple) {
-	for c := 0; c < lw; c++ {
-		dst.Cols[c].AppendCell(dst.N, &j.in.Cols[c], row)
+// keysEqual reports whether the probe row's key cells equal build row cr
+// of chunk c's, pairwise under Compare semantics.
+func (j *ColHashJoin) keysEqual(c *table.ColBatch, cr int) bool {
+	for k, lk := range j.LeftKeys {
+		if j.in.Cols[lk].CompareCell(j.row, &c.Cols[j.RightKeys[k]], cr) != 0 {
+			return false
+		}
 	}
-	for k, v := range r {
-		dst.Cols[lw+k].AppendValue(dst.N, v)
+	return true
+}
+
+// emit appends one joined row: left cells gathered column-wise from the
+// probe batch, right cells from build row cr of chunk c.
+func (j *ColHashJoin) emit(dst *table.ColBatch, c *table.ColBatch, cr int) {
+	lw := len(j.in.Cols)
+	for k := 0; k < lw; k++ {
+		dst.Cols[k].AppendCell(dst.N, &j.in.Cols[k], j.row)
+	}
+	for k := range c.Cols {
+		dst.Cols[lw+k].AppendCell(dst.N, &c.Cols[k], cr)
 	}
 	dst.N++
 }
 
 // Close releases the grace merge's sorted streams (if any), closes both
-// inputs and drops the hash table.
+// inputs and drops the build side.
 func (j *ColHashJoin) Close() error {
 	j.built = nil
 	var errG error

@@ -16,9 +16,10 @@
 // join keys in governed external sorts and merges the sorted streams into
 // the same column batches (join.go). Every operator streams and runs on the
 // calling goroutine; the worker pool's parallel stages sit above the engine,
-// in the confidence operator and the lineage tiers. Tuple-keyed equality
-// state (the build side) lives in internal/table's hash-keyed TupleMap — FNV
-// hashes with Compare-based collision chains, so equal keys never allocate.
+// in the confidence operator and the lineage tiers. The join's build side
+// stays columnar: BatchSize-row column chunks chained by FNV hash
+// (hashBuild, gracejoin.go), probed with Compare-semantics cell equality
+// (ColVec.CompareCell), so equal keys never allocate.
 package engine
 
 // CmpOp is a comparison operator for predicates.

@@ -18,52 +18,96 @@ import (
 // joinMemChunk is the reservation granularity of a governed build side.
 const joinMemChunk = 64 << 10
 
-// joinTupleMemEst approximates the heap footprint of one build-side tuple:
-// the buffered handoff slot, the map group entry, and per-value storage.
-func joinTupleMemEst(t table.Tuple) int64 { return 64 + 48*int64(len(t)) }
+// joinRowMemEst is what a governed build charges per row of a width-w
+// build side. It is a fixed estimate, not the chunks' bytes, so a given
+// budget degrades a join at the same row whatever layout its cells take.
+func joinRowMemEst(w int) int64 { return 64 + 48*int64(w) }
 
-// buildHashed drains op into a TupleMap: each batch is hashed in one
-// vectorized pass (ColBatch.HashInto), its live rows are materialized into
-// slab storage and inserted in input order under their hashes. The map
-// deliberately starts empty: presizing by row count over-allocates heavily
-// on repeated join keys (FK joins) and measures slower.
+// hashBuild is a hash join's build side held as columns: chunks of exactly
+// BatchSize rows (the last one partial) with their rows' key hashes, and a
+// chained index over them. Build row r is row r%BatchSize of chunk
+// r/BatchSize; heads maps a hash's slot to its first row + 1 (0 = none) and
+// next[r] chains to the next row + 1 sharing r's slot. Rows were chained in
+// descending order, so every chain ascends: one key's rows come out in
+// build-input order.
+type hashBuild struct {
+	chunks []*table.ColBatch
+	hashes [][]uint64
+	heads  []int32
+	next   []int32
+	mask   uint64
+}
+
+// index hashes every chunk on keys and chains its rows into heads/next in
+// one pass: a power-of-two slot table at least twice the row count.
+func (h *hashBuild) index(keys []int) {
+	n := 0
+	h.hashes = make([][]uint64, len(h.chunks))
+	for c, b := range h.chunks {
+		h.hashes[c] = b.HashInto(keys, nil)
+		n += b.N
+	}
+	slots := 1
+	for slots < 2*n {
+		slots <<= 1
+	}
+	h.heads, h.next, h.mask = make([]int32, slots), make([]int32, n), uint64(slots-1)
+	for r := n - 1; r >= 0; r-- {
+		slot := h.hashes[r/BatchSize][r%BatchSize] & h.mask
+		h.next[r] = h.heads[slot]
+		h.heads[slot] = int32(r + 1)
+	}
+}
+
+// buildHashed drains op into a hashBuild: each batch's live rows are copied
+// column-wise (ColBatch.AppendBatch) into fixed BatchSize-row chunks —
+// fixed, because one growing batch would copy its slices over and over as
+// it regrows — and once op is drained the chunks are hashed
+// (ColBatch.HashInto) and indexed.
 //
-// With a governor the build is charged in joinMemChunk steps. On a denied
-// reservation it stops at a batch boundary and returns pressured=true along
-// with every row drained so far (in input order, so the grace path sees the
-// input's ordering); op is left mid-stream for the caller to keep draining.
-// All reservations are released before returning — the grace sorters
-// account for their own memory.
-func buildHashed(op ColOperator, keys []int, gov *fault.Governor) (built *table.TupleMap, buffered []table.Tuple, pressured bool, err error) {
-	built = table.NewTupleMap(keys, 0)
+// With a governor the build is charged joinRowMemEst per row, in
+// joinMemChunk steps after each batch. On a denied reservation it stops at
+// that batch boundary and returns pressured=true with the unindexed chunks
+// holding every row drained so far, in input order, for the grace path;
+// op is left mid-stream for the caller to keep draining. All reservations
+// are released before returning — the grace sorters account for their own
+// memory.
+func buildHashed(op ColOperator, keys []int, gov *fault.Governor) (built *hashBuild, pressured bool, err error) {
+	built = &hashBuild{}
 	b := table.NewColBatch(op.Schema())
-	w := op.Schema().Len()
-	var slab table.Slab
-	var hashes []uint64
+	perRow := joinRowMemEst(op.Schema().Len())
+	var last *table.ColBatch
 	var est, reserved int64
 	defer func() { gov.Release(reserved) }()
 	for {
 		n, err := op.NextColBatch(b)
 		if err != nil {
-			return nil, nil, false, err
+			return nil, false, err
 		}
 		if n == 0 {
-			return built, nil, false, nil
+			built.index(keys)
+			return built, false, nil
 		}
-		hashes = b.HashInto(keys, hashes)
-		for i := 0; i < n; i++ {
-			t := slab.Alloc(w)
-			b.WriteRow(i, t)
-			built.AddHashed(hashes[i], t)
-			if gov != nil {
-				buffered = append(buffered, t)
-				est += joinTupleMemEst(t)
+		for lo := 0; lo < n; {
+			if last == nil || last.N == BatchSize {
+				last = table.NewColBatch(op.Schema())
+				last.Reserve(BatchSize)
+				built.chunks = append(built.chunks, last)
 			}
+			hi := min(n, lo+BatchSize-last.N)
+			last.AppendBatch(b, lo, hi)
+			// A string column settles its layout on its first cell, and
+			// only then can its storage be reserved.
+			last.Reserve(BatchSize)
+			lo = hi
 		}
-		if est > reserved {
+		if gov == nil {
+			continue
+		}
+		if est += perRow * int64(n); est > reserved {
 			need := ((est - reserved + joinMemChunk - 1) / joinMemChunk) * joinMemChunk
 			if !gov.TryReserve(need) {
-				return nil, buffered, true, nil
+				return built, true, nil
 			}
 			reserved += need
 		}
@@ -85,12 +129,12 @@ type Governed struct {
 // the plan is torn down.
 func (g *Governed) GraceMode() bool { return g.graced }
 
-// openGrace finishes a pressured open: buffered holds the build-side prefix
-// already drained, right the opened remainder. The right side is sorted
-// first, and its sorter finished — its reservation released — before the
-// left side's sort starts.
-func (g *Governed) openGrace(left, right ColOperator, lk, rk []int, buffered []table.Tuple) error {
-	rightIt, err := g.sortOn(right, rk, buffered)
+// openGrace finishes a pressured open: drained holds the build side's
+// prefix as the build's column chunks, right the opened remainder. The
+// right side is sorted first, and its sorter finished — its reservation
+// released — before the left side's sort starts.
+func (g *Governed) openGrace(left, right ColOperator, lk, rk []int, drained []*table.ColBatch) error {
+	rightIt, err := g.sortOn(right, rk, drained)
 	if err != nil {
 		return err
 	}
@@ -112,11 +156,11 @@ func (g *Governed) openGrace(left, right ColOperator, lk, rk []int, buffered []t
 	return nil
 }
 
-// sortOn sorts pre, then the rest of op's stream, on keys in a key sorter
-// under the join's governor and returns the sorted stream. op is closed
-// once drained, so what its subtree holds is released before the merge; a
-// failed sort leaves no spill run behind.
-func (g *Governed) sortOn(op ColOperator, keys []int, pre []table.Tuple) (it storage.TupleIterator, err error) {
+// sortOn sorts the batches pre, then the rest of op's stream, on keys in a
+// key sorter under the join's governor and returns the sorted stream. op is
+// closed once drained, so what its subtree holds is released before the
+// merge; a failed sort leaves no spill run behind.
+func (g *Governed) sortOn(op ColOperator, keys []int, pre []*table.ColBatch) (it storage.TupleIterator, err error) {
 	s := storage.NewKeySorter(op.Schema(), keys, g.SortBudget, g.TmpDir)
 	s.Govern(g.Mem)
 	defer func() {
@@ -124,10 +168,11 @@ func (g *Governed) sortOn(op ColOperator, keys []int, pre []table.Tuple) (it sto
 			s.Discard()
 		}
 	}()
-	for _, t := range pre {
-		if err := s.Add(t); err != nil {
+	for i, b := range pre {
+		if err := s.AddBatch(b); err != nil {
 			return nil, err
 		}
+		pre[i] = nil // copied: let the chunk go while the sort goes on
 	}
 	b := table.NewColBatch(op.Schema())
 	for {

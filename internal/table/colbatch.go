@@ -1,6 +1,7 @@
 package table
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"slices"
@@ -537,6 +538,25 @@ func (v *ColVec) CompareValue(i int, c Value) int {
 	}
 }
 
+// CompareCell orders cell i against o's cell j under Compare semantics
+// without materializing either: NULL equals NULL, ints and floats compare
+// by numeric value, and string cells compare byte-wise across the header,
+// dictionary and flat layouts. The hash join's key equality is built on it.
+func (v *ColVec) CompareCell(i int, o *ColVec, j int) int {
+	if o.Kind != KindString || o.Mode != StrFlat || o.Null(j) {
+		return v.CompareValue(i, o.Value(j)) // o's cell is a Value without allocating
+	}
+	if v.Kind != KindString || v.Null(i) {
+		// Ordered by kind (or NULL) alone: o's bytes never matter.
+		return Compare(v.Value(i), Value{Kind: KindString})
+	}
+	b := o.Bytes[o.Offs[j]:o.Offs[j+1]]
+	if v.Mode == StrFlat {
+		return bytes.Compare(v.Bytes[v.Offs[i]:v.Offs[i+1]], b)
+	}
+	return -cmpBytesStr(b, v.Value(i).S)
+}
+
 func cmpInt(a, b int64) int {
 	switch {
 	case a < b:
@@ -611,9 +631,10 @@ func cmpKind(a, b Kind) int {
 // HashInto computes the HashOn hash of every live row over the key columns,
 // column by column in tight per-layout loops, and returns dst[:Rows()]. The
 // per-row byte sequence fed to FNV-1a is exactly HashOn's (columns in idx
-// order), so the hashes are bit-identical to hashing the materialized rows —
-// the property that lets the hash join store materialized build rows in a
-// TupleMap and probe it with column batches.
+// order), so the hashes are bit-identical to hashing the materialized rows,
+// and a row hashes alike whatever batch, selection or string layout carries
+// it — the property that lets the hash join hash its build chunks and its
+// probe batches separately and meet in one chained index.
 func (b *ColBatch) HashInto(idx []int, dst []uint64) []uint64 {
 	n := b.Rows()
 	if cap(dst) < n {

@@ -2,6 +2,7 @@ package table
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -158,10 +159,75 @@ func TestColVecCompareValueMatchesCompare(t *testing.T) {
 	}
 }
 
+// layoutCol builds a one-column batch of the given kind holding vals, with
+// string cells in the given layout: StrHeader appends Values, StrDict and
+// StrFlat append raw bytes — StrFlat after a dictionary spill, which keeps
+// the column flat across Reset. vals must not start with a NULL, which
+// would settle a string column on the header layout.
+func layoutCol(t *testing.T, kind Kind, mode StrMode, vals []Value) *ColVec {
+	t.Helper()
+	sch := NewSchema(DataCol("c", kind))
+	b := NewColBatch(sch)
+	if mode == StrFlat {
+		for i := 0; i <= DictMaxCard; i++ {
+			b.Cols[0].AppendStrBytes([]byte(fmt.Sprint(i)))
+		}
+		b.Reset(sch)
+	}
+	for _, v := range vals {
+		if v.Kind == KindString && mode != StrHeader {
+			b.Cols[0].AppendStrBytes([]byte(v.S))
+		} else {
+			b.Cols[0].AppendValue(b.N, v)
+		}
+		b.N++
+	}
+	if kind == KindString && b.Cols[0].Mode != mode {
+		t.Fatalf("string column in layout %d, want %d", b.Cols[0].Mode, mode)
+	}
+	return &b.Cols[0]
+}
+
+// TestColVecCompareCellMatchesCompare: CompareCell must order any cell
+// against any cell of any kind and layout exactly as Compare orders the
+// materialized values — NULL equals NULL, 3 equals 3.0, -0 equals +0, and
+// strings compare byte-wise whichever layouts hold them — the hash join's
+// key equality rests on it.
+func TestColVecCompareCellMatchesCompare(t *testing.T) {
+	strs := []Value{Str("b"), Str(""), Str("a"), Null(), Str("ab"), Str("s-0100"), Str("b")}
+	cols := []struct {
+		name string
+		kind Kind
+		mode StrMode
+		vals []Value
+	}{
+		{"int", KindInt, StrNone, []Value{Int(3), Int(0), Null(), Int(-1), Int(2)}},
+		{"float", KindFloat, StrNone, []Value{Float(3), Float(math.Copysign(0, -1)), Float(0), Null(), Float(2.5), Float(-1)}},
+		{"bool", KindBool, StrNone, []Value{Bool(true), Null(), Bool(false)}},
+		{"null", KindNull, StrNone, []Value{Null(), Null()}},
+		{"header", KindString, StrHeader, strs},
+		{"dict", KindString, StrDict, strs},
+		{"flat", KindString, StrFlat, strs},
+	}
+	for _, a := range cols {
+		av := layoutCol(t, a.kind, a.mode, a.vals)
+		for _, b := range cols {
+			bv := layoutCol(t, b.kind, b.mode, b.vals)
+			for i, x := range a.vals {
+				for j, y := range b.vals {
+					if got, want := av.CompareCell(i, bv, j), Compare(x, y); got != want {
+						t.Errorf("%s[%d]=%v vs %s[%d]=%v: CompareCell=%d, Compare=%d", a.name, i, x, b.name, j, y, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestColBatchHashIntoMatchesHashOn: batch hashing feeds FNV-1a the exact
 // byte sequence HashOn feeds it — with and without a selection vector — so
-// a hash join's materialized build rows and its probe batches meet in one
-// hash table.
+// a row hashes alike as a tuple and in any batch: a hash join's build
+// chunks and its probe batches meet in one index.
 func TestColBatchHashIntoMatchesHashOn(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, card := range []int{8, DictMaxCard + 50} {
