@@ -2,29 +2,31 @@ package analyzers
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
-// BatchAlias guards the engine's borrowed-storage contract. A sorted
-// stream (storage.TupleIterator, what an external sort's Finish returns)
-// lends each tuple until its next Next, which may write the following tuple
-// over it. A consumer that retains such a tuple — appending it to a slice,
-// storing it in a struct field or a slice/map element — without a clone
-// sees it silently overwritten. The analyzer tracks, per function, the
-// tuples assigned from a TupleIterator's Next and flags those retentions.
-// Passing the tuple through any call (t.Clone(), slab.Clone(t),
-// b.AppendRow(t), emit(t)) is a hand-off that honors the contract. Sites
-// that retain a tuple exactly until the Next that invalidates it (the grace
-// join's merge sides) document themselves with
+// BatchAlias guards the engine's borrowed-storage contract. A comparator
+// sort's stream (storage.TupleIterator, what a comparator sorter's Finish
+// returns) lends each tuple until its next Next, which may write the
+// following tuple over it. A consumer that retains such a tuple — appending
+// it to a slice, storing it in a struct field or a slice/map element —
+// without a clone sees it silently overwritten. The analyzer tracks, per
+// function, the tuples assigned from a TupleIterator's Next and flags those
+// retentions. Passing the tuple through any call (t.Clone(), b.AppendRow(t),
+// emit(t)) is a hand-off that honors the contract. A site that retains a
+// tuple exactly until the Next that invalidates it documents itself with
 // //sproutvet:allow batchalias <reason>.
 //
 // A table.ColBatch filled by ColOperator.NextColBatch has the same contract
 // one level up: it reuses its column storage, so the column slices (Ints,
 // Floats, Strs, Bytes, Offs, Codes, Sel, …) and whole ColVec headers read
 // out of such a batch are valid only until the next NextColBatch call. The
-// analyzer tracks the batches passed to NextColBatch-shaped calls and flags
-// storing a batch-reaching slice or ColVec into a struct field or long-lived
-// element, or appending the slice header itself to a slice-of-slices.
+// analyzer tracks the batches passed to NextColBatch-shaped calls — the
+// engine's operators and a key sort's stream (storage.SortedBatches) alike,
+// the batch given as b or as &b — and flags storing a batch-reaching slice
+// or ColVec into a struct field or long-lived element, or appending the
+// slice header itself to a slice-of-slices.
 // Writes into a ColBatch-typed destination (dst.Cols[i] = …, dst.Sel = …)
 // are the operator side of the protocol and allowed; appending with ...
 // copies the elements out and is allowed too.
@@ -98,7 +100,7 @@ func checkLentTupleBody(p *Pass, body *ast.BlockStmt) {
 			}
 			for _, arg := range v.Args[1:] {
 				if isLent(arg) {
-					p.Reportf(arg.Pos(), "tuple lent by a sorted stream is appended without a clone; the next Next overwrites it — clone it (table.Slab, Tuple.Clone) or copy its cells out")
+					p.Reportf(arg.Pos(), "tuple lent by a sorted stream is appended without a clone; the next Next overwrites it — clone it (Tuple.Clone) or copy its cells out")
 				}
 			}
 		case *ast.AssignStmt:
@@ -113,7 +115,7 @@ func checkLentTupleBody(p *Pass, body *ast.BlockStmt) {
 				case *ast.SelectorExpr:
 					p.Reportf(v.Rhs[i].Pos(), "tuple lent by a sorted stream is stored in a field without a clone; it is only valid until the next Next — clone it, or document that lifetime with an allow directive")
 				case *ast.IndexExpr:
-					p.Reportf(v.Rhs[i].Pos(), "tuple lent by a sorted stream is stored in long-lived storage without a clone; the next Next overwrites it — clone it (table.Slab, Tuple.Clone)")
+					p.Reportf(v.Rhs[i].Pos(), "tuple lent by a sorted stream is stored in long-lived storage without a clone; the next Next overwrites it — clone it (Tuple.Clone)")
 				}
 			}
 		}
@@ -139,9 +141,13 @@ func aliasesColStorage(t types.Type) bool {
 }
 
 // colBatchSourceCall reports whether call refills reused columnar batch
-// storage and returns the batch argument: X.NextColBatch(dst).
+// storage and returns the batch argument: X.NextColBatch(dst), or the b of
+// X.NextColBatch(&b) for a batch held by value.
 func colBatchSourceCall(p *Pass, call *ast.CallExpr) (batch ast.Expr, ok bool) {
 	if recv, name := methodCall(p.TypesInfo, call); recv != nil && name == "NextColBatch" && len(call.Args) == 1 {
+		if u, ok := ast.Unparen(call.Args[0]).(*ast.UnaryExpr); ok && u.Op == token.AND {
+			return u.X, true
+		}
 		return call.Args[0], true
 	}
 	return nil, false

@@ -199,3 +199,33 @@ func feedSorter(o colOp, s *batchSorter, keep *colSink) error {
 		keep.ints = b.Cols[0].Ints // want `stored in a field without a copy`
 	}
 }
+
+// --- A key sort's sorted stream is NextColBatch-shaped: the batch it fills
+// is reused by the next refill, so its column slices must not be kept.
+
+type groupScan struct {
+	firstV []int64
+	v      int64
+}
+
+func sortedRetain(it *storage.SortedBatches, g *groupScan) error {
+	var b table.ColBatch
+	for {
+		n, err := it.NextColBatch(&b)
+		if err != nil || n == 0 {
+			return err
+		}
+		g.firstV = b.Cols[0].Ints // want `stored in a field without a copy`
+	}
+}
+
+func sortedCopyCells(it *storage.SortedBatches, g *groupScan) error {
+	var b table.ColBatch
+	for {
+		n, err := it.NextColBatch(&b)
+		if err != nil || n == 0 {
+			return err
+		}
+		g.v = b.Cols[0].Ints[n-1] // ok: a cell is copied out
+	}
+}

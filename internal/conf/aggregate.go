@@ -13,7 +13,7 @@ import (
 // sort+scan passes and all propagation steps as projections, leaving a
 // single representative V/P column pair for s's tables. The first pass
 // consumes a streamed intermediate batch by batch, and what comes back is a
-// source again — over the aggregated relation, or the input itself,
+// source again — over the last pass's column chunks, or the input itself,
 // untouched, when [s] is the identity — with the representative source
 // name. What its sort+scan passes did — scans, sorts, spill volume — is
 // accumulated into stats, like ComputeStats reports for the top operator.
@@ -42,7 +42,7 @@ func AggregateFrom(src *Source, s signature.Sig, opts Options, stats *Stats) (*S
 				return nil, "", err
 			}
 			stats.addScan(sp)
-			cur = FromRelation(next)
+			cur = next
 		}
 		return cur, scanRootTable(fstar), nil
 
@@ -59,17 +59,18 @@ func AggregateFrom(src *Source, s signature.Sig, opts Options, stats *Stats) (*S
 				return nil, "", err
 			}
 		}
-		rel, err := cur.Relation(opts.ctx())
+		chunks, err := cur.Chunks(opts.ctx())
 		if err != nil {
 			return nil, "", err
 		}
+		schema := cur.Schema
 		for i := len(reps) - 2; i >= 0; i-- {
-			rel, err = propagatePair(rel, reps[i], reps[i+1])
+			schema, chunks, err = propagatePair(schema, chunks, reps[i], reps[i+1])
 			if err != nil {
 				return nil, "", err
 			}
 		}
-		return FromRelation(rel), reps[0], nil
+		return chunkSource(schema, chunks), reps[0], nil
 
 	default:
 		return nil, "", fmt.Errorf("conf: unknown signature shape %T", s)
@@ -123,33 +124,41 @@ func scanRootTable(s signature.Sig) string {
 }
 
 // propagatePair folds P(right) into P(left) and drops right's V/P columns —
-// the JαβK projection of Fig. 5 executed on a materialized relation.
-func propagatePair(rel *table.Relation, left, right string) (*table.Relation, error) {
-	lp := rel.Schema.ProbIndex(left)
-	rv := rel.Schema.VarIndex(right)
-	rp := rel.Schema.ProbIndex(right)
+// the JαβK projection of Fig. 5 executed on column chunks: the P columns
+// are multiplied column-wise into a fresh vector and every other kept
+// column is shared with the input chunks, which are left as they are.
+func propagatePair(schema *table.Schema, chunks []*table.ColBatch, left, right string) (*table.Schema, []*table.ColBatch, error) {
+	lp := schema.ProbIndex(left)
+	rv := schema.VarIndex(right)
+	rp := schema.ProbIndex(right)
 	if lp < 0 || rv < 0 || rp < 0 {
-		return nil, fmt.Errorf("conf: propagation %s·%s: columns missing in %v", left, right, rel.Schema.Names())
+		return nil, nil, fmt.Errorf("conf: propagation %s·%s: columns missing in %v", left, right, schema.Names())
 	}
 	var keep []int
-	for i := range rel.Schema.Cols {
+	for i := range schema.Cols {
 		if i != rv && i != rp {
 			keep = append(keep, i)
 		}
 	}
-	out := table.NewRelation(rel.Schema.Project(keep))
-	for _, row := range rel.Rows {
-		nr := make(table.Tuple, 0, len(keep))
-		for _, i := range keep {
+	outSchema := schema.Project(keep)
+	out := make([]*table.ColBatch, len(chunks))
+	for k, c := range chunks {
+		lf, rf := c.Cols[lp].Floats[:c.N], c.Cols[rp].Floats[:c.N]
+		p := make([]float64, c.N)
+		for i := range p {
+			p[i] = lf[i] * rf[i]
+		}
+		cols := make([]table.ColVec, len(keep))
+		for j, i := range keep {
 			if i == lp {
-				nr = append(nr, table.Float(row[lp].F*row[rp].F))
+				cols[j] = table.ColVec{Kind: table.KindFloat, Floats: p}
 			} else {
-				nr = append(nr, row[i])
+				cols[j] = c.Cols[i]
 			}
 		}
-		out.Rows = append(out.Rows, nr)
+		out[k] = &table.ColBatch{Schema: outSchema, N: c.N, Cols: cols}
 	}
-	return out, nil
+	return outSchema, out, nil
 }
 
 // FinalizeBareFrom extracts the answer from a source whose confidence is
@@ -178,20 +187,25 @@ func FinalizeBareFrom(ctx context.Context, src *Source, rep string) (*table.Rela
 	}
 	seen := table.NewTupleSet(all, 0)
 	nr := make(table.Tuple, len(outCols))
-	sink := &rowSink{fn: func(row table.Tuple) error {
-		nr = nr[:0]
-		for _, i := range dataCols {
-			nr = append(nr, row[i])
+	var rows int64
+	err := src.push(ctx, sinkFunc(func(b *table.ColBatch) error {
+		n := b.Rows()
+		for i := 0; i < n; i++ {
+			row := b.RowID(i)
+			for j, c := range dataCols {
+				nr[j] = b.Cols[c].Value(row)
+			}
+			nr[len(dataCols)] = table.Float(b.Cols[pi].Floats[row])
+			if c, added := seen.Add(nr, true); added {
+				out.Rows = append(out.Rows, c)
+			}
 		}
-		nr = append(nr, table.Float(row[pi].F))
-		if c, added := seen.Add(nr, true); added {
-			out.Rows = append(out.Rows, c)
-		}
+		rows += int64(n)
 		return nil
-	}}
-	if err := src.push(ctx, sink); err != nil {
+	}))
+	if err != nil {
 		return nil, err
 	}
-	src.rows = sink.n
+	src.rows = rows
 	return out, nil
 }

@@ -197,8 +197,9 @@ func TestAggregateBareTableIdentity(t *testing.T) {
 	rel := table.NewRelation(sch)
 	rel.MustAppend(table.Tuple{table.VarValue(1), table.Float(0.5)})
 	var stats Stats
-	out, rep, err := aggregateRel(rel, signature.Table("R"), Options{}, &stats)
-	if err != nil || rep != "R" || stats.Scans != 0 || out != rel {
+	in := FromRelation(rel)
+	out, rep, err := AggregateFrom(in, signature.Table("R"), Options{}, &stats)
+	if err != nil || rep != "R" || stats.Scans != 0 || out != in {
 		t.Errorf("identity aggregate wrong: %v %s %d", err, rep, stats.Scans)
 	}
 }

@@ -15,7 +15,8 @@ import (
 // are sorted on keep followed by the P columns, so a group's summation
 // order is a function of the input bag and the result is bit-identical
 // whatever the worker count, batch size or execution tier that produced
-// src — the sort+scan operator's argument, unchanged.
+// src — the sort+scan operator's argument, unchanged. The output is a
+// source over the pass's column chunks.
 func IndProject(src *Source, keep []string, opts Options, stats *Stats) (*Source, error) {
 	in := src.Schema
 	groupCols := make([]int, len(keep))
@@ -43,7 +44,7 @@ func IndProject(src *Source, keep []string, opts Options, stats *Stats) (*Source
 		return nil, err
 	}
 	stats.addScan(sp)
-	return FromRelation(out), nil
+	return out, nil
 }
 
 // indLogLimit is where the modelled POWER(10, Σlog) computation of
@@ -59,15 +60,15 @@ type indAcc struct {
 	logSum   float64
 }
 
-func (a *indAcc) seed(first table.Tuple) {
+func (a *indAcc) seed(b *table.ColBatch, row int) {
 	a.logSum = 0
-	a.step(nil, first)
+	a.step(b, row)
 }
 
-func (a *indAcc) step(_, cur table.Tuple) {
+func (a *indAcc) step(b *table.ColBatch, row int) {
 	p := 1.0
 	for _, i := range a.probCols {
-		p *= cur[i].F
+		p *= b.Cols[i].Floats[row]
 	}
 	a.logSum += math.Log10(1.001 - p)
 }

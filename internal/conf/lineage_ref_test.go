@@ -74,7 +74,7 @@ func collectLineageRef(rel *table.Relation) (*Lineage, map[prob.Var]string, erro
 			}
 			vs = append(vs, v)
 		}
-		if n == 0 || !table.EqualOn(rel.Rows[order[n-1]], row, dataCols) {
+		if n == 0 || table.CompareOn(rel.Rows[order[n-1]], row, dataCols) != 0 {
 			cur = prob.NewDNF()
 			l.Keys = append(l.Keys, row.Project(dataCols))
 			l.DNFs = append(l.DNFs, cur)

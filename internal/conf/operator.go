@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/pool"
 	"repro/internal/signature"
@@ -65,7 +64,9 @@ func ComputeStats(rel *table.Relation, sig signature.Sig, opts Options) (*table.
 }
 
 // ComputeFrom is ComputeStats over a Source: a streamed answer goes batch
-// by batch into the first pass's run generation and is never materialized.
+// by batch into the first pass's run generation and is never materialized;
+// each pass hands its column chunks to the next one's sort, and only the
+// answer is built as a relation.
 func ComputeFrom(src *Source, sig signature.Sig, opts Options) (*table.Relation, *Stats, error) {
 	if err := validateSources(src.Schema, sig); err != nil {
 		return nil, nil, err
@@ -80,7 +81,7 @@ func ComputeFrom(src *Source, sig signature.Sig, opts Options) (*table.Relation,
 			return nil, nil, err
 		}
 		stats.addScan(sp)
-		cur = FromRelation(next)
+		cur = next
 	}
 	out, sp, err := finalScan(cur, finalSig, opts)
 	if err != nil {
@@ -88,8 +89,12 @@ func ComputeFrom(src *Source, sig signature.Sig, opts Options) (*table.Relation,
 	}
 	stats.addScan(sp)
 	stats.InputTuples = src.Rows()
-	stats.OutputTuples = int64(out.Len())
-	return out, stats, nil
+	stats.OutputTuples = out.Rows()
+	rel, err := out.Relation(opts.ctx())
+	if err != nil {
+		return nil, nil, err
+	}
+	return rel, stats, nil
 }
 
 // spillStats is what one sort spilled: run files and their bytes.
@@ -205,132 +210,167 @@ func representative(s signature.Sig) string {
 	return st.Table
 }
 
-// sortedScan finishes a fed key sorter and streams its rows, in key order,
-// to emit, checking the context once per engine.BatchSize tuples like the
-// feeding side, so cancellation latency is uniform across the pipelined and
-// the sort+scan tiers. The tuple handed to emit is borrowed — valid until
-// emit returns, then the sorter writes the next one over it — so emit must
-// copy what it keeps. Error paths discard any spilled runs.
-func sortedScan(sorter *storage.ExternalSorter, opts Options, emit func(table.Tuple) error) (sp spillStats, err error) {
-	ctx := opts.ctx()
-	it, err := sorter.Finish()
-	if err != nil {
-		return sp, err
+// mergeByKey merges per-partition output chunks back into global key
+// order: each part is sorted on its leading keys columns and no key value
+// spans two partitions (they were hash-partitioned on it), so a k-way
+// min-merge (ColVec.CompareCell) reproduces the serial scan's output
+// exactly.
+func mergeByKey(parts [][]*table.ColBatch, keys int) []*table.ColBatch {
+	type cursor struct {
+		chunks []*table.ColBatch
+		row    int // in chunks[0]
 	}
-	defer it.Close()
-	sp = spillStats{runs: sorter.Spills(), bytes: sorter.SpillBytes()}
-	for i := 0; ; i++ {
-		if i%engine.BatchSize == 0 && ctx.Err() != nil {
-			return sp, ctx.Err()
-		}
-		t, ok, err := it.Next()
-		if err != nil || !ok {
-			return sp, err
-		}
-		if err := emit(t); err != nil {
-			return sp, err
-		}
-	}
-}
-
-// mergeByKey merges per-partition outputs back into global key order: each
-// part is sorted on the keyCols of the output schema and no key value spans
-// two partitions (they were hash-partitioned on it), so a k-way min-merge
-// reproduces the serial scan's output exactly.
-func mergeByKey(parts []*table.Relation, keyCols []int, schema *table.Schema) *table.Relation {
-	out := table.NewRelation(schema)
-	total := 0
+	curs := make([]cursor, 0, len(parts))
 	for _, p := range parts {
-		total += p.Len()
+		if len(p) > 0 {
+			curs = append(curs, cursor{chunks: p})
+		}
 	}
-	out.Rows = make([]table.Tuple, 0, total)
-	pos := make([]int, len(parts))
-	for {
-		best := -1
-		for i, p := range parts {
-			if pos[i] >= p.Len() {
-				continue
+	less := func(a, b *cursor) bool {
+		ca, cb := a.chunks[0], b.chunks[0]
+		for k := 0; k < keys; k++ {
+			if d := ca.Cols[k].CompareCell(a.row, &cb.Cols[k], b.row); d != 0 {
+				return d < 0
 			}
-			if best < 0 || table.CompareOn(p.Rows[pos[i]], parts[best].Rows[pos[best]], keyCols) < 0 {
+		}
+		return false
+	}
+	var out []*table.ColBatch
+	for len(curs) > 0 {
+		best := 0
+		for i := 1; i < len(curs); i++ {
+			if less(&curs[i], &curs[best]) {
 				best = i
 			}
 		}
-		if best < 0 {
-			return out
+		c := &curs[best]
+		out = appendChunks(out, c.chunks[0], c.row, c.row+1)
+		if c.row++; c.row == c.chunks[0].N {
+			c.chunks, c.row = c.chunks[1:], 0
+			if len(c.chunks) == 0 {
+				curs = slices.Delete(curs, best, best+1)
+			}
 		}
-		out.Rows = append(out.Rows, parts[best].Rows[pos[best]])
-		pos[best]++
 	}
+	return out
 }
 
 // accumulator is the per-group combine of one sort+scan pass: seed opens a
-// group with its first sorted row, step folds in each further row (prev is
-// the row before it), flush closes the group and returns its probability.
-// The paper's one-scan evaluator (runtimeTree) and MystiQ's independent
-// projection (indAcc) differ in nothing else.
+// group with its first sorted row, step folds in each further row in
+// sorted order, flush closes the group and returns its probability. Rows
+// are given as a physical row of a sorted batch, whose typed V ([]int64)
+// and P ([]float64) vectors the accumulator reads. The paper's one-scan
+// evaluator (runtimeTree) and MystiQ's independent projection (indAcc)
+// differ in nothing else.
 type accumulator interface {
-	seed(first table.Tuple)
-	step(prev, cur table.Tuple)
+	seed(b *table.ColBatch, row int)
+	step(b *table.ColBatch, row int)
 	flush() float64
 }
 
-// groupedScan walks a fed sorter's rows group by group (groups are
-// contiguous on groupCols in key order), folds each group into acc, and
-// appends one output row per group: the group columns of its first sorted
-// tuple, that tuple's repVar column when repVar >= 0 (sorted ascending, the
-// group's minimal variable — its representative), and the probability.
-//
-// The scan keeps two tuples across rows — the group's first and the
-// previous one — in buffers it reuses: sortedScan's tuples are borrowed.
-func groupedScan(sorter *storage.ExternalSorter, acc accumulator, groupCols []int, repVar int, opts Options, out *table.Relation) (spillStats, error) {
-	var prev, first table.Tuple
-	inGroup := false
-	emitGroup := func() {
-		row := make(table.Tuple, 0, out.Schema.Len())
-		for _, i := range groupCols {
-			row = append(row, first[i])
-		}
-		if repVar >= 0 {
-			row = append(row, first[repVar])
-		}
-		out.Rows = append(out.Rows, append(row, table.Float(acc.flush())))
-	}
-	sp, err := sortedScan(sorter, opts, func(t table.Tuple) error {
-		if inGroup && !table.EqualOn(prev, t, groupCols) {
-			emitGroup()
-			inGroup = false
-		}
-		if !inGroup {
-			first = append(first[:0], t...)
-			acc.seed(t)
-			inGroup = true
-		} else {
-			acc.step(prev, t)
-		}
-		prev = append(prev[:0], t...)
-		return nil
-	})
+// groupedScan finishes a fed key sorter and walks its sorted batches group
+// by group (groups are contiguous on groupCols in key order), folding each
+// group into acc. Every group becomes one row of BatchSize-row column
+// chunks of the output schema: the group columns of its first sorted row,
+// that row's repVar column when repVar >= 0 (sorted ascending, the group's
+// minimal variable — its representative), and the probability. The row is
+// written when the group opens and its probability when it closes, so the
+// group's first row is kept as its output row; a later row opens the next
+// group when it differs from that output row on the group columns
+// (ColVec.CompareCell, whose equality is table.Compare's: NULL equals
+// NULL, −0 equals +0). The context is checked once per sorted batch, like
+// the feeding side, so cancellation latency is uniform across the
+// pipelined and the sort+scan tiers. Error paths discard any spilled runs.
+func groupedScan(sorter *storage.ExternalSorter, acc accumulator, groupCols []int, repVar int, schema *table.Schema, opts Options) ([]*table.ColBatch, spillStats, error) {
+	ctx := opts.ctx()
+	it, err := sorter.FinishBatches()
 	if err != nil {
-		return sp, err
+		return nil, spillStats{}, err
 	}
-	if inGroup {
-		emitGroup()
+	defer it.Close()
+	sp := spillStats{runs: sorter.Spills(), bytes: sorter.SpillBytes()}
+	outCols := groupCols
+	if repVar >= 0 {
+		outCols = append(slices.Clone(groupCols), repVar)
 	}
-	return sp, nil
+	pc := len(outCols) // the probability column
+	// No pass emits more groups than it was fed rows, and most emit far
+	// fewer: the first chunk starts small and grows, the later ones are
+	// reserved whole.
+	reserve := int(min(sorter.Rows(), firstChunkRows))
+	var chunks []*table.ColBatch
+	var out *table.ColBatch // the chunk holding the open group's row k
+	k := -1
+	var b table.ColBatch
+	for {
+		if err := ctx.Err(); err != nil {
+			return nil, sp, err
+		}
+		n, err := it.NextColBatch(&b)
+		if err != nil {
+			return nil, sp, err
+		}
+		if n == 0 {
+			break
+		}
+		for i := 0; i < n; i++ {
+			if k >= 0 && sameGroup(out, k, &b, i, groupCols) {
+				acc.step(&b, i)
+				continue
+			}
+			if k >= 0 {
+				out.Cols[pc].Floats[k] = acc.flush()
+			}
+			if out == nil || out.N == table.BatchSize {
+				out = table.NewColBatch(schema)
+				for j, c := range outCols {
+					out.Cols[j].SettleLike(&b.Cols[c])
+				}
+				out.Reserve(reserve)
+				reserve = table.BatchSize
+				chunks = append(chunks, out)
+			}
+			k = out.N
+			for j, c := range outCols {
+				out.Cols[j].AppendCell(k, &b.Cols[c], i)
+			}
+			out.Cols[pc].AppendFloat(0)
+			out.N++
+			acc.seed(&b, i)
+		}
+	}
+	if k >= 0 {
+		out.Cols[pc].Floats[k] = acc.flush()
+	}
+	return chunks, sp, nil
+}
+
+// firstChunkRows is what a pass's first output chunk is reserved for.
+const firstChunkRows = 64
+
+// sameGroup reports whether row i of the sorted batch b equals output row k
+// of out on the group columns, which lead out's schema.
+func sameGroup(out *table.ColBatch, k int, b *table.ColBatch, i int, groupCols []int) bool {
+	for j, c := range groupCols {
+		if out.Cols[j].CompareCell(k, &b.Cols[c], i) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // scanGroups is one sort+scan pass: src is fed into run generation sorted
 // by groupCols followed by tailCols — the columns whose order within a
 // group the accumulator relies on — and every group of rows equal on
-// groupCols becomes one row of the output (schema: the group columns, the
-// representative variable when repVar >= 0, the probability newAcc's
-// accumulator computed). With a multi-worker pool in the options an input
-// of at least pool.ParallelMinRows rows is hash-partitioned by group key
-// while it is fed, the partitions are sorted and scanned in parallel — each
-// with an accumulator of its own — and their outputs — each sorted on the
-// group columns, no key spanning two — are merged back into global order:
-// bit-identical to the serial scan's.
-func scanGroups(src *Source, groupCols, tailCols []int, repVar int, newAcc func() accumulator, schema *table.Schema, opts Options) (*table.Relation, spillStats, error) {
+// groupCols becomes one row of the output, a source over column chunks
+// (schema: the group columns, the representative variable when repVar >= 0,
+// the probability newAcc's accumulator computed). With a multi-worker pool
+// in the options an input of at least pool.ParallelMinRows rows is
+// hash-partitioned by group key while it is fed, the partitions are sorted
+// and scanned in parallel — each with an accumulator of its own — and their
+// outputs — each sorted on the group columns, no key spanning two — are
+// merged back into global order: bit-identical to the serial scan's.
+func scanGroups(src *Source, groupCols, tailCols []int, repVar int, newAcc func() accumulator, schema *table.Schema, opts Options) (*Source, spillStats, error) {
 	sortCols := append(slices.Clone(groupCols), tailCols...)
 	in := newScanFeed(src.Schema, groupCols, sortCols, opts)
 	err := src.push(opts.ctx(), in)
@@ -342,19 +382,17 @@ func scanGroups(src *Source, groupCols, tailCols []int, repVar int, newAcc func(
 		return nil, spillStats{}, err
 	}
 	if in.one != nil {
-		out := table.NewRelation(schema)
-		sp, err := groupedScan(in.one, newAcc(), groupCols, repVar, opts, out)
+		chunks, sp, err := groupedScan(in.one, newAcc(), groupCols, repVar, schema, opts)
 		if err != nil {
 			return nil, spillStats{}, err
 		}
-		return out, sp, nil
+		return chunkSource(schema, chunks), sp, nil
 	}
-	outs := make([]*table.Relation, len(in.parts))
+	outs := make([][]*table.ColBatch, len(in.parts))
 	spills := make([]spillStats, len(in.parts))
 	err = opts.Pool.Do(opts.ctx(), len(in.parts), func(i int) error {
-		outs[i] = table.NewRelation(schema)
 		var err error
-		spills[i], err = groupedScan(in.parts[i], newAcc(), groupCols, repVar, opts, outs[i])
+		outs[i], spills[i], err = groupedScan(in.parts[i], newAcc(), groupCols, repVar, schema, opts)
 		return err
 	})
 	if err != nil {
@@ -366,11 +404,7 @@ func scanGroups(src *Source, groupCols, tailCols []int, repVar int, newAcc func(
 		total.add(s)
 	}
 	// Merge key: the group columns occupy the output's leading positions.
-	mergeCols := make([]int, len(groupCols))
-	for i := range mergeCols {
-		mergeCols[i] = i
-	}
-	return mergeByKey(outs, mergeCols, schema), total, nil
+	return chunkSource(schema, mergeByKey(outs, len(groupCols))), total, nil
 }
 
 // aggregateStep executes one aggregation [γ*]: group by every column not
@@ -378,7 +412,7 @@ func scanGroups(src *Source, groupCols, tailCols []int, repVar int, newAcc func(
 // group, and emit the group columns plus representative V/P columns. This
 // is the single-scan equivalent of one GRP statement of Fig. 6 (or of a
 // whole sub-sequence when γ is composite).
-func aggregateStep(src *Source, gamma signature.Sig, opts Options) (*table.Relation, spillStats, error) {
+func aggregateStep(src *Source, gamma signature.Sig, opts Options) (*Source, spillStats, error) {
 	in := src.Schema
 	rootVarIdx := -1
 	if root := scanRootTable(gamma); root != "" {
@@ -417,7 +451,7 @@ func aggregateStep(src *Source, gamma signature.Sig, opts Options) (*table.Relat
 // finalScan runs the concluding one-scan pass of the operator: sort by the
 // data columns followed by the variable columns in 1scanTree preorder, then
 // compute one probability per bag of duplicates (Fig. 8's outer loop).
-func finalScan(src *Source, sig signature.Sig, opts Options) (*table.Relation, spillStats, error) {
+func finalScan(src *Source, sig signature.Sig, opts Options) (*Source, spillStats, error) {
 	dataCols := src.Schema.DataIndexes()
 	outCols := make([]table.Column, 0, len(dataCols)+1)
 	for _, i := range dataCols {

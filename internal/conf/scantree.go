@@ -11,8 +11,10 @@
 //   - the operator's input as a stream (source.go): a Source feeds its rows,
 //     batch by batch, straight into the first pass's run generation — one
 //     key sorter, or one per worker routed by group-key hash — so a streamed
-//     answer is never materialized; the *table.Relation entry points wrap
-//     the relation as a Source over the same path;
+//     answer is never materialized; each pass reads its sorted column
+//     batches and writes column chunks, which the next pass consumes as a
+//     Source again; the *table.Relation entry points transpose the relation
+//     into such chunks;
 //   - MystiQ's independent projection π^ind (indproject.go), the baseline's
 //     confidence placement: the same sort+scan pass — same streaming, same
 //     spilling, partitioning and governor — with a different per-group
@@ -71,10 +73,13 @@ type scanNode struct {
 	enabled   bool
 }
 
-// runtimeTree is the evaluator for one bag of duplicates.
+// runtimeTree is the evaluator for one bag of duplicates. It reads a sorted
+// batch's typed columns: V cells from Ints, P cells from Floats (V/P cells
+// are never NULL: every base tuple carries its variable and probability).
 type runtimeTree struct {
 	root  *scanNode
 	nodes []*scanNode // real (non-virtual) nodes in preorder
+	prevV []int64     // the previous row's variable of each real node, by pos
 }
 
 // newRuntimeTree builds the runtime 1scanTree for a 1scan signature,
@@ -151,6 +156,7 @@ func newRuntimeTree(sig signature.Sig, schema *table.Schema) (*runtimeTree, erro
 	if len(rt.nodes) == 0 {
 		return nil, fmt.Errorf("conf: signature %s has no tables", sig)
 	}
+	rt.prevV = make([]int64, len(rt.nodes))
 	return rt, nil
 }
 
@@ -186,12 +192,12 @@ func treeAccumulators(sig signature.Sig, schema *table.Schema) ([]int, func() ac
 	}, nil
 }
 
-// seed starts a new bag of duplicates with its first tuple: every node is
+// seed starts a new bag of duplicates with its first row: every node is
 // enabled with an empty history (allP = 0) and a current partition opened
-// with the tuple's probability. This is exactly the state Fig. 8's
+// with the row's probability. This is exactly the state Fig. 8's
 // propagate_prob reaches after processing the first tuple with i = 0, and
 // it also covers virtual product roots, which have no column of their own.
-func (rt *runtimeTree) seed(cur table.Tuple) {
+func (rt *runtimeTree) seed(b *table.ColBatch, row int) {
 	var walk func(n *scanNode)
 	walk = func(n *scanNode) {
 		n.enabled = true
@@ -199,43 +205,51 @@ func (rt *runtimeTree) seed(cur table.Tuple) {
 		if n.virtual {
 			n.crtP = 1
 		} else {
-			n.crtP = cur[n.probIdx].F
+			n.crtP = b.Cols[n.probIdx].Floats[row]
 		}
 		for _, c := range n.children {
 			walk(c)
 		}
 	}
 	walk(rt.root)
+	for _, n := range rt.nodes {
+		rt.prevV[n.pos] = b.Cols[n.varIdx].Ints[row]
+	}
 }
 
 // firstUnmatched returns the position of the leftmost variable column on
-// which prev and cur differ, or len(nodes) when all variable columns agree.
-func (rt *runtimeTree) firstUnmatched(prev, cur table.Tuple) int {
+// which the previous row and this one differ, or len(nodes) when all
+// variable columns agree, and records this row's variables from there on.
+func (rt *runtimeTree) firstUnmatched(b *table.ColBatch, row int) int {
+	first := len(rt.nodes)
 	for _, n := range rt.nodes {
-		if !table.Equal(prev[n.varIdx], cur[n.varIdx]) {
-			return n.pos
+		if v := b.Cols[n.varIdx].Ints[row]; v != rt.prevV[n.pos] {
+			first = min(first, n.pos)
+			rt.prevV[n.pos] = v
 		}
 	}
-	return len(rt.nodes)
+	return first
 }
 
-// step processes one further tuple of the bag given its predecessor —
-// procedure propagate_prob of Fig. 8 at the leftmost changed column, run in
+// step processes one further row of the bag — procedure propagate_prob of
+// Fig. 8 at the leftmost column changed since the previous row, run in
 // postorder from the root.
-func (rt *runtimeTree) step(prev, cur table.Tuple) {
-	rt.propagate(rt.root, rt.firstUnmatched(prev, cur), cur)
+func (rt *runtimeTree) step(b *table.ColBatch, row int) {
+	rt.propagate(rt.root, rt.firstUnmatched(b, row), b, row)
 }
 
-func (rt *runtimeTree) propagate(n *scanNode, i int, cur table.Tuple) {
+// propagate runs propagate_prob at node n for the row's leftmost changed
+// position i; b is nil when the bag is being closed.
+func (rt *runtimeTree) propagate(n *scanNode, i int, b *table.ColBatch, row int) {
 	for _, c := range n.children {
-		rt.propagate(c, i, cur)
+		rt.propagate(c, i, b, row)
 	}
 	if !n.enabled || n.pos < i {
 		return
 	}
-	if !n.virtual && len(n.children) == 0 && n.pos == i && cur != nil {
+	if !n.virtual && len(n.children) == 0 && n.pos == i && b != nil {
 		// Same partition, new variable: accumulate the independent OR.
-		n.crtP = prob.Or(n.crtP, cur[n.probIdx].F)
+		n.crtP = prob.Or(n.crtP, b.Cols[n.probIdx].Floats[row])
 		return
 	}
 	// A partition of n (or an ancestor) just ended: close n's current
@@ -245,11 +259,11 @@ func (rt *runtimeTree) propagate(n *scanNode, i int, cur table.Tuple) {
 		n.crtP *= c.allP
 	}
 	n.allP = prob.Or(n.allP, n.crtP)
-	if !n.virtual && cur != nil && n.pos == i {
+	if !n.virtual && b != nil && n.pos == i {
 		// n starts a new partition: descendants start fresh partitions
-		// seeded with the current tuple's probabilities.
-		rt.resetDescendants(n, cur)
-		n.crtP = cur[n.probIdx].F
+		// seeded with the current row's probabilities.
+		rt.resetDescendants(n, b, row)
+		n.crtP = b.Cols[n.probIdx].Floats[row]
 	} else {
 		// An ancestor's partition changed (or this partition re-occurred):
 		// freeze n until an ancestor re-enables it.
@@ -257,12 +271,12 @@ func (rt *runtimeTree) propagate(n *scanNode, i int, cur table.Tuple) {
 	}
 }
 
-func (rt *runtimeTree) resetDescendants(n *scanNode, cur table.Tuple) {
+func (rt *runtimeTree) resetDescendants(n *scanNode, b *table.ColBatch, row int) {
 	for _, c := range n.children {
 		c.enabled = true
 		c.allP = 0
-		c.crtP = cur[c.probIdx].F
-		rt.resetDescendants(c, cur)
+		c.crtP = b.Cols[c.probIdx].Floats[row]
+		rt.resetDescendants(c, b, row)
 	}
 }
 
@@ -275,6 +289,6 @@ func (rt *runtimeTree) disable(n *scanNode) {
 
 // flush finalizes the current bag and returns its exact probability.
 func (rt *runtimeTree) flush() float64 {
-	rt.propagate(rt.root, -1, nil)
+	rt.propagate(rt.root, -1, nil, 0)
 	return rt.root.allP
 }

@@ -10,20 +10,23 @@ import (
 	"repro/internal/table"
 )
 
-// Source is a confidence computation's input: a schema and a one-shot feed
-// that pushes the rows, a column batch at a time, into the sink it is
-// handed. The consumer takes the feed directly — the sort+scan operator's
-// first sort into run generation, lineage collection into its grouping
-// tables — so an input that is streamed (NewSource over a pipeline) is never
-// held in memory as a whole. A source over a materialized relation
-// (FromRelation) transposes that relation's rows into the same batches and
-// can be consumed any number of times; a streamed one materializes itself
-// only when asked for its Relation.
+// Source is a confidence computation's input: a schema and its rows, held
+// one of two ways. A one-shot feed (NewSource) pushes the rows, a column
+// batch at a time, into the sink it is handed: the consumer takes the feed
+// directly — the sort+scan operator's first sort into run generation,
+// lineage collection into its grouping tables — so a streamed input is never
+// held in memory as a whole. Column chunks of at most table.BatchSize rows
+// are what a sort+scan pass produces (an eager aggregation step, an
+// independent projection) and what the next pass's sort, or the join above
+// a placement (Chunks, engine.ColChunkScan), consumes as they are; a source
+// over chunks can be consumed any number of times. A relation becomes one
+// at the API edge (FromRelation, Relation) and nowhere between two passes.
 type Source struct {
 	Schema *table.Schema
-	feed   func(engine.Sink) error // nil once consumed, or for a relation
-	rel    *table.Relation
-	rows   int64 // rows the feed delivered
+	feed   func(engine.Sink) error // a one-shot feed: nil once consumed
+	chunks []*table.ColBatch       // the rows, when held (see held)
+	held   bool                    // the rows are chunks, not a feed
+	rows   int64                   // rows held, or rows the feed delivered
 }
 
 // NewSource wraps a one-shot feed of rows of the given schema. The batches
@@ -32,39 +35,77 @@ func NewSource(schema *table.Schema, feed func(engine.Sink) error) *Source {
 	return &Source{Schema: schema, feed: feed}
 }
 
-// FromRelation wraps a materialized relation as a source.
+// FromRelation transposes a materialized relation into a source over
+// column chunks.
 func FromRelation(rel *table.Relation) *Source {
-	return &Source{Schema: rel.Schema, rel: rel}
+	var chunks []*table.ColBatch
+	for lo := 0; lo < len(rel.Rows); lo += table.BatchSize {
+		rows := rel.Rows[lo:min(lo+table.BatchSize, len(rel.Rows))]
+		c := table.NewColBatch(rel.Schema)
+		c.Reserve(len(rows))
+		for _, t := range rows {
+			c.AppendRow(t)
+		}
+		chunks = append(chunks, c)
+	}
+	return chunkSource(rel.Schema, chunks)
+}
+
+// chunkSource holds chunks of the given schema as a source.
+func chunkSource(schema *table.Schema, chunks []*table.ColBatch) *Source {
+	s := &Source{Schema: schema, chunks: chunks, held: true}
+	for _, c := range chunks {
+		s.rows += int64(c.Rows())
+	}
+	return s
 }
 
 // Rows reports how many rows the source holds — for a streamed source, how
 // many it delivered, known once it has been consumed.
-func (s *Source) Rows() int64 {
-	if s.rel != nil {
-		return int64(s.rel.Len())
-	}
-	return s.rows
-}
+func (s *Source) Rows() int64 { return s.rows }
 
-// Relation returns the source's rows as a relation, materializing a
-// streamed source (which consumes it; the relation then stands in).
-func (s *Source) Relation(ctx context.Context) (*table.Relation, error) {
-	if s.rel == nil {
-		sink := engine.NewRelationSink(s.Schema)
-		if err := s.push(ctx, sink); err != nil {
+// Chunks returns the source's rows as column chunks, which the caller only
+// reads. A streamed source is drained into chunks (appendChunks),
+// which consumes it; the chunks then stand in.
+func (s *Source) Chunks(ctx context.Context) ([]*table.ColBatch, error) {
+	if !s.held {
+		var sink chunkSink
+		if err := s.push(ctx, &sink); err != nil {
 			return nil, err
 		}
-		s.rel = sink.Rel
+		s.chunks, s.held, s.rows = sink.chunks, true, sink.rows
 	}
-	return s.rel, nil
+	return s.chunks, nil
 }
 
-// push delivers every row to sink: a relation's through a columnar scan of
-// it, with the context checked between batches, a streamed source's through
-// its feed, once.
+// Relation materializes the source's rows as a relation — the answer at
+// the API edge. A streamed source is consumed into chunks first (Chunks).
+func (s *Source) Relation(ctx context.Context) (*table.Relation, error) {
+	chunks, err := s.Chunks(ctx)
+	if err != nil {
+		return nil, err
+	}
+	sink := engine.NewRelationSink(s.Schema)
+	sink.Rel.Rows = make([]table.Tuple, 0, s.rows)
+	for _, c := range chunks {
+		sink.AddBatch(c)
+	}
+	return sink.Rel, nil
+}
+
+// push delivers every row to sink: held chunks one by one, with the context
+// checked between them, a streamed source's through its feed, once.
 func (s *Source) push(ctx context.Context, sink engine.Sink) error {
-	if s.rel != nil {
-		return engine.StreamCtx(ctx, &engine.ColMemScan{Rel: s.rel}, sink)
+	if s.held {
+		for _, c := range s.chunks {
+			if ctx != nil && ctx.Err() != nil {
+				return ctx.Err()
+			}
+			if err := sink.AddBatch(c); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	if s.feed == nil {
 		return fmt.Errorf("conf: streamed input consumed twice")
@@ -74,27 +115,48 @@ func (s *Source) push(ctx context.Context, sink engine.Sink) error {
 	return feed(sink)
 }
 
-// rowSink adapts a per-row function to a Sink: column batches are
-// materialized row by row into one reused tuple, borrowed by fn.
-type rowSink struct {
-	fn  func(table.Tuple) error
-	row table.Tuple
-	n   int64
+// appendChunks copies live rows [lo, hi) of src onto the last of chunks,
+// starting a new chunk whenever that one holds table.BatchSize rows, and
+// returns the chunks. Each chunk is settled on src's string layouts
+// (ColVec.SettleLike) and reserved whole when it starts: chunks of fixed
+// size, because one growing batch would copy its slices over and over as it
+// regrows.
+func appendChunks(chunks []*table.ColBatch, src *table.ColBatch, lo, hi int) []*table.ColBatch {
+	for lo < hi {
+		var last *table.ColBatch
+		if k := len(chunks); k > 0 && chunks[k-1].N < table.BatchSize {
+			last = chunks[k-1]
+		} else {
+			last = table.NewColBatch(src.Schema)
+			for c := range last.Cols {
+				last.Cols[c].SettleLike(&src.Cols[c])
+			}
+			last.Reserve(table.BatchSize)
+			chunks = append(chunks, last)
+		}
+		n := min(hi, lo+table.BatchSize-last.N)
+		last.AppendBatch(src, lo, n)
+		lo = n
+	}
+	return chunks
 }
 
-func (r *rowSink) AddBatch(b *table.ColBatch) error {
-	if r.row == nil {
-		r.row = make(table.Tuple, len(b.Cols))
-	}
-	for i, n := 0, b.Rows(); i < n; i++ {
-		b.WriteRow(i, r.row)
-		if err := r.fn(r.row); err != nil {
-			return err
-		}
-	}
-	r.n += int64(b.Rows())
+// chunkSink keeps what it is fed as column chunks.
+type chunkSink struct {
+	chunks []*table.ColBatch
+	rows   int64
+}
+
+func (c *chunkSink) AddBatch(b *table.ColBatch) error {
+	c.chunks = appendChunks(c.chunks, b, 0, b.Rows())
+	c.rows += int64(b.Rows())
 	return nil
 }
+
+// sinkFunc adapts a function to a Sink.
+type sinkFunc func(*table.ColBatch) error
+
+func (f sinkFunc) AddBatch(b *table.ColBatch) error { return f(b) }
 
 // scanFeed is the sink a grouped scan's input is fed into: run generation.
 // The rows go to one key sorter — or, under a multi-worker pool, once

@@ -250,12 +250,47 @@ func TestSpilledScanMatchesUnspilled(t *testing.T) {
 
 // TestSortScanAllocs pins the sort+scan's allocations per input row: the
 // sorter encodes keys into one arena and sorts fixed-size entries, the
-// merge decodes into per-run buffers, and the scan keeps its two remembered
-// tuples in reused storage — so what remains is per sort, per run and per
-// output row (the aggregation step emits 1 000 of them here), not per input
-// row. (Cloning each scanned row, as before the key sorter, is two
-// allocations per input row.)
+// merge decodes into per-run buffers, the scan reads sorted column batches
+// and writes its groups into column chunks — so what remains is per sort,
+// per run and per output chunk, not per input row. (Cloning each scanned
+// row, as before the key sorter, is two allocations per input row.) An
+// eager aggregation step is pinned per output row: its groups go into
+// reserved BatchSize-row chunks that the next pass consumes as they are, so
+// 10 000 groups cost a few allocations per chunk, not one row each.
 func TestSortScanAllocs(t *testing.T) {
+	t.Run("eager-step", func(t *testing.T) {
+		rel := randomTwoSourceRel(rand.New(rand.NewSource(13)), 10000, 2)
+		src := FromRelation(rel) // chunks: every run consumes the same input
+		step := signature.NewStar(signature.Table("S"))
+		for _, tc := range []struct {
+			name   string
+			budget int
+		}{{"unspilled", 0}, {"spilled", 2500}} {
+			t.Run(tc.name, func(t *testing.T) {
+				opts := Options{SortBudget: tc.budget, TmpDir: t.TempDir()}
+				var stats Stats
+				var out *Source
+				allocs := testing.AllocsPerRun(3, func() {
+					stats = Stats{}
+					var err error
+					if out, _, err = AggregateFrom(src, step, opts, &stats); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if spilled := stats.SpilledRuns > 0; spilled != (tc.budget > 0) {
+					t.Fatalf("budget %d spilled %d runs", tc.budget, stats.SpilledRuns)
+				}
+				if out.Rows() != 10000 {
+					t.Fatalf("[S*] emitted %d groups, want 10000", out.Rows())
+				}
+				if perRow := allocs / float64(out.Rows()); perRow > 0.05 {
+					t.Errorf("%.0f allocations for %d output rows (%.3f per row), want ≤ 0.05 per row", allocs, out.Rows(), perRow)
+				} else {
+					t.Logf("%.0f allocations for %d output rows (%.4f per row)", allocs, out.Rows(), perRow)
+				}
+			})
+		}
+	})
 	rel, _ := productRel(rand.New(rand.NewSource(5)), 25, 20, 40)
 	for _, tc := range []struct {
 		name   string

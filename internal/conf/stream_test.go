@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"slices"
@@ -187,6 +188,149 @@ func TestStreamedSourceIsOneShot(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		if _, _, err := ComputeFrom(src, twoSourceSig(), Options{}); err != nil {
 			t.Fatalf("consumption %d of a materialized source: %v", i, err)
+		}
+	}
+}
+
+// flatStreamOf is streamOf with string cells appended as raw bytes
+// (ColVec.AppendStrBytes), the heap scan's decode path, in 1 000-row
+// batches: a string column of more than table.DictMaxCard distinct values
+// arrives in the flat layout. sawFlat reports whether one did.
+func flatStreamOf(ctx context.Context, rel *table.Relation, sawFlat *bool) *Source {
+	return NewSource(rel.Schema, func(sink engine.Sink) error {
+		b := table.NewColBatch(rel.Schema)
+		for lo := 0; lo < rel.Len(); lo += 1000 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			b.Reset(rel.Schema)
+			for _, row := range rel.Rows[lo:min(lo+1000, rel.Len())] {
+				for c, v := range row {
+					if v.Kind == table.KindString {
+						b.Cols[c].AppendStrBytes([]byte(v.S))
+					} else {
+						b.Cols[c].AppendValue(b.N, v)
+					}
+				}
+				b.N++
+			}
+			for c := range b.Cols {
+				*sawFlat = *sawFlat || b.Cols[c].Mode == table.StrFlat
+			}
+			if err := sink.AddBatch(b); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// boundaryRel builds an answer relation over group keys (s string, f float)
+// for signature (R*S*)*: groups answers, each the product of 5 R and 10 S
+// variables — 50 rows, so groups straddle the 1 024-row sorted batches, and
+// the aggregation step's 5 rows per answer and the final scan's answers
+// straddle the 1 024-row output chunks. Every probability is 1/4, 1/2 or
+// 3/4, so each confidence is a dyadic rational of under 53 bits and both
+// the operator and grpSequence compute it exactly, whatever their order of
+// operations. Answer g has s = "key-<g/2>" (over DictMaxCard distinct
+// strings) and f = 1.5 for odd g; for even g, f is 0, written +0 in half of
+// the rows and −0 in the other half — one group. A few answers have a NULL
+// s, a NULL f or both.
+func boundaryRel(rng *rand.Rand, groups int) *table.Relation {
+	sch := table.NewSchema(
+		table.DataCol("s", table.KindString), table.DataCol("f", table.KindFloat),
+		table.VarCol("R"), table.ProbCol("R"),
+		table.VarCol("S"), table.ProbCol("S"),
+	)
+	rel := table.NewRelation(sch)
+	probs := []float64{0.25, 0.5, 0.75}
+	nextVar := int64(1)
+	draw := func(n int) ([]int64, []float64) {
+		vs, ps := make([]int64, n), make([]float64, n)
+		for i := range vs {
+			vs[i], ps[i] = nextVar, probs[rng.Intn(len(probs))]
+			nextVar++
+		}
+		return vs, ps
+	}
+	for g := 0; g < groups; g++ {
+		s := table.Str(fmt.Sprintf("key-%04d", g/2))
+		f := table.Float(1.5)
+		if g%2 == 0 {
+			f = table.Float(0)
+		}
+		switch g {
+		case 7:
+			f = table.Null()
+		case 10, 11:
+			s = table.Null()
+		case 21:
+			s, f = table.Null(), table.Null()
+		}
+		rv, rp := draw(5)
+		sv, sp := draw(10)
+		for i := range rv {
+			for j := range sv {
+				key := f
+				if g%2 == 0 && g != 7 && (i+j)%2 == 1 {
+					key = table.Float(math.Copysign(0, -1))
+				}
+				rel.MustAppend(table.Tuple{s, key,
+					table.VarValue(prob.Var(rv[i])), table.Float(rp[i]),
+					table.VarValue(prob.Var(sv[j])), table.Float(sp[j])})
+			}
+		}
+	}
+	rng.Shuffle(rel.Len(), func(i, j int) { rel.Rows[i], rel.Rows[j] = rel.Rows[j], rel.Rows[i] })
+	return rel
+}
+
+// TestGroupedScanBatchBoundaries: the scan reads sorted column batches and
+// writes column chunks, so groups straddle both kinds of boundary. Over
+// boundaryRel's flat string keys, NULL keys and ±0 keys, unspilled and
+// spilled, serially and at Workers 4, the answers must be grpSequence's:
+// the same groups in the same order, −0 and +0 in one group, and every
+// confidence bit for bit.
+func TestGroupedScanBatchBoundaries(t *testing.T) {
+	const groups = 1100
+	rel := boundaryRel(rand.New(rand.NewSource(17)), groups)
+	ref, err := grpSequence(rel, productSig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Len() != groups {
+		t.Fatalf("grpSequence found %d answers, want %d", ref.Len(), groups)
+	}
+	ctx := context.Background()
+	for _, budget := range []int{0, 3000} {
+		for _, workers := range []int{1, 4} {
+			label := fmt.Sprintf("budget=%d workers=%d", budget, workers)
+			opts := Options{SortBudget: budget, TmpDir: t.TempDir(), Pool: pool.New(workers)}
+			var sawFlat bool
+			got, stats, err := ComputeFrom(flatStreamOf(ctx, rel, &sawFlat), productSig(), opts)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if !sawFlat {
+				t.Fatalf("%s: no input batch had a flat string column", label)
+			}
+			if spilled := stats.SpilledRuns > 0; spilled != (budget > 0) {
+				t.Fatalf("%s: %d spilled runs", label, stats.SpilledRuns)
+			}
+			if got.Len() != ref.Len() {
+				t.Fatalf("%s: %d answers, grpSequence %d", label, got.Len(), ref.Len())
+			}
+			for i, row := range got.Rows {
+				want := ref.Rows[i]
+				for c := 0; c < 2; c++ {
+					if row[c].Kind != want[c].Kind || table.Compare(row[c], want[c]) != 0 {
+						t.Fatalf("%s: answer %d is %v, grpSequence %v", label, i, row, want)
+					}
+				}
+				if math.Float64bits(row[2].F) != math.Float64bits(want[2].F) {
+					t.Fatalf("%s: answer %v has conf %v, grpSequence %v", label, row[:2], row[2].F, want[2].F)
+				}
+			}
 		}
 	}
 }

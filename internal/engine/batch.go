@@ -12,10 +12,9 @@ import (
 // row — are paid once per batch, and cancellation is checked at every batch
 // boundary.
 
-// BatchSize is the number of rows moved per NextColBatch call. Large enough
-// to amortize per-batch overheads, small enough that a batch of typical
-// tuples stays cache-resident.
-const BatchSize = 1024
+// BatchSize is the number of rows moved per NextColBatch call
+// (table.BatchSize).
+const BatchSize = table.BatchSize
 
 // Sink consumes a stream a column batch at a time. The batch is borrowed —
 // valid only until the call returns — so a sink copies what it keeps. The
@@ -55,11 +54,10 @@ func StreamCtx(ctx context.Context, op ColOperator, sink Sink) error {
 	}
 }
 
-// RelationSink is the Sink that materializes: every row is copied into slab
-// storage and appended to Rel.
+// RelationSink is the Sink that materializes: every row is copied out and
+// appended to Rel, a batch's rows carved out of one backing array.
 type RelationSink struct {
-	Rel  *table.Relation
-	slab table.Slab
+	Rel *table.Relation
 }
 
 // NewRelationSink returns a sink building a relation of the given schema.
@@ -69,8 +67,10 @@ func NewRelationSink(s *table.Schema) *RelationSink {
 
 // AddBatch materializes the batch's live rows.
 func (s *RelationSink) AddBatch(b *table.ColBatch) error {
+	w := len(b.Cols)
+	vals := make([]table.Value, b.Rows()*w)
 	for i, n := 0, b.Rows(); i < n; i++ {
-		t := s.slab.Alloc(len(b.Cols))
+		t := table.Tuple(vals[i*w : (i+1)*w : (i+1)*w])
 		b.WriteRow(i, t)
 		s.Rel.Rows = append(s.Rel.Rows, t)
 	}

@@ -55,6 +55,36 @@ func (s *ColMemScan) NextColBatch(dst *table.ColBatch) (int, error) {
 // Close is a no-op.
 func (s *ColMemScan) Close() error { return nil }
 
+// ColChunkScan iterates column chunks — what a sort+scan placement below a
+// join hands up (conf.Source.Chunks) — one chunk per call, copied column-wise
+// into the consumer's batch (ColBatch.AppendBatch). The chunks are only
+// read, so they may be scanned any number of times.
+type ColChunkScan struct {
+	S      *table.Schema
+	Chunks []*table.ColBatch
+	pos    int
+}
+
+// Schema returns the chunks' schema.
+func (s *ColChunkScan) Schema() *table.Schema { return s.S }
+
+// Open resets the cursor.
+func (s *ColChunkScan) Open() error { s.pos = 0; return nil }
+
+// NextColBatch copies the next non-empty chunk onto dst.
+func (s *ColChunkScan) NextColBatch(dst *table.ColBatch) (int, error) {
+	dst.Reset(s.S)
+	for dst.N == 0 && s.pos < len(s.Chunks) {
+		c := s.Chunks[s.pos]
+		s.pos++
+		dst.AppendBatch(c, 0, c.Rows())
+	}
+	return dst.N, nil
+}
+
+// Close is a no-op.
+func (s *ColChunkScan) Close() error { return nil }
+
 // ColHeapScan iterates a heap file straight into column vectors: each
 // record's fields are decoded off the page (storage.FieldIter) and appended
 // onto the destination columns without ever materializing a row tuple.

@@ -160,7 +160,7 @@ func (g *Governed) openGrace(left, right ColOperator, lk, rk []int, drained []*t
 // key sorter under the join's governor and returns the sorted stream. op is
 // closed once drained, so what its subtree holds is released before the
 // merge; a failed sort leaves no spill run behind.
-func (g *Governed) sortOn(op ColOperator, keys []int, pre []*table.ColBatch) (it storage.TupleIterator, err error) {
+func (g *Governed) sortOn(op ColOperator, keys []int, pre []*table.ColBatch) (it *storage.SortedBatches, err error) {
 	s := storage.NewKeySorter(op.Schema(), keys, g.SortBudget, g.TmpDir)
 	s.Govern(g.Mem)
 	defer func() {
@@ -190,5 +190,5 @@ func (g *Governed) sortOn(op ColOperator, keys []int, pre []*table.ColBatch) (it
 	if err := op.Close(); err != nil {
 		return nil, err
 	}
-	return s.Finish()
+	return s.FinishBatches()
 }

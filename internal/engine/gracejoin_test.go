@@ -149,9 +149,10 @@ func TestHashJoinGovernedNoPressure(t *testing.T) {
 	}
 }
 
-// TestGraceJoinSortedInputsStayValid: the sorted streams lend each tuple
-// only until their next Next, so the merge copies every equal-key right
-// block. With both sorts spilling runs of 200 rows and ~50-row blocks whose
+// TestGraceJoinSortedInputsStayValid: each sorted stream refills its
+// side's batch on every NextColBatch, so the merge copies every equal-key
+// right block, piece by piece when a block straddles two sorted batches.
+// With both sorts spilling runs of 200 rows and ~50-row blocks whose
 // pairings straddle BatchSize boundaries of the output, every row still
 // carries the payloads of the tuples it joined, in the exact grace order,
 // and Close leaves no spill file behind.
@@ -172,9 +173,9 @@ func TestGraceJoinSortedInputsStayValid(t *testing.T) {
 }
 
 // TestCursorKeepsOnlyWhatRefillsOverwrite: both kinds of grace sort stream
-// overwrite one reused tuple on every Next — the in-memory sort and the
-// merge of spilled runs alike — so the merge keeps only what it copies into
-// its right block. With ~50-row equal-key blocks straddling BatchSize
+// refill one reused batch on every NextColBatch — the in-memory sort and
+// the merge of spilled runs alike — so the merge keeps only what it copies
+// into its right block. With ~50-row equal-key blocks straddling BatchSize
 // boundaries of the output, the grace join must still pair every block
 // member, emitting the hash join's rows, whether or not its sorts spilled.
 func TestCursorKeepsOnlyWhatRefillsOverwrite(t *testing.T) {
@@ -300,11 +301,13 @@ func TestGraceJoinDuplicateBlocks(t *testing.T) {
 
 // TestGraceJoinAsymmetricKeyLayouts joins sides whose key columns sit at
 // different positions — left keys (0, 3), right keys (1, 0) — with the
-// second left key indexing past the right tuple's width. The merge must
-// read a right row's key (the block's) on the right key columns: reading it
-// on the left ones mismatched blocks whenever the layouts differed, and
-// panicked when a left index exceeded the right arity. Plan-lowered grace
-// joins produce exactly these shapes.
+// second left key indexing past the right row's width. The merge must read
+// a right row's key on the right key columns: reading it on the left ones
+// mismatched blocks whenever the layouts differed, and panicked when a left
+// index exceeded the right arity. Plan-lowered grace joins produce exactly
+// these shapes. The same join runs with the right side's "a" a float
+// column: the merge compares an int cell against a float cell by value
+// (ColVec.CompareCell), so 1 meets 1.0 and nothing meets 2.5.
 func TestGraceJoinAsymmetricKeyLayouts(t *testing.T) {
 	l := table.NewRelation(table.NewSchema(
 		table.DataCol("a", table.KindInt), table.DataCol("x", table.KindInt),
@@ -312,25 +315,36 @@ func TestGraceJoinAsymmetricKeyLayouts(t *testing.T) {
 	for _, row := range [][4]int64{{2, 94, 95, 1}, {1, 92, 93, 2}, {1, 90, 91, 1}} {
 		l.MustAppend(table.Tuple{table.Int(row[0]), table.Int(row[1]), table.Int(row[2]), table.Int(row[3])})
 	}
-	r := table.NewRelation(table.NewSchema(
-		table.DataCol("b", table.KindInt), table.DataCol("a", table.KindInt),
-		table.DataCol("z", table.KindInt)))
-	// Duplicate keys exercise the block buffering.
-	for _, row := range [][3]int64{{1, 2, 73}, {1, 1, 70}, {9, 2, 74}, {2, 1, 72}, {1, 1, 71}} {
-		r.MustAppend(table.Tuple{table.Int(row[0]), table.Int(row[1]), table.Int(row[2])})
-	}
-	lk, rk := []int{0, 3}, []int{1, 0}
-	j := graceJoin(t, l, r, lk, rk)
-	got := collect(t, j)
-	// Matches: l(1,_,_,1) x r{(1,1,70),(1,1,71)}, l(1,_,_,2) x r(2,1,72),
-	// l(2,_,_,1) x r(1,2,73).
-	if !j.GraceMode() || got.Len() != 4 {
-		t.Fatalf("grace mode %v, %d rows; want grace mode, 4 rows: %v", j.GraceMode(), got.Len(), got.Rows)
-	}
-	for _, row := range got.Rows {
-		if row[0].I != row[5].I || row[3].I != row[4].I {
-			t.Errorf("join keys should match across sides: %v", row)
+	// right builds the right side with its "a" column of kind aKind;
+	// duplicate keys exercise the block buffering.
+	right := func(aKind table.Kind, a func(int64) table.Value) *table.Relation {
+		r := table.NewRelation(table.NewSchema(
+			table.DataCol("b", table.KindInt), table.DataCol("a", aKind),
+			table.DataCol("z", table.KindInt)))
+		for _, row := range [][3]int64{{1, 2, 73}, {1, 1, 70}, {9, 2, 74}, {2, 1, 72}, {1, 1, 71}} {
+			r.MustAppend(table.Tuple{table.Int(row[0]), a(row[1]), table.Int(row[2])})
 		}
+		return r
 	}
-	mustSameRelations(t, "asymmetric keys", got, graceWant(l, r, lk, rk))
+	intRight := right(table.KindInt, table.Int)
+	floatRight := right(table.KindFloat, func(v int64) table.Value { return table.Float(float64(v)) })
+	floatRight.MustAppend(table.Tuple{table.Int(1), table.Float(2.5), table.Int(75)}) // meets no left row
+	for name, r := range map[string]*table.Relation{"int-int": intRight, "int-float": floatRight} {
+		t.Run(name, func(t *testing.T) {
+			lk, rk := []int{0, 3}, []int{1, 0}
+			j := graceJoin(t, l, r, lk, rk)
+			got := collect(t, j)
+			// Matches: l(1,_,_,1) x r{(1,1,70),(1,1,71)}, l(1,_,_,2) x
+			// r(2,1,72), l(2,_,_,1) x r(1,2,73).
+			if !j.GraceMode() || got.Len() != 4 {
+				t.Fatalf("grace mode %v, %d rows; want grace mode, 4 rows: %v", j.GraceMode(), got.Len(), got.Rows)
+			}
+			for _, row := range got.Rows {
+				if table.Compare(row[0], row[5]) != 0 || row[3].I != row[4].I {
+					t.Errorf("join keys should match across sides: %v", row)
+				}
+			}
+			mustSameRelations(t, "asymmetric keys", got, graceWant(l, r, lk, rk))
+		})
+	}
 }

@@ -108,7 +108,7 @@ func scanRefUnder(n logical.Node) (query.RelRef, bool) {
 // operator lowers a pipelined subtree to one engine operator, opening trace
 // spans under sp (nil when tracing is off — every span call then no-ops).
 // Confidence placement points inside the subtree run where they stand and
-// re-enter the pipeline as in-memory scans of their output.
+// re-enter the pipeline as scans of their output's column chunks.
 func (st *lowerState) operator(n logical.Node, sp *obs.Span) (engine.ColOperator, error) {
 	switch x := n.(type) {
 	case *logical.Project:
@@ -152,11 +152,11 @@ func (st *lowerState) operator(n logical.Node, sp *obs.Span) (engine.ColOperator
 		if err != nil {
 			return nil, err
 		}
-		rel, err := src.Relation(st.ex.ctx)
+		chunks, err := src.Chunks(st.ex.ctx)
 		if err != nil {
 			return nil, err
 		}
-		return &engine.ColMemScan{Rel: rel}, nil
+		return &engine.ColChunkScan{S: src.Schema, Chunks: chunks}, nil
 	default:
 		return nil, fmt.Errorf("plan: cannot lower logical node %T", n)
 	}
@@ -396,19 +396,24 @@ func (st *lowerState) finalIndProject(root *logical.Conf, src *conf.Source) (*ta
 	if err != nil {
 		return nil, err
 	}
+	chunks, err := top.Chunks(st.ex.ctx)
+	if err != nil {
+		return nil, err
+	}
+	pi := top.Schema.Len() - 1
+	for _, c := range chunks {
+		for _, p := range c.Cols[pi].Floats[:c.N] {
+			if math.IsNaN(p) || math.IsInf(p, 0) {
+				return nil, fmt.Errorf("plan: MystiQ runtime error: probability aggregate under/overflowed (query %s)", st.q.Name)
+			}
+		}
+	}
 	rel, err := top.Relation(st.ex.ctx)
 	if err != nil {
 		return nil, err
 	}
-	pi := rel.Schema.Len() - 1
-	for _, row := range rel.Rows {
-		if math.IsNaN(row[pi].F) || math.IsInf(row[pi].F, 0) {
-			return nil, fmt.Errorf("plan: MystiQ runtime error: probability aggregate under/overflowed (query %s)", st.q.Name)
-		}
-	}
 	cols := slices.Clone(rel.Schema.Cols)
 	cols[pi] = table.DataCol(conf.ConfCol, table.KindFloat)
-	out := table.NewRelation(table.NewSchema(cols...))
-	out.Rows = rel.Rows
-	return out, nil
+	rel.Schema = table.NewSchema(cols...)
+	return rel, nil
 }

@@ -18,9 +18,10 @@ import (
 // TupleCompare orders two tuples; negative/zero/positive like bytes.Compare.
 type TupleCompare func(a, b table.Tuple) int
 
-// TupleIterator is a sorted stream. Next lends its tuple: it is valid until
-// the next Next, which may write the following tuple over it, so a consumer
-// copies what it keeps.
+// TupleIterator is a comparator sort's sorted stream (Finish). Next lends
+// its tuple: it is valid until the next Next, which may write the following
+// tuple over it, so a consumer copies what it keeps. A key sort's stream is
+// SortedBatches.
 type TupleIterator interface {
 	Next() (table.Tuple, bool, error)
 	Close() error
@@ -29,10 +30,10 @@ type TupleIterator interface {
 // ExternalSorter sorts an unbounded tuple stream under a bounded in-memory
 // budget: it accumulates tuples, sorts and spills full buffers as sorted
 // runs (heap files), and merges the runs with a stable k-way heap merge
-// (ties go to the earlier run) into one stream that lends each tuple until
-// the next Next. This is the sort that feeds the paper's confidence
-// operator, which requires its input "sorted by the data columns followed
-// by the variable columns in preorder of the 1scanTree" (§V.C).
+// (ties go to the earlier run) into one sorted stream. This is the sort
+// that feeds the paper's confidence operator, which requires its input
+// "sorted by the data columns followed by the variable columns in preorder
+// of the 1scanTree" (§V.C).
 //
 // A key sorter (NewKeySorter) orders by normalized byte keys (sortkey.go)
 // and copies every row it is given — a tuple (Add) or a column batch's live
@@ -42,10 +43,11 @@ type TupleIterator interface {
 // encoded once, from the buffer's column vectors, and a run is sorted as
 // 16-byte entries on an 8-byte key prefix; the rows never move. Its rows
 // must fit the schema (one kind per column, table.Schema.Check), which is
-// what makes the key order CompareOn's. A comparator sorter
-// (NewExternalSorter) drives the same machinery from a TupleCompare over the
-// tuples it is given, which must stay unmodified until the sort's iterator
-// is closed.
+// what makes the key order CompareOn's. It finishes into column batches
+// (FinishBatches). A comparator sorter (NewExternalSorter) drives the same
+// machinery from a TupleCompare over the tuples it is given, which must stay
+// unmodified until the sort's iterator is closed, and finishes into a
+// stream of lent tuples (Finish).
 type ExternalSorter struct {
 	cmp       TupleCompare // nil while sorting by key
 	cols      []int        // key sorter: the sort columns
@@ -527,41 +529,74 @@ func (s *ExternalSorter) spill() error {
 	return nil
 }
 
-// Finish completes the sort and returns an iterator over the sorted stream,
-// which lends its tuples (see TupleIterator): an unspilled key sort writes
-// every row of its run buffer into one reused tuple, and a spilled sort
-// decodes each run into one reused buffer, so the stream allocates nothing
-// per tuple (string values are immutable and may be kept). The iterator's
-// Close removes any temp runs; when Finish itself fails, the runs spilled
-// so far are removed before returning.
+// Finish completes a comparator sort and returns an iterator over the
+// sorted stream, which lends its tuples (see TupleIterator): the sorted
+// buffer's tuples, or a merge of the spilled runs that decodes each run into
+// one reused buffer. A key sort finishes with FinishBatches instead. The
+// iterator's Close removes any temp runs; when Finish itself fails, the runs
+// spilled so far are removed before returning.
 func (s *ExternalSorter) Finish() (TupleIterator, error) {
+	if s.cmp == nil {
+		return nil, fmt.Errorf("storage: a key sort finishes with FinishBatches")
+	}
+	runs, err := s.finish()
+	if err != nil {
+		return nil, err
+	}
+	if runs == nil {
+		slices.SortStableFunc(s.buf, s.cmp)
+		return &memIter{rows: s.buf}, nil
+	}
+	s.buf = nil
+	return newMergeIter(runs, s.cmp, nil)
+}
+
+// FinishBatches completes a key sort and returns its sorted stream, a
+// column batch at a time. Its Close removes any temp runs; when
+// FinishBatches itself fails, the runs spilled so far are removed before
+// returning.
+func (s *ExternalSorter) FinishBatches() (*SortedBatches, error) {
+	if s.cmp != nil {
+		return nil, fmt.Errorf("storage: a comparator sort finishes with Finish")
+	}
+	schema := s.run.Schema
+	runs, err := s.finish()
+	if err != nil {
+		return nil, err
+	}
+	if runs == nil {
+		out := &SortedBatches{schema: schema, run: &s.run, order: s.sortRun()}
+		s.keys, s.offs = nil, nil
+		return out, nil
+	}
+	s.dropRun()
+	m, err := newMergeIter(runs, nil, s.cols)
+	if err != nil {
+		return nil, err
+	}
+	return &SortedBatches{schema: schema, merge: m}, nil
+}
+
+// finish ends the sort's input and releases its governor reservation. A
+// sort that spilled writes what its buffer holds as one more run and hands
+// the runs over (newMergeIter removes them itself on a failed open, so a
+// later Discard cannot double-remove); one that did not returns nil runs,
+// its buffer being the whole input.
+func (s *ExternalSorter) finish() ([]*HeapFile, error) {
 	if s.finished {
 		return nil, fmt.Errorf("storage: Finish called twice")
 	}
 	s.finished = true
-	if len(s.runs) == 0 {
-		s.releaseMem()
-		if s.cmp != nil {
-			slices.SortStableFunc(s.buf, s.cmp)
-			return &memIter{rows: s.buf}, nil
-		}
-		it := &runIter{run: &s.run, order: s.sortRun(), row: make(table.Tuple, len(s.run.Cols))}
-		s.keys, s.offs = nil, nil
-		return it, nil
-	}
-	if len(s.buf) > 0 || s.run.N > 0 {
+	if len(s.runs) > 0 && (len(s.buf) > 0 || s.run.N > 0) {
 		if err := s.spill(); err != nil {
 			s.Discard()
 			return nil, err
 		}
 	}
 	s.releaseMem()
-	// Hand run ownership to the iterator (newMergeIter removes them itself
-	// on a failed open), so a later Discard cannot double-remove.
 	runs := s.runs
-	s.runs, s.buf = nil, nil
-	s.dropRun()
-	return newMergeIter(runs, s.cmp, s.cols)
+	s.runs = nil
+	return runs, nil
 }
 
 // Discard removes any spilled runs of a sort that is being abandoned — the
@@ -594,25 +629,68 @@ func (m *memIter) Next() (table.Tuple, bool, error) {
 
 func (m *memIter) Close() error { return nil }
 
-// runIter iterates an unspilled key sort: the run buffer's rows in sorted
-// order, each materialized into the one reused tuple.
-type runIter struct {
-	run   *table.ColBatch
-	order []keyEntry
-	pos   int
-	row   table.Tuple
+// SortedBatches is a finished key sort's output: its rows in key order, a
+// column batch at a time. NextColBatch has the engine's ColOperator shape —
+// it fills the caller's batch with up to table.BatchSize rows and returns
+// how many (0 at the end) — so what it hands out is the caller's, valid
+// until the caller refills it. An unspilled sort gathers its run buffer's
+// rows column-wise in sorted order (ColBatch.AppendBatch through a
+// selection of the sorted entries); a spilled one appends the k-way merge's
+// rows. Neither materializes a tuple per row for the consumer.
+type SortedBatches struct {
+	schema *table.Schema
+	run    *table.ColBatch // unspilled: the run buffer
+	order  []keyEntry      // unspilled: its rows in key order
+	pos    int             // entries of order handed out so far
+	sel    []int32         // the next batch's rows, as a selection over run
+	merge  *mergeIter      // spilled: the merge of the runs
 }
 
-func (r *runIter) Next() (table.Tuple, bool, error) {
-	if r.pos >= len(r.order) {
-		return nil, false, nil
+// NextColBatch fills dst with the next sorted rows.
+func (it *SortedBatches) NextColBatch(dst *table.ColBatch) (int, error) {
+	dst.Reset(it.schema)
+	if it.merge != nil {
+		dst.Reserve(table.BatchSize)
+		for dst.N < table.BatchSize {
+			t, ok, err := it.merge.Next()
+			if err != nil {
+				return 0, err
+			}
+			if !ok {
+				break
+			}
+			dst.AppendRow(t)
+		}
+		return dst.N, nil
 	}
-	r.run.WriteRow(int(r.order[r.pos].idx), r.row)
-	r.pos++
-	return r.row, true, nil
+	k := min(table.BatchSize, len(it.order)-it.pos)
+	if k <= 0 {
+		return 0, nil
+	}
+	if it.sel == nil {
+		it.sel = make([]int32, table.BatchSize)
+	}
+	for i, e := range it.order[it.pos : it.pos+k] {
+		it.sel[i] = int32(e.idx)
+	}
+	it.pos += k
+	it.run.Sel = it.sel[:k]
+	for c := range dst.Cols {
+		dst.Cols[c].SettleLike(&it.run.Cols[c])
+	}
+	dst.Reserve(k)
+	dst.AppendBatch(it.run, 0, k)
+	return k, nil
 }
 
-func (r *runIter) Close() error { return nil }
+// Close releases the stream, removing any spilled runs.
+func (it *SortedBatches) Close() error {
+	it.run, it.order = nil, nil
+	if it.merge != nil {
+		return it.merge.Close()
+	}
+	return nil
+}
 
 // mergeIter performs a k-way merge over sorted runs: a binary min-heap of
 // the runs' current tuples, ordered by normalized key (or by the comparator

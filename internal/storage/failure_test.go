@@ -92,9 +92,14 @@ func TestReadPageOutOfRange(t *testing.T) {
 	}
 }
 
-// TestExternalSorterMisuse: Add after Finish and double Finish are errors.
+// TestExternalSorterMisuse: Add after Finish and double Finish are errors,
+// and each kind of sorter finishes only its own way: a comparator sort into
+// lent tuples, a key sort into column batches.
 func TestExternalSorterMisuse(t *testing.T) {
 	s := NewExternalSorter(func(a, b table.Tuple) int { return 0 }, 10, t.TempDir())
+	if _, err := s.FinishBatches(); err == nil {
+		t.Error("FinishBatches of a comparator sort must fail")
+	}
 	if _, err := s.Finish(); err != nil {
 		t.Fatal(err)
 	}
@@ -103,6 +108,16 @@ func TestExternalSorterMisuse(t *testing.T) {
 	}
 	if _, err := s.Finish(); err == nil {
 		t.Error("double Finish must fail")
+	}
+	k := NewKeySorter(table.NewSchema(table.DataCol("a", table.KindInt)), []int{0}, 10, t.TempDir())
+	if _, err := k.Finish(); err == nil {
+		t.Error("Finish of a key sort must fail")
+	}
+	if _, err := k.FinishBatches(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.FinishBatches(); err == nil {
+		t.Error("double FinishBatches must fail")
 	}
 }
 

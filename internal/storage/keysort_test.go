@@ -36,20 +36,28 @@ func keySortInput(rng *rand.Rand, n int, stem string) []table.Tuple {
 var keySortSchema = table.NewSchema(table.DataCol("s", table.KindString), table.DataCol("i", table.KindInt),
 	table.DataCol("f", table.KindFloat), table.DataCol("seq", table.KindInt))
 
-// drain collects clones of an iterator's tuples: it lends each one only
-// until the next Next.
-func drain(t *testing.T, it TupleIterator) []table.Tuple {
+// drain materializes a key sort's sorted batches into tuples, checking that
+// no batch is over table.BatchSize rows.
+func drain(t *testing.T, it *SortedBatches) []table.Tuple {
 	t.Helper()
 	var out []table.Tuple
+	var b table.ColBatch
 	for {
-		tup, ok, err := it.Next()
+		n, err := it.NextColBatch(&b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
+		if n == 0 {
 			return out
 		}
-		out = append(out, tup.Clone())
+		if n > table.BatchSize || b.Sel != nil {
+			t.Fatalf("sorted batch of %d rows (selection %v)", n, b.Sel != nil)
+		}
+		for i := 0; i < n; i++ {
+			row := make(table.Tuple, len(b.Cols))
+			b.WriteRow(i, row)
+			out = append(out, row)
+		}
 	}
 }
 
@@ -93,7 +101,7 @@ func TestKeySorterMatchesStableSort(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			it, err := s.Finish()
+			it, err := s.FinishBatches()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,9 +133,10 @@ func TestKeySorterMatchesStableSort(t *testing.T) {
 	}
 }
 
-// TestBorrowedMergeReusesStorage: a spilled sort's merge lends tuples it
-// decodes into per-run buffers — no value storage per tuple, and no string
-// copy when a run repeats the previous tuple's string.
+// TestBorrowedMergeReusesStorage: a spilled sort's merge decodes into
+// per-run buffers and appends each row to the caller's batch — no value
+// storage per tuple, no string copy when a run repeats the previous tuple's
+// string, and a reused batch that stops growing after the first fill.
 func TestBorrowedMergeReusesStorage(t *testing.T) {
 	const n = 4000
 	schema := table.NewSchema(table.DataCol("g", table.KindString), table.DataCol("k", table.KindInt))
@@ -137,22 +146,23 @@ func TestBorrowedMergeReusesStorage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	it, err := s.Finish()
+	it, err := s.FinishBatches()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer it.Close()
 	rows := 0
+	var b table.ColBatch
 	allocs := testing.AllocsPerRun(1, func() {
 		for {
-			_, ok, err := it.Next()
+			k, err := it.NextColBatch(&b)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !ok {
+			if k == 0 {
 				return
 			}
-			rows++
+			rows += k
 		}
 	})
 	if rows != n {
@@ -220,11 +230,11 @@ func TestKeySorterBatchFeedMatchesTupleFeed(t *testing.T) {
 		if byBatch.Rows() != int64(tc.n) || byTuple.Rows() != int64(tc.n) {
 			t.Fatalf("sorters counted %d / %d rows, want %d", byBatch.Rows(), byTuple.Rows(), tc.n)
 		}
-		wantIt, err := byTuple.Finish()
+		wantIt, err := byTuple.FinishBatches()
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotIt, err := byBatch.Finish()
+		gotIt, err := byBatch.FinishBatches()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,7 +280,7 @@ func TestGovernedKeySorterChargesItsBuffers(t *testing.T) {
 	if hw := roomy.HighWater(); hw == 0 || hw > 100*(1<<16) {
 		t.Errorf("unspilled sort of %d three-column rows reserved %d bytes", n, hw)
 	}
-	it, err := s.Finish()
+	it, err := s.FinishBatches()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +299,7 @@ func TestGovernedKeySorterChargesItsBuffers(t *testing.T) {
 	if hw := tight.HighWater(); hw > 4*memChunk {
 		t.Errorf("reserved %d bytes past the %d limit", hw, 4*memChunk)
 	}
-	it, err = s.Finish()
+	it, err = s.FinishBatches()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,7 +73,14 @@ type ColVec struct {
 	noDict bool           // cardinality blew DictMaxCard: stay flat
 }
 
-// ColBatch is a columnar batch of up to engine.BatchSize tuples: one ColVec
+// BatchSize is the number of rows a column batch moves at a time: what a
+// producer's NextColBatch fills at most, and the size of the fixed chunks
+// that materialized column storage is kept in. Large enough to amortize
+// per-batch overheads, small enough that a batch of typical tuples stays
+// cache-resident.
+const BatchSize = 1024
+
+// ColBatch is a columnar batch of up to BatchSize tuples: one ColVec
 // per schema column, N physical rows, and an optional selection vector. When
 // Sel is non-nil, only the physical rows it lists (strictly increasing) are
 // live — filters qualify rows by writing Sel instead of moving any cell.
@@ -236,6 +243,23 @@ func (b *ColBatch) Reserve(rows int) {
 			v.Offs = slices.Grow(v.Offs, max(rows+1-len(v.Offs), 0))
 		}
 	}
+}
+
+// SettleLike settles a string column that has no layout yet on the one
+// cells copied from src (AppendCell) should take, so that Reserve can size
+// it: flat bytes after a flat src — whose cardinality outgrew the
+// dictionary, or which decodes raw bytes — and shared headers otherwise.
+// Columns of other kinds, and settled ones, are left alone.
+func (v *ColVec) SettleLike(src *ColVec) {
+	if v.Kind != KindString || v.Mode != StrNone {
+		return
+	}
+	if src.Mode == StrFlat {
+		v.Mode, v.noDict = StrFlat, true
+		v.Offs = append(v.Offs[:0], 0)
+		return
+	}
+	v.Mode = StrHeader
 }
 
 // MemSize reports the bytes of column storage the batch holds (capacity, not
@@ -543,6 +567,14 @@ func (v *ColVec) CompareValue(i int, c Value) int {
 // by numeric value, and string cells compare byte-wise across the header,
 // dictionary and flat layouts. The hash join's key equality is built on it.
 func (v *ColVec) CompareCell(i int, o *ColVec, j int) int {
+	if v.Kind == o.Kind && len(v.Nulls) == 0 && len(o.Nulls) == 0 {
+		switch v.Kind {
+		case KindInt, KindBool:
+			return cmpInt(v.Ints[i], o.Ints[j])
+		case KindFloat:
+			return cmpFloat(v.Floats[i], o.Floats[j])
+		}
+	}
 	if o.Kind != KindString || o.Mode != StrFlat || o.Null(j) {
 		return v.CompareValue(i, o.Value(j)) // o's cell is a Value without allocating
 	}

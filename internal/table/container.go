@@ -1,7 +1,7 @@
 package table
 
 // Hash-keyed tuple containers: the equality structure behind duplicate
-// elimination and answer dedup, and the slab storage of materialized rows.
+// elimination and answer dedup.
 // Keys are HashOn hashes (uint64) with Compare-based collision chains, so
 // inserting or probing an existing key never allocates — unlike a
 // map[string] keyed by a rendered key, which pays one string build per row.
@@ -56,29 +56,4 @@ func (s *TupleSet) Add(t Tuple, clone bool) (Tuple, bool) {
 	s.buckets[h] = append(chain, t)
 	s.len++
 	return t, true
-}
-
-// slabBlock is how many values a Slab allocates per backing array.
-const slabBlock = 4096
-
-// Slab carves tuples out of large shared backing arrays: one allocation per
-// slabBlock values instead of one per tuple. Its tuples stay valid
-// forever (blocks are never reused), so a Slab suits materialization —
-// collectors, sinks — where every tuple is retained anyway.
-type Slab struct {
-	vals []Value
-}
-
-// Alloc carves a zeroed n-value tuple out of slab storage.
-func (s *Slab) Alloc(n int) Tuple {
-	if n > len(s.vals) {
-		size := slabBlock
-		if n > size {
-			size = n
-		}
-		s.vals = make([]Value, size)
-	}
-	c := Tuple(s.vals[:n:n])
-	s.vals = s.vals[n:]
-	return c
 }

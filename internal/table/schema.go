@@ -202,9 +202,6 @@ func CompareOn(a, b Tuple, idx []int) int {
 	return 0
 }
 
-// EqualOn reports whether two tuples agree on the columns at the indexes.
-func EqualOn(a, b Tuple, idx []int) bool { return CompareOn(a, b, idx) == 0 }
-
 // String renders a tuple.
 func (t Tuple) String() string {
 	parts := make([]string, len(t))

@@ -163,8 +163,8 @@ func TestTupleOps(t *testing.T) {
 	if CompareOn(a, b, []int{0, 1}) >= 0 {
 		t.Error("CompareOn should order by second column")
 	}
-	if !EqualOn(a, b, []int{0}) || EqualOn(a, b, []int{1}) {
-		t.Error("EqualOn wrong")
+	if CompareOn(a, b, []int{1}) == 0 {
+		t.Error("CompareOn on differing columns should not be 0")
 	}
 }
 
