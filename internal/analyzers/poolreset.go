@@ -6,14 +6,14 @@ import (
 	"go/types"
 )
 
-// PoolReset guards the pooled-builder idiom from PR 5/6: OBDD and d-tree
-// builders (and anything else with interning tables or arenas) are recycled
-// through sync.Pool, and a value pulled from the pool still holds the
-// previous use's memo state — it must be Reset before use or the compile is
-// silently wrong. The tree's one pooling site is conf's per-answer driver,
-// compileLineage, which pools a tier-chosen state type and has the tier's
-// compile callback Reset it first; for a pool of a concrete type the
-// blessed shape is
+// PoolReset guards the pooled-builder idiom: compile-kernel builders (and
+// anything else with interning tables or arenas) are recycled through
+// sync.Pool, and a value pulled from the pool still holds the previous
+// use's memo state — it must be Reset before use or the compile is silently
+// wrong. The tree's one pooling site is conf's per-answer driver,
+// compileLineage, which pools a tier-chosen state type whose kernel builder
+// resets itself on every run; for a pool of a concrete type the blessed
+// shape is
 //
 //	b, _ := pool.Get().(*T)
 //	if b == nil { b = NewT(...) } else { b.Reset(...) }

@@ -1,12 +1,12 @@
-// Package clauseset owns the representation the lineage compilers share: a
-// residual formula is a canonical clause set — [][]int32, every clause an
-// ascending literal list, clauses sorted lexicographically and deduplicated
-// (Normalize) — and a Store interns such sets under an FNV-1a hash with
-// structural-equality collision chains, so a residual reached along two
-// expansion paths compiles once. internal/obdd keys the memo to diagram
-// nodes (Store[Ref]), internal/dtree to exact probabilities
-// (Store[float64]); what a literal means (an order level, a raw variable
-// id) is the compiler's business, not the store's.
+// Package clauseset owns the representation of the lineage compile kernel
+// (internal/dtree): a residual formula is a canonical clause set —
+// [][]int32, every clause an ascending literal list, clauses sorted
+// lexicographically and deduplicated (Normalize) — and a Store interns such
+// sets under an FNV-1a hash with structural-equality collision chains, so a
+// residual reached along two expansion paths compiles once. The kernel keys
+// the memo to exact probabilities (Store[float64]); what a literal means (an
+// order level in its ordered setting, a raw variable id in its decomposing
+// one) is the kernel's business, not the store's.
 //
 // The store is allocation-lean by construction: entries sit inline in the
 // map (only a genuine hash collision between distinct sets allocates an
@@ -16,9 +16,10 @@
 // builder pooled across a batch of per-answer compilations pays the
 // allocations once per worker, not once per formula.
 //
-// The package also holds the contract both compilers speak to their
-// callers: Options (budget, anytime target width, stop probe) and Result
-// (exact value or certified [lo, hi] bounds plus effort counters).
+// The package also holds the contract the kernel and the OBDD tier's anytime
+// bounds speak to their callers: Options (budget, anytime target width, stop
+// probe) and Result (exact value or certified [lo, hi] bounds plus effort
+// counters).
 package clauseset
 
 import (

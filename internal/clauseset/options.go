@@ -1,18 +1,18 @@
 package clauseset
 
 // DefaultNodeBudget caps a compilation's effort when Options.NodeBudget is
-// zero. Beyond ~10^5 OBDD nodes the lineage is firmly in blow-up territory
-// and certified bounds (or the next tier) are the better tool; d-tree
-// decomposition steps are cheaper than OBDD nodes on independence-heavy
-// lineage (one step can split off a whole component), so the same figure is
-// a comfortable ceiling there too.
+// zero. Beyond ~10^5 ordered (OBDD) expansion steps the lineage is firmly
+// in blow-up territory and certified bounds (or the next tier) are the
+// better tool; decomposition steps go further than ordered ones on
+// independence-heavy lineage (one step can split off a whole component), so
+// the same figure is a comfortable ceiling there too.
 const DefaultNodeBudget = 1 << 17
 
-// Options tunes one lineage compilation, OBDD or d-tree.
+// Options tunes one lineage compilation, in either setting of the kernel.
 type Options struct {
-	// NodeBudget caps the compilation effort — OBDD diagram nodes (and the
-	// anytime bound mode's expansion steps), d-tree decomposition steps; 0
-	// means DefaultNodeBudget. Work beyond the budget resolves to certified
+	// NodeBudget caps the compilation effort in expansion steps — one per
+	// expanded residual, in either setting, and again for the OBDD tier's
+	// anytime bound mode; 0 means DefaultNodeBudget. Work beyond the budget resolves to certified
 	// bounds instead of exact values.
 	NodeBudget int
 	// TargetWidth accepts an early bounded answer once hi-lo ≤ TargetWidth:
@@ -47,10 +47,11 @@ type Result struct {
 	P float64
 	// Lo and Hi bound the probability; Lo == Hi == P for exact results.
 	Lo, Hi float64
-	// Nodes counts the compilation effort. OBDD: internal diagram nodes for
-	// exact results; for bounded results, the nodes built by the abandoned
-	// exact compile plus the anytime mode's Shannon expansion steps. D-tree:
-	// decomposition steps applied (across every pass in TargetWidth mode).
+	// Nodes counts the compilation effort in expansion steps: the residuals
+	// the kernel expanded (terminals, memo hits and single-clause residuals
+	// cost none), across every pass in the d-tree's TargetWidth mode; for an
+	// OBDD answer bounded over budget, the abandoned expansion's steps plus
+	// the anytime mode's.
 	Nodes int
 	// MemoHits and MemoMisses count residual-memo probes during this
 	// formula's compilation. Their split is a deterministic function of the

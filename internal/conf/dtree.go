@@ -30,7 +30,6 @@ var ErrDTreeBudget = errors.New("conf: d-tree step budget exceeded")
 // ErrDTreeBudget is returned.
 func DTreeLineage(ctx context.Context, p *pool.Pool, l *Lineage, opts dtree.Options, exactOnly bool) (*table.Relation, *DTreeStats, error) {
 	return compileLineage(ctx, p, l, opts, exactOnly, ErrDTreeBudget, func(b *dtree.Builder, i int) (dtree.Result, error) {
-		b.Reset(opts.NodeBudget)
 		return dtree.ProbWith(b, l.DNFs[i], l.Assign, opts), nil
 	})
 }

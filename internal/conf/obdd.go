@@ -5,6 +5,7 @@ import (
 	"errors"
 	"slices"
 
+	"repro/internal/dtree"
 	"repro/internal/obdd"
 	"repro/internal/pool"
 	"repro/internal/prob"
@@ -13,33 +14,33 @@ import (
 )
 
 // This file is the OBDD tier (see tier.go for the contract): each answer's
-// DNF is compiled into a reduced OBDD and evaluated exactly — or, when the
-// diagram exceeds the node budget, bounded by certified deterministic
-// [lo, hi] intervals (internal/obdd).
+// DNF is Shannon-expanded under one variable order and evaluated exactly —
+// or, when the expansion exceeds the node budget, bounded by certified
+// deterministic [lo, hi] intervals (internal/obdd).
 
 // ErrOBDDBudget is returned by OBDDLineage in exact-only mode when some answer's
-// diagram exceeds the node budget; callers fall through to the next tier.
+// expansion exceeds the node budget; callers fall through to the next tier.
 var ErrOBDDBudget = errors.New("conf: OBDD node budget exceeded")
 
 // OBDDLineage compiles every answer of a collected lineage on the per-answer
-// driver (each answer into its own hash-consed unique table, so workers
-// share nothing). The variable order is derived from sig when one is given
-// (each clause visited in signature-table order, interleaved clause by
-// clause); with a nil sig it falls back to the pure interleaved-occurrence
-// order — the case for queries without a hierarchical signature, which is
-// exactly where this tier earns its keep. Answers whose diagram exceeds
+// driver, in the ordered setting of the compile kernel (each worker with its
+// own pooled builder, so workers share nothing). The variable order is
+// derived from sig when one is given (each clause visited in
+// signature-table order, interleaved clause by clause); with a nil sig it
+// falls back to the pure interleaved-occurrence order — the case for
+// queries without a hierarchical signature, which is exactly where this
+// tier earns its keep. Answers whose expansion exceeds
 // opts.NodeBudget get the certified bound midpoint as their confidence (see
 // TierStats.LowerBound/UpperBound), unless exactOnly is set, in which case
 // ErrOBDDBudget is returned.
 func OBDDLineage(ctx context.Context, p *pool.Pool, l *Lineage, sig signature.Sig, opts obdd.Options, exactOnly bool) (*table.Relation, *OBDDStats, error) {
 	rank := sigRank(sig, l)
 	type state struct {
-		b     obdd.Builder
+		b     dtree.Builder
 		order obdd.OrderScratch
 	}
 	return compileLineage(ctx, p, l, opts, exactOnly, ErrOBDDBudget, func(s *state, i int) (obdd.Result, error) {
-		s.b.Reset(s.order.OccurrenceOrder(l.DNFs[i], rank), opts.NodeBudget)
-		return obdd.ProbWith(&s.b, l.DNFs[i], l.Assign, opts)
+		return obdd.ProbWith(&s.b, l.DNFs[i], l.Assign, s.order.OccurrenceOrder(l.DNFs[i], rank), opts)
 	})
 }
 
@@ -47,7 +48,7 @@ func OBDDLineage(ctx context.Context, p *pool.Pool, l *Lineage, sig signature.Si
 // variable is ranked by its source table's position in the signature's
 // left-to-right table order, so OccurrenceOrder visits every clause
 // root-table first — the order under which hierarchical lineage compiles
-// into linear-size diagrams. A variable's source is its origin in l.Assign.
+// in linearly many steps. A variable's source is its origin in l.Assign.
 // A nil signature yields a nil rank (pure occurrence order).
 func sigRank(sig signature.Sig, l *Lineage) func(prob.Var) int {
 	if sig == nil {

@@ -3,10 +3,12 @@ package conf
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/difftest"
 	"repro/internal/obdd"
 	"repro/internal/prob"
 	"repro/internal/signature"
@@ -145,5 +147,57 @@ func TestCollectLineageSources(t *testing.T) {
 	}
 	if sigRank(nil, l) != nil {
 		t.Error("a nil signature must yield a nil rank")
+	}
+}
+
+// TestOBDDDegradedBoundsPinned pins OBDDLineage's answers on BlocksDNF and
+// JoinDNF lineage at budgets 1, 30 and 300 to the bit patterns the
+// diagram-building compiler this tier replaced produced. An expansion over
+// budget is handed, whole, to obdd.Bounds, so its certified interval and
+// midpoint must not move by a bit, and the exact-only run must refuse it;
+// the three exact answers happen to reproduce bit for bit too.
+func TestOBDDDegradedBoundsPinned(t *testing.T) {
+	formulas := map[string]func() (*prob.DNF, *prob.Assignment){
+		"blocks12": func() (*prob.DNF, *prob.Assignment) { d, a, _ := difftest.BlocksDNF(12); return d, a },
+	}
+	for _, s := range [][4]int{{1, 6, 20, 60}, {2, 10, 40, 200}, {3, 12, 12, 51}} {
+		formulas[fmt.Sprintf("join%dx%dx%d", s[1], s[2], s[3])] = func() (*prob.DNF, *prob.Assignment) {
+			return difftest.JoinDNF(rand.New(rand.NewSource(int64(s[0]))), s[1], s[2], s[3])
+		}
+	}
+	for _, c := range []struct {
+		formula string
+		budget  int
+		lo, hi  uint64 // math.Float64bits of the answer's certified interval
+		exact   bool
+	}{
+		{"blocks12", 1, 0x3fd8a7ef9db22d0f, 0x3ff0000000000000, false},
+		{"blocks12", 30, 0x3fe75d0ceba0cd68, 0x3ff0000000000000, false},
+		{"blocks12", 300, 0x3feb676d81d68be0, 0x3feffffffffffff4, false},
+		{"join6x20x60", 1, 0x3fdff57845cdc43c, 0x3ff0000000000000, false},
+		{"join6x20x60", 30, 0x3fe97e07939899e8, 0x3ff0000000000000, false},
+		{"join6x20x60", 300, 0x3fef2b6473db839b, 0x3fef2b6473db839b, true},
+		{"join10x40x200", 1, 0x3fdec00d24f0e629, 0x3ff0000000000000, false},
+		{"join10x40x200", 30, 0x3fe80c6642de6a0a, 0x3feffffffffffffe, false},
+		{"join10x40x200", 300, 0x3feef2e2f9e5dfa4, 0x3feef2e2f9e5dfa4, true},
+		{"join12x12x51", 1, 0x3fe5f74fc5b5cee3, 0x3ff0000000000000, false},
+		{"join12x12x51", 30, 0x3feecd0e6f43289e, 0x3ff0000000000000, false},
+		{"join12x12x51", 300, 0x3fefb72a12041122, 0x3fefb72a12041122, true},
+	} {
+		d, a := formulas[c.formula]()
+		l := &Lineage{Schema: table.NewSchema(), Keys: []table.Tuple{{}}, DNFs: []*prob.DNF{d}, Assign: a}
+		opts := obdd.Options{NodeBudget: c.budget}
+		out, st, err := OBDDLineage(context.Background(), nil, l, nil, opts, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo, hi, mid := st.LowerBound, st.UpperBound, out.Rows[0][0].F
+		if math.Float64bits(lo) != c.lo || math.Float64bits(hi) != c.hi || mid != (lo+hi)/2 || (st.ExactAnswers == 1) != c.exact {
+			t.Errorf("%s budget %d: [%#x, %#x] mid %#x exact %v, want [%#x, %#x] exact %v", c.formula, c.budget,
+				math.Float64bits(lo), math.Float64bits(hi), math.Float64bits(mid), st.ExactAnswers == 1, c.lo, c.hi, c.exact)
+		}
+		if _, _, err := OBDDLineage(context.Background(), nil, l, nil, opts, true); c.exact != (err == nil) || !c.exact && !errors.Is(err, ErrOBDDBudget) {
+			t.Errorf("%s budget %d: exact-only run returned %v", c.formula, c.budget, err)
+		}
 	}
 }

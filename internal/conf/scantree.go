@@ -28,8 +28,9 @@
 //     sorted Keys and canonically sorted clauses make the result
 //     independent of the join's row order) and a tier turns them into
 //     confidences —
-//     OBDD compilation (obdd.go) and d-tree decomposition (dtree.go), exact
-//     within a budget and certified deterministic [lo, hi] bounds beyond
+//     OBDD compilation (obdd.go) and d-tree decomposition (dtree.go), the
+//     two settings of one compile kernel (internal/dtree), exact within a
+//     budget and certified deterministic [lo, hi] bounds beyond
 //     it, both on one per-answer driver (compileLineage: pool fan-out,
 //     pooled builder state, the degradation rule, one TierStats shape); and
 //     Monte Carlo (mc.go), which estimates each confidence with the (ε, δ)

@@ -15,14 +15,15 @@ import (
 // Every tier consumes the same collected Lineage (one DNF per distinct
 // answer) and produces the same output relation (data columns plus conf,
 // in Keys order). The compilation tiers — OBDD (obdd.go) and d-tree
-// (dtree.go) — differ only in how one answer's DNF becomes a
-// clauseset.Result, so they share the per-answer driver below and one stats
-// shape; Monte Carlo (mc.go) keeps its own sampler fan-out and estimator
-// stats, and shares the stats head and the row assembly.
+// (dtree.go) — are the two settings of one compile kernel (internal/dtree)
+// and differ only in how one answer's DNF becomes a clauseset.Result, so
+// they share the per-answer driver below and one stats shape; Monte Carlo
+// (mc.go) keeps its own sampler fan-out and estimator stats, and shares the
+// stats head and the row assembly.
 
 // TierStats reports what a compilation tier did. Nodes is the tier's effort
-// unit: OBDD nodes plus anytime expansion steps, or d-tree decomposition
-// steps.
+// unit, the kernel's expansion steps (for OBDD answers over budget, plus the
+// anytime mode's steps).
 type TierStats struct {
 	LineageStats
 	Nodes        int64 // compilation effort, all answers
@@ -55,8 +56,8 @@ type (
 //
 // Each worker draws a tier state S (builder, scratch) from a sync.Pool, so
 // tables and arenas are paid once per worker, not once per answer. The zero
-// S must be usable, and compile must Reset it first: it still holds the
-// previous answer's memo.
+// S must be usable, and compile must reset it first — the kernel's entry
+// points do: it still holds the previous answer's memo.
 //
 // The degradation rule lives here, once. An answer whose compilation has
 // not started when opts.Stop fires is certified by the clause-weight bound

@@ -8,7 +8,7 @@ import (
 
 // TestRecompileAllocs pins the allocation cost of re-decomposing a formula
 // on a warm, reused builder, in the style of internal/obdd's pin: the
-// interned memo and the header arena keep their storage across Reset, so
+// interned memo and the header arena keep their storage across runs, so
 // what remains is what decomposition itself allocates per step — component
 // discovery's union-find and root tables, the running intersection of
 // commonVars — not anything per memo probe or per clause-set header.
@@ -25,11 +25,10 @@ func TestRecompileAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	b := NewBuilder(0)
+	var b Builder
 	var res Result
 	recompile := func() {
-		b.Reset(0)
-		res = ProbWith(b, d, a, Options{})
+		res = ProbWith(&b, d, a, Options{})
 	}
 	recompile()
 	want := res

@@ -1,14 +1,26 @@
-// Package dtree compiles DNF lineage by decomposition trees (d-trees) — the
-// order-free exact tier between OBDD compilation (internal/obdd, exact only
-// while the diagram fits a node budget under one fixed variable order) and
-// Monte Carlo estimation (internal/prob). It follows the SPROUT authors'
-// follow-on work on approximate confidence computation: instead of fixing a
-// global variable order up front, each residual formula is decomposed by
-// whichever structural rule applies, and variable branching is a last
-// resort.
+// Package dtree is the engine's one exact lineage compile kernel: a
+// memoized expansion of a DNF lineage formula's residual clause sets, with
+// certified [lo, hi] bounds once its step budget runs out. It has two
+// settings, which differ only in the rules they apply and the variable they
+// branch on; the lowering, the residual memo, the budget and Stop
+// accounting, the arenas and the Result are shared.
 //
-// Three decomposition rules are tried in order on every residual clause set
-// ψ (a positive DNF):
+//   - The decomposing setting (Prob, ProbWith) is the d-tree tier, after the
+//     SPROUT authors' follow-on work on approximate confidence computation:
+//     instead of fixing a global variable order up front, each residual is
+//     decomposed by whichever structural rule applies, and variable
+//     branching is a last resort.
+//   - The ordered setting (ProbOrdered) is the OBDD tier (internal/obdd):
+//     literals are levels of a given variable order, there is no
+//     decomposition, and every residual branches on its top level. Its
+//     expansion is exactly the Shannon recursion that builds a reduced OBDD
+//     under that order (Olteanu, Huang and Koch, "Approximate confidence
+//     computation in probabilistic databases", ICDE 2010, treat an OBDD as a
+//     d-tree with only ⊕ nodes), with the probability of each interned
+//     residual memoized in place of its diagram node.
+//
+// In the decomposing setting three rules are tried in order on every
+// residual clause set ψ (a positive DNF):
 //
 //  1. Independent-AND: variables occurring in *every* clause factor out —
 //     Pr[ψ] = Π_{v∈common} p(v) · Pr[ψ'] where ψ' strips the common
@@ -36,98 +48,78 @@
 // interleave) still compiles exactly here: rule 2 splits the blocks apart
 // before any branching happens.
 //
-// Budgeted compilation: every applied decomposition rule counts one step
-// against Options.NodeBudget. When the budget is exhausted, the remaining
-// residuals are closed with the cheap clause-weight bounds
+// Budgeted compilation: every expanded residual — one applied rule —
+// counts one step against Options.NodeBudget; terminals, memo hits and
+// single-clause residuals (whose probability is their clause weight) cost
+// none. When the budget is exhausted, the remaining residuals are closed
+// with the cheap clause-weight bounds
 //
 //	max_c Π_{v∈c} p(v)  ≤  Pr[ψ]  ≤  min(1, Σ_c Π_{v∈c} p(v))
 //
 // and the bounds combine monotonically through every rule on the way back
-// up, yielding a certified deterministic interval [Lo, Hi] ∋ Pr[φ] (the
-// same reporting surface as the OBDD tier). Each rule tightens: the
-// combined children's cheap bounds always nest inside the parent's, so a
-// larger budget never loosens the interval, and the depth-first expansion
-// order is a function of the formula alone, so results are deterministic.
+// up, yielding a certified deterministic interval [Lo, Hi] ∋ Pr[φ]. Each
+// rule tightens: the combined children's cheap bounds always nest inside
+// the parent's, so a larger budget never loosens the interval, and the
+// depth-first expansion order is a function of the formula alone, so
+// results are deterministic. (The ordered setting's callers hand an
+// over-budget formula to obdd.Bounds instead, whose best-first expansion
+// certifies a much narrower interval for the same number of steps.)
 //
-// Exactly resolved residuals are interned in the shared clause-set store
-// (internal/clauseset: FNV-keyed memo, header arena, scratch free list — the
-// same store the OBDD tier uses), keyed here to probabilities, and a Builder
-// is reusable across formulas via Reset — batch fan-outs (conf's per-answer
-// driver) pay the map allocations once per worker instead of once per
-// answer. What stays in this package is what only decomposition needs: the
-// three rules, component discovery, and the literal arena stripped clauses
-// are rebuilt into. Options and Result are the compilers' shared contract,
-// aliased from clauseset.
+// Exactly resolved residuals are interned in a clause-set store
+// (internal/clauseset: FNV-keyed memo, header arena, scratch free list),
+// keyed to their probabilities, and a Builder is reused across formulas —
+// batch fan-outs (conf's per-answer driver) pay the map allocations once per
+// worker instead of once per answer. Options and Result are aliased from
+// clauseset.
 package dtree
 
 import (
+	"fmt"
 	"slices"
 
 	"repro/internal/clauseset"
 	"repro/internal/prob"
 )
 
-// Options, Result and DefaultNodeBudget are the lineage compilers' shared
-// contract (internal/clauseset); NodeBudget counts decomposition steps here.
+// Options, Result and DefaultNodeBudget are the kernel's contract with its
+// callers (internal/clauseset); NodeBudget counts expansion steps.
 type (
 	Options = clauseset.Options
 	Result  = clauseset.Result
 )
 
-// DefaultNodeBudget caps the number of decomposition steps when
+// DefaultNodeBudget caps the number of expansion steps when
 // Options.NodeBudget is zero.
 const DefaultNodeBudget = clauseset.DefaultNodeBudget
 
-// Builder holds the reusable state of d-tree compilation: the interned
+// Builder holds the reusable state of the kernel: the interned
 // exact-residual memo, the clause-header arena with its scratch free list,
-// and the literal arena stripped clauses are rebuilt into. A Builder is
-// reusable across formulas via Reset; because the memo caches probabilities,
-// it is bound to one (formula, assignment) pair per Reset.
+// and the literal arena lowered and stripped clauses are built into. Every
+// run resets it, keeping the storage; the zero Builder is ready to use.
 type Builder struct {
 	budget int
 	steps  int
 	a      *prob.Assignment
 
-	// stop/stopped: the deadline probe armed by probWith from
-	// Options.Stop, and its latched outcome for the current pass.
+	// ordered selects the ordered setting, whose literals are levels of
+	// order (level maps a variable to its level); otherwise literals are
+	// raw variable ids.
+	ordered bool
+	order   []prob.Var
+	level   map[prob.Var]int32
+
+	// stop/stopped: the deadline probe armed from Options.Stop, and its
+	// latched outcome for the current pass.
 	stop    func() bool
 	stopped bool
 
 	// memo interns exactly resolved residuals and owns the clause-header
-	// arena and free list; lits is the arena stripped clauses are rebuilt
-	// into.
+	// arena and free list; lits is the arena clauses are built into.
 	memo clauseset.Store[float64]
 	lits []int32
 
-	count map[int32]int // Shannon variable-frequency scratch
+	count map[int32]int // variable-frequency and component-owner scratch
 }
-
-// NewBuilder creates a builder with the given step budget (0 means
-// DefaultNodeBudget). A zero Builder is equally usable after Reset.
-func NewBuilder(budget int) *Builder {
-	b := new(Builder)
-	b.Reset(budget)
-	return b
-}
-
-// Reset re-arms the builder for a new formula and budget: the memo is
-// cleared but keeps its storage, like obdd.Builder.Reset, so per-worker
-// builders in a batch fan-out pay the map allocations once.
-func (b *Builder) Reset(budget int) {
-	if budget <= 0 {
-		budget = DefaultNodeBudget
-	}
-	if b.count == nil {
-		b.count = make(map[int32]int)
-	}
-	b.budget = budget
-	b.steps = 0
-	b.a = nil
-	b.memo.Reset()
-}
-
-// Steps returns the decomposition steps applied since the last Reset.
-func (b *Builder) Steps() int { return b.steps }
 
 // stopFired polls the armed Stop probe, latching the outcome so one firing
 // degrades every remaining residual of the pass.
@@ -142,61 +134,88 @@ func (b *Builder) stopFired() bool {
 	return false
 }
 
-// Prob computes Pr[d] by d-tree decomposition: exact when the formula
+// Prob computes Pr[d] in the decomposing setting: exact when the formula
 // decomposes within the step budget, certified [lo, hi] bounds otherwise.
 // The result is a deterministic function of (d, a, o) — no variable order
 // is involved.
 func Prob(d *prob.DNF, a *prob.Assignment, o Options) Result {
-	return ProbWith(NewBuilder(o.Budget()), d, a, o)
+	return ProbWith(new(Builder), d, a, o)
 }
 
-// ProbWith is Prob over a caller-supplied builder (NewBuilder or Reset),
-// which exists so a batch of per-answer compilations can reuse one
-// builder's memo and arenas across answers (Reset between them); the result
-// is identical to Prob's. The builder is left holding the last formula's
-// memo — Reset before reuse.
+// ProbWith is Prob over a caller-supplied builder, so a batch of per-answer
+// compilations reuses one builder's memo and arenas; the result is
+// identical to Prob's.
 func ProbWith(b *Builder, d *prob.DNF, a *prob.Assignment, o Options) Result {
-	hits0, misses0, rec0 := b.memo.Counters()
-	res := b.probWith(d, a, o)
-	hits, misses, rec := b.memo.Counters()
-	res.MemoHits, res.MemoMisses, res.HdrRecycled = hits-hits0, misses-misses0, rec-rec0
+	b.ordered = false
+	res, _ := b.compile(d, a, o) // only the ordered lowering can fail
 	return res
 }
 
-func (b *Builder) probWith(d *prob.DNF, a *prob.Assignment, o Options) Result {
-	b.a = a
-	b.stop = o.Stop
-	b.stopped = false
-	defer func() { b.stop = nil }()
+// ProbOrdered computes Pr[d] in the ordered setting over b: Shannon
+// expansion on the top level of every residual under the given variable
+// order (level 0 first), which must mention every variable of d. The
+// result is exact when the expansion fits o's budget; otherwise it carries
+// the depth-first clause-weight bounds described above, marked Stopped when
+// Options.Stop cut it short. o.TargetWidth plays no part: there is a single
+// pass. The result is a deterministic function of (d, a, order, o).
+func ProbOrdered(b *Builder, d *prob.DNF, a *prob.Assignment, order []prob.Var, o Options) (Result, error) {
+	b.ordered, b.order = true, order
+	if b.level == nil {
+		b.level = make(map[prob.Var]int32, len(order))
+	}
+	clear(b.level)
+	for i, v := range order {
+		b.level[v] = int32(i)
+	}
+	return b.compile(d, a, o)
+}
+
+// compile resets the builder for one formula, runs it and reports the memo
+// counters the run moved.
+func (b *Builder) compile(d *prob.DNF, a *prob.Assignment, o Options) (Result, error) {
+	if b.count == nil {
+		b.count = make(map[int32]int)
+	}
+	b.memo.Reset()
+	b.a, b.stop, b.stopped = a, o.Stop, false
+	hits0, misses0, rec0 := b.memo.Counters()
+	res, err := b.passes(d, o)
+	b.a, b.stop = nil, nil
+	hits, misses, rec := b.memo.Counters()
+	res.MemoHits, res.MemoMisses, res.HdrRecycled = hits-hits0, misses-misses0, rec-rec0
+	return res, err
+}
+
+// passes runs the formula under the full budget — or, in the decomposing
+// setting's anytime mode (TargetWidth > 0), in geometrically growing passes,
+// stopping at the first whose interval is narrow enough. Exact residuals
+// memoized by an earlier pass are free in later ones, so the repeated
+// prefix work is cheap; Nodes accumulates the total effort.
+func (b *Builder) passes(d *prob.DNF, o Options) (Result, error) {
 	budget := o.Budget()
-	if o.TargetWidth <= 0 {
+	if o.TargetWidth <= 0 || b.ordered {
 		return b.run(d, budget)
 	}
-	// Anytime mode: geometrically growing passes, stopping at the first
-	// whose interval is narrow enough. Exact residuals memoized by an
-	// earlier pass are free in later ones, so the repeated prefix work is
-	// cheap; Nodes accumulates the total effort.
 	total := 0
 	for pass := 1 << 10; ; pass *= 4 {
-		if pass >= budget {
-			res := b.run(d, budget)
-			res.Nodes += total
-			return res
-		}
-		res := b.run(d, pass)
+		res, err := b.run(d, min(pass, budget))
 		res.Nodes += total
-		if res.Exact || res.Hi-res.Lo <= o.TargetWidth || res.Stopped {
-			return res
+		if err != nil || pass >= budget || res.Exact || res.Hi-res.Lo <= o.TargetWidth || res.Stopped {
+			return res, err
 		}
 		total = res.Nodes
 	}
 }
 
-// run performs one compilation pass under the given step budget.
-func (b *Builder) run(d *prob.DNF, budget int) Result {
+// run performs one pass under the given step budget.
+func (b *Builder) run(d *prob.DNF, budget int) (Result, error) {
+	cls, err := b.lower(d)
+	if err != nil {
+		return Result{}, err
+	}
 	b.budget = budget
 	b.steps = 0
-	lo, hi := b.node(b.lower(d))
+	lo, hi := b.node(cls)
 	res := Result{Lo: lo, Hi: hi, Nodes: b.steps, Stopped: b.stopped && lo != hi}
 	if lo == hi {
 		res.Exact = true
@@ -204,15 +223,15 @@ func (b *Builder) run(d *prob.DNF, budget int) Result {
 	} else {
 		res.P = (lo + hi) / 2
 	}
-	return res
+	return res, nil
 }
 
-// lower rewrites the DNF as a canonical clause set: valid variables only,
-// each clause ascending (prob.Clause's invariant), clauses sorted
-// lexicographically and deduplicated. The clause-set header comes from the
-// builder's arena; literal storage aliases the input clauses (never
-// mutated).
-func (b *Builder) lower(d *prob.DNF) [][]int32 {
+// lower rewrites the DNF as a canonical clause set of literals — raw
+// variable ids, or in the ordered setting levels — dropping invalid
+// variables: each clause ascending, clauses sorted lexicographically and
+// deduplicated. The header and the literal storage come from the builder's
+// arenas.
+func (b *Builder) lower(d *prob.DNF) ([][]int32, error) {
 	cls := b.memo.Scratch(len(d.Clauses))
 	for _, c := range d.Clauses {
 		valid := 0
@@ -223,24 +242,42 @@ func (b *Builder) lower(d *prob.DNF) [][]int32 {
 		}
 		lc := b.allocLits(valid)
 		for _, v := range c {
-			if v.Valid() {
-				lc = append(lc, int32(v))
+			if !v.Valid() {
+				continue
 			}
+			if !b.ordered {
+				lc = append(lc, int32(v)) // prob.Clause is ascending
+				continue
+			}
+			lv, ok := b.level[v]
+			if !ok {
+				b.memo.Recycle(cls)
+				return nil, fmt.Errorf("dtree: variable %v of %s not in the order", v, c)
+			}
+			lc = append(lc, lv)
+		}
+		if b.ordered {
+			slices.Sort(lc)
 		}
 		cls = append(cls, lc)
 	}
-	return clauseset.Normalize(cls)
+	return clauseset.Normalize(cls), nil
 }
 
-// p returns the marginal of a variable (by raw id).
-func (b *Builder) p(v int32) float64 { return b.a.P(prob.Var(v)) }
+// p returns the marginal of a literal.
+func (b *Builder) p(l int32) float64 {
+	if b.ordered {
+		return b.a.P(b.order[l])
+	}
+	return b.a.P(prob.Var(l))
+}
 
-// weight is Π p over a clause's variables — the probability that one clause
+// weight is Π p over a clause's literals — the probability that one clause
 // is true on its own.
 func (b *Builder) weight(c []int32) float64 {
 	w := 1.0
-	for _, v := range c {
-		w *= b.p(v)
+	for _, l := range c {
+		w *= b.p(l)
 	}
 	return w
 }
@@ -279,7 +316,12 @@ func (b *Builder) node(cls [][]int32) (lo, hi float64) {
 		return wb.Interval()
 	}
 	b.steps++
-	lo, hi = b.decompose(cls)
+	if b.ordered {
+		pos, neg, posTrue := b.condition(cls)
+		lo, hi = b.branch(b.p(cls[0][0]), pos, posTrue, neg)
+	} else {
+		lo, hi = b.decompose(cls)
+	}
 	if lo == hi {
 		b.memo.Put(h, cls, lo) // retains the header
 	} else {
@@ -288,7 +330,58 @@ func (b *Builder) node(cls [][]int32) (lo, hi float64) {
 	return lo, hi
 }
 
-// decompose applies the first matching decomposition rule:
+// branch is the Shannon rule both settings share: with p the marginal of
+// the branching variable x, Pr[ψ] = p·Pr[ψ|_x] + (1-p)·Pr[ψ|_{¬x}].
+// posTrue marks ψ|_x ≡ ⊤ (pos is then nil).
+func (b *Builder) branch(p float64, pos [][]int32, posTrue bool, neg [][]int32) (lo, hi float64) {
+	l1, h1 := 1.0, 1.0
+	if !posTrue {
+		l1, h1 = b.node(pos)
+	}
+	l0, h0 := b.node(neg)
+	return p*l1 + (1-p)*l0, p*h1 + (1-p)*h0
+}
+
+// condition is the ordered setting's cofactor split of a canonical,
+// non-empty clause set without an empty clause on its top level cls[0][0]:
+// pos is the cofactor under "true" (the level stripped from the clauses
+// that start with it), neg the cofactor under "false" (those clauses
+// dropped). posTrue short-circuits the positive cofactor when stripping the
+// level empties a clause. Both cofactors come out canonical in linear time,
+// with headers from the store's free list: the clauses starting with the
+// level are a prefix cls[:k] (lexicographic order), so neg is the suffix
+// cls[k:] as it stands, the only clause that can empty is cls[0] (the
+// shortest of the prefix), and pos merges the prefix's tails — sorted, as
+// the prefix is — into the suffix, dropping tails the suffix already holds.
+func (b *Builder) condition(cls [][]int32) (pos, neg [][]int32, posTrue bool) {
+	top, k := cls[0][0], 1
+	for k < len(cls) && cls[k][0] == top {
+		k++
+	}
+	rest := cls[k:]
+	neg = append(b.memo.Scratch(len(rest)), rest...)
+	if len(cls[0]) == 1 {
+		return nil, neg, true
+	}
+	pos = b.memo.Scratch(len(cls))
+	for _, c := range cls[:k] {
+		c = c[1:]
+		for len(rest) > 0 {
+			d := clauseset.Compare(rest[0], c)
+			if d > 0 {
+				break
+			}
+			if d < 0 {
+				pos = append(pos, rest[0])
+			}
+			rest = rest[1:]
+		}
+		pos = append(pos, c)
+	}
+	return append(pos, rest...), neg, false
+}
+
+// decompose applies the decomposing setting's first matching rule:
 // independent-AND, independent-OR, then the exclusive-OR variable split.
 func (b *Builder) decompose(cls [][]int32) (lo, hi float64) {
 	// Rule 1: independent-AND — factor out the variables common to every
@@ -319,14 +412,8 @@ func (b *Builder) decompose(cls [][]int32) (lo, hi float64) {
 	// Rule 3: exclusive-OR via Shannon cofactoring on the most frequent
 	// variable.
 	v := b.pickVar(cls)
-	p := b.p(v)
 	pos, posTrue := b.cofactorPos(cls, v)
-	l1, h1 := 1.0, 1.0
-	if !posTrue {
-		l1, h1 = b.node(pos)
-	}
-	l0, h0 := b.node(b.cofactorNeg(cls, v))
-	return p*l1 + (1-p)*l0, p*h1 + (1-p)*h0
+	return b.branch(b.p(v), pos, posTrue, b.cofactorNeg(cls, v))
 }
 
 // commonVars returns the variables present in every clause (ascending).

@@ -82,34 +82,42 @@ func TestDifferential(t *testing.T) {
 	}
 }
 
-// TestBlocksClassOBDDBlowup is the acceptance scenario: on the interleaved
-// blocks class the OBDD tier exceeds its default node budget (width ~3^k
-// under the occurrence order) while the d-tree tier — order-free — splits
-// the blocks by independent-OR and stays exact, matching the closed form.
+// TestBlocksClassOBDDBlowup is the acceptance scenario, run on the two
+// settings of one kernel builder: on the interleaved blocks class the
+// ordered setting exceeds the default budget (OBDD width ~3^k under the
+// occurrence order), and the OBDD tier's anytime mode still certifies the
+// truth, while the decomposing setting splits the blocks by independent-OR
+// and stays exact, matching the closed form, in far fewer steps.
 func TestBlocksClassOBDDBlowup(t *testing.T) {
 	const k = 12
 	d, a, truth := difftest.BlocksDNF(k)
+	order := obdd.OccurrenceOrder(d, nil)
+	var b dtree.Builder
 
-	or, err := obdd.Prob(d, a, obdd.OccurrenceOrder(d, nil), obdd.Options{})
+	or, err := dtree.ProbOrdered(&b, d, a, order, dtree.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if or.Exact {
-		t.Fatalf("OBDD compiled the %d-block class exactly (%d nodes) — class no longer a blow-up", k, or.Nodes)
+	if or.Exact || or.Nodes != dtree.DefaultNodeBudget {
+		t.Fatalf("ordered setting on the %d-block class: %+v — class no longer a blow-up", k, or)
 	}
-	if truth < or.Lo-1e-9 || truth > or.Hi+1e-9 {
-		t.Errorf("OBDD bounds [%.9f, %.9f] do not certify truth %.9f", or.Lo, or.Hi, truth)
+	bounded, err := obdd.ProbWith(&b, d, a, order, obdd.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if truth < bounded.Lo-1e-9 || truth > bounded.Hi+1e-9 {
+		t.Errorf("OBDD bounds [%.9f, %.9f] do not certify truth %.9f", bounded.Lo, bounded.Hi, truth)
 	}
 
-	dr := dtree.Prob(d, a, dtree.Options{})
+	dr := dtree.ProbWith(&b, d, a, dtree.Options{})
 	if !dr.Exact {
-		t.Fatalf("d-tree did not resolve the %d-block class exactly: %+v", k, dr)
+		t.Fatalf("decomposing setting did not resolve the %d-block class exactly: %+v", k, dr)
 	}
 	if !prob.ApproxEqual(dr.P, truth, 1e-9) {
 		t.Errorf("d-tree P = %.12f, closed form %.12f", dr.P, truth)
 	}
 	if dr.Nodes >= or.Nodes {
-		t.Errorf("d-tree used %d steps vs OBDD's %d — independence detection buys nothing here?", dr.Nodes, or.Nodes)
+		t.Errorf("decomposing setting used %d steps vs the ordered setting's %d — independence detection buys nothing here?", dr.Nodes, or.Nodes)
 	}
 }
 
@@ -172,7 +180,7 @@ func TestTargetWidth(t *testing.T) {
 	}
 }
 
-// TestBuilderReset: a pooled builder reused across formulas via Reset gives
+// TestBuilderReset: a pooled builder reused across formulas gives
 // bit-identical results to fresh builders — the contract the per-worker
 // pooling in internal/conf relies on.
 func TestBuilderReset(t *testing.T) {
@@ -186,13 +194,12 @@ func TestBuilderReset(t *testing.T) {
 		d, a := difftest.RandomDNF(rng, 12)
 		fs = append(fs, formula{d, a})
 	}
-	b := dtree.NewBuilder(0)
+	var b dtree.Builder
 	for i, f := range fs {
 		fresh := dtree.Prob(f.d, f.a, dtree.Options{})
-		b.Reset(0)
-		pooled := dtree.ProbWith(b, f.d, f.a, dtree.Options{})
-		// Reset empties the scratch free list with the arena it points
-		// into, so even HdrRecycled matches a fresh builder's.
+		pooled := dtree.ProbWith(&b, f.d, f.a, dtree.Options{})
+		// Every run empties the scratch free list with the arena it
+		// points into, so even HdrRecycled matches a fresh builder's.
 		if fresh != pooled {
 			t.Fatalf("formula %d: fresh %+v != pooled %+v", i, fresh, pooled)
 		}
@@ -200,13 +207,12 @@ func TestBuilderReset(t *testing.T) {
 }
 
 // TestResetKeepsHeaderArena: re-decomposing the benchmark-shaped formula on
-// a Reset builder allocates no clause-set header block, ever again, and
+// a reused builder allocates no clause-set header block, ever again, and
 // recycles exactly as many headers as the run before.
 func TestResetKeepsHeaderArena(t *testing.T) {
 	d, a := difftest.JoinDNF(rand.New(rand.NewSource(1)), 12, 12, 51)
 	var b dtree.Builder
 	err := difftest.CheckSteadyRecompile(func() dtree.Result {
-		b.Reset(0)
 		return dtree.ProbWith(&b, d, a, dtree.Options{})
 	})
 	if err != nil {

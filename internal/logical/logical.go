@@ -57,8 +57,8 @@ const (
 	AlgMC
 	// AlgLadder is the exact styles' fallback chain on queries without a
 	// hierarchical signature: OBDD compilation under the node budget,
-	// d-tree decomposition when the diagram blows up, Monte Carlo when the
-	// decomposition budget is exceeded too.
+	// d-tree decomposition when the ordered expansion blows up, Monte Carlo
+	// when decomposition exceeds the budget too.
 	AlgLadder
 )
 

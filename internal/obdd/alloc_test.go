@@ -3,16 +3,14 @@ package obdd
 import (
 	"testing"
 
+	"repro/internal/dtree"
 	"repro/internal/prob"
 )
 
-// TestRecompileAllocs pins the allocation cost of recompiling a cached
-// clause set on a warm, reused builder: the interned memo, the unique/apply
-// tables, the header arena and the cofactor scratch all keep their storage
-// across Reset, so a recompile costs only the lowering of the DNF (its flat
-// literal array and clause-set header) — a handful of allocations for a
-// formula of dozens of clauses, where the string-keyed memo paid several per
-// Shannon recursion step.
+// TestRecompileAllocs pins the allocation cost of recompiling a formula on
+// a warm, reused kernel builder: the interned memo, the header arena, the
+// literal arena and the order's level map all keep their storage across
+// runs, so a recompile that fits the budget allocates nothing at all.
 func TestRecompileAllocs(t *testing.T) {
 	d := prob.NewDNF()
 	a := prob.NewAssignment()
@@ -27,24 +25,24 @@ func TestRecompileAllocs(t *testing.T) {
 		}
 	}
 	order := OccurrenceOrder(d, nil)
-	b := NewBuilder(order, 0)
-	var ref Ref
+	var b dtree.Builder
+	var res Result
 	recompile := func() {
-		b.Reset(order, 0)
-		r, err := b.Compile(d)
-		if err != nil {
+		var err error
+		if res, err = ProbWith(&b, d, a, order, Options{}); err != nil {
 			t.Fatal(err)
 		}
-		ref = r
 	}
 	recompile()
-	want := b.Prob(ref, a)
-	avg := testing.AllocsPerRun(20, recompile)
-	if avg > 8 {
-		t.Fatalf("warm recompile of a %d-clause set allocated %.1f times, want ≤ 8", len(d.Clauses), avg)
+	want := res
+	if !want.Exact {
+		t.Fatalf("a %d-clause formula did not compile exactly: %+v", len(d.Clauses), want)
 	}
-	// The reused builder must keep producing the same diagram and probability.
-	if got := b.Prob(ref, a); got != want {
-		t.Fatalf("recompiled probability %v != first compile's %v", got, want)
+	if avg := testing.AllocsPerRun(20, recompile); avg > 0 {
+		t.Fatalf("warm recompile of a %d-clause set allocated %.1f times, want 0", len(d.Clauses), avg)
+	}
+	// The reused builder must keep producing the same result.
+	if res != want {
+		t.Fatalf("recompiled result %+v != first compile's %+v", res, want)
 	}
 }

@@ -2,13 +2,15 @@ package obdd
 
 import (
 	"container/heap"
+	"fmt"
+	"slices"
 
 	"repro/internal/prob"
 )
 
-// This file implements the anytime tier: when the OBDD of a lineage formula
-// exceeds the node budget, Bounds performs *partial* Shannon expansion and
-// maintains certified deterministic bounds on Pr[φ].
+// This file implements the anytime tier: when the ordered expansion of a
+// lineage formula exceeds the node budget, Bounds performs *partial*
+// Shannon expansion and maintains certified deterministic bounds on Pr[φ].
 //
 // The expansion state is a frontier of unexpanded residual formulas, each
 // weighted by the probability mass of the partial assignment (the
@@ -68,8 +70,7 @@ func (q *boundsQueue) Pop() any {
 // is a deterministic function of the inputs; a larger budget never loosens
 // the bounds.
 func Bounds(d *prob.DNF, a *prob.Assignment, order []prob.Var, o Options) (Result, error) {
-	b := NewBuilder(order, 1) // used for lowering only
-	cls, err := b.lower(d)
+	cls, err := lowerLevels(d, order)
 	if err != nil {
 		return Result{}, err
 	}
@@ -129,11 +130,9 @@ func Bounds(d *prob.DNF, a *prob.Assignment, order []prob.Var, o Options) (Resul
 		accHi -= it.mass * it.hi
 		steps++
 
-		top := terminalLevel
-		for _, c := range it.cls {
-			if c[0] < top {
-				top = c[0]
-			}
+		top := it.cls[0][0]
+		for _, c := range it.cls[1:] {
+			top = min(top, c[0])
 		}
 		p := probs[top]
 		pos, posW, posTrue := conditionWeighted(it.cls, it.wts, top, p)
@@ -161,6 +160,32 @@ func Bounds(d *prob.DNF, a *prob.Assignment, order []prob.Var, o Options) (Resul
 	}
 	return Result{Exact: exact, P: (lo + hi) / 2, Lo: lo, Hi: hi, Nodes: steps,
 		Stopped: stopped && !exact}, nil
+}
+
+// lowerLevels rewrites clauses as ascending level lists of the order,
+// dropping invalid variables; clauses keep the DNF's order.
+func lowerLevels(d *prob.DNF, order []prob.Var) ([][]int32, error) {
+	level := make(map[prob.Var]int32, len(order))
+	for i, v := range order {
+		level[v] = int32(i)
+	}
+	cls := make([][]int32, 0, len(d.Clauses))
+	for _, c := range d.Clauses {
+		lc := make([]int32, 0, len(c))
+		for _, v := range c {
+			if !v.Valid() {
+				continue
+			}
+			lv, ok := level[v]
+			if !ok {
+				return nil, fmt.Errorf("obdd: variable %v of %s not in the order", v, c)
+			}
+			lc = append(lc, lv)
+		}
+		slices.Sort(lc)
+		cls = append(cls, lc)
+	}
+	return cls, nil
 }
 
 // clauseWeights computes Π p over each clause's variables.

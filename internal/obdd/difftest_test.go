@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/difftest"
+	"repro/internal/dtree"
 	"repro/internal/obdd"
 )
 
@@ -24,15 +25,14 @@ func TestDifferential(t *testing.T) {
 }
 
 // TestResetKeepsHeaderArena: recompiling the benchmark-shaped formula on a
-// Reset builder allocates no clause-set header block, ever again, and
-// recycles exactly as many headers as the compile before.
+// reused kernel builder allocates no clause-set header block, ever again,
+// and recycles exactly as many headers as the compile before.
 func TestResetKeepsHeaderArena(t *testing.T) {
 	d, a := difftest.JoinDNF(rand.New(rand.NewSource(1)), 12, 12, 51)
-	var b obdd.Builder
+	var b dtree.Builder
 	var order obdd.OrderScratch
 	err := difftest.CheckSteadyRecompile(func() obdd.Result {
-		b.Reset(order.OccurrenceOrder(d, nil), 0)
-		res, err := obdd.ProbWith(&b, d, a, obdd.Options{})
+		res, err := obdd.ProbWith(&b, d, a, order.OccurrenceOrder(d, nil), obdd.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,10 +3,8 @@ package obdd
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
-	"repro/internal/clauseset"
 	"repro/internal/prob"
 )
 
@@ -32,8 +30,8 @@ func randDNF(rng *rand.Rand, maxVars int) (*prob.DNF, *prob.Assignment) {
 	return d, a
 }
 
-// TestCompileMatchesOracles: the OBDD probability of random DNFs matches
-// both exact oracles (Shannon expansion with free variable choice, and
+// TestCompileMatchesOracles: the ordered expansion's probability of random
+// DNFs matches both exact oracles (Shannon expansion with free variable choice, and
 // possible-world enumeration) to 1e-9.
 func TestCompileMatchesOracles(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -56,127 +54,6 @@ func TestCompileMatchesOracles(t *testing.T) {
 		if !prob.ApproxEqual(res.P, shannon, 1e-9) || !prob.ApproxEqual(res.P, worlds, 1e-9) {
 			t.Errorf("trial %d: obdd %g, shannon %g, worlds %g for %s",
 				trial, res.P, shannon, worlds, d)
-		}
-	}
-}
-
-// conditionRef is the cofactor split condition replaced: partition on the
-// top level, then Normalize both cofactors.
-func conditionRef(cls [][]int32) (pos, neg [][]int32, posTrue bool) {
-	level := cls[0][0]
-	for _, c := range cls {
-		switch {
-		case c[0] != level:
-			pos = append(pos, c)
-			neg = append(neg, c)
-		case len(c) == 1:
-			posTrue = true
-		default:
-			pos = append(pos, c[1:])
-		}
-	}
-	if posTrue {
-		pos = nil
-	} else {
-		pos = clauseset.Normalize(pos)
-	}
-	return pos, clauseset.Normalize(neg), posTrue
-}
-
-// TestConditionMatchesNormalize: the linear cofactor split returns, on
-// random canonical clause sets, exactly the canonical cofactors the
-// sort-based split returned — same clauses, same order, same posTrue.
-func TestConditionMatchesNormalize(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	same := func(a, b [][]int32) bool { return slices.EqualFunc(a, b, slices.Equal[[]int32]) }
-	var b Builder
-	for trial := 0; trial < 2000; trial++ {
-		b.Reset(nil, 0)
-		levels := 2 + rng.Intn(10)
-		var cls [][]int32
-		for n := 1 + rng.Intn(12); len(cls) < n; {
-			var c []int32
-			for w := 1 + rng.Intn(4); len(c) < w; {
-				c = append(c, int32(rng.Intn(levels)))
-			}
-			slices.Sort(c)
-			cls = append(cls, slices.Compact(c))
-		}
-		cls = clauseset.Normalize(cls)
-		wantPos, wantNeg, wantTrue := conditionRef(slices.Clone(cls))
-		pos, neg, posTrue := b.condition(cls)
-		if posTrue != wantTrue || !same(pos, wantPos) || !same(neg, wantNeg) {
-			t.Fatalf("trial %d: condition(%v) = %v, %v, %v; want %v, %v, %v",
-				trial, cls, pos, neg, posTrue, wantPos, wantNeg, wantTrue)
-		}
-	}
-}
-
-// TestApplyFoldCanonical: compiling clause-by-clause with the memoized
-// apply core must hit the exact same hash-consed root as the Shannon
-// compilation — reduced OBDDs are canonical, so equal functions mean equal
-// refs within one builder.
-func TestApplyFoldCanonical(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 100; trial++ {
-		d, _ := randDNF(rng, 10)
-		order := OccurrenceOrder(d, nil)
-		b := NewBuilder(order, 0)
-		root, err := b.Compile(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		folded := False
-		for _, c := range d.Clauses {
-			cl := True
-			for _, v := range c {
-				lit, err := b.Var(v)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if cl, err = b.And(cl, lit); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if folded, err = b.Or(folded, cl); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if folded != root {
-			t.Errorf("trial %d: apply-fold root %d != shannon root %d for %s", trial, folded, root, d)
-		}
-	}
-}
-
-// TestRestrict: restricting the diagram agrees with conditioning the
-// formula, on every truth assignment of the remaining variables.
-func TestRestrict(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 50; trial++ {
-		d, a := randDNF(rng, 8)
-		order := OccurrenceOrder(d, nil)
-		b := NewBuilder(order, 0)
-		root, err := b.Compile(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v := order[rng.Intn(len(order))]
-		val := rng.Intn(2) == 1
-		restricted, err := b.Restrict(root, v, val)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = a
-		for mask := 0; mask < 1<<len(order); mask++ {
-			truth := make(map[prob.Var]bool, len(order))
-			for i, w := range order {
-				truth[w] = mask&(1<<i) != 0
-			}
-			truth[v] = val
-			if got, want := b.Eval(restricted, truth), d.Eval(truth); got != want {
-				t.Fatalf("trial %d: restrict(%v:=%v) eval %v, formula %v under %v",
-					trial, v, val, got, want, truth)
-			}
 		}
 	}
 }

@@ -29,8 +29,10 @@ const (
 	costMaterial = 0.5  // materialize one intermediate tuple
 	costSortUnit = 0.25 // one tuple · log2(n) of a sort pass
 	costConfScan = 1.0  // one tuple of a sort+scan confidence pass
-	// costOBDDNode prices one OBDD node: hash-consing and memoized apply
-	// are far heavier than a sort comparison.
+	// costOBDDNode prices one expansion step of the compile kernel's
+	// ordered setting: a hashed memo probe and a linear cofactor split of
+	// the residual clause set, far heavier than a sort comparison. (Fitted
+	// when a step still built a hash-consed diagram node; not re-fitted.)
 	costOBDDNode = 25.0
 	// costSampleLit prices one literal evaluation inside a Monte Carlo
 	// sample (calibrated so MC ≈ 2× OBDD at the default ε on the unsafe
@@ -41,7 +43,7 @@ const (
 	costNoSigOBDD = 3.0
 	// costDTreeNode prices one d-tree decomposition step: each step scans
 	// its residual clause set for common variables and connected
-	// components, heavier than one hash-consed OBDD node — but the price
+	// components, heavier than one ordered expansion step — but the price
 	// never depends on a variable order, so without a signature the
 	// d-tree tier undercuts penalized OBDD compilation.
 	costDTreeNode = 40.0

@@ -9,7 +9,6 @@ import (
 	"repro/internal/conf"
 	"repro/internal/dtree"
 	"repro/internal/fd"
-	"repro/internal/obdd"
 	"repro/internal/prob"
 	"repro/internal/query"
 	"repro/internal/table"
@@ -47,6 +46,12 @@ func hardDB(rng *rand.Rand) *Catalog {
 	c.MustAdd(u)
 	return c
 }
+
+// ladderDTreeBudget is the one compile budget that starves the OBDD rung of
+// hardQuery's ladder on hardDB(seed 1) but not the d-tree rung: the
+// per-answer maximum step counts there are 18 in the ordered setting and 15
+// in the decomposing one (TestLadderBudgetStraddles).
+const ladderDTreeBudget = 16
 
 // hardQuery is π{c}(R(a,c) ⋈ S(a,b) ⋈ T(b)): S joins R on a and T on b with
 // incomparable relation sets, so no hierarchical signature exists; the head
@@ -109,6 +114,32 @@ func TestMonteCarloPlanVsWorlds(t *testing.T) {
 	}
 }
 
+// TestLadderBudgetStraddles: ladderDTreeBudget lies between the two
+// settings' per-answer maximum step counts on hardDB(seed 1) — the smallest
+// budget under which each compiles every answer exactly — so the ladder
+// tests that pin it land on the d-tree rung.
+func TestLadderBudgetStraddles(t *testing.T) {
+	c := hardDB(rand.New(rand.NewSource(1)))
+	maxSteps := func(style Style) int {
+		for n := 1; n <= 64; n++ {
+			spec := Spec{Style: style, Compile: dtree.Options{NodeBudget: n}, RequireExact: true}
+			if _, err := Run(c, hardQuery(), fd.NewSet(), spec); err == nil {
+				return n
+			}
+		}
+		t.Fatalf("%v: no budget up to 64 compiles every answer exactly", style)
+		return 0
+	}
+	ordered, decomposing := maxSteps(OBDD), maxSteps(DTree)
+	if ordered != 18 || decomposing != 15 {
+		t.Errorf("per-answer maximum steps: ordered %d, decomposing %d; want 18 and 15", ordered, decomposing)
+	}
+	if !(decomposing <= ladderDTreeBudget && ladderDTreeBudget < ordered) {
+		t.Errorf("budget %d does not starve only the OBDD rung (maxima: ordered %d, decomposing %d)",
+			ladderDTreeBudget, ordered, decomposing)
+	}
+}
+
 // TestExactStylesFallBack: every exact style falls through the ladder on
 // the hard query — OBDD compilation first (the small instance fits the
 // budget, so the result stays *exact*), then d-tree decomposition when the
@@ -134,12 +165,13 @@ func TestExactStylesFallBack(t *testing.T) {
 			t.Errorf("%v: OBDD fallback should report nodes", style)
 		}
 
-		// A starved node budget pushes the ladder to the order-free d-tree
-		// rung, which still resolves the lineage exactly.
+		// A budget that starves only the ordered setting pushes the ladder
+		// to the order-free d-tree rung, which still resolves the lineage
+		// exactly.
 		res, err = Run(c, hardQuery(), fd.NewSet(), Spec{
-			Style: style,
-			MC:    prob.MCOptions{Seed: 2},
-			OBDD:  obdd.Options{NodeBudget: 1},
+			Style:   style,
+			MC:      prob.MCOptions{Seed: 2},
+			Compile: dtree.Options{NodeBudget: ladderDTreeBudget},
 		})
 		if err != nil {
 			t.Fatalf("%v: d-tree fallback failed: %v", style, err)
@@ -154,13 +186,12 @@ func TestExactStylesFallBack(t *testing.T) {
 			t.Errorf("%v: d-tree fallback should report steps", style)
 		}
 
-		// Starving both compilation budgets pushes the ladder down to
-		// Monte Carlo.
+		// Starving the compile budget for both settings pushes the ladder
+		// down to Monte Carlo.
 		res, err = Run(c, hardQuery(), fd.NewSet(), Spec{
-			Style: style,
-			MC:    prob.MCOptions{Seed: 2},
-			OBDD:  obdd.Options{NodeBudget: 1},
-			DTree: dtree.Options{NodeBudget: 1},
+			Style:   style,
+			MC:      prob.MCOptions{Seed: 2},
+			Compile: dtree.Options{NodeBudget: 1},
 		})
 		if err != nil {
 			t.Fatalf("%v: MC fallback failed: %v", style, err)

@@ -7,8 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/conf"
+	"repro/internal/dtree"
 	"repro/internal/fd"
-	"repro/internal/obdd"
 	"repro/internal/prob"
 )
 
@@ -75,7 +75,7 @@ func TestOBDDPlanBounds(t *testing.T) {
 	truth := hardTruth(t, c)
 
 	run := func(budget int) *Result {
-		res, err := Run(c, hardQuery(), fd.NewSet(), Spec{Style: OBDD, OBDD: obdd.Options{NodeBudget: budget}})
+		res, err := Run(c, hardQuery(), fd.NewSet(), Spec{Style: OBDD, Compile: dtree.Options{NodeBudget: budget}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func TestOBDDPlanBounds(t *testing.T) {
 	}
 
 	if _, err := Run(c, hardQuery(), fd.NewSet(), Spec{
-		Style: OBDD, OBDD: obdd.Options{NodeBudget: 1}, RequireExact: true,
+		Style: OBDD, Compile: dtree.Options{NodeBudget: 1}, RequireExact: true,
 	}); err == nil {
 		t.Error("RequireExact must reject bound-mode OBDD results")
 	}

@@ -12,7 +12,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/fd"
 	"repro/internal/logical"
-	"repro/internal/obdd"
 	"repro/internal/obs"
 	"repro/internal/pool"
 	"repro/internal/prob"
@@ -43,12 +42,13 @@ const (
 	// conjunctive query — general conjunctive queries are #P-hard (§II) —
 	// and is the last rung of the exact styles' fallback chain.
 	MonteCarlo
-	// OBDD computes the answer tuples lazily and compiles each answer's
-	// lineage DNF into a reduced ordered binary decision diagram
-	// (internal/obdd): exact confidences whenever the diagram fits the
-	// node budget — including for many queries without a hierarchical
-	// signature — and certified deterministic [lo, hi] bounds (reported
-	// via Stats.LowerBound/UpperBound) when it does not. Exact styles try
+	// OBDD computes the answer tuples lazily and Shannon-expands each
+	// answer's lineage DNF under one variable order (internal/obdd, the
+	// compilation of its ordered binary decision diagram): exact
+	// confidences whenever the expansion fits the node budget — including
+	// for many queries without a hierarchical signature — and certified
+	// deterministic [lo, hi] bounds (reported via
+	// Stats.LowerBound/UpperBound) when it does not. Exact styles try
 	// this compilation before falling back to Monte Carlo.
 	OBDD
 	// DTree computes the answer tuples lazily and decomposes each answer's
@@ -119,13 +119,16 @@ type Spec struct {
 	// MC tunes the Monte Carlo estimator (ε, δ, seed, method, workers) for
 	// the MonteCarlo style and for the automatic fallback.
 	MC prob.MCOptions
-	// OBDD tunes lineage compilation (node budget, anytime target width)
-	// for the OBDD style and for the exact styles' OBDD fallback tier.
-	OBDD obdd.Options
-	// DTree tunes lineage decomposition (step budget, anytime target
-	// width) for the DTree style and for the exact styles' d-tree fallback
-	// tier.
-	DTree dtree.Options
+	// Compile tunes lineage compilation — the step budget and the anytime
+	// target width of the one compile kernel (internal/dtree) — for the
+	// OBDD and DTree styles and for both compilation rungs of the exact
+	// styles' fallback ladder. Its Stop is the planner's: a deadline
+	// watermark arms it.
+	Compile dtree.Options
+	// OBDD.NodeBudget, when positive, overrides Compile.NodeBudget on the
+	// OBDD tier alone. Use Compile: the field remains only because the
+	// benchmark suite still starves the ladder's first rung with it.
+	OBDD struct{ NodeBudget int }
 	// RowExec is ignored: the relational pipeline has one, columnar,
 	// execution tier. The field remains only because the benchmark suite
 	// still sets it.
@@ -308,8 +311,8 @@ type Result struct {
 // style. Exact styles use the most precise signature available (FD-refined
 // when the reduct is hierarchical, plain otherwise); queries with neither —
 // #P-hard in general — fall through the ladder of tier.go: OBDD compilation
-// of the per-answer lineage (still exact when the diagrams fit the node
-// budget), d-tree decomposition (likewise, under its step budget), then
+// of the per-answer lineage (still exact when it fits the compile budget),
+// d-tree decomposition (likewise, under the same budget), then
 // the Monte Carlo plan, which estimates confidences instead of erroring
 // out. Set spec.RequireExact to turn the fallback back into an error.
 func Run(c *Catalog, q *query.Query, sigma *fd.Set, spec Spec) (*Result, error) {

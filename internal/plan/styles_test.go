@@ -10,7 +10,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/fd"
 	"repro/internal/logical"
-	"repro/internal/obdd"
 	"repro/internal/prob"
 	"repro/internal/query"
 	"repro/internal/signature"
@@ -229,7 +228,7 @@ func TestGovernorCapsEffectiveBudgets(t *testing.T) {
 		headroom, explicit int
 		want               int
 	}{
-		{"roomy/no budget", 1 << 18, 0, obdd.DefaultNodeBudget},
+		{"roomy/no budget", 1 << 18, 0, dtree.DefaultNodeBudget},
 		{"roomy/explicit below", 1 << 18, 1 << 10, 1 << 10},
 		{"roomy/explicit above", 1 << 18, 1 << 22, 1 << 18},
 		{"tight/no budget", 1 << 12, 0, 1 << 12},
@@ -238,16 +237,32 @@ func TestGovernorCapsEffectiveBudgets(t *testing.T) {
 	} {
 		gov := fault.NewGovernor(int64(c.headroom)*compileNodeCost, nil)
 		ex := exec{maxNodes: nodeHeadroom(gov)}
-		spec := Spec{OBDD: obdd.Options{NodeBudget: c.explicit}, DTree: dtree.Options{NodeBudget: c.explicit}}
-		if got := ex.arm(spec.OBDD).Budget(); got != c.want {
+		spec := Spec{Compile: dtree.Options{NodeBudget: c.explicit}}
+		if got := ex.arm(spec.obddOptions()).Budget(); got != c.want {
 			t.Errorf("%s: OBDD budget %d, want %d", c.name, got, c.want)
 		}
-		if got := ex.arm(spec.DTree).Budget(); got != c.want {
+		if got := ex.arm(spec.Compile).Budget(); got != c.want {
 			t.Errorf("%s: d-tree budget %d, want %d", c.name, got, c.want)
 		}
 	}
 	// Ungoverned runs keep their budgets.
-	if got := (exec{maxNodes: nodeHeadroom(nil)}).arm(obdd.Options{NodeBudget: 1 << 22}).Budget(); got != 1<<22 {
+	if got := (exec{maxNodes: nodeHeadroom(nil)}).arm(dtree.Options{NodeBudget: 1 << 22}).Budget(); got != 1<<22 {
 		t.Errorf("ungoverned budget %d, want %d", got, 1<<22)
+	}
+}
+
+// TestOBDDBudgetOverride: the deprecated Spec.OBDD.NodeBudget overrides the
+// one compile budget on the OBDD tier alone, and only when positive.
+func TestOBDDBudgetOverride(t *testing.T) {
+	spec := Spec{Compile: dtree.Options{NodeBudget: 100, TargetWidth: 0.25}}
+	if got := spec.obddOptions(); got.NodeBudget != 100 || got.TargetWidth != 0.25 {
+		t.Errorf("no override: OBDD options %+v, want Compile's %+v", got, spec.Compile)
+	}
+	spec.OBDD.NodeBudget = 8
+	if got := spec.obddOptions(); got.NodeBudget != 8 || got.TargetWidth != 0.25 {
+		t.Errorf("override: OBDD options %+v, want budget 8 and Compile's width", got)
+	}
+	if spec.Compile.NodeBudget != 100 {
+		t.Errorf("override leaked into Compile: %+v", spec.Compile)
 	}
 }

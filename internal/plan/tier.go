@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"repro/internal/conf"
-	"repro/internal/obdd"
+	"repro/internal/dtree"
 	"repro/internal/obs"
 	"repro/internal/table"
 )
@@ -56,11 +56,11 @@ type outcome struct {
 // ladder is the fallback chain, in order; the last rung never refuses.
 var ladder = []*tier{&obddTier, &dtreeTier, &mcTier}
 
-// arm is the one place a compilation tier gets the run's degradation
+// arm is the one place the compilation tiers get the run's degradation
 // plumbing: the deadline-watermark Stop probe, and the governor's headroom
 // as a cap on its effective budget (explicit, else the default) — under
 // memory pressure the compilers stop earlier and report certified bounds.
-func (ex exec) arm(o obdd.Options) obdd.Options {
+func (ex exec) arm(o dtree.Options) dtree.Options {
 	if ex.stop != nil {
 		o.Stop = ex.stop
 	}

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/dtree"
 	"repro/internal/fd"
-	"repro/internal/obdd"
 	"repro/internal/obs"
 	"repro/internal/prob"
 	"repro/internal/storage"
@@ -44,9 +43,9 @@ func TestStatsLadderPopulation(t *testing.T) {
 		// both drops to Monte Carlo.
 		{name: "ladder-obdd", hard: true, spec: Spec{Style: Lazy}, tier: "obdd"},
 		{name: "ladder-dtree", hard: true,
-			spec: Spec{Style: Lazy, OBDD: obdd.Options{NodeBudget: 1}}, tier: "dtree"},
+			spec: Spec{Style: Lazy, Compile: dtree.Options{NodeBudget: ladderDTreeBudget}}, tier: "dtree"},
 		{name: "ladder-mc", hard: true,
-			spec: Spec{Style: Lazy, OBDD: obdd.Options{NodeBudget: 1}, DTree: dtree.Options{NodeBudget: 1},
+			spec: Spec{Style: Lazy, Compile: dtree.Options{NodeBudget: 1},
 				MC: prob.MCOptions{Seed: 1}}, tier: "mc"},
 	}
 	for _, c := range cases {
@@ -123,9 +122,9 @@ func TestTraceGolden(t *testing.T) {
 		{name: "dtree", spec: Spec{Style: DTree}},
 		{name: "mc", spec: Spec{Style: MonteCarlo, MC: prob.MCOptions{Seed: 1}}},
 		{name: "ladder-obdd", hard: true, spec: Spec{Style: Lazy}},
-		{name: "ladder-dtree", hard: true, spec: Spec{Style: Lazy, OBDD: obdd.Options{NodeBudget: 1}}},
+		{name: "ladder-dtree", hard: true, spec: Spec{Style: Lazy, Compile: dtree.Options{NodeBudget: ladderDTreeBudget}}},
 		{name: "ladder-mc", hard: true,
-			spec: Spec{Style: Lazy, OBDD: obdd.Options{NodeBudget: 1}, DTree: dtree.Options{NodeBudget: 1},
+			spec: Spec{Style: Lazy, Compile: dtree.Options{NodeBudget: 1},
 				MC: prob.MCOptions{Seed: 1}}},
 	}
 	for _, c := range cases {

@@ -33,10 +33,11 @@
 // the confidence operator once at the top; Eager pushes
 // probability-computation operators onto every table and join; Hybrid mixes
 // the two; MystiQ evaluates the safe-plan baseline the paper compares
-// against. Three styles go beyond the paper: OBDD compiles each answer's
-// lineage DNF into a reduced ordered binary decision diagram — exact
-// confidences whenever the diagram fits a node budget, certified
-// deterministic [lo, hi] bounds when it does not; DTree decomposes the
+// against. Three styles go beyond the paper: OBDD Shannon-expands each
+// answer's lineage DNF under one variable order, as an ordered binary
+// decision diagram's compilation does — exact confidences whenever the
+// expansion fits a node budget, certified deterministic [lo, hi] bounds
+// when it does not; DTree decomposes the
 // lineage with an order-free d-tree (independent-OR partitions,
 // independent-AND factoring, Shannon expansion as a last resort) under the
 // same budget-and-bounds contract; and MonteCarlo estimates confidences
@@ -98,9 +99,10 @@ const (
 	// general) — and is the last tier of the exact styles' fallback chain
 	// on such queries unless RequireExact is passed.
 	MonteCarlo = plan.MonteCarlo
-	// OBDD compiles each answer's lineage DNF into a reduced ordered
-	// binary decision diagram: exact confidences whenever the diagram
-	// fits the node budget (WithNodeBudget) — including for many queries
+	// OBDD Shannon-expands each answer's lineage DNF under one variable
+	// order, sharing equal residuals as a reduced ordered binary decision
+	// diagram does: exact confidences whenever the expansion fits the
+	// node budget (WithNodeBudget) — including for many queries
 	// without a hierarchical signature — and certified deterministic
 	// [Stats.LowerBound, Stats.UpperBound] intervals around every true
 	// confidence when it does not (the reported confidences are then
@@ -384,10 +386,11 @@ func WithWorkers(n int) RunOption {
 	}
 }
 
-// WithNodeBudget caps the per-answer compilation effort — OBDD nodes and
-// d-tree decomposition steps (and both anytime modes' expansion budgets) —
-// for the OBDD and DTree styles and the exact styles' fallback tiers. The
-// budget must be positive; omit the option for the defaults. Answers whose
+// WithNodeBudget caps the per-answer compilation effort — the compile
+// kernel's expansion steps, in both its ordered (OBDD) and decomposing
+// (d-tree) settings, and the anytime modes' expansion budgets — for the
+// OBDD and DTree styles and the exact styles' fallback tiers. The budget
+// must be positive; omit the option for the defaults. Answers whose
 // compilation exceeds the budget are reported as certified [lo, hi] bounds
 // under the OBDD and DTree styles, and passed down the ladder by the exact
 // styles.
@@ -396,8 +399,7 @@ func WithNodeBudget(n int) RunOption {
 		if n <= 0 {
 			return fmt.Errorf("sprout: WithNodeBudget(%d): node budget must be ≥ 1 (omit the option for the default)", n)
 		}
-		s.OBDD.NodeBudget = n
-		s.DTree.NodeBudget = n
+		s.Compile.NodeBudget = n
 		return nil
 	}
 }
@@ -410,8 +412,7 @@ func WithTargetWidth(w float64) RunOption {
 		if w < 0 || w >= 1 {
 			return fmt.Errorf("sprout: WithTargetWidth(%g): width must lie in [0,1)", w)
 		}
-		s.OBDD.TargetWidth = w
-		s.DTree.TargetWidth = w
+		s.Compile.TargetWidth = w
 		return nil
 	}
 }
