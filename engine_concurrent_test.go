@@ -114,6 +114,22 @@ func workload() []struct {
 // every result must equal the serial single-threaded evaluation bit for
 // bit.
 func TestEngineConcurrentMixedStyles(t *testing.T) {
+	concurrentMixedStyles(t)
+}
+
+// TestEngineConcurrentMixedStylesSpilling is TestEngineConcurrentMixedStyles
+// with a sort budget of 64 rows: every sort+scan pass of the exact styles
+// spills tens of runs, so the sorters' recycled buffers pass from goroutine
+// to goroutine many times a query, and the results must still equal the
+// unspilled serial evaluation bit for bit.
+func TestEngineConcurrentMixedStylesSpilling(t *testing.T) {
+	dir := t.TempDir()
+	concurrentMixedStyles(t, func(s *plan.Spec) error { s.Conf.SortBudget, s.Conf.TmpDir = 64, dir; return nil })
+}
+
+// concurrentMixedStyles runs workload() on 8 goroutines of one Engine with
+// the given run options and compares every result with the serial one.
+func concurrentMixedStyles(t *testing.T, opts ...RunOption) {
 	difftest.LeakCheck(t)
 	db := tpchDB(nil)
 	items := workload()
@@ -142,7 +158,7 @@ func TestEngineConcurrentMixedStyles(t *testing.T) {
 			defer wg.Done()
 			for n := 0; n < iters; n++ {
 				it := items[(g+n)%len(items)]
-				res, err := e.Run(context.Background(), wrapQuery(it.q), it.style)
+				res, err := e.Run(context.Background(), wrapQuery(it.q), it.style, opts...)
 				if err != nil {
 					errs <- fmt.Errorf("%s: %w", it.name, err)
 					return

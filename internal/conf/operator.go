@@ -235,7 +235,9 @@ func mergeByKey(parts [][]*table.ColBatch, keys int) []*table.ColBatch {
 		}
 		return false
 	}
-	var out []*table.ColBatch
+	// A partition's chunk that is merged out is dead: its storage takes the
+	// next output chunk, so the merge allocates little beyond the parts.
+	var out, spare []*table.ColBatch
 	for len(curs) > 0 {
 		best := 0
 		for i := 1; i < len(curs); i++ {
@@ -244,8 +246,9 @@ func mergeByKey(parts [][]*table.ColBatch, keys int) []*table.ColBatch {
 			}
 		}
 		c := &curs[best]
-		out = appendChunks(out, c.chunks[0], c.row, c.row+1)
+		out, spare = appendChunks(out, spare, c.chunks[0], c.row, c.row+1)
 		if c.row++; c.row == c.chunks[0].N {
+			spare = append(spare, c.chunks[0])
 			c.chunks, c.row = c.chunks[1:], 0
 			if len(c.chunks) == 0 {
 				curs = slices.Delete(curs, best, best+1)
@@ -295,8 +298,8 @@ func groupedScan(sorter *storage.ExternalSorter, acc accumulator, groupCols []in
 	}
 	pc := len(outCols) // the probability column
 	// No pass emits more groups than it was fed rows, and most emit far
-	// fewer: the first chunk starts small and grows, the later ones are
-	// reserved whole.
+	// fewer: the first chunk starts small and, should it fill, is reserved
+	// whole in one step; the later ones are reserved whole from the start.
 	reserve := int(min(sorter.Rows(), firstChunkRows))
 	var chunks []*table.ColBatch
 	var out *table.ColBatch // the chunk holding the open group's row k
@@ -329,6 +332,8 @@ func groupedScan(sorter *storage.ExternalSorter, acc accumulator, groupCols []in
 				out.Reserve(reserve)
 				reserve = table.BatchSize
 				chunks = append(chunks, out)
+			} else if out.N == firstChunkRows {
+				out.Reserve(table.BatchSize)
 			}
 			k = out.N
 			for j, c := range outCols {

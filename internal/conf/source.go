@@ -117,17 +117,23 @@ func (s *Source) push(ctx context.Context, sink engine.Sink) error {
 
 // appendChunks copies live rows [lo, hi) of src onto the last of chunks,
 // starting a new chunk whenever that one holds table.BatchSize rows, and
-// returns the chunks. Each chunk is settled on src's string layouts
-// (ColVec.SettleLike) and reserved whole when it starts: chunks of fixed
-// size, because one growing batch would copy its slices over and over as it
-// regrows.
-func appendChunks(chunks []*table.ColBatch, src *table.ColBatch, lo, hi int) []*table.ColBatch {
+// returns the chunks. A new chunk reuses the storage of the last of spare,
+// when spare holds one, and is otherwise allocated. Each chunk is settled on
+// src's string layouts (ColVec.SettleLike) and reserved whole when it
+// starts: chunks of fixed size, because one growing batch would copy its
+// slices over and over as it regrows.
+func appendChunks(chunks, spare []*table.ColBatch, src *table.ColBatch, lo, hi int) ([]*table.ColBatch, []*table.ColBatch) {
 	for lo < hi {
 		var last *table.ColBatch
 		if k := len(chunks); k > 0 && chunks[k-1].N < table.BatchSize {
 			last = chunks[k-1]
 		} else {
-			last = table.NewColBatch(src.Schema)
+			if k := len(spare); k > 0 {
+				last, spare = spare[k-1], spare[:k-1]
+				last.Reset(src.Schema)
+			} else {
+				last = table.NewColBatch(src.Schema)
+			}
 			for c := range last.Cols {
 				last.Cols[c].SettleLike(&src.Cols[c])
 			}
@@ -138,7 +144,7 @@ func appendChunks(chunks []*table.ColBatch, src *table.ColBatch, lo, hi int) []*
 		last.AppendBatch(src, lo, n)
 		lo = n
 	}
-	return chunks
+	return chunks, spare
 }
 
 // chunkSink keeps what it is fed as column chunks.
@@ -148,7 +154,7 @@ type chunkSink struct {
 }
 
 func (c *chunkSink) AddBatch(b *table.ColBatch) error {
-	c.chunks = appendChunks(c.chunks, b, 0, b.Rows())
+	c.chunks, _ = appendChunks(c.chunks, nil, b, 0, b.Rows())
 	c.rows += int64(b.Rows())
 	return nil
 }
@@ -216,6 +222,7 @@ func (f *scanFeed) decide() error {
 	f.parts = make([]*storage.ExternalSorter, f.opts.Pool.Workers())
 	for i := range f.parts {
 		f.parts[i] = f.newSorter()
+		f.parts[i].Slot(i)
 	}
 	f.sels = make([][]int32, len(f.parts))
 	pend := f.pend

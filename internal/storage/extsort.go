@@ -39,7 +39,12 @@ type TupleIterator interface {
 // and copies every row it is given — a tuple (Add) or a column batch's live
 // rows (AddBatch) — into its run buffer, a column batch of the sort's schema
 // holding at most budget rows, which every run of the sort reuses, so its
-// memory is bounded by the budget, not by the input. The sort columns are
+// memory is bounded by the budget, not by the input. The run buffer, key
+// arena and sort entries outlive the sort: an ungoverned sorter draws them
+// from the process-wide free list in sortbuf.go (sortBufPool, at most
+// sortBufIdleCap bytes idle) and gives them back when it is done, so a
+// sort regrows only past what earlier sorts grew to; a governed one (Govern)
+// bypasses the free list and grows from nothing. The sort columns are
 // encoded once, from the buffer's column vectors, and a run is sorted as
 // 16-byte entries on an 8-byte key prefix; the rows never move. Its rows
 // must fit the schema (one kind per column, table.Schema.Check), which is
@@ -67,13 +72,9 @@ type ExternalSorter struct {
 	held int64
 
 	// Key-sorter state, reused across the runs of one sort.
-	run    table.ColBatch // the run's rows
-	rowCap int            // rows the buffers take before they must grow
-	row    table.Tuple    // one materialized row, for spilling
-	keys   []byte         // normalized keys of the run's rows, back to back
-	offs   []uint32       // key i is keys[offs[i]:offs[i+1]]
-	ents   []keyEntry
-	aux    []keyEntry // radix sort's second buffer
+	sortBufs
+	rowCap int         // rows the buffers take before they must grow
+	row    table.Tuple // one materialized row, for spilling
 
 	mem         *fault.Governor // optional memory governor (nil = ungoverned)
 	memReserved int64           // bytes currently reserved with mem
@@ -159,6 +160,13 @@ func (s *ExternalSorter) Rows() int64 { return s.rows }
 // early spill instead of growing further. Call before the first Add.
 func (s *ExternalSorter) Govern(g *fault.Governor) { s.mem = g }
 
+// Slot places the sorter in slot i of the sort-buffer free list
+// (sortBufPool): the buffers it draws come from slot i first and go back to
+// it. Concurrent sorters of one partitioned pass take a slot each, so that
+// a partition's sorter gets back what the same partition's sorter of the
+// previous pass grew to. The default slot is 0. Call before the first Add.
+func (s *ExternalSorter) Slot(i int) { s.slot = i }
+
 // EarlySpills reports how many runs were spilled because the governor
 // denied further buffer growth (a subset of Spills).
 func (s *ExternalSorter) EarlySpills() int { return s.earlySpills }
@@ -235,13 +243,18 @@ func (s *ExternalSorter) room(want int) (int, error) {
 }
 
 // grow raises the run buffer's row capacity: doubling, from minRunCap (or a
-// first batch) up to the tuple budget, so a sort allocates its buffers a
-// few times and every later run reuses them. The key arena follows at the
-// key length seen so far. Under a governor the growth is reserved first, at
-// the bytes per row the buffers hold now; grow reports false, and leaves
-// the buffers alone, when that reservation is denied.
+// first batch) up to the tuple budget, so that every later run of the sort
+// reuses the buffers. The key arena follows at the key length seen so far.
+// An ungoverned sorter draws its buffers from sortBufPool at the first
+// grow, and they grow only past what the draw handed over. Under a
+// governor the growth is reserved first, at the bytes per row the buffers
+// hold now; grow reports false, and leaves the buffers alone, when that
+// reservation is denied.
 func (s *ExternalSorter) grow(want int) bool {
 	n := s.run.N
+	if s.mem == nil && !s.pooled {
+		sortBufPool.draw(&s.sortBufs)
+	}
 	newCap := min(max(2*s.rowCap, n+want, minRunCap), s.budget)
 	if s.mem != nil && n > 0 && !s.reserve(s.footprint()/int64(n)*int64(newCap)) {
 		return false
@@ -315,14 +328,16 @@ func (s *ExternalSorter) appended() error {
 	return nil
 }
 
-// dropRun gives the run buffer and its bookkeeping back to the collector.
+// dropRun gives the run buffer and its bookkeeping back — to sortBufPool
+// when they came from it, else to the collector — leaving an empty run
+// buffer of the sort's schema.
 func (s *ExternalSorter) dropRun() {
 	schema := s.run.Schema
-	s.run, s.rowCap = table.ColBatch{}, 0
+	s.release()
+	s.rowCap = 0
 	if schema != nil {
 		s.run.Reset(schema)
 	}
-	s.keys, s.offs, s.ents, s.aux = nil, nil, nil, nil
 }
 
 // sortRun sorts the run buffer and returns its rows' order, equal rows in
@@ -565,8 +580,8 @@ func (s *ExternalSorter) FinishBatches() (*SortedBatches, error) {
 		return nil, err
 	}
 	if runs == nil {
-		out := &SortedBatches{schema: schema, run: &s.run, order: s.sortRun()}
-		s.keys, s.offs = nil, nil
+		out := &SortedBatches{schema: schema, order: s.sortRun(), bufs: s.sortBufs}
+		s.sortBufs = sortBufs{} // the stream owns them now
 		return out, nil
 	}
 	s.dropRun()
@@ -601,8 +616,9 @@ func (s *ExternalSorter) finish() ([]*HeapFile, error) {
 
 // Discard removes any spilled runs of a sort that is being abandoned — the
 // cleanup hook for error paths that stop feeding the sorter (an Add failure
-// mid-stream, a cancelled scan). Safe to call at any time; after a
-// successful Finish the iterator owns the runs and Discard is a no-op.
+// mid-stream, a cancelled scan) — and gives its buffers back. Safe to call
+// at any time, and more than once; after a successful Finish the iterator
+// owns the runs and the buffers, and Discard is a no-op.
 func (s *ExternalSorter) Discard() {
 	for _, r := range s.runs {
 		r.Remove()
@@ -610,6 +626,7 @@ func (s *ExternalSorter) Discard() {
 	s.runs = nil
 	s.finished = true
 	s.releaseMem()
+	s.release()
 }
 
 // memIter iterates a comparator sort's in-memory sorted buffer.
@@ -639,11 +656,11 @@ func (m *memIter) Close() error { return nil }
 // rows. Neither materializes a tuple per row for the consumer.
 type SortedBatches struct {
 	schema *table.Schema
-	run    *table.ColBatch // unspilled: the run buffer
-	order  []keyEntry      // unspilled: its rows in key order
-	pos    int             // entries of order handed out so far
-	sel    []int32         // the next batch's rows, as a selection over run
-	merge  *mergeIter      // spilled: the merge of the runs
+	bufs   sortBufs   // unspilled: the sorter's buffers, the run among them
+	order  []keyEntry // unspilled: the run's rows in key order
+	pos    int        // entries of order handed out so far
+	sel    []int32    // the next batch's rows, as a selection over the run
+	merge  *mergeIter // spilled: the merge of the runs
 }
 
 // NextColBatch fills dst with the next sorted rows.
@@ -674,18 +691,21 @@ func (it *SortedBatches) NextColBatch(dst *table.ColBatch) (int, error) {
 		it.sel[i] = int32(e.idx)
 	}
 	it.pos += k
-	it.run.Sel = it.sel[:k]
+	run := &it.bufs.run
+	run.Sel = it.sel[:k]
 	for c := range dst.Cols {
-		dst.Cols[c].SettleLike(&it.run.Cols[c])
+		dst.Cols[c].SettleLike(&run.Cols[c])
 	}
 	dst.Reserve(k)
-	dst.AppendBatch(it.run, 0, k)
+	dst.AppendBatch(run, 0, k)
 	return k, nil
 }
 
-// Close releases the stream, removing any spilled runs.
+// Close releases the stream, removing any spilled runs and giving the
+// sorter's buffers back; closing twice is harmless.
 func (it *SortedBatches) Close() error {
-	it.run, it.order = nil, nil
+	it.order = nil
+	it.bufs.release()
 	if it.merge != nil {
 		return it.merge.Close()
 	}

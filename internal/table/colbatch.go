@@ -132,6 +132,18 @@ func (v *ColVec) reset(kind Kind) {
 	}
 }
 
+// Reuse clears the vector for a column of the given kind that need not be
+// the one it held — a vector recycled from another sort. Unlike a batch's
+// Reset, which keeps a live dictionary for the next batch of the same
+// column, it drops the dictionary and the string layout, and it zeroes the
+// string headers up to capacity so that an idle vector pins no strings.
+// The typed storage keeps its capacity.
+func (v *ColVec) Reuse(kind Kind) {
+	clear(v.Strs[:cap(v.Strs)])
+	v.Dict, v.dict, v.noDict = nil, nil, false
+	v.reset(kind) // no dictionary: the layout is undecided again
+}
+
 // Rows returns the number of live rows (selection applied).
 func (b *ColBatch) Rows() int {
 	if b.Sel != nil {
@@ -267,13 +279,18 @@ func (v *ColVec) SettleLike(src *ColVec) {
 // String bytes behind shared headers and dictionary entries belong to
 // whoever produced them and are not counted.
 func (b *ColBatch) MemSize() int64 {
-	var n int
+	var n int64
 	for i := range b.Cols {
-		v := &b.Cols[i]
-		n += 8*(cap(v.Ints)+cap(v.Floats)+cap(v.Nulls)) + 16*cap(v.Strs) +
-			cap(v.Bytes) + cap(v.Codes) + 4*cap(v.Offs)
+		n += b.Cols[i].MemSize()
 	}
-	return int64(n)
+	return n
+}
+
+// MemSize reports the bytes of storage one column holds, as ColBatch.MemSize
+// counts them.
+func (v *ColVec) MemSize() int64 {
+	return int64(8*(cap(v.Ints)+cap(v.Floats)+cap(v.Nulls)) + 16*cap(v.Strs) +
+		cap(v.Bytes) + cap(v.Codes) + 4*cap(v.Offs))
 }
 
 // WriteRow materializes live row i into dst (len b.Schema.Len()). String

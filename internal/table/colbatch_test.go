@@ -293,3 +293,49 @@ func TestColVecAppendCell(t *testing.T) {
 		}
 	}
 }
+
+// TestColVecReuse: a vector cleared for reuse by another column starts
+// over like a new one — no dictionary, no "stay flat" verdict from a
+// cardinality that outgrew the dictionary, and no string headers left in
+// its storage — where a batch's Reset keeps the live dictionary for the
+// next batch of the same column.
+func TestColVecReuse(t *testing.T) {
+	var v ColVec
+	v.reset(KindString)
+	for i := 0; i < DictMaxCard+1; i++ { // outgrows the dictionary: flat for good
+		v.AppendStrBytes([]byte(fmt.Sprint("s", i)))
+	}
+	if v.Mode != StrFlat {
+		t.Fatalf("%d distinct strings left the column in layout %d, want flat", DictMaxCard+1, v.Mode)
+	}
+	v.Reuse(KindString)
+	v.AppendStrBytes([]byte("x"))
+	if v.Mode != StrDict || len(v.Dict) != 1 || v.Codes[0] != 0 {
+		t.Fatalf("after Reuse: layout %d, dictionary %v, want a new dictionary [x]", v.Mode, v.Dict)
+	}
+
+	v.reset(KindString) // a batch's Reset: the dictionary carries over
+	v.AppendStrBytes([]byte("y"))
+	if len(v.Dict) != 2 || v.Codes[0] != 1 {
+		t.Fatalf("after reset: dictionary %v, codes %v, want [x y] and code 1", v.Dict, v.Codes)
+	}
+	v.Reuse(KindString)
+	v.AppendStrBytes([]byte("y"))
+	if len(v.Dict) != 1 || v.Codes[0] != 0 {
+		t.Fatalf("after Reuse: dictionary %v, codes %v, want [y] and code 0", v.Dict, v.Codes)
+	}
+
+	v.Reuse(KindString)
+	for i := 0; i < 10; i++ {
+		v.AppendValue(i, Str(fmt.Sprint("h", i)))
+	}
+	v.Reuse(KindInt)
+	for i, s := range v.Strs[:cap(v.Strs)] {
+		if s != "" {
+			t.Fatalf("after Reuse: string header %d still holds %q", i, s)
+		}
+	}
+	if v.Kind != KindInt || v.Mode != StrNone || len(v.Strs)+len(v.Codes)+len(v.Bytes)+len(v.Offs) != 0 {
+		t.Fatalf("after Reuse(KindInt): kind %v, layout %d, string cells left", v.Kind, v.Mode)
+	}
+}
