@@ -3,10 +3,10 @@
 // [][]int32, every clause an ascending literal list, clauses sorted
 // lexicographically and deduplicated (Normalize) — and a Store interns such
 // sets under an FNV-1a hash with structural-equality collision chains, so a
-// residual reached along two expansion paths compiles once. The kernel keys
-// the memo to exact probabilities (Store[float64]); what a literal means (an
-// order level in its ordered setting, a raw variable id in its decomposing
-// one) is the kernel's business, not the store's.
+// residual reached along two expansion paths compiles once, to one exact
+// probability; what a literal means (an order level in its ordered setting,
+// a raw variable id in its decomposing one) is the kernel's business, not
+// the store's.
 //
 // The store is allocation-lean by construction: entries sit inline in the
 // map (only a genuine hash collision between distinct sets allocates an
@@ -16,10 +16,9 @@
 // builder pooled across a batch of per-answer compilations pays the
 // allocations once per worker, not once per formula.
 //
-// The package also holds the contract the kernel and the OBDD tier's anytime
-// bounds speak to their callers: Options (budget, anytime target width, stop
-// probe) and Result (exact value or certified [lo, hi] bounds plus effort
-// counters).
+// The package also holds the contract the kernel speaks to its callers in
+// both settings: Options (budget, anytime target width, stop probe) and
+// Result (exact value or certified [lo, hi] bounds plus effort counters).
 package clauseset
 
 import (
@@ -85,10 +84,10 @@ func equalClauseSets(a, b [][]int32) bool {
 }
 
 // entry interns one clause set: the canonical set itself (for structural
-// equality under its hash) and what it compiled to.
-type entry[V any] struct {
+// equality under its hash) and its probability.
+type entry struct {
 	cls [][]int32
-	val V
+	p   float64
 }
 
 // hdrArenaBlock is how many clause-set header slots the arena allocates per
@@ -98,10 +97,10 @@ const hdrArenaBlock = 4096
 // Store is the interned clause-set memo plus the header arena and scratch
 // free list its keys live in. The zero value is ready after Reset. A Store
 // is not safe for concurrent use — each compiling worker owns one.
-type Store[V any] struct {
-	memo map[uint64]entry[V]
-	over map[uint64][]entry[V] // hash collisions between distinct sets
-	free [][][]int32           // recycled headers
+type Store struct {
+	memo map[uint64]entry
+	over map[uint64][]entry // hash collisions between distinct sets
+	free [][][]int32        // recycled headers
 	// The header arena: every block ever allocated, kept across Resets, the
 	// index of the one being carved, and its unused tail.
 	blocks [][][]int32
@@ -119,9 +118,9 @@ type Store[V any] struct {
 // header handed out before — retained by Put, parked on the free list — is
 // dead after it, so the free list empties too: its headers point into
 // blocks about to be handed out again.
-func (s *Store[V]) Reset() {
+func (s *Store) Reset() {
 	if s.memo == nil {
-		s.memo = make(map[uint64]entry[V])
+		s.memo = make(map[uint64]entry)
 	}
 	clear(s.memo)
 	clear(s.over)
@@ -131,43 +130,43 @@ func (s *Store[V]) Reset() {
 
 // Counters returns the cumulative memo hits, memo misses and recycled
 // headers. They survive Reset, so per-formula figures are deltas.
-func (s *Store[V]) Counters() (hits, misses, recycled int64) {
+func (s *Store) Counters() (hits, misses, recycled int64) {
 	return s.hits, s.misses, s.recycled
 }
 
 // Get looks a canonical clause set up under its Hash.
-func (s *Store[V]) Get(h uint64, cls [][]int32) (v V, ok bool) {
+func (s *Store) Get(h uint64, cls [][]int32) (p float64, ok bool) {
 	e, ok := s.memo[h]
 	if !ok {
 		s.misses++
-		return v, false
+		return 0, false
 	}
 	if equalClauseSets(e.cls, cls) {
 		s.hits++
-		return e.val, true
+		return e.p, true
 	}
 	for _, o := range s.over[h] {
 		if equalClauseSets(o.cls, cls) {
 			s.hits++
-			return o.val, true
+			return o.p, true
 		}
 	}
 	s.misses++
-	return v, false
+	return 0, false
 }
 
 // Put interns a clause set the caller just missed on, retaining its header.
 // The common case stores the entry inline in the map; only a hash collision
 // between distinct sets allocates an overflow chain.
-func (s *Store[V]) Put(h uint64, cls [][]int32, v V) {
+func (s *Store) Put(h uint64, cls [][]int32, p float64) {
 	if _, ok := s.memo[h]; !ok {
-		s.memo[h] = entry[V]{cls: cls, val: v}
+		s.memo[h] = entry{cls: cls, p: p}
 		return
 	}
 	if s.over == nil {
-		s.over = make(map[uint64][]entry[V])
+		s.over = make(map[uint64][]entry)
 	}
-	s.over[h] = append(s.over[h], entry[V]{cls: cls, val: v})
+	s.over[h] = append(s.over[h], entry{cls: cls, p: p})
 }
 
 // Scratch returns an empty clause-set header with room for n clauses: a
@@ -176,7 +175,7 @@ func (s *Store[V]) Put(h uint64, cls [][]int32, v V) {
 // fits, else a new block (one allocation per hdrArenaBlock slots, once per
 // store — Reset rewinds instead of freeing). Headers retained by Put keep
 // their arena storage until Reset; dead ones come back through Recycle.
-func (s *Store[V]) Scratch(n int) [][]int32 {
+func (s *Store) Scratch(n int) [][]int32 {
 	if k := len(s.free); k > 0 {
 		if f := s.free[k-1]; cap(f) >= n {
 			s.free = s.free[:k-1]
@@ -197,7 +196,7 @@ func (s *Store[V]) Scratch(n int) [][]int32 {
 }
 
 // Recycle returns a clause-set header whose contents are dead.
-func (s *Store[V]) Recycle(cls [][]int32) {
+func (s *Store) Recycle(cls [][]int32) {
 	if cap(cls) > 0 {
 		s.free = append(s.free, cls)
 	}

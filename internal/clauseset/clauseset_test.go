@@ -10,7 +10,7 @@ import (
 // the counters tell hits from misses, and Reset drops both while keeping
 // the storage.
 func TestCollisionChain(t *testing.T) {
-	var s Store[float64]
+	var s Store
 	s.Reset()
 	a := [][]int32{{1, 2}, {3}}
 	b := [][]int32{{1}, {2, 3}}
@@ -61,7 +61,7 @@ func TestCollisionChain(t *testing.T) {
 // TestScratchRecycling: headers come from the arena, return through
 // Recycle, and are handed out again when they fit.
 func TestScratchRecycling(t *testing.T) {
-	var s Store[int32]
+	var s Store
 	h := s.Scratch(4)
 	if len(h) != 0 || cap(h) != 4 {
 		t.Fatalf("fresh header len %d cap %d, want 0 and 4", len(h), cap(h))
@@ -88,12 +88,12 @@ func TestScratchRecycling(t *testing.T) {
 // several blocks and one oversized request, allocates nothing — and empties
 // the free list, whose headers point into the blocks being reused.
 func TestResetRewindsArena(t *testing.T) {
-	var s Store[int32]
+	var s Store
 	lits := []int32{7}
 	formula := func() {
 		s.Reset()
 		for i := 0; i < 3*hdrArenaBlock/64; i++ {
-			s.Put(uint64(i), append(s.Scratch(64), lits), int32(i))
+			s.Put(uint64(i), append(s.Scratch(64), lits), float64(i))
 		}
 		s.Recycle(s.Scratch(hdrArenaBlock + 7))
 	}

@@ -14,9 +14,11 @@ import (
 )
 
 // This file is the OBDD tier (see tier.go for the contract): each answer's
-// DNF is Shannon-expanded under one variable order and evaluated exactly —
-// or, when the expansion exceeds the node budget, bounded by certified
-// deterministic [lo, hi] intervals (internal/obdd).
+// DNF is Shannon-expanded under one variable order (internal/obdd) in the
+// ordered setting of the compile kernel and evaluated exactly — or, when
+// the expansion exceeds the node budget, bounded by the kernel's best-first
+// anytime mode with certified deterministic [lo, hi] intervals
+// (internal/dtree).
 
 // ErrOBDDBudget is returned by OBDDLineage in exact-only mode when some answer's
 // expansion exceeds the node budget; callers fall through to the next tier.
@@ -32,15 +34,20 @@ var ErrOBDDBudget = errors.New("conf: OBDD node budget exceeded")
 // tier earns its keep. Answers whose expansion exceeds
 // opts.NodeBudget get the certified bound midpoint as their confidence (see
 // TierStats.LowerBound/UpperBound), unless exactOnly is set, in which case
-// ErrOBDDBudget is returned.
+// ErrOBDDBudget is returned — after the exact expansion alone, since the
+// anytime mode's bounds would be thrown away.
 func OBDDLineage(ctx context.Context, p *pool.Pool, l *Lineage, sig signature.Sig, opts obdd.Options, exactOnly bool) (*table.Relation, *OBDDStats, error) {
 	rank := sigRank(sig, l)
 	type state struct {
 		b     dtree.Builder
 		order obdd.OrderScratch
 	}
+	compile := dtree.ProbAnytime
+	if exactOnly {
+		compile = dtree.ProbOrdered
+	}
 	return compileLineage(ctx, p, l, opts, exactOnly, ErrOBDDBudget, func(s *state, i int) (obdd.Result, error) {
-		return obdd.ProbWith(&s.b, l.DNFs[i], l.Assign, s.order.OccurrenceOrder(l.DNFs[i], rank), opts)
+		return compile(&s.b, l.DNFs[i], l.Assign, s.order.OccurrenceOrder(l.DNFs[i], rank), opts)
 	})
 }
 

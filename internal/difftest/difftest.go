@@ -7,10 +7,13 @@
 //
 //   - prob.ProbByWorlds is the oracle (exponential, ≤ prob.MaxWorldVars);
 //   - (*prob.DNF).Prob (Shannon expansion) must match it exactly;
-//   - obdd.Prob must match exactly when it reports Exact, and its certified
-//     [Lo, Hi] interval must contain the truth otherwise — including under
-//     a deliberately starved node budget;
-//   - dtree.Prob likewise, in both full-budget and starved configurations;
+//   - dtree.ProbAnytime (the OBDD tier: the kernel's ordered setting and
+//     its best-first anytime mode, under obdd.OccurrenceOrder) must match
+//     exactly when it reports Exact, and its certified [Lo, Hi] interval
+//     must contain the truth otherwise — including under a deliberately
+//     starved node budget;
+//   - dtree.Prob (the decomposing setting) likewise, in both full-budget
+//     and starved configurations;
 //   - both compilers must be deterministic (bit-identical on a re-run);
 //   - the (ε, δ) Monte Carlo estimate must land within its advertised ε
 //     (the per-formula seed is fixed, so this is a frozen coin flip with
@@ -18,8 +21,9 @@
 //
 // The package is consumed two ways: property tests in internal/prob,
 // internal/obdd and internal/dtree feed Check with RandomDNF formulas, and
-// the FuzzCompile targets feed it (sans the slow MC leg) with DecodeDNF
-// formulas derived from fuzzer-mutated byte strings.
+// the FuzzCompile targets of internal/obdd and internal/dtree feed their
+// own tier's part of it (CheckOrdered, CheckDecomposing — sans the slow MC
+// leg) with DecodeDNF formulas derived from fuzzer-mutated byte strings.
 package difftest
 
 import (
@@ -199,8 +203,10 @@ func DecodeDNF(data []byte) (d *prob.DNF, a *prob.Assignment, ok bool) {
 // when every tier agrees and a descriptive error naming the offending tier
 // otherwise. The formula must have at most prob.MaxWorldVars variables.
 func Check(d *prob.DNF, a *prob.Assignment) error {
-	if err := CheckCompile(d, a); err != nil {
-		return err
+	for _, s := range settings(d, a) {
+		if err := checkSetting(d, a, s); err != nil {
+			return err
+		}
 	}
 	truth, err := prob.ProbByWorlds(d, a)
 	if err != nil {
@@ -221,13 +227,44 @@ func Check(d *prob.DNF, a *prob.Assignment) error {
 	return nil
 }
 
-// CheckCompile is Check without the Monte Carlo leg: the exact tiers and
-// both compilers' certified bounds against the possible-worlds oracle. The
-// fuzz targets use this variant — it keeps an execution in the microsecond
-// range, and the estimator's (ε, δ) guarantee is a statement about seeds,
-// not formulas, so fuzzing mutated formulas against it proves nothing the
-// property tests don't.
-func CheckCompile(d *prob.DNF, a *prob.Assignment) error {
+// CheckOrdered and CheckDecomposing are Check's compile legs for one
+// setting each, without the Monte Carlo leg — the FuzzCompile targets of
+// internal/obdd and internal/dtree use them, keeping an execution in the
+// microsecond range; the estimator's (ε, δ) guarantee is a statement about
+// seeds, not formulas, so fuzzing mutated formulas against it proves
+// nothing the property tests don't.
+func CheckOrdered(d *prob.DNF, a *prob.Assignment) error {
+	return checkSetting(d, a, settings(d, a)[0])
+}
+
+// CheckDecomposing: see CheckOrdered.
+func CheckDecomposing(d *prob.DNF, a *prob.Assignment) error {
+	return checkSetting(d, a, settings(d, a)[1])
+}
+
+// setting is one compile tier's entry point on a fixed formula.
+type setting struct {
+	tier string
+	run  func(o dtree.Options) (clauseset.Result, error)
+}
+
+// settings are the compile tiers on one formula: the OBDD tier —
+// dtree.ProbAnytime under obdd.OccurrenceOrder, the kernel's ordered
+// setting followed, past its budget, by the best-first anytime mode — and
+// the d-tree tier, dtree.Prob, the decomposing setting.
+func settings(d *prob.DNF, a *prob.Assignment) [2]setting {
+	var b dtree.Builder
+	order := obdd.OccurrenceOrder(d, nil)
+	return [2]setting{
+		{"obdd", func(o dtree.Options) (clauseset.Result, error) { return dtree.ProbAnytime(&b, d, a, order, o) }},
+		{"dtree", func(o dtree.Options) (clauseset.Result, error) { return dtree.Prob(d, a, o), nil }},
+	}
+}
+
+// checkSetting checks one compile tier against the possible-worlds oracle
+// (which the Shannon oracle must match): exact or certifying at the full
+// budget and at a budget of 1, and bit-identical on a re-run.
+func checkSetting(d *prob.DNF, a *prob.Assignment, s setting) error {
 	truth, err := prob.ProbByWorlds(d, a)
 	if err != nil {
 		return err
@@ -235,40 +272,22 @@ func CheckCompile(d *prob.DNF, a *prob.Assignment) error {
 	if p := d.Prob(a); math.Abs(p-truth) > exactEps {
 		return fmt.Errorf("difftest: Shannon oracle %.12f != worlds %.12f on %v", p, truth, d)
 	}
-
-	order := obdd.OccurrenceOrder(d, nil)
-	full, err := obdd.Prob(d, a, order, obdd.Options{})
+	full, err := s.run(dtree.Options{})
 	if err != nil {
-		return fmt.Errorf("difftest: obdd full-budget: %w", err)
+		return fmt.Errorf("difftest: %s full-budget: %w", s.tier, err)
 	}
-	if err := checkResult("obdd", full.Exact, full.P, full.Lo, full.Hi, truth, d); err != nil {
+	if err := checkResult(s.tier, full.Exact, full.P, full.Lo, full.Hi, truth, d); err != nil {
 		return err
 	}
-	starved, err := obdd.Prob(d, a, order, obdd.Options{NodeBudget: 1})
+	starved, err := s.run(dtree.Options{NodeBudget: 1})
 	if err != nil {
-		return fmt.Errorf("difftest: obdd starved-budget: %w", err)
+		return fmt.Errorf("difftest: %s starved-budget: %w", s.tier, err)
 	}
-	if err := checkResult("obdd[budget=1]", starved.Exact, starved.P, starved.Lo, starved.Hi, truth, d); err != nil {
+	if err := checkResult(s.tier+"[budget=1]", starved.Exact, starved.P, starved.Lo, starved.Hi, truth, d); err != nil {
 		return err
 	}
-	again, err := obdd.Prob(d, a, order, obdd.Options{})
-	if err != nil {
-		return err
-	}
-	if again != full {
-		return fmt.Errorf("difftest: obdd not deterministic: %+v then %+v on %v", full, again, d)
-	}
-
-	dfull := dtree.Prob(d, a, dtree.Options{})
-	if err := checkResult("dtree", dfull.Exact, dfull.P, dfull.Lo, dfull.Hi, truth, d); err != nil {
-		return err
-	}
-	dstarved := dtree.Prob(d, a, dtree.Options{NodeBudget: 1})
-	if err := checkResult("dtree[budget=1]", dstarved.Exact, dstarved.P, dstarved.Lo, dstarved.Hi, truth, d); err != nil {
-		return err
-	}
-	if dagain := dtree.Prob(d, a, dtree.Options{}); dagain != dfull {
-		return fmt.Errorf("difftest: dtree not deterministic: %+v then %+v on %v", dfull, dagain, d)
+	if again, err := s.run(dtree.Options{}); err != nil || again != full {
+		return fmt.Errorf("difftest: %s not deterministic: %+v then %+v (%v) on %v", s.tier, full, again, err, d)
 	}
 	return nil
 }
@@ -287,31 +306,21 @@ func CheckDegraded(d *prob.DNF, a *prob.Assignment, polls int) error {
 		left := n
 		return func() bool { left--; return left < 0 }
 	}
-
-	order := obdd.OccurrenceOrder(d, nil)
-	res, err := obdd.Prob(d, a, order, obdd.Options{Stop: stopAfter(polls)})
-	if err != nil {
-		return fmt.Errorf("difftest: obdd stopped compile: %w", err)
-	}
-	if err := checkResult(fmt.Sprintf("obdd[stop=%d]", polls), res.Exact, res.P, res.Lo, res.Hi, truth, d); err != nil {
-		return err
-	}
-	if !res.Exact && !res.Stopped {
-		return fmt.Errorf("difftest: obdd[stop=%d] inexact but not Stopped: %+v on %v", polls, res, d)
-	}
-	if again, err := obdd.Prob(d, a, order, obdd.Options{Stop: stopAfter(polls)}); err != nil || again != res {
-		return fmt.Errorf("difftest: obdd[stop=%d] not deterministic: %+v then %+v (%v) on %v", polls, res, again, err, d)
-	}
-
-	dres := dtree.Prob(d, a, dtree.Options{Stop: stopAfter(polls)})
-	if err := checkResult(fmt.Sprintf("dtree[stop=%d]", polls), dres.Exact, dres.P, dres.Lo, dres.Hi, truth, d); err != nil {
-		return err
-	}
-	if !dres.Exact && !dres.Stopped {
-		return fmt.Errorf("difftest: dtree[stop=%d] inexact but not Stopped: %+v on %v", polls, dres, d)
-	}
-	if dagain := dtree.Prob(d, a, dtree.Options{Stop: stopAfter(polls)}); dagain != dres {
-		return fmt.Errorf("difftest: dtree[stop=%d] not deterministic: %+v then %+v on %v", polls, dres, dagain, d)
+	for _, s := range settings(d, a) {
+		tier := fmt.Sprintf("%s[stop=%d]", s.tier, polls)
+		res, err := s.run(dtree.Options{Stop: stopAfter(polls)})
+		if err != nil {
+			return fmt.Errorf("difftest: %s: %w", tier, err)
+		}
+		if err := checkResult(tier, res.Exact, res.P, res.Lo, res.Hi, truth, d); err != nil {
+			return err
+		}
+		if !res.Exact && !res.Stopped {
+			return fmt.Errorf("difftest: %s inexact but not Stopped: %+v on %v", tier, res, d)
+		}
+		if again, err := s.run(dtree.Options{Stop: stopAfter(polls)}); err != nil || again != res {
+			return fmt.Errorf("difftest: %s not deterministic: %+v then %+v (%v) on %v", tier, res, again, err, d)
+		}
 	}
 
 	// The zero-work fallback for answers whose compilation never started.

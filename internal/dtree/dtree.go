@@ -10,14 +10,15 @@
 //     instead of fixing a global variable order up front, each residual is
 //     decomposed by whichever structural rule applies, and variable
 //     branching is a last resort.
-//   - The ordered setting (ProbOrdered) is the OBDD tier (internal/obdd):
-//     literals are levels of a given variable order, there is no
-//     decomposition, and every residual branches on its top level. Its
-//     expansion is exactly the Shannon recursion that builds a reduced OBDD
-//     under that order (Olteanu, Huang and Koch, "Approximate confidence
-//     computation in probabilistic databases", ICDE 2010, treat an OBDD as a
-//     d-tree with only ⊕ nodes), with the probability of each interned
-//     residual memoized in place of its diagram node.
+//   - The ordered setting (ProbOrdered, ProbAnytime) is the OBDD tier
+//     (internal/obdd derives its variable order): literals are levels of a
+//     given variable order, there is no decomposition, and every residual
+//     branches on its top level. Its expansion is exactly the Shannon
+//     recursion that builds a reduced OBDD under that order (Olteanu, Huang
+//     and Koch, "Approximate confidence computation in probabilistic
+//     databases", ICDE 2010, treat an OBDD as a d-tree with only ⊕ nodes),
+//     with the probability of each interned residual memoized in place of
+//     its diagram node.
 //
 // In the decomposing setting three rules are tried in order on every
 // residual clause set ψ (a positive DNF):
@@ -61,9 +62,21 @@
 // rule tightens: the combined children's cheap bounds always nest inside
 // the parent's, so a larger budget never loosens the interval, and the
 // depth-first expansion order is a function of the formula alone, so
-// results are deterministic. (The ordered setting's callers hand an
-// over-budget formula to obdd.Bounds instead, whose best-first expansion
-// certifies a much narrower interval for the same number of steps.)
+// results are deterministic.
+//
+// The ordered setting's anytime mode (ProbAnytime, the OBDD tier's entry)
+// spends the budget better once the exact expansion has run out of it: a
+// best-first partial Shannon expansion, after Olteanu, Huang and Koch's
+// anytime bounds, over the same canonical clause sets and cofactor split.
+// Its frontier holds unexpanded residuals, each weighted by the mass of
+// the partial assignment that leads to it; summing mass-weighted cheap
+// bounds over the frontier, plus the mass of paths already proven true,
+// certifies [Lo, Hi]. Expanding a residual replaces its contribution by its
+// two cofactors', which never loosens it (the weight sums split exactly,
+// and the heaviest clause survives into a cofactor), so every step tightens
+// the interval. The residual with the largest mass-weighted gap expands
+// first, ties by insertion order, so a larger budget only extends the
+// expansion sequence: the bounds tighten monotonically in the budget too.
 //
 // Exactly resolved residuals are interned in a clause-set store
 // (internal/clauseset: FNV-keyed memo, header arena, scratch free list),
@@ -101,12 +114,12 @@ type Builder struct {
 	steps  int
 	a      *prob.Assignment
 
-	// ordered selects the ordered setting, whose literals are levels of
-	// order (level maps a variable to its level); otherwise literals are
-	// raw variable ids.
+	// ordered selects the ordered setting, whose literals are levels of a
+	// variable order (level maps a variable to its level, probs a level to
+	// its marginal); otherwise literals are raw variable ids.
 	ordered bool
-	order   []prob.Var
 	level   map[prob.Var]int32
+	probs   []float64
 
 	// stop/stopped: the deadline probe armed from Options.Stop, and its
 	// latched outcome for the current pass.
@@ -114,11 +127,12 @@ type Builder struct {
 	stopped bool
 
 	// memo interns exactly resolved residuals and owns the clause-header
-	// arena and free list; lits is the arena clauses are built into.
-	memo clauseset.Store[float64]
-	lits []int32
+	// arena and free list; lits is the free tail of the literal arena.
+	memo           clauseset.Store
+	lits, litBlock []int32
 
-	count map[int32]int // variable-frequency and component-owner scratch
+	count    map[int32]int // variable-frequency and component-owner scratch
+	frontier frontier      // the ordered anytime mode's best-first queue
 }
 
 // stopFired polls the armed Stop probe, latching the outcome so one firing
@@ -147,7 +161,7 @@ func Prob(d *prob.DNF, a *prob.Assignment, o Options) Result {
 // identical to Prob's.
 func ProbWith(b *Builder, d *prob.DNF, a *prob.Assignment, o Options) Result {
 	b.ordered = false
-	res, _ := b.compile(d, a, o) // only the ordered lowering can fail
+	res, _ := b.compile(d, a, o, false) // only the ordered lowering can fail
 	return res
 }
 
@@ -157,29 +171,55 @@ func ProbWith(b *Builder, d *prob.DNF, a *prob.Assignment, o Options) Result {
 // result is exact when the expansion fits o's budget; otherwise it carries
 // the depth-first clause-weight bounds described above, marked Stopped when
 // Options.Stop cut it short. o.TargetWidth plays no part: there is a single
-// pass. The result is a deterministic function of (d, a, order, o).
+// pass. This is the exact-only path: a caller that discards inexact results
+// spends no more than the budget. The result is a deterministic function
+// of (d, a, order, o).
 func ProbOrdered(b *Builder, d *prob.DNF, a *prob.Assignment, order []prob.Var, o Options) (Result, error) {
-	b.ordered, b.order = true, order
+	b.setOrder(order, a)
+	return b.compile(d, a, o, false)
+}
+
+// ProbAnytime is ProbOrdered followed, when the exact expansion ran out of
+// budget, by the best-first anytime mode described above: a fresh budget of
+// best-first steps, stopping early once hi-lo ≤ o.TargetWidth. Nodes then
+// counts both runs' steps. An expansion that Options.Stop cut short keeps
+// its own bounds. The result is a deterministic function of
+// (d, a, order, o), and a larger budget never loosens it.
+func ProbAnytime(b *Builder, d *prob.DNF, a *prob.Assignment, order []prob.Var, o Options) (Result, error) {
+	b.setOrder(order, a)
+	return b.compile(d, a, o, true)
+}
+
+// setOrder selects the ordered setting under the given variable order and
+// tabulates each level's marginal under a.
+func (b *Builder) setOrder(order []prob.Var, a *prob.Assignment) {
+	b.ordered = true
 	if b.level == nil {
 		b.level = make(map[prob.Var]int32, len(order))
 	}
 	clear(b.level)
+	b.probs = b.probs[:0]
 	for i, v := range order {
 		b.level[v] = int32(i)
+		b.probs = append(b.probs, a.P(v))
 	}
-	return b.compile(d, a, o)
 }
 
-// compile resets the builder for one formula, runs it and reports the memo
+// compile resets the builder for one formula, runs it — continuing an
+// over-budget run best-first when anytime is set — and reports the memo
 // counters the run moved.
-func (b *Builder) compile(d *prob.DNF, a *prob.Assignment, o Options) (Result, error) {
+func (b *Builder) compile(d *prob.DNF, a *prob.Assignment, o Options, anytime bool) (Result, error) {
 	if b.count == nil {
 		b.count = make(map[int32]int)
 	}
 	b.memo.Reset()
+	b.lits = b.litBlock // the memo and the frontier held the last formula's clauses
 	b.a, b.stop, b.stopped = a, o.Stop, false
 	hits0, misses0, rec0 := b.memo.Counters()
 	res, err := b.passes(d, o)
+	if anytime && err == nil && !res.Exact && !res.Stopped {
+		res = b.bestFirst(d, o, res.Nodes)
+	}
 	b.a, b.stop = nil, nil
 	hits, misses, rec := b.memo.Counters()
 	res.MemoHits, res.MemoMisses, res.HdrRecycled = hits-hits0, misses-misses0, rec-rec0
@@ -267,7 +307,7 @@ func (b *Builder) lower(d *prob.DNF) ([][]int32, error) {
 // p returns the marginal of a literal.
 func (b *Builder) p(l int32) float64 {
 	if b.ordered {
-		return b.a.P(b.order[l])
+		return b.probs[l]
 	}
 	return b.a.P(prob.Var(l))
 }
@@ -379,6 +419,140 @@ func (b *Builder) condition(cls [][]int32) (pos, neg [][]int32, posTrue bool) {
 		pos = append(pos, c)
 	}
 	return append(pos, rest...), neg, false
+}
+
+// bestFirst is the ordered setting's anytime mode (see the package doc),
+// run on a formula whose exact expansion spent `spent` steps and ran out of
+// budget. It starts over from the lowered formula on a rewound store (the
+// exact run's memo is not consulted), queues residuals on the builder's
+// frontier, and recycles each residual's header once it is expanded.
+func (b *Builder) bestFirst(d *prob.DNF, o Options, spent int) Result {
+	b.memo.Reset()
+	cls, _ := b.lower(d) // the exact run lowered d without error
+	// sumDone accumulates exactly resolved mass: paths proven true, and
+	// residuals whose cheap bounds coincide (empty sets, single clauses),
+	// which never enter the frontier. accLo/accHi sum the frontier's
+	// mass-weighted cheap bounds.
+	sumDone, accLo, accHi := 0.0, 0.0, 0.0
+	seq := 0
+	add := func(cls [][]int32, mass float64) {
+		var wb prob.WeightBound
+		for _, c := range cls {
+			wb.Add(b.weight(c))
+		}
+		lo, hi := wb.Interval()
+		if lo == hi {
+			sumDone += mass * lo
+			b.memo.Recycle(cls)
+			return
+		}
+		accLo += mass * lo
+		accHi += mass * hi
+		b.frontier.push(frontierEntry{cls: cls, mass: mass, lo: lo, hi: hi, gap: mass * (hi - lo), seq: seq})
+		seq++
+	}
+	b.frontier = b.frontier[:0]
+	add(cls, 1)
+	steps, budget, stopped := 0, o.Budget(), false
+	for len(b.frontier) > 0 && steps < budget {
+		if (sumDone+accHi)-(sumDone+accLo) <= o.TargetWidth {
+			break
+		}
+		if b.stopFired() {
+			stopped = true
+			break
+		}
+		e := b.frontier.pop()
+		accLo -= e.mass * e.lo
+		accHi -= e.mass * e.hi
+		steps++
+		p := b.p(e.cls[0][0])
+		pos, neg, posTrue := b.condition(e.cls)
+		b.memo.Recycle(e.cls)
+		if posTrue {
+			sumDone += e.mass * p
+		} else {
+			add(pos, e.mass*p)
+		}
+		add(neg, e.mass*(1-p))
+	}
+	exact := len(b.frontier) == 0
+	lo, hi := clamp01(sumDone+accLo), clamp01(sumDone+accHi)
+	if hi < lo {
+		hi = lo // floating accumulation can cross by an ulp
+	}
+	if exact {
+		lo, hi = clamp01(sumDone), clamp01(sumDone)
+	}
+	return Result{Exact: exact, P: (lo + hi) / 2, Lo: lo, Hi: hi, Nodes: spent + steps,
+		Stopped: stopped && !exact}
+}
+
+func clamp01(x float64) float64 { return min(max(x, 0), 1) }
+
+// frontierEntry is one unexpanded residual of the anytime mode: its clause
+// set, the mass of the path reaching it, its cheap bounds, and its
+// expansion priority — the cached gap mass·(hi-lo), ties by insertion seq.
+type frontierEntry struct {
+	cls               [][]int32
+	mass, lo, hi, gap float64
+	seq               int
+}
+
+func (e *frontierEntry) before(f *frontierEntry) bool {
+	if e.gap != f.gap {
+		return e.gap > f.gap
+	}
+	return e.seq < f.seq
+}
+
+// frontier is a binary heap of entries, the first to expand on top.
+type frontier []frontierEntry
+
+// push sifts e up from the end, moving the entries it passes down one
+// level and writing e once where it stops.
+func (q *frontier) push(e frontierEntry) {
+	h := append(*q, e)
+	i := len(h) - 1
+	for i > 0 {
+		up := (i - 1) / 2
+		if !e.before(&h[up]) {
+			break
+		}
+		h[i] = h[up]
+		i = up
+	}
+	h[i] = e
+	*q = h
+}
+
+// pop removes the top entry and sifts the last one down into its place
+// the same way.
+func (q *frontier) pop() frontierEntry {
+	h := *q
+	top, n := h[0], len(h)-1
+	last := h[n]
+	h = h[:n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].before(&h[c]) {
+			c++
+		}
+		if !h[c].before(&last) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	if n > 0 {
+		h[i] = last
+	}
+	*q = h
+	return top
 }
 
 // decompose applies the decomposing setting's first matching rule:
@@ -585,15 +759,13 @@ func (b *Builder) cofactorNeg(cls [][]int32, v int32) [][]int32 {
 const litArenaBlock = 8192
 
 // allocLits carves literal storage for one rebuilt clause from the literal
-// arena (never recycled within a formula: stripped clauses may be retained
-// by the memo).
+// arena, which only compile rewinds (the memo may retain stripped clauses).
+// A formula that outgrows the block moves on to one at least twice as
+// large, which the next starts from: a steady recompile allocates none.
 func (b *Builder) allocLits(n int) []int32 {
 	if len(b.lits) < n {
-		size := litArenaBlock
-		if n > size {
-			size = n
-		}
-		b.lits = make([]int32, size)
+		b.litBlock = make([]int32, max(n, 2*cap(b.litBlock), litArenaBlock))
+		b.lits = b.litBlock
 	}
 	s := b.lits[:0:n]
 	b.lits = b.lits[n:]

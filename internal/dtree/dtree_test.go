@@ -32,6 +32,21 @@ func TestTerminals(t *testing.T) {
 	if res := dtree.Prob(one, a, dtree.Options{NodeBudget: 1}); !res.Exact {
 		t.Errorf("single clause under budget 1: %+v, want exact", res)
 	}
+	// The ordered setting's entry resolves them before its anytime mode
+	// could start, at any budget.
+	var b dtree.Builder
+	for _, c := range []struct {
+		name string
+		d    *prob.DNF
+		want float64
+	}{{"empty DNF", &prob.DNF{}, 0}, {"⊤", top, 1}, {"single clause", one, 0.3 * 0.4}} {
+		for _, budget := range []int{1, 0} {
+			res, err := dtree.ProbAnytime(&b, c.d, a, obdd.OccurrenceOrder(c.d, nil), dtree.Options{NodeBudget: budget})
+			if err != nil || !res.Exact || res.P != c.want || res.Nodes != 0 {
+				t.Errorf("ordered %s, budget %d: %+v, %v; want exact %v in 0 steps", c.name, budget, res, err, c.want)
+			}
+		}
+	}
 }
 
 // TestDecompositionRules pins each rule on the worked example from the
@@ -85,7 +100,7 @@ func TestDifferential(t *testing.T) {
 // TestBlocksClassOBDDBlowup is the acceptance scenario, run on the two
 // settings of one kernel builder: on the interleaved blocks class the
 // ordered setting exceeds the default budget (OBDD width ~3^k under the
-// occurrence order), and the OBDD tier's anytime mode still certifies the
+// occurrence order), and its best-first anytime mode still certifies the
 // truth, while the decomposing setting splits the blocks by independent-OR
 // and stays exact, matching the closed form, in far fewer steps.
 func TestBlocksClassOBDDBlowup(t *testing.T) {
@@ -101,12 +116,15 @@ func TestBlocksClassOBDDBlowup(t *testing.T) {
 	if or.Exact || or.Nodes != dtree.DefaultNodeBudget {
 		t.Fatalf("ordered setting on the %d-block class: %+v — class no longer a blow-up", k, or)
 	}
-	bounded, err := obdd.ProbWith(&b, d, a, order, obdd.Options{})
+	bounded, err := dtree.ProbAnytime(&b, d, a, order, dtree.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if truth < bounded.Lo-1e-9 || truth > bounded.Hi+1e-9 {
 		t.Errorf("OBDD bounds [%.9f, %.9f] do not certify truth %.9f", bounded.Lo, bounded.Hi, truth)
+	}
+	if w := bounded.Hi - bounded.Lo; w >= or.Hi-or.Lo || bounded.Nodes <= or.Nodes {
+		t.Errorf("anytime mode: %+v after the exact run's %+v — no best-first steps, or no narrower interval", bounded, or)
 	}
 
 	dr := dtree.ProbWith(&b, d, a, dtree.Options{})
@@ -121,8 +139,11 @@ func TestBlocksClassOBDDBlowup(t *testing.T) {
 	}
 }
 
-// TestBoundsMonotoneInBudget: growing the step budget never loosens the
-// certified interval, and the bounds always contain the exact value.
+// TestBoundsMonotoneInBudget: in both settings — the decomposing one's
+// depth-first bounds and the ordered one's best-first anytime mode —
+// growing the step budget never loosens the certified interval, the bounds
+// always contain the exact value, and an ample budget closes them, on one
+// 30-clause formula over 20 variables.
 func TestBoundsMonotoneInBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	d := &prob.DNF{}
@@ -139,25 +160,45 @@ func TestBoundsMonotoneInBudget(t *testing.T) {
 		d.Add(prob.NewClause(vars...))
 	}
 	exact := dtree.Prob(d, a, dtree.Options{})
-	if !exact.Exact {
-		t.Fatalf("full budget did not resolve exactly: %+v", exact)
+	if !exact.Exact || !prob.ApproxEqual(exact.P, d.Prob(a), 1e-9) {
+		t.Fatalf("full budget %+v, Shannon oracle %.9f", exact, d.Prob(a))
 	}
-	prevLo, prevHi := 0.0, 1.0
-	for budget := 1; budget <= 1<<12; budget *= 2 {
-		res := dtree.Prob(d, a, dtree.Options{NodeBudget: budget})
-		if res.Lo > exact.P+1e-9 || res.Hi < exact.P-1e-9 {
-			t.Fatalf("budget %d: [%.9f, %.9f] does not contain exact %.9f", budget, res.Lo, res.Hi, exact.P)
+	var b dtree.Builder
+	order := obdd.OccurrenceOrder(d, nil)
+	for _, setting := range []struct {
+		name string
+		run  func(budget int) dtree.Result
+	}{
+		{"decomposing", func(budget int) dtree.Result {
+			return dtree.Prob(d, a, dtree.Options{NodeBudget: budget})
+		}},
+		{"ordered anytime", func(budget int) dtree.Result {
+			res, err := dtree.ProbAnytime(&b, d, a, order, dtree.Options{NodeBudget: budget})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}},
+	} {
+		prevLo, prevHi := 0.0, 1.0
+		converged := false
+		for budget := 1; budget <= 1<<12 && !converged; budget *= 2 {
+			res := setting.run(budget)
+			if res.Lo > exact.P+1e-9 || res.Hi < exact.P-1e-9 {
+				t.Fatalf("%s, budget %d: [%.9f, %.9f] does not contain exact %.9f",
+					setting.name, budget, res.Lo, res.Hi, exact.P)
+			}
+			if res.Lo < prevLo-1e-12 || res.Hi > prevHi+1e-12 {
+				t.Fatalf("%s, budget %d loosened the interval: [%.9f, %.9f] after [%.9f, %.9f]",
+					setting.name, budget, res.Lo, res.Hi, prevLo, prevHi)
+			}
+			prevLo, prevHi = res.Lo, res.Hi
+			converged = res.Exact // later budgets are identical
 		}
-		if res.Lo < prevLo-1e-12 || res.Hi > prevHi+1e-12 {
-			t.Fatalf("budget %d loosened the interval: [%.9f, %.9f] after [%.9f, %.9f]",
-				budget, res.Lo, res.Hi, prevLo, prevHi)
-		}
-		prevLo, prevHi = res.Lo, res.Hi
-		if res.Exact {
-			return // converged; later budgets are identical
+		if !converged {
+			t.Fatalf("%s: never converged to exact within 2^12 steps", setting.name)
 		}
 	}
-	t.Fatal("never converged to exact within 2^12 steps")
 }
 
 // TestTargetWidth: anytime mode stops at the first pass whose certified
@@ -178,11 +219,37 @@ func TestTargetWidth(t *testing.T) {
 	if !full.Exact || !prob.ApproxEqual(full.P, truth, 1e-9) {
 		t.Fatalf("full compile: %+v, closed form %.12f", full, truth)
 	}
+
+	// The ordered setting's anytime mode stops at the first best-first step
+	// whose interval is narrow enough: on 12 blocks, whose exact expansion
+	// runs out of a 300-step budget, the interval after the whole budget is
+	// ≈ 0.14 wide, so a target of 0.2 is met with budget to spare.
+	d, a, truth = difftest.BlocksDNF(12)
+	order := obdd.OccurrenceOrder(d, nil)
+	var b dtree.Builder
+	spent, err := dtree.ProbAnytime(&b, d, a, order, dtree.Options{NodeBudget: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	early, err := dtree.ProbAnytime(&b, d, a, order, dtree.Options{NodeBudget: 300, TargetWidth: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spent.Exact || spent.Hi-spent.Lo > 0.2 {
+		t.Fatalf("full 300-step budget: %+v, want bounds narrower than 0.2", spent)
+	}
+	if early.Hi-early.Lo > 0.2 || early.Nodes >= spent.Nodes {
+		t.Errorf("TargetWidth 0.2: %+v, want width ≤ 0.2 in fewer steps than the full budget's %d", early, spent.Nodes)
+	}
+	if truth < early.Lo-1e-9 || truth > early.Hi+1e-9 {
+		t.Errorf("[%.9f, %.9f] does not certify truth %.9f", early.Lo, early.Hi, truth)
+	}
 }
 
 // TestBuilderReset: a pooled builder reused across formulas gives
-// bit-identical results to fresh builders — the contract the per-worker
-// pooling in internal/conf relies on.
+// bit-identical results to fresh builders, in both settings and whether or
+// not the ordered anytime mode runs — the contract the per-worker pooling
+// in internal/conf relies on, and the results' determinism.
 func TestBuilderReset(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	type formula struct {
@@ -203,12 +270,28 @@ func TestBuilderReset(t *testing.T) {
 		if fresh != pooled {
 			t.Fatalf("formula %d: fresh %+v != pooled %+v", i, fresh, pooled)
 		}
+		order := obdd.OccurrenceOrder(f.d, nil)
+		for _, budget := range []int{2, 10, 0} {
+			o := dtree.Options{NodeBudget: budget}
+			fresh, err := dtree.ProbAnytime(new(dtree.Builder), f.d, f.a, order, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pooled, err := dtree.ProbAnytime(&b, f.d, f.a, order, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fresh != pooled {
+				t.Fatalf("formula %d, ordered, budget %d: fresh %+v != pooled %+v", i, budget, fresh, pooled)
+			}
+		}
 	}
 }
 
 // TestResetKeepsHeaderArena: re-decomposing the benchmark-shaped formula on
 // a reused builder allocates no clause-set header block, ever again, and
-// recycles exactly as many headers as the run before.
+// recycles exactly as many headers as the run before. internal/obdd pins the
+// same for the ordered setting, within the budget and over it.
 func TestResetKeepsHeaderArena(t *testing.T) {
 	d, a := difftest.JoinDNF(rand.New(rand.NewSource(1)), 12, 12, 51)
 	var b dtree.Builder
@@ -221,17 +304,38 @@ func TestResetKeepsHeaderArena(t *testing.T) {
 }
 
 // TestBoundedMidpoint: a bounded result reports the interval midpoint so
-// |P - truth| ≤ (Hi-Lo)/2 — the contract the conf layer's stats rely on.
+// |P - truth| ≤ (Hi-Lo)/2 — the contract the conf layer's stats rely on —
+// in the decomposing setting and in the ordered one, whose anytime mode a
+// starved budget forces, on the 12-block class.
 func TestBoundedMidpoint(t *testing.T) {
+	check := func(name string, res dtree.Result, truth float64) {
+		t.Helper()
+		if res.Exact && !prob.ApproxEqual(res.P, truth, 1e-9) {
+			t.Errorf("%s: exact result %v, truth %v", name, res.P, truth)
+		}
+		if res.P != (res.Lo+res.Hi)/2 {
+			t.Errorf("%s: P = %v is not the midpoint of [%v, %v]", name, res.P, res.Lo, res.Hi)
+		}
+		if math.Abs(res.P-truth) > (res.Hi-res.Lo)/2+1e-12 {
+			t.Errorf("%s: midpoint error %g exceeds half-width %g", name, math.Abs(res.P-truth), (res.Hi-res.Lo)/2)
+		}
+	}
+	var b dtree.Builder
+	ordered := func(d *prob.DNF, a *prob.Assignment, budget int) dtree.Result {
+		res, err := dtree.ProbAnytime(&b, d, a, obdd.OccurrenceOrder(d, nil), dtree.Options{NodeBudget: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
 	d, a, truth := difftest.BlocksDNF(12)
-	res := dtree.Prob(d, a, dtree.Options{NodeBudget: 3})
-	if res.Exact {
-		t.Fatalf("budget 3 resolved a 12-block class exactly: %+v", res)
-	}
-	if res.P != (res.Lo+res.Hi)/2 {
-		t.Errorf("P = %v is not the midpoint of [%v, %v]", res.P, res.Lo, res.Hi)
-	}
-	if math.Abs(res.P-truth) > (res.Hi-res.Lo)/2+1e-12 {
-		t.Errorf("midpoint error %g exceeds half-width %g", math.Abs(res.P-truth), (res.Hi-res.Lo)/2)
+	for name, res := range map[string]dtree.Result{
+		"decomposing": dtree.Prob(d, a, dtree.Options{NodeBudget: 3}),
+		"ordered":     ordered(d, a, 3),
+	} {
+		if res.Exact {
+			t.Fatalf("%s: budget 3 resolved a 12-block class exactly: %+v", name, res)
+		}
+		check(name, res, truth)
 	}
 }

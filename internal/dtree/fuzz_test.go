@@ -8,10 +8,12 @@ import (
 
 // FuzzCompile feeds fuzzer-mutated byte strings through difftest.DecodeDNF
 // (≤ 12 variables, so the possible-worlds oracle applies) and runs the
-// compile-tier differential battery: Shannon oracle, OBDD and d-tree — full
-// and starved budgets — against prob.ProbByWorlds. Any decomposition-rule
-// bug that produces a wrong exact value, a non-certifying interval or a
-// nondeterministic result is a crash.
+// decomposing setting's differential battery (difftest.CheckDecomposing):
+// Shannon oracle and d-tree — full and starved budgets — against
+// prob.ProbByWorlds. Any decomposition-rule bug that produces a wrong exact
+// value, a non-certifying interval or a nondeterministic result is a crash.
+// internal/obdd's target runs the ordered setting over the same decoder and
+// corpus.
 func FuzzCompile(f *testing.F) {
 	for _, seed := range [][]byte{
 		{0x11, 1, 2, 0, 3, 4},                   // two disjoint clauses: independent-OR
@@ -27,7 +29,7 @@ func FuzzCompile(f *testing.F) {
 		if !ok {
 			return
 		}
-		if err := difftest.CheckCompile(d, a); err != nil {
+		if err := difftest.CheckDecomposing(d, a); err != nil {
 			t.Fatal(err)
 		}
 	})

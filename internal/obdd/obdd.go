@@ -18,26 +18,26 @@
 //
 // When it does not stay small — compilation is #P-hard in general, so the
 // node budget (Options.NodeBudget, counting expansion steps) must give out
-// somewhere — the package switches to an anytime mode (bounds.go): a
-// best-first partial Shannon expansion maintains certified deterministic
-// bounds [lo, hi] on the probability that tighten monotonically with every
-// step, terminating early once the interval reaches a target width or the
-// step budget is spent. What stays in this package is what only an ordered
-// expansion needs: the variable order (OccurrenceOrder) and the anytime
-// Bounds.
+// somewhere — the kernel's ordered setting switches to its anytime mode
+// (dtree.ProbAnytime): a best-first partial Shannon expansion over the same
+// residual clause sets maintains certified deterministic bounds [lo, hi] on
+// the probability that tighten monotonically with every step, terminating
+// early once the interval reaches a target width or the step budget is
+// spent. What stays in this package is what only an ordered expansion
+// needs: the variable order (OccurrenceOrder).
 package obdd
 
 import (
 	"slices"
 
 	"repro/internal/clauseset"
-	"repro/internal/dtree"
 	"repro/internal/prob"
 )
 
 // Options, Result and DefaultNodeBudget are the compile kernel's contract
-// (internal/clauseset); NodeBudget counts expansion steps — of the exact
-// expansion, and again of the anytime mode's.
+// (internal/clauseset), under the names the OBDD tier's callers use;
+// NodeBudget counts expansion steps — of the exact expansion, and again of
+// the anytime mode's.
 type (
 	Options = clauseset.Options
 	Result  = clauseset.Result
@@ -46,33 +46,6 @@ type (
 // DefaultNodeBudget caps the expansion steps when Options.NodeBudget is
 // zero.
 const DefaultNodeBudget = clauseset.DefaultNodeBudget
-
-// Prob computes Pr[d] under the given variable order: exact when the
-// ordered expansion fits the node budget, certified [lo, hi] bounds via the
-// anytime mode otherwise. The order must mention every variable of d. The
-// result is a deterministic function of (d, a, order, o).
-func Prob(d *prob.DNF, a *prob.Assignment, order []prob.Var, o Options) (Result, error) {
-	return ProbWith(new(dtree.Builder), d, a, order, o)
-}
-
-// ProbWith is Prob over a caller-supplied kernel builder, so a batch of
-// per-answer compilations reuses one builder's memo and arenas; the result
-// is identical to Prob's. An expansion that Options.Stop cut short keeps
-// its own certified bounds; one that ran out of budget is handed, whole, to
-// Bounds, whose Nodes then include the abandoned expansion's steps.
-func ProbWith(b *dtree.Builder, d *prob.DNF, a *prob.Assignment, order []prob.Var, o Options) (Result, error) {
-	res, err := dtree.ProbOrdered(b, d, a, order, o)
-	if err != nil || res.Exact || res.Stopped {
-		return res, err
-	}
-	bounded, err := Bounds(d, a, order, o)
-	if err != nil {
-		return Result{}, err
-	}
-	bounded.Nodes += res.Nodes
-	bounded.MemoHits, bounded.MemoMisses, bounded.HdrRecycled = res.MemoHits, res.MemoMisses, res.HdrRecycled
-	return bounded, nil
-}
 
 // OccurrenceOrder derives a variable order from the lineage itself:
 // variables are ranked by first occurrence scanning the clauses left to

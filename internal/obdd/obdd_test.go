@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/dtree"
 	"repro/internal/prob"
 )
 
@@ -31,14 +32,14 @@ func randDNF(rng *rand.Rand, maxVars int) (*prob.DNF, *prob.Assignment) {
 }
 
 // TestCompileMatchesOracles: the ordered expansion's probability of random
-// DNFs matches both exact oracles (Shannon expansion with free variable choice, and
-// possible-world enumeration) to 1e-9.
+// DNFs under OccurrenceOrder matches both exact oracles (Shannon expansion
+// with free variable choice, and possible-world enumeration) to 1e-9.
 func TestCompileMatchesOracles(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 300; trial++ {
 		d, a := randDNF(rng, 12)
 		order := OccurrenceOrder(d, nil)
-		res, err := Prob(d, a, order, Options{})
+		res, err := dtree.ProbAnytime(new(dtree.Builder), d, a, order, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -58,21 +59,30 @@ func TestCompileMatchesOracles(t *testing.T) {
 	}
 }
 
+// anytime runs the OBDD tier's compile on a builder: the kernel's ordered
+// setting under order, continued best-first once the budget runs out.
+func anytime(t *testing.T, b *dtree.Builder, d *prob.DNF, a *prob.Assignment, order []prob.Var, o Options) Result {
+	t.Helper()
+	res, err := dtree.ProbAnytime(b, d, a, order, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestBoundsInvariants: for random DNFs and growing budgets, the anytime
 // bounds always bracket the exact probability and tighten monotonically
 // with the budget; an ample budget closes them completely.
 func TestBoundsInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
+	var b dtree.Builder
 	for trial := 0; trial < 100; trial++ {
 		d, a := randDNF(rng, 10)
 		order := OccurrenceOrder(d, nil)
 		exact := d.Prob(a)
 		prevWidth := math.Inf(1)
 		for _, budget := range []int{1, 2, 4, 8, 16, 64, 1 << 20} {
-			res, err := Bounds(d, a, order, Options{NodeBudget: budget})
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := anytime(t, &b, d, a, order, Options{NodeBudget: budget})
 			if res.Lo > exact+1e-9 || res.Hi < exact-1e-9 {
 				t.Errorf("trial %d budget %d: [%g, %g] does not bracket exact %g for %s",
 					trial, budget, res.Lo, res.Hi, exact, d)
@@ -83,10 +93,7 @@ func TestBoundsInvariants(t *testing.T) {
 			}
 			prevWidth = width
 		}
-		res, err := Bounds(d, a, order, Options{NodeBudget: 1 << 20})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := anytime(t, &b, d, a, order, Options{NodeBudget: 1 << 20})
 		if !res.Exact || !prob.ApproxEqual(res.P, exact, 1e-9) {
 			t.Errorf("trial %d: ample budget should close bounds exactly: got %+v want %g", trial, res, exact)
 		}
@@ -97,51 +104,47 @@ func TestBoundsInvariants(t *testing.T) {
 // early at the requested interval width.
 func TestBoundsTargetWidth(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
+	var b dtree.Builder
 	for trial := 0; trial < 50; trial++ {
 		d, a := randDNF(rng, 10)
 		order := OccurrenceOrder(d, nil)
-		res, err := Bounds(d, a, order, Options{NodeBudget: 1 << 20, TargetWidth: 0.1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := anytime(t, &b, d, a, order, Options{NodeBudget: 1 << 20, TargetWidth: 0.1})
 		if res.Hi-res.Lo > 0.1 {
 			t.Errorf("trial %d: width %g exceeds target 0.1", trial, res.Hi-res.Lo)
 		}
 	}
 }
 
-// TestBoundsDeterministic: same inputs, same bounds — bit for bit.
+// TestBoundsDeterministic: same inputs, same bounds — bit for bit, on a
+// fresh builder and on one reused across runs, whether the anytime mode
+// runs (budgets 2 and 10) or not.
 func TestBoundsDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	d, a := randDNF(rng, 12)
 	order := OccurrenceOrder(d, nil)
-	first, err := Bounds(d, a, order, Options{NodeBudget: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		again, err := Bounds(d, a, order, Options{NodeBudget: 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if again != first {
-			t.Fatalf("run %d: %+v != %+v", i, again, first)
+	var b dtree.Builder
+	for _, budget := range []int{2, 10, 0} {
+		o := Options{NodeBudget: budget}
+		first := anytime(t, new(dtree.Builder), d, a, order, o)
+		for i := 0; i < 5; i++ {
+			if again := anytime(t, &b, d, a, order, o); again != first {
+				t.Fatalf("budget %d, run %d: %+v != %+v", budget, i, again, first)
+			}
 		}
 	}
 }
 
-// TestProbBudgetFallsBackToBounds: a tiny node budget forces Prob into the
-// anytime mode, which still brackets the truth.
+// TestProbBudgetFallsBackToBounds: a tiny node budget forces the compile
+// into the anytime mode, which still brackets the truth and reports the
+// interval's midpoint.
 func TestProbBudgetFallsBackToBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
+	var b dtree.Builder
 	for trial := 0; trial < 30; trial++ {
 		d, a := randDNF(rng, 10)
 		order := OccurrenceOrder(d, nil)
 		exact := d.Prob(a)
-		res, err := Prob(d, a, order, Options{NodeBudget: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := anytime(t, &b, d, a, order, Options{NodeBudget: 2})
 		if res.Exact && !prob.ApproxEqual(res.P, exact, 1e-9) {
 			t.Errorf("trial %d: exact-under-budget result %g != %g", trial, res.P, exact)
 		}
@@ -154,26 +157,24 @@ func TestProbBudgetFallsBackToBounds(t *testing.T) {
 	}
 }
 
-// TestTrivialFormulas: the degenerate shapes compile to terminals.
+// TestTrivialFormulas: the degenerate shapes compile to terminals, under
+// the orders OccurrenceOrder derives for them.
 func TestTrivialFormulas(t *testing.T) {
 	a := prob.NewAssignment()
 	a.MustSet(1, 0.5)
-	empty := prob.NewDNF()
-	res, err := Prob(empty, a, nil, Options{})
-	if err != nil || !res.Exact || res.P != 0 {
-		t.Errorf("empty DNF: %+v, %v", res, err)
-	}
-	taut := prob.NewDNF(prob.Clause{})
-	res, err = Prob(taut, a, nil, Options{})
-	if err != nil || !res.Exact || res.P != 1 {
-		t.Errorf("tautology: %+v, %v", res, err)
-	}
-	if r, err := Bounds(taut, a, nil, Options{}); err != nil || !r.Exact || r.P != 1 {
-		t.Errorf("tautology bounds: %+v, %v", r, err)
-	}
-	single := prob.NewDNF(prob.NewClause(1))
-	res, err = Prob(single, a, []prob.Var{1}, Options{})
-	if err != nil || !res.Exact || res.P != 0.5 {
-		t.Errorf("single literal: %+v, %v", res, err)
+	var b dtree.Builder
+	for _, c := range []struct {
+		name string
+		d    *prob.DNF
+		want float64
+	}{
+		{"empty DNF", prob.NewDNF(), 0},
+		{"tautology", prob.NewDNF(prob.Clause{}), 1},
+		{"single literal", prob.NewDNF(prob.NewClause(1)), 0.5},
+	} {
+		res, err := dtree.ProbAnytime(&b, c.d, a, OccurrenceOrder(c.d, nil), Options{})
+		if err != nil || !res.Exact || res.P != c.want {
+			t.Errorf("%s: %+v, %v", c.name, res, err)
+		}
 	}
 }

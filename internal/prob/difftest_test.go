@@ -4,6 +4,7 @@
 package prob_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -36,7 +37,12 @@ func BenchmarkMCSample(b *testing.B) {
 			b.ReportAllocs()
 			samples := 0
 			for i := 0; i < b.N; i++ {
-				samples += prob.MCProb(d, a, prob.MCOptions{Epsilon: 0.05, Delta: 0.01, Seed: int64(i), Method: m}).Samples
+				est, err := prob.EstimateAllCtx(context.Background(), []*prob.DNF{d}, a,
+					prob.MCOptions{Epsilon: 0.05, Delta: 0.01, Seed: int64(i), Method: m})
+				if err != nil {
+					b.Fatal(err)
+				}
+				samples += est[0].Samples
 			}
 			b.ReportMetric(float64(samples)/b.Elapsed().Seconds(), "samples/s")
 		})

@@ -18,7 +18,7 @@ import (
 // (karpluby.go) — behind a single (ε, δ) interface: the returned estimate is
 // within ε of the true probability with probability at least 1-δ. Both
 // count over the blocks of one kernel (sampler.sample) that draws 64
-// possible worlds per machine word. EstimateAll fans a batch of per-answer
+// possible worlds per machine word. EstimateAllCtx fans a batch of per-answer
 // formulas out to a worker pool with one deterministic generator per
 // formula, so results are reproducible regardless of scheduling.
 
@@ -77,7 +77,7 @@ type MCOptions struct {
 	MaxSamples int
 	// Method forces a sampler; MCAuto (the zero value) picks per formula.
 	Method MCMethod
-	// Workers sizes EstimateAll's worker pool; 0 defaults to GOMAXPROCS.
+	// Workers sizes EstimateAllCtx's worker pool; 0 defaults to GOMAXPROCS.
 	Workers int
 	// Pool, when set, supplies the worker pool — the engine passes its
 	// shared pool here so estimation draws from the same slot budget as
@@ -400,41 +400,17 @@ func (s *sampler) estimateOne(ctx context.Context, d *DNF, a *Assignment, o MCOp
 	return s.estimate(ctx, o)
 }
 
-// MCProb estimates Pr[φ] for a single formula with the given options,
-// seeding the sampler from opts.Seed.
-func MCProb(d *DNF, a *Assignment, opts MCOptions) MCEstimate {
-	est, err := new(sampler).estimateOne(context.Background(), d, a, opts.withDefaults(), 0)
-	if err != nil {
-		// estimate only errors on context cancellation, and a background
-		// context cannot cancel.
-		panic("prob: estimator errored without cancellation: " + err.Error())
-	}
-	return est
-}
-
-// EstimateAll estimates every formula of a batch — typically the per-answer
-// lineage of one query — fanning the formulas out to a worker pool of
-// opts.Workers goroutines (default GOMAXPROCS). Each formula gets its own
-// generator seeded from (opts.Seed, index), so the result is a deterministic
-// function of the input and options, independent of scheduling and worker
-// count. The assignment is read concurrently and must not be mutated during
-// the call.
-func EstimateAll(dnfs []*DNF, a *Assignment, opts MCOptions) []MCEstimate {
-	out, err := EstimateAllCtx(context.Background(), dnfs, a, opts)
-	if err != nil {
-		// The only error source is context cancellation, and a background
-		// context cannot cancel.
-		panic("prob: estimator errored without cancellation: " + err.Error())
-	}
-	return out
-}
-
-// EstimateAllCtx is EstimateAll with cancellation: a cancelled context stops
-// the samplers mid-run (they check every few thousand samples) and returns
-// ctx.Err(). The worker pool is opts.Pool when set — sharing the engine-wide
-// slot budget — and a fresh pool of opts.Workers otherwise. Each worker
-// draws a sampler from a sync.Pool, so lowering and sampling a formula
-// allocate nothing once the worker's scratch has grown.
+// EstimateAllCtx estimates every formula of a batch — typically the
+// per-answer lineage of one query — on a worker pool. Each formula gets its
+// own generator seeded from (opts.Seed, index), so the result is a
+// deterministic function of the input and options, independent of
+// scheduling and worker count. The assignment is read concurrently and must
+// not be mutated during the call. A cancelled context stops the samplers
+// mid-run (they check every few thousand samples) and returns ctx.Err(); a
+// nil one cannot cancel. The worker pool is opts.Pool when set — sharing
+// the engine-wide slot budget — and a fresh pool of opts.Workers otherwise.
+// Each worker draws a sampler from a sync.Pool, so lowering and sampling a
+// formula allocate nothing once the worker's scratch has grown.
 func EstimateAllCtx(ctx context.Context, dnfs []*DNF, a *Assignment, opts MCOptions) ([]MCEstimate, error) {
 	o := opts.withDefaults()
 	out := make([]MCEstimate, len(dnfs))

@@ -13,6 +13,23 @@ import (
 	"repro/internal/pool"
 )
 
+// estimateAll estimates a batch through EstimateAllCtx under a context
+// that cannot cancel, so any error fails the test.
+func estimateAll(t testing.TB, dnfs []*DNF, a *Assignment, opts MCOptions) []MCEstimate {
+	t.Helper()
+	est, err := EstimateAllCtx(context.Background(), dnfs, a, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return est
+}
+
+// estimate estimates one formula, the first (and only) of a batch.
+func estimate(t testing.TB, d *DNF, a *Assignment, opts MCOptions) MCEstimate {
+	t.Helper()
+	return estimateAll(t, []*DNF{d}, a, opts)[0]
+}
+
 // randomMCDNF builds a random DNF over at most maxVars variables together with
 // a random probability assignment.
 func randomMCDNF(rng *rand.Rand, maxVars int) (*DNF, *Assignment) {
@@ -53,7 +70,7 @@ func TestMCMatchesExactOnRandomDNFs(t *testing.T) {
 			t.Fatalf("trial %d: Shannon %g vs worlds %g for %s", trial, sh, exact, d)
 		}
 		for _, m := range []MCMethod{MCNaive, MCKarpLuby, MCAuto} {
-			est := MCProb(d, a, MCOptions{Epsilon: eps, Delta: 1e-4, Seed: int64(100 + trial), Method: m})
+			est := estimate(t, d, a, MCOptions{Epsilon: eps, Delta: 1e-4, Seed: int64(100 + trial), Method: m})
 			if math.Abs(est.P-exact) > eps {
 				t.Errorf("trial %d (%v): estimate %g, exact %g, |err| %g > ε=%g for %s",
 					trial, m, est.P, exact, math.Abs(est.P-exact), eps, d)
@@ -87,18 +104,18 @@ func TestMCDeterminism(t *testing.T) {
 	}
 	opts := MCOptions{Epsilon: 0.05, Delta: 0.01, Seed: 99}
 
-	one := MCProb(dnfs[0], a, opts)
-	if again := MCProb(dnfs[0], a, opts); again != one {
-		t.Errorf("MCProb not deterministic: %+v vs %+v", one, again)
+	one := estimate(t, dnfs[0], a, opts)
+	if again := estimate(t, dnfs[0], a, opts); again != one {
+		t.Errorf("estimate not deterministic: %+v vs %+v", one, again)
 	}
 
 	seq := opts
 	seq.Workers = 1
 	par := opts
 	par.Workers = 8
-	a1 := EstimateAll(dnfs, a, seq)
-	a2 := EstimateAll(dnfs, a, par)
-	a3 := EstimateAll(dnfs, a, par)
+	a1 := estimateAll(t, dnfs, a, seq)
+	a2 := estimateAll(t, dnfs, a, par)
+	a3 := estimateAll(t, dnfs, a, par)
 	for i := range dnfs {
 		if a1[i] != a2[i] {
 			t.Errorf("formula %d: sequential %+v != parallel %+v", i, a1[i], a2[i])
@@ -110,7 +127,7 @@ func TestMCDeterminism(t *testing.T) {
 
 	other := opts
 	other.Seed = 100
-	a4 := EstimateAll(dnfs, a, other)
+	a4 := estimateAll(t, dnfs, a, other)
 	same := true
 	for i := range dnfs {
 		if a1[i].Samples > 0 && a1[i].P != a4[i].P {
@@ -141,7 +158,7 @@ func TestMCExactShortcuts(t *testing.T) {
 		{"disjoint clauses", NewDNF(NewClause(1), NewClause(2), NewClause(3)), OrAll([]float64{0.3, 0.5, 0.2})},
 	}
 	for _, c := range cases {
-		est := MCProb(c.d, a, MCOptions{Seed: 1})
+		est := estimate(t, c.d, a, MCOptions{Seed: 1})
 		if est.Method != "exact" || est.Samples != 0 {
 			t.Errorf("%s: expected exact shortcut, got %+v", c.name, est)
 		}
@@ -160,7 +177,7 @@ func TestMCAutoPicksKarpLubyForSmallU(t *testing.T) {
 		a.MustSet(Var(v), 0.1)
 	}
 	d := NewDNF(NewClause(1, 2), NewClause(2, 3), NewClause(3, 4))
-	est := MCProb(d, a, MCOptions{Epsilon: 0.02, Delta: 0.01, Seed: 5})
+	est := estimate(t, d, a, MCOptions{Epsilon: 0.02, Delta: 0.01, Seed: 5})
 	if est.Method != "karp-luby" {
 		t.Fatalf("U = 0.03 ≪ 1, expected karp-luby, got %+v", est)
 	}
@@ -182,7 +199,7 @@ func TestMCMaxSamplesCap(t *testing.T) {
 	}
 	d := NewDNF(NewClause(1, 2), NewClause(2, 3), NewClause(4, 5), NewClause(5, 6), NewClause(1, 6))
 	opts := MCOptions{Epsilon: 0.001, Delta: 0.01, Seed: 3, MaxSamples: 1000, Method: MCNaive}
-	est := MCProb(d, a, opts)
+	est := estimate(t, d, a, opts)
 	if est.Samples != 1000 {
 		t.Fatalf("expected the cap to bind: %+v", est)
 	}
@@ -215,7 +232,7 @@ func TestSampleBound(t *testing.T) {
 // TestKarpLubyEmptyDNF: the forced Karp–Luby method has no clause to sample
 // from on the empty DNF (U = 0) and must return the exact 0, not panic.
 func TestKarpLubyEmptyDNF(t *testing.T) {
-	est := MCProb(NewDNF(), NewAssignment(), MCOptions{Method: MCKarpLuby, Seed: 1})
+	est := estimate(t, NewDNF(), NewAssignment(), MCOptions{Method: MCKarpLuby, Seed: 1})
 	if est.P != 0 || est.Method != "exact" {
 		t.Fatalf("empty DNF under forced karp-luby: %+v", est)
 	}
@@ -287,7 +304,7 @@ func TestMCTailLanes(t *testing.T) {
 			if err != nil || hits != n || drawn != n {
 				t.Errorf("n=%d %v: %d hits of %d drawn (%v), want %d of %d", n, m, hits, drawn, err, n, n)
 			}
-			est := MCProb(d, a, MCOptions{Epsilon: 1e-6, MaxSamples: n, Method: m, Seed: 1})
+			est := estimate(t, d, a, MCOptions{Epsilon: 1e-6, MaxSamples: n, Method: m, Seed: 1})
 			if est.Samples != n || est.P != 1 || !est.Capped {
 				t.Errorf("n=%d %v: %+v, want %d samples, P = 1, capped", n, m, est, n)
 			}
@@ -315,7 +332,7 @@ func TestMCForcedMethods(t *testing.T) {
 	} {
 		exact := d.Prob(a)
 		for _, m := range []MCMethod{MCNaive, MCKarpLuby} {
-			est := MCProb(d, a, MCOptions{Epsilon: eps, Delta: 1e-4, Seed: 21, Method: m})
+			est := estimate(t, d, a, MCOptions{Epsilon: eps, Delta: 1e-4, Seed: 21, Method: m})
 			if math.Abs(est.P-exact) > eps {
 				t.Errorf("%s under %v: estimate %g, exact %g", name, m, est.P, exact)
 			}
@@ -346,15 +363,15 @@ func TestEstimateAllWorkerIdentity(t *testing.T) {
 		dnfs = append(dnfs, shifted)
 	}
 	opts := MCOptions{Epsilon: 0.03, Delta: 0.01, Seed: 42, Method: MCNaive, Workers: 1}
-	want := EstimateAll(dnfs, a, opts)
+	want := estimateAll(t, dnfs, a, opts)
 	for _, workers := range []int{2, 4, 8} {
 		opts.Workers = workers
-		if got := EstimateAll(dnfs, a, opts); !slices.Equal(got, want) {
+		if got := estimateAll(t, dnfs, a, opts); !slices.Equal(got, want) {
 			t.Errorf("Workers=%d changed the estimates", workers)
 		}
 	}
 	opts.Pool = pool.New(3)
-	if got := EstimateAll(dnfs, a, opts); !slices.Equal(got, want) {
+	if got := estimateAll(t, dnfs, a, opts); !slices.Equal(got, want) {
 		t.Error("a shared pool changed the estimates")
 	}
 }
@@ -376,7 +393,7 @@ func TestMCStopAndCancel(t *testing.T) {
 	} {
 		polls := 0
 		stop := func() bool { polls++; return polls >= c.firesAt }
-		est := MCProb(d, a, MCOptions{Epsilon: 0.005, Delta: 0.01, Seed: 8, Method: MCNaive, Stop: stop})
+		est := estimate(t, d, a, MCOptions{Epsilon: 0.005, Delta: 0.01, Seed: 8, Method: MCNaive, Stop: stop})
 		if !est.Stopped || est.Samples != c.samples || est.Samples%64 != 0 || est.Samples >= full {
 			t.Errorf("%s: %+v, want Stopped after %d of %d samples", name, est, c.samples, full)
 		}
@@ -409,7 +426,7 @@ func TestMCSamplerAllocs(t *testing.T) {
 	}
 	for _, m := range []MCMethod{MCNaive, MCKarpLuby} {
 		allocs := func(eps float64) float64 {
-			return testing.AllocsPerRun(5, func() { MCProb(d, a, MCOptions{Epsilon: eps, Seed: 1, Method: m, MaxSamples: 1 << 16}) })
+			return testing.AllocsPerRun(5, func() { estimate(t, d, a, MCOptions{Epsilon: eps, Seed: 1, Method: m, MaxSamples: 1 << 16}) })
 		}
 		if coarse, fine := allocs(0.2), allocs(0.01); fine > coarse {
 			t.Errorf("%v: ε = 0.01 allocated %v times, ε = 0.2 %v", m, fine, coarse)

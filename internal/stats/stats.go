@@ -319,16 +319,6 @@ func DistinctAfter(distinct int, rows, surviving float64) float64 {
 	return math.Max(1, math.Min(est, surviving))
 }
 
-// JoinCard estimates |L ⋈_a R| for an equi-join on one attribute with the
-// containment-of-values assumption: |L|·|R| / max(d_L, d_R).
-func JoinCard(lCard float64, lDistinct float64, rCard float64, rDistinct float64) float64 {
-	d := math.Max(lDistinct, rDistinct)
-	if d < 1 {
-		d = 1
-	}
-	return lCard * rCard / d
-}
-
 // String renders the table statistics compactly (for EXPLAIN and tools).
 func (ts *TableStats) String() string {
 	var b strings.Builder

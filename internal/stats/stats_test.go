@@ -71,11 +71,6 @@ func TestSelectivityEstimates(t *testing.T) {
 }
 
 func TestJoinAndDistinctEstimates(t *testing.T) {
-	// |L|=1000 with 100 distinct keys joining |R|=500 with 500 distinct keys:
-	// containment-of-values gives 1000*500/500 = 1000.
-	if got := JoinCard(1000, 100, 500, 500); math.Abs(got-1000) > 1e-9 {
-		t.Errorf("join card = %g, want 1000", got)
-	}
 	// Keeping half the rows of a 10-distinct column keeps ≈ all 10 values.
 	if got := DistinctAfter(10, 1000, 500); got < 9.9 || got > 10 {
 		t.Errorf("distinct after = %g, want ≈ 10", got)
