@@ -1,7 +1,8 @@
 // Command sprout-gen generates probabilistic TPC-H data and writes every
-// table to a page-structured heap file on disk, exercising the
-// secondary-storage layer end to end. The resulting files can be scanned
-// back with the storage package (see internal/storage).
+// table to a page-structured heap file on disk, with the ANALYZE sidecar
+// next to them (tpch.Data.WriteHeapFiles), exercising the secondary-storage
+// layer end to end. tpch.OpenDiskCatalog opens the directory as a catalog
+// whose tables stay on disk.
 //
 // Usage:
 //
@@ -32,37 +33,33 @@ func main() {
 	t0 := time.Now()
 	d := tpch.Generate(tpch.Config{SF: *sf, Seed: *seed})
 	fmt.Printf("generated SF=%g in %.1fs\n", *sf, time.Since(t0).Seconds())
+	if err := d.WriteHeapFiles(*out); err != nil {
+		fail(err)
+	}
 
+	// Report what was written: page counts from the heap files, tuple
+	// counts from the sidecar's row counts.
+	sc, err := stats.LoadSidecar(*out)
+	if err != nil {
+		fail(err)
+	}
 	var totalPages, totalTuples int64
 	for _, tb := range d.Tables() {
 		path := filepath.Join(*out, tb.Name+".heap")
-		h, err := storage.CreateHeapFile(path)
+		h, err := storage.OpenHeapFile(path)
 		if err != nil {
 			fail(err)
 		}
-		for _, row := range tb.Rel.Rows {
-			if err := h.Append(row); err != nil {
-				fail(err)
-			}
-		}
-		if err := h.FinishWrites(); err != nil {
-			fail(err)
-		}
-		fmt.Printf("%-8s %9d tuples %7d pages  %s\n", tb.Name, h.NumTuples(), h.NumPages(), path)
-		totalPages += h.NumPages()
-		totalTuples += h.NumTuples()
+		pages, tuples := h.NumPages(), int64(sc.Tables[tb.Name].Rows)
 		if err := h.Close(); err != nil {
 			fail(err)
 		}
+		fmt.Printf("%-8s %9d tuples %7d pages  %s\n", tb.Name, tuples, pages, path)
+		totalPages += pages
+		totalTuples += tuples
 	}
 	fmt.Printf("total: %d tuples, %d pages (%.1f MiB)\n",
 		totalTuples, totalPages, float64(totalPages)*storage.PageSize/(1<<20))
-
-	// Persist the ANALYZE sidecar so loaders (tpch.OpenDiskCatalog) skip the
-	// first-query statistics pass.
-	if err := stats.SaveSidecar(*out, d.Sidecar()); err != nil {
-		fail(err)
-	}
 	fmt.Printf("stats sidecar: %s\n", filepath.Join(*out, stats.SidecarFile))
 }
 

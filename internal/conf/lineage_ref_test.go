@@ -328,7 +328,7 @@ func TestCollectLineageCancelled(t *testing.T) {
 	rel := lineageCases[4].build(rand.New(rand.NewSource(5)))
 	for name, feed := range map[string]func(ctx context.Context, sink engine.Sink) error{
 		"drain": func(ctx context.Context, sink engine.Sink) error {
-			return engine.StreamCtx(ctx, &engine.ColMemScan{Rel: rel}, sink)
+			return engine.StreamCtx(ctx, memScan(rel), sink)
 		},
 		"relation": func(ctx context.Context, sink engine.Sink) error { return FromRelation(rel).push(ctx, sink) },
 	} {

@@ -326,11 +326,12 @@ func TestSortScanAllocs(t *testing.T) {
 		const budget = 4000
 		measure := func(nr int) float64 {
 			rel, _ := productRel(rand.New(rand.NewSource(9)), 10, nr, 20)
+			scan := memScan(rel) // the input's chunks are built before measuring
 			opts := Options{SortBudget: budget, TmpDir: t.TempDir()}
 			var stats *Stats
 			run := func() {
 				var err error
-				if _, stats, err = ComputeFrom(streamOf(context.Background(), rel), productSig(), opts); err != nil {
+				if _, stats, err = ComputeFrom(streamScan(context.Background(), scan), productSig(), opts); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -18,12 +18,25 @@ import (
 	"repro/internal/table"
 )
 
+// memScan scans rel's rows as column chunks (FromRelation), the way a base
+// table is scanned.
+func memScan(rel *table.Relation) engine.ColOperator {
+	return &engine.ColChunkScan{S: rel.Schema, Chunks: FromRelation(rel).chunks}
+}
+
 // streamOf wraps rel as a streamed source: a scan of it drained through
 // engine.StreamCtx, so the operator sees borrowed column batches and never
 // the relation.
 func streamOf(ctx context.Context, rel *table.Relation) *Source {
-	return NewSource(rel.Schema, func(sink engine.Sink) error {
-		return engine.StreamCtx(ctx, &engine.ColMemScan{Rel: rel}, sink)
+	return streamScan(ctx, memScan(rel))
+}
+
+// streamScan wraps a scan as a streamed source drained through
+// engine.StreamCtx. The scan rewinds on Open, so it can back any number of
+// sources, one at a time.
+func streamScan(ctx context.Context, scan engine.ColOperator) *Source {
+	return NewSource(scan.Schema(), func(sink engine.Sink) error {
+		return engine.StreamCtx(ctx, scan, sink)
 	})
 }
 
@@ -153,7 +166,7 @@ func TestStreamedScanCancelledMidFeed(t *testing.T) {
 		dir := t.TempDir()
 		ctx, cancel := context.WithCancel(context.Background())
 		src := NewSource(rel.Schema, func(sink engine.Sink) error {
-			return engine.StreamCtx(ctx, &engine.ColMemScan{Rel: rel}, &cancelAfter{Sink: sink, n: 6, cancel: cancel})
+			return engine.StreamCtx(ctx, memScan(rel), &cancelAfter{Sink: sink, n: 6, cancel: cancel})
 		})
 		_, _, err := ComputeFrom(src, twoSourceSig(), Options{SortBudget: 100, TmpDir: dir, Pool: pool.New(workers), Ctx: ctx})
 		cancel()

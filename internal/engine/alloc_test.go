@@ -58,8 +58,8 @@ func TestHashJoinProbeAllocs(t *testing.T) {
 		left, right ColOperator
 		mode        table.StrMode
 	}{
-		{"int-key", &ColMemScan{Rel: allocRel(allocRows, allocRows)}, &ColMemScan{Rel: allocRel(allocRows, allocRows)}, table.StrNone},
-		{"flat-string-key", &ColMemScan{Rel: strKeyRel(allocRows)}, &bytesScan{ColMemScan{Rel: strKeyRel(allocRows)}}, table.StrFlat},
+		{"int-key", memScan(allocRel(allocRows, allocRows)), memScan(allocRel(allocRows, allocRows)), table.StrNone},
+		{"flat-string-key", memScan(strKeyRel(allocRows)), &bytesScan{Rel: strKeyRel(allocRows)}, table.StrFlat},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			j := hashJoin(t, tc.left, tc.right, []int{0}, []int{0})
@@ -104,7 +104,7 @@ func TestHashJoinProbeAllocs(t *testing.T) {
 // measured, 11 under the race detector) where one per row would add 4096.
 func TestHashJoinBuildAllocs(t *testing.T) {
 	allocs := func(rows int) float64 {
-		j := hashJoin(t, &ColMemScan{Rel: allocRel(1, 1)}, &ColMemScan{Rel: allocRel(rows, rows/4)}, []int{0}, []int{0})
+		j := hashJoin(t, memScan(allocRel(1, 1)), memScan(allocRel(rows, rows/4)), []int{0}, []int{0})
 		return testing.AllocsPerRun(5, func() {
 			if err := j.Open(); err != nil {
 				t.Fatal(err)
@@ -138,7 +138,7 @@ func TestGraceJoinAllocs(t *testing.T) {
 			}
 			return rel
 		}
-		j := hashJoin(t, &ColMemScan{Rel: shuffled(1)}, &ColMemScan{Rel: shuffled(2)}, []int{0}, []int{0})
+		j := hashJoin(t, memScan(shuffled(1)), memScan(shuffled(2)), []int{0}, []int{0})
 		j.TmpDir = t.TempDir()
 		b := table.NewColBatch(j.Schema())
 		run := func() {
@@ -186,7 +186,7 @@ func TestGraceJoinAllocs(t *testing.T) {
 func TestCollectBatchIdentity(t *testing.T) {
 	rel := allocRel(512, 61)
 	build := func() ColOperator {
-		j := hashJoin(t, &ColMemScan{Rel: rel}, &ColMemScan{Rel: rel}, []int{0}, []int{0})
+		j := hashJoin(t, memScan(rel), memScan(rel), []int{0}, []int{0})
 		f := &ColFilter{In: j, Preds: []ColPred{{Col: 1, Op: OpLt, Val: table.Int(400)}}}
 		p, err := NewColumnProject(f, []string{"k", "v"})
 		if err != nil {

@@ -28,37 +28,11 @@ type ColOperator interface {
 	Close() error
 }
 
-// ColMemScan iterates an in-memory relation a column batch at a time,
-// transposing BatchSize rows per call.
-type ColMemScan struct {
-	Rel *table.Relation
-	pos int
-}
-
-// Schema returns the relation's schema.
-func (s *ColMemScan) Schema() *table.Schema { return s.Rel.Schema }
-
-// Open resets the cursor.
-func (s *ColMemScan) Open() error { s.pos = 0; return nil }
-
-// NextColBatch transposes up to BatchSize rows onto dst.
-func (s *ColMemScan) NextColBatch(dst *table.ColBatch) (int, error) {
-	end := min(s.pos+BatchSize, len(s.Rel.Rows))
-	dst.Reset(s.Rel.Schema)
-	for _, t := range s.Rel.Rows[s.pos:end] {
-		dst.AppendRow(t)
-	}
-	s.pos = end
-	return dst.N, nil
-}
-
-// Close is a no-op.
-func (s *ColMemScan) Close() error { return nil }
-
-// ColChunkScan iterates column chunks — what a sort+scan placement below a
-// join hands up (conf.Source.Chunks) — one chunk per call, copied column-wise
-// into the consumer's batch (ColBatch.AppendBatch). The chunks are only
-// read, so they may be scanned any number of times.
+// ColChunkScan iterates column chunks — an in-memory base table's storage
+// (table.ColStore), or what a sort+scan placement below a join hands up
+// (conf.Source.Chunks) — one chunk per call, copied column-wise into the
+// consumer's batch (ColBatch.AppendBatch). The chunks are only read, so they
+// may be scanned any number of times.
 type ColChunkScan struct {
 	S      *table.Schema
 	Chunks []*table.ColBatch

@@ -38,10 +38,17 @@ func colTestRel(rows, strCard int, seed int64) *table.Relation {
 	return rel
 }
 
-// bytesScan is a ColMemScan that appends string cells as raw bytes
+// bytesScan scans a relation appending string cells as raw bytes
 // (ColVec.AppendStrBytes), as the heap scan does: a column past DictMaxCard
 // distinct values in a batch spills to the flat layout.
-type bytesScan struct{ ColMemScan }
+type bytesScan struct {
+	Rel *table.Relation
+	pos int
+}
+
+func (s *bytesScan) Schema() *table.Schema { return s.Rel.Schema }
+func (s *bytesScan) Open() error           { s.pos = 0; return nil }
+func (s *bytesScan) Close() error          { return nil }
 
 // NextColBatch transposes up to BatchSize rows onto dst.
 func (s *bytesScan) NextColBatch(dst *table.ColBatch) (int, error) {
@@ -190,7 +197,7 @@ func TestColPipelineIdentity(t *testing.T) {
 		name string
 		mk   func() ColOperator
 	}{
-		{"mem", func() ColOperator { return &ColMemScan{Rel: rel} }},
+		{"mem", func() ColOperator { return memScan(rel) }},
 		{"heap", func() ColOperator { return NewColHeapScan(h, pool, rel.Schema) }},
 	}
 	for _, src := range sources {
@@ -252,7 +259,7 @@ func TestPruneColsLiveness(t *testing.T) {
 func TestColFilterAllocs(t *testing.T) {
 	rel := colTestRel(8*BatchSize, 8, 41)
 	f := &ColFilter{
-		In: &ColMemScan{Rel: rel},
+		In: memScan(rel),
 		Preds: []ColPred{
 			{Col: 0, Op: OpLt, Val: table.Int(70)},
 			{Col: 1, Op: OpGe, Val: table.Float(10)},
@@ -369,7 +376,7 @@ func TestHashJoinBuildOrder(t *testing.T) {
 		left.MustAppend(table.Tuple{k, table.Str(fmt.Sprintf("l-%d", i))})
 	}
 	keep := []ColPred{{Col: 1, Op: OpNe, Val: table.Int(0)}}
-	j := hashJoin(t, &ColMemScan{Rel: left}, &ColFilter{In: &bytesScan{ColMemScan{Rel: right}}, Preds: keep}, []int{0}, []int{0})
+	j := hashJoin(t, memScan(left), &ColFilter{In: &bytesScan{Rel: right}, Preds: keep}, []int{0}, []int{0})
 	want := &table.Relation{Schema: j.Schema()}
 	built := 0
 	for _, r := range right.Rows {
@@ -415,7 +422,7 @@ func TestColHashJoinBoundsOutputBatches(t *testing.T) {
 					right.MustAppend(table.Tuple{table.Int(int64(i)), table.Int(int64(i*tc.fanout + m))})
 				}
 			}
-			cop := hashJoin(t, &ColMemScan{Rel: left}, &ColMemScan{Rel: right}, []int{0}, []int{0})
+			cop := hashJoin(t, memScan(left), memScan(right), []int{0}, []int{0})
 			if tc.grace {
 				cop = graceJoin(t, left, right, []int{0}, []int{0})
 			}

@@ -37,7 +37,7 @@ func TestGraceJoinEmptyInputs(t *testing.T) {
 func TestHashJoinEmptyKeyIsCrossProduct(t *testing.T) {
 	l := intsRel("a", 1, 2)
 	r := intsRel("b", 10, 20, 30)
-	n, err := countCols(hashJoin(t, &ColMemScan{Rel: l}, &ColMemScan{Rel: r}, nil, nil))
+	n, err := countCols(hashJoin(t, memScan(l), memScan(r), nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestHashJoinEmptyKeyIsCrossProduct(t *testing.T) {
 func TestJoinKeyArityMismatch(t *testing.T) {
 	l := intsRel("a", 1)
 	r := intsRel("b", 1)
-	if _, err := NewColHashJoin(&ColMemScan{Rel: l}, &ColMemScan{Rel: r}, []int{0}, nil); err == nil {
+	if _, err := NewColHashJoin(memScan(l), memScan(r), []int{0}, nil); err == nil {
 		t.Error("hash join arity mismatch must fail")
 	}
 }
@@ -60,10 +60,10 @@ func TestJoinKeyArityMismatch(t *testing.T) {
 func TestProjectArityMismatch(t *testing.T) {
 	rel := intsRel("a", 1)
 	out := table.NewSchema(table.DataCol("x", table.KindInt), table.DataCol("y", table.KindInt))
-	if _, err := NewColProject(&ColMemScan{Rel: rel}, []int{0}, out); err == nil {
+	if _, err := NewColProject(memScan(rel), []int{0}, out); err == nil {
 		t.Error("projection arity mismatch must fail")
 	}
-	if _, err := NewColProject(&ColMemScan{Rel: rel}, []int{0, 1}, out); err == nil {
+	if _, err := NewColProject(memScan(rel), []int{0, 1}, out); err == nil {
 		t.Error("projection of a missing column must fail")
 	}
 }
@@ -72,8 +72,8 @@ func TestProjectArityMismatch(t *testing.T) {
 // again when reopened after a drain.
 func TestOperatorReopen(t *testing.T) {
 	rel := intsRel("a", 1, 2, 3)
-	f := &ColFilter{In: &ColMemScan{Rel: rel}, Preds: []ColPred{{Col: 0, Op: OpGt, Val: table.Int(1)}}}
-	j := hashJoin(t, &ColMemScan{Rel: rel}, &ColMemScan{Rel: intsRel("a", 3, 2, 3)}, []int{0}, []int{0})
+	f := &ColFilter{In: memScan(rel), Preds: []ColPred{{Col: 0, Op: OpGt, Val: table.Int(1)}}}
+	j := hashJoin(t, memScan(rel), memScan(intsRel("a", 3, 2, 3)), []int{0}, []int{0})
 	for round := 0; round < 2; round++ {
 		if n, err := countCols(f); err != nil || n != 2 {
 			t.Fatalf("round %d: filter gave %d rows (%v)", round, n, err)

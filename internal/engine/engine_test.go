@@ -28,6 +28,18 @@ func pairRel(aName, bName string, pairs ...[2]int64) *table.Relation {
 	return r
 }
 
+// memScan scans rel as a base table is scanned: its rows stored as column
+// chunks (table.ColStore) under a ColChunkScan.
+func memScan(rel *table.Relation) *ColChunkScan {
+	st := table.NewColStore(rel.Schema)
+	for _, row := range rel.Rows {
+		if err := st.Append(row); err != nil {
+			panic(err)
+		}
+	}
+	return &ColChunkScan{S: rel.Schema, Chunks: st.Chunks}
+}
+
 // collect drains a columnar operator into a relation through StreamCtx.
 func collect(t *testing.T, op ColOperator) *table.Relation {
 	t.Helper()
@@ -70,7 +82,7 @@ func hashJoin(t *testing.T, l, r ColOperator, lk, rk []int) *ColHashJoin {
 
 func TestFilter(t *testing.T) {
 	rel := intsRel("a", 1, 2, 3, 4, 5)
-	f := &ColFilter{In: &ColMemScan{Rel: rel}, Preds: []ColPred{{Col: 0, Op: OpGt, Val: table.Int(3)}}}
+	f := &ColFilter{In: memScan(rel), Preds: []ColPred{{Col: 0, Op: OpGt, Val: table.Int(3)}}}
 	rows := collect(t, f).Rows
 	if len(rows) != 2 || rows[0][0].I != 4 || rows[1][0].I != 5 {
 		t.Fatalf("rows = %v", rows)
@@ -124,7 +136,7 @@ func TestCmpOps(t *testing.T) {
 		"b":   {table.Bool(true), table.Bool(false)},
 	}
 	sources := map[string]func() ColOperator{
-		"mem":  func() ColOperator { return &ColMemScan{Rel: rel} },
+		"mem":  func() ColOperator { return memScan(rel) },
 		"heap": func() ColOperator { return NewColHeapScan(h, pool, sch) },
 	}
 	everyOther := ColPred{Col: 0, Op: OpEq, Val: table.Int(1)}
@@ -160,7 +172,7 @@ func TestCmpOps(t *testing.T) {
 // the planner's occurrence rename — and an unknown name is an error.
 func TestProjectColumnsAndExprs(t *testing.T) {
 	rel := pairRel("a", "b", [2]int64{2, 3}, [2]int64{5, 7})
-	p, err := NewColumnProject(&ColMemScan{Rel: rel}, []string{"b"})
+	p, err := NewColumnProject(memScan(rel), []string{"b"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,13 +180,13 @@ func TestProjectColumnsAndExprs(t *testing.T) {
 	if len(rows) != 2 || rows[0][0].I != 3 || rows[1][0].I != 7 {
 		t.Fatalf("rows = %v", rows)
 	}
-	if _, err := NewColumnProject(&ColMemScan{Rel: rel}, []string{"zz"}); err == nil {
+	if _, err := NewColumnProject(memScan(rel), []string{"zz"}); err == nil {
 		t.Error("unknown column should error")
 	}
 
 	// Relabelling projection: swap the columns and rename them.
 	out := table.NewSchema(table.DataCol("y", table.KindInt), table.DataCol("x", table.KindInt))
-	pr, err := NewColProject(&ColMemScan{Rel: rel}, []int{1, 0}, out)
+	pr, err := NewColProject(memScan(rel), []int{1, 0}, out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +199,7 @@ func TestProjectColumnsAndExprs(t *testing.T) {
 func TestHashJoinBasic(t *testing.T) {
 	l := pairRel("k", "x", [2]int64{1, 10}, [2]int64{2, 20}, [2]int64{3, 30})
 	r := pairRel("k", "y", [2]int64{2, 200}, [2]int64{2, 201}, [2]int64{4, 400})
-	rows := collect(t, hashJoin(t, &ColMemScan{Rel: l}, &ColMemScan{Rel: r}, []int{0}, []int{0})).Rows
+	rows := collect(t, hashJoin(t, memScan(l), memScan(r), []int{0}, []int{0})).Rows
 	if len(rows) != 2 {
 		t.Fatalf("join rows = %v", rows)
 	}
@@ -239,11 +251,11 @@ func TestQuickJoinCommutes(t *testing.T) {
 			return rel
 		}
 		a, b := mk(), mk()
-		n1, err := countCols(hashJoin(t, &ColMemScan{Rel: a}, &ColMemScan{Rel: b}, []int{0}, []int{0}))
+		n1, err := countCols(hashJoin(t, memScan(a), memScan(b), []int{0}, []int{0}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		n2, err := countCols(hashJoin(t, &ColMemScan{Rel: b}, &ColMemScan{Rel: a}, []int{0}, []int{0}))
+		n2, err := countCols(hashJoin(t, memScan(b), memScan(a), []int{0}, []int{0}))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -40,7 +40,7 @@ func payloadRel(seed int64, n, dups int) *table.Relation {
 // grace mode; the grace sorts spill under a fresh temp dir.
 func graceJoin(t *testing.T, l, r *table.Relation, lk, rk []int) *ColHashJoin {
 	t.Helper()
-	j := hashJoin(t, &ColMemScan{Rel: l}, &ColMemScan{Rel: r}, lk, rk)
+	j := hashJoin(t, memScan(l), memScan(r), lk, rk)
 	j.Mem = fault.NewGovernor(32<<10, nil)
 	j.TmpDir = t.TempDir()
 	return j
@@ -79,12 +79,12 @@ func TestHashJoinGraceFallback(t *testing.T) {
 	l := pairRel("k", "x", lp...)
 	rr := pairRel("k", "y", rp...)
 
-	plain := hashJoin(t, &ColMemScan{Rel: l}, &ColMemScan{Rel: rr}, []int{0}, []int{0})
+	plain := hashJoin(t, memScan(l), memScan(rr), []int{0}, []int{0})
 	want := canonRows(collect(t, plain).Rows)
 
 	dir := t.TempDir()
 	g := fault.NewGovernor(32<<10, nil) // below one chunk: first build reservation is denied
-	gj := hashJoin(t, &ColMemScan{Rel: l}, &ColMemScan{Rel: rr}, []int{0}, []int{0})
+	gj := hashJoin(t, memScan(l), memScan(rr), []int{0}, []int{0})
 	gj.Mem = g
 	gj.SortBudget = 64 // force the grace sorts to spill
 	gj.TmpDir = dir
@@ -123,10 +123,10 @@ func TestHashJoinGovernedNoPressure(t *testing.T) {
 	l := pairRel("k", "x", [2]int64{1, 10}, [2]int64{2, 20}, [2]int64{3, 30})
 	rr := pairRel("k", "y", [2]int64{2, 200}, [2]int64{2, 201}, [2]int64{4, 400})
 
-	want := collect(t, hashJoin(t, &ColMemScan{Rel: l}, &ColMemScan{Rel: rr}, []int{0}, []int{0})).Rows
+	want := collect(t, hashJoin(t, memScan(l), memScan(rr), []int{0}, []int{0})).Rows
 
 	g := fault.NewGovernor(1<<30, nil)
-	gj := hashJoin(t, &ColMemScan{Rel: l}, &ColMemScan{Rel: rr}, []int{0}, []int{0})
+	gj := hashJoin(t, memScan(l), memScan(rr), []int{0}, []int{0})
 	gj.Mem = g
 	got := collect(t, gj).Rows
 
@@ -181,7 +181,7 @@ func TestGraceJoinSortedInputsStayValid(t *testing.T) {
 func TestCursorKeepsOnlyWhatRefillsOverwrite(t *testing.T) {
 	l, r := payloadRel(21, 3*BatchSize, 50), payloadRel(22, 3*BatchSize+5, 50)
 	keys := []int{0}
-	want := canonRows(collect(t, hashJoin(t, &ColMemScan{Rel: l}, &ColMemScan{Rel: r}, keys, keys)).Rows)
+	want := canonRows(collect(t, hashJoin(t, memScan(l), memScan(r), keys, keys)).Rows)
 	for _, tc := range []struct {
 		name    string
 		budget  int
@@ -271,7 +271,7 @@ func TestGraceJoinMatchesHashJoin(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			keys := []int{0}
-			hash := collect(t, hashJoin(t, &ColMemScan{Rel: tc.left}, &ColMemScan{Rel: tc.right}, keys, keys))
+			hash := collect(t, hashJoin(t, memScan(tc.left), memScan(tc.right), keys, keys))
 			j := graceJoin(t, tc.left, tc.right, keys, keys)
 			got := collect(t, j)
 			if !j.GraceMode() {

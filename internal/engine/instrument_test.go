@@ -15,7 +15,7 @@ func TestCountedTransparent(t *testing.T) {
 	}
 
 	var s OpStats
-	got := collect(t, &ColCounted{In: &ColMemScan{Rel: rel}, S: &s})
+	got := collect(t, &ColCounted{In: memScan(rel), S: &s})
 	if got.Len() != rel.Len() {
 		t.Fatalf("rows %d, want %d", got.Len(), rel.Len())
 	}

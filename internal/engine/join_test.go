@@ -35,7 +35,7 @@ func TestCollectCtxCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	sink := NewRelationSink(rel.Schema)
-	if err := StreamCtx(ctx, &ColMemScan{Rel: rel}, sink); err != context.Canceled {
+	if err := StreamCtx(ctx, memScan(rel), sink); err != context.Canceled {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 	if sink.Rel.Len() != 0 {
@@ -125,7 +125,7 @@ func TestJoinFamilyIdentity(t *testing.T) {
 			limit int64 // 0 = ungoverned
 		}{{"ungoverned", 0}, {"roomy", 1 << 30}, {"tight", tight}} {
 			t.Run(in.name+"/hash/columnar/"+gov.name, func(t *testing.T) {
-				j := hashJoin(t, &ColMemScan{Rel: in.left}, &ColMemScan{Rel: in.right}, keys, keys)
+				j := hashJoin(t, memScan(in.left), memScan(in.right), keys, keys)
 				if gov.limit > 0 {
 					j.Mem = fault.NewGovernor(gov.limit, nil)
 					j.SortBudget = 1024

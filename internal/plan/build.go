@@ -197,7 +197,7 @@ func depth(t *query.Tree) int {
 }
 
 // leafPipeline builds the operator reading one relation occurrence: a scan
-// of the base table — the in-memory relation, or the heap file through the
+// of the base table — its column chunks, or the heap file through the
 // buffer pool for disk-resident tables (Catalog.BindDisk) — under the
 // occurrence's rename → filter → project pipeline. The projection keeps the
 // attributes the plan's leaf projection names plus the occurrence's
@@ -208,7 +208,7 @@ func leafPipeline(c *Catalog, q *query.Query, ref query.RelRef, attrs []string, 
 	if err != nil {
 		return nil, err
 	}
-	var op engine.ColOperator = &engine.ColMemScan{Rel: base.Rel}
+	var op engine.ColOperator = &engine.ColChunkScan{S: base.Rel.Schema, Chunks: base.Rel.Chunks}
 	if db := c.Disk(ref.Base); db != nil {
 		op = engine.NewColHeapScan(db.File, db.Pool, base.Rel.Schema)
 	}

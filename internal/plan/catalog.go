@@ -50,10 +50,10 @@ type Catalog struct {
 	stats   map[string]*stats.TableStats
 }
 
-// DiskBinding marks a registered table as disk-resident: scans read its heap
-// file through the shared buffer pool instead of an in-memory relation (the
-// table's Rel then carries only the schema). Rows caches the file's tuple
-// count so cardinality estimation needs no I/O.
+// DiskBinding marks a registered table as disk-resident: scans and ANALYZE
+// read its heap file through the shared buffer pool instead of the table's
+// column chunks (its Rel then is an empty store carrying only the schema).
+// Rows caches the file's tuple count so cardinality estimation needs no I/O.
 type DiskBinding struct {
 	File *storage.HeapFile
 	Pool *storage.BufferPool
@@ -63,17 +63,15 @@ type DiskBinding struct {
 // NewCatalog creates an empty catalog.
 func NewCatalog() *Catalog { return &Catalog{tables: make(map[string]*table.ProbTable)} }
 
-// Add registers a base table after checking each of its rows against its
-// schema (table.Schema.Check): a table built outside ProbTable.AddRow enters
-// the engine here, and the column vectors hold one kind per column.
+// Add registers a base table after checking each of its chunks against its
+// schema (table.ColStore.Check): a table whose chunks a caller put in place
+// enters the engine here, and the column vectors hold one kind per column.
 func (c *Catalog) Add(t *table.ProbTable) error {
 	if _, dup := c.tables[t.Name]; dup {
 		return fmt.Errorf("plan: table %s already registered", t.Name)
 	}
-	for i, row := range t.Rel.Rows {
-		if err := t.Rel.Schema.Check(row); err != nil {
-			return fmt.Errorf("plan: table %s, row %d: %w", t.Name, i, err)
-		}
+	if err := t.Rel.Check(); err != nil {
+		return fmt.Errorf("plan: table %s: %w", t.Name, err)
 	}
 	c.tables[t.Name] = t
 	c.statsMu.Lock()
@@ -173,8 +171,8 @@ func (c *Catalog) Names() []string {
 }
 
 // Rows returns the cardinality of a base table (0 for unknown tables). For
-// disk-bound tables the count comes from the binding — the in-memory Rel is
-// schema-only.
+// disk-bound tables the count comes from the binding — the table's store is
+// empty.
 func (c *Catalog) Rows(name string) int {
 	if db := c.disk[name]; db != nil {
 		return db.Rows

@@ -289,7 +289,7 @@ func TestScanRename(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return cat.Rename(ref, &engine.ColMemScan{Rel: base.Rel})
+		return cat.Rename(ref, &engine.ColChunkScan{S: base.Rel.Schema, Chunks: base.Rel.Chunks})
 	}
 	op, err := scan(query.Alias("Cust2", "Cust", "c2key", "c2name"))
 	if err != nil {
@@ -305,6 +305,19 @@ func TestScanRename(t *testing.T) {
 	if _, err := scan(query.Rel("Nope", "a")); err == nil {
 		t.Error("unknown base table must be rejected")
 	}
+}
+
+// baseRows materializes a base table's chunks as rows.
+func baseRows(pt *table.ProbTable) []table.Tuple {
+	var rows []table.Tuple
+	for _, c := range pt.Rel.Chunks {
+		for i := 0; i < c.Rows(); i++ {
+			row := make(table.Tuple, len(c.Cols))
+			c.WriteRow(i, row)
+			rows = append(rows, row)
+		}
+	}
+	return rows
 }
 
 // worldOracle evaluates q on the catalog per possible world and returns the
@@ -337,7 +350,7 @@ func evalInWorld(t *testing.T, cat *Catalog, q *query.Query, truth map[prob.Var]
 		bs := base.Rel.Schema
 		vi := bs.VarIndex(ref.Base)
 		dataIdx := bs.DataIndexes()
-		for _, row := range base.Rel.Rows {
+		for _, row := range baseRows(base) {
 			if !truth[row[vi].AsVar()] {
 				continue
 			}
@@ -459,7 +472,7 @@ func randomSmallCatalog(r *rand.Rand) (*Catalog, *prob.Assignment) {
 		ok := int64(1 + r.Intn(nOrd))
 		// ckey must match the order's ckey for the join to make sense.
 		var ck int64
-		for _, row := range ord.Rel.Rows {
+		for _, row := range baseRows(ord) {
 			if row[0].I == ok {
 				ck = row[1].I
 			}

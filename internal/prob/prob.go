@@ -1,9 +1,7 @@
 // Package prob implements the probabilistic foundation of SPROUT:
 // independent Boolean random variables, probability arithmetic over
-// independent events, DNF lineage formulas, exact probability oracles
-// (Shannon expansion and possible-world enumeration), and one-occurrence
-// form (1OF) expression trees whose probability is computable in time
-// linear in the number of variables (paper §II.A, §III).
+// independent events, DNF lineage formulas, and exact probability oracles
+// (Shannon expansion and possible-world enumeration) (paper §II.A, §III).
 //
 // For formulas outside the exactly tractable fragment the package provides
 // Monte Carlo estimation (mc.go, karpluby.go): a naive possible-worlds

@@ -19,13 +19,15 @@ func TestSidecarRoundTrip(t *testing.T) {
 		table.DataCol("s", table.KindString),
 		table.VarCol("R"), table.ProbCol("R"),
 	)
-	rel := table.NewRelation(sch)
+	rel := table.NewColStore(sch)
 	for i := 0; i < 500; i++ {
-		rel.MustAppend(table.Tuple{
+		if err := rel.Append(table.Tuple{
 			table.Int(int64(i % 40)),
 			table.Str(string(rune('a' + i%26))),
 			table.VarValue(prob.Var(i + 7)), table.Float(0.5),
-		})
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	pt := &table.ProbTable{Name: "T", Rel: rel}
 	want := &Sidecar{Tables: map[string]*TableStats{"T": Analyze(pt)}, MaxVar: 506}

@@ -2,17 +2,19 @@
 // cost-based planner: per-table row counts and average tuple widths,
 // per-attribute distinct counts and equi-depth histograms, and the
 // selectivity / cardinality estimators built on them. Statistics are
-// collected by a single ANALYZE pass over each base table — either an
-// in-memory relation or a heap file scanned through internal/storage — and
+// collected by a single ANALYZE pass over each base table's column batches —
+// its in-memory chunks or a heap file's scan through internal/storage — and
 // cached on the planner catalog.
 package stats
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"slices"
 	"strings"
 
+	"repro/internal/engine"
 	"repro/internal/storage"
 	"repro/internal/table"
 )
@@ -68,7 +70,9 @@ type TableStats struct {
 // colAccum accumulates one column's statistics during the ANALYZE pass.
 type colAccum struct {
 	name     string
+	col      []int // the column's index, as HashInto takes it
 	distinct map[uint64]struct{}
+	hashes   []uint64
 	min, max table.Value
 	first    bool
 	width    float64
@@ -77,9 +81,10 @@ type colAccum struct {
 	rngState uint64
 }
 
-func newColAccum(name string) *colAccum {
+func newColAccum(name string, col int) *colAccum {
 	return &colAccum{
 		name:     name,
+		col:      []int{col},
 		distinct: make(map[uint64]struct{}),
 		first:    true,
 		rngState: 0x9e3779b97f4a7c15, // fixed seed: ANALYZE is deterministic
@@ -96,32 +101,52 @@ func (c *colAccum) nextRand() uint64 {
 	return z ^ (z >> 31)
 }
 
-func valueWidth(v table.Value) float64 {
-	if v.Kind == table.KindString {
-		return float64(len(v.S))
+// cellWidth is the encoded width of physical row i's cell: its length for a
+// string, 8 for anything else (NULL included).
+func cellWidth(v *table.ColVec, i int) float64 {
+	if v.Kind != table.KindString || v.Null(i) {
+		return 8
 	}
-	return 8
+	switch v.Mode {
+	case table.StrDict:
+		return float64(len(v.Dict[v.Codes[i]]))
+	case table.StrHeader:
+		return float64(len(v.Strs[i]))
+	default:
+		return float64(v.Offs[i+1] - v.Offs[i])
+	}
 }
 
-func (c *colAccum) add(v table.Value) {
-	c.distinct[table.HashOn(table.Tuple{v}, []int{0})] = struct{}{}
-	if c.first {
-		c.min, c.max, c.first = v, v, false
-	} else {
-		if table.Compare(v, c.min) < 0 {
-			c.min = v
-		}
-		if table.Compare(v, c.max) > 0 {
-			c.max = v
-		}
+// add accumulates the column's cells of b's live rows, in row order. Cells
+// are hashed in place (ColBatch.HashInto, bit-identical to table.HashOn) and
+// compared in place (ColVec.CompareValue); a cell is boxed as a Value only
+// when it becomes the minimum, the maximum or a reservoir sample.
+func (c *colAccum) add(b *table.ColBatch) {
+	c.hashes = b.HashInto(c.col, c.hashes)
+	for _, h := range c.hashes {
+		c.distinct[h] = struct{}{}
 	}
-	c.width += valueWidth(v)
-	// Reservoir sampling keeps a uniform sample of bounded size.
-	c.seen++
-	if len(c.sample) < sampleCap {
-		c.sample = append(c.sample, v)
-	} else if j := c.nextRand() % uint64(c.seen); j < sampleCap {
-		c.sample[j] = v
+	v := &b.Cols[c.col[0]]
+	for i := range c.hashes {
+		row := b.RowID(i)
+		if c.first {
+			c.min, c.max, c.first = v.Value(row), v.Value(row), false
+		} else {
+			if v.CompareValue(row, c.min) < 0 {
+				c.min = v.Value(row)
+			}
+			if v.CompareValue(row, c.max) > 0 {
+				c.max = v.Value(row)
+			}
+		}
+		c.width += cellWidth(v, row)
+		// Reservoir sampling keeps a uniform sample of bounded size.
+		c.seen++
+		if len(c.sample) < sampleCap {
+			c.sample = append(c.sample, v.Value(row))
+		} else if j := c.nextRand() % uint64(c.seen); j < sampleCap {
+			c.sample[j] = v.Value(row)
+		}
 	}
 }
 
@@ -147,88 +172,86 @@ func (c *colAccum) finish(rows int) *ColumnStats {
 	return cs
 }
 
-// analyzer runs the one-pass ANALYZE over a stream of tuples.
+// analyzer runs the one-pass ANALYZE over a table's column batches — the
+// chunks of an in-memory table, or a heap scan's batches. It is an
+// engine.Sink.
 type analyzer struct {
 	name    string
-	dataIdx []int
 	cols    []*colAccum
 	probIdx int
 	varIdx  int
 	rows    int
-	width   float64
 	probSum float64
 	maxVar  int
 }
 
 func newAnalyzer(name string, schema *table.Schema) *analyzer {
-	a := &analyzer{name: name, dataIdx: schema.DataIndexes(), probIdx: schema.ProbIndex(name), varIdx: schema.VarIndex(name)}
-	for _, j := range a.dataIdx {
-		a.cols = append(a.cols, newColAccum(schema.Cols[j].Name))
+	a := &analyzer{name: name, probIdx: schema.ProbIndex(name), varIdx: schema.VarIndex(name)}
+	for _, j := range schema.DataIndexes() {
+		a.cols = append(a.cols, newColAccum(schema.Cols[j].Name, j))
 	}
 	return a
 }
 
-func (a *analyzer) add(t table.Tuple) {
-	a.rows++
-	for i, j := range a.dataIdx {
-		a.cols[i].add(t[j])
-		a.width += valueWidth(t[j])
+// AddBatch accumulates b's live rows: each data column's cells, then the
+// V/P pair of every row.
+func (a *analyzer) AddBatch(b *table.ColBatch) error {
+	n := b.Rows()
+	a.rows += n
+	for _, c := range a.cols {
+		c.add(b)
 	}
-	a.width += 16 // V/P pair
-	if a.probIdx >= 0 && a.probIdx < len(t) {
-		a.probSum += t[a.probIdx].F
-	}
-	if a.varIdx >= 0 && a.varIdx < len(t) {
-		if v := int(t[a.varIdx].I); v > a.maxVar {
-			a.maxVar = v
+	for i := 0; i < n; i++ {
+		row := b.RowID(i)
+		if a.probIdx >= 0 {
+			a.probSum += b.Cols[a.probIdx].Floats[row]
+		}
+		if a.varIdx >= 0 {
+			if v := int(b.Cols[a.varIdx].Ints[row]); v > a.maxVar {
+				a.maxVar = v
+			}
 		}
 	}
+	return nil
 }
 
 func (a *analyzer) finish() *TableStats {
 	ts := &TableStats{Name: a.name, Rows: a.rows, MaxVar: a.maxVar, Cols: make(map[string]*ColumnStats, len(a.cols))}
+	width := 16 * float64(a.rows) // the V/P pair
 	for _, c := range a.cols {
 		ts.Cols[c.name] = c.finish(a.rows)
+		width += c.width
 	}
 	if a.rows > 0 {
-		ts.AvgTupleWidth = a.width / float64(a.rows)
+		ts.AvgTupleWidth = width / float64(a.rows)
 		ts.AvgProb = a.probSum / float64(a.rows)
 	}
 	return ts
 }
 
 // Analyze computes the statistics of one base table in a single pass over
-// its in-memory relation.
+// its in-memory column chunks.
 func Analyze(pt *table.ProbTable) *TableStats {
 	a := newAnalyzer(pt.Name, pt.Rel.Schema)
-	for _, row := range pt.Rel.Rows {
-		a.add(row)
+	for _, c := range pt.Rel.Chunks {
+		a.AddBatch(c)
 	}
 	return a.finish()
 }
 
 // AnalyzeHeapFile computes the same statistics by scanning a heap file
-// through the storage layer's buffer pool — the ANALYZE path for tables
-// that live on disk. schema describes the stored tuples; name is the base
-// table name (for the V/P columns).
+// through the storage layer's buffer pool (engine.ColHeapScan) — the ANALYZE
+// path for tables that live on disk. schema describes the stored tuples;
+// name is the base table name (for the V/P columns).
 func AnalyzeHeapFile(path, name string, schema *table.Schema, pool *storage.BufferPool) (*TableStats, error) {
 	h, err := storage.OpenHeapFile(path)
 	if err != nil {
 		return nil, err
 	}
 	defer h.Close()
-	sc := h.NewScanner(pool)
-	defer sc.Close()
 	a := newAnalyzer(name, schema)
-	for {
-		t, ok, err := sc.Next()
-		if err != nil {
-			return nil, fmt.Errorf("stats: analyzing %s: %w", name, err)
-		}
-		if !ok {
-			break
-		}
-		a.add(t)
+	if err := engine.StreamCtx(context.TODO(), engine.NewColHeapScan(h, pool, schema), a); err != nil {
+		return nil, fmt.Errorf("stats: analyzing %s: %w", name, err)
 	}
 	return a.finish(), nil
 }

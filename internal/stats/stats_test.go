@@ -2,11 +2,9 @@ package stats
 
 import (
 	"math"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/prob"
-	"repro/internal/storage"
 	"repro/internal/table"
 )
 
@@ -96,34 +94,5 @@ func TestAnalyzeDeterministic(t *testing.T) {
 	}
 }
 
-func TestAnalyzeHeapFileMatchesInMemory(t *testing.T) {
-	pt := uniformTable(500)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "T.heap")
-	h, err := storage.CreateHeapFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range pt.Rel.Rows {
-		if err := h.Append(row); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := h.Close(); err != nil {
-		t.Fatal(err)
-	}
-	disk, err := AnalyzeHeapFile(path, "T", pt.Rel.Schema, storage.NewBufferPool(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem := Analyze(pt)
-	if disk.Rows != mem.Rows || disk.AvgTupleWidth != mem.AvgTupleWidth || disk.AvgProb != mem.AvgProb {
-		t.Fatalf("heap-file stats differ: %+v vs %+v", disk, mem)
-	}
-	for name, dc := range disk.Cols {
-		mc := mem.Cols[name]
-		if dc.Distinct != mc.Distinct || table.Compare(dc.Min, mc.Min) != 0 || table.Compare(dc.Max, mc.Max) != 0 {
-			t.Fatalf("column %s stats differ", name)
-		}
-	}
-}
+// UniformTable exposes uniformTable to the package's external tests.
+var UniformTable = uniformTable

@@ -137,16 +137,10 @@ func (f RawField) Value() table.Value {
 	}
 }
 
-// DecodeTuple decodes one tuple from buf, returning the tuple and the number
-// of bytes consumed.
-func DecodeTuple(buf []byte) (table.Tuple, int, error) {
-	t, _, n, err := DecodeTupleArena(buf, nil)
-	return t, n, err
-}
-
-// DecodeTupleArena is DecodeTuple drawing the tuple's value storage from
-// arena when it fits (returning the shrunk remainder), and allocating fresh
-// storage otherwise. Scanners pass a block-sized arena so a sequential scan
+// DecodeTupleArena decodes one tuple from buf, returning the tuple and the
+// number of bytes consumed. It draws the tuple's value storage from arena
+// when it fits (returning the shrunk remainder), and allocates fresh storage
+// otherwise. Scanners pass a block-sized arena so a sequential scan
 // pays one value-slice allocation per ~4k values instead of one per tuple;
 // the decoded tuples stay valid forever (arena blocks are never reused).
 func DecodeTupleArena(buf []byte, arena []table.Value) (table.Tuple, []table.Value, int, error) {

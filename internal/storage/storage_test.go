@@ -36,7 +36,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		orig := sampleTuple(i)
 		buf := EncodeTuple(nil, orig)
-		got, n, err := DecodeTuple(buf)
+		got, _, n, err := DecodeTupleArena(buf, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,20 +51,20 @@ func TestCodecRoundTrip(t *testing.T) {
 
 func TestCodecEmptyTuple(t *testing.T) {
 	buf := EncodeTuple(nil, table.Tuple{})
-	got, _, err := DecodeTuple(buf)
+	got, _, _, err := DecodeTupleArena(buf, nil)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty tuple round trip failed: %v %v", got, err)
 	}
 }
 
 func TestCodecCorruptInput(t *testing.T) {
-	if _, _, err := DecodeTuple([]byte{}); err == nil {
+	if _, _, _, err := DecodeTupleArena([]byte{}, nil); err == nil {
 		t.Error("decoding empty buffer should fail")
 	}
-	if _, _, err := DecodeTuple([]byte{2, byte(table.KindFloat), 1, 2}); err == nil {
+	if _, _, _, err := DecodeTupleArena([]byte{2, byte(table.KindFloat), 1, 2}, nil); err == nil {
 		t.Error("decoding truncated float should fail")
 	}
-	if _, _, err := DecodeTuple([]byte{1, 99}); err == nil {
+	if _, _, _, err := DecodeTupleArena([]byte{1, 99}, nil); err == nil {
 		t.Error("decoding unknown kind should fail")
 	}
 }
@@ -73,7 +73,7 @@ func TestQuickCodecRoundTrip(t *testing.T) {
 	f := func(i int64, s string, fl float64, b bool) bool {
 		orig := table.Tuple{table.Int(i), table.Str(s), table.Float(fl), table.Bool(b)}
 		buf := EncodeTuple(nil, orig)
-		got, _, err := DecodeTuple(buf)
+		got, _, _, err := DecodeTupleArena(buf, nil)
 		if err != nil {
 			return false
 		}

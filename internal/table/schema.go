@@ -211,8 +211,10 @@ func (t Tuple) String() string {
 	return "(" + strings.Join(parts, ", ") + ")"
 }
 
-// Relation is an in-memory table: a schema plus rows. It doubles as the
-// materialized intermediate format of the executor.
+// Relation is a materialized result: a schema plus rows — the format of
+// answers at the API edge (engine.RelationSink, conf.Source.Relation) and
+// of test fixtures. Base tables are ColStores and the engine moves
+// ColBatches; no operator reads a Relation.
 type Relation struct {
 	Schema *Schema
 	Rows   []Tuple
@@ -223,8 +225,8 @@ func NewRelation(s *Schema) *Relation { return &Relation{Schema: s} }
 
 // Check reports whether t fits the schema: one value per column, each NULL
 // or of its column's declared kind. Every row that enters the engine from
-// outside passes it (Relation.Append, the catalog's registration), so a
-// column vector holds one kind and the sort keys order like CompareOn.
+// outside passes it (ColStore.Append, Relation.Append), so a column vector
+// holds one kind and the sort keys order like CompareOn.
 func (s *Schema) Check(t Tuple) error {
 	if len(t) != s.Len() {
 		return fmt.Errorf("table: arity mismatch: tuple has %d values, schema %d columns", len(t), s.Len())
@@ -256,12 +258,69 @@ func (r *Relation) MustAppend(t Tuple) {
 // Len returns the number of rows.
 func (r *Relation) Len() int { return len(r.Rows) }
 
+// ColStore is a base table's storage: its rows as column chunks of at most
+// BatchSize rows, in insertion order. It is what an in-memory scan reads
+// (engine.ColChunkScan, the scan that also serves sort+scan placements) and
+// what ANALYZE walks, so a base table is never held, or transposed, as rows.
+// Rows are not appended while a scan reads the chunks.
+type ColStore struct {
+	Schema *Schema
+	Chunks []*ColBatch
+}
+
+// NewColStore builds an empty store over a schema.
+func NewColStore(s *Schema) *ColStore { return &ColStore{Schema: s} }
+
+// Append checks a row against the schema (Schema.Check) and appends its
+// cells to the last chunk, starting a new chunk when that one is full.
+func (s *ColStore) Append(t Tuple) error {
+	if err := s.Schema.Check(t); err != nil {
+		return err
+	}
+	k := len(s.Chunks)
+	if k == 0 || s.Chunks[k-1].N == BatchSize {
+		s.Chunks = append(s.Chunks, NewColBatch(s.Schema))
+		k++
+	}
+	s.Chunks[k-1].AppendRow(t)
+	return nil
+}
+
+// Len returns the number of rows.
+func (s *ColStore) Len() int {
+	n := 0
+	for _, c := range s.Chunks {
+		n += c.Rows()
+	}
+	return n
+}
+
+// Check reports whether every chunk has the schema's shape: one column
+// vector per column, each of its column's declared kind. Rows appended
+// through Append fit by construction; Check is for chunks a caller put in
+// place itself, and costs O(columns) per chunk.
+func (s *ColStore) Check() error {
+	for i, c := range s.Chunks {
+		if len(c.Cols) != s.Schema.Len() {
+			return fmt.Errorf("table: chunk %d has %d columns, schema %d", i, len(c.Cols), s.Schema.Len())
+		}
+		for j := range c.Cols {
+			if col := s.Schema.Cols[j]; c.Cols[j].Kind != col.Kind {
+				return fmt.Errorf("table: column %s is %s, chunk %d holds %s", col.Name, col.Kind, i, c.Cols[j].Kind)
+			}
+		}
+	}
+	return nil
+}
+
 // ProbTable is a base tuple-independent probabilistic table: a relation of
-// schema (A, V, P) with the functional dependency A → V P (§II.A). Data
-// columns come first, then V(Name), P(Name).
+// schema (A, V, P) with the functional dependency A → V P (§II.A), stored
+// as column chunks. Data columns come first, then V(Name), P(Name). A
+// disk-resident table (plan.DiskBinding) keeps its rows in a heap file and
+// an empty store that carries only the schema.
 type ProbTable struct {
 	Name string
-	Rel  *Relation
+	Rel  *ColStore
 }
 
 // NewProbTable creates a tuple-independent table with the given data
@@ -270,7 +329,7 @@ func NewProbTable(name string, dataCols ...Column) *ProbTable {
 	cols := make([]Column, 0, len(dataCols)+2)
 	cols = append(cols, dataCols...)
 	cols = append(cols, VarCol(name), ProbCol(name))
-	return &ProbTable{Name: name, Rel: NewRelation(NewSchema(cols...))}
+	return &ProbTable{Name: name, Rel: NewColStore(NewSchema(cols...))}
 }
 
 // AddRow appends a data tuple with its random variable and probability.
@@ -278,9 +337,8 @@ func (p *ProbTable) AddRow(v prob.Var, pr float64, data ...Value) error {
 	if !(pr > 0 && pr <= 1) {
 		return fmt.Errorf("table: probability %g outside (0,1] for table %s", pr, p.Name)
 	}
-	t := make(Tuple, 0, len(data)+2)
-	t = append(t, data...)
-	t = append(t, VarValue(v), Float(pr))
+	var buf [16]Value // the row is only read: no allocation for ≤ 14 data columns
+	t := append(append(buf[:0], data...), VarValue(v), Float(pr))
 	if err := p.Rel.Append(t); err != nil {
 		return fmt.Errorf("%w (table %s)", err, p.Name)
 	}
@@ -294,17 +352,21 @@ func (p *ProbTable) MustAddRow(v prob.Var, pr float64, data ...Value) {
 	}
 }
 
-// Assignment collects the variable→probability mapping of the table's rows.
+// Assignment collects the variable→probability mapping of the table's rows,
+// reading the V and P vectors (a NULL variable is 0 there, and skipped).
 func (p *ProbTable) Assignment(into *prob.Assignment) error {
 	vi := p.Rel.Schema.VarIndex(p.Name)
 	pi := p.Rel.Schema.ProbIndex(p.Name)
-	for _, row := range p.Rel.Rows {
-		v := row[vi].AsVar()
-		if !v.Valid() {
-			continue
-		}
-		if err := into.Set(v, row[pi].F); err != nil {
-			return err
+	for _, c := range p.Rel.Chunks {
+		for i := 0; i < c.Rows(); i++ {
+			row := c.RowID(i)
+			v := prob.Var(c.Cols[vi].Ints[row])
+			if !v.Valid() {
+				continue
+			}
+			if err := into.Set(v, c.Cols[pi].Floats[row]); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

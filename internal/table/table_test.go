@@ -2,6 +2,7 @@ package table
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -197,6 +198,39 @@ func TestProbTable(t *testing.T) {
 	}
 	if a.P(1) != 0.1 || a.P(2) != 0.2 {
 		t.Errorf("Assignment wrong: p1=%g p2=%g", a.P(1), a.P(2))
+	}
+}
+
+// TestColStoreChunks: a store keeps its rows in insertion order as
+// BatchSize-row chunks, refuses a row that does not fit the schema, and
+// its Check refuses a chunk of the wrong shape put in place by hand.
+func TestColStoreChunks(t *testing.T) {
+	s := NewColStore(NewSchema(DataCol("a", KindInt), DataCol("s", KindString)))
+	n := 2*BatchSize + 1
+	for i := 0; i < n; i++ {
+		if err := s.Append(Tuple{Int(int64(i)), Str("x")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Append(Tuple{Str("y"), Str("x")}); err == nil {
+		t.Error("a wrong-kind row must be refused")
+	}
+	if s.Len() != n || len(s.Chunks) != 3 || s.Chunks[2].N != 1 {
+		t.Fatalf("%d rows in %d chunks, want %d in 3", s.Len(), len(s.Chunks), n)
+	}
+	if got := s.Chunks[1].Cols[0].Ints[5]; got != BatchSize+5 {
+		t.Errorf("row %d holds a = %d", BatchSize+5, got)
+	}
+	if err := s.Check(); err != nil {
+		t.Fatal(err)
+	}
+	s.Chunks = append(s.Chunks, NewColBatch(NewSchema(DataCol("a", KindFloat), DataCol("s", KindString))))
+	if err := s.Check(); err == nil || !strings.Contains(err.Error(), "column a is int") {
+		t.Errorf("wrong-kind chunk: got %v", err)
+	}
+	s.Chunks[3] = NewColBatch(NewSchema(DataCol("a", KindInt)))
+	if err := s.Check(); err == nil {
+		t.Error("a chunk of the wrong arity must be refused")
 	}
 }
 

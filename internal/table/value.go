@@ -1,11 +1,12 @@
 // Package table defines the tuple-level data model shared by the whole
 // system: typed values, tuples, schemas that know which columns carry
 // Boolean random variables and probabilities (the V- and P-columns of the
-// paper's tuple-independent tables, §II.A), and in-memory relations. The
-// columnar side of the model (colbatch.go) carries the same tuples as
+// paper's tuple-independent tables, §II.A), and materialized relations.
+// The columnar side of the model (colbatch.go) carries the same tuples as
 // per-column typed vectors — ColBatch/ColVec with a selection vector, a
 // null bitmap, and dictionary/flat string layouts — for the engine's
-// vectorized execution tier.
+// vectorized execution tier; a base table is stored as such chunks
+// (ColStore).
 package table
 
 import (

@@ -14,7 +14,7 @@ import (
 // file under dir (one <Table>.heap per table), exercising the
 // secondary-storage layer on the write path, and drops a stats.json sidecar
 // next to them so loaders skip the first-query ANALYZE. cmd/sprout-gen is a
-// thin wrapper around this.
+// thin wrapper around this; OpenDiskCatalog opens what it writes.
 func (d *Data) WriteHeapFiles(dir string) error {
 	for _, tb := range d.Tables() {
 		path := filepath.Join(dir, tb.Name+".heap")
@@ -22,10 +22,14 @@ func (d *Data) WriteHeapFiles(dir string) error {
 		if err != nil {
 			return err
 		}
-		for _, row := range tb.Rel.Rows {
-			if err := h.Append(row); err != nil {
-				h.Close()
-				return fmt.Errorf("tpch: writing %s: %w", tb.Name, err)
+		row := make(table.Tuple, tb.Rel.Schema.Len())
+		for _, c := range tb.Rel.Chunks {
+			for i := 0; i < c.Rows(); i++ {
+				c.WriteRow(i, row)
+				if err := h.Append(row); err != nil {
+					h.Close()
+					return fmt.Errorf("tpch: writing %s: %w", tb.Name, err)
+				}
 			}
 		}
 		if err := h.Close(); err != nil {
@@ -38,69 +42,13 @@ func (d *Data) WriteHeapFiles(dir string) error {
 }
 
 // Sidecar builds the statistics sidecar of a generated instance from its
-// in-memory tables.
+// in-memory tables' chunks.
 func (d *Data) Sidecar() *stats.Sidecar {
 	sc := &stats.Sidecar{Tables: make(map[string]*stats.TableStats), MaxVar: d.NumVars}
 	for _, tb := range d.Tables() {
 		sc.Tables[tb.Name] = stats.Analyze(tb)
 	}
 	return sc
-}
-
-// LoadHeapFiles reads a directory produced by WriteHeapFiles back into
-// probabilistic tables, scanning each heap file through a shared buffer
-// pool. The schemas come from a reference instance (Generate with any
-// config yields the same schemas), so only tuple data lives on disk.
-func LoadHeapFiles(dir string, poolPages int) (*Data, error) {
-	ref := Generate(Config{SF: 0.0001, Seed: 0}) // schema donor only
-	pool := storage.NewBufferPool(poolPages)
-	out := &Data{}
-	load := func(dst **table.ProbTable, refTable *table.ProbTable) error {
-		path := filepath.Join(dir, refTable.Name+".heap")
-		h, err := storage.OpenHeapFile(path)
-		if err != nil {
-			return err
-		}
-		defer h.Close()
-		pt := &table.ProbTable{Name: refTable.Name, Rel: table.NewRelation(refTable.Rel.Schema)}
-		sc := h.NewScanner(pool)
-		defer sc.Close()
-		maxVar := 0
-		for {
-			t, ok, err := sc.Next()
-			if err != nil {
-				return fmt.Errorf("tpch: loading %s: %w", refTable.Name, err)
-			}
-			if !ok {
-				break
-			}
-			if err := pt.Rel.Append(t); err != nil {
-				return fmt.Errorf("tpch: loading %s: %w", refTable.Name, err)
-			}
-			vi := pt.Rel.Schema.VarIndex(pt.Name)
-			if v := int(t[vi].I); v > maxVar {
-				maxVar = v
-			}
-		}
-		if maxVar > out.NumVars {
-			out.NumVars = maxVar
-		}
-		*dst = pt
-		return nil
-	}
-	for _, pair := range []struct {
-		dst *(*table.ProbTable)
-		ref *table.ProbTable
-	}{
-		{&out.Region, ref.Region}, {&out.Nation, ref.Nation}, {&out.Supp, ref.Supp},
-		{&out.Part, ref.Part}, {&out.Psupp, ref.Psupp}, {&out.Cust, ref.Cust},
-		{&out.Ord, ref.Ord}, {&out.Item, ref.Item},
-	} {
-		if err := load(pair.dst, pair.ref); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // OpenDiskCatalog builds a planner catalog whose tables stay on disk: each
@@ -138,7 +86,7 @@ func OpenDiskCatalog(dir string, poolPages int) (*plan.Catalog, int, func() erro
 		}
 		files = append(files, h)
 		schema := refTable.Rel.Schema
-		c.MustAdd(&table.ProbTable{Name: refTable.Name, Rel: table.NewRelation(schema)})
+		c.MustAdd(&table.ProbTable{Name: refTable.Name, Rel: table.NewColStore(schema)})
 		var ts *stats.TableStats
 		if scErr == nil {
 			ts = sc.Tables[refTable.Name]

@@ -1,6 +1,8 @@
 package tpch
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -13,51 +15,15 @@ func removeSidecar(dir string) error {
 	return os.Remove(filepath.Join(dir, stats.SidecarFile))
 }
 
-// TestHeapFileRoundTrip: generating, persisting to page-structured heap
-// files, and loading back yields a catalog over which query results match
-// the in-memory ones exactly — the full secondary-storage round trip.
-func TestHeapFileRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	mem := Generate(Config{SF: 0.002, Seed: 33})
-	if err := mem.WriteHeapFiles(dir); err != nil {
-		t.Fatal(err)
-	}
-	disk, err := LoadHeapFiles(dir, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, tb := range mem.Tables() {
-		dt := disk.Tables()[i]
-		if tb.Rel.Len() != dt.Rel.Len() {
-			t.Fatalf("%s: %d rows in memory, %d on disk", tb.Name, tb.Rel.Len(), dt.Rel.Len())
-		}
-	}
-	// Same query, same answers.
-	e := Catalog()["18"]
-	sigma := FDsFor(e)
-	memRes, err := plan.Run(mem.Catalog(), e.Q.Clone(), sigma, plan.Spec{Style: plan.Lazy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	diskRes, err := plan.Run(disk.Catalog(), e.Q.Clone(), sigma, plan.Spec{Style: plan.Lazy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := compareAnswers(memRes.Rows.Rows, diskRes.Rows.Rows); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLoadHeapFilesMissingDir(t *testing.T) {
-	if _, err := LoadHeapFiles(t.TempDir(), 8); err == nil {
-		t.Error("loading from an empty directory must fail")
-	}
-}
-
 // TestOpenDiskCatalog: a catalog whose tables stay on disk — scans paging
-// through the buffer pool, statistics from the sidecar — answers queries
-// with exactly the in-memory catalog's confidences, and reports the instance's world-variable count without scanning.
+// through the buffer pool, statistics from the sidecar — holds every
+// table's rows, answers queries with exactly the in-memory catalog's
+// confidences, and reports the instance's world-variable count without
+// scanning. A directory without heap files does not open.
 func TestOpenDiskCatalog(t *testing.T) {
+	if _, _, _, err := OpenDiskCatalog(t.TempDir(), 8); err == nil {
+		t.Error("opening an empty directory must fail")
+	}
 	dir := t.TempDir()
 	mem := Generate(Config{SF: 0.002, Seed: 33})
 	if err := mem.WriteHeapFiles(dir); err != nil {
@@ -70,6 +36,11 @@ func TestOpenDiskCatalog(t *testing.T) {
 	defer closeFiles()
 	if numVars != mem.NumVars {
 		t.Fatalf("numVars = %d, want %d (sidecar ceiling)", numVars, mem.NumVars)
+	}
+	for _, tb := range mem.Tables() {
+		if got := cat.Rows(tb.Name); got != tb.Rel.Len() {
+			t.Fatalf("%s: %d rows in memory, %d on disk", tb.Name, tb.Rel.Len(), got)
+		}
 	}
 	for _, name := range []string{"1", "B6", "15", "18"} {
 		e := Catalog()[name]
@@ -99,5 +70,24 @@ func TestOpenDiskCatalog(t *testing.T) {
 	_ = cat2
 	if numVars2 != mem.NumVars {
 		t.Fatalf("numVars without sidecar = %d, want %d", numVars2, mem.NumVars)
+	}
+}
+
+// TestSidecarGolden pins the stats.json that WriteHeapFiles writes for SF
+// 0.002, seed 1 to its bytes: the row counts, widths, distinct counts,
+// min/max and histogram bounds of every table, as ANALYZE computed them
+// when base tables were still stored as rows.
+func TestSidecarGolden(t *testing.T) {
+	const golden = "09610fd09785fe9a55255b8e7f9198abc058b1bd03f7e1e950d73af650e36e6d"
+	dir := t.TempDir()
+	if err := Generate(Config{SF: 0.002, Seed: 1}).WriteHeapFiles(dir); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, stats.SidecarFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != golden {
+		t.Fatalf("%s: sha256 %s, want %s", stats.SidecarFile, got, golden)
 	}
 }

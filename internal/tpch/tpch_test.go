@@ -13,19 +13,33 @@ import (
 	"repro/internal/table"
 )
 
+// rowsOf materializes a generated table's chunks as rows.
+func rowsOf(pt *table.ProbTable) []table.Tuple {
+	var rows []table.Tuple
+	for _, c := range pt.Rel.Chunks {
+		for i := 0; i < c.Rows(); i++ {
+			row := make(table.Tuple, len(c.Cols))
+			c.WriteRow(i, row)
+			rows = append(rows, row)
+		}
+	}
+	return rows
+}
+
 func TestGenerateDeterministic(t *testing.T) {
 	a := Generate(Config{SF: 0.001, Seed: 42})
 	b := Generate(Config{SF: 0.001, Seed: 42})
 	if a.Item.Rel.Len() != b.Item.Rel.Len() {
 		t.Fatalf("same seed must give same sizes: %d vs %d", a.Item.Rel.Len(), b.Item.Rel.Len())
 	}
-	for i := 0; i < 10 && i < a.Item.Rel.Len(); i++ {
-		if a.Item.Rel.Rows[i].String() != b.Item.Rel.Rows[i].String() {
+	ar, br := rowsOf(a.Item), rowsOf(b.Item)
+	for i := 0; i < 10 && i < len(ar); i++ {
+		if ar[i].String() != br[i].String() {
 			t.Fatalf("row %d differs across runs with same seed", i)
 		}
 	}
 	c := Generate(Config{SF: 0.001, Seed: 43})
-	if c.Item.Rel.Rows[0].String() == a.Item.Rel.Rows[0].String() {
+	if rowsOf(c.Item)[0].String() == ar[0].String() {
 		t.Error("different seeds should give different data")
 	}
 }
@@ -53,7 +67,7 @@ func TestGeneratedProbabilitiesValid(t *testing.T) {
 	}
 	for _, tb := range d.Tables() {
 		pi := tb.Rel.Schema.ProbIndex(tb.Name)
-		for _, row := range tb.Rel.Rows {
+		for _, row := range rowsOf(tb) {
 			if row[pi].F < 0.2 || row[pi].F > 0.9 {
 				t.Fatalf("%s probability %g outside configured bounds", tb.Name, row[pi].F)
 			}
@@ -69,7 +83,7 @@ func TestVariablesGloballyUnique(t *testing.T) {
 	seen := make(map[int64]bool)
 	for _, tb := range d.Tables() {
 		vi := tb.Rel.Schema.VarIndex(tb.Name)
-		for _, row := range tb.Rel.Rows {
+		for _, row := range rowsOf(tb) {
 			v := row[vi].I
 			if seen[v] {
 				t.Fatalf("variable %d reused across tuples", v)
@@ -83,14 +97,14 @@ func TestForeignKeysResolve(t *testing.T) {
 	d := Generate(Config{SF: 0.001, Seed: 5})
 	nCust := int64(d.Cust.Rel.Len())
 	ci := d.Ord.Rel.Schema.MustColIndex("ckey")
-	for _, row := range d.Ord.Rel.Rows {
+	for _, row := range rowsOf(d.Ord) {
 		if row[ci].I < 0 || row[ci].I >= nCust {
 			t.Fatalf("dangling ckey %d", row[ci].I)
 		}
 	}
 	nOrd := int64(d.Ord.Rel.Len())
 	oi := d.Item.Rel.Schema.MustColIndex("okey")
-	for _, row := range d.Item.Rel.Rows {
+	for _, row := range rowsOf(d.Item) {
 		if row[oi].I < 0 || row[oi].I >= nOrd {
 			t.Fatalf("dangling okey %d", row[oi].I)
 		}

@@ -226,9 +226,9 @@ func mustNameAll(t *testing.T, err error, words ...string) {
 }
 
 // TestWrongKindRejected: a value whose kind is not its column's is refused
-// where rows enter — Insert, and AddTable of a table built by hand — with
-// an error naming the table, the column and both kinds. NULL fits any
-// column.
+// where rows enter — Insert, and AddTable of a table whose chunks were put
+// in place by hand — with an error naming the table, the column and both
+// kinds. NULL fits any column.
 func TestWrongKindRejected(t *testing.T) {
 	db := NewDB()
 	r := db.MustCreateTable("R", IntCol("a"), FloatCol("price"))
@@ -240,7 +240,9 @@ func TestWrongKindRejected(t *testing.T) {
 
 	pt := table.NewProbTable("S", table.DataCol("a", table.KindInt), table.DataCol("price", table.KindFloat))
 	pt.MustAddRow(1, 0.5, table.Int(1), table.Float(2.5))
-	pt.Rel.Rows = append(pt.Rel.Rows, table.Tuple{table.Int(2), table.Int(3), table.VarValue(2), table.Float(0.5)})
+	bad := table.NewColBatch(table.NewSchema(table.DataCol("a", table.KindInt), table.DataCol("price", table.KindInt), table.VarCol("S"), table.ProbCol("S")))
+	bad.AppendRow(table.Tuple{table.Int(2), table.Int(3), table.VarValue(2), table.Float(0.5)})
+	pt.Rel.Chunks = append(pt.Rel.Chunks, bad)
 	mustNameAll(t, db.AddTable(pt), "table S", "price", "float", "int")
 	if _, ok := db.Catalog().Table("S"); ok {
 		t.Error("a refused table must not be registered")
