@@ -3,7 +3,9 @@ package conf
 import (
 	"context"
 	"fmt"
+	"slices"
 
+	"repro/internal/engine"
 	"repro/internal/signature"
 	"repro/internal/table"
 )
@@ -177,35 +179,63 @@ func FinalizeBareFrom(ctx context.Context, src *Source, rep string) (*table.Rela
 		outCols = append(outCols, src.Schema.Cols[i])
 	}
 	outCols = append(outCols, table.DataCol(ConfCol, table.KindFloat))
-	out := table.NewRelation(table.NewSchema(outCols...))
-	// Dedup through a hash-keyed set over every output column: duplicate
-	// rows are recognized without rendering a key string or retaining the
-	// candidate tuple.
-	all := make([]int, len(outCols))
-	for i := range all {
-		all[i] = i
-	}
-	seen := table.NewTupleSet(all, 0)
-	nr := make(table.Tuple, len(outCols))
+	// Dedup on the cells of the output columns as they stream past: rows
+	// are hashed in place (ColBatch.HashInto), and a row whose hash was seen
+	// is compared cell by cell (ColVec.CompareCell) with the kept rows of
+	// that hash. The distinct rows are kept as column chunks in first-seen
+	// order and numbered from 1 across them; heads maps a hash to its latest
+	// kept row and next[k-1] chains kept row k to the previous one of its
+	// hash, 0 ending both.
+	schema := table.NewSchema(outCols...)
+	idx := append(slices.Clone(dataCols), pi)
+	var kept []*table.ColBatch
+	heads := make(map[uint64]int32)
+	var next []int32
+	var hashes []uint64
 	var rows int64
 	err := src.push(ctx, sinkFunc(func(b *table.ColBatch) error {
-		n := b.Rows()
-		for i := 0; i < n; i++ {
+		hashes = b.HashInto(idx, hashes)
+		for i, h := range hashes {
 			row := b.RowID(i)
-			for j, c := range dataCols {
-				nr[j] = b.Cols[c].Value(row)
+			k := heads[h]
+			for k > 0 && !sameCells(b, row, idx, kept[(k-1)/table.BatchSize], int((k-1)%table.BatchSize)) {
+				k = next[k-1]
 			}
-			nr[len(dataCols)] = table.Float(b.Cols[pi].Floats[row])
-			if c, added := seen.Add(nr, true); added {
-				out.Rows = append(out.Rows, c)
+			if k > 0 {
+				continue // a duplicate of kept row k
 			}
+			if len(kept) == 0 || kept[len(kept)-1].N == table.BatchSize {
+				kept = append(kept, table.NewColBatch(schema))
+			}
+			last := kept[len(kept)-1]
+			for j, c := range idx {
+				last.Cols[j].AppendCell(last.N, &b.Cols[c], row)
+			}
+			last.N++
+			next = append(next, heads[h])
+			heads[h] = int32(len(next))
 		}
-		rows += int64(n)
+		rows += int64(len(hashes))
 		return nil
 	}))
 	if err != nil {
 		return nil, err
 	}
+	out := engine.NewRelationSink(schema)
+	for _, c := range kept {
+		out.AddBatch(c)
+	}
 	src.rows = rows
-	return out, nil
+	return out.Rel, nil
+}
+
+// sameCells reports whether physical row `row` of b, over the columns idx,
+// equals row k of the kept chunk c cell by cell under Compare semantics.
+func sameCells(b *table.ColBatch, row int, idx []int, c *table.ColBatch, k int) bool {
+	for j, col := range idx {
+		if b.Cols[col].CompareCell(row, &c.Cols[j], k) != 0 {
+			return false
+		}
+	}
+	return true
 }

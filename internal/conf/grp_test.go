@@ -13,7 +13,7 @@ import (
 // (group by every column but the current V/P pair; min V, independent-or P)
 // per star and one propagation projection (P1 := P1·P2, dropping V2 and P2)
 // per concatenation, then the distinct data columns with the surviving P as
-// conf. Groups are map entries (table.TupleSet: Compare equality, as the
+// conf. Groups are map entries (groupSet: Compare equality, as the
 // operator's sort keys have); the answer is sorted on its data columns.
 func grpSequence(rel *table.Relation, sig signature.Sig) (*table.Relation, error) {
 	if err := validateSources(rel.Schema, sig); err != nil {
@@ -34,16 +34,40 @@ func grpSequence(rel *table.Relation, sig signature.Sig) (*table.Relation, error
 	for i := range all {
 		all[i] = i
 	}
-	seen := table.NewTupleSet(all, 0)
+	seen := newGroupSet(all)
 	for _, row := range cur.Rows {
 		t := append(row.Project(data), row[pi])
-		if _, added := seen.Add(t, false); added {
+		if _, added := seen.add(t); added {
 			out.Rows = append(out.Rows, t)
 		}
 	}
 	key := all[:len(data)]
 	slices.SortStableFunc(out.Rows, func(a, b table.Tuple) int { return table.CompareOn(a, b, key) })
 	return out, nil
+}
+
+// groupSet is a set of tuples keyed on a column subset under Compare
+// equality: table.HashOn buckets, table.EqualOn2 within a bucket.
+type groupSet struct {
+	idx     []int
+	buckets map[uint64][]table.Tuple
+}
+
+func newGroupSet(idx []int) *groupSet {
+	return &groupSet{idx: idx, buckets: make(map[uint64][]table.Tuple)}
+}
+
+// add inserts t unless a tuple with an equal key is in the set, and returns
+// the set's tuple for t's key and whether it is t.
+func (s *groupSet) add(t table.Tuple) (table.Tuple, bool) {
+	h := table.HashOn(t, s.idx)
+	for _, e := range s.buckets[h] {
+		if table.EqualOn2(t, s.idx, e, s.idx) {
+			return e, false
+		}
+	}
+	s.buckets[h] = append(s.buckets[h], t)
+	return t, true
 }
 
 // vpCols names the variable/probability column pair that represents the
@@ -75,10 +99,10 @@ func grpApply(rel *table.Relation, sig signature.Sig) (*table.Relation, vpCols, 
 			}
 		}
 		// A group's stored row carries the running min(V) and Π(1-P).
-		groups := table.NewTupleSet(groupBy, 0)
+		groups := newGroupSet(groupBy)
 		out := table.NewRelation(s)
 		for _, row := range cur.Rows {
-			g, added := groups.Add(row, true)
+			g, added := groups.add(row.Clone())
 			if added {
 				g[pi] = table.Float(1 - row[pi].F)
 				out.Rows = append(out.Rows, g)

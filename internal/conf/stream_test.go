@@ -207,8 +207,8 @@ func TestStreamedSourceIsOneShot(t *testing.T) {
 
 // flatStreamOf is streamOf with string cells appended as raw bytes
 // (ColVec.AppendStrBytes), the heap scan's decode path, in 1 000-row
-// batches: a string column of more than table.DictMaxCard distinct values
-// arrives in the flat layout. sawFlat reports whether one did.
+// batches: string columns arrive in the flat layout. sawFlat reports
+// whether one did.
 func flatStreamOf(ctx context.Context, rel *table.Relation, sawFlat *bool) *Source {
 	return NewSource(rel.Schema, func(sink engine.Sink) error {
 		b := table.NewColBatch(rel.Schema)
@@ -245,8 +245,8 @@ func flatStreamOf(ctx context.Context, rel *table.Relation, sawFlat *bool) *Sour
 // straddle the 1 024-row output chunks. Every probability is 1/4, 1/2 or
 // 3/4, so each confidence is a dyadic rational of under 53 bits and both
 // the operator and grpSequence compute it exactly, whatever their order of
-// operations. Answer g has s = "key-<g/2>" (over DictMaxCard distinct
-// strings) and f = 1.5 for odd g; for even g, f is 0, written +0 in half of
+// operations. Answer g has s = "key-<g/2>" (hundreds of distinct strings
+// at the sizes the tests use) and f = 1.5 for odd g; for even g, f is 0, written +0 in half of
 // the rows and −0 in the other half — one group. A few answers have a NULL
 // s, a NULL f or both.
 func boundaryRel(rng *rand.Rand, groups int) *table.Relation {

@@ -36,9 +36,8 @@ func allocRel(rows, distinct int) *table.Relation {
 	return rel
 }
 
-// strKeyRel is allocRel keyed on distinct strings: from a bytesScan the
-// key's DictMaxCard-plus distinct values spill every batch, and so every
-// build chunk, to the flat string layout.
+// strKeyRel is allocRel keyed on distinct strings: from a bytesScan every
+// batch, and so every build chunk, holds the key in the flat string layout.
 func strKeyRel(rows int) *table.Relation {
 	rel := table.NewRelation(table.NewSchema(table.DataCol("k", table.KindString), table.DataCol("v", table.KindInt)))
 	for i := 0; i < rows; i++ {

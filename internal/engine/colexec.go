@@ -31,12 +31,16 @@ type ColOperator interface {
 // ColChunkScan iterates column chunks — an in-memory base table's storage
 // (table.ColStore), or what a sort+scan placement below a join hands up
 // (conf.Source.Chunks) — one chunk per call, copied column-wise into the
-// consumer's batch (ColBatch.AppendBatch). The chunks are only read, so they
-// may be scanned any number of times.
+// consumer's batch (ColBatch.AppendBatchCols). The chunks are only read, so
+// they may be scanned any number of times.
 type ColChunkScan struct {
 	S      *table.Schema
 	Chunks []*table.ColBatch
 	pos    int
+	// need marks the columns some consumer actually reads (nil = all); only
+	// those are copied. Set by pruneCols; a pruned column's vector stays
+	// empty, as a ColHeapScan's does.
+	need []bool
 }
 
 // Schema returns the chunks' schema.
@@ -51,7 +55,7 @@ func (s *ColChunkScan) NextColBatch(dst *table.ColBatch) (int, error) {
 	for dst.N == 0 && s.pos < len(s.Chunks) {
 		c := s.Chunks[s.pos]
 		s.pos++
-		dst.AppendBatch(c, 0, c.Rows())
+		dst.AppendBatchCols(c, 0, c.Rows(), s.need)
 	}
 	return dst.N, nil
 }
@@ -62,8 +66,8 @@ func (s *ColChunkScan) Close() error { return nil }
 // ColHeapScan iterates a heap file straight into column vectors: each
 // record's fields are decoded off the page (storage.FieldIter) and appended
 // onto the destination columns without ever materializing a row tuple.
-// String fields move as raw bytes into the dictionary or flat layout, with
-// no per-row string allocation. A stored field that is neither NULL nor of
+// String fields move as raw bytes into the flat layout, with no per-row
+// string allocation. A stored field that is neither NULL nor of
 // its schema column's kind fails the scan: the heap file is where rows
 // enter the engine from outside.
 type ColHeapScan struct {
@@ -124,9 +128,9 @@ func (s *ColHeapScan) NextColBatch(dst *table.ColBatch) (int, error) {
 				continue
 			}
 			// String payloads alias the page; AppendStrBytes copies them
-			// into the column's dictionary or flat bytes before the scan
-			// advances. The remaining kinds take typed fast paths that
-			// skip the Value boxing per cell.
+			// into the column's flat bytes before the scan advances. The
+			// remaining kinds take typed fast paths that skip the Value
+			// boxing per cell.
 			v := &dst.Cols[c]
 			switch {
 			case f.Kind == table.KindNull:
@@ -369,12 +373,13 @@ func (p *ColProject) NextColBatch(dst *table.ColBatch) (int, error) {
 // Close closes the input.
 func (p *ColProject) Close() error { return p.In.Close() }
 
-// pruneCols pushes column liveness down a columnar tree to its heap scans: a
+// pruneCols pushes column liveness down a columnar tree to its scans: a
 // ColProject only reads the input columns its index map names, so any column
 // it drops — net of the filter predicates evaluated below it — need never be
-// decoded off the page. need[i]=true marks output column i as read by the
-// consumer; nil means all are. Joins (and any root consumer) read every
-// column of their inputs, so pruning restarts at nil below them.
+// decoded off the page or copied out of a chunk. need[i]=true marks output
+// column i as read by the consumer; nil means all are. Joins (and any root
+// consumer) read every column of their inputs, so pruning restarts at nil
+// below them.
 func pruneCols(op ColOperator, need []bool) {
 	switch o := op.(type) {
 	case *ColCounted:
@@ -399,6 +404,8 @@ func pruneCols(op ColOperator, need []bool) {
 		}
 		pruneCols(o.In, childNeed)
 	case *ColHeapScan:
+		o.need = need
+	case *ColChunkScan:
 		o.need = need
 	case *ColHashJoin:
 		pruneCols(o.Left, nil)

@@ -15,9 +15,8 @@ import (
 )
 
 // colTestRel builds a relation exercising every columnar layout: ints,
-// floats, a string column whose cardinality is set by strCard (above
-// table.DictMaxCard forces the dictionary spill on the scan decode path),
-// and the V/P lineage columns.
+// floats, a string column whose cardinality is set by strCard, and the V/P
+// lineage columns.
 func colTestRel(rows, strCard int, seed int64) *table.Relation {
 	rng := rand.New(rand.NewSource(seed))
 	sch := table.NewSchema(
@@ -39,8 +38,8 @@ func colTestRel(rows, strCard int, seed int64) *table.Relation {
 }
 
 // bytesScan scans a relation appending string cells as raw bytes
-// (ColVec.AppendStrBytes), as the heap scan does: a column past DictMaxCard
-// distinct values in a batch spills to the flat layout.
+// (ColVec.AppendStrBytes), as the heap scan does: string columns arrive in
+// the flat layout.
 type bytesScan struct {
 	Rel *table.Relation
 	pos int
@@ -111,10 +110,11 @@ func mustSameRelations(t *testing.T, label string, got, want *table.Relation) {
 }
 
 // TestColHeapScanRoundTrip: decoding a heap file straight into column
-// vectors reproduces every stored tuple in order, for both the dictionary
-// and the spilled flat string layouts, with and without dead-column pruning.
+// vectors reproduces every stored tuple in order, with the string column in
+// the flat layout at a low and a high cardinality, with and without
+// dead-column pruning.
 func TestColHeapScanRoundTrip(t *testing.T) {
-	for _, strCard := range []int{16, table.DictMaxCard + 64} {
+	for _, strCard := range []int{16, 320} {
 		rel := colTestRel(3*BatchSize+17, strCard, 5)
 		h := writeHeap(t, t.TempDir(), rel)
 		pool := storage.NewBufferPool(8)
@@ -144,10 +144,51 @@ func TestColHeapScanRoundTrip(t *testing.T) {
 				t.Fatalf("pruned scan row %d P = %v, want %v", i, got, rel.Rows[i][4])
 			}
 		}
-		if len(b.Cols[2].Strs)+len(b.Cols[2].Codes)+len(b.Cols[2].Bytes) != 0 {
+		if len(b.Cols[2].Strs)+len(b.Cols[2].Bytes) != 0 {
 			t.Fatal("pruned string column decoded cells anyway")
 		}
 		sc.Close()
+	}
+}
+
+// TestColChunkScanPruned: under a projection that keeps k and P behind a
+// filter on x, a chunk scan copies only k, x and P out of its chunks — the
+// dead columns' vectors stay empty — and the pipeline's answer is the
+// unpruned one.
+func TestColChunkScanPruned(t *testing.T) {
+	rel := colTestRel(2*BatchSize+5, 16, 9)
+	pipeline := func() (*ColChunkScan, ColOperator) {
+		scan := memScan(rel)
+		f := &ColFilter{In: scan, Preds: []ColPred{{Col: 1, Op: OpLt, Val: table.Float(50)}}}
+		p, err := NewColumnProject(f, []string{"k", "P(R)"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return scan, p
+	}
+	want := table.NewRelation(table.NewSchema(rel.Schema.Cols[0], rel.Schema.Cols[4]))
+	for _, row := range rel.Rows {
+		if row[1].F < 50 {
+			want.MustAppend(table.Tuple{row[0], row[4]})
+		}
+	}
+	scan, op := pipeline()
+	mustSameRelations(t, "pruned pipeline", collect(t, op), want)
+	if fmt.Sprint(scan.need) != "[true true false false true]" {
+		t.Fatalf("chunk scan need = %v, want k, x and P", scan.need)
+	}
+	if err := scan.Open(); err != nil {
+		t.Fatal(err)
+	}
+	b := table.NewColBatch(rel.Schema)
+	if n, err := scan.NextColBatch(b); err != nil || n != BatchSize {
+		t.Fatalf("pruned chunk scan: %d rows, err %v; want %d", n, err, BatchSize)
+	}
+	for c, live := range scan.need {
+		v := &b.Cols[c]
+		if cells := len(v.Ints) + len(v.Floats) + len(v.Strs) + len(v.Bytes); live != (cells == BatchSize) || !live && cells != 0 {
+			t.Fatalf("column %d (live %v) holds %d cells after a %d-row batch", c, live, cells, BatchSize)
+		}
 	}
 }
 

@@ -94,8 +94,8 @@ func TestFilter(t *testing.T) {
 // op.Holds(table.Compare(c, constant)) — over NULL cells, int columns
 // against float constants and float columns against int ones, the typed
 // null-free fast paths, bool columns, and string columns in every layout:
-// shared headers (in-memory scans), dictionary codes and flat bytes (heap
-// scans, the second column above DictMaxCard distinct values). Each
+// shared headers (in-memory scans) and flat bytes (heap scans, the second
+// column of over a thousand distinct values). Each
 // predicate runs on a fresh batch (no selection vector) and behind a first
 // predicate that leaves every other row selected.
 func TestCmpOps(t *testing.T) {
@@ -120,7 +120,7 @@ func TestCmpOps(t *testing.T) {
 			table.Int(int64(r % 2)),
 			maybeNull(table.Int(k)), table.Int(k),
 			maybeNull(table.Float(float64(k) / 2)), table.Float(float64(k) / 2),
-			maybeNull(table.Str(fmt.Sprintf("d%d", k))), table.Str(fmt.Sprintf("f%05d", rng.Intn(4*table.DictMaxCard))),
+			maybeNull(table.Str(fmt.Sprintf("d%d", k))), table.Str(fmt.Sprintf("f%05d", rng.Intn(1024))),
 			table.Bool(k%2 == 0),
 		})
 	}

@@ -107,14 +107,10 @@ func cellWidth(v *table.ColVec, i int) float64 {
 	if v.Kind != table.KindString || v.Null(i) {
 		return 8
 	}
-	switch v.Mode {
-	case table.StrDict:
-		return float64(len(v.Dict[v.Codes[i]]))
-	case table.StrHeader:
+	if v.Mode == table.StrHeader {
 		return float64(len(v.Strs[i]))
-	default:
-		return float64(v.Offs[i+1] - v.Offs[i])
 	}
+	return float64(v.Offs[i+1] - v.Offs[i])
 }
 
 // add accumulates the column's cells of b's live rows, in row order. Cells

@@ -3,12 +3,15 @@
 // a pinning LRU buffer pool, and an external merge sort. The paper's
 // operator is explicitly a *secondary-storage* operator (§V): answer tuples
 // are sorted (spilling to disk when large) and then consumed in sequential
-// scans; this package supplies those mechanics. The sort (extsort.go) is fed
-// as a stream — tuples, or whole column batches — and owns its run: rows are
-// copied into a budget-bounded column buffer that every run of a sort
-// reuses, keys are encoded from the buffer's column vectors (sortkey.go),
-// and what a sort holds in memory is set by its tuple budget, never by the
-// size of its input.
+// scans; this package supplies those mechanics. The key sort (extsort.go)
+// is fed a stream of column batches and owns its run: rows are copied into a
+// budget-bounded column buffer that every run of a sort reuses, keys are
+// encoded from the buffer's column vectors (sortkey.go), spilled runs are
+// encoded from them too (AppendColRecord), and what a sort holds in memory
+// is set by its tuple budget, never by the size of its input. Records are
+// written from column cells (HeapFile.AppendColRow) and read back field by
+// field (FieldIter); the tuple forms (EncodeTuple, HeapFile.Append,
+// Scanner.Next) serve the comparator sort and the benchmark's decode probe.
 package storage
 
 import (
@@ -38,6 +41,41 @@ func EncodeTuple(dst []byte, t table.Tuple) []byte {
 		case table.KindString:
 			dst = binary.AppendUvarint(dst, uint64(len(v.S)))
 			dst = append(dst, v.S...)
+		default:
+			panic(fmt.Sprintf("storage: cannot encode kind %v", v.Kind))
+		}
+	}
+	return dst
+}
+
+// AppendColRecord appends the record of physical row `row` of a column
+// batch to dst, reading the cells where they lie: byte for byte EncodeTuple
+// of the materialized row (ColBatch.WriteRow), without boxing a cell or
+// allocating a string for a flat-layout one. The key sorter's spill and the
+// heap-file writer encode rows this way (HeapFile.AppendColRow).
+func AppendColRecord(dst []byte, b *table.ColBatch, row int) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(b.Cols)))
+	for c := range b.Cols {
+		v := &b.Cols[c]
+		if v.Kind == table.KindNull || v.Null(row) {
+			dst = append(dst, byte(table.KindNull))
+			continue
+		}
+		dst = append(dst, byte(v.Kind))
+		switch v.Kind {
+		case table.KindInt, table.KindBool:
+			dst = binary.AppendVarint(dst, v.Ints[row])
+		case table.KindFloat:
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.Floats[row]))
+		case table.KindString:
+			if v.Mode == table.StrHeader {
+				dst = binary.AppendUvarint(dst, uint64(len(v.Strs[row])))
+				dst = append(dst, v.Strs[row]...)
+			} else {
+				cell := v.Bytes[v.Offs[row]:v.Offs[row+1]]
+				dst = binary.AppendUvarint(dst, uint64(len(cell)))
+				dst = append(dst, cell...)
+			}
 		default:
 			panic(fmt.Sprintf("storage: cannot encode kind %v", v.Kind))
 		}

@@ -36,8 +36,8 @@ type TupleIterator interface {
 // of the 1scanTree" (§V.C).
 //
 // A key sorter (NewKeySorter) orders by normalized byte keys (sortkey.go)
-// and copies every row it is given — a tuple (Add) or a column batch's live
-// rows (AddBatch) — into its run buffer, a column batch of the sort's schema
+// and copies the live rows of every column batch it is given (AddBatch)
+// into its run buffer, a column batch of the sort's schema
 // holding at most budget rows, which every run of the sort reuses, so its
 // memory is bounded by the budget, not by the input. The run buffer, key
 // arena and sort entries outlive the sort: an ungoverned sorter draws them
@@ -46,7 +46,8 @@ type TupleIterator interface {
 // sort regrows only past what earlier sorts grew to; a governed one (Govern)
 // bypasses the free list and grows from nothing. The sort columns are
 // encoded once, from the buffer's column vectors, and a run is sorted as
-// 16-byte entries on an 8-byte key prefix; the rows never move. Its rows
+// 16-byte entries on an 8-byte key prefix; the rows never move, and a
+// spilled run's records are encoded from the same vectors. Its rows
 // must fit the schema (one kind per column, table.Schema.Check), which is
 // what makes the key order CompareOn's. It finishes into column batches
 // (FinishBatches). A comparator sorter (NewExternalSorter) drives the same
@@ -73,8 +74,7 @@ type ExternalSorter struct {
 
 	// Key-sorter state, reused across the runs of one sort.
 	sortBufs
-	rowCap int         // rows the buffers take before they must grow
-	row    table.Tuple // one materialized row, for spilling
+	rowCap int // rows the buffers take before they must grow
 
 	mem         *fault.Governor // optional memory governor (nil = ungoverned)
 	memReserved int64           // bytes currently reserved with mem
@@ -171,27 +171,37 @@ func (s *ExternalSorter) Slot(i int) { s.slot = i }
 // denied further buffer growth (a subset of Spills).
 func (s *ExternalSorter) EarlySpills() int { return s.earlySpills }
 
-// Add buffers one tuple, spilling a sorted run when the tuple budget is
-// exceeded — or earlier, when the memory governor refuses to admit more
-// buffer growth. A key sorter copies the tuple into its run buffer.
+// Add buffers one tuple of a comparator sort, spilling a sorted run when
+// the tuple budget is exceeded — or earlier, when the memory governor
+// refuses to admit more buffer growth. A key sorter takes its rows through
+// AddBatch.
 func (s *ExternalSorter) Add(t table.Tuple) error {
 	if s.finished {
 		return fmt.Errorf("storage: Add after Finish")
 	}
-	if s.cmp != nil {
-		return s.addCompared(t)
+	if s.cmp == nil {
+		return fmt.Errorf("storage: a key sorter takes rows through AddBatch")
 	}
-	if _, err := s.room(1); err != nil {
-		return err
+	s.buf = append(s.buf, t)
+	s.held += valueMem * int64(len(t))
+	s.rows++
+	if !s.reserve(tupleMem*int64(cap(s.buf)) + s.held) {
+		// Pressure: spill now rather than OOM (a lone tuple cannot shrink).
+		if len(s.buf) > 1 || s.memReserved > 0 {
+			s.earlySpills++
+			return s.spill()
+		}
 	}
-	s.run.AppendRow(t)
-	return s.appended()
+	if len(s.buf) >= s.budget {
+		return s.spill()
+	}
+	return nil
 }
 
 // AddBatch adds the live rows of a column batch of the key sorter's
 // schema, in order, copying them column-wise: nothing of b is kept. A batch
-// that straddles the tuple budget is split there, so the runs are the ones
-// tuple-at-a-time feeding produces.
+// that straddles the tuple budget is split there, so the runs do not depend
+// on how the input is cut into batches.
 func (s *ExternalSorter) AddBatch(b *table.ColBatch) error {
 	if s.finished {
 		return fmt.Errorf("storage: Add after Finish")
@@ -206,24 +216,6 @@ func (s *ExternalSorter) AddBatch(b *table.ColBatch) error {
 			return err
 		}
 		lo += k
-	}
-	return nil
-}
-
-// addCompared buffers one tuple of a comparator sort.
-func (s *ExternalSorter) addCompared(t table.Tuple) error {
-	s.buf = append(s.buf, t)
-	s.held += valueMem * int64(len(t))
-	s.rows++
-	if !s.reserve(tupleMem*int64(cap(s.buf)) + s.held) {
-		// Pressure: spill now rather than OOM (a lone tuple cannot shrink).
-		if len(s.buf) > 1 || s.memReserved > 0 {
-			s.earlySpills++
-			return s.spill()
-		}
-	}
-	if len(s.buf) >= s.budget {
-		return s.spill()
 	}
 	return nil
 }
@@ -514,12 +506,8 @@ func (s *ExternalSorter) spill() error {
 			}
 		}
 	} else {
-		if s.row == nil {
-			s.row = make(table.Tuple, len(s.run.Cols))
-		}
 		for _, e := range s.sortRun() {
-			s.run.WriteRow(int(e.idx), s.row)
-			if err = run.Append(s.row); err != nil {
+			if err = run.AppendColRow(&s.run, int(e.idx)); err != nil {
 				break
 			}
 		}

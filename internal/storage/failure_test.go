@@ -93,8 +93,9 @@ func TestReadPageOutOfRange(t *testing.T) {
 }
 
 // TestExternalSorterMisuse: Add after Finish and double Finish are errors,
-// and each kind of sorter finishes only its own way: a comparator sort into
-// lent tuples, a key sort into column batches.
+// and each kind of sorter is fed and finishes only its own way: a
+// comparator sort takes tuples and finishes into lent tuples, a key sort
+// takes column batches and finishes into column batches.
 func TestExternalSorterMisuse(t *testing.T) {
 	s := NewExternalSorter(func(a, b table.Tuple) int { return 0 }, 10, t.TempDir())
 	if _, err := s.FinishBatches(); err == nil {
@@ -110,6 +111,9 @@ func TestExternalSorterMisuse(t *testing.T) {
 		t.Error("double Finish must fail")
 	}
 	k := NewKeySorter(table.NewSchema(table.DataCol("a", table.KindInt)), []int{0}, 10, t.TempDir())
+	if err := k.Add(table.Tuple{table.Int(1)}); err == nil {
+		t.Error("Add to a key sort must fail: it takes column batches")
+	}
 	if _, err := k.Finish(); err == nil {
 		t.Error("Finish of a key sort must fail")
 	}

@@ -59,16 +59,29 @@ func (h *HeapFile) Path() string { return h.path }
 // in-progress tail page).
 func (h *HeapFile) NumPages() int64 { return h.numPages }
 
-// NumTuples returns the number of tuples appended via Append (write mode).
+// NumTuples returns the number of records appended (write mode).
 func (h *HeapFile) NumTuples() int64 { return h.tuples }
 
-// Append encodes and stores a tuple. The encode buffer is owned by the file
-// and reused across appends.
+// Append encodes and stores a tuple — the comparator sort's spill. The
+// encode buffer is owned by the file and reused across appends.
 func (h *HeapFile) Append(t table.Tuple) error {
+	h.encBuf = EncodeTuple(h.encBuf[:0], t)
+	return h.insert()
+}
+
+// AppendColRow stores physical row `row` of a column batch, encoded from its
+// cells (AppendColRecord) into the file's reused encode buffer.
+func (h *HeapFile) AppendColRow(b *table.ColBatch, row int) error {
+	h.encBuf = AppendColRecord(h.encBuf[:0], b, row)
+	return h.insert()
+}
+
+// insert stores the record in the encode buffer on the tail page, flushing
+// the page first when the record does not fit.
+func (h *HeapFile) insert() error {
 	if h.writePg == nil {
 		return fmt.Errorf("storage: heap file %s is read-only", h.path)
 	}
-	h.encBuf = EncodeTuple(h.encBuf[:0], t)
 	rec := h.encBuf
 	if _, err := h.writePg.Insert(rec); err != nil {
 		if !IsPageFull(err) {
@@ -175,7 +188,9 @@ func (h *HeapFile) NewScanner(pool *BufferPool) *Scanner {
 	return &Scanner{h: h, pool: pool, pageNo: -1}
 }
 
-// Next returns the next tuple, or ok=false at end of file.
+// Next returns the next tuple, or ok=false at end of file. The engine scans
+// through NextRaw; the tuple decode is kept for the benchmark's
+// storage.decode_s probe, which times it against NextRaw, and the tests.
 func (s *Scanner) Next() (table.Tuple, bool, error) {
 	rec, ok, err := s.NextRaw()
 	if err != nil || !ok {

@@ -61,6 +61,21 @@ func drain(t *testing.T, it *SortedBatches) []table.Tuple {
 	}
 }
 
+// addRows feeds rows to a key sorter in order, one row per column batch of
+// the sorter's schema.
+func addRows(s *ExternalSorter, rows ...table.Tuple) error {
+	schema := s.run.Schema
+	b := table.NewColBatch(schema)
+	for _, r := range rows {
+		b.Reset(schema)
+		b.AppendRow(r)
+		if err := s.AddBatch(b); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func sameTuples(a, b []table.Tuple) error {
 	if len(a) != len(b) {
 		return fmt.Errorf("%d tuples, want %d", len(a), len(b))
@@ -96,10 +111,8 @@ func TestKeySorterMatchesStableSort(t *testing.T) {
 
 			dir := t.TempDir()
 			s := NewKeySorter(keySortSchema, cols, tc.budget, dir)
-			for _, r := range rows {
-				if err := s.Add(r); err != nil {
-					t.Fatal(err)
-				}
+			if err := addRows(s, rows...); err != nil {
+				t.Fatal(err)
 			}
 			it, err := s.FinishBatches()
 			if err != nil {
@@ -142,7 +155,7 @@ func TestBorrowedMergeReusesStorage(t *testing.T) {
 	schema := table.NewSchema(table.DataCol("g", table.KindString), table.DataCol("k", table.KindInt))
 	s := NewKeySorter(schema, []int{0, 1}, 500, t.TempDir())
 	for i := 0; i < n; i++ {
-		if err := s.Add(table.Tuple{table.Str(fmt.Sprintf("group-%02d", i%7)), table.Int(int64(i * 7919 % n))}); err != nil {
+		if err := addRows(s, table.Tuple{table.Str(fmt.Sprintf("group-%02d", i%7)), table.Int(int64(i * 7919 % n))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -199,7 +212,7 @@ func transpose(schema *table.Schema, rows []table.Tuple, per int) []*table.ColBa
 // TestKeySorterBatchFeedMatchesTupleFeed: feeding column batches — some
 // straddling the budget boundary, some behind a selection vector — gives
 // the sorted stream and exactly the runs that feeding the same rows one
-// tuple at a time gives, and nothing of a batch is kept: each one is
+// row per batch gives, and nothing of a batch is kept: each one is
 // scribbled over as soon as AddBatch returns.
 func TestKeySorterBatchFeedMatchesTupleFeed(t *testing.T) {
 	cols := []int{0, 1, 2}
@@ -211,10 +224,8 @@ func TestKeySorterBatchFeedMatchesTupleFeed(t *testing.T) {
 	} {
 		rows := keySortInput(rand.New(rand.NewSource(int64(tc.n+tc.budget))), tc.n, "")
 		byTuple := NewKeySorter(keySortSchema, cols, tc.budget, t.TempDir())
-		for _, r := range rows {
-			if err := byTuple.Add(r); err != nil {
-				t.Fatal(err)
-			}
+		if err := addRows(byTuple, rows...); err != nil {
+			t.Fatal(err)
 		}
 		byBatch := NewKeySorter(keySortSchema, cols, tc.budget, t.TempDir())
 		for _, b := range transpose(keySortSchema, rows, tc.per) {
@@ -263,7 +274,7 @@ func TestGovernedKeySorterChargesItsBuffers(t *testing.T) {
 	const n = 40000
 	feed := func(s *ExternalSorter) {
 		for i := 0; i < n; i++ {
-			if err := s.Add(table.Tuple{table.Int(int64(i * 7919 % n)), table.Int(int64(i)), table.Float(0.5)}); err != nil {
+			if err := addRows(s, table.Tuple{table.Int(int64(i * 7919 % n)), table.Int(int64(i)), table.Float(0.5)}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -31,7 +31,7 @@ func backing(b *sortBufs) []any {
 
 func vecBacking(v *table.ColVec) []any {
 	return []any{first(v.Ints), first(v.Floats), first(v.Strs), first(v.Bytes),
-		first(v.Offs), first(v.Codes), first(v.Nulls)}
+		first(v.Offs), first(v.Nulls)}
 }
 
 func first[T any](s []T) any {
@@ -81,10 +81,8 @@ func idleBacking(t *testing.T) map[any]bool {
 
 func feedKeySort(t *testing.T, s *ExternalSorter, rows []table.Tuple) {
 	t.Helper()
-	for _, r := range rows {
-		if err := s.Add(r); err != nil {
-			t.Fatal(err)
-		}
+	if err := addRows(s, rows...); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -190,17 +188,16 @@ func TestSortBuffersOneOwner(t *testing.T) {
 	idleBacking(t)
 }
 
-// flatStrBatch is a batch of the (s string, seq int) schema whose string
-// column is in the flat layout, the heap scan's — the layout whose cells a
-// sorter's run buffer dictionary-codes while they stay few.
-func flatStrBatch(schema *table.Schema, strs []string, seq0 int) *table.ColBatch {
+// strBatch is a batch of the (s string, seq int) schema whose string column
+// is in the flat layout, the heap scan's, or holds shared headers.
+func strBatch(schema *table.Schema, strs []string, seq0 int, flat bool) *table.ColBatch {
 	b := table.NewColBatch(schema)
-	v := &b.Cols[0]
-	v.Mode = table.StrFlat
-	v.Offs = append(v.Offs, 0)
 	for i, s := range strs {
-		v.Bytes = append(v.Bytes, s...)
-		v.Offs = append(v.Offs, int32(len(v.Bytes)))
+		if flat {
+			b.Cols[0].AppendStrBytes([]byte(s))
+		} else {
+			b.Cols[0].AppendValue(i, table.Str(s))
+		}
 		b.Cols[1].AppendInt(int64(seq0 + i))
 	}
 	b.N = len(strs)
@@ -208,27 +205,26 @@ func flatStrBatch(schema *table.Schema, strs []string, seq0 int) *table.ColBatch
 }
 
 // TestRecycledStringColumnLayouts: a string vector recycled from one sort
-// into the next — dictionary-coded into dictionary-coded with other
-// strings, into flat, and flat back into dictionary-coded — takes the
-// layout and dictionary a fresh vector takes and sorts bit-identically to
-// a fresh sorter: no dictionary, and no "stay flat" verdict, carries over
-// from the column it held before.
+// into the next — flat into flat with other strings and other
+// cardinalities, into shared headers, and headers back into flat — takes
+// the layout a fresh vector takes and sorts bit-identically to a fresh
+// sorter: no layout carries over from the column it held before.
 func TestRecycledStringColumnLayouts(t *testing.T) {
 	schema := table.NewSchema(table.DataCol("s", table.KindString), table.DataCol("seq", table.KindInt))
 	cols := []int{0, 1}
 	rng := rand.New(rand.NewSource(9))
-	input := func(prefix string, distinct int) []*table.ColBatch {
+	input := func(prefix string, distinct int, flat bool) []*table.ColBatch {
 		var out []*table.ColBatch
 		for lo := 0; lo < 3000; lo += 1000 {
 			strs := make([]string, 1000)
 			for i := range strs {
 				strs[i] = fmt.Sprintf("%s%d", prefix, rng.Intn(distinct))
 			}
-			out = append(out, flatStrBatch(schema, strs, lo))
+			out = append(out, strBatch(schema, strs, lo, flat))
 		}
 		return out
 	}
-	sortOn := func(s *ExternalSorter, in []*table.ColBatch) (table.StrMode, []string, []table.Tuple) {
+	sortOn := func(s *ExternalSorter, in []*table.ColBatch) (table.StrMode, []table.Tuple) {
 		for _, b := range in {
 			if err := s.AddBatch(b); err != nil {
 				t.Fatal(err)
@@ -238,13 +234,12 @@ func TestRecycledStringColumnLayouts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v := &it.bufs.run.Cols[0]
-		mode, dict := v.Mode, append([]string(nil), v.Dict...)
+		mode := it.bufs.run.Cols[0].Mode
 		out := drain(t, it)
 		if err := it.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return mode, dict, out
+		return mode, out
 	}
 	const slot = 97 // a slot of the test's own: each sort draws what the previous one gave back
 	for _, step := range []struct {
@@ -252,23 +247,24 @@ func TestRecycledStringColumnLayouts(t *testing.T) {
 		in   []*table.ColBatch
 		mode table.StrMode
 	}{
-		{"dict", input("a", 4), table.StrDict},
-		{"dict-other-strings", input("b", 5), table.StrDict},
-		{"flat", input("c", 2000), table.StrFlat},
-		{"dict-after-flat", input("d", 3), table.StrDict},
+		{"few", input("a", 4, true), table.StrFlat},
+		{"few-other-strings", input("b", 5, true), table.StrFlat},
+		{"many", input("c", 2000, true), table.StrFlat},
+		{"few-after-many", input("d", 3, true), table.StrFlat},
+		{"header-after-flat", input("e", 4, false), table.StrHeader},
+		{"flat-after-header", input("f", 3, true), table.StrFlat},
 	} {
 		fresh := NewKeySorter(schema, cols, 1<<16, t.TempDir())
 		fresh.Govern(fault.NewGovernor(0, nil)) // governed: bypasses the free list
-		wantMode, wantDict, want := sortOn(fresh, step.in)
+		wantMode, want := sortOn(fresh, step.in)
 		recycled := NewKeySorter(schema, cols, 1<<16, t.TempDir())
 		recycled.Slot(slot)
-		gotMode, gotDict, got := sortOn(recycled, step.in)
+		gotMode, got := sortOn(recycled, step.in)
 		if wantMode != step.mode {
 			t.Fatalf("%s: a fresh run buffer took layout %d, want %d", step.name, wantMode, step.mode)
 		}
-		if gotMode != wantMode || fmt.Sprint(gotDict) != fmt.Sprint(wantDict) {
-			t.Errorf("%s: recycled run buffer took layout %d with dictionary %v; fresh: %d with %v",
-				step.name, gotMode, gotDict, wantMode, wantDict)
+		if gotMode != wantMode {
+			t.Errorf("%s: recycled run buffer took layout %d; fresh: %d", step.name, gotMode, wantMode)
 		}
 		if err := sameTuples(got, want); err != nil {
 			t.Errorf("%s: recycled sort differs from a fresh one: %v", step.name, err)

@@ -63,8 +63,7 @@ func appendValueKey(dst []byte, v *table.Value) []byte {
 // AppendColSortKey is AppendSortKey reading physical row `row` of a column
 // batch instead of a tuple: byte for byte the key of the materialized row,
 // whichever layout each column is in — typed ints, floats and bools, string
-// headers, dictionary codes, flat bytes, the null bitmap — without boxing a
-// cell.
+// headers, flat bytes, the null bitmap — without boxing a cell.
 func AppendColSortKey(dst []byte, b *table.ColBatch, row int, cols []int) []byte {
 	for _, c := range cols {
 		v := &b.Cols[c]
@@ -79,12 +78,9 @@ func AppendColSortKey(dst []byte, b *table.ColBatch, row int, cols []int) []byte
 		case table.KindFloat:
 			dst = binary.BigEndian.AppendUint64(dst, floatKeyBits(v.Floats[row]))
 		default: // KindString
-			switch v.Mode {
-			case table.StrDict:
-				dst = appendStringKey(dst, v.Dict[v.Codes[row]])
-			case table.StrHeader:
+			if v.Mode == table.StrHeader {
 				dst = appendStringKey(dst, v.Strs[row])
-			default:
+			} else {
 				dst = appendBytesKey(dst, v.Bytes[v.Offs[row]:v.Offs[row+1]])
 			}
 		}

@@ -102,9 +102,9 @@ func FuzzSortKeyOrder(f *testing.F) {
 }
 
 // fuzzBatch lays rows out as a column batch by hand, in the typed vector of
-// each column's kind; a string column takes shared headers, dictionary
-// codes or flat bytes as picked by layouts (two bits per column, modulo
-// three). NULLs set the bitmap over a zero placeholder, as the appenders
+// each column's kind; a string column takes shared headers or flat bytes as
+// picked by layouts (bit c for column c), and a NULL column holds only the
+// bitmap. NULLs set the bitmap over a zero placeholder, as the appenders
 // do.
 func fuzzBatch(kinds []table.Kind, rows []table.Tuple, layouts uint16) *table.ColBatch {
 	cols := make([]table.Column, len(kinds))
@@ -115,8 +115,6 @@ func fuzzBatch(kinds []table.Kind, rows []table.Tuple, layouts uint16) *table.Co
 	b.N = len(rows)
 	for c, k := range kinds {
 		v := &b.Cols[c]
-		layout := (layouts >> (2 * c) & 3) % 3
-		codes := map[string]int{}
 		v.Offs = append(v.Offs, 0)
 		for i, r := range rows {
 			val := r[c]
@@ -131,14 +129,9 @@ func fuzzBatch(kinds []table.Kind, rows []table.Tuple, layouts uint16) *table.Co
 				v.Ints = append(v.Ints, val.I)
 			case table.KindFloat:
 				v.Floats = append(v.Floats, val.F)
-			default:
-				v.Mode = []table.StrMode{table.StrHeader, table.StrDict, table.StrFlat}[layout]
+			case table.KindString:
+				v.Mode = []table.StrMode{table.StrHeader, table.StrFlat}[layouts>>c&1]
 				v.Strs = append(v.Strs, val.S)
-				if _, ok := codes[val.S]; !ok {
-					codes[val.S] = len(v.Dict)
-					v.Dict = append(v.Dict, val.S)
-				}
-				v.Codes = append(v.Codes, byte(codes[val.S]))
 				v.Bytes = append(v.Bytes, val.S...)
 				v.Offs = append(v.Offs, int32(len(v.Bytes)))
 			}
@@ -147,10 +140,54 @@ func fuzzBatch(kinds []table.Kind, rows []table.Tuple, layouts uint16) *table.Co
 	return b
 }
 
+// fuzzRows draws up to 64 rows over a random schema of 1–6 columns of the
+// given kinds, the fuzzer's string, int and float among their values, NULLs
+// sprinkled in (a NULL column holds nothing else).
+func fuzzRows(rng *rand.Rand, of []table.Kind, s string, iv int64, fv float64) ([]table.Kind, []table.Tuple) {
+	kinds := make([]table.Kind, 1+rng.Intn(6))
+	for c := range kinds {
+		kinds[c] = of[rng.Intn(len(of))]
+	}
+	strs := []string{s, "", s + "\x00", "k", "k\x00\xff"}
+	rows := make([]table.Tuple, 1+rng.Intn(64))
+	for i := range rows {
+		rows[i] = make(table.Tuple, len(kinds))
+		for c, k := range kinds {
+			switch {
+			case k == table.KindNull || rng.Intn(6) == 0:
+				rows[i][c] = table.Null()
+			case k == table.KindInt:
+				rows[i][c] = table.Int([]int64{iv, -iv, 0, rng.Int63()}[rng.Intn(4)])
+			case k == table.KindFloat:
+				rows[i][c] = table.Float([]float64{fv, -fv, 0, rng.NormFloat64()}[rng.Intn(4)])
+			case k == table.KindString:
+				rows[i][c] = table.Str(strs[rng.Intn(len(strs))])
+			default:
+				rows[i][c] = table.Bool(rng.Intn(2) == 0)
+			}
+		}
+	}
+	return kinds, rows
+}
+
+// dropRows puts b behind a selection vector that drops the physical rows
+// whose bit is set in drop (none when drop is 0: no selection).
+func dropRows(b *table.ColBatch, drop uint64) {
+	if drop == 0 {
+		return
+	}
+	b.Sel = []int32{}
+	for i := 0; i < b.N; i++ {
+		if drop>>(i&63)&1 == 0 {
+			b.Sel = append(b.Sel, int32(i))
+		}
+	}
+}
+
 // FuzzBatchSortKey checks the column-vector key codec against the tuple
 // one: for rows of a seeded random schema — the fuzzer's string, int and
 // float among their values, NULLs sprinkled in — laid out as a column batch
-// in fuzzer-chosen layouts (typed vectors, the three string layouts) under a
+// in fuzzer-chosen layouts (typed vectors, the two string layouts) under a
 // fuzzer-chosen selection vector, the key of every
 // live row equals AppendSortKey of the materialized row, byte for byte, and
 // the materialized row is the row that went in.
@@ -160,38 +197,9 @@ func FuzzBatchSortKey(f *testing.F) {
 	f.Add(int64(3), "\xff\x00", int64(math.MaxInt64), math.Inf(-1), uint16(0xffff), ^uint64(0))
 	f.Fuzz(func(t *testing.T, seed int64, s string, iv int64, fv float64, layouts uint16, drop uint64) {
 		rng := rand.New(rand.NewSource(seed))
-		kinds := make([]table.Kind, 1+rng.Intn(6))
-		for c := range kinds {
-			kinds[c] = []table.Kind{table.KindInt, table.KindFloat, table.KindString, table.KindBool}[rng.Intn(4)]
-		}
-		strs := []string{s, "", s + "\x00", "k", "k\x00\xff"}
-		rows := make([]table.Tuple, 1+rng.Intn(64))
-		for i := range rows {
-			rows[i] = make(table.Tuple, len(kinds))
-			for c, k := range kinds {
-				switch {
-				case rng.Intn(6) == 0:
-					rows[i][c] = table.Null()
-				case k == table.KindInt:
-					rows[i][c] = table.Int([]int64{iv, -iv, 0, rng.Int63()}[rng.Intn(4)])
-				case k == table.KindFloat:
-					rows[i][c] = table.Float([]float64{fv, -fv, 0, rng.NormFloat64()}[rng.Intn(4)])
-				case k == table.KindString:
-					rows[i][c] = table.Str(strs[rng.Intn(len(strs))])
-				default:
-					rows[i][c] = table.Bool(rng.Intn(2) == 0)
-				}
-			}
-		}
+		kinds, rows := fuzzRows(rng, []table.Kind{table.KindInt, table.KindFloat, table.KindString, table.KindBool}, s, iv, fv)
 		b := fuzzBatch(kinds, rows, layouts)
-		if drop != 0 { // a selection vector: drop the physical rows whose bit is set
-			b.Sel = []int32{}
-			for i := range rows {
-				if drop>>(i&63)&1 == 0 {
-					b.Sel = append(b.Sel, int32(i))
-				}
-			}
-		}
+		dropRows(b, drop)
 		cols := rng.Perm(len(kinds))[:1+rng.Intn(len(kinds))]
 		got := make(table.Tuple, len(kinds))
 		for i := 0; i < b.Rows(); i++ {

@@ -11,13 +11,14 @@ import (
 
 // This file is the columnar side of the data model: a ColBatch carries up to
 // a batch's worth of tuples as per-column typed vectors — []int64, []float64,
-// strings as shared headers, flat bytes-with-offsets, or a low-cardinality
-// byte-code dictionary — plus a selection vector and a null bitmap, in the
-// MonetDB/X100 vectorized-execution tradition. The engine's operators
-// (engine.ColOperator) move ColBatches through reused storage: the contents
-// of a batch (column slices included) are valid only until the next
-// NextColBatch call on its producer, so consumers that retain column slices
-// or cells across batches must copy them.
+// and strings in one of two layouts, shared headers for values that live in
+// memory or flat bytes-with-offsets for values decoded off a page — plus a
+// selection vector and a null bitmap, in the MonetDB/X100 vectorized-execution
+// tradition. The engine's operators (engine.ColOperator) move ColBatches
+// through reused storage: the contents of a batch (column slices included)
+// are valid only until the next NextColBatch call on its producer, so
+// consumers that retain column slices or cells across batches must copy
+// them.
 
 // StrMode names the storage layout of a string column's cells within one
 // batch.
@@ -30,27 +31,18 @@ const (
 	// StrHeader: Strs holds shared string headers — the zero-copy
 	// transposition of in-memory Values.
 	StrHeader
-	// StrDict: Codes holds one byte per cell indexing Dict — the
-	// low-cardinality layout (at most DictMaxCard distinct values); the
-	// dictionary persists across batches of the same producer.
-	StrDict
 	// StrFlat: cell i is Bytes[Offs[i]:Offs[i+1]] — concatenated raw
 	// bytes, the heap-scan decode layout that avoids a per-row string
 	// allocation.
 	StrFlat
 )
 
-// DictMaxCard is the dictionary cardinality limit: a string column whose
-// distinct count stays under it is dictionary-encoded with one byte code per
-// cell; beyond it the column spills to the flat layout for good.
-const DictMaxCard = 256
-
 // ColVec is one column of a ColBatch: N cells of the column's declared
 // kind in that kind's typed layout, plus an optional null bitmap.
 //
 //   - KindInt, KindBool: Ints (bools store 0/1, as Value.I does).
 //   - KindFloat: Floats.
-//   - KindString: Strs, Codes+Dict, or Bytes+Offs according to Mode.
+//   - KindString: Strs or Bytes+Offs according to Mode.
 //
 // Every non-NULL cell has the declared kind: rows are kind-checked where
 // they enter the engine (Schema.Check, the heap scan), and AppendValue
@@ -65,12 +57,7 @@ type ColVec struct {
 	Strs   []string
 	Bytes  []byte
 	Offs   []int32
-	Dict   []string
-	Codes  []byte
 	Nulls  []uint64
-
-	dict   map[string]int // dictionary builder, persists across Reset
-	noDict bool           // cardinality blew DictMaxCard: stay flat
 }
 
 // BatchSize is the number of rows a column batch moves at a time: what a
@@ -101,7 +88,7 @@ func NewColBatch(s *Schema) *ColBatch {
 }
 
 // Reset clears the batch for refilling under the given schema, keeping the
-// column storage (and any built dictionaries) for reuse.
+// column storage for reuse.
 func (b *ColBatch) Reset(s *Schema) {
 	if len(b.Cols) != s.Len() {
 		b.Cols = make([]ColVec, s.Len())
@@ -121,27 +108,17 @@ func (v *ColVec) reset(kind Kind) {
 	v.Strs = v.Strs[:0]
 	v.Bytes = v.Bytes[:0]
 	v.Offs = v.Offs[:0]
-	v.Codes = v.Codes[:0]
 	v.Nulls = v.Nulls[:0]
-	// A live dictionary carries over: the next batch of the same column
-	// keeps encoding against it.
-	if v.dict != nil && !v.noDict {
-		v.Mode = StrDict
-	} else {
-		v.Mode = StrNone
-	}
+	v.Mode = StrNone
 }
 
 // Reuse clears the vector for a column of the given kind that need not be
 // the one it held — a vector recycled from another sort. Unlike a batch's
-// Reset, which keeps a live dictionary for the next batch of the same
-// column, it drops the dictionary and the string layout, and it zeroes the
-// string headers up to capacity so that an idle vector pins no strings.
-// The typed storage keeps its capacity.
+// Reset, it zeroes the string headers up to capacity so that an idle vector
+// pins no strings. The typed storage keeps its capacity.
 func (v *ColVec) Reuse(kind Kind) {
 	clear(v.Strs[:cap(v.Strs)])
-	v.Dict, v.dict, v.noDict = nil, nil, false
-	v.reset(kind) // no dictionary: the layout is undecided again
+	v.reset(kind)
 }
 
 // Rows returns the number of live rows (selection applied).
@@ -184,12 +161,22 @@ func (b *ColBatch) AppendRow(t Tuple) {
 // as slices; every other layout goes cell by cell and lands in whatever
 // layout the destination column has.
 func (b *ColBatch) AppendBatch(src *ColBatch, lo, hi int) {
+	b.AppendBatchCols(src, lo, hi, nil)
+}
+
+// AppendBatchCols is AppendBatch copying only the columns need marks (nil =
+// all): the other columns' vectors stay as they are, while N counts the
+// appended rows — a scan whose consumers read a few columns (see the
+// engine's pruneCols) copies just those.
+func (b *ColBatch) AppendBatchCols(src *ColBatch, lo, hi int, need []bool) {
 	var sel []int32
 	if src.Sel != nil {
 		sel = src.Sel[lo:hi]
 	}
 	for c := range b.Cols {
-		b.Cols[c].appendVec(b.N, &src.Cols[c], sel, lo, hi)
+		if need == nil || need[c] {
+			b.Cols[c].appendVec(b.N, &src.Cols[c], sel, lo, hi)
+		}
 	}
 	b.N += hi - lo
 }
@@ -249,8 +236,6 @@ func (b *ColBatch) Reserve(rows int) {
 			v.Floats = slices.Grow(v.Floats, max(rows-len(v.Floats), 0))
 		case v.Mode == StrHeader:
 			v.Strs = slices.Grow(v.Strs, max(rows-len(v.Strs), 0))
-		case v.Mode == StrDict:
-			v.Codes = slices.Grow(v.Codes, max(rows-len(v.Codes), 0))
 		case v.Mode == StrFlat:
 			v.Offs = slices.Grow(v.Offs, max(rows+1-len(v.Offs), 0))
 		}
@@ -259,15 +244,14 @@ func (b *ColBatch) Reserve(rows int) {
 
 // SettleLike settles a string column that has no layout yet on the one
 // cells copied from src (AppendCell) should take, so that Reserve can size
-// it: flat bytes after a flat src — whose cardinality outgrew the
-// dictionary, or which decodes raw bytes — and shared headers otherwise.
-// Columns of other kinds, and settled ones, are left alone.
+// it: flat bytes after a flat src, shared headers otherwise. Columns of
+// other kinds, and settled ones, are left alone.
 func (v *ColVec) SettleLike(src *ColVec) {
 	if v.Kind != KindString || v.Mode != StrNone {
 		return
 	}
 	if src.Mode == StrFlat {
-		v.Mode, v.noDict = StrFlat, true
+		v.Mode = StrFlat
 		v.Offs = append(v.Offs[:0], 0)
 		return
 	}
@@ -276,8 +260,8 @@ func (v *ColVec) SettleLike(src *ColVec) {
 
 // MemSize reports the bytes of column storage the batch holds (capacity, not
 // length: what a governor should be charged for a batch that is kept).
-// String bytes behind shared headers and dictionary entries belong to
-// whoever produced them and are not counted.
+// String bytes behind shared headers belong to whoever produced them and are
+// not counted.
 func (b *ColBatch) MemSize() int64 {
 	var n int64
 	for i := range b.Cols {
@@ -290,12 +274,11 @@ func (b *ColBatch) MemSize() int64 {
 // counts them.
 func (v *ColVec) MemSize() int64 {
 	return int64(8*(cap(v.Ints)+cap(v.Floats)+cap(v.Nulls)) + 16*cap(v.Strs) +
-		cap(v.Bytes) + cap(v.Codes) + 4*cap(v.Offs))
+		cap(v.Bytes) + 4*cap(v.Offs))
 }
 
 // WriteRow materializes live row i into dst (len b.Schema.Len()). String
-// cells in the flat layout allocate their string here; every other layout
-// shares storage.
+// cells in the flat layout allocate their string here; headers are shared.
 func (b *ColBatch) WriteRow(i int, dst Tuple) {
 	row := b.RowID(i)
 	for c := range b.Cols {
@@ -349,8 +332,6 @@ func (v *ColVec) AppendValue(n int, val Value) {
 			v.Strs = append(v.Strs, val.S)
 		case StrHeader:
 			v.Strs = append(v.Strs, val.S)
-		case StrDict:
-			v.appendDict(val.S)
 		case StrFlat:
 			if len(v.Offs) == 0 {
 				v.Offs = append(v.Offs, 0)
@@ -376,8 +357,6 @@ func (v *ColVec) appendZero() {
 			v.Strs = append(v.Strs, "")
 		case StrHeader:
 			v.Strs = append(v.Strs, "")
-		case StrDict:
-			v.appendDict("")
 		case StrFlat:
 			if len(v.Offs) == 0 {
 				v.Offs = append(v.Offs, 0)
@@ -397,98 +376,29 @@ func (v *ColVec) AppendFloat(x float64) { v.Floats = append(v.Floats, x) }
 // AppendBool is AppendInt for a bool column (stored in the int storage).
 func (v *ColVec) AppendBool(x int64) { v.Ints = append(v.Ints, x) }
 
-// AppendStrBytes appends raw string bytes to a string column, preferring the
-// dictionary layout while the column's cardinality stays under DictMaxCard
-// and spilling to flat bytes beyond it. This is the heap-scan decode path:
-// no per-row string allocation in either layout (the dictionary allocates
-// once per distinct value). The caller has checked the kind.
+// AppendStrBytes appends raw string bytes to a string column: onto the flat
+// bytes, so that no per-row string is allocated — the heap-scan decode path —
+// unless the column already holds shared headers, which take a copy. The
+// caller has checked the kind.
 func (v *ColVec) AppendStrBytes(s []byte) {
 	switch v.Mode {
-	case StrNone:
-		if v.noDict {
-			v.Mode = StrFlat
-			v.Offs = append(v.Offs, 0)
-			v.Bytes = append(v.Bytes, s...)
-			v.Offs = append(v.Offs, int32(len(v.Bytes)))
-			return
-		}
-		v.Mode = StrDict
-		v.appendDictBytes(s)
-	case StrDict:
-		v.appendDictBytes(s)
-	case StrFlat:
-		if len(v.Offs) == 0 {
-			v.Offs = append(v.Offs, 0)
-		}
-		v.Bytes = append(v.Bytes, s...)
-		v.Offs = append(v.Offs, int32(len(v.Bytes)))
 	case StrHeader:
 		v.Strs = append(v.Strs, string(s))
+		return
+	case StrNone:
+		v.Mode = StrFlat
 	}
-}
-
-// appendDictBytes encodes raw bytes against the dictionary; the map lookup
-// with a string([]byte) key does not allocate.
-func (v *ColVec) appendDictBytes(s []byte) {
-	if v.dict == nil {
-		v.dict = make(map[string]int)
+	if len(v.Offs) == 0 {
+		v.Offs = append(v.Offs, 0)
 	}
-	code, ok := v.dict[string(s)]
-	if !ok {
-		if len(v.Dict) >= DictMaxCard {
-			v.spillDict()
-			v.Bytes = append(v.Bytes, s...)
-			v.Offs = append(v.Offs, int32(len(v.Bytes)))
-			return
-		}
-		str := string(s)
-		code = len(v.Dict)
-		v.Dict = append(v.Dict, str)
-		v.dict[str] = code
-	}
-	v.Codes = append(v.Codes, byte(code))
-}
-
-// appendDict is appendDictBytes for an existing string.
-func (v *ColVec) appendDict(s string) {
-	if v.dict == nil {
-		v.dict = make(map[string]int)
-	}
-	code, ok := v.dict[s]
-	if !ok {
-		if len(v.Dict) >= DictMaxCard {
-			v.spillDict()
-			v.Bytes = append(v.Bytes, s...)
-			v.Offs = append(v.Offs, int32(len(v.Bytes)))
-			return
-		}
-		code = len(v.Dict)
-		v.Dict = append(v.Dict, s)
-		v.dict[s] = code
-	}
-	v.Codes = append(v.Codes, byte(code))
-}
-
-// spillDict rewrites this batch's dictionary-coded cells into the flat
-// layout: the column's cardinality outgrew the dictionary.
-func (v *ColVec) spillDict() {
-	v.Mode = StrFlat
-	v.noDict = true
-	v.Offs = append(v.Offs[:0], 0)
-	v.Bytes = v.Bytes[:0]
-	for _, code := range v.Codes {
-		v.Bytes = append(v.Bytes, v.Dict[code]...)
-		v.Offs = append(v.Offs, int32(len(v.Bytes)))
-	}
-	v.Codes = v.Codes[:0]
-	v.Dict = nil
-	v.dict = nil
+	v.Bytes = append(v.Bytes, s...)
+	v.Offs = append(v.Offs, int32(len(v.Bytes)))
 }
 
 // AppendCell appends src's cell at physical row `row` as this column's
 // physical row n, staying typed without materializing the cell: flat string
 // bytes move byte-wise (no per-cell string allocation) and every other
-// layout shares storage. The vectorized join's output gather is built on it.
+// header is shared. The vectorized join's output gather is built on it.
 func (v *ColVec) AppendCell(n int, src *ColVec, row int) {
 	if src.Null(row) {
 		v.AppendValue(n, Null())
@@ -514,14 +424,10 @@ func (v *ColVec) Value(i int) Value {
 	case KindFloat:
 		return Value{Kind: KindFloat, F: v.Floats[i]}
 	case KindString:
-		switch v.Mode {
-		case StrDict:
-			return Value{Kind: KindString, S: v.Dict[v.Codes[i]]}
-		case StrHeader:
+		if v.Mode == StrHeader {
 			return Value{Kind: KindString, S: v.Strs[i]}
-		default:
-			return Value{Kind: KindString, S: string(v.Bytes[v.Offs[i]:v.Offs[i+1]])}
 		}
+		return Value{Kind: KindString, S: string(v.Bytes[v.Offs[i]:v.Offs[i+1]])}
 	default:
 		return Null()
 	}
@@ -566,14 +472,10 @@ func (v *ColVec) CompareValue(i int, c Value) int {
 		if c.Kind != KindString {
 			return cmpKind(KindString, c.Kind)
 		}
-		switch v.Mode {
-		case StrDict:
-			return cmpStr(v.Dict[v.Codes[i]], c.S)
-		case StrHeader:
+		if v.Mode == StrHeader {
 			return cmpStr(v.Strs[i], c.S)
-		default:
-			return cmpBytesStr(v.Bytes[v.Offs[i]:v.Offs[i+1]], c.S)
 		}
+		return cmpBytesStr(v.Bytes[v.Offs[i]:v.Offs[i+1]], c.S)
 	default:
 		return Compare(v.Value(i), c)
 	}
@@ -581,8 +483,8 @@ func (v *ColVec) CompareValue(i int, c Value) int {
 
 // CompareCell orders cell i against o's cell j under Compare semantics
 // without materializing either: NULL equals NULL, ints and floats compare
-// by numeric value, and string cells compare byte-wise across the header,
-// dictionary and flat layouts. The hash join's key equality is built on it.
+// by numeric value, and string cells compare byte-wise across the header and
+// flat layouts. The hash join's key equality is built on it.
 func (v *ColVec) CompareCell(i int, o *ColVec, j int) int {
 	if v.Kind == o.Kind && len(v.Nulls) == 0 && len(o.Nulls) == 0 {
 		switch v.Kind {
@@ -772,20 +674,16 @@ func (v *ColVec) hashCell(h uint64, i int) uint64 {
 		h = prob.FNVByte(h, 2)
 		return prob.FNVByte(h, byte(v.Ints[i]&1))
 	case KindString:
-		switch v.Mode {
-		case StrDict:
-			return hashStr(h, v.Dict[v.Codes[i]])
-		case StrHeader:
+		if v.Mode == StrHeader {
 			return hashStr(h, v.Strs[i])
-		default:
-			b := v.Bytes[v.Offs[i]:v.Offs[i+1]]
-			h = prob.FNVByte(h, 3)
-			h = prob.FNVUint64(h, uint64(len(b)))
-			for _, c := range b {
-				h = prob.FNVByte(h, c)
-			}
-			return h
 		}
+		b := v.Bytes[v.Offs[i]:v.Offs[i+1]]
+		h = prob.FNVByte(h, 3)
+		h = prob.FNVUint64(h, uint64(len(b)))
+		for _, c := range b {
+			h = prob.FNVByte(h, c)
+		}
+		return h
 	default: // a column declared NULL holds only NULL cells
 		return prob.FNVByte(h, 0)
 	}

@@ -19,7 +19,7 @@ func colBatchSchema() *Schema {
 }
 
 // randomColTuple draws a tuple over colBatchSchema, with occasional NULLs and
-// a string pool sized by card (card > DictMaxCard exercises the spill).
+// a string pool sized by card.
 func randomColTuple(rng *rand.Rand, card int) Tuple {
 	t := Tuple{
 		Int(rng.Int63n(1000) - 500),
@@ -34,11 +34,11 @@ func randomColTuple(rng *rand.Rand, card int) Tuple {
 }
 
 // TestColBatchRowRoundTrip: AppendRow → WriteRow/Value reproduces every cell
-// bit-identically across all layouts, including NULLs and a dictionary that
-// spills to the flat layout mid-batch.
+// bit-identically across all layouts, including NULLs, at a low and a high
+// string cardinality.
 func TestColBatchRowRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, card := range []int{8, DictMaxCard + 50} {
+	for _, card := range []int{8, 306} {
 		sch := colBatchSchema()
 		b := NewColBatch(sch)
 		var rows []Tuple
@@ -65,30 +65,31 @@ func TestColBatchRowRoundTrip(t *testing.T) {
 	}
 }
 
-// TestColBatchStrBytesLayouts: the heap-scan byte append uses the dictionary
-// under DictMaxCard distinct values and spills to flat beyond it, preserving
-// every cell, and a reset column remembers the spill (stays flat).
+// TestColBatchStrBytesLayouts: the heap-scan byte append lands in the flat
+// layout at low and high cardinality alike, preserving every cell, and so
+// does the first append after a Reset; a column that already holds shared
+// headers takes the bytes as a header.
 func TestColBatchStrBytesLayouts(t *testing.T) {
 	sch := NewSchema(DataCol("s", KindString))
 	b := NewColBatch(sch)
 	var want []string
 	for i := 0; i < 64; i++ {
-		s := fmt.Sprintf("dict-%02d", i%8)
+		s := fmt.Sprintf("low-%02d", i%8)
 		b.Cols[0].AppendStrBytes([]byte(s))
 		want = append(want, s)
 		b.N++
 	}
-	if b.Cols[0].Mode != StrDict {
-		t.Fatalf("low-cardinality column mode = %v, want StrDict", b.Cols[0].Mode)
+	if b.Cols[0].Mode != StrFlat {
+		t.Fatalf("low-cardinality column mode = %v, want StrFlat", b.Cols[0].Mode)
 	}
-	for i := DictMaxCard; i >= 0; i-- { // push past the cardinality limit
+	for i := 256; i >= 0; i-- {
 		s := fmt.Sprintf("wide-%04d", i)
 		b.Cols[0].AppendStrBytes([]byte(s))
 		want = append(want, s)
 		b.N++
 	}
 	if b.Cols[0].Mode != StrFlat {
-		t.Fatalf("post-spill mode = %v, want StrFlat", b.Cols[0].Mode)
+		t.Fatalf("high-cardinality column mode = %v, want StrFlat", b.Cols[0].Mode)
 	}
 	for i, s := range want {
 		if got := b.Cols[0].Value(i); got.S != s {
@@ -99,10 +100,20 @@ func TestColBatchStrBytesLayouts(t *testing.T) {
 	b.Cols[0].AppendStrBytes([]byte("after"))
 	b.N = 1
 	if b.Cols[0].Mode != StrFlat {
-		t.Fatalf("reset after spill: mode = %v, want StrFlat (noDict persists)", b.Cols[0].Mode)
+		t.Fatalf("after Reset: mode = %v, want StrFlat", b.Cols[0].Mode)
 	}
 	if got := b.Cols[0].Value(0); got.S != "after" {
-		t.Fatalf("reset after spill: cell = %q, want %q", got.S, "after")
+		t.Fatalf("after Reset: cell = %q, want %q", got.S, "after")
+	}
+	b.Reset(sch)
+	b.Cols[0].AppendValue(0, Str("header"))
+	b.Cols[0].AppendStrBytes([]byte("bytes"))
+	b.N = 2
+	if b.Cols[0].Mode != StrHeader || len(b.Cols[0].Strs) != 2 {
+		t.Fatalf("bytes after a header: mode = %v with %d headers, want StrHeader with 2", b.Cols[0].Mode, len(b.Cols[0].Strs))
+	}
+	if got := b.Cols[0].Value(1); got.S != "bytes" {
+		t.Fatalf("bytes after a header: cell = %q, want %q", got.S, "bytes")
 	}
 }
 
@@ -137,7 +148,7 @@ func TestColVecCompareValueMatchesCompare(t *testing.T) {
 		Null(), Int(0), Int(-3), Float(0.25), Float(-2), Str(""), Str("s-0100"),
 		Str("zzz"), Bool(true), Bool(false),
 	}
-	for _, card := range []int{8, DictMaxCard + 50} {
+	for _, card := range []int{8, 306} {
 		b := NewColBatch(colBatchSchema())
 		var rows []Tuple
 		for i := 0; i < 400; i++ {
@@ -160,20 +171,13 @@ func TestColVecCompareValueMatchesCompare(t *testing.T) {
 }
 
 // layoutCol builds a one-column batch of the given kind holding vals, with
-// string cells in the given layout: StrHeader appends Values, StrDict and
-// StrFlat append raw bytes — StrFlat after a dictionary spill, which keeps
-// the column flat across Reset. vals must not start with a NULL, which
-// would settle a string column on the header layout.
+// string cells in the given layout: StrHeader appends Values, StrFlat
+// appends raw bytes. vals must not start with a NULL, which would settle a
+// string column on the header layout.
 func layoutCol(t *testing.T, kind Kind, mode StrMode, vals []Value) *ColVec {
 	t.Helper()
 	sch := NewSchema(DataCol("c", kind))
 	b := NewColBatch(sch)
-	if mode == StrFlat {
-		for i := 0; i <= DictMaxCard; i++ {
-			b.Cols[0].AppendStrBytes([]byte(fmt.Sprint(i)))
-		}
-		b.Reset(sch)
-	}
 	for _, v := range vals {
 		if v.Kind == KindString && mode != StrHeader {
 			b.Cols[0].AppendStrBytes([]byte(v.S))
@@ -206,7 +210,6 @@ func TestColVecCompareCellMatchesCompare(t *testing.T) {
 		{"bool", KindBool, StrNone, []Value{Bool(true), Null(), Bool(false)}},
 		{"null", KindNull, StrNone, []Value{Null(), Null()}},
 		{"header", KindString, StrHeader, strs},
-		{"dict", KindString, StrDict, strs},
 		{"flat", KindString, StrFlat, strs},
 	}
 	for _, a := range cols {
@@ -230,7 +233,7 @@ func TestColVecCompareCellMatchesCompare(t *testing.T) {
 // chunks and its probe batches meet in one index.
 func TestColBatchHashIntoMatchesHashOn(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	for _, card := range []int{8, DictMaxCard + 50} {
+	for _, card := range []int{8, 306} {
 		b := NewColBatch(colBatchSchema())
 		var rows []Tuple
 		for i := 0; i < 500; i++ {
@@ -271,7 +274,7 @@ func TestColVecAppendCell(t *testing.T) {
 	src := NewColBatch(colBatchSchema())
 	var rows []Tuple
 	for i := 0; i < 300; i++ {
-		tu := randomColTuple(rng, DictMaxCard+40) // force a spill in the string column
+		tu := randomColTuple(rng, 296)
 		rows = append(rows, tu)
 		src.AppendRow(tu)
 	}
@@ -295,34 +298,27 @@ func TestColVecAppendCell(t *testing.T) {
 }
 
 // TestColVecReuse: a vector cleared for reuse by another column starts
-// over like a new one — no dictionary, no "stay flat" verdict from a
-// cardinality that outgrew the dictionary, and no string headers left in
-// its storage — where a batch's Reset keeps the live dictionary for the
-// next batch of the same column.
+// over like a new one — its string layout undecided again, and no string
+// headers left in its storage, where a batch's Reset only truncates them.
 func TestColVecReuse(t *testing.T) {
 	var v ColVec
 	v.reset(KindString)
-	for i := 0; i < DictMaxCard+1; i++ { // outgrows the dictionary: flat for good
+	for i := 0; i < 257; i++ {
 		v.AppendStrBytes([]byte(fmt.Sprint("s", i)))
 	}
 	if v.Mode != StrFlat {
-		t.Fatalf("%d distinct strings left the column in layout %d, want flat", DictMaxCard+1, v.Mode)
+		t.Fatalf("raw string bytes left the column in layout %d, want flat", v.Mode)
 	}
 	v.Reuse(KindString)
-	v.AppendStrBytes([]byte("x"))
-	if v.Mode != StrDict || len(v.Dict) != 1 || v.Codes[0] != 0 {
-		t.Fatalf("after Reuse: layout %d, dictionary %v, want a new dictionary [x]", v.Mode, v.Dict)
+	v.AppendValue(0, Str("x"))
+	if v.Mode != StrHeader || len(v.Strs) != 1 || len(v.Bytes)+len(v.Offs) != 0 {
+		t.Fatalf("after Reuse: layout %d with %d headers and %d flat bytes, want one header", v.Mode, len(v.Strs), len(v.Bytes))
 	}
 
-	v.reset(KindString) // a batch's Reset: the dictionary carries over
+	v.reset(KindString) // a batch's Reset: the layout is undecided again
 	v.AppendStrBytes([]byte("y"))
-	if len(v.Dict) != 2 || v.Codes[0] != 1 {
-		t.Fatalf("after reset: dictionary %v, codes %v, want [x y] and code 1", v.Dict, v.Codes)
-	}
-	v.Reuse(KindString)
-	v.AppendStrBytes([]byte("y"))
-	if len(v.Dict) != 1 || v.Codes[0] != 0 {
-		t.Fatalf("after Reuse: dictionary %v, codes %v, want [y] and code 0", v.Dict, v.Codes)
+	if v.Mode != StrFlat || v.Value(0).S != "y" {
+		t.Fatalf("after reset: layout %d, cell %v, want flat \"y\"", v.Mode, v.Value(0))
 	}
 
 	v.Reuse(KindString)
@@ -335,7 +331,7 @@ func TestColVecReuse(t *testing.T) {
 			t.Fatalf("after Reuse: string header %d still holds %q", i, s)
 		}
 	}
-	if v.Kind != KindInt || v.Mode != StrNone || len(v.Strs)+len(v.Codes)+len(v.Bytes)+len(v.Offs) != 0 {
+	if v.Kind != KindInt || v.Mode != StrNone || len(v.Strs)+len(v.Bytes)+len(v.Offs) != 0 {
 		t.Fatalf("after Reuse(KindInt): kind %v, layout %d, string cells left", v.Kind, v.Mode)
 	}
 }

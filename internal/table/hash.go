@@ -43,3 +43,15 @@ func HashOn(t Tuple, idx []int) uint64 {
 	}
 	return h
 }
+
+// EqualOn2 reports whether a's values at aIdx equal b's values at bIdx
+// pairwise under Compare semantics — the key equality that HashOn agrees
+// with.
+func EqualOn2(a Tuple, aIdx []int, b Tuple, bIdx []int) bool {
+	for i := range aIdx {
+		if Compare(a[aIdx[i]], b[bIdx[i]]) != 0 {
+			return false
+		}
+	}
+	return true
+}

@@ -4,7 +4,7 @@
 // paper's tuple-independent tables, §II.A), and materialized relations.
 // The columnar side of the model (colbatch.go) carries the same tuples as
 // per-column typed vectors — ColBatch/ColVec with a selection vector, a
-// null bitmap, and dictionary/flat string layouts — for the engine's
+// null bitmap, and header/flat string layouts — for the engine's
 // vectorized execution tier; a base table is stored as such chunks
 // (ColStore).
 package table

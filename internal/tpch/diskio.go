@@ -22,11 +22,9 @@ func (d *Data) WriteHeapFiles(dir string) error {
 		if err != nil {
 			return err
 		}
-		row := make(table.Tuple, tb.Rel.Schema.Len())
 		for _, c := range tb.Rel.Chunks {
 			for i := 0; i < c.Rows(); i++ {
-				c.WriteRow(i, row)
-				if err := h.Append(row); err != nil {
+				if err := h.AppendColRow(c, c.RowID(i)); err != nil {
 					h.Close()
 					return fmt.Errorf("tpch: writing %s: %w", tb.Name, err)
 				}
