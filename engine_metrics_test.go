@@ -161,10 +161,10 @@ func TestEngineSpillMetrics(t *testing.T) {
 	if bytes := snap.Counters["sort_spill_bytes_total"]; bytes <= 0 || bytes != res.Stats.SpillBytes {
 		t.Errorf("sort_spill_bytes_total = %d, Stats.SpillBytes %d", bytes, res.Stats.SpillBytes)
 	}
-	// The sort-buffer free list: the second query's sorts drew buffers the
-	// first one's gave back.
-	reused, fresh, peak := snap.Gauges["sort_buffer_reused_bytes"], snap.Gauges["sort_buffer_fresh_bytes"], snap.Gauges["sort_buffer_idle_peak_bytes"]
+	// The engine's free list: the second query's sorts and join builds drew
+	// buffers the first one's gave back.
+	reused, fresh, peak := snap.Gauges["buffer_reused_bytes"], snap.Gauges["buffer_fresh_bytes"], snap.Gauges["buffer_idle_peak_bytes"]
 	if reused <= 0 || fresh <= 0 || peak <= 0 {
-		t.Errorf("sort buffers: %d bytes reused, %d fresh, idle peak %d; want all > 0", reused, fresh, peak)
+		t.Errorf("free list: %d bytes reused, %d fresh, idle peak %d; want all > 0", reused, fresh, peak)
 	}
 }

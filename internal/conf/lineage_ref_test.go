@@ -287,7 +287,8 @@ func appendCells(b *table.ColBatch, row table.Tuple, k int) {
 // (streamOf), and a materialized relation — in arrival order and shuffled,
 // with full-width hashes and with every hash cut to one bit — two chains
 // holding all answers, two holding all clauses — so equality, not the hash,
-// does the separating.
+// does the separating. Each collection but the first is released once
+// checked, so the next draws storage another shape left dirty.
 func TestCollectLineageMatchesReference(t *testing.T) {
 	feeds := map[string]func(*table.Relation) *Source{
 		"relation": FromRelation,
@@ -309,6 +310,7 @@ func TestCollectLineageMatchesReference(t *testing.T) {
 						t.Fatal(name, err)
 					}
 					mustMatchRef(t, rel, got)
+					got.Release() // the next collection draws its storage
 				}
 			}
 			rng.Shuffle(rel.Len(), func(i, j int) { rel.Rows[i], rel.Rows[j] = rel.Rows[j], rel.Rows[i] })

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/freelist"
 	"repro/internal/prob"
 	"repro/internal/table"
 )
@@ -50,6 +51,55 @@ type Lineage struct {
 	DupRows int64
 	// Input counts the rows that entered lineage collection.
 	Input int64
+
+	bufs lineageBufs
+}
+
+// lineageBufs is the storage a Lineage points into — the answers' key
+// cells, the clauses' literals, the DNFs and their clause headers — and its
+// Keys, DNFs and Assign arrays. Collection draws it from the engine's free
+// list (internal/freelist), and Release gives it back.
+type lineageBufs struct {
+	keys    []table.Value // group g's key at [g·w, (g+1)·w): Keys point into it
+	arena   []prob.Var    // every clause's literals: the DNFs' clauses point into it
+	headers []prob.Clause // the DNFs' clause headers, DNF by DNF
+	dnfs    []prob.DNF
+	lease   freelist.Lease
+	pooled  bool // drawn from the free list, and owed back to it
+}
+
+// The shapes collection draws that no other user does.
+var (
+	valueLists  = freelist.PtrSlices[table.Value]()
+	tupleLists  = freelist.PtrSlices[table.Tuple]()
+	clauseLists = freelist.PtrSlices[prob.Clause]()
+	dnfLists    = freelist.PtrSlices[prob.DNF]()
+	dnfPtrLists = freelist.PtrSlices[*prob.DNF]()
+	varLists    = freelist.Slices[prob.Var]()
+	groupLists  = freelist.Slices[lineageGroup]()
+	entryLists  = freelist.Slices[lineageClause]()
+)
+
+// Release gives what the lineage points into back to the free list, once
+// its last reader is done: every tier run over it has returned, and with it
+// every worker the tier started. Keys, DNFs and Assign must not be read
+// afterwards — a tier's output rows copy the key cells they need
+// (Lineage.row). A second Release finds nothing; a lineage never released
+// leaves its storage to the collector.
+func (l *Lineage) Release() {
+	b := &l.bufs
+	if !b.pooled {
+		return
+	}
+	ls := &b.lease
+	valueLists.Put(ls, 0, b.keys)
+	varLists.Put(ls, 0, b.arena)
+	clauseLists.Put(ls, 0, b.headers)
+	dnfLists.Put(ls, 0, b.dnfs)
+	tupleLists.Put(ls, 0, l.Keys)
+	dnfPtrLists.Put(ls, 0, l.DNFs)
+	l.Assign.Recycle(ls)
+	l.Keys, l.DNFs, l.bufs = nil, nil, lineageBufs{}
 }
 
 // LineageStats is the head every lineage tier's stats share: what
@@ -117,6 +167,9 @@ func collectLineage(ctx context.Context, src *Source, hashMask uint64) (*Lineage
 		return nil, err
 	}
 	if err := src.push(ctx, c); err != nil {
+		// What was collected so far is consistent: finish it, to give
+		// every table back the one way a lineage does.
+		c.finish().Release()
 		return nil, err
 	}
 	src.rows = c.l.Input
@@ -133,8 +186,15 @@ func collectLineage(ctx context.Context, src *Source, hashMask uint64) (*Lineage
 // table for the whole lineage. The Monte Carlo path needs each answer's
 // whole formula in memory anyway, so in-memory tables — unlike the exact
 // operator's external sort — are the right tool.
+//
+// Every table and arena comes off the engine's free list: the stream-grown
+// ones are the largest idle buffers of their shape, the chain-head tables
+// the best fit for each doubling. The collector's scratch goes back when
+// it finishes; what the lineage points into goes back with
+// Lineage.Release.
 type collector struct {
 	l                           *Lineage
+	lease                       *freelist.Lease // the lineage's
 	mask                        uint64
 	dataCols, varCols, probCols []int
 
@@ -168,13 +228,8 @@ type lineageClause struct {
 const minBuckets = 256
 
 func newCollector(schema *table.Schema, hashMask uint64) (*collector, error) {
-	c := &collector{
-		l:        &Lineage{Assign: prob.NewAssignment()},
-		mask:     hashMask,
-		dataCols: schema.DataIndexes(),
-		groupAt:  make([]int32, minBuckets),
-		clauseAt: make([]int32, minBuckets),
-	}
+	l := &Lineage{Assign: prob.NewAssignment(), bufs: lineageBufs{pooled: true}}
+	c := &collector{l: l, lease: &l.bufs.lease, mask: hashMask, dataCols: schema.DataIndexes()}
 	for _, src := range schema.Sources() {
 		vi, pi := schema.VarIndex(src), schema.ProbIndex(src)
 		if pi < 0 {
@@ -185,9 +240,51 @@ func newCollector(schema *table.Schema, hashMask uint64) (*collector, error) {
 		c.l.Sources = append(c.l.Sources, src)
 	}
 	c.l.Schema = schema.Project(c.dataCols)
-	// Non-nil even for a Boolean answer, whose one key is the empty tuple.
-	c.keys = make([]table.Value, 0, len(c.dataCols))
+	c.l.Assign.Draw(c.lease)
+	c.keys, _ = valueLists.Largest(c.lease, 0)
+	if c.keys == nil {
+		// Non-nil even for a Boolean answer, whose one key is the empty tuple.
+		c.keys = make([]table.Value, 0, len(c.dataCols))
+	}
+	c.groups, _ = groupLists.Largest(c.lease, 0)
+	c.clauses, _ = entryLists.Largest(c.lease, 0)
+	c.arena, _ = varLists.Largest(c.lease, 0)
+	c.hashes, _ = freelist.Uint64s.Fit(c.lease, 0, 8*table.BatchSize)
+	c.groupAt, c.clauseAt = c.chainHeads(minBuckets), c.chainHeads(minBuckets)
 	return c, nil
+}
+
+// int32s returns an int32 slice of length n, of unspecified contents: the
+// best fit off the free list.
+func (c *collector) int32s(n int) []int32 {
+	t, _ := freelist.Int32s.Fit(c.lease, 0, 4*int64(n))
+	return sized(t, n)
+}
+
+// chainHeads returns an empty chain-head table of n buckets.
+func (c *collector) chainHeads(n int) []int32 {
+	t := c.int32s(n)
+	clear(t)
+	return t
+}
+
+// sized returns s at length n, of unspecified contents: reallocated when
+// its capacity falls short.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// releaseScratch gives the collector's own tables back to the free list.
+func (c *collector) releaseScratch() {
+	groupLists.Put(c.lease, 0, c.groups)
+	entryLists.Put(c.lease, 0, c.clauses)
+	freelist.Int32s.Put(c.lease, 0, c.groupAt)
+	freelist.Int32s.Put(c.lease, 0, c.clauseAt)
+	freelist.Uint64s.Put(c.lease, 0, c.hashes)
+	c.groups, c.clauses, c.groupAt, c.clauseAt, c.hashes = nil, nil, nil, nil, nil
 }
 
 // AddBatch collects a column batch's live rows straight from the vectors.
@@ -272,7 +369,9 @@ func (c *collector) newGroup(h uint64, head *int32) int32 {
 	c.groups = append(c.groups, lineageGroup{hash: h, next: *head - 1})
 	*head = g + 1
 	if len(c.groups) > len(c.groupAt) {
-		c.groupAt = make([]int32, 2*len(c.groupAt))
+		old := c.groupAt
+		c.groupAt = c.chainHeads(2 * len(old))
+		freelist.Int32s.Put(c.lease, 0, old)
 		for i := range c.groups {
 			at := &c.groupAt[bucket(c.groups[i].hash, len(c.groupAt))]
 			c.groups[i].next = *at - 1
@@ -305,7 +404,9 @@ func (c *collector) clause(g int32, start int) {
 	*head = int32(len(c.clauses))
 	c.groups[g].clauses++
 	if len(c.clauses) > len(c.clauseAt) {
-		c.clauseAt = make([]int32, 2*len(c.clauseAt))
+		old := c.clauseAt
+		c.clauseAt = c.chainHeads(2 * len(old))
+		freelist.Int32s.Put(c.lease, 0, old)
 		for i, cl := range c.clauses {
 			at := &c.clauseAt[bucket(c.clauseHash(c.lits(cl), cl.group), len(c.clauseAt))]
 			c.clauses[i].next = *at - 1
@@ -324,25 +425,33 @@ func (c *collector) lits(cl lineageClause) prob.Clause {
 
 // finish emits the lineage in key order: sort the distinct answers, lay the
 // clause headers of all DNFs out in one slice, group by group, and drop each
-// clause into its group's range.
+// clause into its group's range. The collector's scratch goes back to the
+// free list; the lineage keeps what it points into until Release.
 func (c *collector) finish() *Lineage {
 	l := c.l
+	defer c.releaseScratch()
 	l.Vars, l.Clauses = int64(l.Assign.Len()), int64(len(c.clauses))
+	l.bufs.keys, l.bufs.arena = c.keys, c.arena
 	if len(c.groups) == 0 {
 		return l
 	}
-	order := make([]int32, len(c.groups))
+	n := len(c.groups)
+	order := c.int32s(n)
+	defer freelist.Int32s.Put(c.lease, 0, order)
 	for g := range order {
 		order[g] = int32(g)
 	}
 	slices.SortFunc(order, func(a, b int32) int {
 		return slices.CompareFunc(c.key(a), c.key(b), table.Compare)
 	})
-	l.Keys = make([]table.Tuple, len(c.groups))
-	l.DNFs = make([]*prob.DNF, len(c.groups))
-	dnfs := make([]prob.DNF, len(c.groups))
-	headers := make([]prob.Clause, len(c.clauses))
-	at := make([]int32, len(c.groups)) // per group: where its next clause header goes
+	l.Keys, _ = tupleLists.Largest(c.lease, 0)
+	l.DNFs, _ = dnfPtrLists.Largest(c.lease, 0)
+	dnfs, _ := dnfLists.Largest(c.lease, 0)
+	headers, _ := clauseLists.Largest(c.lease, 0)
+	l.Keys, l.DNFs, dnfs, headers = sized(l.Keys, n), sized(l.DNFs, n), sized(dnfs, n), sized(headers, len(c.clauses))
+	l.bufs.dnfs, l.bufs.headers = dnfs, headers
+	at := c.int32s(n) // per group: where its next clause header goes
+	defer freelist.Int32s.Put(c.lease, 0, at)
 	off := int32(0)
 	for i, g := range order {
 		l.Keys[i] = c.key(g)

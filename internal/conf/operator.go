@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"repro/internal/fault"
+	"repro/internal/freelist"
 	"repro/internal/pool"
 	"repro/internal/signature"
 	"repro/internal/storage"
@@ -215,15 +216,19 @@ func representative(s signature.Sig) string {
 // spans two partitions (they were hash-partitioned on it), so a k-way
 // min-merge (ColVec.CompareCell) reproduces the serial scan's output
 // exactly.
-func mergeByKey(parts [][]*table.ColBatch, keys int) []*table.ColBatch {
+func mergeByKey(parts [][]*table.ColBatch, keys int, ls *freelist.Lease) []*table.ColBatch {
 	type cursor struct {
 		chunks []*table.ColBatch
 		row    int // in chunks[0]
 	}
 	curs := make([]cursor, 0, len(parts))
+	room := 0 // rows still to merge
 	for _, p := range parts {
 		if len(p) > 0 {
 			curs = append(curs, cursor{chunks: p})
+		}
+		for _, c := range p {
+			room += c.N
 		}
 	}
 	less := func(a, b *cursor) bool {
@@ -235,9 +240,11 @@ func mergeByKey(parts [][]*table.ColBatch, keys int) []*table.ColBatch {
 		}
 		return false
 	}
-	// A partition's chunk that is merged out is dead: its storage takes the
-	// next output chunk, so the merge allocates little beyond the parts.
-	var out, spare []*table.ColBatch
+	// A partition's chunk that is merged out is dead: it goes back to the
+	// free list under ls, where the next pass's partitions draw it. The
+	// output chunks are the pass's output, allocated as a serial scan's
+	// are: reserved for the rows still to merge.
+	var out []*table.ColBatch
 	for len(curs) > 0 {
 		best := 0
 		for i := 1; i < len(curs); i++ {
@@ -246,9 +253,10 @@ func mergeByKey(parts [][]*table.ColBatch, keys int) []*table.ColBatch {
 			}
 		}
 		c := &curs[best]
-		out, spare = appendChunks(out, spare, c.chunks[0], c.row, c.row+1)
+		out = appendChunks(out, c.chunks[0], c.row, c.row+1, room)
+		room--
 		if c.row++; c.row == c.chunks[0].N {
-			spare = append(spare, c.chunks[0])
+			c.chunks[0].Recycle(ls, 0)
 			c.chunks, c.row = c.chunks[1:], 0
 			if len(c.chunks) == 0 {
 				curs = slices.Delete(curs, best, best+1)
@@ -284,13 +292,22 @@ type accumulator interface {
 // NULL, −0 equals +0). The context is checked once per sorted batch, like
 // the feeding side, so cancellation latency is uniform across the
 // pipelined and the sort+scan tiers. Error paths discard any spilled runs.
-func groupedScan(sorter *storage.ExternalSorter, acc accumulator, groupCols []int, repVar int, schema *table.Schema, opts Options) ([]*table.ColBatch, spillStats, error) {
+// The batch the sorted stream fills is drawn off the engine's free list and
+// goes back when the scan ends. A partition's scan (ls not nil) draws its
+// output chunks whole off the list under ls too — the merge gives them
+// back — while a serial scan's chunks are the pass's output and are
+// allocated.
+func groupedScan(sorter *storage.ExternalSorter, acc accumulator, groupCols []int, repVar int, schema *table.Schema, ls *freelist.Lease, opts Options) ([]*table.ColBatch, spillStats, error) {
 	ctx := opts.ctx()
 	it, err := sorter.FinishBatches()
 	if err != nil {
 		return nil, spillStats{}, err
 	}
 	defer it.Close()
+	b := table.NewColBatch(it.Schema())
+	var bl freelist.Lease
+	b.Draw(&bl, 0, table.BatchSize)
+	defer b.Recycle(&bl, 0)
 	sp := spillStats{runs: sorter.Spills(), bytes: sorter.SpillBytes()}
 	outCols := groupCols
 	if repVar >= 0 {
@@ -298,18 +315,21 @@ func groupedScan(sorter *storage.ExternalSorter, acc accumulator, groupCols []in
 	}
 	pc := len(outCols) // the probability column
 	// No pass emits more groups than it was fed rows, and most emit far
-	// fewer: the first chunk starts small and, should it fill, is reserved
-	// whole in one step; the later ones are reserved whole from the start.
+	// fewer: the first chunk of a serial scan starts small and, should it
+	// fill, is reserved whole in one step; the later ones, and a
+	// partition's, are reserved whole from the start.
 	reserve := int(min(sorter.Rows(), firstChunkRows))
+	if ls != nil {
+		reserve = table.BatchSize
+	}
 	var chunks []*table.ColBatch
 	var out *table.ColBatch // the chunk holding the open group's row k
 	k := -1
-	var b table.ColBatch
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, sp, err
 		}
-		n, err := it.NextColBatch(&b)
+		n, err := it.NextColBatch(b)
 		if err != nil {
 			return nil, sp, err
 		}
@@ -317,8 +337,8 @@ func groupedScan(sorter *storage.ExternalSorter, acc accumulator, groupCols []in
 			break
 		}
 		for i := 0; i < n; i++ {
-			if k >= 0 && sameGroup(out, k, &b, i, groupCols) {
-				acc.step(&b, i)
+			if k >= 0 && sameGroup(out, k, b, i, groupCols) {
+				acc.step(b, i)
 				continue
 			}
 			if k >= 0 {
@@ -326,6 +346,9 @@ func groupedScan(sorter *storage.ExternalSorter, acc accumulator, groupCols []in
 			}
 			if out == nil || out.N == table.BatchSize {
 				out = table.NewColBatch(schema)
+				if ls != nil {
+					out.Draw(ls, 0, reserve)
+				}
 				for j, c := range outCols {
 					out.Cols[j].SettleLike(&b.Cols[c])
 				}
@@ -341,7 +364,7 @@ func groupedScan(sorter *storage.ExternalSorter, acc accumulator, groupCols []in
 			}
 			out.Cols[pc].AppendFloat(0)
 			out.N++
-			acc.seed(&b, i)
+			acc.seed(b, i)
 		}
 	}
 	if k >= 0 {
@@ -374,7 +397,9 @@ func sameGroup(out *table.ColBatch, k int, b *table.ColBatch, i int, groupCols [
 // hash-partitioned by group key while it is fed, the partitions are sorted
 // and scanned in parallel — each with an accumulator of its own — and their
 // outputs — each sorted on the group columns, no key spanning two — are
-// merged back into global order: bit-identical to the serial scan's.
+// merged back into global order: bit-identical to the serial scan's. The
+// partitions' chunks come off the engine's free list and go back to it as
+// the merge consumes them.
 func scanGroups(src *Source, groupCols, tailCols []int, repVar int, newAcc func() accumulator, schema *table.Schema, opts Options) (*Source, spillStats, error) {
 	sortCols := append(slices.Clone(groupCols), tailCols...)
 	in := newScanFeed(src.Schema, groupCols, sortCols, opts)
@@ -387,17 +412,18 @@ func scanGroups(src *Source, groupCols, tailCols []int, repVar int, newAcc func(
 		return nil, spillStats{}, err
 	}
 	if in.one != nil {
-		chunks, sp, err := groupedScan(in.one, newAcc(), groupCols, repVar, schema, opts)
+		chunks, sp, err := groupedScan(in.one, newAcc(), groupCols, repVar, schema, nil, opts)
 		if err != nil {
 			return nil, spillStats{}, err
 		}
 		return chunkSource(schema, chunks), sp, nil
 	}
+	var ls freelist.Lease // the partitions' chunks', shared by their scans and the merge
 	outs := make([][]*table.ColBatch, len(in.parts))
 	spills := make([]spillStats, len(in.parts))
 	err = opts.Pool.Do(opts.ctx(), len(in.parts), func(i int) error {
 		var err error
-		outs[i], spills[i], err = groupedScan(in.parts[i], newAcc(), groupCols, repVar, schema, opts)
+		outs[i], spills[i], err = groupedScan(in.parts[i], newAcc(), groupCols, repVar, schema, &ls, opts)
 		return err
 	})
 	if err != nil {
@@ -409,7 +435,7 @@ func scanGroups(src *Source, groupCols, tailCols []int, repVar int, newAcc func(
 		total.add(s)
 	}
 	// Merge key: the group columns occupy the output's leading positions.
-	return chunkSource(schema, mergeByKey(outs, len(groupCols))), total, nil
+	return chunkSource(schema, mergeByKey(outs, len(groupCols), &ls)), total, nil
 }
 
 // aggregateStep executes one aggregation [γ*]: group by every column not

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/engine"
+	"repro/internal/freelist"
 	"repro/internal/pool"
 	"repro/internal/storage"
 	"repro/internal/table"
@@ -117,34 +118,32 @@ func (s *Source) push(ctx context.Context, sink engine.Sink) error {
 
 // appendChunks copies live rows [lo, hi) of src onto the last of chunks,
 // starting a new chunk whenever that one holds table.BatchSize rows, and
-// returns the chunks. A new chunk reuses the storage of the last of spare,
-// when spare holds one, and is otherwise allocated. Each chunk is settled on
-// src's string layouts (ColVec.SettleLike) and reserved whole when it
-// starts: chunks of fixed size, because one growing batch would copy its
-// slices over and over as it regrows.
-func appendChunks(chunks, spare []*table.ColBatch, src *table.ColBatch, lo, hi int) ([]*table.ColBatch, []*table.ColBatch) {
+// returns the chunks. room is how many rows, these among them, are still to
+// be appended at most (≥ table.BatchSize when unknown): a new chunk is
+// reserved whole for min(room, table.BatchSize) rows when it starts —
+// chunks of fixed size, because one growing batch would copy its slices
+// over and over as it regrows — and settled on src's string layouts
+// (ColVec.SettleLike).
+func appendChunks(chunks []*table.ColBatch, src *table.ColBatch, lo, hi, room int) []*table.ColBatch {
 	for lo < hi {
 		var last *table.ColBatch
 		if k := len(chunks); k > 0 && chunks[k-1].N < table.BatchSize {
 			last = chunks[k-1]
 		} else {
-			if k := len(spare); k > 0 {
-				last, spare = spare[k-1], spare[:k-1]
-				last.Reset(src.Schema)
-			} else {
-				last = table.NewColBatch(src.Schema)
-			}
+			rows := min(room, table.BatchSize)
+			last = table.NewColBatch(src.Schema)
 			for c := range last.Cols {
 				last.Cols[c].SettleLike(&src.Cols[c])
 			}
-			last.Reserve(table.BatchSize)
+			last.Reserve(rows)
 			chunks = append(chunks, last)
 		}
 		n := min(hi, lo+table.BatchSize-last.N)
 		last.AppendBatch(src, lo, n)
+		room -= n - lo
 		lo = n
 	}
-	return chunks, spare
+	return chunks
 }
 
 // chunkSink keeps what it is fed as column chunks.
@@ -154,7 +153,7 @@ type chunkSink struct {
 }
 
 func (c *chunkSink) AddBatch(b *table.ColBatch) error {
-	c.chunks, _ = appendChunks(c.chunks, nil, b, 0, b.Rows())
+	c.chunks = appendChunks(c.chunks, b, 0, b.Rows(), table.BatchSize)
 	c.rows += int64(b.Rows())
 	return nil
 }
@@ -183,6 +182,7 @@ type scanFeed struct {
 
 	hashes []uint64
 	sels   [][]int32
+	lease  freelist.Lease // pend's vectors, hashes and sels come off the engine's free list
 }
 
 // newScanFeed prepares run generation for rows of the given schema.
@@ -190,6 +190,7 @@ func newScanFeed(schema *table.Schema, groupCols, sortCols []int, opts Options) 
 	f := &scanFeed{opts: opts, schema: schema, groupCols: groupCols, sortCols: sortCols}
 	if opts.Pool != nil && opts.Pool.Parallel() && len(groupCols) > 0 {
 		f.pend = table.NewColBatch(schema)
+		f.pend.Draw(&f.lease, 0, pool.ParallelMinRows)
 	} else {
 		f.one = f.newSorter()
 	}
@@ -225,8 +226,13 @@ func (f *scanFeed) decide() error {
 		f.parts[i].Slot(i)
 	}
 	f.sels = make([][]int32, len(f.parts))
+	for p := range f.sels {
+		f.sels[p], _ = freelist.Int32s.Fit(&f.lease, 0, 4*table.BatchSize)
+	}
+	f.hashes, _ = freelist.Uint64s.Fit(&f.lease, 0, 8*table.BatchSize)
 	pend := f.pend
 	f.pend = nil
+	defer pend.Recycle(&f.lease, 0)
 	return f.route(pend)
 }
 
@@ -258,11 +264,14 @@ func (f *scanFeed) route(b *table.ColBatch) error {
 func (f *scanFeed) finish() (int64, error) {
 	if f.pend != nil {
 		f.one = f.newSorter()
-		if err := f.one.AddBatch(f.pend); err != nil {
+		err := f.one.AddBatch(f.pend)
+		f.pend.Recycle(&f.lease, 0)
+		f.pend = nil
+		if err != nil {
 			return 0, err
 		}
-		f.pend = nil
 	}
+	f.release()
 	if f.one != nil {
 		return f.one.Rows(), nil
 	}
@@ -273,9 +282,20 @@ func (f *scanFeed) finish() (int64, error) {
 	return rows, nil
 }
 
+// release gives the routing scratch back to the free list once the feed
+// has ended, and lets go of it.
+func (f *scanFeed) release() {
+	for _, sel := range f.sels {
+		freelist.Int32s.Put(&f.lease, 0, sel)
+	}
+	freelist.Uint64s.Put(&f.lease, 0, f.hashes)
+	f.sels, f.hashes = nil, nil
+}
+
 // discard removes whatever the sorters spilled — the error paths' cleanup.
 // Sorters whose scan finished have handed their runs on; it skips those.
 func (f *scanFeed) discard() {
+	f.release()
 	if f.one != nil {
 		f.one.Discard()
 	}

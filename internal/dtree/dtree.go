@@ -132,6 +132,8 @@ type Builder struct {
 	lits, litBlock []int32
 
 	count    map[int32]int // variable-frequency and component-owner scratch
+	parent   []int         // components' union-find forest over clause indexes
+	comp     []int         // components' position + 1 of each root clause (0 = none yet)
 	frontier frontier      // the ordered anytime mode's best-first queue
 }
 
@@ -654,12 +656,12 @@ func (b *Builder) stripAll(cls [][]int32, common []int32) (res [][]int32, resTru
 // component, components ordered by their smallest clause index and clauses
 // in their original (canonical) order — fully deterministic.
 func (b *Builder) components(cls [][]int32) [][][]int32 {
-	parent := make([]int, len(cls))
-	for i := range parent {
-		parent[i] = i
+	b.parent = b.parent[:0]
+	for i := range cls {
+		b.parent = append(b.parent, i)
 	}
-	var find func(int) int
-	find = func(x int) int {
+	parent := b.parent
+	find := func(x int) int {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
@@ -680,13 +682,12 @@ func (b *Builder) components(cls [][]int32) [][][]int32 {
 			}
 		}
 	}
-	roots := make(map[int]int) // root → component position
+	b.comp = append(b.comp[:0], make([]int, len(cls))...)
 	n := 0
 	for i := range cls {
-		r := find(i)
-		if _, ok := roots[r]; !ok {
-			roots[r] = n
+		if r := find(i); b.comp[r] == 0 {
 			n++
+			b.comp[r] = n
 		}
 	}
 	if n <= 1 {
@@ -697,7 +698,7 @@ func (b *Builder) components(cls [][]int32) [][][]int32 {
 		comps[i] = b.memo.Scratch(len(cls))
 	}
 	for i, c := range cls {
-		k := roots[find(i)]
+		k := b.comp[find(i)] - 1
 		comps[k] = append(comps[k], c)
 	}
 	return comps

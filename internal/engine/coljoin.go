@@ -68,7 +68,8 @@ func (j *ColHashJoin) Open() error {
 		j.in = table.NewColBatch(j.Left.Schema())
 	}
 	j.n, j.i, j.cand = 0, 0, 0
-	j.built, j.grace, j.graced = nil, nil, false
+	j.releaseBuild() // a re-Open's previous build
+	j.grace, j.graced = nil, false
 	if err := j.Left.Open(); err != nil {
 		return err
 	}
@@ -153,13 +154,21 @@ func (j *ColHashJoin) emit(dst *table.ColBatch, c *table.ColBatch, cr int) {
 }
 
 // Close releases the grace merge's sorted streams (if any), closes both
-// inputs and drops the build side.
+// inputs and gives the build side back.
 func (j *ColHashJoin) Close() error {
-	j.built = nil
+	j.releaseBuild()
 	var errG error
 	if j.grace != nil {
 		errG = j.grace.close()
 		j.grace = nil
 	}
 	return firstErr(errG, j.Left.Close(), j.Right.Close())
+}
+
+// releaseBuild gives the build side's buffers back to the free list, once.
+func (j *ColHashJoin) releaseBuild() {
+	if j.built != nil {
+		j.built.release()
+		j.built = nil
+	}
 }

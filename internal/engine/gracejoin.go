@@ -2,6 +2,7 @@ package engine
 
 import (
 	"repro/internal/fault"
+	"repro/internal/freelist"
 	"repro/internal/storage"
 	"repro/internal/table"
 )
@@ -30,12 +31,20 @@ func joinRowMemEst(w int) int64 { return 64 + 48*int64(w) }
 // next[r] chains to the next row + 1 sharing r's slot. Rows were chained in
 // descending order, so every chain ascends: one key's rows come out in
 // build-input order.
+//
+// An ungoverned build draws its chunk vectors, hash slices and index from
+// the engine's free list (internal/freelist), each the best fit for its
+// size, and release gives them back once the join is done with them; a
+// governed build bypasses the free list, so its charges, and the chunks it
+// hands to the grace path, are what they would be without it.
 type hashBuild struct {
 	chunks []*table.ColBatch
 	hashes [][]uint64
 	heads  []int32
 	next   []int32
 	mask   uint64
+	pooled bool // drawn from the free list, and owed back to it
+	lease  freelist.Lease
 }
 
 // index hashes every chunk on keys and chains its rows into heads/next in
@@ -44,14 +53,15 @@ func (h *hashBuild) index(keys []int) {
 	n := 0
 	h.hashes = make([][]uint64, len(h.chunks))
 	for c, b := range h.chunks {
-		h.hashes[c] = b.HashInto(keys, nil)
+		h.hashes[c] = b.HashInto(keys, h.draw64(BatchSize))
 		n += b.N
 	}
 	slots := 1
 	for slots < 2*n {
 		slots <<= 1
 	}
-	h.heads, h.next, h.mask = make([]int32, slots), make([]int32, n), uint64(slots-1)
+	h.heads, h.next, h.mask = h.draw32(slots), h.draw32(n), uint64(slots-1)
+	clear(h.heads)
 	for r := n - 1; r >= 0; r-- {
 		slot := h.hashes[r/BatchSize][r%BatchSize] & h.mask
 		h.next[r] = h.heads[slot]
@@ -59,11 +69,57 @@ func (h *hashBuild) index(keys []int) {
 	}
 }
 
+// draw64 returns an empty uint64 slice of room for n elements: a pooled
+// build's is the best fit off the free list, when the list has one.
+func (h *hashBuild) draw64(n int) []uint64 {
+	if h.pooled {
+		if s, ok := freelist.Uint64s.Fit(&h.lease, 0, 8*int64(n)); ok {
+			return s
+		}
+	}
+	return make([]uint64, 0, n)
+}
+
+// draw32 is draw64 for an int32 slice of length n, of unspecified contents.
+func (h *hashBuild) draw32(n int) []int32 {
+	if h.pooled {
+		if s, ok := freelist.Int32s.Fit(&h.lease, 0, 4*int64(n)); ok {
+			return s[:n]
+		}
+	}
+	return make([]int32, n)
+}
+
+// newChunk starts a BatchSize-row chunk of the schema.
+func (h *hashBuild) newChunk(schema *table.Schema) *table.ColBatch {
+	c := table.NewColBatch(schema)
+	if h.pooled {
+		c.Draw(&h.lease, 0, BatchSize)
+	}
+	return c
+}
+
+// release gives a pooled build's buffers back to the free list, and lets
+// go of them either way; a second release finds nothing.
+func (h *hashBuild) release() {
+	if h.pooled {
+		for _, c := range h.chunks {
+			c.Recycle(&h.lease, 0)
+		}
+		for _, s := range h.hashes {
+			freelist.Uint64s.Put(&h.lease, 0, s)
+		}
+		freelist.Int32s.Put(&h.lease, 0, h.heads)
+		freelist.Int32s.Put(&h.lease, 0, h.next)
+	}
+	*h = hashBuild{}
+}
+
 // buildHashed drains op into a hashBuild: each batch's live rows are copied
 // column-wise (ColBatch.AppendBatch) into fixed BatchSize-row chunks —
 // fixed, because one growing batch would copy its slices over and over as
 // it regrows — and once op is drained the chunks are hashed
-// (ColBatch.HashInto) and indexed.
+// (ColBatch.HashInto) and indexed. A failed build gives back what it drew.
 //
 // With a governor the build is charged joinRowMemEst per row, in
 // joinMemChunk steps after each batch. On a denied reservation it stops at
@@ -72,8 +128,8 @@ func (h *hashBuild) index(keys []int) {
 // op is left mid-stream for the caller to keep draining. All reservations
 // are released before returning — the grace sorters account for their own
 // memory.
-func buildHashed(op ColOperator, keys []int, gov *fault.Governor) (built *hashBuild, pressured bool, err error) {
-	built = &hashBuild{}
+func buildHashed(op ColOperator, keys []int, gov *fault.Governor) (*hashBuild, bool, error) {
+	h := &hashBuild{pooled: gov == nil}
 	b := table.NewColBatch(op.Schema())
 	perRow := joinRowMemEst(op.Schema().Len())
 	var last *table.ColBatch
@@ -82,17 +138,18 @@ func buildHashed(op ColOperator, keys []int, gov *fault.Governor) (built *hashBu
 	for {
 		n, err := op.NextColBatch(b)
 		if err != nil {
+			h.release()
 			return nil, false, err
 		}
 		if n == 0 {
-			built.index(keys)
-			return built, false, nil
+			h.index(keys)
+			return h, false, nil
 		}
 		for lo := 0; lo < n; {
 			if last == nil || last.N == BatchSize {
-				last = table.NewColBatch(op.Schema())
+				last = h.newChunk(op.Schema())
 				last.Reserve(BatchSize)
-				built.chunks = append(built.chunks, last)
+				h.chunks = append(h.chunks, last)
 			}
 			hi := min(n, lo+BatchSize-last.N)
 			last.AppendBatch(b, lo, hi)
@@ -107,7 +164,7 @@ func buildHashed(op ColOperator, keys []int, gov *fault.Governor) (built *hashBu
 		if est += perRow * int64(n); est > reserved {
 			need := ((est - reserved + joinMemChunk - 1) / joinMemChunk) * joinMemChunk
 			if !gov.TryReserve(need) {
-				return built, true, nil
+				return h, true, nil
 			}
 			reserved += need
 		}

@@ -78,7 +78,9 @@ func nullKeyRel(rng *rand.Rand, rows, keyDomain, nullEvery int) *table.Relation 
 // matches in build order); a grace join emits them in the grace order
 // (graceWant: both sides stably sorted on the key, paired left-major).
 // Grace mode is entered exactly where the governor denies a non-empty
-// build.
+// build. A recycled build — drawn off the free list just after a larger
+// build over other keys, NULLs among them, gave its buffers back — joins
+// exactly like a fresh one.
 func TestJoinFamilyIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	empty := randRel(rng, 0, 1)
@@ -123,8 +125,12 @@ func TestJoinFamilyIdentity(t *testing.T) {
 		for _, gov := range []struct {
 			name  string
 			limit int64 // 0 = ungoverned
-		}{{"ungoverned", 0}, {"roomy", 1 << 30}, {"tight", tight}} {
+		}{{"ungoverned", 0}, {"recycled", 0}, {"roomy", 1 << 30}, {"tight", tight}} {
 			t.Run(in.name+"/hash/columnar/"+gov.name, func(t *testing.T) {
+				if gov.name == "recycled" {
+					dirty := nullKeyRel(rng, 5*BatchSize, 3000, 50)
+					collect(t, hashJoin(t, memScan(dirty), memScan(dirty), keys, keys))
+				}
 				j := hashJoin(t, memScan(in.left), memScan(in.right), keys, keys)
 				if gov.limit > 0 {
 					j.Mem = fault.NewGovernor(gov.limit, nil)

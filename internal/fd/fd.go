@@ -104,21 +104,6 @@ func (s *Set) Closure(attrs []string) []string {
 	return out
 }
 
-// Implies reports whether Σ ⊨ lhs → rhs.
-func (s *Set) Implies(lhs, rhs []string) bool {
-	cl := s.Closure(lhs)
-	in := make(map[string]bool, len(cl))
-	for _, a := range cl {
-		in[a] = true
-	}
-	for _, a := range rhs {
-		if !in[a] {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the set.
 func (s *Set) String() string {
 	if s.Empty() {

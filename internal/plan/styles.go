@@ -11,12 +11,12 @@ import (
 	"repro/internal/dtree"
 	"repro/internal/fault"
 	"repro/internal/fd"
+	"repro/internal/freelist"
 	"repro/internal/logical"
 	"repro/internal/obs"
 	"repro/internal/pool"
 	"repro/internal/prob"
 	"repro/internal/query"
-	"repro/internal/storage"
 	"repro/internal/table"
 )
 
@@ -520,12 +520,12 @@ func (p *Prepared) record(reg *obs.Registry, s *Stats, wall time.Duration) {
 	if s.Approximate {
 		reg.Counter("approximate_results_total").AddShard(h, 1)
 	}
-	// The sort-buffer free list is process-wide: its figures are totals
-	// since start-up, so they are set, not added.
-	sb := storage.ReadSortBufferStats()
-	reg.Gauge("sort_buffer_reused_bytes").Set(sb.ReusedBytes)
-	reg.Gauge("sort_buffer_fresh_bytes").Set(sb.FreshBytes)
-	reg.Gauge("sort_buffer_idle_peak_bytes").Set(sb.IdlePeakBytes)
+	// The engine's free list is process-wide: its figures are totals since
+	// start-up, so they are set, not added.
+	fl := freelist.Read()
+	reg.Gauge("buffer_reused_bytes").Set(fl.ReusedBytes)
+	reg.Gauge("buffer_fresh_bytes").Set(fl.FreshBytes)
+	reg.Gauge("buffer_idle_peak_bytes").Set(fl.IdlePeakBytes)
 	reg.Histogram("query_seconds").Observe(wall.Seconds())
 	reg.Histogram("tuple_seconds").Observe(s.TupleTime.Seconds())
 	reg.Histogram("prob_seconds").Observe(s.ProbTime.Seconds())

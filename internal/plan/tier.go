@@ -136,13 +136,15 @@ func (st *lowerState) finishLineage(sp *obs.Span, t *tier, b *built, note string
 
 // finishTier is a lineage tier run as a style of its own over the streamed
 // answer: certified bounds (or estimates) are a result, unless RequireExact
-// forbids them.
+// forbids them. The lineage is released once the tier has returned, and
+// with it every worker it ran on.
 func (st *lowerState) finishTier(t *tier, b *built, src *conf.Source, answerSp *obs.Span, t0 time.Time) (*Result, error) {
 	sp := st.ex.span("conf[" + t.name + "]")
 	l, collect, tupleTime, err := st.collectLineage(sp, answerSp, src, t0)
 	if err != nil {
 		return nil, err
 	}
+	defer l.Release()
 	res, err := st.finishLineage(sp, t, b, "", l, st.spec.RequireExact, tupleTime, statsNow(), collect)
 	if err != nil && errors.Is(err, t.budgetErr) {
 		return nil, fmt.Errorf("plan: %s: %w (RequireExact forbids certified bounds)", st.q.Name, err)
@@ -154,13 +156,15 @@ func (st *lowerState) finishTier(t *tier, b *built, src *conf.Source, answerSp *
 // hierarchical signature: collect the streamed answer's lineage once, then
 // try each rung exact-only — still exact, just computed by a different
 // engine — recording a refusing rung's outcome on its span and falling to
-// the next; the last rung, Monte Carlo, estimates instead of refusing.
+// the next; the last rung, Monte Carlo, estimates instead of refusing. The
+// lineage is released once the last rung run has returned.
 func (st *lowerState) finishFallbackChain(b *built, src *conf.Source, answerSp *obs.Span, t0 time.Time) (*Result, error) {
 	lsp := st.ex.span("conf[ladder]")
 	l, collect, tupleTime, err := st.collectLineage(lsp, answerSp, src, t0)
 	if err != nil {
 		return nil, err
 	}
+	defer l.Release()
 	t2 := statsNow()
 	annotateLineage(lsp, l.Stats())
 	for _, t := range ladder {

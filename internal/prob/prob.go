@@ -21,6 +21,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"repro/internal/freelist"
 )
 
 // Var identifies an independent Boolean random variable. The paper (§II.A)
@@ -52,8 +54,10 @@ func (v Var) String() string {
 // live in a slice indexed by Var, 0 marking an unset id — no valid marginal
 // is 0. Ids are the caller's choice (ProbTable.AddRow), though, so the
 // density is judged from what has been set: a new id beyond 8·Len() +
-// denseSlack moves every entry into a map, and the map goes back to a slice
-// once the largest id is within 4·Len() + denseSlack — a handful of huge ids
+// denseSlack, and beyond what the slice holds without growing (Draw hands
+// an assignment the slice an earlier one grew to), moves every entry into
+// a map, and the map goes back to a slice once the largest id is within
+// 4·Len() + denseSlack — a handful of huge ids
 // cannot cost a huge slice, a stream whose first ids happen to be large
 // still ends dense, and each switch needs Len() to double since the last,
 // so switching costs amortized O(1) per Set. Alongside each marginal the
@@ -102,7 +106,7 @@ func (a *Assignment) set(v Var, p float64, from int32) error {
 		return fmt.Errorf("prob: probability %g for %v outside (0,1]", p, v)
 	}
 	a.max = max(a.max, v)
-	if a.sparse == nil && int(v) >= len(a.p) && int(v) > 8*a.n+denseSlack {
+	if a.sparse == nil && int(v) >= cap(a.p) && int(v) > 8*a.n+denseSlack {
 		a.toSparse()
 	}
 	if a.sparse != nil {
@@ -175,6 +179,25 @@ func (a *Assignment) fromAt(v Var) int32 {
 		return a.from[v]
 	}
 	return 0
+}
+
+// Draw gives an empty assignment dense arrays off the engine's free list
+// (internal/freelist): the largest idle marginal array and an origin array
+// to match, so that every id within their capacity is set densely, with
+// no detour through the map, and grows nothing.
+func (a *Assignment) Draw(ls *freelist.Lease) {
+	a.p, _ = freelist.Float64s.Largest(ls, 0)
+	if c := cap(a.p); c > 0 {
+		a.from, _ = freelist.Int32s.Fit(ls, 0, 4*int64(c))
+	}
+}
+
+// Recycle gives the dense arrays back to the free list, leaving the
+// assignment empty; a second Recycle finds nothing.
+func (a *Assignment) Recycle(ls *freelist.Lease) {
+	freelist.Float64s.Put(ls, 0, a.p)
+	freelist.Int32s.Put(ls, 0, a.from)
+	*a = Assignment{}
 }
 
 // MustSet is Set for test fixtures; it panics on invalid input.

@@ -41,10 +41,10 @@ type TupleIterator interface {
 // holding at most budget rows, which every run of the sort reuses, so its
 // memory is bounded by the budget, not by the input. The run buffer, key
 // arena and sort entries outlive the sort: an ungoverned sorter draws them
-// from the process-wide free list in sortbuf.go (sortBufPool, at most
-// sortBufIdleCap bytes idle) and gives them back when it is done, so a
-// sort regrows only past what earlier sorts grew to; a governed one (Govern)
-// bypasses the free list and grows from nothing. The sort columns are
+// from the engine's free list (internal/freelist, through sortbuf.go) and
+// gives them back when it is done, so a sort regrows only past what
+// earlier sorts grew to; a governed one (Govern) bypasses the free list
+// and grows from nothing. The sort columns are
 // encoded once, from the buffer's column vectors, and a run is sorted as
 // 16-byte entries on an 8-byte key prefix; the rows never move, and a
 // spilled run's records are encoded from the same vectors. Its rows
@@ -60,6 +60,7 @@ type ExternalSorter struct {
 	budget    int          // max tuples held in memory before spilling
 	tmpDir    string
 	runs      []*HeapFile
+	runPage   *Page // the page every run is written through
 	spills    int
 	spillSize int64
 	finished  bool
@@ -160,8 +161,8 @@ func (s *ExternalSorter) Rows() int64 { return s.rows }
 // early spill instead of growing further. Call before the first Add.
 func (s *ExternalSorter) Govern(g *fault.Governor) { s.mem = g }
 
-// Slot places the sorter in slot i of the sort-buffer free list
-// (sortBufPool): the buffers it draws come from slot i first and go back to
+// Slot places the sorter in slot i of the engine's free list
+// (sortbuf.go): the buffers it draws come from slot i first and go back to
 // it. Concurrent sorters of one partitioned pass take a slot each, so that
 // a partition's sorter gets back what the same partition's sorter of the
 // previous pass grew to. The default slot is 0. Call before the first Add.
@@ -237,7 +238,7 @@ func (s *ExternalSorter) room(want int) (int, error) {
 // grow raises the run buffer's row capacity: doubling, from minRunCap (or a
 // first batch) up to the tuple budget, so that every later run of the sort
 // reuses the buffers. The key arena follows at the key length seen so far.
-// An ungoverned sorter draws its buffers from sortBufPool at the first
+// An ungoverned sorter draws its buffers from the free list at the first
 // grow, and they grow only past what the draw handed over. Under a
 // governor the growth is reserved first, at the bytes per row the buffers
 // hold now; grow reports false, and leaves the buffers alone, when that
@@ -245,7 +246,7 @@ func (s *ExternalSorter) room(want int) (int, error) {
 func (s *ExternalSorter) grow(want int) bool {
 	n := s.run.N
 	if s.mem == nil && !s.pooled {
-		sortBufPool.draw(&s.sortBufs)
+		s.draw()
 	}
 	newCap := min(max(2*s.rowCap, n+want, minRunCap), s.budget)
 	if s.mem != nil && n > 0 && !s.reserve(s.footprint()/int64(n)*int64(newCap)) {
@@ -320,7 +321,7 @@ func (s *ExternalSorter) appended() error {
 	return nil
 }
 
-// dropRun gives the run buffer and its bookkeeping back — to sortBufPool
+// dropRun gives the run buffer and its bookkeeping back — to the free list
 // when they came from it, else to the collector — leaving an empty run
 // buffer of the sort's schema.
 func (s *ExternalSorter) dropRun() {
@@ -494,7 +495,10 @@ func radixSortPrefix(ents, aux []keyEntry) []keyEntry {
 func (s *ExternalSorter) spill() error {
 	path := filepath.Join(s.tmpDir, fmt.Sprintf("%srun%d.heap", s.tmpPrefix, s.seq))
 	s.seq++
-	run, err := CreateHeapFile(path)
+	if s.runPage == nil {
+		s.runPage = new(Page)
+	}
+	run, err := createHeapFile(path, s.runPage)
 	if err != nil {
 		return err
 	}
@@ -647,9 +651,11 @@ type SortedBatches struct {
 	bufs   sortBufs   // unspilled: the sorter's buffers, the run among them
 	order  []keyEntry // unspilled: the run's rows in key order
 	pos    int        // entries of order handed out so far
-	sel    []int32    // the next batch's rows, as a selection over the run
 	merge  *mergeIter // spilled: the merge of the runs
 }
+
+// Schema is the schema of the sorted rows.
+func (it *SortedBatches) Schema() *table.Schema { return it.schema }
 
 // NextColBatch fills dst with the next sorted rows.
 func (it *SortedBatches) NextColBatch(dst *table.ColBatch) (int, error) {
@@ -672,15 +678,14 @@ func (it *SortedBatches) NextColBatch(dst *table.ColBatch) (int, error) {
 	if k <= 0 {
 		return 0, nil
 	}
-	if it.sel == nil {
-		it.sel = make([]int32, table.BatchSize)
+	sel := it.bufs.sel[:0] // the next batch's rows, as a selection over the run
+	for _, e := range it.order[it.pos : it.pos+k] {
+		sel = append(sel, int32(e.idx))
 	}
-	for i, e := range it.order[it.pos : it.pos+k] {
-		it.sel[i] = int32(e.idx)
-	}
+	it.bufs.sel = sel
 	it.pos += k
 	run := &it.bufs.run
-	run.Sel = it.sel[:k]
+	run.Sel = sel
 	for c := range dst.Cols {
 		dst.Cols[c].SettleLike(&run.Cols[c])
 	}

@@ -25,11 +25,18 @@ type HeapFile struct {
 
 // CreateHeapFile creates (truncating) a heap file at path.
 func CreateHeapFile(path string) (*HeapFile, error) {
+	return createHeapFile(path, new(Page))
+}
+
+// createHeapFile is CreateHeapFile writing through the page buffer pg,
+// which the file holds until FinishWrites: a sorter writes all its runs,
+// one after the other, through one page.
+func createHeapFile(path string, pg *Page) (*HeapFile, error) {
 	f, err := ioCreate(path)
 	if err != nil {
 		return nil, fmt.Errorf("storage: create heap file: %w", err)
 	}
-	h := &HeapFile{f: f, path: path, writePg: new(Page), writeNo: 0, numPages: 0}
+	h := &HeapFile{f: f, path: path, writePg: pg}
 	h.writePg.Reset()
 	return h, nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/freelist"
 	"repro/internal/table"
 )
 
@@ -41,12 +42,25 @@ func first[T any](s []T) any {
 	return &s[:1][0]
 }
 
-// idleBacking lists the backing arrays on the free list, failing on one
-// listed twice: a buffer returned twice would be drawn by two sorters.
+// drainList takes every idle buffer off a list, across its slots.
+func drainList[T any](l *freelist.List[T]) []T {
+	var ls freelist.Lease
+	var out []T
+	for {
+		x, ok := l.Largest(&ls, 0)
+		if !ok {
+			return out
+		}
+		out = append(out, x)
+	}
+}
+
+// idleBacking lists the backing arrays of the free list's idle sort
+// buffers, failing on one listed twice: a buffer returned twice would be
+// drawn by two sorters. It takes them off the list to look and puts them
+// back, so it moves the list's figures.
 func idleBacking(t *testing.T) map[any]bool {
 	t.Helper()
-	sortBufPool.mu.Lock()
-	defer sortBufPool.mu.Unlock()
 	seen := make(map[any]bool)
 	add := func(ps ...any) {
 		for _, p := range ps {
@@ -59,22 +73,36 @@ func idleBacking(t *testing.T) map[any]bool {
 			seen[p] = true
 		}
 	}
-	for i := range sortBufPool.slots {
-		s := &sortBufPool.slots[i]
-		for k := range s.vecs {
-			for j := range s.vecs[k] {
-				add(vecBacking(&s.vecs[k][j])...)
-			}
+	var ls freelist.Lease
+	kinds := table.NewSchema(table.DataCol("i", table.KindInt), table.DataCol("f", table.KindFloat),
+		table.DataCol("s", table.KindString), table.DataCol("b", table.KindBool))
+	var vecs []*table.ColBatch
+	for {
+		b := table.NewColBatch(kinds)
+		b.Draw(&ls, 0, 0)
+		if b.MemSize() == 0 {
+			break
 		}
-		for _, b := range s.keys {
-			add(first(b))
+		for c := range b.Cols {
+			add(vecBacking(&b.Cols[c])...)
 		}
-		for _, b := range s.offs {
-			add(first(b))
-		}
-		for _, b := range s.ents {
-			add(first(b))
-		}
+		vecs = append(vecs, b)
+	}
+	for _, b := range vecs {
+		b.Recycle(&ls, 0)
+	}
+	keys, offs, ents := drainList(freelist.Bytes), drainList(freelist.Uint32s), drainList(entLists)
+	for _, b := range keys {
+		add(first(b))
+		freelist.Bytes.Put(&ls, 0, b)
+	}
+	for _, b := range offs {
+		add(first(b))
+		freelist.Uint32s.Put(&ls, 0, b)
+	}
+	for _, b := range ents {
+		add(first(b))
+		entLists.Put(&ls, 0, b)
 	}
 	return seen
 }
@@ -143,7 +171,7 @@ func TestSortBuffersOneOwner(t *testing.T) {
 
 	// Governed: neither drawn nor given back, also through the early
 	// spills that drop the buffers mid-sort.
-	before := ReadSortBufferStats()
+	before := freelist.Read()
 	s = NewKeySorter(keySortSchema, cols, 1<<16, t.TempDir())
 	s.Govern(fault.NewGovernor(4*memChunk, nil))
 	feedKeySort(t, s, keySortInput(rand.New(rand.NewSource(6)), 20000, ""))
@@ -157,7 +185,7 @@ func TestSortBuffersOneOwner(t *testing.T) {
 	drain(t, it)
 	it.Close()
 	s.Discard()
-	if after := ReadSortBufferStats(); after != before {
+	if after := freelist.Read(); after != before {
 		t.Errorf("a governed sort moved the free list's figures: %+v → %+v", before, after)
 	}
 	idleBacking(t)
@@ -167,7 +195,7 @@ func TestSortBuffersOneOwner(t *testing.T) {
 	b := NewKeySorter(keySortSchema, cols, 1<<16, t.TempDir())
 	feedKeySort(t, a, rows[:100])
 	feedKeySort(t, b, rows[:100])
-	if !a.pooled || !b.pooled || a.drawn == 0 {
+	if !a.pooled || !b.pooled || a.lease == (freelist.Lease{}) {
 		t.Fatal("ungoverned sorters did not draw from the free list")
 	}
 	idle := idleBacking(t)
