@@ -63,23 +63,23 @@ func (s *ColChunkScan) NextColBatch(dst *table.ColBatch) (int, error) {
 // Close is a no-op.
 func (s *ColChunkScan) Close() error { return nil }
 
-// ColHeapScan iterates a heap file straight into column vectors: each
-// record's fields are decoded off the page (storage.FieldIter) and appended
-// onto the destination columns without ever materializing a row tuple.
-// String fields move as raw bytes into the flat layout, with no per-row
-// string allocation. A stored field that is neither NULL nor of
-// its schema column's kind fails the scan: the heap file is where rows
-// enter the engine from outside.
+// ColHeapScan iterates a heap file straight into column vectors: each page's
+// minipages are decoded onto the destination columns a vector at a time
+// (storage.Scanner.NextBlock), without ever materializing a row tuple.
+// String cells move as raw bytes into the flat layout, with no per-row
+// string allocation. A stored column that is neither all NULL nor of its
+// schema column's kind fails the scan: the heap file is where rows enter
+// the engine from outside.
 type ColHeapScan struct {
 	File   *storage.HeapFile
 	Pool   *storage.BufferPool
 	schema *table.Schema
 	sc     *storage.Scanner
 	// need marks the columns some consumer actually reads (nil = all).
-	// Dead columns are skipped while decoding — the field iterator still
-	// advances past their payload, but no vector is built. Set by pruneCols;
-	// a pruned column's vector stays empty, so a consumer reading it by
-	// mistake fails loudly on the bounds check rather than seeing stale data.
+	// Dead columns' minipages are skipped by offset, never read. Set by
+	// pruneCols; a pruned column's vector stays empty, so a consumer
+	// reading it by mistake fails loudly on the bounds check rather than
+	// seeing stale data.
 	need []bool
 }
 
@@ -98,57 +98,18 @@ func (s *ColHeapScan) Open() error {
 	return nil
 }
 
-// NextColBatch decodes up to BatchSize stored records onto dst's columns.
+// NextColBatch decodes up to BatchSize stored rows onto dst's columns; a
+// page may straddle two batches.
 func (s *ColHeapScan) NextColBatch(dst *table.ColBatch) (int, error) {
 	dst.Reset(s.schema)
 	for dst.N < BatchSize {
-		rec, ok, err := s.sc.NextRaw()
+		n, err := s.sc.NextBlock(dst, BatchSize-dst.N, s.need)
 		if err != nil {
 			return 0, err
 		}
-		if !ok {
+		if n == 0 {
 			break
 		}
-		it, err := storage.NewFieldIter(rec)
-		if err != nil {
-			return 0, err
-		}
-		if it.Len() != s.schema.Len() {
-			return 0, fmt.Errorf("engine: heap tuple arity %d != schema arity %d", it.Len(), s.schema.Len())
-		}
-		for c := 0; c < s.schema.Len(); c++ {
-			f, ok, err := it.Next()
-			if err != nil {
-				return 0, err
-			}
-			if !ok {
-				return 0, fmt.Errorf("engine: heap tuple ended early at field %d", c)
-			}
-			if s.need != nil && !s.need[c] {
-				continue
-			}
-			// String payloads alias the page; AppendStrBytes copies them
-			// into the column's flat bytes before the scan advances. The
-			// remaining kinds take typed fast paths that skip the Value
-			// boxing per cell.
-			v := &dst.Cols[c]
-			switch {
-			case f.Kind == table.KindNull:
-				v.AppendValue(dst.N, table.Null())
-			case f.Kind != v.Kind:
-				col := s.schema.Cols[c]
-				return 0, fmt.Errorf("engine: %s: column %s is %s, stored field is %s", s.File.Path(), col.Name, col.Kind, f.Kind)
-			case f.Kind == table.KindString:
-				v.AppendStrBytes(f.S)
-			case f.Kind == table.KindInt:
-				v.AppendInt(f.I)
-			case f.Kind == table.KindFloat:
-				v.AppendFloat(f.F)
-			default:
-				v.AppendBool(f.I)
-			}
-		}
-		dst.N++
 	}
 	return dst.N, nil
 }

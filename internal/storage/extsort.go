@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/fault"
+	"repro/internal/freelist"
 	"repro/internal/table"
 )
 
@@ -60,7 +61,7 @@ type ExternalSorter struct {
 	budget    int          // max tuples held in memory before spilling
 	tmpDir    string
 	runs      []*HeapFile
-	runPage   *Page // the page every run is written through
+	runWriter *pageWriter // what every run is written through
 	spills    int
 	spillSize int64
 	finished  bool
@@ -495,10 +496,10 @@ func radixSortPrefix(ents, aux []keyEntry) []keyEntry {
 func (s *ExternalSorter) spill() error {
 	path := filepath.Join(s.tmpDir, fmt.Sprintf("%srun%d.heap", s.tmpPrefix, s.seq))
 	s.seq++
-	if s.runPage == nil {
-		s.runPage = new(Page)
+	if s.runWriter == nil {
+		s.runWriter = new(pageWriter)
 	}
-	run, err := createHeapFile(path, s.runPage)
+	run, err := createHeapFile(path, s.runWriter)
 	if err != nil {
 		return err
 	}
@@ -510,10 +511,16 @@ func (s *ExternalSorter) spill() error {
 			}
 		}
 	} else {
-		for _, e := range s.sortRun() {
-			if err = run.AppendColRow(&s.run, int(e.idx)); err != nil {
-				break
+		// The sorted permutation, a selection's worth at a time: the run
+		// buffer's rows are gathered in that order column by column.
+		ents := s.sortRun()
+		s.sel = slices.Grow(s.sel[:0], table.BatchSize)
+		for lo := 0; lo < len(ents) && err == nil; lo += cap(s.sel) {
+			order := s.sel[:0]
+			for _, e := range ents[lo:min(lo+cap(s.sel), len(ents))] {
+				order = append(order, int32(e.idx))
 			}
+			err = run.AppendBatch(&s.run, order)
 		}
 	}
 	if err == nil {
@@ -555,7 +562,7 @@ func (s *ExternalSorter) Finish() (TupleIterator, error) {
 		return &memIter{rows: s.buf}, nil
 	}
 	s.buf = nil
-	return newMergeIter(runs, s.cmp, nil)
+	return newMergeIter(runs, s.cmp, nil, nil, 0, false)
 }
 
 // FinishBatches completes a key sort and returns its sorted stream, a
@@ -577,7 +584,7 @@ func (s *ExternalSorter) FinishBatches() (*SortedBatches, error) {
 		return out, nil
 	}
 	s.dropRun()
-	m, err := newMergeIter(runs, nil, s.cols)
+	m, err := newMergeIter(runs, nil, s.cols, schema, s.slot, s.mem == nil)
 	if err != nil {
 		return nil, err
 	}
@@ -661,16 +668,23 @@ func (it *SortedBatches) Schema() *table.Schema { return it.schema }
 func (it *SortedBatches) NextColBatch(dst *table.ColBatch) (int, error) {
 	dst.Reset(it.schema)
 	if it.merge != nil {
-		dst.Reserve(table.BatchSize)
 		for dst.N < table.BatchSize {
-			t, ok, err := it.merge.Next()
+			h, err := it.merge.next()
 			if err != nil {
 				return 0, err
 			}
-			if !ok {
+			if h == nil {
 				break
 			}
-			dst.AppendRow(t)
+			if dst.N == 0 {
+				for c := range dst.Cols {
+					if v := &dst.Cols[c]; v.Kind == table.KindString {
+						v.Mode = table.StrHeader
+					}
+				}
+				dst.Reserve(table.BatchSize)
+			}
+			h.appendRow(dst)
 		}
 		return dst.N, nil
 	}
@@ -706,37 +720,92 @@ func (it *SortedBatches) Close() error {
 }
 
 // mergeIter performs a k-way merge over sorted runs: a binary min-heap of
-// the runs' current tuples, ordered by normalized key (or by the comparator
+// the runs' head rows, ordered by normalized key (or by the comparator
 // when the sorter had one), ties to the earlier run so the merge is stable.
-// Each run decodes into its head's one tuple buffer; the run whose tuple
-// was handed out advances at the start of the following Next, so a lent
-// tuple survives exactly until then.
+// A key merge decodes each run a page at a time into the run's block and
+// keys the head row from its cells (AppendColSortKey), so no tuple is built
+// between a run file and the batches it is appended to; a comparator merge
+// reads each run's lent tuples (Scanner.Next). The run whose head was
+// handed out advances at the start of the following next, so a lent head
+// survives exactly until then. A pooled key merge (an ungoverned sort's)
+// draws its per-run pages and block vectors from the engine's free list, in
+// the sorter's slot, and gives them back on Close.
 type mergeIter struct {
 	cmp     TupleCompare // nil: heads are ordered by key
 	cols    []int
+	schema  *table.Schema // key merge: the runs' rows
 	runs    []*HeapFile
 	heads   []mergeHead
-	pending bool // heads[0] was handed out and must advance first
+	pending bool        // heads[0] was handed out and must advance first
+	idle    []mergeHead // heads of exhausted runs, whose buffers go back on Close
+
+	pooled bool // the heads' pages and blocks came off the free list
+	slot   int
+	lease  freelist.Lease
 }
 
 type mergeHead struct {
-	t    table.Tuple
-	key  []byte
-	scan *Scanner
-	run  int
+	scan  *Scanner
+	run   int
+	t     table.Tuple    // comparator merge: the run's lent head tuple
+	page  *Page          // key merge: the page the scanner reads into
+	block table.ColBatch // key merge: the run's current page, decoded
+	pos   int            // key merge: the head row of block
+	key   []byte
+	strs  []string // key merge: per string column, the last string handed out
 }
 
-func newMergeIter(runs []*HeapFile, cmp TupleCompare, cols []int) (*mergeIter, error) {
-	m := &mergeIter{cmp: cmp, cols: cols, runs: runs, heads: make([]mergeHead, 0, len(runs))}
+// appendRow appends a key merge's head row to dst, column by column. A
+// string cell is handed out as a shared header, allocated only when it
+// differs from the run's previous string in the column — consecutive rows
+// of a sorted run mostly repeat their leading columns — so a consumer that
+// keeps the rows (a sort+scan pass's output chunks) shares those strings
+// instead of copying bytes.
+func (h *mergeHead) appendRow(dst *table.ColBatch) {
+	for c := range dst.Cols {
+		v, src := &dst.Cols[c], &h.block.Cols[c]
+		if v.Kind != table.KindString || src.Null(h.pos) {
+			v.AppendCell(dst.N, src, h.pos)
+			continue
+		}
+		if cell := src.Bytes[src.Offs[h.pos]:src.Offs[h.pos+1]]; h.strs[c] != string(cell) {
+			h.strs[c] = string(cell)
+		}
+		v.Strs = append(v.Strs, h.strs[c])
+	}
+	dst.N++
+}
+
+// pageList holds the idle pages of merges.
+var pageList = freelist.New(func(*Page) int64 { return PageSize }, func(**Page) {})
+
+func newMergeIter(runs []*HeapFile, cmp TupleCompare, cols []int, schema *table.Schema, slot int, pooled bool) (*mergeIter, error) {
+	m := &mergeIter{cmp: cmp, cols: cols, schema: schema, runs: runs, heads: make([]mergeHead, 0, len(runs)),
+		slot: slot, pooled: pooled && cmp == nil}
 	for i, r := range runs {
-		h := mergeHead{scan: r.NewScanner(nil), run: i}
+		h := mergeHead{scan: r.NewScanner(nil), run: i, pos: -1}
+		if cmp == nil {
+			h.block.Reset(schema)
+			h.strs = make([]string, schema.Len())
+			if m.pooled {
+				h.page, _ = pageList.Largest(&m.lease, slot)
+				h.block.Draw(&m.lease, slot, pageRows(schema))
+			}
+			if h.page == nil {
+				h.page = new(Page)
+			}
+			h.scan.page = h.page
+		}
 		ok, err := m.advance(&h)
 		if err != nil {
+			m.idle = append(m.idle, h)
 			m.Close()
 			return nil, err
 		}
 		if ok {
 			m.heads = append(m.heads, h)
+		} else {
+			m.idle = append(m.idle, h)
 		}
 	}
 	for i := len(m.heads)/2 - 1; i >= 0; i-- {
@@ -745,18 +814,39 @@ func newMergeIter(runs []*HeapFile, cmp TupleCompare, cols []int) (*mergeIter, e
 	return m, nil
 }
 
-// advance loads the run's next tuple (and its key) into h.
+// pageRows is how many rows of the schema a page holds at most: a
+// merge block's size.
+func pageRows(schema *table.Schema) int {
+	width := 0
+	for _, c := range schema.Cols {
+		switch c.Kind {
+		case table.KindString:
+			width += 2
+		case table.KindNull:
+		default:
+			width += 8
+		}
+	}
+	return min(PageSize/max(width, 1), maxPageRows)
+}
+
+// advance moves h to its run's next row: the next lent tuple, or the next
+// row of the block, decoding the run's next page when the block is used
+// up, and keys it.
 func (m *mergeIter) advance(h *mergeHead) (bool, error) {
-	rec, ok, err := h.scan.NextRaw()
-	if err != nil || !ok {
-		return false, err
+	if m.cmp != nil {
+		t, ok, err := h.scan.Next()
+		h.t = t
+		return ok, err
 	}
-	if h.t, err = DecodeTupleReuse(rec, h.t); err != nil {
-		return false, err
+	if h.pos++; h.pos >= h.block.N {
+		h.block.Reset(m.schema)
+		h.pos = 0
+		if n, err := h.scan.NextBlock(&h.block, maxPageRows, nil); err != nil || n == 0 {
+			return false, err
+		}
 	}
-	if m.cmp == nil {
-		h.key = AppendSortKey(h.key[:0], h.t, m.cols)
-	}
+	h.key = AppendColSortKey(h.key[:0], &h.block, h.pos, m.cols)
 	return true, nil
 }
 
@@ -790,27 +880,40 @@ func (m *mergeIter) siftDown(i int) {
 	}
 }
 
-func (m *mergeIter) Next() (table.Tuple, bool, error) {
+// next returns the head that comes next, nil after the last: its lent
+// tuple, or its block's row pos, stays valid until the following call.
+func (m *mergeIter) next() (*mergeHead, error) {
 	if m.pending {
 		ok, err := m.advance(&m.heads[0])
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		m.pending = false
 		if !ok {
 			last := len(m.heads) - 1
+			m.idle = append(m.idle, m.heads[0])
 			m.heads[0] = m.heads[last]
 			m.heads = m.heads[:last]
 		}
 		m.siftDown(0)
 	}
 	if len(m.heads) == 0 {
-		return nil, false, nil
+		return nil, nil
 	}
 	m.pending = true
-	return m.heads[0].t, true, nil
+	return &m.heads[0], nil
 }
 
+// Next returns a comparator merge's next tuple, lent until the next call.
+func (m *mergeIter) Next() (table.Tuple, bool, error) {
+	h, err := m.next()
+	if err != nil || h == nil {
+		return nil, false, err
+	}
+	return h.t, true, nil
+}
+
+// Close removes the runs and gives the heads' pages and blocks back.
 func (m *mergeIter) Close() error {
 	var firstErr error
 	for _, r := range m.runs {
@@ -819,5 +922,14 @@ func (m *mergeIter) Close() error {
 		}
 	}
 	m.runs = nil
+	if m.pooled {
+		for _, hs := range [][]mergeHead{m.heads, m.idle} {
+			for i := range hs {
+				pageList.Put(&m.lease, m.slot, hs[i].page)
+				hs[i].block.Recycle(&m.lease, m.slot)
+			}
+		}
+	}
+	m.heads, m.idle = nil, nil
 	return firstErr
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -130,7 +131,29 @@ func TestTornPagePersistsPrefix(t *testing.T) {
 	if st.Size() >= PageSize {
 		t.Fatalf("torn page wrote %d bytes, want a strict prefix of %d", st.Size(), PageSize)
 	}
+	torn, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	h.Remove()
+
+	// Read the torn file back once its page is whole again in size, as a
+	// later write past it would leave it: the first read fails with
+	// ErrPageFormat, naming the file and the page.
+	SetIO(nil)
+	if err := os.WriteFile(path, append(torn, make([]byte, PageSize-len(torn))...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	back, err := OpenHeapFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer back.Close()
+	sc := back.NewScanner(nil)
+	defer sc.Close()
+	if _, _, err := sc.Next(); !errors.Is(err, ErrPageFormat) || !strings.Contains(err.Error(), path+" page 0") {
+		t.Fatalf("reading the torn page: err = %v, want ErrPageFormat naming %s page 0", err, path)
+	}
 }
 
 // TestScanAbortUnpinsPages: a scan that stops mid-file (injected read

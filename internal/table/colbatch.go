@@ -297,8 +297,10 @@ func (v *ColVec) Null(i int) bool {
 	return v.Nulls[w]&(1<<uint(i&63)) != 0
 }
 
-// setNull marks physical row i NULL, growing the bitmap on demand.
-func (v *ColVec) setNull(i int) {
+// SetNull marks physical row i NULL, growing the bitmap on demand. It
+// touches only the bitmap: the caller appends the row's placeholder cell
+// (the heap scan, which decodes a page's bitmap and cells separately).
+func (v *ColVec) SetNull(i int) {
 	word := i >> 6
 	for word >= len(v.Nulls) {
 		v.Nulls = append(v.Nulls, 0)
@@ -313,7 +315,7 @@ func (v *ColVec) setNull(i int) {
 // rows are kind-checked where they enter: AppendValue panics on it.
 func (v *ColVec) AppendValue(n int, val Value) {
 	if val.Kind == KindNull {
-		v.setNull(n)
+		v.SetNull(n)
 		v.appendZero()
 		return
 	}
@@ -367,7 +369,7 @@ func (v *ColVec) appendZero() {
 }
 
 // AppendInt appends a non-null cell of an int column without boxing a
-// Value — the heap-scan decode fast path. The caller has checked the kind.
+// Value. The caller has checked the kind.
 func (v *ColVec) AppendInt(x int64) { v.Ints = append(v.Ints, x) }
 
 // AppendFloat is AppendInt for a float column.
@@ -377,9 +379,8 @@ func (v *ColVec) AppendFloat(x float64) { v.Floats = append(v.Floats, x) }
 func (v *ColVec) AppendBool(x int64) { v.Ints = append(v.Ints, x) }
 
 // AppendStrBytes appends raw string bytes to a string column: onto the flat
-// bytes, so that no per-row string is allocated — the heap-scan decode path —
-// unless the column already holds shared headers, which take a copy. The
-// caller has checked the kind.
+// bytes, so that no per-row string is allocated, unless the column already
+// holds shared headers, which take a copy. The caller has checked the kind.
 func (v *ColVec) AppendStrBytes(s []byte) {
 	switch v.Mode {
 	case StrHeader:
@@ -404,9 +405,20 @@ func (v *ColVec) AppendCell(n int, src *ColVec, row int) {
 		v.AppendValue(n, Null())
 		return
 	}
-	if v.Kind == KindString && src.Mode == StrFlat {
-		v.AppendStrBytes(src.Bytes[src.Offs[row]:src.Offs[row+1]])
-		return
+	if v.Kind == src.Kind {
+		switch v.Kind {
+		case KindInt, KindBool:
+			v.Ints = append(v.Ints, src.Ints[row])
+			return
+		case KindFloat:
+			v.Floats = append(v.Floats, src.Floats[row])
+			return
+		case KindString:
+			if src.Mode == StrFlat {
+				v.AppendStrBytes(src.Bytes[src.Offs[row]:src.Offs[row+1]])
+				return
+			}
+		}
 	}
 	v.AppendValue(n, src.Value(row))
 }

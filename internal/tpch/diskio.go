@@ -10,8 +10,8 @@ import (
 	"repro/internal/table"
 )
 
-// WriteHeapFiles persists every generated table as a page-structured heap
-// file under dir (one <Table>.heap per table), exercising the
+// WriteHeapFiles persists every generated table as a heap file of column
+// pages under dir (one <Table>.heap per table), exercising the
 // secondary-storage layer on the write path, and drops a stats.json sidecar
 // next to them so loaders skip the first-query ANALYZE. cmd/sprout-gen is a
 // thin wrapper around this; OpenDiskCatalog opens what it writes.
@@ -23,11 +23,9 @@ func (d *Data) WriteHeapFiles(dir string) error {
 			return err
 		}
 		for _, c := range tb.Rel.Chunks {
-			for i := 0; i < c.Rows(); i++ {
-				if err := h.AppendColRow(c, c.RowID(i)); err != nil {
-					h.Close()
-					return fmt.Errorf("tpch: writing %s: %w", tb.Name, err)
-				}
+			if err := h.AppendBatch(c, nil); err != nil {
+				h.Close()
+				return fmt.Errorf("tpch: writing %s: %w", tb.Name, err)
 			}
 		}
 		if err := h.Close(); err != nil {

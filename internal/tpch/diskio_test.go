@@ -3,12 +3,16 @@ package tpch
 import (
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/plan"
 	"repro/internal/stats"
+	"repro/internal/storage"
+	"repro/internal/table"
 )
 
 func removeSidecar(dir string) error {
@@ -93,22 +97,28 @@ func TestSidecarGolden(t *testing.T) {
 }
 
 // TestHeapFileGolden pins every heap file WriteHeapFiles writes for SF
-// 0.002, seed 1 to its bytes, as the tuple encoder wrote them before rows
-// were encoded straight from the tables' column chunks.
+// 0.002, seed 1 to its bytes, in the column-page format, and reads each one
+// back through engine.ColHeapScan: the scan must return the generated
+// chunks' rows cell for cell, in order, so that a re-pin cannot hide a lost
+// or reordered row.
 func TestHeapFileGolden(t *testing.T) {
 	golden := map[string]string{
-		"Cust.heap":   "d7eca741640371437acb2029f5b269e55b2bb1ad06dbdbe631d03b4483c5a809",
-		"Item.heap":   "bd84b79cd0d7fa8d1800192231ddcbbfc08d54ae67e48b61b5f529b158507e80",
-		"Nation.heap": "03abe9a912e9e4535c1a2cdc4789126708ba2652b36a2e4c23b490bab1bee3c0",
-		"Ord.heap":    "8088ce9b37410fa283b5b4f928dbba540f540f802b471d618fa7d903b4d172b1",
-		"Part.heap":   "bfd50322494e7bb8a5e0baf4c64144378ec00c024d009d26551f6fb9097dba5f",
-		"Psupp.heap":  "3d0fcab7fef383dd0201b665bdd536d3cfd51597a4e22d6c08648d15a4846c11",
-		"Region.heap": "32e65f009f210e868b88644bd29ecab05ef15f3a32fbe21ad47bab8ee841b30c",
-		"Supp.heap":   "958b0cb4bb434ccdfde4206c9c21ca2f3cd367192d17c781490a8e7bbe131662",
+		"Cust.heap":   "7a093c1be8e1b1a710222a3dcf89315052ca4af162ec7dee8eccd6de1dd41d41",
+		"Item.heap":   "2500924e84409f0fdc39dbb2c1604ca6cd1fe436ba57da1f75068aba04158e01",
+		"Nation.heap": "840d56a2de798a64977eb9a5ae3172ee37a07fbe9e36d713ca6b76d98acee135",
+		"Ord.heap":    "f77f94226dff1fc0202fbe2d49d4cce66872945be21f7e40db52dbab34d95841",
+		"Part.heap":   "32b4211351251e8ae7c6fec74d6c5f32b5458f14310bb09ea56b815e729d7eaa",
+		"Psupp.heap":  "dce19b8d018d9edd911ff0d0578fab155b289e5221fe094061f53886c92c00c0",
+		"Region.heap": "9f62291564bec3442784650de4fce79ca2a9af28f8ac399b3dedc0ee64cc483b",
+		"Supp.heap":   "c1dfc2b5a886ac6fa04c5fb4b7e9a4e692c7b785f497bdae9e5bfe43c276a49f",
 	}
 	dir := t.TempDir()
-	if err := Generate(Config{SF: 0.002, Seed: 1}).WriteHeapFiles(dir); err != nil {
+	data := Generate(Config{SF: 0.002, Seed: 1})
+	if err := data.WriteHeapFiles(dir); err != nil {
 		t.Fatal(err)
+	}
+	for _, tb := range data.Tables() {
+		sameAsChunks(t, filepath.Join(dir, tb.Name+".heap"), tb)
 	}
 	files, err := filepath.Glob(filepath.Join(dir, "*.heap"))
 	if err != nil {
@@ -125,6 +135,56 @@ func TestHeapFileGolden(t *testing.T) {
 		name := filepath.Base(path)
 		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != golden[name] {
 			t.Errorf("%s: sha256 %s, want %s", name, got, golden[name])
+		}
+	}
+}
+
+// sameAsChunks scans the heap file at path with engine.ColHeapScan and
+// fails unless it holds exactly tb's chunk rows, in order, every cell of
+// the same kind and bits.
+func sameAsChunks(t *testing.T, path string, tb *table.ProbTable) {
+	t.Helper()
+	h, err := storage.OpenHeapFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	sc := engine.NewColHeapScan(h, storage.NewBufferPool(4), tb.Rel.Schema)
+	if err := sc.Open(); err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	var b table.ColBatch
+	chunk, row, at := 0, 0, 0
+	for {
+		n, err := sc.NextColBatch(&b)
+		if err != nil {
+			t.Fatalf("%s: %v", tb.Name, err)
+		}
+		if n == 0 {
+			break
+		}
+		for i := 0; i < n; i++ {
+			for chunk < len(tb.Rel.Chunks) && row == tb.Rel.Chunks[chunk].Rows() {
+				chunk, row = chunk+1, 0
+			}
+			if chunk == len(tb.Rel.Chunks) {
+				t.Fatalf("%s: the heap file holds more than the %d generated rows", tb.Name, at)
+			}
+			c := tb.Rel.Chunks[chunk]
+			for col := range b.Cols {
+				got, want := b.Cols[col].Value(b.RowID(i)), c.Cols[col].Value(c.RowID(row))
+				if got.Kind != want.Kind || got.I != want.I || got.S != want.S || math.Float64bits(got.F) != math.Float64bits(want.F) {
+					t.Fatalf("%s: row %d column %s reads %v, generated %v", tb.Name, at, tb.Rel.Schema.Cols[col].Name, got, want)
+				}
+			}
+			row++
+			at++
+		}
+	}
+	for ; chunk < len(tb.Rel.Chunks); chunk, row = chunk+1, 0 {
+		if row < tb.Rel.Chunks[chunk].Rows() {
+			t.Fatalf("%s: the heap file holds %d rows, fewer than generated", tb.Name, at)
 		}
 	}
 }
