@@ -30,23 +30,19 @@ func AggregateFrom(src *Source, s signature.Sig, opts Options, stats *Stats) (*S
 		return src, string(x), nil
 
 	case signature.Star:
-		steps, final := planScans(x)
-		// The final signature of a star is a star again (planScans only
-		// rewrites inner components); collapse it in one more scan.
-		fstar, ok := final.(signature.Star)
-		if !ok {
-			return nil, "", fmt.Errorf("conf: scheduler produced non-star %s from %s", final, s)
-		}
+		// The schedule's steps, then one more scan collapsing the final
+		// star into its representative.
+		steps, final := signature.Schedule(x)
 		cur := src
-		for _, st := range append(steps, scanStep{gamma: fstar}) {
-			next, sp, err := aggregateStep(cur, st.gamma, opts)
+		for _, gamma := range append(steps, final) {
+			next, sp, err := aggregateStep(cur, gamma, opts)
 			if err != nil {
 				return nil, "", err
 			}
 			stats.addScan(sp)
 			cur = next
 		}
-		return cur, scanRootTable(fstar), nil
+		return cur, signature.Rep(x), nil
 
 	case signature.Concat:
 		// [αβ…]: collapse each starred component, then fold probabilities
@@ -76,52 +72,6 @@ func AggregateFrom(src *Source, s signature.Sig, opts Options, stats *Stats) (*S
 
 	default:
 		return nil, "", fmt.Errorf("conf: unknown signature shape %T", s)
-	}
-}
-
-// Rep returns the representative source table that AggregateFrom([s])
-// leaves behind — a pure function of the signature, mirroring its return
-// value without touching data. The planner uses it to compute eager
-// operator schedules at plan-build time; the virtual root of a pure
-// product has no representative and yields "".
-func Rep(s signature.Sig) (string, error) {
-	switch x := s.(type) {
-	case signature.Table:
-		return string(x), nil
-	case signature.Star:
-		_, final := planScans(x)
-		fstar, ok := final.(signature.Star)
-		if !ok {
-			return "", fmt.Errorf("conf: scheduler produced non-star %s from %s", final, s)
-		}
-		return scanRootTable(fstar), nil
-	case signature.Concat:
-		if len(x) == 0 {
-			return "", fmt.Errorf("conf: empty concatenation")
-		}
-		return Rep(x[0])
-	default:
-		return "", fmt.Errorf("conf: unknown signature shape %T", s)
-	}
-}
-
-// scanRootTable is newRuntimeTree's root selection without binding columns:
-// stars delegate to their inner expression, a concatenation's root is
-// picked by the shared concatRootIndex ("" for pure products, whose runtime
-// root is virtual).
-func scanRootTable(s signature.Sig) string {
-	switch x := s.(type) {
-	case signature.Table:
-		return string(x)
-	case signature.Star:
-		return scanRootTable(x.Inner)
-	case signature.Concat:
-		if i := concatRootIndex(x); i >= 0 {
-			return string(x[i].(signature.Table))
-		}
-		return ""
-	default:
-		return ""
 	}
 }
 

@@ -3,6 +3,7 @@ package conf
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -255,26 +256,42 @@ func TestIdenticalRowsDoNotDoubleCount(t *testing.T) {
 	}
 }
 
-// TestPlanScansComposite: ((R*S*)*(T*U*)*)* needs 4 scans: [R*], [T*], the
-// composite [(R S*)*], then the final pass (see DESIGN/scheduler notes).
+// TestPlanScansComposite: ((R*S*)*(T*U*)*)* runs 4 sort+scan passes — the
+// aggregation steps [R*], [T*] and the composite [(R S*)*] of
+// signature.Schedule, then the final pass.
 func TestPlanScansComposite(t *testing.T) {
 	rs := signature.NewStar(signature.NewConcat(signature.NewStar(signature.Table("R")), signature.NewStar(signature.Table("S"))))
 	tu := signature.NewStar(signature.NewConcat(signature.NewStar(signature.Table("T")), signature.NewStar(signature.Table("U"))))
 	both := signature.NewStar(signature.NewConcat(rs, tu))
-	steps, final := planScans(both)
-	if len(steps) != 3 {
-		t.Fatalf("steps = %v, want 3", steps)
+	_, stats, err := ComputeStats(oneRowInput(both), both, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := signature.NumScans(both); got != len(steps)+1 {
-		t.Errorf("NumScans = %d, scheduler uses %d", got, len(steps)+1)
+	if got := strings.Join(stats.Steps, " "); got != "[R*] [T*] [(R S*)*]" {
+		t.Errorf("steps = %s, want [R*] [T*] [(R S*)*]", got)
 	}
-	if !signature.OneScan(final) {
-		t.Errorf("final signature %s not 1scan", final)
+	if stats.Scans != 4 || stats.Sorts != 4 || signature.NumScans(both) != 4 {
+		t.Errorf("scans = %d, sorts = %d, NumScans = %d, want 4", stats.Scans, stats.Sorts, signature.NumScans(both))
 	}
 }
 
+// oneRowInput is a one-row answer carrying a data column and a V/P pair for
+// every table of s — all the operator needs to run s's schedule.
+func oneRowInput(s signature.Sig) *table.Relation {
+	cols := []table.Column{table.DataCol("d", table.KindInt)}
+	row := table.Tuple{table.Int(1)}
+	for i, name := range signature.Tables(s) {
+		cols = append(cols, table.VarCol(name), table.ProbCol(name))
+		row = append(row, table.VarValue(prob.Var(i+1)), table.Float(0.5))
+	}
+	rel := table.NewRelation(table.NewSchema(cols...))
+	rel.MustAppend(row)
+	return rel
+}
+
 // TestSchedulerMatchesNumScansProperty: for randomly generated signatures,
-// the scheduler's scan count equals signature.NumScans.
+// the operator runs signature.NumScans sort+scan passes — one per
+// scheduled aggregation step, then the final one.
 func TestSchedulerMatchesNumScansProperty(t *testing.T) {
 	var gen func(r *rand.Rand, depth int, next *int) signature.Sig
 	gen = func(r *rand.Rand, depth int, next *int) signature.Sig {
@@ -301,12 +318,12 @@ func TestSchedulerMatchesNumScansProperty(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		next := 0
 		s := gen(r, 3, &next)
-		steps, final := planScans(s)
-		if !signature.OneScan(final) {
-			t.Logf("seed %d: final %s not 1scan (from %s)", seed, final, s)
+		_, stats, err := ComputeStats(oneRowInput(s), s, Options{})
+		if err != nil {
+			t.Logf("seed %d: %s: %v", seed, s, err)
 			return false
 		}
-		return signature.NumScans(s) == len(steps)+1
+		return stats.Scans == signature.NumScans(s) && stats.Scans == len(stats.Steps)+1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

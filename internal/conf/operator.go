@@ -73,11 +73,11 @@ func ComputeFrom(src *Source, sig signature.Sig, opts Options) (*table.Relation,
 		return nil, nil, err
 	}
 	stats := &Stats{}
-	steps, finalSig := planScans(sig)
+	steps, finalSig := signature.Schedule(sig)
 	cur := src
-	for _, st := range steps {
-		stats.Steps = append(stats.Steps, "["+st.gamma.String()+"]")
-		next, sp, err := aggregateStep(cur, st.gamma, opts)
+	for _, gamma := range steps {
+		stats.Steps = append(stats.Steps, "["+gamma.String()+"]")
+		next, sp, err := aggregateStep(cur, gamma, opts)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -132,83 +132,6 @@ func validateSources(s *table.Schema, sig signature.Sig) error {
 		return fmt.Errorf("conf: input carries variables of table %s absent from signature %s", src, sig)
 	}
 	return nil
-}
-
-// scanStep is one scheduled aggregation: gamma is a starred 1scan
-// subexpression whose tables collapse into a single representative.
-type scanStep struct {
-	gamma signature.Sig
-}
-
-// planScans rewrites the signature until it has the 1scan property,
-// emitting one aggregation step per starred subexpression that lacks a bare
-// table (Def. V.8): the step's starred component is aggregated into its
-// representative table. Returns the steps (innermost first) and the final
-// 1scan signature. This reproduces Ex. V.11: (Cust*(Ord*Item*)*)* yields
-// steps [Ord*], [Cust*] and final (Cust(Ord Item*)*)*.
-func planScans(s signature.Sig) ([]scanStep, signature.Sig) {
-	var steps []scanStep
-	var fix func(signature.Sig) signature.Sig
-	fix = func(s signature.Sig) signature.Sig {
-		switch x := s.(type) {
-		case signature.Table:
-			return x
-		case signature.Star:
-			inner := fix(x.Inner)
-			comps, ok := inner.(signature.Concat)
-			if !ok {
-				comps = signature.Concat{inner}
-			}
-			if !hasBare(comps) {
-				// Aggregate the first starred component into its
-				// representative table.
-				for i, c := range comps {
-					st, isStar := c.(signature.Star)
-					if !isStar {
-						continue
-					}
-					rep := representative(st)
-					steps = append(steps, scanStep{gamma: st})
-					rebuilt := append(signature.Concat{}, comps...)
-					rebuilt[i] = signature.Table(rep)
-					comps = rebuilt
-					break
-				}
-			}
-			return signature.NewStar(signature.NewConcat(comps...))
-		case signature.Concat:
-			parts := make([]signature.Sig, len(x))
-			for i, c := range x {
-				parts[i] = fix(c)
-			}
-			return signature.NewConcat(parts...)
-		default:
-			return s
-		}
-	}
-	final := fix(s)
-	return steps, final
-}
-
-func hasBare(c signature.Concat) bool {
-	for _, comp := range c {
-		if _, ok := comp.(signature.Table); ok {
-			return true
-		}
-	}
-	return false
-}
-
-// representative returns the table that survives the aggregation of a
-// starred 1scan subexpression — the root of its 1scanTree.
-func representative(s signature.Sig) string {
-	st, err := signature.BuildScanTree(s)
-	if err != nil {
-		// planScans only aggregates components that are themselves 1scan;
-		// reaching here is a scheduler bug.
-		panic(fmt.Sprintf("conf: representative of non-1scan %s: %v", s, err))
-	}
-	return st.Table
 }
 
 // mergeByKey merges per-partition output chunks back into global key
@@ -445,14 +368,15 @@ func scanGroups(src *Source, groupCols, tailCols []int, repVar int, newAcc func(
 // whole sub-sequence when γ is composite).
 func aggregateStep(src *Source, gamma signature.Sig, opts Options) (*Source, spillStats, error) {
 	in := src.Schema
-	rootVarIdx := -1
-	if root := scanRootTable(gamma); root != "" {
-		rootVarIdx = in.VarIndex(root)
+	tree, err := signature.BuildScanTree(gamma)
+	if err != nil {
+		return nil, spillStats{}, err
 	}
-	if rootVarIdx < 0 {
+	root := tree.Table
+	rootVarIdx := in.VarIndex(root)
+	if root == "" || rootVarIdx < 0 {
 		return nil, spillStats{}, fmt.Errorf("conf: aggregation step %s has no representative table", gamma)
 	}
-	root := scanRootTable(gamma)
 
 	gammaCols := make(map[int]bool)
 	for _, tn := range signature.Tables(gamma) {
@@ -472,7 +396,7 @@ func aggregateStep(src *Source, gamma signature.Sig, opts Options) (*Source, spi
 		outCols = append(outCols, in.Cols[i])
 	}
 	outCols = append(outCols, table.VarCol(root), table.ProbCol(root))
-	varCols, newAcc, err := treeAccumulators(gamma, in)
+	varCols, newAcc, err := treeAccumulators(tree, in)
 	if err != nil {
 		return nil, spillStats{}, err
 	}
@@ -489,7 +413,11 @@ func finalScan(src *Source, sig signature.Sig, opts Options) (*Source, spillStat
 		outCols = append(outCols, src.Schema.Cols[i])
 	}
 	outCols = append(outCols, table.DataCol(ConfCol, table.KindFloat))
-	varCols, newAcc, err := treeAccumulators(sig, src.Schema)
+	tree, err := signature.BuildScanTree(sig)
+	if err != nil {
+		return nil, spillStats{}, err
+	}
+	varCols, newAcc, err := treeAccumulators(tree, src.Schema)
 	if err != nil {
 		return nil, spillStats{}, err
 	}

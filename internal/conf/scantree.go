@@ -5,9 +5,10 @@
 //   - the streaming one-scan algorithm over a 1scanTree (Fig. 8), which
 //     turns the DNF encoded in the variable columns of a sorted answer
 //     relation into 1OF and evaluates its probability on the fly;
-//   - the multi-scan scheduler (§V.C, Ex. V.11) that aggregates starred
-//     subexpressions of a non-1scan signature until the remainder has the
-//     1scan property, one sort+scan per aggregation;
+//   - the multi-scan plan of §V.C (Ex. V.11) as sort+scan passes: one per
+//     aggregation step of signature.Schedule, then one over the final 1scan
+//     signature, each evaluating the signature.ScanTree it binds to the
+//     input's V/P columns;
 //   - the operator's input as a stream (source.go): a Source feeds its rows,
 //     batch by batch, straight into the first pass's run generation — one
 //     key sorter, or one per worker routed by group-key hash — so a streamed
@@ -54,24 +55,19 @@ import (
 // scanNode is one node of the runtime 1scanTree: it tracks the running
 // probability of the current partition (crtP), the accumulated probability
 // of finished partitions (allP), and the enabled flag that suppresses
-// re-occurring partitions (Fig. 8).
-//
-// A virtual root (virtual == true) represents a relational product of
-// unconnected subexpressions (signatures like R*S* — Def. V.8 classifies
-// them as 1scan although no table is one-to-one with the outer grouping):
-// its "partition" spans the whole bag and its probability is the product of
-// its children's accumulated results. Folding the components into one
-// another instead would double-count shared partitions.
+// re-occurring partitions (Fig. 8). A virtual node is the root of a
+// relational product (signature.ScanTree): its "partition" spans the whole
+// bag and its probability is the product of its children's accumulated
+// results.
 type scanNode struct {
-	tableName string
-	virtual   bool
-	pos       int // position in the sort order; -1 for the virtual root
-	varIdx    int // column index of V(table); -1 for the virtual root
-	probIdx   int // column index of P(table); -1 for the virtual root
-	children  []*scanNode
-	crtP      float64
-	allP      float64
-	enabled   bool
+	virtual  bool
+	pos      int // position in the sort order; -1 for the virtual root
+	varIdx   int // column index of V(table); -1 for the virtual root
+	probIdx  int // column index of P(table); -1 for the virtual root
+	children []*scanNode
+	crtP     float64
+	allP     float64
+	enabled  bool
 }
 
 // runtimeTree is the evaluator for one bag of duplicates. It reads a sorted
@@ -83,103 +79,48 @@ type runtimeTree struct {
 	prevV []int64     // the previous row's variable of each real node, by pos
 }
 
-// newRuntimeTree builds the runtime 1scanTree for a 1scan signature,
-// binding each table to its V/P columns in schema. The tree shape follows
-// §V.C: stars only express multiplicity; in a concatenation, the first bare
-// table becomes the subtree root and all other components its children; a
-// concatenation without a bare table (a product, necessarily at the top
-// level) gets a virtual AND root.
-func newRuntimeTree(sig signature.Sig, schema *table.Schema) (*runtimeTree, error) {
-	if !signature.OneScan(sig) {
-		return nil, fmt.Errorf("conf: signature %s lacks the 1scan property", sig)
-	}
+// newRuntimeTree binds each table of a 1scanTree to its V/P columns in
+// schema. The real nodes are numbered in preorder, the required sort order
+// of the variable columns.
+func newRuntimeTree(tree *signature.ScanTree, schema *table.Schema) (*runtimeTree, error) {
 	rt := &runtimeTree{}
-	var mkNode func(name string) (*scanNode, error)
-	mkNode = func(name string) (*scanNode, error) {
-		vi, pi := schema.VarIndex(name), schema.ProbIndex(name)
-		if vi < 0 || pi < 0 {
-			return nil, fmt.Errorf("conf: input schema %v lacks V/P columns for table %s", schema.Names(), name)
-		}
-		return &scanNode{tableName: name, varIdx: vi, probIdx: pi}, nil
-	}
-	var build func(s signature.Sig) (*scanNode, error)
-	build = func(s signature.Sig) (*scanNode, error) {
-		switch x := s.(type) {
-		case signature.Table:
-			return mkNode(string(x))
-		case signature.Star:
-			return build(x.Inner)
-		case signature.Concat:
-			rootIdx := concatRootIndex(x)
-			var root *scanNode
-			if rootIdx >= 0 {
-				n, err := mkNode(string(x[rootIdx].(signature.Table)))
-				if err != nil {
-					return nil, err
-				}
-				root = n
-			} else {
-				root = &scanNode{virtual: true, pos: -1, varIdx: -1, probIdx: -1}
-			}
-			for i, comp := range x {
-				if i == rootIdx {
-					continue
-				}
-				child, err := build(comp)
-				if err != nil {
-					return nil, err
-				}
-				root.children = append(root.children, child)
-			}
-			return root, nil
-		default:
-			return nil, fmt.Errorf("conf: unknown signature shape %T", s)
-		}
-	}
-	root, err := build(sig)
-	if err != nil {
-		return nil, err
-	}
-	rt.root = root
-	// Number the real nodes in preorder — this is the required sort order
-	// of the variable columns.
-	var number func(n *scanNode)
-	number = func(n *scanNode) {
+	var bind func(t *signature.ScanTree) (*scanNode, error)
+	bind = func(t *signature.ScanTree) (*scanNode, error) {
+		n := &scanNode{virtual: t.Table == "", pos: -1, varIdx: -1, probIdx: -1}
 		if !n.virtual {
+			n.varIdx, n.probIdx = schema.VarIndex(t.Table), schema.ProbIndex(t.Table)
+			if n.varIdx < 0 || n.probIdx < 0 {
+				return nil, fmt.Errorf("conf: input schema %v lacks V/P columns for table %s", schema.Names(), t.Table)
+			}
 			n.pos = len(rt.nodes)
 			rt.nodes = append(rt.nodes, n)
 		}
-		for _, c := range n.children {
-			number(c)
+		for _, c := range t.Children {
+			child, err := bind(c)
+			if err != nil {
+				return nil, err
+			}
+			n.children = append(n.children, child)
 		}
+		return n, nil
 	}
-	number(root)
+	root, err := bind(tree)
+	if err != nil {
+		return nil, err
+	}
 	if len(rt.nodes) == 0 {
-		return nil, fmt.Errorf("conf: signature %s has no tables", sig)
+		return nil, fmt.Errorf("conf: scan tree %s has no tables", tree)
 	}
+	rt.root = root
 	rt.prevV = make([]int64, len(rt.nodes))
 	return rt, nil
 }
 
-// concatRootIndex returns the index of the first bare table in a
-// concatenation — the component that roots its scan tree per §V.C — or -1
-// when none exists and the root is virtual. Shared by the runtime tree
-// construction and the planner's static representative (Rep), which must
-// never diverge.
-func concatRootIndex(c signature.Concat) int {
-	for i, comp := range c {
-		if _, ok := comp.(signature.Table); ok {
-			return i
-		}
-	}
-	return -1
-}
-
-// treeAccumulators binds sig's 1scanTree to schema for one sort+scan pass:
-// the variable columns in preorder — the order the evaluator needs within a
+// treeAccumulators binds a 1scanTree to schema for one sort+scan pass: the
+// variable columns in preorder — the order the evaluator needs within a
 // group — and a factory of evaluators, one per concurrent scan.
-func treeAccumulators(sig signature.Sig, schema *table.Schema) ([]int, func() accumulator, error) {
-	rt, err := newRuntimeTree(sig, schema)
+func treeAccumulators(tree *signature.ScanTree, schema *table.Schema) ([]int, func() accumulator, error) {
+	rt, err := newRuntimeTree(tree, schema)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -188,7 +129,7 @@ func treeAccumulators(sig signature.Sig, schema *table.Schema) ([]int, func() ac
 		varCols[i] = n.varIdx
 	}
 	return varCols, func() accumulator {
-		t, _ := newRuntimeTree(sig, schema) // cannot fail: rt was built from the same inputs
+		t, _ := newRuntimeTree(tree, schema) // cannot fail: rt was bound from the same inputs
 		return t
 	}, nil
 }

@@ -18,7 +18,7 @@ import (
 // tuple-operation units — they only need to *rank* plans, not predict
 // wall-clock — and are derived by walking the same logical IR the lowering
 // executes: scan and join costs from estimated cardinalities, sort+scan
-// confidence passes from the signature's scan count, expected OBDD size
+// confidence passes from the operators' scan schedules, expected OBDD size
 // from the signature width and clause count, and Monte Carlo sample counts
 // from the (ε, δ) Hoeffding bound.
 
@@ -92,6 +92,32 @@ type costState struct {
 	spec    Spec
 	covered map[string]bool // sources aggregated away by eager operators
 	cost    float64
+	passes  int // sort+scan passes priced: the run's Stats.Scans
+}
+
+// sortScans prices n sort+scan passes over card tuples.
+func (cs *costState) sortScans(n int, card float64) {
+	cs.passes += n
+	cs.cost += float64(n) * (sortCost(card) + card*costConfScan)
+}
+
+// opPasses is the number of sort+scan passes conf.AggregateFrom runs for
+// the eager operator [s]: none for a table (the identity) or for a
+// concatenation's propagation, which adds up its components', and a star's
+// scheduled steps plus the pass that collapses it.
+func opPasses(s signature.Sig) int {
+	switch x := s.(type) {
+	case signature.Star:
+		steps, _ := signature.Schedule(x)
+		return len(steps) + 1
+	case signature.Concat:
+		n := 0
+		for _, c := range x {
+			n += opPasses(c)
+		}
+		return n
+	}
+	return 0
 }
 
 // leafEstimate prices the leaf pipeline of one occurrence and returns its
@@ -228,11 +254,10 @@ func (cs *costState) conf(x *logical.Conf) (costRel, error) {
 	}
 	switch {
 	case x.Alg == logical.AlgSortScan && !x.Final:
-		// Eager aggregation: one sort+scan pass per scheduled scan of each
-		// operator, then the intermediate shrinks to its group count.
+		// Eager aggregation: the sort+scan passes each operator's schedule
+		// runs, then the intermediate shrinks to its group count.
 		for _, op := range x.Ops {
-			passes := float64(signature.NumScans(op))
-			cs.cost += passes * (sortCost(rel.card) + rel.card*costConfScan)
+			cs.sortScans(opPasses(op), rel.card)
 			for _, t := range signature.Tables(op) {
 				cs.covered[t] = true
 			}
@@ -246,7 +271,7 @@ func (cs *costState) conf(x *logical.Conf) (costRel, error) {
 	case x.Alg == logical.AlgIndProject:
 		// MystiQ π^ind: a sort+scan-equivalent group pass; duplicates
 		// merge completely (no variable columns survive).
-		cs.cost += sortCost(rel.card) + rel.card*costConfScan
+		cs.sortScans(1, rel.card)
 		all := make(map[string]bool)
 		for s := range rel.leafCard {
 			all[s] = true
@@ -261,13 +286,15 @@ func (cs *costState) conf(x *logical.Conf) (costRel, error) {
 		rel.card, rel.dist = g, dist
 		return rel, nil
 	case x.Alg == logical.AlgSortScan: // final
-		passes := 1.0
-		if x.Sig != nil {
-			passes = float64(signature.NumScans(x.Sig))
+		// The schedule's steps and the final scan — none when the eager
+		// stages left a bare table, whose answer is extracted unsorted.
+		if _, bare := x.Sig.(signature.Table); !bare {
+			steps, _ := signature.Schedule(x.Sig)
+			cs.sortScans(len(steps)+1, rel.card)
 		}
-		cs.cost += passes * (sortCost(rel.card) + rel.card*costConfScan)
 		return rel, nil
 	default: // final lineage algorithms: OBDD, d-tree, MC, the ladder
+		cs.passes++ // the lineage-collection grouping pass
 		cs.cost += cs.lineageCost(x.Alg, rel, x.Sig != nil)
 		return rel, nil
 	}
@@ -319,18 +346,19 @@ func hoeffdingSamples(spec Spec) float64 {
 	return n
 }
 
-// costPlan prices one built logical plan.
-func costPlan(c *Catalog, q *query.Query, spec Spec, b *built) (cost, tuples float64, err error) {
+// costPlan prices one built logical plan: the walk's state, whose cost is
+// the plan's, and the estimated answer tuples.
+func costPlan(c *Catalog, q *query.Query, spec Spec, b *built) (*costState, float64, error) {
 	cs := &costState{c: c, q: q, spec: spec, covered: make(map[string]bool)}
 	root, ok := b.lp.Root.(*logical.Conf)
 	if !ok {
-		return 0, 0, fmt.Errorf("plan: logical plan for %s lacks a final confidence point", q.Name)
+		return nil, 0, fmt.Errorf("plan: logical plan for %s lacks a final confidence point", q.Name)
 	}
 	rel, err := cs.conf(root)
 	if err != nil {
-		return 0, 0, err
+		return nil, 0, err
 	}
-	return cs.cost, rel.card, nil
+	return cs, rel.card, nil
 }
 
 // EstimateCosts prices every style for the query, marking applicability and
@@ -386,11 +414,11 @@ func EstimateCosts(c *Catalog, q *query.Query, sigma *fd.Set, spec Spec) ([]Cost
 			out = append(out, ce)
 			continue
 		}
-		cost, tuples, err := costPlan(c, q, styleSpec, b)
+		cs, tuples, err := costPlan(c, q, styleSpec, b)
 		if err != nil {
 			return nil, err
 		}
-		ce.Cost, ce.Tuples = cost, tuples
+		ce.Cost, ce.Tuples = cs.cost, tuples
 		out = append(out, ce)
 	}
 	return out, nil

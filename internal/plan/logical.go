@@ -3,7 +3,6 @@ package plan
 import (
 	"fmt"
 
-	"repro/internal/conf"
 	"repro/internal/fd"
 	"repro/internal/logical"
 	"repro/internal/query"
@@ -99,9 +98,9 @@ func buildLineage(c *Catalog, q *query.Query, alg logical.Alg, style, note strin
 // with eager confidence-placement points after each of the first
 // eagerStages intermediates. The operators applied at each point — and the
 // signature remaining for the top, the final placement's Sig — are computed
-// statically with Restrict, Replace and the static aggregation
-// representative (conf.Rep), which is the representative conf.AggregateFrom
-// leaves at run time; the lowering runs this schedule as it stands.
+// statically with Restrict and signature.Collapse, whose representative
+// (signature.Rep) is the one conf.AggregateFrom leaves at run time; the
+// lowering runs this schedule as it stands.
 func buildStaged(c *Catalog, q *query.Query, sigma *fd.Set, sig signature.Sig, spec Spec) (*built, error) {
 	style := "eager"
 	var order []query.RelRef
@@ -141,11 +140,7 @@ func buildStaged(c *Catalog, q *query.Query, sigma *fd.Set, sig signature.Sig, s
 			if _, bare := op.(signature.Table); bare {
 				continue
 			}
-			rep, err := conf.Rep(op)
-			if err != nil {
-				return nil, err
-			}
-			cur = Replace(cur, op, signature.Table(rep))
+			cur = signature.Collapse(cur, op)
 			applied = append(applied, op)
 		}
 		if len(applied) > 0 {

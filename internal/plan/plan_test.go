@@ -244,23 +244,6 @@ func TestRestrictExV6(t *testing.T) {
 	}
 }
 
-func TestReplace(t *testing.T) {
-	full, err := signature.Plain(introQ())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ordStar := signature.NewStar(signature.Table("Ord"))
-	got := Replace(full, ordStar, signature.Table("Ord"))
-	if strings.ReplaceAll(got.String(), " ", "") != "(Cust*(OrdItem*)*)*" {
-		t.Errorf("Replace = %s", got)
-	}
-	// Replacing a missing target is the identity.
-	same := Replace(full, signature.Table("Nope"), signature.Table("X"))
-	if !signature.Equal(same, full) {
-		t.Errorf("Replace of absent target changed the signature: %s", same)
-	}
-}
-
 func TestLazyOrderPrefersSelective(t *testing.T) {
 	cat, _ := fig1Catalog()
 	order := LazyOrder(cat, introQ())

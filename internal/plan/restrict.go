@@ -111,34 +111,3 @@ func allConcatsValid(s signature.Sig, full signature.Sig, sub map[string]bool) b
 		return false
 	}
 }
-
-// Replace substitutes the first subexpression of s structurally equal to
-// target with repl — the signature update performed on the ancestors of a
-// newly inserted operator ("we replace in its signature each αi by the
-// leftmost table name in αi", §V.B).
-func Replace(s, target, repl signature.Sig) signature.Sig {
-	if signature.Equal(s, target) {
-		return repl
-	}
-	switch x := s.(type) {
-	case signature.Star:
-		return signature.NewStar(Replace(x.Inner, target, repl))
-	case signature.Concat:
-		parts := make([]signature.Sig, len(x))
-		done := false
-		for i, c := range x {
-			if !done {
-				nc := Replace(c, target, repl)
-				if !signature.Equal(nc, c) {
-					done = true
-				}
-				parts[i] = nc
-			} else {
-				parts[i] = c
-			}
-		}
-		return signature.NewConcat(parts...)
-	default:
-		return s
-	}
-}

@@ -1,6 +1,7 @@
 package plan_test
 
 import (
+	"context"
 	"slices"
 	"testing"
 
@@ -14,9 +15,11 @@ import (
 
 // TestStaticScheduleMatchesAggregation pins what the lowering trusts: the
 // signature an eager or hybrid plan leaves for its top operator is computed
-// at build time from conf.Rep, and never recomputed from what the eager
-// steps return. So for every operator either style schedules on the TPC-H
-// catalog, conf.Rep must name the representative conf.AggregateFrom leaves.
+// at build time from signature.Rep, and never recomputed from what the
+// eager steps return. So for every operator either style schedules on the
+// TPC-H catalog, signature.Rep must name the representative
+// conf.AggregateFrom leaves, and AggregateFrom must run the passes
+// signature.Schedule plans for it — the ones the cost model prices.
 func TestStaticScheduleMatchesAggregation(t *testing.T) {
 	cat := tpch.Generate(tpch.Config{SF: 0.002, Seed: 1}).Catalog()
 	entries := tpch.Catalog()
@@ -36,10 +39,7 @@ func TestStaticScheduleMatchesAggregation(t *testing.T) {
 				t.Fatalf("q%s/%v: %v", name, style, err)
 			}
 			for _, op := range p.ScheduledOps() {
-				want, err := conf.Rep(op)
-				if err != nil {
-					t.Fatalf("q%s/%v: Rep(%s): %v", name, style, op, err)
-				}
+				want := signature.Rep(op)
 				var stats conf.Stats
 				_, got, err := conf.AggregateFrom(conf.FromRelation(opInput(op)), op, conf.Options{}, &stats)
 				if err != nil {
@@ -47,6 +47,9 @@ func TestStaticScheduleMatchesAggregation(t *testing.T) {
 				}
 				if got != want {
 					t.Errorf("q%s/%v: [%s] leaves %s at run time, Rep says %s", name, style, op, got, want)
+				}
+				if want := plan.OpPasses(op); stats.Scans != want {
+					t.Errorf("q%s/%v: [%s] ran %d scans, its schedule has %d", name, style, op, stats.Scans, want)
 				}
 				checked++
 			}
@@ -70,4 +73,41 @@ func opInput(op signature.Sig) *table.Relation {
 	rel := table.NewRelation(table.NewSchema(cols...))
 	rel.MustAppend(row)
 	return rel
+}
+
+// TestPricedPassesMatchRun: the cost model prices the sort+scan passes the
+// plan runs — for every TPC-H catalog entry under the lazy, eager and
+// hybrid styles (and the fallback ladder's collection pass where a query
+// has no hierarchical signature), the passes priced equal the run's
+// Stats.Scans. Pure-propagation operators and a bare-table top run none.
+func TestPricedPassesMatchRun(t *testing.T) {
+	cat := tpch.Generate(tpch.Config{SF: 0.002, Seed: 1}).Catalog()
+	entries := tpch.Catalog()
+	names := make([]string, 0, len(entries))
+	for name, e := range entries {
+		if e.Q != nil {
+			names = append(names, name)
+		}
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		e := entries[name]
+		for _, style := range []plan.Style{plan.Lazy, plan.Eager, plan.Hybrid} {
+			p, err := plan.Prepare(cat, e.Q.Clone(), tpch.FDsFor(e), plan.Spec{Style: style})
+			if err != nil {
+				t.Fatalf("q%s/%v: %v", name, style, err)
+			}
+			priced, err := p.PricedPasses()
+			if err != nil {
+				t.Fatalf("q%s/%v: %v", name, style, err)
+			}
+			res, err := p.Run(context.Background())
+			if err != nil {
+				t.Fatalf("q%s/%v: %v", name, style, err)
+			}
+			if res.Stats.Scans != priced {
+				t.Errorf("q%s/%v: priced %d passes, the run made %d", name, style, priced, res.Stats.Scans)
+			}
+		}
+	}
 }

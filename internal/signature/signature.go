@@ -1,9 +1,14 @@
 // Package signature implements query signatures (paper §III): the algebra
 // of table names, stars (α*) and concatenations (αβ), their derivation from
 // hierarchical query trees (Fig. 4), FD-based refinement via reducts (§IV),
-// minimal covers (Def. III.3), the 1scan property and scan counting
-// (Def. V.8, Prop. V.10), and the 1scanTree representation with its sort
-// order (§V.C) consumed by the confidence operator.
+// minimal covers (Def. III.3), the 1scan property (Def. V.8) and the closed
+// form of #scans(α) (Prop. V.10), and the §V scheduler (scantree.go) — the one
+// place that turns a signature into a confidence plan: Schedule's
+// aggregation steps and final 1scan signature, the 1scanTree whose preorder
+// is the operator's sort order (§V.C), and the representative Rep that an
+// eager operator leaves behind, with Collapse applying it (§V.B). The
+// confidence operator (internal/conf), the planner and its cost model
+// (internal/plan) read this schedule rather than derive their own.
 package signature
 
 import (
@@ -285,7 +290,7 @@ func NumScans(s Sig) int {
 
 // countBadStars counts the starred subexpressions lacking a directly
 // contained unstarred table. Each such star costs exactly one extra
-// aggregation scan in the scheduler (internal/conf): one of its starred
+// aggregation scan in Schedule: one of its starred
 // components is aggregated into a bare representative table, after which
 // the star satisfies the local 1scan condition. This matches Ex. V.11:
 // (Cust*(Ord*Item*)*)* has two such stars and needs 2+1 = 3 scans.

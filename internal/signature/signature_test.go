@@ -269,9 +269,6 @@ func TestScanTreePath(t *testing.T) {
 	if strings.Join(pre, ",") != "Cust,Ord,Item" {
 		t.Errorf("preorder = %v", pre)
 	}
-	if tree.Size() != 3 {
-		t.Errorf("Size = %d", tree.Size())
-	}
 }
 
 // TestScanTreeBranching reproduces the second shape of Ex. V.12:
@@ -304,15 +301,73 @@ func TestScanTreeRejectsNonOneScan(t *testing.T) {
 	}
 }
 
-// TestScanTreeProduct: R*S* builds a two-node tree (root R, child S).
+// TestScanTreeProduct: a top-level product without a bare table, R*S* or
+// T1*(T2 T3*)*, is rooted at a virtual node (Table "") whose children are
+// the components' trees; the preorder skips it.
 func TestScanTreeProduct(t *testing.T) {
-	prod := NewConcat(NewStar(Table("R")), NewStar(Table("S")))
-	tree, err := BuildScanTree(prod)
+	for _, tc := range []struct {
+		sig       Sig
+		tree, pre string
+	}{
+		{NewConcat(NewStar(Table("R")), NewStar(Table("S"))), "(R, S)", "R,S"},
+		{NewConcat(NewStar(Table("T1")), NewStar(NewConcat(Table("T2"), NewStar(Table("T3"))))), "(T1, T2(T3))", "T1,T2,T3"},
+	} {
+		tree, err := BuildScanTree(tc.sig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tree.Table != "" || len(tree.Children) != 2 {
+			t.Errorf("%s: root %q with %d children, want a virtual root with 2", tc.sig, tree.Table, len(tree.Children))
+		}
+		if got := tree.String(); got != tc.tree {
+			t.Errorf("%s: tree = %s, want %s", tc.sig, got, tc.tree)
+		}
+		if got := strings.Join(tree.Preorder(), ","); got != tc.pre {
+			t.Errorf("%s: preorder = %s, want %s", tc.sig, got, tc.pre)
+		}
+	}
+}
+
+// TestScheduleExV11: (Cust*(Ord*Item*)*)* aggregates [Ord*], then [Cust*],
+// and leaves (Cust(Ord Item*)*)* for the final scan (Ex. V.11).
+func TestScheduleExV11(t *testing.T) {
+	plain, err := Plain(introQ())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tree.String(); got != "R(S)" {
-		t.Errorf("tree = %s, want R(S)", got)
+	steps, final := Schedule(plain)
+	var got []string
+	for _, g := range steps {
+		got = append(got, paperString(g))
+	}
+	if strings.Join(got, " ") != "Ord* Cust*" {
+		t.Errorf("steps = %v, want [Ord* Cust*]", got)
+	}
+	if paperString(final) != "(Cust(OrdItem*)*)*" {
+		t.Errorf("final = %s, want (Cust(Ord Item*)*)*", final)
+	}
+	if Rep(plain) != "Cust" {
+		t.Errorf("Rep = %s, want Cust", Rep(plain))
+	}
+}
+
+// TestCollapse: the operator's first occurrence in the signature becomes
+// its representative — a starred table its own table, a composite star the
+// root of its scheduled 1scanTree — and an absent one changes nothing.
+func TestCollapse(t *testing.T) {
+	full, err := Plain(introQ())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := Collapse(full, NewStar(Table("Ord"))); paperString(got) != "(Cust*(OrdItem*)*)*" {
+		t.Errorf("Collapse([Ord*]) = %s", got)
+	}
+	oi := NewStar(NewConcat(NewStar(Table("Ord")), NewStar(Table("Item"))))
+	if got := Collapse(full, oi); paperString(got) != "(Cust*Ord)*" {
+		t.Errorf("Collapse([(Ord*Item*)*]) = %s, want (Cust* Ord)*", got)
+	}
+	if same := Collapse(full, Table("Nope")); !Equal(same, full) {
+		t.Errorf("Collapse of an absent operator changed the signature: %s", same)
 	}
 }
 

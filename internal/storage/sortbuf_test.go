@@ -226,7 +226,7 @@ func strBatch(schema *table.Schema, strs []string, seq0 int, flat bool) *table.C
 		} else {
 			b.Cols[0].AppendValue(i, table.Str(s))
 		}
-		b.Cols[1].AppendInt(int64(seq0 + i))
+		b.Cols[1].AppendValue(i, table.Int(int64(seq0+i)))
 	}
 	b.N = len(strs)
 	return b

@@ -368,15 +368,9 @@ func (v *ColVec) appendZero() {
 	}
 }
 
-// AppendInt appends a non-null cell of an int column without boxing a
+// AppendFloat appends a non-null cell of a float column without boxing a
 // Value. The caller has checked the kind.
-func (v *ColVec) AppendInt(x int64) { v.Ints = append(v.Ints, x) }
-
-// AppendFloat is AppendInt for a float column.
 func (v *ColVec) AppendFloat(x float64) { v.Floats = append(v.Floats, x) }
-
-// AppendBool is AppendInt for a bool column (stored in the int storage).
-func (v *ColVec) AppendBool(x int64) { v.Ints = append(v.Ints, x) }
 
 // AppendStrBytes appends raw string bytes to a string column: onto the flat
 // bytes, so that no per-row string is allocated, unless the column already

@@ -117,14 +117,14 @@ func TestColBatchStrBytesLayouts(t *testing.T) {
 	}
 }
 
-// TestColVecTypedAppends: the unboxed appends land in typed storage, and
+// TestColVecTypedAppends: boxed and unboxed appends land in typed storage, and
 // AppendValue refuses a cell whose kind is not the column's.
 func TestColVecTypedAppends(t *testing.T) {
 	sch := NewSchema(DataCol("i", KindInt), DataCol("f", KindFloat), DataCol("b", KindBool))
 	b := NewColBatch(sch)
-	b.Cols[0].AppendInt(42)
+	b.Cols[0].AppendValue(0, Int(42))
 	b.Cols[1].AppendFloat(2.5)
-	b.Cols[2].AppendBool(1)
+	b.Cols[2].AppendValue(0, Bool(true))
 	b.N = 1
 	for c, want := range []Value{Int(42), Float(2.5), Bool(true)} {
 		if got := b.Cols[c].Value(0); got != want {
