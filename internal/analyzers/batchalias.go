@@ -220,7 +220,7 @@ func checkColBatchAliasBody(p *Pass, decl ast.Node, body *ast.BlockStmt) {
 		if t == nil || !aliasesColStorage(t) {
 			return false
 		}
-		// A call result is a hand-off (HashInto, SelBuf, …): the callee is
+		// A call result is a hand-off (HashInto, …): the callee is
 		// responsible for what it returns, same as the tuple rule.
 		if _, ok := ast.Unparen(e).(*ast.CallExpr); ok {
 			return false

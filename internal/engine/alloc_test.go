@@ -179,15 +179,15 @@ func TestGraceJoinAllocs(t *testing.T) {
 	}
 }
 
-// TestCollectBatchIdentity pins the drain: StreamCtx hands a filtered,
-// projected join's batches to the sink, which holds exactly the rows of a
+// TestCollectBatchIdentity pins the drain: StreamCtx hands a projected
+// join's batches, its probe side selected in the scan, to the sink, which holds exactly the rows of a
 // nested-loop reference, in probe order; countCols drains the same count.
 func TestCollectBatchIdentity(t *testing.T) {
 	rel := allocRel(512, 61)
 	build := func() ColOperator {
-		j := hashJoin(t, memScan(rel), memScan(rel), []int{0}, []int{0})
-		f := &ColFilter{In: j, Preds: []ColPred{{Col: 1, Op: OpLt, Val: table.Int(400)}}}
-		p, err := NewColumnProject(f, []string{"k", "v"})
+		probe := withPreds(memScan(rel), ColPred{Col: 1, Op: OpLt, Val: table.Int(400)})
+		j := hashJoin(t, probe, memScan(rel), []int{0}, []int{0})
+		p, err := NewColumnProject(j, []string{"k", "v"})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,15 +3,18 @@ package engine
 import (
 	"fmt"
 
+	"repro/internal/freelist"
 	"repro/internal/storage"
 	"repro/internal/table"
 )
 
 // This file is the executor's operator set: operators that move
 // table.ColBatch column vectors, in the MonetDB/X100 vectorized tradition.
-// Scan, filter and project run as tight per-column loops over typed slices
-// with a selection vector, paying one interface call per batch instead of
-// per-row Value unboxing; the hash join lives in coljoin.go. Hashes via
+// Scans evaluate their selections as tight per-column loops over typed
+// slices into a selection vector (pred.go) and copy out the qualifying rows
+// alone; projections re-expose column headers; every operator pays one
+// interface call per batch instead of per-row Value unboxing. The hash join
+// lives in coljoin.go. Hashes via
 // ColBatch.HashInto are bit-identical to table.HashOn, so a row and its
 // column form group alike everywhere.
 
@@ -30,57 +33,111 @@ type ColOperator interface {
 
 // ColChunkScan iterates column chunks — an in-memory base table's storage
 // (table.ColStore), or what a sort+scan placement below a join hands up
-// (conf.Source.Chunks) — one chunk per call, copied column-wise into the
-// consumer's batch (ColBatch.AppendBatchCols). The chunks are only read, so
-// they may be scanned any number of times.
+// (conf.Source.Chunks) — copied column-wise into the consumer's batch. The
+// chunks are dense (no selection) and only read, never written, so they
+// may be scanned any number of times, by concurrent scans too. Without
+// Preds a call copies one chunk; with them, the kernels (pred.go) run over
+// a chunk in place, the qualifying rows alone are copied, and the output
+// batch fills from as many chunks as it takes.
 type ColChunkScan struct {
 	S      *table.Schema
 	Chunks []*table.ColBatch
-	pos    int
+	// Preds are the selections on the chunks' columns: only the rows
+	// satisfying all of them are copied out.
+	Preds []ColPred
+	pos   int // the chunk being read
+	row   int // its next row
 	// need marks the columns some consumer actually reads (nil = all); only
 	// those are copied. Set by pruneCols; a pruned column's vector stays
-	// empty, as a ColHeapScan's does.
-	need []bool
+	// empty, as a ColHeapScan's does. A predicate column no consumer reads
+	// is evaluated but not copied.
+	need  []bool
+	sel   []int32 // the qualifying rows of the window being read
+	lease freelist.Lease
 }
 
 // Schema returns the chunks' schema.
 func (s *ColChunkScan) Schema() *table.Schema { return s.S }
 
-// Open resets the cursor.
-func (s *ColChunkScan) Open() error { s.pos = 0; return nil }
+// Open resets the cursor and draws the selection storage.
+func (s *ColChunkScan) Open() error {
+	s.pos, s.row = 0, 0
+	if len(s.Preds) > 0 && s.sel == nil {
+		s.sel, _ = freelist.Int32s.Fit(&s.lease, 0, 4*BatchSize)
+	}
+	return nil
+}
 
-// NextColBatch copies the next non-empty chunk onto dst.
+// NextColBatch copies the next non-empty chunk onto dst or, with
+// predicates, the next qualifying rows, up to a batch of them.
 func (s *ColChunkScan) NextColBatch(dst *table.ColBatch) (int, error) {
 	dst.Reset(s.S)
-	for dst.N == 0 && s.pos < len(s.Chunks) {
+	if len(s.Preds) == 0 {
+		for dst.N == 0 && s.pos < len(s.Chunks) {
+			c := s.Chunks[s.pos]
+			s.pos++
+			dst.AppendBatchCols(c, 0, c.Rows(), s.need)
+		}
+		return dst.N, nil
+	}
+	for dst.N < BatchSize && s.pos < len(s.Chunks) {
 		c := s.Chunks[s.pos]
-		s.pos++
-		dst.AppendBatchCols(c, 0, c.Rows(), s.need)
+		lo, hi := s.row, min(c.N, s.row+BatchSize)
+		sel := selectAll(s.Preds, c.Cols, lo, hi, &s.sel)
+		s.row = hi
+		if room := BatchSize - dst.N; len(sel) > room {
+			sel = sel[:room]
+			s.row = int(sel[room-1]) + 1
+		}
+		if s.row >= c.N {
+			s.pos, s.row = s.pos+1, 0
+		}
+		dst.AppendRows(c, sel, s.need)
 	}
 	return dst.N, nil
 }
 
-// Close is a no-op.
-func (s *ColChunkScan) Close() error { return nil }
+// Close gives the selection storage back.
+func (s *ColChunkScan) Close() error {
+	if s.sel != nil {
+		freelist.Int32s.Put(&s.lease, 0, s.sel)
+		s.sel = nil
+	}
+	return nil
+}
 
-// ColHeapScan iterates a heap file straight into column vectors: each page's
-// minipages are decoded onto the destination columns a vector at a time
-// (storage.Scanner.NextBlock), without ever materializing a row tuple.
-// String cells move as raw bytes into the flat layout, with no per-row
-// string allocation. A stored column that is neither all NULL nor of its
-// schema column's kind fails the scan: the heap file is where rows enter
-// the engine from outside.
+// ColHeapScan iterates a heap file straight into column vectors, without
+// ever materializing a row tuple: each page's minipages are decoded onto
+// the destination columns a vector at a time, string cells as raw bytes in
+// the flat layout with no per-row string allocation. With Preds it
+// materializes late (Abadi et al., "Materialization strategies in a
+// column-oriented DBMS", ICDE 2007): per page window it decodes only the
+// predicate columns, into a scan-private scratch batch, runs the kernels
+// (pred.go) over them, and gather-decodes the columns consumers read at the
+// qualifying rows alone, so the output batch is dense and fills from as
+// many pages as it takes. A stored column that is neither all NULL nor of
+// its schema column's kind fails the scan: the heap file is where rows
+// enter the engine from outside.
 type ColHeapScan struct {
 	File   *storage.HeapFile
 	Pool   *storage.BufferPool
 	schema *table.Schema
-	sc     *storage.Scanner
+	// Preds are the selections on the file's columns, set before the first
+	// Open: only the rows satisfying all of them are decoded out.
+	Preds []ColPred
+	sc    *storage.Scanner
 	// need marks the columns some consumer actually reads (nil = all).
 	// Dead columns' minipages are skipped by offset, never read. Set by
 	// pruneCols; a pruned column's vector stays empty, so a consumer
 	// reading it by mistake fails loudly on the bounds check rather than
-	// seeing stale data.
+	// seeing stale data. A predicate column no consumer reads is decoded
+	// into the scratch batch only.
 	need []bool
+
+	predCols []bool         // the columns some predicate reads
+	scratch  table.ColBatch // the window being read: its predicate columns alone
+	sel      []int32        // the window's qualifying rows
+	lease    freelist.Lease
 }
 
 // NewColHeapScan builds a columnar scan over a heap file whose tuples
@@ -92,171 +149,101 @@ func NewColHeapScan(f *storage.HeapFile, pool *storage.BufferPool, schema *table
 // Schema returns the declared schema.
 func (s *ColHeapScan) Schema() *table.Schema { return s.schema }
 
-// Open positions a fresh scanner.
+// Open positions a fresh scanner and, with predicates, draws the scratch
+// batch and the selection storage from the engine's free list.
 func (s *ColHeapScan) Open() error {
 	s.sc = s.File.NewScanner(s.Pool)
+	if len(s.Preds) == 0 || s.sel != nil {
+		return nil
+	}
+	if s.predCols == nil {
+		s.predCols = make([]bool, s.schema.Len())
+		for _, p := range s.Preds {
+			s.predCols[p.Col] = true
+		}
+	}
+	s.scratch.Reset(s.schema)
+	for c, pred := range s.predCols {
+		if !pred {
+			continue
+		}
+		if v, ok := scratchVecs.Largest(&s.lease, 0); ok {
+			v.Reuse(s.scratch.Cols[c].Kind)
+			s.scratch.Cols[c] = v
+		}
+	}
+	s.sel, _ = freelist.Int32s.Fit(&s.lease, 0, 4*BatchSize)
 	return nil
 }
 
-// NextColBatch decodes up to BatchSize stored rows onto dst's columns; a
-// page may straddle two batches.
+// scratchVecs are the idle vectors of heap scans' scratch batches, of any
+// kind: a vector keeps the storage of every layout it decoded, so that
+// after a few scans one serves any predicate column without growing.
+var scratchVecs = freelist.New(func(v table.ColVec) int64 { return v.MemSize() }, func(v *table.ColVec) { v.Reuse(v.Kind) })
+
+// NextColBatch fills dst with up to BatchSize rows: stored rows, a page
+// possibly straddling two batches, or with predicates the qualifying ones.
 func (s *ColHeapScan) NextColBatch(dst *table.ColBatch) (int, error) {
 	dst.Reset(s.schema)
+	if len(s.Preds) == 0 {
+		for dst.N < BatchSize {
+			n, err := s.sc.NextBlock(dst, BatchSize-dst.N, s.need)
+			if err != nil {
+				return 0, err
+			}
+			if n == 0 {
+				break
+			}
+		}
+		return dst.N, nil
+	}
 	for dst.N < BatchSize {
-		n, err := s.sc.NextBlock(dst, BatchSize-dst.N, s.need)
+		lo, hi, err := s.sc.Window(BatchSize)
 		if err != nil {
 			return 0, err
 		}
-		if n == 0 {
+		if lo == hi {
 			break
 		}
+		s.scratch.Reset(s.schema)
+		if err := s.sc.Decode(&s.scratch, lo, hi, s.predCols); err != nil {
+			return 0, err
+		}
+		sel := selectAll(s.Preds, s.scratch.Cols, 0, hi-lo, &s.sel)
+		next := hi
+		if room := BatchSize - dst.N; len(sel) > room {
+			sel = sel[:room]
+			next = lo + int(sel[room-1]) + 1
+		}
+		if len(sel) > 0 {
+			if err := s.sc.Gather(dst, lo, sel, s.need); err != nil {
+				return 0, err
+			}
+		}
+		s.sc.Seek(next)
 	}
 	return dst.N, nil
 }
 
-// Close releases the scanner's pinned page.
+// Close releases the scanner's pinned page or extent and gives the
+// scratch batch back.
 func (s *ColHeapScan) Close() error {
 	if s.sc != nil {
 		s.sc.Close()
 		s.sc = nil
 	}
+	if s.sel != nil {
+		for c, pred := range s.predCols {
+			if v := &s.scratch.Cols[c]; pred {
+				scratchVecs.Put(&s.lease, 0, *v)
+				*v = table.ColVec{Kind: v.Kind}
+			}
+		}
+		freelist.Int32s.Put(&s.lease, 0, s.sel)
+		s.sel = nil
+	}
 	return nil
 }
-
-// ColPred is one column-vs-constant comparison, cell op Val under
-// table.Compare semantics: the only predicate shape the planner emits for
-// selections.
-type ColPred struct {
-	Col int
-	Op  CmpOp
-	Val table.Value
-}
-
-// ColFilter qualifies the rows satisfying every predicate of Preds by
-// narrowing the batch's selection vector — a tight loop per predicate
-// column, no cell ever moves. Null-free int and float columns compared
-// against a constant of the same kind run as direct typed loops; everything
-// else goes through ColVec.CompareValue, which matches table.Compare
-// exactly.
-type ColFilter struct {
-	In    ColOperator
-	Preds []ColPred
-}
-
-// Schema returns the input schema.
-func (f *ColFilter) Schema() *table.Schema { return f.In.Schema() }
-
-// Open opens the input.
-func (f *ColFilter) Open() error { return f.In.Open() }
-
-// NextColBatch pulls input batches into dst and applies the predicates,
-// skipping batches that qualify no rows.
-func (f *ColFilter) NextColBatch(dst *table.ColBatch) (int, error) {
-	for {
-		n, err := f.In.NextColBatch(dst)
-		if err != nil || n == 0 {
-			return 0, err
-		}
-		for _, p := range f.Preds {
-			f.apply(dst, p)
-			if dst.Rows() == 0 {
-				break
-			}
-		}
-		if live := dst.Rows(); live > 0 {
-			return live, nil
-		}
-	}
-}
-
-// apply narrows dst.Sel to the rows satisfying p. The new selection is
-// written into the batch's reusable selection storage; when dst.Sel already
-// aliases it (a prior predicate this batch), the in-place compaction is safe
-// because the write index never passes the read index.
-func (f *ColFilter) apply(dst *table.ColBatch, p ColPred) {
-	v := &dst.Cols[p.Col]
-	sel := dst.SelBuf(dst.Rows())
-	k := 0
-	direct := len(v.Nulls) == 0
-	switch {
-	case direct && v.Kind == table.KindInt && p.Val.Kind == table.KindInt:
-		c := p.Val.I
-		if dst.Sel == nil {
-			for i, x := range v.Ints[:dst.N] {
-				if p.Op.Holds(cmpI64(x, c)) {
-					sel[k] = int32(i)
-					k++
-				}
-			}
-		} else {
-			for _, row := range dst.Sel {
-				if p.Op.Holds(cmpI64(v.Ints[row], c)) {
-					sel[k] = row
-					k++
-				}
-			}
-		}
-	case direct && v.Kind == table.KindFloat && p.Val.Kind == table.KindFloat:
-		c := p.Val.F
-		if dst.Sel == nil {
-			for i, x := range v.Floats[:dst.N] {
-				if p.Op.Holds(cmpF64(x, c)) {
-					sel[k] = int32(i)
-					k++
-				}
-			}
-		} else {
-			for _, row := range dst.Sel {
-				if p.Op.Holds(cmpF64(v.Floats[row], c)) {
-					sel[k] = row
-					k++
-				}
-			}
-		}
-	default:
-		if dst.Sel == nil {
-			for i := 0; i < dst.N; i++ {
-				if p.Op.Holds(v.CompareValue(i, p.Val)) {
-					sel[k] = int32(i)
-					k++
-				}
-			}
-		} else {
-			for _, row := range dst.Sel {
-				if p.Op.Holds(v.CompareValue(int(row), p.Val)) {
-					sel[k] = row
-					k++
-				}
-			}
-		}
-	}
-	dst.Sel = sel[:k]
-}
-
-func cmpI64(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
-func cmpF64(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// Close closes the input.
-func (f *ColFilter) Close() error { return f.In.Close() }
 
 // ColProject selects input columns by index with zero copies: the output
 // batch shares the input's column storage and selection vector (shallow
@@ -336,8 +323,8 @@ func (p *ColProject) Close() error { return p.In.Close() }
 
 // pruneCols pushes column liveness down a columnar tree to its scans: a
 // ColProject only reads the input columns its index map names, so any column
-// it drops — net of the filter predicates evaluated below it — need never be
-// decoded off the page or copied out of a chunk. need[i]=true marks output
+// it drops need never be decoded off the page or copied out of a chunk; a
+// scan evaluates its own predicates' columns whether or not they are read. need[i]=true marks output
 // column i as read by the consumer; nil means all are. Joins (and any root
 // consumer) read every column of their inputs, so pruning restarts at nil
 // below them.
@@ -351,17 +338,6 @@ func pruneCols(op ColOperator, need []bool) {
 			if need == nil || need[i] {
 				childNeed[j] = true
 			}
-		}
-		pruneCols(o.In, childNeed)
-	case *ColFilter:
-		if need == nil {
-			pruneCols(o.In, nil)
-			return
-		}
-		childNeed := make([]bool, len(need))
-		copy(childNeed, need)
-		for _, p := range o.Preds {
-			childNeed[p.Col] = true
 		}
 		pruneCols(o.In, childNeed)
 	case *ColHeapScan:

@@ -42,17 +42,22 @@ func colTestRel(rows, strCard int, seed int64) *table.Relation {
 // the flat layout.
 type bytesScan struct {
 	Rel *table.Relation
-	pos int
+	// Keep, when set, leaves the rows it rejects out of each batch's
+	// selection vector: a source whose batches carry one.
+	Keep func(table.Tuple) bool
+	pos  int
 }
 
 func (s *bytesScan) Schema() *table.Schema { return s.Rel.Schema }
 func (s *bytesScan) Open() error           { s.pos = 0; return nil }
 func (s *bytesScan) Close() error          { return nil }
 
-// NextColBatch transposes up to BatchSize rows onto dst.
+// NextColBatch transposes up to BatchSize rows onto dst, selecting those
+// Keep keeps.
 func (s *bytesScan) NextColBatch(dst *table.ColBatch) (int, error) {
 	end := min(s.pos+BatchSize, len(s.Rel.Rows))
 	dst.Reset(s.Rel.Schema)
+	var sel []int32
 	for _, row := range s.Rel.Rows[s.pos:end] {
 		for c, v := range row {
 			if v.Kind == table.KindString {
@@ -61,10 +66,19 @@ func (s *bytesScan) NextColBatch(dst *table.ColBatch) (int, error) {
 				dst.Cols[c].AppendValue(dst.N, v)
 			}
 		}
+		if s.Keep == nil || s.Keep(row) {
+			sel = append(sel, int32(dst.N))
+		}
 		dst.N++
 	}
 	s.pos = end
-	return dst.N, nil
+	if s.Keep != nil {
+		dst.Sel = sel
+		if len(sel) == 0 && dst.N > 0 {
+			dst.Sel = []int32{}
+		}
+	}
+	return dst.Rows(), nil
 }
 
 // writeHeap persists rel as a heap file and reopens it read-only.
@@ -151,16 +165,16 @@ func TestColHeapScanRoundTrip(t *testing.T) {
 	}
 }
 
-// TestColChunkScanPruned: under a projection that keeps k and P behind a
-// filter on x, a chunk scan copies only k, x and P out of its chunks — the
-// dead columns' vectors stay empty — and the pipeline's answer is the
-// unpruned one.
+// TestColChunkScanPruned: under a projection that keeps k and P over a
+// chunk scan selecting on x, the scan evaluates x in place and copies only
+// k and P out of its chunks — the dead columns' vectors, x's included,
+// stay empty — and the pipeline's answer is the unpruned one.
 func TestColChunkScanPruned(t *testing.T) {
 	rel := colTestRel(2*BatchSize+5, 16, 9)
 	pipeline := func() (*ColChunkScan, ColOperator) {
 		scan := memScan(rel)
-		f := &ColFilter{In: scan, Preds: []ColPred{{Col: 1, Op: OpLt, Val: table.Float(50)}}}
-		p, err := NewColumnProject(f, []string{"k", "P(R)"})
+		scan.Preds = []ColPred{{Col: 1, Op: OpLt, Val: table.Float(50)}}
+		p, err := NewColumnProject(scan, []string{"k", "P(R)"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,20 +188,22 @@ func TestColChunkScanPruned(t *testing.T) {
 	}
 	scan, op := pipeline()
 	mustSameRelations(t, "pruned pipeline", collect(t, op), want)
-	if fmt.Sprint(scan.need) != "[true true false false true]" {
-		t.Fatalf("chunk scan need = %v, want k, x and P", scan.need)
+	if fmt.Sprint(scan.need) != "[true false false false true]" {
+		t.Fatalf("chunk scan need = %v, want k and P", scan.need)
 	}
 	if err := scan.Open(); err != nil {
 		t.Fatal(err)
 	}
+	defer scan.Close()
 	b := table.NewColBatch(rel.Schema)
-	if n, err := scan.NextColBatch(b); err != nil || n != BatchSize {
-		t.Fatalf("pruned chunk scan: %d rows, err %v; want %d", n, err, BatchSize)
+	n, err := scan.NextColBatch(b)
+	if err != nil || n == 0 || b.Sel != nil {
+		t.Fatalf("pruned chunk scan: %d rows, err %v, selection %v; want a dense batch", n, err, b.Sel)
 	}
 	for c, live := range scan.need {
 		v := &b.Cols[c]
-		if cells := len(v.Ints) + len(v.Floats) + len(v.Strs) + len(v.Bytes); live != (cells == BatchSize) || !live && cells != 0 {
-			t.Fatalf("column %d (live %v) holds %d cells after a %d-row batch", c, live, cells, BatchSize)
+		if cells := len(v.Ints) + len(v.Floats) + len(v.Strs) + len(v.Bytes); live != (cells == n) || !live && cells != 0 {
+			t.Fatalf("column %d (live %v) holds %d cells after a %d-row batch", c, live, cells, n)
 		}
 	}
 }
@@ -212,8 +228,8 @@ func TestColHeapScanRejectsWrongKind(t *testing.T) {
 	}
 }
 
-// TestColPipelineIdentity: a planner-shaped tree — filter → hash join →
-// project — drained through StreamCtx over memory and disk scans returns
+// TestColPipelineIdentity: a planner-shaped tree — selecting scan → hash
+// join → project — drained through StreamCtx over memory and disk scans returns
 // the rows of a nested-loop reference, in its order (probe rows in scan
 // order, their matches in build order), with bit-identical cells.
 func TestColPipelineIdentity(t *testing.T) {
@@ -244,7 +260,7 @@ func TestColPipelineIdentity(t *testing.T) {
 	for _, src := range sources {
 		t.Run(src.name, func(t *testing.T) {
 			names := rel.Schema.Names()
-			f := &ColFilter{In: src.mk(), Preds: []ColPred{{Col: 0, Op: OpLt, Val: table.Int(60)}}}
+			f := withPreds(src.mk(), ColPred{Col: 0, Op: OpLt, Val: table.Int(60)})
 			p, err := NewColumnProject(hashJoin(t, f, src.mk(), []int{0}, []int{0}), []string{names[0], names[2], names[3], names[4]})
 			if err != nil {
 				t.Fatal(err)
@@ -255,8 +271,9 @@ func TestColPipelineIdentity(t *testing.T) {
 	}
 }
 
-// TestPruneColsLiveness: pruning marks exactly the projected columns plus
-// the filter's predicate columns live at the scan, and the pruned pipeline
+// TestPruneColsLiveness: pruning marks exactly the projected columns live
+// at the scan — a predicate column only the scan reads stays dead: it is
+// decoded for the kernels, never copied out — and the pruned pipeline
 // still produces the right projected rows.
 func TestPruneColsLiveness(t *testing.T) {
 	rel := colTestRel(1200, 18, 33)
@@ -264,14 +281,14 @@ func TestPruneColsLiveness(t *testing.T) {
 	pool := storage.NewBufferPool(8)
 	names := rel.Schema.Names()
 	scan := NewColHeapScan(h, pool, rel.Schema)
-	f := &ColFilter{In: scan, Preds: []ColPred{{Col: 1, Op: OpLt, Val: table.Float(50)}}}
-	p, err := NewColumnProject(f, []string{names[2], names[4]})
+	scan.Preds = []ColPred{{Col: 1, Op: OpLt, Val: table.Float(50)}}
+	p, err := NewColumnProject(scan, []string{names[2], names[4]})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pruneCols(p, nil)
-	// Live: s (projected), P (projected), x (predicate). Dead: k, V.
-	wantNeed := []bool{false, true, true, false, true}
+	// Live: s (projected), P (projected). Dead: k, x (the predicate's), V.
+	wantNeed := []bool{false, false, true, false, true}
 	if len(scan.need) != len(wantNeed) {
 		t.Fatalf("need has %d entries, want %d", len(scan.need), len(wantNeed))
 	}
@@ -294,43 +311,47 @@ func TestPruneColsLiveness(t *testing.T) {
 	mustSameRelations(t, "pruned", collect(t, p), want)
 }
 
-// TestColFilterAllocs pins the vectorized filter loop: narrowing the
-// selection vector over typed columns must not allocate per batch once the
-// batch storage is warm.
-func TestColFilterAllocs(t *testing.T) {
+// TestScanPredAllocs pins the selection kernels: a scan evaluating its
+// predicates over typed columns — chunks in place, or a heap file's
+// predicate minipages in a scratch batch — and copying out the qualifying
+// rows must not allocate per batch once the batch storage is warm.
+func TestScanPredAllocs(t *testing.T) {
 	rel := colTestRel(8*BatchSize, 8, 41)
-	f := &ColFilter{
-		In: memScan(rel),
-		Preds: []ColPred{
-			{Col: 0, Op: OpLt, Val: table.Int(70)},
-			{Col: 1, Op: OpGe, Val: table.Float(10)},
-		},
+	h := writeHeap(t, t.TempDir(), rel)
+	preds := []ColPred{
+		{Col: 0, Op: OpLt, Val: table.Int(70)},
+		{Col: 1, Op: OpGe, Val: table.Float(10)},
+		{Col: 2, Op: OpNe, Val: table.Str("s-0003")},
 	}
-	b := table.NewColBatch(rel.Schema)
-	drain := func() {
-		if err := f.Open(); err != nil {
-			t.Fatal(err)
-		}
-		rows := 0
-		for {
-			n, err := f.NextColBatch(b)
-			if err != nil {
+	pool := storage.NewBufferPool(64)
+	for _, scan := range []ColOperator{withPreds(memScan(rel), preds...), withPreds(NewColHeapScan(h, pool, rel.Schema), preds...)} {
+		b := table.NewColBatch(rel.Schema)
+		drain := func() {
+			if err := scan.Open(); err != nil {
 				t.Fatal(err)
 			}
-			if n == 0 {
-				break
+			rows := 0
+			for {
+				n, err := scan.NextColBatch(b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n == 0 {
+					break
+				}
+				rows += n
 			}
-			rows += n
+			if rows == 0 {
+				t.Fatal("the predicates qualified no rows")
+			}
+			scan.Close()
 		}
-		if rows == 0 {
-			t.Fatal("filter qualified no rows")
+		drain() // warm the batch storage and selection buffer
+		avg := testing.AllocsPerRun(10, drain)
+		t.Logf("%T: %.1f allocations per drain", scan, avg)
+		if avg > 8 {
+			t.Fatalf("%T with predicates allocated %.1f times per %d-batch drain, want ≤ 8", scan, avg, 8)
 		}
-		f.Close()
-	}
-	drain() // warm the batch storage and selection buffer
-	avg := testing.AllocsPerRun(10, drain)
-	if avg > 8 {
-		t.Fatalf("vectorized filter allocated %.1f times per %d-batch drain, want ≤ 8", avg, 8)
 	}
 }
 
@@ -386,9 +407,9 @@ func TestJoinFailedOpenReleasesPins(t *testing.T) {
 // TestHashJoinBuildOrder pins the chunked build's order: the join emits
 // exactly a nested-loop reference's rows in sequence — probe-major, then
 // build-input order within a key — not just the same multiset. The build
-// side has more than 3*BatchSize rows and passes through a ColFilter, so
-// its batches carry a selection vector and fill the BatchSize-row chunks
-// unevenly; its keys come in 50-row duplicate blocks that straddle chunk
+// side has more than 3*BatchSize rows and comes from a source that selects
+// the rows it keeps, so its batches carry a selection vector and fill the
+// BatchSize-row chunks unevenly; its keys come in 50-row duplicate blocks that straddle chunk
 // boundaries, as floats joined to the probe's ints (3.0 meets 3, 2.5
 // meets nothing) and as NULL blocks (NULL meets NULL, as under Compare);
 // its string payload is distinct per row, so the chunks hold it flat.
@@ -416,8 +437,8 @@ func TestHashJoinBuildOrder(t *testing.T) {
 		}
 		left.MustAppend(table.Tuple{k, table.Str(fmt.Sprintf("l-%d", i))})
 	}
-	keep := []ColPred{{Col: 1, Op: OpNe, Val: table.Int(0)}}
-	j := hashJoin(t, memScan(left), &ColFilter{In: &bytesScan{Rel: right}, Preds: keep}, []int{0}, []int{0})
+	keep := func(r table.Tuple) bool { return r[1].I != 0 }
+	j := hashJoin(t, memScan(left), &bytesScan{Rel: right, Keep: keep}, []int{0}, []int{0})
 	want := &table.Relation{Schema: j.Schema()}
 	built := 0
 	for _, r := range right.Rows {

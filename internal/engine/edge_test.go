@@ -68,11 +68,11 @@ func TestProjectArityMismatch(t *testing.T) {
 	}
 }
 
-// TestOperatorReopen: a filter and a hash join produce their whole stream
-// again when reopened after a drain.
+// TestOperatorReopen: a selecting scan and a hash join produce their whole
+// stream again when reopened after a drain.
 func TestOperatorReopen(t *testing.T) {
 	rel := intsRel("a", 1, 2, 3)
-	f := &ColFilter{In: memScan(rel), Preds: []ColPred{{Col: 0, Op: OpGt, Val: table.Int(1)}}}
+	f := withPreds(memScan(rel), ColPred{Col: 0, Op: OpGt, Val: table.Int(1)})
 	j := hashJoin(t, memScan(rel), memScan(intsRel("a", 3, 2, 3)), []int{0}, []int{0})
 	for round := 0; round < 2; round++ {
 		if n, err := countCols(f); err != nil || n != 2 {

@@ -40,6 +40,19 @@ func memScan(rel *table.Relation) *ColChunkScan {
 	return &ColChunkScan{S: rel.Schema, Chunks: st.Chunks}
 }
 
+// withPreds hands a scan its selections.
+func withPreds(op ColOperator, preds ...ColPred) ColOperator {
+	switch s := op.(type) {
+	case *ColChunkScan:
+		s.Preds = preds
+	case *ColHeapScan:
+		s.Preds = preds
+	default:
+		panic(fmt.Sprintf("withPreds: %T is not a scan", op))
+	}
+	return op
+}
+
 // collect drains a columnar operator into a relation through StreamCtx.
 func collect(t *testing.T, op ColOperator) *table.Relation {
 	t.Helper()
@@ -82,14 +95,14 @@ func hashJoin(t *testing.T, l, r ColOperator, lk, rk []int) *ColHashJoin {
 
 func TestFilter(t *testing.T) {
 	rel := intsRel("a", 1, 2, 3, 4, 5)
-	f := &ColFilter{In: memScan(rel), Preds: []ColPred{{Col: 0, Op: OpGt, Val: table.Int(3)}}}
+	f := withPreds(memScan(rel), ColPred{Col: 0, Op: OpGt, Val: table.Int(3)})
 	rows := collect(t, f).Rows
 	if len(rows) != 2 || rows[0][0].I != 4 || rows[1][0].I != 5 {
 		t.Fatalf("rows = %v", rows)
 	}
 }
 
-// TestCmpOps is ColFilter's predicate table: for every CmpOp, the rows a
+// TestCmpOps is the scans' predicate table: for every CmpOp, the rows a
 // column-vs-constant predicate keeps are exactly those whose cell c has
 // op.Holds(table.Compare(c, constant)) — over NULL cells, int columns
 // against float constants and float columns against int ones, the typed
@@ -157,7 +170,7 @@ func TestCmpOps(t *testing.T) {
 								want = append(want, row)
 							}
 						}
-						got := collect(t, &ColFilter{In: scan(), Preds: preds})
+						got := collect(t, withPreds(scan(), preds...))
 						label := fmt.Sprintf("%s %s %v %v sel=%v", src, col, op, c, withSel)
 						mustSameRelations(t, label, got, &table.Relation{Schema: sch, Rows: want})
 					}
@@ -231,8 +244,8 @@ func TestHeapScanThroughEngine(t *testing.T) {
 	if err != nil || n != 1000 {
 		t.Fatalf("count = %d, %v", n, err)
 	}
-	// Filter on top of heap scan.
-	f := &ColFilter{In: NewColHeapScan(h, pool, sch), Preds: []ColPred{{Col: 0, Op: OpLt, Val: table.Int(10)}}}
+	// Selection in the heap scan.
+	f := withPreds(NewColHeapScan(h, pool, sch), ColPred{Col: 0, Op: OpLt, Val: table.Int(10)})
 	if rows := collect(t, f).Rows; len(rows) != 10 {
 		t.Fatalf("filtered rows = %d", len(rows))
 	}

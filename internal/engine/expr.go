@@ -1,15 +1,19 @@
 // Package engine is the relational query executor under the confidence
-// operators: vectorized scan, filter, project and hash-join operators over
+// operators: vectorized scan, project and hash-join operators over
 // table.ColBatch column vectors, in the MonetDB/X100 tradition. It plays the
 // role of the PostgreSQL executor that SPROUT extends — the confidence
 // operator in internal/conf consumes the answer streams produced here.
 //
 // The planner builds ColOperator trees directly (colexec.go, coljoin.go):
 // per-column typed vectors with a selection vector move BatchSize rows per
-// call, filters narrow the selection without moving a cell, projections
-// re-expose column headers with zero copies, and dead-column pruning keeps
-// heap scans from decoding columns nothing reads. StreamCtx drains a tree
-// into a Sink, the one hand-off format into the confidence phase.
+// call, projections re-expose column headers with zero copies, and
+// dead-column pruning keeps heap scans from decoding columns nothing reads.
+// Selections belong to the scans: a ColChunkScan or ColHeapScan evaluates
+// its ColPreds with the typed kernels of pred.go and hands on dense batches
+// of the qualifying rows alone — the heap scan decoding the predicate
+// columns first and the rest at those rows only (late materialization).
+// StreamCtx drains a tree into a Sink, the one hand-off format into the
+// confidence phase.
 //
 // The hash join (coljoin.go, gracejoin.go) is memory-governed: under
 // pressure it degrades to a grace join, which sorts both inputs on their

@@ -199,36 +199,40 @@ func depth(t *query.Tree) int {
 // leafPipeline builds the operator reading one relation occurrence: a scan
 // of the base table — its column chunks, or the heap file through the
 // buffer pool for disk-resident tables (Catalog.BindDisk) — under the
-// occurrence's rename → filter → project pipeline. The projection keeps the
-// attributes the plan's leaf projection names plus the occurrence's
-// uncertainty columns — V and P under ModeLineage, P alone under ModeProb;
-// selections are applied before attributes are dropped.
+// occurrence's rename → project pipeline. The occurrence's selections,
+// mapped through the rename onto the base table's columns, go to the scan,
+// which evaluates them before it copies or decodes anything else. The
+// projection keeps the attributes the plan's leaf projection names plus
+// the occurrence's uncertainty columns — V and P under ModeLineage, P alone
+// under ModeProb.
 func leafPipeline(c *Catalog, q *query.Query, ref query.RelRef, attrs []string, mode logical.Mode) (engine.ColOperator, error) {
 	base, err := c.Base(ref)
 	if err != nil {
 		return nil, err
 	}
-	var op engine.ColOperator = &engine.ColChunkScan{S: base.Rel.Schema, Chunks: base.Rel.Chunks}
-	if db := c.Disk(ref.Base); db != nil {
-		op = engine.NewColHeapScan(db.File, db.Pool, base.Rel.Schema)
-	}
-	if op, err = c.Rename(ref, op); err != nil {
+	idx, renamed, err := renaming(ref, base.Rel.Schema)
+	if err != nil {
 		return nil, err
 	}
 	var preds []engine.ColPred
-	s := op.Schema()
 	for _, sel := range q.Sels {
 		if sel.Rel != ref.Name {
 			continue
 		}
-		idx := s.ColIndex(sel.Attr)
-		if idx < 0 {
+		j := renamed.ColIndex(sel.Attr)
+		if j < 0 {
 			return nil, fmt.Errorf("plan: selection attribute %s missing from %s", sel.Attr, ref.Name)
 		}
-		preds = append(preds, engine.ColPred{Col: idx, Op: sel.Op, Val: sel.Val})
+		preds = append(preds, engine.ColPred{Col: idx[j], Op: sel.Op, Val: sel.Val})
 	}
-	if len(preds) > 0 {
-		op = &engine.ColFilter{In: op, Preds: preds}
+	var op engine.ColOperator = &engine.ColChunkScan{S: base.Rel.Schema, Chunks: base.Rel.Chunks, Preds: preds}
+	if db := c.Disk(ref.Base); db != nil {
+		hs := engine.NewColHeapScan(db.File, db.Pool, base.Rel.Schema)
+		hs.Preds = preds
+		op = hs
+	}
+	if op, err = engine.NewColProject(op, idx, renamed); err != nil {
+		return nil, err
 	}
 	names := slices.Clone(attrs)
 	if mode == logical.ModeLineage {

@@ -32,7 +32,6 @@ import (
 	"slices"
 	"sync"
 
-	"repro/internal/engine"
 	"repro/internal/query"
 	"repro/internal/stats"
 	"repro/internal/storage"
@@ -192,17 +191,17 @@ func (c *Catalog) Base(ref query.RelRef) (*table.ProbTable, error) {
 	return base, nil
 }
 
-// Rename wraps an operator over the base table's schema with the occurrence
-// renaming: data columns positionally renamed to the occurrence's attribute
-// names, V/P columns renamed to the occurrence name. Renaming is what makes
-// the paper's alias trick for self-joins work (two copies of Nation with
-// attributes n1key/n2key, §VI on TPC-H query 7). It is a zero-copy
-// projection that relabels the scan's columns.
-func (c *Catalog) Rename(ref query.RelRef, in engine.ColOperator) (engine.ColOperator, error) {
-	bs := in.Schema()
+// renaming returns the occurrence renaming of a base schema bs — its
+// output schema, and for each output column the base column it is — for
+// the zero-copy projection that relabels a leaf's scan: data columns
+// positionally renamed to the occurrence's attribute names, V/P columns
+// renamed to the occurrence name. Renaming is what makes the paper's alias
+// trick for self-joins work (two copies of Nation with attributes
+// n1key/n2key, §VI on TPC-H query 7).
+func renaming(ref query.RelRef, bs *table.Schema) ([]int, *table.Schema, error) {
 	dataIdx := bs.DataIndexes()
 	if len(ref.Attrs) != len(dataIdx) {
-		return nil, fmt.Errorf("plan: occurrence %s has %d attributes but base %s has %d data columns",
+		return nil, nil, fmt.Errorf("plan: occurrence %s has %d attributes but base %s has %d data columns",
 			ref.Name, len(ref.Attrs), ref.Base, len(dataIdx))
 	}
 	cols := make([]table.Column, 0, len(dataIdx)+2)
@@ -211,5 +210,5 @@ func (c *Catalog) Rename(ref query.RelRef, in engine.ColOperator) (engine.ColOpe
 	}
 	cols = append(cols, table.VarCol(ref.Name), table.ProbCol(ref.Name))
 	idx := append(slices.Clone(dataIdx), bs.VarIndex(ref.Base), bs.ProbIndex(ref.Base))
-	return engine.NewColProject(in, idx, table.NewSchema(cols...))
+	return idx, table.NewSchema(cols...), nil
 }

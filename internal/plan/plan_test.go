@@ -267,18 +267,18 @@ func TestHierarchicalOrderDeepestFirst(t *testing.T) {
 // TestScanRename: aliases rename data columns positionally.
 func TestScanRename(t *testing.T) {
 	cat, _ := fig1Catalog()
-	scan := func(ref query.RelRef) (engine.ColOperator, error) {
+	scan := func(ref query.RelRef) (*table.Schema, error) {
 		base, err := cat.Base(ref)
 		if err != nil {
 			return nil, err
 		}
-		return cat.Rename(ref, &engine.ColChunkScan{S: base.Rel.Schema, Chunks: base.Rel.Chunks})
+		_, s, err := renaming(ref, base.Rel.Schema)
+		return s, err
 	}
-	op, err := scan(query.Alias("Cust2", "Cust", "c2key", "c2name"))
+	s, err := scan(query.Alias("Cust2", "Cust", "c2key", "c2name"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := op.Schema()
 	if s.ColIndex("c2key") != 0 || s.VarIndex("Cust2") < 0 {
 		t.Errorf("alias schema = %v", s)
 	}

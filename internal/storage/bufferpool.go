@@ -23,8 +23,12 @@ type frameKey struct {
 }
 
 // BufferPool caches heap-file pages with pin counting and LRU replacement.
-// It is the read path of every table scan; the paper's warm-cache timings
-// correspond to scans that fully hit the pool.
+// It is the read path of scans of files of up to a quarter of its capacity
+// (a small table's pages stay cached across queries, the paper's warm-cache
+// setup, §VII) and of single-page reads. A scan of a larger file reads
+// extents through a scan-private ring instead (Scanner), bypassing the
+// frames, so that it neither pays the pool's mutex per page nor evicts the
+// small tables' pages; the pages it reads still count as misses.
 type BufferPool struct {
 	mu       sync.Mutex
 	capacity int
@@ -97,7 +101,21 @@ func (bp *BufferPool) Unpin(fr *Frame) {
 	}
 }
 
-// Stats returns cumulative hit/miss counters.
+// ringPages is the largest file, in pages, whose scans go through the
+// frames: a quarter of the capacity. A scan of a larger file would cycle
+// the whole pool for pages it reads once (PostgreSQL's BAS_BULKREAD rule).
+func (bp *BufferPool) ringPages() int64 { return int64(bp.capacity / 4) }
+
+// countRead counts n pages a ring scan read from the file as misses.
+func (bp *BufferPool) countRead(n int) {
+	bp.mu.Lock()
+	bp.misses += int64(n)
+	bp.mu.Unlock()
+}
+
+// Stats returns the cumulative counters: hits are page fetches the frames
+// served, misses the pages read from the file — by Fetch into a frame, or
+// by a ring scan into its extent.
 func (bp *BufferPool) Stats() (hits, misses int64) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"os"
 	"slices"
 
+	"repro/internal/freelist"
 	"repro/internal/table"
 )
 
@@ -232,28 +233,51 @@ func (h *HeapFile) Remove() error {
 	return ioRemove(h.path)
 }
 
-// Scanner iterates a heap file in storage order, a page at a time,
-// fetching pages through a buffer pool when one is supplied. NextBlock
-// decodes rows onto a caller's column batch; Next lends tuples decoded
-// from the current page; NextRaw hands out the pages undecoded.
+// Scanner iterates a heap file in storage order, a page at a time. With a
+// buffer pool, a file of up to a quarter of the pool's capacity is read
+// through the pool's frames, one page per fetch; a larger file is read in
+// extents of extentPages pages per system call into a scan-private buffer
+// drawn from the engine's free list, bypassing the frames (a ring: the
+// pages are read once and dropped). Without a pool, pages are read one at
+// a time. NextBlock decodes rows onto a caller's column batch; Window,
+// Decode, Gather and Seek let a caller decode a page's predicate columns
+// first and the rest at the qualifying rows alone (late materialization);
+// Next lends tuples decoded from the current page, and NextRaw hands out
+// the pages undecoded.
 type Scanner struct {
 	h      *HeapFile
 	pool   *BufferPool
-	page   *Page
+	page   *Page  // reads without a pool land here
+	buf    []byte // the current page's bytes, nil past the end
 	pinned *Frame
 	pageNo int64
 	layout pageLayout // of the current page, once parsed
 	row    int        // the current page's next row
 
+	ring     bool    // read extents, bypassing the pool's frames
+	ext      *extent // the extent in hand, pages [extFirst, extFirst+extPages)
+	extFirst int64
+	extPages int
+	lease    freelist.Lease
+
 	block table.ColBatch // Next: the current page, decoded
 	tuple table.Tuple    // Next: the lent tuple
 }
+
+// extentPages is how many pages a ring scan reads per system call: 256 KiB.
+const extentPages = 32
+
+// extent is a ring scan's read buffer.
+type extent [extentPages * PageSize]byte
+
+// extentList holds the idle extents of ring scans.
+var extentList = freelist.New(func(*extent) int64 { return extentPages * PageSize }, func(**extent) {})
 
 // NewScanner returns a scanner positioned before the first page. pool may
 // be nil, in which case pages are read directly (used by temp files that are
 // scanned exactly once).
 func (h *HeapFile) NewScanner(pool *BufferPool) *Scanner {
-	return &Scanner{h: h, pool: pool, pageNo: -1}
+	return &Scanner{h: h, pool: pool, pageNo: -1, ring: pool != nil && h.numPages > pool.ringPages()}
 }
 
 // advance moves to the next page, ok=false past the last, and parses its
@@ -266,35 +290,119 @@ func (s *Scanner) advance(parse bool) (bool, error) {
 	s.row, s.layout.rows = 0, 0
 	s.pageNo++
 	if s.pageNo >= s.h.numPages {
-		s.page = nil
+		s.buf = nil
+		s.dropExtent()
 		return false, nil
 	}
-	if s.pool != nil {
+	switch {
+	case s.ring:
+		if err := s.fromExtent(); err != nil {
+			return false, err
+		}
+	case s.pool != nil:
 		fr, err := s.pool.Fetch(s.h, s.pageNo)
 		if err != nil {
 			return false, err
 		}
 		s.pinned = fr
-		s.page = fr.Page()
-	} else {
+		s.buf = fr.Page().Bytes()
+	default:
 		if s.page == nil {
 			s.page = new(Page)
 		}
 		if err := s.h.ReadPage(s.pageNo, s.page); err != nil {
 			return false, err
 		}
+		s.buf = s.page.Bytes()
 	}
 	if parse {
-		if err := s.layout.parse(s.page.Bytes()); err != nil {
+		if err := s.layout.parse(s.buf); err != nil {
 			return false, s.pageErr(err)
 		}
 	}
 	return true, nil
 }
 
+// fromExtent points buf at the current page in the extent in hand,
+// reading the extent that starts at the page first when the page lies past
+// it, and checks the page's format: each page is checked as the scan
+// reaches it, so an error names the page.
+func (s *Scanner) fromExtent() error {
+	if s.ext == nil || s.pageNo >= s.extFirst+int64(s.extPages) {
+		if s.ext == nil {
+			if s.ext, _ = extentList.Largest(&s.lease, 0); s.ext == nil {
+				s.ext = new(extent)
+			}
+		}
+		n := int(min(extentPages, s.h.numPages-s.pageNo))
+		b := s.ext[:n*PageSize]
+		got, err := ioReadAt(s.h.f, s.h.path, b, s.pageNo*PageSize)
+		if err == nil && got < len(b) || err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			s.extPages = 0
+			return fmt.Errorf("storage: %s page %d: read an extent of %d pages: %w", s.h.path, s.pageNo, n, err)
+		}
+		s.extFirst, s.extPages = s.pageNo, n
+		s.pool.countRead(n)
+	}
+	at := int(s.pageNo-s.extFirst) * PageSize
+	s.buf = s.ext[at : at+PageSize]
+	if err := checkFormat(s.buf); err != nil {
+		return s.pageErr(err)
+	}
+	return nil
+}
+
+// dropExtent gives the extent in hand back to the free list.
+func (s *Scanner) dropExtent() {
+	if s.ext != nil {
+		extentList.Put(&s.lease, 0, s.ext)
+		s.ext, s.extPages = nil, 0
+	}
+}
+
 // pageErr names the file and the current page in err.
 func (s *Scanner) pageErr(err error) error {
 	return fmt.Errorf("%s page %d: %w", s.h.path, s.pageNo, err)
+}
+
+// Window returns the current page's unread rows [lo, hi), at most max of
+// them, moving to the next page that has rows when the current one is used
+// up; lo == hi at the end of the file. The rows stay unread until Seek
+// moves past them.
+func (s *Scanner) Window(max int) (lo, hi int, err error) {
+	for s.buf == nil || s.row >= s.layout.rows {
+		if ok, err := s.advance(true); err != nil || !ok {
+			return 0, 0, err
+		}
+	}
+	return s.row, min(s.row+max, s.layout.rows), nil
+}
+
+// Seek marks the current page's rows before row read.
+func (s *Scanner) Seek(row int) { s.row = row }
+
+// Decode appends rows [lo, hi) of the current page to dst — the columns
+// need marks (nil = all) cell by cell, the others not at all — and counts
+// them in dst.N, without marking them read.
+func (s *Scanner) Decode(dst *table.ColBatch, lo, hi int, need []bool) error {
+	if err := s.layout.decode(s.buf, dst, lo, hi, need); err != nil {
+		return s.pageErr(err)
+	}
+	return nil
+}
+
+// Gather appends the current page's rows lo+rows[i], in rows' order, to
+// dst — the columns need marks (nil = all) cell by cell, the others not at
+// all — and counts them in dst.N: the qualifying rows of a window whose
+// predicate columns Decode decoded.
+func (s *Scanner) Gather(dst *table.ColBatch, lo int, rows []int32, need []bool) error {
+	if err := s.layout.gather(s.buf, dst, lo, rows, need); err != nil {
+		return s.pageErr(err)
+	}
+	return nil
 }
 
 // NextBlock appends up to max rows of the current page to dst, moving to
@@ -307,17 +415,15 @@ func (s *Scanner) pageErr(err error) error {
 // other than an all-NULL one, fails the scan: a heap file is where rows
 // enter the engine from outside.
 func (s *Scanner) NextBlock(dst *table.ColBatch, max int, need []bool) (int, error) {
-	for s.page == nil || s.row >= s.layout.rows {
-		if ok, err := s.advance(true); err != nil || !ok {
-			return 0, err
-		}
+	lo, hi, err := s.Window(max)
+	if err != nil || lo == hi {
+		return 0, err
 	}
-	k := min(max, s.layout.rows-s.row)
-	if err := s.layout.decode(s.page.Bytes(), dst, s.row, s.row+k, need); err != nil {
-		return 0, s.pageErr(err)
+	if err := s.Decode(dst, lo, hi, need); err != nil {
+		return 0, err
 	}
-	s.row += k
-	return k, nil
+	s.row = hi
+	return hi - lo, nil
 }
 
 // Next returns the next tuple, or ok=false at end of file. The tuple is
@@ -329,7 +435,7 @@ func (s *Scanner) NextBlock(dst *table.ColBatch, max int, need []bool) (int, err
 // benchmark's storage.decode_s probe, and the tests.
 func (s *Scanner) Next() (table.Tuple, bool, error) {
 	b := &s.block
-	for s.page == nil || s.row >= b.N {
+	for s.buf == nil || s.row >= b.N {
 		if ok, err := s.advance(true); err != nil || !ok {
 			return nil, false, err
 		}
@@ -338,7 +444,7 @@ func (s *Scanner) Next() (table.Tuple, bool, error) {
 		for c := range b.Cols {
 			b.Cols[c].Reuse(s.layout.cols[c].kind)
 		}
-		if err := s.layout.decode(s.page.Bytes(), b, 0, s.layout.rows, nil); err != nil {
+		if err := s.layout.decode(s.buf, b, 0, s.layout.rows, nil); err != nil {
 			return nil, false, s.pageErr(err)
 		}
 	}
@@ -367,13 +473,15 @@ func (s *Scanner) NextRaw() ([]byte, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	return s.page.Bytes(), true, nil
+	return s.buf, true, nil
 }
 
-// Close releases any pinned page.
+// Close releases any pinned page and gives the scan's extent back.
 func (s *Scanner) Close() {
 	if s.pinned != nil {
 		s.pool.Unpin(s.pinned)
 		s.pinned = nil
 	}
+	s.buf = nil
+	s.dropExtent()
 }

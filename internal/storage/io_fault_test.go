@@ -2,8 +2,10 @@ package storage
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -156,47 +158,163 @@ func TestTornPagePersistsPrefix(t *testing.T) {
 	}
 }
 
-// TestScanAbortUnpinsPages: a scan that stops mid-file (injected read
-// fault) leaves zero pinned frames once closed — the chaos harness's
-// pinned-page invariant in miniature.
-func TestScanAbortUnpinsPages(t *testing.T) {
-	dir := t.TempDir()
+// scanFile writes rows rows of (i, "xxxxxxxx") to a heap file in dir and
+// reopens it for reading: about 450 rows a page.
+func scanFile(t *testing.T, dir string, rows int) *HeapFile {
+	t.Helper()
 	path := filepath.Join(dir, "scan.heap")
 	h, err := CreateHeapFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3000; i++ { // several pages
+	for i := 0; i < rows; i++ {
 		if err := h.Append(table.Tuple{table.Int(int64(i)), table.Str("xxxxxxxx")}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := h.FinishWrites(); err != nil {
+	if err := h.Close(); err != nil {
 		t.Fatal(err)
 	}
-	defer h.Close()
+	ro, err := OpenHeapFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ro.Close() })
+	return ro
+}
 
-	installIO(t, &fault.IO{Plan: fault.NewPlan(3,
-		fault.Rule{Op: fault.OpRead, Nth: 2, Kind: fault.KindErr})})
-	pool := NewBufferPool(8)
-	sc := h.NewScanner(pool)
-	var scanErr error
+// scanKeys drains a scanner's first column.
+func scanKeys(sc *Scanner) ([]int64, error) {
+	defer sc.Close()
+	var keys []int64
 	for {
-		_, ok, err := sc.Next()
+		tup, ok, err := sc.Next()
+		if err != nil || !ok {
+			return keys, err
+		}
+		keys = append(keys, tup[0].I)
+	}
+}
+
+// TestScanAbortUnpinsPages: a scan that stops mid-file (injected read
+// fault) leaves zero pinned frames once closed — the chaos harness's
+// pinned-page invariant in miniature — on both read paths: a file larger
+// than a quarter of the pool, read in extents (its second extent read
+// fails), and a file within a quarter of it, read through the frames (its
+// second page fetch fails).
+func TestScanAbortUnpinsPages(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		rows, pool int
+	}{
+		{"ring", 40000, 8},
+		{"pool", 3000, 64},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := scanFile(t, t.TempDir(), tc.rows)
+			pool := NewBufferPool(tc.pool)
+			if ring := h.NumPages() > int64(tc.pool/4); ring != (tc.name == "ring") || h.NumPages() <= extentPages && ring {
+				t.Fatalf("%d pages under a %d-page pool: ring %v", h.NumPages(), tc.pool, ring)
+			}
+			installIO(t, &fault.IO{Plan: fault.NewPlan(3,
+				fault.Rule{Op: fault.OpRead, Nth: 2, Kind: fault.KindErr})})
+			keys, scanErr := scanKeys(h.NewScanner(pool))
+			if !fault.IsInjected(scanErr) {
+				t.Fatalf("scan error %v, want injected read fault", scanErr)
+			}
+			if len(keys) == 0 || len(keys) >= tc.rows {
+				t.Fatalf("the scan stopped after %d of %d rows, want mid-file", len(keys), tc.rows)
+			}
+			if n := pool.Pinned(); n != 0 {
+				t.Errorf("%d frames still pinned after aborted scan", n)
+			}
+		})
+	}
+}
+
+// TestExtentTransientFaultRetried: a transient fault on the k-th extent
+// read is retried inside storage, and the scan reads exactly what an
+// unfaulted one does.
+func TestExtentTransientFaultRetried(t *testing.T) {
+	h := scanFile(t, t.TempDir(), 40000)
+	if h.NumPages() <= 2*extentPages {
+		t.Fatalf("%d pages: the third extent read must exist", h.NumPages())
+	}
+	pool := NewBufferPool(8)
+	want, err := scanKeys(h.NewScanner(pool))
+	if err != nil || len(want) != 40000 {
+		t.Fatalf("clean scan: %d rows, %v", len(want), err)
+	}
+	for k := 1; k <= 3; k++ {
+		io := &fault.IO{
+			Plan: fault.NewPlan(int64(k),
+				fault.Rule{Op: fault.OpRead, Nth: int64(k), Kind: fault.KindErr, Transient: true}),
+			Retry: fault.Retry{MaxAttempts: 3, Base: time.Microsecond, Max: time.Millisecond},
+			Sleep: func(time.Duration) {},
+		}
+		installIO(t, io)
+		got, err := scanKeys(h.NewScanner(pool))
+		SetIO(nil)
 		if err != nil {
-			scanErr = err
-			break
+			t.Fatalf("extent %d: transient fault surfaced: %v", k, err)
 		}
-		if !ok {
-			break
+		if !slices.Equal(got, want) {
+			t.Fatalf("extent %d: faulted scan read %d rows, differing from the clean scan's %d", k, len(got), len(want))
 		}
+		if io.Retries() != 1 {
+			t.Fatalf("extent %d: retries = %d, want 1", k, io.Retries())
+		}
+	}
+}
+
+// TestExtentHardFaultNamesPage: a hard fault on an extent read ends the
+// scan in a typed *fault.Injected error that names the file and the first
+// page of the extent.
+func TestExtentHardFaultNamesPage(t *testing.T) {
+	h := scanFile(t, t.TempDir(), 40000)
+	installIO(t, &fault.IO{Plan: fault.NewPlan(5,
+		fault.Rule{Op: fault.OpRead, Nth: 2, Kind: fault.KindErr})})
+	_, err := scanKeys(h.NewScanner(NewBufferPool(8)))
+	var inj *fault.Injected
+	if !errors.As(err, &inj) {
+		t.Fatalf("scan error %v, want a *fault.Injected", err)
+	}
+	if want := fmt.Sprintf("%s page %d", h.Path(), extentPages); !strings.Contains(err.Error(), want) {
+		t.Fatalf("scan error %q does not name %q", err, want)
+	}
+}
+
+// TestExtentCorruptPageNamed: a page inside an extent that is not a column
+// page fails the scan with ErrPageFormat naming that page, after the rows
+// of the pages before it.
+func TestExtentCorruptPageNamed(t *testing.T) {
+	h := scanFile(t, t.TempDir(), 40000)
+	const bad = extentPages + 5
+	sc := h.NewScanner(nil)
+	before := 0 // the rows of pages 0..bad-1
+	for p := 0; p < bad; p++ {
+		lo, hi, err := sc.Window(maxPageRows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before += hi - lo
+		sc.Seek(hi)
 	}
 	sc.Close()
-	if !fault.IsInjected(scanErr) {
-		t.Fatalf("scan error %v, want injected read fault", scanErr)
+	raw, err := os.ReadFile(h.Path())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := pool.Pinned(); n != 0 {
-		t.Errorf("%d frames still pinned after aborted scan", n)
+	clear(raw[bad*PageSize : bad*PageSize+4]) // the page's magic
+	if err := os.WriteFile(h.Path(), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	keys, err := scanKeys(h.NewScanner(NewBufferPool(8)))
+	if want := fmt.Sprintf("%s page %d", h.Path(), bad); !errors.Is(err, ErrPageFormat) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("scan error %v, want ErrPageFormat naming %q", err, want)
+	}
+	if len(keys) != before {
+		t.Fatalf("the scan read %d rows before failing, want the %d of pages 0..%d", len(keys), before, bad-1)
 	}
 }
 

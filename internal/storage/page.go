@@ -19,6 +19,16 @@
 // per run; what a sort holds in memory is set by its tuple budget, never by
 // the size of its input. The tuple forms (HeapFile.Append, Scanner.Next)
 // serve the comparator sort and the benchmark's decode probe.
+//
+// A scan that selects decodes a page window's predicate columns first
+// (Scanner.Window, Decode) and the columns it hands on at the qualifying
+// rows alone (Scanner.Gather): late materialization. A scan of
+// a file larger than a quarter of its buffer pool is a ring scan: it reads
+// 32 pages (256 KiB) per system call into a scan-private extent drawn from
+// the engine's free list, past the pool's frames and mutex, and checks
+// each page's format as it reaches it (PostgreSQL's bulk-read strategy);
+// the pool counts those pages as misses, and a small table's cached pages
+// survive it. Smaller files, and single-page reads, go through the pool.
 package storage
 
 import (
@@ -173,25 +183,59 @@ func (l *pageLayout) decode(buf []byte, dst *table.ColBatch, lo, hi int, need []
 		if need != nil && !need[c] {
 			continue
 		}
-		m, v := &l.cols[c], &dst.Cols[c]
-		if m.kind != table.KindNull && m.kind != v.Kind {
-			name := fmt.Sprint(c)
-			if dst.Schema != nil {
-				name = dst.Schema.Cols[c].Name
-			}
-			return fmt.Errorf("storage: column %s is %s, stored field is %s", name, v.Kind, m.kind)
-		}
-		if err := decodeCol(buf, m, l.rows, v, dst.N, lo, hi); err != nil {
-			return fmt.Errorf("storage: column %d: %w", c, err)
+		if err := l.decodeCol(buf, dst, c, lo, hi, nil); err != nil {
+			return err
 		}
 	}
 	dst.N += hi - lo
 	return nil
 }
 
-// decodeCol appends rows [lo, hi) of minipage m, of a page of rows rows,
-// onto v as its rows n, n+1, ….
-func decodeCol(buf []byte, m *minipage, rows int, v *table.ColVec, n, lo, hi int) error {
+// gather appends the page's rows lo+rows[i] onto dst: the columns need
+// marks (nil = all), the others not at all, while dst.N counts every
+// appended row.
+func (l *pageLayout) gather(buf []byte, dst *table.ColBatch, lo int, rows []int32, need []bool) error {
+	if len(l.cols) != len(dst.Cols) {
+		return fmt.Errorf("storage: page of %d columns, want %d", len(l.cols), len(dst.Cols))
+	}
+	for c := range dst.Cols {
+		if need != nil && !need[c] {
+			continue
+		}
+		if err := l.decodeCol(buf, dst, c, lo, lo+len(rows), rows); err != nil {
+			return err
+		}
+	}
+	dst.N += len(rows)
+	return nil
+}
+
+// decodeCol appends the page's column c onto dst's: rows [lo, hi), or when
+// rows is not nil the rows lo+rows[i]. A column stored with another kind
+// than dst's, other than KindNull, fails.
+func (l *pageLayout) decodeCol(buf []byte, dst *table.ColBatch, c, lo, hi int, rows []int32) error {
+	m, v := &l.cols[c], &dst.Cols[c]
+	if m.kind != table.KindNull && m.kind != v.Kind {
+		name := fmt.Sprint(c)
+		if dst.Schema != nil {
+			name = dst.Schema.Cols[c].Name
+		}
+		return fmt.Errorf("storage: column %s is %s, stored field is %s", name, v.Kind, m.kind)
+	}
+	var err error
+	if rows == nil {
+		err = decodeCol(buf, m, l.rows, v, dst.N, lo, hi)
+	} else {
+		err = gatherCol(buf, m, l.rows, v, dst.N, lo, rows)
+	}
+	if err != nil {
+		return fmt.Errorf("storage: column %d: %w", c, err)
+	}
+	return nil
+}
+
+// flat readies string column v to take decoded cells as flat bytes.
+func flat(v *table.ColVec) error {
 	if v.Kind == table.KindString {
 		switch v.Mode {
 		case table.StrNone:
@@ -200,6 +244,15 @@ func decodeCol(buf []byte, m *minipage, rows int, v *table.ColVec, n, lo, hi int
 		case table.StrHeader:
 			return errors.New("the string column holds shared headers; a page decodes into flat bytes")
 		}
+	}
+	return nil
+}
+
+// decodeCol appends rows [lo, hi) of minipage m, of a page of rows rows,
+// onto v as its rows n, n+1, ….
+func decodeCol(buf []byte, m *minipage, rows int, v *table.ColVec, n, lo, hi int) error {
+	if err := flat(v); err != nil {
+		return err
 	}
 	if m.kind == table.KindNull {
 		for i := lo; i < hi; i++ {
@@ -249,6 +302,55 @@ func decodeCol(buf []byte, m *minipage, rows int, v *table.ColVec, n, lo, hi int
 			prev = o
 		}
 		v.Bytes = append(v.Bytes, cells[first:prev]...)
+	}
+	return nil
+}
+
+// gatherCol appends minipage m's rows lo+rows[i], of a page of rows rows,
+// onto v as its rows n, n+1, ….
+func gatherCol(buf []byte, m *minipage, rows int, v *table.ColVec, n, lo int, sel []int32) error {
+	if err := flat(v); err != nil {
+		return err
+	}
+	if m.kind == table.KindNull {
+		for i := range sel {
+			v.AppendValue(n+i, table.Null())
+		}
+		return nil
+	}
+	if m.nulls >= 0 {
+		bitmap := buf[m.nulls:m.data]
+		for i, r := range sel {
+			if row := lo + int(r); bitmap[row>>3]&(1<<(row&7)) != 0 {
+				v.SetNull(n + i)
+			}
+		}
+	}
+	src := buf[m.data:m.end]
+	switch m.kind {
+	case table.KindInt, table.KindBool:
+		v.Ints = slices.Grow(v.Ints, len(sel))
+		for _, r := range sel {
+			v.Ints = append(v.Ints, int64(binary.LittleEndian.Uint64(src[8*(lo+int(r)):])))
+		}
+	case table.KindFloat:
+		v.Floats = slices.Grow(v.Floats, len(sel))
+		for _, r := range sel {
+			v.Floats = append(v.Floats, math.Float64frombits(binary.LittleEndian.Uint64(src[8*(lo+int(r)):])))
+		}
+	case table.KindString:
+		offs, cells := src[:2*(rows+1)], src[2*(rows+1):]
+		v.Offs = slices.Grow(v.Offs, len(sel))
+		for _, r := range sel {
+			row := lo + int(r)
+			a := int(binary.LittleEndian.Uint16(offs[2*row:]))
+			b := int(binary.LittleEndian.Uint16(offs[2*row+2:]))
+			if a > b || b > len(cells) {
+				return fmt.Errorf("corrupt page: string cell at %d..%d of %d bytes", a, b, len(cells))
+			}
+			v.Bytes = append(v.Bytes, cells[a:b]...)
+			v.Offs = append(v.Offs, int32(len(v.Bytes)))
+		}
 	}
 	return nil
 }

@@ -336,8 +336,9 @@ func scanAll(sc *Scanner) (int, error) {
 // values, NULLs sprinkled in — laid out in fuzzer-chosen string layouts,
 // are written reps times, alternately as the live rows of a selection
 // vector and in a permuted row order, across as many pages as that takes;
-// NextBlock of a random subset of the columns, in random-sized blocks, and
-// Next read back exactly the rows written. Each page, mutated or truncated,
+// NextBlock of a random subset of the columns, in random-sized blocks,
+// Gather of a random subset of the rows of random-sized windows, read in
+// extents by a ring scan, and Next read back exactly the rows written. Each page, mutated or truncated,
 // decodes to an error or to cells, never to a panic.
 func FuzzColPage(f *testing.F) {
 	f.Add(int64(1), "a\x00b", int64(-1), 0.5, uint16(0), uint64(0), uint8(1))
@@ -419,6 +420,39 @@ func FuzzColPage(f *testing.F) {
 		sc.Close()
 		if at != len(want) {
 			t.Fatalf("NextBlock read %d rows, want %d", at, len(want))
+		}
+		sc, at = h.NewScanner(NewBufferPool(1)), 0 // a ring scan
+		for {
+			lo, hi, err := sc.Window(1 + rng.Intn(300))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lo == hi {
+				break
+			}
+			var sel []int32
+			for r := 0; r < hi-lo; r++ {
+				if rng.Intn(2) == 0 {
+					sel = append(sel, int32(r))
+				}
+			}
+			blk.Reset(schema)
+			if err := sc.Gather(&blk, lo, sel, need); err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range sel {
+				for c := range kinds {
+					if w := want[at+int(r)][c]; need[c] && !sameValue(blk.Cols[c].Value(i), w) {
+						t.Fatalf("row %d column %d: Gather reads %v, want %v", at+int(r), c, blk.Cols[c].Value(i), w)
+					}
+				}
+			}
+			sc.Seek(hi)
+			at += hi - lo
+		}
+		sc.Close()
+		if at != len(want) {
+			t.Fatalf("Window read %d rows, want %d", at, len(want))
 		}
 		sc = h.NewScanner(nil)
 		for i := 0; ; i++ {

@@ -312,3 +312,37 @@ func TestQuickExternalSortMatchesSortSlice(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestRingScanKeepsPoolPages: a scan of a file larger than a quarter of
+// the pool reads it in extents past the frames. The pages it reads count
+// as misses — Stats counts pages read from the file — but it evicts
+// nothing: a small table's pages cached before it are still hits after it,
+// and no frame stays pinned.
+func TestRingScanKeepsPoolPages(t *testing.T) {
+	small := scanFile(t, t.TempDir(), 3000)
+	large := scanFile(t, t.TempDir(), 40000)
+	pool := NewBufferPool(64)
+	if small.NumPages() > 16 || large.NumPages() <= 64 {
+		t.Fatalf("small %d pages, large %d: want a file within and one past a quarter of 64 frames", small.NumPages(), large.NumPages())
+	}
+	scan := func(h *HeapFile) (hits, misses int64) {
+		h0, m0 := pool.Stats()
+		if _, err := scanKeys(h.NewScanner(pool)); err != nil {
+			t.Fatal(err)
+		}
+		h1, m1 := pool.Stats()
+		return h1 - h0, m1 - m0
+	}
+	if hits, misses := scan(small); hits != 0 || misses != small.NumPages() {
+		t.Fatalf("cold small scan: %d hits, %d misses; want 0, %d", hits, misses, small.NumPages())
+	}
+	if hits, misses := scan(large); hits != 0 || misses != large.NumPages() {
+		t.Fatalf("ring scan: %d hits, %d misses; want 0, %d (every page read from the file)", hits, misses, large.NumPages())
+	}
+	if hits, misses := scan(small); hits != small.NumPages() || misses != 0 {
+		t.Fatalf("small scan after the ring scan: %d hits, %d misses; want %d, 0", hits, misses, small.NumPages())
+	}
+	if n := pool.Pinned(); n != 0 {
+		t.Fatalf("%d frames pinned after the scans", n)
+	}
+}

@@ -70,14 +70,12 @@ const BatchSize = 1024
 // ColBatch is a columnar batch of up to BatchSize tuples: one ColVec
 // per schema column, N physical rows, and an optional selection vector. When
 // Sel is non-nil, only the physical rows it lists (strictly increasing) are
-// live — filters qualify rows by writing Sel instead of moving any cell.
+// live — rows are qualified by writing Sel instead of moving any cell.
 type ColBatch struct {
 	Schema *Schema
 	N      int
 	Sel    []int32
 	Cols   []ColVec
-
-	selBuf []int32 // reusable Sel storage for operators that filter in place
 }
 
 // NewColBatch returns an empty batch shaped for the schema.
@@ -137,15 +135,6 @@ func (b *ColBatch) RowID(i int) int {
 	return i
 }
 
-// SelBuf returns the batch's reusable selection storage with room for n
-// entries; the caller fills a prefix and assigns it to Sel.
-func (b *ColBatch) SelBuf(n int) []int32 {
-	if cap(b.selBuf) < n {
-		b.selBuf = make([]int32, n)
-	}
-	return b.selBuf[:n]
-}
-
 // AppendRow transposes one tuple onto the batch columns.
 func (b *ColBatch) AppendRow(t Tuple) {
 	for i := range t {
@@ -179,6 +168,22 @@ func (b *ColBatch) AppendBatchCols(src *ColBatch, lo, hi int, need []bool) {
 		}
 	}
 	b.N += hi - lo
+}
+
+// AppendRows copies src's physical rows rows, in that order, onto b: the
+// columns need marks (nil = all), while N counts every appended row — a
+// scan copies the rows its predicates qualified without writing a
+// selection into src, which other scans may be reading.
+func (b *ColBatch) AppendRows(src *ColBatch, rows []int32, need []bool) {
+	if len(rows) == 0 {
+		return
+	}
+	for c := range b.Cols {
+		if need == nil || need[c] {
+			b.Cols[c].appendVec(b.N, &src.Cols[c], rows, 0, 0)
+		}
+	}
+	b.N += len(rows)
 }
 
 // appendVec appends src's cells at physical rows sel (or lo..hi-1 when sel is
@@ -216,6 +221,7 @@ func gather[T any](dst, src []T, sel []int32, lo, hi int) []T {
 	if sel == nil {
 		return append(dst, src[lo:hi]...)
 	}
+	dst = slices.Grow(dst, len(sel))
 	for _, row := range sel {
 		dst = append(dst, src[row])
 	}

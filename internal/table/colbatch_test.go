@@ -257,7 +257,7 @@ func TestColBatchHashIntoMatchesHashOn(t *testing.T) {
 			}
 		}
 		check("full")
-		sel := b.SelBuf(b.N)[:0]
+		sel := make([]int32, 0, b.N)
 		for i := 0; i < b.N; i += 3 {
 			sel = append(sel, int32(i))
 		}
