@@ -92,12 +92,12 @@ func (l *Lineage) Release() {
 		return
 	}
 	ls := &b.lease
-	valueLists.Put(ls, 0, b.keys)
-	varLists.Put(ls, 0, b.arena)
-	clauseLists.Put(ls, 0, b.headers)
-	dnfLists.Put(ls, 0, b.dnfs)
-	tupleLists.Put(ls, 0, l.Keys)
-	dnfPtrLists.Put(ls, 0, l.DNFs)
+	valueLists.Put(ls, b.keys)
+	varLists.Put(ls, b.arena)
+	clauseLists.Put(ls, b.headers)
+	dnfLists.Put(ls, b.dnfs)
+	tupleLists.Put(ls, l.Keys)
+	dnfPtrLists.Put(ls, l.DNFs)
 	l.Assign.Recycle(ls)
 	l.Keys, l.DNFs, l.bufs = nil, nil, lineageBufs{}
 }
@@ -241,15 +241,15 @@ func newCollector(schema *table.Schema, hashMask uint64) (*collector, error) {
 	}
 	c.l.Schema = schema.Project(c.dataCols)
 	c.l.Assign.Draw(c.lease)
-	c.keys, _ = valueLists.Largest(c.lease, 0)
+	c.keys, _ = valueLists.Largest(c.lease)
 	if c.keys == nil {
 		// Non-nil even for a Boolean answer, whose one key is the empty tuple.
 		c.keys = make([]table.Value, 0, len(c.dataCols))
 	}
-	c.groups, _ = groupLists.Largest(c.lease, 0)
-	c.clauses, _ = entryLists.Largest(c.lease, 0)
-	c.arena, _ = varLists.Largest(c.lease, 0)
-	c.hashes, _ = freelist.Uint64s.Fit(c.lease, 0, 8*table.BatchSize)
+	c.groups, _ = groupLists.Largest(c.lease)
+	c.clauses, _ = entryLists.Largest(c.lease)
+	c.arena, _ = varLists.Largest(c.lease)
+	c.hashes, _ = freelist.Uint64s.Fit(c.lease, 8*table.BatchSize)
 	c.groupAt, c.clauseAt = c.chainHeads(minBuckets), c.chainHeads(minBuckets)
 	return c, nil
 }
@@ -257,7 +257,7 @@ func newCollector(schema *table.Schema, hashMask uint64) (*collector, error) {
 // int32s returns an int32 slice of length n, of unspecified contents: the
 // best fit off the free list.
 func (c *collector) int32s(n int) []int32 {
-	t, _ := freelist.Int32s.Fit(c.lease, 0, 4*int64(n))
+	t, _ := freelist.Int32s.Fit(c.lease, 4*int64(n))
 	return sized(t, n)
 }
 
@@ -279,11 +279,11 @@ func sized[T any](s []T, n int) []T {
 
 // releaseScratch gives the collector's own tables back to the free list.
 func (c *collector) releaseScratch() {
-	groupLists.Put(c.lease, 0, c.groups)
-	entryLists.Put(c.lease, 0, c.clauses)
-	freelist.Int32s.Put(c.lease, 0, c.groupAt)
-	freelist.Int32s.Put(c.lease, 0, c.clauseAt)
-	freelist.Uint64s.Put(c.lease, 0, c.hashes)
+	groupLists.Put(c.lease, c.groups)
+	entryLists.Put(c.lease, c.clauses)
+	freelist.Int32s.Put(c.lease, c.groupAt)
+	freelist.Int32s.Put(c.lease, c.clauseAt)
+	freelist.Uint64s.Put(c.lease, c.hashes)
 	c.groups, c.clauses, c.groupAt, c.clauseAt, c.hashes = nil, nil, nil, nil, nil
 }
 
@@ -371,7 +371,7 @@ func (c *collector) newGroup(h uint64, head *int32) int32 {
 	if len(c.groups) > len(c.groupAt) {
 		old := c.groupAt
 		c.groupAt = c.chainHeads(2 * len(old))
-		freelist.Int32s.Put(c.lease, 0, old)
+		freelist.Int32s.Put(c.lease, old)
 		for i := range c.groups {
 			at := &c.groupAt[bucket(c.groups[i].hash, len(c.groupAt))]
 			c.groups[i].next = *at - 1
@@ -406,7 +406,7 @@ func (c *collector) clause(g int32, start int) {
 	if len(c.clauses) > len(c.clauseAt) {
 		old := c.clauseAt
 		c.clauseAt = c.chainHeads(2 * len(old))
-		freelist.Int32s.Put(c.lease, 0, old)
+		freelist.Int32s.Put(c.lease, old)
 		for i, cl := range c.clauses {
 			at := &c.clauseAt[bucket(c.clauseHash(c.lits(cl), cl.group), len(c.clauseAt))]
 			c.clauses[i].next = *at - 1
@@ -437,21 +437,21 @@ func (c *collector) finish() *Lineage {
 	}
 	n := len(c.groups)
 	order := c.int32s(n)
-	defer freelist.Int32s.Put(c.lease, 0, order)
+	defer freelist.Int32s.Put(c.lease, order)
 	for g := range order {
 		order[g] = int32(g)
 	}
 	slices.SortFunc(order, func(a, b int32) int {
 		return slices.CompareFunc(c.key(a), c.key(b), table.Compare)
 	})
-	l.Keys, _ = tupleLists.Largest(c.lease, 0)
-	l.DNFs, _ = dnfPtrLists.Largest(c.lease, 0)
-	dnfs, _ := dnfLists.Largest(c.lease, 0)
-	headers, _ := clauseLists.Largest(c.lease, 0)
+	l.Keys, _ = tupleLists.Largest(c.lease)
+	l.DNFs, _ = dnfPtrLists.Largest(c.lease)
+	dnfs, _ := dnfLists.Largest(c.lease)
+	headers, _ := clauseLists.Largest(c.lease)
 	l.Keys, l.DNFs, dnfs, headers = sized(l.Keys, n), sized(l.DNFs, n), sized(dnfs, n), sized(headers, len(c.clauses))
 	l.bufs.dnfs, l.bufs.headers = dnfs, headers
 	at := c.int32s(n) // per group: where its next clause header goes
-	defer freelist.Int32s.Put(c.lease, 0, at)
+	defer freelist.Int32s.Put(c.lease, at)
 	off := int32(0)
 	for i, g := range order {
 		l.Keys[i] = c.key(g)

@@ -179,7 +179,7 @@ func mergeByKey(parts [][]*table.ColBatch, keys int, ls *freelist.Lease) []*tabl
 		out = appendChunks(out, c.chunks[0], c.row, c.row+1, room)
 		room--
 		if c.row++; c.row == c.chunks[0].N {
-			c.chunks[0].Recycle(ls, 0)
+			c.chunks[0].Recycle(ls)
 			c.chunks, c.row = c.chunks[1:], 0
 			if len(c.chunks) == 0 {
 				curs = slices.Delete(curs, best, best+1)
@@ -229,8 +229,8 @@ func groupedScan(sorter *storage.ExternalSorter, acc accumulator, groupCols []in
 	defer it.Close()
 	b := table.NewColBatch(it.Schema())
 	var bl freelist.Lease
-	b.Draw(&bl, 0, table.BatchSize)
-	defer b.Recycle(&bl, 0)
+	b.Draw(&bl, table.BatchSize)
+	defer b.Recycle(&bl)
 	sp := spillStats{runs: sorter.Spills(), bytes: sorter.SpillBytes()}
 	outCols := groupCols
 	if repVar >= 0 {
@@ -270,7 +270,7 @@ func groupedScan(sorter *storage.ExternalSorter, acc accumulator, groupCols []in
 			if out == nil || out.N == table.BatchSize {
 				out = table.NewColBatch(schema)
 				if ls != nil {
-					out.Draw(ls, 0, reserve)
+					out.Draw(ls, reserve)
 				}
 				for j, c := range outCols {
 					out.Cols[j].SettleLike(&b.Cols[c])

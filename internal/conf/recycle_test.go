@@ -22,7 +22,7 @@ func takeAll[T any](l *freelist.List[[]T], add func(any)) int {
 	var ls freelist.Lease
 	n := 0
 	for {
-		s, ok := l.Largest(&ls, 0)
+		s, ok := l.Largest(&ls)
 		if !ok {
 			return n
 		}

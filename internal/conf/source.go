@@ -190,7 +190,7 @@ func newScanFeed(schema *table.Schema, groupCols, sortCols []int, opts Options) 
 	f := &scanFeed{opts: opts, schema: schema, groupCols: groupCols, sortCols: sortCols}
 	if opts.Pool != nil && opts.Pool.Parallel() && len(groupCols) > 0 {
 		f.pend = table.NewColBatch(schema)
-		f.pend.Draw(&f.lease, 0, pool.ParallelMinRows)
+		f.pend.Draw(&f.lease, pool.ParallelMinRows)
 	} else {
 		f.one = f.newSorter()
 	}
@@ -223,16 +223,15 @@ func (f *scanFeed) decide() error {
 	f.parts = make([]*storage.ExternalSorter, f.opts.Pool.Workers())
 	for i := range f.parts {
 		f.parts[i] = f.newSorter()
-		f.parts[i].Slot(i)
 	}
 	f.sels = make([][]int32, len(f.parts))
 	for p := range f.sels {
-		f.sels[p], _ = freelist.Int32s.Fit(&f.lease, 0, 4*table.BatchSize)
+		f.sels[p], _ = freelist.Int32s.Fit(&f.lease, 4*table.BatchSize)
 	}
-	f.hashes, _ = freelist.Uint64s.Fit(&f.lease, 0, 8*table.BatchSize)
+	f.hashes, _ = freelist.Uint64s.Fit(&f.lease, 8*table.BatchSize)
 	pend := f.pend
 	f.pend = nil
-	defer pend.Recycle(&f.lease, 0)
+	defer pend.Recycle(&f.lease)
 	return f.route(pend)
 }
 
@@ -265,7 +264,7 @@ func (f *scanFeed) finish() (int64, error) {
 	if f.pend != nil {
 		f.one = f.newSorter()
 		err := f.one.AddBatch(f.pend)
-		f.pend.Recycle(&f.lease, 0)
+		f.pend.Recycle(&f.lease)
 		f.pend = nil
 		if err != nil {
 			return 0, err
@@ -286,9 +285,9 @@ func (f *scanFeed) finish() (int64, error) {
 // has ended, and lets go of it.
 func (f *scanFeed) release() {
 	for _, sel := range f.sels {
-		freelist.Int32s.Put(&f.lease, 0, sel)
+		freelist.Int32s.Put(&f.lease, sel)
 	}
-	freelist.Uint64s.Put(&f.lease, 0, f.hashes)
+	freelist.Uint64s.Put(&f.lease, f.hashes)
 	f.sels, f.hashes = nil, nil
 }
 

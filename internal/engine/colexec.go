@@ -63,7 +63,7 @@ func (s *ColChunkScan) Schema() *table.Schema { return s.S }
 func (s *ColChunkScan) Open() error {
 	s.pos, s.row = 0, 0
 	if len(s.Preds) > 0 && s.sel == nil {
-		s.sel, _ = freelist.Int32s.Fit(&s.lease, 0, 4*BatchSize)
+		s.sel, _ = freelist.Int32s.Fit(&s.lease, 4*BatchSize)
 	}
 	return nil
 }
@@ -100,7 +100,7 @@ func (s *ColChunkScan) NextColBatch(dst *table.ColBatch) (int, error) {
 // Close gives the selection storage back.
 func (s *ColChunkScan) Close() error {
 	if s.sel != nil {
-		freelist.Int32s.Put(&s.lease, 0, s.sel)
+		freelist.Int32s.Put(&s.lease, s.sel)
 		s.sel = nil
 	}
 	return nil
@@ -167,12 +167,12 @@ func (s *ColHeapScan) Open() error {
 		if !pred {
 			continue
 		}
-		if v, ok := scratchVecs.Largest(&s.lease, 0); ok {
+		if v, ok := scratchVecs.Largest(&s.lease); ok {
 			v.Reuse(s.scratch.Cols[c].Kind)
 			s.scratch.Cols[c] = v
 		}
 	}
-	s.sel, _ = freelist.Int32s.Fit(&s.lease, 0, 4*BatchSize)
+	s.sel, _ = freelist.Int32s.Fit(&s.lease, 4*BatchSize)
 	return nil
 }
 
@@ -235,11 +235,11 @@ func (s *ColHeapScan) Close() error {
 	if s.sel != nil {
 		for c, pred := range s.predCols {
 			if v := &s.scratch.Cols[c]; pred {
-				scratchVecs.Put(&s.lease, 0, *v)
+				scratchVecs.Put(&s.lease, *v)
 				*v = table.ColVec{Kind: v.Kind}
 			}
 		}
-		freelist.Int32s.Put(&s.lease, 0, s.sel)
+		freelist.Int32s.Put(&s.lease, s.sel)
 		s.sel = nil
 	}
 	return nil

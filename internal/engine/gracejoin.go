@@ -73,7 +73,7 @@ func (h *hashBuild) index(keys []int) {
 // build's is the best fit off the free list, when the list has one.
 func (h *hashBuild) draw64(n int) []uint64 {
 	if h.pooled {
-		if s, ok := freelist.Uint64s.Fit(&h.lease, 0, 8*int64(n)); ok {
+		if s, ok := freelist.Uint64s.Fit(&h.lease, 8*int64(n)); ok {
 			return s
 		}
 	}
@@ -83,7 +83,7 @@ func (h *hashBuild) draw64(n int) []uint64 {
 // draw32 is draw64 for an int32 slice of length n, of unspecified contents.
 func (h *hashBuild) draw32(n int) []int32 {
 	if h.pooled {
-		if s, ok := freelist.Int32s.Fit(&h.lease, 0, 4*int64(n)); ok {
+		if s, ok := freelist.Int32s.Fit(&h.lease, 4*int64(n)); ok {
 			return s[:n]
 		}
 	}
@@ -94,7 +94,7 @@ func (h *hashBuild) draw32(n int) []int32 {
 func (h *hashBuild) newChunk(schema *table.Schema) *table.ColBatch {
 	c := table.NewColBatch(schema)
 	if h.pooled {
-		c.Draw(&h.lease, 0, BatchSize)
+		c.Draw(&h.lease, BatchSize)
 	}
 	return c
 }
@@ -104,13 +104,13 @@ func (h *hashBuild) newChunk(schema *table.Schema) *table.ColBatch {
 func (h *hashBuild) release() {
 	if h.pooled {
 		for _, c := range h.chunks {
-			c.Recycle(&h.lease, 0)
+			c.Recycle(&h.lease)
 		}
 		for _, s := range h.hashes {
-			freelist.Uint64s.Put(&h.lease, 0, s)
+			freelist.Uint64s.Put(&h.lease, s)
 		}
-		freelist.Int32s.Put(&h.lease, 0, h.heads)
-		freelist.Int32s.Put(&h.lease, 0, h.next)
+		freelist.Int32s.Put(&h.lease, h.heads)
+		freelist.Int32s.Put(&h.lease, h.next)
 	}
 	*h = hashBuild{}
 }

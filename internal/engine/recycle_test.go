@@ -79,7 +79,7 @@ func takeIdle(t *testing.T) map[any]bool {
 		table.DataCol("s", table.KindString), table.DataCol("b", table.KindBool))
 	for {
 		b := table.NewColBatch(kinds)
-		b.Draw(&ls, 0, 0)
+		b.Draw(&ls, 0)
 		if b.MemSize() == 0 {
 			break
 		}
@@ -91,14 +91,14 @@ func takeIdle(t *testing.T) map[any]bool {
 		}
 	}
 	for {
-		s, ok := freelist.Uint64s.Largest(&ls, 0)
+		s, ok := freelist.Uint64s.Largest(&ls)
 		if !ok {
 			break
 		}
 		add(first(s))
 	}
 	for {
-		s, ok := freelist.Int32s.Largest(&ls, 0)
+		s, ok := freelist.Int32s.Largest(&ls)
 		if !ok {
 			break
 		}

@@ -9,13 +9,13 @@
 // of each column kind, the byte arenas, the int32 chains, the sorter's
 // entries, ...), all behind one mutex and one idle-byte cap (IdleCap), so
 // no user can hoard what another needs. Within a list the buffers sit per
-// slot — concurrent holders of one partitioned pass take a slot each and
-// get back what the same partition grew to before — and per power-of-two
-// size class. A holder that knows how much it needs (a BatchSize chunk
-// vector, a hash index of n rows) draws the best fit (Fit); one that does
-// not (a sort run, a collector table) draws the largest idle buffer
-// (Largest). A buffer goes back with Put, exactly once, when its holder is
-// done with it; what the cap does not admit is left to the collector.
+// power-of-two size class; the concurrent holders of one partitioned pass
+// draw from and give back to the same list. A holder that knows how much
+// it needs (a BatchSize chunk vector, a hash index of n rows) draws the
+// best fit (Fit); one that does not (a sort run, a collector table) draws
+// the largest idle buffer (Largest). A buffer goes back with Put, exactly
+// once, when its holder is done with it; what the cap does not admit is
+// left to the collector.
 //
 // A Lease is one holder's tally of the bytes it drew, so that the bytes it
 // gives back beyond them count as grown fresh: Read reports how much
@@ -34,9 +34,10 @@ import (
 // (GOMAXPROCS read at start-up). That is one full key-sort run a processor
 // — 64 Ki rows of 256 bytes, how many sorts fill at once when the
 // confidence operator's partitioned scan runs one per worker of a
-// GOMAXPROCS-sized pool — and as much again for what runs beside the sorts:
-// a query's hash-join builds and its lineage collection, so that a query's
-// sort workspace and its builds are both kept.
+// GOMAXPROCS-sized pool, all giving back to the same lists — and as much
+// again for what runs beside the sorts: a query's hash-join builds and its
+// lineage collection, so that a query's sort workspace and its builds are
+// both kept.
 var IdleCap = int64(runtime.GOMAXPROCS(0)) * 32 << 20
 
 var (
@@ -75,7 +76,7 @@ func class(n int64) int { return bits.Len64(uint64(n)) }
 type List[T any] struct {
 	size  func(T) int64 // bytes of storage x holds
 	clear func(*T)      // empties x for its next holder, pinning nothing
-	slots [][classes][]T
+	idle  [classes][]T  // the idle buffers by size class
 }
 
 // New returns an empty list of buffers whose storage size measures and
@@ -112,65 +113,44 @@ var (
 	Float64s = Slices[float64]()
 )
 
-// Largest takes the largest idle buffer of slot — or, when slot has none,
-// the largest of any slot — for a holder that does not know how far it
-// will grow; false when the list is empty.
-func (l *List[T]) Largest(ls *Lease, slot int) (T, bool) {
+// Largest takes the largest idle buffer, for a holder that does not know
+// how far it will grow; false when the list is empty.
+func (l *List[T]) Largest(ls *Lease) (T, bool) {
 	mu.Lock()
 	defer mu.Unlock()
-	if slot < len(l.slots) {
-		if c := top(&l.slots[slot]); c > 0 {
-			return l.take(ls, &l.slots[slot][c], l.largestIn(l.slots[slot][c])), true
-		}
-	}
-	best, from := 0, -1
-	for s := range l.slots {
-		if c := top(&l.slots[s]); c > best {
-			best, from = c, s
-		}
-	}
-	if from < 0 {
-		var zero T
-		return zero, false
-	}
-	// The top class of every slot that reaches it competes.
-	var list *[]T
-	at, most := -1, int64(-1)
-	for s := range l.slots {
-		cl := &l.slots[s][best]
-		if i := l.largestIn(*cl); i >= 0 {
-			if n := l.size((*cl)[i]); n > most {
-				list, at, most = cl, i, n
-			}
-		}
-	}
-	return l.take(ls, list, at), true
-}
-
-// Fit takes an idle buffer of at least want bytes but of at most the size
-// class above want's — the best fit up to a size class, so that a holder
-// that knows its size never takes the large buffer another holder grew —
-// from slot first, then from any slot; false when there is none.
-func (l *List[T]) Fit(ls *Lease, slot int, want int64) (T, bool) {
-	mu.Lock()
-	defer mu.Unlock()
-	if slot < len(l.slots) {
-		if list, at := l.fitIn(&l.slots[slot], want); at >= 0 {
-			return l.take(ls, list, at), true
-		}
-	}
-	for s := range l.slots {
-		if list, at := l.fitIn(&l.slots[s], want); at >= 0 {
-			return l.take(ls, list, at), true
+	for c := classes - 1; c > 0; c-- {
+		if len(l.idle[c]) > 0 {
+			return l.take(ls, &l.idle[c], l.largestIn(l.idle[c])), true
 		}
 	}
 	var zero T
 	return zero, false
 }
 
-// Put gives x back to slot once its holder is done with it, as far as the
-// idle cap admits it; a buffer of no storage is dropped.
-func (l *List[T]) Put(ls *Lease, slot int, x T) {
+// Fit takes an idle buffer of at least want bytes but of at most the size
+// class above want's — the best fit up to a size class, so that a holder
+// that knows its size never takes the large buffer another holder grew:
+// the most recently given back one of want's class that holds want, else
+// one of the class above; false when there is none.
+func (l *List[T]) Fit(ls *Lease, want int64) (T, bool) {
+	mu.Lock()
+	defer mu.Unlock()
+	c := class(want)
+	for i := len(l.idle[c]) - 1; i >= 0; i-- {
+		if l.size(l.idle[c][i]) >= want {
+			return l.take(ls, &l.idle[c], i), true
+		}
+	}
+	if c+1 < classes && len(l.idle[c+1]) > 0 {
+		return l.take(ls, &l.idle[c+1], len(l.idle[c+1])-1), true
+	}
+	var zero T
+	return zero, false
+}
+
+// Put gives x back once its holder is done with it, as far as the idle cap
+// admits it; a buffer of no storage is dropped.
+func (l *List[T]) Put(ls *Lease, x T) {
 	n := l.size(x)
 	if n == 0 {
 		return
@@ -185,22 +165,9 @@ func (l *List[T]) Put(ls *Lease, slot int, x T) {
 	}
 	idle += n
 	stats.IdlePeakBytes = max(stats.IdlePeakBytes, idle)
-	for len(l.slots) <= slot {
-		l.slots = append(l.slots, [classes][]T{})
-	}
-	cl := &l.slots[slot][class(n)]
+	cl := &l.idle[class(n)]
 	*cl = append(*cl, x)
 	l.clear(&(*cl)[len(*cl)-1])
-}
-
-// top is the highest non-empty class of a slot, 0 when it holds nothing.
-func top[T any](s *[classes][]T) int {
-	for c := classes - 1; c > 0; c-- {
-		if len(s[c]) > 0 {
-			return c
-		}
-	}
-	return 0
 }
 
 // largestIn is the index of the largest buffer of a class, -1 when empty.
@@ -212,21 +179,6 @@ func (l *List[T]) largestIn(cl []T) int {
 		}
 	}
 	return at
-}
-
-// fitIn finds a buffer of a slot for want bytes: the most recently given
-// back one of want's class that holds want, else one of the class above.
-func (l *List[T]) fitIn(s *[classes][]T, want int64) (*[]T, int) {
-	c := class(want)
-	for i := len(s[c]) - 1; i >= 0; i-- {
-		if l.size(s[c][i]) >= want {
-			return &s[c], i
-		}
-	}
-	if c+1 < classes && len(s[c+1]) > 0 {
-		return &s[c+1], len(s[c+1]) - 1
-	}
-	return nil, -1
 }
 
 // take removes element i of list and hands it to ls's holder.

@@ -11,7 +11,7 @@ func empty(ls ...*List[[]byte]) {
 	var lease Lease
 	for _, l := range ls {
 		for {
-			if _, ok := l.Largest(&lease, 0); !ok {
+			if _, ok := l.Largest(&lease); !ok {
 				break
 			}
 		}
@@ -21,33 +21,29 @@ func empty(ls ...*List[[]byte]) {
 // TestFitTakesTheBestFitUpToAClass: Fit takes a buffer that holds what was
 // asked for, of the asked size's class or the one above — never a buffer
 // two classes up, which another holder grew, nor one too small; Largest
-// takes the largest, from the asked slot first.
+// takes the largest.
 func TestFitTakesTheBestFitUpToAClass(t *testing.T) {
 	l := Slices[byte]()
 	var ls Lease
 	for _, n := range []int{100, 1000, 5000, 1 << 20} {
-		l.Put(&ls, 0, make([]byte, 0, n))
+		l.Put(&ls, make([]byte, 0, n))
 	}
-	if _, ok := l.Fit(&ls, 0, 200); ok {
+	if _, ok := l.Fit(&ls, 200); ok {
 		t.Fatal("Fit(200) took a buffer of 1000 bytes, two classes up, or of 100, too small")
 	}
-	if b, ok := l.Fit(&ls, 0, 800); !ok || cap(b) != 1000 {
+	if b, ok := l.Fit(&ls, 800); !ok || cap(b) != 1000 {
 		t.Fatalf("Fit(800) = %d bytes, %v; want the 1000-byte buffer", cap(b), ok)
 	}
-	if b, ok := l.Fit(&ls, 0, 3000); !ok || cap(b) != 5000 {
+	if b, ok := l.Fit(&ls, 3000); !ok || cap(b) != 5000 {
 		t.Fatalf("Fit(3000) = %d bytes, %v; want the 5000-byte buffer, a class up", cap(b), ok)
 	}
-	l.Put(&ls, 1, make([]byte, 0, 64))
-	if b, ok := l.Largest(&ls, 1); !ok || cap(b) != 64 {
-		t.Fatalf("Largest(slot 1) = %d bytes, %v; want its own 64-byte buffer", cap(b), ok)
+	if b, ok := l.Largest(&ls); !ok || cap(b) != 1<<20 {
+		t.Fatalf("Largest = %d bytes, %v; want the 1 MiB buffer", cap(b), ok)
 	}
-	if b, ok := l.Largest(&ls, 1); !ok || cap(b) != 1<<20 {
-		t.Fatalf("Largest(slot 1) = %d bytes, %v; want slot 0's largest once its own is empty", cap(b), ok)
-	}
-	if b, ok := l.Largest(&ls, 0); !ok || cap(b) != 100 {
+	if b, ok := l.Largest(&ls); !ok || cap(b) != 100 {
 		t.Fatalf("Largest = %d bytes, %v; want the last one left", cap(b), ok)
 	}
-	if _, ok := l.Largest(&ls, 0); ok {
+	if _, ok := l.Largest(&ls); ok {
 		t.Fatal("Largest took a buffer off an empty list")
 	}
 }
@@ -63,17 +59,17 @@ func TestIdleCapAndFreshBytes(t *testing.T) {
 	mu.Unlock()
 	var a Lease
 	before := Read()
-	l.Put(&a, 0, make([]byte, 0, 2000))
-	l.Put(&a, 0, make([]byte, 0, 2000)) // past the cap: dropped
+	l.Put(&a, make([]byte, 0, 2000))
+	l.Put(&a, make([]byte, 0, 2000)) // past the cap: dropped
 	if got := Read().FreshBytes - before.FreshBytes; got != 4000 {
 		t.Fatalf("giving back 4000 bytes grown anew counted %d fresh", got)
 	}
 	var b Lease
-	got, ok := l.Largest(&b, 0)
+	got, ok := l.Largest(&b)
 	if !ok || cap(got) != 2000 {
 		t.Fatalf("drew %d bytes, %v; want the one buffer the cap admitted", cap(got), ok)
 	}
-	if _, ok := l.Largest(&b, 0); ok {
+	if _, ok := l.Largest(&b); ok {
 		t.Fatal("the buffer past the cap was kept")
 	}
 	mid := Read()
@@ -81,7 +77,7 @@ func TestIdleCapAndFreshBytes(t *testing.T) {
 		t.Fatalf("drawing 2000 bytes counted %d reused", mid.ReusedBytes-before.ReusedBytes)
 	}
 	// Grown from 2000 to 2500: 500 fresh.
-	l.Put(&b, 0, make([]byte, 0, 2500))
+	l.Put(&b, make([]byte, 0, 2500))
 	if got := Read().FreshBytes - mid.FreshBytes; got != 500 {
 		t.Fatalf("giving back 2500 bytes after drawing 2000 counted %d fresh, want 500", got)
 	}
@@ -97,21 +93,21 @@ func TestPtrSlicesPinNothing(t *testing.T) {
 	x := 7
 	s := make([]*int, 3, 8)
 	s[0], s[2] = &x, &x
-	l.Put(&ls, 0, s)
-	got, _ := l.Largest(&ls, 0)
+	l.Put(&ls, s)
+	got, _ := l.Largest(&ls)
 	if len(got) != 0 || cap(got) != 8 {
 		t.Fatalf("drew len %d cap %d, want an empty slice of capacity 8", len(got), cap(got))
 	}
 	for i, p := range got[:cap(got)] {
 		if p != nil {
-			t.Fatalf("idle slot %d still points at a value", i)
+			t.Fatalf("element %d of the idle slice still points at a value", i)
 		}
 	}
 }
 
-// TestConcurrentHolders: holders on several goroutines share the lists
-// and one Lease (run under -race in CI); every buffer drawn is drawn by
-// one holder at a time.
+// TestConcurrentHolders: holders on several goroutines — the sorters of
+// one partitioned pass — share the one list and one Lease (run under -race
+// in CI); every buffer drawn is drawn by one holder at a time.
 func TestConcurrentHolders(t *testing.T) {
 	l := Slices[int64]()
 	var shared Lease
@@ -121,7 +117,7 @@ func TestConcurrentHolders(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := range 200 {
-				s, ok := l.Fit(&shared, g, 8*64)
+				s, ok := l.Fit(&shared, 8*64)
 				if !ok {
 					s = make([]int64, 0, 64)
 				}
@@ -130,7 +126,7 @@ func TestConcurrentHolders(t *testing.T) {
 					t.Errorf("holder %d saw another holder's write", g)
 					return
 				}
-				l.Put(&shared, g, s)
+				l.Put(&shared, s)
 			}
 		}()
 	}

@@ -10,54 +10,27 @@ import (
 	"time"
 )
 
-// counterShards is the number of padded slots a Counter spreads its value
-// over. Callers that hold a shard index (pool workers) add to their own
-// slot and never contend; Value sums the slots.
-const counterShards = 16
-
-// pad64 keeps adjacent shard slots on distinct cache lines so concurrent
-// adds from different workers do not false-share.
-type pad64 struct {
-	v atomic.Int64
-	_ [56]byte
-}
-
-// Counter is a monotonically increasing sharded atomic counter. The zero
-// value is unusable; get one from Registry.Counter. A nil *Counter is a
-// valid no-op sink.
+// Counter is a monotonically increasing atomic counter. The zero value is
+// unusable; get one from Registry.Counter. A nil *Counter is a valid no-op
+// sink.
 type Counter struct {
-	shards [counterShards]pad64
+	v atomic.Int64
 }
 
-// Add increments the counter by d on shard 0. Use AddShard from
-// per-worker code to avoid contention.
+// Add increments the counter by d.
 func (c *Counter) Add(d int64) {
 	if c == nil {
 		return
 	}
-	c.shards[0].v.Add(d)
+	c.v.Add(d)
 }
 
-// AddShard increments the counter by d on the shard selected by hint
-// (any int; reduced modulo the shard count). Workers pass their worker
-// index so parallel increments land on distinct cache lines.
-func (c *Counter) AddShard(hint int, d int64) {
-	if c == nil {
-		return
-	}
-	c.shards[uint(hint)%counterShards].v.Add(d)
-}
-
-// Value returns the summed count across all shards.
+// Value returns the count.
 func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	var n int64
-	for i := range c.shards {
-		n += c.shards[i].v.Load()
-	}
-	return n
+	return c.v.Load()
 }
 
 // Gauge is an instantaneous value (e.g. in-flight queries). A nil *Gauge
@@ -126,7 +99,6 @@ type Registry struct {
 	ctrs   map[string]*Counter
 	gauges map[string]*Gauge
 	hists  map[string]*Histogram
-	rotor  atomic.Int64
 }
 
 // New returns an empty metrics registry.
@@ -136,15 +108,6 @@ func New() *Registry {
 		gauges: make(map[string]*Gauge),
 		hists:  make(map[string]*Histogram),
 	}
-}
-
-// ShardHint returns a fresh shard hint. Sequential queries rotate over
-// the shards so even single-threaded callers spread their adds.
-func (r *Registry) ShardHint() int {
-	if r == nil {
-		return 0
-	}
-	return int(r.rotor.Add(1))
 }
 
 // Counter returns (registering on first use) the named counter. Nil

@@ -4,10 +4,10 @@
 // The three pieces are independent and individually opt-in:
 //
 //   - Registry holds named counters, gauges and fixed-bucket latency
-//     histograms. Counters are sharded across padded cache lines so a
-//     hot-path increment is a single uncontended atomic add; a nil
-//     *Registry (and every metric handed out by one) is a valid no-op,
-//     so instrumented code never branches on "metrics enabled".
+//     histograms. A counter is one atomic, so an increment is a single
+//     atomic add; a nil *Registry (and every metric handed out by one)
+//     is a valid no-op, so instrumented code never branches on "metrics
+//     enabled".
 //
 //   - Trace is a per-query span tree collected during plan lowering and
 //     execution: per-operator row/batch counts, lineage statistics,

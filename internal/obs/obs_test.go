@@ -11,18 +11,20 @@ import (
 	"time"
 )
 
-func TestCounterShardedSum(t *testing.T) {
+// TestCounterConcurrentSum: adds from concurrent goroutines (queries of
+// one Engine) all land in the one atomic (run under -race in CI).
+func TestCounterConcurrentSum(t *testing.T) {
 	r := New()
 	c := r.Counter("rows")
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	for range 8 {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				c.AddShard(w, 1)
+				c.Add(1)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	c.Add(5)
@@ -37,14 +39,10 @@ func TestCounterShardedSum(t *testing.T) {
 func TestNilRegistryIsNoop(t *testing.T) {
 	var r *Registry
 	r.Counter("x").Add(1)
-	r.Counter("x").AddShard(3, 1)
 	r.Gauge("g").Add(1)
 	r.Gauge("g").Set(9)
 	r.Histogram("h").Observe(0.1)
 	r.Histogram("h").ObserveSince(time.Now())
-	if r.ShardHint() != 0 {
-		t.Fatal("nil ShardHint must be 0")
-	}
 	s := r.Snapshot()
 	if len(s.Counters)+len(s.Gauges)+len(s.Histograms) != 0 {
 		t.Fatal("nil registry snapshot must be empty")
@@ -82,7 +80,6 @@ func TestMetricsAllocs(t *testing.T) {
 	h := r.Histogram("lat")
 	if n := testing.AllocsPerRun(100, func() {
 		c.Add(1)
-		c.AddShard(7, 1)
 		g.Add(1)
 		h.Observe(0.003)
 	}); n != 0 {

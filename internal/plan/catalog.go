@@ -19,8 +19,8 @@
 // paper's strict rejection.
 //
 // All styles lower from one shared logical plan IR (internal/logical),
-// built once by Prepare and executed by the lowering in lower.go (safe.go
-// for MystiQ's probability-mode plans). On top sits the cost-based
+// built once by Prepare and executed by the lowering in lower.go, MystiQ's
+// probability-mode plans included. On top sits the cost-based
 // adaptive planner (cost.go): the Auto style analyzes the catalog
 // (internal/stats, cached), prices every applicable style's IR, and
 // dispatches the cheapest; Explain (explain.go) renders the IR and the

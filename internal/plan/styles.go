@@ -418,15 +418,14 @@ func (p *Prepared) Run(ctx context.Context) (*Result, error) {
 	// only recorded for completed runs. The nil-registry path must stay
 	// zero-cost, so even the name concatenation is guarded.
 	if reg != nil {
-		h := reg.ShardHint()
-		reg.Counter("queries_total").AddShard(h, 1)
-		reg.Counter("queries_style_"+p.spec.Style.String()+"_total").AddShard(h, 1)
+		reg.Counter("queries_total").Add(1)
+		reg.Counter("queries_style_" + p.spec.Style.String() + "_total").Add(1)
 	}
 	reg.Gauge("queries_inflight").Add(1)
 	res, retries, err := p.runAttempts(ex, spec)
 	reg.Gauge("queries_inflight").Add(-1)
 	if err != nil {
-		reg.Counter("queries_failed_total").AddShard(reg.ShardHint(), 1)
+		reg.Counter("queries_failed_total").Add(1)
 		return nil, err
 	}
 	res.Stats.Retries = retries
@@ -499,26 +498,24 @@ func nodeHeadroom(gov *fault.Governor) int {
 }
 
 // record publishes one finished run into the metrics registry — a handful
-// of bulk adds per query, sharded so concurrent Engine queries do not
-// contend on the counter cache lines. Never called on the per-row path.
+// of bulk atomic adds per query. Never called on the per-row path.
 func (p *Prepared) record(reg *obs.Registry, s *Stats, wall time.Duration) {
-	h := reg.ShardHint()
-	reg.Counter("answer_tuples_total").AddShard(h, s.AnswerTuples)
-	reg.Counter("distinct_tuples_total").AddShard(h, s.DistinctTuples)
-	reg.Counter("conf_scans_total").AddShard(h, int64(s.Scans))
-	reg.Counter("conf_sorts_total").AddShard(h, int64(s.Sorts))
-	reg.Counter("sort_spilled_runs_total").AddShard(h, int64(s.SpilledRuns))
-	reg.Counter("sort_spill_bytes_total").AddShard(h, s.SpillBytes)
-	reg.Counter("obdd_nodes_total").AddShard(h, s.OBDDNodes)
-	reg.Counter("dtree_nodes_total").AddShard(h, s.DTreeNodes)
-	reg.Counter("mc_samples_total").AddShard(h, s.Samples)
-	reg.Counter("lineage_clauses_total").AddShard(h, s.LineageClauses)
-	reg.Counter("lineage_dup_rows_total").AddShard(h, s.LineageDupRows)
-	reg.Counter("grace_joins_total").AddShard(h, s.GraceJoins)
-	reg.Counter("memo_hits_total").AddShard(h, s.MemoHits)
-	reg.Counter("memo_misses_total").AddShard(h, s.MemoMisses)
+	reg.Counter("answer_tuples_total").Add(s.AnswerTuples)
+	reg.Counter("distinct_tuples_total").Add(s.DistinctTuples)
+	reg.Counter("conf_scans_total").Add(int64(s.Scans))
+	reg.Counter("conf_sorts_total").Add(int64(s.Sorts))
+	reg.Counter("sort_spilled_runs_total").Add(int64(s.SpilledRuns))
+	reg.Counter("sort_spill_bytes_total").Add(s.SpillBytes)
+	reg.Counter("obdd_nodes_total").Add(s.OBDDNodes)
+	reg.Counter("dtree_nodes_total").Add(s.DTreeNodes)
+	reg.Counter("mc_samples_total").Add(s.Samples)
+	reg.Counter("lineage_clauses_total").Add(s.LineageClauses)
+	reg.Counter("lineage_dup_rows_total").Add(s.LineageDupRows)
+	reg.Counter("grace_joins_total").Add(s.GraceJoins)
+	reg.Counter("memo_hits_total").Add(s.MemoHits)
+	reg.Counter("memo_misses_total").Add(s.MemoMisses)
 	if s.Approximate {
-		reg.Counter("approximate_results_total").AddShard(h, 1)
+		reg.Counter("approximate_results_total").Add(1)
 	}
 	// The engine's free list is process-wide: its figures are totals since
 	// start-up, so they are set, not added.

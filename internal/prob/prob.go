@@ -186,17 +186,17 @@ func (a *Assignment) fromAt(v Var) int32 {
 // to match, so that every id within their capacity is set densely, with
 // no detour through the map, and grows nothing.
 func (a *Assignment) Draw(ls *freelist.Lease) {
-	a.p, _ = freelist.Float64s.Largest(ls, 0)
+	a.p, _ = freelist.Float64s.Largest(ls)
 	if c := cap(a.p); c > 0 {
-		a.from, _ = freelist.Int32s.Fit(ls, 0, 4*int64(c))
+		a.from, _ = freelist.Int32s.Fit(ls, 4*int64(c))
 	}
 }
 
 // Recycle gives the dense arrays back to the free list, leaving the
 // assignment empty; a second Recycle finds nothing.
 func (a *Assignment) Recycle(ls *freelist.Lease) {
-	freelist.Float64s.Put(ls, 0, a.p)
-	freelist.Int32s.Put(ls, 0, a.from)
+	freelist.Float64s.Put(ls, a.p)
+	freelist.Int32s.Put(ls, a.from)
 	*a = Assignment{}
 }
 

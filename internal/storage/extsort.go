@@ -162,13 +162,6 @@ func (s *ExternalSorter) Rows() int64 { return s.rows }
 // early spill instead of growing further. Call before the first Add.
 func (s *ExternalSorter) Govern(g *fault.Governor) { s.mem = g }
 
-// Slot places the sorter in slot i of the engine's free list
-// (sortbuf.go): the buffers it draws come from slot i first and go back to
-// it. Concurrent sorters of one partitioned pass take a slot each, so that
-// a partition's sorter gets back what the same partition's sorter of the
-// previous pass grew to. The default slot is 0. Call before the first Add.
-func (s *ExternalSorter) Slot(i int) { s.slot = i }
-
 // EarlySpills reports how many runs were spilled because the governor
 // denied further buffer growth (a subset of Spills).
 func (s *ExternalSorter) EarlySpills() int { return s.earlySpills }
@@ -562,7 +555,7 @@ func (s *ExternalSorter) Finish() (TupleIterator, error) {
 		return &memIter{rows: s.buf}, nil
 	}
 	s.buf = nil
-	return newMergeIter(runs, s.cmp, nil, nil, 0, false)
+	return newMergeIter(runs, s.cmp, nil, nil, false)
 }
 
 // FinishBatches completes a key sort and returns its sorted stream, a
@@ -584,7 +577,7 @@ func (s *ExternalSorter) FinishBatches() (*SortedBatches, error) {
 		return out, nil
 	}
 	s.dropRun()
-	m, err := newMergeIter(runs, nil, s.cols, schema, s.slot, s.mem == nil)
+	m, err := newMergeIter(runs, nil, s.cols, schema, s.mem == nil)
 	if err != nil {
 		return nil, err
 	}
@@ -728,8 +721,8 @@ func (it *SortedBatches) Close() error {
 // reads each run's lent tuples (Scanner.Next). The run whose head was
 // handed out advances at the start of the following next, so a lent head
 // survives exactly until then. A pooled key merge (an ungoverned sort's)
-// draws its per-run pages and block vectors from the engine's free list, in
-// the sorter's slot, and gives them back on Close.
+// draws its per-run pages and block vectors from the engine's free list and
+// gives them back on Close.
 type mergeIter struct {
 	cmp     TupleCompare // nil: heads are ordered by key
 	cols    []int
@@ -740,7 +733,6 @@ type mergeIter struct {
 	idle    []mergeHead // heads of exhausted runs, whose buffers go back on Close
 
 	pooled bool // the heads' pages and blocks came off the free list
-	slot   int
 	lease  freelist.Lease
 }
 
@@ -779,17 +771,17 @@ func (h *mergeHead) appendRow(dst *table.ColBatch) {
 // pageList holds the idle pages of merges.
 var pageList = freelist.New(func(*Page) int64 { return PageSize }, func(**Page) {})
 
-func newMergeIter(runs []*HeapFile, cmp TupleCompare, cols []int, schema *table.Schema, slot int, pooled bool) (*mergeIter, error) {
+func newMergeIter(runs []*HeapFile, cmp TupleCompare, cols []int, schema *table.Schema, pooled bool) (*mergeIter, error) {
 	m := &mergeIter{cmp: cmp, cols: cols, schema: schema, runs: runs, heads: make([]mergeHead, 0, len(runs)),
-		slot: slot, pooled: pooled && cmp == nil}
+		pooled: pooled && cmp == nil}
 	for i, r := range runs {
 		h := mergeHead{scan: r.NewScanner(nil), run: i, pos: -1}
 		if cmp == nil {
 			h.block.Reset(schema)
 			h.strs = make([]string, schema.Len())
 			if m.pooled {
-				h.page, _ = pageList.Largest(&m.lease, slot)
-				h.block.Draw(&m.lease, slot, pageRows(schema))
+				h.page, _ = pageList.Largest(&m.lease)
+				h.block.Draw(&m.lease, pageRows(schema))
 			}
 			if h.page == nil {
 				h.page = new(Page)
@@ -925,8 +917,8 @@ func (m *mergeIter) Close() error {
 	if m.pooled {
 		for _, hs := range [][]mergeHead{m.heads, m.idle} {
 			for i := range hs {
-				pageList.Put(&m.lease, m.slot, hs[i].page)
-				hs[i].block.Recycle(&m.lease, m.slot)
+				pageList.Put(&m.lease, hs[i].page)
+				hs[i].block.Recycle(&m.lease)
 			}
 		}
 	}

@@ -1,8 +1,12 @@
 package storage
 
 import (
+	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/table"
@@ -89,6 +93,56 @@ func TestReadPageOutOfRange(t *testing.T) {
 	}
 	if err := h.ReadPage(-1, &p); err == nil {
 		t.Error("negative page read must fail")
+	}
+}
+
+// TestReadPageShortRead: a heap file cut short after it was opened fails
+// the read of its lost page with io.ErrUnexpectedEOF, naming the file and
+// the page — through the nil-pool scan a spilled-run merge uses, which
+// must not hand out the previous page's rows again, and through a pool.
+func TestReadPageShortRead(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "short.heap")
+	h, err := CreateHeapFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 1200 {
+		if err := h.Append(table.Tuple{table.Int(int64(i)), table.Str("xxxxxxxx")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	back, err := OpenHeapFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer back.Close()
+	if back.NumPages() != 3 {
+		t.Fatalf("1200 rows took %d pages, want 3", back.NumPages())
+	}
+	if err := os.Truncate(path, 2*PageSize); err != nil {
+		t.Fatal(err)
+	}
+	for name, pool := range map[string]*BufferPool{"nil pool": nil, "64-frame pool": NewBufferPool(64)} {
+		sc := back.NewScanner(pool)
+		rows := 0
+		for {
+			_, ok, err := sc.Next()
+			if err != nil {
+				if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), fmt.Sprintf("%s page 2", path)) {
+					t.Errorf("%s: scan failed with %v, want an unexpected EOF naming %s page 2", name, err, path)
+				}
+				break
+			}
+			if !ok {
+				t.Errorf("%s: scan of the cut file ended without an error after %d rows", name, rows)
+				break
+			}
+			rows++
+		}
+		sc.Close()
 	}
 }
 

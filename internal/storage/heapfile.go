@@ -191,14 +191,19 @@ func (h *HeapFile) FinishWrites() error {
 	return nil
 }
 
-// ReadPage reads page no into dst. A page that is not a column page of
-// this format fails with ErrPageFormat.
+// ReadPage reads page no into dst. A read of less than a page (a file cut
+// short since it was opened) fails with io.ErrUnexpectedEOF, and a page
+// that is not a column page of this format with ErrPageFormat.
 func (h *HeapFile) ReadPage(no int64, dst *Page) error {
 	if no < 0 || no >= h.numPages {
 		return fmt.Errorf("storage: page %d out of range [0,%d)", no, h.numPages)
 	}
-	if _, err := ioReadAt(h.f, h.path, dst.Bytes(), no*PageSize); err != nil && err != io.EOF {
-		return fmt.Errorf("storage: read page %d: %w", no, err)
+	got, err := ioReadAt(h.f, h.path, dst.Bytes(), no*PageSize)
+	if err == nil && got < PageSize || err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return fmt.Errorf("storage: %s page %d: read: %w", h.path, no, err)
 	}
 	if err := checkFormat(dst.Bytes()); err != nil {
 		return fmt.Errorf("%s page %d: %w", h.path, no, err)
@@ -330,7 +335,7 @@ func (s *Scanner) advance(parse bool) (bool, error) {
 func (s *Scanner) fromExtent() error {
 	if s.ext == nil || s.pageNo >= s.extFirst+int64(s.extPages) {
 		if s.ext == nil {
-			if s.ext, _ = extentList.Largest(&s.lease, 0); s.ext == nil {
+			if s.ext, _ = extentList.Largest(&s.lease); s.ext == nil {
 				s.ext = new(extent)
 			}
 		}
@@ -358,7 +363,7 @@ func (s *Scanner) fromExtent() error {
 // dropExtent gives the extent in hand back to the free list.
 func (s *Scanner) dropExtent() {
 	if s.ext != nil {
-		extentList.Put(&s.lease, 0, s.ext)
+		extentList.Put(&s.lease, s.ext)
 		s.ext, s.extPages = nil, 0
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/fault"
@@ -42,17 +43,46 @@ func first[T any](s []T) any {
 	return &s[:1][0]
 }
 
-// drainList takes every idle buffer off a list, across its slots.
+// drainList takes every idle buffer off a list.
 func drainList[T any](l *freelist.List[T]) []T {
 	var ls freelist.Lease
 	var out []T
 	for {
-		x, ok := l.Largest(&ls, 0)
+		x, ok := l.Largest(&ls)
 		if !ok {
 			return out
 		}
 		out = append(out, x)
 	}
+}
+
+// vecKinds has one column of every kind.
+var vecKinds = table.NewSchema(table.DataCol("i", table.KindInt), table.DataCol("f", table.KindFloat),
+	table.DataCol("s", table.KindString), table.DataCol("b", table.KindBool))
+
+// drainVecs takes every idle column vector off the free list, in batches
+// of one column a kind.
+func drainVecs(ls *freelist.Lease) []*table.ColBatch {
+	var out []*table.ColBatch
+	for {
+		b := table.NewColBatch(vecKinds)
+		b.Draw(ls, 0)
+		if b.MemSize() == 0 {
+			return out
+		}
+		out = append(out, b)
+	}
+}
+
+// drainSortLists takes every idle buffer a key sort draws off the free
+// list, and drops them.
+func drainSortLists() {
+	var ls freelist.Lease
+	drainVecs(&ls)
+	drainList(freelist.Bytes)
+	drainList(freelist.Uint32s)
+	drainList(entLists)
+	drainList(freelist.Int32s)
 }
 
 // idleBacking lists the backing arrays of the free list's idle sort
@@ -74,35 +104,25 @@ func idleBacking(t *testing.T) map[any]bool {
 		}
 	}
 	var ls freelist.Lease
-	kinds := table.NewSchema(table.DataCol("i", table.KindInt), table.DataCol("f", table.KindFloat),
-		table.DataCol("s", table.KindString), table.DataCol("b", table.KindBool))
-	var vecs []*table.ColBatch
-	for {
-		b := table.NewColBatch(kinds)
-		b.Draw(&ls, 0, 0)
-		if b.MemSize() == 0 {
-			break
-		}
+	vecs := drainVecs(&ls)
+	for _, b := range vecs {
 		for c := range b.Cols {
 			add(vecBacking(&b.Cols[c])...)
 		}
-		vecs = append(vecs, b)
-	}
-	for _, b := range vecs {
-		b.Recycle(&ls, 0)
+		b.Recycle(&ls)
 	}
 	keys, offs, ents := drainList(freelist.Bytes), drainList(freelist.Uint32s), drainList(entLists)
 	for _, b := range keys {
 		add(first(b))
-		freelist.Bytes.Put(&ls, 0, b)
+		freelist.Bytes.Put(&ls, b)
 	}
 	for _, b := range offs {
 		add(first(b))
-		freelist.Uint32s.Put(&ls, 0, b)
+		freelist.Uint32s.Put(&ls, b)
 	}
 	for _, b := range ents {
 		add(first(b))
-		entLists.Put(&ls, 0, b)
+		entLists.Put(&ls, b)
 	}
 	return seen
 }
@@ -117,9 +137,9 @@ func feedKeySort(t *testing.T, s *ExternalSorter, rows []table.Tuple) {
 // TestSortBuffersOneOwner: a key sorter's buffers go back to the free list
 // at most once, whatever order its owners are released in — the stream
 // closed twice, the sorter discarded after its stream closed, discarded
-// after a failed FinishBatches, and a governed sorter's buffers dropped
-// mid-sort — so no array is ever idle twice, and two live sorters never
-// share one.
+// after a failed FinishBatches, a governed sorter's buffers dropped
+// mid-sort, and the four sorters of one partitioned pass sharing the lists
+// — so no array is ever idle twice, and two live sorters never share one.
 func TestSortBuffersOneOwner(t *testing.T) {
 	cols := []int{0, 1, 2}
 	rows := keySortInput(rand.New(rand.NewSource(5)), 3000, "")
@@ -214,6 +234,63 @@ func TestSortBuffersOneOwner(t *testing.T) {
 	a.Discard()
 	b.Discard()
 	idleBacking(t)
+
+	// A partitioned pass: four sorters, two spilling and two not, are fed
+	// and finished concurrently on the one set of lists, and their streams
+	// are closed in random order. Each sorts what a lone sorter sorts.
+	const parts = 4
+	budgets := [2]int{700, 1 << 16}
+	in := make([][]table.Tuple, parts)
+	for i, r := range keySortInput(rand.New(rand.NewSource(7)), 6000, "") {
+		in[i%parts] = append(in[i%parts], r)
+	}
+	want := make([][]table.Tuple, parts)
+	for p := range parts {
+		lone := NewKeySorter(keySortSchema, cols, budgets[p%2], t.TempDir())
+		feedKeySort(t, lone, in[p])
+		it, err := lone.FinishBatches()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[p] = drain(t, it)
+		it.Close()
+	}
+	streams := make([]*SortedBatches, parts)
+	errs := make([]error, parts)
+	spills := make([]int, parts)
+	var wg sync.WaitGroup
+	for p := range parts {
+		dir := t.TempDir()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := NewKeySorter(keySortSchema, cols, budgets[p%2], dir)
+			if errs[p] = addRows(s, in[p]...); errs[p] != nil {
+				s.Discard()
+				return
+			}
+			streams[p], errs[p] = s.FinishBatches()
+			spills[p] = s.Spills()
+		}()
+	}
+	wg.Wait()
+	for p, err := range errs {
+		if err != nil {
+			t.Fatalf("partition %d: %v", p, err)
+		}
+		if spilled := spills[p] > 0; spilled != (p%2 == 0) {
+			t.Fatalf("partition %d spilled %d runs under a budget of %d rows", p, spills[p], budgets[p%2])
+		}
+	}
+	for _, p := range rand.New(rand.NewSource(8)).Perm(parts) {
+		if err := sameTuples(drain(t, streams[p]), want[p]); err != nil {
+			t.Errorf("partition %d sorted differently from a lone sorter: %v", p, err)
+		}
+		if err := streams[p].Close(); err != nil {
+			t.Fatal(err)
+		}
+		idleBacking(t)
+	}
 }
 
 // strBatch is a batch of the (s string, seq int) schema whose string column
@@ -269,7 +346,9 @@ func TestRecycledStringColumnLayouts(t *testing.T) {
 		}
 		return mode, out
 	}
-	const slot = 97 // a slot of the test's own: each sort draws what the previous one gave back
+	// Start from empty lists, so that each sort draws what the previous one
+	// gave back.
+	drainSortLists()
 	for _, step := range []struct {
 		name string
 		in   []*table.ColBatch
@@ -286,7 +365,6 @@ func TestRecycledStringColumnLayouts(t *testing.T) {
 		fresh.Govern(fault.NewGovernor(0, nil)) // governed: bypasses the free list
 		wantMode, want := sortOn(fresh, step.in)
 		recycled := NewKeySorter(schema, cols, 1<<16, t.TempDir())
-		recycled.Slot(slot)
 		gotMode, got := sortOn(recycled, step.in)
 		if wantMode != step.mode {
 			t.Fatalf("%s: a fresh run buffer took layout %d, want %d", step.name, wantMode, step.mode)

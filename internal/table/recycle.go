@@ -25,15 +25,15 @@ func vecBytes(k Kind) int64 {
 // BatchSize chunk), else the largest idle vector of the column's kind (a
 // sort run, which does not know how far it will grow). A column the list
 // has no vector for keeps growing from nothing.
-func (b *ColBatch) Draw(ls *freelist.Lease, slot, rows int) {
+func (b *ColBatch) Draw(ls *freelist.Lease, rows int) {
 	for c := range b.Cols {
 		v := &b.Cols[c]
 		var got ColVec
 		var ok bool
 		if rows > 0 {
-			got, ok = vecLists[v.Kind].Fit(ls, slot, int64(rows)*vecBytes(v.Kind))
+			got, ok = vecLists[v.Kind].Fit(ls, int64(rows)*vecBytes(v.Kind))
 		} else {
-			got, ok = vecLists[v.Kind].Largest(ls, slot)
+			got, ok = vecLists[v.Kind].Largest(ls)
 		}
 		if ok {
 			got.Reuse(v.Kind)
@@ -44,10 +44,10 @@ func (b *ColBatch) Draw(ls *freelist.Lease, slot, rows int) {
 
 // Recycle gives b's column vectors back to the free list and leaves b's
 // columns empty: nothing of what b held may be read afterwards.
-func (b *ColBatch) Recycle(ls *freelist.Lease, slot int) {
+func (b *ColBatch) Recycle(ls *freelist.Lease) {
 	for c := range b.Cols {
 		v := &b.Cols[c]
-		vecLists[v.Kind].Put(ls, slot, *v)
+		vecLists[v.Kind].Put(ls, *v)
 		*v = ColVec{Kind: v.Kind}
 	}
 	b.N, b.Sel = 0, nil

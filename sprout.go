@@ -381,7 +381,6 @@ func WithWorkers(n int) RunOption {
 			return fmt.Errorf("sprout: WithWorkers(%d): worker count must be ≥ 1 (omit the option for the GOMAXPROCS default)", n)
 		}
 		s.Workers = n
-		s.MC.Workers = n
 		return nil
 	}
 }
