@@ -28,6 +28,7 @@ import (
 	"os"
 	"slices"
 
+	"repro/internal/conf"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/tpch"
@@ -112,12 +113,16 @@ func main() {
 	fmt.Printf("signature: %s\n", res.Stats.Signature)
 	fmt.Printf("answer tuples: %d, distinct: %d, operator scans: %d\n",
 		res.Stats.AnswerTuples, res.Stats.DistinctTuples, res.Stats.Scans)
-	if res.Stats.OBDDNodes > 0 {
-		fmt.Printf("OBDD nodes: %d\n", res.Stats.OBDDNodes)
-	}
-	if res.Stats.Approximate && res.Stats.UpperBound > res.Stats.LowerBound {
-		fmt.Printf("certified bounds: every true confidence lies in [%g, %g]; printed confidences are midpoints\n",
-			res.Stats.LowerBound, res.Stats.UpperBound)
+	if l := &res.Stats.Lineage; l.Tier == conf.TierMC {
+		fmt.Printf("lineage tier mc: %d samples; %d exact, %d stopped, %d capped; estimates within ε = %g of the truth with probability 1−δ\n",
+			l.Samples, l.ExactAnswers, l.Stopped, l.Capped, l.MaxEpsilon)
+	} else if l.Tier != "" {
+		fmt.Printf("lineage tier %s: effort %d, memo hits %d, misses %d; %d exact, %d bounded, %d stopped\n",
+			l.Tier, l.Nodes, l.MemoHits, l.MemoMisses, l.ExactAnswers, l.Bounded, l.Stopped)
+		if l.Bounded > 0 {
+			fmt.Printf("certified bounds: every true confidence lies in [%g, %g], each within %g of its printed midpoint\n",
+				l.LowerBound, l.UpperBound, l.MaxWidth/2)
+		}
 	}
 	fmt.Printf("tuple time %.4fs, prob time %.4fs\n", res.Stats.TupleTime.Seconds(), res.Stats.ProbTime.Seconds())
 	if res.Stats.Trace != nil {

@@ -105,7 +105,7 @@ func TestInsufficientDeadlineDegradesToBounds(t *testing.T) {
 				t.Fatalf("%s: Degraded=%v reason=%q, want deadline degradation",
 					at, res.Stats.Degraded, res.Stats.DegradeReason)
 			}
-			lo, hi := res.Stats.LowerBound, res.Stats.UpperBound
+			lo, hi := res.Stats.Lineage.LowerBound, res.Stats.Lineage.UpperBound
 			if !(lo <= hi) || lo < 0 || hi > 1 {
 				t.Fatalf("%s: malformed certified interval [%g, %g]", at, lo, hi)
 			}

@@ -75,6 +75,39 @@ func TestEngineMetrics(t *testing.T) {
 	}
 }
 
+// TestEngineTierMetricsMatchRecord: each lineage tier's counters move by
+// exactly the record its run reports in Stats.Lineage — the effort on the
+// tier's own counter and nothing on the others' — for an obdd, a dtree and
+// an mc run of the unsafe query on one engine.
+func TestEngineTierMetricsMatchRecord(t *testing.T) {
+	e, err := tpchDB(nil).NewEngine(WithWorkers(2), WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"obdd_nodes_total", "dtree_nodes_total", "mc_samples_total",
+		"memo_hits_total", "memo_misses_total", "lineage_clauses_total"}
+	for _, style := range []PlanStyle{OBDD, DTree, MonteCarlo} {
+		before := e.Metrics().Counters
+		res, err := e.Run(context.Background(), wrapQuery(benchutil.UnsafeQuery()), style)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := res.Stats.Lineage
+		if l.Tier != style.String() || l.Effort() <= 0 || l.Clauses <= 0 {
+			t.Fatalf("%v: record %+v", style, l)
+		}
+		want := map[string]int64{"mc_samples_total": l.Samples,
+			"memo_hits_total": l.MemoHits, "memo_misses_total": l.MemoMisses, "lineage_clauses_total": l.Clauses}
+		want[l.Tier+"_nodes_total"] = l.Nodes
+		after := e.Metrics().Counters
+		for _, name := range names {
+			if got := after[name] - before[name]; got != want[name] {
+				t.Errorf("%v: %s moved by %d, record says %d", style, name, got, want[name])
+			}
+		}
+	}
+}
+
 // TestEngineLineageAndGraceMetrics: the layers the benchmark used to stage
 // from outside report themselves — a lineage plan's collection time, clause
 // and duplicate-row counts, and a governed join's fall to grace mode.
@@ -103,12 +136,12 @@ func TestEngineLineageAndGraceMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap = e.Metrics()
-	if got := snap.Counters["lineage_clauses_total"]; got <= 0 || got != u.Stats.LineageClauses {
-		t.Errorf("lineage_clauses_total = %d, Stats.LineageClauses %d", got, u.Stats.LineageClauses)
+	if got := snap.Counters["lineage_clauses_total"]; got <= 0 || got != u.Stats.Lineage.Clauses {
+		t.Errorf("lineage_clauses_total = %d, Stats.Lineage.Clauses %d", got, u.Stats.Lineage.Clauses)
 	}
-	if got := snap.Counters["lineage_dup_rows_total"]; got != u.Stats.LineageDupRows || got != u.Stats.AnswerTuples-u.Stats.LineageClauses {
-		t.Errorf("lineage_dup_rows_total = %d, Stats.LineageDupRows %d, %d answer tuples − %d clauses",
-			got, u.Stats.LineageDupRows, u.Stats.AnswerTuples, u.Stats.LineageClauses)
+	if got := snap.Counters["lineage_dup_rows_total"]; got != u.Stats.Lineage.DupRows || got != u.Stats.AnswerTuples-u.Stats.Lineage.Clauses {
+		t.Errorf("lineage_dup_rows_total = %d, Stats.Lineage.DupRows %d, %d answer tuples − %d clauses",
+			got, u.Stats.Lineage.DupRows, u.Stats.AnswerTuples, u.Stats.Lineage.Clauses)
 	}
 	if h := snap.Histograms["lineage_collect_seconds"]; h.Count != 1 || h.SumSec <= 0 || h.SumSec > u.Stats.ProbTime.Seconds() {
 		t.Errorf("lineage_collect_seconds = %+v, ProbTime %v (CollectTime %v)", h, u.Stats.ProbTime, u.Stats.CollectTime)

@@ -28,8 +28,8 @@ var ErrDTreeBudget = errors.New("conf: d-tree step budget exceeded")
 // get the certified bound midpoint as their confidence (see
 // TierStats.LowerBound/UpperBound), unless exactOnly is set, in which case
 // ErrDTreeBudget is returned.
-func DTreeLineage(ctx context.Context, p *pool.Pool, l *Lineage, opts dtree.Options, exactOnly bool) (*table.Relation, *DTreeStats, error) {
-	return compileLineage(ctx, p, l, opts, exactOnly, ErrDTreeBudget, func(b *dtree.Builder, i int) (dtree.Result, error) {
+func DTreeLineage(ctx context.Context, p *pool.Pool, l *Lineage, opts dtree.Options, exactOnly bool) (*table.Relation, *TierStats, error) {
+	return compileLineage(ctx, p, l, TierDTree, opts, exactOnly, ErrDTreeBudget, func(b *dtree.Builder, i int) (dtree.Result, error) {
 		return dtree.ProbWith(b, l.DNFs[i], l.Assign, opts), nil
 	})
 }

@@ -102,7 +102,7 @@ func (l *Lineage) Release() {
 	l.Keys, l.DNFs, l.bufs = nil, nil, lineageBufs{}
 }
 
-// LineageStats is the head every lineage tier's stats share: what
+// LineageStats is the head of every lineage tier's record (TierStats): what
 // collection saw, whatever then computes the confidences.
 type LineageStats struct {
 	InputTuples  int64 // rows entering lineage collection
@@ -476,26 +476,6 @@ func (c *collector) finish() *Lineage {
 	return l
 }
 
-// MCStats reports what the Monte Carlo operator did.
-type MCStats struct {
-	LineageStats
-	Samples      int64 // Monte Carlo samples drawn across all answers
-	ExactAnswers int64 // answers resolved by an exact shortcut (no sampling)
-	// StoppedAnswers counts answers whose sampling a deadline-watermark
-	// Stop cut short: their estimates carry the wider ε the drawn samples
-	// actually guarantee.
-	StoppedAnswers int64
-	// CappedAnswers counts answers whose run MaxSamples cut short of the
-	// requested (ε, δ) sample count — their early-stop reason is "sample
-	// cap", everyone else's is "target met" (or an exact shortcut).
-	CappedAnswers int64
-	// MaxAnswerSamples is the largest per-answer sample count of the run.
-	MaxAnswerSamples int64
-	// MaxEpsilon is the weakest per-answer additive guarantee of the run:
-	// equal to the requested ε unless MaxSamples capped some estimate.
-	MaxEpsilon float64
-}
-
 // MonteCarloLineage estimates per-answer confidences of an already
 // collected lineage — the Monte Carlo tier of the contract in tier.go. The
 // output has the lineage's data columns plus the conf column, sorted by the
@@ -503,15 +483,15 @@ type MCStats struct {
 // the input. ctx cancels the samplers mid-run; a nil ctx means no
 // cancellation. The samplers fan out inside
 // prob.EstimateAllCtx (per-answer seeded streams on opts.Pool), not on the
-// compilation tiers' per-answer driver; the stats head and the output rows
-// are the shared ones.
-func MonteCarloLineage(ctx context.Context, l *Lineage, opts prob.MCOptions) (*table.Relation, *MCStats, error) {
+// compilation tiers' per-answer driver; the record and the output rows are
+// the shared ones.
+func MonteCarloLineage(ctx context.Context, l *Lineage, opts prob.MCOptions) (*table.Relation, *TierStats, error) {
 	ests, err := prob.EstimateAllCtx(ctx, l.DNFs, l.Assign, opts)
 	if err != nil {
 		return nil, nil, err
 	}
 	out := l.output()
-	stats := &MCStats{LineageStats: l.Stats()}
+	stats := &TierStats{LineageStats: l.Stats(), Tier: TierMC}
 	for i := range l.Keys {
 		out.Rows = append(out.Rows, l.row(i, ests[i].P))
 		stats.Samples += int64(ests[i].Samples)
@@ -522,10 +502,10 @@ func MonteCarloLineage(ctx context.Context, l *Lineage, opts prob.MCOptions) (*t
 			stats.ExactAnswers++
 		}
 		if ests[i].Capped {
-			stats.CappedAnswers++
+			stats.Capped++
 		}
 		if ests[i].Stopped {
-			stats.StoppedAnswers++
+			stats.Stopped++
 		}
 		if ests[i].Epsilon > stats.MaxEpsilon {
 			stats.MaxEpsilon = ests[i].Epsilon

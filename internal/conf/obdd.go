@@ -36,7 +36,7 @@ var ErrOBDDBudget = errors.New("conf: OBDD node budget exceeded")
 // TierStats.LowerBound/UpperBound), unless exactOnly is set, in which case
 // ErrOBDDBudget is returned — after the exact expansion alone, since the
 // anytime mode's bounds would be thrown away.
-func OBDDLineage(ctx context.Context, p *pool.Pool, l *Lineage, sig signature.Sig, opts obdd.Options, exactOnly bool) (*table.Relation, *OBDDStats, error) {
+func OBDDLineage(ctx context.Context, p *pool.Pool, l *Lineage, sig signature.Sig, opts obdd.Options, exactOnly bool) (*table.Relation, *TierStats, error) {
 	rank := sigRank(sig, l)
 	type state struct {
 		b     dtree.Builder
@@ -46,7 +46,7 @@ func OBDDLineage(ctx context.Context, p *pool.Pool, l *Lineage, sig signature.Si
 	if exactOnly {
 		compile = dtree.ProbOrdered
 	}
-	return compileLineage(ctx, p, l, opts, exactOnly, ErrOBDDBudget, func(s *state, i int) (obdd.Result, error) {
+	return compileLineage(ctx, p, l, TierOBDD, opts, exactOnly, ErrOBDDBudget, func(s *state, i int) (obdd.Result, error) {
 		return compile(&s.b, l.DNFs[i], l.Assign, s.order.OccurrenceOrder(l.DNFs[i], rank), opts)
 	})
 }

@@ -46,10 +46,9 @@ func TestOBDDMatchesEnumeration(t *testing.T) {
 			t.Errorf("answer %d: obdd %g, worlds %g", i, got, want)
 		}
 	}
-	if stats.LowerBound != stats.UpperBound && stats.MaxWidth != 0 {
-		// All answers exact: the certified interval collapses per answer,
-		// so the aggregate bounds span exactly the answer confidences.
-		t.Errorf("exact run should have zero max width: %+v", stats)
+	if stats.Bounded != 0 || stats.LowerBound != 0 || stats.UpperBound != 0 || stats.MaxWidth != 0 {
+		// All answers exact: the record carries no bounds.
+		t.Errorf("exact run should report no bounds: %+v", stats)
 	}
 }
 
@@ -197,6 +196,14 @@ func TestOBDDDegradedBoundsPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		lo, hi, mid := st.LowerBound, st.UpperBound, out.Rows[0][0].F
+		if c.exact {
+			// The record carries bounds only when some answer is bounded;
+			// an exact answer's interval is its confidence.
+			if lo != 0 || hi != 0 || st.MaxWidth != 0 {
+				t.Errorf("%s budget %d: exact run reports bounds [%g, %g] width %g", c.formula, c.budget, lo, hi, st.MaxWidth)
+			}
+			lo, hi = mid, mid
+		}
 		if math.Float64bits(lo) != c.lo || math.Float64bits(hi) != c.hi || mid != (lo+hi)/2 || (st.ExactAnswers == 1) != c.exact {
 			t.Errorf("%s budget %d: [%#x, %#x] mid %#x exact %v, want [%#x, %#x] exact %v", c.formula, c.budget,
 				math.Float64bits(lo), math.Float64bits(hi), math.Float64bits(mid), st.ExactAnswers == 1, c.lo, c.hi, c.exact)

@@ -79,23 +79,27 @@ func TestDTreeParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMonteCarloParallelBitIdentical: estimates depend only on the seed and
-// the lineage, never on the worker pool that computed them.
+// TestMonteCarloParallelBitIdentical: estimates and the whole record depend
+// only on the seed and the lineage, never on the worker pool that computed
+// them.
 func TestMonteCarloParallelBitIdentical(t *testing.T) {
 	rel := randomTwoSourceRel(rand.New(rand.NewSource(31)), 200, 4)
 	opts := prob.MCOptions{Seed: 9, Epsilon: 0.2, Method: prob.MCNaive}
-	want, _, err := MonteCarloLineage(context.Background(), lineageOf(t, cloneRelation(rel)), opts)
+	want, wantStats, err := MonteCarloLineage(context.Background(), lineageOf(t, cloneRelation(rel)), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 6} {
 		o := opts
 		o.Pool = pool.New(workers)
-		got, _, err := MonteCarloLineage(context.Background(), lineageOf(t, cloneRelation(rel)), o)
+		got, stats, err := MonteCarloLineage(context.Background(), lineageOf(t, cloneRelation(rel)), o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		mustEqualRelations(t, got, want, workers)
+		if *stats != *wantStats {
+			t.Fatalf("workers=%d: stats %+v, want %+v", workers, stats, wantStats)
+		}
 	}
 }
 

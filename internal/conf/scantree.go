@@ -33,10 +33,10 @@
 //     two settings of one compile kernel (internal/dtree), exact within a
 //     budget and certified deterministic [lo, hi] bounds beyond
 //     it, both on one per-answer driver (compileLineage: pool fan-out,
-//     pooled builder state, the degradation rule, one TierStats shape); and
-//     Monte Carlo (mc.go), which estimates each confidence with the (ε, δ)
-//     samplers of internal/prob and shares the stats head and the output
-//     assembly.
+//     pooled builder state, the degradation rule); and Monte Carlo (mc.go),
+//     which estimates each confidence with the (ε, δ) samplers of
+//     internal/prob. Every tier reports one record, TierStats, and shares
+//     the output assembly.
 //
 // Together they form the engine's fallback ladder for queries whose exact
 // confidence computation is #P-hard: sort+scan (needs a hierarchical

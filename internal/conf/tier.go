@@ -13,46 +13,95 @@ import (
 // This file is the one contract behind the lineage tiers — the confidence
 // operators for queries the sort+scan operator (operator.go) must reject.
 // Every tier consumes the same collected Lineage (one DNF per distinct
-// answer) and produces the same output relation (data columns plus conf,
-// in Keys order). The compilation tiers — OBDD (obdd.go) and d-tree
-// (dtree.go) — are the two settings of one compile kernel (internal/dtree)
-// and differ only in how one answer's DNF becomes a clauseset.Result, so
-// they share the per-answer driver below and one stats shape; Monte Carlo
-// (mc.go) keeps its own sampler fan-out and estimator stats, and shares the
-// stats head and the row assembly.
+// answer), produces the same output relation (data columns plus conf, in
+// Keys order) and reports the same record, TierStats. The compilation
+// tiers — OBDD (obdd.go) and d-tree (dtree.go) — are the two settings of
+// one compile kernel (internal/dtree) and differ only in how one answer's
+// DNF becomes a clauseset.Result, so they share the per-answer driver
+// below; Monte Carlo (mc.go) keeps its own sampler fan-out and shares the
+// record and the row assembly.
 
-// TierStats reports what a compilation tier did. Nodes is the tier's effort
-// unit, the kernel's expansion steps (for OBDD answers over budget, plus the
-// anytime mode's steps).
+// The lineage tiers' names, as TierStats.Tier reports them.
+const (
+	TierOBDD  = "obdd"
+	TierDTree = "dtree"
+	TierMC    = "mc"
+)
+
+// TierStats is what a lineage tier reports: one record for every tier,
+// whose fields a tier that does not use them leaves 0. The planner
+// (plan.Stats.Lineage), the metrics registry and the facade read it whole.
 type TierStats struct {
+	// LineageStats is what collection saw, whichever tier then ran.
 	LineageStats
-	Nodes        int64 // compilation effort, all answers
-	MemoHits     int64 // residual-memo hits across all compilations
-	MemoMisses   int64 // residual-memo misses across all compilations
-	HdrRecycled  int64 // clause headers recycled instead of arena-carved
-	ExactAnswers int64 // answers with exact confidences
-	Bounded      int64 // answers resolved only to [lo, hi] bounds
-	Stopped      int64 // bounded answers cut short by a deadline-watermark Stop
-	// LowerBound and UpperBound certify every answer's true confidence:
-	// min over answers of the per-answer lo, max of the per-answer hi
-	// (exact answers contribute their exact value to both).
+	// Tier names the tier that filled the record: TierOBDD, TierDTree or
+	// TierMC ("" when no lineage tier ran).
+	Tier string
+	// Nodes is a compilation tier's effort: the compile kernel's expansion
+	// steps across all answers (for OBDD answers over budget, plus the
+	// anytime mode's steps).
+	Nodes int64
+	// MemoHits and MemoMisses count residual-memo probes across all
+	// compilations; HdrRecycled counts clause headers recycled instead of
+	// arena-carved (it depends on sync.Pool scheduling, so it is the one
+	// field that may vary with the worker count).
+	MemoHits    int64
+	MemoMisses  int64
+	HdrRecycled int64
+	// ExactAnswers counts answers with exact confidences (for Monte Carlo:
+	// resolved by an exact shortcut, with no sampling).
+	ExactAnswers int64
+	// Bounded counts the compilation tiers' answers resolved only to
+	// certified [lo, hi] bounds, whose midpoint is the reported confidence.
+	Bounded int64
+	// Stopped counts answers a deadline-watermark Stop cut short: bounded
+	// answers of a compilation tier, or estimates that carry the wider ε
+	// the drawn samples actually guarantee.
+	Stopped int64
+	// LowerBound and UpperBound certify every answer's true confidence when
+	// some answer is bounded: min over answers of the per-answer lo, max of
+	// the per-answer hi (exact answers contribute their exact value to
+	// both). MaxWidth is the widest per-answer interval: each reported
+	// confidence is within MaxWidth/2 of the truth. All three are 0 unless
+	// Bounded > 0.
 	LowerBound float64
 	UpperBound float64
-	// MaxWidth is the widest per-answer interval (0 when all exact): each
-	// reported confidence is within MaxWidth/2 of the truth.
-	MaxWidth float64
+	MaxWidth   float64
+	// Samples is Monte Carlo's effort: samples drawn across all answers;
+	// MaxAnswerSamples is the largest per-answer count.
+	Samples          int64
+	MaxAnswerSamples int64
+	// Capped counts Monte Carlo answers whose run MCOptions.MaxSamples cut
+	// short of the requested (ε, δ) sample count.
+	Capped int64
+	// MaxEpsilon is the weakest per-answer additive (ε, δ) guarantee of a
+	// Monte Carlo run: the requested ε unless MaxSamples capped or a Stop
+	// cut short some estimate.
+	MaxEpsilon float64
 }
 
-// OBDDStats and DTreeStats are the compilation tiers' one stats shape.
+// Effort is the record's effort in its tier's unit: samples for Monte
+// Carlo, expansion steps (Nodes) for the compilation tiers.
+func (s *TierStats) Effort() int64 {
+	if s.Tier == TierMC {
+		return s.Samples
+	}
+	return s.Nodes
+}
+
+// OBDDStats, DTreeStats and MCStats are aliases of the record, by tier; the
+// benchmark's layer probes (bench/layers.go) name them.
 type (
 	OBDDStats  = TierStats
 	DTreeStats = TierStats
+	MCStats    = TierStats
 )
 
 // compileLineage is the per-answer driver of the compilation tiers: compile
 // every answer's lineage on the pool, then reduce the results serially in
-// answer order so the stats are deterministic. The output is a function of
-// the lineage and options — never of the worker count.
+// answer order into the named tier's record, so it is deterministic. The
+// output is a function of the lineage and options — never of the worker
+// count.
 //
 // Each worker draws a tier state S (builder, scratch) from a sync.Pool, so
 // tables and arenas are paid once per worker, not once per answer. The zero
@@ -67,7 +116,7 @@ type (
 // stopped result is accepted even then — its bounds are certified, and
 // falling further would spend deadline that is already gone. ctx and p may
 // be nil (no cancellation, serial execution).
-func compileLineage[S any](ctx context.Context, p *pool.Pool, l *Lineage, opts clauseset.Options, exactOnly bool, budgetErr error,
+func compileLineage[S any](ctx context.Context, p *pool.Pool, l *Lineage, tier string, opts clauseset.Options, exactOnly bool, budgetErr error,
 	compile func(s *S, i int) (clauseset.Result, error)) (*table.Relation, *TierStats, error) {
 	var states sync.Pool
 	results := make([]clauseset.Result, len(l.Keys))
@@ -99,7 +148,7 @@ func compileLineage[S any](ctx context.Context, p *pool.Pool, l *Lineage, opts c
 		return nil, nil, err
 	}
 	out := l.output()
-	stats := &TierStats{LineageStats: l.Stats()}
+	stats := &TierStats{LineageStats: l.Stats(), Tier: tier}
 	for i, res := range results {
 		if res.Exact {
 			stats.ExactAnswers++
@@ -123,6 +172,9 @@ func compileLineage[S any](ctx context.Context, p *pool.Pool, l *Lineage, opts c
 			stats.MaxWidth = w
 		}
 		out.Rows = append(out.Rows, l.row(i, res.P))
+	}
+	if stats.Bounded == 0 {
+		stats.LowerBound, stats.UpperBound, stats.MaxWidth = 0, 0, 0
 	}
 	return out, stats, nil
 }

@@ -20,10 +20,10 @@ type contractRun struct {
 	exact   int64   // answers resolved exactly
 	stopped int64   // answers a Stop cut short
 	half    float64 // every confidence is within half of the truth
-	zero    bool    // the stats beyond the head are all zero
-	// comparable is the whole stats value minus what may legitimately vary
-	// with scheduling, for the pool-size identity check.
-	comparable any
+	zero    bool    // the record beyond the head and the tier name is all zero
+	// comparable is the whole record minus what may legitimately vary with
+	// scheduling, for the pool-size identity check.
+	comparable TierStats
 }
 
 // contractTier adapts one lineage tier to the table below: budget caps the
@@ -38,32 +38,30 @@ type contractTier struct {
 	run  func(p *pool.Pool, l *Lineage, budget int, stop func() bool, exactOnly bool) (contractRun, error)
 }
 
-func compiledRun(out *table.Relation, ts *TierStats, err error) (contractRun, error) {
+// recordRun reads a tier's record in the contract's terms: a compilation
+// tier certifies within MaxWidth/2, Monte Carlo within MaxEpsilon, and the
+// other leaves its field 0.
+func recordRun(out *table.Relation, ts *TierStats, err error) (contractRun, error) {
 	if err != nil {
 		return contractRun{}, err
 	}
 	c := *ts
 	c.HdrRecycled = 0 // sync.Pool-scheduling dependent
 	return contractRun{out: out, head: ts.LineageStats, exact: ts.ExactAnswers, stopped: ts.Stopped,
-		half: ts.MaxWidth / 2, zero: *ts == TierStats{LineageStats: ts.LineageStats}, comparable: c}, nil
+		half: max(ts.MaxWidth/2, ts.MaxEpsilon), zero: *ts == TierStats{LineageStats: ts.LineageStats, Tier: ts.Tier}, comparable: c}, nil
 }
 
 var contractTiers = []contractTier{
 	{"obdd", ErrOBDDBudget, 2, func(p *pool.Pool, l *Lineage, budget int, stop func() bool, exactOnly bool) (contractRun, error) {
-		return compiledRun(OBDDLineage(context.Background(), p, l, nil, obdd.Options{NodeBudget: budget, Stop: stop}, exactOnly))
+		return recordRun(OBDDLineage(context.Background(), p, l, nil, obdd.Options{NodeBudget: budget, Stop: stop}, exactOnly))
 	}},
 	{"dtree", ErrDTreeBudget, 2, func(p *pool.Pool, l *Lineage, budget int, stop func() bool, exactOnly bool) (contractRun, error) {
-		return compiledRun(DTreeLineage(context.Background(), p, l, obdd.Options{NodeBudget: budget, Stop: stop}, exactOnly))
+		return recordRun(DTreeLineage(context.Background(), p, l, obdd.Options{NodeBudget: budget, Stop: stop}, exactOnly))
 	}},
 	{"mc", nil, 3, func(p *pool.Pool, l *Lineage, _ int, stop func() bool, _ bool) (contractRun, error) {
 		// Naive sampling at ε = 0.01 needs ~26k samples per answer, so a
 		// Stop (polled between blocks of 8192) has something to cut short.
-		out, ms, err := MonteCarloLineage(context.Background(), l, prob.MCOptions{Seed: 5, Epsilon: 0.01, Delta: 0.01, Method: prob.MCNaive, Pool: p, Stop: stop})
-		if err != nil {
-			return contractRun{}, err
-		}
-		return contractRun{out: out, head: ms.LineageStats, exact: ms.ExactAnswers, stopped: ms.StoppedAnswers,
-			half: ms.MaxEpsilon, zero: *ms == MCStats{LineageStats: ms.LineageStats}, comparable: *ms}, nil
+		return recordRun(MonteCarloLineage(context.Background(), l, prob.MCOptions{Seed: 5, Epsilon: 0.01, Delta: 0.01, Method: prob.MCNaive, Pool: p, Stop: stop}))
 	}},
 }
 
@@ -128,6 +126,9 @@ func TestTierContract(t *testing.T) {
 				t.Fatal(err)
 			}
 			mustCertify(t, l, truth, want)
+			if want.comparable.Tier != tier.name {
+				t.Errorf("record names tier %q", want.comparable.Tier)
+			}
 			if tier.sentinel != nil && (want.exact != 3 || want.half != 0) {
 				t.Errorf("compilation tier within budget: %d exact, half-width %g", want.exact, want.half)
 			}

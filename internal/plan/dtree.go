@@ -12,16 +12,15 @@ import (
 // bounds beyond it. Decomposition is order-free, so no
 // signature is involved.
 var dtreeTier = tier{
-	name:       "dtree",
+	name:       conf.TierDTree,
 	effort:     "steps",
 	verb:       "decompose lineage of",
 	budgetErr:  conf.ErrDTreeBudget,
 	overrun:    "step budget exceeded",
 	ladderNote: "OBDD budget exceeded, lineage decomposed exactly",
-	run: func(ex exec, spec *Spec, _ *built, l *conf.Lineage, exactOnly bool) (*table.Relation, outcome, error) {
-		out, o, err := compiled(conf.DTreeLineage(ex.ctx, ex.pool, l, ex.arm(spec.Compile), exactOnly))
-		o.stats.DTreeNodes = o.effort
-		o.stats.Signature = "(d-tree over lineage; order-free decomposition)"
-		return out, o, err
+	signature:  func(*built) string { return "(d-tree over lineage; order-free decomposition)" },
+	run: func(ex exec, spec *Spec, _ *built, l *conf.Lineage, exactOnly bool) (*table.Relation, *conf.TierStats, error) {
+		return conf.DTreeLineage(ex.ctx, ex.pool, l, ex.arm(spec.Compile), exactOnly)
 	},
+	annotate: annotateCompiled,
 }

@@ -12,35 +12,33 @@ import (
 // conjunctive query — including the #P-hard ones every exact style must
 // reject — and never refuses: it is the last rung of the ladder.
 var mcTier = tier{
-	name:       "mc",
+	name:       conf.TierMC,
 	effort:     "samples",
 	verb:       "estimate conf of",
 	ladderNote: "OBDD and d-tree budgets exceeded",
-	run: func(ex exec, spec *Spec, _ *built, l *conf.Lineage, _ bool) (*table.Relation, outcome, error) {
+	signature:  func(*built) string { return "(approximate: Monte Carlo over lineage, no signature)" },
+	run: func(ex exec, spec *Spec, _ *built, l *conf.Lineage, _ bool) (*table.Relation, *conf.TierStats, error) {
 		opts := spec.MC
 		if ex.stop != nil {
 			opts.Stop = ex.stop
 		}
-		out, ms, err := conf.MonteCarloLineage(ex.ctx, l, opts)
-		if err != nil {
-			return nil, outcome{}, err
-		}
-		return out, outcome{
-			LineageStats: ms.LineageStats,
-			effort:       ms.Samples,
-			exact:        ms.ExactAnswers,
-			stopped:      ms.StoppedAnswers,
-			stats: Stats{Signature: "(approximate: Monte Carlo over lineage, no signature)",
-				Approximate: true, Samples: ms.Samples, Epsilon: ms.MaxEpsilon},
-			annotate: func(sp *obs.Span) {
-				sp.Int("max_answer_samples", ms.MaxAnswerSamples)
-				sp.Int("exact", ms.ExactAnswers).Int("capped", ms.CappedAnswers).Float("epsilon", ms.MaxEpsilon)
-				if ms.CappedAnswers > 0 {
-					sp.Str("early_stop", "sample cap")
-				} else {
-					sp.Str("early_stop", "target met")
-				}
-			},
-		}, nil
+		return conf.MonteCarloLineage(ex.ctx, l, opts)
 	},
+	annotate: annotateMC,
+}
+
+// annotateMC writes the Monte Carlo tier's attributes. early_stop names why
+// sampling ended: a deadline-watermark Stop cut some estimate short, the
+// sample cap did, or every answer met its (ε, δ) target.
+func annotateMC(sp *obs.Span, s *conf.TierStats) {
+	sp.Int("max_answer_samples", s.MaxAnswerSamples)
+	sp.Int("exact", s.ExactAnswers).Int("capped", s.Capped).Float("epsilon", s.MaxEpsilon)
+	switch {
+	case s.Stopped > 0:
+		sp.Str("early_stop", "deadline")
+	case s.Capped > 0:
+		sp.Str("early_stop", "sample cap")
+	default:
+		sp.Str("early_stop", "target met")
+	}
 }

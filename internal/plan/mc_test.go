@@ -1,14 +1,18 @@
 package plan
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/conf"
 	"repro/internal/dtree"
 	"repro/internal/fd"
+	"repro/internal/obs"
 	"repro/internal/prob"
 	"repro/internal/query"
 	"repro/internal/table"
@@ -161,8 +165,8 @@ func TestExactStylesFallBack(t *testing.T) {
 			!strings.Contains(res.Stats.Plan, "obdd") {
 			t.Errorf("%v: plan line should mention the OBDD fallback: %q", style, res.Stats.Plan)
 		}
-		if res.Stats.OBDDNodes == 0 {
-			t.Errorf("%v: OBDD fallback should report nodes", style)
+		if l := res.Stats.Lineage; l.Tier != conf.TierOBDD || l.Nodes == 0 {
+			t.Errorf("%v: OBDD fallback should report its record with nodes: %+v", style, l)
 		}
 
 		// A budget that starves only the ordered setting pushes the ladder
@@ -182,8 +186,8 @@ func TestExactStylesFallBack(t *testing.T) {
 		if !strings.Contains(res.Stats.Plan, "dtree") || !strings.Contains(res.Stats.Plan, "OBDD budget exceeded") {
 			t.Errorf("%v: plan line should mention the d-tree rung: %q", style, res.Stats.Plan)
 		}
-		if res.Stats.DTreeNodes == 0 {
-			t.Errorf("%v: d-tree fallback should report steps", style)
+		if l := res.Stats.Lineage; l.Tier != conf.TierDTree || l.Nodes == 0 {
+			t.Errorf("%v: d-tree fallback should report its record with steps: %+v", style, l)
 		}
 
 		// Starving the compile budget for both settings pushes the ladder
@@ -196,7 +200,7 @@ func TestExactStylesFallBack(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: MC fallback failed: %v", style, err)
 		}
-		if !res.Stats.Approximate || res.Stats.Samples == 0 {
+		if !res.Stats.Approximate || res.Stats.Lineage.Tier != conf.TierMC || res.Stats.Lineage.Samples == 0 {
 			t.Errorf("%v: starved-budget fallback must be a Monte Carlo estimate: %+v", style, res.Stats)
 		}
 		if !strings.Contains(res.Stats.Plan, "mc") || !strings.Contains(res.Stats.Plan, "budgets exceeded") {
@@ -245,5 +249,42 @@ func TestUnknownStyleRejected(t *testing.T) {
 	}
 	if _, err := ParseStyle("bogus"); err == nil {
 		t.Error("ParseStyle must reject unknown names")
+	}
+}
+
+// TestMonteCarloDeadlineEarlyStop: a Monte Carlo run that the deadline
+// watermark cut short says so — its span reads early_stop=deadline next to
+// deadline_stopped, never "target met", and the run is degraded for the
+// deadline. The watermark (1 h before a deadline 10 s away) has tripped
+// when the run arms, and at ε = 0.005 every answer needs more samples than
+// the sampler draws before its first Stop poll.
+func TestMonteCarloDeadlineEarlyStop(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	res, err := RunContext(ctx, hardDB(rand.New(rand.NewSource(1))), hardQuery(), fd.NewSet(), Spec{
+		Style: MonteCarlo, Trace: true, Watermark: time.Hour,
+		MC: prob.MCOptions{Seed: 1, Epsilon: 0.005},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.DegradeReason != "deadline" || res.Stats.Lineage.Stopped == 0 {
+		t.Fatalf("DegradeReason %q, record %+v: want a deadline-stopped run", res.Stats.DegradeReason, res.Stats.Lineage)
+	}
+	var sp *obs.Span
+	for _, ch := range res.Stats.Trace.Root.Children {
+		if ch.Name == "conf[mc]" {
+			sp = ch
+		}
+	}
+	if sp == nil {
+		t.Fatalf("no conf[mc] span in\n%s", res.Stats.Trace.Render(true))
+	}
+	attrs := make(map[string]string)
+	for _, a := range sp.Attrs {
+		attrs[a.Key] = a.Val
+	}
+	if stopped, _ := strconv.ParseInt(attrs["deadline_stopped"], 10, 64); attrs["early_stop"] != "deadline" || stopped <= 0 {
+		t.Errorf("span reads early_stop=%q deadline_stopped=%q, want deadline and > 0", attrs["early_stop"], attrs["deadline_stopped"])
 	}
 }

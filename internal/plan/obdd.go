@@ -15,21 +15,22 @@ import (
 // hierarchical signature when it has one (the OBDD style on a tractable
 // query); on the ladder there is none by construction.
 var obddTier = tier{
-	name:       "obdd",
+	name:       conf.TierOBDD,
 	effort:     "nodes",
 	verb:       "compile lineage of",
 	budgetErr:  conf.ErrOBDDBudget,
 	overrun:    "node budget exceeded",
 	ladderNote: "lineage compiled exactly",
-	run: func(ex exec, spec *Spec, b *built, l *conf.Lineage, exactOnly bool) (*table.Relation, outcome, error) {
-		out, o, err := compiled(conf.OBDDLineage(ex.ctx, ex.pool, l, b.sig, ex.arm(spec.obddOptions()), exactOnly))
-		o.stats.OBDDNodes = o.effort
-		o.stats.Signature = "(OBDD over lineage; interleaved-occurrence order)"
+	signature: func(b *built) string {
 		if b.sig != nil {
-			o.stats.Signature = fmt.Sprintf("(OBDD over lineage; order from signature %s)", b.sig)
+			return fmt.Sprintf("(OBDD over lineage; order from signature %s)", b.sig)
 		}
-		return out, o, err
+		return "(OBDD over lineage; interleaved-occurrence order)"
 	},
+	run: func(ex exec, spec *Spec, b *built, l *conf.Lineage, exactOnly bool) (*table.Relation, *conf.TierStats, error) {
+		return conf.OBDDLineage(ex.ctx, ex.pool, l, b.sig, ex.arm(spec.obddOptions()), exactOnly)
+	},
+	annotate: annotateCompiled,
 }
 
 // obddOptions is Compile with the deprecated OBDD.NodeBudget override

@@ -49,7 +49,7 @@ func TestOBDDPlanExactOnHardQuery(t *testing.T) {
 		if res.Stats.Approximate {
 			t.Fatalf("trial %d: under-budget OBDD run must be exact: %+v", trial, res.Stats)
 		}
-		if !strings.Contains(res.Stats.Plan, "obdd") || res.Stats.OBDDNodes == 0 {
+		if !strings.Contains(res.Stats.Plan, "obdd") || res.Stats.Lineage.Nodes == 0 {
 			t.Errorf("trial %d: stats should describe the OBDD run: %+v", trial, res.Stats)
 		}
 		truth := hardTruth(t, c)
@@ -66,8 +66,8 @@ func TestOBDDPlanExactOnHardQuery(t *testing.T) {
 }
 
 // TestOBDDPlanBounds: a starved node budget turns the OBDD style into the
-// certified-anytime mode: Stats.LowerBound ≤ every true confidence ≤
-// Stats.UpperBound, each reported confidence is a bound midpoint, bounds
+// certified-anytime mode: Stats.Lineage.LowerBound ≤ every true confidence ≤
+// Stats.Lineage.UpperBound, each reported confidence is a bound midpoint, bounds
 // tighten monotonically with the budget, and runs are deterministic.
 func TestOBDDPlanBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
@@ -87,16 +87,16 @@ func TestOBDDPlanBounds(t *testing.T) {
 		t.Fatalf("budget 1 should force bounds: %+v", res.Stats)
 	}
 	for i, want := range truth {
-		if res.Stats.LowerBound > want+1e-9 || want > res.Stats.UpperBound+1e-9 {
+		if res.Stats.Lineage.LowerBound > want+1e-9 || want > res.Stats.Lineage.UpperBound+1e-9 {
 			t.Errorf("answer %d: truth %g outside certified [%g, %g]",
-				i, want, res.Stats.LowerBound, res.Stats.UpperBound)
+				i, want, res.Stats.Lineage.LowerBound, res.Stats.Lineage.UpperBound)
 		}
 	}
 
 	prevWidth := math.Inf(1)
 	for _, budget := range []int{1, 2, 4, 8, 16} {
 		r := run(budget)
-		width := r.Stats.UpperBound - r.Stats.LowerBound
+		width := r.Stats.Lineage.UpperBound - r.Stats.Lineage.LowerBound
 		if width > prevWidth+1e-12 {
 			t.Errorf("budget %d: certified width %g loosened from %g", budget, width, prevWidth)
 		}
@@ -113,9 +113,9 @@ func TestOBDDPlanBounds(t *testing.T) {
 			t.Errorf("row %d: %g vs %g across identical runs", i, res.Rows.Rows[i][ci].F, again.Rows.Rows[i][ci].F)
 		}
 	}
-	if again.Stats.LowerBound != res.Stats.LowerBound || again.Stats.UpperBound != res.Stats.UpperBound {
+	if again.Stats.Lineage.LowerBound != res.Stats.Lineage.LowerBound || again.Stats.Lineage.UpperBound != res.Stats.Lineage.UpperBound {
 		t.Errorf("bounds must be deterministic: [%g, %g] vs [%g, %g]",
-			res.Stats.LowerBound, res.Stats.UpperBound, again.Stats.LowerBound, again.Stats.UpperBound)
+			res.Stats.Lineage.LowerBound, res.Stats.Lineage.UpperBound, again.Stats.Lineage.LowerBound, again.Stats.Lineage.UpperBound)
 	}
 
 	if _, err := Run(c, hardQuery(), fd.NewSet(), Spec{

@@ -207,7 +207,7 @@ func TestParallelQueryOracle(t *testing.T) {
 							if res.Stats.Approximate && !governed {
 								t.Errorf("%s: ungoverned run is not exact: %s", name, res.Stats.Plan)
 							}
-							tol += res.Stats.MaxWidth / 2
+							tol += res.Stats.Lineage.MaxWidth / 2
 							sawLineageGrace = sawLineageGrace || res.Stats.GraceJoins > 0
 						}
 						if res.Rows.Len() != len(truth) {

@@ -49,8 +49,8 @@ const (
 	// confidences whenever the expansion fits the node budget — including
 	// for many queries without a hierarchical signature — and certified
 	// deterministic [lo, hi] bounds (reported via
-	// Stats.LowerBound/UpperBound) when it does not. Exact styles try
-	// this compilation before falling back to Monte Carlo.
+	// Stats.Lineage.LowerBound/UpperBound) when it does not. Exact styles
+	// try this compilation before falling back to Monte Carlo.
 	OBDD
 	// DTree computes the answer tuples lazily and decomposes each answer's
 	// lineage DNF into a d-tree (internal/dtree): independent-AND and
@@ -218,47 +218,17 @@ type Stats struct {
 	SpilledRuns int
 	SpillBytes  int64
 	// Approximate marks non-exact confidences: (ε, δ) Monte Carlo
-	// estimates, or OBDD/d-tree bound midpoints (then
-	// LowerBound/UpperBound certify the truth deterministically).
+	// estimates, or OBDD/d-tree bound midpoints (then Lineage.LowerBound
+	// and Lineage.UpperBound certify the truth deterministically).
 	Approximate bool
-	// Samples is the total number of Monte Carlo samples drawn (0 for
-	// exact plans).
-	Samples int64
-	// Epsilon is the weakest per-answer additive error guarantee of an
-	// approximate run (0 for exact and OBDD plans — OBDD bounds are
-	// deterministic, not probabilistic).
-	Epsilon float64
-	// OBDDNodes counts OBDD nodes built plus anytime expansion steps
-	// across all answers (0 for non-OBDD plans).
-	OBDDNodes int64
-	// DTreeNodes counts d-tree decomposition steps across all answers (0
-	// for plans that never reach the d-tree tier).
-	DTreeNodes int64
-	// LowerBound and UpperBound certify every answer's true confidence of
-	// an OBDD or d-tree run that exceeded its budget: for each answer,
-	// truth ∈ [LowerBound, UpperBound]. Both are 0 when unused; they
-	// differ only on bounded (Approximate) lineage-compilation results.
-	LowerBound float64
-	UpperBound float64
-	// MaxWidth is the widest per-answer certified interval of a bounded
-	// OBDD or d-tree run: every reported confidence is within MaxWidth/2
-	// of the truth (0 for exact and Monte Carlo plans).
-	MaxWidth float64
-	// MemoHits and MemoMisses count residual-memo probes of the lineage
-	// compilation tier that produced the result — OBDD or d-tree (0 for
-	// plans that never compiled lineage). Their ratio is the memo hit
-	// rate the benchmark records track.
-	MemoHits   int64
-	MemoMisses int64
+	// Lineage is the record of the lineage tier that produced the result —
+	// for a ladder run, of the rung that answered; its fields are described
+	// on conf.TierStats. It is zero, with Tier "", when no lineage tier ran.
+	Lineage conf.TierStats
 	// CollectTime is the part of ProbTime a lineage tier (or the ladder)
 	// spent collecting the answers' lineage, before any rung compiled or
-	// sampled it — net of pulling the streamed answer, which is TupleTime;
-	// LineageClauses and LineageDupRows are what collection found —
-	// distinct clauses across all answers, and input rows whose clause
-	// their answer already had (0 for plans that collect none).
-	CollectTime    time.Duration
-	LineageClauses int64
-	LineageDupRows int64
+	// sampled it — net of pulling the streamed answer, which is TupleTime.
+	CollectTime time.Duration
 	// GraceJoins counts governed hash joins of the run that fell back to
 	// sort-merge (grace) mode under memory pressure.
 	GraceJoins int64
@@ -506,14 +476,24 @@ func (p *Prepared) record(reg *obs.Registry, s *Stats, wall time.Duration) {
 	reg.Counter("conf_sorts_total").Add(int64(s.Sorts))
 	reg.Counter("sort_spilled_runs_total").Add(int64(s.SpilledRuns))
 	reg.Counter("sort_spill_bytes_total").Add(s.SpillBytes)
-	reg.Counter("obdd_nodes_total").Add(s.OBDDNodes)
-	reg.Counter("dtree_nodes_total").Add(s.DTreeNodes)
-	reg.Counter("mc_samples_total").Add(s.Samples)
-	reg.Counter("lineage_clauses_total").Add(s.LineageClauses)
-	reg.Counter("lineage_dup_rows_total").Add(s.LineageDupRows)
+	// The tier record's effort goes to its tier's counter; every counter is
+	// still added to, so each exists from the first query on.
+	l := &s.Lineage
+	var obddNodes, dtreeNodes int64
+	switch l.Tier {
+	case conf.TierOBDD:
+		obddNodes = l.Nodes
+	case conf.TierDTree:
+		dtreeNodes = l.Nodes
+	}
+	reg.Counter("obdd_nodes_total").Add(obddNodes)
+	reg.Counter("dtree_nodes_total").Add(dtreeNodes)
+	reg.Counter("mc_samples_total").Add(l.Samples)
+	reg.Counter("lineage_clauses_total").Add(l.Clauses)
+	reg.Counter("lineage_dup_rows_total").Add(l.DupRows)
 	reg.Counter("grace_joins_total").Add(s.GraceJoins)
-	reg.Counter("memo_hits_total").Add(s.MemoHits)
-	reg.Counter("memo_misses_total").Add(s.MemoMisses)
+	reg.Counter("memo_hits_total").Add(l.MemoHits)
+	reg.Counter("memo_misses_total").Add(l.MemoMisses)
 	if s.Approximate {
 		reg.Counter("approximate_results_total").Add(1)
 	}

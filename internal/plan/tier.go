@@ -14,11 +14,13 @@ import (
 // This file runs the lineage tiers — OBDD (obdd.go), d-tree (dtree.go),
 // Monte Carlo (mc.go) — through one contract. Answer tuples are computed
 // exactly like the lazy plan and stream into lineage collection, once; a
-// tier turns the lineage into confidences. Each tier is both a style in its
-// own right (finishTier) and a rung of the exact styles' fallback ladder on
-// queries without a hierarchical signature (finishFallbackChain): sort+scan
-// → OBDD → d-tree → Monte Carlo. Adding a tier is one file defining its tier value
-// plus one logical.Alg dispatching to it (lower.go).
+// tier turns the lineage into confidences and reports one record,
+// conf.TierStats, which becomes Stats.Lineage whole. Each tier is both a
+// style in its own right (finishTier) and a rung of the exact styles'
+// fallback ladder on queries without a hierarchical signature
+// (finishFallbackChain): sort+scan → OBDD → d-tree → Monte Carlo. Adding a
+// tier is one file defining its tier value plus one logical.Alg
+// dispatching to it (lower.go).
 
 // tier is one lineage tier as the planner sees it.
 type tier struct {
@@ -35,22 +37,14 @@ type tier struct {
 	// ladderNote completes the plan line's "(fallback from <style>: no
 	// hierarchical signature, ...)" when this rung produced the result.
 	ladderNote string
+	// signature is Stats.Signature: what drives the computation in place
+	// of a hierarchical signature.
+	signature func(b *built) string
 	// run computes the confidences of every answer of l.
-	run func(ex exec, spec *Spec, b *built, l *conf.Lineage, exactOnly bool) (*table.Relation, outcome, error)
-}
-
-// outcome is what a tier reports to the assembler.
-type outcome struct {
-	conf.LineageStats
-	effort  int64  // nodes, steps or samples spent
-	exact   int64  // answers resolved exactly
-	stopped int64  // answers a deadline-watermark Stop cut short
-	suffix  string // plan-line detail after "N exact"
-	// stats carries the Stats fields only this tier fills in (Signature:
-	// what drives the computation in place of a hierarchical signature);
-	// annotate writes its structural trace attributes after the shared head.
-	stats    Stats
-	annotate func(sp *obs.Span)
+	run func(ex exec, spec *Spec, b *built, l *conf.Lineage, exactOnly bool) (*table.Relation, *conf.TierStats, error)
+	// annotate writes the tier's structural trace attributes after the
+	// shared head and the effort.
+	annotate func(sp *obs.Span, s *conf.TierStats)
 }
 
 // ladder is the fallback chain, in order; the last rung never refuses.
@@ -103,7 +97,7 @@ func (st *lowerState) collectLineage(sp, answerSp *obs.Span, src *conf.Source, t
 // note annotates the plan line when the run is a fallback from an exact
 // style.
 func (st *lowerState) finishLineage(sp *obs.Span, t *tier, b *built, note string, l *conf.Lineage, exactOnly bool, tupleTime time.Duration, t2 time.Time, collect time.Duration) (*Result, error) {
-	out, o, err := t.run(st.ex, &st.spec, b, l, exactOnly)
+	out, rec, err := t.run(st.ex, &st.spec, b, l, exactOnly)
 	if err != nil {
 		return nil, err
 	}
@@ -112,24 +106,30 @@ func (st *lowerState) finishLineage(sp *obs.Span, t *tier, b *built, note string
 	if err != nil {
 		return nil, err
 	}
-	annotateLineage(sp, o.LineageStats)
-	sp.Int(t.effort, o.effort)
-	o.annotate(sp)
+	annotateLineage(sp, rec.LineageStats)
+	sp.Int(t.effort, rec.Effort())
+	t.annotate(sp, rec)
 	sp.SetDur(probTime)
-	stats := o.stats
-	stats.Plan = fmt.Sprintf("%s%s: %s; %s %d answers (%d clauses, %d %s, %d exact%s)",
-		t.name, note, describeOrder(b.order), t.verb, o.OutputTuples, o.Clauses, o.effort, t.effort, o.exact, o.suffix)
-	stats.TupleTime = tupleTime
-	stats.ProbTime = probTime
-	stats.CollectTime = collect
-	stats.LineageClauses = o.Clauses
-	stats.LineageDupRows = o.DupRows
-	stats.AnswerTuples = l.Input
-	stats.DistinctTuples = int64(out.Len())
-	stats.Scans = 1 // the lineage-collection grouping pass
-	if o.stopped > 0 {
+	suffix := ""
+	if rec.Bounded > 0 {
+		suffix = fmt.Sprintf(", %d bounded to width ≤ %.3g", rec.Bounded, rec.MaxWidth)
+	}
+	stats := Stats{
+		Plan: fmt.Sprintf("%s%s: %s; %s %d answers (%d clauses, %d %s, %d exact%s)",
+			t.name, note, describeOrder(b.order), t.verb, rec.OutputTuples, rec.Clauses, rec.Effort(), t.effort, rec.ExactAnswers, suffix),
+		Signature:      t.signature(b),
+		TupleTime:      tupleTime,
+		ProbTime:       probTime,
+		CollectTime:    collect,
+		AnswerTuples:   l.Input,
+		DistinctTuples: int64(out.Len()),
+		Scans:          1, // the lineage-collection grouping pass
+		Approximate:    rec.Tier == conf.TierMC || rec.Bounded > 0,
+		Lineage:        *rec,
+	}
+	if rec.Stopped > 0 {
 		markDegraded(&stats, "deadline")
-		sp.Int("deadline_stopped", o.stopped)
+		sp.Int("deadline_stopped", rec.Stopped)
 	}
 	return &Result{Rows: out, Stats: stats}, nil
 }
@@ -180,32 +180,12 @@ func (st *lowerState) finishFallbackChain(b *built, src *conf.Source, answerSp *
 	return nil, err
 }
 
-// compiled renders a compilation tier's run (OBDD, d-tree) as an outcome.
-func compiled(out *table.Relation, ts *conf.TierStats, err error) (*table.Relation, outcome, error) {
-	if err != nil {
-		return nil, outcome{}, err
+// annotateCompiled writes a compilation tier's (OBDD, d-tree) attributes.
+func annotateCompiled(sp *obs.Span, s *conf.TierStats) {
+	sp.Int("memo_hits", s.MemoHits).Int("memo_misses", s.MemoMisses)
+	sp.Int("exact", s.ExactAnswers).Int("bounded", s.Bounded)
+	if s.Bounded > 0 {
+		sp.Float("max_width", s.MaxWidth)
 	}
-	o := outcome{
-		LineageStats: ts.LineageStats,
-		effort:       ts.Nodes,
-		exact:        ts.ExactAnswers,
-		stopped:      ts.Stopped,
-		stats:        Stats{MemoHits: ts.MemoHits, MemoMisses: ts.MemoMisses},
-		annotate: func(sp *obs.Span) {
-			sp.Int("memo_hits", ts.MemoHits).Int("memo_misses", ts.MemoMisses)
-			sp.Int("exact", ts.ExactAnswers).Int("bounded", ts.Bounded)
-			if ts.Bounded > 0 {
-				sp.Float("max_width", ts.MaxWidth)
-			}
-			sp.LooseInt("hdr_recycled", ts.HdrRecycled)
-		},
-	}
-	if ts.Bounded > 0 {
-		o.suffix = fmt.Sprintf(", %d bounded to width ≤ %.3g", ts.Bounded, ts.MaxWidth)
-		o.stats.Approximate = true
-		o.stats.LowerBound = ts.LowerBound
-		o.stats.UpperBound = ts.UpperBound
-		o.stats.MaxWidth = ts.MaxWidth
-	}
-	return out, o, nil
+	sp.LooseInt("hdr_recycled", s.HdrRecycled)
 }

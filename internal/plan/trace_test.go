@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/conf"
 	"repro/internal/dtree"
 	"repro/internal/fd"
 	"repro/internal/obs"
@@ -18,8 +19,10 @@ import (
 // TestStatsLadderPopulation pins the Stats population contract across every
 // plan style and every rung of the exact styles' fallback ladder: whichever
 // tier produces the result must report its timings, the operator scan count
-// and its own tier counter (OBDD nodes, d-tree steps or Monte Carlo
-// samples) — and only its own. Lineage tiers report Scans = 1, the
+// and, for a lineage tier, its own record in Stats.Lineage (named by Tier,
+// with OBDD nodes, d-tree steps or Monte Carlo samples) — and only its own,
+// equal to the record the answering rung reports run as a style of its
+// own; other plans report no record. Lineage tiers report Scans = 1, the
 // lineage-collection grouping pass; a safe plan reports one scan and one
 // sort per independent projection, timed as probability time.
 func TestStatsLadderPopulation(t *testing.T) {
@@ -80,21 +83,36 @@ func TestStatsLadderPopulation(t *testing.T) {
 			if c.tier == "safe" && (s.Sorts != s.Scans || s.ProbTime <= 0) {
 				t.Errorf("safe plans sort once per π^ind and time it: scans=%d sorts=%d prob=%v", s.Scans, s.Sorts, s.ProbTime)
 			}
-			// Exactly the producing tier's counter is set: failed ladder
-			// rungs must not leak theirs.
-			wantOBDD, wantDTree, wantMC := c.tier == "obdd", c.tier == "dtree", c.tier == "mc"
-			if (s.OBDDNodes > 0) != wantOBDD {
-				t.Errorf("OBDDNodes=%d, want populated=%v", s.OBDDNodes, wantOBDD)
+			// The record is exactly the producing tier's: its name, its
+			// effort and, for the compilation tiers, its memo probes.
+			// Refused ladder rungs must not leak theirs into it.
+			l := s.Lineage
+			if !lineageTier {
+				if l != (conf.TierStats{}) {
+					t.Errorf("%s plan reports a lineage record %+v", c.tier, l)
+				}
+			} else if l.Tier != c.tier || l.Effort() <= 0 || l.Clauses <= 0 {
+				t.Errorf("record %+v, want tier %s with effort and clauses", l, c.tier)
 			}
-			if (s.DTreeNodes > 0) != wantDTree {
-				t.Errorf("DTreeNodes=%d, want populated=%v", s.DTreeNodes, wantDTree)
+			if (l.Nodes > 0) != (c.tier == "obdd" || c.tier == "dtree") || (l.Samples > 0) != (c.tier == "mc") {
+				t.Errorf("%s record: nodes=%d samples=%d", c.tier, l.Nodes, l.Samples)
 			}
-			if (s.Samples > 0) != wantMC {
-				t.Errorf("Samples=%d, want populated=%v", s.Samples, wantMC)
+			if (c.tier == "obdd" || c.tier == "dtree") && l.MemoHits+l.MemoMisses <= 0 {
+				t.Errorf("%s tier should report memo probes, got hits=%d misses=%d", c.tier, l.MemoHits, l.MemoMisses)
 			}
-			if wantOBDD || wantDTree {
-				if s.MemoHits+s.MemoMisses <= 0 {
-					t.Errorf("%s tier should report memo probes, got hits=%d misses=%d", c.tier, s.MemoHits, s.MemoMisses)
+			if c.hard {
+				// The answering rung run as a style of its own reports the
+				// same record: nothing of a refused rung is added to it.
+				direct := c.spec
+				direct.Style = map[string]Style{"obdd": OBDD, "dtree": DTree, "mc": MonteCarlo}[c.tier]
+				d, err := Run(hardDB(rand.New(rand.NewSource(1))), hardQuery(), fd.NewSet(), direct)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dl := d.Stats.Lineage
+				dl.HdrRecycled, l.HdrRecycled = 0, 0 // sync.Pool-scheduling dependent
+				if dl != l {
+					t.Errorf("ladder record %+v, the %s style's %+v", l, c.tier, dl)
 				}
 			}
 			if c.tier == "mc" && !s.Approximate {

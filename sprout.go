@@ -104,8 +104,8 @@ const (
 	// diagram does: exact confidences whenever the expansion fits the
 	// node budget (WithNodeBudget) — including for many queries
 	// without a hierarchical signature — and certified deterministic
-	// [Stats.LowerBound, Stats.UpperBound] intervals around every true
-	// confidence when it does not (the reported confidences are then
+	// [Stats.Lineage.LowerBound, Stats.Lineage.UpperBound] intervals around
+	// every true confidence when it does not (the reported confidences are then
 	// bound midpoints and Stats.Approximate is set). Exact styles try
 	// OBDD compilation before falling back to d-tree decomposition and
 	// Monte Carlo.
@@ -116,8 +116,8 @@ const (
 	// expansion splits only when neither rule applies. Exact under the
 	// step budget (WithNodeBudget) — including on lineage whose every
 	// variable order blows up an OBDD — with the same certified
-	// [Stats.LowerBound, Stats.UpperBound] bound mode as OBDD when the
-	// budget runs out. The exact styles' fallback ladder tries it between
+	// [Stats.Lineage.LowerBound, Stats.Lineage.UpperBound] bound mode as
+	// OBDD when the budget runs out. The exact styles' fallback ladder tries it between
 	// OBDD and Monte Carlo.
 	DTree = plan.DTree
 	// Auto is the cost-based adaptive planner: it analyzes the database
@@ -356,8 +356,9 @@ func WithSeed(seed int64) RunOption {
 }
 
 // WithMaxSamples caps the per-answer sample count; capped estimates report
-// the weaker ε they actually achieve via Result.Stats.Epsilon. The cap must
-// be positive; omit the option for the default.
+// the weaker ε they actually achieve via Result.Stats.Lineage.MaxEpsilon
+// (and count in Lineage.Capped). The cap must be positive; omit the option
+// for the default.
 func WithMaxSamples(n int) RunOption {
 	return func(s *plan.Spec) error {
 		if n <= 0 {
@@ -459,15 +460,17 @@ func WithMemoryBudget(bytes int64) RunOption {
 // WithDeadlineWatermark turns a context deadline into graceful degradation
 // of the confidence tiers: the given margin before the deadline, the OBDD
 // and d-tree tiers stop and return their current certified [lo, hi] bounds
-// (Result.Stats.LowerBound/UpperBound still contain every true confidence)
-// and the Monte Carlo tier returns its running estimate with the weaker ε it
-// actually achieved — instead of the run dying with
-// context.DeadlineExceeded and nothing to show. Result.Stats.Degraded is set
-// with DegradeReason "deadline". Only the tiers degrade: the relational
-// pipeline that feeds them is bounded by the deadline alone, checked once
-// per batch, so a deadline that passes before the tiers arm still fails the
-// run with context.DeadlineExceeded. The margin must be positive; omit the
-// option (or run without a deadline) to keep strict deadline semantics.
+// (Result.Stats.Lineage.LowerBound/UpperBound still contain every true
+// confidence) and the Monte Carlo tier returns its running estimate with the
+// weaker ε it actually achieved (Lineage.MaxEpsilon) — instead of the run
+// dying with context.DeadlineExceeded and nothing to show.
+// Result.Stats.Degraded is set with DegradeReason "deadline", and
+// Lineage.Stopped counts the answers cut short. Only the tiers degrade: the
+// relational pipeline that feeds them is bounded by the deadline alone,
+// checked once per batch, so a deadline that passes before the tiers arm
+// still fails the run with context.DeadlineExceeded. The margin must be
+// positive; omit the option (or run without a deadline) to keep strict
+// deadline semantics.
 func WithDeadlineWatermark(margin time.Duration) RunOption {
 	return func(s *plan.Spec) error {
 		if margin <= 0 {

@@ -175,7 +175,7 @@ func TestIntractableFallsThroughChain(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Monte Carlo fallback failed: %v", err)
 	}
-	if !res.Stats.Approximate || res.Stats.Samples == 0 {
+	if !res.Stats.Approximate || res.Stats.Lineage.Samples == 0 {
 		t.Errorf("Monte Carlo fallback must be an approximate, sampled run: %+v", res.Stats)
 	}
 
@@ -356,8 +356,8 @@ func TestOBDDStyle(t *testing.T) {
 	if res.Stats.Approximate {
 		t.Errorf("hierarchical lineage must compile exactly: %+v", res.Stats)
 	}
-	if res.Stats.OBDDNodes == 0 {
-		t.Error("Stats.OBDDNodes should report the compilation effort")
+	if res.Stats.Lineage.Nodes == 0 {
+		t.Error("Stats.Lineage.Nodes should report the compilation effort")
 	}
 	if len(res.Rows) != 1 || res.Rows[0].Values[0].String() != "1995-01-10" {
 		t.Fatalf("rows = %+v", res.Rows)
@@ -368,7 +368,7 @@ func TestOBDDStyle(t *testing.T) {
 }
 
 // TestOBDDStyleBounds: starving the node budget yields certified bounds —
-// Stats.LowerBound ≤ truth ≤ Stats.UpperBound with the confidence at the
+// Stats.Lineage.LowerBound ≤ truth ≤ Stats.Lineage.UpperBound with the confidence at the
 // midpoint — deterministic across runs, and WithTargetWidth caps the
 // interval when the budget allows.
 func TestOBDDStyleBounds(t *testing.T) {
@@ -408,18 +408,18 @@ func TestOBDDStyleBounds(t *testing.T) {
 	if !st.Approximate {
 		t.Fatalf("budget 3 should force bounds: %+v", st)
 	}
-	if st.LowerBound > truth+1e-9 || truth > st.UpperBound+1e-9 {
-		t.Errorf("truth %g outside certified [%g, %g]", truth, st.LowerBound, st.UpperBound)
+	if st.Lineage.LowerBound > truth+1e-9 || truth > st.Lineage.UpperBound+1e-9 {
+		t.Errorf("truth %g outside certified [%g, %g]", truth, st.Lineage.LowerBound, st.Lineage.UpperBound)
 	}
 	mid := res.Rows[0].Confidence
-	if d := mid - (st.LowerBound+st.UpperBound)/2; d > 1e-9 || d < -1e-9 {
-		t.Errorf("confidence %g is not the bound midpoint of [%g, %g]", mid, st.LowerBound, st.UpperBound)
+	if d := mid - (st.Lineage.LowerBound+st.Lineage.UpperBound)/2; d > 1e-9 || d < -1e-9 {
+		t.Errorf("confidence %g is not the bound midpoint of [%g, %g]", mid, st.Lineage.LowerBound, st.Lineage.UpperBound)
 	}
 	again, err := db.Run(q, OBDD, WithNodeBudget(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.Rows[0].Confidence != mid || again.Stats.LowerBound != st.LowerBound {
+	if again.Rows[0].Confidence != mid || again.Stats.Lineage.LowerBound != st.Lineage.LowerBound {
 		t.Error("bound-mode runs must be deterministic for a fixed budget")
 	}
 
@@ -427,12 +427,12 @@ func TestOBDDStyleBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w := wide.Stats.UpperBound - wide.Stats.LowerBound; wide.Stats.Approximate && w > 0.2 {
+	if w := wide.Stats.Lineage.UpperBound - wide.Stats.Lineage.LowerBound; wide.Stats.Approximate && w > 0.2 {
 		t.Errorf("target width 0.2 exceeded: %g", w)
 	}
 	if wide.Stats.Approximate {
-		if wide.Stats.LowerBound > truth+1e-9 || truth > wide.Stats.UpperBound+1e-9 {
-			t.Errorf("truth %g outside certified [%g, %g]", truth, wide.Stats.LowerBound, wide.Stats.UpperBound)
+		if wide.Stats.Lineage.LowerBound > truth+1e-9 || truth > wide.Stats.Lineage.UpperBound+1e-9 {
+			t.Errorf("truth %g outside certified [%g, %g]", truth, wide.Stats.Lineage.LowerBound, wide.Stats.Lineage.UpperBound)
 		}
 	}
 }
