@@ -29,7 +29,10 @@ import (
 // slice header itself to a slice-of-slices.
 // Writes into a ColBatch-typed destination (dst.Cols[i] = …, dst.Sel = …)
 // are the operator side of the protocol and allowed; appending with ...
-// copies the elements out and is allowed too.
+// copies the elements out and is allowed too. A projection (engine's
+// ColProject) is such an operator: it swaps vector headers between its
+// input's batch and its consumer's, moving the storage rather than sharing
+// it, so each backing array still has one holder.
 //
 // The same holds on the receiving end of a drain: the batch handed to a
 // sink's AddBatch(b *table.ColBatch) (engine.Sink) is borrowed until the call

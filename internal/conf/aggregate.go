@@ -1,7 +1,6 @@
 package conf
 
 import (
-	"context"
 	"fmt"
 	"slices"
 
@@ -57,7 +56,7 @@ func AggregateFrom(src *Source, s signature.Sig, opts Options, stats *Stats) (*S
 				return nil, "", err
 			}
 		}
-		chunks, err := cur.Chunks(opts.ctx())
+		chunks, err := cur.Chunks(opts.ctx(), opts.Scope)
 		if err != nil {
 			return nil, "", err
 		}
@@ -117,8 +116,9 @@ func propagatePair(schema *table.Schema, chunks []*table.ColBatch, left, right s
 // already fully computed (signature reduced to a bare table): it projects
 // the data columns plus the surviving probability column as conf and
 // deduplicates the rows as they stream past. Used by fully eager plans,
-// where the top operator has nothing left to aggregate.
-func FinalizeBareFrom(ctx context.Context, src *Source, rep string) (*table.Relation, error) {
+// where the top operator has nothing left to aggregate. The kept rows are
+// chunks owned by opts' Scope.
+func FinalizeBareFrom(src *Source, rep string, opts Options) (*table.Relation, error) {
 	pi := src.Schema.ProbIndex(rep)
 	if pi < 0 {
 		return nil, fmt.Errorf("conf: representative %s has no P column in %v", rep, src.Schema.Names())
@@ -143,7 +143,7 @@ func FinalizeBareFrom(ctx context.Context, src *Source, rep string) (*table.Rela
 	var next []int32
 	var hashes []uint64
 	var rows int64
-	err := src.push(ctx, sinkFunc(func(b *table.ColBatch) error {
+	err := src.push(opts.ctx(), sinkFunc(func(b *table.ColBatch) error {
 		hashes = b.HashInto(idx, hashes)
 		for i, h := range hashes {
 			row := b.RowID(i)
@@ -155,7 +155,14 @@ func FinalizeBareFrom(ctx context.Context, src *Source, rep string) (*table.Rela
 				continue // a duplicate of kept row k
 			}
 			if len(kept) == 0 || kept[len(kept)-1].N == table.BatchSize {
-				kept = append(kept, table.NewColBatch(schema))
+				c := opts.Scope.NewChunk(schema)
+				if opts.Scope != nil {
+					for j, col := range idx {
+						c.Cols[j].SettleLike(&b.Cols[col])
+					}
+					c.Reserve(table.BatchSize)
+				}
+				kept = append(kept, c)
 			}
 			last := kept[len(kept)-1]
 			for j, c := range idx {

@@ -212,7 +212,7 @@ func aggregateRel(rel *table.Relation, s signature.Sig, opts Options, stats *Sta
 	if err != nil {
 		return nil, "", err
 	}
-	out, err := src.Relation(context.Background())
+	out, err := src.Relation(context.Background(), nil)
 	return out, rep, err
 }
 

@@ -37,7 +37,7 @@ func TestIndProject(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		out, err := src.Relation(context.Background())
+		out, err := src.Relation(context.Background(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func TestIndProject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := src.Relation(context.Background())
+	out, err := src.Relation(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestIndProjectUnderflowIsNaN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _ := src.Relation(context.Background())
+	out, _ := src.Relation(context.Background(), nil)
 	if out.Len() != 1 || !math.IsNaN(out.Rows[0][1].F) {
 		t.Errorf("expected one NaN group from the underflowed aggregate, got %v", out.Rows)
 	}

@@ -30,6 +30,11 @@ type Options struct {
 	// pressure the external sorts spill earlier instead of growing. nil
 	// means ungoverned.
 	Mem *fault.Governor
+	// Scope, when set, owns the column chunks the passes output: they are
+	// drawn off the engine's free list and go back when the scope's owner
+	// — the run that materializes their answer — releases it. nil
+	// allocates them.
+	Scope *table.Scope
 }
 
 func (o Options) ctx() context.Context {
@@ -91,7 +96,7 @@ func ComputeFrom(src *Source, sig signature.Sig, opts Options) (*table.Relation,
 	stats.addScan(sp)
 	stats.InputTuples = src.Rows()
 	stats.OutputTuples = out.Rows()
-	rel, err := out.Relation(opts.ctx())
+	rel, err := out.Relation(opts.ctx(), opts.Scope)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -139,7 +144,7 @@ func validateSources(s *table.Schema, sig signature.Sig) error {
 // spans two partitions (they were hash-partitioned on it), so a k-way
 // min-merge (ColVec.CompareCell) reproduces the serial scan's output
 // exactly.
-func mergeByKey(parts [][]*table.ColBatch, keys int, ls *freelist.Lease) []*table.ColBatch {
+func mergeByKey(parts [][]*table.ColBatch, keys int, ls *freelist.Lease, sc *table.Scope) []*table.ColBatch {
 	type cursor struct {
 		chunks []*table.ColBatch
 		row    int // in chunks[0]
@@ -165,8 +170,8 @@ func mergeByKey(parts [][]*table.ColBatch, keys int, ls *freelist.Lease) []*tabl
 	}
 	// A partition's chunk that is merged out is dead: it goes back to the
 	// free list under ls, where the next pass's partitions draw it. The
-	// output chunks are the pass's output, allocated as a serial scan's
-	// are: reserved for the rows still to merge.
+	// output chunks are the pass's output, owned by sc as a serial scan's
+	// are (appendChunks).
 	var out []*table.ColBatch
 	for len(curs) > 0 {
 		best := 0
@@ -176,7 +181,7 @@ func mergeByKey(parts [][]*table.ColBatch, keys int, ls *freelist.Lease) []*tabl
 			}
 		}
 		c := &curs[best]
-		out = appendChunks(out, c.chunks[0], c.row, c.row+1, room)
+		out = appendChunks(sc, out, c.chunks[0], c.row, c.row+1, room)
 		room--
 		if c.row++; c.row == c.chunks[0].N {
 			c.chunks[0].Recycle(ls)
@@ -218,7 +223,8 @@ type accumulator interface {
 // The batch the sorted stream fills is drawn off the engine's free list and
 // goes back when the scan ends. A partition's scan (ls not nil) draws its
 // output chunks whole off the list under ls too — the merge gives them
-// back — while a serial scan's chunks are the pass's output and are
+// back — while a serial scan's chunks are the pass's output, owned by the
+// options' Scope (drawn whole, released with the run) or, without one,
 // allocated.
 func groupedScan(sorter *storage.ExternalSorter, acc accumulator, groupCols []int, repVar int, schema *table.Schema, ls *freelist.Lease, opts Options) ([]*table.ColBatch, spillStats, error) {
 	ctx := opts.ctx()
@@ -238,11 +244,11 @@ func groupedScan(sorter *storage.ExternalSorter, acc accumulator, groupCols []in
 	}
 	pc := len(outCols) // the probability column
 	// No pass emits more groups than it was fed rows, and most emit far
-	// fewer: the first chunk of a serial scan starts small and, should it
-	// fill, is reserved whole in one step; the later ones, and a
-	// partition's, are reserved whole from the start.
+	// fewer: the first chunk of an allocated serial output starts small
+	// and, should it fill, is reserved whole in one step; the later ones,
+	// and drawn ones, are reserved whole from the start.
 	reserve := int(min(sorter.Rows(), firstChunkRows))
-	if ls != nil {
+	if ls != nil || opts.Scope != nil {
 		reserve = table.BatchSize
 	}
 	var chunks []*table.ColBatch
@@ -268,9 +274,11 @@ func groupedScan(sorter *storage.ExternalSorter, acc accumulator, groupCols []in
 				out.Cols[pc].Floats[k] = acc.flush()
 			}
 			if out == nil || out.N == table.BatchSize {
-				out = table.NewColBatch(schema)
 				if ls != nil {
+					out = table.NewColBatch(schema)
 					out.Draw(ls, reserve)
+				} else {
+					out = opts.Scope.NewChunk(schema)
 				}
 				for j, c := range outCols {
 					out.Cols[j].SettleLike(&b.Cols[c])
@@ -322,7 +330,9 @@ func sameGroup(out *table.ColBatch, k int, b *table.ColBatch, i int, groupCols [
 // outputs — each sorted on the group columns, no key spanning two — are
 // merged back into global order: bit-identical to the serial scan's. The
 // partitions' chunks come off the engine's free list and go back to it as
-// the merge consumes them.
+// the merge consumes them. The pass's output chunks — the serial scan's or
+// the merge's — belong to the options' Scope, and so can be read any
+// number of times until the scope's run releases it.
 func scanGroups(src *Source, groupCols, tailCols []int, repVar int, newAcc func() accumulator, schema *table.Schema, opts Options) (*Source, spillStats, error) {
 	sortCols := append(slices.Clone(groupCols), tailCols...)
 	in := newScanFeed(src.Schema, groupCols, sortCols, opts)
@@ -358,7 +368,7 @@ func scanGroups(src *Source, groupCols, tailCols []int, repVar int, newAcc func(
 		total.add(s)
 	}
 	// Merge key: the group columns occupy the output's leading positions.
-	return chunkSource(schema, mergeByKey(outs, len(groupCols), &ls)), total, nil
+	return chunkSource(schema, mergeByKey(outs, len(groupCols), &ls, opts.Scope)), total, nil
 }
 
 // aggregateStep executes one aggregation [γ*]: group by every column not

@@ -20,8 +20,11 @@ import (
 // are what a sort+scan pass produces (an eager aggregation step, an
 // independent projection) and what the next pass's sort, or the join above
 // a placement (Chunks, engine.ColChunkScan), consumes as they are; a source
-// over chunks can be consumed any number of times. A relation becomes one
-// at the API edge (FromRelation, Relation) and nowhere between two passes.
+// over chunks can be consumed any number of times while its chunks live —
+// a pass's chunks belong to its options' Scope, and live until the run that
+// owns the scope has materialized its answer and released it. A relation
+// becomes one at the API edge (FromRelation, Relation) and nowhere between
+// two passes.
 type Source struct {
 	Schema *table.Schema
 	feed   func(engine.Sink) error // a one-shot feed: nil once consumed
@@ -66,11 +69,11 @@ func chunkSource(schema *table.Schema, chunks []*table.ColBatch) *Source {
 func (s *Source) Rows() int64 { return s.rows }
 
 // Chunks returns the source's rows as column chunks, which the caller only
-// reads. A streamed source is drained into chunks (appendChunks),
-// which consumes it; the chunks then stand in.
-func (s *Source) Chunks(ctx context.Context) ([]*table.ColBatch, error) {
+// reads. A streamed source is drained into chunks (appendChunks) owned by
+// sc, which consumes it; the chunks then stand in.
+func (s *Source) Chunks(ctx context.Context, sc *table.Scope) ([]*table.ColBatch, error) {
 	if !s.held {
-		var sink chunkSink
+		sink := chunkSink{scope: sc}
 		if err := s.push(ctx, &sink); err != nil {
 			return nil, err
 		}
@@ -80,9 +83,10 @@ func (s *Source) Chunks(ctx context.Context) ([]*table.ColBatch, error) {
 }
 
 // Relation materializes the source's rows as a relation — the answer at
-// the API edge. A streamed source is consumed into chunks first (Chunks).
-func (s *Source) Relation(ctx context.Context) (*table.Relation, error) {
-	chunks, err := s.Chunks(ctx)
+// the API edge. A streamed source is consumed into chunks first (Chunks),
+// owned by sc.
+func (s *Source) Relation(ctx context.Context, sc *table.Scope) (*table.Relation, error) {
+	chunks, err := s.Chunks(ctx, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -117,21 +121,25 @@ func (s *Source) push(ctx context.Context, sink engine.Sink) error {
 }
 
 // appendChunks copies live rows [lo, hi) of src onto the last of chunks,
-// starting a new chunk whenever that one holds table.BatchSize rows, and
-// returns the chunks. room is how many rows, these among them, are still to
-// be appended at most (≥ table.BatchSize when unknown): a new chunk is
-// reserved whole for min(room, table.BatchSize) rows when it starts —
-// chunks of fixed size, because one growing batch would copy its slices
-// over and over as it regrows — and settled on src's string layouts
-// (ColVec.SettleLike).
-func appendChunks(chunks []*table.ColBatch, src *table.ColBatch, lo, hi, room int) []*table.ColBatch {
+// starting a new chunk, owned by sc, whenever that one holds
+// table.BatchSize rows, and returns the chunks. room is how many rows,
+// these among them, are still to be appended at most (≥ table.BatchSize
+// when unknown): a new chunk is reserved whole for min(room,
+// table.BatchSize) rows when it starts — for table.BatchSize under a
+// scope, which draws it whole — chunks of fixed size, because one growing
+// batch would copy its slices over and over as it regrows, and settled on
+// src's string layouts (ColVec.SettleLike).
+func appendChunks(sc *table.Scope, chunks []*table.ColBatch, src *table.ColBatch, lo, hi, room int) []*table.ColBatch {
 	for lo < hi {
 		var last *table.ColBatch
 		if k := len(chunks); k > 0 && chunks[k-1].N < table.BatchSize {
 			last = chunks[k-1]
 		} else {
 			rows := min(room, table.BatchSize)
-			last = table.NewColBatch(src.Schema)
+			if sc != nil {
+				rows = table.BatchSize
+			}
+			last = sc.NewChunk(src.Schema)
 			for c := range last.Cols {
 				last.Cols[c].SettleLike(&src.Cols[c])
 			}
@@ -146,14 +154,15 @@ func appendChunks(chunks []*table.ColBatch, src *table.ColBatch, lo, hi, room in
 	return chunks
 }
 
-// chunkSink keeps what it is fed as column chunks.
+// chunkSink keeps what it is fed as column chunks, owned by scope.
 type chunkSink struct {
+	scope  *table.Scope
 	chunks []*table.ColBatch
 	rows   int64
 }
 
 func (c *chunkSink) AddBatch(b *table.ColBatch) error {
-	c.chunks = appendChunks(c.chunks, b, 0, b.Rows(), table.BatchSize)
+	c.chunks = appendChunks(c.scope, c.chunks, b, 0, b.Rows(), table.BatchSize)
 	c.rows += int64(b.Rows())
 	return nil
 }
@@ -224,11 +233,20 @@ func (f *scanFeed) decide() error {
 	for i := range f.parts {
 		f.parts[i] = f.newSorter()
 	}
+	// The routing buffers are drawn for the most rows one route takes —
+	// the waiting rows, fewer than pool.ParallelMinRows + table.BatchSize —
+	// so that none regrows past what the next pass draws.
+	const most = pool.ParallelMinRows + table.BatchSize
 	f.sels = make([][]int32, len(f.parts))
+	var ok bool
 	for p := range f.sels {
-		f.sels[p], _ = freelist.Int32s.Fit(&f.lease, 4*table.BatchSize)
+		if f.sels[p], ok = freelist.Int32s.Fit(&f.lease, 4*most); !ok {
+			f.sels[p] = make([]int32, 0, most)
+		}
 	}
-	f.hashes, _ = freelist.Uint64s.Fit(&f.lease, 8*table.BatchSize)
+	if f.hashes, ok = freelist.Uint64s.Fit(&f.lease, 8*most); !ok {
+		f.hashes = make([]uint64, 0, most)
+	}
 	pend := f.pend
 	f.pend = nil
 	defer pend.Recycle(&f.lease)

@@ -99,7 +99,7 @@ func TestStreamedSortScanIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				gotStep, err := out.Relation(ctx)
+				gotStep, err := out.Relation(ctx, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -193,7 +193,7 @@ func TestStreamedSourceIsOneShot(t *testing.T) {
 		t.Fatal("second consumption of a streamed source succeeded")
 	}
 	src = streamOf(ctx, rel)
-	got, err := src.Relation(ctx)
+	got, err := src.Relation(ctx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,6 +134,7 @@ type Builder struct {
 	count    map[int32]int // variable-frequency and component-owner scratch
 	parent   []int         // components' union-find forest over clause indexes
 	comp     []int         // components' position + 1 of each root clause (0 = none yet)
+	comps    [][][]int32   // the open Rule-2 frames' component headers, innermost last
 	frontier frontier      // the ordered anytime mode's best-first queue
 }
 
@@ -257,6 +258,7 @@ func (b *Builder) run(d *prob.DNF, budget int) (Result, error) {
 	}
 	b.budget = budget
 	b.steps = 0
+	b.comps = b.comps[:0] // what a panicked compile left pushed
 	lo, hi := b.node(cls)
 	res := Result{Lo: lo, Hi: hi, Nodes: b.steps, Stopped: b.stopped && lo != hi}
 	if lo == hi {
@@ -576,13 +578,15 @@ func (b *Builder) decompose(cls [][]int32) (lo, hi float64) {
 	}
 	// Rule 2: independent-OR — variable-disjoint components are
 	// independent events.
-	if comps := b.components(cls); comps != nil {
+	if base := len(b.comps); b.components(cls) {
 		cl, ch := 1.0, 1.0
-		for _, comp := range comps {
-			lo, hi = b.node(comp)
+		for k := base; k < len(b.comps); k++ {
+			lo, hi = b.node(b.comps[k])
 			cl *= 1 - lo
 			ch *= 1 - hi
 		}
+		clear(b.comps[base:])
+		b.comps = b.comps[:base]
 		return 1 - cl, 1 - ch
 	}
 	// Rule 3: exclusive-OR via Shannon cofactoring on the most frequent
@@ -651,11 +655,14 @@ func (b *Builder) stripAll(cls [][]int32, common []int32) (res [][]int32, resTru
 }
 
 // components partitions the clause set into variable-disjoint connected
-// components via union-find over clause indexes. It returns nil when the
-// set is connected (rule does not apply); otherwise one header per
-// component, components ordered by their smallest clause index and clauses
-// in their original (canonical) order — fully deterministic.
-func (b *Builder) components(cls [][]int32) [][][]int32 {
+// components via union-find over clause indexes. It returns false when the
+// set is connected (rule does not apply); otherwise it pushes one header
+// per component onto b.comps, components ordered by their smallest clause
+// index and clauses in their original (canonical) order — fully
+// deterministic. The caller's Rule-2 frame pops them when it returns;
+// frames below it push above them, so the stack grows only as deep as
+// the decomposition nests.
+func (b *Builder) components(cls [][]int32) bool {
 	b.parent = b.parent[:0]
 	for i := range cls {
 		b.parent = append(b.parent, i)
@@ -691,17 +698,17 @@ func (b *Builder) components(cls [][]int32) [][][]int32 {
 		}
 	}
 	if n <= 1 {
-		return nil
+		return false
 	}
-	comps := make([][][]int32, n)
-	for i := range comps {
-		comps[i] = b.memo.Scratch(len(cls))
+	base := len(b.comps)
+	for range n {
+		b.comps = append(b.comps, b.memo.Scratch(len(cls)))
 	}
 	for i, c := range cls {
-		k := b.comp[find(i)] - 1
-		comps[k] = append(comps[k], c)
+		k := base + b.comp[find(i)] - 1
+		b.comps[k] = append(b.comps[k], c)
 	}
-	return comps
+	return true
 }
 
 // pickVar returns the most frequent variable, ties broken by the lowest id

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 
+	"repro/internal/freelist"
 	"repro/internal/table"
 )
 
@@ -11,6 +12,16 @@ import (
 // model — one interface call, one context check, one buffer allocation per
 // row — are paid once per batch, and cancellation is checked at every batch
 // boundary.
+//
+// The batches operators pull their inputs into have the query as their
+// lifetime: their holder — the drain's batch, a projection's or a hash
+// join's input batch, a build's pull batch, the grace merge's — draws its
+// vectors off the engine's free list when it opens and gives them back when
+// it closes, so a later query pulls through the same storage. A projection
+// moves vectors between its input's batch and its consumer's (ColProject),
+// so a vector may go back through another holder than the one that drew
+// it: the holders share one Lease, pullLease, and the free list's fresh
+// bytes stay what the holders grew.
 
 // BatchSize is the number of rows moved per NextColBatch call
 // (table.BatchSize).
@@ -39,7 +50,8 @@ func StreamCtx(ctx context.Context, op ColOperator, sink Sink) error {
 		return err
 	}
 	defer op.Close()
-	b := table.NewColBatch(op.Schema())
+	b := drawPull(op.Schema())
+	defer recyclePull(b)
 	for {
 		if ctx != nil && ctx.Err() != nil {
 			return ctx.Err()
@@ -51,6 +63,34 @@ func StreamCtx(ctx context.Context, op ColOperator, sink Sink) error {
 		if err := sink.AddBatch(b); err != nil {
 			return err
 		}
+	}
+}
+
+// pullLease is the one Lease of every pull batch (see the file comment).
+var pullLease freelist.Lease
+
+// drawPull returns a batch of the schema whose vectors are the best fits
+// for BatchSize rows off the free list, reserved for that many where the
+// list had none.
+func drawPull(s *table.Schema) *table.ColBatch {
+	b := &table.ColBatch{}
+	drawPullInto(b, s)
+	return b
+}
+
+// drawPullInto is drawPull for a batch held by value, which holds no
+// storage yet.
+func drawPullInto(b *table.ColBatch, s *table.Schema) {
+	b.Reset(s)
+	b.Draw(&pullLease, BatchSize)
+	b.Reserve(BatchSize)
+}
+
+// recyclePull gives a pull batch's vectors back, leaving its columns
+// empty; nil, or a batch given back already, gives back nothing.
+func recyclePull(b *table.ColBatch) {
+	if b != nil {
+		b.RecycleFit(&pullLease, BatchSize)
 	}
 }
 

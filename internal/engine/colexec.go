@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/freelist"
 	"repro/internal/storage"
@@ -12,7 +13,7 @@ import (
 // table.ColBatch column vectors, in the MonetDB/X100 vectorized tradition.
 // Scans evaluate their selections as tight per-column loops over typed
 // slices into a selection vector (pred.go) and copy out the qualifying rows
-// alone; projections re-expose column headers; every operator pays one
+// alone; projections move column vectors; every operator pays one
 // interface call per batch instead of per-row Value unboxing. The hash join
 // lives in coljoin.go. Hashes via
 // ColBatch.HashInto are bit-identical to table.HashOn, so a row and its
@@ -245,16 +246,20 @@ func (s *ColHeapScan) Close() error {
 	return nil
 }
 
-// ColProject selects input columns by index with zero copies: the output
-// batch shares the input's column storage and selection vector (shallow
-// ColVec headers), so a column projection costs a few struct assignments per
-// batch. The produced batch is a read-only view — downstream operators only
-// narrow their own selection storage or read cells, never mutate columns.
+// ColProject selects input columns by index without copying them: it pulls
+// its input into a batch of its own and moves each selected column's
+// vector into the output batch, swapping vector headers, so that the
+// output's previous storage becomes the input's next fill. A backing array
+// thus has one holder at a time, and a projection costs a few header swaps
+// per batch; a column the index map names twice is moved once and copied
+// once. The output shares the input's selection vector, which the input's
+// producer owns.
 type ColProject struct {
-	In  ColOperator
-	idx []int
-	out *table.Schema
-	in  *table.ColBatch
+	In    ColOperator
+	idx   []int
+	first []int // first[i]: the first output column projecting idx[i]
+	out   *table.Schema
+	in    *table.ColBatch
 }
 
 // NewColProject projects in onto its columns idx. out describes the output
@@ -272,7 +277,11 @@ func NewColProject(in ColOperator, idx []int, out *table.Schema) (*ColProject, e
 	} else if out.Len() != len(idx) {
 		return nil, fmt.Errorf("engine: projection schema/column arity mismatch: %d vs %d", out.Len(), len(idx))
 	}
-	return &ColProject{In: in, idx: idx, out: out}, nil
+	first := make([]int, len(idx))
+	for i, j := range idx {
+		first[i] = slices.Index(idx, j)
+	}
+	return &ColProject{In: in, idx: idx, first: first, out: out}, nil
 }
 
 // NewColumnProject projects the named input columns, keeping their column
@@ -291,16 +300,20 @@ func NewColumnProject(in ColOperator, names []string) (*ColProject, error) {
 // Schema returns the output schema.
 func (p *ColProject) Schema() *table.Schema { return p.out }
 
-// Open opens the input and shapes the internal batch.
+// Open opens the input and draws the input batch; a re-Open gives the
+// previous one back first.
 func (p *ColProject) Open() error {
+	recyclePull(p.in)
+	p.in = nil
 	if err := p.In.Open(); err != nil {
 		return err
 	}
-	p.in = table.NewColBatch(p.In.Schema())
+	p.in = drawPull(p.In.Schema())
 	return nil
 }
 
-// NextColBatch pulls one input batch and re-exposes the selected columns.
+// NextColBatch pulls one input batch and moves the selected columns into
+// dst.
 func (p *ColProject) NextColBatch(dst *table.ColBatch) (int, error) {
 	n, err := p.In.NextColBatch(p.in)
 	if err != nil || n == 0 {
@@ -313,13 +326,21 @@ func (p *ColProject) NextColBatch(dst *table.ColBatch) (int, error) {
 		dst.Cols = make([]table.ColVec, len(p.idx))
 	}
 	for i, j := range p.idx {
-		dst.Cols[i] = p.in.Cols[j]
+		if f := p.first[i]; f < i {
+			dst.Cols[i].CopyOf(&dst.Cols[f], dst.N)
+			continue
+		}
+		dst.Cols[i], p.in.Cols[j] = p.in.Cols[j], dst.Cols[i]
 	}
 	return n, nil
 }
 
-// Close closes the input.
-func (p *ColProject) Close() error { return p.In.Close() }
+// Close closes the input and gives the input batch back.
+func (p *ColProject) Close() error {
+	recyclePull(p.in)
+	p.in = nil
+	return p.In.Close()
+}
 
 // pruneCols pushes column liveness down a columnar tree to its scans: a
 // ColProject only reads the input columns its index map names, so any column

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 
+	"repro/internal/freelist"
 	"repro/internal/table"
 )
 
@@ -64,11 +65,8 @@ func (j *ColHashJoin) Schema() *table.Schema { return j.out }
 // idempotent throughout the engine, so re-closing an input some error path
 // already closed is safe).
 func (j *ColHashJoin) Open() error {
-	if j.in == nil {
-		j.in = table.NewColBatch(j.Left.Schema())
-	}
 	j.n, j.i, j.cand = 0, 0, 0
-	j.releaseBuild() // a re-Open's previous build
+	j.releaseBuild() // a re-Open's previous build and probe buffers
 	j.grace, j.graced = nil, false
 	if err := j.Left.Open(); err != nil {
 		return err
@@ -88,6 +86,13 @@ func (j *ColHashJoin) Open() error {
 		return err
 	}
 	j.built = built
+	if built != nil {
+		j.in = drawPull(j.Left.Schema())
+		var ok bool
+		if j.hashes, ok = freelist.Uint64s.Fit(&pullLease, 8*BatchSize); !ok {
+			j.hashes = make([]uint64, 0, BatchSize)
+		}
+	}
 	return nil
 }
 
@@ -154,7 +159,7 @@ func (j *ColHashJoin) emit(dst *table.ColBatch, c *table.ColBatch, cr int) {
 }
 
 // Close releases the grace merge's sorted streams (if any), closes both
-// inputs and gives the build side back.
+// inputs and gives the build side and the probe buffers back.
 func (j *ColHashJoin) Close() error {
 	j.releaseBuild()
 	var errG error
@@ -165,10 +170,17 @@ func (j *ColHashJoin) Close() error {
 	return firstErr(errG, j.Left.Close(), j.Right.Close())
 }
 
-// releaseBuild gives the build side's buffers back to the free list, once.
+// releaseBuild gives the build side's buffers, and the probe batch and
+// hashes, back to the free list, once.
 func (j *ColHashJoin) releaseBuild() {
 	if j.built != nil {
 		j.built.release()
 		j.built = nil
+	}
+	recyclePull(j.in)
+	j.in = nil
+	if j.hashes != nil {
+		freelist.Uint64s.Put(&pullLease, j.hashes)
+		j.hashes = nil
 	}
 }

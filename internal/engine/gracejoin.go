@@ -130,7 +130,8 @@ func (h *hashBuild) release() {
 // memory.
 func buildHashed(op ColOperator, keys []int, gov *fault.Governor) (*hashBuild, bool, error) {
 	h := &hashBuild{pooled: gov == nil}
-	b := table.NewColBatch(op.Schema())
+	b := drawPull(op.Schema())
+	defer recyclePull(b)
 	perRow := joinRowMemEst(op.Schema().Len())
 	var last *table.ColBatch
 	var est, reserved int64
@@ -201,7 +202,9 @@ func (g *Governed) openGrace(left, right ColOperator, lk, rk []int, drained []*t
 		return err
 	}
 	m := &graceMerge{l: sortedSide{it: leftIt, keys: lk}, r: sortedSide{it: rightIt, keys: rk}}
-	m.block.Reset(right.Schema())
+	drawPullInto(&m.l.b, left.Schema())
+	drawPullInto(&m.r.b, right.Schema())
+	drawPullInto(&m.block, right.Schema())
 	if err = m.l.advance(); err == nil {
 		err = m.r.advance()
 	}
@@ -231,7 +234,8 @@ func (g *Governed) sortOn(op ColOperator, keys []int, pre []*table.ColBatch) (it
 		}
 		pre[i] = nil // copied: let the chunk go while the sort goes on
 	}
-	b := table.NewColBatch(op.Schema())
+	b := drawPull(op.Schema())
+	defer recyclePull(b)
 	for {
 		n, err := op.NextColBatch(b)
 		if err != nil {

@@ -16,7 +16,8 @@ import (
 // Each side reads its stream into a batch of its own, which the next refill
 // overwrites, so the right rows of the current key are copied into block
 // (ColBatch.AppendBatch); the current left row is read only before its side
-// advances.
+// advances. The three batches are pull batches: drawn off the free list
+// when the merge opens, given back when it closes.
 type graceMerge struct {
 	l, r    sortedSide
 	block   table.ColBatch // the right rows of the current key
@@ -120,8 +121,12 @@ func (m *graceMerge) emit(dst *table.ColBatch) {
 	m.pos++
 }
 
-// close releases both sorted streams, removing their spill runs.
+// close releases both sorted streams, removing their spill runs, and gives
+// the merge's batches back.
 func (m *graceMerge) close() error {
+	recyclePull(&m.l.b)
+	recyclePull(&m.r.b)
+	recyclePull(&m.block)
 	return firstErr(m.l.it.Close(), m.r.it.Close())
 }
 

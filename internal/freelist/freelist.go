@@ -1,6 +1,8 @@
 // Package freelist is the engine's one free list of operator workspace:
-// the buffers a key sort, a hash-join build or lineage collection grows
-// outlive the operator, and the next operator — of the same query or a
+// the buffers a key sort, a hash-join build or lineage collection grows,
+// the batches operators pull their inputs through, and the chunks a
+// sort+scan pass outputs (owned by their run's table.Scope) outlive the
+// operator or the run, and the next operator — of the same query or a
 // later one — draws them instead of regrowing its own from nothing
 // (Graefe, "Implementing sorting in database systems", ACM CSUR 2006:
 // sort workspace is memory the engine manages, not the allocator).

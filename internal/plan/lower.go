@@ -152,7 +152,7 @@ func (st *lowerState) operator(n logical.Node, sp *obs.Span) (engine.ColOperator
 		if err != nil {
 			return nil, err
 		}
-		chunks, err := src.Chunks(st.ex.ctx)
+		chunks, err := src.Chunks(st.ex.ctx, st.spec.Conf.Scope)
 		if err != nil {
 			return nil, err
 		}
@@ -364,7 +364,7 @@ func (st *lowerState) topSortScan(src *conf.Source, sig signature.Sig) (*table.R
 	var out *table.Relation
 	var err error
 	if bare, ok := sig.(signature.Table); ok {
-		out, err = conf.FinalizeBareFrom(st.ex.ctx, src, string(bare))
+		out, err = conf.FinalizeBareFrom(src, string(bare), st.spec.Conf)
 		if err != nil {
 			return nil, err
 		}
@@ -396,7 +396,7 @@ func (st *lowerState) finalIndProject(root *logical.Conf, src *conf.Source) (*ta
 	if err != nil {
 		return nil, err
 	}
-	chunks, err := top.Chunks(st.ex.ctx)
+	chunks, err := top.Chunks(st.ex.ctx, st.spec.Conf.Scope)
 	if err != nil {
 		return nil, err
 	}
@@ -408,7 +408,7 @@ func (st *lowerState) finalIndProject(root *logical.Conf, src *conf.Source) (*ta
 			}
 		}
 	}
-	rel, err := top.Relation(st.ex.ctx)
+	rel, err := top.Relation(st.ex.ctx, st.spec.Conf.Scope)
 	if err != nil {
 		return nil, err
 	}

@@ -441,13 +441,20 @@ func (p *Prepared) runAttempts(ex exec, spec Spec) (*Result, int64, error) {
 // runRecovered runs one attempt with a panic boundary: an operator or tier
 // panic on the run's own goroutine becomes a typed *fault.PanicError (the
 // worker-pool boundary in internal/pool does the same for pooled tasks),
-// so a chaos-injected panic fails one query, not the process.
+// so a chaos-injected panic fails one query, not the process. The
+// attempt's sort+scan passes output chunks owned by one scope of its own,
+// which it releases once it has returned — its result rows materialized,
+// or its error or panic surfaced — so the next attempt or query draws
+// them.
 func (p *Prepared) runRecovered(ex exec, spec Spec) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &fault.PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
+	scope := &table.Scope{}
+	defer scope.Release()
+	spec.Conf.Scope = scope
 	return runLogical(ex, p.c, p.q, p.b, spec)
 }
 
@@ -528,7 +535,7 @@ func answerPipeline(ex exec, c *Catalog, q *query.Query, order []query.RelRef) (
 	if err != nil {
 		return nil, err
 	}
-	return src.Relation(ex.ctx)
+	return src.Relation(ex.ctx, nil)
 }
 
 // treeForOrder returns the query tree used for hierarchy-driven join

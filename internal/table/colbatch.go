@@ -216,6 +216,14 @@ func (v *ColVec) appendVec(n int, src *ColVec, sel []int32, lo, hi int) {
 	}
 }
 
+// CopyOf makes v a copy of src's physical rows [0, n) in v's own storage:
+// a projection naming one input column twice moves the column's storage to
+// one output column and copies it into the other.
+func (v *ColVec) CopyOf(src *ColVec, n int) {
+	v.reset(src.Kind)
+	v.appendVec(0, src, nil, 0, n)
+}
+
 // gather appends src[lo:hi], or src at the rows sel lists, to dst.
 func gather[T any](dst, src []T, sel []int32, lo, hi int) []T {
 	if sel == nil {
