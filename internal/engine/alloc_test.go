@@ -207,3 +207,41 @@ func TestCollectBatchIdentity(t *testing.T) {
 		t.Fatalf("countCols = %d, %v; want %d", n, err, want.Len())
 	}
 }
+
+// TestHashJoinAllocs pins a whole hash join's Open, drain and Close once
+// the free list is warm: the build's chunk vectors, hashes and index, and
+// the probe batch and hashes, are drawn off the list and given back, so a
+// cycle allocates only the few headers that hold them (the build, its chunk
+// and hash lists, the batches' column slices), per chunk and per join —
+// never per row, and no vector storage at all.
+func TestHashJoinAllocs(t *testing.T) {
+	j := hashJoin(t, memScan(allocRel(4*BatchSize, 512)), memScan(allocRel(2*BatchSize, 512)), []int{0}, []int{0})
+	b := drawPull(j.Schema())
+	defer recyclePull(b)
+	cycle := func() {
+		if err := j.Open(); err != nil {
+			t.Fatal(err)
+		}
+		rows := 0
+		for {
+			n, err := j.NextColBatch(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n == 0 {
+				break
+			}
+			rows += n
+		}
+		j.Close()
+		if rows != 4*BatchSize*4 {
+			t.Fatalf("the join produced %d rows, want %d", rows, 4*BatchSize*4)
+		}
+	}
+	cycle() // warm the free list
+	avg := testing.AllocsPerRun(10, cycle)
+	t.Logf("%.1f allocations per join cycle", avg)
+	if avg > 24 {
+		t.Fatalf("a warm hash join cycle allocated %.1f times, want ≤ 24", avg)
+	}
+}
