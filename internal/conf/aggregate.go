@@ -117,7 +117,7 @@ func propagatePair(schema *table.Schema, chunks []*table.ColBatch, left, right s
 // the data columns plus the surviving probability column as conf and
 // deduplicates the rows as they stream past. Used by fully eager plans,
 // where the top operator has nothing left to aggregate. The kept rows are
-// chunks owned by opts' Scope.
+// whole chunks handed out by opts' Scope (table.Scope.NewChunk).
 func FinalizeBareFrom(src *Source, rep string, opts Options) (*table.Relation, error) {
 	pi := src.Schema.ProbIndex(rep)
 	if pi < 0 {
@@ -156,12 +156,10 @@ func FinalizeBareFrom(src *Source, rep string, opts Options) (*table.Relation, e
 			}
 			if len(kept) == 0 || kept[len(kept)-1].N == table.BatchSize {
 				c := opts.Scope.NewChunk(schema)
-				if opts.Scope != nil {
-					for j, col := range idx {
-						c.Cols[j].SettleLike(&b.Cols[col])
-					}
-					c.Reserve(table.BatchSize)
+				for j, col := range idx {
+					c.Cols[j].SettleLike(&b.Cols[col])
 				}
+				c.Reserve(table.BatchSize)
 				kept = append(kept, c)
 			}
 			last := kept[len(kept)-1]

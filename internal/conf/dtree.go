@@ -27,7 +27,7 @@ var ErrDTreeBudget = errors.New("conf: d-tree step budget exceeded")
 // signature is taken. Answers whose decomposition exceeds opts.NodeBudget
 // get the certified bound midpoint as their confidence (see
 // TierStats.LowerBound/UpperBound), unless exactOnly is set, in which case
-// ErrDTreeBudget is returned.
+// ErrDTreeBudget is returned, with the refused run's record.
 func DTreeLineage(ctx context.Context, p *pool.Pool, l *Lineage, opts dtree.Options, exactOnly bool) (*table.Relation, *TierStats, error) {
 	return compileLineage(ctx, p, l, TierDTree, opts, exactOnly, ErrDTreeBudget, func(b *dtree.Builder, i int) (dtree.Result, error) {
 		return dtree.ProbWith(b, l.DNFs[i], l.Assign, opts), nil

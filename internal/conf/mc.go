@@ -65,7 +65,6 @@ type lineageBufs struct {
 	headers []prob.Clause // the DNFs' clause headers, DNF by DNF
 	dnfs    []prob.DNF
 	lease   freelist.Lease
-	pooled  bool // drawn from the free list, and owed back to it
 }
 
 // The shapes collection draws that no other user does.
@@ -88,9 +87,6 @@ var (
 // leaves its storage to the collector.
 func (l *Lineage) Release() {
 	b := &l.bufs
-	if !b.pooled {
-		return
-	}
 	ls := &b.lease
 	valueLists.Put(ls, b.keys)
 	varLists.Put(ls, b.arena)
@@ -228,7 +224,7 @@ type lineageClause struct {
 const minBuckets = 256
 
 func newCollector(schema *table.Schema, hashMask uint64) (*collector, error) {
-	l := &Lineage{Assign: prob.NewAssignment(), bufs: lineageBufs{pooled: true}}
+	l := &Lineage{Assign: prob.NewAssignment()}
 	c := &collector{l: l, lease: &l.bufs.lease, mask: hashMask, dataCols: schema.DataIndexes()}
 	for _, src := range schema.Sources() {
 		vi, pi := schema.VarIndex(src), schema.ProbIndex(src)
@@ -249,7 +245,7 @@ func newCollector(schema *table.Schema, hashMask uint64) (*collector, error) {
 	c.groups, _ = groupLists.Largest(c.lease)
 	c.clauses, _ = entryLists.Largest(c.lease)
 	c.arena, _ = varLists.Largest(c.lease)
-	c.hashes, _ = freelist.Uint64s.Fit(c.lease, 8*table.BatchSize)
+	c.hashes = freelist.Uint64s.Draw(c.lease, 8*table.BatchSize)
 	c.groupAt, c.clauseAt = c.chainHeads(minBuckets), c.chainHeads(minBuckets)
 	return c, nil
 }
@@ -257,8 +253,7 @@ func newCollector(schema *table.Schema, hashMask uint64) (*collector, error) {
 // int32s returns an int32 slice of length n, of unspecified contents: the
 // best fit off the free list.
 func (c *collector) int32s(n int) []int32 {
-	t, _ := freelist.Int32s.Fit(c.lease, 4*int64(n))
-	return sized(t, n)
+	return freelist.Int32s.Draw(c.lease, 4*int64(n))[:n]
 }
 
 // chainHeads returns an empty chain-head table of n buckets.

@@ -34,8 +34,9 @@ var ErrOBDDBudget = errors.New("conf: OBDD node budget exceeded")
 // tier earns its keep. Answers whose expansion exceeds
 // opts.NodeBudget get the certified bound midpoint as their confidence (see
 // TierStats.LowerBound/UpperBound), unless exactOnly is set, in which case
-// ErrOBDDBudget is returned — after the exact expansion alone, since the
-// anytime mode's bounds would be thrown away.
+// ErrOBDDBudget is returned, with the refused run's record — after the
+// exact expansion alone, since the anytime mode's bounds would be thrown
+// away.
 func OBDDLineage(ctx context.Context, p *pool.Pool, l *Lineage, sig signature.Sig, opts obdd.Options, exactOnly bool) (*table.Relation, *TierStats, error) {
 	rank := sigRank(sig, l)
 	type state struct {

@@ -150,13 +150,9 @@ func mergeByKey(parts [][]*table.ColBatch, keys int, ls *freelist.Lease, sc *tab
 		row    int // in chunks[0]
 	}
 	curs := make([]cursor, 0, len(parts))
-	room := 0 // rows still to merge
 	for _, p := range parts {
 		if len(p) > 0 {
 			curs = append(curs, cursor{chunks: p})
-		}
-		for _, c := range p {
-			room += c.N
 		}
 	}
 	less := func(a, b *cursor) bool {
@@ -181,10 +177,9 @@ func mergeByKey(parts [][]*table.ColBatch, keys int, ls *freelist.Lease, sc *tab
 			}
 		}
 		c := &curs[best]
-		out = appendChunks(sc, out, c.chunks[0], c.row, c.row+1, room)
-		room--
+		out = appendChunks(sc, out, c.chunks[0], c.row, c.row+1)
 		if c.row++; c.row == c.chunks[0].N {
-			c.chunks[0].Recycle(ls)
+			c.chunks[0].Recycle(ls, table.BatchSize)
 			c.chunks, c.row = c.chunks[1:], 0
 			if len(c.chunks) == 0 {
 				curs = slices.Delete(curs, best, best+1)
@@ -221,11 +216,11 @@ type accumulator interface {
 // the feeding side, so cancellation latency is uniform across the
 // pipelined and the sort+scan tiers. Error paths discard any spilled runs.
 // The batch the sorted stream fills is drawn off the engine's free list and
-// goes back when the scan ends. A partition's scan (ls not nil) draws its
-// output chunks whole off the list under ls too — the merge gives them
-// back — while a serial scan's chunks are the pass's output, owned by the
-// options' Scope (drawn whole, released with the run) or, without one,
-// allocated.
+// goes back when the scan ends. Every output chunk is whole — reserved for
+// table.BatchSize rows when it starts — and a partition's scan (ls not
+// nil) draws its chunks off the list under ls — the merge gives them back
+// — while a serial scan's chunks are the pass's output, which the options'
+// Scope hands out (table.Scope.NewChunk).
 func groupedScan(sorter *storage.ExternalSorter, acc accumulator, groupCols []int, repVar int, schema *table.Schema, ls *freelist.Lease, opts Options) ([]*table.ColBatch, spillStats, error) {
 	ctx := opts.ctx()
 	it, err := sorter.FinishBatches()
@@ -236,21 +231,13 @@ func groupedScan(sorter *storage.ExternalSorter, acc accumulator, groupCols []in
 	b := table.NewColBatch(it.Schema())
 	var bl freelist.Lease
 	b.Draw(&bl, table.BatchSize)
-	defer b.Recycle(&bl)
+	defer b.Recycle(&bl, table.BatchSize)
 	sp := spillStats{runs: sorter.Spills(), bytes: sorter.SpillBytes()}
 	outCols := groupCols
 	if repVar >= 0 {
 		outCols = append(slices.Clone(groupCols), repVar)
 	}
 	pc := len(outCols) // the probability column
-	// No pass emits more groups than it was fed rows, and most emit far
-	// fewer: the first chunk of an allocated serial output starts small
-	// and, should it fill, is reserved whole in one step; the later ones,
-	// and drawn ones, are reserved whole from the start.
-	reserve := int(min(sorter.Rows(), firstChunkRows))
-	if ls != nil || opts.Scope != nil {
-		reserve = table.BatchSize
-	}
 	var chunks []*table.ColBatch
 	var out *table.ColBatch // the chunk holding the open group's row k
 	k := -1
@@ -276,18 +263,15 @@ func groupedScan(sorter *storage.ExternalSorter, acc accumulator, groupCols []in
 			if out == nil || out.N == table.BatchSize {
 				if ls != nil {
 					out = table.NewColBatch(schema)
-					out.Draw(ls, reserve)
+					out.Draw(ls, table.BatchSize)
 				} else {
 					out = opts.Scope.NewChunk(schema)
 				}
 				for j, c := range outCols {
 					out.Cols[j].SettleLike(&b.Cols[c])
 				}
-				out.Reserve(reserve)
-				reserve = table.BatchSize
-				chunks = append(chunks, out)
-			} else if out.N == firstChunkRows {
 				out.Reserve(table.BatchSize)
+				chunks = append(chunks, out)
 			}
 			k = out.N
 			for j, c := range outCols {
@@ -303,9 +287,6 @@ func groupedScan(sorter *storage.ExternalSorter, acc accumulator, groupCols []in
 	}
 	return chunks, sp, nil
 }
-
-// firstChunkRows is what a pass's first output chunk is reserved for.
-const firstChunkRows = 64
 
 // sameGroup reports whether row i of the sorted batch b equals output row k
 // of out on the group columns, which lead out's schema.

@@ -121,34 +121,26 @@ func (s *Source) push(ctx context.Context, sink engine.Sink) error {
 }
 
 // appendChunks copies live rows [lo, hi) of src onto the last of chunks,
-// starting a new chunk, owned by sc, whenever that one holds
-// table.BatchSize rows, and returns the chunks. room is how many rows,
-// these among them, are still to be appended at most (≥ table.BatchSize
-// when unknown): a new chunk is reserved whole for min(room,
-// table.BatchSize) rows when it starts — for table.BatchSize under a
-// scope, which draws it whole — chunks of fixed size, because one growing
-// batch would copy its slices over and over as it regrows, and settled on
-// src's string layouts (ColVec.SettleLike).
-func appendChunks(sc *table.Scope, chunks []*table.ColBatch, src *table.ColBatch, lo, hi, room int) []*table.ColBatch {
+// starting a new chunk, handed out by sc (table.Scope.NewChunk), whenever
+// that one holds table.BatchSize rows, and returns the chunks. A new chunk
+// is settled on src's string layouts (ColVec.SettleLike) and reserved whole
+// when it starts — chunks of fixed size, because one growing batch would
+// copy its slices over and over as it regrows.
+func appendChunks(sc *table.Scope, chunks []*table.ColBatch, src *table.ColBatch, lo, hi int) []*table.ColBatch {
 	for lo < hi {
 		var last *table.ColBatch
 		if k := len(chunks); k > 0 && chunks[k-1].N < table.BatchSize {
 			last = chunks[k-1]
 		} else {
-			rows := min(room, table.BatchSize)
-			if sc != nil {
-				rows = table.BatchSize
-			}
 			last = sc.NewChunk(src.Schema)
 			for c := range last.Cols {
 				last.Cols[c].SettleLike(&src.Cols[c])
 			}
-			last.Reserve(rows)
+			last.Reserve(table.BatchSize)
 			chunks = append(chunks, last)
 		}
 		n := min(hi, lo+table.BatchSize-last.N)
 		last.AppendBatch(src, lo, n)
-		room -= n - lo
 		lo = n
 	}
 	return chunks
@@ -162,7 +154,7 @@ type chunkSink struct {
 }
 
 func (c *chunkSink) AddBatch(b *table.ColBatch) error {
-	c.chunks = appendChunks(c.scope, c.chunks, b, 0, b.Rows(), table.BatchSize)
+	c.chunks = appendChunks(c.scope, c.chunks, b, 0, b.Rows())
 	c.rows += int64(b.Rows())
 	return nil
 }
@@ -238,18 +230,13 @@ func (f *scanFeed) decide() error {
 	// so that none regrows past what the next pass draws.
 	const most = pool.ParallelMinRows + table.BatchSize
 	f.sels = make([][]int32, len(f.parts))
-	var ok bool
 	for p := range f.sels {
-		if f.sels[p], ok = freelist.Int32s.Fit(&f.lease, 4*most); !ok {
-			f.sels[p] = make([]int32, 0, most)
-		}
+		f.sels[p] = freelist.Int32s.Draw(&f.lease, 4*most)
 	}
-	if f.hashes, ok = freelist.Uint64s.Fit(&f.lease, 8*most); !ok {
-		f.hashes = make([]uint64, 0, most)
-	}
+	f.hashes = freelist.Uint64s.Draw(&f.lease, 8*most)
 	pend := f.pend
 	f.pend = nil
-	defer pend.Recycle(&f.lease)
+	defer pend.Recycle(&f.lease, pool.ParallelMinRows)
 	return f.route(pend)
 }
 
@@ -282,7 +269,7 @@ func (f *scanFeed) finish() (int64, error) {
 	if f.pend != nil {
 		f.one = f.newSorter()
 		err := f.one.AddBatch(f.pend)
-		f.pend.Recycle(&f.lease)
+		f.pend.Recycle(&f.lease, pool.ParallelMinRows)
 		f.pend = nil
 		if err != nil {
 			return 0, err

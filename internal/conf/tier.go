@@ -2,7 +2,9 @@ package conf
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/clauseset"
@@ -114,8 +116,10 @@ type (
 // fails the run with budgetErr (pool.Do returns the lowest answer index's
 // error, as a serial loop would) so the caller can fall to its next tier; a
 // stopped result is accepted even then — its bounds are certified, and
-// falling further would spend deadline that is already gone. ctx and p may
-// be nil (no cancellation, serial execution).
+// falling further would spend deadline that is already gone. A refused run
+// still returns its record, of the answers up to the refusing one: every
+// answer below it ran at any worker count, so the effort it reports is the
+// serial loop's. ctx and p may be nil (no cancellation, serial execution).
 func compileLineage[S any](ctx context.Context, p *pool.Pool, l *Lineage, tier string, opts clauseset.Options, exactOnly bool, budgetErr error,
 	compile func(s *S, i int) (clauseset.Result, error)) (*table.Relation, *TierStats, error) {
 	var states sync.Pool
@@ -137,17 +141,32 @@ func compileLineage[S any](ctx context.Context, p *pool.Pool, l *Lineage, tier s
 		if err != nil {
 			return fmt.Errorf("conf: answer %d: %w", i, err)
 		}
+		results[i] = res
 		if exactOnly && !res.Exact && !res.Stopped {
 			return fmt.Errorf("%w: answer %d (%d clauses, budget %d)",
 				budgetErr, i, len(l.DNFs[i].Clauses), opts.Budget())
 		}
-		results[i] = res
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		if !errors.Is(err, budgetErr) {
+			return nil, nil, err
+		}
+		// The refusing answer is the first neither exact nor stopped: the
+		// ones below it ran, the ones above it may not have.
+		k := slices.IndexFunc(results, func(r clauseset.Result) bool { return !r.Exact && !r.Stopped })
+		return nil, tierRecord(l, tier, results[:k+1]), err
 	}
 	out := l.output()
+	for i, res := range results {
+		out.Rows = append(out.Rows, l.row(i, res.P))
+	}
+	return out, tierRecord(l, tier, results), nil
+}
+
+// tierRecord reduces per-answer results, serially in answer order, into
+// the named tier's record.
+func tierRecord(l *Lineage, tier string, results []clauseset.Result) *TierStats {
 	stats := &TierStats{LineageStats: l.Stats(), Tier: tier}
 	for i, res := range results {
 		if res.Exact {
@@ -171,10 +190,9 @@ func compileLineage[S any](ctx context.Context, p *pool.Pool, l *Lineage, tier s
 		if w := res.Hi - res.Lo; w > stats.MaxWidth {
 			stats.MaxWidth = w
 		}
-		out.Rows = append(out.Rows, l.row(i, res.P))
 	}
 	if stats.Bounded == 0 {
 		stats.LowerBound, stats.UpperBound, stats.MaxWidth = 0, 0, 0
 	}
-	return out, stats, nil
+	return stats
 }

@@ -69,9 +69,8 @@ func StreamCtx(ctx context.Context, op ColOperator, sink Sink) error {
 // pullLease is the one Lease of every pull batch (see the file comment).
 var pullLease freelist.Lease
 
-// drawPull returns a batch of the schema whose vectors are the best fits
-// for BatchSize rows off the free list, reserved for that many where the
-// list had none.
+// drawPull returns a batch of the schema whose vectors are drawn for
+// BatchSize rows off the free list (ColBatch.Draw).
 func drawPull(s *table.Schema) *table.ColBatch {
 	b := &table.ColBatch{}
 	drawPullInto(b, s)
@@ -83,14 +82,13 @@ func drawPull(s *table.Schema) *table.ColBatch {
 func drawPullInto(b *table.ColBatch, s *table.Schema) {
 	b.Reset(s)
 	b.Draw(&pullLease, BatchSize)
-	b.Reserve(BatchSize)
 }
 
 // recyclePull gives a pull batch's vectors back, leaving its columns
 // empty; nil, or a batch given back already, gives back nothing.
 func recyclePull(b *table.ColBatch) {
 	if b != nil {
-		b.RecycleFit(&pullLease, BatchSize)
+		b.Recycle(&pullLease, BatchSize)
 	}
 }
 

@@ -64,7 +64,7 @@ func (s *ColChunkScan) Schema() *table.Schema { return s.S }
 func (s *ColChunkScan) Open() error {
 	s.pos, s.row = 0, 0
 	if len(s.Preds) > 0 && s.sel == nil {
-		s.sel, _ = freelist.Int32s.Fit(&s.lease, 4*BatchSize)
+		s.sel = freelist.Int32s.Draw(&s.lease, 4*BatchSize)
 	}
 	return nil
 }
@@ -100,10 +100,8 @@ func (s *ColChunkScan) NextColBatch(dst *table.ColBatch) (int, error) {
 
 // Close gives the selection storage back.
 func (s *ColChunkScan) Close() error {
-	if s.sel != nil {
-		freelist.Int32s.Put(&s.lease, s.sel)
-		s.sel = nil
-	}
+	freelist.Int32s.Put(&s.lease, s.sel)
+	s.sel = nil
 	return nil
 }
 
@@ -173,14 +171,14 @@ func (s *ColHeapScan) Open() error {
 			s.scratch.Cols[c] = v
 		}
 	}
-	s.sel, _ = freelist.Int32s.Fit(&s.lease, 4*BatchSize)
+	s.sel = freelist.Int32s.Draw(&s.lease, 4*BatchSize)
 	return nil
 }
 
 // scratchVecs are the idle vectors of heap scans' scratch batches, of any
 // kind: a vector keeps the storage of every layout it decoded, so that
 // after a few scans one serves any predicate column without growing.
-var scratchVecs = freelist.New(func(v table.ColVec) int64 { return v.MemSize() }, func(v *table.ColVec) { v.Reuse(v.Kind) })
+var scratchVecs = freelist.New(func(v table.ColVec) int64 { return v.MemSize() }, func(v *table.ColVec) { v.Reuse(v.Kind) }, nil)
 
 // NextColBatch fills dst with up to BatchSize rows: stored rows, a page
 // possibly straddling two batches, or with predicates the qualifying ones.

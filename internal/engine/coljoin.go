@@ -77,7 +77,8 @@ func (j *ColHashJoin) Open() error {
 	}
 	built, pressured, err := buildHashed(j.Right, j.RightKeys, j.Mem)
 	if err == nil && pressured {
-		err = j.openGrace(j.Left, j.Right, j.LeftKeys, j.RightKeys, built.chunks)
+		err = j.openGrace(j.Left, j.Right, j.LeftKeys, j.RightKeys, built)
+		built.release() // what the grace sort did not copy and give back
 		built = nil
 	}
 	if err != nil {
@@ -88,10 +89,7 @@ func (j *ColHashJoin) Open() error {
 	j.built = built
 	if built != nil {
 		j.in = drawPull(j.Left.Schema())
-		var ok bool
-		if j.hashes, ok = freelist.Uint64s.Fit(&pullLease, 8*BatchSize); !ok {
-			j.hashes = make([]uint64, 0, BatchSize)
-		}
+		j.hashes = freelist.Uint64s.Draw(&pullLease, 8*BatchSize)
 	}
 	return nil
 }

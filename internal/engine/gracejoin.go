@@ -16,9 +16,6 @@ import (
 // identical; only the memory profile changes, bounded by the sort budget
 // instead of the build-side cardinality.
 
-// joinMemChunk is the reservation granularity of a governed build side.
-const joinMemChunk = 64 << 10
-
 // joinRowMemEst is what a governed build charges per row of a width-w
 // build side. It is a fixed estimate, not the chunks' bytes, so a given
 // budget degrades a join at the same row whatever layout its cells take.
@@ -32,18 +29,18 @@ func joinRowMemEst(w int) int64 { return 64 + 48*int64(w) }
 // descending order, so every chain ascends: one key's rows come out in
 // build-input order.
 //
-// An ungoverned build draws its chunk vectors, hash slices and index from
-// the engine's free list (internal/freelist), each the best fit for its
-// size, and release gives them back once the join is done with them; a
-// governed build bypasses the free list, so its charges, and the chunks it
-// hands to the grace path, are what they would be without it.
+// A build draws its chunk vectors, hash slices and index from the engine's
+// free list (internal/freelist), each the best fit for its size, governed
+// or not — a governed build is charged joinRowMemEst a row whatever it
+// draws — and release gives them back once the join is done with them. A
+// build that degrades to grace hands its chunks to the grace sort, which
+// gives each back once it has copied it.
 type hashBuild struct {
 	chunks []*table.ColBatch
 	hashes [][]uint64
 	heads  []int32
 	next   []int32
 	mask   uint64
-	pooled bool // drawn from the free list, and owed back to it
 	lease  freelist.Lease
 }
 
@@ -53,7 +50,7 @@ func (h *hashBuild) index(keys []int) {
 	n := 0
 	h.hashes = make([][]uint64, len(h.chunks))
 	for c, b := range h.chunks {
-		h.hashes[c] = b.HashInto(keys, h.draw64(BatchSize))
+		h.hashes[c] = b.HashInto(keys, freelist.Uint64s.Draw(&h.lease, 8*BatchSize))
 		n += b.N
 	}
 	slots := 1
@@ -69,49 +66,30 @@ func (h *hashBuild) index(keys []int) {
 	}
 }
 
-// draw64 returns an empty uint64 slice of room for n elements: a pooled
-// build's is the best fit off the free list, when the list has one.
-func (h *hashBuild) draw64(n int) []uint64 {
-	if h.pooled {
-		if s, ok := freelist.Uint64s.Fit(&h.lease, 8*int64(n)); ok {
-			return s
-		}
-	}
-	return make([]uint64, 0, n)
-}
-
-// draw32 is draw64 for an int32 slice of length n, of unspecified contents.
+// draw32 returns an int32 slice of length n, of unspecified contents.
 func (h *hashBuild) draw32(n int) []int32 {
-	if h.pooled {
-		if s, ok := freelist.Int32s.Fit(&h.lease, 4*int64(n)); ok {
-			return s[:n]
-		}
-	}
-	return make([]int32, n)
+	return freelist.Int32s.Draw(&h.lease, 4*int64(n))[:n]
 }
 
-// newChunk starts a BatchSize-row chunk of the schema.
-func (h *hashBuild) newChunk(schema *table.Schema) *table.ColBatch {
-	c := table.NewColBatch(schema)
-	if h.pooled {
-		c.Draw(&h.lease, BatchSize)
+// giveBack gives chunk i back to the free list once nothing reads it.
+func (h *hashBuild) giveBack(i int) {
+	if c := h.chunks[i]; c != nil {
+		c.Recycle(&h.lease, BatchSize)
+		h.chunks[i] = nil
 	}
-	return c
 }
 
-// release gives a pooled build's buffers back to the free list, and lets
-// go of them either way; a second release finds nothing.
+// release gives the build's buffers back to the free list; a second
+// release finds nothing.
 func (h *hashBuild) release() {
-	if h.pooled {
-		for _, c := range h.chunks {
-			c.Recycle(&h.lease)
-		}
-		for _, s := range h.hashes {
-			freelist.Uint64s.Put(&h.lease, s)
-		}
-		freelist.Int32s.Put(&h.lease, h.heads)
-		freelist.Int32s.Put(&h.lease, h.next)
+	for i := range h.chunks {
+		h.giveBack(i)
 	}
+	for _, s := range h.hashes {
+		freelist.Uint64s.Put(&h.lease, s)
+	}
+	freelist.Int32s.Put(&h.lease, h.heads)
+	freelist.Int32s.Put(&h.lease, h.next)
 	*h = hashBuild{}
 }
 
@@ -121,21 +99,22 @@ func (h *hashBuild) release() {
 // it regrows — and once op is drained the chunks are hashed
 // (ColBatch.HashInto) and indexed. A failed build gives back what it drew.
 //
-// With a governor the build is charged joinRowMemEst per row, in
-// joinMemChunk steps after each batch. On a denied reservation it stops at
-// that batch boundary and returns pressured=true with the unindexed chunks
-// holding every row drained so far, in input order, for the grace path;
-// op is left mid-stream for the caller to keep draining. All reservations
-// are released before returning — the grace sorters account for their own
-// memory.
+// With a governor the build is charged joinRowMemEst per row, its running
+// total covered by a fault.Reservation after each batch. On a denied
+// reservation it stops at that batch boundary and returns pressured=true
+// with the unindexed chunks holding every row drained so far, in input
+// order, for the grace path; op is left mid-stream for the caller to keep
+// draining. The reservation is released before returning — the grace
+// sorters account for their own memory.
 func buildHashed(op ColOperator, keys []int, gov *fault.Governor) (*hashBuild, bool, error) {
-	h := &hashBuild{pooled: gov == nil}
+	h := &hashBuild{}
 	b := drawPull(op.Schema())
 	defer recyclePull(b)
 	perRow := joinRowMemEst(op.Schema().Len())
 	var last *table.ColBatch
-	var est, reserved int64
-	defer func() { gov.Release(reserved) }()
+	var est int64
+	mem := fault.NewReservation(gov)
+	defer mem.Release()
 	for {
 		n, err := op.NextColBatch(b)
 		if err != nil {
@@ -148,8 +127,8 @@ func buildHashed(op ColOperator, keys []int, gov *fault.Governor) (*hashBuild, b
 		}
 		for lo := 0; lo < n; {
 			if last == nil || last.N == BatchSize {
-				last = h.newChunk(op.Schema())
-				last.Reserve(BatchSize)
+				last = table.NewColBatch(op.Schema())
+				last.Draw(&h.lease, BatchSize)
 				h.chunks = append(h.chunks, last)
 			}
 			hi := min(n, lo+BatchSize-last.N)
@@ -159,15 +138,8 @@ func buildHashed(op ColOperator, keys []int, gov *fault.Governor) (*hashBuild, b
 			last.Reserve(BatchSize)
 			lo = hi
 		}
-		if gov == nil {
-			continue
-		}
-		if est += perRow * int64(n); est > reserved {
-			need := ((est - reserved + joinMemChunk - 1) / joinMemChunk) * joinMemChunk
-			if !gov.TryReserve(need) {
-				return h, true, nil
-			}
-			reserved += need
+		if est += perRow * int64(n); !mem.Cover(est) {
+			return h, true, nil
 		}
 	}
 }
@@ -188,10 +160,10 @@ type Governed struct {
 func (g *Governed) GraceMode() bool { return g.graced }
 
 // openGrace finishes a pressured open: drained holds the build side's
-// prefix as the build's column chunks, right the opened remainder. The
+// prefix as its unindexed column chunks, right the opened remainder. The
 // right side is sorted first, and its sorter finished — its reservation
 // released — before the left side's sort starts.
-func (g *Governed) openGrace(left, right ColOperator, lk, rk []int, drained []*table.ColBatch) error {
+func (g *Governed) openGrace(left, right ColOperator, lk, rk []int, drained *hashBuild) error {
 	rightIt, err := g.sortOn(right, rk, drained)
 	if err != nil {
 		return err
@@ -216,11 +188,13 @@ func (g *Governed) openGrace(left, right ColOperator, lk, rk []int, drained []*t
 	return nil
 }
 
-// sortOn sorts the batches pre, then the rest of op's stream, on keys in a
-// key sorter under the join's governor and returns the sorted stream. op is
-// closed once drained, so what its subtree holds is released before the
-// merge; a failed sort leaves no spill run behind.
-func (g *Governed) sortOn(op ColOperator, keys []int, pre []*table.ColBatch) (it *storage.SortedBatches, err error) {
+// sortOn sorts the chunks of pre (nil: none), then the rest of op's
+// stream, on keys in a key sorter under the join's governor and returns the
+// sorted stream. Each chunk of pre goes back to the free list once the
+// sorter has copied it. op is closed once drained, so what its subtree
+// holds is released before the merge; a failed sort leaves no spill run
+// behind.
+func (g *Governed) sortOn(op ColOperator, keys []int, pre *hashBuild) (it *storage.SortedBatches, err error) {
 	s := storage.NewKeySorter(op.Schema(), keys, g.SortBudget, g.TmpDir)
 	s.Govern(g.Mem)
 	defer func() {
@@ -228,11 +202,13 @@ func (g *Governed) sortOn(op ColOperator, keys []int, pre []*table.ColBatch) (it
 			s.Discard()
 		}
 	}()
-	for i, b := range pre {
-		if err := s.AddBatch(b); err != nil {
-			return nil, err
+	if pre != nil {
+		for i, b := range pre.chunks {
+			if err := s.AddBatch(b); err != nil {
+				return nil, err
+			}
+			pre.giveBack(i) // copied: the sort goes on without it
 		}
-		pre[i] = nil // copied: let the chunk go while the sort goes on
 	}
 	b := drawPull(op.Schema())
 	defer recyclePull(b)

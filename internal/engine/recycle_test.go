@@ -10,6 +10,9 @@ import (
 	"repro/internal/table"
 )
 
+// joinMemChunk is a governed build's charge step.
+const joinMemChunk = fault.ReservationStep
+
 // failAfter passes its input's first n batches through and then fails
 // with err() — a fault injected into a build side mid-stream.
 type failAfter struct {
@@ -131,9 +134,8 @@ func takeIdle(t *testing.T) map[any]bool {
 // batch and its probe hashes come off the free list and go back to it
 // exactly once, whichever way the join lets go of them — closed twice,
 // re-opened, a failed Open (an injected fault and a context cancelled
-// mid-build) — so no array is ever idle twice and two live joins never
-// share one; a governed build bypasses the free list, and its join draws
-// the probe side's pull batch and hashes alone.
+// mid-build), governed or degraded to grace — so no array is ever idle
+// twice and two live joins never share one.
 func TestJoinBuildBuffersOneOwner(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	left, right := randRel(rng, 500, 700), randRel(rng, 3*BatchSize+100, 700)
@@ -235,8 +237,9 @@ func TestJoinBuildBuffersOneOwner(t *testing.T) {
 		}
 	}
 
-	// Governed: the build neither draws what another join left idle nor
-	// gives its own arrays back; the probe side's buffers still go back.
+	// Governed: the build draws and gives back as an ungoverned one does —
+	// it is charged per row, whatever it draws — so a governed join's build
+	// and probe arrays go back once when it closes.
 	takeIdle(t)
 	p := newJoin(memScan(right))
 	if err := p.Open(); err != nil {
@@ -252,21 +255,66 @@ func TestJoinBuildBuffersOneOwner(t *testing.T) {
 	if err := g.Open(); err != nil {
 		t.Fatal(err)
 	}
-	gb := buildBacking(g.built)
-	probe := joinBacking(g)[len(gb):]
+	held = joinBacking(g)
+	drew := false
+	for _, a := range buildBacking(g.built) {
+		drew = drew || pooled[a]
+	}
+	if !drew {
+		t.Fatal("a governed build drew no array off the free list")
+	}
+	g.Close()
 	g.Close()
 	idle = takeIdle(t)
-	for _, a := range gb {
-		if pooled[a] {
-			t.Fatal("a governed build drew an array off the free list")
-		}
-		if idle[a] {
-			t.Fatal("a governed build gave an array back to the free list")
+	for _, a := range held {
+		if !idle[a] {
+			t.Fatal("a governed join's array is not back on the free list")
 		}
 	}
-	for _, a := range probe {
+	if len(idle) != len(held) {
+		t.Fatalf("%d arrays idle after a governed join closed, want its %d", len(idle), len(held))
+	}
+
+	// Degraded to grace: the pressured build draws its chunks off the free
+	// list, and the grace sort gives each back once it has copied it; once
+	// the join has closed, every array the lists held before it opened is
+	// idle again, once.
+	p = newJoin(memScan(right))
+	if err := p.Open(); err != nil {
+		t.Fatal(err)
+	}
+	pooled = make(map[any]bool)
+	for _, a := range joinBacking(p) {
+		pooled[a] = true
+	}
+	p.Close()
+	r := memScan(right)
+	r.Open()
+	h, pressured, err := buildHashed(r, keys, fault.NewGovernor(joinMemChunk, nil))
+	if err != nil || !pressured {
+		t.Fatalf("a build under one charge step: pressured %v, %v", pressured, err)
+	}
+	drew = false
+	for _, a := range buildBacking(h) {
+		drew = drew || pooled[a]
+	}
+	if !drew {
+		t.Fatal("a pressured build drew no array off the free list")
+	}
+	h.release()
+	h.release()
+	r.Close()
+	gj := newJoin(memScan(right))
+	gj.Mem = fault.NewGovernor(joinMemChunk, nil)
+	gj.TmpDir = t.TempDir()
+	if got := collect(t, gj); got.Len() != want.Len() || !gj.GraceMode() {
+		t.Fatalf("the grace join (grace mode %v) joined %d rows, want %d", gj.GraceMode(), got.Len(), want.Len())
+	}
+	gj.Close()
+	idle = takeIdle(t)
+	for a := range pooled {
 		if !idle[a] {
-			t.Fatal("a governed join's probe array is not back on the free list")
+			t.Fatal("an array the grace join drew is not back on the free list")
 		}
 	}
 }

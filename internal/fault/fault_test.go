@@ -145,9 +145,6 @@ func TestGovernorBasics(t *testing.T) {
 	if g.HighWater() != 100 {
 		t.Fatalf("high water %d, want 100", g.HighWater())
 	}
-	if err := g.Reserve(1000); !errors.Is(err, ErrMemoryBudget) {
-		t.Fatalf("Reserve over limit: %v, want ErrMemoryBudget", err)
-	}
 }
 
 // TestGovernorHierarchy: a child reservation must clear the parent too,
@@ -196,6 +193,84 @@ func TestGovernorConcurrent(t *testing.T) {
 	}
 	if g.HighWater() > 1000 {
 		t.Fatalf("high water %d exceeds limit", g.HighWater())
+	}
+}
+
+// TestReservationMatchesStepArithmetic: a Reservation charges its governor
+// what a holder that kept its own running charge did — it tops the charge
+// up to the total in whole 64 KiB steps, leaves it alone on a total it
+// already covers, leaves it unchanged on a denial, and gives all of it back
+// on Release — through the same TryReserve sequence, so its grants and
+// denials fall where theirs did. Against no governor it covers every total
+// and holds nothing.
+func TestReservationMatchesStepArithmetic(t *testing.T) {
+	const step = 64 << 10
+	totals := []int64{0, 1, step, step + 1, 3 * step, 100, 10 * step, 7*step + 5, 20 * step, 9 * step}
+	g := NewGovernor(12*step, nil)
+	r := NewReservation(g)
+	var held int64 // the arithmetic a holder kept before Reservation
+	var grants, denials int64
+	for _, total := range totals {
+		want := true
+		if total > held {
+			need := (total - held + step - 1) / step * step
+			if want = held+need <= 12*step; want {
+				held += need
+				grants++
+			} else {
+				denials++
+			}
+		}
+		if got := r.Cover(total); got != want {
+			t.Fatalf("Cover(%d) = %v, want %v", total, got, want)
+		}
+		if r.Held() != held || g.Used() != held {
+			t.Fatalf("after Cover(%d): held %d, governor used %d; want %d", total, r.Held(), g.Used(), held)
+		}
+	}
+	if grants == 0 || denials == 0 || g.Denials() != denials {
+		t.Fatalf("%d grants, %d denials (governor counted %d): the sequence must both grant and deny", grants, denials, g.Denials())
+	}
+	r.Release()
+	r.Release()
+	if r.Held() != 0 || g.Used() != 0 {
+		t.Fatalf("after Release: held %d, governor used %d", r.Held(), g.Used())
+	}
+
+	free := NewReservation(nil)
+	if free.Governed() || !free.Cover(1<<40) || free.Held() != 0 {
+		t.Fatalf("an ungoverned reservation charged %d bytes", free.Held())
+	}
+	free.Release()
+}
+
+// TestReservationConcurrent: holders on several goroutines, each with a
+// reservation of its own against one governor — the sorters of one
+// partitioned pass — never take it past its limit and balance it to zero.
+func TestReservationConcurrent(t *testing.T) {
+	const limit = 8 * ReservationStep
+	g := NewGovernor(limit, nil)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := NewReservation(g)
+			for i := int64(1); i <= 500; i++ {
+				if r.Cover(i * 1000) {
+					if g.Used() > limit {
+						panic("limit exceeded")
+					}
+				} else {
+					r.Release()
+				}
+			}
+			r.Release()
+		}()
+	}
+	wg.Wait()
+	if g.Used() != 0 || g.HighWater() > limit {
+		t.Fatalf("used %d, high water %d, limit %d", g.Used(), g.HighWater(), limit)
 	}
 }
 

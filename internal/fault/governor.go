@@ -1,14 +1,6 @@
 package fault
 
-import (
-	"errors"
-	"fmt"
-	"sync/atomic"
-)
-
-// ErrMemoryBudget is the typed error surfaced when an allocation cannot be
-// admitted and the caller has no cheaper mode to fall back to.
-var ErrMemoryBudget = errors.New("fault: memory budget exhausted")
+import "sync/atomic"
 
 // Governor is a hierarchical memory-budget accountant. The big allocators
 // (sort buffers, hash-join build sides, compiler arenas, sampler buffers)
@@ -64,14 +56,6 @@ func (g *Governor) TryReserve(n int64) bool {
 			return true
 		}
 	}
-}
-
-// Reserve is TryReserve or ErrMemoryBudget.
-func (g *Governor) Reserve(n int64) error {
-	if g.TryReserve(n) {
-		return nil
-	}
-	return fmt.Errorf("%w: %d bytes over limit %d", ErrMemoryBudget, n, g.Limit())
 }
 
 // Release returns n bytes at this level and every ancestor.
@@ -137,4 +121,47 @@ func (g *Governor) Remaining() int64 {
 		rem = p
 	}
 	return rem
+}
+
+// ReservationStep is the granularity of a Reservation, so the atomic
+// traffic stays off the per-row path.
+const ReservationStep = 64 << 10
+
+// A Reservation is one holder's charge against a governor — a sorter's
+// buffers, a hash-join build side: Cover raises it to cover a running
+// total, in ReservationStep steps, and Release gives all of it back. Against
+// a nil governor it covers every total and charges nothing.
+type Reservation struct {
+	gov  *Governor
+	held int64 // bytes charged to gov
+}
+
+// NewReservation starts an empty reservation against g (nil: ungoverned).
+func NewReservation(g *Governor) Reservation { return Reservation{gov: g} }
+
+// Governed reports whether the reservation charges a governor.
+func (r *Reservation) Governed() bool { return r.gov != nil }
+
+// Held reports the bytes charged now.
+func (r *Reservation) Held() int64 { return r.held }
+
+// Cover raises the charge to cover total bytes, rounding what it adds up to
+// whole steps; false, with the charge unchanged, when the governor denies
+// it.
+func (r *Reservation) Cover(total int64) bool {
+	if r.gov == nil || total <= r.held {
+		return true
+	}
+	need := (total - r.held + ReservationStep - 1) / ReservationStep * ReservationStep
+	if !r.gov.TryReserve(need) {
+		return false
+	}
+	r.held += need
+	return true
+}
+
+// Release gives the whole charge back; a second Release gives back nothing.
+func (r *Reservation) Release() {
+	r.gov.Release(r.held)
+	r.held = 0
 }

@@ -12,12 +12,18 @@
 // entries, ...), all behind one mutex and one idle-byte cap (IdleCap), so
 // no user can hoard what another needs. Within a list the buffers sit per
 // power-of-two size class; the concurrent holders of one partitioned pass
-// draw from and give back to the same list. A holder that knows how much
-// it needs (a BatchSize chunk vector, a hash index of n rows) draws the
-// best fit (Fit); one that does not (a sort run, a collector table) draws
-// the largest idle buffer (Largest). A buffer goes back with Put, exactly
-// once, when its holder is done with it; what the cap does not admit is
-// left to the collector.
+// draw from and give back to the same list.
+//
+// One rule draws: a holder that knows how much it needs (a BatchSize chunk
+// vector, a hash index of n rows) calls Draw, which hands over the list's
+// best fit or else a new buffer of the size asked for, so what goes back
+// is a buffer the next such draw takes; one that does not know (a sort
+// run, a collector table) takes the largest idle buffer (Largest) and
+// grows it. One path returns: every drawn buffer goes back with Put,
+// exactly once, when its holder is done with it, whether or not the run
+// was governed; what the cap does not admit is left to the collector. The
+// one holder that bypasses the list is a governed sort run (storage's
+// sortBufs), whose governor charge counts its buffers' capacity.
 //
 // A Lease is one holder's tally of the bytes it drew, so that the bytes it
 // gives back beyond them count as grown fresh: Read reports how much
@@ -76,34 +82,43 @@ func class(n int64) int { return bits.Len64(uint64(n)) }
 
 // List is the idle buffers of one shape.
 type List[T any] struct {
-	size  func(T) int64 // bytes of storage x holds
-	clear func(*T)      // empties x for its next holder, pinning nothing
-	idle  [classes][]T  // the idle buffers by size class
+	size  func(T) int64      // bytes of storage x holds
+	clear func(*T)           // empties x for its next holder, pinning nothing
+	alloc func(want int64) T // a new empty buffer of want bytes; nil: the zero T
+	idle  [classes][]T       // the idle buffers by size class
 }
 
 // New returns an empty list of buffers whose storage size measures and
 // clear empties — clear must leave nothing reachable through the buffer
-// but its own storage.
-func New[T any](size func(T) int64, clear func(*T)) *List[T] {
-	return &List[T]{size: size, clear: clear}
+// but its own storage — and that alloc, when not nil, makes anew for a
+// Draw the list cannot serve; without it such a Draw returns the zero T,
+// which its holder sizes itself.
+func New[T any](size func(T) int64, clear func(*T), alloc func(want int64) T) *List[T] {
+	return &List[T]{size: size, clear: clear, alloc: alloc}
 }
 
 // Slices returns a list of slices of a pointer-free element type, sized
 // by capacity. An idle slice has length 0; its old elements are not
 // cleared, so a holder that needs zeros clears what it uses.
 func Slices[E any]() *List[[]E] {
-	w := int64(unsafe.Sizeof(*new(E)))
-	return New(func(s []E) int64 { return w * int64(cap(s)) }, func(s *[]E) { *s = (*s)[:0] })
+	return New(sliceSize[E], func(s *[]E) { *s = (*s)[:0] }, makeSlice[E])
 }
 
 // PtrSlices is Slices for an element type holding pointers: an idle slice
 // is cleared up to its capacity, so that it keeps nothing alive.
 func PtrSlices[E any]() *List[[]E] {
-	w := int64(unsafe.Sizeof(*new(E)))
-	return New(func(s []E) int64 { return w * int64(cap(s)) }, func(s *[]E) {
+	return New(sliceSize[E], func(s *[]E) {
 		clear((*s)[:cap(*s)])
 		*s = (*s)[:0]
-	})
+	}, makeSlice[E])
+}
+
+func sliceSize[E any](s []E) int64 { return int64(unsafe.Sizeof(*new(E))) * int64(cap(s)) }
+
+// makeSlice is a new empty slice of room for want bytes of elements.
+func makeSlice[E any](want int64) []E {
+	w := int64(unsafe.Sizeof(*new(E)))
+	return make([]E, 0, (want+w-1)/w)
 }
 
 // The lists of plain slices, which any user may draw from.
@@ -129,12 +144,26 @@ func (l *List[T]) Largest(ls *Lease) (T, bool) {
 	return zero, false
 }
 
-// Fit takes an idle buffer of at least want bytes but of at most the size
+// Draw is the draw of a holder that knows it needs want bytes: the best fit
+// off the list (fit), else a new buffer of want bytes — so that what goes
+// back is a buffer the next such draw takes.
+func (l *List[T]) Draw(ls *Lease, want int64) T {
+	if x, ok := l.fit(ls, want); ok {
+		return x
+	}
+	var zero T
+	if l.alloc == nil {
+		return zero
+	}
+	return l.alloc(want)
+}
+
+// fit takes an idle buffer of at least want bytes but of at most the size
 // class above want's — the best fit up to a size class, so that a holder
 // that knows its size never takes the large buffer another holder grew:
 // the most recently given back one of want's class that holds want, else
 // one of the class above; false when there is none.
-func (l *List[T]) Fit(ls *Lease, want int64) (T, bool) {
+func (l *List[T]) fit(ls *Lease, want int64) (T, bool) {
 	mu.Lock()
 	defer mu.Unlock()
 	c := class(want)

@@ -18,24 +18,24 @@ func empty(ls ...*List[[]byte]) {
 	}
 }
 
-// TestFitTakesTheBestFitUpToAClass: Fit takes a buffer that holds what was
-// asked for, of the asked size's class or the one above — never a buffer
-// two classes up, which another holder grew, nor one too small; Largest
-// takes the largest.
+// TestFitTakesTheBestFitUpToAClass: Draw takes a buffer that holds what
+// was asked for, of the asked size's class or the one above — never a
+// buffer two classes up, which another holder grew, nor one too small —
+// and else makes a new one of the asked size; Largest takes the largest.
 func TestFitTakesTheBestFitUpToAClass(t *testing.T) {
 	l := Slices[byte]()
 	var ls Lease
 	for _, n := range []int{100, 1000, 5000, 1 << 20} {
 		l.Put(&ls, make([]byte, 0, n))
 	}
-	if _, ok := l.Fit(&ls, 200); ok {
-		t.Fatal("Fit(200) took a buffer of 1000 bytes, two classes up, or of 100, too small")
+	if b := l.Draw(&ls, 200); cap(b) != 200 {
+		t.Fatalf("Draw(200) = %d bytes; want a new 200-byte buffer, not the 1000-byte one two classes up or the 100-byte one, too small", cap(b))
 	}
-	if b, ok := l.Fit(&ls, 800); !ok || cap(b) != 1000 {
-		t.Fatalf("Fit(800) = %d bytes, %v; want the 1000-byte buffer", cap(b), ok)
+	if b := l.Draw(&ls, 800); cap(b) != 1000 {
+		t.Fatalf("Draw(800) = %d bytes; want the 1000-byte buffer", cap(b))
 	}
-	if b, ok := l.Fit(&ls, 3000); !ok || cap(b) != 5000 {
-		t.Fatalf("Fit(3000) = %d bytes, %v; want the 5000-byte buffer, a class up", cap(b), ok)
+	if b := l.Draw(&ls, 3000); cap(b) != 5000 {
+		t.Fatalf("Draw(3000) = %d bytes; want the 5000-byte buffer, a class up", cap(b))
 	}
 	if b, ok := l.Largest(&ls); !ok || cap(b) != 1<<20 {
 		t.Fatalf("Largest = %d bytes, %v; want the 1 MiB buffer", cap(b), ok)
@@ -117,10 +117,7 @@ func TestConcurrentHolders(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := range 200 {
-				s, ok := l.Fit(&shared, 8*64)
-				if !ok {
-					s = make([]int64, 0, 64)
-				}
+				s := l.Draw(&shared, 8*64)
 				s = append(s[:0], int64(g), int64(i))
 				if s[0] != int64(g) || s[1] != int64(i) {
 					t.Errorf("holder %d saw another holder's write", g)

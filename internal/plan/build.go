@@ -198,8 +198,8 @@ func depth(t *query.Tree) int {
 
 // leafPipeline builds the operator reading one relation occurrence: a scan
 // of the base table — its column chunks, or the heap file through the
-// buffer pool for disk-resident tables (Catalog.BindDisk) — under the
-// occurrence's rename → project pipeline. The occurrence's selections,
+// buffer pool for disk-resident tables (Catalog.BindDisk) — under one
+// projection that renames and projects at once. The occurrence's selections,
 // mapped through the rename onto the base table's columns, go to the scan,
 // which evaluates them before it copies or decodes anything else. The
 // projection keeps the attributes the plan's leaf projection names plus
@@ -231,14 +231,22 @@ func leafPipeline(c *Catalog, q *query.Query, ref query.RelRef, attrs []string, 
 		hs.Preds = preds
 		op = hs
 	}
-	if op, err = engine.NewColProject(op, idx, renamed); err != nil {
-		return nil, err
-	}
+	// One projection renames the base columns and keeps the attributes the
+	// plan reads: the kept columns of the renamed schema, each read from
+	// the base column the renaming maps it to.
 	names := slices.Clone(attrs)
 	if mode == logical.ModeLineage {
 		names = append(names, "V("+ref.Name+")")
 	}
-	return engine.NewColumnProject(op, append(names, "P("+ref.Name+")"))
+	names = append(names, "P("+ref.Name+")")
+	keep, pick := make([]int, len(names)), make([]int, len(names))
+	for i, n := range names {
+		if keep[i] = renamed.ColIndex(n); keep[i] < 0 {
+			return nil, fmt.Errorf("plan: %s has no column %q in %v", ref.Name, n, renamed.Names())
+		}
+		pick[i] = idx[keep[i]]
+	}
+	return engine.NewColProject(op, pick, renamed.Project(keep))
 }
 
 // joinPipeline equi-joins two operators on their shared data attributes and

@@ -2,8 +2,10 @@ package plan_test
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/freelist"
 	"repro/internal/plan"
 	"repro/internal/table"
@@ -83,4 +85,66 @@ func TestRunReleasesPassOutputs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestIdlePeakStopsGrowing: what a warm run gives back to the free list is
+// what its next repetition draws, so the list's idle peak stops growing
+// after the first repetition — for q18/eager at Workers 1 and 4, and for a
+// selective scan of a short chunk, whose selection is drawn for a whole
+// batch however few rows the chunk holds. A holder that drew nothing when the list had no fit,
+// and grew a buffer short of its draw's size, gave such a buffer back
+// every run, and no draw took it again.
+func TestIdlePeakStopsGrowing(t *testing.T) {
+	cat := tpch.Generate(tpch.Config{SF: 0.005, Seed: 1}).Catalog()
+	e := tpch.Catalog()["18"]
+	query := func(workers int) func() {
+		return func() {
+			spec := plan.Spec{Style: plan.Eager, Workers: workers}
+			if _, err := plan.Run(cat, e.Q.Clone(), tpch.FDsFor(e), spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	schema := table.NewSchema(table.DataCol("k", table.KindInt))
+	small := table.NewColBatch(schema) // a base table of one short chunk
+	for i := range 100 {
+		small.AppendRow(table.Tuple{table.Int(int64(i))})
+	}
+	chunks := []*table.ColBatch{small}
+	var taken [][]int32 // what the scan's selection could fit: taken before its first run
+	for {
+		s, ok := freelist.Int32s.Largest(new(freelist.Lease))
+		if !ok {
+			break
+		}
+		taken = append(taken, s)
+	}
+	scan := func() {
+		s := &engine.ColChunkScan{S: schema, Chunks: chunks,
+			Preds: []engine.ColPred{{Col: 0, Op: engine.OpLt, Val: table.Int(9)}}}
+		sink := engine.NewRelationSink(schema)
+		if err := engine.StreamCtx(nil, s, sink); err != nil {
+			t.Fatal(err)
+		}
+		if sink.Rel.Len() != 9 {
+			t.Fatalf("the selective scan kept %d rows, want 9", sink.Rel.Len())
+		}
+	}
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{{"selective-scan", scan}, {"q18/eager/workers=1", query(1)}, {"q18/eager/workers=4", query(4)}} {
+		c.run() // warming up
+		c.run() // a warm run
+		c.run() // its first repetition
+		peak := freelist.Read().IdlePeakBytes
+		for i := range 4 {
+			c.run()
+			if got := freelist.Read().IdlePeakBytes; got != peak {
+				t.Errorf("%s: repetition %d of a warm run raised the free list's idle peak from %d to %d bytes", c.name, i+2, peak, got)
+				peak = got
+			}
+		}
+	}
+	runtime.KeepAlive(taken)
 }

@@ -225,6 +225,10 @@ type Stats struct {
 	// for a ladder run, of the rung that answered; its fields are described
 	// on conf.TierStats. It is zero, with Tier "", when no lineage tier ran.
 	Lineage conf.TierStats
+	// refused are the records of the ladder rungs that refused before the
+	// answering one, in ladder order: their effort goes to the tier
+	// counters (record) beside Lineage's.
+	refused []conf.TierStats
 	// CollectTime is the part of ProbTime a lineage tier (or the ladder)
 	// spent collecting the answers' lineage, before any rung compiled or
 	// sampled it — net of pulling the streamed answer, which is TupleTime.
@@ -483,15 +487,18 @@ func (p *Prepared) record(reg *obs.Registry, s *Stats, wall time.Duration) {
 	reg.Counter("conf_sorts_total").Add(int64(s.Sorts))
 	reg.Counter("sort_spilled_runs_total").Add(int64(s.SpilledRuns))
 	reg.Counter("sort_spill_bytes_total").Add(s.SpillBytes)
-	// The tier record's effort goes to its tier's counter; every counter is
-	// still added to, so each exists from the first query on.
+	// The tier record's effort, and a refused ladder rung's, goes to its
+	// tier's counter; every counter is still added to, so each exists from
+	// the first query on.
 	l := &s.Lineage
 	var obddNodes, dtreeNodes int64
-	switch l.Tier {
-	case conf.TierOBDD:
-		obddNodes = l.Nodes
-	case conf.TierDTree:
-		dtreeNodes = l.Nodes
+	for _, r := range append([]conf.TierStats{*l}, s.refused...) {
+		switch r.Tier {
+		case conf.TierOBDD:
+			obddNodes += r.Nodes
+		case conf.TierDTree:
+			dtreeNodes += r.Nodes
+		}
 	}
 	reg.Counter("obdd_nodes_total").Add(obddNodes)
 	reg.Counter("dtree_nodes_total").Add(dtreeNodes)

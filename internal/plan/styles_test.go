@@ -200,6 +200,14 @@ func TestJoinPipelineUsesAllSharedAttrs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, leaf := range []engine.ColOperator{lo, li} {
+		// One projection renames and projects, right over the scan.
+		if p, ok := leaf.(*engine.ColProject); !ok {
+			t.Fatalf("a leaf is a %T, want one projection over its scan", leaf)
+		} else if _, ok := p.In.(*engine.ColChunkScan); !ok {
+			t.Fatalf("a leaf's projection reads a %T, want the scan", p.In)
+		}
+	}
 	j, _, err := joinPipeline(serialExec(), lo, li, []string{"ckey", "odate"}, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -95,16 +95,17 @@ func (st *lowerState) collectLineage(sp, answerSp *obs.Span, src *conf.Source, t
 // when lineage collection, which took collect, ended, so Stats.ProbTime
 // reports collection plus everything since — any refused rungs included.
 // note annotates the plan line when the run is a fallback from an exact
-// style.
-func (st *lowerState) finishLineage(sp *obs.Span, t *tier, b *built, note string, l *conf.Lineage, exactOnly bool, tupleTime time.Duration, t2 time.Time, collect time.Duration) (*Result, error) {
+// style. The tier's record comes back with the result, and with a refusal
+// (its budgetErr) too: the effort the refusing run spent.
+func (st *lowerState) finishLineage(sp *obs.Span, t *tier, b *built, note string, l *conf.Lineage, exactOnly bool, tupleTime time.Duration, t2 time.Time, collect time.Duration) (*Result, *conf.TierStats, error) {
 	out, rec, err := t.run(st.ex, &st.spec, b, l, exactOnly)
 	if err != nil {
-		return nil, err
+		return nil, rec, err
 	}
 	probTime := collect + statsSince(t2)
 	out, err = normalizeAnswer(out, st.q)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	annotateLineage(sp, rec.LineageStats)
 	sp.Int(t.effort, rec.Effort())
@@ -131,7 +132,7 @@ func (st *lowerState) finishLineage(sp *obs.Span, t *tier, b *built, note string
 		markDegraded(&stats, "deadline")
 		sp.Int("deadline_stopped", rec.Stopped)
 	}
-	return &Result{Rows: out, Stats: stats}, nil
+	return &Result{Rows: out, Stats: stats}, rec, nil
 }
 
 // finishTier is a lineage tier run as a style of its own over the streamed
@@ -145,7 +146,7 @@ func (st *lowerState) finishTier(t *tier, b *built, src *conf.Source, answerSp *
 		return nil, err
 	}
 	defer l.Release()
-	res, err := st.finishLineage(sp, t, b, "", l, st.spec.RequireExact, tupleTime, statsNow(), collect)
+	res, _, err := st.finishLineage(sp, t, b, "", l, st.spec.RequireExact, tupleTime, statsNow(), collect)
 	if err != nil && errors.Is(err, t.budgetErr) {
 		return nil, fmt.Errorf("plan: %s: %w (RequireExact forbids certified bounds)", st.q.Name, err)
 	}
@@ -156,8 +157,11 @@ func (st *lowerState) finishTier(t *tier, b *built, src *conf.Source, answerSp *
 // hierarchical signature: collect the streamed answer's lineage once, then
 // try each rung exact-only — still exact, just computed by a different
 // engine — recording a refusing rung's outcome on its span and falling to
-// the next; the last rung, Monte Carlo, estimates instead of refusing. The
-// lineage is released once the last rung run has returned.
+// the next; the last rung, Monte Carlo, estimates instead of refusing. A
+// refusing rung's span carries the effort it spent, and the result's stats
+// keep its record beside the answering rung's (Stats.refused), so that the
+// tier counters count it. The lineage is released once the last rung run
+// has returned.
 func (st *lowerState) finishFallbackChain(b *built, src *conf.Source, answerSp *obs.Span, t0 time.Time) (*Result, error) {
 	lsp := st.ex.span("conf[ladder]")
 	l, collect, tupleTime, err := st.collectLineage(lsp, answerSp, src, t0)
@@ -167,15 +171,22 @@ func (st *lowerState) finishFallbackChain(b *built, src *conf.Source, answerSp *
 	defer l.Release()
 	t2 := statsNow()
 	annotateLineage(lsp, l.Stats())
+	var refused []conf.TierStats
 	for _, t := range ladder {
 		sp := lsp.Child(t.name)
 		note := fmt.Sprintf(" (fallback from %s: no hierarchical signature, %s)", st.spec.Style, t.ladderNote)
 		var res *Result
-		res, err = st.finishLineage(sp, t, b, note, l, true, tupleTime, t2, collect)
-		if err == nil || !errors.Is(err, t.budgetErr) {
-			return res, err
+		var rec *conf.TierStats
+		res, rec, err = st.finishLineage(sp, t, b, note, l, true, tupleTime, t2, collect)
+		if err == nil {
+			res.Stats.refused = refused
+			return res, nil
 		}
-		sp.Str("outcome", t.overrun)
+		if !errors.Is(err, t.budgetErr) {
+			return nil, err
+		}
+		sp.Int(t.effort, rec.Effort()).Str("outcome", t.overrun)
+		refused = append(refused, *rec)
 	}
 	return nil, err
 }

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -119,6 +120,47 @@ func TestStatsLadderPopulation(t *testing.T) {
 				t.Error("Monte Carlo results must be flagged Approximate")
 			}
 		})
+	}
+}
+
+// TestLadderCountsRefusedEffort: a ladder rung that refuses reports the
+// effort it spent — on its trace span (TestTraceGolden) and in its tier's
+// counter: the d-tree ladder's obdd_nodes_total is the refused OBDD rung's
+// effort, beside the d-tree record's dtree_nodes_total, and the Monte Carlo
+// ladder counts both refused rungs. Stats.Lineage stays the answering
+// rung's record (TestStatsLadderPopulation).
+func TestLadderCountsRefusedEffort(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		budget  int
+		refused []string // the tiers that refuse, in ladder order
+	}{{"ladder-dtree", ladderDTreeBudget, []string{conf.TierOBDD}}, {"ladder-mc", 1, []string{conf.TierOBDD, conf.TierDTree}}} {
+		reg := obs.New()
+		spec := Spec{Style: Lazy, Compile: dtree.Options{NodeBudget: c.budget}, MC: prob.MCOptions{Seed: 1}, Metrics: reg}
+		p, err := Prepare(hardDB(rand.New(rand.NewSource(1))), hardQuery(), fd.NewSet(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[string]int64{res.Stats.Lineage.Tier: res.Stats.Lineage.Nodes}
+		if len(res.Stats.refused) != len(c.refused) {
+			t.Fatalf("%s: %d refused records, want %d", c.name, len(res.Stats.refused), len(c.refused))
+		}
+		for i, r := range res.Stats.refused {
+			if r.Tier != c.refused[i] || r.Nodes <= 0 {
+				t.Fatalf("%s: refused record %d is %+v, want %s's with its effort", c.name, i, r, c.refused[i])
+			}
+			want[r.Tier] += r.Nodes
+		}
+		got := reg.Snapshot().Counters
+		for _, tier := range []string{conf.TierOBDD, conf.TierDTree} {
+			if name := tier + "_nodes_total"; got[name] != want[tier] {
+				t.Errorf("%s: %s = %d, want %d", c.name, name, got[name], want[tier])
+			}
+		}
 	}
 }
 

@@ -188,7 +188,7 @@ func (a *Assignment) fromAt(v Var) int32 {
 func (a *Assignment) Draw(ls *freelist.Lease) {
 	a.p, _ = freelist.Float64s.Largest(ls)
 	if c := cap(a.p); c > 0 {
-		a.from, _ = freelist.Int32s.Fit(ls, 4*int64(c))
+		a.from = freelist.Int32s.Draw(ls, 4*int64(c))
 	}
 }
 

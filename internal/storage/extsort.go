@@ -44,8 +44,8 @@ type TupleIterator interface {
 // arena and sort entries outlive the sort: an ungoverned sorter draws them
 // from the engine's free list (internal/freelist, through sortbuf.go) and
 // gives them back when it is done, so a sort regrows only past what
-// earlier sorts grew to; a governed one (Govern) bypasses the free list
-// and grows from nothing. The sort columns are
+// earlier sorts grew to; a governed one (Govern) grows them from nothing,
+// the free list's one bypass (sortBufs). The sort columns are
 // encoded once, from the buffer's column vectors, and a run is sorted as
 // 16-byte entries on an 8-byte key prefix; the rows never move, and a
 // spilled run's records are encoded from the same vectors. Its rows
@@ -78,9 +78,8 @@ type ExternalSorter struct {
 	sortBufs
 	rowCap int // rows the buffers take before they must grow
 
-	mem         *fault.Governor // optional memory governor (nil = ungoverned)
-	memReserved int64           // bytes currently reserved with mem
-	earlySpills int             // spills forced by governor pressure
+	mem         fault.Reservation // what the buffers hold, charged to the governor (none = ungoverned)
+	earlySpills int               // spills forced by governor pressure
 }
 
 // keyEntry is what run generation sorts in place of a row.
@@ -100,11 +99,6 @@ const tupleMem, valueMem = 24, 40
 // maxKeyArena caps the key bytes of one run so that offs fits uint32: a run
 // that reaches it spills as if the tuple budget were full.
 const maxKeyArena = 1 << 30
-
-// memChunk is the reservation granularity of a governed sorter: what its
-// buffers hold is charged to the governor in chunks this large, so the
-// atomic traffic stays off the per-tuple path.
-const memChunk = 64 << 10
 
 // minRunCap is the row capacity a key sorter's buffers start at; a run
 // shorter than this is never spilled on account of the governor.
@@ -158,9 +152,9 @@ func (s *ExternalSorter) SpillBytes() int64 { return s.spillSize }
 func (s *ExternalSorter) Rows() int64 { return s.rows }
 
 // Govern attaches a memory governor: what the sorter's buffers hold is
-// charged against it in memChunk steps, and a denied reservation forces an
-// early spill instead of growing further. Call before the first Add.
-func (s *ExternalSorter) Govern(g *fault.Governor) { s.mem = g }
+// charged against it (a fault.Reservation), and a denied reservation forces
+// an early spill instead of growing further. Call before the first Add.
+func (s *ExternalSorter) Govern(g *fault.Governor) { s.mem = fault.NewReservation(g) }
 
 // EarlySpills reports how many runs were spilled because the governor
 // denied further buffer growth (a subset of Spills).
@@ -180,9 +174,9 @@ func (s *ExternalSorter) Add(t table.Tuple) error {
 	s.buf = append(s.buf, t)
 	s.held += valueMem * int64(len(t))
 	s.rows++
-	if !s.reserve(tupleMem*int64(cap(s.buf)) + s.held) {
+	if !s.mem.Cover(tupleMem*int64(cap(s.buf)) + s.held) {
 		// Pressure: spill now rather than OOM (a lone tuple cannot shrink).
-		if len(s.buf) > 1 || s.memReserved > 0 {
+		if len(s.buf) > 1 || s.mem.Held() > 0 {
 			s.earlySpills++
 			return s.spill()
 		}
@@ -239,11 +233,11 @@ func (s *ExternalSorter) room(want int) (int, error) {
 // reservation is denied.
 func (s *ExternalSorter) grow(want int) bool {
 	n := s.run.N
-	if s.mem == nil && !s.pooled {
+	if !s.mem.Governed() && !s.pooled {
 		s.draw()
 	}
 	newCap := min(max(2*s.rowCap, n+want, minRunCap), s.budget)
-	if s.mem != nil && n > 0 && !s.reserve(s.footprint()/int64(n)*int64(newCap)) {
+	if n > 0 && !s.mem.Cover(s.footprint()/int64(n)*int64(newCap)) {
 		return false
 	}
 	s.run.Reserve(newCap)
@@ -262,28 +256,6 @@ func (s *ExternalSorter) footprint() int64 {
 	return s.run.MemSize() + int64(cap(s.keys)) + keyEntryMem*int64(cap(s.offs))
 }
 
-// reserve raises the governor reservation to cover total bytes, in memChunk
-// steps; false means the governor denied it.
-func (s *ExternalSorter) reserve(total int64) bool {
-	if s.mem == nil || total <= s.memReserved {
-		return true
-	}
-	need := (total - s.memReserved + memChunk - 1) / memChunk * memChunk
-	if !s.mem.TryReserve(need) {
-		return false
-	}
-	s.memReserved += need
-	return true
-}
-
-// releaseMem returns the buffer reservation to the governor.
-func (s *ExternalSorter) releaseMem() {
-	if s.memReserved > 0 {
-		s.mem.Release(s.memReserved)
-		s.memReserved = 0
-	}
-}
-
 // appended finishes an append to the run buffer: it encodes the keys of the
 // rows that have none yet, trues the governor's reservation up to what the
 // buffers hold now, and spills the run once it is full.
@@ -297,7 +269,7 @@ func (s *ExternalSorter) appended() error {
 		s.keys = AppendColSortKey(s.keys, &s.run, row, s.cols)
 		s.offs = append(s.offs, uint32(len(s.keys)))
 	}
-	if s.mem != nil && !s.reserve(s.footprint()) && (s.run.N >= minRunCap || s.memReserved > 0) {
+	if !s.mem.Cover(s.footprint()) && (s.run.N >= minRunCap || s.mem.Held() > 0) {
 		// The buffers outgrew what the governor admits (their first batch,
 		// or an arena past its estimate): spill what they hold and give
 		// them back, so that the next run starts from nothing.
@@ -306,7 +278,7 @@ func (s *ExternalSorter) appended() error {
 			return err
 		}
 		s.dropRun()
-		s.releaseMem()
+		s.mem.Release()
 		return nil
 	}
 	if s.run.N >= s.budget || len(s.keys) > maxKeyArena {
@@ -528,7 +500,7 @@ func (s *ExternalSorter) spill() error {
 	s.spillSize += run.NumPages() * PageSize
 	if s.cmp != nil {
 		s.buf, s.held = s.buf[:0], 0
-		s.releaseMem()
+		s.mem.Release()
 	} else {
 		s.run.Reset(s.run.Schema)
 		s.offs = s.offs[:0]
@@ -555,7 +527,7 @@ func (s *ExternalSorter) Finish() (TupleIterator, error) {
 		return &memIter{rows: s.buf}, nil
 	}
 	s.buf = nil
-	return newMergeIter(runs, s.cmp, nil, nil, false)
+	return newMergeIter(runs, s.cmp, nil, nil)
 }
 
 // FinishBatches completes a key sort and returns its sorted stream, a
@@ -577,7 +549,7 @@ func (s *ExternalSorter) FinishBatches() (*SortedBatches, error) {
 		return out, nil
 	}
 	s.dropRun()
-	m, err := newMergeIter(runs, nil, s.cols, schema, s.mem == nil)
+	m, err := newMergeIter(runs, nil, s.cols, schema)
 	if err != nil {
 		return nil, err
 	}
@@ -600,7 +572,7 @@ func (s *ExternalSorter) finish() ([]*HeapFile, error) {
 			return nil, err
 		}
 	}
-	s.releaseMem()
+	s.mem.Release()
 	runs := s.runs
 	s.runs = nil
 	return runs, nil
@@ -617,7 +589,7 @@ func (s *ExternalSorter) Discard() {
 	}
 	s.runs = nil
 	s.finished = true
-	s.releaseMem()
+	s.mem.Release()
 	s.release()
 }
 
@@ -720,9 +692,9 @@ func (it *SortedBatches) Close() error {
 // between a run file and the batches it is appended to; a comparator merge
 // reads each run's lent tuples (Scanner.Next). The run whose head was
 // handed out advances at the start of the following next, so a lent head
-// survives exactly until then. A pooled key merge (an ungoverned sort's)
-// draws its per-run pages and block vectors from the engine's free list and
-// gives them back on Close.
+// survives exactly until then. A key merge, governed or not — a merge is
+// never charged — draws its per-run pages and block vectors from the
+// engine's free list and gives them back on Close.
 type mergeIter struct {
 	cmp     TupleCompare // nil: heads are ordered by key
 	cols    []int
@@ -731,9 +703,7 @@ type mergeIter struct {
 	heads   []mergeHead
 	pending bool        // heads[0] was handed out and must advance first
 	idle    []mergeHead // heads of exhausted runs, whose buffers go back on Close
-
-	pooled bool // the heads' pages and blocks came off the free list
-	lease  freelist.Lease
+	lease   freelist.Lease
 }
 
 type mergeHead struct {
@@ -769,23 +739,17 @@ func (h *mergeHead) appendRow(dst *table.ColBatch) {
 }
 
 // pageList holds the idle pages of merges.
-var pageList = freelist.New(func(*Page) int64 { return PageSize }, func(**Page) {})
+var pageList = freelist.New(func(*Page) int64 { return PageSize }, func(**Page) {}, func(int64) *Page { return new(Page) })
 
-func newMergeIter(runs []*HeapFile, cmp TupleCompare, cols []int, schema *table.Schema, pooled bool) (*mergeIter, error) {
-	m := &mergeIter{cmp: cmp, cols: cols, schema: schema, runs: runs, heads: make([]mergeHead, 0, len(runs)),
-		pooled: pooled && cmp == nil}
+func newMergeIter(runs []*HeapFile, cmp TupleCompare, cols []int, schema *table.Schema) (*mergeIter, error) {
+	m := &mergeIter{cmp: cmp, cols: cols, schema: schema, runs: runs, heads: make([]mergeHead, 0, len(runs))}
 	for i, r := range runs {
 		h := mergeHead{scan: r.NewScanner(nil), run: i, pos: -1}
 		if cmp == nil {
 			h.block.Reset(schema)
 			h.strs = make([]string, schema.Len())
-			if m.pooled {
-				h.page, _ = pageList.Largest(&m.lease)
-				h.block.Draw(&m.lease, pageRows(schema))
-			}
-			if h.page == nil {
-				h.page = new(Page)
-			}
+			h.page = pageList.Draw(&m.lease, PageSize)
+			h.block.Draw(&m.lease, pageRows(schema))
 			h.scan.page = h.page
 		}
 		ok, err := m.advance(&h)
@@ -914,11 +878,11 @@ func (m *mergeIter) Close() error {
 		}
 	}
 	m.runs = nil
-	if m.pooled {
+	if m.cmp == nil {
 		for _, hs := range [][]mergeHead{m.heads, m.idle} {
 			for i := range hs {
 				pageList.Put(&m.lease, hs[i].page)
-				hs[i].block.Recycle(&m.lease)
+				hs[i].block.Recycle(&m.lease, pageRows(m.schema))
 			}
 		}
 	}

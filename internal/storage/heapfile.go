@@ -276,7 +276,7 @@ const extentPages = 32
 type extent [extentPages * PageSize]byte
 
 // extentList holds the idle extents of ring scans.
-var extentList = freelist.New(func(*extent) int64 { return extentPages * PageSize }, func(**extent) {})
+var extentList = freelist.New(func(*extent) int64 { return extentPages * PageSize }, func(**extent) {}, func(int64) *extent { return new(extent) })
 
 // NewScanner returns a scanner positioned before the first page. pool may
 // be nil, in which case pages are read directly (used by temp files that are
@@ -335,9 +335,7 @@ func (s *Scanner) advance(parse bool) (bool, error) {
 func (s *Scanner) fromExtent() error {
 	if s.ext == nil || s.pageNo >= s.extFirst+int64(s.extPages) {
 		if s.ext == nil {
-			if s.ext, _ = extentList.Largest(&s.lease); s.ext == nil {
-				s.ext = new(extent)
-			}
+			s.ext = extentList.Draw(&s.lease, extentPages*PageSize)
 		}
 		n := int(min(extentPages, s.h.numPages-s.pageNo))
 		b := s.ext[:n*PageSize]

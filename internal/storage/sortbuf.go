@@ -14,13 +14,21 @@ import (
 //
 // An ungoverned sorter draws them from the engine's free list
 // (internal/freelist) at its first grow — the largest idle buffers, run
-// vectors matched by column kind — and gives them back once, when its
-// sorted stream closes, when it finishes spilled or when it is discarded,
-// so that what one sort grew to serves the next sort instead of every sort
-// regrowing its buffers from minRunCap rows. The concurrent sorters of one
-// partitioned pass draw from and give back to the same lists. A governed
-// sorter bypasses the free list: it grows from nothing, so every governor
-// charge and early spill is what it would be without it.
+// vectors matched by column kind, and the best fit for a batch's selection
+// — and gives them back once, when its sorted stream closes, when it
+// finishes spilled or when it is discarded, so that what one sort grew to
+// serves the next sort instead of every sort regrowing its buffers from
+// minRunCap rows. The concurrent sorters of one partitioned pass draw from
+// and give back to the same lists.
+//
+// A governed sort run is the free list's one bypass: it grows these
+// buffers from nothing and lets them go to the collector. Its governor
+// charge counts the buffers' capacity (footprint), not the rows they hold,
+// so a drawn buffer — the largest another sort grew — would raise the
+// charge and move the sort's early-spill point; growing from nothing keeps
+// every charge and early spill what it is without the free list. Every
+// other governed holder — a hash-join build charged per row, a merge that
+// is never charged — draws and gives back like an ungoverned one.
 type sortBufs struct {
 	run  table.ColBatch // the run's rows
 	keys []byte         // normalized keys of the run's rows, back to back
@@ -44,7 +52,7 @@ func (b *sortBufs) draw() {
 	b.offs, _ = freelist.Uint32s.Largest(&b.lease)
 	b.ents, _ = entLists.Largest(&b.lease)
 	b.aux, _ = entLists.Largest(&b.lease)
-	b.sel, _ = freelist.Int32s.Fit(&b.lease, 4*table.BatchSize)
+	b.sel = freelist.Int32s.Draw(&b.lease, 4*table.BatchSize)
 	b.pooled = true
 }
 
@@ -52,7 +60,7 @@ func (b *sortBufs) draw() {
 // from it, and lets go of them either way; a second release finds nothing.
 func (b *sortBufs) release() {
 	if b.pooled {
-		b.run.Recycle(&b.lease)
+		b.run.Recycle(&b.lease, 0)
 		freelist.Bytes.Put(&b.lease, b.keys)
 		freelist.Uint32s.Put(&b.lease, b.offs)
 		entLists.Put(&b.lease, b.ents)

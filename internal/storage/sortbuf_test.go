@@ -12,6 +12,9 @@ import (
 	"repro/internal/table"
 )
 
+// memChunk is a governed sorter's charge step.
+const memChunk = fault.ReservationStep
+
 // backing lists the first element of every backing array the buffers hold,
 // as a comparable pointer: two buffers share an array exactly when they
 // list the same pointer.
@@ -109,7 +112,7 @@ func idleBacking(t *testing.T) map[any]bool {
 		for c := range b.Cols {
 			add(vecBacking(&b.Cols[c])...)
 		}
-		b.Recycle(&ls)
+		b.Recycle(&ls, 0)
 	}
 	keys, offs, ents := drainList(freelist.Bytes), drainList(freelist.Uint32s), drainList(entLists)
 	for _, b := range keys {
@@ -189,26 +192,79 @@ func TestSortBuffersOneOwner(t *testing.T) {
 	s.Discard()
 	idleBacking(t)
 
-	// Governed: neither drawn nor given back, also through the early
-	// spills that drop the buffers mid-sort.
-	before := freelist.Read()
+	// Governed: the run buffers are neither drawn nor given back, also
+	// through the early spills that drop them mid-sort; the merge of the
+	// runs, which is never charged, draws its pages and block vectors off
+	// the free list and gives each it drew back once when its stream
+	// closes.
+	idle := idleBacking(t)
+	before := idle
+	idlePages := make(map[*Page]bool)
+	for _, p := range drainList(pageList) {
+		idlePages[p] = true
+		pageList.Put(new(freelist.Lease), p)
+	}
 	s = NewKeySorter(keySortSchema, cols, 1<<16, t.TempDir())
 	s.Govern(fault.NewGovernor(4*memChunk, nil))
 	feedKeySort(t, s, keySortInput(rand.New(rand.NewSource(6)), 20000, ""))
 	if s.EarlySpills() == 0 {
 		t.Fatal("the tight governor forced no early spill")
 	}
+	run := backing(&s.sortBufs)
+	if s.pooled || len(run) == 0 {
+		t.Fatalf("a governed sorter drew its run buffers (%v) or holds none (%d arrays)", s.pooled, len(run))
+	}
+	for _, p := range run {
+		if idle[p] {
+			t.Fatal("a governed sorter holds an array that was idle on the free list")
+		}
+	}
 	it, err = s.FinishBatches()
 	if err != nil {
 		t.Fatal(err)
 	}
-	drain(t, it)
+	drain(t, it) // the blocks' arrays as they end
+	var merged []any
+	drewPage := false
+	for _, hs := range [][]mergeHead{it.merge.heads, it.merge.idle} {
+		for i := range hs {
+			merged = append(merged, hs[i].page)
+			drewPage = drewPage || idlePages[hs[i].page]
+			for c := range hs[i].block.Cols {
+				for _, p := range vecBacking(&hs[i].block.Cols[c]) {
+					if p != nil {
+						merged = append(merged, p)
+					}
+				}
+			}
+		}
+	}
+	if !drewPage {
+		t.Fatal("the governed sort's merge drew no page off the free list")
+	}
+	it.Close()
 	it.Close()
 	s.Discard()
-	if after := freelist.Read(); after != before {
-		t.Errorf("a governed sort moved the free list's figures: %+v → %+v", before, after)
+	idle = idleBacking(t)
+	for _, p := range run {
+		if idle[p] {
+			t.Fatal("a governed sorter gave a run buffer back to the free list")
+		}
 	}
-	idleBacking(t)
+	pages := make(map[any]int)
+	for _, p := range drainList(pageList) {
+		pages[p]++
+		pageList.Put(new(freelist.Lease), p)
+	}
+	for _, p := range merged {
+		if pg, ok := p.(*Page); ok {
+			if pages[pg] != 1 {
+				t.Fatalf("a merge page is idle %d times after its stream closed, want once", pages[pg])
+			}
+		} else if before[p] && !idle[p] {
+			t.Fatal("a merge block's array drawn off the free list is not back on it")
+		}
+	}
 
 	// Two live sorters draw disjoint buffers, none of them still idle.
 	a := NewKeySorter(keySortSchema, cols, 1<<16, t.TempDir())
@@ -218,7 +274,7 @@ func TestSortBuffersOneOwner(t *testing.T) {
 	if !a.pooled || !b.pooled || a.lease == (freelist.Lease{}) {
 		t.Fatal("ungoverned sorters did not draw from the free list")
 	}
-	idle := idleBacking(t)
+	idle = idleBacking(t)
 	owner := make(map[any]string)
 	for name, bufs := range map[string]*sortBufs{"a": &a.sortBufs, "b": &b.sortBufs} {
 		for _, p := range backing(bufs) {
