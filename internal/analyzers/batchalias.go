@@ -20,7 +20,7 @@ import (
 //
 // A table.ColBatch filled by ColOperator.NextColBatch has the same contract
 // one level up: it reuses its column storage, so the column slices (Ints,
-// Floats, Strs, Bytes, Offs, Codes, Sel, …) and whole ColVec headers read
+// Floats, Bytes, Offs, Nulls, Sel, …) and whole ColVec headers read
 // out of such a batch are valid only until the next NextColBatch call. The
 // analyzer tracks the batches passed to NextColBatch-shaped calls — the
 // engine's operators and a key sort's stream (storage.SortedBatches) alike,

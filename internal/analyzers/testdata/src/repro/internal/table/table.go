@@ -25,8 +25,8 @@ func (s *Slab) Clone(t Tuple) Tuple {
 // Columnar stubs: just enough ColBatch/ColVec surface for the NextColBatch
 // fixtures to typecheck.
 type ColVec struct {
-	Ints []int64
-	Strs []string
+	Ints  []int64
+	Bytes []byte
 }
 
 type ColBatch struct {

@@ -155,12 +155,7 @@ func FinalizeBareFrom(src *Source, rep string, opts Options) (*table.Relation, e
 				continue // a duplicate of kept row k
 			}
 			if len(kept) == 0 || kept[len(kept)-1].N == table.BatchSize {
-				c := opts.Scope.NewChunk(schema)
-				for j, col := range idx {
-					c.Cols[j].SettleLike(&b.Cols[col])
-				}
-				c.Reserve(table.BatchSize)
-				kept = append(kept, c)
+				kept = append(kept, opts.Scope.NewChunk(schema))
 			}
 			last := kept[len(kept)-1]
 			for j, c := range idx {

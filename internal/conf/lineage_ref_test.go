@@ -240,7 +240,7 @@ func mustMatchRef(t *testing.T, rel *table.Relation, got *Lineage) {
 // batch (so the collector must copy what it keeps). With sel, a dead row the
 // selection vector skips precedes every live one — a row that would add a
 // variable of its own if it were read. String cells of every other batch go
-// in as raw bytes, so the dictionary and flat layouts are compared too.
+// in as raw bytes, so both string appenders are compared too.
 func batchFeed(rel *table.Relation, size int, sel bool) *Source {
 	return NewSource(rel.Schema, func(sink engine.Sink) error {
 		b := table.NewColBatch(rel.Schema)

@@ -267,10 +267,6 @@ func groupedScan(sorter *storage.ExternalSorter, acc accumulator, groupCols []in
 				} else {
 					out = opts.Scope.NewChunk(schema)
 				}
-				for j, c := range outCols {
-					out.Cols[j].SettleLike(&b.Cols[c])
-				}
-				out.Reserve(table.BatchSize)
 				chunks = append(chunks, out)
 			}
 			k = out.N

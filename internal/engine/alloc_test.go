@@ -36,8 +36,7 @@ func allocRel(rows, distinct int) *table.Relation {
 	return rel
 }
 
-// strKeyRel is allocRel keyed on distinct strings: from a bytesScan every
-// batch, and so every build chunk, holds the key in the flat string layout.
+// strKeyRel is allocRel keyed on distinct strings.
 func strKeyRel(rows int) *table.Relation {
 	rel := table.NewRelation(table.NewSchema(table.DataCol("k", table.KindString), table.DataCol("v", table.KindInt)))
 	for i := 0; i < rows; i++ {
@@ -49,16 +48,15 @@ func strKeyRel(rows int) *table.Relation {
 // TestHashJoinProbeAllocs pins the probe side of a built hash join: once
 // Open has built the table and the output batch is warm, streaming every
 // probe row through NextColBatch allocates nothing — over an int key, and
-// over a string key whose build chunks hold it flat, where key equality
-// and the right cells' gather must work on the bytes in place.
+// over a string key fed as raw bytes (a bytesScan), where key equality and
+// the right cells' gather must work on the bytes in place.
 func TestHashJoinProbeAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
 		left, right ColOperator
-		mode        table.StrMode
 	}{
-		{"int-key", memScan(allocRel(allocRows, allocRows)), memScan(allocRel(allocRows, allocRows)), table.StrNone},
-		{"flat-string-key", memScan(strKeyRel(allocRows)), &bytesScan{Rel: strKeyRel(allocRows)}, table.StrFlat},
+		{"int-key", memScan(allocRel(allocRows, allocRows)), memScan(allocRel(allocRows, allocRows))},
+		{"flat-string-key", memScan(strKeyRel(allocRows)), &bytesScan{Rel: strKeyRel(allocRows)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			j := hashJoin(t, tc.left, tc.right, []int{0}, []int{0})
@@ -66,9 +64,6 @@ func TestHashJoinProbeAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer j.Close()
-			if mode := j.built.chunks[0].Cols[0].Mode; mode != tc.mode {
-				t.Fatalf("build key layout %d, want %d", mode, tc.mode)
-			}
 			b := table.NewColBatch(j.Schema())
 			probe := func() {
 				tc.left.Open() // rewind the probe side; the built table stays

@@ -14,7 +14,7 @@ import (
 	"repro/internal/table"
 )
 
-// colTestRel builds a relation exercising every columnar layout: ints,
+// colTestRel builds a relation exercising every column kind: ints,
 // floats, a string column whose cardinality is set by strCard, and the V/P
 // lineage columns.
 func colTestRel(rows, strCard int, seed int64) *table.Relation {
@@ -38,8 +38,7 @@ func colTestRel(rows, strCard int, seed int64) *table.Relation {
 }
 
 // bytesScan scans a relation appending string cells as raw bytes
-// (ColVec.AppendStrBytes), as the heap scan does: string columns arrive in
-// the flat layout.
+// (ColVec.AppendStrBytes), as the heap scan does.
 type bytesScan struct {
 	Rel *table.Relation
 	// Keep, when set, leaves the rows it rejects out of each batch's
@@ -124,8 +123,8 @@ func mustSameRelations(t *testing.T, label string, got, want *table.Relation) {
 }
 
 // TestColHeapScanRoundTrip: decoding a heap file straight into column
-// vectors reproduces every stored tuple in order, with the string column in
-// the flat layout at a low and a high cardinality, with and without
+// vectors reproduces every stored tuple in order, with the string column at
+// a low and a high cardinality, with and without
 // dead-column pruning.
 func TestColHeapScanRoundTrip(t *testing.T) {
 	for _, strCard := range []int{16, 320} {
@@ -158,7 +157,7 @@ func TestColHeapScanRoundTrip(t *testing.T) {
 				t.Fatalf("pruned scan row %d P = %v, want %v", i, got, rel.Rows[i][4])
 			}
 		}
-		if len(b.Cols[2].Strs)+len(b.Cols[2].Bytes) != 0 {
+		if len(b.Cols[2].Bytes)+len(b.Cols[2].Offs) != 0 {
 			t.Fatal("pruned string column decoded cells anyway")
 		}
 		sc.Close()
@@ -202,7 +201,7 @@ func TestColChunkScanPruned(t *testing.T) {
 	}
 	for c, live := range scan.need {
 		v := &b.Cols[c]
-		if cells := len(v.Ints) + len(v.Floats) + len(v.Strs) + len(v.Bytes); live != (cells == n) || !live && cells != 0 {
+		if cells := len(v.Ints) + len(v.Floats) + len(v.Bytes) + len(v.Offs); live != (cells == n) || !live && cells != 0 {
 			t.Fatalf("column %d (live %v) holds %d cells after a %d-row batch", c, live, cells, n)
 		}
 	}

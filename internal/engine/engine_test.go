@@ -106,9 +106,8 @@ func TestFilter(t *testing.T) {
 // column-vs-constant predicate keeps are exactly those whose cell c has
 // op.Holds(table.Compare(c, constant)) — over NULL cells, int columns
 // against float constants and float columns against int ones, the typed
-// null-free fast paths, bool columns, and string columns in every layout:
-// shared headers (in-memory scans) and flat bytes (heap scans, the second
-// column of over a thousand distinct values). Each
+// null-free fast paths, bool columns, and string columns of a few and of
+// over a thousand distinct values, from in-memory chunks and heap pages. Each
 // predicate runs on a fresh batch (no selection vector) and behind a first
 // predicate that leaves every other row selected.
 func TestCmpOps(t *testing.T) {

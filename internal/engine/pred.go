@@ -10,9 +10,9 @@ import (
 
 // This file is the selection kernels the two scans evaluate their
 // predicates with (MonetDB/X100's selection vectors, Boncz et al., CIDR
-// 2005): one tight loop per column layout against a constant of the
-// column's kind — int and bool, float, shared string headers, flat string
-// bytes — writing the qualifying physical rows into a selection vector.
+// 2005): one tight loop per column kind against a constant of that kind —
+// int and bool, float, string bytes — writing the qualifying physical rows
+// into a selection vector.
 // Every other kind pair goes through ColVec.CompareValue. Either way a row
 // qualifies exactly when Op.Holds(table.Compare(cell, Val)), NULL cells
 // included: a NULL cell is below every non-NULL constant, so x < c holds
@@ -51,12 +51,10 @@ func (p *ColPred) selectRows(v *table.ColVec, lo, hi int, in, out []int32) []int
 		return selOrdered(v, v.Ints, c.I, m, lo, hi, in, out)
 	case c.Kind == table.KindFloat:
 		return selOrdered(v, v.Floats, c.F, m, lo, hi, in, out)
-	case c.Kind == table.KindString && v.Mode == table.StrHeader:
-		return selOrdered(v, v.Strs, c.S, m, lo, hi, in, out)
-	case c.Kind == table.KindString && v.Mode == table.StrFlat && m&1 == m>>2&1: // = or <>
-		return selFlatEq(v, c.S, m, lo, hi, in, out)
-	case c.Kind == table.KindString && v.Mode == table.StrFlat:
-		return selFlat(v, c.S, m, lo, hi, in, out)
+	case c.Kind == table.KindString && m&1 == m>>2&1: // = or <>
+		return selStrEq(v, c.S, m, lo, hi, in, out)
+	case c.Kind == table.KindString:
+		return selStr(v, c.S, m, lo, hi, in, out)
 	}
 	k, n := 0, candidates(lo, hi, in)
 	for j := 0; j < n; j++ {
@@ -93,7 +91,7 @@ func b2i(b bool) int {
 
 // cmp3 is Compare's order on two values of one kind: 0 when neither is
 // below the other, as for a NaN.
-func cmp3[T int64 | float64 | string](a, b T) int {
+func cmp3[T int64 | float64](a, b T) int {
 	if a < b {
 		return -1
 	}
@@ -105,7 +103,7 @@ func cmp3[T int64 | float64 | string](a, b T) int {
 
 // selOrdered is selectRows over a typed vector xs of v: a row qualifies
 // when bit cmp3(xs[row], c)+1 of m is set, a NULL row when bit 0 is.
-func selOrdered[T int64 | float64 | string](v *table.ColVec, xs []T, c T, m uint8, lo, hi int, in, out []int32) []int32 {
+func selOrdered[T int64 | float64](v *table.ColVec, xs []T, c T, m uint8, lo, hi int, in, out []int32) []int32 {
 	k, n, null := 0, candidates(lo, hi, in), m&1
 	for j := 0; j < n; j++ {
 		row := candidate(lo, in, j)
@@ -119,12 +117,12 @@ func selOrdered[T int64 | float64 | string](v *table.ColVec, xs []T, c T, m uint
 	return out[:k]
 }
 
-// selFlat is selectRows over a flat string vector under an ordering: each
+// selStr is selectRows over a string vector under an ordering: each
 // cell's bytes compare with the constant's in place. A cell and a constant
 // of at least 8 bytes are ordered by their first 8 bytes as one big-endian
 // word, and by the rest only when those tie: a date against a date
 // constant is decided by the word.
-func selFlat(v *table.ColVec, c string, m uint8, lo, hi int, in, out []int32) []int32 {
+func selStr(v *table.ColVec, c string, m uint8, lo, hi int, in, out []int32) []int32 {
 	cb := unsafe.Slice(unsafe.StringData(c), len(c)) // read only
 	long := len(cb) >= 8
 	var word uint64
@@ -155,10 +153,10 @@ func selFlat(v *table.ColVec, c string, m uint8, lo, hi int, in, out []int32) []
 	return out[:k]
 }
 
-// selFlatEq is selectRows over a flat string vector under = or <>, where
+// selStrEq is selectRows over a string vector under = or <>, where
 // only equality matters: bit 1 of m selects the cells equal to c, bit 0
 // (and bit 2) the others and the NULLs.
-func selFlatEq(v *table.ColVec, c string, m uint8, lo, hi int, in, out []int32) []int32 {
+func selStrEq(v *table.ColVec, c string, m uint8, lo, hi int, in, out []int32) []int32 {
 	offs, b := v.Offs, v.Bytes
 	eq, ne := m>>1&1, m&1
 	long := len(c) >= 8

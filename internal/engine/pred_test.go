@@ -23,14 +23,12 @@ var predDomains = map[table.Kind][]table.Value{
 		table.Str("1994-01-0"), table.Str("1994-01-01"), table.Str("1994-01-011"), table.Str("1994-01-02"), table.Str("1995-01-01")},
 }
 
-// fuzzVec builds an n-row vector of kind k from rng: shared string headers
-// or flat bytes, NULL cells (at rate 1/nullEvery; 0 = none; every cell of
-// a KindNull column) set in the bitmap.
-func fuzzVec(rng *rand.Rand, k table.Kind, flat bool, n, nullEvery int) *table.ColVec {
+// fuzzVec builds an n-row vector of kind k from rng — string cells
+// appended as Values, or as raw bytes as the heap scan appends them — with
+// NULL cells (at rate 1/nullEvery; 0 = none; every cell of a KindNull
+// column) set in the bitmap.
+func fuzzVec(rng *rand.Rand, k table.Kind, raw bool, n, nullEvery int) *table.ColVec {
 	v := &table.ColVec{Kind: k}
-	if k == table.KindString && flat {
-		v.Mode, v.Offs = table.StrFlat, []int32{0}
-	}
 	dom := predDomains[k]
 	for i := 0; i < n; i++ {
 		if k == table.KindNull || nullEvery > 0 && rng.Intn(nullEvery) == 0 {
@@ -40,6 +38,10 @@ func fuzzVec(rng *rand.Rand, k table.Kind, flat bool, n, nullEvery int) *table.C
 		c := dom[rng.Intn(len(dom))]
 		if k == table.KindInt && rng.Intn(3) == 0 {
 			c = table.Int(rng.Int63n(7) - 3)
+		}
+		if raw && k == table.KindString {
+			v.AppendStrBytes([]byte(c.S))
+			continue
 		}
 		v.AppendValue(i, c)
 	}
@@ -63,7 +65,7 @@ func checkKernel(t *testing.T, v *table.ColVec, p ColPred, lo, hi int, in []int3
 			want = append(want, row)
 		}
 	}
-	label := fmt.Sprintf("%s column (mode %d, nulls %v) %s %v over [%d,%d) sel %v", v.Kind, v.Mode, len(v.Nulls) > 0, p.Op, p.Val, lo, hi, in != nil)
+	label := fmt.Sprintf("%s column (nulls %v) %s %v over [%d,%d) sel %v", v.Kind, len(v.Nulls) > 0, p.Op, p.Val, lo, hi, in != nil)
 	got := p.selectRows(v, lo, hi, in, make([]int32, len(cand)))
 	if !slices.Equal(got, want) && len(got)+len(want) > 0 {
 		t.Fatalf("%s: got rows %v, want %v", label, got, want)
@@ -77,8 +79,8 @@ func checkKernel(t *testing.T, v *table.ColVec, p ColPred, lo, hi int, in []int3
 }
 
 // FuzzColPred checks the selection kernels against table.Compare: for a
-// random vector of each kind and layout — int, float with NaN/±0/±Inf,
-// bool, flat and header strings, and an all-NULL column — with and without
+// random vector of each kind — int, float with NaN/±0/±Inf, bool, strings
+// appended as Values and as raw bytes, and an all-NULL column — with and without
 // NULLs, over a row range and under an incoming selection, every CmpOp
 // against constants of every kind (NULL and cross-kind numerics included)
 // selects exactly the rows whose cell satisfies
@@ -93,13 +95,13 @@ func FuzzColPred(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, vk, flags uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		k := kinds[int(vk)%len(kinds)]
-		flat := int(vk)%len(kinds) == 4
+		raw := int(vk)%len(kinds) == 4
 		n := rng.Intn(3 * 64)
 		nullEvery := 0
 		if flags&1 != 0 {
 			nullEvery = 1 + rng.Intn(5)
 		}
-		v := fuzzVec(rng, k, flat, n, nullEvery)
+		v := fuzzVec(rng, k, raw, n, nullEvery)
 		lo, hi := 0, n
 		if flags&4 != 0 && n > 0 {
 			lo = rng.Intn(n)

@@ -42,7 +42,7 @@ func batchBacking(b *table.ColBatch) []any {
 	var out []any
 	for k := range b.Cols {
 		v := &b.Cols[k]
-		for _, p := range []any{first(v.Ints), first(v.Floats), first(v.Strs), first(v.Bytes), first(v.Offs), first(v.Nulls)} {
+		for _, p := range []any{first(v.Ints), first(v.Floats), first(v.Bytes), first(v.Offs), first(v.Nulls)} {
 			if p != nil {
 				out = append(out, p)
 			}
@@ -108,7 +108,7 @@ func takeIdle(t *testing.T) map[any]bool {
 		}
 		for k := range b.Cols {
 			v := &b.Cols[k]
-			for _, p := range []any{first(v.Ints), first(v.Floats), first(v.Strs), first(v.Bytes), first(v.Offs), first(v.Nulls)} {
+			for _, p := range []any{first(v.Ints), first(v.Floats), first(v.Bytes), first(v.Offs), first(v.Nulls)} {
 				add(p)
 			}
 		}
@@ -368,4 +368,24 @@ func TestPullBatchesOneOwner(t *testing.T) {
 	recyclePull(b)
 	takeIdle(t) // fails on an array idle twice
 	mustSameRelations(t, "after recycling", collect(t, p), want)
+
+	// A pull batch of one-byte strings, read off a heap-scan-like source,
+	// goes back whole and is what the next pull batch of its shape draws.
+	short := table.NewRelation(table.NewSchema(table.DataCol("s", table.KindString)))
+	for i := range BatchSize {
+		short.MustAppend(table.Tuple{table.Str(string(rune('a' + i%26)))})
+	}
+	scan := &bytesScan{Rel: short}
+	sb := drawPull(short.Schema)
+	if n, err := scan.NextColBatch(sb); n != BatchSize || err != nil {
+		t.Fatalf("short-string scan: %d rows, %v", n, err)
+	}
+	offs := first(sb.Cols[0].Offs)
+	recyclePull(sb)
+	again := drawPull(short.Schema)
+	if first(again.Cols[0].Offs) != offs {
+		t.Error("a pull batch of short strings was not drawn again after it went back")
+	}
+	recyclePull(again)
+	takeIdle(t)
 }

@@ -84,7 +84,7 @@ func checkScanBatches(t *testing.T, label string, scan ColOperator, need []bool,
 		for c := range b.Cols {
 			v := &b.Cols[c]
 			if need != nil && !need[c] {
-				if cells := len(v.Ints) + len(v.Floats) + len(v.Strs) + len(v.Bytes) + len(v.Nulls); cells != 0 {
+				if cells := len(v.Ints) + len(v.Floats) + len(v.Bytes) + len(v.Offs) + len(v.Nulls); cells != 0 {
 					t.Fatalf("%s: column %d is not needed but holds %d cells", label, c, cells)
 				}
 				continue

@@ -33,11 +33,11 @@ func scribbleIdle() {
 			for i := range v.Floats[:cap(v.Floats)] {
 				v.Floats[:cap(v.Floats)][i] = math.NaN()
 			}
-			for i := range v.Strs[:cap(v.Strs)] {
-				v.Strs[:cap(v.Strs)][i] = "scribbled"
-			}
 			for i := range v.Bytes[:cap(v.Bytes)] {
 				v.Bytes[:cap(v.Bytes)][i] = 0xff
+			}
+			for i := range v.Offs[:cap(v.Offs)] {
+				v.Offs[:cap(v.Offs)][i] = -1
 			}
 		}
 	}

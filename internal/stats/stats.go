@@ -107,9 +107,6 @@ func cellWidth(v *table.ColVec, i int) float64 {
 	if v.Kind != table.KindString || v.Null(i) {
 		return 8
 	}
-	if v.Mode == table.StrHeader {
-		return float64(len(v.Strs[i]))
-	}
 	return float64(v.Offs[i+1] - v.Offs[i])
 }
 

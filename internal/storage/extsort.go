@@ -633,6 +633,7 @@ func (it *SortedBatches) Schema() *table.Schema { return it.schema }
 func (it *SortedBatches) NextColBatch(dst *table.ColBatch) (int, error) {
 	dst.Reset(it.schema)
 	if it.merge != nil {
+		dst.Reserve(table.BatchSize)
 		for dst.N < table.BatchSize {
 			h, err := it.merge.next()
 			if err != nil {
@@ -641,15 +642,10 @@ func (it *SortedBatches) NextColBatch(dst *table.ColBatch) (int, error) {
 			if h == nil {
 				break
 			}
-			if dst.N == 0 {
-				for c := range dst.Cols {
-					if v := &dst.Cols[c]; v.Kind == table.KindString {
-						v.Mode = table.StrHeader
-					}
-				}
-				dst.Reserve(table.BatchSize)
+			for c := range dst.Cols {
+				dst.Cols[c].AppendCell(dst.N, &h.block.Cols[c], h.pos)
 			}
-			h.appendRow(dst)
+			dst.N++
 		}
 		return dst.N, nil
 	}
@@ -665,9 +661,6 @@ func (it *SortedBatches) NextColBatch(dst *table.ColBatch) (int, error) {
 	it.pos += k
 	run := &it.bufs.run
 	run.Sel = sel
-	for c := range dst.Cols {
-		dst.Cols[c].SettleLike(&run.Cols[c])
-	}
 	dst.Reserve(k)
 	dst.AppendBatch(run, 0, k)
 	return k, nil
@@ -714,40 +707,18 @@ type mergeHead struct {
 	block table.ColBatch // key merge: the run's current page, decoded
 	pos   int            // key merge: the head row of block
 	key   []byte
-	strs  []string // key merge: per string column, the last string handed out
-}
-
-// appendRow appends a key merge's head row to dst, column by column. A
-// string cell is handed out as a shared header, allocated only when it
-// differs from the run's previous string in the column — consecutive rows
-// of a sorted run mostly repeat their leading columns — so a consumer that
-// keeps the rows (a sort+scan pass's output chunks) shares those strings
-// instead of copying bytes.
-func (h *mergeHead) appendRow(dst *table.ColBatch) {
-	for c := range dst.Cols {
-		v, src := &dst.Cols[c], &h.block.Cols[c]
-		if v.Kind != table.KindString || src.Null(h.pos) {
-			v.AppendCell(dst.N, src, h.pos)
-			continue
-		}
-		if cell := src.Bytes[src.Offs[h.pos]:src.Offs[h.pos+1]]; h.strs[c] != string(cell) {
-			h.strs[c] = string(cell)
-		}
-		v.Strs = append(v.Strs, h.strs[c])
-	}
-	dst.N++
 }
 
 // pageList holds the idle pages of merges.
 var pageList = freelist.New(func(*Page) int64 { return PageSize }, func(**Page) {}, func(int64) *Page { return new(Page) })
 
 func newMergeIter(runs []*HeapFile, cmp TupleCompare, cols []int, schema *table.Schema) (*mergeIter, error) {
-	m := &mergeIter{cmp: cmp, cols: cols, schema: schema, runs: runs, heads: make([]mergeHead, 0, len(runs))}
+	m := &mergeIter{cmp: cmp, cols: cols, schema: schema, runs: runs,
+		heads: make([]mergeHead, 0, len(runs)), idle: make([]mergeHead, 0, len(runs))}
 	for i, r := range runs {
 		h := mergeHead{scan: r.NewScanner(nil), run: i, pos: -1}
 		if cmp == nil {
 			h.block.Reset(schema)
-			h.strs = make([]string, schema.Len())
 			h.page = pageList.Draw(&m.lease, PageSize)
 			h.block.Draw(&m.lease, pageRows(schema))
 			h.scan.page = h.page

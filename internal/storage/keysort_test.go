@@ -146,45 +146,81 @@ func TestKeySorterMatchesStableSort(t *testing.T) {
 	}
 }
 
-// TestBorrowedMergeReusesStorage: a spilled sort's merge decodes into
-// per-run buffers and appends each row to the caller's batch — no value
-// storage per tuple, no string copy when a run repeats the previous tuple's
-// string, and a reused batch that stops growing after the first fill.
-func TestBorrowedMergeReusesStorage(t *testing.T) {
-	const n = 4000
-	schema := table.NewSchema(table.DataCol("g", table.KindString), table.DataCol("k", table.KindInt))
-	s := NewKeySorter(schema, []int{0, 1}, 500, t.TempDir())
-	for i := 0; i < n; i++ {
-		if err := addRows(s, table.Tuple{table.Str(fmt.Sprintf("group-%02d", i%7)), table.Int(int64(i * 7919 % n))}); err != nil {
+// mergeAllocs is the allocations of draining one spilled key sort's merged
+// stream of rows, sorted on cols under a budget of budget rows, into a warm
+// batch, averaged over a few such sorts. Each sort is fed and finished
+// before the measurement, so what is counted is the merge alone.
+func mergeAllocs(t *testing.T, schema *table.Schema, rows []table.Tuple, cols []int, budget int) float64 {
+	t.Helper()
+	const runs = 4
+	streams := make([]*SortedBatches, runs+1) // AllocsPerRun's warm-up and its runs
+	for i := range streams {
+		s := NewKeySorter(schema, cols, budget, t.TempDir())
+		if err := s.AddBatch(transpose(schema, rows, len(rows))[0]); err != nil {
 			t.Fatal(err)
 		}
+		it, err := s.FinishBatches()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Spills() < len(rows)/budget {
+			t.Fatalf("%d rows under a budget of %d spilled %d runs", len(rows), budget, s.Spills())
+		}
+		streams[i] = it
+		defer it.Close()
 	}
-	it, err := s.FinishBatches()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	rows := 0
 	var b table.ColBatch
-	allocs := testing.AllocsPerRun(1, func() {
+	next := 0
+	return testing.AllocsPerRun(runs, func() {
+		it, merged := streams[next], 0
+		next++
 		for {
 			k, err := it.NextColBatch(&b)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if k == 0 {
-				return
+				break
 			}
-			rows += k
+			merged += k
+		}
+		if merged != len(rows) {
+			t.Fatalf("merged %d rows, want %d", merged, len(rows))
 		}
 	})
-	if rows != n {
-		t.Fatalf("merged %d tuples, want %d", rows, n)
+}
+
+// TestBorrowedMergeReusesStorage: a spilled sort's merge decodes into
+// per-run buffers and appends each row to the caller's batch — no value
+// storage per tuple, string cells copied as bytes — so a warm batch takes
+// a whole merge of rows whose leading string repeats without allocating.
+func TestBorrowedMergeReusesStorage(t *testing.T) {
+	const n = 4000
+	schema := table.NewSchema(table.DataCol("g", table.KindString), table.DataCol("k", table.KindInt))
+	rows := make([]table.Tuple, n)
+	for i := range rows {
+		rows[i] = table.Tuple{table.Str(fmt.Sprintf("group-%02d", i%7)), table.Int(int64(i * 7919 % n))}
 	}
-	// 8 runs × 7 group strings each, plus a page buffer per run that the
-	// first Next may still have to allocate.
-	if allocs > 100 {
-		t.Errorf("merge of %d tuples allocated %.0f times", n, allocs)
+	if allocs := mergeAllocs(t, schema, rows, []int{0, 1}, 500); allocs != 0 {
+		t.Errorf("merge of %d rows allocated %.1f times", n, allocs)
+	}
+}
+
+// TestMergedStreamAllocs: once warm, draining a spilled key sort's merged
+// stream allocates nothing per row even where every row's string differs
+// from the one before it, in a column the sort does not key on.
+func TestMergedStreamAllocs(t *testing.T) {
+	const n = 4000
+	schema := table.NewSchema(table.DataCol("k", table.KindInt), table.DataCol("name", table.KindString),
+		table.DataCol("tag", table.KindString))
+	rng := rand.New(rand.NewSource(21))
+	rows := make([]table.Tuple, n)
+	for i := range rows {
+		rows[i] = table.Tuple{table.Int(int64(rng.Intn(50))), table.Str(fmt.Sprintf("name-%05d", i)),
+			table.Str(strings.Repeat("t", rng.Intn(30)))}
+	}
+	if allocs := mergeAllocs(t, schema, rows, []int{0}, 700); allocs != 0 {
+		t.Errorf("merge of %d rows allocated %.1f times (%.3f a row), want 0", n, allocs, allocs/n)
 	}
 }
 
@@ -235,7 +271,7 @@ func TestKeySorterBatchFeedMatchesTupleFeed(t *testing.T) {
 			for c := range b.Cols {
 				clear(b.Cols[c].Ints)
 				clear(b.Cols[c].Floats)
-				clear(b.Cols[c].Strs)
+				clear(b.Cols[c].Bytes)
 			}
 		}
 		if byBatch.Rows() != int64(tc.n) || byTuple.Rows() != int64(tc.n) {

@@ -234,26 +234,18 @@ func (l *pageLayout) decodeCol(buf []byte, dst *table.ColBatch, c, lo, hi int, r
 	return nil
 }
 
-// flat readies string column v to take decoded cells as flat bytes.
-func flat(v *table.ColVec) error {
-	if v.Kind == table.KindString {
-		switch v.Mode {
-		case table.StrNone:
-			v.Mode = table.StrFlat // decoded strings stay bytes, NULL cells too
-			v.Offs = append(v.Offs[:0], 0)
-		case table.StrHeader:
-			return errors.New("the string column holds shared headers; a page decodes into flat bytes")
-		}
+// flat readies string column v to take decoded cells: its offsets start at
+// 0 before its first cell.
+func flat(v *table.ColVec) {
+	if v.Kind == table.KindString && len(v.Offs) == 0 {
+		v.Offs = append(v.Offs, 0)
 	}
-	return nil
 }
 
 // decodeCol appends rows [lo, hi) of minipage m, of a page of rows rows,
 // onto v as its rows n, n+1, ….
 func decodeCol(buf []byte, m *minipage, rows int, v *table.ColVec, n, lo, hi int) error {
-	if err := flat(v); err != nil {
-		return err
-	}
+	flat(v)
 	if m.kind == table.KindNull {
 		for i := lo; i < hi; i++ {
 			v.AppendValue(n+i-lo, table.Null())
@@ -309,9 +301,7 @@ func decodeCol(buf []byte, m *minipage, rows int, v *table.ColVec, n, lo, hi int
 // gatherCol appends minipage m's rows lo+rows[i], of a page of rows rows,
 // onto v as its rows n, n+1, ….
 func gatherCol(buf []byte, m *minipage, rows int, v *table.ColVec, n, lo int, sel []int32) error {
-	if err := flat(v); err != nil {
-		return err
-	}
+	flat(v)
 	if m.kind == table.KindNull {
 		for i := range sel {
 			v.AppendValue(n+i, table.Null())
@@ -376,8 +366,7 @@ type pageWriter struct {
 }
 
 // begin starts an empty page whose columns take the kinds of src's
-// columns, and keep their string layouts, or, when src is nil, the kinds
-// of t's cells.
+// columns or, when src is nil, the kinds of t's cells.
 func (w *pageWriter) begin(src *table.ColBatch, t table.Tuple) {
 	cols := len(t)
 	if src != nil {
@@ -395,7 +384,6 @@ func (w *pageWriter) begin(src *table.ColBatch, t table.Tuple) {
 		v := &b.Cols[c]
 		if src != nil {
 			v.Reuse(src.Cols[c].Kind)
-			v.SettleLike(&src.Cols[c])
 		} else {
 			v.Reuse(t[c].Kind)
 		}
@@ -445,11 +433,7 @@ func (w *pageWriter) fitBatch(b *table.ColBatch, rows []int32, from, to int) int
 		add, nulls := 0, 0
 		for _, c := range sc {
 			v := &b.Cols[c]
-			if v.Mode == table.StrHeader {
-				add += len(v.Strs[row])
-			} else if v.Mode == table.StrFlat {
-				add += int(v.Offs[row+1] - v.Offs[row])
-			}
+			add += int(v.Offs[row+1] - v.Offs[row])
 		}
 		for _, c := range nc {
 			if !w.hasNulls[c] && b.Cols[c].Null(int(row)) {
@@ -559,20 +543,11 @@ func (w *pageWriter) encode() {
 		case table.KindString:
 			offs := buf[pos : pos+2*(rows+1)]
 			pos += 2 * (rows + 1)
-			at := pos
 			binary.LittleEndian.PutUint16(offs, 0)
-			if v.Mode == table.StrFlat {
-				base := v.Offs[0]
-				for i := 1; i <= rows; i++ {
-					binary.LittleEndian.PutUint16(offs[2*i:], uint16(v.Offs[i]-base))
-				}
-				pos += copy(buf[pos:], v.Bytes[base:v.Offs[rows]])
-			} else {
-				for i, s := range v.Strs[:rows] {
-					pos += copy(buf[pos:], s)
-					binary.LittleEndian.PutUint16(offs[2*(i+1):], uint16(pos-at))
-				}
+			for i := 1; i <= rows; i++ {
+				binary.LittleEndian.PutUint16(offs[2*i:], uint16(v.Offs[i]))
 			}
+			pos += copy(buf[pos:], v.Bytes[:v.Offs[rows]])
 		}
 	}
 	binary.LittleEndian.PutUint16(buf[10:12], uint16(pos))

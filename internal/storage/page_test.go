@@ -118,7 +118,7 @@ func TestCodecEmptyTuple(t *testing.T) {
 func encodePage(t *testing.T, kinds []table.Kind, rows []table.Tuple) []byte {
 	t.Helper()
 	var w pageWriter
-	b := fuzzBatch(kinds, rows, 0)
+	b := fuzzBatch(kinds, rows)
 	w.begin(b, nil)
 	if k := w.fitBatch(b, nil, 0, b.N); k != b.N {
 		t.Fatalf("%d of %d rows fit a page", k, b.N)
@@ -333,24 +333,23 @@ func scanAll(sc *Scanner) (int, error) {
 // FuzzColPage round-trips random column batches through heap files of
 // column pages: rows of a seeded random schema — every kind, an all-NULL
 // column among them, the fuzzer's string, int and float among their
-// values, NULLs sprinkled in — laid out in fuzzer-chosen string layouts,
-// are written reps times, alternately as the live rows of a selection
+// values, NULLs sprinkled in — are written reps times, alternately as the live rows of a selection
 // vector and in a permuted row order, across as many pages as that takes;
 // NextBlock of a random subset of the columns, in random-sized blocks,
 // Gather of a random subset of the rows of random-sized windows, read in
 // extents by a ring scan, and Next read back exactly the rows written. Each page, mutated or truncated,
 // decodes to an error or to cells, never to a panic.
 func FuzzColPage(f *testing.F) {
-	f.Add(int64(1), "a\x00b", int64(-1), 0.5, uint16(0), uint64(0), uint8(1))
-	f.Add(int64(2), "", int64(math.MinInt64), math.Copysign(0, -1), uint16(0b0110_1101_1001), uint64(0x5555), uint8(40))
-	f.Add(int64(3), "\xff\x00", int64(math.MaxInt64), math.Inf(-1), uint16(0xffff), ^uint64(0), uint8(200))
-	f.Fuzz(func(t *testing.T, seed int64, s string, iv int64, fv float64, layouts uint16, drop uint64, reps uint8) {
+	f.Add(int64(1), "a\x00b", int64(-1), 0.5, uint64(0), uint8(1))
+	f.Add(int64(2), "", int64(math.MinInt64), math.Copysign(0, -1), uint64(0x5555), uint8(40))
+	f.Add(int64(3), "\xff\x00", int64(math.MaxInt64), math.Inf(-1), ^uint64(0), uint8(200))
+	f.Fuzz(func(t *testing.T, seed int64, s string, iv int64, fv float64, drop uint64, reps uint8) {
 		if len(s) > 512 {
 			s = s[:512]
 		}
 		rng := rand.New(rand.NewSource(seed))
 		kinds, rows := fuzzRows(rng, []table.Kind{table.KindInt, table.KindFloat, table.KindString, table.KindBool, table.KindNull}, s, iv, fv)
-		b := fuzzBatch(kinds, rows, layouts)
+		b := fuzzBatch(kinds, rows)
 		dropRows(b, drop)
 		perm := make([]int32, b.N)
 		for i, p := range rng.Perm(b.N) {

@@ -35,8 +35,7 @@ func backing(b *sortBufs) []any {
 }
 
 func vecBacking(v *table.ColVec) []any {
-	return []any{first(v.Ints), first(v.Floats), first(v.Strs), first(v.Bytes),
-		first(v.Offs), first(v.Nulls)}
+	return []any{first(v.Ints), first(v.Floats), first(v.Bytes), first(v.Offs), first(v.Nulls)}
 }
 
 func first[T any](s []T) any {
@@ -195,10 +194,9 @@ func TestSortBuffersOneOwner(t *testing.T) {
 	// Governed: the run buffers are neither drawn nor given back, also
 	// through the early spills that drop them mid-sort; the merge of the
 	// runs, which is never charged, draws its pages and block vectors off
-	// the free list and gives each it drew back once when its stream
-	// closes.
+	// the free list and gives each back once when its stream closes — a
+	// block of short strings too, so that the next merge draws it again.
 	idle := idleBacking(t)
-	before := idle
 	idlePages := make(map[*Page]bool)
 	for _, p := range drainList(pageList) {
 		idlePages[p] = true
@@ -261,8 +259,8 @@ func TestSortBuffersOneOwner(t *testing.T) {
 			if pages[pg] != 1 {
 				t.Fatalf("a merge page is idle %d times after its stream closed, want once", pages[pg])
 			}
-		} else if before[p] && !idle[p] {
-			t.Fatal("a merge block's array drawn off the free list is not back on it")
+		} else if !idle[p] {
+			t.Fatal("a merge block's array is not back on the free list after its stream closed")
 		}
 	}
 
@@ -349,43 +347,36 @@ func TestSortBuffersOneOwner(t *testing.T) {
 	}
 }
 
-// strBatch is a batch of the (s string, seq int) schema whose string column
-// is in the flat layout, the heap scan's, or holds shared headers.
-func strBatch(schema *table.Schema, strs []string, seq0 int, flat bool) *table.ColBatch {
+// strBatch is a batch of the (s string, seq int) schema.
+func strBatch(schema *table.Schema, strs []string, seq0 int) *table.ColBatch {
 	b := table.NewColBatch(schema)
 	for i, s := range strs {
-		if flat {
-			b.Cols[0].AppendStrBytes([]byte(s))
-		} else {
-			b.Cols[0].AppendValue(i, table.Str(s))
-		}
-		b.Cols[1].AppendValue(i, table.Int(int64(seq0+i)))
+		b.AppendRow(table.Tuple{table.Str(s), table.Int(int64(seq0 + i))})
 	}
-	b.N = len(strs)
 	return b
 }
 
 // TestRecycledStringColumnLayouts: a string vector recycled from one sort
-// into the next — flat into flat with other strings and other
-// cardinalities, into shared headers, and headers back into flat — takes
-// the layout a fresh vector takes and sorts bit-identically to a fresh
-// sorter: no layout carries over from the column it held before.
+// into the next — with other strings, other cardinalities, shorter and
+// longer cells — is the one the previous sort gave back, and sorts
+// bit-identically to a fresh sorter: nothing carries over from the column
+// it held before.
 func TestRecycledStringColumnLayouts(t *testing.T) {
 	schema := table.NewSchema(table.DataCol("s", table.KindString), table.DataCol("seq", table.KindInt))
 	cols := []int{0, 1}
 	rng := rand.New(rand.NewSource(9))
-	input := func(prefix string, distinct int, flat bool) []*table.ColBatch {
+	input := func(prefix string, distinct int) []*table.ColBatch {
 		var out []*table.ColBatch
 		for lo := 0; lo < 3000; lo += 1000 {
 			strs := make([]string, 1000)
 			for i := range strs {
 				strs[i] = fmt.Sprintf("%s%d", prefix, rng.Intn(distinct))
 			}
-			out = append(out, strBatch(schema, strs, lo, flat))
+			out = append(out, strBatch(schema, strs, lo))
 		}
 		return out
 	}
-	sortOn := func(s *ExternalSorter, in []*table.ColBatch) (table.StrMode, []table.Tuple) {
+	sortOn := func(s *ExternalSorter, in []*table.ColBatch) (any, []table.Tuple) {
 		for _, b := range in {
 			if err := s.AddBatch(b); err != nil {
 				t.Fatal(err)
@@ -395,39 +386,37 @@ func TestRecycledStringColumnLayouts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mode := it.bufs.run.Cols[0].Mode
+		offs := first(it.bufs.run.Cols[0].Offs)
 		out := drain(t, it)
 		if err := it.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return mode, out
+		return offs, out
 	}
 	// Start from empty lists, so that each sort draws what the previous one
 	// gave back.
 	drainSortLists()
+	var last any
 	for _, step := range []struct {
 		name string
 		in   []*table.ColBatch
-		mode table.StrMode
 	}{
-		{"few", input("a", 4, true), table.StrFlat},
-		{"few-other-strings", input("b", 5, true), table.StrFlat},
-		{"many", input("c", 2000, true), table.StrFlat},
-		{"few-after-many", input("d", 3, true), table.StrFlat},
-		{"header-after-flat", input("e", 4, false), table.StrHeader},
-		{"flat-after-header", input("f", 3, true), table.StrFlat},
+		{"few", input("a", 4)},
+		{"few-other-strings", input("b", 5)},
+		{"many", input("c", 2000)},
+		{"few-after-many", input("d", 3)},
+		{"long-after-short", input("a-much-longer-prefix-", 40)},
+		{"short-after-long", input("f", 3)},
 	} {
 		fresh := NewKeySorter(schema, cols, 1<<16, t.TempDir())
 		fresh.Govern(fault.NewGovernor(0, nil)) // governed: bypasses the free list
-		wantMode, want := sortOn(fresh, step.in)
+		_, want := sortOn(fresh, step.in)
 		recycled := NewKeySorter(schema, cols, 1<<16, t.TempDir())
-		gotMode, got := sortOn(recycled, step.in)
-		if wantMode != step.mode {
-			t.Fatalf("%s: a fresh run buffer took layout %d, want %d", step.name, wantMode, step.mode)
+		offs, got := sortOn(recycled, step.in)
+		if last != nil && offs != last {
+			t.Errorf("%s: the run's string vector is not the one the previous sort gave back", step.name)
 		}
-		if gotMode != wantMode {
-			t.Errorf("%s: recycled run buffer took layout %d; fresh: %d", step.name, gotMode, wantMode)
-		}
+		last = offs
 		if err := sameTuples(got, want); err != nil {
 			t.Errorf("%s: recycled sort differs from a fresh one: %v", step.name, err)
 		}

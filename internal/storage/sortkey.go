@@ -62,8 +62,8 @@ func appendValueKey(dst []byte, v *table.Value) []byte {
 
 // AppendColSortKey is AppendSortKey reading physical row `row` of a column
 // batch instead of a tuple: byte for byte the key of the materialized row,
-// whichever layout each column is in — typed ints, floats and bools, string
-// headers, flat bytes, the null bitmap — without boxing a cell.
+// from each column's typed storage — ints, floats and bools, string bytes,
+// the null bitmap — without boxing a cell.
 func AppendColSortKey(dst []byte, b *table.ColBatch, row int, cols []int) []byte {
 	for _, c := range cols {
 		v := &b.Cols[c]
@@ -78,11 +78,7 @@ func AppendColSortKey(dst []byte, b *table.ColBatch, row int, cols []int) []byte
 		case table.KindFloat:
 			dst = binary.BigEndian.AppendUint64(dst, floatKeyBits(v.Floats[row]))
 		default: // KindString
-			if v.Mode == table.StrHeader {
-				dst = appendStringKey(dst, v.Strs[row])
-			} else {
-				dst = appendBytesKey(dst, v.Bytes[v.Offs[row]:v.Offs[row+1]])
-			}
+			dst = appendBytesKey(dst, v.Bytes[v.Offs[row]:v.Offs[row+1]])
 		}
 	}
 	return dst
@@ -114,7 +110,7 @@ func appendStringKey(dst []byte, s string) []byte {
 	return append(dst, 0x00, 0x00)
 }
 
-// appendBytesKey is appendStringKey for a flat-layout cell's raw bytes.
+// appendBytesKey is appendStringKey for a string cell's raw bytes.
 func appendBytesKey(dst, s []byte) []byte {
 	for {
 		i := bytes.IndexByte(s, 0)

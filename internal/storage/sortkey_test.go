@@ -102,11 +102,10 @@ func FuzzSortKeyOrder(f *testing.F) {
 }
 
 // fuzzBatch lays rows out as a column batch by hand, in the typed vector of
-// each column's kind; a string column takes shared headers or flat bytes as
-// picked by layouts (bit c for column c), and a NULL column holds only the
-// bitmap. NULLs set the bitmap over a zero placeholder, as the appenders
-// do.
-func fuzzBatch(kinds []table.Kind, rows []table.Tuple, layouts uint16) *table.ColBatch {
+// each column's kind — a string column's cells as bytes and offsets — and a
+// NULL column holds only the bitmap. NULLs set the bitmap over a zero
+// placeholder, as the appenders do.
+func fuzzBatch(kinds []table.Kind, rows []table.Tuple) *table.ColBatch {
 	cols := make([]table.Column, len(kinds))
 	for c, k := range kinds {
 		cols[c] = table.DataCol("", k)
@@ -115,7 +114,9 @@ func fuzzBatch(kinds []table.Kind, rows []table.Tuple, layouts uint16) *table.Co
 	b.N = len(rows)
 	for c, k := range kinds {
 		v := &b.Cols[c]
-		v.Offs = append(v.Offs, 0)
+		if k == table.KindString {
+			v.Offs = append(v.Offs, 0)
+		}
 		for i, r := range rows {
 			val := r[c]
 			if val.Kind == table.KindNull {
@@ -130,8 +131,6 @@ func fuzzBatch(kinds []table.Kind, rows []table.Tuple, layouts uint16) *table.Co
 			case table.KindFloat:
 				v.Floats = append(v.Floats, val.F)
 			case table.KindString:
-				v.Mode = []table.StrMode{table.StrHeader, table.StrFlat}[layouts>>c&1]
-				v.Strs = append(v.Strs, val.S)
 				v.Bytes = append(v.Bytes, val.S...)
 				v.Offs = append(v.Offs, int32(len(v.Bytes)))
 			}
@@ -187,18 +186,17 @@ func dropRows(b *table.ColBatch, drop uint64) {
 // FuzzBatchSortKey checks the column-vector key codec against the tuple
 // one: for rows of a seeded random schema — the fuzzer's string, int and
 // float among their values, NULLs sprinkled in — laid out as a column batch
-// in fuzzer-chosen layouts (typed vectors, the two string layouts) under a
-// fuzzer-chosen selection vector, the key of every
+// under a fuzzer-chosen selection vector, the key of every
 // live row equals AppendSortKey of the materialized row, byte for byte, and
 // the materialized row is the row that went in.
 func FuzzBatchSortKey(f *testing.F) {
-	f.Add(int64(1), "a\x00b", int64(-1), 0.5, uint16(0), uint64(0))
-	f.Add(int64(2), "", int64(math.MinInt64), math.Copysign(0, -1), uint16(0b0110_1101_1001), uint64(0x5555))
-	f.Add(int64(3), "\xff\x00", int64(math.MaxInt64), math.Inf(-1), uint16(0xffff), ^uint64(0))
-	f.Fuzz(func(t *testing.T, seed int64, s string, iv int64, fv float64, layouts uint16, drop uint64) {
+	f.Add(int64(1), "a\x00b", int64(-1), 0.5, uint64(0))
+	f.Add(int64(2), "", int64(math.MinInt64), math.Copysign(0, -1), uint64(0x5555))
+	f.Add(int64(3), "\xff\x00", int64(math.MaxInt64), math.Inf(-1), ^uint64(0))
+	f.Fuzz(func(t *testing.T, seed int64, s string, iv int64, fv float64, drop uint64) {
 		rng := rand.New(rand.NewSource(seed))
 		kinds, rows := fuzzRows(rng, []table.Kind{table.KindInt, table.KindFloat, table.KindString, table.KindBool}, s, iv, fv)
-		b := fuzzBatch(kinds, rows, layouts)
+		b := fuzzBatch(kinds, rows)
 		dropRows(b, drop)
 		cols := rng.Perm(len(kinds))[:1+rng.Intn(len(kinds))]
 		got := make(table.Tuple, len(kinds))
@@ -209,7 +207,7 @@ func FuzzBatchSortKey(f *testing.F) {
 			}
 			kb, kt := AppendColSortKey(nil, b, b.RowID(i), cols), AppendSortKey(nil, got, cols)
 			if !bytes.Equal(kb, kt) {
-				t.Fatalf("live row %d %v on %v (layouts %#x):\n  batch key % x\n  tuple key % x", i, got, cols, layouts, kb, kt)
+				t.Fatalf("live row %d %v on %v:\n  batch key % x\n  tuple key % x", i, got, cols, kb, kt)
 			}
 		}
 	})

@@ -11,38 +11,23 @@ import (
 
 // This file is the columnar side of the data model: a ColBatch carries up to
 // a batch's worth of tuples as per-column typed vectors — []int64, []float64,
-// and strings in one of two layouts, shared headers for values that live in
-// memory or flat bytes-with-offsets for values decoded off a page — plus a
-// selection vector and a null bitmap, in the MonetDB/X100 vectorized-execution
-// tradition. The engine's operators (engine.ColOperator) move ColBatches
-// through reused storage: the contents of a batch (column slices included)
-// are valid only until the next NextColBatch call on its producer, so
-// consumers that retain column slices or cells across batches must copy
-// them.
-
-// StrMode names the storage layout of a string column's cells within one
-// batch.
-type StrMode uint8
-
-// String column layouts.
-const (
-	// StrNone: no string cell appended yet this batch (layout undecided).
-	StrNone StrMode = iota
-	// StrHeader: Strs holds shared string headers — the zero-copy
-	// transposition of in-memory Values.
-	StrHeader
-	// StrFlat: cell i is Bytes[Offs[i]:Offs[i+1]] — concatenated raw
-	// bytes, the heap-scan decode layout that avoids a per-row string
-	// allocation.
-	StrFlat
-)
+// and strings as flat bytes with offsets, the layout a page stores them in —
+// plus a selection vector and a null bitmap, in the MonetDB/X100
+// vectorized-execution tradition. The engine's operators
+// (engine.ColOperator) move ColBatches through reused storage: the contents
+// of a batch (column slices included) are valid only until the next
+// NextColBatch call on its producer, so consumers that retain column slices
+// or cells across batches must copy them.
 
 // ColVec is one column of a ColBatch: N cells of the column's declared
 // kind in that kind's typed layout, plus an optional null bitmap.
 //
 //   - KindInt, KindBool: Ints (bools store 0/1, as Value.I does).
 //   - KindFloat: Floats.
-//   - KindString: Strs or Bytes+Offs according to Mode.
+//   - KindString: Bytes and Offs. Cell i is Bytes[Offs[i]:Offs[i+1]], the
+//     cells' raw bytes concatenated, so no cell is a string of its own.
+//     Offs is empty while the column has no cell and holds N+1 entries,
+//     the first 0, once it has one.
 //
 // Every non-NULL cell has the declared kind: rows are kind-checked where
 // they enter the engine (Schema.Check, the heap scan), and AppendValue
@@ -50,11 +35,9 @@ const (
 // append a zero placeholder to the typed storage so indexes stay aligned;
 // Nulls is empty while a column has no NULL cells.
 type ColVec struct {
-	Kind   Kind    // declared column kind
-	Mode   StrMode // string layout in use (string columns only)
+	Kind   Kind // declared column kind
 	Ints   []int64
 	Floats []float64
-	Strs   []string
 	Bytes  []byte
 	Offs   []int32
 	Nulls  []uint64
@@ -95,28 +78,20 @@ func (b *ColBatch) Reset(s *Schema) {
 	b.N = 0
 	b.Sel = nil
 	for i := range b.Cols {
-		b.Cols[i].reset(s.Cols[i].Kind)
+		b.Cols[i].Reuse(s.Cols[i].Kind)
 	}
 }
 
-func (v *ColVec) reset(kind Kind) {
+// Reuse clears the vector for a column of the given kind that need not be
+// the one it held — a vector recycled from another sort. The typed storage
+// keeps its capacity; it holds no pointers, so an idle vector pins nothing.
+func (v *ColVec) Reuse(kind Kind) {
 	v.Kind = kind
 	v.Ints = v.Ints[:0]
 	v.Floats = v.Floats[:0]
-	v.Strs = v.Strs[:0]
 	v.Bytes = v.Bytes[:0]
 	v.Offs = v.Offs[:0]
 	v.Nulls = v.Nulls[:0]
-	v.Mode = StrNone
-}
-
-// Reuse clears the vector for a column of the given kind that need not be
-// the one it held — a vector recycled from another sort. Unlike a batch's
-// Reset, it zeroes the string headers up to capacity so that an idle vector
-// pins no strings. The typed storage keeps its capacity.
-func (v *ColVec) Reuse(kind Kind) {
-	clear(v.Strs[:cap(v.Strs)])
-	v.reset(kind)
 }
 
 // Rows returns the number of live rows (selection applied).
@@ -146,9 +121,8 @@ func (b *ColBatch) AppendRow(t Tuple) {
 // AppendBatch copies live rows [lo, hi) of src (selection applied) onto b,
 // column by column — the bulk form of AppendCell that a consumer keeping a
 // borrowed batch's rows (the sorter's run buffer, the scans' hand-off buffer)
-// copies through. Null-free numeric columns and shared string headers move
-// as slices; every other layout goes cell by cell and lands in whatever
-// layout the destination column has.
+// copies through. Null-free numeric columns move as slices; every other
+// column goes cell by cell.
 func (b *ColBatch) AppendBatch(src *ColBatch, lo, hi int) {
 	b.AppendBatchCols(src, lo, hi, nil)
 }
@@ -190,16 +164,15 @@ func (b *ColBatch) AppendRows(src *ColBatch, rows []int32, need []bool) {
 // nil) as this column's rows n, n+1, ….
 func (v *ColVec) appendVec(n int, src *ColVec, sel []int32, lo, hi int) {
 	if len(src.Nulls) == 0 && v.Kind == src.Kind {
-		switch {
-		case v.Kind == KindInt || v.Kind == KindBool:
+		switch v.Kind {
+		case KindInt, KindBool:
 			v.Ints = gather(v.Ints, src.Ints, sel, lo, hi)
 			return
-		case v.Kind == KindFloat:
+		case KindFloat:
 			v.Floats = gather(v.Floats, src.Floats, sel, lo, hi)
 			return
-		case v.Kind == KindString && src.Mode == StrHeader && (v.Mode == StrHeader || v.Mode == StrNone):
-			v.Mode = StrHeader
-			v.Strs = gather(v.Strs, src.Strs, sel, lo, hi)
+		case KindString:
+			v.gatherStr(src, sel, lo, hi)
 			return
 		}
 	}
@@ -216,11 +189,33 @@ func (v *ColVec) appendVec(n int, src *ColVec, sel []int32, lo, hi int) {
 	}
 }
 
+// gatherStr appends src's string cells at the rows sel lists, or the cells
+// of rows [lo, hi) with their bytes in one copy.
+func (v *ColVec) gatherStr(src *ColVec, sel []int32, lo, hi int) {
+	if sel != nil {
+		for _, row := range sel {
+			appendStr(v, src.str(int(row)))
+		}
+		return
+	}
+	if lo == hi {
+		return
+	}
+	if len(v.Offs) == 0 {
+		v.Offs = append(v.Offs, 0)
+	}
+	shift := int32(len(v.Bytes)) - src.Offs[lo]
+	v.Bytes = append(v.Bytes, src.Bytes[src.Offs[lo]:src.Offs[hi]]...)
+	for _, o := range src.Offs[lo+1 : hi+1] {
+		v.Offs = append(v.Offs, o+shift)
+	}
+}
+
 // CopyOf makes v a copy of src's physical rows [0, n) in v's own storage:
 // a projection naming one input column twice moves the column's storage to
 // one output column and copies it into the other.
 func (v *ColVec) CopyOf(src *ColVec, n int) {
-	v.reset(src.Kind)
+	v.Reuse(src.Kind)
 	v.appendVec(0, src, nil, 0, n)
 }
 
@@ -236,46 +231,29 @@ func gather[T any](dst, src []T, sel []int32, lo, hi int) []T {
 	return dst
 }
 
-// Reserve grows every column's storage, in the layout the column has now,
-// to hold rows physical rows, so that appending up to that many does not
-// reallocate. A string column that has not settled on a layout yet, and the
-// bytes of a flat one, still grow on demand.
+// Reserve grows every column's storage to hold rows physical rows, so that
+// appending up to that many does not reallocate; a string column's bytes
+// still grow on demand. Reserve(0) allocates nothing.
 func (b *ColBatch) Reserve(rows int) {
+	if rows <= 0 {
+		return
+	}
 	for i := range b.Cols {
 		v := &b.Cols[i]
-		switch {
-		case v.Kind == KindInt || v.Kind == KindBool:
+		switch v.Kind {
+		case KindInt, KindBool:
 			v.Ints = slices.Grow(v.Ints, max(rows-len(v.Ints), 0))
-		case v.Kind == KindFloat:
+		case KindFloat:
 			v.Floats = slices.Grow(v.Floats, max(rows-len(v.Floats), 0))
-		case v.Mode == StrHeader:
-			v.Strs = slices.Grow(v.Strs, max(rows-len(v.Strs), 0))
-		case v.Mode == StrFlat:
+		case KindString:
 			v.Offs = slices.Grow(v.Offs, max(rows+1-len(v.Offs), 0))
 		}
 	}
 }
 
-// SettleLike settles a string column that has no layout yet on the one
-// cells copied from src (AppendCell) should take, so that Reserve can size
-// it: flat bytes after a flat src, shared headers otherwise. Columns of
-// other kinds, and settled ones, are left alone.
-func (v *ColVec) SettleLike(src *ColVec) {
-	if v.Kind != KindString || v.Mode != StrNone {
-		return
-	}
-	if src.Mode == StrFlat {
-		v.Mode = StrFlat
-		v.Offs = append(v.Offs[:0], 0)
-		return
-	}
-	v.Mode = StrHeader
-}
-
 // MemSize reports the bytes of column storage the batch holds (capacity, not
-// length: what a governor should be charged for a batch that is kept).
-// String bytes behind shared headers belong to whoever produced them and are
-// not counted.
+// length: what a governor should be charged for a batch that is kept),
+// string bytes included.
 func (b *ColBatch) MemSize() int64 {
 	var n int64
 	for i := range b.Cols {
@@ -287,12 +265,11 @@ func (b *ColBatch) MemSize() int64 {
 // MemSize reports the bytes of storage one column holds, as ColBatch.MemSize
 // counts them.
 func (v *ColVec) MemSize() int64 {
-	return int64(8*(cap(v.Ints)+cap(v.Floats)+cap(v.Nulls)) + 16*cap(v.Strs) +
-		cap(v.Bytes) + 4*cap(v.Offs))
+	return int64(8*(cap(v.Ints)+cap(v.Floats)+cap(v.Nulls)) + cap(v.Bytes) + 4*cap(v.Offs))
 }
 
-// WriteRow materializes live row i into dst (len b.Schema.Len()). String
-// cells in the flat layout allocate their string here; headers are shared.
+// WriteRow materializes live row i into dst (len b.Schema.Len()). Each
+// string cell allocates its string here.
 func (b *ColBatch) WriteRow(i int, dst Tuple) {
 	row := b.RowID(i)
 	for c := range b.Cols {
@@ -323,9 +300,8 @@ func (v *ColVec) SetNull(i int) {
 }
 
 // AppendValue appends one cell value as physical row n (the batch's current
-// N). Cells of the declared kind land in typed storage — strings following
-// the column's established layout, shared headers by default — and NULLs
-// set the bitmap. A cell of any other kind is a programming error, since
+// N). Cells of the declared kind land in typed storage — a string's bytes
+// are copied onto the column's — and NULLs set the bitmap. A cell of any other kind is a programming error, since
 // rows are kind-checked where they enter: AppendValue panics on it.
 func (v *ColVec) AppendValue(n int, val Value) {
 	if val.Kind == KindNull {
@@ -342,19 +318,7 @@ func (v *ColVec) AppendValue(n int, val Value) {
 	case KindFloat:
 		v.Floats = append(v.Floats, val.F)
 	case KindString:
-		switch v.Mode {
-		case StrNone:
-			v.Mode = StrHeader
-			v.Strs = append(v.Strs, val.S)
-		case StrHeader:
-			v.Strs = append(v.Strs, val.S)
-		case StrFlat:
-			if len(v.Offs) == 0 {
-				v.Offs = append(v.Offs, 0)
-			}
-			v.Bytes = append(v.Bytes, val.S...)
-			v.Offs = append(v.Offs, int32(len(v.Bytes)))
-		}
+		appendStr(v, val.S)
 	}
 }
 
@@ -367,18 +331,7 @@ func (v *ColVec) appendZero() {
 	case KindFloat:
 		v.Floats = append(v.Floats, 0)
 	case KindString:
-		switch v.Mode {
-		case StrNone:
-			v.Mode = StrHeader
-			v.Strs = append(v.Strs, "")
-		case StrHeader:
-			v.Strs = append(v.Strs, "")
-		case StrFlat:
-			if len(v.Offs) == 0 {
-				v.Offs = append(v.Offs, 0)
-			}
-			v.Offs = append(v.Offs, int32(len(v.Bytes)))
-		}
+		appendStr(v, "")
 	}
 }
 
@@ -386,17 +339,13 @@ func (v *ColVec) appendZero() {
 // Value. The caller has checked the kind.
 func (v *ColVec) AppendFloat(x float64) { v.Floats = append(v.Floats, x) }
 
-// AppendStrBytes appends raw string bytes to a string column: onto the flat
-// bytes, so that no per-row string is allocated, unless the column already
-// holds shared headers, which take a copy. The caller has checked the kind.
-func (v *ColVec) AppendStrBytes(s []byte) {
-	switch v.Mode {
-	case StrHeader:
-		v.Strs = append(v.Strs, string(s))
-		return
-	case StrNone:
-		v.Mode = StrFlat
-	}
+// AppendStrBytes appends raw string bytes to a string column as its next
+// cell. The caller has checked the kind.
+func (v *ColVec) AppendStrBytes(s []byte) { appendStr(v, s) }
+
+// appendStr appends one string cell's bytes and its end offset, starting
+// the offsets at 0 when it is the column's first cell.
+func appendStr[S string | []byte](v *ColVec, s S) {
 	if len(v.Offs) == 0 {
 		v.Offs = append(v.Offs, 0)
 	}
@@ -404,10 +353,13 @@ func (v *ColVec) AppendStrBytes(s []byte) {
 	v.Offs = append(v.Offs, int32(len(v.Bytes)))
 }
 
+// str is the bytes of string cell i.
+func (v *ColVec) str(i int) []byte { return v.Bytes[v.Offs[i]:v.Offs[i+1]] }
+
 // AppendCell appends src's cell at physical row `row` as this column's
-// physical row n, staying typed without materializing the cell: flat string
-// bytes move byte-wise (no per-cell string allocation) and every other
-// header is shared. The vectorized join's output gather is built on it.
+// physical row n, staying typed without materializing the cell: a string
+// cell's bytes are copied, with no per-cell string allocation. The
+// vectorized join's output gather is built on it.
 func (v *ColVec) AppendCell(n int, src *ColVec, row int) {
 	if src.Null(row) {
 		v.AppendValue(n, Null())
@@ -422,10 +374,8 @@ func (v *ColVec) AppendCell(n int, src *ColVec, row int) {
 			v.Floats = append(v.Floats, src.Floats[row])
 			return
 		case KindString:
-			if src.Mode == StrFlat {
-				v.AppendStrBytes(src.Bytes[src.Offs[row]:src.Offs[row+1]])
-				return
-			}
+			appendStr(v, src.str(row))
+			return
 		}
 	}
 	v.AppendValue(n, src.Value(row))
@@ -444,18 +394,15 @@ func (v *ColVec) Value(i int) Value {
 	case KindFloat:
 		return Value{Kind: KindFloat, F: v.Floats[i]}
 	case KindString:
-		if v.Mode == StrHeader {
-			return Value{Kind: KindString, S: v.Strs[i]}
-		}
-		return Value{Kind: KindString, S: string(v.Bytes[v.Offs[i]:v.Offs[i+1]])}
+		return Value{Kind: KindString, S: string(v.str(i))}
 	default:
 		return Null()
 	}
 }
 
 // CompareValue orders cell i against a constant under Compare semantics
-// without materializing the cell — flat string cells compare byte-wise with
-// no allocation.
+// without materializing the cell — string cells compare byte-wise with no
+// allocation.
 func (v *ColVec) CompareValue(i int, c Value) int {
 	if v.Null(i) {
 		if c.Kind == KindNull {
@@ -492,10 +439,7 @@ func (v *ColVec) CompareValue(i int, c Value) int {
 		if c.Kind != KindString {
 			return cmpKind(KindString, c.Kind)
 		}
-		if v.Mode == StrHeader {
-			return cmpStr(v.Strs[i], c.S)
-		}
-		return cmpBytesStr(v.Bytes[v.Offs[i]:v.Offs[i+1]], c.S)
+		return cmpBytesStr(v.str(i), c.S)
 	default:
 		return Compare(v.Value(i), c)
 	}
@@ -503,8 +447,8 @@ func (v *ColVec) CompareValue(i int, c Value) int {
 
 // CompareCell orders cell i against o's cell j under Compare semantics
 // without materializing either: NULL equals NULL, ints and floats compare
-// by numeric value, and string cells compare byte-wise across the header and
-// flat layouts. The hash join's key equality is built on it.
+// by numeric value, and string cells compare byte-wise. The hash join's key
+// equality is built on it.
 func (v *ColVec) CompareCell(i int, o *ColVec, j int) int {
 	if v.Kind == o.Kind && len(v.Nulls) == 0 && len(o.Nulls) == 0 {
 		switch v.Kind {
@@ -514,18 +458,14 @@ func (v *ColVec) CompareCell(i int, o *ColVec, j int) int {
 			return cmpFloat(v.Floats[i], o.Floats[j])
 		}
 	}
-	if o.Kind != KindString || o.Mode != StrFlat || o.Null(j) {
+	if o.Kind != KindString || o.Null(j) {
 		return v.CompareValue(i, o.Value(j)) // o's cell is a Value without allocating
 	}
 	if v.Kind != KindString || v.Null(i) {
 		// Ordered by kind (or NULL) alone: o's bytes never matter.
 		return Compare(v.Value(i), Value{Kind: KindString})
 	}
-	b := o.Bytes[o.Offs[j]:o.Offs[j+1]]
-	if v.Mode == StrFlat {
-		return bytes.Compare(v.Bytes[v.Offs[i]:v.Offs[i+1]], b)
-	}
-	return -cmpBytesStr(b, v.Value(i).S)
+	return bytes.Compare(v.str(i), o.str(j))
 }
 
 func cmpInt(a, b int64) int {
@@ -540,17 +480,6 @@ func cmpInt(a, b int64) int {
 }
 
 func cmpFloat(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
-func cmpStr(a, b string) int {
 	switch {
 	case a < b:
 		return -1
@@ -600,11 +529,10 @@ func cmpKind(a, b Kind) int {
 }
 
 // HashInto computes the HashOn hash of every live row over the key columns,
-// column by column in tight per-layout loops, and returns dst[:Rows()]. The
+// column by column in tight per-kind loops, and returns dst[:Rows()]. The
 // per-row byte sequence fed to FNV-1a is exactly HashOn's (columns in idx
 // order), so the hashes are bit-identical to hashing the materialized rows,
-// and a row hashes alike whatever batch, selection or string layout carries
-// it — the property that lets the hash join hash its build chunks and its
+// and a row hashes alike whatever batch or selection carries it — the property that lets the hash join hash its build chunks and its
 // probe batches separately and meet in one chained index.
 func (b *ColBatch) HashInto(idx []int, dst []uint64) []uint64 {
 	n := b.Rows()
@@ -674,7 +602,7 @@ func (v *ColVec) hashInto(sel []int32, n int, dst []uint64) {
 	}
 }
 
-// hashCell mixes physical row i's cell into h, layout by layout.
+// hashCell mixes physical row i's cell into h, with HashOn's byte sequence.
 func (v *ColVec) hashCell(h uint64, i int) uint64 {
 	if v.Null(i) {
 		return prob.FNVByte(h, 0)
@@ -694,10 +622,7 @@ func (v *ColVec) hashCell(h uint64, i int) uint64 {
 		h = prob.FNVByte(h, 2)
 		return prob.FNVByte(h, byte(v.Ints[i]&1))
 	case KindString:
-		if v.Mode == StrHeader {
-			return hashStr(h, v.Strs[i])
-		}
-		b := v.Bytes[v.Offs[i]:v.Offs[i+1]]
+		b := v.str(i)
 		h = prob.FNVByte(h, 3)
 		h = prob.FNVUint64(h, uint64(len(b)))
 		for _, c := range b {
@@ -707,14 +632,4 @@ func (v *ColVec) hashCell(h uint64, i int) uint64 {
 	default: // a column declared NULL holds only NULL cells
 		return prob.FNVByte(h, 0)
 	}
-}
-
-// hashStr mixes one string cell with HashOn's string byte sequence.
-func hashStr(h uint64, s string) uint64 {
-	h = prob.FNVByte(h, 3)
-	h = prob.FNVUint64(h, uint64(len(s)))
-	for k := 0; k < len(s); k++ {
-		h = prob.FNVByte(h, s[k])
-	}
-	return h
 }

@@ -65,55 +65,65 @@ func TestColBatchRowRoundTrip(t *testing.T) {
 	}
 }
 
-// TestColBatchStrBytesLayouts: the heap-scan byte append lands in the flat
-// layout at low and high cardinality alike, preserving every cell, and so
-// does the first append after a Reset; a column that already holds shared
-// headers takes the bytes as a header.
+// TestColBatchStrBytesLayouts: raw bytes (the heap scan's append) and
+// string Values land in the one flat layout, interleaved in any order at low
+// and high cardinality alike, preserving every cell; after a Reset the
+// offsets start over at 0 with the first cell.
 func TestColBatchStrBytesLayouts(t *testing.T) {
 	sch := NewSchema(DataCol("s", KindString))
 	b := NewColBatch(sch)
+	v := &b.Cols[0]
 	var want []string
 	for i := 0; i < 64; i++ {
 		s := fmt.Sprintf("low-%02d", i%8)
-		b.Cols[0].AppendStrBytes([]byte(s))
+		if i%2 == 0 {
+			v.AppendStrBytes([]byte(s))
+		} else {
+			v.AppendValue(b.N, Str(s))
+		}
 		want = append(want, s)
 		b.N++
-	}
-	if b.Cols[0].Mode != StrFlat {
-		t.Fatalf("low-cardinality column mode = %v, want StrFlat", b.Cols[0].Mode)
 	}
 	for i := 256; i >= 0; i-- {
 		s := fmt.Sprintf("wide-%04d", i)
-		b.Cols[0].AppendStrBytes([]byte(s))
+		v.AppendStrBytes([]byte(s))
 		want = append(want, s)
 		b.N++
 	}
-	if b.Cols[0].Mode != StrFlat {
-		t.Fatalf("high-cardinality column mode = %v, want StrFlat", b.Cols[0].Mode)
+	if len(v.Offs) != b.N+1 || v.Offs[0] != 0 || int(v.Offs[b.N]) != len(v.Bytes) {
+		t.Fatalf("%d cells: %d offsets from %d to %d over %d bytes", b.N, len(v.Offs), v.Offs[0], v.Offs[len(v.Offs)-1], len(v.Bytes))
 	}
 	for i, s := range want {
-		if got := b.Cols[0].Value(i); got.S != s {
+		if got := v.Value(i); got.S != s {
 			t.Fatalf("cell %d = %q, want %q", i, got.S, s)
 		}
 	}
-	b.Reset(sch)
-	b.Cols[0].AppendStrBytes([]byte("after"))
-	b.N = 1
-	if b.Cols[0].Mode != StrFlat {
-		t.Fatalf("after Reset: mode = %v, want StrFlat", b.Cols[0].Mode)
+	// A row range, then a selection, copied onto a batch holding a cell.
+	out := NewColBatch(sch)
+	out.AppendRow(Tuple{Str("first")})
+	out.AppendBatch(b, 60, 70)
+	b.Sel = []int32{3, 64, 65, 200}
+	out.AppendBatch(b, 1, 4)
+	b.Sel = nil
+	for i, w := range append([]string{"first"}, append(want[60:70], want[64], want[65], want[200])...) {
+		if got := out.Cols[0].Value(i); got.S != w {
+			t.Fatalf("copied cell %d = %q, want %q", i, got.S, w)
+		}
 	}
-	if got := b.Cols[0].Value(0); got.S != "after" {
-		t.Fatalf("after Reset: cell = %q, want %q", got.S, "after")
+	for _, first := range []func(){
+		func() { v.AppendStrBytes([]byte("after")) },
+		func() { v.AppendValue(0, Str("after")) },
+		func() { v.AppendValue(0, Null()) },
+	} {
+		b.Reset(sch)
+		first()
+		b.N = 1
+		if len(v.Offs) != 2 || v.Offs[0] != 0 || int(v.Offs[1]) != len(v.Bytes) {
+			t.Fatalf("after Reset: offsets %v over %d bytes, want [0 %d]", v.Offs, len(v.Bytes), len(v.Bytes))
+		}
 	}
-	b.Reset(sch)
-	b.Cols[0].AppendValue(0, Str("header"))
-	b.Cols[0].AppendStrBytes([]byte("bytes"))
-	b.N = 2
-	if b.Cols[0].Mode != StrHeader || len(b.Cols[0].Strs) != 2 {
-		t.Fatalf("bytes after a header: mode = %v with %d headers, want StrHeader with 2", b.Cols[0].Mode, len(b.Cols[0].Strs))
-	}
-	if got := b.Cols[0].Value(1); got.S != "bytes" {
-		t.Fatalf("bytes after a header: cell = %q, want %q", got.S, "bytes")
+	if got := v.Value(0); got != Null() {
+		t.Fatalf("after Reset: NULL cell = %v", got)
 	}
 }
 
@@ -170,52 +180,38 @@ func TestColVecCompareValueMatchesCompare(t *testing.T) {
 	}
 }
 
-// layoutCol builds a one-column batch of the given kind holding vals, with
-// string cells in the given layout: StrHeader appends Values, StrFlat
-// appends raw bytes. vals must not start with a NULL, which would settle a
-// string column on the header layout.
-func layoutCol(t *testing.T, kind Kind, mode StrMode, vals []Value) *ColVec {
-	t.Helper()
-	sch := NewSchema(DataCol("c", kind))
-	b := NewColBatch(sch)
+// oneCol builds a one-column batch of the given kind holding vals.
+func oneCol(kind Kind, vals []Value) *ColVec {
+	b := NewColBatch(NewSchema(DataCol("c", kind)))
 	for _, v := range vals {
-		if v.Kind == KindString && mode != StrHeader {
-			b.Cols[0].AppendStrBytes([]byte(v.S))
-		} else {
-			b.Cols[0].AppendValue(b.N, v)
-		}
+		b.Cols[0].AppendValue(b.N, v)
 		b.N++
-	}
-	if kind == KindString && b.Cols[0].Mode != mode {
-		t.Fatalf("string column in layout %d, want %d", b.Cols[0].Mode, mode)
 	}
 	return &b.Cols[0]
 }
 
 // TestColVecCompareCellMatchesCompare: CompareCell must order any cell
-// against any cell of any kind and layout exactly as Compare orders the
-// materialized values — NULL equals NULL, 3 equals 3.0, -0 equals +0, and
-// strings compare byte-wise whichever layouts hold them — the hash join's
-// key equality rests on it.
+// against any cell of any kind exactly as Compare orders the materialized
+// values — NULL equals NULL, 3 equals 3.0, -0 equals +0, and strings compare
+// byte-wise, a leading NULL included — the hash join's key equality rests
+// on it.
 func TestColVecCompareCellMatchesCompare(t *testing.T) {
-	strs := []Value{Str("b"), Str(""), Str("a"), Null(), Str("ab"), Str("s-0100"), Str("b")}
 	cols := []struct {
 		name string
 		kind Kind
-		mode StrMode
 		vals []Value
 	}{
-		{"int", KindInt, StrNone, []Value{Int(3), Int(0), Null(), Int(-1), Int(2)}},
-		{"float", KindFloat, StrNone, []Value{Float(3), Float(math.Copysign(0, -1)), Float(0), Null(), Float(2.5), Float(-1)}},
-		{"bool", KindBool, StrNone, []Value{Bool(true), Null(), Bool(false)}},
-		{"null", KindNull, StrNone, []Value{Null(), Null()}},
-		{"header", KindString, StrHeader, strs},
-		{"flat", KindString, StrFlat, strs},
+		{"int", KindInt, []Value{Int(3), Int(0), Null(), Int(-1), Int(2)}},
+		{"float", KindFloat, []Value{Float(3), Float(math.Copysign(0, -1)), Float(0), Null(), Float(2.5), Float(-1)}},
+		{"bool", KindBool, []Value{Bool(true), Null(), Bool(false)}},
+		{"null", KindNull, []Value{Null(), Null()}},
+		{"string", KindString, []Value{Str("b"), Str(""), Str("a"), Null(), Str("ab"), Str("s-0100"), Str("b")}},
+		{"null-first-string", KindString, []Value{Null(), Str("a\x00b"), Str("a"), Str("")}},
 	}
 	for _, a := range cols {
-		av := layoutCol(t, a.kind, a.mode, a.vals)
+		av := oneCol(a.kind, a.vals)
 		for _, b := range cols {
-			bv := layoutCol(t, b.kind, b.mode, b.vals)
+			bv := oneCol(b.kind, b.vals)
 			for i, x := range a.vals {
 				for j, y := range b.vals {
 					if got, want := av.CompareCell(i, bv, j), Compare(x, y); got != want {
@@ -298,40 +294,33 @@ func TestColVecAppendCell(t *testing.T) {
 }
 
 // TestColVecReuse: a vector cleared for reuse by another column starts
-// over like a new one — its string layout undecided again, and no string
-// headers left in its storage, where a batch's Reset only truncates them.
+// over like a new one — no cells, the first string cell's offsets from 0 —
+// while its storage keeps its capacity; and reserving no rows gives a new
+// batch no storage, so that a drain of the free list (Draw(ls, 0) until a
+// batch comes back empty) ends.
 func TestColVecReuse(t *testing.T) {
 	var v ColVec
-	v.reset(KindString)
+	v.Reuse(KindString)
 	for i := 0; i < 257; i++ {
 		v.AppendStrBytes([]byte(fmt.Sprint("s", i)))
 	}
-	if v.Mode != StrFlat {
-		t.Fatalf("raw string bytes left the column in layout %d, want flat", v.Mode)
-	}
+	bytesCap, offsCap := cap(v.Bytes), cap(v.Offs)
 	v.Reuse(KindString)
+	if len(v.Bytes)+len(v.Offs) != 0 || cap(v.Bytes) != bytesCap || cap(v.Offs) != offsCap {
+		t.Fatalf("after Reuse: %d bytes and %d offsets left, capacity %d/%d, want none left and %d/%d",
+			len(v.Bytes), len(v.Offs), cap(v.Bytes), cap(v.Offs), bytesCap, offsCap)
+	}
 	v.AppendValue(0, Str("x"))
-	if v.Mode != StrHeader || len(v.Strs) != 1 || len(v.Bytes)+len(v.Offs) != 0 {
-		t.Fatalf("after Reuse: layout %d with %d headers and %d flat bytes, want one header", v.Mode, len(v.Strs), len(v.Bytes))
-	}
-
-	v.reset(KindString) // a batch's Reset: the layout is undecided again
-	v.AppendStrBytes([]byte("y"))
-	if v.Mode != StrFlat || v.Value(0).S != "y" {
-		t.Fatalf("after reset: layout %d, cell %v, want flat \"y\"", v.Mode, v.Value(0))
-	}
-
-	v.Reuse(KindString)
-	for i := 0; i < 10; i++ {
-		v.AppendValue(i, Str(fmt.Sprint("h", i)))
+	if len(v.Offs) != 2 || v.Offs[0] != 0 || v.Value(0).S != "x" {
+		t.Fatalf("after Reuse: offsets %v, cell %v, want [0 1] \"x\"", v.Offs, v.Value(0))
 	}
 	v.Reuse(KindInt)
-	for i, s := range v.Strs[:cap(v.Strs)] {
-		if s != "" {
-			t.Fatalf("after Reuse: string header %d still holds %q", i, s)
-		}
+	if v.Kind != KindInt || len(v.Bytes)+len(v.Offs) != 0 {
+		t.Fatalf("after Reuse(KindInt): kind %v, %d string bytes left", v.Kind, len(v.Bytes))
 	}
-	if v.Kind != KindInt || v.Mode != StrNone || len(v.Strs)+len(v.Bytes)+len(v.Offs) != 0 {
-		t.Fatalf("after Reuse(KindInt): kind %v, layout %d, string cells left", v.Kind, v.Mode)
+
+	b := NewColBatch(NewSchema(DataCol("s", KindString), DataCol("i", KindInt)))
+	if b.Reserve(0); b.MemSize() != 0 {
+		t.Fatalf("Reserve(0) of a new batch grew it to %d bytes, want none", b.MemSize())
 	}
 }

@@ -7,16 +7,17 @@ import (
 )
 
 // vecLists are the idle column vectors on the engine's free list, one list
-// per column kind. An idle vector pins no strings (ColVec.Reuse).
+// per column kind.
 var vecLists = func() (ls [KindBool + 1]*freelist.List[ColVec]) {
 	for k := range ls {
-		ls[k] = freelist.New(func(v ColVec) int64 { return v.MemSize() }, func(v *ColVec) { v.Reuse(v.Kind) }, nil)
+		ls[k] = freelist.New(func(v ColVec) int64 { return v.MemSize() }, func(v *ColVec) { v.Reuse(v.Kind) },
+			func(want int64) ColVec { return newVec(Kind(k), want/vecBytes(Kind(k))) })
 	}
 	return ls
 }()
 
-// vecBytes is what a column of the kind stores per row in its typed
-// layout: 8 bytes a number, a 16-byte header a string.
+// vecBytes is what a vector drawn for a column of the kind holds per row:
+// 8 bytes a number; a string's 4-byte offset and 12 bytes of its cell.
 func vecBytes(k Kind) int64 {
 	if k == KindString {
 		return 16
@@ -24,12 +25,32 @@ func vecBytes(k Kind) int64 {
 	return 8
 }
 
+// strBytes is the room for cell bytes a new string vector gets per row.
+const strBytes = 12
+
+// newVec is a new empty vector of the kind with room for rows rows — for a
+// string column, rows offsets and strBytes bytes a row — so that it holds
+// rows·vecBytes bytes from the start and goes back whole (Recycle) however
+// short the strings it is filled with.
+func newVec(k Kind, rows int64) ColVec {
+	v := ColVec{Kind: k}
+	switch k {
+	case KindInt, KindBool:
+		v.Ints = make([]int64, 0, rows)
+	case KindFloat:
+		v.Floats = make([]float64, 0, rows)
+	case KindString:
+		v.Offs = make([]int32, 0, rows+1)
+		v.Bytes = make([]byte, 0, strBytes*rows)
+	}
+	return v
+}
+
 // Draw gives every column of b, an empty batch that holds no storage yet,
 // a vector off the free list. When rows > 0 (a BatchSize chunk) that is the
-// best fit for rows rows (freelist.List.Draw), and the batch is reserved
-// for rows rows, so a column the list had no vector for gets a new one of
-// that size — a string column once its layout is settled (Reserve). When
-// rows is 0 (a sort run, which does not know how far it will grow) it is
+// best fit for rows rows (freelist.List.Draw), reserved for rows rows, or
+// a new vector of that size (newVec) when the list has none. When rows is
+// 0 (a sort run, which does not know how far it will grow) it is
 // the largest idle vector of the column's kind, and a column the list has
 // none for grows from nothing.
 func (b *ColBatch) Draw(ls *freelist.Lease, rows int) {
@@ -49,9 +70,10 @@ func (b *ColBatch) Draw(ls *freelist.Lease, rows int) {
 // Recycle gives b's column vectors back to the free list and leaves b's
 // columns empty: nothing of what b held may be read afterwards. rows is
 // what b was drawn for (Draw): when it is > 0, a vector too small to be
-// the best fit of such a draw — one that never grew to rows rows in its
-// layout — is let go to the collector instead, so that no list fills with
-// vectors no draw of that shape takes.
+// the best fit of such a draw — one holding less than a new vector of rows
+// rows, as one a projection moved in from another batch may — is let
+// go to the collector instead, so that no list fills with vectors no draw
+// of that shape takes.
 func (b *ColBatch) Recycle(ls *freelist.Lease, rows int) {
 	for c := range b.Cols {
 		v := &b.Cols[c]
@@ -79,13 +101,12 @@ type Scope struct {
 	chunks []*ColBatch
 }
 
-// NewChunk starts an empty chunk of the schema, owned by the scope: drawn
-// for BatchSize rows, or allocated by a nil scope. Settle its string
-// columns' layout (ColVec.SettleLike) and Reserve(BatchSize) before
-// filling it.
+// NewChunk starts an empty chunk of the schema, owned by the scope and
+// reserved for BatchSize rows: drawn, or allocated by a nil scope.
 func (s *Scope) NewChunk(schema *Schema) *ColBatch {
 	b := NewColBatch(schema)
 	if s == nil {
+		b.Reserve(BatchSize)
 		return b
 	}
 	b.Draw(&s.lease, BatchSize)
